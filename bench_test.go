@@ -10,7 +10,6 @@
 package disha_test
 
 import (
-	"fmt"
 	"testing"
 
 	disha "repro"
@@ -390,131 +389,6 @@ func BenchmarkAblationFaultTolerance(b *testing.B) {
 			}
 		})
 	}
-}
-
-// stepBenchAt measures steady-state Step cost on a torus at the given
-// offered load, kernel shard count (0 = serial kernel), active-set setting
-// and scan path (refScan = retained reference path instead of the optimized
-// struct-of-arrays scans). b.ReportAllocs surfaces the zero-allocation
-// steady-state property alongside ns/cycle.
-func stepBenchAt(b *testing.B, radix, shards int, load float64, activeSet, refScan bool) {
-	b.Helper()
-	topo := disha.Torus(radix, radix)
-	sim, err := disha.NewSimulator(disha.SimConfig{
-		Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
-		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, Shards: shards,
-		DisableActiveSet: !activeSet,
-		ReferenceScan:    refScan,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(sim.Close)
-	sim.Run(2000) // steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
-	}
-	b.ReportMetric(float64(topo.Nodes()), "routers/step")
-}
-
-// stepBenchGrid runs one kernel variant over the full load × size grid. The
-// sub-benchmark names (torus8/load0.5, ...) are load-bearing: CI's benchgate
-// gates reference them (see .github/workflows/ci.yml, kernel job).
-func stepBenchGrid(b *testing.B, bench func(b *testing.B, radix int, load float64)) {
-	b.Helper()
-	for _, radix := range []int{8, 16} {
-		radix := radix
-		b.Run(fmt.Sprintf("torus%d", radix), func(b *testing.B) {
-			for _, load := range []float64{0.1, 0.5, 0.9} {
-				load := load
-				b.Run(fmt.Sprintf("load%.1f", load), func(b *testing.B) { bench(b, radix, load) })
-			}
-		})
-	}
-}
-
-// stepBenchProfiled is stepBenchAt with the telemetry stack (hub, episode
-// tracker, flight recorder) attached and the kernel phase profiler sampling
-// every profileEvery cycles (0 = profiler off). The on/off twins isolate
-// the profiler's own Step overhead from the base telemetry cost; CI gates
-// their ratio.
-func stepBenchProfiled(b *testing.B, radix, shards int, load float64, activeSet bool, profileEvery int) {
-	b.Helper()
-	topo := disha.Torus(radix, radix)
-	sim, err := disha.NewSimulator(disha.SimConfig{
-		Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
-		LoadRate: load, MsgLen: 32, Timeout: 8, Seed: 1, Shards: shards,
-		DisableActiveSet: !activeSet,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(sim.Close)
-	sim.EnableTelemetry(disha.TelemetryOptions{ProfileEvery: profileEvery})
-	sim.Run(2000) // steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
-	}
-	b.ReportMetric(float64(topo.Nodes()), "routers/step")
-}
-
-// BenchmarkStepSerial is the serial full-scan baseline over the load × size
-// grid: the optimized struct-of-arrays scans, every router visited every
-// cycle, no worker pool. CI benchgates the sharded kernel, the active-set
-// scheduler and the reference scan path against these numbers.
-func BenchmarkStepSerial(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false, false)
-	})
-}
-
-// BenchmarkStepSharded runs the identical simulations under the sharded
-// kernel (4 worker shards). Results are byte-identical to serial; only the
-// wall time may differ.
-func BenchmarkStepSharded(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 4, load, false, false)
-	})
-}
-
-// BenchmarkStepActiveSet runs the serial kernel with the active-set
-// scheduler (the default in production) across the grid: at 0.1 load most
-// routers sleep most cycles and the scheduler should clear >= 1.5x the full
-// scan's cycles/sec; by 0.9 load nearly every router is busy and the two
-// converge. Results are byte-identical to the full scan at every load; only
-// the wall time differs.
-func BenchmarkStepActiveSet(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, true, false)
-	})
-}
-
-// BenchmarkStepReference runs the serial full scan through the retained
-// reference scan path — the faithful port of the pre-SoA per-slot walks.
-// It is the denominator of the SoA speed claim: CI requires the optimized
-// BenchmarkStepSerial to clear 1.15x this path's cycles/sec at 0.5 load on
-// the 16x16 torus (ns/op ratio <= 0.87), with additional guard gates at 0.1
-// and 0.9 load.
-func BenchmarkStepReference(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false, true)
-	})
-}
-
-// BenchmarkStepProfiled measures the kernel phase profiler's overhead at
-// the BenchmarkStepActiveSet/torus16/load0.5 operating point, with the telemetry
-// stack attached in both runs so the comparison isolates the profiler:
-// "off" has ProfileEvery=0, "on" samples every 32nd cycle (the disha-sim
-// default is 64, so this is conservative). CI's benchgate requires on to
-// stay within 11% of off — i.e. profiler-on Step throughput must remain
-// >= 0.9x profiler-off.
-func BenchmarkStepProfiled(b *testing.B) {
-	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, true, 0) })
-	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, true, 32) })
 }
 
 // BenchmarkAblationAdaptiveTimeout compares fixed vs self-tuning T_out at

@@ -57,8 +57,6 @@ func main() {
 		drain     = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		shards    = flag.Int("shards", 0, "kernel worker shards per cycle (0/1 = serial; any value gives identical results)")
-		activeSet = flag.Bool("active-set", true, "skip fully drained routers in the step kernel (identical results; disable only to benchmark the full-scan baseline)")
-		refScan   = flag.Bool("reference-scan", false, "use the retained reference scan path instead of the optimized struct-of-arrays scans (identical results; exists for conformance testing and benchmarking)")
 		wfg       = flag.Bool("wfg", false, "run the wait-for-graph analyzer at the end")
 
 		chaosScript  = flag.String("chaos-script", "", "run a chaos campaign: JSON event-schedule of mid-run kill/heal/swap reconfiguration events (see CHAOS.md)")
@@ -81,6 +79,10 @@ func main() {
 	if *version {
 		fmt.Println(telemetry.Build().String())
 		return
+	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "disha-sim: negative kernel shards %d (-shards must be >= 0)\n", *shards)
+		os.Exit(2)
 	}
 
 	var topo disha.Graph
@@ -165,8 +167,6 @@ func main() {
 		InjectionThrottle: *throttle,
 		Seed:              *seed,
 		Shards:            *shards,
-		DisableActiveSet:  !*activeSet,
-		ReferenceScan:     *refScan,
 	})
 	fail(err)
 	defer sim.Close()

@@ -51,7 +51,6 @@ func main() {
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
 		parallel  = flag.Int("parallel", 0, "engine workers (0 = all cores, 1 = serial; results are identical either way)")
 		shards    = flag.Int("shards", 0, "kernel worker shards inside each simulation (0/1 = serial; results are identical; keep parallel*shards within the core count)")
-		activeSet = flag.Bool("active-set", true, "skip fully drained routers in each simulation's step kernel (identical results; disable only for full-scan baselines)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
 		retries   = flag.Int("retries", 1, "extra attempts for a failing point")
 		journal   = flag.String("journal", "", "JSONL checkpoint file for completed points (optional)")
@@ -66,6 +65,10 @@ func main() {
 	if *version {
 		fmt.Println(telemetry.Build().String())
 		return
+	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "disha-sweep: negative kernel shards %d (-shards must be >= 0)\n", *shards)
+		os.Exit(2)
 	}
 
 	if *resume && *journal == "" {
@@ -134,7 +137,6 @@ func main() {
 			spec.Measure = *measure
 		}
 		spec.Shards = *shards
-		spec.DisableActiveSet = !*activeSet
 		spec.Chaos = chaosEvents
 		fmt.Printf("== figure %s: %s ==\n", name, spec.Name)
 		progress := func(s string) { fmt.Println("  " + s) }

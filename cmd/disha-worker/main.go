@@ -48,6 +48,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "disha-worker: negative kernel shards %d (-shards must be >= 0)\n", *shards)
+		os.Exit(2)
+	}
 
 	logger := log.New(os.Stderr, "disha-worker: ", log.LstdFlags)
 	w := fabric.NewWorker(fabric.WorkerOptions{

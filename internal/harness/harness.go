@@ -86,10 +86,6 @@ type Spec struct {
 	// engine's across-point parallelism, so keep Shards*Parallelism within
 	// the host's core count.
 	Shards int
-	// DisableActiveSet forces every run's kernel to visit all routers every
-	// cycle instead of only the active set. Byte-identical either way; the
-	// full scan is only useful as a benchmarking baseline.
-	DisableActiveSet bool
 	// Chaos, when non-empty, arms this reconfiguration event schedule on
 	// every point's network (and re-arms it after a checkpoint resume —
 	// already-applied events replay from the snapshot's reconfiguration log
@@ -491,6 +487,9 @@ func (s *Spec) normalize() error {
 	if s.Batches < 1 {
 		return fmt.Errorf("harness: batches %d < 1", s.Batches)
 	}
+	if s.Shards < 0 {
+		return fmt.Errorf("harness: negative kernel shards %d", s.Shards)
+	}
 	return nil
 }
 
@@ -534,7 +533,7 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, ck *checkpointer
 		MsgLen:            s.MsgLen,
 		Seed:              seed,
 		TokenHopsPerCycle: s.TokenHops,
-		Kernel:            network.KernelConfig{Shards: s.Shards, DisableActiveSet: s.DisableActiveSet},
+		Kernel:            network.KernelConfig{Shards: s.Shards},
 	})
 	if err != nil {
 		return PointResult{}, err

@@ -120,6 +120,16 @@ func TestIncompleteSpecFails(t *testing.T) {
 	if _, err := (&Spec{Name: "broken"}).Run(nil); err == nil {
 		t.Fatal("incomplete spec must fail")
 	}
+	// A negative shard count fails once, before any point is scheduled.
+	spec := tinySpec()
+	spec.Shards = -1
+	res, report, err := spec.RunWith(RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "negative kernel shards") {
+		t.Fatalf("Shards=-1: err = %v, want a negative-kernel-shards error", err)
+	}
+	if res != nil || report != nil {
+		t.Fatalf("Shards=-1 scheduled jobs before failing: result %v, report %v", res, report)
+	}
 }
 
 func TestTablesAndCSV(t *testing.T) {

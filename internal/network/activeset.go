@@ -50,9 +50,9 @@ import (
 // timer phase live — so the newly arrived header starts accruing blocked
 // time the same cycle it arrives, as under the full scan.
 //
-// When KernelConfig.DisableActiveSet is set, every bit simply stays set and
-// the deactivation sweep is skipped: all loops become full scans through
-// the same code path, and the digest is unchanged either way.
+// The scheduler is always on. In-package tests set activeSetOff to get the
+// full scan it is checked against: every bit stays set, the deactivation sweep
+// is skipped and the same loops become full scans, digest unchanged.
 
 // setActive marks router i active.
 func (n *Network) setActive(i int) { n.actMask[i>>6] |= 1 << (uint(i) & 63) }

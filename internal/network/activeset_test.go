@@ -56,10 +56,9 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 	for _, v := range activeSetVariants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			full := v.build()
-			full.Kernel.DisableActiveSet = true
-			baseline := mustNet(t, full)
+			baseline := mustNet(t, v.build())
 			defer baseline.Close()
+			useFullScan(t, baseline)
 
 			serialCfg := v.build()
 			serial := mustNet(t, serialCfg)
@@ -94,7 +93,7 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 				t.Fatal("comparison never exercised a skipped router; the test is vacuous")
 			}
 			if baseline.activeCount() != len(baseline.routers) {
-				t.Fatal("DisableActiveSet deactivated a router")
+				t.Fatal("the full-scan baseline deactivated a router")
 			}
 		})
 	}
@@ -144,14 +143,13 @@ func TestActiveSetDeactivatesAndReawakens(t *testing.T) {
 // full-scan network (and vice versa) and both continuations stay
 // fingerprint-identical, cycle by cycle.
 func TestActiveSetSnapshotCrossMode(t *testing.T) {
-	build := func(disable bool) Config {
+	build := func() Config {
 		cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.3, 29)
 		cfg.Router.VCs = 2
 		cfg.Router.Timeout = 4
-		cfg.Kernel.DisableActiveSet = disable
 		return cfg
 	}
-	src := mustNet(t, build(false))
+	src := mustNet(t, build())
 	defer src.Close()
 	src.Run(300)
 
@@ -161,8 +159,11 @@ func TestActiveSetSnapshotCrossMode(t *testing.T) {
 	}
 	restored := make([]*Network, 2)
 	for i, disable := range []bool{false, true} {
-		rn := mustNet(t, build(disable))
+		rn := mustNet(t, build())
 		defer rn.Close()
+		if disable {
+			useFullScan(t, rn)
+		}
 		if err := rn.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}

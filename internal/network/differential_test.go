@@ -215,12 +215,12 @@ func TestDifferentialLockstep(t *testing.T) {
 				tr.apply(&soaCfg)
 				refCfg := dc.build()
 				tr.apply(&refCfg)
-				refCfg.Kernel.ReferenceScan = true
 
 				soa := mustNet(t, soaCfg)
 				defer soa.Close()
 				ref := mustNet(t, refCfg)
 				defer ref.Close()
+				useReferenceScan(t, ref)
 
 				for c := 1; c <= cycles; c++ {
 					soa.Step()

@@ -100,7 +100,7 @@ func FuzzSoALayout(f *testing.F) {
 			routing.Disha(0), routing.Disha(3), routing.DOR(),
 			routing.NegativeFirst(), routing.DallyAoki(), routing.Duato(),
 		}
-		build := func(ref bool) (*Network, error) {
+		build := func() (*Network, error) {
 			topo, err := topology.NewTorus(int(kx)%9, int(ky)%9)
 			if err != nil {
 				return nil, err
@@ -118,19 +118,19 @@ func FuzzSoALayout(f *testing.F) {
 					InjectionVCs: int(injVCs) % 6,
 					Timeout:      16,
 				},
-				Kernel: KernelConfig{ReferenceScan: ref},
 			})
 		}
-		soa, err := build(false)
+		soa, err := build()
 		if err != nil {
 			return // invalid geometry/algorithm combination; rejection is fine
 		}
 		defer soa.Close()
-		ref, err := build(true)
+		ref, err := build()
 		if err != nil {
-			t.Fatalf("reference build failed where SoA build succeeded: %v", err)
+			t.Fatalf("second build failed where the first succeeded: %v", err)
 		}
 		defer ref.Close()
+		useReferenceScan(t, ref)
 		steps := int(cycles) % 150
 		for i := 0; i < steps; i++ {
 			soa.Step()

@@ -111,25 +111,23 @@ func goldenCases() []goldenCase {
 
 // runCase steps a fresh network for the case's cycle budget with the given
 // shard count, checking structural invariants along the way, and returns the
-// final state fingerprint.
-func runCase(t *testing.T, gc goldenCase, shards int) string {
-	return runCaseKernel(t, gc, KernelConfig{Shards: shards})
-}
-
-// runCaseKernel is runCase with full kernel-knob control: shard count,
-// reference vs optimized scan path, active-set scheduler on or off. Every
-// combination must land on the same committed digest.
-func runCaseKernel(t *testing.T, gc goldenCase, kern KernelConfig) string {
+// final state fingerprint. A non-nil prepare (useReferenceScan, useFullScan)
+// is applied to the network before its first Step; every combination must
+// land on the same committed digest.
+func runCase(t *testing.T, gc goldenCase, shards int, prepare func(testing.TB, *Network)) string {
 	t.Helper()
 	cfg := gc.build()
-	cfg.Kernel = kern
+	cfg.Kernel.Shards = shards
 	n := mustNet(t, cfg)
 	defer n.Close()
+	if prepare != nil {
+		prepare(t, n)
+	}
 	for i := 0; i < gc.cycles; i++ {
 		n.Step()
 		if i%50 == 49 {
 			if err := n.CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d (kernel=%+v): %v", i+1, kern, err)
+				t.Fatalf("cycle %d (shards=%d): %v", i+1, shards, err)
 			}
 		}
 	}
@@ -159,9 +157,9 @@ func TestGoldenDigests(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			serial := runCase(t, gc, 0)
+			serial := runCase(t, gc, 0, nil)
 			for _, shards := range []int{1, 2, 4, 8} {
-				if got := runCase(t, gc, shards); got != serial {
+				if got := runCase(t, gc, shards, nil); got != serial {
 					t.Fatalf("shards=%d digest %s differs from serial %s", shards, got, serial)
 				}
 			}
@@ -194,32 +192,29 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenKernelVariants proves every kernel knob digest-invariant against
-// the same committed goldens: the retained reference scan path (serial and
-// sharded), the active-set scheduler disabled, and both at once must all
-// land on the digests the optimized SoA path produced. A divergence here
-// with TestGoldenDigests green means the reference and optimized scans have
-// drifted apart — exactly the regression the SoA refactor's conformance
-// layer exists to catch.
+// TestGoldenKernelVariants holds the two test-only reference kernels to the
+// same committed goldens: the retained reference scan path and the full scan
+// (active-set scheduler off) must land on the digests the production kernel
+// produced. A divergence here with TestGoldenDigests green means a reference
+// and the optimized kernel have drifted apart — exactly the regression the
+// conformance layer exists to catch.
 func TestGoldenKernelVariants(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden digests are updated by TestGoldenDigests")
 	}
 	want := readGolden(t)
 	variants := []struct {
-		name string
-		kern KernelConfig
+		name    string
+		prepare func(testing.TB, *Network)
 	}{
-		{"reference-serial", KernelConfig{ReferenceScan: true}},
-		{"reference-shards4", KernelConfig{ReferenceScan: true, Shards: 4}},
-		{"activeset-off", KernelConfig{DisableActiveSet: true}},
-		{"reference-activeset-off", KernelConfig{ReferenceScan: true, DisableActiveSet: true}},
+		{"reference", useReferenceScan},
+		{"full-scan", useFullScan},
 	}
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
 			for _, v := range variants {
-				if got := runCaseKernel(t, gc, v.kern); got != want[gc.name] {
+				if got := runCase(t, gc, 0, v.prepare); got != want[gc.name] {
 					t.Errorf("%s: digest %s, golden %s", v.name, got, want[gc.name])
 				}
 			}

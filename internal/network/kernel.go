@@ -22,22 +22,6 @@ type KernelConfig struct {
 	// (no pool). Values above the node count are clamped. Negative values
 	// are a configuration error.
 	Shards int
-	// DisableActiveSet makes the stage and timer phases visit every router
-	// every cycle instead of only the active set (see activeset.go). The
-	// active-set scheduler is digest-invariant — it changes which routers
-	// are visited, never what any visit computes — so this knob exists only
-	// to benchmark the full-scan baseline and as an escape hatch; like
-	// Shards, it may differ freely between a snapshot and its restore.
-	DisableActiveSet bool
-	// ReferenceScan runs the router-local phases through the retained
-	// reference scan path (router.StageRoutingRef and friends — the faithful
-	// port of the pre-SoA per-slot walks) instead of the optimized
-	// struct-of-arrays scans. The two paths make identical decisions in
-	// identical order, so this knob is digest-invariant like the others and
-	// may differ freely between a snapshot and its restore; it exists as the
-	// baseline for the differential conformance suite and the benchgate
-	// speed gates.
-	ReferenceScan bool
 }
 
 func (k *KernelConfig) normalize(nodes int) error {
@@ -94,7 +78,6 @@ func newKernel(n *Network, shards int) *kernel {
 		panics:   make(chan any, shards),
 	}
 	bounds := shardBounds(len(n.routers), shards)
-	n.stageBufs = make([][]router.Transfer, shards)
 	for i := range bounds {
 		lo, hi, shard := bounds[i][0], bounds[i][1], i
 		k.stageFns[i] = func() { n.stageShard(lo, hi, shard) }
@@ -160,7 +143,7 @@ func (k *kernel) close() {
 // stageShard runs the fused route-compute + switch-allocation phase for the
 // active routers in [lo, hi), staging transfers into the shard's reusable
 // buffer (the activity bitmap is only written in serial phases, so sharded
-// reads are race-free).
+// reads are race-free). The serial Step calls it once, as shard 0 of 1.
 // Both stages mutate only the owning router's state and read neighbor
 // Deadlock Buffer state that is start-of-cycle stable, so disjoint shards
 // run concurrently without synchronization; Deadlock-Buffer admissions are
@@ -197,10 +180,9 @@ func (n *Network) stageShard(lo, hi, shard int) {
 }
 
 // stageRoute, stageSwitch and tickTimers dispatch one router's scan phases
-// to the optimized SoA path or, under KernelConfig.ReferenceScan, to the
-// retained reference path. The branch is per router per phase — noise next
-// to the scan itself — and keeps every caller (serial loop, shard worker,
-// profiled variants) on one dispatch point.
+// to the optimized SoA path or, when an in-package test set refScan, to the
+// retained reference path they are checked against. The branch is per router
+// per phase — noise next to the scan itself.
 func (n *Network) stageRoute(r *router.Router) {
 	if n.refScan {
 		r.StageRoutingRef()

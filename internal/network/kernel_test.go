@@ -199,31 +199,27 @@ func TestKernelPanicPropagation(t *testing.T) {
 }
 
 // TestKernelStepZeroAllocs asserts the steady-state hot path allocates
-// nothing per cycle — serially and sharded, on the optimized
-// struct-of-arrays scans and on the retained reference scan path: injection
-// stopped, in-flight traffic still moving through routing, switching,
-// commit, timers and recovery phases.
+// nothing per cycle, serially and sharded: injection stopped, in-flight
+// traffic still moving through routing, switching, commit, timers and
+// recovery phases.
 func TestKernelStepZeroAllocs(t *testing.T) {
 	for _, shards := range []int{0, 4} {
-		for _, refScan := range []bool{false, true} {
-			cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.6, 11)
-			cfg.Router.VCs = 2
-			cfg.Router.BufferDepth = 1
-			cfg.Router.Timeout = 4
-			cfg.Kernel.Shards = shards
-			cfg.Kernel.ReferenceScan = refScan
-			n := mustNet(t, cfg)
-			// Warm up with live injection (growing scratch buffers to their
-			// steady-state capacity), then stop sources so packet generation —
-			// which inherently allocates — is out of the measured path.
-			n.Run(400)
-			n.StopInjection()
-			n.Run(50)
-			if allocs := testing.AllocsPerRun(100, n.Step); allocs != 0 {
-				t.Errorf("shards=%d refScan=%v: %v allocs per Step in steady state, want 0", shards, refScan, allocs)
-			}
-			n.Close()
+		cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.6, 11)
+		cfg.Router.VCs = 2
+		cfg.Router.BufferDepth = 1
+		cfg.Router.Timeout = 4
+		cfg.Kernel.Shards = shards
+		n := mustNet(t, cfg)
+		// Warm up with live injection (growing scratch buffers to their
+		// steady-state capacity), then stop sources so packet generation —
+		// which inherently allocates — is out of the measured path.
+		n.Run(400)
+		n.StopInjection()
+		n.Run(50)
+		if allocs := testing.AllocsPerRun(100, n.Step); allocs != 0 {
+			t.Errorf("shards=%d: %v allocs per Step in steady state, want 0", shards, allocs)
 		}
+		n.Close()
 	}
 }
 

@@ -46,7 +46,8 @@ func TestGoldenDigestsWithObservability(t *testing.T) {
 
 // TestProfilerPopulatesHistograms checks the phase profiler actually
 // observes every phase, serial and sharded: each phase family member must
-// have a nonzero observation count after a profiled run.
+// have a nonzero observation count after a profiled run, and the two fused
+// stage phases (timed per router inside stageShard) nonzero wall-clock time.
 func TestProfilerPopulatesHistograms(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.4, 7)
@@ -56,12 +57,14 @@ func TestProfilerPopulatesHistograms(t *testing.T) {
 		n.Run(50)
 		n.Close()
 
-		counts := map[string]float64{}
+		counts, sums := map[string]float64{}, map[string]float64{}
 		for _, s := range hub.Registry.Gather() {
-			if s.Name != "disha_step_phase_seconds_count" {
-				continue
+			switch s.Name {
+			case "disha_step_phase_seconds_count":
+				counts[s.Labels.Map()["phase"]] = s.Value
+			case "disha_step_phase_seconds_sum":
+				sums[s.Labels.Map()["phase"]] = s.Value
 			}
-			counts[s.Labels.Map()["phase"]] = s.Value
 		}
 		for _, phase := range []string{
 			"inject", "route_compute", "switch_allocate", "db_resolve",
@@ -69,6 +72,11 @@ func TestProfilerPopulatesHistograms(t *testing.T) {
 		} {
 			if counts[phase] < 1 {
 				t.Errorf("shards=%d: phase %q observation count = %g, want >= 1", shards, phase, counts[phase])
+			}
+		}
+		for _, phase := range []string{"route_compute", "switch_allocate"} {
+			if sums[phase] <= 0 {
+				t.Errorf("shards=%d: phase %q accumulated %g s over 50 profiled cycles, want > 0", shards, phase, sums[phase])
 			}
 		}
 		if counts["step_total"] != 50 {

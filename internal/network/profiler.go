@@ -57,9 +57,6 @@ func newPhaseProfiler(reg *telemetry.Registry, every, shards int) *phaseProfiler
 	if every < 1 {
 		every = 1
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	p := &phaseProfiler{
 		every:       int64(every),
 		shardRoute:  make([]int64, shards),

@@ -41,8 +41,7 @@ const (
 func (n *Network) Snapshot(w io.Writer) error {
 	// Bring skipped routers up to the current cycle first: the snapshot then
 	// carries no trace of the active-set scheduler (activation is rebuilt
-	// from the restored state, never serialized), so snapshots are identical
-	// across scheduler settings just as they are across shard counts.
+	// from the restored state, never serialized).
 	n.syncIdle()
 	var enc snapshot.Writer
 	n.encodeConfigGuard(&enc)
@@ -355,9 +354,8 @@ func DecodeCounters(dec *snapshot.Reader) Counters {
 // encodeConfigGuard writes the identity of the configuration the snapshot
 // was taken under. Restore validates every field against the receiving
 // network so a snapshot can never be loaded into a structurally different
-// simulation; the kernel shard count and active-set toggle are deliberately
-// excluded because the sharded and active-set kernels are byte-identical to
-// the serial full-scan one.
+// simulation; the kernel shard count is deliberately excluded because the
+// sharded kernel is byte-identical to the serial one.
 func (n *Network) encodeConfigGuard(enc *snapshot.Writer) {
 	c := &n.cfg
 	enc.String(n.topo.Name())

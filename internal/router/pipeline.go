@@ -133,7 +133,7 @@ func (res *Reservations) Resolve(xfers []Transfer) {
 // (port, vc) with the O(ports) nthInputVC walk before visiting the slot. It
 // makes exactly the decisions StageRouting makes, in the same order — the
 // differential conformance suite and the benchgate speed gates run the two
-// against each other. Select it network-wide with KernelConfig.ReferenceScan.
+// against each other. Only internal/network's tests select it.
 func (r *Router) StageRoutingRef() {
 	total := 0
 	for p := 0; p <= r.deg; p++ {
