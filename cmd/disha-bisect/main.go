@@ -6,7 +6,8 @@
 // snapshot and single-steps to isolate the exact divergent cycle.
 //
 // The two sides share the base flags; -a and -b apply comma-separated
-// key=value overrides on top:
+// key=value overrides on top, where a key is any simulation flag, by name
+// (the flags disha-sim shares: -topo, -alg, -load, -shards, ...):
 //
 //	# when does misrouting first change global state?
 //	disha-bisect -radix 8 -load 0.7 -cycles 5000 -a misroutes=0 -b misroutes=3
@@ -17,12 +18,10 @@
 //	# recovery-mode comparison at a fine granularity
 //	disha-bisect -load 0.9 -a recovery=sequential -b recovery=abort-retry -granularity 64
 //
-// Override keys: topo, alg, misroutes, sel, traffic, load, msglen, vcs,
-// depth, timeout, recovery, throttle, rx, seed, shards.
-//
 // Exit status: 0 if the runs are digest-identical for the full -cycles
 // window, 1 if they diverge (the first divergent cycle is printed), 2 on
-// usage or simulation errors.
+// any error (unknown flag, override key or name, out-of-range value, a
+// configuration the simulator rejects, snapshot or chaos-script I/O).
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	disha "repro"
@@ -38,49 +36,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sideConfig is one bisection side: the shared base configuration with
-// that side's overrides applied.
-type sideConfig struct {
-	radix, dims int
-	mesh        bool
-	topo        string
-	alg         string
-	misroutes   int
-	sel         string
-	traffic     string
-	hotFrac     float64
-	load        float64
-	msgLen      int
-	vcs         int
-	depth       int
-	timeout     int
-	recovery    string
-	throttle    int
-	rx          int
-	seed        uint64
-	shards      int
-}
-
 func main() {
+	// The search defaults to a smaller, busier network than disha-sim's so a
+	// divergence shows up within few cycles.
+	base := disha.DefaultSimSpec()
+	base.Radix, base.Load, base.MsgLen, base.VCs = 8, 0.6, 16, 2
+	base.Flags(flag.CommandLine)
 	var (
-		radix       = flag.Int("radix", 8, "nodes per dimension")
-		dims        = flag.Int("dims", 2, "dimensions")
-		mesh        = flag.Bool("mesh", false, "use a mesh instead of a torus")
-		topoName    = flag.String("topo", "", `topology by name, e.g. "fullmesh-16" or "fattree-4" (overrides -radix/-dims/-mesh)`)
-		algName     = flag.String("alg", "disha", "routing algorithm: disha, dor, turn, dally, duato, duato-strict")
-		misroutes   = flag.Int("misroutes", 0, "Disha misroute bound M")
-		selName     = flag.String("sel", "random", "selection function: random, min-congestion")
-		trafName    = flag.String("traffic", "uniform", "pattern: uniform, bit-reversal, transpose, hotspot, complement, tornado")
-		hotFrac     = flag.Float64("hotspot-fraction", 0.05, "hot-spot traffic fraction")
-		load        = flag.Float64("load", 0.6, "offered load (fraction of capacity)")
-		msgLen      = flag.Int("msglen", 16, "message length in flits")
-		vcs         = flag.Int("vcs", 2, "virtual channels per physical channel")
-		depth       = flag.Int("depth", 2, "per-VC buffer depth in flits")
-		timeout     = flag.Int("timeout", 8, "deadlock time-out T_out")
-		recovMode   = flag.String("recovery", "sequential", "recovery mode: sequential, concurrent, abort-retry")
-		throttle    = flag.Int("throttle", 0, "max outstanding packets per node (0 = unthrottled)")
-		rx          = flag.Int("rx", 1, "reception channels per node")
-		seed        = flag.Uint64("seed", 1, "random seed")
 		cycles      = flag.Int("cycles", 10000, "cycles to search")
 		granularity = flag.Int("granularity", 256, "coarse comparison stride in cycles")
 		overridesA  = flag.String("a", "", "side A overrides, e.g. alg=disha,misroutes=0")
@@ -94,14 +56,6 @@ func main() {
 		return
 	}
 
-	base := sideConfig{
-		radix: *radix, dims: *dims, mesh: *mesh, topo: *topoName,
-		alg: *algName, misroutes: *misroutes, sel: *selName,
-		traffic: *trafName, hotFrac: *hotFrac, load: *load,
-		msgLen: *msgLen, vcs: *vcs, depth: *depth, timeout: *timeout,
-		recovery: *recovMode, throttle: *throttle, rx: *rx,
-		seed: *seed, shards: 0,
-	}
 	if *granularity < 1 {
 		fail(fmt.Errorf("-granularity must be at least 1"))
 	}
@@ -137,7 +91,7 @@ func main() {
 	arm(simA)
 	arm(simB)
 
-	fmt.Printf("side A: %s\nside B: %s\n", describe(cfgA), describe(cfgB))
+	fmt.Printf("side A: %s\nside B: %s\n", cfgA, cfgB)
 
 	if simA.Fingerprint() != simB.Fingerprint() {
 		fmt.Println("divergence: cycle 0 (the configs already produce different initial state digests)")
@@ -204,192 +158,37 @@ func main() {
 	}
 }
 
-// applyOverrides parses "k=v,k=v" and lays the values over base.
-func applyOverrides(base sideConfig, s string) (sideConfig, error) {
-	cfg := base
+// applyOverrides parses "k=v,k=v" and sets each key, as the simulation flag
+// of that name, on a copy of base.
+func applyOverrides(base disha.SimSpec, s string) (disha.SimSpec, error) {
+	side := base
 	if s == "" {
-		return cfg, nil
+		return side, nil
 	}
+	fs := flag.NewFlagSet("override", flag.ContinueOnError)
+	side.Flags(fs)
 	for _, kv := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return cfg, fmt.Errorf("override %q is not key=value", kv)
+			return side, fmt.Errorf("override %q is not key=value", kv)
 		}
-		var err error
-		switch k {
-		case "topo":
-			cfg.topo = v
-		case "alg":
-			cfg.alg = v
-		case "misroutes":
-			cfg.misroutes, err = strconv.Atoi(v)
-		case "sel":
-			cfg.sel = v
-		case "traffic":
-			cfg.traffic = v
-		case "load":
-			cfg.load, err = strconv.ParseFloat(v, 64)
-		case "msglen":
-			cfg.msgLen, err = strconv.Atoi(v)
-		case "vcs":
-			cfg.vcs, err = strconv.Atoi(v)
-		case "depth":
-			cfg.depth, err = strconv.Atoi(v)
-		case "timeout":
-			cfg.timeout, err = strconv.Atoi(v)
-		case "recovery":
-			cfg.recovery = v
-		case "throttle":
-			cfg.throttle, err = strconv.Atoi(v)
-		case "rx":
-			cfg.rx, err = strconv.Atoi(v)
-		case "seed":
-			cfg.seed, err = strconv.ParseUint(v, 10, 64)
-		case "shards":
-			cfg.shards, err = strconv.Atoi(v)
-		default:
-			return cfg, fmt.Errorf("unknown override key %q", k)
+		if fs.Lookup(k) == nil {
+			return side, fmt.Errorf("unknown override key %q", k)
 		}
-		if err != nil {
-			return cfg, fmt.Errorf("override %q: %v", kv, err)
+		if err := fs.Set(k, v); err != nil {
+			return side, fmt.Errorf("override %q: %v", kv, err)
 		}
 	}
-	return cfg, nil
+	return side, nil
 }
 
-func describe(c sideConfig) string {
-	shape := "torus"
-	if c.mesh {
-		shape = "mesh"
-	}
-	if c.topo != "" {
-		return fmt.Sprintf("%s | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d shards=%d",
-			c.topo, c.alg, c.misroutes, c.sel,
-			c.traffic, c.load, c.msgLen, c.vcs, c.depth, c.timeout, c.recovery, c.seed, c.shards)
-	}
-	return fmt.Sprintf("%s %dx%d | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d shards=%d",
-		shape, c.radix, c.radix, c.alg, c.misroutes, c.sel,
-		c.traffic, c.load, c.msgLen, c.vcs, c.depth, c.timeout, c.recovery, c.seed, c.shards)
-}
-
-func buildSim(c sideConfig) (*disha.Simulator, error) {
-	var topo disha.Graph
-	var err error
-	if c.topo != "" {
-		topo, err = disha.ParseTopology(c.topo)
-	} else {
-		radices := make([]int, c.dims)
-		for i := range radices {
-			radices[i] = c.radix
-		}
-		if c.mesh {
-			topo, err = disha.NewMesh(radices...)
-		} else {
-			topo, err = disha.NewTorus(radices...)
-		}
-	}
+// buildSim resolves one side's spec and constructs its simulator.
+func buildSim(spec disha.SimSpec) (*disha.Simulator, error) {
+	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
 	}
-	// Coordinate-dependent traffic needs the cube layer; fail up front with
-	// a pointer at the incompatible pair rather than a type-assertion panic.
-	coord := func(name string) (disha.Topology, error) {
-		t, ok := topo.(disha.Topology)
-		if !ok {
-			return nil, fmt.Errorf("%s traffic needs cube coordinates, which %s does not have", name, topo.Name())
-		}
-		return t, nil
-	}
-
-	var alg disha.Algorithm
-	recovery := false
-	switch c.alg {
-	case "disha":
-		alg = disha.DishaRouting(c.misroutes)
-		recovery = true
-	case "dor":
-		alg = disha.DOR()
-	case "turn":
-		alg = disha.NegativeFirst()
-	case "dally":
-		alg = disha.DallyAoki()
-	case "duato":
-		alg = disha.Duato()
-	case "duato-strict":
-		alg = disha.DuatoStrict()
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", c.alg)
-	}
-
-	var sel disha.Selection
-	switch c.sel {
-	case "random":
-		sel = disha.RandomSelection()
-	case "min-congestion":
-		sel = disha.MinCongestionSelection()
-	default:
-		return nil, fmt.Errorf("unknown selection %q", c.sel)
-	}
-
-	var pattern disha.Pattern
-	switch c.traffic {
-	case "uniform":
-		pattern = disha.Uniform(topo)
-	case "bit-reversal":
-		pattern, err = disha.BitReversal(topo)
-	case "transpose":
-		var t disha.Topology
-		if t, err = coord(c.traffic); err == nil {
-			pattern, err = disha.Transpose(t)
-		}
-	case "hotspot":
-		pattern = disha.HotSpot(disha.Uniform(topo), disha.Node(topo.Nodes()/3), c.hotFrac)
-	case "complement":
-		var t disha.Topology
-		if t, err = coord(c.traffic); err == nil {
-			pattern = disha.Complement(t)
-		}
-	case "tornado":
-		var t disha.Topology
-		if t, err = coord(c.traffic); err == nil {
-			pattern = disha.Tornado(t)
-		}
-	default:
-		err = fmt.Errorf("unknown traffic %q", c.traffic)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	var mode disha.RecoveryMode
-	switch c.recovery {
-	case "sequential":
-		mode = disha.RecoverySequential
-	case "concurrent":
-		mode = disha.RecoveryConcurrent
-	case "abort-retry":
-		mode = disha.RecoveryAbortRetry
-	default:
-		return nil, fmt.Errorf("unknown recovery mode %q", c.recovery)
-	}
-
-	return disha.NewSimulator(disha.SimConfig{
-		Topo:              topo,
-		Algorithm:         alg,
-		Selection:         sel,
-		Pattern:           pattern,
-		LoadRate:          c.load,
-		MsgLen:            c.msgLen,
-		VCs:               c.vcs,
-		BufferDepth:       c.depth,
-		Timeout:           disha.Cycle(c.timeout),
-		DisableRecovery:   !recovery,
-		Recovery:          mode,
-		ReceptionChannels: c.rx,
-		InjectionThrottle: c.throttle,
-		Seed:              c.seed,
-		Shards:            c.shards,
-	})
+	return disha.NewSimulator(cfg)
 }
 
 func fail(err error) {

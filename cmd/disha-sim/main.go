@@ -19,6 +19,10 @@
 //
 //	disha-sim -load 0.9 -vcs 1 -metrics-addr :9090 -trace-out run.jsonl -hold 60s
 //	disha-trace run.jsonl
+//
+// Exit status: 0 on success, 2 when the flags do not describe a simulation
+// (unknown flag or name, out-of-range value, a configuration the simulator
+// rejects), 1 on a run-time failure (checkpoint, chaos-script or trace I/O).
 package main
 
 import (
@@ -35,29 +39,12 @@ import (
 )
 
 func main() {
+	spec := disha.DefaultSimSpec()
+	spec.Flags(flag.CommandLine)
 	var (
-		radix     = flag.Int("radix", 16, "nodes per dimension")
-		dims      = flag.Int("dims", 2, "dimensions")
-		mesh      = flag.Bool("mesh", false, "use a mesh instead of a torus")
-		topoName  = flag.String("topo", "", `topology by name: "torus-8x8", "mesh-4x4x2", "hypercube-6", "fullmesh-16", "dragonfly-4x2", "fattree-4" (overrides -radix/-dims/-mesh)`)
-		algName   = flag.String("alg", "disha", "routing algorithm: disha, dor, turn, dally, duato, duato-strict")
-		misroutes = flag.Int("misroutes", 0, "Disha misroute bound M")
-		selName   = flag.String("sel", "random", "selection function: random, min-congestion")
-		trafName  = flag.String("traffic", "uniform", "pattern: uniform, bit-reversal, transpose, hotspot, complement, tornado")
-		hotFrac   = flag.Float64("hotspot-fraction", 0.05, "hot-spot traffic fraction")
-		load      = flag.Float64("load", 0.4, "offered load (fraction of capacity)")
-		msgLen    = flag.Int("msglen", 32, "message length in flits")
-		vcs       = flag.Int("vcs", 4, "virtual channels per physical channel")
-		depth     = flag.Int("depth", 2, "per-VC buffer depth in flits")
-		timeout   = flag.Int("timeout", 8, "deadlock time-out T_out (recovery algorithms)")
-		cycles    = flag.Int("cycles", 10000, "cycles to simulate")
-		recovMode = flag.String("recovery", "sequential", "recovery mode for disha: sequential, concurrent, abort-retry")
-		throttle  = flag.Int("throttle", 0, "max outstanding packets per node (0 = unthrottled)")
-		rx        = flag.Int("rx", 1, "reception channels per node")
-		drain     = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "kernel worker shards per cycle (0/1 = serial; any value gives identical results)")
-		wfg       = flag.Bool("wfg", false, "run the wait-for-graph analyzer at the end")
+		cycles = flag.Int("cycles", 10000, "cycles to simulate")
+		drain  = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
+		wfg    = flag.Bool("wfg", false, "run the wait-for-graph analyzer at the end")
 
 		chaosScript  = flag.String("chaos-script", "", "run a chaos campaign: JSON event-schedule of mid-run kill/heal/swap reconfiguration events (see CHAOS.md)")
 		chaosGen     = flag.Int("chaos-gen", 0, "generate a seeded chaos campaign of this many kill/heal events for the current topology, save it to -chaos-script, then run it (seeded by -seed)")
@@ -80,95 +67,10 @@ func main() {
 		fmt.Println(telemetry.Build().String())
 		return
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "disha-sim: negative kernel shards %d (-shards must be >= 0)\n", *shards)
-		os.Exit(2)
-	}
-
-	var topo disha.Graph
-	var err error
-	if *topoName != "" {
-		topo, err = disha.ParseTopology(*topoName)
-	} else {
-		radices := make([]int, *dims)
-		for i := range radices {
-			radices[i] = *radix
-		}
-		if *mesh {
-			topo, err = disha.NewMesh(radices...)
-		} else {
-			topo, err = disha.NewTorus(radices...)
-		}
-	}
-	fail(err)
-
-	var alg disha.Algorithm
-	recovery := false
-	switch *algName {
-	case "disha":
-		alg = disha.DishaRouting(*misroutes)
-		recovery = true
-	case "dor":
-		alg = disha.DOR()
-	case "turn":
-		alg = disha.NegativeFirst()
-	case "dally":
-		alg = disha.DallyAoki()
-	case "duato":
-		alg = disha.Duato()
-	case "duato-strict":
-		alg = disha.DuatoStrict()
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algName))
-	}
-
-	var sel disha.Selection
-	switch *selName {
-	case "random":
-		sel = disha.RandomSelection()
-	case "min-congestion":
-		sel = disha.MinCongestionSelection()
-	default:
-		fail(fmt.Errorf("unknown selection %q", *selName))
-	}
-
-	var pattern disha.Pattern
-	switch *trafName {
-	case "uniform":
-		pattern = disha.Uniform(topo)
-	case "bit-reversal":
-		pattern, err = disha.BitReversal(topo)
-	case "transpose":
-		pattern, err = disha.Transpose(coordinated(topo, *trafName))
-	case "hotspot":
-		pattern, err = disha.NewHotSpot(disha.Uniform(topo), disha.Node(topo.Nodes()/3), *hotFrac)
-	case "complement":
-		pattern = disha.Complement(coordinated(topo, *trafName))
-	case "tornado":
-		pattern = disha.Tornado(coordinated(topo, *trafName))
-	default:
-		err = fmt.Errorf("unknown traffic %q", *trafName)
-	}
-	fail(err)
-
-	sim, err := disha.NewSimulator(disha.SimConfig{
-		Topo:              topo,
-		Algorithm:         alg,
-		Selection:         sel,
-		Pattern:           pattern,
-		LoadRate:          *load,
-		MsgLen:            *msgLen,
-		VCs:               *vcs,
-		BufferDepth:       *depth,
-		Timeout:           disha.Cycle(*timeout),
-		DisableRecovery:   !recovery,
-		Recovery:          parseRecovery(*recovMode),
-		ReceptionChannels: *rx,
-		InjectionThrottle: *throttle,
-		Seed:              *seed,
-		Shards:            *shards,
-	})
-	fail(err)
+	cfg, err := spec.Config()
+	usage(err)
+	sim, err := disha.NewSimulator(cfg)
+	usage(err)
 	defer sim.Close()
 
 	// Restore must happen while the simulator is still fresh: the snapshot
@@ -191,16 +93,16 @@ func main() {
 			fail(err)
 			tw = disha.NewTelemetryWriter(traceFile)
 			tw.Meta(map[string]string{
-				"topology":  topo.Name(),
-				"algorithm": alg.Name(),
-				"traffic":   pattern.Name(),
-				"load":      fmt.Sprintf("%g", *load),
-				"msglen":    strconv.Itoa(*msgLen),
-				"vcs":       strconv.Itoa(*vcs),
-				"timeout":   strconv.Itoa(*timeout),
-				"recovery":  *recovMode,
+				"topology":  cfg.Topo.Name(),
+				"algorithm": cfg.Algorithm.Name(),
+				"traffic":   cfg.Pattern.Name(),
+				"load":      fmt.Sprintf("%g", spec.Load),
+				"msglen":    strconv.Itoa(spec.MsgLen),
+				"vcs":       strconv.Itoa(spec.VCs),
+				"timeout":   strconv.Itoa(spec.Timeout),
+				"recovery":  spec.Recovery,
 				"cycles":    strconv.Itoa(*cycles),
-				"seed":      strconv.FormatUint(*seed, 10),
+				"seed":      strconv.FormatUint(spec.Seed, 10),
 			})
 			opts.Writer = tw
 		}
@@ -230,7 +132,7 @@ func main() {
 			fail(fmt.Errorf("-chaos-gen requires -chaos-script (the file to write)"))
 		}
 		sched, err := chaos.Generate(chaos.CampaignConfig{
-			Topo: topo, Seed: *seed, Events: *chaosGen, RouterKills: *chaosRouters,
+			Topo: cfg.Topo, Seed: spec.Seed, Events: *chaosGen, RouterKills: *chaosRouters,
 		})
 		fail(err)
 		fail(sched.Save(*chaosScript))
@@ -288,7 +190,7 @@ func main() {
 	}
 
 	fmt.Printf("%s | %s | %s | load %.2f | %d-flit messages | %d VCs x depth %d\n",
-		topo.Name(), alg.Name(), pattern.Name(), *load, *msgLen, *vcs, *depth)
+		cfg.Topo.Name(), cfg.Algorithm.Name(), cfg.Pattern.Name(), spec.Load, spec.MsgLen, spec.VCs, spec.Depth)
 	fmt.Println(strings.Repeat("-", 72))
 	fmt.Print(sim.Report())
 	fmt.Printf("latency:           %v\n", lat.Summarize())
@@ -316,28 +218,11 @@ func main() {
 	}
 }
 
-// coordinated unwraps the cube-coordinate layer of a topology, failing with
-// a usable message when the selected traffic pattern needs coordinates that
-// the chosen graph (full-mesh, dragonfly, fat-tree) does not have.
-func coordinated(g disha.Graph, traffic string) disha.Topology {
-	t, ok := g.(disha.Topology)
-	if !ok {
-		fail(fmt.Errorf("%s traffic needs cube coordinates, which %s does not have (try uniform or bit-reversal)", traffic, g.Name()))
-	}
-	return t
-}
-
-func parseRecovery(s string) disha.RecoveryMode {
-	switch s {
-	case "sequential":
-		return disha.RecoverySequential
-	case "concurrent":
-		return disha.RecoveryConcurrent
-	case "abort-retry":
-		return disha.RecoveryAbortRetry
-	default:
-		fail(fmt.Errorf("unknown recovery mode %q", s))
-		return disha.RecoverySequential
+// usage reports a flag set that does not describe a simulation.
+func usage(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "disha-sim:", err)
+		os.Exit(2)
 	}
 }
 

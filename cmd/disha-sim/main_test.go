@@ -10,23 +10,30 @@ import (
 // TestKernelFlags builds the binary and pins the kernel's command-line
 // surface: -shards is the one kernel knob, it never changes results, a
 // negative value is refused before anything is built, and the retired
-// scan-path and scheduler flags are gone.
+// scan-path and scheduler flags are gone. It also pins what the simulation
+// flags mean: four command lines must reproduce the fingerprints recorded
+// before the flags moved into disha.SimSpec, and a flag set that does not
+// describe a simulation exits 2 with one line.
 func TestKernelFlags(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "disha-sim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build disha-sim: %v\n%s", err, out)
 	}
-	// run executes one deadlock-prone point with extra flags in front and
-	// returns the combined output and the exit code.
-	run := func(extra ...string) (string, int) {
+	// sim runs the binary and returns the combined output and exit code.
+	sim := func(args ...string) (string, int) {
 		t.Helper()
-		cmd := exec.Command(bin, append(extra, "-radix", "8", "-vcs", "1", "-load", "0.9",
-			"-msglen", "8", "-cycles", "2000", "-fingerprint")...)
+		cmd := exec.Command(bin, args...)
 		out, _ := cmd.CombinedOutput()
 		if cmd.ProcessState == nil {
-			t.Fatalf("disha-sim %v did not run", extra)
+			t.Fatalf("disha-sim %v did not run", args)
 		}
 		return string(out), cmd.ProcessState.ExitCode()
+	}
+	// run executes one deadlock-prone point with extra flags in front.
+	run := func(extra ...string) (string, int) {
+		t.Helper()
+		return sim(append(extra, "-radix", "8", "-vcs", "1", "-load", "0.9",
+			"-msglen", "8", "-cycles", "2000", "-fingerprint")...)
 	}
 	fingerprint := func(extra ...string) string {
 		t.Helper()
@@ -48,6 +55,34 @@ func TestKernelFlags(t *testing.T) {
 	for _, retired := range []string{"-reference-scan", "-active-set=false"} {
 		if out, code := run(retired); code != 2 || !strings.Contains(out, "flag provided but not defined") {
 			t.Errorf("%s: exit %d, want 2 as an unknown flag; output:\n%s", retired, code, out)
+		}
+	}
+
+	for _, pin := range []struct{ args, want string }{
+		{"-radix 8 -vcs 1 -load 0.9 -msglen 8 -cycles 2000",
+			"d16ffe0e9b147cd8841d9d14736fa205552bd09e49f5311c15301d4646fcb428"},
+		{"-mesh -radix 4 -dims 3 -alg duato -traffic tornado -cycles 1500",
+			"94dc8a1c5d4b313bf448def136ecacd970b55c30c1fb1e01c9e541162a0ff65e"},
+		{"-topo dragonfly-4x2 -load 0.3 -cycles 1500",
+			"6c97daa55ccb6a5995f46c8af38262aa579f5df13fb5672c26cb042a1353afd7"},
+		{"-topo fullmesh-16 -traffic hotspot -hotspot-fraction 0.1 -alg disha -misroutes 2 -sel min-congestion -recovery abort-retry -vcs 2 -cycles 1500 -seed 7",
+			"871a1ffac14598058445178d2fc1bc284323b4b7aaf8f58eeed52bbae86da2ad"},
+	} {
+		out, code := sim(append(strings.Fields(pin.args), "-fingerprint")...)
+		if code != 0 || !strings.Contains(out, "fingerprint:       "+pin.want+"\n") {
+			t.Errorf("disha-sim %s: exit %d, want fingerprint %s; output:\n%s", pin.args, code, pin.want, out)
+		}
+	}
+	for _, bad := range []struct{ args, want string }{
+		{"-alg nope", `unknown algorithm "nope"`},
+		{"-traffic hotspot -hotspot-fraction 1.5", "hot-spot fraction 1.5 outside [0, 1]"},
+		{"-dims -1", "dims -1 outside"},
+		{"-topo fattree-4 -traffic transpose", "transpose traffic needs cube coordinates"},
+		{"-topo dragonfly-4x2 -alg dor", "dor is not supported on dragonfly-4x2"},
+	} {
+		out, code := sim(strings.Fields(bad.args)...)
+		if code != 2 || !strings.Contains(out, bad.want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("disha-sim %s: exit %d, want 2 with one line containing %q; output:\n%s", bad.args, code, bad.want, out)
 		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	disha "repro"
 	"repro/internal/chaos"
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
 
@@ -78,25 +79,6 @@ func main() {
 		fail(fmt.Errorf("-checkpoint-dir and -checkpoint-every must be set together"))
 	}
 
-	var sc disha.ExperimentScale
-	switch *scale {
-	case "paper":
-		sc = disha.PaperScale()
-	case "small":
-		sc = disha.SmallScale()
-	default:
-		fail(fmt.Errorf("unknown scale %q", *scale))
-	}
-	if *warmup > 0 {
-		sc.Warmup = *warmup
-	}
-	if *measure > 0 {
-		sc.Measure = *measure
-	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
-
 	var chaosEvents []disha.ReconfigEvent
 	if *chaosFile != "" {
 		sched, err := chaos.Load(*chaosFile)
@@ -126,16 +108,10 @@ func main() {
 	var failedFigures []string
 	totalFailed, totalPoints := 0, 0
 	for _, name := range names {
-		spec := disha.Figure(name, sc)
-		if spec == nil {
-			fail(fmt.Errorf("unknown figure %q", name))
-		}
-		if *warmup > 0 {
-			spec.Warmup = *warmup
-		}
-		if *measure > 0 {
-			spec.Measure = *measure
-		}
+		// The same resolver the job server and fleet workers use, so one
+		// (figure, scale, overrides) tuple names the same points everywhere.
+		spec, err := harness.SpecFor(name, *scale, *warmup, *measure, *seed, nil)
+		fail(err)
 		spec.Shards = *shards
 		spec.Chaos = chaosEvents
 		fmt.Printf("== figure %s: %s ==\n", name, spec.Name)

@@ -367,8 +367,9 @@ func TestFailedPointsSurfaceInReport(t *testing.T) {
 }
 
 // TestParallelSpeedupSmoke is the CI wall-clock check: on a multi-core
-// machine the parallel engine must beat the serial run on the same sweep.
-// Single-core machines skip it (there is nothing to win).
+// machine the parallel engine's best of three runs must beat the serial
+// engine's best of three on the same sweep. Single-core machines skip it
+// (there is nothing to win).
 func TestParallelSpeedupSmoke(t *testing.T) {
 	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
 		t.Skipf("single-core machine (NumCPU=%d, GOMAXPROCS=%d): no speedup to measure",
@@ -381,16 +382,22 @@ func TestParallelSpeedupSmoke(t *testing.T) {
 		s.Warmup, s.Measure = 500, 2000
 		return s
 	}
-	start := time.Now()
-	if _, _, err := spec().RunWith(RunOptions{Parallel: 1}); err != nil {
-		t.Fatal(err)
+	// Best of three per side: one run each let a burst of CPU contention on
+	// the parallel side alone fail the comparison.
+	best := func(parallel int) time.Duration {
+		var b time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, _, err := spec().RunWith(RunOptions{Parallel: parallel}); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); i == 0 || d < b {
+				b = d
+			}
+		}
+		return b
 	}
-	serial := time.Since(start)
-	start = time.Now()
-	if _, _, err := spec().RunWith(RunOptions{Parallel: runtime.GOMAXPROCS(0)}); err != nil {
-		t.Fatal(err)
-	}
-	parallel := time.Since(start)
+	serial, parallel := best(1), best(runtime.GOMAXPROCS(0))
 	speedup := float64(serial) / float64(parallel)
 	t.Logf("serial=%v parallel=%v speedup=%.2fx on %d cores", serial, parallel, speedup, runtime.GOMAXPROCS(0))
 	if speedup <= 1 {

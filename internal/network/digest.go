@@ -2,15 +2,17 @@ package network
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+
+	"repro/internal/snapshot"
 )
 
 // Fingerprint returns a SHA-256 digest over the network's complete
-// observable state: network-wide counters, the clock, packet-ID allocator,
-// per-node source-queue and injection-stream state, per-source outstanding
-// counts, recovery-Token state, and every router's full microstate (via
-// router.AppendState). Two networks with equal fingerprints behave
+// observable state, built from the snapshot's own encoders: network-wide
+// counters (EncodeCounters, clock included), the packet-ID allocator,
+// per-node source-queue, injection-stream and outstanding-count state
+// (encodeInjectionState), recovery-Token state, and every router's full
+// microstate (router.AppendState). Two networks with equal fingerprints behave
 // identically from here on for equal future inputs; the golden-digest suite
 // uses this to prove the sharded kernel is byte-identical to the serial one
 // and to pin simulation behavior against a committed golden file.
@@ -18,61 +20,31 @@ func (n *Network) Fingerprint() [32]byte {
 	// Fast-forward routers the active-set scheduler is currently skipping,
 	// so the digest never depends on which scheduler produced the state.
 	n.syncIdle()
-	b := make([]byte, 0, 4096)
-	put := func(v int64) {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-
-	c := n.Counters()
-	put(int64(c.Cycles))
-	put(c.PacketsOffered)
-	put(c.PacketsRefused)
-	put(c.PacketsInjected)
-	put(c.PacketsDelivered)
-	put(c.FlitsDelivered)
-	put(c.PacketsKilled)
-	put(c.TokenSeizures)
-	put(c.Recoveries)
-	put(c.TimeoutEvents)
-	put(c.FalseDetections)
-	put(c.MisrouteHops)
-	put(c.Preemptions)
-	put(c.BlockedCycles)
-	put(c.TokenTransit)
-	put(c.TokenHold)
-	put(c.PacketsLost)
-	put(c.FlitsLost)
-	put(c.PacketsUnroutable)
-
-	put(int64(n.nextID))
-	for i := range n.nis {
-		q := &n.nis[i]
-		put(int64(q.queued()))
-		for j := q.qhead; j < len(q.queue); j++ {
-			put(int64(q.queue[j].ID))
-		}
-		if q.cur != nil {
-			put(int64(q.cur.ID))
-			put(int64(q.seq))
-		} else {
-			put(-1)
-		}
-	}
-	for _, o := range n.outstanding {
-		put(int64(o))
-	}
+	w := snapshot.NewWriter(make([]byte, 0, 4096))
+	EncodeCounters(w, n.Counters())
+	w.I64(int64(n.nextID))
+	n.encodeInjectionState(w)
 	if n.token != nil {
-		put(int64(n.token.Position()))
+		w.I64(int64(n.token.Position()))
 		if n.token.Held() {
-			put(int64(n.token.Holder().ID))
+			w.I64(int64(n.token.Holder().ID))
 		} else {
-			put(-1)
+			w.I64(-1)
 		}
 	}
+	// Hash router by router through one reused buffer: the digest is that of
+	// the concatenation, without materialising it (80 MB of append growth on a
+	// 2064-router dragonfly, as much garbage as the simulator's whole heap).
+	h := sha256.New()
+	h.Write(w.Bytes())
+	var b []byte
 	for _, r := range n.routers {
-		b = r.AppendState(b)
+		b = r.AppendState(b[:0])
+		h.Write(b)
 	}
-	return sha256.Sum256(b)
+	var d [32]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // FingerprintHex returns Fingerprint as a hex string, the form committed to

@@ -37,6 +37,19 @@ func TestRejectsUnpairedLinks(t *testing.T) {
 	}
 }
 
+// TestRejectsOversizedDegree pins that a topology with more ports per router
+// than the switch allocators' fixed arrays hold (e.g. `-topo fullmesh-256`)
+// is a construction error; it used to build and then panic on the first Step.
+func TestRejectsOversizedDegree(t *testing.T) {
+	if _, err := New(testConfig(topology.MustFullMesh(64), routing.Disha(0), 0.01, 1)); err != nil {
+		t.Fatalf("fullmesh-64 (degree 63): %v", err)
+	}
+	_, err := New(testConfig(topology.MustFullMesh(65), routing.Disha(0), 0.01, 1))
+	if err == nil || !strings.Contains(err.Error(), "router degree 64") {
+		t.Fatalf("fullmesh-65: err = %v, want a router-degree rejection", err)
+	}
+}
+
 // TestRejectsBadRecoveryLane pins the constructor-time validation of the
 // declared recovery lane. A lane that skips nodes, repeats a node, or (for
 // concurrent recovery) steps between unlinked nodes used to panic deep in

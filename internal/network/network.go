@@ -63,6 +63,10 @@ func (c *Config) normalize() error {
 	if c.Topo == nil {
 		return fmt.Errorf("network: no topology")
 	}
+	if c.Topo.Degree() > router.MaxDegree {
+		return fmt.Errorf("network: %s has router degree %d; the crossbar supports at most %d",
+			c.Topo.Name(), c.Topo.Degree(), router.MaxDegree)
+	}
 	if c.Algorithm == nil {
 		return fmt.Errorf("network: no routing algorithm")
 	}

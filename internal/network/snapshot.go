@@ -76,22 +76,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 		encodePacket(&enc, p)
 	}
 
-	for i := range n.nis {
-		q := &n.nis[i]
-		enc.Int(q.queued())
-		for j := q.qhead; j < len(q.queue); j++ {
-			enc.I64(int64(q.queue[j].ID))
-		}
-		if q.cur != nil {
-			enc.I64(int64(q.cur.ID))
-			enc.Int(q.seq)
-		} else {
-			enc.I64(-1)
-		}
-	}
-	for _, o := range n.outstanding {
-		enc.I64(int64(o))
-	}
+	n.encodeInjectionState(&enc)
 	for _, s := range n.sources {
 		st := s.State()
 		for _, v := range st.RNG {
@@ -123,6 +108,28 @@ func (n *Network) Snapshot(w io.Writer) error {
 
 	_, err := w.Write(snapshot.Seal(snapshotMagic, snapshotVersion, enc.Bytes()))
 	return err
+}
+
+// encodeInjectionState writes every node's source queue (packet IDs, head
+// first), its in-progress injection stream (packet ID and next flit, or -1)
+// and the per-source outstanding counts. Snapshot and Fingerprint share it.
+func (n *Network) encodeInjectionState(enc *snapshot.Writer) {
+	for i := range n.nis {
+		q := &n.nis[i]
+		enc.Int(q.queued())
+		for j := q.qhead; j < len(q.queue); j++ {
+			enc.I64(int64(q.queue[j].ID))
+		}
+		if q.cur != nil {
+			enc.I64(int64(q.cur.ID))
+			enc.Int(q.seq)
+		} else {
+			enc.I64(-1)
+		}
+	}
+	for _, o := range n.outstanding {
+		enc.I64(int64(o))
+	}
 }
 
 // Restore loads a snapshot produced by Snapshot into this network. The

@@ -292,6 +292,32 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 }
 
+// TestAppendStateIsSnapshotPrefix pins the one-walk contract the digest's
+// soundness rests on: after each golden case's run, every router's digest
+// bytes (AppendState) are exactly its snapshot bytes (EncodeState) minus the
+// 32-byte RNG trailer, so no field a restore brings back can go unhashed.
+func TestAppendStateIsSnapshotPrefix(t *testing.T) {
+	const rngTrailer = 4 * 8
+	for _, gc := range goldenCases() {
+		gc := gc
+		t.Run(gc.name, func(t *testing.T) {
+			n := mustNet(t, gc.build())
+			defer n.Close()
+			n.Run(gc.cycles)
+			n.Fingerprint() // brings routers the active set skipped up to date
+			for i, r := range n.routers {
+				var enc snapshot.Writer
+				r.EncodeState(&enc)
+				snap := enc.Bytes()
+				if digest := r.AppendState(nil); !bytes.Equal(digest, snap[:len(snap)-rngTrailer]) {
+					t.Fatalf("router %d: AppendState (%d bytes) is not EncodeState (%d bytes) minus the RNG trailer",
+						i, len(digest), len(snap))
+				}
+			}
+		})
+	}
+}
+
 // snapshotFixtureConfig is the pinned configuration for the committed
 // format fixture. Changing it invalidates testdata/snapshot_v2.bin.
 func snapshotFixtureConfig() Config {

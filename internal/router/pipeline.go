@@ -284,7 +284,7 @@ func (r *Router) stageEjectionRef(out []Transfer) []Transfer {
 // progresses).
 func (r *Router) stageSwitchFBFRef(out []Transfer) []Transfer {
 	s := r.st
-	var inputUsed [64]bool // deg+1 <= 64 always (n <= 31 dims)
+	var inputUsed [64]bool // deg+1 <= 64: network.New rejects degree > MaxDegree
 	// Ejection grants above already consumed their input ports this cycle.
 	for p := 0; p <= r.deg; p++ {
 		for v := 0; v < s.inVCCount(r.deg, p); v++ {

@@ -99,7 +99,7 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 // its output (so the recovery lane always progresses).
 func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
 	s := r.st
-	var inputUsed [64]bool // deg+1 <= 64 always (n <= 31 dims)
+	var inputUsed [64]bool // deg+1 <= 64: network.New rejects degree > MaxDegree
 	// Ejection grants above already consumed their input ports this cycle:
 	// one linear sweep of the contiguous sent flags.
 	for l := 0; l < s.stride; l++ {

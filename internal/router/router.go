@@ -54,6 +54,11 @@ const (
 
 const connNone = -1
 
+// MaxDegree is the largest router degree the switch allocators support: they
+// track per-input-port use (network ports plus the injection port) in fixed
+// 64-entry arrays.
+const MaxDegree = 63
+
 // Stats are per-router event counters.
 type Stats struct {
 	TimeoutEvents   int64 // headers whose T_elapsed first exceeded T_out

@@ -9,18 +9,26 @@ import (
 // readCycle decodes a sim.Cycle timestamp.
 func readCycle(rd *snapshot.Reader) sim.Cycle { return sim.Cycle(rd.I64()) }
 
-// EncodeState serializes the router's complete dynamic state — every field
-// AppendState hashes, in the same order, plus the router's private RNG
-// stream (which AppendState omits because it never influences a digest
-// comparison between two live networks, but which a restored run needs to
-// reproduce future selection draws). Packets are stored as IDs; the network
-// owns the packet table and rewires pointers on decode. Like AppendState,
-// the walk follows logical (port, vc) and ring order, so the stream is
-// independent of the SoA layout and its ring head positions.
-//
-// EncodeState and DecodeState must be kept in lockstep with AppendState:
-// any new field that can influence a future cycle must appear in all three.
+// EncodeState serializes the router's complete dynamic state: the
+// encodeState field walk followed by the router's private RNG stream, which
+// a restored run needs to reproduce future selection draws. The digest
+// (AppendState) is the same walk minus that trailer — the RNG never
+// influences a digest comparison between two live networks.
 func (r *Router) EncodeState(w *snapshot.Writer) {
+	r.encodeState(w)
+	for _, v := range r.rng.State() {
+		w.U64(v)
+	}
+}
+
+// encodeState is the one walk over every router field that can influence a
+// future cycle; snapshots and digests both run it, and DecodeState reads it
+// back. Packets are stored as IDs; the network owns the packet table and
+// rewires pointers on decode. The walk follows the logical (port, vc) order
+// and each ring's logical head-to-tail order, never the physical SoA layout
+// (ring head positions, flat slot indices), so the bytes are
+// layout-invariant.
+func (r *Router) encodeState(w *snapshot.Writer) {
 	s := r.st
 	putPkt := func(p *packet.Packet) {
 		if p == nil {
@@ -92,10 +100,6 @@ func (r *Router) EncodeState(w *snapshot.Writer) {
 	}
 	w.Int(int(s.lastBlocked[r.node]))
 	w.Int(int(s.lastPresumed[r.node]))
-	st := r.rng.State()
-	for _, v := range st {
-		w.U64(v)
-	}
 }
 
 // DecodeState restores the router's dynamic state from a stream produced by
@@ -121,14 +125,15 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		}
 		return p
 	}
-	// getInFifo/getDBFifo drain ring i (zeroing its slots) and refill it from
-	// the stream.
-	getInFifo := func(i int) {
-		for s.inLen[i] > 0 {
-			s.inPop(i)
+	// getFifo drains flit ring i (zeroing its slots) and refills it from the
+	// stream. Input-VC and Deadlock Buffer rings differ only in their backing
+	// arrays, which the caller passes in.
+	getFifo := func(i int, length, head []int32, capacity int, pop func(int) packet.Flit, push func(int, packet.Flit)) {
+		for length[i] > 0 {
+			pop(i)
 		}
-		s.inHead[i] = 0
-		n := rd.Len(s.depth)
+		head[i] = 0
+		n := rd.Len(capacity)
 		for k := 0; k < n; k++ {
 			p := getPkt()
 			seq := rd.Int()
@@ -143,30 +148,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 				rd.Fail("snapshot: router %d flit seq %d outside packet length %d", r.node, seq, p.Length)
 				return
 			}
-			s.inPush(i, packet.Flit{Pkt: p, Seq: seq})
-		}
-	}
-	getDBFifo := func(i int) {
-		for s.dbLen[i] > 0 {
-			s.dbPop(i)
-		}
-		s.dbHead[i] = 0
-		n := rd.Len(s.dbDepth)
-		for k := 0; k < n; k++ {
-			p := getPkt()
-			seq := rd.Int()
-			if rd.Err() != nil {
-				return
-			}
-			if p == nil {
-				rd.Fail("snapshot: router %d has a buffered flit with no packet", r.node)
-				return
-			}
-			if seq < 0 || seq >= p.Length {
-				rd.Fail("snapshot: router %d flit seq %d outside packet length %d", r.node, seq, p.Length)
-				return
-			}
-			s.dbPush(i, packet.Flit{Pkt: p, Seq: seq})
+			push(i, packet.Flit{Pkt: p, Seq: seq})
 		}
 	}
 	checkPort := func(v int, what string) int {
@@ -194,7 +176,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		s.inWaiting[i] = readCycle(rd)
 		s.inPresumed[i] = rd.Bool()
 		s.inSent[i] = rd.Bool()
-		getInFifo(i)
+		getFifo(i, s.inLen, s.inHead, s.depth, s.inPop, s.inPush)
 		if err := rd.Err(); err != nil {
 			return err
 		}
@@ -212,7 +194,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		i := r.db0 + lane
 		s.dbPkt[i] = getPkt()
 		s.dbRoute[i] = int32(checkPort(rd.Int(), "DB route"))
-		getDBFifo(i)
+		getFifo(i, s.dbLen, s.dbHead, s.dbDepth, s.dbPop, s.dbPush)
 		if err := rd.Err(); err != nil {
 			return err
 		}

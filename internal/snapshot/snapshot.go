@@ -25,6 +25,10 @@ type Writer struct {
 	buf []byte
 }
 
+// NewWriter returns a Writer that appends to buf, so an encoding walk can
+// extend a caller-owned slice (router.AppendState).
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
+
 // Bytes returns the encoded payload accumulated so far.
 func (w *Writer) Bytes() []byte { return w.buf }
 

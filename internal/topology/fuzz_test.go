@@ -173,9 +173,9 @@ func FuzzParse(f *testing.F) {
 func FuzzNewDigraph(f *testing.F) {
 	f.Add(3, 2, []byte{0, 1, 1, 2, 2, 0})
 	f.Add(2, 1, []byte{0, 1, 1, 0})
-	f.Add(1, 1, []byte{0, 0})        // self-loop
-	f.Add(2, 1, []byte{0, 5})        // out of range
-	f.Add(1 << 20, 4, []byte{0, 1})  // size guard
+	f.Add(1, 1, []byte{0, 0})     // self-loop
+	f.Add(2, 1, []byte{0, 5})     // out of range
+	f.Add(1<<20, 4, []byte{0, 1}) // size guard
 	f.Fuzz(func(t *testing.T, nodes, degree int, edges []byte) {
 		if nodes < 0 || nodes > 1<<10 || degree < 0 || degree > 8 {
 			return // cap the fuzz shape, not the constructor's own guards
