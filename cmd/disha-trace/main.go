@@ -1,8 +1,9 @@
 // Command disha-trace loads a JSONL telemetry dump produced by
 // disha-sim -trace-out and prints a recovery post-mortem: what the run was,
 // how often deadlock was presumed, how each recovery episode unfolded
-// (timeout -> Token capture -> Deadlock Buffer -> Token release -> delivery),
-// what the flight recorder saw around each presumption, and how the sampled
+// (the tracker's spans: presumed -> Token capture -> Deadlock Buffer ->
+// Token release -> delivery, labeled true-cycle or false-presumption), what
+// the flight recorder saw around each presumption, and how the sampled
 // congestion series evolved.
 //
 // Usage:
@@ -10,8 +11,7 @@
 //	disha-trace run.jsonl             # full post-mortem
 //	disha-trace -pkt 1234 run.jsonl   # one packet's event history
 //	disha-trace -episodes 20 run.jsonl
-//	disha-trace episodes run.jsonl    # span-based episode timelines +
-//	                                  # misprediction-rate summary
+//	disha-trace episodes run.jsonl    # only the episode section
 package main
 
 import (
@@ -47,13 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(flag.Arg(0))
-	fail(err)
-	lines, err := telemetry.ReadJSONL(f)
-	f.Close()
-	fail(err)
-
-	d := split(lines)
+	d := load(flag.Arg(0))
 
 	if *pkt >= 0 {
 		printPacket(d, *pkt)
@@ -62,7 +56,8 @@ func main() {
 
 	printMeta(d)
 	printEventTotals(d)
-	printEpisodes(d, *episodes)
+	fmt.Println()
+	printSpans(d, *episodes)
 	printSnapshots(d, *snaps)
 	printSeries(d)
 	printCounters(d)
@@ -79,7 +74,14 @@ type dump struct {
 	lastCycle int64
 }
 
-func split(lines []telemetry.Line) *dump {
+// load reads the trace file at path and splits it by record type; any
+// failure exits 1 with one line.
+func load(path string) *dump {
+	f, err := os.Open(path)
+	fail(err)
+	lines, err := telemetry.ReadJSONL(f)
+	f.Close()
+	fail(err)
 	d := &dump{}
 	for _, l := range lines {
 		if l.Cycle > d.lastCycle {
@@ -107,11 +109,8 @@ func split(lines []telemetry.Line) *dump {
 	return d
 }
 
-// runEpisodes is the `episodes` subcommand: it renders the structured
-// recovery-episode spans the tracker emitted — one timeline per episode,
-// labeled true-cycle vs false-presumption — plus a misprediction-rate
-// summary and a cross-check of the labels against the flight recorder's
-// TrueDeadlock verdicts.
+// runEpisodes is the `episodes` subcommand: the post-mortem's episode
+// section alone.
 func runEpisodes(args []string) {
 	fs := flag.NewFlagSet("episodes", flag.ExitOnError)
 	limit := fs.Int("limit", 20, "max episode timelines to print")
@@ -121,13 +120,14 @@ func runEpisodes(args []string) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	f, err := os.Open(fs.Arg(0))
-	fail(err)
-	lines, err := telemetry.ReadJSONL(f)
-	f.Close()
-	fail(err)
-	d := split(lines)
+	printSpans(load(fs.Arg(0)), *limit)
+}
 
+// printSpans renders the structured recovery-episode spans the tracker
+// emitted — a misprediction-rate summary, one timeline per episode (at most
+// limit), labeled true-cycle vs false-presumption — and cross-checks the
+// labels against the flight recorder's TrueDeadlock verdicts.
+func printSpans(d *dump, limit int) {
 	fmt.Printf("recovery-episode spans (%d)\n", len(d.spans))
 	if len(d.spans) == 0 {
 		fmt.Println("  (none — run disha-sim with -trace-out and a deadlock-prone config)")
@@ -171,8 +171,8 @@ func runEpisodes(args []string) {
 
 	fmt.Println("\ntimelines")
 	for i, s := range spans {
-		if i >= *limit {
-			fmt.Printf("  ... %d more (raise -limit)\n", len(spans)-*limit)
+		if i >= limit {
+			fmt.Printf("  ... %d more (raise the limit)\n", len(spans)-limit)
 			break
 		}
 		fmt.Println("  " + spanTimeline(s))
@@ -281,108 +281,6 @@ func printEventTotals(d *dump) {
 		if !seen[k] {
 			fmt.Printf("  %-14s %d\n", k, c)
 		}
-	}
-}
-
-// episode is one packet's recovery story, reconstructed from its events.
-type episode struct {
-	pkt                                               int64
-	node                                              int
-	timeout, capture, recover, release, deliver, kill int64
-}
-
-// buildEpisodes correlates per-packet events: the first timeout opens an
-// episode; capture/recover/release/deliver/kill cycles fill it in.
-func buildEpisodes(d *dump) []*episode {
-	byPkt := map[int64]*episode{}
-	var order []*episode
-	for _, e := range d.events {
-		ep := byPkt[e.Pkt]
-		switch e.Kind {
-		case "timeout":
-			if ep == nil {
-				ep = &episode{pkt: e.Pkt, node: e.Node, timeout: e.Cycle,
-					capture: -1, recover: -1, release: -1, deliver: -1, kill: -1}
-				byPkt[e.Pkt] = ep
-				order = append(order, ep)
-			}
-		case "token-capture":
-			if ep != nil && ep.capture < 0 {
-				ep.capture = e.Cycle
-			}
-		case "recover":
-			if ep != nil && ep.recover < 0 {
-				ep.recover = e.Cycle
-				ep.node = e.Node
-			}
-		case "token-release":
-			if ep != nil && ep.release < 0 {
-				ep.release = e.Cycle
-			}
-		case "deliver":
-			if ep != nil && ep.deliver < 0 {
-				ep.deliver = e.Cycle
-			}
-		case "kill":
-			if ep != nil && ep.kill < 0 {
-				ep.kill = e.Cycle
-			}
-		}
-	}
-	return order
-}
-
-func printEpisodes(d *dump, max int) {
-	eps := buildEpisodes(d)
-	fmt.Printf("\nrecovery episodes (%d presumed-deadlocked packets)\n", len(eps))
-	if len(eps) == 0 {
-		return
-	}
-	recovered, resolved := 0, 0
-	var totalToDeliver, delivered int64
-	for _, ep := range eps {
-		if ep.recover >= 0 {
-			recovered++
-		}
-		if ep.deliver >= 0 {
-			resolved++
-			totalToDeliver += ep.deliver - ep.timeout
-			delivered++
-		}
-	}
-	fmt.Printf("  recovered via DB lane: %d, delivered after timeout: %d", recovered, resolved)
-	if delivered > 0 {
-		fmt.Printf(" (mean timeout->deliver %d cycles)", totalToDeliver/delivered)
-	}
-	fmt.Println()
-	for i, ep := range eps {
-		if i >= max {
-			fmt.Printf("  ... %d more (raise -episodes)\n", len(eps)-max)
-			break
-		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "  pkt %-6d timeout@%d node=%d", ep.pkt, ep.timeout, ep.node)
-		if ep.capture >= 0 {
-			fmt.Fprintf(&sb, " -> token-capture@%d", ep.capture)
-		}
-		if ep.recover >= 0 {
-			fmt.Fprintf(&sb, " -> db-lane@%d", ep.recover)
-		}
-		if ep.release >= 0 {
-			fmt.Fprintf(&sb, " -> token-release@%d", ep.release)
-		}
-		if ep.kill >= 0 {
-			fmt.Fprintf(&sb, " -> killed@%d", ep.kill)
-		}
-		switch {
-		case ep.deliver >= 0:
-			fmt.Fprintf(&sb, " -> delivered@%d (+%d cycles)", ep.deliver, ep.deliver-ep.timeout)
-		case ep.kill >= 0:
-			// killed: retransmitted under a fresh packet ID
-		default:
-			sb.WriteString(" -> unresolved at end of trace")
-		}
-		fmt.Println(sb.String())
 	}
 }
 

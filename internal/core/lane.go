@@ -23,47 +23,62 @@ func DORLane(topo topology.Topology) LaneRouting {
 	}
 }
 
-// BFSLaneTable builds a per-destination next-hop table for g by reverse
-// breadth-first search from every destination over paired links: entry
-// [dst*Nodes+cur] is the output port a lane flit at cur takes toward dst
-// (-1 at cur == dst or when dst is unreachable). Ports are scanned in
-// increasing order, so the table is deterministic. This is the same
-// construction internal/network uses to rebuild the Deadlock Buffer
-// routing table after a reconfiguration, lifted to construction time for
-// topologies without cube coordinates.
-func BFSLaneTable(g topology.Graph) []int32 {
-	nodes, deg := g.Nodes(), g.Degree()
+// BFSLaneTableOver builds a per-destination next-hop table by reverse
+// breadth-first search from every destination: entry [dst*nodes+cur] is the
+// output port a lane flit at cur takes toward dst (-1 at cur == dst or when
+// dst is unreachable). link reports where port p of node v leads — the
+// neighbor nb and the port rev >= 0 at nb whose link lands back on v — or
+// ok=false where v has no usable (paired, live) link on p. Ports are scanned
+// in increasing order, so the table is deterministic. It is the only lane-
+// table construction: BFSLaneTable runs it over a whole graph, and
+// internal/network over the links still live after a reconfiguration.
+func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int32 {
+	// Resolve every link once: the per-destination passes below then scan
+	// flat arrays instead of calling out nodes times per link.
+	nbr := make([]int32, nodes*deg) // -1 where link reports none
+	back := make([]int32, nodes*deg)
+	for i := range nbr {
+		nbr[i] = -1
+		if nb, rev, ok := link(topology.Node(i/deg), i%deg); ok {
+			nbr[i], back[i] = int32(nb), int32(rev)
+		}
+	}
 	table := make([]int32, nodes*nodes)
 	for i := range table {
 		table[i] = -1
 	}
-	queue := make([]topology.Node, 0, nodes)
+	queue := make([]int32, 0, nodes)
 	for d := 0; d < nodes; d++ {
-		dst := topology.Node(d)
-		seen := make([]bool, nodes)
-		seen[dst] = true
-		queue = append(queue[:0], dst)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			// A neighbor u one hop "behind" v reaches dst through the port
+		row := table[d*nodes : (d+1)*nodes] // an entry >= 0 also marks its node visited
+		queue = append(queue[:0], int32(d))
+		for head := 0; head < len(queue); head++ {
+			// A neighbor one hop "behind" v reaches dst through the port
 			// whose link lands on v.
-			for p := 0; p < deg; p++ {
-				nb, ok := g.Neighbor(v, p)
-				if !ok {
+			v := int(queue[head])
+			for l := v * deg; l < (v+1)*deg; l++ {
+				nb := nbr[l]
+				if nb < 0 || int(nb) == d || row[nb] >= 0 {
 					continue
 				}
-				rev, ok := g.ReversePortAt(v, p)
-				if !ok || seen[nb] {
-					continue
-				}
-				seen[nb] = true
-				table[d*nodes+int(nb)] = int32(rev)
+				row[nb] = back[l]
 				queue = append(queue, nb)
 			}
 		}
 	}
 	return table
+}
+
+// BFSLaneTable is BFSLaneTableOver on every paired link of g: the recovery
+// lane of a topology without cube coordinates.
+func BFSLaneTable(g topology.Graph) []int32 {
+	return BFSLaneTableOver(g.Nodes(), g.Degree(), func(v topology.Node, p int) (topology.Node, int, bool) {
+		nb, ok := g.Neighbor(v, p)
+		if !ok {
+			return 0, 0, false
+		}
+		rev, ok := g.ReversePortAt(v, p)
+		return nb, rev, ok
+	})
 }
 
 // TableLane wraps a BFSLaneTable-shaped per-destination next-hop table as

@@ -152,3 +152,46 @@ func TestLaneStuckAndLoopWitnesses(t *testing.T) {
 		t.Fatal("looping lane accepted")
 	}
 }
+
+// TestBFSLaneTableOverWholeGraph pins the one lane-table builder on all six
+// topology classes: fed every paired link of g it is BFSLaneTable(g), and
+// every hop it tabulates is a shortest-path hop (one closer to dst).
+func TestBFSLaneTableOverWholeGraph(t *testing.T) {
+	for _, g := range []topology.Graph{
+		topology.MustTorus(4, 4),
+		topology.MustMesh(3, 4),
+		topology.MustHypercube(4),
+		topology.MustFullMesh(8),
+		topology.MustDragonfly(4, 2),
+		topology.MustFatTree(4),
+	} {
+		nodes := g.Nodes()
+		over := core.BFSLaneTableOver(nodes, g.Degree(), func(v topology.Node, p int) (topology.Node, int, bool) {
+			nb, ok := g.Neighbor(v, p)
+			rev, paired := g.ReversePortAt(v, p)
+			return nb, rev, ok && paired
+		})
+		whole := core.BFSLaneTable(g)
+		for i := range whole {
+			if over[i] != whole[i] {
+				t.Fatalf("%s: entry %d is %d over all links, %d from BFSLaneTable", g.Name(), i, over[i], whole[i])
+			}
+		}
+		for d := 0; d < nodes; d++ {
+			for c := 0; c < nodes; c++ {
+				cur, dst := topology.Node(c), topology.Node(d)
+				port := int(over[d*nodes+c])
+				if c == d {
+					if port != -1 {
+						t.Fatalf("%s: diagonal entry %d is %d", g.Name(), d, port)
+					}
+					continue
+				}
+				nb, ok := g.Neighbor(cur, port)
+				if !ok || g.Distance(nb, dst) != g.Distance(cur, dst)-1 {
+					t.Fatalf("%s: hop %d->%d via port %d is not a shortest-path hop", g.Name(), c, d, port)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/topology"
 )
@@ -51,53 +52,20 @@ func (n *Network) FailLink(node topology.Node, port int) error {
 // counted; they come back when the router heals.
 func (n *Network) FailedLinks() int { return n.failedLinks }
 
-// rebuildDBTable computes, for every destination, the breadth-first
-// next-hop port at every node over live links, and installs the table in
-// every router. The per-destination BFS tree is loop-free, so a recovered
+// rebuildDBTable rebuilds the Deadlock Buffer lane table over live links
+// (the builder construction uses, restricted to the current wiring) and
+// installs it. Each per-destination BFS tree is loop-free, so a recovered
 // packet following it always reaches its destination — preserving the
-// recovery theorem's connectivity requirement (Lemma 1) under faults.
+// recovery theorem's connectivity requirement (Lemma 1) under faults. A dead
+// router has no live links, so nothing routes to or through it.
 func (n *Network) rebuildDBTable() {
-	nodes := len(n.routers)
-	table := make([]int32, nodes*nodes)
-	for i := range table {
-		table[i] = int32(router.PortEject)
-	}
-	dist := make([]int, nodes)
-	var queue []topology.Node
-	for d := 0; d < nodes; d++ {
-		dst := topology.Node(d)
-		if n.deadCount != 0 && n.routerDead[dst] {
-			continue // unreachable; no packet addressed to it survives a kill
-		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = append(queue[:0], dst)
-		// Reverse BFS from the destination: for each node discovered via a
-		// live link, the next hop toward dst is the port back along it.
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			r := n.routers[cur]
-			for p := 0; p < n.topo.Degree(); p++ {
-				nb := r.Neighbor(p)
-				if nb == nil {
-					continue
-				}
-				v := nb.NodeID()
-				if dist[v] >= 0 {
-					continue
-				}
-				dist[v] = dist[cur] + 1
-				// The link is bidirectional: from v, the reverse port leads
-				// to cur, one hop closer to dst.
-				table[d*nodes+int(v)] = int32(r.ReverseAt(p))
-				queue = append(queue, v)
+	n.routerState.SetLaneTable(core.BFSLaneTableOver(len(n.routers), n.topo.Degree(),
+		func(v topology.Node, p int) (topology.Node, int, bool) {
+			nb := n.routers[v].Neighbor(p)
+			if nb == nil {
+				return 0, 0, false
 			}
-		}
-	}
-	for _, r := range n.routers {
-		r.SetDBRouteTable(table)
-	}
+			rev := n.routers[v].ReverseAt(p)
+			return nb.NodeID(), rev, rev >= 0
+		}))
 }

@@ -147,7 +147,7 @@ func (k *kernel) close() {
 // Both stages mutate only the owning router's state and read neighbor
 // Deadlock Buffer state that is start-of-cycle stable, so disjoint shards
 // run concurrently without synchronization; Deadlock-Buffer admissions are
-// staged optimistically and settled afterwards by Reservations.Resolve in
+// staged optimistically and settled afterwards by router.ResolveDB in
 // shard (== router) order.
 func (n *Network) stageShard(lo, hi, shard int) {
 	buf := n.stageBufs[shard][:0]

@@ -194,7 +194,6 @@ type Network struct {
 	sources []*traffic.Source
 	nis     []ni
 	token   *Token
-	res     *router.Reservations
 
 	// Kernel state: kern is the worker pool, nil when Step runs serially.
 	// stageBufs holds one reusable transfer buffer per shard (one when
@@ -230,9 +229,7 @@ type Network struct {
 	// every outcome so a snapshot can replay the topology's history into a
 	// fresh network on restore; sched/schedNext is the armed event schedule
 	// consumed by Step's prelude; linkDown holds the canonical key of every
-	// individually failed link; routerDead/deadCount track killed routers;
-	// curAlg is the routing function currently installed (cfg.Algorithm
-	// until a swap event replaces it).
+	// individually failed link; routerDead/deadCount track killed routers.
 	failedLinks int
 	reconfigLog []ReconfigOutcome
 	sched       []ReconfigEvent
@@ -240,7 +237,6 @@ type Network struct {
 	linkDown    map[[2]int]bool
 	routerDead  []bool
 	deadCount   int
-	curAlg      routing.Algorithm
 
 	// Counters() snapshot cache: aggregating per-router stats walks every
 	// router, so repeated calls within one cycle reuse the last snapshot
@@ -293,13 +289,11 @@ func New(cfg Config) (*Network, error) {
 		routers:     make([]*router.Router, topo.Nodes()),
 		sources:     make([]*traffic.Source, topo.Nodes()),
 		nis:         make([]ni, topo.Nodes()),
-		res:         router.NewReservations(),
 		outstanding: make([]int32, topo.Nodes()),
 		actMask:     make([]uint64, (topo.Nodes()+63)/64),
 		idleSince:   make([]sim.Cycle, topo.Nodes()),
 		linkDown:    make(map[[2]int]bool),
 		routerDead:  make([]bool, topo.Nodes()),
-		curAlg:      cfg.Algorithm,
 	}
 	for i := 0; i < topo.Nodes(); i++ {
 		n.setActive(i)
@@ -307,13 +301,13 @@ func New(cfg Config) (*Network, error) {
 	// All routers share one struct-of-arrays state, laid out router-major so
 	// the kernel's contiguous shards each own a contiguous range of every
 	// hot buffer (see router.State for the memory map).
-	n.routerState = router.NewState(topo, cfg.Router)
+	n.routerState = router.NewState(topo, cfg.Router, cfg.Algorithm, cfg.Selection)
 	for i := range n.routers {
 		// Each router gets its own RNG split so adaptive-selection draws are
 		// router-local: the stage phase can then fan out across shards
 		// without the draw order (and hence the simulation) depending on
 		// scheduling. A shared stream would make parallel staging racy.
-		n.routers[i] = router.NewWithState(topology.Node(i), topo, cfg.Router, cfg.Algorithm, cfg.Selection, n.rng.Split(), n.routerState)
+		n.routers[i] = router.NewWithState(topology.Node(i), n.rng.Split(), n.routerState)
 		n.sources[i] = traffic.NewSource(topology.Node(i), cfg.Pattern, n.rng.Split(), prob, cfg.MsgLen)
 		if cfg.Burst.Valid() {
 			if err := n.sources[i].SetBursty(cfg.Burst); err != nil {
@@ -358,9 +352,7 @@ func New(cfg Config) (*Network, error) {
 		} else {
 			table := core.BFSLaneTable(topo)
 			laneFn = core.TableLane(topo, table)
-			for _, r := range n.routers {
-				r.SetDBRouteTable(table)
-			}
+			n.routerState.SetLaneTable(table)
 		}
 		if err := core.VerifyLaneConnected(topo, laneFn); err != nil {
 			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: %v", topo.Name(), err)
@@ -414,6 +406,7 @@ func (n *Network) wireRecoveryLane(order []topology.Node) error {
 	for i, node := range order {
 		labels[node] = i
 	}
+	n.routerState.SetHamiltonianLabels(labels)
 	portToward := func(from, to topology.Node) (int, error) {
 		for p := 0; p < n.topo.Degree(); p++ {
 			if nb, ok := n.topo.Neighbor(from, p); ok && nb == to {
@@ -435,7 +428,7 @@ func (n *Network) wireRecoveryLane(order []topology.Node) error {
 				return err
 			}
 		}
-		n.routers[node].ConnectHamiltonian(labels, next, prev)
+		n.routers[node].ConnectHamiltonian(next, prev)
 	}
 	return nil
 }
@@ -581,9 +574,8 @@ func (n *Network) Step() {
 	// 3. Resolve the per-cycle Deadlock Buffer write-port arbitration in
 	// fixed router order, then commit all surviving transfers together.
 	// Both sub-phases are serial: they mutate cross-router state.
-	n.res.Reset()
 	for _, buf := range n.stageBufs {
-		n.res.Resolve(buf)
+		router.ResolveDB(buf, now)
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseDBResolve, t0)
@@ -701,18 +693,15 @@ func (n *Network) SetTrace(t *trace.Buffer) {
 	n.wireTimeoutObservers()
 }
 
-// wireTimeoutObservers installs (or removes) the per-router deadlock
-// presumption observers feeding the tracer and the telemetry flight
-// recorder. Routers pay a nil check when neither is attached.
+// wireTimeoutObservers installs (or removes) the deadlock presumption
+// observer feeding the tracer and the telemetry flight recorder. Routers pay
+// a nil check when neither is attached.
 func (n *Network) wireTimeoutObservers() {
-	for _, r := range n.routers {
-		if n.tracer == nil && n.tel == nil {
-			r.SetOnTimeout(nil)
-			continue
-		}
-		node := r.NodeID()
-		r.SetOnTimeout(func(p *packet.Packet) { n.noteTimeout(node, p) })
+	if n.tracer == nil && n.tel == nil {
+		n.routerState.SetOnTimeout(nil)
+		return
 	}
+	n.routerState.SetOnTimeout(n.noteTimeout)
 }
 
 // noteTimeout is the shared timeout observer: it traces the presumption,

@@ -170,7 +170,7 @@ func (n *Network) ReconfigLog() []ReconfigOutcome {
 
 // CurrentAlgorithm returns the routing function currently installed (the
 // configured one until a swap event replaces it).
-func (n *Network) CurrentAlgorithm() routing.Algorithm { return n.curAlg }
+func (n *Network) CurrentAlgorithm() routing.Algorithm { return n.routerState.Algorithm() }
 
 // DeadRouters returns how many routers are currently killed.
 func (n *Network) DeadRouters() int { return n.deadCount }
@@ -499,10 +499,7 @@ func (n *Network) applySwapAlgorithm(name string) string {
 	if need := alg.MinVCs(n.topo); n.cfg.Router.VCs < need {
 		return fmt.Sprintf("%s needs >= %d VCs on %s, have %d", alg.Name(), need, n.topo.Name(), n.cfg.Router.VCs)
 	}
-	n.curAlg = alg
-	for _, r := range n.routers {
-		r.SetAlgorithm(alg)
-	}
+	n.routerState.SetAlgorithm(alg)
 	return ""
 }
 
@@ -657,10 +654,7 @@ func (n *Network) replayOutcome(o ReconfigOutcome) (topoChanged bool, err error)
 		if err != nil {
 			return false, err
 		}
-		n.curAlg = alg
-		for _, r := range n.routers {
-			r.SetAlgorithm(alg)
-		}
+		n.routerState.SetAlgorithm(alg)
 		return false, nil
 	default:
 		return false, fmt.Errorf("unknown kind %d", int(o.Kind))

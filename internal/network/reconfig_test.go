@@ -276,3 +276,95 @@ func TestRecoveryBacklogQuiesces(t *testing.T) {
 		t.Fatalf("backlog after drain: presumed=%d busy=%d", p, b)
 	}
 }
+
+// TestRebuiltLaneReachesEveryLiveDestination is Lemma 1 on the table the
+// network actually routes by: after a link kill and a router kill, the
+// installed Deadlock Buffer lane leads from every live node to every live
+// destination over live links, within Nodes hops.
+func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
+	for _, name := range []string{"torus-4x4", "dragonfly-4x2", "fattree-4"} {
+		topo, err := topology.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := mustNet(t, testConfig(topo, routing.Disha(3), 0.3, 4))
+		n.Run(200)
+		nodes := topo.Nodes()
+		// The first link and the first router the protocol lets go (a kill
+		// that would disconnect the live network is refused).
+		killed := false
+		for v := 0; v < nodes && !killed; v++ {
+			for p := 0; p < topo.Degree() && !killed; p++ {
+				killed = n.KillLink(topology.Node(v), p) == nil
+			}
+		}
+		dead := -1
+		for v := nodes - 1; v >= 0 && dead < 0; v-- {
+			if n.KillRouter(topology.Node(v)) == nil {
+				dead = v
+			}
+		}
+		if !killed || dead < 0 {
+			t.Fatalf("%s: no link or router could be killed", name)
+		}
+		table := n.routerState.LaneTable()
+		if len(table) != nodes*nodes {
+			t.Fatalf("%s: installed lane table has %d entries, want %d", name, len(table), nodes*nodes)
+		}
+		for src := 0; src < nodes; src++ {
+			for dst := 0; dst < nodes; dst++ {
+				if src == dead || dst == dead {
+					continue
+				}
+				cur, hops := src, 0
+				for ; cur != dst && hops <= nodes; hops++ {
+					nb := n.routers[cur].Neighbor(int(table[dst*nodes+cur]))
+					if nb == nil {
+						t.Fatalf("%s: lane %d->%d needs a dead link at %d", name, src, dst, cur)
+					}
+					cur = int(nb.NodeID())
+				}
+				if cur != dst {
+					t.Fatalf("%s: lane %d->%d loops", name, src, dst)
+				}
+			}
+		}
+		n.Close()
+	}
+}
+
+// TestSwapAlgorithmIsNetworkWide checks that a routing-function swap is one
+// fact: the network and every router report the new function, after the
+// swap and after a snapshot replays it into a fresh network.
+func TestSwapAlgorithmIsNetworkWide(t *testing.T) {
+	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(3), 0.4, 3)
+	n := mustNet(t, cfg)
+	defer n.Close()
+	n.Run(100)
+	alg, err := routing.ByName("disha-m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SwapAlgorithm(alg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := mustNet(t, cfg)
+	defer restored.Close()
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*Network{n, restored} {
+		if got := net.CurrentAlgorithm().Name(); got != "disha-m1" {
+			t.Fatalf("network runs %q after the swap", got)
+		}
+		for _, r := range net.Routers() {
+			if r.Algorithm() != net.CurrentAlgorithm() {
+				t.Fatalf("router %d runs %q, network %q", r.NodeID(), r.Algorithm().Name(), net.CurrentAlgorithm().Name())
+			}
+		}
+	}
+}

@@ -27,7 +27,7 @@ func (r *Router) FlitCount() int { return int(r.st.flitCount[r.node]) }
 // allocation the crossbar state is never populated and this is always true.
 func (r *Router) CrossbarIdle() bool {
 	s := r.st
-	for q := 0; q < r.deg; q++ {
+	for q := 0; q < s.deg; q++ {
 		i := r.cx0 + q
 		if s.cxInPort[i] != connNone || s.cxDB[i] || s.cxSaved[i] {
 			return false
@@ -60,15 +60,15 @@ func (r *Router) CatchUpIdle(stageCycles, timerCycles int) {
 		s.vcArbOff[r.node] = int32((int(s.vcArbOff[r.node]) + stageCycles) % max(s.stride, 1))
 	}
 	if timerCycles > 0 {
-		if r.cfg.AdaptiveTimeout {
+		if s.cfg.AdaptiveTimeout {
 			ticks := int(s.decayCount[r.node]) + timerCycles
 			decays := ticks / 256
 			s.decayCount[r.node] = int32(ticks % 256)
-			if over := s.effTout[r.node] - r.cfg.Timeout; over > 0 {
+			if over := s.effTout[r.node] - s.cfg.Timeout; over > 0 {
 				if int64(decays) < int64(over) {
 					s.effTout[r.node] -= sim.Cycle(decays)
 				} else {
-					s.effTout[r.node] = r.cfg.Timeout
+					s.effTout[r.node] = s.cfg.Timeout
 				}
 			}
 		}

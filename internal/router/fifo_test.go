@@ -17,7 +17,7 @@ func ringState(t *testing.T, cfg Config) (*State, topology.Topology) {
 		t.Fatal(err)
 	}
 	topo := topology.MustTorus(4, 4)
-	return NewState(topo, cfg), topo
+	return NewState(topo, cfg, nil, nil), topo
 }
 
 func TestRingBasics(t *testing.T) {
@@ -25,25 +25,25 @@ func TestRingBasics(t *testing.T) {
 	cfg.BufferDepth = 2
 	s, _ := ringState(t, cfg)
 	i := 3 // an arbitrary input VC slot
-	if s.inLen[i] != 0 {
+	if s.in.n[i] != 0 {
 		t.Fatal("fresh ring not empty")
 	}
 	p := packet.New(1, 0, 1, 3, 0)
-	s.inPush(i, p.Flit(0))
-	s.inPush(i, p.Flit(1))
-	if int(s.inLen[i]) != 2 {
+	s.in.push(i, p.Flit(0))
+	s.in.push(i, p.Flit(1))
+	if int(s.in.n[i]) != 2 {
 		t.Fatal("full ring length wrong")
 	}
-	if s.inPeek(i).Seq != 0 {
+	if s.in.peek(i).Seq != 0 {
 		t.Fatal("peek must see the oldest flit")
 	}
-	if s.inAt(i, 1).Seq != 1 {
+	if s.in.at(i, 1).Seq != 1 {
 		t.Fatal("inAt must index from the head")
 	}
-	if s.inPop(i).Seq != 0 || s.inPop(i).Seq != 1 {
+	if s.in.pop(i).Seq != 0 || s.in.pop(i).Seq != 1 {
 		t.Fatal("pop order wrong")
 	}
-	if s.inLen[i] != 0 {
+	if s.in.n[i] != 0 {
 		t.Fatal("ring should be empty")
 	}
 }
@@ -56,8 +56,8 @@ func TestRingWrapAround(t *testing.T) {
 	// Interleave pushes and pops so the ring indices wrap repeatedly.
 	i, seq := 5, 0
 	for k := 0; k < 8; k++ {
-		s.inPush(i, p.Flit(k))
-		got := s.inPop(i)
+		s.in.push(i, p.Flit(k))
+		got := s.in.pop(i)
 		if got.Seq != seq {
 			t.Fatalf("wrap: got seq %d, want %d", got.Seq, seq)
 		}
@@ -69,10 +69,10 @@ func TestRingPopZeroesVacatedSlot(t *testing.T) {
 	cfg := Default()
 	s, _ := ringState(t, cfg)
 	p := packet.New(1, 0, 1, 2, 0)
-	s.inPush(0, p.Flit(0))
-	s.inPop(0)
-	for k := 0; k < s.depth; k++ {
-		if s.inFlits[k].Pkt != nil {
+	s.in.push(0, p.Flit(0))
+	s.in.pop(0)
+	for k := 0; k < s.cfg.BufferDepth; k++ {
+		if s.in.flits[k].Pkt != nil {
 			t.Fatal("vacated ring slot retains a stale packet pointer")
 		}
 	}
@@ -88,18 +88,82 @@ func TestRingPanics(t *testing.T) {
 				t.Error("pop on empty did not panic")
 			}
 		}()
-		s.inPop(0)
+		s.in.pop(0)
 	}()
 	p := packet.New(1, 0, 1, 2, 0)
-	s.inPush(0, p.Flit(0))
+	s.in.push(0, p.Flit(0))
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("push on full did not panic")
 			}
 		}()
-		s.inPush(0, p.Flit(1))
+		s.in.push(0, p.Flit(1))
 	}()
+}
+
+// TestFlitRing drives the one ring type at both depths in use (input VCs: 2,
+// Deadlock Buffer: 1): FIFO order through push/peek/at/pop with the head
+// wrapping, the overflow/underflow panics, and check's two findings.
+func TestFlitRing(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	pkt := packet.New(1, 0, 1, 16, 0)
+	for _, depth := range []int{2, 1} {
+		q := newFlitRing(3, depth)
+		const i = 1 // a middle slot, so neighbouring slots would show overruns
+		seq := 0
+		for round := 0; round < 3; round++ { // odd fills leave the head mid-ring
+			for k := 0; k < depth; k++ {
+				q.push(i, pkt.Flit(seq+k))
+			}
+			if !panics(func() { q.push(i, pkt.Flit(0)) }) {
+				t.Fatalf("depth %d: push to a full ring did not panic", depth)
+			}
+			if q.peek(i).Seq != seq || q.at(i, depth-1).Seq != seq+depth-1 {
+				t.Fatalf("depth %d: peek/at do not index from the head", depth)
+			}
+			if !panics(func() { q.at(i, depth) }) {
+				t.Fatalf("depth %d: at past the tail did not panic", depth)
+			}
+			for k := 0; k < depth; k++ {
+				if got := q.pop(i).Seq; got != seq {
+					t.Fatalf("depth %d: popped seq %d, want %d", depth, got, seq)
+				}
+				seq++
+			}
+			if err := q.check(i); err != nil {
+				t.Fatalf("depth %d: drained ring fails check: %v", depth, err)
+			}
+			if depth > 1 {
+				q.push(i, pkt.Flit(seq)) // shift the head by one for the next round
+				q.pop(i)
+				seq++
+			}
+		}
+		if !panics(func() { q.pop(i) }) || !panics(func() { q.peek(i) }) {
+			t.Fatalf("depth %d: pop/peek on an empty ring did not panic", depth)
+		}
+		if q.n[0] != 0 || q.n[2] != 0 || q.check(0) != nil || q.check(2) != nil {
+			t.Fatalf("depth %d: traffic on slot 1 leaked into its neighbours", depth)
+		}
+		q.flits[i*depth] = pkt.Flit(0)
+		if q.check(i) == nil {
+			t.Fatalf("depth %d: check missed a stale flit in a vacated slot", depth)
+		}
+		q.flits[i*depth] = packet.Flit{}
+		q.head[i] = int32(depth)
+		if q.check(i) == nil {
+			t.Fatalf("depth %d: check missed an out-of-range head", depth)
+		}
+		q.head[i], q.n[i] = 0, int32(depth+1)
+		if q.check(i) == nil {
+			t.Fatalf("depth %d: check missed an out-of-range length", depth)
+		}
+	}
 }
 
 func TestPortVCInverse(t *testing.T) {
@@ -140,12 +204,12 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		t.Fatalf("fresh router fails CheckState: %v", err)
 	}
 	corruptions := []func(s *State){
-		func(s *State) { s.inHead[0] = int32(s.depth) },
-		func(s *State) { s.inLen[0] = int32(s.depth + 1) },
-		func(s *State) { s.inFlits[0] = packet.New(9, 0, 1, 2, 0).Flit(0) },
+		func(s *State) { s.in.head[0] = int32(s.cfg.BufferDepth) },
+		func(s *State) { s.in.n[0] = int32(s.cfg.BufferDepth + 1) },
+		func(s *State) { s.in.flits[0] = packet.New(9, 0, 1, 2, 0).Flit(0) },
 		func(s *State) { s.inRoute[0] = int32(s.deg) },
-		func(s *State) { s.inOutVC[0] = int32(s.vcs) },
-		func(s *State) { s.outCredits[0] = int32(s.depth + 1) },
+		func(s *State) { s.inOutVC[0] = int32(s.cfg.VCs) },
+		func(s *State) { s.outCredits[0] = int32(s.cfg.BufferDepth + 1) },
 		func(s *State) { s.outCredits[0] = -1 },
 		func(s *State) { s.flitCount[0] = 5 },
 		func(s *State) { s.cxInPort[0] = int32(s.deg + 1) },

@@ -22,7 +22,7 @@ import "repro/internal/packet"
 // arbitrateInput.
 func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 	s := r.st
-	deg := r.deg
+	deg := s.deg
 
 	// inputConn[p] counts how many outputs input port p is wired to, and
 	// inputPkt[p] is the packet those connections belong to. Input ports
@@ -107,7 +107,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 				preempt(q)
 				s.cxDB[c] = true
 			}
-			if s.dbLen[db0] != 0 && dbStageable(r.neighbors[q], 0, s.dbPkt[db0]) {
+			if s.db.n[db0] != 0 && dbStageable(r.neighbors[q], 0, s.dbPkt[db0]) {
 				out = append(out, Transfer{From: r, FromDB: true, To: r.neighbors[q], OutPort: q, ToDB: true})
 				continue
 			}
@@ -149,7 +149,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 					l -= total
 				}
 				g := r.in0 + l
-				if int(s.inRoute[g]) != q || s.inLen[g] == 0 {
+				if int(s.inRoute[g]) != q || s.in.n[g] == 0 {
 					continue
 				}
 				port, vc := r.portVCOf(l)
@@ -178,7 +178,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 		inPort, inVC := int(s.cxInPort[c]), int(s.cxInVC[c])
 		g := r.inIdx(inPort, inVC)
 		staged := false
-		if s.inLen[g] != 0 && !inputUsed[inPort] {
+		if s.in.n[g] != 0 && !inputUsed[inPort] {
 			var tr Transfer
 			if int(s.inOutVC[g]) == VCDeadlockBuffer {
 				if dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.inPkt[g]) {
@@ -190,7 +190,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 				staged = true
 			}
 			if staged {
-				fl := s.inPeek(g)
+				fl := s.in.peek(g)
 				out = append(out, tr)
 				inputUsed[inPort] = true
 				s.inSent[g] = true
@@ -214,7 +214,7 @@ func (r *Router) recoveredInputFor(q int) (port, vc int, ok bool) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.inPkt[i] != nil && int(s.inRoute[i]) == q && int(s.inOutVC[i]) == VCDeadlockBuffer && s.inLen[i] != 0 {
+		if s.inPkt[i] != nil && int(s.inRoute[i]) == q && int(s.inOutVC[i]) == VCDeadlockBuffer && s.in.n[i] != 0 {
 			p, v := r.portVCOf(l)
 			return p, v, true
 		}

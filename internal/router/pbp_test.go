@@ -27,15 +27,15 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	s.inPkt[i00] = a
 	s.inRoute[i00] = int32(q)
 	s.inOutVC[i00] = 0
-	s.inPush(i00, a.Flit(2))
-	s.inPush(i00, a.Flit(3))
+	s.in.push(i00, a.Flit(2))
+	s.in.push(i00, a.Flit(3))
 	s.flitCount[r.node] += 2
 	s.outOwner[r.outIdx(q, 0)] = a
 
 	step := func() []Transfer {
 		xfers := r.StageSwitch(nil)
-		b.res.Reset()
-		b.res.Resolve(xfers)
+		b.now++
+		ResolveDB(xfers, b.now)
 		for _, tr := range xfers {
 			Commit(tr, b)
 		}
@@ -58,7 +58,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	p.OnDB = true
 	s.dbPkt[r.db0] = p
 	s.dbRoute[r.db0] = int32(q)
-	s.dbPush(r.db0, p.Flit(0))
+	s.db.push(r.db0, p.Flit(0))
 	s.flitCount[r.node]++
 
 	// Cycle 2: preemption — the DB connects, the edge connection is saved.
@@ -115,7 +115,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	s.inPkt[iA] = a
 	s.inRoute[iA] = int32(q)
 	s.inOutVC[iA] = 0
-	s.inPush(iA, a.Flit(2))
+	s.in.push(iA, a.Flit(2))
 	s.flitCount[r.node]++
 	s.outOwner[r.outIdx(q, 0)] = a
 	s.outCredits[r.outIdx(q, 0)] = 0
@@ -126,8 +126,8 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	s.inPkt[iB] = bb
 	s.inRoute[iB] = int32(q)
 	s.inOutVC[iB] = 1
-	s.inPush(iB, bb.Flit(2))
-	s.inPush(iB, bb.Flit(3))
+	s.in.push(iB, bb.Flit(2))
+	s.in.push(iB, bb.Flit(3))
 	s.flitCount[r.node] += 2
 	s.outOwner[r.outIdx(q, 1)] = bb
 
@@ -135,8 +135,8 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	// flit must flow every cycle while somebody can send).
 	for i := 0; i < 2; i++ {
 		xfers := r.StageSwitch(nil)
-		b.res.Reset()
-		b.res.Resolve(xfers)
+		b.now++
+		ResolveDB(xfers, b.now)
 		sentB := false
 		for _, tr := range xfers {
 			if tr.To != nil && tr.OutPort == q && tr.FromPort == 2 {

@@ -12,8 +12,8 @@ import (
 // by Commit, which keeps the simulation order-independent across routers.
 // Staging is router-local (it touches only the staging router's state), so
 // disjoint router shards may stage concurrently; the cross-router Deadlock
-// Buffer write-port constraint is enforced afterwards by Reservations.Resolve
-// in fixed router order.
+// Buffer write-port constraint is enforced afterwards by ResolveDB in fixed
+// router order.
 type Transfer struct {
 	From       *Router
 	FromPort   int // source input port; ignored when FromDB
@@ -29,51 +29,22 @@ type Transfer struct {
 	Eject    bool // flit is consumed by From's reception channel
 
 	// Dropped marks a Deadlock-Buffer transfer that lost the per-cycle
-	// write-port arbitration in Reservations.Resolve; Commit must skip it.
+	// write-port arbitration in ResolveDB; Commit must skip it.
 	Dropped bool
 }
 
-// dbKey identifies one Deadlock Buffer lane for per-cycle reservations.
-type dbKey struct {
-	r    *Router
-	lane int
-}
-
-// Reservations tracks per-cycle Deadlock Buffer admissions. Each DB is a
-// central queue with a single write port (as in the Chaos router the paper
-// cites), so at most one flit per cycle may enter it, and only for the
-// packet currently threading it.
-type Reservations struct {
-	m map[dbKey]int
-}
-
-// NewReservations returns an empty per-cycle reservation table.
-func NewReservations() *Reservations {
-	return &Reservations{m: make(map[dbKey]int)}
-}
-
-// Reset clears the table for the next cycle.
-func (res *Reservations) Reset() {
-	for k := range res.m {
-		delete(res.m, k)
-	}
-}
-
-// ReserveDB attempts to admit one flit of p into lane of target's Deadlock
-// Buffer this cycle.
-func (res *Reservations) ReserveDB(target *Router, lane int, p *packet.Packet) bool {
+// reserveDB attempts to admit one flit of p into lane of target's Deadlock
+// Buffer at cycle now: the lane must be stageable and its single write port
+// (State.dbWriteAt) not yet used this cycle. Admission stamps the port.
+func reserveDB(target *Router, lane int, p *packet.Packet, now sim.Cycle) bool {
 	if !dbStageable(target, lane, p) {
 		return false
 	}
 	i := target.dbIdx(lane)
-	k := dbKey{target, lane}
-	if res.m[k] >= 1 { // single write port
+	if target.st.dbWriteAt[i] == now {
 		return false
 	}
-	if target.st.dbDepth-int(target.st.dbLen[i])-res.m[k] < 1 {
-		return false
-	}
-	res.m[k]++
+	target.st.dbWriteAt[i] = now
 	return true
 }
 
@@ -83,27 +54,28 @@ func (res *Reservations) ReserveDB(target *Router, lane int, p *packet.Packet) b
 // It deliberately ignores the per-cycle single-write-port constraint, which
 // depends on what other routers stage: StageSwitch uses this check so that
 // staging reads only start-of-cycle state (safe and deterministic under
-// concurrent sharded staging) and Reservations.Resolve settles the write
-// port afterwards in fixed router order.
+// concurrent sharded staging) and ResolveDB settles the write port
+// afterwards in fixed router order.
 func dbStageable(target *Router, lane int, p *packet.Packet) bool {
 	if target == nil || lane < 0 || lane >= target.st.lanes {
 		return false
 	}
 	i := target.dbIdx(lane)
 	owner := target.st.dbPkt[i]
-	return (owner == nil || owner == p) && target.st.dbDepth-int(target.st.dbLen[i]) >= 1
+	return (owner == nil || owner == p) && int(target.st.db.n[i]) < target.st.db.depth
 }
 
-// Resolve arbitrates the staged Deadlock Buffer admissions of one cycle: it
-// walks the transfers in order and re-checks every DB-bound transfer against
-// the single-write-port reservation table, marking losers Dropped and
+// ResolveDB arbitrates the Deadlock Buffer admissions staged for cycle now:
+// it walks the transfers in order and re-checks every DB-bound transfer
+// against the receiving lane's single write port, marking losers Dropped and
 // un-staging their source (the sent flag is cleared so TickTimers still sees
 // the header as blocked). Callers invoke it serially, shard by shard in
-// fixed router order, between staging and Commit; the surviving transfers
-// are exactly those a fully serial stage-with-reservations pass would have
-// admitted, except that a port whose optimistically staged DB transfer loses
-// arbitration idles for the cycle instead of re-arbitrating.
-func (res *Reservations) Resolve(xfers []Transfer) {
+// fixed router order, between staging and Commit, with a cycle number that
+// never repeats; the surviving transfers are exactly those a fully serial
+// stage-with-reservations pass would have admitted, except that a port whose
+// optimistically staged DB transfer loses arbitration idles for the cycle
+// instead of re-arbitrating.
+func ResolveDB(xfers []Transfer, now sim.Cycle) {
 	for i := range xfers {
 		t := &xfers[i]
 		if !t.ToDB {
@@ -115,7 +87,7 @@ func (res *Reservations) Resolve(xfers []Transfer) {
 		} else {
 			p = t.From.st.inPkt[t.From.inIdx(t.FromPort, t.FromVC)]
 		}
-		if res.ReserveDB(t.To, t.ToDBLane, p) {
+		if reserveDB(t.To, t.ToDBLane, p, now) {
 			continue
 		}
 		t.Dropped = true
@@ -136,8 +108,8 @@ func (res *Reservations) Resolve(xfers []Transfer) {
 // against each other. Only internal/network's tests select it.
 func (r *Router) StageRoutingRef() {
 	total := 0
-	for p := 0; p <= r.deg; p++ {
-		total += r.st.inVCCount(r.deg, p)
+	for p := 0; p <= r.st.deg; p++ {
+		total += r.st.inVCCount(p)
 	}
 	off := int(r.st.vcArbOff[r.node])
 	r.st.vcArbOff[r.node] = int32((off + 1) % max(total, 1))
@@ -151,8 +123,8 @@ func (r *Router) StageRoutingRef() {
 // the pre-SoA mapping, retained for the reference scan path (the optimized
 // scans use the O(1) portVCOf inverse instead).
 func (r *Router) nthInputVC(i int) (port, vc int) {
-	for p := 0; p <= r.deg; p++ {
-		n := r.st.inVCCount(r.deg, p)
+	for p := 0; p <= r.st.deg; p++ {
+		n := r.st.inVCCount(p)
 		if i < n {
 			return p, i
 		}
@@ -167,10 +139,10 @@ func (r *Router) nthInputVC(i int) (port, vc int) {
 // later slots visited in the same cycle see them.
 func (r *Router) routeSlot(i int) {
 	s := r.st
-	if s.inLen[i] == 0 || s.inRoute[i] != PortUnrouted {
+	if s.in.n[i] == 0 || s.inRoute[i] != PortUnrouted {
 		return
 	}
-	head := s.inPeek(i)
+	head := s.in.peek(i)
 	if !head.IsHeader() {
 		return
 	}
@@ -190,7 +162,7 @@ func (r *Router) routeSlot(i int) {
 		return
 	}
 
-	cands := r.alg.Route(r, p, r.candBuf[:0])
+	cands := s.alg.Route(r, p, r.candBuf[:0])
 	r.candBuf = cands[:0]
 	// Keep only candidates whose link exists and whose output VC is free,
 	// then restrict to the best (lowest) preference class present.
@@ -213,7 +185,7 @@ func (r *Router) routeSlot(i int) {
 	}
 	choice := usable[0]
 	if len(usable) > 1 {
-		choice = r.sel.Pick(r, usable, r.rng)
+		choice = s.sel.Pick(r, usable, r.rng)
 	}
 	s.outOwner[r.outIdx(choice.Port, choice.VC)] = p
 	s.inRoute[i] = int32(choice.Port)
@@ -230,7 +202,7 @@ func (r *Router) routeSlot(i int) {
 // index walks). Byte-identical in effect to StageSwitch; see StageRoutingRef.
 func (r *Router) StageSwitchRef(out []Transfer) []Transfer {
 	out = r.stageEjectionRef(out)
-	if r.cfg.Alloc == PacketByPacket {
+	if r.st.cfg.Alloc == PacketByPacket {
 		return r.stageSwitchPBP(out)
 	}
 	return r.stageSwitchFBFRef(out)
@@ -240,7 +212,7 @@ func (r *Router) StageSwitchRef(out []Transfer) []Transfer {
 // first (the recovery lane must always drain), then input VCs round-robin.
 func (r *Router) stageEjectionRef(out []Transfer) []Transfer {
 	s := r.st
-	budget := r.cfg.ReceptionChannels
+	budget := s.cfg.ReceptionChannels
 	if budget == 0 {
 		return out
 	}
@@ -249,28 +221,28 @@ func (r *Router) stageEjectionRef(out []Transfer) []Transfer {
 			break
 		}
 		i := r.dbIdx(lane)
-		if s.dbLen[i] != 0 && int(s.dbRoute[i]) == PortEject {
+		if s.db.n[i] != 0 && int(s.dbRoute[i]) == PortEject {
 			out = append(out, Transfer{From: r, FromDB: true, FromDBLane: lane, Eject: true})
 			budget--
 		}
 	}
 	total := 0
-	for p := 0; p <= r.deg; p++ {
-		total += s.inVCCount(r.deg, p)
+	for p := 0; p <= s.deg; p++ {
+		total += s.inVCCount(p)
 	}
-	off := int(s.swArbOff[r.swIdx(r.deg)])
+	off := int(s.swArbOff[r.swIdx(s.deg)])
 	granted := false
 	for i := 0; i < total && budget > 0; i++ {
 		port, vc := r.nthInputVC((off + i) % total)
 		g := r.inIdx(port, vc)
-		if int(s.inRoute[g]) != PortEject || s.inLen[g] == 0 || s.inSent[g] {
+		if int(s.inRoute[g]) != PortEject || s.in.n[g] == 0 || s.inSent[g] {
 			continue
 		}
 		out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
 		s.inSent[g] = true
 		budget--
 		if !granted {
-			s.swArbOff[r.swIdx(r.deg)] = int32((off + i + 1) % total)
+			s.swArbOff[r.swIdx(s.deg)] = int32((off + i + 1) % total)
 			granted = true
 		}
 	}
@@ -286,18 +258,18 @@ func (r *Router) stageSwitchFBFRef(out []Transfer) []Transfer {
 	s := r.st
 	var inputUsed [64]bool // deg+1 <= 64: network.New rejects degree > MaxDegree
 	// Ejection grants above already consumed their input ports this cycle.
-	for p := 0; p <= r.deg; p++ {
-		for v := 0; v < s.inVCCount(r.deg, p); v++ {
+	for p := 0; p <= s.deg; p++ {
+		for v := 0; v < s.inVCCount(p); v++ {
 			if s.inSent[r.inIdx(p, v)] {
 				inputUsed[p] = true
 			}
 		}
 	}
 	total := 0
-	for p := 0; p <= r.deg; p++ {
-		total += s.inVCCount(r.deg, p)
+	for p := 0; p <= s.deg; p++ {
+		total += s.inVCCount(p)
 	}
-	for q := 0; q < r.deg; q++ {
+	for q := 0; q < s.deg; q++ {
 		if r.neighbors[q] == nil {
 			continue
 		}
@@ -316,7 +288,7 @@ func (r *Router) stageDBOutput(q int, out *[]Transfer) bool {
 	s := r.st
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if s.dbLen[i] != 0 && int(s.dbRoute[i]) == q && dbStageable(r.neighbors[q], lane, s.dbPkt[i]) {
+		if s.db.n[i] != 0 && int(s.dbRoute[i]) == q && dbStageable(r.neighbors[q], lane, s.dbPkt[i]) {
 			*out = append(*out, Transfer{From: r, FromDB: true, FromDBLane: lane,
 				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: lane})
 			return true
@@ -340,7 +312,7 @@ func (r *Router) arbitrateInputRef(q, total int, inputUsed *[64]bool, out []Tran
 			continue
 		}
 		g := r.inIdx(port, vc)
-		if int(s.inRoute[g]) != q || s.inLen[g] == 0 {
+		if int(s.inRoute[g]) != q || s.in.n[g] == 0 {
 			continue
 		}
 		if int(s.inOutVC[g]) == VCDeadlockBuffer {
@@ -372,7 +344,7 @@ type Sink interface {
 }
 
 // Commit applies a staged transfer; ejected flits are passed to sink.
-// Transfers marked Dropped by Reservations.Resolve are ignored.
+// Transfers marked Dropped by ResolveDB are ignored.
 func Commit(t Transfer, sink Sink) {
 	if t.Dropped {
 		return
@@ -385,7 +357,7 @@ func Commit(t Transfer, sink Sink) {
 	case t.ToDB:
 		to := t.To
 		i := to.dbIdx(t.ToDBLane)
-		to.st.dbPush(i, fl)
+		to.st.db.push(i, fl)
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
 			to.st.dbPkt[i] = fl.Pkt
@@ -397,7 +369,7 @@ func Commit(t Transfer, sink Sink) {
 		to := t.To
 		inPort := int(t.From.rev[t.OutPort])
 		ti := to.inIdx(inPort, t.ToVC)
-		to.st.inPush(ti, fl)
+		to.st.in.push(ti, fl)
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
 			to.st.inPkt[ti] = fl.Pkt
@@ -421,7 +393,7 @@ func (t Transfer) popSource() packet.Flit {
 	s := r.st
 	if t.FromDB {
 		i := r.dbIdx(t.FromDBLane)
-		fl := s.dbPop(i)
+		fl := s.db.pop(i)
 		s.flitCount[r.node]--
 		r.stats.DBFlitsCarried++
 		if fl.IsTail() {
@@ -431,9 +403,9 @@ func (t Transfer) popSource() packet.Flit {
 		return fl
 	}
 	i := r.inIdx(t.FromPort, t.FromVC)
-	fl := s.inPop(i)
+	fl := s.in.pop(i)
 	s.flitCount[r.node]--
-	if t.FromPort < r.deg && r.neighbors[t.FromPort] != nil {
+	if t.FromPort < s.deg && r.neighbors[t.FromPort] != nil {
 		up := r.neighbors[t.FromPort]
 		up.st.outCredits[up.outIdx(int(r.rev[t.FromPort]), t.FromVC)]++
 	}
@@ -451,7 +423,8 @@ func (t Transfer) popSource() packet.Flit {
 // normal (edge-buffer) link out of r.
 func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
 	p.Hops++
-	if r.ctopo != nil {
+	topo, ctopo := r.st.topo, r.st.ctopo
+	if ctopo != nil {
 		// Dimension-reversal and dateline state only exist on coordinate
 		// topologies; the algorithms that consume them reject coordinate-
 		// free graphs at configuration time.
@@ -460,12 +433,12 @@ func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
 			p.DimReversals++
 		}
 		p.LastDim = d
-		if r.ctopo.CrossesDateline(r.node, outPort) {
+		if ctopo.CrossesDateline(r.node, outPort) {
 			p.DatelineCrossed |= 1 << uint(d)
 		}
 	}
 	nb := r.neighbors[outPort]
-	if r.topo.Distance(nb.node, p.Dst) >= r.topo.Distance(r.node, p.Dst) {
+	if topo.Distance(nb.node, p.Dst) >= topo.Distance(r.node, p.Dst) {
 		p.Misroutes++
 		r.stats.MisrouteHops++
 	}
@@ -481,8 +454,8 @@ func (r *Router) TickTimersRef() int {
 	newly := 0
 	blocked, presumed := 0, 0
 	tout := r.tickDecay()
-	for p := 0; p <= r.deg; p++ {
-		for v := 0; v < s.inVCCount(r.deg, p); v++ {
+	for p := 0; p <= s.deg; p++ {
+		for v := 0; v < s.inVCCount(p); v++ {
 			newly += r.tickSlot(r.inIdx(p, v), p, v, tout, &blocked, &presumed)
 		}
 	}
@@ -495,14 +468,14 @@ func (r *Router) TickTimersRef() int {
 // AdaptiveTimeout, applies the slow decay of the self-tuned T_out back
 // toward the configured base.
 func (r *Router) tickDecay() sim.Cycle {
-	tout := r.cfg.Timeout
-	if r.cfg.AdaptiveTimeout {
-		s := r.st
+	s := r.st
+	tout := s.cfg.Timeout
+	if s.cfg.AdaptiveTimeout {
 		tout = s.effTout[r.node]
 		s.decayCount[r.node]++
 		if s.decayCount[r.node] >= 256 {
 			s.decayCount[r.node] = 0
-			if s.effTout[r.node] > r.cfg.Timeout {
+			if s.effTout[r.node] > s.cfg.Timeout {
 				s.effTout[r.node]--
 			}
 		}
@@ -521,9 +494,9 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 			// The presumed-deadlocked header moved normally: a false
 			// detection. Under AdaptiveTimeout, back off.
 			r.stats.FalseDetections++
-			if r.cfg.AdaptiveTimeout {
+			if s.cfg.AdaptiveTimeout {
 				s.effTout[r.node] *= 2
-				if max8 := 8 * r.cfg.Timeout; s.effTout[r.node] > max8 {
+				if max8 := 8 * s.cfg.Timeout; s.effTout[r.node] > max8 {
 					s.effTout[r.node] = max8
 				}
 			}
@@ -533,12 +506,12 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 		s.inPresumed[i] = false
 		return 0
 	}
-	if s.inLen[i] == 0 {
+	if s.in.n[i] == 0 {
 		s.inWaiting[i] = 0
 		s.inPresumed[i] = false
 		return 0
 	}
-	head := s.inPeek(i)
+	head := s.in.peek(i)
 	// Only headers not draining to the local reception channel and not
 	// already recovering are candidates for presumption.
 	if !head.IsHeader() || int(s.inRoute[i]) == PortEject || head.Pkt.OnDB {
@@ -559,7 +532,7 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 		// STRANDED by link faults (the routing function offers no live port
 		// at all), in which case only the recovery lane can ever deliver
 		// them. The stranded check is throttled: faults are rare events.
-		if p == r.deg {
+		if p == s.deg {
 			if (s.inWaiting[i]-tout)%16 != 1 || !r.strandedHeader(head.Pkt) {
 				return 0
 			}
@@ -568,7 +541,7 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 		*presumed++
 		head.Pkt.TimedOut = true
 		r.stats.TimeoutEvents++
-		if r.onTimeout != nil {
+		if s.onTimeout != nil {
 			r.pendingTimeouts = append(r.pendingTimeouts, head.Pkt)
 		}
 		return 1
@@ -587,8 +560,8 @@ func (r *Router) FlushTimeouts() {
 		return
 	}
 	for i, p := range r.pendingTimeouts {
-		if r.onTimeout != nil {
-			r.onTimeout(p)
+		if r.st.onTimeout != nil {
+			r.st.onTimeout(r.node, p)
 		}
 		r.pendingTimeouts[i] = nil
 	}
@@ -599,7 +572,7 @@ func (r *Router) FlushTimeouts() {
 // live output port at this router — only possible with failed links; such
 // a packet can never advance on edge channels and must be recovered.
 func (r *Router) strandedHeader(p *packet.Packet) bool {
-	cands := r.alg.Route(r, p, r.candBuf[:0])
+	cands := r.st.alg.Route(r, p, r.candBuf[:0])
 	r.candBuf = cands[:0]
 	for _, c := range cands {
 		if r.LinkExists(c.Port) {
@@ -638,14 +611,14 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	s := r.st
 	i := r.inIdx(port, vc)
 	p := s.inPkt[i]
-	if p == nil || s.inLen[i] == 0 || !s.inPeek(i).IsHeader() {
+	if p == nil || s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
 		panic("router: Recover on a VC without a blocked header")
 	}
 	if s.inRoute[i] >= 0 && s.inOutVC[i] >= 0 {
 		s.outOwner[r.outIdx(int(s.inRoute[i]), int(s.inOutVC[i]))] = nil
 	}
 	p.OnDB = true
-	p.SeizedToken = r.cfg.Recovery == RecoverySequential
+	p.SeizedToken = s.cfg.Recovery == RecoverySequential
 	p.RecoveredAt = now
 	lane := r.recoveryLane(p.Dst)
 	s.inDBLane[i] = int32(lane)
@@ -666,7 +639,7 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 	s := r.st
 	// Network ports only — exactly the first deg*vcs slots of the port-major
 	// layout (injection slots sit at the end of the router's range).
-	for l := 0; l < r.deg*s.vcs; l++ {
+	for l := 0; l < s.outStr; l++ {
 		if s.inPresumed[r.in0+l] {
 			p, v := r.portVCOf(l)
 			out = append(out, r.Recover(p, v, now))
@@ -679,13 +652,14 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 // lane 0 under sequential recovery; under concurrent recovery the up lane
 // when the destination's Hamiltonian label is larger, else the down lane.
 func (r *Router) recoveryLane(dst topology.Node) int {
-	if r.cfg.Recovery != RecoveryConcurrent {
+	if r.st.cfg.Recovery != RecoveryConcurrent {
 		return 0
 	}
-	if r.hamLabels == nil {
-		panic("router: concurrent recovery without ConnectHamiltonian")
+	labels := r.st.hamLabels
+	if labels == nil {
+		panic("router: concurrent recovery without SetHamiltonianLabels")
 	}
-	if r.hamLabels[dst] > r.hamLabel {
+	if labels[dst] > labels[r.node] {
 		return laneUp
 	}
 	return laneDown
@@ -700,30 +674,24 @@ func (r *Router) dbLaneRoute(lane int, dst topology.Node) int {
 	if r.node == dst {
 		return PortEject
 	}
-	if r.cfg.Recovery == RecoveryConcurrent {
+	s := r.st
+	if s.cfg.Recovery == RecoveryConcurrent {
 		if lane == laneUp {
 			return r.hamNextPort
 		}
 		return r.hamPrevPort
 	}
-	if r.dbTable != nil {
-		return int(r.dbTable[int(dst)*r.topo.Nodes()+int(r.node)])
+	if s.laneTable != nil {
+		return int(s.laneTable[int(dst)*s.nodes+int(r.node)])
 	}
-	// Coordinate-free graphs always carry a dbTable (the network installs
+	// Coordinate-free graphs always carry a lane table (the network installs
 	// the BFS table at construction), so reaching the dimension-order
 	// fallback implies cube coordinates exist.
-	port, ok := routing.DORPort(r.ctopo, r.node, dst)
+	port, ok := routing.DORPort(s.ctopo, r.node, dst)
 	if !ok {
 		return PortEject
 	}
 	return port
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PresumedPackets appends the distinct packets currently presumed
@@ -755,13 +723,13 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 			continue
 		}
 		port, v := r.portVCOf(l)
-		n := int(s.inLen[i])
+		n := int(s.in.n[i])
 		for k := 0; k < n; k++ {
-			s.inPop(i)
+			s.in.pop(i)
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
-		if n > 0 && port < r.deg && r.neighbors[port] != nil {
+		if n > 0 && port < s.deg && r.neighbors[port] != nil {
 			up := r.neighbors[port]
 			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int32(n)
 		}
@@ -772,8 +740,8 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		s.inPresumed[i] = false
 		s.inSent[i] = false
 	}
-	for q := 0; q < r.deg; q++ {
-		for v := 0; v < s.vcs; v++ {
+	for q := 0; q < s.deg; q++ {
+		for v := 0; v < s.cfg.VCs; v++ {
 			i := r.outIdx(q, v)
 			if s.outOwner[i] == p {
 				s.outOwner[i] = nil

@@ -27,7 +27,7 @@ func (r *Router) StageRouting() {
 		g := r.in0 + l
 		// Hot early-out on the contiguous arrays: most slots are empty or
 		// already routed, and this rejects them without touching the ring.
-		if s.inLen[g] == 0 || s.inRoute[g] != PortUnrouted {
+		if s.in.n[g] == 0 || s.inRoute[g] != PortUnrouted {
 			continue
 		}
 		r.routeSlot(g)
@@ -41,11 +41,11 @@ func (r *Router) StageRouting() {
 // StageSwitch mutates only this router's state and reads neighbors' Deadlock
 // Buffer state, which is start-of-cycle stable, so disjoint router shards may
 // stage concurrently. Deadlock-Buffer-bound transfers are staged
-// optimistically; the caller must run Reservations.Resolve over all staged
+// optimistically; the caller must run ResolveDB over all staged
 // transfers (in fixed router order) before committing them.
 func (r *Router) StageSwitch(out []Transfer) []Transfer {
 	out = r.stageEjection(out)
-	if r.cfg.Alloc == PacketByPacket {
+	if r.st.cfg.Alloc == PacketByPacket {
 		return r.stageSwitchPBP(out)
 	}
 	return r.stageSwitchFBF(out)
@@ -55,7 +55,7 @@ func (r *Router) StageSwitch(out []Transfer) []Transfer {
 // (the recovery lane must always drain), then input VCs round-robin.
 func (r *Router) stageEjection(out []Transfer) []Transfer {
 	s := r.st
-	budget := r.cfg.ReceptionChannels
+	budget := s.cfg.ReceptionChannels
 	if budget == 0 {
 		return out
 	}
@@ -64,13 +64,13 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 			break
 		}
 		i := r.dbIdx(lane)
-		if s.dbLen[i] != 0 && int(s.dbRoute[i]) == PortEject {
+		if s.db.n[i] != 0 && int(s.dbRoute[i]) == PortEject {
 			out = append(out, Transfer{From: r, FromDB: true, FromDBLane: lane, Eject: true})
 			budget--
 		}
 	}
 	total := s.stride
-	off := int(s.swArbOff[r.swIdx(r.deg)])
+	off := int(s.swArbOff[r.swIdx(s.deg)])
 	granted := false
 	for i := 0; i < total && budget > 0; i++ {
 		l := off + i
@@ -78,7 +78,7 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 			l -= total
 		}
 		g := r.in0 + l
-		if int(s.inRoute[g]) != PortEject || s.inLen[g] == 0 || s.inSent[g] {
+		if int(s.inRoute[g]) != PortEject || s.in.n[g] == 0 || s.inSent[g] {
 			continue
 		}
 		port, vc := r.portVCOf(l)
@@ -86,7 +86,7 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 		s.inSent[g] = true
 		budget--
 		if !granted {
-			s.swArbOff[r.swIdx(r.deg)] = int32((off + i + 1) % total)
+			s.swArbOff[r.swIdx(s.deg)] = int32((off + i + 1) % total)
 			granted = true
 		}
 	}
@@ -108,7 +108,7 @@ func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
 			inputUsed[p] = true
 		}
 	}
-	for q := 0; q < r.deg; q++ {
+	for q := 0; q < s.deg; q++ {
 		if r.neighbors[q] == nil {
 			continue
 		}
@@ -136,7 +136,7 @@ func (r *Router) arbitrateInput(q, total int, inputUsed *[64]bool, out []Transfe
 		g := r.in0 + l
 		// Route mismatch is the overwhelmingly common case; test it on the
 		// contiguous route array before deriving (port, vc).
-		if int(s.inRoute[g]) != q || s.inLen[g] == 0 {
+		if int(s.inRoute[g]) != q || s.in.n[g] == 0 {
 			continue
 		}
 		port, vc := r.portVCOf(l)
@@ -183,7 +183,7 @@ func (r *Router) TickTimers() int {
 		// Idle slots (empty, nothing sent, timer already clear) are the
 		// common case at every load; reject them with contiguous loads
 		// before paying for the (port, vc) split and the full slot tick.
-		if !s.inSent[i] && s.inLen[i] == 0 && s.inWaiting[i] == 0 && !s.inPresumed[i] {
+		if !s.inSent[i] && s.in.n[i] == 0 && s.inWaiting[i] == 0 && !s.inPresumed[i] {
 			continue
 		}
 		p, v := r.portVCOf(l)

@@ -1,9 +1,6 @@
 package router
 
-import (
-	"repro/internal/packet"
-	"repro/internal/routing"
-)
+import "repro/internal/packet"
 
 // This file holds the router-local primitives the network's dynamic
 // reconfiguration subsystem (internal/network/reconfig.go) composes into
@@ -13,20 +10,13 @@ import (
 // all of them are called between Step cycles, so they never race with the
 // sharded kernel.
 
-// SetAlgorithm swaps the routing function this router consults for unrouted
-// headers. Granted routes are untouched: packets already holding an output
-// VC finish their hop under the old function, and any packet the new
-// function can no longer make progress for times out and escapes through
-// the Deadlock Buffer lane — the DBR reconfiguration argument.
-func (r *Router) SetAlgorithm(alg routing.Algorithm) { r.alg = alg }
-
 // dbHeadIsHeader reports whether DB lane slot i currently buffers its
 // packet's header at the ring head — the one case where the lane's stored
 // route may be recomputed without tearing the packet's lane chain apart
 // (body flits blindly follow the route their header established).
 func (r *Router) dbHeadIsHeader(i int) bool {
 	s := r.st
-	return s.dbLen[i] != 0 && s.dbPeek(i).IsHeader()
+	return s.db.n[i] != 0 && s.db.peek(i).IsHeader()
 }
 
 // LinkVictims appends every packet that would lose flits if the link on
@@ -39,14 +29,14 @@ func (r *Router) dbHeadIsHeader(i int) bool {
 // deduplicate.
 func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 	s := r.st
-	for v := 0; v < s.inVCCount(r.deg, port); v++ {
+	for v := 0; v < s.inVCCount(port); v++ {
 		if p := s.inPkt[r.inIdx(port, v)]; p != nil {
 			out = append(out, p)
 		}
 	}
-	for v := 0; v < s.vcs; v++ {
+	for v := 0; v < s.cfg.VCs; v++ {
 		i := r.outIdx(port, v)
-		if p := s.outOwner[i]; p != nil && int(s.outCredits[i]) < s.depth {
+		if p := s.outOwner[i]; p != nil && int(s.outCredits[i]) < s.cfg.BufferDepth {
 			out = append(out, p)
 		}
 	}
@@ -62,7 +52,7 @@ func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 		if p == nil || int(s.inOutVC[i]) != VCDeadlockBuffer || int(s.inRoute[i]) != port {
 			continue
 		}
-		if s.inLen[i] == 0 || !s.inPeek(i).IsHeader() {
+		if s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
 			out = append(out, p)
 		}
 	}
@@ -116,10 +106,10 @@ func (r *Router) ReleaseGrants(port int) {
 // link come back with clean virtual channels.
 func (r *Router) ResetOutputPort(port int) {
 	s := r.st
-	for v := 0; v < s.vcs; v++ {
+	for v := 0; v < s.cfg.VCs; v++ {
 		i := r.outIdx(port, v)
 		s.outOwner[i] = nil
-		s.outCredits[i] = int32(s.depth)
+		s.outCredits[i] = int32(s.cfg.BufferDepth)
 	}
 	c := r.cxIdx(port)
 	s.cxInPort[c], s.cxInVC[c] = connNone, 0
@@ -140,9 +130,9 @@ func (r *Router) PurgeDB(p *packet.Packet) int {
 		if s.dbPkt[i] != p {
 			continue
 		}
-		n := int(s.dbLen[i])
+		n := int(s.db.n[i])
 		for k := 0; k < n; k++ {
-			s.dbPop(i)
+			s.db.pop(i)
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
@@ -182,7 +172,7 @@ func (r *Router) RecoveryBusy() (presumed, busy int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.inPresumed[i] && s.inLen[i] != 0 {
+		if s.inPresumed[i] && s.in.n[i] != 0 {
 			presumed++
 		}
 		if s.inPkt[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
@@ -191,7 +181,7 @@ func (r *Router) RecoveryBusy() (presumed, busy int) {
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		busy += int(s.dbLen[i])
+		busy += int(s.db.n[i])
 		if s.dbPkt[i] != nil {
 			busy++
 		}

@@ -31,7 +31,8 @@ func wireHam(b *testBench) {
 		if i > 0 {
 			prev = portToward(node, order[i-1])
 		}
-		b.routers[node].ConnectHamiltonian(labels, next, prev)
+		b.routers[node].st.SetHamiltonianLabels(labels) // every bench router has a State of its own
+		b.routers[node].ConnectHamiltonian(next, prev)
 	}
 }
 
@@ -92,8 +93,8 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	p := packet.New(1, src, dst, 2, 0)
 	i00 := r.inIdx(0, 0)
 	r.st.inPkt[i00] = p
-	r.st.inPush(i00, p.Flit(0))
-	r.st.inPush(i00, p.Flit(1))
+	r.st.in.push(i00, p.Flit(0))
+	r.st.in.push(i00, p.Flit(1))
 	r.st.flitCount[r.node] += 2
 	for i := 0; i < int(cfg.Timeout)+2; i++ {
 		b.step()
@@ -134,15 +135,15 @@ func TestPurgePacket(t *testing.T) {
 	r0.st.inPkt[i0] = p
 	r0.st.inRoute[i0] = int32(q)
 	r0.st.inOutVC[i0] = 0
-	r0.st.inPush(i0, p.Flit(1))
-	r0.st.inPush(i0, p.Flit(2))
+	r0.st.in.push(i0, p.Flit(1))
+	r0.st.in.push(i0, p.Flit(2))
 	r0.st.flitCount[r0.node] += 2
 	r0.st.outOwner[r0.outIdx(q, 0)] = p
 	rev := topology.ReversePort(q)
 	i1 := r1.inIdx(rev, 0)
 	r1.st.inPkt[i1] = p
 	r1.st.inRoute[i1] = PortUnrouted
-	r1.st.inPush(i1, p.Flit(0))
+	r1.st.in.push(i1, p.Flit(0))
 	r1.st.flitCount[r1.node]++
 	r0.st.outCredits[r0.outIdx(q, 0)] = int32(cfg.BufferDepth - 1)
 

@@ -11,11 +11,13 @@
 // single-threaded access in a fixed order, which makes simulations
 // deterministic for a given seed.
 //
-// The hot per-cycle state — VC buffers, credits, deadlock timers, crossbar
-// connections — lives in flat struct-of-arrays buffers shared by every router
-// of one network (see State); a Router is a view over its slice of those
-// buffers. The per-cycle scan phases therefore sweep contiguous memory, while
-// the router API, digests and snapshots are unchanged and layout-invariant.
+// Everything the routers of one network share lives once in a State: the
+// network-wide facts (topology, configuration, routing function, Deadlock
+// Buffer lane table) and the hot per-cycle state — VC buffers, credits,
+// deadlock timers, crossbar connections — as flat struct-of-arrays buffers. A
+// Router is a view over its slice of those buffers, so the per-cycle scan
+// phases sweep contiguous memory while the router API, digests and snapshots
+// stay layout-invariant.
 package router
 
 import (
@@ -73,23 +75,18 @@ type Stats struct {
 }
 
 // Router is one network node's switch: a view over the node's slice of the
-// network-wide struct-of-arrays State, plus the cold per-router state (stats,
-// wiring, RNG, scratch) that no per-cycle scan touches.
+// network-wide State. It holds only what is the node's own — its base
+// offsets into the shared buffers, its wiring (neighbors, reverse ports,
+// Hamiltonian-path ports), its RNG stream, and the cold counters and scratch
+// no per-cycle scan sweeps. Everything network-wide (topology, configuration,
+// routing and selection functions, the Deadlock Buffer lane table) is read
+// through st.
 type Router struct {
 	node topology.Node
-	topo topology.Graph
-	// ctopo is the coordinate view of topo when it has one (k-ary n-cubes),
-	// nil otherwise. Dateline tracking, dimension-reversal accounting and
-	// the dimension-order Deadlock Buffer fallback are gated on it.
-	ctopo topology.Topology
-	cfg   Config
-	alg   routing.Algorithm
-	sel   routing.Selection
-	rng   *sim.RNG
+	rng  *sim.RNG
 
-	// Shared struct-of-arrays state and this router's base offsets into it.
+	// Shared state and this router's base offsets into its buffers.
 	st   *State
-	deg  int // topo.Degree(), cached for index math
 	in0  int // first input VC slot:       node * st.stride
 	out0 int // first output VC slot:      node * st.outStr
 	db0  int // first Deadlock Buffer slot: node * st.lanes
@@ -98,24 +95,16 @@ type Router struct {
 
 	neighbors []*Router // per network port; nil where no link exists
 
-	// Hamiltonian-path wiring for concurrent recovery: the shared
-	// node-to-label table, this router's label, and the ports toward its
-	// successor/predecessor on the path (-1 at the path's ends). Set by
-	// ConnectHamiltonian.
-	hamLabels   []int
-	hamLabel    int
-	hamNextPort int
-	hamPrevPort int
-
-	// dbTable, when set, overrides dimension-order Deadlock Buffer routing
-	// with a fault-aware next-hop table (see SetDBRouteTable).
-	dbTable []int32
-
 	// rev caches topo.ReversePortAt for every output port: rev[p] is the
 	// input port at neighbors[p] that our link lands on, or -1 where the
 	// port is unconnected or unpaired. The transfer-commit and credit hot
 	// paths index it instead of re-deriving the pairing per flit.
 	rev []int32
+
+	// Ports toward this router's successor/predecessor on the recovery
+	// Hamiltonian path (-1 at the path's ends); set by ConnectHamiltonian.
+	hamNextPort int
+	hamPrevPort int
 
 	candBuf []routing.Candidate
 	stats   Stats
@@ -125,49 +114,34 @@ type Router struct {
 	// cumulative blocked cycles keyed by VC index.
 	blockedByVC []int64
 
-	// onTimeout, when set via SetOnTimeout, observes every newly presumed
-	// header (tracing, telemetry flight recorder). TickTimers buffers the
-	// newly presumed packets in pendingTimeouts; FlushTimeouts drains them.
-	onTimeout       func(*packet.Packet)
+	// pendingTimeouts buffers the packets TickTimers newly presumed, for
+	// FlushTimeouts to hand to the State's timeout observer.
 	pendingTimeouts []*packet.Packet
 }
 
-// NewWithState constructs a router for node as a view over the shared
-// struct-of-arrays state st (built by NewState for the same topo and cfg).
-// The caller wires neighbors with Connect before the first cycle. cfg must
-// already be normalized. The network constructs one State and all of its
-// routers over it, so the per-cycle scan phases sweep contiguous memory.
-func NewWithState(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, rng *sim.RNG, st *State) *Router {
-	deg := topo.Degree()
-	ctopo, _ := topology.Coordinated(topo)
+// NewWithState constructs the view of node over the shared state st, with
+// rng as the router's private selection stream. The caller wires neighbors
+// with Connect before the first cycle.
+func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
+	deg, cfg := st.deg, st.cfg
 	r := &Router{
 		node:        node,
-		topo:        topo,
-		ctopo:       ctopo,
-		cfg:         cfg,
-		alg:         alg,
-		sel:         sel,
 		rng:         rng,
 		st:          st,
-		deg:         deg,
 		in0:         int(node) * st.stride,
 		out0:        int(node) * st.outStr,
 		db0:         int(node) * st.lanes,
 		cx0:         int(node) * deg,
 		sw0:         int(node) * (deg + 1),
 		neighbors:   make([]*Router, deg),
-		candBuf:     make([]routing.Candidate, 0, 4*deg*cfg.VCs),
+		rev:         make([]int32, deg),
+		candBuf:     make([]routing.Candidate, 0, st.outStr), // one per output VC
+		blockedByVC: make([]int64, max(cfg.VCs, cfg.InjectionVCs)),
 		hamNextPort: -1,
 		hamPrevPort: -1,
 	}
-	maxVCs := cfg.VCs
-	if cfg.InjectionVCs > maxVCs {
-		maxVCs = cfg.InjectionVCs
-	}
-	r.blockedByVC = make([]int64, maxVCs)
-	r.rev = make([]int32, deg)
 	for p := 0; p < deg; p++ {
-		if q, ok := topo.ReversePortAt(node, p); ok {
+		if q, ok := st.topo.ReversePortAt(node, p); ok {
 			r.rev[p] = int32(q)
 		} else {
 			r.rev[p] = -1
@@ -176,11 +150,11 @@ func NewWithState(node topology.Node, topo topology.Graph, cfg Config, alg routi
 	return r
 }
 
-// New constructs a standalone router for node with a freshly allocated State
-// sized for topo. Tests and single-router tools use it; a network shares one
-// State across all routers via NewState + NewWithState instead.
+// New constructs a standalone router for node over a State of its own
+// (cfg already normalized). Tests and single-router tools use it; a network
+// shares one State across all routers via NewState + NewWithState instead.
 func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, rng *sim.RNG) *Router {
-	return NewWithState(node, topo, cfg, alg, sel, rng, NewState(topo, cfg))
+	return NewWithState(node, rng, NewState(topo, cfg, alg, sel))
 }
 
 // EffectiveTimeout returns the router's current deadlock time-out: the
@@ -188,12 +162,10 @@ func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algori
 func (r *Router) EffectiveTimeout() sim.Cycle { return r.st.effTout[r.node] }
 
 // ConnectHamiltonian wires the router into the recovery Hamiltonian path:
-// the shared node-to-label table and the output ports toward the path's
-// successor and predecessor (pass -1 at the ends). Required for concurrent
-// recovery; the network calls it for every router.
-func (r *Router) ConnectHamiltonian(labels []int, nextPort, prevPort int) {
-	r.hamLabels = labels
-	r.hamLabel = labels[r.node]
+// the output ports toward the path's successor and predecessor (pass -1 at
+// the ends). Concurrent recovery needs it on every router, plus the label
+// table in State.SetHamiltonianLabels.
+func (r *Router) ConnectHamiltonian(nextPort, prevPort int) {
 	r.hamNextPort = nextPort
 	r.hamPrevPort = prevPort
 }
@@ -210,22 +182,17 @@ func (r *Router) Connect(port int, neighbor *Router) {
 func (r *Router) Neighbor(port int) *Router { return r.neighbors[port] }
 
 // InjectionPort returns the input port index of the injection channel.
-func (r *Router) InjectionPort() int { return r.deg }
+func (r *Router) InjectionPort() int { return r.st.deg }
 
 // Algorithm returns the routing algorithm this router runs; analysis tools
 // use it to recompute a blocked header's candidate set.
-func (r *Router) Algorithm() routing.Algorithm { return r.alg }
+func (r *Router) Algorithm() routing.Algorithm { return r.st.alg }
 
 // NodeID returns the router's node.
 func (r *Router) NodeID() topology.Node { return r.node }
 
 // Stats returns a copy of the router's event counters.
 func (r *Router) Stats() Stats { return r.stats }
-
-// SetOnTimeout installs the observer invoked for every header newly
-// presumed deadlocked at this router (nil detaches). The network wires it
-// when tracing or telemetry is attached; routers never call it otherwise.
-func (r *Router) SetOnTimeout(fn func(*packet.Packet)) { r.onTimeout = fn }
 
 // BlockedHeaders returns how many headers failed to advance during the most
 // recent TickTimers pass (a live congestion gauge).
@@ -250,7 +217,7 @@ func (r *Router) BlockedCyclesVC(vc int) int64 {
 func (r *Router) Node() topology.Node { return r.node }
 
 // Topo implements routing.View.
-func (r *Router) Topo() topology.Graph { return r.topo }
+func (r *Router) Topo() topology.Graph { return r.st.topo }
 
 // ReverseAt returns the input port at Neighbor(port) that this router's
 // link through port lands on, or -1 where the port is unconnected or has
@@ -264,7 +231,7 @@ func (r *Router) ReverseAt(port int) int {
 }
 
 // VCs implements routing.View.
-func (r *Router) VCs() int { return r.cfg.VCs }
+func (r *Router) VCs() int { return r.st.cfg.VCs }
 
 // LinkExists implements routing.View.
 func (r *Router) LinkExists(port int) bool {
@@ -276,7 +243,7 @@ func (r *Router) LinkExists(port int) bool {
 // reallocation, so packets never interleave inside one edge buffer).
 func (r *Router) OutputVCFree(port, vc int) bool {
 	i := r.outIdx(port, vc)
-	return r.st.outOwner[i] == nil && int(r.st.outCredits[i]) == r.cfg.BufferDepth
+	return r.st.outOwner[i] == nil && int(r.st.outCredits[i]) == r.st.cfg.BufferDepth
 }
 
 // OccupantDimReversals implements routing.View.
@@ -291,7 +258,7 @@ func (r *Router) OccupantDimReversals(port, vc int) (int, bool) {
 // FreeVCs implements routing.View.
 func (r *Router) FreeVCs(port int) int {
 	n := 0
-	for vc := 0; vc < r.cfg.VCs; vc++ {
+	for vc := 0; vc < r.st.cfg.VCs; vc++ {
 		if r.OutputVCFree(port, vc) {
 			n++
 		}
@@ -309,13 +276,13 @@ var _ routing.View = (*Router)(nil)
 // a header — some injection VC must be idle.
 func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 	s := r.st
-	base := r.inIdx(r.deg, 0)
+	base := r.inIdx(s.deg, 0)
 	if fl.IsHeader() {
-		for v := 0; v < s.injVCs; v++ {
+		for v := 0; v < s.cfg.InjectionVCs; v++ {
 			i := base + v
-			if s.inPkt[i] == nil && s.inLen[i] == 0 {
+			if s.inPkt[i] == nil && s.in.n[i] == 0 {
 				s.inPkt[i] = fl.Pkt
-				s.inPush(i, fl)
+				s.in.push(i, fl)
 				s.flitCount[r.node]++
 				fl.Pkt.InjectedAt = now
 				return true
@@ -323,10 +290,10 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 		}
 		return false
 	}
-	for v := 0; v < s.injVCs; v++ {
+	for v := 0; v < s.cfg.InjectionVCs; v++ {
 		i := base + v
-		if s.inPkt[i] == fl.Pkt && int(s.inLen[i]) < s.depth {
-			s.inPush(i, fl)
+		if s.inPkt[i] == fl.Pkt && int(s.in.n[i]) < s.cfg.BufferDepth {
+			s.in.push(i, fl)
 			s.flitCount[r.node]++
 			return true
 		}
@@ -355,16 +322,16 @@ func (r *Router) InputTimer(port, vc int) (waiting sim.Cycle, presumed, sent boo
 }
 
 // InputOccupancy returns the number of buffered flits in input VC (port, vc).
-func (r *Router) InputOccupancy(port, vc int) int { return int(r.st.inLen[r.inIdx(port, vc)]) }
+func (r *Router) InputOccupancy(port, vc int) int { return int(r.st.in.n[r.inIdx(port, vc)]) }
 
 // InputHead returns the head flit of input VC (port, vc); ok is false when
 // the buffer is empty.
 func (r *Router) InputHead(port, vc int) (packet.Flit, bool) {
 	i := r.inIdx(port, vc)
-	if r.st.inLen[i] == 0 {
+	if r.st.in.n[i] == 0 {
 		return packet.Flit{}, false
 	}
-	return r.st.inPeek(i), true
+	return r.st.in.peek(i), true
 }
 
 // OutputOwner returns the packet holding output VC (port, vc), if any.
@@ -382,7 +349,7 @@ func (r *Router) DBLanes() int { return r.st.lanes }
 func (r *Router) DBOccupancy() int {
 	n := 0
 	for lane := 0; lane < r.st.lanes; lane++ {
-		n += int(r.st.dbLen[r.dbIdx(lane)])
+		n += int(r.st.db.n[r.dbIdx(lane)])
 	}
 	return n
 }
@@ -400,10 +367,10 @@ func (r *Router) DBOwner() *packet.Packet {
 func (r *Router) DBLaneOwner(lane int) *packet.Packet { return r.st.dbPkt[r.dbIdx(lane)] }
 
 // InputPorts returns the number of input ports including injection.
-func (r *Router) InputPorts() int { return r.deg + 1 }
+func (r *Router) InputPorts() int { return r.st.deg + 1 }
 
 // InputVCCount returns the number of VCs on the given input port.
-func (r *Router) InputVCCount(port int) int { return r.st.inVCCount(r.deg, port) }
+func (r *Router) InputVCCount(port int) int { return r.st.inVCCount(port) }
 
 // Quiescent reports whether the router holds no flits at all. O(1): backed
 // by the maintained flit counter rather than a buffer walk.
@@ -412,21 +379,15 @@ func (r *Router) Quiescent() bool { return r.st.flitCount[r.node] == 0 }
 // String identifies the router by coordinate (or node id on a
 // coordinate-free graph) and algorithm for logs.
 func (r *Router) String() string {
-	if r.ctopo != nil {
-		return fmt.Sprintf("router@%v(%s)", r.ctopo.Coord(r.node), r.alg.Name())
+	if r.st.ctopo != nil {
+		return fmt.Sprintf("router@%v(%s)", r.st.ctopo.Coord(r.node), r.st.alg.Name())
 	}
-	return fmt.Sprintf("router@%d(%s)", r.node, r.alg.Name())
+	return fmt.Sprintf("router@%d(%s)", r.node, r.st.alg.Name())
 }
 
 // Disconnect severs the output link on the given port (fault injection).
 // The network guarantees the link is idle when it calls this.
 func (r *Router) Disconnect(port int) { r.neighbors[port] = nil }
-
-// SetDBRouteTable installs a fault-aware next-hop table for the Deadlock
-// Buffer lane: table[int(dst)*nodes + int(node)] is the output port toward
-// dst at node over live links only. When set it replaces dimension-order
-// DB routing (sequential recovery with failed links).
-func (r *Router) SetDBRouteTable(table []int32) { r.dbTable = table }
 
 // LinkBusy reports whether any traffic state rides the output link on port:
 // an owned output VC, undrained downstream credits, or Deadlock Buffer
@@ -437,9 +398,9 @@ func (r *Router) LinkBusy(port int) bool {
 		return false
 	}
 	s := r.st
-	for v := 0; v < s.vcs; v++ {
+	for v := 0; v < s.cfg.VCs; v++ {
 		i := r.outIdx(port, v)
-		if s.outOwner[i] != nil || int(s.outCredits[i]) != r.cfg.BufferDepth {
+		if s.outOwner[i] != nil || int(s.outCredits[i]) != s.cfg.BufferDepth {
 			return true
 		}
 	}

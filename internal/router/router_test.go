@@ -14,7 +14,6 @@ import (
 type testBench struct {
 	topo      topology.Topology
 	routers   []*Router
-	res       *Reservations
 	now       sim.Cycle
 	delivered []packet.Flit
 	deliverAt []topology.Node
@@ -26,7 +25,7 @@ func newBench(t *testing.T, topo topology.Topology, cfg Config, alg routing.Algo
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(1)
-	b := &testBench{topo: topo, res: NewReservations()}
+	b := &testBench{topo: topo}
 	for i := 0; i < topo.Nodes(); i++ {
 		b.routers = append(b.routers, New(topology.Node(i), topo, cfg, alg, routing.Random(), rng))
 	}
@@ -61,8 +60,7 @@ func (b *testBench) step() {
 	for _, r := range b.routers {
 		xfers = r.StageSwitch(xfers)
 	}
-	b.res.Reset()
-	b.res.Resolve(xfers)
+	ResolveDB(xfers, b.now)
 	for _, t := range xfers {
 		Commit(t, b)
 	}
@@ -300,33 +298,30 @@ func TestReservations(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	cfg := Default()
 	b := newBench(t, topo, cfg, routing.Disha(0))
-	res := NewReservations()
 	target := b.routers[0]
 	p1 := packet.New(1, 1, 0, 4, 0)
 	p2 := packet.New(2, 2, 0, 4, 0)
-	if !res.ReserveDB(target, 0, p1) {
+	if !reserveDB(target, 0, p1, 1) {
 		t.Fatal("first reservation failed")
 	}
-	if res.ReserveDB(target, 0, p1) {
+	if reserveDB(target, 0, p1, 1) {
 		t.Fatal("single write port violated")
 	}
-	res.Reset()
-	// Occupy the DB with p1; p2 must be refused even after reset.
+	// Occupy the DB with p1; p2 must be refused even in a new cycle.
 	target.st.dbPkt[target.db0] = p1
-	if res.ReserveDB(target, 0, p2) {
+	if reserveDB(target, 0, p2, 2) {
 		t.Fatal("DB reserved for a foreign packet")
 	}
-	if !res.ReserveDB(target, 0, p1) {
+	if !reserveDB(target, 0, p1, 2) {
 		t.Fatal("owner refused its own DB")
 	}
-	res.Reset()
 	// Full DB refuses even the owner.
-	target.st.dbPush(target.db0, p1.Flit(0))
+	target.st.db.push(target.db0, p1.Flit(0))
 	target.st.flitCount[target.node]++
-	if res.ReserveDB(target, 0, p1) {
+	if reserveDB(target, 0, p1, 3) {
 		t.Fatal("full DB accepted a flit")
 	}
-	if res.ReserveDB(nil, 0, p1) {
+	if reserveDB(nil, 0, p1, 3) {
 		t.Fatal("nil target accepted")
 	}
 }

@@ -37,6 +37,14 @@ func (r *Router) encodeState(w *snapshot.Writer) {
 		}
 		w.I64(int64(p.ID))
 	}
+	putFifo := func(q *flitRing, i int) {
+		w.Int(int(q.n[i]))
+		for k := 0; k < int(q.n[i]); k++ {
+			fl := q.at(i, k)
+			putPkt(fl.Pkt)
+			w.Int(fl.Seq)
+		}
+	}
 
 	w.I64(int64(r.node))
 	for l := 0; l < s.stride; l++ {
@@ -48,12 +56,7 @@ func (r *Router) encodeState(w *snapshot.Writer) {
 		w.I64(int64(s.inWaiting[i]))
 		w.Bool(s.inPresumed[i])
 		w.Bool(s.inSent[i])
-		w.Int(int(s.inLen[i]))
-		for k := 0; k < int(s.inLen[i]); k++ {
-			fl := s.inAt(i, k)
-			putPkt(fl.Pkt)
-			w.Int(fl.Seq)
-		}
+		putFifo(&s.in, i)
 	}
 	for l := 0; l < s.outStr; l++ {
 		i := r.out0 + l
@@ -64,14 +67,9 @@ func (r *Router) encodeState(w *snapshot.Writer) {
 		i := r.db0 + lane
 		putPkt(s.dbPkt[i])
 		w.Int(int(s.dbRoute[i]))
-		w.Int(int(s.dbLen[i]))
-		for k := 0; k < int(s.dbLen[i]); k++ {
-			fl := s.dbAt(i, k)
-			putPkt(fl.Pkt)
-			w.Int(fl.Seq)
-		}
+		putFifo(&s.db, i)
 	}
-	for q := 0; q < r.deg; q++ {
+	for q := 0; q < s.deg; q++ {
 		i := r.cx0 + q
 		w.Int(int(s.cxInPort[i]))
 		w.Int(int(s.cxInVC[i]))
@@ -81,7 +79,7 @@ func (r *Router) encodeState(w *snapshot.Writer) {
 		w.Int(int(s.cxSavedVC[i]))
 	}
 	w.Int(int(s.vcArbOff[r.node]))
-	for q := 0; q <= r.deg; q++ {
+	for q := 0; q <= s.deg; q++ {
 		w.Int(int(s.swArbOff[r.swIdx(q)]))
 	}
 	w.I64(int64(s.effTout[r.node]))
@@ -125,15 +123,16 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		}
 		return p
 	}
-	// getFifo drains flit ring i (zeroing its slots) and refills it from the
-	// stream. Input-VC and Deadlock Buffer rings differ only in their backing
-	// arrays, which the caller passes in.
-	getFifo := func(i int, length, head []int32, capacity int, pop func(int) packet.Flit, push func(int, packet.Flit)) {
-		for length[i] > 0 {
-			pop(i)
+	// getFifo drains ring i of q (zeroing its slots) and refills it from the
+	// stream, counting the flits into the router's derived flit counter (not
+	// serialized: the snapshot format predates it).
+	s.flitCount[r.node] = 0
+	getFifo := func(q *flitRing, i int) {
+		for q.n[i] > 0 {
+			q.pop(i)
 		}
-		head[i] = 0
-		n := rd.Len(capacity)
+		q.head[i] = 0
+		n := rd.Len(q.depth)
 		for k := 0; k < n; k++ {
 			p := getPkt()
 			seq := rd.Int()
@@ -148,11 +147,12 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 				rd.Fail("snapshot: router %d flit seq %d outside packet length %d", r.node, seq, p.Length)
 				return
 			}
-			push(i, packet.Flit{Pkt: p, Seq: seq})
+			q.push(i, packet.Flit{Pkt: p, Seq: seq})
+			s.flitCount[r.node]++
 		}
 	}
 	checkPort := func(v int, what string) int {
-		if rd.Err() == nil && (v < PortEject || v >= r.deg) {
+		if rd.Err() == nil && (v < PortEject || v >= s.deg) {
 			rd.Fail("snapshot: router %d %s %d out of range", r.node, what, v)
 		}
 		return v
@@ -164,7 +164,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		s.inPkt[i] = getPkt()
 		s.inRoute[i] = int32(checkPort(rd.Int(), "input route"))
 		outVC := rd.Int()
-		if rd.Err() == nil && (outVC < VCDeadlockBuffer || outVC >= r.cfg.VCs) {
+		if rd.Err() == nil && (outVC < VCDeadlockBuffer || outVC >= s.cfg.VCs) {
 			rd.Fail("snapshot: router %d output VC %d out of range", r.node, outVC)
 		}
 		s.inOutVC[i] = int32(outVC)
@@ -176,7 +176,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		s.inWaiting[i] = readCycle(rd)
 		s.inPresumed[i] = rd.Bool()
 		s.inSent[i] = rd.Bool()
-		getFifo(i, s.inLen, s.inHead, s.depth, s.inPop, s.inPush)
+		getFifo(&s.in, i)
 		if err := rd.Err(); err != nil {
 			return err
 		}
@@ -185,8 +185,8 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		i := r.out0 + l
 		s.outOwner[i] = getPkt()
 		credits := rd.Int()
-		if rd.Err() == nil && (credits < 0 || credits > r.cfg.BufferDepth) {
-			rd.Fail("snapshot: router %d credits %d outside [0, %d]", r.node, credits, r.cfg.BufferDepth)
+		if rd.Err() == nil && (credits < 0 || credits > s.cfg.BufferDepth) {
+			rd.Fail("snapshot: router %d credits %d outside [0, %d]", r.node, credits, s.cfg.BufferDepth)
 		}
 		s.outCredits[i] = int32(credits)
 	}
@@ -194,15 +194,15 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		i := r.db0 + lane
 		s.dbPkt[i] = getPkt()
 		s.dbRoute[i] = int32(checkPort(rd.Int(), "DB route"))
-		getFifo(i, s.dbLen, s.dbHead, s.dbDepth, s.dbPop, s.dbPush)
+		getFifo(&s.db, i)
 		if err := rd.Err(); err != nil {
 			return err
 		}
 	}
-	for q := 0; q < r.deg; q++ {
+	for q := 0; q < s.deg; q++ {
 		i := r.cx0 + q
 		inPort := rd.Int()
-		if rd.Err() == nil && (inPort < connNone || inPort > r.deg) {
+		if rd.Err() == nil && (inPort < connNone || inPort > s.deg) {
 			rd.Fail("snapshot: router %d crossbar input port %d out of range", r.node, inPort)
 		}
 		s.cxInPort[i] = int32(inPort)
@@ -210,7 +210,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		s.cxDB[i] = rd.Bool()
 		s.cxSaved[i] = rd.Bool()
 		savedPort := rd.Int()
-		if rd.Err() == nil && (savedPort < connNone || savedPort > r.deg) {
+		if rd.Err() == nil && (savedPort < connNone || savedPort > s.deg) {
 			rd.Fail("snapshot: router %d saved crossbar port %d out of range", r.node, savedPort)
 		}
 		s.cxSavedPort[i] = int32(savedPort)
@@ -221,7 +221,7 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 		rd.Fail("snapshot: router %d VC arbitration offset %d out of range", r.node, vcOff)
 	}
 	s.vcArbOff[r.node] = int32(vcOff)
-	for q := 0; q <= r.deg; q++ {
+	for q := 0; q <= s.deg; q++ {
 		off := rd.Int()
 		if rd.Err() == nil && (off < 0 || off >= s.stride) {
 			rd.Fail("snapshot: router %d switch arbitration offset %d out of range", r.node, off)
@@ -253,15 +253,5 @@ func (r *Router) DecodeState(rd *snapshot.Reader, resolve func(id int64) *packet
 	}
 	r.rng.SetState(st)
 	r.pendingTimeouts = r.pendingTimeouts[:0]
-	// Rebuild the derived flit counter from the restored buffers; it is not
-	// serialized (the snapshot format predates it, and it is derivable).
-	total := int32(0)
-	for l := 0; l < s.stride; l++ {
-		total += s.inLen[r.in0+l]
-	}
-	for lane := 0; lane < s.lanes; lane++ {
-		total += s.dbLen[r.db0+lane]
-	}
-	s.flitCount[r.node] = total
 	return nil
 }

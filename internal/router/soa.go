@@ -4,20 +4,23 @@ import (
 	"fmt"
 
 	"repro/internal/packet"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// State holds the hot per-cycle microarchitectural state of every router in
-// one network as flat struct-of-arrays buffers indexed by (router, port, vc).
-// The network owns one State and shares it among all of its routers; each
-// Router is a view over its slice of the buffers (precomputed base offsets),
-// so the public router API is unchanged while route compute, switch
-// allocation and the deadlock-timer phase sweep contiguous memory instead of
-// chasing per-router pointers. Routers are laid out consecutively, so the
-// kernel's contiguous router shards (internal/network) partition every buffer
-// into contiguous, cache-line-friendly ranges with no false sharing beyond
-// single cache lines at shard boundaries.
+// State is everything the routers of one network share: the network-wide
+// facts — topology, router configuration, the installed routing and
+// selection functions, the Deadlock Buffer lane table, the Hamiltonian label
+// table, the timeout observer — each stored once, and the hot per-cycle
+// microarchitectural state of every router as flat struct-of-arrays buffers
+// indexed by (router, port, vc). A Router is a view over its slice of the
+// buffers, so route compute, switch allocation and the deadlock-timer phase
+// sweep contiguous memory, and a network-wide change (SetAlgorithm,
+// SetLaneTable) is one assignment. Routers are laid out consecutively, so
+// the kernel's contiguous router shards (internal/network) partition every
+// buffer into contiguous ranges with no false sharing beyond single cache
+// lines at shard boundaries.
 //
 // Layout (all slices are allocated once, at NewState, and never grow):
 //
@@ -26,34 +29,49 @@ import (
 //	             l = deg*VCs + v for the injection port. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
 //	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
-//	             inWaiting, inPresumed, inSent); the fixed-capacity flit
-//	             rings live in inFlits (depth flits per slot, contiguous)
-//	             with ring cursors in inHead/inLen.
+//	             inWaiting, inPresumed, inSent); the flits live in the ring
+//	             set in (BufferDepth flits per slot, contiguous, with
+//	             per-slot cursors in.head / in.n).
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
-//	DB lanes     lanes slots per router (dbPkt, dbRoute) with dbDepth-flit
-//	             rings in dbFlits/dbHead/dbLen.
+//	DB lanes     lanes slots per router (dbPkt, dbRoute, and dbWriteAt, the
+//	             single write port's last-admission cycle) with the
+//	             DeadlockBufferDepth-flit ring set db.
 //	crossbar     deg packet-by-packet connections per router (cxInPort,
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
 //	per router   vcArbOff, swArbOff (deg+1 per router), flitCount, effTout,
 //	             decayCount, lastBlocked, lastPresumed.
 //
 // Aliasing contract: a Router view may only touch slots inside its own base
-// ranges, except through another Router's methods (transfer commit writes the
-// receiving router's buffers via the receiver view, exactly as the old
-// per-router structs did). The layout is a private representation: digests
-// (AppendState), snapshots (EncodeState/DecodeState) and all introspection
-// walk the same logical (port, vc) order as before, so they are
-// layout-invariant by construction.
+// ranges, except through another Router's methods (transfer commit writes
+// the receiving router's buffers via the receiver view). The layout is a
+// private representation: digests (AppendState), snapshots
+// (EncodeState/DecodeState) and all introspection walk the logical
+// (port, vc) order, so they are layout-invariant by construction.
 type State struct {
-	nodes   int
-	deg     int
-	vcs     int // VCs per network port
-	injVCs  int // VCs on the injection port
-	depth   int // input VC buffer depth in flits
-	lanes   int // Deadlock Buffer lanes per router (0, 1 or 2)
-	dbDepth int // Deadlock Buffer depth in flits
-	stride  int // input VC slots per router: deg*vcs + injVCs
-	outStr  int // output VC slots per router: deg*vcs
+	topo topology.Graph
+	// ctopo is the coordinate view of topo when it has one (k-ary n-cubes),
+	// nil otherwise. Dateline tracking, dimension-reversal accounting and
+	// the dimension-order Deadlock Buffer lane are gated on it.
+	ctopo topology.Topology
+	cfg   Config
+	alg   routing.Algorithm
+	sel   routing.Selection
+
+	// laneTable, when set, routes the sequential Deadlock Buffer lane by
+	// next-hop table instead of dimension order (see SetLaneTable).
+	laneTable []int32
+	// hamLabels is the node-to-label table of the recovery Hamiltonian path
+	// (concurrent recovery; see SetHamiltonianLabels).
+	hamLabels []int
+	// onTimeout, when set via SetOnTimeout, observes every newly presumed
+	// header. TickTimers buffers them per router; FlushTimeouts drains them.
+	onTimeout func(topology.Node, *packet.Packet)
+
+	nodes  int
+	deg    int
+	lanes  int // Deadlock Buffer lanes per router (0, 1 or 2)
+	stride int // input VC slots per router: deg*VCs + InjectionVCs
+	outStr int // output VC slots per router: deg*VCs
 
 	// Input VC state, nodes*stride slots.
 	inPkt      []*packet.Packet
@@ -63,20 +81,20 @@ type State struct {
 	inWaiting  []sim.Cycle
 	inPresumed []bool
 	inSent     []bool
-	inHead     []int32
-	inLen      []int32
-	inFlits    []packet.Flit // depth flits per slot
+	in         flitRing
 
 	// Output VC state, nodes*outStr slots.
 	outOwner   []*packet.Packet
 	outCredits []int32
 
-	// Deadlock Buffer lanes, nodes*lanes slots.
-	dbPkt   []*packet.Packet
-	dbRoute []int32
-	dbHead  []int32
-	dbLen   []int32
-	dbFlits []packet.Flit // dbDepth flits per slot
+	// Deadlock Buffer lanes, nodes*lanes slots. Each DB is a central queue
+	// with a single write port (as in the Chaos router the paper cites):
+	// dbWriteAt is the cycle of the lane's last admission, so at most one
+	// flit per cycle enters it (see ResolveDB).
+	dbPkt     []*packet.Packet
+	dbRoute   []int32
+	dbWriteAt []sim.Cycle
+	db        flitRing
 
 	// Packet-by-packet crossbar connections, nodes*deg slots.
 	cxInPort    []int32
@@ -96,10 +114,11 @@ type State struct {
 	lastPresumed []int32
 }
 
-// NewState allocates the shared struct-of-arrays buffers for every router of
-// a network on topo under cfg. cfg must already be normalized. The network
-// constructs one State and passes it to NewWithState for each router.
-func NewState(topo topology.Graph, cfg Config) *State {
+// NewState builds the shared state for every router of a network on topo:
+// cfg (already normalized), the routing and selection functions all routers
+// run, and the struct-of-arrays buffers. The network constructs one State
+// and a NewWithState view per node.
+func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection) *State {
 	nodes, deg := topo.Nodes(), topo.Degree()
 	lanes := 0
 	if cfg.DeadlockBufferDepth > 0 {
@@ -108,16 +127,18 @@ func NewState(topo topology.Graph, cfg Config) *State {
 			lanes = 2
 		}
 	}
+	ctopo, _ := topology.Coordinated(topo)
 	s := &State{
-		nodes:   nodes,
-		deg:     deg,
-		vcs:     cfg.VCs,
-		injVCs:  cfg.InjectionVCs,
-		depth:   cfg.BufferDepth,
-		lanes:   lanes,
-		dbDepth: cfg.DeadlockBufferDepth,
-		stride:  deg*cfg.VCs + cfg.InjectionVCs,
-		outStr:  deg * cfg.VCs,
+		topo:   topo,
+		ctopo:  ctopo,
+		cfg:    cfg,
+		alg:    alg,
+		sel:    sel,
+		nodes:  nodes,
+		deg:    deg,
+		lanes:  lanes,
+		stride: deg*cfg.VCs + cfg.InjectionVCs,
+		outStr: deg * cfg.VCs,
 	}
 	in := nodes * s.stride
 	s.inPkt = make([]*packet.Packet, in)
@@ -127,9 +148,7 @@ func NewState(topo topology.Graph, cfg Config) *State {
 	s.inWaiting = make([]sim.Cycle, in)
 	s.inPresumed = make([]bool, in)
 	s.inSent = make([]bool, in)
-	s.inHead = make([]int32, in)
-	s.inLen = make([]int32, in)
-	s.inFlits = make([]packet.Flit, in*s.depth)
+	s.in = newFlitRing(in, cfg.BufferDepth)
 	for i := range s.inRoute {
 		s.inRoute[i] = PortUnrouted
 		s.inOutVC[i] = VCUnrouted
@@ -143,11 +162,11 @@ func NewState(topo topology.Graph, cfg Config) *State {
 	db := nodes * lanes
 	s.dbPkt = make([]*packet.Packet, db)
 	s.dbRoute = make([]int32, db)
-	s.dbHead = make([]int32, db)
-	s.dbLen = make([]int32, db)
-	s.dbFlits = make([]packet.Flit, db*s.dbDepth)
+	s.dbWriteAt = make([]sim.Cycle, db)
+	s.db = newFlitRing(db, cfg.DeadlockBufferDepth)
 	for i := range s.dbRoute {
 		s.dbRoute[i] = PortUnrouted
+		s.dbWriteAt[i] = -1
 	}
 	cx := nodes * deg
 	s.cxInPort = make([]int32, cx)
@@ -172,18 +191,46 @@ func NewState(topo topology.Graph, cfg Config) *State {
 	return s
 }
 
+// Algorithm returns the routing function every router currently runs.
+func (s *State) Algorithm() routing.Algorithm { return s.alg }
+
+// SetAlgorithm swaps the routing function every router consults for
+// unrouted headers. Granted routes are untouched: packets already holding an
+// output VC finish their hop under the old function, and any packet the new
+// function can no longer make progress for times out and escapes through
+// the Deadlock Buffer lane — the DBR reconfiguration argument. Called
+// between Step cycles, so it never races with the sharded kernel.
+func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
+
+// LaneTable returns the installed Deadlock Buffer lane table (nil when the
+// lane routes by dimension order).
+func (s *State) LaneTable() []int32 { return s.laneTable }
+
+// SetLaneTable installs a next-hop table for the sequential Deadlock Buffer
+// lane: table[int(dst)*nodes + int(node)] is the output port toward dst at
+// node (core.BFSLaneTableOver's shape). When set it replaces dimension-order
+// DB routing: coordinate-free topologies from construction, every topology
+// once a link or router has failed.
+func (s *State) SetLaneTable(table []int32) { s.laneTable = table }
+
+// SetHamiltonianLabels installs the node-to-label table of the recovery
+// Hamiltonian path. Required for concurrent recovery, together with each
+// router's ConnectHamiltonian.
+func (s *State) SetHamiltonianLabels(labels []int) { s.hamLabels = labels }
+
+// SetOnTimeout installs the observer invoked (from FlushTimeouts) for every
+// header newly presumed deadlocked, with the presuming router's node; nil
+// detaches. The network wires it when tracing or telemetry is attached.
+func (s *State) SetOnTimeout(fn func(topology.Node, *packet.Packet)) { s.onTimeout = fn }
+
 // --- Index helpers -----------------------------------------------------------
 
-// inIdx returns the global input VC slot of (port, vc) at router r.
-func (r *Router) inIdx(port, vc int) int {
-	if port == r.deg {
-		return r.in0 + r.deg*r.st.vcs + vc
-	}
-	return r.in0 + port*r.st.vcs + vc
-}
+// inIdx returns the global input VC slot of (port, vc) at router r: network
+// ports and the injection port (port == deg) share the port-major formula.
+func (r *Router) inIdx(port, vc int) int { return r.in0 + port*r.st.cfg.VCs + vc }
 
 // outIdx returns the global output VC slot of (port, vc) at router r.
-func (r *Router) outIdx(port, vc int) int { return r.out0 + port*r.st.vcs + vc }
+func (r *Router) outIdx(port, vc int) int { return r.out0 + port*r.st.cfg.VCs + vc }
 
 // dbIdx returns the global Deadlock Buffer lane slot of lane at router r.
 func (r *Router) dbIdx(lane int) int { return r.db0 + lane }
@@ -196,94 +243,96 @@ func (r *Router) cxIdx(q int) int { return r.cx0 + q }
 func (r *Router) swIdx(q int) int { return r.sw0 + q }
 
 // portVCOf maps a router-local flat input slot l back to its (port, vc):
-// the inverse of the port-major layout, O(1) where the old per-router
-// slice-of-slices walk was O(ports).
+// the O(1) inverse of the port-major layout.
 func (r *Router) portVCOf(l int) (port, vc int) {
-	if l < r.deg*r.st.vcs {
-		return l / r.st.vcs, l % r.st.vcs
+	s := r.st
+	if l < s.outStr {
+		return l / s.cfg.VCs, l % s.cfg.VCs
 	}
-	return r.deg, l - r.deg*r.st.vcs
+	return s.deg, l - s.outStr
 }
 
 // inVCCount returns the number of VCs on input port p.
-func (s *State) inVCCount(deg, p int) int {
-	if p == deg {
-		return s.injVCs
+func (s *State) inVCCount(p int) int {
+	if p == s.deg {
+		return s.cfg.InjectionVCs
 	}
-	return s.vcs
+	return s.cfg.VCs
 }
 
-// --- Input VC flit rings -----------------------------------------------------
+// --- Flit rings --------------------------------------------------------------
 
-// inPush appends a flit to input VC ring i.
-func (s *State) inPush(i int, fl packet.Flit) {
-	if int(s.inLen[i]) == s.depth {
+// flitRing is a set of fixed-capacity flit FIFOs, one per slot, in one
+// contiguous array: slot i owns flits[i*depth : (i+1)*depth], read from
+// head[i] and holding n[i] flits. The input VCs and the Deadlock Buffer
+// lanes are one ring set each.
+type flitRing struct {
+	depth int
+	head  []int32
+	n     []int32
+	flits []packet.Flit
+}
+
+func newFlitRing(slots, depth int) flitRing {
+	return flitRing{
+		depth: depth,
+		head:  make([]int32, slots),
+		n:     make([]int32, slots),
+		flits: make([]packet.Flit, slots*depth),
+	}
+}
+
+// push appends a flit to ring i.
+func (q *flitRing) push(i int, fl packet.Flit) {
+	if int(q.n[i]) == q.depth {
 		panic("router: push to full fifo")
 	}
-	s.inFlits[i*s.depth+(int(s.inHead[i])+int(s.inLen[i]))%s.depth] = fl
-	s.inLen[i]++
+	q.flits[i*q.depth+(int(q.head[i])+int(q.n[i]))%q.depth] = fl
+	q.n[i]++
 }
 
-// inPeek returns the head flit of input VC ring i.
-func (s *State) inPeek(i int) packet.Flit {
-	if s.inLen[i] == 0 {
+// peek returns the head flit of ring i.
+func (q *flitRing) peek(i int) packet.Flit {
+	if q.n[i] == 0 {
 		panic("router: peek on empty fifo")
 	}
-	return s.inFlits[i*s.depth+int(s.inHead[i])]
+	return q.flits[i*q.depth+int(q.head[i])]
 }
 
-// inAt returns the k-th buffered flit (0 == head) of input VC ring i.
-func (s *State) inAt(i, k int) packet.Flit {
-	if k < 0 || k >= int(s.inLen[i]) {
+// at returns the k-th buffered flit (0 == head) of ring i.
+func (q *flitRing) at(i, k int) packet.Flit {
+	if k < 0 || k >= int(q.n[i]) {
 		panic("router: fifo index out of range")
 	}
-	return s.inFlits[i*s.depth+(int(s.inHead[i])+k)%s.depth]
+	return q.flits[i*q.depth+(int(q.head[i])+k)%q.depth]
 }
 
-// inPop removes and returns the head flit of input VC ring i, zeroing the
-// vacated slot so no stale packet pointer outlives its buffered flit.
-func (s *State) inPop(i int) packet.Flit {
-	fl := s.inPeek(i)
-	s.inFlits[i*s.depth+int(s.inHead[i])] = packet.Flit{}
-	s.inHead[i] = int32((int(s.inHead[i]) + 1) % s.depth)
-	s.inLen[i]--
+// pop removes and returns the head flit of ring i, zeroing the vacated slot
+// so no stale packet pointer outlives its buffered flit.
+func (q *flitRing) pop(i int) packet.Flit {
+	fl := q.peek(i)
+	q.flits[i*q.depth+int(q.head[i])] = packet.Flit{}
+	q.head[i] = int32((int(q.head[i]) + 1) % q.depth)
+	q.n[i]--
 	return fl
 }
 
-// --- Deadlock Buffer flit rings ----------------------------------------------
-
-// dbPush appends a flit to Deadlock Buffer ring i.
-func (s *State) dbPush(i int, fl packet.Flit) {
-	if int(s.dbLen[i]) == s.dbDepth {
-		panic("router: push to full fifo")
+// check reports a cursor of ring i outside its range or a vacated slot that
+// still holds a flit (a stale packet pointer).
+func (q *flitRing) check(i int) error {
+	h, n := int(q.head[i]), int(q.n[i])
+	if h < 0 || h >= q.depth {
+		return fmt.Errorf("ring head %d outside [0,%d)", h, q.depth)
 	}
-	s.dbFlits[i*s.dbDepth+(int(s.dbHead[i])+int(s.dbLen[i]))%s.dbDepth] = fl
-	s.dbLen[i]++
-}
-
-// dbPeek returns the head flit of Deadlock Buffer ring i.
-func (s *State) dbPeek(i int) packet.Flit {
-	if s.dbLen[i] == 0 {
-		panic("router: peek on empty fifo")
+	if n < 0 || n > q.depth {
+		return fmt.Errorf("ring length %d outside [0,%d]", n, q.depth)
 	}
-	return s.dbFlits[i*s.dbDepth+int(s.dbHead[i])]
-}
-
-// dbAt returns the k-th buffered flit (0 == head) of Deadlock Buffer ring i.
-func (s *State) dbAt(i, k int) packet.Flit {
-	if k < 0 || k >= int(s.dbLen[i]) {
-		panic("router: fifo index out of range")
+	for k := n; k < q.depth; k++ {
+		if fl := q.flits[i*q.depth+(h+k)%q.depth]; fl.Pkt != nil {
+			return fmt.Errorf("vacated ring slot %d holds a stale flit of packet %d", k, fl.Pkt.ID)
+		}
 	}
-	return s.dbFlits[i*s.dbDepth+(int(s.dbHead[i])+k)%s.dbDepth]
-}
-
-// dbPop removes and returns the head flit of Deadlock Buffer ring i.
-func (s *State) dbPop(i int) packet.Flit {
-	fl := s.dbPeek(i)
-	s.dbFlits[i*s.dbDepth+int(s.dbHead[i])] = packet.Flit{}
-	s.dbHead[i] = int32((int(s.dbHead[i]) + 1) % s.dbDepth)
-	s.dbLen[i]--
-	return fl
+	return nil
 }
 
 // --- Structural cross-checks -------------------------------------------------
@@ -297,25 +346,19 @@ func (s *State) dbPop(i int) packet.Flit {
 // without (yet) changing observable behavior is still caught near its origin.
 func (r *Router) CheckState() error {
 	s := r.st
+	total := 0
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
 		p, v := r.portVCOf(l)
-		if h := int(s.inHead[i]); h < 0 || h >= s.depth {
-			return fmt.Errorf("router %d input (%d,%d): ring head %d outside [0,%d)", r.node, p, v, h, s.depth)
+		if err := s.in.check(i); err != nil {
+			return fmt.Errorf("router %d input (%d,%d): %v", r.node, p, v, err)
 		}
-		if n := int(s.inLen[i]); n < 0 || n > s.depth {
-			return fmt.Errorf("router %d input (%d,%d): ring length %d outside [0,%d]", r.node, p, v, n, s.depth)
-		}
-		for k := int(s.inLen[i]); k < s.depth; k++ {
-			if fl := s.inFlits[i*s.depth+(int(s.inHead[i])+k)%s.depth]; fl.Pkt != nil {
-				return fmt.Errorf("router %d input (%d,%d): vacated ring slot %d holds a stale flit of packet %d", r.node, p, v, k, fl.Pkt.ID)
-			}
-		}
+		total += int(s.in.n[i])
 		if rt := int(s.inRoute[i]); rt < PortEject || rt >= s.deg {
 			return fmt.Errorf("router %d input (%d,%d): route %d outside [%d,%d)", r.node, p, v, rt, PortEject, s.deg)
 		}
-		if ov := int(s.inOutVC[i]); ov < VCDeadlockBuffer || ov >= s.vcs {
-			return fmt.Errorf("router %d input (%d,%d): output VC grant %d outside [%d,%d)", r.node, p, v, ov, VCDeadlockBuffer, s.vcs)
+		if ov := int(s.inOutVC[i]); ov < VCDeadlockBuffer || ov >= s.cfg.VCs {
+			return fmt.Errorf("router %d input (%d,%d): output VC grant %d outside [%d,%d)", r.node, p, v, ov, VCDeadlockBuffer, s.cfg.VCs)
 		}
 		if ln := int(s.inDBLane[i]); ln < 0 || (ln > 0 && ln >= s.lanes) {
 			return fmt.Errorf("router %d input (%d,%d): DB lane %d outside the router's %d lanes", r.node, p, v, ln, s.lanes)
@@ -323,28 +366,16 @@ func (r *Router) CheckState() error {
 	}
 	for l := 0; l < s.outStr; l++ {
 		i := r.out0 + l
-		if c := int(s.outCredits[i]); c < 0 || c > s.depth {
-			return fmt.Errorf("router %d output slot %d: credits %d outside [0,%d]", r.node, l, c, s.depth)
+		if c := int(s.outCredits[i]); c < 0 || c > s.cfg.BufferDepth {
+			return fmt.Errorf("router %d output slot %d: credits %d outside [0,%d]", r.node, l, c, s.cfg.BufferDepth)
 		}
 	}
-	total := 0
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.db0 + lane
-		if h := int(s.dbHead[i]); h < 0 || h >= s.dbDepth {
-			return fmt.Errorf("router %d DB lane %d: ring head %d outside [0,%d)", r.node, lane, h, s.dbDepth)
+		if err := s.db.check(i); err != nil {
+			return fmt.Errorf("router %d DB lane %d: %v", r.node, lane, err)
 		}
-		if n := int(s.dbLen[i]); n < 0 || n > s.dbDepth {
-			return fmt.Errorf("router %d DB lane %d: ring length %d outside [0,%d]", r.node, lane, n, s.dbDepth)
-		}
-		for k := int(s.dbLen[i]); k < s.dbDepth; k++ {
-			if fl := s.dbFlits[i*s.dbDepth+(int(s.dbHead[i])+k)%s.dbDepth]; fl.Pkt != nil {
-				return fmt.Errorf("router %d DB lane %d: vacated ring slot %d holds a stale flit of packet %d", r.node, lane, k, fl.Pkt.ID)
-			}
-		}
-		total += int(s.dbLen[i])
-	}
-	for l := 0; l < s.stride; l++ {
-		total += int(s.inLen[r.in0+l])
+		total += int(s.db.n[i])
 	}
 	if got := int(s.flitCount[r.node]); got != total {
 		return fmt.Errorf("router %d: maintained flit count %d, rings hold %d", r.node, got, total)

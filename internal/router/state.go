@@ -7,15 +7,15 @@ import (
 
 // InputFlitAt returns buffered flit i (0 == head) of input VC (port, vc).
 // Invariant checkers walk buffers with it.
-func (r *Router) InputFlitAt(port, vc, i int) packet.Flit { return r.st.inAt(r.inIdx(port, vc), i) }
+func (r *Router) InputFlitAt(port, vc, i int) packet.Flit { return r.st.in.at(r.inIdx(port, vc), i) }
 
 // DBLaneLen returns the number of flits buffered in the given Deadlock
 // Buffer lane.
-func (r *Router) DBLaneLen(lane int) int { return int(r.st.dbLen[r.dbIdx(lane)]) }
+func (r *Router) DBLaneLen(lane int) int { return int(r.st.db.n[r.dbIdx(lane)]) }
 
 // DBFlitAt returns buffered flit i (0 == head) of the given Deadlock Buffer
 // lane.
-func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.dbAt(r.dbIdx(lane), i) }
+func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.db.at(r.dbIdx(lane), i) }
 
 // AppendState appends a deterministic binary encoding of the router's full
 // microarchitectural state to b and returns the extended slice. It is the
