@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	disha "repro"
 	"repro/internal/telemetry"
@@ -28,6 +29,13 @@ func main() {
 	if *version {
 		fmt.Println(telemetry.Build().String())
 		return
+	}
+
+	// The cost model panics on a router without ports or channels; a flag
+	// value is input, so it is refused here with one line instead.
+	if *degree < 1 || *vcs < 1 || *sweep < 0 {
+		fmt.Fprintf(os.Stderr, "disha-cost: -degree %d, -vcs %d, -sweep %d: want -degree >= 1, -vcs >= 1, -sweep >= 0\n", *degree, *vcs, *sweep)
+		os.Exit(2)
 	}
 
 	fmt.Println("Chien cost model, 0.8 micron CMOS (paper Section 3.4)")

@@ -27,14 +27,18 @@
 //
 //	disha-serve -addr :8080 -data-dir /var/lib/disha -checkpoint-every 2000
 //
-// With -fleet the server becomes a distributed sweep coordinator: every
-// point is offered to remote disha-worker processes over /fleet/, with
-// in-process execution as the fallback when no workers are live. Finished
-// points land in a shared result cache keyed by content fingerprint, so
-// identical sub-requests across jobs dedupe to one execution:
+// Every sweep point goes through one coordinator: it runs on a registered
+// disha-worker when any is live and in-process otherwise, and finished
+// points land in a result cache keyed by content fingerprint, so identical
+// sub-requests across jobs dedupe to one execution. -fleet is the switch
+// that exposes the (unauthenticated) worker API under /fleet/ so workers
+// can register at all:
 //
 //	disha-serve -addr :8080 -fleet
 //	disha-worker -coordinator http://host:8080/fleet   # on each worker box
+//
+// The server logs the address it actually bound, so -addr 127.0.0.1:0
+// (any free port) is usable from scripts and tests.
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting
 // submissions (503 + Retry-After), lets points already executing finish,
@@ -46,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -105,11 +110,17 @@ func main() {
 		// /metrics shows coordinator state alongside engine progress.
 		coord.RegisterMetrics(srv.Registry())
 	}
+	// Listen before announcing, and announce the bound address: with a
+	// port of 0 that is the only way anything can find the server.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "disha-serve:", err)
+		os.Exit(1)
+	}
 	// No WriteTimeout: ?watch=1 streams NDJSON for the lifetime of a job.
 	// The read-side timeouts bound how long a client can hold a connection
 	// open without sending a complete request (slowloris).
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -117,12 +128,12 @@ func main() {
 	}
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	mode := "local execution"
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	api := "POST /jobs, GET /jobs/{id}, GET /metrics, GET /healthz, GET /buildz"
 	if *fleet {
-		mode = "fleet coordination on /fleet/"
+		api += ", worker API on /fleet/"
 	}
-	fmt.Fprintf(os.Stderr, "disha-serve: listening on %s (%s; POST /jobs, GET /jobs/{id}, GET /metrics, GET /healthz, GET /buildz)\n", *addr, mode)
+	fmt.Fprintf(os.Stderr, "disha-serve: listening on %s (%s)\n", ln.Addr(), api)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -23,6 +23,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -237,14 +238,30 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 	// results, journal, metrics and callbacks happens here on the collector
 	// side, in completion order, which the deterministic seed derivation
 	// makes harmless.
-	jobCh := make(chan int)
+	// The cursor into pending: the next index to claim. A plain int64 under
+	// atomic.AddInt64, because inside this generic function the compiler
+	// leaves atomic.Int64's Add as a call instead of the intrinsic.
+	var next int64
 	outCh := make(chan outcome[T], workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobCh {
+			for {
+				// Stop is checked before every claim and nothing is claimed
+				// ahead of time, so a drain hands out no further job once the
+				// channel closes (a nil Stop is never ready).
+				select {
+				case <-cfg.Stop:
+					return
+				default:
+				}
+				n := int(atomic.AddInt64(&next, 1)) - 1
+				if n >= len(pending) {
+					return
+				}
+				i := pending[n]
 				job := jobs[i]
 				seed := SeedFor(cfg.Seed, job.Key)
 				jobStart := time.Now()
@@ -272,50 +289,14 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 			}
 		}()
 	}
-	// The dispatcher reports how many jobs it actually handed out: with a
-	// Stop channel the count can fall short of len(pending), and the
-	// collector must not wait for outcomes that will never arrive.
-	dispatchedCh := make(chan int, 1)
 	go func() {
-		n := 0
-		for _, i := range pending {
-			if cfg.Stop != nil {
-				// Check Stop with priority: a bare two-way select would keep
-				// dispatching at random after the close, since select picks
-				// among ready cases uniformly.
-				select {
-				case <-cfg.Stop:
-					close(jobCh)
-					dispatchedCh <- n
-					return
-				default:
-				}
-				select {
-				case <-cfg.Stop:
-					close(jobCh)
-					dispatchedCh <- n
-					return
-				case jobCh <- i:
-				}
-			} else {
-				jobCh <- i
-			}
-			n++
-		}
-		close(jobCh)
-		dispatchedCh <- n
+		wg.Wait()
+		close(outCh)
 	}()
 
 	failures := make(map[int]Failure)
-	received, dispatched := 0, -1
-	for dispatched < 0 || received < dispatched {
-		var o outcome[T]
-		select {
-		case o = <-outCh:
-		case n := <-dispatchedCh:
-			dispatched = n
-			continue
-		}
+	received := 0
+	for o := range outCh {
 		received++
 		key := jobs[o.index].Key
 		st.Retried += o.attempts - 1
@@ -352,8 +333,9 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 			Attempts: o.attempts, Elapsed: o.elapsed,
 		})
 	}
-	wg.Wait()
-	report.Aborted = len(pending) - dispatched
+	// Every claimed job reports exactly once before the pool closes outCh;
+	// what was never claimed is what Stop cut off.
+	report.Aborted = len(pending) - received
 
 	// Failures in deterministic batch order, not completion order.
 	idxs := make([]int, 0, len(failures))

@@ -278,9 +278,10 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var rep *Report
+	var drained map[string]simResult
 	go func() {
 		defer close(done)
-		_, rep, err = Run(Config[simResult]{
+		drained, rep, err = Run(Config[simResult]{
 			Workers: 2, Seed: 5, Journal: journal, Stop: stop,
 			OnDone: func(Status, JobResult[simResult]) { settled.Add(1) },
 		}, gated)
@@ -297,6 +298,43 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	if rep.Completed+rep.Aborted != rep.Total {
 		t.Fatalf("completed=%d + aborted=%d != total=%d", rep.Completed, rep.Aborted, rep.Total)
 	}
+	// The cursor's contract: workers claim jobs in batch order and finish
+	// what they claim, so the completed keys are a prefix of the batch.
+	assertPrefix := func(done map[string]simResult, rep *Report) {
+		t.Helper()
+		for i, j := range jobs {
+			if _, ok := done[j.Key]; ok != (i < rep.Completed) {
+				t.Fatalf("job %d (%s) completed=%v, want the first %d jobs exactly", i, j.Key, ok, rep.Completed)
+			}
+		}
+	}
+	assertPrefix(drained, rep)
+
+	// The same contract when the drain lands mid-batch: job 3 closes Stop
+	// itself and later jobs wait for the close, so jobs 0-3 finish, plus
+	// job 4 if the second worker had claimed it, and nothing after.
+	midStop := make(chan struct{})
+	mid := make([]Job[simResult], len(jobs))
+	copy(mid, jobs)
+	mid[3].Run = func(seed uint64) (simResult, error) {
+		close(midStop)
+		return jobs[3].Run(seed)
+	}
+	for i := 4; i < len(mid); i++ {
+		run := jobs[i].Run
+		mid[i].Run = func(seed uint64) (simResult, error) {
+			<-midStop // at most the one job the second worker claimed early
+			return run(seed)
+		}
+	}
+	midDone, midRep, err := Run(Config[simResult]{Workers: 2, Seed: 5, Stop: midStop}, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if midRep.Completed < 4 || midRep.Completed > 5 || midRep.Completed+midRep.Aborted != midRep.Total {
+		t.Fatalf("mid-batch drain: completed=%d aborted=%d, want 4 or 5 completed of %d", midRep.Completed, midRep.Aborted, midRep.Total)
+	}
+	assertPrefix(midDone, midRep)
 
 	// Resume finishes the batch; the combined results match the clean run.
 	res, rep2, err := Run(Config[simResult]{Workers: 2, Seed: 5, Journal: journal, Resume: true}, jobs)

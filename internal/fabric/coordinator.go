@@ -25,13 +25,6 @@ type CoordinatorOptions struct {
 	// points every that many cycles and stream the blobs up, so a
 	// re-dispatched unit resumes mid-point (0 = start over on re-dispatch).
 	CheckpointEvery int
-	// Registry, when non-nil, receives the fleet gauges and counters
-	// (workers live, leases outstanding, queue depth, cache hits/misses,
-	// re-dispatches, ...).
-	Registry *telemetry.Registry
-	// PollInterval is the idle lease-poll cadence advertised to workers
-	// (default LeaseTTL/10, min 100ms).
-	PollInterval time.Duration
 }
 
 // unitState tracks where a work unit is in its lifecycle. Completed units
@@ -97,12 +90,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
 	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = opts.LeaseTTL / 10
-		if opts.PollInterval < 100*time.Millisecond {
-			opts.PollInterval = 100 * time.Millisecond
-		}
-	}
 	c := &Coordinator{
 		opts:    opts,
 		units:   make(map[string]*unit),
@@ -110,16 +97,13 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		workers: make(map[string]time.Time),
 		done:    make(chan struct{}),
 	}
-	if reg := opts.Registry; reg != nil {
-		c.RegisterMetrics(reg)
-	}
 	go c.sweeper()
 	return c
 }
 
-// RegisterMetrics registers the fleet gauges and counters on reg. It is
-// called by NewCoordinator when Options.Registry is set; callers that build
-// the registry later (e.g. the job server owns it) call it directly.
+// RegisterMetrics registers the fleet gauges and counters (workers live,
+// leases outstanding, queue depth, cache hits/misses, re-dispatches, ...) on
+// reg; disha-serve -fleet calls it with the registry behind its /metrics.
 func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 	{
 		reg.GaugeFunc("fleet_workers_live", "fleet workers seen within the liveness window", nil,
@@ -187,42 +171,36 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 		return pr, nil
 	}
 	c.cacheMisses.Add(1)
-	if u, ok := c.units[fp]; ok {
+	u, inFlight := c.units[fp]
+	if inFlight {
 		// Same point already in flight (another client, another replica
 		// pass): wait for that execution instead of starting a second one.
 		c.deduped.Add(1)
-		ch := make(chan unitResult, 1)
-		u.waiters = append(u.waiters, ch)
-		c.mu.Unlock()
-		r := <-ch
-		return r.pr, r.err
-	}
-
-	u := &unit{
-		wu: WorkUnit{
-			Key: t.Key, Fingerprint: fp, Seed: t.Seed, Point: point,
-		},
-		local: local,
+	} else {
+		u = &unit{
+			wu: WorkUnit{
+				Key: t.Key, Fingerprint: fp, Seed: t.Seed, Point: point,
+			},
+			local: local,
+		}
+		c.units[fp] = u
+		switch {
+		case c.liveWorkersLocked(time.Now()) == 0:
+			// No fleet: run in-process, but keep the unit visible so concurrent
+			// duplicates still coalesce onto this execution.
+			c.runLocalLocked(u)
+		case len(c.queue) >= c.opts.MaxQueue:
+			// Admission control: a bounded queue keeps a flood of units from
+			// accumulating unboundedly; overflow executes locally instead.
+			c.queueFull.Add(1)
+			c.runLocalLocked(u)
+		default:
+			u.state = unitPending
+			c.queue = append(c.queue, fp)
+		}
 	}
 	ch := make(chan unitResult, 1)
 	u.waiters = append(u.waiters, ch)
-	c.units[fp] = u
-
-	now := time.Now()
-	switch {
-	case c.liveWorkersLocked(now) == 0:
-		// No fleet: run in-process, but keep the unit visible so concurrent
-		// duplicates still coalesce onto this execution.
-		c.runLocalLocked(u)
-	case len(c.queue) >= c.opts.MaxQueue:
-		// Admission control: a bounded queue keeps a flood of units from
-		// accumulating unboundedly; overflow executes locally instead.
-		c.queueFull.Add(1)
-		c.runLocalLocked(u)
-	default:
-		u.state = unitPending
-		c.queue = append(c.queue, fp)
-	}
 	c.mu.Unlock()
 
 	r := <-ch
@@ -230,35 +208,34 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 }
 
 // runLocalLocked transitions a unit to in-process execution. Caller holds
-// c.mu; the execution itself happens on a fresh goroutine.
+// c.mu; the execution itself happens on a fresh goroutine. A unit that a
+// late worker upload settled in the meantime is left alone.
 func (c *Coordinator) runLocalLocked(u *unit) {
 	u.state = unitLocal
 	c.localRuns.Add(1)
 	go func() {
 		pr, err := u.local()
-		c.settle(u.wu.Fingerprint, pr, err)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.units[u.wu.Fingerprint] == u {
+			c.settleLocked(u, pr, err)
+		}
 	}()
 }
 
-// settle completes a unit: caches the result (on success), wakes every
-// waiter, and drops the unit from the table.
-func (c *Coordinator) settle(fp string, pr harness.PointResult, err error) {
-	c.mu.Lock()
-	u, ok := c.units[fp]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
+// settleLocked completes a unit: caches the result (on success), drops the
+// unit from the table and wakes every waiter. Caller holds c.mu, which is
+// what keeps a racing duplicate upload from settling the unit twice; each
+// waiter channel is buffered for its one result, so no send blocks.
+func (c *Coordinator) settleLocked(u *unit, pr harness.PointResult, err error) {
 	if err == nil {
-		c.cache[fp] = pr
+		c.cache[u.wu.Fingerprint] = pr
 	}
-	delete(c.units, fp)
-	waiters := u.waiters
-	u.waiters = nil
-	c.mu.Unlock()
-	for _, ch := range waiters {
+	delete(c.units, u.wu.Fingerprint)
+	for _, ch := range u.waiters {
 		ch <- unitResult{pr: pr, err: err}
 	}
+	u.waiters = nil
 }
 
 // Lease hands the next pending unit to a worker, starting its TTL clock.
@@ -323,41 +300,32 @@ func (c *Coordinator) StoreCheckpoint(workerID, fp string, blob []byte) {
 // been spent, then falls back to local execution.
 func (c *Coordinator) Deliver(up ResultUpload) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.workers[up.Worker] = time.Now()
 	u, ok := c.units[up.Fingerprint]
-	if !ok {
-		c.mu.Unlock()
+	switch {
+	case !ok:
 		c.dupResults.Add(1)
-		return
-	}
-	if up.Error != "" {
+	case up.Error != "":
 		c.workerErrors.Add(1)
-		if u.wu.Attempt >= c.opts.MaxAttempts {
-			c.runLocalLocked(u)
-			c.mu.Unlock()
-			return
-		}
-		u.state = unitPending
-		u.worker = ""
-		c.queue = append(c.queue, up.Fingerprint)
-		c.mu.Unlock()
+		c.redispatchLocked(u)
+	case up.Result != nil:
+		c.settleLocked(u, *up.Result, nil)
+		c.remoteRuns.Add(1)
+	}
+}
+
+// redispatchLocked gives a unit whose dispatch failed (the lease expired or
+// the worker reported an error) back to the queue, or to local execution
+// once MaxAttempts dispatches are spent. Caller holds c.mu.
+func (c *Coordinator) redispatchLocked(u *unit) {
+	if u.wu.Attempt >= c.opts.MaxAttempts {
+		c.runLocalLocked(u)
 		return
 	}
-	if up.Result == nil {
-		c.mu.Unlock()
-		return
-	}
-	// Success: settle under the same lock so a racing duplicate upload
-	// cannot double-settle (or double-count) the unit.
-	c.cache[up.Fingerprint] = *up.Result
-	delete(c.units, up.Fingerprint)
-	waiters := u.waiters
-	u.waiters = nil
-	c.mu.Unlock()
-	c.remoteRuns.Add(1)
-	for _, ch := range waiters {
-		ch <- unitResult{pr: *up.Result}
-	}
+	u.state = unitPending
+	u.worker = ""
+	c.queue = append(c.queue, u.wu.Fingerprint)
 }
 
 // sweeper is the recovery loop: it expires dead leases (re-dispatching
@@ -380,18 +348,12 @@ func (c *Coordinator) sweeper() {
 // sweep performs one expiry pass (split out for tests).
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
-	for fp, u := range c.units {
+	for _, u := range c.units {
 		if u.state == unitLeased && now.After(u.expires) {
 			// Presume the holder dead (it may not be — determinism makes a
 			// late duplicate harmless) and hand the unit to the next worker.
 			c.redispatches.Add(1)
-			if u.wu.Attempt >= c.opts.MaxAttempts {
-				c.runLocalLocked(u)
-				continue
-			}
-			u.state = unitPending
-			u.worker = ""
-			c.queue = append(c.queue, fp)
+			c.redispatchLocked(u)
 		}
 	}
 	if c.liveWorkersLocked(now) == 0 {

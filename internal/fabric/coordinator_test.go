@@ -303,8 +303,9 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 
 func TestFleetMetricsRegistered(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Second, Registry: reg})
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Second})
 	defer c.Close()
+	c.RegisterMetrics(reg)
 	names := reg.Names()
 	want := []string{
 		"fleet_workers_live", "fleet_leases_outstanding", "fleet_queue_depth",

@@ -28,9 +28,12 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody decodes a bounded JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
+// DecodeBody decodes a JSON request body of at most limit bytes into v,
+// refusing unknown fields and anything after the first JSON value. On
+// failure it has already written the 400 or 413 JSON error response; the
+// caller only returns. The job server's POST /jobs decodes through it too.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	body := http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -42,6 +45,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return err
 	}
+	// A concatenated second document would otherwise be silently ignored.
 	if _, err := dec.Token(); err != io.EOF {
 		err := fmt.Errorf("unexpected data after JSON body")
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -52,7 +56,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, maxUploadBytes, &req); err != nil {
 		return
 	}
 	if req.Worker == "" {
@@ -64,7 +68,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		LeaseTTLSeconds:  c.opts.LeaseTTL.Seconds(),
-		PollSeconds:      c.opts.PollInterval.Seconds(),
+		PollSeconds:      max(c.opts.LeaseTTL/10, 100*time.Millisecond).Seconds(),
 		HeartbeatSeconds: (c.opts.LeaseTTL / 3).Seconds(),
 		CheckpointEvery:  c.opts.CheckpointEvery,
 	})
@@ -72,7 +76,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, maxUploadBytes, &req); err != nil {
 		return
 	}
 	if req.Worker == "" {
@@ -89,7 +93,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, maxUploadBytes, &req); err != nil {
 		return
 	}
 	if req.Worker == "" {
@@ -101,7 +105,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var up ResultUpload
-	if err := decodeBody(w, r, &up); err != nil {
+	if err := DecodeBody(w, r, maxUploadBytes, &up); err != nil {
 		return
 	}
 	if up.Worker == "" || up.Fingerprint == "" {
@@ -118,7 +122,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var up CheckpointUpload
-	if err := decodeBody(w, r, &up); err != nil {
+	if err := DecodeBody(w, r, maxUploadBytes, &up); err != nil {
 		return
 	}
 	if up.Worker == "" || up.Fingerprint == "" {

@@ -52,6 +52,10 @@ type Worker struct {
 	leases map[string]struct{} // fingerprints currently held, for heartbeats
 
 	reg RegisterResponse
+
+	// specFor rebuilds a unit's harness spec (PointSpec.Spec); a test
+	// substitutes one whose points panic.
+	specFor func(PointSpec) (*harness.Spec, error)
 }
 
 // NewWorker builds a worker. Run starts it.
@@ -71,14 +75,12 @@ func NewWorker(opts WorkerOptions) *Worker {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return &Worker{
-		opts:   opts,
-		client: client,
-		leases: make(map[string]struct{}),
+		opts:    opts,
+		client:  client,
+		leases:  make(map[string]struct{}),
+		specFor: PointSpec.Spec,
 	}
 }
-
-// ID returns the worker's fleet identity.
-func (w *Worker) ID() string { return w.opts.ID }
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.opts.Logf != nil {
@@ -285,7 +287,7 @@ func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
 // the shared cache), places any coordinator-supplied checkpoint blob, and
 // runs the point.
 func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, error) {
-	spec, err := wu.Point.Spec()
+	spec, err := w.specFor(wu.Point)
 	if err != nil {
 		return harness.PointResult{}, fmt.Errorf("rebuild spec: %w", err)
 	}

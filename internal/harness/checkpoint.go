@@ -64,20 +64,28 @@ func CheckpointPath(dir, key string) string {
 	return filepath.Join(dir, fmt.Sprintf("point-%x.ckpt", sum[:8]))
 }
 
-// newCheckpointer builds the checkpointer for a job key, or nil when the
-// options do not enable checkpointing. The file name hashes the key, which
-// embeds the full spec configuration: a stale checkpoint from a different
-// sweep can never be picked up by accident (and the key stored inside the
-// file is verified on load as a second line of defense).
-func newCheckpointer(opts RunOptions, key string) *checkpointer {
-	if opts.CheckpointEvery <= 0 || opts.CheckpointDir == "" {
-		return nil
+// newCheckpointer builds the checkpointer of one point, or nil when the
+// options do not enable checkpointing; it creates the directory. The file
+// name hashes the key, which embeds the full spec configuration: a stale
+// checkpoint from a different sweep can never be picked up by accident (and
+// the key stored inside the file is verified on load as a second line of
+// defense).
+func newCheckpointer(po PointOptions) (*checkpointer, error) {
+	if po.CheckpointEvery <= 0 || po.CheckpointDir == "" {
+		return nil, nil
+	}
+	if po.Key == "" {
+		return nil, fmt.Errorf("harness: checkpointing requires PointOptions.Key")
+	}
+	if err := os.MkdirAll(po.CheckpointDir, 0o755); err != nil {
+		return nil, fmt.Errorf("harness: checkpoint dir: %w", err)
 	}
 	return &checkpointer{
-		key:   key,
-		path:  CheckpointPath(opts.CheckpointDir, key),
-		every: opts.CheckpointEvery,
-	}
+		key:    po.Key,
+		path:   CheckpointPath(po.CheckpointDir, po.Key),
+		every:  po.CheckpointEvery,
+		onSave: po.OnCheckpoint,
+	}, nil
 }
 
 // arm positions the next save strictly after the current global cycle.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -157,7 +158,7 @@ func Fig3b(sc Scale) *Spec {
 	algs := make([]AlgSpec, 0, 4)
 	for _, tout := range []sim.Cycle{4, 8, 16, 64} {
 		algs = append(algs, AlgSpec{
-			Label:     "disha-m3-tout" + itoa(int(tout)),
+			Label:     "disha-m3-tout" + strconv.Itoa(int(tout)),
 			Algorithm: routing.Disha(3),
 			Recovery:  true,
 			Timeout:   tout,
@@ -243,20 +244,6 @@ func hotspotLoads(sc Scale) []float64 {
 		return sc.Loads
 	}
 	return []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // FigFullMesh is the full-mesh baseline experiment (beyond the paper): on a

@@ -8,7 +8,7 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -76,10 +76,6 @@ type Spec struct {
 	// Batches splits the measurement window for batch-means confidence
 	// intervals on the latency estimate (default 5; 1 disables).
 	Batches int
-	// Replicas runs every (algorithm, load) point this many times with
-	// independent seeds and aggregates the replicas into mean ± 95% CI
-	// (default 1). RunOptions.Replicas overrides it.
-	Replicas int
 	// Shards configures the intra-simulation parallel kernel: each run's
 	// Step fans its router-local phases out across this many shards.
 	// Results are byte-identical to serial (0/1); it composes with the
@@ -131,7 +127,9 @@ type RunOptions struct {
 	// run. Thanks to identity-keyed seeding the results are bit-identical
 	// for every value.
 	Parallel int
-	// Replicas overrides Spec.Replicas when positive.
+	// Replicas runs every (algorithm, load) point this many times with
+	// independent seeds and aggregates the replicas into mean ± 95% CI
+	// (default 1).
 	Replicas int
 	// Retries is how many extra attempts a failing point gets.
 	Retries int
@@ -206,18 +204,7 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	if err := s.normalize(); err != nil {
 		return nil, nil, err
 	}
-	if opts.CheckpointEvery > 0 && opts.CheckpointDir != "" {
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("harness: checkpoint dir: %w", err)
-		}
-	}
-	replicas := opts.Replicas
-	if replicas <= 0 {
-		replicas = s.Replicas
-	}
-	if replicas <= 0 {
-		replicas = 1
-	}
+	replicas := max(opts.Replicas, 1)
 
 	meta := make(map[string]pointJob)
 	var jobs []engine.Job[PointResult]
@@ -229,12 +216,12 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 				r := r
 				key := s.PointKey(alg.label(), load, r)
 				meta[key] = pointJob{alg: alg, load: load, replica: r}
-				ck := newCheckpointer(opts, key)
+				po := PointOptions{Key: key, CheckpointEvery: opts.CheckpointEvery, CheckpointDir: opts.CheckpointDir}
 				jobs = append(jobs, engine.Job[PointResult]{
 					Key: key,
 					Run: func(seed uint64) (PointResult, error) {
 						local := func() (PointResult, error) {
-							return s.runPoint(alg, load, seed, ck)
+							return s.runPoint(alg, load, seed, po)
 						}
 						if opts.PointRunner != nil {
 							return opts.PointRunner(PointTask{
@@ -356,9 +343,9 @@ func (s *Spec) PointKey(algLabel string, load float64, replica int) string {
 	return fmt.Sprintf("%s/%s@%.4f#%d", cfgTag, algLabel, load, replica)
 }
 
-// PointOptions configures a single RunPoint execution (the fleet worker
-// path). All fields are optional; the zero value runs the point without
-// checkpointing.
+// PointOptions configures the execution of one point, whoever runs it:
+// RunWith builds one per engine job, a fleet worker one per leased unit. All
+// fields are optional; the zero value runs the point without checkpointing.
 type PointOptions struct {
 	// Key is the engine job key of the point (Spec.PointKey). It names and
 	// validates the checkpoint file, so it is required when checkpointing.
@@ -377,9 +364,10 @@ type PointOptions struct {
 // RunPoint executes one (algorithm, load) point with an explicit seed and
 // returns its measurement. It is the remote half of RunOptions.PointRunner:
 // a fleet worker receives (alg label, load, seed) from the coordinator and
-// computes here exactly what the coordinator's local fallback would, so the
-// result bytes are identical wherever the point runs. The algorithm is
-// selected by its curve label within this spec.
+// makes here the very call RunWith's engine jobs and the coordinator's local
+// fallback make (runPoint), so the result bytes — and the handling of a
+// point that panics — are identical wherever the point runs. The algorithm
+// is selected by its curve label within this spec.
 func (s *Spec) RunPoint(algLabel string, load float64, seed uint64, po PointOptions) (PointResult, error) {
 	if err := s.normalize(); err != nil {
 		return PointResult{}, err
@@ -394,18 +382,7 @@ func (s *Spec) RunPoint(algLabel string, load float64, seed uint64, po PointOpti
 	if alg == nil {
 		return PointResult{}, fmt.Errorf("harness: spec %q has no curve %q", s.Name, algLabel)
 	}
-	var ck *checkpointer
-	if po.CheckpointEvery > 0 && po.CheckpointDir != "" {
-		if po.Key == "" {
-			return PointResult{}, fmt.Errorf("harness: RunPoint checkpointing requires PointOptions.Key")
-		}
-		if err := os.MkdirAll(po.CheckpointDir, 0o755); err != nil {
-			return PointResult{}, fmt.Errorf("harness: checkpoint dir: %w", err)
-		}
-		ck = newCheckpointer(RunOptions{CheckpointEvery: po.CheckpointEvery, CheckpointDir: po.CheckpointDir}, po.Key)
-		ck.onSave = po.OnCheckpoint
-	}
-	return s.runPoint(*alg, load, seed, ck)
+	return s.runPoint(*alg, load, seed, po)
 }
 
 // aggregateReplicas folds N independent runs of one point into means ± 95%
@@ -498,12 +475,27 @@ func (s *Spec) normalize() error {
 // (topology, pattern, network) is built fresh per call, and the stateless
 // algorithm/selection values are safe to share.
 //
-// A non-nil checkpointer makes the point resumable: progress is persisted
+// Checkpointing options make the point resumable: progress is persisted
 // every CheckpointEvery cycles, a previous checkpoint (if present) is loaded
 // before the first step, and because the simulation is deterministic the
 // resumed point finishes with results byte-identical to an uninterrupted run
 // (TestCheckpointResumeIdenticalCSV).
-func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, ck *checkpointer) (PointResult, error) {
+//
+// A panic below (the simulator keeps panic(...) invariants) comes back as an
+// error carrying the stack. The guard sits here because every executor — an
+// engine worker, the coordinator's local fallback, a fleet worker's lease
+// loop — runs a point through this one function, so a poison point fails the
+// same way in all of them instead of killing the process that ran it.
+func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions) (_ PointResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	ck, err := newCheckpointer(po)
+	if err != nil {
+		return PointResult{}, err
+	}
 	topo := s.Topo()
 	pattern, err := s.Pattern(topo)
 	if err != nil {

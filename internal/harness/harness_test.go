@@ -3,6 +3,7 @@ package harness
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,12 +271,11 @@ func TestBatchMeansCI(t *testing.T) {
 // run on one worker and on eight renders byte-identical tables and CSV.
 func TestEngineParallelDeterminism(t *testing.T) {
 	serialSpec, parallelSpec := tinySpec(), tinySpec()
-	serialSpec.Replicas, parallelSpec.Replicas = 2, 2
-	serial, _, err := serialSpec.RunWith(RunOptions{Parallel: 1})
+	serial, _, err := serialSpec.RunWith(RunOptions{Parallel: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := parallelSpec.RunWith(RunOptions{Parallel: 8})
+	parallel, _, err := parallelSpec.RunWith(RunOptions{Parallel: 8, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,5 +402,59 @@ func TestParallelSpeedupSmoke(t *testing.T) {
 	t.Logf("serial=%v parallel=%v speedup=%.2fx on %d cores", serial, parallel, speedup, runtime.GOMAXPROCS(0))
 	if speedup <= 1 {
 		t.Fatalf("parallel sweep (%v) not faster than serial (%v)", parallel, serial)
+	}
+}
+
+// poisonSpec is tinySpec with a traffic pattern that panics, standing in for
+// the simulator's panic(...) invariants firing mid-point.
+func poisonSpec() *Spec {
+	spec := tinySpec()
+	spec.Name = "poison"
+	spec.Algs = spec.Algs[:1]
+	spec.Pattern = func(topology.Graph) (traffic.Pattern, error) { panic("poison point") }
+	return spec
+}
+
+// TestPoisonPointReturnsError pins the one panic guard every executor shares:
+// a point that panics comes back as an error carrying "panic:" from RunPoint
+// (the fleet worker's and the coordinator fallback's call) and from RunWith,
+// whose report names the point and whose sweep still runs the other points.
+func TestPoisonPointReturnsError(t *testing.T) {
+	spec := poisonSpec()
+	if _, err := spec.RunPoint(spec.Algs[0].label(), 0.2, 1, PointOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "panic: poison point") {
+		t.Fatalf("RunPoint on a panicking point: err = %v, want it to carry the panic", err)
+	}
+
+	// A sweep whose first point panics: that point fails, the report names
+	// it, and the sweep carries on with the rest.
+	spec = tinySpec()
+	var built atomic.Int64
+	spec.Pattern = func(g topology.Graph) (traffic.Pattern, error) {
+		if built.Add(1) == 1 {
+			panic("poison point")
+		}
+		return uniformPattern(g)
+	}
+	res, rep, err := spec.RunWith(RunOptions{Parallel: 1})
+	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
+		t.Fatalf("RunWith: err = %v, want the panic surfaced", err)
+	}
+	first := spec.PointKey(spec.Algs[0].label(), spec.Loads[0], 0)
+	if !strings.Contains(err.Error(), first) || rep.Failed() != 1 || rep.Failures[0].Key != first {
+		t.Fatalf("err %v / failures %+v do not name %q", err, rep.Failures, first)
+	}
+	if rep.Completed != rep.Total-1 || len(res.Points[spec.Algs[1].label()]) != len(spec.Loads) {
+		t.Fatalf("sweep did not continue past the poison point: %+v", rep)
+	}
+}
+
+// TestRunPointCheckpointingNeedsKey covers the check that moved into
+// newCheckpointer: a checkpointing RunPoint without a key is refused.
+func TestRunPointCheckpointingNeedsKey(t *testing.T) {
+	spec := tinySpec()
+	_, err := spec.RunPoint(spec.Algs[0].label(), 0.2, 1, PointOptions{CheckpointEvery: 100, CheckpointDir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "requires PointOptions.Key") {
+		t.Fatalf("err = %v, want the missing-key error", err)
 	}
 }

@@ -108,7 +108,7 @@ func TestFleetModeMatchesSerialRun(t *testing.T) {
 // refuses new submissions with 503 + Retry-After, aborts the in-flight
 // sweep's undispatched points, and returns once the runner is idle.
 func TestDrainStopsAcceptingAndAbortsPending(t *testing.T) {
-	s := New(4)
+	s := newServer(t, 4)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

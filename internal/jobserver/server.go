@@ -26,9 +26,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -140,7 +138,7 @@ type job struct {
 	result *harness.Result
 }
 
-// Server is the job server. Create it with New and mount Handler.
+// Server is the job server. Create it with NewWithOptions and mount Handler.
 type Server struct {
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -151,8 +149,12 @@ type Server struct {
 	dataDir         string
 	checkpointEvery int
 
-	fleet   *fabric.Coordinator
-	limiter *fabric.RateLimiter
+	// fleet executes every sweep point; ownFleet marks the private
+	// coordinator built when Options.Fleet was nil (never mounted, closed
+	// with the server).
+	fleet    *fabric.Coordinator
+	ownFleet bool
+	limiter  *fabric.RateLimiter
 
 	reg *telemetry.Registry
 	em  *engine.Metrics
@@ -188,11 +190,12 @@ type Options struct {
 	// mid-point, not just between points (see harness.RunOptions). It is
 	// ignored without DataDir; 0 disables mid-point checkpointing.
 	CheckpointEvery int
-	// Fleet, when non-nil, executes every sweep point through the given
-	// coordinator instead of purely in-process: points run on whichever fleet
-	// workers hold leases, fall back to local execution when no workers are
-	// live, and identical points dedupe through the shared result cache. The
-	// coordinator's HTTP API is mounted under /fleet/.
+	// Fleet is the coordinator every sweep point executes through: points
+	// run on whichever fleet workers hold leases, in-process when no workers
+	// are live, and identical points dedupe through its result cache. A
+	// supplied coordinator has its worker API mounted under /fleet/ (and stays
+	// the caller's to Close); nil means a private coordinator with the
+	// defaults whose API is not mounted, so it never has workers.
 	Fleet *fabric.Coordinator
 	// RateLimit, when positive, throttles POST /jobs per client address to
 	// this many submissions per second (burst RateBurst, default 5); excess
@@ -200,17 +203,6 @@ type Options struct {
 	RateLimit float64
 	// RateBurst is the per-client burst for RateLimit (default 5).
 	RateBurst int
-}
-
-// New starts a job server and its runner goroutine. queueDepth bounds the
-// number of jobs waiting to run (submissions beyond it get 503); 0 means 64.
-func New(queueDepth int) *Server {
-	s, err := NewWithOptions(Options{QueueDepth: queueDepth})
-	if err != nil {
-		// Unreachable: without a DataDir nothing touches the filesystem.
-		panic(err)
-	}
-	return s
 }
 
 // NewWithOptions starts a job server with full configuration; it fails only
@@ -231,10 +223,14 @@ func NewWithOptions(opts Options) (*Server, error) {
 		dataDir:         opts.DataDir,
 		checkpointEvery: opts.CheckpointEvery,
 		fleet:           opts.Fleet,
+		ownFleet:        opts.Fleet == nil,
 		reg:             telemetry.NewRegistry(),
 		drainCh:         make(chan struct{}),
 		runnerDone:      make(chan struct{}),
 		done:            make(chan struct{}),
+	}
+	if s.ownFleet {
+		s.fleet = fabric.NewCoordinator(fabric.CoordinatorOptions{})
 	}
 	if opts.RateLimit > 0 {
 		burst := float64(opts.RateBurst)
@@ -274,7 +270,14 @@ func requestHash(req SweepRequest) string {
 
 // Close stops the runner after the in-flight job (if any) finishes. Submits
 // after Close fail with 503.
-func (s *Server) Close() { s.closeOnce.Do(func() { close(s.done) }) }
+func (s *Server) Close() {
+	s.closeOnce.Do(func() {
+		close(s.done)
+		if s.ownFleet {
+			s.fleet.Close()
+		}
+	})
+}
 
 // Drain gracefully shuts the server down: new submissions are refused with
 // 503 (Retry-After set), the in-flight sweep is drained — points already
@@ -328,19 +331,17 @@ func (s *Server) runJob(id string) {
 		Retries:  req.Retries,
 		Metrics:  s.em,
 		Stop:     s.drainCh,
-	}
-	if s.fleet != nil {
-		// Fleet mode: every point goes through the coordinator, which decides
-		// between a cached result, a fleet worker, or the local closure. The
-		// PointSpec carries exactly the request fields harness.SpecFor consumes,
-		// so workers rebuild a byte-identical spec.
-		opts.PointRunner = func(t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
+		// Every point goes through the coordinator, which decides between a
+		// cached result, a fleet worker, or the local closure. The PointSpec
+		// carries exactly the request fields harness.SpecFor consumes, so
+		// workers rebuild a byte-identical spec.
+		PointRunner: func(t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
 			return s.fleet.Execute(t, fabric.PointSpec{
 				Figure: req.Figure, Scale: req.Scale,
 				Warmup: req.Warmup, Measure: req.Measure, Seed: req.Seed,
 				Alg: t.Alg, Load: t.Load, Replica: t.Replica,
 			}, local)
-		}
+		},
 	}
 	if s.dataDir != "" {
 		h := requestHash(req)
@@ -402,7 +403,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /jobs/{id}/result.json", s.handleResultJSON)
 	mux.HandleFunc("GET /jobs/{id}/result.csv", s.handleResultCSV)
-	if s.fleet != nil {
+	if !s.ownFleet {
 		mux.Handle("/fleet/", http.StripPrefix("/fleet", s.fleet.Handler()))
 	}
 	// Reuse the telemetry exposition handler (it also serves pprof, the
@@ -420,6 +421,11 @@ func (s *Server) Handler() http.Handler {
 // client from streaming an unbounded body into the decoder.
 const maxSubmitBytes = 1 << 20
 
+// maxSweepPoints bounds curves x loads x replicas of one job. The paper's
+// largest figure is 6 x 9 points; 65536 leaves three orders of magnitude for
+// replication while keeping one request from allocating billions of jobs.
+const maxSweepPoints = 65536
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission control runs before the body is even read: a draining server
 	// and a throttled client get their answer cheaply.
@@ -434,27 +440,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	// Reject trailing garbage after the JSON object: a concatenated second
-	// document would otherwise be silently ignored.
-	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, "unexpected data after JSON body")
+	if fabric.DecodeBody(w, r, maxSubmitBytes, &req) != nil {
 		return
 	}
 	spec, err := req.spec()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
+		return
+	}
+	// Numbers that cannot describe a sweep are refused, not read as defaults:
+	// a negative count would still change requestHash, and the job list is
+	// built before anything runs, so its size is bounded here.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"parallel", req.Parallel}, {"replicas", req.Replicas}, {"retries", req.Retries},
+		{"warmup", req.Warmup}, {"measure", req.Measure},
+	} {
+		if f.v < 0 {
+			httpError(w, http.StatusBadRequest, "bad sweep spec: negative %s %d", f.name, f.v)
+			return
+		}
+	}
+	// Dividing keeps the comparison exact where the product would overflow.
+	if replicas := max(req.Replicas, 1); replicas > maxSweepPoints/(len(spec.Algs)*len(spec.Loads)) {
+		httpError(w, http.StatusBadRequest, "bad sweep spec: %d curves x %d loads x replicas %d exceeds %d points",
+			len(spec.Algs), len(spec.Loads), replicas, maxSweepPoints)
 		return
 	}
 

@@ -23,9 +23,20 @@ func tinyReq() SweepRequest {
 	}
 }
 
+// newServer builds a default server (private coordinator, no persistence)
+// with the given job-queue depth.
+func newServer(t *testing.T, queueDepth int) *Server {
+	t.Helper()
+	s, err := NewWithOptions(Options{QueueDepth: queueDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func startServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(4)
+	s := newServer(t, 4)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
@@ -82,7 +93,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 }
 
 func TestSubmitRunAndFetchResults(t *testing.T) {
-	_, ts := startServer(t)
+	s, ts := startServer(t)
 	st := submit(t, ts, tinyReq())
 	if st.ID == "" || st.State == "" {
 		t.Fatalf("bad submit response: %+v", st)
@@ -145,6 +156,14 @@ func TestSubmitRunAndFetchResults(t *testing.T) {
 	resp2.Body.Close()
 	if csv2.String() != string(csv) {
 		t.Fatalf("resubmitted sweep diverged:\n--- first ---\n%s--- second ---\n%s", csv, csv2.String())
+	}
+	// ...and without re-running anything: a server without a fleet still
+	// sweeps through a coordinator, whose result cache served the second job.
+	if fs := s.fleet.Stats(); fs.CacheHits < int64(final.Report.Total) || fs.LocalRuns != int64(final.Report.Total) {
+		t.Fatalf("resubmission was not served from the coordinator cache: %+v", fs)
+	}
+	if code := getJSON(t, ts.URL+"/fleet/status", nil); code != http.StatusNotFound {
+		t.Fatalf("/fleet/status on a server given no coordinator: %d, want 404", code)
 	}
 
 	// The job list shows both, oldest first.
@@ -215,26 +234,41 @@ func TestBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		want string // substring of the JSON error, when the case pins one
 	}{
-		{"unknown figure", `{"figure":"99"}`},
-		{"unknown scale", `{"figure":"4","scale":"huge"}`},
-		{"bad load", `{"figure":"4","loads":[1.5]}`},
-		{"unknown field", `{"figure":"4","bogus":1}`},
-		{"not json", `nope`},
-		{"trailing garbage", `{"figure":"4"} trailing`},
-		{"concatenated objects", `{"figure":"4"}{"figure":"4"}`},
+		{"unknown figure", `{"figure":"99"}`, ""},
+		{"unknown scale", `{"figure":"4","scale":"huge"}`, ""},
+		{"bad load", `{"figure":"4","loads":[1.5]}`, ""},
+		{"unknown field", `{"figure":"4","bogus":1}`, ""},
+		{"not json", `nope`, ""},
+		{"trailing garbage", `{"figure":"4"} trailing`, "unexpected data after JSON body"},
+		{"concatenated objects", `{"figure":"4"}{"figure":"4"}`, "unexpected data after JSON body"},
+		{"negative parallel", `{"figure":"4","parallel":-1}`, "negative parallel -1"},
+		{"negative replicas", `{"figure":"4","replicas":-2}`, "negative replicas -2"},
+		{"negative retries", `{"figure":"4","retries":-1}`, "negative retries -1"},
+		{"negative warmup", `{"figure":"4","warmup":-1}`, "negative warmup -1"},
+		{"negative measure", `{"figure":"4","measure":-1}`, "negative measure -1"},
+		{"too many points", `{"figure":"4","replicas":1000000000}`, "replicas 1000000000 exceeds 65536 points"},
+		{"one point past the bound", `{"figure":"4","scale":"small","replicas":2731}`, "6 curves x 4 loads x replicas 2731 exceeds 65536 points"},
+		{"point count overflows int", `{"figure":"4","replicas":9223372036854775807}`, "exceeds 65536 points"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+		if err != nil || e.Error == "" || !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("%s: error body %q (decode: %v), want it to contain %q", tc.name, e.Error, err, tc.want)
+		}
 	}
-
 	if code := getJSON(t, ts.URL+"/jobs/job-9999", nil); code != http.StatusNotFound {
 		t.Fatalf("missing job status code = %d", code)
 	}
@@ -314,7 +348,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	s := New(1)
+	s := newServer(t, 1)
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
