@@ -21,18 +21,20 @@
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/buildz
 //
-// With -data-dir the server persists sweep journals and mid-point
-// checkpoints, so a killed server resumes a resubmitted identical request
-// from where it died instead of recomputing:
-//
-//	disha-serve -addr :8080 -data-dir /var/lib/disha -checkpoint-every 2000
-//
 // Every sweep point goes through one coordinator: it runs on a registered
 // disha-worker when any is live and in-process otherwise, and finished
 // points land in a result cache keyed by content fingerprint, so identical
-// sub-requests across jobs dedupe to one execution. -fleet is the switch
-// that exposes the (unauthenticated) worker API under /fleet/ so workers
-// can register at all:
+// sub-requests across jobs dedupe to one execution. With -data-dir that
+// cache is also a file, <data-dir>/results.jsonl, in the format of
+// disha-sweep -journal (either reads the other's), beside mid-point
+// checkpoints in <data-dir>/ckpt: a killed server restarted on the
+// directory computes only what no earlier job finished, however the
+// resubmitted request is phrased:
+//
+//	disha-serve -addr :8080 -data-dir /var/lib/disha -checkpoint-every 2000
+//
+// -fleet is the switch that exposes the (unauthenticated) worker API under
+// /fleet/ so workers can register at all:
 //
 //	disha-serve -addr :8080 -fleet
 //	disha-worker -coordinator http://host:8080/fleet   # on each worker box
@@ -42,7 +44,7 @@
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting
 // submissions (503 + Retry-After), lets points already executing finish,
-// and aborts the rest (journaled sweeps resume on resubmission).
+// and aborts the rest (with -data-dir a resubmission runs only those).
 package main
 
 import (
@@ -66,8 +68,8 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		queue       = flag.Int("queue", 64, "maximum queued (not yet running) jobs")
-		dataDir     = flag.String("data-dir", "", "persistence directory: sweep journals and mid-point checkpoints live here, so killed jobs resume when an identical request is resubmitted (empty = in-memory only)")
-		ckptN       = flag.Int("checkpoint-every", 2000, "cycles between mid-point checkpoints when -data-dir is set (0 = journal-only persistence)")
+		dataDir     = flag.String("data-dir", "", "persistence directory: every finished point is kept in <dir>/results.jsonl (a disha-sweep -journal file) and in-flight points checkpoint to <dir>/ckpt, so a restarted server computes only what no earlier job finished (empty = in-memory only)")
+		ckptN       = flag.Int("checkpoint-every", 2000, "cycles between mid-point checkpoints when -data-dir is set (0 = finished points only)")
 		fleet       = flag.Bool("fleet", false, "coordinate a worker fleet: serve the /fleet/ API and execute sweep points on registered disha-worker processes (local fallback when none are live)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet lease time-to-live: a worker silent this long is presumed dead and its points re-dispatched")
 		maxAttempts = flag.Int("max-attempts", 3, "fleet dispatch attempts per point before falling back to local execution")
@@ -145,7 +147,7 @@ func main() {
 		}
 	case s := <-sig:
 		// Graceful drain: refuse new submissions, let executing points
-		// finish, abort the rest (journaled sweeps resume on resubmission).
+		// finish, abort the rest (with -data-dir a resubmission runs only those).
 		fmt.Fprintf(os.Stderr, "disha-serve: %v: draining (in-flight points finish, queue is refused)\n", s)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/jobserver"
@@ -116,8 +118,8 @@ func get(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-// sweepCSV submits req, polls the job to done and returns its CSV.
-func sweepCSV(t *testing.T, base string, req jobserver.SweepRequest) string {
+// post submits req and returns the accepted job's status.
+func post(t *testing.T, base string, req jobserver.SweepRequest) jobserver.JobStatus {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -133,6 +135,13 @@ func sweepCSV(t *testing.T, base string, req jobserver.SweepRequest) string {
 	if resp.StatusCode != http.StatusAccepted || err != nil {
 		t.Fatalf("POST /jobs: %d (%v)", resp.StatusCode, err)
 	}
+	return st
+}
+
+// sweepCSV submits req, polls the job to done and returns its CSV.
+func sweepCSV(t *testing.T, base string, req jobserver.SweepRequest) string {
+	t.Helper()
+	st := post(t, base, req)
 	waitFor(t, "job "+st.ID+" to settle", func() bool {
 		get(t, base+"/jobs/"+st.ID, &st)
 		return st.State == "done" || st.State == "failed"
@@ -140,7 +149,7 @@ func sweepCSV(t *testing.T, base string, req jobserver.SweepRequest) string {
 	if st.State != "done" {
 		t.Fatalf("job %s: %s (%s)", st.ID, st.State, st.Error)
 	}
-	resp, err = http.Get(base + "/jobs/" + st.ID + "/result.csv")
+	resp, err := http.Get(base + "/jobs/" + st.ID + "/result.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +159,19 @@ func sweepCSV(t *testing.T, base string, req jobserver.SweepRequest) string {
 		t.Fatalf("result.csv: %d (%v)", resp.StatusCode, err)
 	}
 	return string(csv)
+}
+
+// build compiles disha-serve and disha-worker into a test directory.
+func build(t *testing.T) (serveBin, workerBin string) {
+	t.Helper()
+	dir := t.TempDir()
+	serveBin, workerBin = filepath.Join(dir, "disha-serve"), filepath.Join(dir, "disha-worker")
+	for bin, pkg := range map[string]string{serveBin: ".", workerBin: "../disha-worker"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	return serveBin, workerBin
 }
 
 // TestServeAndWorkerProcesses drives the two serving binaries as processes.
@@ -162,13 +184,7 @@ func TestServeAndWorkerProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test running real simulation points")
 	}
-	dir := t.TempDir()
-	serveBin, workerBin := filepath.Join(dir, "disha-serve"), filepath.Join(dir, "disha-worker")
-	for bin, pkg := range map[string]string{serveBin: ".", workerBin: "../disha-worker"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	serveBin, workerBin := build(t)
 
 	req := jobserver.SweepRequest{Figure: "4", Scale: "small", Loads: []float64{0.2, 0.4}, Warmup: 100, Measure: 300}
 	spec, err := harness.SpecFor(req.Figure, req.Scale, req.Warmup, req.Measure, req.Seed, req.Loads)
@@ -212,5 +228,119 @@ func TestServeAndWorkerProcesses(t *testing.T) {
 	if bogus.ProcessState == nil || bogus.ProcessState.ExitCode() != 1 ||
 		strings.Count(string(out), "\n") != 1 || !strings.HasPrefix(string(out), "disha-serve: ") {
 		t.Fatalf("-addr bogus: want exit 1 with one line, got %v; output:\n%s", bogus.ProcessState, out)
+	}
+}
+
+// fleetOnDataDir starts a -fleet server persisting to dataDir plus one
+// registered worker, submits req and returns once three points are done.
+func fleetOnDataDir(t *testing.T, serveBin, workerBin, dataDir string, req jobserver.SweepRequest) (server, worker *proc, base string, st jobserver.JobStatus) {
+	t.Helper()
+	server, base = serve(t, serveBin, "-fleet", "-lease-ttl", "1s", "-data-dir", dataDir)
+	worker = start(t, workerBin, "-coordinator", base+"/fleet", "-id", "w1")
+	var fs fabric.Stats
+	waitFor(t, "the worker to register", func() bool {
+		get(t, base+"/fleet/status", &fs)
+		return fs.WorkersLive == 1
+	})
+	st = post(t, base, req)
+	waitFor(t, "three points to finish", func() bool {
+		get(t, base+"/jobs/"+st.ID, &st)
+		return st.Progress.Done >= 3
+	})
+	return server, worker, base, st
+}
+
+// TestCoordinatorCrashRecovery kills the coordinator process mid-sweep and
+// restarts it on the same -data-dir. The lease table dies with the process
+// and is not needed back: the client resubmits, and what the store recorded
+// is served while only the rest runs. Targets: of the n points on disk, 0 are
+// recomputed; a record torn by the kill costs exactly its own recomputation
+// and no error; the CSV is byte-identical to an in-process sweep.
+func TestCoordinatorCrashRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test running real simulation points")
+	}
+	serveBin, workerBin := build(t)
+	req := jobserver.SweepRequest{Figure: "4", Scale: "small", Warmup: 100, Measure: 300}
+	spec, err := harness.SpecFor(req.Figure, req.Scale, req.Warmup, req.Measure, req.Seed, req.Loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, _, err := spec.RunWith(harness.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(len(spec.Algs) * len(spec.Loads))
+	dataDir := t.TempDir()
+	store := filepath.Join(dataDir, "results.jsonl")
+
+	server, worker, _, _ := fleetOnDataDir(t, serveBin, workerBin, dataDir, req)
+	server.cmd.Process.Kill()
+	server.cmd.Wait()
+	worker.cmd.Process.Kill()
+	worker.cmd.Wait()
+
+	// The kill landed mid-append: the last record is cut in half.
+	data, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	last := lines[len(lines)-1]
+	n := int64(len(lines) - 1)
+	if n < 2 {
+		t.Fatalf("store held %d records at the kill, want at least 3", n+1)
+	}
+	if err := os.WriteFile(store, []byte(strings.Join(lines[:n], "")+last[:len(last)/2]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("killed with %d of %d points recorded, the last of them torn", n+1, total)
+
+	// Restart with no worker; the resubmission is phrased differently.
+	restarted, base := serve(t, serveBin, "-fleet", "-lease-ttl", "1s", "-data-dir", dataDir)
+	req.Parallel = 1
+	if got := sweepCSV(t, base, req); got != direct.CSV() {
+		t.Fatalf("CSV after the crash differs from the in-process sweep:\n%s\nwant:\n%s", got, direct.CSV())
+	}
+	var fs fabric.Stats
+	get(t, base+"/fleet/status", &fs)
+	if fs.CacheHits != n || fs.LocalRuns+fs.RemoteRuns != total-n || fs.StoreErrors != 0 {
+		t.Fatalf("%d of %d points were on disk: want cache_hits %d, local+remote runs %d, no store errors; got %+v",
+			n, total, n, total-n, fs)
+	}
+	restarted.terminate(t)
+	// The records written behind the torn line are all readable.
+	if recs, err := engine.ReadJournal(store); err != nil || int64(len(recs)) != total {
+		t.Fatalf("store after recovery: %d records (err %v), want %d", len(recs), err, total)
+	}
+}
+
+// TestDrainLeavesFinishedPointsInStore is the SIGTERM counterpart: a drained
+// server exits 0 with every point its last status counted done on disk.
+func TestDrainLeavesFinishedPointsInStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test running real simulation points")
+	}
+	serveBin, workerBin := build(t)
+	req := jobserver.SweepRequest{Figure: "4", Scale: "small", Warmup: 100, Measure: 300}
+	dataDir := t.TempDir()
+	server, worker, base, st := fleetOnDataDir(t, serveBin, workerBin, dataDir, req)
+
+	// The watch stream outlives the drain: it ends with the terminal status.
+	resp, err := http.Get(base + "/jobs/" + st.ID + "?watch=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	server.terminate(t)
+	worker.terminate(t)
+	for dec := json.NewDecoder(resp.Body); dec.Decode(&st) == nil; {
+	}
+	if st.State != "failed" && st.State != "done" {
+		t.Fatalf("watch stream ended on a non-terminal status: %+v", st)
+	}
+	recs, err := engine.ReadJournal(filepath.Join(dataDir, "results.jsonl"))
+	if err != nil || len(recs) != st.Progress.Done || st.Progress.Done < 3 {
+		t.Fatalf("store holds %d records (err %v) after a drain that counted %d points done", len(recs), err, st.Progress.Done)
 	}
 }

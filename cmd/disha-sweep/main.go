@@ -6,13 +6,15 @@
 //
 // Points fan out across -parallel workers (default: all cores) with
 // identity-keyed seeds, so the results are bit-identical to a serial run.
-// -journal checkpoints completed points to a JSONL file and -resume replays
-// it, so a killed sweep restarts where it left off. Adding -checkpoint-dir
-// with -checkpoint-every additionally snapshots in-flight points every N
-// cycles, so even the point that was running when the process died resumes
-// mid-flight — with byte-identical CSV output. If any point fails the
-// command prints the partial results plus a failure summary and exits
-// non-zero.
+// -journal checkpoints completed points to a JSONL file and replays what the
+// file already holds, so a killed sweep rerun with the same flags restarts
+// where it left off (the file is the same format as disha-serve's
+// <data-dir>/results.jsonl, and either reads the other's). Adding
+// -checkpoint-dir with -checkpoint-every additionally snapshots in-flight
+// points every N cycles, so even the point that was running when the process
+// died resumes mid-flight — with byte-identical CSV output. If any point
+// fails the command prints the partial results plus a failure summary and
+// exits non-zero.
 //
 // Examples:
 //
@@ -20,8 +22,7 @@
 //	disha-sweep -fig all -scale small -parallel 2       # everything, 2 workers
 //	disha-sweep -fig 3a -csv out/                       # write out/fig3a-....csv
 //	disha-sweep -fig 4 -replicas 5                      # mean ± 95% CI over 5 seeds
-//	disha-sweep -fig all -journal sweep.journal.jsonl   # checkpoint...
-//	disha-sweep -fig all -journal sweep.journal.jsonl -resume   # ...and resume
+//	disha-sweep -fig all -journal sweep.journal.jsonl   # checkpoint; rerun to resume
 //	disha-sweep -fig 4 -journal s.jsonl -checkpoint-dir ckpt -checkpoint-every 2000
 package main
 
@@ -54,8 +55,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "kernel worker shards inside each simulation (0/1 = serial; results are identical; keep parallel*shards within the core count)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
 		retries   = flag.Int("retries", 1, "extra attempts for a failing point")
-		journal   = flag.String("journal", "", "JSONL checkpoint file for completed points (optional)")
-		resume    = flag.Bool("resume", false, "resume from -journal instead of starting fresh")
+		journal   = flag.String("journal", "", "JSONL checkpoint file: completed points are appended to it, points it already holds are not rerun (optional)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-point checkpoints; killed points resume mid-flight with byte-identical results (requires -checkpoint-every)")
 		ckptN     = flag.Int("checkpoint-every", 0, "cycles between mid-point checkpoints (0 = off; requires -checkpoint-dir)")
 		metrics   = flag.String("metrics-addr", "", "serve engine progress on this address at /metrics (optional, e.g. :9090)")
@@ -72,9 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *resume && *journal == "" {
-		fail(fmt.Errorf("-resume requires -journal"))
-	}
 	if (*ckptDir == "") != (*ckptN == 0) {
 		fail(fmt.Errorf("-checkpoint-dir and -checkpoint-every must be set together"))
 	}
@@ -123,8 +120,7 @@ func main() {
 			Parallel:        *parallel,
 			Replicas:        *replicas,
 			Retries:         *retries,
-			Journal:         *journal,
-			Resume:          *resume || *journal != "", // a shared journal accumulates across figures
+			Journal:         *journal, // shared: it accumulates across figures
 			CheckpointEvery: *ckptN,
 			CheckpointDir:   *ckptDir,
 			Progress:        progress,
@@ -174,7 +170,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "disha-sweep: PARTIAL RESULTS: %d/%d points failed across figure(s) %s",
 			totalFailed, totalPoints, strings.Join(failedFigures, ", "))
 		if *journal != "" {
-			fmt.Fprintf(os.Stderr, "; rerun with -resume -journal %s to retry only the failures", *journal)
+			fmt.Fprint(os.Stderr, "; rerun with the same flags to retry only the failures")
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(1)

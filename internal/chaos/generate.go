@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 
-	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -166,12 +165,4 @@ func Generate(cfg CampaignConfig) (*Schedule, error) {
 		cycle += cfg.Spacing/2 + int64(rng.Intn(int(cfg.Spacing)))
 	}
 	return s, nil
-}
-
-// Reconverged reports whether the network has fully recovered from all
-// applied events so far: no header presumed deadlocked and no Deadlock
-// Buffer activity anywhere.
-func Reconverged(net *network.Network) bool {
-	presumed, busy := net.RecoveryBacklog()
-	return presumed == 0 && busy == 0
 }

@@ -44,7 +44,7 @@ type Job[T any] struct {
 type Status struct {
 	Total       int // jobs in the batch
 	Done        int // completed successfully (including journal restores)
-	FromJournal int // of Done, restored from the resume journal
+	FromJournal int // of Done, restored from the journal
 	Failed      int // exhausted their retries
 	Retried     int // extra attempts spent across all jobs
 	Elapsed     time.Duration
@@ -116,11 +116,10 @@ type Config[T any] struct {
 	// attempt total). Panics count as failures and are isolated per job.
 	Retries int
 	// Journal, when non-empty, is the JSONL checkpoint file completed jobs
-	// are appended to. With Resume false an existing file is truncated.
+	// are appended to. It is replayed before running: a job the file already
+	// records under the same key and derived seed is served from it and not
+	// re-executed; every other record is left alone.
 	Journal string
-	// Resume replays the journal before running: jobs already recorded are
-	// served from the journal and not re-executed.
-	Resume bool
 	// Metrics, when non-nil, receives live progress (jobs done/total, ETA)
 	// on the telemetry registry it was built from.
 	Metrics *Metrics
@@ -172,20 +171,17 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 		seen[j.Key] = struct{}{}
 	}
 
-	restored := map[string]journalRecord{}
-	if cfg.Resume && cfg.Journal != "" {
-		var err error
-		if restored, err = readJournal(cfg.Journal); err != nil {
-			return nil, nil, err
-		}
-	}
-	var journal *journalWriter
+	var restored map[string]JournalRecord
+	var journal *Journal
 	if cfg.Journal != "" {
 		var err error
-		if journal, err = openJournal(cfg.Journal, cfg.Resume); err != nil {
+		if restored, err = ReadJournal(cfg.Journal); err != nil {
 			return nil, nil, err
 		}
-		defer journal.close()
+		if journal, err = OpenJournal(cfg.Journal); err != nil {
+			return nil, nil, err
+		}
+		defer journal.Close()
 	}
 
 	results := make(map[string]T, len(jobs))
@@ -214,8 +210,10 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 	// progress deterministically before live work starts.
 	pending := make([]int, 0, len(jobs))
 	for i, j := range jobs {
+		// A record counts only under this run's seed for the job: the same key
+		// under another base seed names a different result.
 		rec, ok := restored[j.Key]
-		if ok {
+		if ok && rec.Seed == SeedFor(cfg.Seed, j.Key) {
 			var v T
 			if err := json.Unmarshal(rec.Value, &v); err == nil {
 				results[j.Key] = v
@@ -316,7 +314,7 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 		if journal != nil {
 			raw, err := json.Marshal(o.value)
 			if err == nil {
-				err = journal.append(journalRecord{
+				err = journal.Append(JournalRecord{
 					Key: key, Seed: o.seed, Attempts: o.attempts,
 					ElapsedMS: float64(o.elapsed) / float64(time.Millisecond),
 					Value:     raw,

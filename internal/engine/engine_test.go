@@ -144,7 +144,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	// Resume with the healthy jobs: the six checkpointed jobs must be served
 	// from the journal, the rest recomputed, and the assembled bytes must
 	// equal the uninterrupted run.
-	resumed, rep2, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal, Resume: true}, jobs)
+	resumed, rep2, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 			panic("job executed despite full journal")
 		}
 	}
-	all, rep3, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal, Resume: true}, poisoned)
+	all, rep3, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal}, poisoned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestJournalToleratesTornLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	res, rep, err := Run(Config[simResult]{Workers: 2, Seed: 3, Journal: journal, Resume: true}, jobs)
+	res, rep, err := Run(Config[simResult]{Workers: 2, Seed: 3, Journal: journal}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestJournalResumeSkipsTruncatedLastLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, rep, err := Run(Config[simResult]{Workers: 2, Seed: 11, Journal: journal, Resume: true}, jobs)
+	res, rep, err := Run(Config[simResult]{Workers: 2, Seed: 11, Journal: journal}, jobs)
 	if err != nil {
 		t.Fatalf("resume over a truncated journal must not fail: %v", err)
 	}
@@ -247,6 +247,11 @@ func TestJournalResumeSkipsTruncatedLastLine(t *testing.T) {
 	}
 	if got := assemble(t, jobs, res); string(got) != string(want) {
 		t.Fatalf("truncated-journal resume diverged:\nwant %s\ngot  %s", want, got)
+	}
+	// The recomputed record was appended behind the torn tail; it must sit on
+	// a line of its own, or the next read would lose it along with the tail.
+	if _, rep, err = Run(Config[simResult]{Workers: 2, Seed: 11, Journal: journal}, jobs); err != nil || rep.FromJournal != 6 {
+		t.Fatalf("second resume restored %d of 6 (err %v): the record after the torn line was lost", rep.FromJournal, err)
 	}
 }
 
@@ -337,7 +342,7 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	assertPrefix(midDone, midRep)
 
 	// Resume finishes the batch; the combined results match the clean run.
-	res, rep2, err := Run(Config[simResult]{Workers: 2, Seed: 5, Journal: journal, Resume: true}, jobs)
+	res, rep2, err := Run(Config[simResult]{Workers: 2, Seed: 5, Journal: journal}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,22 +354,31 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	}
 }
 
-func TestFreshRunTruncatesJournal(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal.jsonl")
-	jobs := simJobs(3, false)
-	if _, _, err := Run(Config[simResult]{Workers: 1, Seed: 1, Journal: journal}, jobs); err != nil {
+// TestJournalIsKeyedByKeyAndSeed: a record is a result for one (key, derived
+// seed) pair. A run under another base seed must not be served it.
+func TestJournalIsKeyedByKeyAndSeed(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "sweep.journal.jsonl")
+	jobs := simJobs(4, false)
+	if _, _, err := Run(Config[simResult]{Workers: 2, Seed: 7, Journal: journal}, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(Config[simResult]{Workers: 1, Seed: 1, Journal: journal}, jobs[:1]); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := readJournal(journal)
+	clean, _, err := Run(Config[simResult]{Workers: 2, Seed: 8}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("non-resume run must truncate the journal, found %d records", len(recs))
+	got, rep, err := Run(Config[simResult]{Workers: 2, Seed: 8, Journal: journal}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FromJournal != 0 {
+		t.Fatalf("seed 8 run was served %d records written under seed 7", rep.FromJournal)
+	}
+	if want := assemble(t, jobs, clean); string(assemble(t, jobs, got)) != string(want) {
+		t.Fatal("seed 8 run over a seed 7 journal differs from a journal-free seed 8 run")
+	}
+	// The fresh records come later in the file, so they win the next read.
+	if _, rep, err = Run(Config[simResult]{Workers: 2, Seed: 8, Journal: journal}, jobs); err != nil || rep.FromJournal != len(jobs) {
+		t.Fatalf("rerun under seed 8: restored %d of %d, err %v", rep.FromJournal, len(jobs), err)
 	}
 }
 
@@ -472,4 +486,48 @@ func TestReportString(t *testing.T) {
 			t.Fatalf("report %q missing %q", s, want)
 		}
 	}
+}
+
+// FuzzReadJournal feeds ReadJournal hostile files — the bytes a kill, a full
+// disk or another program can leave behind. The coordinator's result store
+// reads through the same function, so this covers both files. It must never
+// panic; it returns records or an error; every returned record is usable
+// (non-empty key, non-nil value); and a well-formed line ahead of the
+// garbage survives it.
+func FuzzReadJournal(f *testing.F) {
+	const good = `{"key":"first","seed":9,"attempts":1,"elapsed_ms":0.5,"value":{"sum":1}}` + "\n"
+	for _, seed := range []string{
+		"",
+		`{"key":"a","seed":1,"value":{"sum":2}}` + "\n" + `{"key":"b","se`,                                // torn tail
+		"\x00\x00\x00\n" + `{"key":"a","value":1}` + "\x00\n",                                             // NUL bytes
+		`{"key":"a","value":1}` + "\n" + `{"key":"a","value":2}` + "\n",                                   // duplicate keys
+		"[1,2,3]\n\"str\"\n42\nnull\n",                                                                    // non-object lines
+		`{"key":"a","seed":1,"value":}` + "\n" + `{"key":"b","value":null}` + "\n" + `{"key":"c"}` + "\n", // empty value
+		`{"key":"","value":1}` + "\n\n\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, garbage []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, append([]byte(good), garbage...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadJournal(path)
+		if err != nil {
+			if recs != nil {
+				t.Fatalf("error %v returned alongside %d records", err, len(recs))
+			}
+			return // e.g. a line beyond the scanner's 16 MiB bound
+		}
+		for key, rec := range recs {
+			if key == "" || rec.Key != key || rec.Value == nil {
+				t.Fatalf("unusable record under %q: %+v", key, rec)
+			}
+		}
+		// The first line ends in a newline, so nothing after it can tear it;
+		// only a later well-formed record for the same key may replace it.
+		if _, ok := recs["first"]; !ok {
+			t.Fatalf("well-formed first line lost behind %q", garbage)
+		}
+	})
 }

@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
@@ -56,7 +58,8 @@ type unit struct {
 
 // Coordinator decomposes sweeps into point work units, leases them to
 // workers, re-dispatches expired leases, and caches results by content
-// fingerprint. Create with NewCoordinator; mount Handler under /fleet/.
+// fingerprint — in memory, and after OpenStore also in a journal file on
+// disk. Create with NewCoordinator; mount Handler under /fleet/.
 type Coordinator struct {
 	opts CoordinatorOptions
 
@@ -64,6 +67,7 @@ type Coordinator struct {
 	units   map[string]*unit // by fingerprint: pending, leased or local
 	queue   []string         // fingerprints awaiting lease, FIFO
 	cache   map[string]harness.PointResult
+	store   *engine.Journal      // the cache on disk; nil until OpenStore
 	workers map[string]time.Time // worker id -> last contact
 
 	cacheHits    atomic.Int64
@@ -75,6 +79,7 @@ type Coordinator struct {
 	dupResults   atomic.Int64 // uploads for already-settled units
 	queueFull    atomic.Int64 // submissions pushed to local by the bound
 	workerErrors atomic.Int64 // worker-side failures uploaded
+	storeErrors  atomic.Int64 // results cached but not appended to the store
 
 	done chan struct{}
 }
@@ -128,15 +133,53 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc("fleet_local_runs_total", "points computed in-process (no live workers, queue bound, or attempts exhausted)", nil, c.localRuns.Load)
 		reg.CounterFunc("fleet_duplicate_results_total", "result uploads for already-settled units", nil, c.dupResults.Load)
 		reg.CounterFunc("fleet_worker_errors_total", "worker-side execution failures uploaded", nil, c.workerErrors.Load)
+		reg.CounterFunc("fleet_store_errors_total", "results served from memory whose append to the on-disk store failed", nil, c.storeErrors.Load)
 	}
 }
 
-// Close stops the lease sweeper. In-flight Execute calls settle normally.
+// OpenStore makes the result cache durable: it loads every record of the
+// engine journal at path into the cache (reporting how many) and from then
+// on appends each new result to that file. The cache key is computed from the
+// record's own key and seed, so the file may equally have been written by a
+// sweep's -journal, and a sweep can take this file as its journal. It is an
+// error to open a second store.
+func (c *Coordinator) OpenStore(path string) (loaded int, err error) {
+	recs, err := engine.ReadJournal(path)
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.store != nil {
+		return 0, fmt.Errorf("fabric: result store already open")
+	}
+	if c.store, err = engine.OpenJournal(path); err != nil {
+		return 0, err
+	}
+	for _, rec := range recs {
+		var pr harness.PointResult
+		if json.Unmarshal(rec.Value, &pr) != nil {
+			continue // not a point result: recompute, as the engine would
+		}
+		c.cache[Fingerprint(rec.Key, rec.Seed)] = pr
+		loaded++
+	}
+	return loaded, nil
+}
+
+// Close stops the lease sweeper and closes the store. In-flight Execute
+// calls still settle, from memory only — close after the last sweep returns
+// if every result is to reach the disk.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.done:
 	default:
 		close(c.done)
+		c.mu.Lock()
+		if c.store != nil {
+			c.store.Close()
+		}
+		c.mu.Unlock()
 	}
 }
 
@@ -230,6 +273,16 @@ func (c *Coordinator) runLocalLocked(u *unit) {
 func (c *Coordinator) settleLocked(u *unit, pr harness.PointResult, err error) {
 	if err == nil {
 		c.cache[u.wu.Fingerprint] = pr
+		if c.store != nil {
+			// A dead store must not fail the point: count it, serve from memory.
+			raw, err := json.Marshal(pr)
+			if err == nil {
+				err = c.store.Append(engine.JournalRecord{Key: u.wu.Key, Seed: u.wu.Seed, Value: raw})
+			}
+			if err != nil {
+				c.storeErrors.Add(1)
+			}
+		}
 	}
 	delete(c.units, u.wu.Fingerprint)
 	for _, ch := range u.waiters {
@@ -385,6 +438,7 @@ type Stats struct {
 	DuplicateResults  int64 `json:"duplicate_results"`
 	QueueFull         int64 `json:"queue_full"`
 	WorkerErrors      int64 `json:"worker_errors"`
+	StoreErrors       int64 `json:"store_errors"`
 }
 
 // Stats gathers the current snapshot.
@@ -418,6 +472,7 @@ func (c *Coordinator) Stats() Stats {
 	st.DuplicateResults = c.dupResults.Load()
 	st.QueueFull = c.queueFull.Load()
 	st.WorkerErrors = c.workerErrors.Load()
+	st.StoreErrors = c.storeErrors.Load()
 	return st
 }
 

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -350,5 +352,81 @@ func TestRateLimiterTokenBucket(t *testing.T) {
 	var nilL *RateLimiter
 	if ok, _ := nilL.Allow("anyone"); !ok {
 		t.Fatal("nil limiter must admit")
+	}
+}
+
+// TestStoreOutlivesCoordinator: after OpenStore every settled result — local
+// or uploaded — is on disk under its (key, seed), a second coordinator on the
+// same file serves it without running anything, and a store that stops
+// taking writes costs durability only, never the result.
+func TestStoreOutlivesCoordinator(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	poison := func() (harness.PointResult, error) { panic("ran a stored point") }
+
+	c1 := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
+	if n, err := c1.OpenStore(path); err != nil || n != 0 {
+		t.Fatalf("OpenStore on a missing file: loaded %d, err %v", n, err)
+	}
+	tk1, ps1 := task(1)
+	if _, err := c1.Execute(tk1, ps1, func() (harness.PointResult, error) { return resultFor(1), nil }); err != nil {
+		t.Fatal(err)
+	}
+	// The second result arrives as a worker upload.
+	c1.Heartbeat("w1", nil)
+	tk2, ps2 := task(2)
+	done := make(chan error, 1)
+	go func() { _, err := c1.Execute(tk2, ps2, poison); done <- err }()
+	var wu *WorkUnit
+	for deadline := time.Now().Add(5 * time.Second); wu == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("unit never became leasable")
+		}
+		wu = c1.Lease("w1")
+	}
+	res := resultFor(2)
+	c1.Deliver(ResultUpload{Worker: "w1", Fingerprint: wu.Fingerprint, Key: wu.Key, Result: &res})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	c1.Close()
+
+	c2 := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
+	defer c2.Close()
+	if n, err := c2.OpenStore(path); err != nil || n != 2 {
+		t.Fatalf("OpenStore after restart: loaded %d, err %v, want 2", n, err)
+	}
+	if _, err := c2.OpenStore(path); err == nil {
+		t.Fatal("second OpenStore must be refused")
+	}
+	for i, tk := range []harness.PointTask{tk1, tk2} {
+		pr, err := c2.Execute(tk, ps1, poison)
+		if err != nil || pr != resultFor(i+1) {
+			t.Fatalf("unit %d from the store: %+v, err %v", i+1, pr, err)
+		}
+	}
+	// Same key under another seed is another result, not a hit.
+	other := tk1
+	other.Seed++
+	if pr, err := c2.Execute(other, ps1, func() (harness.PointResult, error) { return resultFor(9), nil }); err != nil || pr != resultFor(9) {
+		t.Fatalf("same key, other seed: %+v, err %v", pr, err)
+	}
+	if st := c2.Stats(); st.CacheHits != 2 || st.LocalRuns != 1 || st.StoreErrors != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+
+	// The store dies under the coordinator. (Removing its directory is not
+	// enough to see that on Linux — the open descriptor outlives the unlink —
+	// so the descriptor goes too.)
+	os.RemoveAll(filepath.Dir(path))
+	c2.store.Close()
+	tk3, ps3 := task(3)
+	for range 2 {
+		pr, err := c2.Execute(tk3, ps3, func() (harness.PointResult, error) { return resultFor(3), nil })
+		if err != nil || pr != resultFor(3) {
+			t.Fatalf("point over a dead store: %+v, err %v", pr, err)
+		}
+	}
+	if st := c2.Stats(); st.StoreErrors != 1 || st.CacheHits != 3 {
+		t.Fatalf("dead store: %+v, want store_errors 1 and the repeat served from memory", st)
 	}
 }

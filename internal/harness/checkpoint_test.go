@@ -52,7 +52,6 @@ func TestCheckpointResumeIdenticalCSV(t *testing.T) {
 	opts := RunOptions{
 		Parallel:        1,
 		Journal:         filepath.Join(dir, "journal.jsonl"),
-		Resume:          true,
 		CheckpointEvery: 300,
 		CheckpointDir:   filepath.Join(dir, "ckpt"),
 	}
@@ -114,7 +113,6 @@ func TestCheckpointKillDuringWarmup(t *testing.T) {
 	opts := RunOptions{
 		Parallel:        1,
 		Journal:         filepath.Join(dir, "journal.jsonl"),
-		Resume:          true,
 		CheckpointEvery: 150, // first save lands at cycle 150 < Warmup 400
 		CheckpointDir:   filepath.Join(dir, "ckpt"),
 	}
@@ -157,7 +155,6 @@ func TestCheckpointShardedKernel(t *testing.T) {
 	opts := RunOptions{
 		Parallel:        1,
 		Journal:         filepath.Join(dir, "journal.jsonl"),
-		Resume:          true,
 		CheckpointEvery: 300,
 		CheckpointDir:   filepath.Join(dir, "ckpt"),
 	}

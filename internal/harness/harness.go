@@ -134,9 +134,10 @@ type RunOptions struct {
 	// Retries is how many extra attempts a failing point gets.
 	Retries int
 	// Journal, when non-empty, checkpoints completed points to this JSONL
-	// file; Resume replays it so a killed sweep restarts where it left off.
+	// file and replays it first, so a killed sweep restarts where it left
+	// off (see engine.Config.Journal). The point key pins the whole spec, so
+	// any number of sweeps can share one file.
 	Journal string
-	Resume  bool
 	// CheckpointEvery, when positive and CheckpointDir is set, snapshots
 	// every in-progress point's complete simulation state each time that
 	// many cycles (warm-up plus measurement) elapse. A killed sweep then
@@ -240,7 +241,6 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 		Seed:    s.Seed,
 		Retries: opts.Retries,
 		Journal: opts.Journal,
-		Resume:  opts.Resume,
 		Metrics: opts.Metrics,
 		Stop:    opts.Stop,
 		OnDone: func(st engine.Status, jr engine.JobResult[PointResult]) {

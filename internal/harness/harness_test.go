@@ -299,7 +299,7 @@ func TestResumeFromJournalEqualsUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, rep, err := tinySpec().RunWith(RunOptions{Parallel: 4, Journal: journal, Resume: true})
+	resumed, rep, err := tinySpec().RunWith(RunOptions{Parallel: 4, Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ package jobserver
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -151,7 +150,7 @@ type Server struct {
 
 	// fleet executes every sweep point; ownFleet marks the private
 	// coordinator built when Options.Fleet was nil (never mounted, closed
-	// with the server).
+	// when the runner exits).
 	fleet    *fabric.Coordinator
 	ownFleet bool
 	limiter  *fabric.RateLimiter
@@ -179,15 +178,17 @@ type Options struct {
 	// QueueDepth bounds the number of jobs waiting to run (submissions
 	// beyond it get 503); 0 means 64.
 	QueueDepth int
-	// DataDir, when non-empty, makes jobs durable: every sweep keeps a
-	// point-granularity journal there, keyed by a hash of the request, so a
-	// killed server that is restarted with the same DataDir resumes an
-	// identical resubmitted request where it left off instead of recomputing
-	// finished points. The directory is created if missing.
+	// DataDir, when non-empty, makes results durable: the coordinator's
+	// result cache is kept in DataDir/results.jsonl (see
+	// fabric.Coordinator.OpenStore), so a server restarted on the same DataDir
+	// serves every point any earlier job finished — whichever request asked
+	// for it, however it was phrased — and computes only the rest. The file
+	// is an engine journal: a disha-sweep -journal file can be dropped in, and
+	// this one handed to disha-sweep. The directory is created if missing.
 	DataDir string
 	// CheckpointEvery additionally snapshots each in-progress point's full
-	// simulation state to DataDir every that many cycles, so resumption is
-	// mid-point, not just between points (see harness.RunOptions). It is
+	// simulation state to DataDir/ckpt every that many cycles, so resumption
+	// is mid-point, not just between points (see harness.RunOptions). It is
 	// ignored without DataDir; 0 disables mid-point checkpointing.
 	CheckpointEvery int
 	// Fleet is the coordinator every sweep point executes through: points
@@ -206,7 +207,7 @@ type Options struct {
 }
 
 // NewWithOptions starts a job server with full configuration; it fails only
-// when a requested DataDir cannot be created.
+// when a requested DataDir cannot be created or its result store not opened.
 func NewWithOptions(opts Options) (*Server, error) {
 	queueDepth := opts.QueueDepth
 	if queueDepth <= 0 {
@@ -232,6 +233,14 @@ func NewWithOptions(opts Options) (*Server, error) {
 	if s.ownFleet {
 		s.fleet = fabric.NewCoordinator(fabric.CoordinatorOptions{})
 	}
+	if s.dataDir != "" {
+		if _, err := s.fleet.OpenStore(filepath.Join(s.dataDir, "results.jsonl")); err != nil {
+			if s.ownFleet {
+				s.fleet.Close()
+			}
+			return nil, fmt.Errorf("jobserver: %w", err)
+		}
+	}
 	if opts.RateLimit > 0 {
 		burst := float64(opts.RateBurst)
 		if burst <= 0 {
@@ -255,34 +264,17 @@ func NewWithOptions(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// requestHash derives the stable on-disk identity of a sweep request from
-// its canonical JSON encoding: identical requests share journal and
-// checkpoint files, different requests can never collide on them.
-func requestHash(req SweepRequest) string {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		// Unreachable: SweepRequest is plain data.
-		panic(err)
-	}
-	sum := sha256.Sum256(raw)
-	return fmt.Sprintf("%x", sum[:8])
-}
-
 // Close stops the runner after the in-flight job (if any) finishes. Submits
 // after Close fail with 503.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.done)
-		if s.ownFleet {
-			s.fleet.Close()
-		}
-	})
+	s.closeOnce.Do(func() { close(s.done) })
 }
 
 // Drain gracefully shuts the server down: new submissions are refused with
 // 503 (Retry-After set), the in-flight sweep is drained — points already
-// executing finish, everything not yet dispatched is aborted and left for a
-// journal resume — and Drain returns once the runner is idle or ctx expires.
+// executing finish (and reach the result store), everything not yet
+// dispatched is aborted and left for a resubmission — and Drain returns once
+// the runner is idle or ctx expires.
 // It is safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
@@ -304,6 +296,11 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 func (s *Server) runner() {
 	defer close(s.runnerDone)
+	if s.ownFleet {
+		// Closed only here, behind the last job: closing it with the server
+		// would shut the store under the points a drain lets finish.
+		defer s.fleet.Close()
+	}
 	for {
 		select {
 		case <-s.done:
@@ -343,14 +340,11 @@ func (s *Server) runJob(id string) {
 			}, local)
 		},
 	}
-	if s.dataDir != "" {
-		h := requestHash(req)
-		opts.Journal = filepath.Join(s.dataDir, "sweep-"+h+".jsonl")
-		opts.Resume = true
-		if s.checkpointEvery > 0 {
-			opts.CheckpointEvery = s.checkpointEvery
-			opts.CheckpointDir = filepath.Join(s.dataDir, "ckpt-"+h)
-		}
+	if s.dataDir != "" && s.checkpointEvery > 0 {
+		// One directory for every job: a checkpoint file is named by, and
+		// verified against, its point key.
+		opts.CheckpointEvery = s.checkpointEvery
+		opts.CheckpointDir = filepath.Join(s.dataDir, "ckpt")
 	}
 	opts.Status = func(st engine.Status) {
 		s.mu.Lock()
@@ -379,9 +373,9 @@ func (s *Server) runJob(id string) {
 		j.status.Error = err.Error()
 		s.failed.Add(1)
 	case report != nil && report.Aborted > 0:
-		// Drained mid-sweep: the journal holds every finished point, so
-		// resubmitting the same request after a restart resumes where we
-		// stopped. Mark the job failed so clients notice it is incomplete.
+		// Drained mid-sweep: the result store holds every finished point, so
+		// resubmitting the request after a restart computes only the rest.
+		// Mark the job failed so clients notice it is incomplete.
 		j.status.State = "failed"
 		j.status.Error = fmt.Sprintf("drained by shutdown with %d of %d points pending", report.Aborted, report.Total)
 		s.failed.Add(1)
@@ -449,8 +443,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Numbers that cannot describe a sweep are refused, not read as defaults:
-	// a negative count would still change requestHash, and the job list is
-	// built before anything runs, so its size is bounded here.
+	// the job list is built before anything runs, so its size is bounded here.
 	for _, f := range []struct {
 		name string
 		v    int

@@ -146,70 +146,6 @@ func (s Summary) String() string {
 		s.Count, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.P99, s.Max)
 }
 
-// Histogram counts samples into uniform-width buckets over [lo, hi); values
-// outside the range land in the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	count   int64
-}
-
-// NewHistogram builds a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.count++
-}
-
-// Count returns total samples recorded.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
-
-// Render draws a simple ASCII bar chart, one line per bucket.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	var max int64 = 1
-	for _, b := range h.buckets {
-		if b > max {
-			max = b
-		}
-	}
-	var sb strings.Builder
-	for i, b := range h.buckets {
-		lo, hi := h.BucketBounds(i)
-		bar := strings.Repeat("#", int(float64(width)*float64(b)/float64(max)))
-		fmt.Fprintf(&sb, "[%8.1f,%8.1f) %8d %s\n", lo, hi, b, bar)
-	}
-	return sb.String()
-}
-
 // --- Mean ± confidence interval ------------------------------------------------
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -241,22 +177,6 @@ func CI95(xs []float64) float64 {
 	}
 	s := math.Sqrt(ss / float64(n-1))
 	return TQuantile95(n-1) * s / math.Sqrt(float64(n))
-}
-
-// MeanCI is a mean with its 95% confidence halfwidth.
-type MeanCI struct {
-	Mean float64
-	CI95 float64
-}
-
-// MeanCI95 summarizes xs as mean ± 95% CI.
-func MeanCI95(xs []float64) MeanCI {
-	return MeanCI{Mean: Mean(xs), CI95: CI95(xs)}
-}
-
-// String renders the estimate as "mean ± half-width".
-func (m MeanCI) String() string {
-	return fmt.Sprintf("%.2f ± %.2f", m.Mean, m.CI95)
 }
 
 // TQuantile95 returns the two-sided 95% Student-t quantile for df degrees of

@@ -45,17 +45,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind maps a kind's string form (as emitted in JSONL event lines)
-// back to the Kind, reporting whether the name is known.
-func ParseKind(s string) (Kind, bool) {
-	for i, name := range kindNames {
-		if name == s {
-			return Kind(i), true
-		}
-	}
-	return 0, false
-}
-
 // KindStrings returns every kind's string form in canonical (declaration)
 // order, for tools that render per-kind summaries.
 func KindStrings() []string {
