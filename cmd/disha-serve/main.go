@@ -154,6 +154,11 @@ func main() {
 		if err := srv.Drain(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "disha-serve:", err)
 		}
+		if coord != nil {
+			// Idle workers are parked in /fleet/lease for up to half a lease
+			// TTL, and Shutdown waits for handlers: answer them now.
+			coord.Close()
+		}
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "disha-serve: shutdown:", err)
 		}

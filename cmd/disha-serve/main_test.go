@@ -177,9 +177,10 @@ func build(t *testing.T) (serveBin, workerBin string) {
 // TestServeAndWorkerProcesses drives the two serving binaries as processes.
 // A -fleet server with one disha-worker serves a Figure 4 sweep whose CSV is
 // byte-identical to the same sweep run in-process, every point having run on
-// the worker; both drain and exit 0 on SIGTERM. A server without -fleet
-// serves the same bytes and does not expose /fleet/. The port is the one
-// the server printed, which is the only way to find a ":0" listener.
+// the worker; both drain and exit 0 on SIGTERM. A server at the default
+// lease TTL exits as fast with an idle worker parked on it. A server without
+// -fleet serves the same bytes and does not expose /fleet/. The port is the
+// one the server printed, which is the only way to find a ":0" listener.
 func TestServeAndWorkerProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test running real simulation points")
@@ -197,7 +198,6 @@ func TestServeAndWorkerProcesses(t *testing.T) {
 	}
 	want, points := direct.CSV(), int64(len(spec.Algs)*len(spec.Loads))
 
-	// A short lease TTL makes the idle worker poll every 100 ms.
 	server, base := serve(t, serveBin, "-fleet", "-lease-ttl", "1s")
 	worker := start(t, workerBin, "-coordinator", base+"/fleet", "-id", "w1")
 	var fs fabric.Stats
@@ -212,6 +212,21 @@ func TestServeAndWorkerProcesses(t *testing.T) {
 		t.Fatalf("want all %d points run by the worker: %+v", points, fs)
 	}
 	server.terminate(t)
+	worker.terminate(t)
+
+	// At the default TTL an idle worker's lease request is held for 7.5 s;
+	// the drain must answer it, not wait it out.
+	server, base = serve(t, serveBin, "-fleet")
+	worker = start(t, workerBin, "-coordinator", base+"/fleet", "-id", "w2")
+	waitFor(t, "the worker to park", func() bool {
+		get(t, base+"/fleet/status", &fs)
+		return fs.LeaseWaiters == 1
+	})
+	sigterm := time.Now()
+	server.terminate(t)
+	if took := time.Since(sigterm); took > 2*time.Second {
+		t.Fatalf("server with a parked idle worker took %v to exit, want < 2s:\n%s", took, server.stderr)
+	}
 	worker.terminate(t)
 
 	plain, base := serve(t, serveBin)

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -53,6 +54,7 @@ type unit struct {
 	state   unitState
 	worker  string    // lease holder when leased
 	expires time.Time // lease expiry when leased
+	queued  time.Time // when it last became pending
 	ckpt    []byte    // latest checkpoint blob streamed by a lease holder
 }
 
@@ -69,6 +71,11 @@ type Coordinator struct {
 	cache   map[string]harness.PointResult
 	store   *engine.Journal      // the cache on disk; nil until OpenStore
 	workers map[string]time.Time // worker id -> last contact
+	// wake is closed, and replaced, whenever a unit becomes pending: every
+	// lease request parked in LeaseWait holds the channel it read under mu.
+	wake         chan struct{}
+	leaseWaiters int                  // requests parked in LeaseWait now
+	queueWait    *telemetry.Histogram // seconds a unit spent pending before its lease
 
 	cacheHits    atomic.Int64
 	cacheMisses  atomic.Int64
@@ -100,7 +107,11 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		units:   make(map[string]*unit),
 		cache:   make(map[string]harness.PointResult),
 		workers: make(map[string]time.Time),
-		done:    make(chan struct{}),
+		wake:    make(chan struct{}),
+		// 100 µs .. ~13 s: a parked worker takes a unit in well under a
+		// millisecond, a saturated fleet holds it for many point run times.
+		queueWait: telemetry.NewHistogram(telemetry.ExponentialBuckets(100e-6, 2, 18)),
+		done:      make(chan struct{}),
 	}
 	go c.sweeper()
 	return c
@@ -134,6 +145,20 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc("fleet_duplicate_results_total", "result uploads for already-settled units", nil, c.dupResults.Load)
 		reg.CounterFunc("fleet_worker_errors_total", "worker-side execution failures uploaded", nil, c.workerErrors.Load)
 		reg.CounterFunc("fleet_store_errors_total", "results served from memory whose append to the on-disk store failed", nil, c.storeErrors.Load)
+		// A registry renders its histograms without a lock, so units are
+		// observed into c.queueWait under c.mu and this gauge, evaluated by
+		// whichever goroutine renders and just ahead of the histogram's own
+		// lines, moves them into the registered one.
+		var queueSeconds *telemetry.Histogram
+		reg.GaugeFunc("fleet_lease_waiters", "lease requests parked until a unit is pending", nil,
+			func() float64 {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				queueSeconds.Merge(c.queueWait) // same bounds: cannot fail
+				c.queueWait.Reset()
+				return float64(c.leaseWaiters)
+			})
+		queueSeconds = reg.Histogram("fleet_unit_queue_seconds", "time a work unit waited in the queue before a worker leased it", nil, c.queueWait.Bounds())
 	}
 }
 
@@ -167,9 +192,10 @@ func (c *Coordinator) OpenStore(path string) (loaded int, err error) {
 	return loaded, nil
 }
 
-// Close stops the lease sweeper and closes the store. In-flight Execute
-// calls still settle, from memory only — close after the last sweep returns
-// if every result is to reach the disk.
+// Close stops the lease sweeper, answers every parked lease request empty
+// and closes the store. In-flight Execute calls still settle, from memory
+// only — close after the last sweep returns if every result is to reach the
+// disk.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.done:
@@ -238,8 +264,7 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 			c.queueFull.Add(1)
 			c.runLocalLocked(u)
 		default:
-			u.state = unitPending
-			c.queue = append(c.queue, fp)
+			c.enqueueLocked(u)
 		}
 	}
 	ch := make(chan unitResult, 1)
@@ -291,13 +316,29 @@ func (c *Coordinator) settleLocked(u *unit, pr harness.PointResult, err error) {
 	u.waiters = nil
 }
 
+// enqueueLocked makes a unit pending and wakes every parked lease request.
+// Caller holds c.mu.
+func (c *Coordinator) enqueueLocked(u *unit) {
+	u.state = unitPending
+	u.worker = ""
+	u.queued = time.Now()
+	c.queue = append(c.queue, u.wu.Fingerprint)
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
 // Lease hands the next pending unit to a worker, starting its TTL clock.
 // It returns nil when nothing is pending. Any contact marks the worker
 // live.
 func (c *Coordinator) Lease(workerID string) *WorkUnit {
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(workerID)
+}
+
+// leaseLocked is Lease for a caller that holds c.mu.
+func (c *Coordinator) leaseLocked(workerID string) *WorkUnit {
+	now := time.Now()
 	c.workers[workerID] = now
 	for len(c.queue) > 0 {
 		fp := c.queue[0]
@@ -310,9 +351,59 @@ func (c *Coordinator) Lease(workerID string) *WorkUnit {
 		u.worker = workerID
 		u.expires = now.Add(c.opts.LeaseTTL)
 		u.wu.Attempt++
+		c.queueWait.Observe(now.Sub(u.queued).Seconds())
 		wu := u.wu
 		wu.Checkpoint = u.ckpt
 		return &wu
+	}
+	return nil
+}
+
+// leaseHold is how long LeaseWait parks a request with nothing to hand out:
+// under the liveness window, so an idle parked worker never reads as dead,
+// and under the worker client's 30 s request timeout.
+func (c *Coordinator) leaseHold() time.Duration {
+	return min(c.opts.LeaseTTL/2, 10*time.Second)
+}
+
+// LeaseWait is Lease for a worker that can wait: with nothing pending it
+// parks until a unit is enqueued, and returns nil once leaseHold has passed,
+// ctx is done or the coordinator is closed. POST /fleet/lease calls it.
+func (c *Coordinator) LeaseWait(ctx context.Context, workerID string) *WorkUnit {
+	hold := time.NewTimer(c.leaseHold())
+	defer hold.Stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// A request that was canceled while parked must not take the unit that
+	// woke it: nobody is left to run it.
+	for ctx.Err() == nil {
+		if wu := c.leaseLocked(workerID); wu != nil {
+			return wu
+		}
+		// Read under the lock that saw the queue empty: an enqueue from here
+		// on closes this very channel.
+		wake := c.wake
+		c.leaseWaiters++
+		c.mu.Unlock()
+		var woken, held bool
+		select {
+		case <-wake:
+			woken = true
+		case <-hold.C:
+			held = true
+		case <-ctx.Done():
+		case <-c.done:
+		}
+		c.mu.Lock()
+		c.leaseWaiters--
+		if held {
+			// The empty reply is a contact too: the worker is live from now,
+			// not from when it started waiting.
+			c.workers[workerID] = time.Now()
+		}
+		if !woken {
+			return nil
+		}
 	}
 	return nil
 }
@@ -348,9 +439,12 @@ func (c *Coordinator) StoreCheckpoint(workerID, fp string, blob []byte) {
 
 // Deliver accepts a worker's result upload. Because every unit is a pure
 // function of (key, seed), the first result to arrive is authoritative;
-// late duplicates from presumed-dead workers are counted and dropped. A
-// worker-side error re-queues the unit until MaxAttempts dispatches have
-// been spent, then falls back to local execution.
+// late duplicates from presumed-dead workers are counted and dropped. An
+// error from the worker holding the lease re-queues the unit until
+// MaxAttempts dispatches have been spent, then falls back to local
+// execution; an error from anyone else is as stale as a late duplicate — the
+// unit is pending, running locally or leased to another worker — and must
+// not put a second copy of it in the queue.
 func (c *Coordinator) Deliver(up ResultUpload) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,9 +453,11 @@ func (c *Coordinator) Deliver(up ResultUpload) {
 	switch {
 	case !ok:
 		c.dupResults.Add(1)
-	case up.Error != "":
+	case up.Error != "" && u.state == unitLeased && u.worker == up.Worker:
 		c.workerErrors.Add(1)
 		c.redispatchLocked(u)
+	case up.Error != "":
+		c.dupResults.Add(1)
 	case up.Result != nil:
 		c.settleLocked(u, *up.Result, nil)
 		c.remoteRuns.Add(1)
@@ -376,9 +472,7 @@ func (c *Coordinator) redispatchLocked(u *unit) {
 		c.runLocalLocked(u)
 		return
 	}
-	u.state = unitPending
-	u.worker = ""
-	c.queue = append(c.queue, u.wu.Fingerprint)
+	c.enqueueLocked(u)
 }
 
 // sweeper is the recovery loop: it expires dead leases (re-dispatching
@@ -427,6 +521,7 @@ type Stats struct {
 	WorkersLive       int   `json:"workers_live"`
 	LeasesOutstanding int   `json:"leases_outstanding"`
 	QueueDepth        int   `json:"queue_depth"`
+	LeaseWaiters      int   `json:"lease_waiters"` // requests parked in LeaseWait now
 	UnitsInFlight     int   `json:"units_in_flight"`
 	CacheSize         int   `json:"cache_size"`
 	CacheHits         int64 `json:"cache_hits"`
@@ -459,6 +554,7 @@ func (c *Coordinator) Stats() Stats {
 		WorkersLive:       c.liveWorkersLocked(now),
 		LeasesOutstanding: leased,
 		QueueDepth:        pending,
+		LeaseWaiters:      c.leaseWaiters,
 		UnitsInFlight:     len(c.units),
 		CacheSize:         len(c.cache),
 	}

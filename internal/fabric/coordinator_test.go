@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -258,6 +261,52 @@ func TestWorkerErrorsExhaustAttemptsThenRunLocally(t *testing.T) {
 	}
 }
 
+// TestStaleErrorUploadDoesNotRequeue: a presumed-dead worker's late error is
+// as stale as its late result would be. The unit is another worker's by then
+// and must neither go back to the queue nor spend a dispatch attempt.
+func TestStaleErrorUploadDoesNotRequeue(t *testing.T) {
+	const ttl = 5 * time.Second
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl})
+	defer c.Close()
+	c.Heartbeat("wA", nil)
+	c.Heartbeat("wB", nil)
+
+	tk, ps := task(7)
+	done := make(chan harness.PointResult, 1)
+	go func() {
+		pr, err := c.Execute(tk, ps, mustNotRunLocally(t))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- pr
+	}()
+	wu := c.LeaseWait(context.Background(), "wA")
+	if wu == nil {
+		t.Fatal("unit never became leasable")
+	}
+	c.sweep(time.Now().Add(ttl + time.Millisecond)) // wA's lease runs out
+	re := c.Lease("wB")
+	if re == nil || re.Fingerprint != wu.Fingerprint || re.Attempt != 2 {
+		t.Fatalf("re-dispatch to wB: %+v", re)
+	}
+
+	c.Deliver(ResultUpload{Worker: "wA", Fingerprint: wu.Fingerprint, Key: wu.Key, Error: "late failure on a lost lease"})
+	if st := c.Stats(); st.QueueDepth != 0 || st.LeasesOutstanding != 1 || st.DuplicateResults != 1 || st.WorkerErrors != 0 {
+		t.Fatalf("stale error disturbed wB's lease: %+v", st)
+	}
+	if drop := c.Heartbeat("wB", []string{wu.Fingerprint}); len(drop) != 0 {
+		t.Fatalf("wB told to drop %v", drop)
+	}
+	res := resultFor(7)
+	c.Deliver(ResultUpload{Worker: "wB", Fingerprint: re.Fingerprint, Key: re.Key, Result: &res})
+	if pr := <-done; pr.MeanLatency != 107 {
+		t.Fatalf("waiter got %+v", pr)
+	}
+	if st := c.Stats(); st.RemoteRuns != 1 || st.Redispatches != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second, MaxQueue: 1})
 	defer c.Close()
@@ -305,7 +354,7 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 
 func TestFleetMetricsRegistered(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Second})
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 10 * time.Second})
 	defer c.Close()
 	c.RegisterMetrics(reg)
 	names := reg.Names()
@@ -313,6 +362,7 @@ func TestFleetMetricsRegistered(t *testing.T) {
 		"fleet_workers_live", "fleet_leases_outstanding", "fleet_queue_depth",
 		"fleet_cache_hit_rate", "fleet_cache_hits_total", "fleet_cache_misses_total",
 		"fleet_redispatch_total", "fleet_remote_runs_total", "fleet_local_runs_total",
+		"fleet_lease_waiters", "fleet_unit_queue_seconds",
 	}
 	have := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -323,6 +373,29 @@ func TestFleetMetricsRegistered(t *testing.T) {
 			t.Fatalf("metric %s not registered (have %v)", n, names)
 		}
 	}
+
+	// One unit waits for its lease behind one parked request; every render
+	// after that shows the one observation, and no request parked any more.
+	leased := make(chan *WorkUnit, 1)
+	go func() { leased <- c.LeaseWait(context.Background(), "w1") }()
+	eventually(t, "the request to park", func() bool { return c.Stats().LeaseWaiters == 1 })
+	var text bytes.Buffer
+	reg.WriteText(&text)
+	if !strings.Contains(text.String(), "fleet_lease_waiters 1\n") || !strings.Contains(text.String(), "fleet_unit_queue_seconds_count 0\n") {
+		t.Fatalf("render with a parked request and nothing leased yet:\n%s", text.String())
+	}
+	tk, ps := task(8)
+	go c.Execute(tk, ps, func() (harness.PointResult, error) { return resultFor(8), nil })
+	wu := <-leased
+	for range 2 {
+		text.Reset()
+		reg.WriteText(&text)
+		if !strings.Contains(text.String(), "fleet_lease_waiters 0\n") || !strings.Contains(text.String(), "fleet_unit_queue_seconds_count 1\n") {
+			t.Fatalf("render after the lease:\n%s", text.String())
+		}
+	}
+	res := resultFor(8)
+	c.Deliver(ResultUpload{Worker: "w1", Fingerprint: wu.Fingerprint, Result: &res})
 }
 
 func TestRateLimiterTokenBucket(t *testing.T) {

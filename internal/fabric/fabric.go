@@ -13,6 +13,12 @@
 // carries the last blob so the next worker resumes mid-flight rather than
 // from scratch.
 //
+// The time-out is for the rare case only. Handing out work waits on no
+// timer: an idle worker's lease request is held open by the coordinator and
+// answered the moment a unit becomes pending (or empty once the hold — half
+// a lease TTL, at most 10 s, so a parked worker is never presumed dead —
+// runs out, and the worker asks again).
+//
 // Correctness rests on the engine's determinism contract (PR 2): a point's
 // result is a pure function of its job key and derived seed, so it does not
 // matter which worker runs it, how often it is re-dispatched, or whether a
@@ -25,8 +31,8 @@
 //
 // Coordinator HTTP API (mounted under /fleet/ by the job server):
 //
-//	POST /fleet/register    worker announces itself -> lease TTL, poll/heartbeat cadence
-//	POST /fleet/lease       acquire the next work unit (204 when none pending)
+//	POST /fleet/register    worker announces itself -> lease TTL, hold, poll/heartbeat cadence
+//	POST /fleet/lease       acquire the next work unit; held open until one is pending (204 once the hold elapses)
 //	POST /fleet/heartbeat   renew held leases; response lists leases to drop
 //	POST /fleet/result      upload a finished point (or a worker-side error)
 //	POST /fleet/checkpoint  stream a mid-point checkpoint blob
@@ -105,8 +111,14 @@ type RegisterRequest struct {
 type RegisterResponse struct {
 	// LeaseTTLSeconds is how long a lease stays valid without a heartbeat.
 	LeaseTTLSeconds float64 `json:"lease_ttl_seconds"`
-	// PollSeconds is the idle polling cadence for lease acquisition.
+	// PollSeconds is the minimum spacing of empty lease replies: a worker
+	// told "nothing pending" asks again no sooner than this after it last
+	// asked, and waits this long after a failed request.
 	PollSeconds float64 `json:"poll_seconds"`
+	// HoldSeconds is how long the coordinator holds a lease request open
+	// when nothing is pending before it answers empty (0 from a coordinator
+	// that does not hold requests).
+	HoldSeconds float64 `json:"hold_seconds,omitempty"`
 	// HeartbeatSeconds is how often a busy worker must renew its leases.
 	HeartbeatSeconds float64 `json:"heartbeat_seconds"`
 	// CheckpointEvery, when positive, asks workers to checkpoint in-progress
@@ -119,8 +131,9 @@ type LeaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// LeaseResponse carries at most one work unit (nil means nothing pending;
-// the endpoint then responds 204 with no body).
+// LeaseResponse carries at most one work unit (nil means nothing became
+// pending while the request was held; the endpoint then responds 204 with
+// no body).
 type LeaseResponse struct {
 	Unit *WorkUnit `json:"unit,omitempty"`
 }

@@ -69,6 +69,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		LeaseTTLSeconds:  c.opts.LeaseTTL.Seconds(),
 		PollSeconds:      max(c.opts.LeaseTTL/10, 100*time.Millisecond).Seconds(),
+		HoldSeconds:      c.leaseHold().Seconds(),
 		HeartbeatSeconds: (c.opts.LeaseTTL / 3).Seconds(),
 		CheckpointEvery:  c.opts.CheckpointEvery,
 	})
@@ -83,7 +84,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "lease: empty worker id")
 		return
 	}
-	wu := c.Lease(req.Worker)
+	wu := c.LeaseWait(r.Context(), req.Worker)
 	if wu == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return

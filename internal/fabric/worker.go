@@ -154,8 +154,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-time.After(time.Second):
 		}
 	}
-	w.logf("registered with %s (lease ttl %.1fs, poll %.1fs, parallel %d)",
-		w.opts.Coordinator, w.reg.LeaseTTLSeconds, w.reg.PollSeconds, w.opts.Parallel)
+	w.logf("registered with %s (lease ttl %.1fs, poll %.1fs, hold %.1fs)",
+		w.opts.Coordinator, w.reg.LeaseTTLSeconds, w.reg.PollSeconds, w.reg.HoldSeconds)
 
 	// Background heartbeat: renews every held lease at the advertised
 	// cadence so a busy worker's leases never expire under it.
@@ -209,7 +209,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// leaseLoop is one execution slot: lease, execute, upload, repeat.
+// leaseLoop is one execution slot: lease, execute, upload, repeat. The
+// coordinator holds an empty lease request until it has a unit, so the slot
+// normally asks again the moment an empty reply arrives; PollSeconds only
+// spaces out empty replies that come back at once (a coordinator that is
+// closing) and requests that fail.
 func (w *Worker) leaseLoop(ctx context.Context, ckptDir string) {
 	poll := time.Duration(w.reg.PollSeconds * float64(time.Second))
 	if poll <= 0 {
@@ -220,6 +224,7 @@ func (w *Worker) leaseLoop(ctx context.Context, ckptDir string) {
 			return
 		}
 		var lease LeaseResponse
+		sent := time.Now()
 		got, err := w.post(ctx, "/lease", LeaseRequest{Worker: w.opts.ID}, &lease)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -227,12 +232,13 @@ func (w *Worker) leaseLoop(ctx context.Context, ckptDir string) {
 			}
 			w.logf("lease: %v", err)
 			got = false
+			sent = time.Now() // a failure backs off for the whole interval
 		}
 		if !got || lease.Unit == nil {
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(poll):
+			case <-time.After(poll - time.Since(sent)):
 			}
 			continue
 		}
