@@ -7,13 +7,10 @@
 //
 // The two sides share the base flags; -a and -b apply comma-separated
 // key=value overrides on top, where a key is any simulation flag, by name
-// (the flags disha-sim shares: -topo, -alg, -load, -shards, ...):
+// (the flags disha-sim shares: -topo, -alg, -load, -vcs, ...):
 //
 //	# when does misrouting first change global state?
 //	disha-bisect -radix 8 -load 0.7 -cycles 5000 -a misroutes=0 -b misroutes=3
-//
-//	# prove the sharded kernel is digest-invariant (expect "identical")
-//	disha-bisect -cycles 2000 -a shards=1 -b shards=4
 //
 //	# recovery-mode comparison at a fine granularity
 //	disha-bisect -load 0.9 -a recovery=sequential -b recovery=abort-retry -granularity 64
@@ -84,10 +81,8 @@ func main() {
 
 	simA, err := buildSim(cfgA)
 	fail(err)
-	defer simA.Close()
 	simB, err := buildSim(cfgB)
 	fail(err)
-	defer simB.Close()
 	arm(simA)
 	arm(simB)
 
@@ -133,10 +128,8 @@ func main() {
 	// snapshots, and single-step to the first cycle whose digests differ.
 	simA2, err := buildSim(cfgA)
 	fail(err)
-	defer simA2.Close()
 	simB2, err := buildSim(cfgB)
 	fail(err)
-	defer simB2.Close()
 	fail(simA2.Restore(bytes.NewReader(lastEqualA.Bytes())))
 	fail(simB2.Restore(bytes.NewReader(lastEqualB.Bytes())))
 	arm(simA2)

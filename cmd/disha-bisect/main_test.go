@@ -8,7 +8,7 @@ import (
 )
 
 // TestBisect builds the binary and pins its contract: exit 0 with
-// "identical" when the sides agree (including across kernel shard counts),
+// "identical" when the sides agree (including under equal overrides),
 // exit 1 with the first divergent cycle when they do not, and exit 2 with a
 // one-line message — never a goroutine trace — on any bad input, resolved
 // through the same disha.SimSpec as disha-sim.
@@ -25,8 +25,8 @@ func TestBisect(t *testing.T) {
 	}{
 		{"-cycles 600", 0, "identical: digests agree through cycle 600", false},
 		{"-cycles 1500 -load 0.8 -a misroutes=0 -b misroutes=3", 1, "first divergent cycle: 12\n", false},
-		{"-cycles 600 -granularity 200 -a shards=1 -b shards=4", 0, "identical: digests agree through cycle", false},
-		{"-cycles 600 -a alg=duato,vcs=3 -b alg=duato,vcs=3,shards=2", 0, "identical: digests agree through cycle", false},
+		{"-cycles 600 -granularity 200 -a vcs=4 -b vcs=4", 0, "identical: digests agree through cycle", false},
+		{"-cycles 600 -a alg=duato,vcs=3 -b alg=duato,vcs=3", 0, "identical: digests agree through cycle", false},
 		{"-cycles 600 -a mesh=true", 1, "side A: mesh 8-ary 2-cube", false},
 		{"-a bogus=1", 2, `unknown override key "bogus"`, true},
 		{"-a cycles=5", 2, `unknown override key "cycles"`, true},

@@ -71,7 +71,6 @@ func main() {
 	usage(err)
 	sim, err := disha.NewSimulator(cfg)
 	usage(err)
-	defer sim.Close()
 
 	// Restore must happen while the simulator is still fresh: the snapshot
 	// carries a configuration guard, so mismatched flags fail loudly here.

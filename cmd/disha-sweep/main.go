@@ -52,7 +52,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress per-point progress")
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
 		parallel  = flag.Int("parallel", 0, "engine workers (0 = all cores, 1 = serial; results are identical either way)")
-		shards    = flag.Int("shards", 0, "kernel worker shards inside each simulation (0/1 = serial; results are identical; keep parallel*shards within the core count)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
 		retries   = flag.Int("retries", 1, "extra attempts for a failing point")
 		journal   = flag.String("journal", "", "JSONL checkpoint file: completed points are appended to it, points it already holds are not rerun (optional)")
@@ -67,11 +66,6 @@ func main() {
 		fmt.Println(telemetry.Build().String())
 		return
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "disha-sweep: negative kernel shards %d (-shards must be >= 0)\n", *shards)
-		os.Exit(2)
-	}
-
 	if (*ckptDir == "") != (*ckptN == 0) {
 		fail(fmt.Errorf("-checkpoint-dir and -checkpoint-every must be set together"))
 	}
@@ -109,7 +103,6 @@ func main() {
 		// (figure, scale, overrides) tuple names the same points everywhere.
 		spec, err := harness.SpecFor(name, *scale, *warmup, *measure, *seed, nil)
 		fail(err)
-		spec.Shards = *shards
 		spec.Chaos = chaosEvents
 		fmt.Printf("== figure %s: %s ==\n", name, spec.Name)
 		progress := func(s string) { fmt.Println("  " + s) }

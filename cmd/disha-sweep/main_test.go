@@ -58,7 +58,6 @@ func TestSweepResolvesThroughSpecFor(t *testing.T) {
 	}{
 		{"-scale huge", 1, `unknown scale "huge"`},
 		{"-fig 9", 1, `unknown figure "9"`},
-		{"-shards -1", 2, "negative kernel shards -1"},
 		{"-checkpoint-every 100", 1, "must be set together"},
 	} {
 		out, code := run(strings.Fields(bad.args)...)

@@ -269,11 +269,6 @@ type SimConfig struct {
 	Seed uint64
 	// TokenHopsPerCycle is the recovery Token's speed (default 4).
 	TokenHopsPerCycle int
-	// Shards fans the router-local simulation phases out across this many
-	// worker shards per cycle. Results are byte-identical to serial for any
-	// value; 0 or 1 keeps the serial kernel. Call Close when done to stop
-	// the worker pool.
-	Shards int
 }
 
 // BurstConfig shapes bursty injection (mean burst and idle lengths, cycles).
@@ -320,7 +315,6 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 		TokenHopsPerCycle: cfg.TokenHopsPerCycle,
 		InjectionThrottle: cfg.InjectionThrottle,
 		Burst:             cfg.Burst,
-		Kernel:            network.KernelConfig{Shards: cfg.Shards},
 	})
 	if err != nil {
 		return nil, err
@@ -330,10 +324,6 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 
 // Run advances the simulation the given number of cycles.
 func (s *Simulator) Run(cycles int) { s.net.Run(cycles) }
-
-// Close releases the sharded kernel's worker pool (a no-op for serial
-// simulators). The simulator must not be stepped after Close.
-func (s *Simulator) Close() { s.net.Close() }
 
 // Step advances one cycle.
 func (s *Simulator) Step() { s.net.Step() }
@@ -443,9 +433,8 @@ func (s *Simulator) ReconfigLog() []ReconfigOutcome {
 func (s *Simulator) Snapshot(w io.Writer) error { return s.net.Snapshot(w) }
 
 // Restore loads a Snapshot stream into this simulator. The simulator must
-// be freshly built with the identical SimConfig and never stepped; Shards
-// alone may differ, since the sharded kernel is byte-identical to the serial
-// one. On error the simulator is unusable and must be discarded.
+// be freshly built with the identical SimConfig and never stepped. On error
+// the simulator is unusable and must be discarded.
 func (s *Simulator) Restore(r io.Reader) error { return s.net.Restore(r) }
 
 // SaveCheckpoint atomically writes the simulation state to a file: the

@@ -129,7 +129,6 @@ func TestCampaignAcceptance(t *testing.T) {
 
 	cfg := testConfig(topo, 0.35, 11)
 	net := mustNet(t, cfg)
-	defer net.Close()
 	run, err := NewRunner(net, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +177,6 @@ func TestCampaignAcceptance(t *testing.T) {
 	// Replay: fresh network, restore the checkpoint, re-arm the same
 	// schedule, drive to the same point — byte-identical state and log.
 	net2 := mustNet(t, cfg)
-	defer net2.Close()
 	if err := net2.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +198,11 @@ func TestCampaignAcceptance(t *testing.T) {
 	}
 }
 
-// TestCampaignShardedRaceClean runs a moderate campaign under the sharded
-// kernel and compares against serial — small enough for the race detector,
-// which is the point: chaos mutations must be race-clean under the sharded
-// kernel and the active-set scheduler.
-func TestCampaignShardedRaceClean(t *testing.T) {
+// TestCampaignRaceClean runs a moderate campaign with router kills twice and
+// compares the fingerprints — small enough for the race detector, which is
+// the point: the 16x16 acceptance campaign self-skips under -race, so this is
+// the campaign `go test -race ./internal/chaos` actually steps.
+func TestCampaignRaceClean(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
 	sched, err := Generate(CampaignConfig{
 		Topo: topo, Seed: 5, Events: 12, Start: 150, Spacing: 200, RouterKills: true,
@@ -212,11 +210,8 @@ func TestCampaignShardedRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(shards int) string {
-		cfg := testConfig(topo, 0.4, 5)
-		cfg.Kernel.Shards = shards
-		net := mustNet(t, cfg)
-		defer net.Close()
+	run := func() string {
+		net := mustNet(t, testConfig(topo, 0.4, 5))
 		r, err := NewRunner(net, sched)
 		if err != nil {
 			t.Fatal(err)
@@ -224,8 +219,8 @@ func TestCampaignShardedRaceClean(t *testing.T) {
 		r.Run(4000)
 		return net.FingerprintHex()
 	}
-	if serial, sharded := run(1), run(4); serial != sharded {
-		t.Fatalf("sharded campaign diverged: %s vs %s", serial, sharded)
+	if first, again := run(), run(); first != again {
+		t.Fatalf("repeated campaign diverged: %s vs %s", first, again)
 	}
 }
 
@@ -239,7 +234,6 @@ func TestRunnerPresenceInvisible(t *testing.T) {
 	}
 
 	raw := mustNet(t, testConfig(topo, 0.4, 5))
-	defer raw.Close()
 	events, err := sched.Reconfig()
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +244,6 @@ func TestRunnerPresenceInvisible(t *testing.T) {
 	raw.Run(1500)
 
 	observed := mustNet(t, testConfig(topo, 0.4, 5))
-	defer observed.Close()
 	run, err := NewRunner(observed, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +266,6 @@ func TestInfeasibleEventsSkippedDeterministically(t *testing.T) {
 		{Cycle: 100, Kind: "kill-link", Node: 0, Port: topology.PortFor(1, 1)},
 	}}
 	net := mustNet(t, testConfig(topo, 0.0, 1))
-	defer net.Close()
 	run, err := NewRunner(net, s)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +317,6 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 	}
 
 	digest, net, runner := run()
-	defer net.Close()
 
 	c := net.Counters()
 	if c.PacketsInjected != c.PacketsDelivered+c.PacketsLost {
@@ -350,8 +341,7 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 	}
 
 	// Same seed, same schedule: the rerun must land on the same digest.
-	digest2, net2, _ := run()
-	defer net2.Close()
+	digest2, _, _ := run()
 	if digest2 != digest {
 		t.Fatalf("rerun diverged: %s vs %s", digest2, digest)
 	}

@@ -98,10 +98,11 @@ func TableLane(g topology.Graph, table []int32) LaneRouting {
 // subfunction next delivers every (src, dst) pair — from any node, the
 // declared lane reaches any destination. This is the whole deadlock-
 // freedom requirement for a Token-serialized recovery lane (at most one
-// packet occupies the lane at a time, so no cyclic wait can form on it);
-// concurrent use additionally needs the acyclicity half of
-// VerifyDeadlockFree. The walk is bounded by the node count, so a lane
-// that loops is reported as an error rather than hanging.
+// packet occupies the lane at a time, so no cyclic wait can form on it,
+// whatever the buffer model); concurrent use of per-channel lane buffers
+// additionally needs the acyclicity half of VerifyDeadlockFree. The walk is
+// bounded by the node count, so a lane that loops is reported as an error
+// rather than hanging.
 func VerifyLaneConnected(g topology.Graph, next LaneRouting) error {
 	nodes := g.Nodes()
 	for d := 0; d < nodes; d++ {
@@ -183,6 +184,15 @@ func BuildLaneCDG(g topology.Graph, next LaneRouting) *Graph {
 // subfunction is connected (generalized Lemma 1) and its channel
 // dependency graph is acyclic. A returned error carries either the
 // connectivity witness or the first dependency cycle found.
+//
+// The verdict holds for the buffer model the graph is built in: one buffer
+// per channel (BuildLaneCDG keys resources by Channel{From, Port}). Disha's
+// Deadlock Buffer is one central buffer per router and lane, shared by every
+// input port, so a lane that passes here can still deadlock when several
+// packets use one DB lane without the Token — mesh DOR does (two packets
+// crossing between adjacent routers hold each other's next DB). Token-free
+// use of a single DB lane needs the dependency graph over receiving routers
+// to be acyclic instead.
 func VerifyDeadlockFree(g topology.Graph, next LaneRouting) error {
 	if err := VerifyLaneConnected(g, next); err != nil {
 		return err

@@ -42,8 +42,10 @@ func TestLaneConnectedOnBuiltins(t *testing.T) {
 
 // TestDeadlockFreeOnAcyclicLanes runs the full Mendlovic-Matias condition
 // (connected + acyclic lane CDG) on the topologies whose natural lane is
-// deadlock-free even under unrestricted concurrent use: DOR on meshes and
-// hypercubes, and single-hop full-mesh routing.
+// deadlock-free under unrestricted concurrent use of per-channel buffers:
+// DOR on meshes and hypercubes, and single-hop full-mesh routing. (Not of
+// Disha's one Deadlock Buffer per router: see
+// TestAcyclicLaneCDGIsChannelGranular.)
 func TestDeadlockFreeOnAcyclicLanes(t *testing.T) {
 	for _, g := range []topology.Graph{
 		topology.MustMesh(4, 4),
@@ -53,6 +55,56 @@ func TestDeadlockFreeOnAcyclicLanes(t *testing.T) {
 		if err := core.VerifyDeadlockFree(g, laneFor(g)); err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 		}
+	}
+}
+
+// TestAcyclicLaneCDGIsChannelGranular pins which buffer model the
+// VerifyDeadlockFree verdict holds for. BuildLaneCDG keys a resource by
+// Channel{From, Port}: one buffer per channel, the Mendlovic-Matias setting.
+// Disha's Deadlock Buffer is not that: a router has one central DB per lane
+// with a single owner, admitted from any input port, so the resource a flit
+// on channel u->v holds is DB(v), whichever port it came in by. Collapsing
+// every lane channel onto its receiving router gives the graph token-free use
+// of one DB lane would have to be acyclic in, and on mesh-4x4 DOR — which
+// passes the channel-granular check — it has a 2-cycle between any two
+// routers with a neighbor on either side. The two-node counter-example, on
+// row 0 (routers 0-1-2-3): packet P, 0 -> 3, sits in DB(1) and needs DB(2);
+// packet Q, 3 -> 0, sits in DB(2) and needs DB(1). Channels 1->2 and 2->1 are
+// distinct and DOR never turns back, so the channel CDG has no arc between
+// them; the two DBs wait on each other forever.
+func TestAcyclicLaneCDGIsChannelGranular(t *testing.T) {
+	g := topology.MustMesh(4, 4)
+	lane := laneFor(g)
+	if err := core.VerifyDeadlockFree(g, lane); err != nil {
+		t.Fatalf("channel-granular check: %v", err)
+	}
+
+	db := func(v topology.Node) core.Channel { return core.Channel{From: v} }
+	routers := core.NewGraph()
+	for s := 0; s < g.Nodes(); s++ {
+		for d := 0; d < g.Nodes(); d++ {
+			// The packet leaves s from an input VC; every later hop holds
+			// the DB of the router it is in and waits for the next one's.
+			cur, dst := topology.Node(s), topology.Node(d)
+			for held := false; cur != dst; held = true {
+				port, ok := lane(cur, dst)
+				if !ok {
+					t.Fatalf("lane stuck at %d for %d -> %d", cur, s, d)
+				}
+				nb, _ := g.Neighbor(cur, port)
+				if held {
+					routers.AddDep(db(cur), db(nb))
+				}
+				cur = nb
+			}
+		}
+	}
+	if !routers.HasDep(db(1), db(2)) || !routers.HasDep(db(2), db(1)) {
+		t.Fatalf("router-granular lane graph lacks the DB(1) <-> DB(2) 2-cycle (%d DBs, %d deps)",
+			routers.Channels(), routers.Deps())
+	}
+	if routers.Acyclic() {
+		t.Fatal("router-granular lane graph reported acyclic")
 	}
 }
 

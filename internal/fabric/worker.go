@@ -29,9 +29,6 @@ type WorkerOptions struct {
 	// empty uses a per-run temp directory. Re-dispatched units resume from
 	// the coordinator-supplied blob placed here.
 	CheckpointDir string
-	// Shards configures each simulation's intra-run parallel kernel (0/1 =
-	// serial; results identical either way).
-	Shards int
 	// Client is the HTTP client used for all coordinator calls (default:
 	// a client with a 30s timeout).
 	Client *http.Client
@@ -297,7 +294,6 @@ func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, err
 	if err != nil {
 		return harness.PointResult{}, fmt.Errorf("rebuild spec: %w", err)
 	}
-	spec.Shards = w.opts.Shards
 	if err := spec.Normalize(); err != nil {
 		return harness.PointResult{}, err
 	}

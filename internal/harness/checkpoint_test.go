@@ -141,47 +141,6 @@ func TestCheckpointKillDuringWarmup(t *testing.T) {
 	}
 }
 
-// TestCheckpointShardedKernel runs the interrupted sweep with the parallel
-// kernel: checkpoints taken under Shards=2 must resume byte-identically too.
-func TestCheckpointShardedKernel(t *testing.T) {
-	serial, _, err := checkpointSpec().RunWith(RunOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := checkpointSpec()
-	sharded.Shards = 2
-
-	dir := t.TempDir()
-	opts := RunOptions{
-		Parallel:        1,
-		Journal:         filepath.Join(dir, "journal.jsonl"),
-		CheckpointEvery: 300,
-		CheckpointDir:   filepath.Join(dir, "ckpt"),
-	}
-	saves := 0
-	checkpointSaveHook = func(key string, cycle int) error {
-		saves++
-		if saves == 2 {
-			return errSimulatedKill
-		}
-		return nil
-	}
-	defer func() { checkpointSaveHook = nil }()
-	if _, _, err := sharded.RunWith(opts); err == nil {
-		t.Fatal("killed sweep reported success")
-	}
-	checkpointSaveHook = nil
-	resumed := checkpointSpec()
-	resumed.Shards = 2
-	got, _, err := resumed.RunWith(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CSV() != serial.CSV() {
-		t.Fatal("sharded resumed CSV differs from serial uninterrupted run")
-	}
-}
-
 // TestCheckpointRejectsForeignFile plants a checkpoint whose embedded key
 // belongs to a different sweep at the path a point expects; the point must
 // fail loudly instead of loading foreign state.

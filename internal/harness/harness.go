@@ -76,12 +76,6 @@ type Spec struct {
 	// Batches splits the measurement window for batch-means confidence
 	// intervals on the latency estimate (default 5; 1 disables).
 	Batches int
-	// Shards configures the intra-simulation parallel kernel: each run's
-	// Step fans its router-local phases out across this many shards.
-	// Results are byte-identical to serial (0/1); it composes with the
-	// engine's across-point parallelism, so keep Shards*Parallelism within
-	// the host's core count.
-	Shards int
 	// Chaos, when non-empty, arms this reconfiguration event schedule on
 	// every point's network (and re-arms it after a checkpoint resume —
 	// already-applied events replay from the snapshot's reconfiguration log
@@ -464,9 +458,6 @@ func (s *Spec) normalize() error {
 	if s.Batches < 1 {
 		return fmt.Errorf("harness: batches %d < 1", s.Batches)
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("harness: negative kernel shards %d", s.Shards)
-	}
 	return nil
 }
 
@@ -525,12 +516,10 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 		MsgLen:            s.MsgLen,
 		Seed:              seed,
 		TokenHopsPerCycle: s.TokenHops,
-		Kernel:            network.KernelConfig{Shards: s.Shards},
 	})
 	if err != nil {
 		return PointResult{}, err
 	}
-	defer net.Close()
 
 	// The resumable cursor: a fresh start begins at zero everywhere; with
 	// checkpointing enabled, a prior checkpoint reloads the cursor, the

@@ -121,15 +121,15 @@ func TestIncompleteSpecFails(t *testing.T) {
 	if _, err := (&Spec{Name: "broken"}).Run(nil); err == nil {
 		t.Fatal("incomplete spec must fail")
 	}
-	// A negative shard count fails once, before any point is scheduled.
+	// An out-of-range field fails once, before any point is scheduled.
 	spec := tinySpec()
-	spec.Shards = -1
+	spec.Batches = -1
 	res, report, err := spec.RunWith(RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "negative kernel shards") {
-		t.Fatalf("Shards=-1: err = %v, want a negative-kernel-shards error", err)
+	if err == nil || !strings.Contains(err.Error(), "batches -1 < 1") {
+		t.Fatalf("Batches=-1: err = %v, want a batches error", err)
 	}
 	if res != nil || report != nil {
-		t.Fatalf("Shards=-1 scheduled jobs before failing: result %v, report %v", res, report)
+		t.Fatalf("Batches=-1 scheduled jobs before failing: result %v, report %v", res, report)
 	}
 }
 

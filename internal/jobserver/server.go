@@ -463,31 +463,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The queue slot is taken before the job is registered, so a refused
+	// submission leaves no record behind. Both happen under s.mu, which the
+	// runner takes before it looks the received id up.
 	s.mu.Lock()
-	s.next++
-	id := fmt.Sprintf("job-%04d", s.next)
-	j := &job{
-		status: JobStatus{ID: id, State: "queued", Request: req, Created: time.Now()},
-		spec:   spec,
-	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-
+	id := fmt.Sprintf("job-%04d", s.next+1)
 	select {
 	case s.queue <- id:
-		s.queued.Add(1)
-		s.accepted.Add(1)
-		s.em.Publish()
 	default:
-		s.mu.Lock()
-		j.status.State = "failed"
-		j.status.Error = "queue full"
 		s.mu.Unlock()
 		s.rejected.Add(1)
 		unavailable(w, http.StatusServiceUnavailable, s.retryHintSeconds(), "job queue full")
 		return
 	}
+	s.next++
+	s.jobs[id] = &job{
+		status: JobStatus{ID: id, State: "queued", Request: req, Created: time.Now()},
+		spec:   spec,
+	}
+	s.order = append(s.order, id)
+	s.mu.Unlock()
+	s.queued.Add(1)
+	s.accepted.Add(1)
+	s.em.Publish()
 	w.Header().Set("Location", "/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, s.snapshot(id))
 }

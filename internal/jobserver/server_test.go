@@ -358,6 +358,7 @@ func TestQueueFull(t *testing.T) {
 	slow.Measure = 3000
 	slow.Loads = []float64{0.2, 0.4}
 	got503 := false
+	accepted := map[string]bool{}
 	for i := 0; i < 6 && !got503; i++ {
 		body, _ := json.Marshal(slow)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -366,6 +367,11 @@ func TestQueueFull(t *testing.T) {
 		}
 		switch resp.StatusCode {
 		case http.StatusAccepted:
+			var st JobStatus
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			accepted[st.ID] = true
 		case http.StatusServiceUnavailable:
 			got503 = true
 			// The overload response carries a retry hint in both the header
@@ -387,5 +393,31 @@ func TestQueueFull(t *testing.T) {
 	}
 	if !got503 {
 		t.Fatal("queue never reported full")
+	}
+
+	// The refusal leaves no record: GET /jobs lists exactly the accepted
+	// jobs, and only the rejection counter remembers the 503.
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&listed)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != len(accepted) {
+		t.Errorf("GET /jobs lists %d jobs, %d were accepted", len(listed), len(accepted))
+	}
+	for _, st := range listed {
+		if !accepted[st.ID] {
+			t.Errorf("GET /jobs lists %s (%s %q), which no 202 announced", st.ID, st.State, st.Error)
+		}
+	}
+	for _, m := range s.reg.Gather() {
+		if m.Name == "serve_jobs_rejected_total" && m.Value != 1 {
+			t.Errorf("serve_jobs_rejected_total = %g, want the one refusal", m.Value)
+		}
 	}
 }

@@ -20,9 +20,8 @@ import (
 //
 // Representation: one bit per router in actMask, plus idleSince[i] — the
 // last cycle through which inactive router i's state is fully up to date.
-// All mask mutations happen in the serial phases of Step (injection wakes,
-// commit wakes, the end-of-cycle deactivation sweep); the sharded stage and
-// timer phases only read it, so the bitmap needs no synchronization.
+// The mask is mutated by injection wakes, commit wakes and the end-of-cycle
+// deactivation sweep; the stage and timer phases only read it.
 //
 // Lifecycle:
 //

@@ -46,46 +46,34 @@ func activeSetVariants() []kernelVariant {
 }
 
 // TestActiveSetMatchesFullScan proves the scheduler's determinism contract
-// directly: with the active set enabled (serial and sharded) execution is
-// fingerprint-identical, cycle range by cycle range, to the full-scan kernel
-// on every recovery mode, allocation policy, and the idle-heavy corner
-// cases. 1200 cycles crosses several adaptive-decay epochs (256 idle timer
-// ticks each), so the closed-form catch-up is exercised well past one epoch.
+// directly: with the active set enabled execution is fingerprint-identical,
+// cycle range by cycle range, to the full-scan kernel on every recovery
+// mode, allocation policy, and the idle-heavy corner cases, and the state
+// passes CheckInvariants after every cycle. 1200 cycles crosses several
+// adaptive-decay epochs (256 idle timer ticks each), so the closed-form
+// catch-up is exercised well past one epoch.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	const cycles = 1200
 	for _, v := range activeSetVariants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			baseline := mustNet(t, v.build())
-			defer baseline.Close()
 			useFullScan(t, baseline)
-
-			serialCfg := v.build()
-			serial := mustNet(t, serialCfg)
-			defer serial.Close()
-			shardedCfg := v.build()
-			shardedCfg.Kernel.Shards = 4
-			sharded := mustNet(t, shardedCfg)
-			defer sharded.Close()
+			n := mustNet(t, v.build())
 
 			sawIdle := false
 			for i := 0; i < cycles; i++ {
 				baseline.Step()
-				serial.Step()
-				sharded.Step()
-				if serial.activeCount() < len(serial.routers) {
+				n.Step()
+				if n.activeCount() < len(n.routers) {
 					sawIdle = true
 				}
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("cycle %d: %v", i+1, err)
+				}
 				if i%20 == 19 {
-					want := baseline.FingerprintHex()
-					if got := serial.FingerprintHex(); got != want {
-						t.Fatalf("active-set serial diverged by cycle %d:\n got %s\nwant %s", i+1, got, want)
-					}
-					if got := sharded.FingerprintHex(); got != want {
-						t.Fatalf("active-set sharded diverged by cycle %d:\n got %s\nwant %s", i+1, got, want)
-					}
-					if err := serial.CheckInvariants(); err != nil {
-						t.Fatalf("cycle %d: %v", i+1, err)
+					if got, want := n.FingerprintHex(), baseline.FingerprintHex(); got != want {
+						t.Fatalf("active set diverged by cycle %d:\n got %s\nwant %s", i+1, got, want)
 					}
 				}
 			}
@@ -105,7 +93,6 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 func TestActiveSetDeactivatesAndReawakens(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.05, 5)
 	n := mustNet(t, cfg)
-	defer n.Close()
 
 	minActive, maxActive := len(n.routers), 0
 	for i := 0; i < 400; i++ {
@@ -150,7 +137,6 @@ func TestActiveSetSnapshotCrossMode(t *testing.T) {
 		return cfg
 	}
 	src := mustNet(t, build())
-	defer src.Close()
 	src.Run(300)
 
 	var buf bytes.Buffer
@@ -160,7 +146,6 @@ func TestActiveSetSnapshotCrossMode(t *testing.T) {
 	restored := make([]*Network, 2)
 	for i, disable := range []bool{false, true} {
 		rn := mustNet(t, build())
-		defer rn.Close()
 		if disable {
 			useFullScan(t, rn)
 		}
@@ -203,7 +188,6 @@ func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 	cfg.Router.Recovery = router.RecoveryAbortRetry
 	cfg.Router.DeadlockBufferDepth = 0
 	n := mustNet(t, cfg)
-	defer n.Close()
 	n.Run(400)
 	if n.Counters().PacketsKilled == 0 {
 		t.Skip("no abort-retry kills at this seed; gauge rule not exercisable")

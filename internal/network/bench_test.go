@@ -16,19 +16,17 @@ import (
 // BENCH_5/BENCH_8 rows reference them (.github/workflows/ci.yml, kernel job).
 
 // stepBenchNet builds a radix×radix torus under DISHA (M=0), uniform traffic,
-// 32-flit messages, T_out = 8, seed 1, at the given load and shard count
-// (0 = serial). activeSet=false selects the full scan, refScan the reference
-// scan path, instead of the production kernel.
-func stepBenchNet(b *testing.B, radix, shards int, load float64, activeSet, refScan bool) *Network {
+// 32-flit messages, T_out = 8, seed 1, at the given load. activeSet=false
+// selects the full scan, refScan the reference scan path, instead of the
+// production kernel.
+func stepBenchNet(b *testing.B, radix int, load float64, activeSet, refScan bool) *Network {
 	b.Helper()
 	cfg := testConfig(topology.MustTorus(radix, radix), routing.Disha(0), load, 1)
 	cfg.MsgLen = 32
-	cfg.Kernel.Shards = shards
 	n, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(n.Close)
 	if !activeSet {
 		useFullScan(b, n)
 	}
@@ -49,8 +47,8 @@ func stepBenchLoop(b *testing.B, n *Network) {
 	b.ReportMetric(float64(len(n.routers)), "routers/step")
 }
 
-func stepBenchAt(b *testing.B, radix, shards int, load float64, activeSet, refScan bool) {
-	stepBenchLoop(b, stepBenchNet(b, radix, shards, load, activeSet, refScan))
+func stepBenchAt(b *testing.B, radix int, load float64, activeSet, refScan bool) {
+	stepBenchLoop(b, stepBenchNet(b, radix, load, activeSet, refScan))
 }
 
 // stepBenchGrid runs one kernel variant over the full load × size grid.
@@ -70,32 +68,23 @@ func stepBenchGrid(b *testing.B, bench func(b *testing.B, radix int, load float6
 // every profileEvery cycles (0 = profiler off). The on/off twins isolate
 // the profiler's own Step overhead from the base telemetry cost; CI gates
 // their ratio.
-func stepBenchProfiled(b *testing.B, radix, shards int, load float64, activeSet bool, profileEvery int) {
-	n := stepBenchNet(b, radix, shards, load, activeSet, false)
+func stepBenchProfiled(b *testing.B, radix int, load float64, activeSet bool, profileEvery int) {
+	n := stepBenchNet(b, radix, load, activeSet, false)
 	n.EnableTelemetry(telemetry.Options{ProfileEvery: profileEvery})
 	stepBenchLoop(b, n)
 }
 
-// BenchmarkStepSerial is the serial full-scan baseline over the load × size
-// grid: the optimized struct-of-arrays scans, every router visited every
-// cycle, no worker pool. CI benchgates the sharded kernel, the active-set
-// scheduler and the reference scan path against these numbers.
+// BenchmarkStepSerial is the full-scan baseline over the load × size grid:
+// the optimized struct-of-arrays scans, every router visited every cycle. CI
+// benchgates the active-set scheduler and the reference scan path against
+// these numbers.
 func BenchmarkStepSerial(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false, false)
+		stepBenchAt(b, radix, load, false, false)
 	})
 }
 
-// BenchmarkStepSharded runs the identical simulations under the sharded
-// kernel (4 worker shards). Results are byte-identical to serial; only the
-// wall time may differ.
-func BenchmarkStepSharded(b *testing.B) {
-	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 4, load, false, false)
-	})
-}
-
-// BenchmarkStepActiveSet runs the serial kernel with the active-set
+// BenchmarkStepActiveSet runs the kernel with the active-set
 // scheduler (what production runs) across the grid: at 0.1 load most
 // routers sleep most cycles and the scheduler should clear >= 1.5x the full
 // scan's cycles/sec; by 0.9 load nearly every router is busy and the two
@@ -103,11 +92,11 @@ func BenchmarkStepSharded(b *testing.B) {
 // the wall time differs.
 func BenchmarkStepActiveSet(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, true, false)
+		stepBenchAt(b, radix, load, true, false)
 	})
 }
 
-// BenchmarkStepReference runs the serial full scan through the retained
+// BenchmarkStepReference runs the full scan through the retained
 // reference scan path — the faithful port of the pre-SoA per-slot walks.
 // It is the denominator of the SoA speed claim: CI requires the optimized
 // BenchmarkStepSerial to clear 1.15x this path's cycles/sec at 0.5 load on
@@ -115,7 +104,7 @@ func BenchmarkStepActiveSet(b *testing.B) {
 // and 0.9 load.
 func BenchmarkStepReference(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
-		stepBenchAt(b, radix, 0, load, false, true)
+		stepBenchAt(b, radix, load, false, true)
 	})
 }
 
@@ -127,6 +116,6 @@ func BenchmarkStepReference(b *testing.B) {
 // stay within 11% of off — i.e. profiler-on Step throughput must remain
 // >= 0.9x profiler-off.
 func BenchmarkStepProfiled(b *testing.B) {
-	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, true, 0) })
-	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0, 0.5, true, 32) })
+	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, true, 0) })
+	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, true, 32) })
 }

@@ -217,9 +217,7 @@ func TestDifferentialLockstep(t *testing.T) {
 				tr.apply(&refCfg)
 
 				soa := mustNet(t, soaCfg)
-				defer soa.Close()
 				ref := mustNet(t, refCfg)
-				defer ref.Close()
 				useReferenceScan(t, ref)
 
 				for c := 1; c <= cycles; c++ {
@@ -247,9 +245,7 @@ func TestDifferentialLockstep(t *testing.T) {
 func TestDifferentialReportsField(t *testing.T) {
 	cfg := diffCases()[0].build()
 	a := mustNet(t, cfg)
-	defer a.Close()
 	b := mustNet(t, cfg)
-	defer b.Close()
 	a.Run(50)
 	b.Run(50)
 	if a.Fingerprint() != b.Fingerprint() {

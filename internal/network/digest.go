@@ -14,8 +14,7 @@ import (
 // (encodeInjectionState), recovery-Token state, and every router's full
 // microstate (router.AppendState). Two networks with equal fingerprints behave
 // identically from here on for equal future inputs; the golden-digest suite
-// uses this to prove the sharded kernel is byte-identical to the serial one
-// and to pin simulation behavior against a committed golden file.
+// uses this to pin simulation behavior against a committed golden file.
 func (n *Network) Fingerprint() [32]byte {
 	// Fast-forward routers the active-set scheduler is currently skipping,
 	// so the digest never depends on which scheduler produced the state.

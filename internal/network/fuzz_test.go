@@ -15,15 +15,15 @@ import (
 // with an error or return a network that survives a short run with sound
 // invariants — never panic. The algorithm/recovery/allocation selectors are
 // decoded modulo their domains so the fuzzer reaches every combination,
-// including invalid shard counts and degenerate VC/buffer settings.
+// including degenerate VC/buffer settings.
 func FuzzConfigNormalize(f *testing.F) {
-	f.Add(int8(4), int8(4), uint8(0), int8(4), int8(2), int8(1), int8(1), int16(8), uint8(0), uint8(0), int8(0), int16(8), uint16(100))
-	f.Add(int8(8), int8(8), uint8(1), int8(1), int8(1), int8(0), int8(1), int16(4), uint8(1), uint8(0), int8(4), int16(32), uint16(300))
-	f.Add(int8(3), int8(5), uint8(2), int8(2), int8(1), int8(1), int8(2), int16(1), uint8(2), uint8(1), int8(-1), int16(1), uint16(50))
-	f.Add(int8(2), int8(0), uint8(3), int8(0), int8(0), int8(0), int8(0), int16(0), uint8(0), uint8(1), int8(100), int16(0), uint16(10))
-	f.Add(int8(4), int8(4), uint8(4), int8(-2), int8(-1), int8(-1), int8(-1), int16(-8), uint8(2), uint8(0), int8(3), int16(-1), uint16(120))
+	f.Add(int8(4), int8(4), uint8(0), int8(4), int8(2), int8(1), int8(1), int16(8), uint8(0), uint8(0), int16(8), uint16(100))
+	f.Add(int8(8), int8(8), uint8(1), int8(1), int8(1), int8(0), int8(1), int16(4), uint8(1), uint8(0), int16(32), uint16(300))
+	f.Add(int8(3), int8(5), uint8(2), int8(2), int8(1), int8(1), int8(2), int16(1), uint8(2), uint8(1), int16(1), uint16(50))
+	f.Add(int8(2), int8(0), uint8(3), int8(0), int8(0), int8(0), int8(0), int16(0), uint8(0), uint8(1), int16(0), uint16(10))
+	f.Add(int8(4), int8(4), uint8(4), int8(-2), int8(-1), int8(-1), int8(-1), int16(-8), uint8(2), uint8(0), int16(-1), uint16(120))
 	f.Fuzz(func(t *testing.T, kx, ky int8, algSel uint8, vcs, depth, dbDepth, injVCs int8,
-		timeout int16, recovery, alloc uint8, shards int8, msgLen int16, cycles uint16) {
+		timeout int16, recovery, alloc uint8, msgLen int16, cycles uint16) {
 		// Fold the numeric knobs into small ranges that still include
 		// invalid values (negatives, zeros): rejection paths stay reachable
 		// while valid configurations remain cheap enough to actually step.
@@ -57,13 +57,11 @@ func FuzzConfigNormalize(f *testing.F) {
 				Recovery:            router.RecoveryMode(int(recovery) % 4),
 				Alloc:               router.AllocPolicy(int(alloc) % 3),
 			},
-			Kernel: KernelConfig{Shards: int(shards)},
 		}
 		n, err := New(cfg)
 		if err != nil {
 			return
 		}
-		defer n.Close()
 		steps := int(cycles) % 200
 		for i := 0; i < steps; i++ {
 			n.Step()
@@ -124,12 +122,10 @@ func FuzzSoALayout(f *testing.F) {
 		if err != nil {
 			return // invalid geometry/algorithm combination; rejection is fine
 		}
-		defer soa.Close()
 		ref, err := build()
 		if err != nil {
 			t.Fatalf("second build failed where the first succeeded: %v", err)
 		}
-		defer ref.Close()
 		useReferenceScan(t, ref)
 		steps := int(cycles) % 150
 		for i := 0; i < steps; i++ {

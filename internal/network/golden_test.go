@@ -109,17 +109,14 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// runCase steps a fresh network for the case's cycle budget with the given
-// shard count, checking structural invariants along the way, and returns the
-// final state fingerprint. A non-nil prepare (useReferenceScan, useFullScan)
-// is applied to the network before its first Step; every combination must
-// land on the same committed digest.
-func runCase(t *testing.T, gc goldenCase, shards int, prepare func(testing.TB, *Network)) string {
+// runCase steps a fresh network for the case's cycle budget, checking
+// structural invariants along the way, and returns the final state
+// fingerprint. A non-nil prepare (useReferenceScan, useFullScan) is applied
+// to the network before its first Step; every scan path must land on the
+// same committed digest.
+func runCase(t *testing.T, gc goldenCase, prepare func(testing.TB, *Network)) string {
 	t.Helper()
-	cfg := gc.build()
-	cfg.Kernel.Shards = shards
-	n := mustNet(t, cfg)
-	defer n.Close()
+	n := mustNet(t, gc.build())
 	if prepare != nil {
 		prepare(t, n)
 	}
@@ -127,7 +124,7 @@ func runCase(t *testing.T, gc goldenCase, shards int, prepare func(testing.TB, *
 		n.Step()
 		if i%50 == 49 {
 			if err := n.CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d (shards=%d): %v", i+1, shards, err)
+				t.Fatalf("cycle %d: %v", i+1, err)
 			}
 		}
 	}
@@ -149,21 +146,13 @@ func readGolden(t *testing.T) map[string]string {
 
 // TestGoldenDigests pins the simulation's full observable behavior — five
 // routing algorithms on cubes plus DISHA on the three non-cube digraph
-// topologies, fixed seeds — against committed SHA-256 digests,
-// and proves the parallel kernel's determinism contract: Shards ∈ {1,2,4,8}
-// must produce byte-identical state to the serial kernel.
+// topologies, fixed seeds — against committed SHA-256 digests.
 func TestGoldenDigests(t *testing.T) {
 	digests := make(map[string]string)
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			serial := runCase(t, gc, 0, nil)
-			for _, shards := range []int{1, 2, 4, 8} {
-				if got := runCase(t, gc, shards, nil); got != serial {
-					t.Fatalf("shards=%d digest %s differs from serial %s", shards, got, serial)
-				}
-			}
-			digests[gc.name] = serial
+			digests[gc.name] = runCase(t, gc, nil)
 		})
 	}
 
@@ -214,7 +203,7 @@ func TestGoldenKernelVariants(t *testing.T) {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
 			for _, v := range variants {
-				if got := runCase(t, gc, 0, v.prepare); got != want[gc.name] {
+				if got := runCase(t, gc, v.prepare); got != want[gc.name] {
 					t.Errorf("%s: digest %s, golden %s", v.name, got, want[gc.name])
 				}
 			}
@@ -234,7 +223,6 @@ func TestGoldenDishaExercisesRecovery(t *testing.T) {
 	}
 	cfg := disha.build()
 	n := mustNet(t, cfg)
-	defer n.Close()
 	n.Run(disha.cycles)
 	c := n.Counters()
 	if c.TimeoutEvents == 0 || c.TokenSeizures == 0 {

@@ -40,9 +40,9 @@ type flitKey struct {
 //     so a scan-path bug that corrupts the flat layout is caught even
 //     before it changes view-level behavior.
 //
-// The conformance tests call it every few cycles — including under -race
-// with the sharded kernel — so a phase-ordering bug that corrupts state
-// without immediately crashing is still caught near its origin.
+// The conformance tests call it every few cycles, so a phase-ordering bug
+// that corrupts state without immediately crashing is still caught near its
+// origin.
 func (n *Network) CheckInvariants() error {
 	depth := n.cfg.Router.BufferDepth
 	deg := n.topo.Degree()

@@ -36,32 +36,22 @@ var phaseNames = [numPhases]string{
 // and unprofiled runs are bit-identical (the golden-digest suite runs with
 // it on).
 //
-// The fused route-compute + switch-allocate phase fans out across kernel
-// shards; each shard accumulates its two nanosecond totals into its own
-// slot (written before the kernel barrier, read after — the barrier's
-// channel handoff orders them), and flushStage folds the slots into the
-// two histograms on the stepping goroutine.
+// The fused route-compute + switch-allocate phase times its two stages per
+// router and observes each histogram once per profiled cycle with the
+// across-routers sum (Network.stage).
 type phaseProfiler struct {
-	every  int64
-	active bool
-	hists  [numPhases]*telemetry.Histogram
-
-	shardRoute  []int64 // per-shard StageRouting nanos this profiled cycle
-	shardSwitch []int64 // per-shard StageSwitch nanos this profiled cycle
+	every int64
+	hists [numPhases]*telemetry.Histogram
 }
 
 // newPhaseProfiler registers the per-phase histograms (one
 // disha_step_phase_seconds family, labeled by phase) and returns a
-// profiler sampling every `every` cycles across `shards` stage shards.
-func newPhaseProfiler(reg *telemetry.Registry, every, shards int) *phaseProfiler {
+// profiler sampling every `every` cycles.
+func newPhaseProfiler(reg *telemetry.Registry, every int) *phaseProfiler {
 	if every < 1 {
 		every = 1
 	}
-	p := &phaseProfiler{
-		every:       int64(every),
-		shardRoute:  make([]int64, shards),
-		shardSwitch: make([]int64, shards),
-	}
+	p := &phaseProfiler{every: int64(every)}
 	bounds := telemetry.ExponentialBuckets(1e-7, 2, 20) // 100ns .. ~52ms
 	for ph := stepPhase(0); ph < numPhases; ph++ {
 		p.hists[ph] = reg.Histogram("disha_step_phase_seconds",
@@ -71,17 +61,8 @@ func newPhaseProfiler(reg *telemetry.Registry, every, shards int) *phaseProfiler
 	return p
 }
 
-// begin decides whether this cycle is profiled and, if so, clears the
-// per-shard stage accumulators. Call at the top of Step.
-func (p *phaseProfiler) begin(cycle int64) bool {
-	p.active = cycle%p.every == 0
-	if p.active {
-		for i := range p.shardRoute {
-			p.shardRoute[i], p.shardSwitch[i] = 0, 0
-		}
-	}
-	return p.active
-}
+// begin decides whether this cycle is profiled. Call at the top of Step.
+func (p *phaseProfiler) begin(cycle int64) bool { return cycle%p.every == 0 }
 
 // lap records the time since t0 into the phase's histogram and returns the
 // new phase start.
@@ -94,18 +75,4 @@ func (p *phaseProfiler) lap(ph stepPhase, t0 time.Time) time.Time {
 // observe records one explicit duration.
 func (p *phaseProfiler) observe(ph stepPhase, d time.Duration) {
 	p.hists[ph].Observe(d.Seconds())
-}
-
-// flushStage folds the per-shard route/switch nanosecond totals into the
-// route-compute and switch-allocate histograms (one observation each per
-// profiled cycle: the summed across-routers time, comparable with the
-// serial phases). Call after the stage barrier, on the stepping goroutine.
-func (p *phaseProfiler) flushStage() {
-	var route, sw int64
-	for i := range p.shardRoute {
-		route += p.shardRoute[i]
-		sw += p.shardSwitch[i]
-	}
-	p.hists[phaseRouteCompute].Observe(float64(route) / 1e9)
-	p.hists[phaseSwitchAlloc].Observe(float64(sw) / 1e9)
 }

@@ -19,11 +19,10 @@ import (
 // holding a now-stale route are returned to the unrouted state and re-route
 // next cycle, and anything the post-change routing function can no longer
 // make progress for times out and escapes through the Deadlock Buffer lane —
-// the network is never drained. Every mutation runs in the serial prelude of
-// Step (before the clock ticks), so it composes with the sharded kernel and
-// the active-set scheduler without races, and every applied mutation is
-// recorded in the reconfiguration log so snapshots can replay the topology's
-// history on restore.
+// the network is never drained. Every mutation runs in the prelude of Step
+// (before the clock ticks), so no phase sees a half-applied change, and
+// every applied mutation is recorded in the reconfiguration log so snapshots
+// can replay the topology's history on restore.
 
 // ReconfigKind enumerates the dynamic reconfiguration event types.
 type ReconfigKind int
@@ -279,8 +278,7 @@ func (n *Network) logOutcome(ev ReconfigEvent, reason string, before Counters) {
 }
 
 // applyMutation dispatches one event, returning "" on success or the reason
-// it could not apply. Called only between cycles (Step prelude), never
-// concurrently with the sharded kernel.
+// it could not apply. Called only between cycles (Step prelude).
 func (n *Network) applyMutation(ev ReconfigEvent) string {
 	switch ev.Kind {
 	case ReconfigKillLink:

@@ -132,33 +132,29 @@ func scheduleFixture() []ReconfigEvent {
 	}
 }
 
-// TestScheduledReconfigDeterministic runs the same schedule under the serial
-// and sharded kernels and demands byte-identical fingerprints and identical
-// reconfiguration logs.
+// TestScheduledReconfigDeterministic runs the same schedule twice and
+// demands byte-identical fingerprints and identical reconfiguration logs.
 func TestScheduledReconfigDeterministic(t *testing.T) {
-	run := func(shards int) (string, []ReconfigOutcome) {
+	run := func() (string, []ReconfigOutcome) {
 		topo := topology.MustTorus(4, 4)
-		cfg := testConfig(topo, routing.Disha(2), 0.5, 21)
-		cfg.Kernel.Shards = shards
-		n := mustNet(t, cfg)
-		defer n.Close()
+		n := mustNet(t, testConfig(topo, routing.Disha(2), 0.5, 21))
 		if err := n.ScheduleReconfig(scheduleFixture()); err != nil {
 			t.Fatal(err)
 		}
 		n.Run(2000)
 		return n.FingerprintHex(), n.ReconfigLog()
 	}
-	d1, log1 := run(1)
-	d4, log4 := run(4)
-	if d1 != d4 {
-		t.Fatalf("sharded chaos run diverged: serial %s sharded %s", d1, d4)
+	d1, log1 := run()
+	d2, log2 := run()
+	if d1 != d2 {
+		t.Fatalf("repeated chaos run diverged: %s vs %s", d1, d2)
 	}
 	if len(log1) != len(scheduleFixture()) {
 		t.Fatalf("expected %d outcomes, got %d", len(scheduleFixture()), len(log1))
 	}
 	for i := range log1 {
-		if log1[i] != log4[i] {
-			t.Fatalf("outcome %d differs: %v vs %v", i, log1[i], log4[i])
+		if log1[i] != log2[i] {
+			t.Fatalf("outcome %d differs: %v vs %v", i, log1[i], log2[i])
 		}
 	}
 }
@@ -172,9 +168,7 @@ func TestEmptyChaosScheduleZeroOverhead(t *testing.T) {
 		return mustNet(t, testConfig(topo, routing.Disha(2), 0.5, 33))
 	}
 	plain := build()
-	defer plain.Close()
 	armed := build()
-	defer armed.Close()
 	if err := armed.ScheduleReconfig(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,6 @@ func TestSnapshotReplaysReconfig(t *testing.T) {
 	sched := scheduleFixture()
 
 	orig := mustNet(t, cfg)
-	defer orig.Close()
 	if err := orig.ScheduleReconfig(sched); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +225,6 @@ func TestSnapshotReplaysReconfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := mustNet(t, cfg)
-	defer restored.Close()
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +321,6 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 				}
 			}
 		}
-		n.Close()
 	}
 }
 
@@ -339,7 +330,6 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 func TestSwapAlgorithmIsNetworkWide(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(3), 0.4, 3)
 	n := mustNet(t, cfg)
-	defer n.Close()
 	n.Run(100)
 	alg, err := routing.ByName("disha-m1")
 	if err != nil {
@@ -353,7 +343,6 @@ func TestSwapAlgorithmIsNetworkWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := mustNet(t, cfg)
-	defer restored.Close()
 	if err := restored.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,8 @@ const (
 // events whose cycle already passed are dropped on arming because the log
 // replay above has already reproduced their effect.
 //
-// The encoding is deterministic and kernel-independent: serial and sharded
-// networks in the same state produce identical bytes. Restoring it into a
+// The encoding is deterministic: networks in the same state produce
+// identical bytes, whichever scan path got them there. Restoring it into a
 // freshly built Network with the identical Config reproduces the exact
 // Fingerprint at every subsequent cycle, which is the property the
 // checkpoint/resume machinery in internal/harness is built on.
@@ -134,8 +134,7 @@ func (n *Network) encodeInjectionState(enc *snapshot.Writer) {
 
 // Restore loads a snapshot produced by Snapshot into this network. The
 // network must be freshly constructed — network.New with the identical
-// Config (the kernel shard count alone may differ; it does not affect
-// results) and never stepped; anything else is an error. On any decoding
+// Config — and never stepped; anything else is an error. On any decoding
 // error the network state is undefined and the network must be discarded.
 func (n *Network) Restore(r io.Reader) error {
 	if n.clock.Now() != 0 || n.counters != (Counters{}) || len(n.reconfigLog) != 0 {
@@ -361,8 +360,7 @@ func DecodeCounters(dec *snapshot.Reader) Counters {
 // encodeConfigGuard writes the identity of the configuration the snapshot
 // was taken under. Restore validates every field against the receiving
 // network so a snapshot can never be loaded into a structurally different
-// simulation; the kernel shard count is deliberately excluded because the
-// sharded kernel is byte-identical to the serial one.
+// simulation.
 func (n *Network) encodeConfigGuard(enc *snapshot.Writer) {
 	c := &n.cfg
 	enc.String(n.topo.Name())

@@ -38,7 +38,6 @@ func restoreFresh(t *testing.T, cfg Config, data []byte) *Network {
 	t.Helper()
 	n := mustNet(t, cfg)
 	if err := n.Restore(bytes.NewReader(data)); err != nil {
-		n.Close()
 		t.Fatalf("restore: %v", err)
 	}
 	return n
@@ -62,32 +61,17 @@ func checkLockstep(t *testing.T, orig, restored *Network, cycles int) {
 
 // TestSnapshotRoundTripDigest is the acceptance property from the issue: for
 // every routing algorithm, a network restored from a mid-run snapshot
-// produces the same per-cycle fingerprint as the uninterrupted original —
-// under the serial kernel and under the sharded kernel, and across the two
-// (serial snapshot restored into a sharded network).
+// produces the same per-cycle fingerprint as the uninterrupted original.
 func TestSnapshotRoundTripDigest(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			for _, tc := range []struct {
-				name                  string
-				origShards, resShards int
-			}{
-				{"serial", 0, 0},
-				{"sharded", 4, 4},
-				{"serial-to-sharded", 0, 4},
-			} {
-				t.Run(tc.name, func(t *testing.T) {
-					cfg := gc.build()
-					cfg.Kernel.Shards = tc.origShards
-					orig, data := takeSnapshot(t, cfg, 300)
-					defer orig.Close()
-					cfg.Kernel.Shards = tc.resShards
-					restored := restoreFresh(t, cfg, data)
-					defer restored.Close()
-					checkLockstep(t, orig, restored, 150)
-				})
-			}
+			t.Run("serial", func(t *testing.T) {
+				cfg := gc.build()
+				orig, data := takeSnapshot(t, cfg, 300)
+				restored := restoreFresh(t, cfg, data)
+				checkLockstep(t, orig, restored, 150)
+			})
 		})
 	}
 }
@@ -115,9 +99,7 @@ func TestSnapshotRecoveryModes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base(tc.mode)
 			orig, data := takeSnapshot(t, cfg, 400)
-			defer orig.Close()
 			restored := restoreFresh(t, cfg, data)
-			defer restored.Close()
 			checkLockstep(t, orig, restored, 150)
 		})
 	}
@@ -129,7 +111,6 @@ func TestSnapshotRecoveryModes(t *testing.T) {
 func TestSnapshotFaultReplay(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.4, 9)
 	n := mustNet(t, cfg)
-	defer n.Close()
 	if err := n.FailLink(10, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +123,6 @@ func TestSnapshotFaultReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := restoreFresh(t, cfg, buf.Bytes())
-	defer restored.Close()
 	if restored.FailedLinks() != 2 {
 		t.Fatalf("restored network has %d failed links, want 2", restored.FailedLinks())
 	}
@@ -154,7 +134,6 @@ func TestSnapshotFaultReplay(t *testing.T) {
 func TestSnapshotDrainedStateResumes(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.3, 5)
 	n := mustNet(t, cfg)
-	defer n.Close()
 	n.Run(500)
 	n.StopInjection()
 	if !n.RunUntilDrained(5000) {
@@ -165,7 +144,6 @@ func TestSnapshotDrainedStateResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := restoreFresh(t, cfg, buf.Bytes())
-	defer restored.Close()
 	checkLockstep(t, n, restored, 50)
 	if !restored.Drained() {
 		t.Fatal("restored network resumed injection after drain")
@@ -176,8 +154,7 @@ func TestSnapshotDrainedStateResumes(t *testing.T) {
 // different networks; every mismatch must be rejected with an error.
 func TestSnapshotConfigGuard(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.3, 1)
-	orig, data := takeSnapshot(t, cfg, 100)
-	defer orig.Close()
+	_, data := takeSnapshot(t, cfg, 100)
 
 	mutations := map[string]func(*Config){
 		"topology":  func(c *Config) { c.Topo = topology.MustMesh(4, 4) },
@@ -196,32 +173,19 @@ func TestSnapshotConfigGuard(t *testing.T) {
 			bad := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.3, 1)
 			mutate(&bad)
 			n := mustNet(t, bad)
-			defer n.Close()
 			if err := n.Restore(bytes.NewReader(data)); err == nil {
 				t.Fatal("restore into a mismatched configuration succeeded")
 			}
 		})
 	}
-
-	t.Run("shards-may-differ", func(t *testing.T) {
-		ok := cfg
-		ok.Kernel.Shards = 4
-		n := mustNet(t, ok)
-		defer n.Close()
-		if err := n.Restore(bytes.NewReader(data)); err != nil {
-			t.Fatalf("restore with a different shard count must succeed: %v", err)
-		}
-	})
 }
 
 // TestSnapshotFreshnessGuard insists Restore refuses a network that has
 // already been stepped — partial overwrite would corrupt state silently.
 func TestSnapshotFreshnessGuard(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.3, 1)
-	orig, data := takeSnapshot(t, cfg, 50)
-	defer orig.Close()
+	_, data := takeSnapshot(t, cfg, 50)
 	stale := mustNet(t, cfg)
-	defer stale.Close()
 	stale.Run(10)
 	if err := stale.Restore(bytes.NewReader(data)); err == nil {
 		t.Fatal("restore into a stepped network succeeded")
@@ -234,17 +198,14 @@ func TestSnapshotFreshnessGuard(t *testing.T) {
 func TestSnapshotCorruption(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	cfg.Router.Timeout = 4
-	orig, data := takeSnapshot(t, cfg, 200)
-	defer orig.Close()
+	_, data := takeSnapshot(t, cfg, 200)
 
 	t.Run("truncation", func(t *testing.T) {
 		for cut := 0; cut < len(data); cut++ {
 			n := mustNet(t, cfg)
 			if err := n.Restore(bytes.NewReader(data[:cut])); err == nil {
-				n.Close()
 				t.Fatalf("truncation to %d of %d bytes decoded without error", cut, len(data))
 			}
-			n.Close()
 		}
 	})
 	t.Run("bitflip", func(t *testing.T) {
@@ -254,28 +215,22 @@ func TestSnapshotCorruption(t *testing.T) {
 			mut[pos] ^= 0x40
 			n := mustNet(t, cfg)
 			if err := n.Restore(bytes.NewReader(mut)); err == nil {
-				n.Close()
 				t.Fatalf("bit flip at %d decoded without error", pos)
 			}
-			n.Close()
 		}
 	})
 }
 
 // TestSnapshotDeterministicBytes pins that the encoder itself is
-// deterministic: two snapshots of the same state are byte-identical (the
-// harness relies on this when comparing checkpoints across kernels).
+// deterministic: two snapshots of the same state are byte-identical.
 func TestSnapshotDeterministicBytes(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.6, 42)
 	cfg.Router.VCs = 2
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = 4
 
-	run := func(shards int) []byte {
-		c := cfg
-		c.Kernel.Shards = shards
-		n := mustNet(t, c)
-		defer n.Close()
+	run := func() []byte {
+		n := mustNet(t, cfg)
 		n.Run(300)
 		var buf bytes.Buffer
 		if err := n.Snapshot(&buf); err != nil {
@@ -283,12 +238,8 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := run(0)
-	if again := run(0); !bytes.Equal(serial, again) {
+	if first, again := run(), run(); !bytes.Equal(first, again) {
 		t.Fatal("two snapshots of identical runs differ")
-	}
-	if sharded := run(4); !bytes.Equal(serial, sharded) {
-		t.Fatal("sharded-kernel snapshot differs from serial snapshot of the same state")
 	}
 }
 
@@ -302,7 +253,6 @@ func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
 			n := mustNet(t, gc.build())
-			defer n.Close()
 			n.Run(gc.cycles)
 			n.Fingerprint() // brings routers the active set skipped up to date
 			for i, r := range n.routers {
@@ -334,8 +284,7 @@ func snapshotFixtureConfig() Config {
 func TestSnapshotGoldenFixture(t *testing.T) {
 	cfg := snapshotFixtureConfig()
 	if *updateSnapshot {
-		orig, data := takeSnapshot(t, cfg, 250)
-		orig.Close()
+		_, data := takeSnapshot(t, cfg, 250)
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -351,11 +300,9 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 		t.Fatalf("missing snapshot fixture (regenerate with -update-snapshot): %v", err)
 	}
 	restored := restoreFresh(t, cfg, data)
-	defer restored.Close()
 
 	// The fixture must decode to the exact state the encoder produces today.
 	orig, fresh := takeSnapshot(t, cfg, 250)
-	defer orig.Close()
 	if !bytes.Equal(data, fresh) {
 		t.Fatal("current encoder no longer reproduces the committed fixture; bump snapshotVersion and regenerate with -update-snapshot")
 	}
@@ -378,7 +325,6 @@ func FuzzSnapshotRestore(f *testing.F) {
 	if err := n.Snapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
-	n.Close()
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
@@ -399,11 +345,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		n := fresh()
 		_ = n.Restore(bytes.NewReader(data)) // must not panic
-		n.Close()
 
 		// Re-seal so the checksum passes and the payload decoder runs.
 		n = fresh()
 		_ = n.Restore(bytes.NewReader(snapshot.Seal(snapshotMagic, snapshotVersion, data)))
-		n.Close()
 	})
 }

@@ -10,10 +10,9 @@ import (
 // Transfer is one staged flit movement for the current cycle. All transfers
 // are staged against start-of-cycle state by StageSwitch and applied together
 // by Commit, which keeps the simulation order-independent across routers.
-// Staging is router-local (it touches only the staging router's state), so
-// disjoint router shards may stage concurrently; the cross-router Deadlock
-// Buffer write-port constraint is enforced afterwards by ResolveDB in fixed
-// router order.
+// Staging reads only start-of-cycle state and touches only the staging
+// router's own; the cross-router Deadlock Buffer write-port constraint is
+// settled afterwards by ResolveDB in fixed router order.
 type Transfer struct {
 	From       *Router
 	FromPort   int // source input port; ignored when FromDB
@@ -53,9 +52,8 @@ func reserveDB(target *Router, lane int, p *packet.Packet, now sim.Cycle) bool {
 // the lane exists, is idle or already threaded by p, and has a free slot.
 // It deliberately ignores the per-cycle single-write-port constraint, which
 // depends on what other routers stage: StageSwitch uses this check so that
-// staging reads only start-of-cycle state (safe and deterministic under
-// concurrent sharded staging) and ResolveDB settles the write port
-// afterwards in fixed router order.
+// staging reads only start-of-cycle state, and ResolveDB settles the write
+// port afterwards in fixed router order.
 func dbStageable(target *Router, lane int, p *packet.Packet) bool {
 	if target == nil || lane < 0 || lane >= target.st.lanes {
 		return false
@@ -69,7 +67,7 @@ func dbStageable(target *Router, lane int, p *packet.Packet) bool {
 // it walks the transfers in order and re-checks every DB-bound transfer
 // against the receiving lane's single write port, marking losers Dropped and
 // un-staging their source (the sent flag is cleared so TickTimers still sees
-// the header as blocked). Callers invoke it serially, shard by shard in
+// the header as blocked). Callers invoke it over the cycle's transfers in
 // fixed router order, between staging and Commit, with a cycle number that
 // never repeats; the surviving transfers are exactly those a fully serial
 // stage-with-reservations pass would have admitted, except that a port whose
@@ -551,10 +549,9 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 
 // FlushTimeouts invokes the SetOnTimeout observer for every header newly
 // presumed during the last TickTimers, in detection order, and clears the
-// buffer. The network calls it serially in fixed router order after the
-// (possibly sharded) timer phase, so observer side effects — trace records,
-// flight-recorder triggers — happen in the same order regardless of the
-// kernel's shard count.
+// buffer. The network calls it in fixed router order after the timer phase,
+// so observer side effects — trace records, flight-recorder triggers —
+// happen in router order.
 func (r *Router) FlushTimeouts() {
 	if len(r.pendingTimeouts) == 0 {
 		return

@@ -39,10 +39,10 @@ func (r *Router) StageRouting() {
 // start-of-cycle buffer/credit state; Commit applies them afterwards.
 //
 // StageSwitch mutates only this router's state and reads neighbors' Deadlock
-// Buffer state, which is start-of-cycle stable, so disjoint router shards may
-// stage concurrently. Deadlock-Buffer-bound transfers are staged
-// optimistically; the caller must run ResolveDB over all staged
-// transfers (in fixed router order) before committing them.
+// Buffer state, which is start-of-cycle stable: staging reads only
+// start-of-cycle state. Deadlock-Buffer-bound transfers are staged
+// optimistically; the caller must run ResolveDB over all staged transfers
+// (in fixed router order) to settle the write port before committing them.
 func (r *Router) StageSwitch(out []Transfer) []Transfer {
 	out = r.stageEjection(out)
 	if r.st.cfg.Alloc == PacketByPacket {
@@ -168,11 +168,10 @@ func (r *Router) arbitrateInput(q, total int, inputUsed *[64]bool, out []Transfe
 // newly crossed T_out this cycle; each newly presumed packet is buffered for
 // the observer installed with SetOnTimeout (tracing, flight recorder), which
 // runs when the caller invokes FlushTimeouts — deferred so that TickTimers
-// touches only router-local state and disjoint router shards can tick
-// concurrently. As a side effect it refreshes the router's telemetry
-// instrumentation (BlockedHeaders, PresumedHeaders, per-VC blocked-cycle
-// counters) — the loop already touches every input VC, so the extra cost is
-// a few adds.
+// touches only router-local state. As a side effect it refreshes the
+// router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
+// per-VC blocked-cycle counters) — the loop already touches every input VC,
+// so the extra cost is a few adds.
 func (r *Router) TickTimers() int {
 	s := r.st
 	newly := 0

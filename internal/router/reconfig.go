@@ -7,8 +7,7 @@ import "repro/internal/packet"
 // mid-run link and router kills, heals and routing-function swaps. Every
 // method here mutates only this router's slice of the shared SoA state (plus
 // the well-defined upstream credit return PurgePacket already performs), and
-// all of them are called between Step cycles, so they never race with the
-// sharded kernel.
+// all of them are called between Step cycles.
 
 // dbHeadIsHeader reports whether DB lane slot i currently buffers its
 // packet's header at the ring head — the one case where the lane's stored

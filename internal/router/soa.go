@@ -17,10 +17,7 @@ import (
 // indexed by (router, port, vc). A Router is a view over its slice of the
 // buffers, so route compute, switch allocation and the deadlock-timer phase
 // sweep contiguous memory, and a network-wide change (SetAlgorithm,
-// SetLaneTable) is one assignment. Routers are laid out consecutively, so
-// the kernel's contiguous router shards (internal/network) partition every
-// buffer into contiguous ranges with no false sharing beyond single cache
-// lines at shard boundaries.
+// SetLaneTable) is one assignment. Routers are laid out consecutively.
 //
 // Layout (all slices are allocated once, at NewState, and never grow):
 //
@@ -199,7 +196,7 @@ func (s *State) Algorithm() routing.Algorithm { return s.alg }
 // output VC finish their hop under the old function, and any packet the new
 // function can no longer make progress for times out and escapes through
 // the Deadlock Buffer lane — the DBR reconfiguration argument. Called
-// between Step cycles, so it never races with the sharded kernel.
+// between Step cycles.
 func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
 
 // LaneTable returns the installed Deadlock Buffer lane table (nil when the

@@ -24,8 +24,8 @@ func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.db.at(r.dbIdx(l
 // (owner, route grants, buffered flits, timer state), output VC (owner,
 // credits), Deadlock Buffer lane, crossbar connection, arbitration offset,
 // adaptive-timeout state and event counter. The golden-digest conformance
-// suite hashes it to prove that sharded and serial kernels leave the network
-// in byte-identical states.
+// suite hashes it to prove that every scan path leaves the network in
+// byte-identical states.
 func (r *Router) AppendState(b []byte) []byte {
 	w := snapshot.NewWriter(b)
 	r.encodeState(w)

@@ -13,9 +13,10 @@ import (
 // rendered exposition crosses goroutines only through Registry.Publish.
 //
 // Histograms are mergeable: two histograms with identical bounds can be
-// combined with Merge, which is how per-shard measurements aggregate into
-// one distribution without any locking — each shard observes into its own
-// histogram and the owning goroutine merges after the phase barrier.
+// combined with Merge, which is how measurements taken by several owners
+// aggregate into one distribution — each owner observes into its own
+// histogram and one goroutine merges them (the coordinator's per-unit queue
+// waits, for example).
 //
 // A nil *Histogram is safe: Observe is a no-op and reads return zeros, so
 // instrumentation sites need no enabled-checks of their own.

@@ -1,9 +1,48 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestUsageErrors builds the binary and pins the command line: with no
+// -gate (there is no default comparison) or no input file it prints one
+// usage line and exits 2.
+func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "benchgate")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build benchgate: %v\n%s", err, out)
+	}
+	bench := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(bench, []byte("BenchmarkA-2 10 100 ns/op\nBenchmarkB-2 10 200 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) (string, int) {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		out, _ := cmd.CombinedOutput()
+		if cmd.ProcessState == nil {
+			t.Fatalf("benchgate %v did not run", args)
+		}
+		return string(out), cmd.ProcessState.ExitCode()
+	}
+	const usage = "usage: benchgate -gate candidate:baseline:max-ratio [-gate ...] bench-output.txt\n"
+	for _, args := range [][]string{{bench}, {"-gate", "BenchmarkA:BenchmarkB:1.0"}, {}} {
+		if out, code := run(args...); code != 2 || out != usage {
+			t.Errorf("benchgate %v: exit %d, want 2 and the usage line; output:\n%s", args, code, out)
+		}
+	}
+	if out, code := run("-gate", "BenchmarkA:BenchmarkB:1.0", bench); code != 0 || !strings.Contains(out, "PASS") {
+		t.Errorf("passing gate: exit %d; output:\n%s", code, out)
+	}
+	if out, code := run("-gate", "BenchmarkB:BenchmarkA:1.0", bench); code != 1 || !strings.Contains(out, "FAIL") {
+		t.Errorf("failing gate: exit %d; output:\n%s", code, out)
+	}
+}
 
 func TestParseBenchLine(t *testing.T) {
 	line := "BenchmarkStepSerial/torus16-8   \t     400\t   123456 ns/op\t       0 B/op\t       0 allocs/op\t       256 routers/step"

@@ -33,7 +33,6 @@ type SimSpec struct {
 	Recovery     string
 	Throttle, Rx int
 	Seed         uint64
-	Shards       int
 }
 
 // DefaultSimSpec returns disha-sim's defaults: the paper's 16x16 torus with
@@ -70,7 +69,6 @@ func (s *SimSpec) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Throttle, "throttle", s.Throttle, "max outstanding packets per node (0 = unthrottled)")
 	fs.IntVar(&s.Rx, "rx", s.Rx, "reception channels per node")
 	fs.Uint64Var(&s.Seed, "seed", s.Seed, "random seed")
-	fs.IntVar(&s.Shards, "shards", s.Shards, "kernel worker shards per cycle (0/1 = serial; any value gives identical results)")
 }
 
 // Config resolves the spec's names into a SimConfig. An unknown name, an
@@ -78,9 +76,6 @@ func (s *SimSpec) Flags(fs *flag.FlagSet) {
 // error naming the offending value, never a panic; what remains (load,
 // buffer sizes, algorithm/topology fit) is NewSimulator's to validate.
 func (s SimSpec) Config() (SimConfig, error) {
-	if s.Shards < 0 {
-		return SimConfig{}, fmt.Errorf("negative kernel shards %d (-shards must be >= 0)", s.Shards)
-	}
 	topo, err := s.topology()
 	if err != nil {
 		return SimConfig{}, err
@@ -146,7 +141,6 @@ func (s SimSpec) Config() (SimConfig, error) {
 		ReceptionChannels: s.Rx,
 		InjectionThrottle: s.Throttle,
 		Seed:              s.Seed,
-		Shards:            s.Shards,
 	}, nil
 }
 
@@ -209,7 +203,7 @@ func (s SimSpec) String() string {
 		}
 		shape = fmt.Sprintf("%s %d-ary %d-cube", kind, s.Radix, s.Dims)
 	}
-	return fmt.Sprintf("%s | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d shards=%d",
+	return fmt.Sprintf("%s | %s(M=%d) sel=%s | %s load=%.2f msg=%d | vc=%d depth=%d T=%d %s | seed=%d",
 		shape, s.Alg, s.Misroutes, s.Sel,
-		s.Traffic, s.Load, s.MsgLen, s.VCs, s.Depth, s.Timeout, s.Recovery, s.Seed, s.Shards)
+		s.Traffic, s.Load, s.MsgLen, s.VCs, s.Depth, s.Timeout, s.Recovery, s.Seed)
 }

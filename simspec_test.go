@@ -28,11 +28,9 @@ func TestSimSpecConfig(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s defaults: %v", name, err)
 		}
-		sim, err := disha.NewSimulator(cfg)
-		if err != nil {
+		if _, err := disha.NewSimulator(cfg); err != nil {
 			t.Fatalf("%s defaults: NewSimulator: %v", name, err)
 		}
-		sim.Close()
 	}
 
 	type badCase struct {
@@ -50,7 +48,6 @@ func TestSimSpecConfig(t *testing.T) {
 		{"dims negative", func(s *disha.SimSpec) { s.Dims = -1 }, "dims -1"},
 		{"dims huge", func(s *disha.SimSpec) { s.Dims = 1 << 30 }, "dims 1073741824"},
 		{"radix 1", func(s *disha.SimSpec) { s.Radix = 1 }, "radix 1"},
-		{"negative shards", func(s *disha.SimSpec) { s.Shards = -1 }, "shards -1"},
 		{"hotspot above 1", func(s *disha.SimSpec) { s.Traffic, s.HotspotFraction = "hotspot", 2 }, "fraction 2"},
 		{"hotspot below 0", func(s *disha.SimSpec) { s.Traffic, s.HotspotFraction = "hotspot", -0.5 }, "fraction -0.5"},
 		{"bit-reversal on 3x3", func(s *disha.SimSpec) { s.Traffic, s.Radix = "bit-reversal", 3 }, "have 9"},
@@ -106,18 +103,18 @@ func TestSimSpecFlags(t *testing.T) {
 // Config returns an error, or NewSimulator returns an error, or the pair
 // yields a simulator that steps — never a panic or a runaway allocation.
 func FuzzSimSpecConfig(f *testing.F) {
-	f.Add("", "disha", "random", "uniform", "sequential", 4, 2, false, 0, 0.05, 0.4, 8, 2, 2, 8, 0, 1, uint64(1), 0)
-	f.Add("fullmesh-16", "disha", "min-congestion", "hotspot", "abort-retry", 0, 0, false, 2, 0.1, 0.3, 8, 2, 1, 4, 2, 2, uint64(7), 4)
-	f.Add("dragonfly-4x2", "dor", "random", "tornado", "concurrent", 4, 3, true, -1, 2.0, -1.0, 0, 0, 0, 0, -1, 0, uint64(0), -1)
-	f.Add("", "duato-strict", "random", "bit-reversal", "sequential", 3, 1<<30, true, 1<<30, 0.5, 5.0, 1<<30, 1<<30, 1<<30, -8, 1<<30, 1<<30, uint64(1)<<63, 1<<30)
+	f.Add("", "disha", "random", "uniform", "sequential", 4, 2, false, 0, 0.05, 0.4, 8, 2, 2, 8, 0, 1, uint64(1))
+	f.Add("fullmesh-16", "disha", "min-congestion", "hotspot", "abort-retry", 0, 0, false, 2, 0.1, 0.3, 8, 2, 1, 4, 2, 2, uint64(7))
+	f.Add("dragonfly-4x2", "dor", "random", "tornado", "concurrent", 4, 3, true, -1, 2.0, -1.0, 0, 0, 0, 0, -1, 0, uint64(0))
+	f.Add("", "duato-strict", "random", "bit-reversal", "sequential", 3, 1<<30, true, 1<<30, 0.5, 5.0, 1<<30, 1<<30, 1<<30, -8, 1<<30, 1<<30, uint64(1)<<63)
 	f.Fuzz(func(t *testing.T, topo, alg, sel, traffic, recovery string, radix, dims int, mesh bool,
-		misroutes int, hot, load float64, msgLen, vcs, depth, timeout, throttle, rx int, seed uint64, shards int) {
+		misroutes int, hot, load float64, msgLen, vcs, depth, timeout, throttle, rx int, seed uint64) {
 		spec := disha.SimSpec{
 			Radix: radix, Dims: dims, Mesh: mesh, Topo: topo,
 			Alg: alg, Misroutes: misroutes, Sel: sel,
 			Traffic: traffic, HotspotFraction: hot,
 			Load: load, MsgLen: msgLen, VCs: vcs, Depth: depth, Timeout: timeout,
-			Recovery: recovery, Throttle: throttle, Rx: rx, Seed: seed, Shards: shards,
+			Recovery: recovery, Throttle: throttle, Rx: rx, Seed: seed,
 		}
 		_ = spec.String()
 		cfg, err := spec.Config()
@@ -131,7 +128,6 @@ func FuzzSimSpecConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer sim.Close()
 		sim.Run(8)
 	})
 }
