@@ -47,6 +47,16 @@ func (w WFGResult) DeadlockedIDs() map[int64]bool {
 	return ids
 }
 
+// appendDistinct appends p to ps unless it is already there.
+func appendDistinct(ps []*packet.Packet, p *packet.Packet) []*packet.Packet {
+	for _, q := range ps {
+		if q == p {
+			return ps
+		}
+	}
+	return append(ps, p)
+}
+
 // AnalyzeWFG inspects the routers' current state and classifies blocked
 // headers. A header can eventually advance if any candidate output VC is
 // free or draining, or is held by a packet that can itself advance (its
@@ -83,7 +93,10 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 				}
 				cands := r.Algorithm().Route(r, pkt, nil)
 				free := false
-				waitSet := make(map[*packet.Packet]struct{})
+				// Blockers in candidate order, deduplicated by scan: at
+				// most ports x VCs entries, and the order reaches the
+				// flight recorder's waits_on, which must not vary by run.
+				var waits []*packet.Packet
 				for _, c := range cands {
 					if !r.LinkExists(c.Port) {
 						continue
@@ -93,7 +106,7 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 						break
 					}
 					if owner := r.OutputOwner(c.Port, c.VC); owner != nil {
-						waitSet[owner] = struct{}{}
+						waits = appendDistinct(waits, owner)
 						continue
 					}
 					// Owner released but the downstream buffer has not
@@ -103,7 +116,7 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 					nb := r.Neighbor(c.Port)
 					inPort := r.ReverseAt(c.Port)
 					if occupant := nb.InputOwner(inPort, c.VC); occupant != nil {
-						waitSet[occupant] = struct{}{}
+						waits = appendDistinct(waits, occupant)
 					} else {
 						// Genuinely draining: will become free without help.
 						free = true
@@ -113,11 +126,7 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 				if free {
 					continue
 				}
-				bh := BlockedHeader{Router: r, Port: p, VC: v, Pkt: pkt}
-				for w := range waitSet {
-					bh.WaitsOn = append(bh.WaitsOn, w)
-				}
-				res.Blocked = append(res.Blocked, bh)
+				res.Blocked = append(res.Blocked, BlockedHeader{Router: r, Port: p, VC: v, Pkt: pkt, WaitsOn: waits})
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"bytes"
+	"regexp"
 	"testing"
 
 	"repro/internal/routing"
@@ -154,4 +156,61 @@ func TestEpisodeSpansWellFormed(t *testing.T) {
 			t.Errorf("span pkt %d: end %d before recover %d", s.Pkt, s.End, s.Recover)
 		}
 	}
+}
+
+// observedJSONL runs the deadlock-prone golden DISHA configuration for 3000
+// cycles with a JSONL writer attached and returns the stream without its
+// go_* process samples (heap size, goroutine count and GC totals describe
+// the host, not the simulation).
+func observedJSONL(t *testing.T) []byte {
+	t.Helper()
+	var disha goldenCase
+	for _, gc := range goldenCases() {
+		if gc.name == "disha" {
+			disha = gc
+		}
+	}
+	var buf bytes.Buffer
+	w := telemetry.NewJSONLWriter(&buf)
+	n := mustNet(t, disha.build())
+	hub := n.EnableTelemetry(telemetry.Options{SnapshotCooldown: 100, Writer: w})
+	n.Run(3000)
+	hub.Episodes.FlushOpen(int64(n.Now()))
+	w.WriteCounters(int64(n.Now()), n.CountersMap())
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"name":"go_`)) {
+			out = append(out, line...)
+		}
+	}
+	return out
+}
+
+// TestObservedJSONLDeterministic pins the trace file as a function of
+// (seed, config): two identical observed runs must write the same bytes.
+// Snapshot lines carry each blocked header's waits_on list, so a wait-for
+// graph built in map order fails here.
+func TestObservedJSONLDeterministic(t *testing.T) {
+	a, b := observedJSONL(t), observedJSONL(t)
+	for _, typ := range []string{"snapshot", "span", "sample", "counters"} {
+		if !bytes.Contains(a, []byte(`"type":"`+typ+`"`)) {
+			t.Fatalf("stream has no %s line; the comparison would be vacuous", typ)
+		}
+	}
+	if !regexp.MustCompile(`"waits_on":\[\d+,`).Match(a) {
+		t.Fatal("no snapshot header waits on two packets; the order check would be vacuous")
+	}
+	if bytes.Equal(a, b) {
+		return
+	}
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			t.Fatalf("identical runs diverge at line %d:\n%.300s\n%.300s", i+1, la[i], lb[i])
+		}
+	}
+	t.Fatalf("identical runs wrote %d and %d lines", len(la), len(lb))
 }
