@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -75,12 +75,17 @@ type dump struct {
 }
 
 // load reads the trace file at path and splits it by record type; any
-// failure exits 1 with one line.
+// failure exits 1 with one line. The torn last line a killed disha-sim
+// leaves is not a failure: it is dropped with a warning.
 func load(path string) *dump {
 	f, err := os.Open(path)
 	fail(err)
 	lines, err := telemetry.ReadJSONL(f)
 	f.Close()
+	if errors.Is(err, telemetry.ErrTornTail) {
+		fmt.Fprintf(os.Stderr, "disha-trace: warning: %v; reading the %d lines before it\n", err, len(lines))
+		err = nil
+	}
 	fail(err)
 	d := &dump{}
 	for _, l := range lines {
@@ -159,8 +164,11 @@ func printSpans(d *dump, limit int) {
 	falseN := len(spans) - trueN
 	fmt.Printf("  verdicts: %d true-cycle, %d false-presumption (misprediction rate %.1f%%); %d presumed packets in a deadlocked set\n",
 		trueN, falseN, 100*float64(falseN)/float64(len(spans)), memberN)
-	fmt.Printf("  outcomes: %d delivered, %d killed, %d open at end of run\n",
-		outcomes["delivered"], outcomes["killed"], outcomes["open"])
+	fmt.Printf("  outcomes: %d delivered, %d killed, ", outcomes["delivered"], outcomes["killed"])
+	if n := outcomes["dropped"]; n > 0 { // chaos campaigns only
+		fmt.Printf("%d dropped by reconfiguration, ", n)
+	}
+	fmt.Printf("%d open at end of run\n", outcomes["open"])
 	if resolveN > 0 {
 		fmt.Printf("  mean time-to-resolve %d cycles", resolveSum/resolveN)
 		if dbN > 0 {
@@ -201,13 +209,10 @@ func spanTimeline(s *telemetry.EpisodeSpan) string {
 	if s.Release >= 0 {
 		fmt.Fprintf(&sb, " -> release@%d", s.Release)
 	}
-	switch s.Outcome {
-	case "delivered":
-		fmt.Fprintf(&sb, " -> delivered@%d (+%d cycles)", s.End, s.End-s.Start)
-	case "killed":
-		fmt.Fprintf(&sb, " -> killed@%d (+%d cycles)", s.End, s.End-s.Start)
-	default:
+	if s.Outcome == "open" {
 		fmt.Fprintf(&sb, " -> open at end of run (@%d)", s.End)
+	} else {
+		fmt.Fprintf(&sb, " -> %s@%d (+%d cycles)", s.Outcome, s.End, s.End-s.Start)
 	}
 	return sb.String()
 }
@@ -269,7 +274,7 @@ func printEventTotals(d *dump) {
 		counts[e.Kind]++
 	}
 	// Canonical kind order (lifecycle first, then recovery machinery).
-	order := trace.KindStrings()
+	order := telemetry.KindStrings()
 	seen := map[string]bool{}
 	for _, k := range order {
 		if counts[k] > 0 {
@@ -332,7 +337,10 @@ func hottestRouters(frames []telemetry.Frame, top int) string {
 		if ranks[i].score != ranks[j].score {
 			return ranks[i].score > ranks[j].score
 		}
-		return first[ranks[i].node] < first[ranks[j].node]
+		if first[ranks[i].node] != first[ranks[j].node] {
+			return first[ranks[i].node] < first[ranks[j].node]
+		}
+		return ranks[i].node < ranks[j].node // ranks came out of a map
 	})
 	if len(ranks) > top {
 		ranks = ranks[:top]

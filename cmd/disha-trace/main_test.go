@@ -12,8 +12,9 @@ import (
 // TestPostMortem builds disha-sim and disha-trace, records a deadlock-prone
 // run, and pins the post-mortem's surface: the episode section is the span
 // rendering `disha-trace episodes` prints (verdicts, misprediction rate,
-// flight-recorder agreement), -pkt reads the event lines, and an unreadable
-// trace exits non-zero with one line.
+// flight-recorder agreement), -pkt reads the event lines, an unreadable
+// trace exits non-zero with one line, and the torn last line of a killed
+// run costs a warning, not the trace.
 func TestPostMortem(t *testing.T) {
 	dir := t.TempDir()
 	build := func(name, pkg string) string {
@@ -82,5 +83,29 @@ func TestPostMortem(t *testing.T) {
 				t.Errorf("disha-trace %v: exit %d, want non-zero with one line; output:\n%s", args, code, out)
 			}
 		}
+	}
+
+	// disha-sim buffers its writes, so a SIGKILLed run ends mid-line. The
+	// lines before the tear are still a post-mortem; the same damage with
+	// more lines after it is corruption.
+	whole, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tornBytes := whole[:len(whole)-7] // cuts into the final counters line
+	torn, corrupt := filepath.Join(dir, "torn.jsonl"), filepath.Join(dir, "corrupt.jsonl")
+	if err := os.WriteFile(torn, tornBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(corrupt, append(append([]byte(nil), tornBytes...), "\n{\"type\":\"meta\"}\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := trace("-episodes", "20", torn)
+	if m := section.FindString(out); code != 0 || strings.Count(out, "disha-trace: warning: ") != 1 ||
+		!strings.Contains(out, "torn final line") || m != section.FindString(post) || strings.Contains(out, "final counters") {
+		t.Errorf("torn trace: exit %d, want 0 with one warning and the whole run's episode section but no counters; output:\n%s", code, out)
+	}
+	if out, code := trace(corrupt); code == 0 || strings.Count(out, "\n") != 1 {
+		t.Errorf("undecodable line mid-file: exit %d, want non-zero with one line; output:\n%s", code, out)
 	}
 }

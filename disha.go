@@ -51,7 +51,6 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -465,33 +464,32 @@ func (s *Simulator) LoadCheckpoint(path string) error {
 func (s *Simulator) Fingerprint() string { return s.net.FingerprintHex() }
 
 // TraceEvent is one recorded simulation event.
-type TraceEvent = trace.Event
+type TraceEvent = telemetry.Event
 
 // Trace event kinds.
 const (
-	TraceInject       = trace.Inject
-	TraceDeliver      = trace.Deliver
-	TraceTimeout      = trace.Timeout
-	TraceRecover      = trace.Recover
-	TraceTokenCapture = trace.TokenCapture
-	TraceTokenRelease = trace.TokenRelease
-	TraceKill         = trace.Kill
-	TraceDrop         = trace.Drop
+	TraceInject       = telemetry.Inject
+	TraceDeliver      = telemetry.Deliver
+	TraceTimeout      = telemetry.Timeout
+	TraceRecover      = telemetry.Recover
+	TraceTokenCapture = telemetry.TokenCapture
+	TraceTokenRelease = telemetry.TokenRelease
+	TraceKill         = telemetry.Kill
+	TraceDrop         = telemetry.Drop
 )
 
 // EnableTrace attaches a ring buffer recording the most recent capacity
 // packet-level events (injections, deliveries, timeouts, recoveries, Token
 // movements) and returns it.
-func (s *Simulator) EnableTrace(capacity int) *trace.Buffer {
-	b := trace.New(capacity)
-	s.net.SetTrace(b)
-	return b
+func (s *Simulator) EnableTrace(capacity int) *telemetry.EventRing {
+	return s.net.EnableTrace(capacity)
 }
 
 // --- Telemetry ---------------------------------------------------------------------------
 
 // TelemetryOptions configures the instrumentation layer (sampling period,
-// flight-recorder depth, JSONL output).
+// flight-recorder depth, JSONL output). With a Writer set, the stream
+// carries every packet event, episode span, sample and snapshot.
 type TelemetryOptions = telemetry.Options
 
 // Telemetry bundles a simulation's registry, sampler, flight recorder and

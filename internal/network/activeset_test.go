@@ -51,7 +51,10 @@ func activeSetVariants() []kernelVariant {
 // mode, allocation policy, and the idle-heavy corner cases, and the state
 // passes CheckInvariants after every cycle. 1200 cycles crosses several
 // adaptive-decay epochs (256 idle timer ticks each), so the closed-form
-// catch-up is exercised well past one epoch.
+// catch-up is exercised well past one epoch. Both networks also record
+// their packet events, and the two sequences must be equal: a skipped router
+// that woke a cycle late could still reach the same state by the next
+// fingerprint, but not with the same event cycles.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	const cycles = 1200
 	for _, v := range activeSetVariants() {
@@ -60,6 +63,8 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			baseline := mustNet(t, v.build())
 			useFullScan(t, baseline)
 			n := mustNet(t, v.build())
+			const ringCap = 1 << 16 // holds every event of the run
+			wantEvents, gotEvents := baseline.EnableTrace(ringCap), n.EnableTrace(ringCap)
 
 			sawIdle := false
 			for i := 0; i < cycles; i++ {
@@ -82,6 +87,18 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			}
 			if baseline.activeCount() != len(baseline.routers) {
 				t.Fatal("the full-scan baseline deactivated a router")
+			}
+			got, want := gotEvents.Events(), wantEvents.Events()
+			if wantEvents.Total() == 0 || wantEvents.Total() > ringCap {
+				t.Fatalf("full scan recorded %d events; want between 1 and the ring's %d", wantEvents.Total(), ringCap)
+			}
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("event %d differs from the full scan's:\n got %v\nwant %v", i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("active set recorded %d events, full scan %d", len(got), len(want))
 			}
 		})
 	}

@@ -2,37 +2,58 @@ package network
 
 import (
 	"bytes"
+	"io"
 	"regexp"
 	"testing"
 
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
-// runCaseObserved is runCase with the full observability stack attached:
-// telemetry hub, episode tracker (on by default) and the phase profiler at
+// dishaGolden returns the deadlock-prone golden DISHA case.
+func dishaGolden() goldenCase {
+	for _, gc := range goldenCases() {
+		if gc.name == "disha" {
+			return gc
+		}
+	}
+	panic("no golden case named disha")
+}
+
+// runCaseObserved is runCase with every consumer of the packet-event
+// stream attached — the event ring, and a hub with its episode tracker (on
+// by default), flight recorder and JSONL writer — plus the phase profiler at
 // an awkward prime period so profiled and unprofiled cycles interleave.
 func runCaseObserved(t *testing.T, gc goldenCase) string {
 	t.Helper()
 	n := mustNet(t, gc.build())
-	n.EnableTelemetry(telemetry.Options{SampleEvery: 25, ProfileEvery: 7})
+	ring := n.EnableTrace(64)
+	w := telemetry.NewJSONLWriter(io.Discard)
+	n.EnableTelemetry(telemetry.Options{SampleEvery: 25, ProfileEvery: 7, Writer: w})
 	n.Run(gc.cycles)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ring.Total() == 0 {
+		t.Fatal("the event ring saw nothing; the emit point is not under test")
+	}
 	return n.FingerprintHex()
 }
 
 // TestGoldenDigestsWithObservability proves the observability stack is
-// digest-invariant: with the phase profiler and episode tracer enabled the
-// committed golden digests must still hold. The profiler reads the wall
-// clock and the tracer bookkeeps spans, but neither may touch simulation
-// state.
+// digest-invariant: with the one emit point feeding every consumer and the
+// phase profiler on, the committed golden digests must still hold. The
+// profiler reads the wall clock and the consumers bookkeep events, but
+// neither may touch simulation state.
 func TestGoldenDigestsWithObservability(t *testing.T) {
 	want := readGolden(t)
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
 			if got := runCaseObserved(t, gc); got != want[gc.name] {
-				t.Errorf("digest %s differs from golden %s with profiler+tracer on", got, want[gc.name])
+				t.Errorf("digest %s differs from golden %s with every observer on", got, want[gc.name])
 			}
 		})
 	}
@@ -78,12 +99,7 @@ func TestProfilerPopulatesHistograms(t *testing.T) {
 // cycle and trigger packet). Both derive from one WFG analysis per cycle,
 // so disagreement means the cache wiring broke.
 func TestEpisodeSnapshotAgreement(t *testing.T) {
-	var disha goldenCase
-	for _, gc := range goldenCases() {
-		if gc.name == "disha" {
-			disha = gc
-		}
-	}
+	disha := dishaGolden()
 	cfg := disha.build()
 	n := mustNet(t, cfg)
 	// Deep episode ring: the deadlock-prone case opens thousands of
@@ -127,12 +143,7 @@ func TestEpisodeSnapshotAgreement(t *testing.T) {
 // phase cycles must be ordered (start <= capture <= recover <= end when
 // present) and every closed span carries a terminal outcome.
 func TestEpisodeSpansWellFormed(t *testing.T) {
-	var disha goldenCase
-	for _, gc := range goldenCases() {
-		if gc.name == "disha" {
-			disha = gc
-		}
-	}
+	disha := dishaGolden()
 	cfg := disha.build()
 	n := mustNet(t, cfg)
 	hub := n.EnableTelemetry(telemetry.Options{})
@@ -140,7 +151,7 @@ func TestEpisodeSpansWellFormed(t *testing.T) {
 	hub.Episodes.FlushOpen(int64(n.Now()))
 
 	for _, s := range hub.Episodes.Spans() {
-		if s.Outcome != "delivered" && s.Outcome != "killed" && s.Outcome != "open" {
+		if s.Outcome != "delivered" && s.Outcome != "killed" && s.Outcome != "dropped" && s.Outcome != "open" {
 			t.Errorf("span pkt %d: bad outcome %q", s.Pkt, s.Outcome)
 		}
 		if s.End < s.Start {
@@ -164,12 +175,7 @@ func TestEpisodeSpansWellFormed(t *testing.T) {
 // the host, not the simulation).
 func observedJSONL(t *testing.T) []byte {
 	t.Helper()
-	var disha goldenCase
-	for _, gc := range goldenCases() {
-		if gc.name == "disha" {
-			disha = gc
-		}
-	}
+	disha := dishaGolden()
 	var buf bytes.Buffer
 	w := telemetry.NewJSONLWriter(&buf)
 	n := mustNet(t, disha.build())
@@ -195,7 +201,7 @@ func observedJSONL(t *testing.T) []byte {
 // graph built in map order fails here.
 func TestObservedJSONLDeterministic(t *testing.T) {
 	a, b := observedJSONL(t), observedJSONL(t)
-	for _, typ := range []string{"snapshot", "span", "sample", "counters"} {
+	for _, typ := range []string{"event", "snapshot", "span", "sample", "counters"} {
 		if !bytes.Contains(a, []byte(`"type":"`+typ+`"`)) {
 			t.Fatalf("stream has no %s line; the comparison would be vacuous", typ)
 		}
@@ -213,4 +219,42 @@ func TestObservedJSONLDeterministic(t *testing.T) {
 		}
 	}
 	t.Fatalf("identical runs wrote %d and %d lines", len(la), len(lb))
+}
+
+// TestEpisodeDroppedByReconfig runs a link-kill campaign over the
+// deadlock-prone golden DISHA case, whose recovery is sequential: a presumed
+// packet discarded by a reconfiguration event closes its episode as
+// "dropped". "killed" is the abort-and-retry outcome and must not appear.
+func TestEpisodeDroppedByReconfig(t *testing.T) {
+	disha := dishaGolden()
+	n := mustNet(t, disha.build())
+	hub := n.EnableTelemetry(telemetry.Options{EpisodeDepth: 1 << 16})
+	var sched []ReconfigEvent
+	for i := 0; i < 8; i++ {
+		sched = append(sched, ReconfigEvent{Cycle: sim.Cycle(200 + 100*i), Kind: ReconfigKillLink, Node: topology.Node(9 * i), Port: i % 4})
+	}
+	if err := n.ScheduleReconfig(sched); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1200)
+
+	outcomes := map[string]int{}
+	for _, s := range hub.Episodes.Spans() {
+		outcomes[s.Outcome]++
+	}
+	if n.Counters().PacketsLost == 0 {
+		t.Fatal("the campaign dropped no packet")
+	}
+	if outcomes["dropped"] == 0 || outcomes["killed"] != 0 {
+		t.Errorf("span outcomes %v, want at least one dropped and no killed", outcomes)
+	}
+	got := map[string]float64{}
+	for _, sm := range hub.Registry.Gather() {
+		if sm.Name == "disha_episode_outcomes_total" {
+			got[sm.Labels.Map()["outcome"]] = sm.Value
+		}
+	}
+	if got["dropped"] != float64(outcomes["dropped"]) || got["killed"] != 0 {
+		t.Errorf("disha_episode_outcomes_total %v disagrees with the spans %v", got, outcomes)
+	}
 }

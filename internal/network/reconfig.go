@@ -7,8 +7,8 @@ import (
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // This file implements dynamic reconfiguration: mid-run topology mutations
@@ -565,10 +565,7 @@ func (n *Network) dropPacket(p *packet.Packet) {
 	} else {
 		n.counters.PacketsUnroutable++
 	}
-	n.traceEvent(trace.Drop, p.Src, p.ID)
-	if n.tel != nil {
-		n.tel.Episodes.Killed(int64(p.ID), int64(n.clock.Now()))
-	}
+	n.event(telemetry.Drop, p.Src, p.ID)
 }
 
 // replayOutcome re-applies one logged reconfiguration event's topology-side

@@ -29,7 +29,8 @@ type EpisodeSpan struct {
 	Release int64 `json:"release"`
 	// End is the cycle the episode closed (-1 while still open).
 	End int64 `json:"end"`
-	// Outcome is "delivered", "killed" (abort-and-retry purged the packet)
+	// Outcome is "delivered", "killed" (abort-and-retry purged the packet
+	// for retransmission), "dropped" (a reconfiguration event discarded it)
 	// or "open" (still unresolved when the run ended).
 	Outcome string `json:"outcome"`
 	// TrueCycle is the WFG analyzer's verdict at presumption time: true
@@ -41,42 +42,37 @@ type EpisodeSpan struct {
 	Member bool `json:"member"`
 }
 
-// EpisodeTracker turns recovery lifecycles into EpisodeSpans: the network
-// opens a span on each presumption, marks Token capture / DB switch /
-// Token release / delivery or kill as they happen, and the tracker labels
-// each new span true-cycle vs false-presumption from the WFG analysis run
-// the same cycle. Closed spans land in a bounded ring, stream to the JSONL
-// writer (if set), and feed the time-to-resolve / time-in-DB histograms.
+// EpisodeTracker folds the packet-event stream into EpisodeSpans (Observe):
+// a Timeout opens a span, Token capture / DB switch / Token release mark
+// it, and a Deliver, Kill or Drop closes it. The tracker labels each new
+// span true-cycle vs false-presumption from the WFG analysis run the same
+// cycle. Closed spans land in a bounded ring, stream to the JSONL writer
+// (if set), and feed the time-to-resolve / time-in-DB histograms.
 //
 // Like the rest of the package it is single-writer (simulation goroutine)
 // and nil-safe: every method no-ops on a nil receiver, so instrumentation
 // sites need no enabled-checks.
 type EpisodeTracker struct {
 	open    map[int64]*EpisodeSpan
-	pending []*EpisodeSpan // opened this cycle, awaiting the WFG verdict
-	closed  []*EpisodeSpan // ring of most recent closed spans
-	next    int
+	pending []*EpisodeSpan     // opened this cycle, awaiting the WFG verdict
+	closed  ring[*EpisodeSpan] // most recent closed spans
 	seq     int64
 	writer  *JSONLWriter
 
 	// Registered metrics (nil until Register; nil-safe to update).
-	histResolve  *Histogram
-	histInDB     *Histogram
-	cntTrue      *Counter
-	cntFalse     *Counter
-	cntDelivered *Counter
-	cntKilled    *Counter
+	histResolve *Histogram
+	histInDB    *Histogram
+	cntTrue     *Counter
+	cntFalse    *Counter
+	cntOutcome  [len(kindNames)]*Counter // by closing event kind
 }
 
 // NewEpisodeTracker returns a tracker retaining the most recent depth
 // closed spans (minimum 1).
 func NewEpisodeTracker(depth int) *EpisodeTracker {
-	if depth < 1 {
-		depth = 1
-	}
 	return &EpisodeTracker{
 		open:   make(map[int64]*EpisodeSpan),
-		closed: make([]*EpisodeSpan, 0, depth),
+		closed: newRing[*EpisodeSpan](depth),
 	}
 }
 
@@ -97,7 +93,7 @@ func (t *EpisodeTracker) Register(reg *Registry) {
 	}
 	cycles := ExponentialBuckets(1, 2, 12) // 1 .. 2048 cycles
 	t.histResolve = reg.Histogram("disha_episode_resolve_cycles",
-		"Cycles from deadlock presumption to episode close (delivery or kill).", nil, cycles)
+		"Cycles from deadlock presumption to episode close (delivery, kill or drop).", nil, cycles)
 	t.histInDB = reg.Histogram("disha_episode_db_cycles",
 		"Cycles a recovered packet spent on the Deadlock Buffer lane before delivery.", nil, cycles)
 	t.cntTrue = reg.Counter("disha_episodes_total",
@@ -106,34 +102,75 @@ func (t *EpisodeTracker) Register(reg *Registry) {
 	t.cntFalse = reg.Counter("disha_episodes_total",
 		"Recovery episodes by WFG verdict at presumption time.",
 		Labels{{Key: "verdict", Value: "false-presumption"}})
-	t.cntDelivered = reg.Counter("disha_episode_outcomes_total",
-		"Closed recovery episodes by outcome.",
-		Labels{{Key: "outcome", Value: "delivered"}})
-	t.cntKilled = reg.Counter("disha_episode_outcomes_total",
-		"Closed recovery episodes by outcome.",
-		Labels{{Key: "outcome", Value: "killed"}})
+	for kind, outcome := range closingOutcome {
+		if outcome != "" {
+			t.cntOutcome[kind] = reg.Counter("disha_episode_outcomes_total",
+				"Closed recovery episodes by outcome.",
+				Labels{{Key: "outcome", Value: outcome}})
+		}
+	}
 	reg.GaugeFunc("disha_episodes_open",
 		"Recovery episodes currently unresolved.", nil,
 		func() float64 { return float64(t.OpenCount()) })
 }
 
-// Open starts an episode for a presumed packet. A packet whose episode is
-// already open (a header re-crossing T_out while still blocked) is not
-// re-opened; the original span keeps running.
-func (t *EpisodeTracker) Open(pkt int64, node int, cycle int64) {
-	if t == nil {
+// closingOutcome is the span outcome of each event kind that ends an
+// episode ("" for the kinds that do not).
+var closingOutcome = [len(kindNames)]string{Deliver: "delivered", Kill: "killed", Drop: "dropped"}
+
+// Observe folds one packet event into the packet's episode. A Timeout
+// opens one, unless the packet's episode is already open (a header
+// re-crossing T_out while still blocked keeps its original span); the
+// first TokenCapture, Recover and TokenRelease mark their cycles; Deliver,
+// Kill and Drop close it. Events of packets with no open episode — nearly
+// all of them — cost one map lookup.
+func (t *EpisodeTracker) Observe(e Event) {
+	if t == nil || e.Kind == Inject {
 		return
 	}
-	if _, ok := t.open[pkt]; ok {
+	pkt, cycle := int64(e.Pkt), int64(e.Cycle)
+	s, ok := t.open[pkt]
+	if e.Kind == Timeout {
+		if ok {
+			return
+		}
+		s = &EpisodeSpan{
+			Seq: t.seq, Pkt: pkt, Node: int(e.Node), Start: cycle,
+			Capture: -1, Recover: -1, Release: -1, End: -1, Outcome: "open",
+		}
+		t.seq++
+		t.open[pkt] = s
+		t.pending = append(t.pending, s)
 		return
 	}
-	s := &EpisodeSpan{
-		Seq: t.seq, Pkt: pkt, Node: node, Start: cycle,
-		Capture: -1, Recover: -1, Release: -1, End: -1, Outcome: "open",
+	if !ok {
+		return
 	}
-	t.seq++
-	t.open[pkt] = s
-	t.pending = append(t.pending, s)
+	switch e.Kind {
+	case TokenCapture:
+		markOnce(&s.Capture, cycle)
+	case Recover:
+		markOnce(&s.Recover, cycle)
+	case TokenRelease:
+		markOnce(&s.Release, cycle)
+	case Deliver, Kill, Drop:
+		delete(t.open, pkt)
+		s.End = cycle
+		s.Outcome = closingOutcome[e.Kind]
+		t.histResolve.Observe(float64(cycle - s.Start))
+		if s.Recover >= 0 {
+			t.histInDB.Observe(float64(cycle - s.Recover))
+		}
+		t.cntOutcome[e.Kind].Inc()
+		t.retire(s)
+	}
+}
+
+// markOnce records cycle in an unset (-1) phase field; the first mark wins.
+func markOnce(field *int64, cycle int64) {
+	if *field < 0 {
+		*field = cycle
+	}
 }
 
 // HasPending reports whether any spans opened this cycle still await their
@@ -163,83 +200,13 @@ func (t *EpisodeTracker) LabelPending(trueCycle bool, member map[int64]bool) {
 	t.pending = t.pending[:0]
 }
 
-// Capture marks the cycle the presumed packet's router seized the Token.
-func (t *EpisodeTracker) Capture(pkt, cycle int64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.open[pkt]; ok && s.Capture < 0 {
-		s.Capture = cycle
-	}
-}
-
-// Recovered marks the cycle the packet switched onto the Deadlock Buffer.
-func (t *EpisodeTracker) Recovered(pkt, cycle int64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.open[pkt]; ok && s.Recover < 0 {
-		s.Recover = cycle
-	}
-}
-
-// Release marks the cycle the destination released the Token this
-// episode's packet held.
-func (t *EpisodeTracker) Release(pkt, cycle int64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.open[pkt]; ok && s.Release < 0 {
-		s.Release = cycle
-	}
-}
-
-// Delivered closes the episode: the packet's tail was consumed at its
-// destination.
-func (t *EpisodeTracker) Delivered(pkt, cycle int64) {
-	t.close(pkt, cycle, "delivered")
-}
-
-// Killed closes the episode: abort-and-retry recovery purged the packet.
-func (t *EpisodeTracker) Killed(pkt, cycle int64) {
-	t.close(pkt, cycle, "killed")
-}
-
-func (t *EpisodeTracker) close(pkt, cycle int64, outcome string) {
-	if t == nil {
-		return
-	}
-	s, ok := t.open[pkt]
-	if !ok {
-		return
-	}
-	delete(t.open, pkt)
-	s.End = cycle
-	s.Outcome = outcome
-	t.histResolve.Observe(float64(cycle - s.Start))
-	if s.Recover >= 0 {
-		t.histInDB.Observe(float64(cycle - s.Recover))
-	}
-	switch outcome {
-	case "delivered":
-		t.cntDelivered.Inc()
-	case "killed":
-		t.cntKilled.Inc()
-	}
-	t.retain(s)
+// retire moves a span that left the open set into the closed ring and onto
+// the JSONL stream.
+func (t *EpisodeTracker) retire(s *EpisodeSpan) {
+	t.closed.push(s)
 	if t.writer != nil {
 		t.writer.WriteSpan(s)
 	}
-}
-
-// retain appends a closed span to the bounded ring, evicting the oldest.
-func (t *EpisodeTracker) retain(s *EpisodeSpan) {
-	if len(t.closed) < cap(t.closed) {
-		t.closed = append(t.closed, s)
-		return
-	}
-	t.closed[t.next] = s
-	t.next = (t.next + 1) % cap(t.closed)
 }
 
 // FlushOpen closes out every still-open span at end of run with outcome
@@ -258,10 +225,7 @@ func (t *EpisodeTracker) FlushOpen(cycle int64) {
 	for _, s := range spans {
 		delete(t.open, s.Pkt)
 		s.End = cycle
-		t.retain(s)
-		if t.writer != nil {
-			t.writer.WriteSpan(s)
-		}
+		t.retire(s)
 	}
 }
 
@@ -286,11 +250,5 @@ func (t *EpisodeTracker) Spans() []*EpisodeSpan {
 	if t == nil {
 		return nil
 	}
-	out := make([]*EpisodeSpan, 0, len(t.closed))
-	if len(t.closed) == cap(t.closed) {
-		out = append(out, t.closed[t.next:]...)
-		out = append(out, t.closed[:t.next]...)
-		return out
-	}
-	return append(out, t.closed...)
+	return t.closed.items()
 }

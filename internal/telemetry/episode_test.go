@@ -3,14 +3,23 @@ package telemetry
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
+
+// ev builds the event the network would emit for pkt at node in cycle.
+func ev(k Kind, pkt int64, node int, cycle int64) Event {
+	return Event{Cycle: sim.Cycle(cycle), Kind: k, Node: topology.Node(node), Pkt: packet.ID(pkt)}
+}
 
 func TestEpisodeLifecycleDelivered(t *testing.T) {
 	r := NewRegistry()
 	tr := NewEpisodeTracker(8)
 	tr.Register(r)
 
-	tr.Open(7, 3, 100)
+	tr.Observe(ev(Timeout, 7, 3, 100))
 	if !tr.HasPending() {
 		t.Fatal("HasPending() = false after Open, want true")
 	}
@@ -18,10 +27,10 @@ func TestEpisodeLifecycleDelivered(t *testing.T) {
 	if tr.HasPending() {
 		t.Error("HasPending() = true after LabelPending, want false")
 	}
-	tr.Capture(7, 104)
-	tr.Recovered(7, 105)
-	tr.Release(7, 130)
-	tr.Delivered(7, 132)
+	tr.Observe(ev(TokenCapture, 7, 0, 104))
+	tr.Observe(ev(Recover, 7, 0, 105))
+	tr.Observe(ev(TokenRelease, 7, 0, 130))
+	tr.Observe(ev(Deliver, 7, 0, 132))
 
 	spans := tr.Spans()
 	if len(spans) != 1 {
@@ -73,9 +82,9 @@ func TestEpisodeFalsePresumption(t *testing.T) {
 	tr.Register(r)
 
 	// Congestion drains on its own: no Token capture, no DB switch.
-	tr.Open(9, 1, 50)
+	tr.Observe(ev(Timeout, 9, 1, 50))
 	tr.LabelPending(false, nil)
-	tr.Delivered(9, 60)
+	tr.Observe(ev(Deliver, 9, 0, 60))
 
 	s := tr.Spans()[0]
 	if s.TrueCycle || s.Member {
@@ -99,10 +108,12 @@ func TestEpisodeFalsePresumption(t *testing.T) {
 }
 
 func TestEpisodeKilled(t *testing.T) {
+	r := NewRegistry()
 	tr := NewEpisodeTracker(8)
-	tr.Open(4, 2, 10)
+	tr.Register(r)
+	tr.Observe(ev(Timeout, 4, 2, 10))
 	tr.LabelPending(true, nil)
-	tr.Killed(4, 25)
+	tr.Observe(ev(Kill, 4, 0, 25))
 	s := tr.Spans()[0]
 	if s.Outcome != "killed" || s.End != 25 {
 		t.Errorf("killed span = %+v, want outcome=killed end=25", *s)
@@ -111,31 +122,46 @@ func TestEpisodeKilled(t *testing.T) {
 		t.Errorf("span verdict = TrueCycle=%v Member=%v, want true/false", s.TrueCycle, s.Member)
 	}
 	// A killed packet that is re-injected and re-presumed opens a NEW span.
-	tr.Open(4, 2, 40)
+	tr.Observe(ev(Timeout, 4, 2, 40))
 	if tr.OpenCount() != 1 || tr.Total() != 2 {
 		t.Errorf("after re-presumption: OpenCount=%d Total=%d, want 1, 2", tr.OpenCount(), tr.Total())
+	}
+	// A reconfiguration drop is not an abort-and-retry kill: the event
+	// stream tells them apart, so the span and the counter do too.
+	tr.Observe(ev(Drop, 4, 2, 55))
+	if s := tr.Spans()[1]; s.Outcome != "dropped" || s.End != 55 {
+		t.Errorf("dropped span = %+v, want outcome=dropped end=55", *s)
+	}
+	got := map[string]float64{}
+	for _, sm := range r.Gather() {
+		got[sm.Name+sm.Labels.render()] = sm.Value
+	}
+	for outcome, want := range map[string]float64{"killed": 1, "dropped": 1, "delivered": 0} {
+		if v := got[`disha_episode_outcomes_total{outcome="`+outcome+`"}`]; v != want {
+			t.Errorf("%s counter = %g, want %g", outcome, v, want)
+		}
 	}
 }
 
 func TestEpisodeReopenAbsorbed(t *testing.T) {
 	tr := NewEpisodeTracker(8)
-	tr.Open(1, 0, 10)
+	tr.Observe(ev(Timeout, 1, 0, 10))
 	tr.LabelPending(false, nil)
-	tr.Open(1, 5, 20) // header re-crossed T_out while still blocked
+	tr.Observe(ev(Timeout, 1, 5, 20)) // header re-crossed T_out while still blocked
 	if tr.Total() != 1 {
 		t.Fatalf("Total() = %d after re-open, want 1 (absorbed)", tr.Total())
 	}
-	tr.Delivered(1, 30)
+	tr.Observe(ev(Deliver, 1, 0, 30))
 	s := tr.Spans()[0]
 	if s.Start != 10 || s.Node != 0 {
 		t.Errorf("re-open must keep the original span: start=%d node=%d, want 10, 0", s.Start, s.Node)
 	}
 	// First-write-wins on phase marks too.
-	tr.Open(2, 0, 40)
+	tr.Observe(ev(Timeout, 2, 0, 40))
 	tr.LabelPending(false, nil)
-	tr.Capture(2, 41)
-	tr.Capture(2, 45)
-	tr.Delivered(2, 50)
+	tr.Observe(ev(TokenCapture, 2, 0, 41))
+	tr.Observe(ev(TokenCapture, 2, 0, 45))
+	tr.Observe(ev(Deliver, 2, 0, 50))
 	if got := tr.Spans()[1].Capture; got != 41 {
 		t.Errorf("second Capture overwrote the first: %d, want 41", got)
 	}
@@ -148,9 +174,9 @@ func TestEpisodeFlushOpen(t *testing.T) {
 	tr.SetWriter(w)
 
 	// Open out of pkt order; FlushOpen must emit in Seq order.
-	tr.Open(30, 0, 5)
-	tr.Open(10, 1, 6)
-	tr.Open(20, 2, 7)
+	tr.Observe(ev(Timeout, 30, 0, 5))
+	tr.Observe(ev(Timeout, 10, 1, 6))
+	tr.Observe(ev(Timeout, 20, 2, 7))
 	tr.LabelPending(false, nil)
 	tr.FlushOpen(100)
 
@@ -186,9 +212,9 @@ func TestEpisodeFlushOpen(t *testing.T) {
 func TestEpisodeRingEviction(t *testing.T) {
 	tr := NewEpisodeTracker(2)
 	for pkt := int64(0); pkt < 4; pkt++ {
-		tr.Open(pkt, 0, pkt*10)
+		tr.Observe(ev(Timeout, pkt, 0, pkt*10))
 		tr.LabelPending(false, nil)
-		tr.Delivered(pkt, pkt*10+5)
+		tr.Observe(ev(Deliver, pkt, 0, pkt*10+5))
 	}
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -228,13 +254,13 @@ func TestEpisodeSpanJSONLRoundtrip(t *testing.T) {
 
 func TestEpisodeTrackerNilSafety(t *testing.T) {
 	var tr *EpisodeTracker
-	tr.Open(1, 0, 0)
+	tr.Observe(ev(Timeout, 1, 0, 0))
 	tr.LabelPending(true, nil)
-	tr.Capture(1, 1)
-	tr.Recovered(1, 2)
-	tr.Release(1, 3)
-	tr.Delivered(1, 4)
-	tr.Killed(1, 5)
+	tr.Observe(ev(TokenCapture, 1, 0, 1))
+	tr.Observe(ev(Recover, 1, 0, 2))
+	tr.Observe(ev(TokenRelease, 1, 0, 3))
+	tr.Observe(ev(Deliver, 1, 0, 4))
+	tr.Observe(ev(Kill, 1, 0, 5))
 	tr.FlushOpen(6)
 	tr.SetWriter(nil)
 	tr.Register(NewRegistry())
@@ -243,9 +269,9 @@ func TestEpisodeTrackerNilSafety(t *testing.T) {
 	}
 	// Unregistered tracker (nil metrics) must also close spans safely.
 	live := NewEpisodeTracker(1)
-	live.Open(1, 0, 0)
+	live.Observe(ev(Timeout, 1, 0, 0))
 	live.LabelPending(true, nil)
-	live.Delivered(1, 5)
+	live.Observe(ev(Deliver, 1, 0, 5))
 	if live.Total() != 1 {
 		t.Errorf("unregistered tracker Total() = %d, want 1", live.Total())
 	}

@@ -1,8 +1,4 @@
-// Package trace records notable simulation events — injections, deliveries,
-// deadlock presumptions, recoveries and Token movements — into a bounded
-// ring buffer for debugging and teaching. Tracing is opt-in and records
-// only packet-level events, so it does not perturb the per-flit hot path.
-package trace
+package telemetry
 
 import (
 	"fmt"
@@ -13,7 +9,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Kind classifies an event.
+// Kind classifies a packet lifecycle event.
 type Kind int
 
 const (
@@ -38,6 +34,7 @@ const (
 
 var kindNames = [...]string{"inject", "deliver", "timeout", "recover", "token-capture", "token-release", "kill", "drop"}
 
+// String returns the kind's name as the JSONL "event" line spells it.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -51,7 +48,10 @@ func KindStrings() []string {
 	return append([]string(nil), kindNames[:]...)
 }
 
-// Event is one recorded occurrence.
+// Event is one step of a packet's lifecycle. The network builds it once, at
+// the site where the step happens, and every consumer — the EventRing, the
+// Hub's snapshot trigger, episode tracker and JSONL "event" line — reads
+// that same record.
 type Event struct {
 	Cycle sim.Cycle
 	Kind  Kind
@@ -59,60 +59,69 @@ type Event struct {
 	Pkt   packet.ID
 }
 
+// String renders the event as one fixed-width line (EventRing.Dump).
 func (e Event) String() string {
 	return fmt.Sprintf("[%6d] %-13s node=%-4d pkt=%d", e.Cycle, e.Kind, e.Node, e.Pkt)
 }
 
-// Buffer is a fixed-capacity event ring. The zero value is unusable; use
-// New. All methods are safe on a nil *Buffer (reads return zero values,
-// Record is a no-op), so instrumentation call sites never need their own
-// tracing-enabled checks.
-type Buffer struct {
-	events []Event
-	next   int
-	total  int64
-	counts map[Kind]int64
-	sink   func(Event)
+// ring retains the most recent cap(buf) values pushed into it.
+type ring[T any] struct {
+	buf  []T
+	next int // the oldest slot once buf is full; 0 until then
 }
 
-// New returns a ring buffer keeping the most recent capacity events.
-func New(capacity int) *Buffer {
+func newRing[T any](capacity int) ring[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Buffer{events: make([]Event, 0, capacity), counts: make(map[Kind]int64)}
+	return ring[T]{buf: make([]T, 0, capacity)}
 }
 
-// SetSink installs a callback that observes every recorded event as it
-// happens (nil detaches). The ring only retains the most recent events;
-// a sink sees them all — the JSONL trace export streams through it.
-func (b *Buffer) SetSink(fn func(Event)) {
-	if b == nil {
+// push appends v, evicting the oldest value when full.
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
 		return
 	}
-	b.sink = fn
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % cap(r.buf)
+}
+
+// items returns the retained values oldest-first, in a slice of its own.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// EventRing keeps the most recent events of a run for debugging and
+// teaching, and counts every event ever recorded by kind. It is opt-in
+// (Network.EnableTrace) and independent of the Hub. Like the rest of the
+// package it is nil-safe: reads return zero values, Record is a no-op.
+type EventRing struct {
+	events ring[Event]
+	total  int64
+	counts [len(kindNames)]int64
+}
+
+// NewEventRing returns a ring keeping the most recent capacity events
+// (minimum 1).
+func NewEventRing(capacity int) *EventRing {
+	return &EventRing{events: newRing[Event](capacity)}
 }
 
 // Record appends an event, evicting the oldest when full. No-op on nil.
-func (b *Buffer) Record(e Event) {
+func (b *EventRing) Record(e Event) {
 	if b == nil {
 		return
 	}
-	if len(b.events) < cap(b.events) {
-		b.events = append(b.events, e)
-	} else {
-		b.events[b.next] = e
-		b.next = (b.next + 1) % cap(b.events)
-	}
+	b.events.push(e)
 	b.total++
 	b.counts[e.Kind]++
-	if b.sink != nil {
-		b.sink(e)
-	}
 }
 
 // Total returns how many events were ever recorded (including evicted).
-func (b *Buffer) Total() int64 {
+func (b *EventRing) Total() int64 {
 	if b == nil {
 		return 0
 	}
@@ -120,29 +129,23 @@ func (b *Buffer) Total() int64 {
 }
 
 // Count returns how many events of kind were ever recorded.
-func (b *Buffer) Count(k Kind) int64 {
-	if b == nil {
+func (b *EventRing) Count(k Kind) int64 {
+	if b == nil || int(k) >= len(b.counts) {
 		return 0
 	}
 	return b.counts[k]
 }
 
 // Events returns the retained events oldest-first.
-func (b *Buffer) Events() []Event {
+func (b *EventRing) Events() []Event {
 	if b == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(b.events))
-	if len(b.events) == cap(b.events) {
-		out = append(out, b.events[b.next:]...)
-		out = append(out, b.events[:b.next]...)
-		return out
-	}
-	return append(out, b.events...)
+	return b.events.items()
 }
 
 // Filter returns retained events of one kind, oldest-first.
-func (b *Buffer) Filter(k Kind) []Event {
+func (b *EventRing) Filter(k Kind) []Event {
 	var out []Event
 	for _, e := range b.Events() {
 		if e.Kind == k {
@@ -153,7 +156,7 @@ func (b *Buffer) Filter(k Kind) []Event {
 }
 
 // PacketHistory returns retained events for one packet, oldest-first.
-func (b *Buffer) PacketHistory(id packet.ID) []Event {
+func (b *EventRing) PacketHistory(id packet.ID) []Event {
 	var out []Event
 	for _, e := range b.Events() {
 		if e.Pkt == id {
@@ -164,7 +167,7 @@ func (b *Buffer) PacketHistory(id packet.ID) []Event {
 }
 
 // Dump renders the retained events, one per line.
-func (b *Buffer) Dump() string {
+func (b *EventRing) Dump() string {
 	var sb strings.Builder
 	for _, e := range b.Events() {
 		sb.WriteString(e.String())

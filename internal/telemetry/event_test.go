@@ -1,4 +1,4 @@
-package trace
+package telemetry
 
 import (
 	"strings"
@@ -8,8 +8,8 @@ import (
 	"repro/internal/sim"
 )
 
-func TestRingEviction(t *testing.T) {
-	b := New(3)
+func TestEventRingEviction(t *testing.T) {
+	b := NewEventRing(3)
 	for i := 0; i < 5; i++ {
 		b.Record(Event{Cycle: int64Cycle(i), Kind: Inject, Pkt: pid(i)})
 	}
@@ -27,8 +27,8 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestCountsAndFilter(t *testing.T) {
-	b := New(10)
+func TestEventRingCountsAndFilter(t *testing.T) {
+	b := NewEventRing(10)
 	b.Record(Event{Kind: Inject, Pkt: 1})
 	b.Record(Event{Kind: Deliver, Pkt: 1})
 	b.Record(Event{Kind: Inject, Pkt: 2})
@@ -44,8 +44,8 @@ func TestCountsAndFilter(t *testing.T) {
 	}
 }
 
-func TestDumpAndStrings(t *testing.T) {
-	b := New(4)
+func TestEventRingDumpAndStrings(t *testing.T) {
+	b := NewEventRing(4)
 	b.Record(Event{Cycle: 7, Kind: TokenCapture, Node: 3, Pkt: 9})
 	s := b.Dump()
 	if !strings.Contains(s, "token-capture") || !strings.Contains(s, "pkt=9") {
@@ -61,8 +61,8 @@ func TestDumpAndStrings(t *testing.T) {
 	}
 }
 
-func TestTinyCapacityClamped(t *testing.T) {
-	b := New(0)
+func TestEventRingTinyCapacityClamped(t *testing.T) {
+	b := NewEventRing(0)
 	b.Record(Event{Pkt: 1})
 	b.Record(Event{Pkt: 2})
 	if got := b.Events(); len(got) != 1 || got[0].Pkt != 2 {

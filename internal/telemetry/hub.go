@@ -16,8 +16,8 @@ type Options struct {
 	SnapshotCooldown int64
 	// MaxSnapshots bounds retained (and written) dumps per run (default 16).
 	MaxSnapshots int
-	// Writer, when set, streams samples, snapshots, episode spans and (if
-	// the caller tees the trace buffer into it) events as JSON Lines.
+	// Writer, when set, streams samples, packet events, episode spans and
+	// snapshots as JSON Lines.
 	Writer *JSONLWriter
 	// EpisodeDepth is how many closed recovery-episode spans the episode
 	// tracker retains (default 256). Negative disables episode tracking.
@@ -50,8 +50,10 @@ func (o *Options) normalize() {
 }
 
 // Hub bundles one simulation's telemetry: the metric registry, the cycle
-// sampler (nil when disabled), the flight recorder (nil when disabled) and
-// the optional JSONL writer. The network drives it once per cycle.
+// sampler (nil when disabled), the flight recorder (nil when disabled), the
+// episode tracker (nil when disabled) and the optional JSONL writer. The
+// network hands it every packet event (Observe) and drives it once per
+// cycle.
 type Hub struct {
 	Registry *Registry
 	Sampler  *Sampler
@@ -87,15 +89,24 @@ func NewHub(o Options) *Hub {
 	return h
 }
 
-// NoteTimeout arms the snapshot trigger for this cycle's deadlock
-// presumption. The first presumption of a cycle wins.
-func (h *Hub) NoteTimeout(node int, pkt int64) {
-	if h.trigArmed {
+// Observe consumes one packet event: a Timeout arms the snapshot trigger
+// (the first presumption of a cycle wins), the event goes out as a JSONL
+// "event" line, and the episode tracker folds it into the packet's span.
+// The line is written first, so a closing event precedes the span it
+// closes in the stream. No-op on a nil hub.
+func (h *Hub) Observe(e Event) {
+	if h == nil {
 		return
 	}
-	h.trigArmed = true
-	h.trigNode = node
-	h.trigPkt = pkt
+	if e.Kind == Timeout && !h.trigArmed {
+		h.trigArmed = true
+		h.trigNode = int(e.Node)
+		h.trigPkt = int64(e.Pkt)
+	}
+	if h.Writer != nil {
+		h.Writer.Event(e)
+	}
+	h.Episodes.Observe(e)
 }
 
 // TakeTrigger consumes the pending snapshot trigger, if any.

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -23,7 +25,7 @@ type Line struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value,omitempty"`
 
-	// event: one trace.Buffer event (kind is the trace.Kind string form).
+	// event: one packet lifecycle Event (kind is the Kind string form).
 	Kind string `json:"kind,omitempty"`
 	Node int    `json:"node,omitempty"`
 	Pkt  int64  `json:"pkt,omitempty"`
@@ -70,9 +72,9 @@ func (w *JSONLWriter) Sample(cycle int64, name string, labels Labels, value floa
 	w.write(Line{Type: "sample", Cycle: cycle, Name: name, Labels: labels.Map(), Value: value})
 }
 
-// Event writes one trace event.
-func (w *JSONLWriter) Event(cycle int64, kind string, node int, pkt int64) {
-	w.write(Line{Type: "event", Cycle: cycle, Kind: kind, Node: node, Pkt: pkt})
+// Event writes one packet lifecycle event.
+func (w *JSONLWriter) Event(e Event) {
+	w.write(Line{Type: "event", Cycle: int64(e.Cycle), Kind: e.Kind.String(), Node: int(e.Node), Pkt: int64(e.Pkt)})
 }
 
 // WriteSnapshot writes one flight-recorder dump.
@@ -99,27 +101,34 @@ func (w *JSONLWriter) Flush() error {
 	return w.bw.Flush()
 }
 
+// ErrTornTail marks the error ReadJSONL returns for a stream whose final
+// line has no newline and does not decode: the writer buffers, so a killed
+// producer leaves its last line cut short. Every line before it is good.
+var ErrTornTail = errors.New("torn final line")
+
 // ReadJSONL decodes every line of a JSONL stream, reporting the first
-// malformed line by number.
+// malformed line by number. The lines decoded before it are returned with
+// the error; when that error is ErrTornTail they are the whole stream.
 func ReadJSONL(r io.Reader) ([]Line, error) {
 	var out []Line
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26) // snapshots can be large lines
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	br := bufio.NewReaderSize(r, 1<<20) // snapshots can be large lines
+	for lineno := 1; ; lineno++ {
+		raw, rerr := br.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return out, rerr
 		}
-		var l Line
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return out, fmt.Errorf("telemetry: line %d: %w", lineno, err)
+		if raw = bytes.TrimRight(raw, "\n"); len(raw) > 0 {
+			var l Line
+			if err := json.Unmarshal(raw, &l); err != nil {
+				if rerr == io.EOF {
+					return out, fmt.Errorf("telemetry: line %d: %w (%v)", lineno, ErrTornTail, err)
+				}
+				return out, fmt.Errorf("telemetry: line %d: %w", lineno, err)
+			}
+			out = append(out, l)
 		}
-		out = append(out, l)
+		if rerr == io.EOF {
+			return out, nil
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
 }

@@ -3,13 +3,15 @@
 // exposition), a cycle-driven sampler that snapshots selected gauges into
 // ring-buffered time series, a flight recorder that retains the last K
 // cycles of condensed per-router state for post-mortem dumps on deadlock
-// presumption, a recovery-episode span tracer that turns every deadlock
-// presumption into a labeled lifecycle record, and a JSONL writer/reader
-// for exporting samples, trace events, snapshots and episode spans.
+// presumption, the packet-event stream (Event: one record per packet
+// lifecycle step, which the network builds once and hands to the EventRing
+// and to Hub.Observe), a recovery-episode span tracer that folds that
+// stream into a labeled lifecycle record per deadlock presumption, and a
+// JSONL writer/reader for exporting samples, events, snapshots and spans.
 //
 // The package is deliberately passive and single-threaded: all mutation
-// (registration, counter updates, sampling, frame capture) happens on the
-// simulation goroutine, in cycle order, so enabling telemetry never changes
+// (registration, counter updates, sampling, frame capture, event folding)
+// happens on the simulation goroutine, in cycle order, so enabling telemetry never changes
 // simulation results. The only concurrency concession is Registry.Publish,
 // which renders the current values into an immutable byte snapshot that the
 // HTTP exposition handler serves from any goroutine.

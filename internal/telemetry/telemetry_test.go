@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -166,7 +167,7 @@ func TestJSONLRoundtrip(t *testing.T) {
 	w := NewJSONLWriter(&buf)
 	w.Meta(map[string]string{"alg": "disha"})
 	w.Sample(100, "disha_blocked_headers", Labels{{Key: "node", Value: "2"}}, 4)
-	w.Event(123, "timeout", 7, 55)
+	w.Event(Event{Cycle: 123, Kind: Timeout, Node: 7, Pkt: 55})
 	w.WriteSnapshot(&Snapshot{
 		Cycle: 130, TriggerNode: 7, TriggerPkt: 55,
 		Frames:       []Frame{{Cycle: 129, Routers: []RouterFrame{{Node: 7, Blocked: 2}}}},
@@ -208,6 +209,18 @@ func TestReadJSONLBadLine(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("{\"type\":\"meta\"}\nnot json\n")); err == nil {
 		t.Fatal("malformed line not reported")
 	}
+	// A final line cut short of its newline is a torn tail: reported as
+	// such, with every line before it. Followed by more lines it is not.
+	lines, err := ReadJSONL(strings.NewReader("{\"type\":\"meta\"}\n{\"type\":\"ev"))
+	if !errors.Is(err, ErrTornTail) || len(lines) != 1 {
+		t.Fatalf("torn tail: %d lines, err %v; want 1 line and ErrTornTail", len(lines), err)
+	}
+	if _, err := ReadJSONL(strings.NewReader("{\"type\":\"ev\n{\"type\":\"meta\"}\n")); err == nil || errors.Is(err, ErrTornTail) {
+		t.Fatalf("cut line mid-stream: err %v, want a plain decode error", err)
+	}
+	if lines, err := ReadJSONL(strings.NewReader("{\"type\":\"meta\"}")); err != nil || len(lines) != 1 {
+		t.Fatalf("complete final line without newline: %d lines, err %v", len(lines), err)
+	}
 }
 
 func TestHubTrigger(t *testing.T) {
@@ -215,8 +228,9 @@ func TestHubTrigger(t *testing.T) {
 	if _, _, ok := h.TakeTrigger(); ok {
 		t.Fatal("fresh hub has a trigger")
 	}
-	h.NoteTimeout(3, 10)
-	h.NoteTimeout(4, 11) // first presumption of the cycle wins
+	h.Observe(Event{Kind: Deliver, Node: 2, Pkt: 9}) // only a Timeout arms it
+	h.Observe(Event{Kind: Timeout, Node: 3, Pkt: 10})
+	h.Observe(Event{Kind: Timeout, Node: 4, Pkt: 11}) // first presumption of the cycle wins
 	node, pkt, ok := h.TakeTrigger()
 	if !ok || node != 3 || pkt != 10 {
 		t.Fatalf("trigger (%d, %d, %v)", node, pkt, ok)
@@ -224,6 +238,56 @@ func TestHubTrigger(t *testing.T) {
 	if _, _, ok := h.TakeTrigger(); ok {
 		t.Fatal("trigger not consumed")
 	}
+}
+
+// TestHubObserveOneStream feeds a hub the events of one recovery and reads
+// them back from every consumer: the JSONL stream carries each event as it
+// was observed, the closing event ahead of the span it closes, and the
+// tracker's span is assembled from the same records.
+func TestHubObserveOneStream(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
+	h := NewHub(Options{Writer: w})
+	events := []Event{
+		{Cycle: 5, Kind: Inject, Node: 1, Pkt: 8},
+		{Cycle: 20, Kind: Timeout, Node: 3, Pkt: 8},
+		{Cycle: 22, Kind: TokenCapture, Node: 3, Pkt: 8},
+		{Cycle: 22, Kind: Recover, Node: 3, Pkt: 8},
+		{Cycle: 30, Kind: TokenRelease, Node: 6, Pkt: 8},
+		{Cycle: 31, Kind: Deliver, Node: 6, Pkt: 8},
+	}
+	for _, e := range events {
+		h.Observe(e)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != len(events)+1 {
+		t.Fatalf("stream has %d lines, want %d events and the span", len(lines), len(events))
+	}
+	for i, e := range events {
+		l := lines[i]
+		if l.Type != "event" || l.Cycle != int64(e.Cycle) || l.Kind != e.Kind.String() || l.Node != int(e.Node) || l.Pkt != int64(e.Pkt) {
+			t.Errorf("line %d = %+v, want event %v", i, l, e)
+		}
+	}
+	want := EpisodeSpan{Seq: 0, Pkt: 8, Node: 3, Start: 20, Capture: 22, Recover: 22, Release: 30, End: 31, Outcome: "delivered"}
+	if last := lines[len(events)]; last.Type != "span" || last.Span == nil || *last.Span != want {
+		t.Errorf("last line = %+v (span %+v), want span %+v", last, last.Span, want)
+	}
+	if spans := h.Episodes.Spans(); len(spans) != 1 || *spans[0] != want {
+		t.Errorf("tracker spans = %v, want the one the stream carries", spans)
+	}
+	if node, pkt, ok := h.TakeTrigger(); !ok || node != 3 || pkt != 8 {
+		t.Errorf("trigger (%d, %d, %v), want armed by the timeout at node 3", node, pkt, ok)
+	}
+
+	var nilHub *Hub
+	nilHub.Observe(events[1]) // the network calls Observe with no hub attached
 }
 
 func TestOptionsDisable(t *testing.T) {

@@ -39,7 +39,7 @@ func newWedgeSim(t testing.TB, seed uint64) *disha.Simulator {
 
 // TestTelemetryDeterminism runs the same seed twice — once bare, once with
 // every telemetry feature enabled (tight sampling, flight recorder, JSONL
-// writer, trace sink) — and requires bit-identical results: same counters,
+// writer, event ring) — and requires bit-identical results: same counters,
 // same per-packet latencies. Telemetry is pull-based; it must never perturb
 // the simulation.
 func TestTelemetryDeterminism(t *testing.T) {
@@ -52,10 +52,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 				SampleEvery: 10, FlightDepth: 32, SnapshotCooldown: 100, Writer: tw,
 				ProfileEvery: 16,
 			})
-			tb := sim.EnableTrace(1024)
-			tb.SetSink(func(e disha.TraceEvent) {
-				tw.Event(int64(e.Cycle), e.Kind.String(), int(e.Node), int64(e.Pkt))
-			})
+			sim.EnableTrace(1024)
 		}
 		var lats []float64
 		sim.OnDeliver(func(p *disha.Packet) { lats = append(lats, float64(p.Age())) })
