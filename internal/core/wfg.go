@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/packet"
 	"repro/internal/router"
 )
@@ -45,16 +47,6 @@ func (w WFGResult) DeadlockedIDs() map[int64]bool {
 		ids[int64(bh.Pkt.ID)] = true
 	}
 	return ids
-}
-
-// appendDistinct appends p to ps unless it is already there.
-func appendDistinct(ps []*packet.Packet, p *packet.Packet) []*packet.Packet {
-	for _, q := range ps {
-		if q == p {
-			return ps
-		}
-	}
-	return append(ps, p)
 }
 
 // AnalyzeWFG inspects the routers' current state and classifies blocked
@@ -106,7 +98,9 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 						break
 					}
 					if owner := r.OutputOwner(c.Port, c.VC); owner != nil {
-						waits = appendDistinct(waits, owner)
+						if !slices.Contains(waits, owner) {
+							waits = append(waits, owner)
+						}
 						continue
 					}
 					// Owner released but the downstream buffer has not
@@ -116,7 +110,9 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 					nb := r.Neighbor(c.Port)
 					inPort := r.ReverseAt(c.Port)
 					if occupant := nb.InputOwner(inPort, c.VC); occupant != nil {
-						waits = appendDistinct(waits, occupant)
+						if !slices.Contains(waits, occupant) {
+							waits = append(waits, occupant)
+						}
 					} else {
 						// Genuinely draining: will become free without help.
 						free = true

@@ -111,7 +111,7 @@ var ErrTornTail = errors.New("torn final line")
 // the error; when that error is ErrTornTail they are the whole stream.
 func ReadJSONL(r io.Reader) ([]Line, error) {
 	var out []Line
-	br := bufio.NewReaderSize(r, 1<<20) // snapshots can be large lines
+	br := bufio.NewReader(r) // ReadBytes takes a line of any length: snapshots are large
 	for lineno := 1; ; lineno++ {
 		raw, rerr := br.ReadBytes('\n')
 		if rerr != nil && rerr != io.EOF {
