@@ -57,15 +57,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // Registry returns the registry the metrics publish into.
 func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 
-// Locked runs fn while holding the metrics mutex, letting co-tenants of the
-// registry (push-style gauges of an embedding server, say) mutate and
-// publish without racing the engine.
-func (m *Metrics) Locked(fn func(reg *telemetry.Registry)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fn(m.reg)
-}
-
 // Publish renders the registry snapshot for HTTP exposition.
 func (m *Metrics) Publish() {
 	m.mu.Lock()

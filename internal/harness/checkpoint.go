@@ -104,30 +104,41 @@ func (ck *checkpointer) clamp(step, globalCycle int) int {
 // due reports whether the point has just reached the checkpoint boundary.
 func (ck *checkpointer) due(globalCycle int) bool { return globalCycle == ck.next }
 
-// save atomically persists the point's complete state. The layout is
-// key, progress cursor, start-of-measurement counters, batch means, the
-// three collectors' raw samples, then the embedded network snapshot.
+// walk is the DISHACKP payload, written once for both directions: job key
+// (a guard: a foreign file fails here), progress cursor, start-of-measurement
+// counters, batch means, the three collectors' raw samples, then the
+// embedded network snapshot.
+func (ck *checkpointer) walk(c *snapshot.Codec, st *pointProgress, age, netLat, batch *metrics.Collector, netBlob *[]byte) {
+	c.ExpectString(ck.key, "checkpoint job key")
+	snapshot.Int(c, &st.warmupRan)
+	snapshot.Int(c, &st.ran)
+	snapshot.Int(c, &st.batch)
+	c.Bool(&st.warmed)
+	snapshot.Int(c, &st.nextWFG)
+	c.I64(&st.wfgSamples)
+	c.I64(&st.trueDeadlocks)
+	st.startCounters.Walk(c)
+	c.F64s(&st.batchMeans)
+	for _, col := range []*metrics.Collector{age, netLat, batch} {
+		samples := col.Samples()
+		c.F64s(&samples)
+		if c.Decoding() {
+			col.RestoreSamples(samples)
+		}
+	}
+	c.Blob(netBlob)
+}
+
+// save atomically persists the point's complete state.
 func (ck *checkpointer) save(st *pointProgress, age, netLat, batch *metrics.Collector, net *network.Network) error {
-	var w snapshot.Writer
-	w.String(ck.key)
-	w.Int(st.warmupRan)
-	w.Int(st.ran)
-	w.Int(st.batch)
-	w.Bool(st.warmed)
-	w.Int(st.nextWFG)
-	w.I64(st.wfgSamples)
-	w.I64(st.trueDeadlocks)
-	network.EncodeCounters(&w, st.startCounters)
-	w.F64s(st.batchMeans)
-	w.F64s(age.Samples())
-	w.F64s(netLat.Samples())
-	w.F64s(batch.Samples())
 	var nb bytes.Buffer
 	if err := net.Snapshot(&nb); err != nil {
 		return fmt.Errorf("harness: checkpoint %s: %w", ck.key, err)
 	}
-	w.Blob(nb.Bytes())
-	data := snapshot.Seal(checkpointMagic, checkpointVersion, w.Bytes())
+	var c snapshot.Codec
+	blob := nb.Bytes()
+	ck.walk(&c, st, age, netLat, batch, &blob)
+	data := snapshot.Seal(checkpointMagic, checkpointVersion, c.Bytes())
 	if err := snapshot.WriteFileAtomic(ck.path, data); err != nil {
 		return fmt.Errorf("harness: checkpoint %s: %w", ck.key, err)
 	}
@@ -159,26 +170,14 @@ func (ck *checkpointer) load(st *pointProgress, age, netLat, batch *metrics.Coll
 	if err != nil {
 		return false, fmt.Errorf("harness: checkpoint %s: %w", ck.path, err)
 	}
-	r := snapshot.NewReader(payload)
-	r.ExpectString(ck.key, "checkpoint job key")
-	st.warmupRan = r.Int()
-	st.ran = r.Int()
-	st.batch = r.Int()
-	st.warmed = r.Bool()
-	st.nextWFG = r.Int()
-	st.wfgSamples = r.I64()
-	st.trueDeadlocks = r.I64()
-	st.startCounters = network.DecodeCounters(r)
-	st.batchMeans = r.F64s()
-	age.RestoreSamples(r.F64s())
-	netLat.RestoreSamples(r.F64s())
-	batch.RestoreSamples(r.F64s())
-	blob := r.Blob()
-	if err := r.Err(); err != nil {
+	c := snapshot.NewDecoder(payload)
+	var blob []byte
+	ck.walk(c, st, age, netLat, batch, &blob)
+	if err := c.Err(); err != nil {
 		return false, err
 	}
-	if r.Remaining() != 0 {
-		return false, fmt.Errorf("harness: checkpoint %s: %d bytes of trailing garbage", ck.path, r.Remaining())
+	if c.Remaining() != 0 {
+		return false, fmt.Errorf("harness: checkpoint %s: %d bytes of trailing garbage", ck.path, c.Remaining())
 	}
 	if err := net.Restore(bytes.NewReader(blob)); err != nil {
 		return false, fmt.Errorf("harness: checkpoint %s: %w", ck.path, err)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/packet"
@@ -277,23 +278,206 @@ func (n *Network) logOutcome(ev ReconfigEvent, reason string, before Counters) {
 	n.countersValid = false
 }
 
-// applyMutation dispatches one event, returning "" on success or the reason
-// it could not apply. Called only between cycles (Step prelude).
+// applyMutation applies one event live, returning "" on success or the
+// reason it could not apply. Called only between cycles (Step prelude). The
+// state change itself is transition's; this path wraps it in the quiesce
+// protocol: victims dropped and grants at the dying resources released
+// before, the touched ports reset to as-constructed after, and the Deadlock
+// Buffer routes rebuilt over the new wiring.
 func (n *Network) applyMutation(ev ReconfigEvent) string {
+	ports, reason := n.validate(ev)
+	if reason != "" {
+		return reason
+	}
+	if ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter {
+		// Parked routers replay their skipped cycles before any state is read
+		// or mutated, so victim scans see exactly what a never-skipping kernel
+		// would.
+		n.syncIdle()
+		n.dropVictims(n.victimsOf(ev))
+		// Surviving packets still aimed at a dying link re-route next cycle.
+		n.eachEnd(ev.Node, ports, (*router.Router).ReleaseGrants)
+	}
+	n.transition(ev, ports)
+	if ev.Kind == ReconfigSwapAlgorithm {
+		return "" // no link changed: channels and DB routes stand
+	}
+	// A kill leaves clean channels behind and a heal comes back with them,
+	// even when a snapshot restore replayed only the wiring in between.
+	n.eachEnd(ev.Node, ports, (*router.Router).ResetOutputPort)
+	n.afterTopologyChange()
+	return ""
+}
+
+// validate checks that ev can apply to the network as it stands and returns
+// the ports of ev.Node whose links it takes down or brings up (none for a
+// routing swap), or the reason it cannot. Live application and snapshot
+// replay share it, so a logged event replays only where it could have
+// happened.
+func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
+	node, port, deg := ev.Node, ev.Port, n.topo.Degree()
+	kill := ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter
+	if kill && n.cfg.Router.Recovery == router.RecoveryConcurrent {
+		return nil, "reconfiguration is not supported with concurrent recovery (its Hamiltonian lanes assume an intact path)"
+	}
+	switch ev.Kind {
+	case ReconfigKillLink, ReconfigHealLink:
+		if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= deg {
+			return nil, fmt.Sprintf("no such link %d/%d", node, port)
+		}
+	case ReconfigKillRouter, ReconfigHealRouter:
+		if int(node) < 0 || int(node) >= len(n.routers) {
+			return nil, fmt.Sprintf("no such router %d", node)
+		}
+	}
 	switch ev.Kind {
 	case ReconfigKillLink:
-		return n.applyKillLink(ev.Node, ev.Port)
+		if n.RouterDead(node) {
+			return nil, fmt.Sprintf("router %d is dead; its links are already down", node)
+		}
+		if n.routers[node].Neighbor(port) == nil {
+			return nil, fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
+		}
+		// Probe connectivity with the link removed before committing to anything.
+		n.wire(node, port, false)
+		ok := n.liveConnectedExcluding(-1)
+		n.wire(node, port, true)
+		if !ok {
+			return nil, fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
+		}
+		return []int{port}, ""
 	case ReconfigHealLink:
-		return n.applyHealLink(ev.Node, ev.Port)
+		nb, ok := n.topo.Neighbor(node, port)
+		if !ok {
+			return nil, fmt.Sprintf("no such link %d/%d", node, port)
+		}
+		if !n.linkDown[n.linkKey(node, port)] {
+			return nil, fmt.Sprintf("link %d/%d is not failed", node, port)
+		}
+		if n.RouterDead(node) || n.RouterDead(nb) {
+			return nil, fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
+		}
+		return []int{port}, ""
 	case ReconfigKillRouter:
-		return n.applyKillRouter(ev.Node)
+		if n.routerDead[node] {
+			return nil, fmt.Sprintf("router %d is already dead", node)
+		}
+		if !n.liveConnectedExcluding(int(node)) {
+			return nil, fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
+		}
+		for p := 0; p < deg; p++ {
+			if n.routers[node].Neighbor(p) != nil {
+				ports = append(ports, p)
+			}
+		}
+		return ports, ""
 	case ReconfigHealRouter:
-		return n.applyHealRouter(ev.Node)
+		if !n.routerDead[node] {
+			return nil, fmt.Sprintf("router %d is not dead", node)
+		}
+		// The healed router must rejoin the (connected) live component through
+		// at least one restorable link, or it would come back isolated.
+		for p := 0; p < deg; p++ {
+			nb, ok := n.topo.Neighbor(node, p)
+			if ok && !n.routerDead[nb] && !n.linkDown[n.linkKey(node, p)] {
+				ports = append(ports, p)
+			}
+		}
+		if len(ports) == 0 {
+			return nil, fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
+		}
+		return ports, ""
 	case ReconfigSwapAlgorithm:
-		return n.applySwapAlgorithm(ev.Alg)
+		alg, err := routing.ByName(ev.Alg)
+		if err != nil {
+			return nil, err.Error()
+		}
+		if need := alg.MinVCs(n.topo); n.cfg.Router.VCs < need {
+			return nil, fmt.Sprintf("%s needs >= %d VCs on %s, have %d", alg.Name(), need, n.topo.Name(), n.cfg.Router.VCs)
+		}
+		return nil, ""
 	default:
-		return fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
+		return nil, fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
 	}
+}
+
+// transition is the state change of one validated event and nothing else:
+// the liveness flags, the neighbour pointers of the links validate listed,
+// or the installed routing function. Live application (applyMutation) and
+// snapshot replay (replayOutcome) both go through it, so the two cannot
+// disagree about what an event does to the topology.
+func (n *Network) transition(ev ReconfigEvent, ports []int) {
+	switch ev.Kind {
+	case ReconfigKillLink:
+		n.linkDown[n.linkKey(ev.Node, ev.Port)] = true
+		n.failedLinks++
+	case ReconfigHealLink:
+		delete(n.linkDown, n.linkKey(ev.Node, ev.Port))
+		n.failedLinks--
+	case ReconfigKillRouter:
+		n.routerDead[ev.Node] = true
+		n.deadCount++
+	case ReconfigHealRouter:
+		n.routerDead[ev.Node] = false
+		n.deadCount--
+	case ReconfigSwapAlgorithm:
+		alg, _ := routing.ByName(ev.Alg) // validate resolved the same name
+		n.routerState.SetAlgorithm(alg)
+	}
+	up := ev.Kind == ReconfigHealLink || ev.Kind == ReconfigHealRouter
+	for _, p := range ports {
+		n.wire(ev.Node, p, up)
+	}
+}
+
+// wire connects (up) or disconnects both directions of the link on (node,
+// port).
+func (n *Network) wire(node topology.Node, port int, up bool) {
+	nb, _ := n.topo.Neighbor(node, port)
+	a, b, rev := n.routers[node], n.routers[nb], n.reversePort(node, port)
+	if up {
+		a.Connect(port, b)
+		b.Connect(rev, a)
+	} else {
+		a.Disconnect(port)
+		b.Disconnect(rev)
+	}
+}
+
+// eachEnd calls do for both ends of every listed link of node: (node, port)
+// itself and the far router's reverse port.
+func (n *Network) eachEnd(node topology.Node, ports []int, do func(r *router.Router, port int)) {
+	for _, p := range ports {
+		nb, _ := n.topo.Neighbor(node, p)
+		do(n.routers[node], p)
+		do(n.routers[nb], n.reversePort(node, p))
+	}
+}
+
+// victimsOf lists the packets a validated kill loses (duplicates allowed).
+// A link takes the packets with flits committed to it at either end. A
+// router takes three classes: packets buffered there, packets waiting (or
+// streaming) at its source, and packets anywhere in the network addressed
+// to it — none can ever be delivered.
+func (n *Network) victimsOf(ev ReconfigEvent) []*packet.Packet {
+	victims := n.victimScratch[:0]
+	if ev.Kind == ReconfigKillLink {
+		nb, _ := n.topo.Neighbor(ev.Node, ev.Port)
+		victims = n.routers[ev.Node].LinkVictims(ev.Port, victims)
+		return n.routers[nb].LinkVictims(n.reversePort(ev.Node, ev.Port), victims)
+	}
+	victims = n.routers[ev.Node].LocalPackets(victims)
+	q := &n.nis[ev.Node]
+	if q.cur != nil {
+		victims = append(victims, q.cur)
+	}
+	victims = append(victims, q.queue[q.qhead:]...)
+	for _, p := range n.collectPackets() {
+		if p.Dst == ev.Node {
+			victims = append(victims, p)
+		}
+	}
+	return victims
 }
 
 // reversePort returns the input port at the neighbor reached over (node,
@@ -321,184 +505,6 @@ func (n *Network) linkKey(node topology.Node, port int) [2]int {
 		return [2]int{int(nb), rev}
 	}
 	return [2]int{int(node), port}
-}
-
-func (n *Network) applyKillLink(node topology.Node, port int) string {
-	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
-		return "reconfiguration is not supported with concurrent recovery (its Hamiltonian lanes assume an intact path)"
-	}
-	if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= n.topo.Degree() {
-		return fmt.Sprintf("no such link %d/%d", node, port)
-	}
-	if n.RouterDead(node) {
-		return fmt.Sprintf("router %d is dead; its links are already down", node)
-	}
-	a := n.routers[node]
-	b := a.Neighbor(port)
-	if b == nil {
-		return fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
-	}
-	rev := n.reversePort(node, port)
-	// Probe connectivity with the link removed before committing to anything.
-	a.Disconnect(port)
-	b.Disconnect(rev)
-	ok := n.liveConnectedExcluding(-1)
-	a.Connect(port, b)
-	b.Connect(rev, a)
-	if !ok {
-		return fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
-	}
-	// Parked routers replay their skipped cycles before any state is read or
-	// mutated, so victim scans see exactly what a never-skipping kernel would.
-	n.syncIdle()
-	victims := a.LinkVictims(port, n.victimScratch[:0])
-	victims = b.LinkVictims(rev, victims)
-	n.dropVictims(victims)
-	a.ReleaseGrants(port)
-	b.ReleaseGrants(rev)
-	a.Disconnect(port)
-	b.Disconnect(rev)
-	a.ResetOutputPort(port)
-	b.ResetOutputPort(rev)
-	n.linkDown[n.linkKey(node, port)] = true
-	n.failedLinks++
-	n.afterTopologyChange()
-	return ""
-}
-
-func (n *Network) applyHealLink(node topology.Node, port int) string {
-	if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= n.topo.Degree() {
-		return fmt.Sprintf("no such link %d/%d", node, port)
-	}
-	nb, ok := n.topo.Neighbor(node, port)
-	if !ok {
-		return fmt.Sprintf("no such link %d/%d", node, port)
-	}
-	key := n.linkKey(node, port)
-	if !n.linkDown[key] {
-		return fmt.Sprintf("link %d/%d is not failed", node, port)
-	}
-	if n.RouterDead(node) || n.RouterDead(nb) {
-		return fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
-	}
-	a, b := n.routers[node], n.routers[nb]
-	rev := n.reversePort(node, port)
-	a.Connect(port, b)
-	b.Connect(rev, a)
-	// The kill already reset both ends; reset again so a heal is clean even
-	// after a snapshot restore replayed only the wiring.
-	a.ResetOutputPort(port)
-	b.ResetOutputPort(rev)
-	delete(n.linkDown, key)
-	n.failedLinks--
-	n.afterTopologyChange()
-	return ""
-}
-
-func (n *Network) applyKillRouter(node topology.Node) string {
-	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
-		return "reconfiguration is not supported with concurrent recovery (its Hamiltonian lanes assume an intact path)"
-	}
-	if int(node) < 0 || int(node) >= len(n.routers) {
-		return fmt.Sprintf("no such router %d", node)
-	}
-	if n.routerDead[node] {
-		return fmt.Sprintf("router %d is already dead", node)
-	}
-	if !n.liveConnectedExcluding(int(node)) {
-		return fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
-	}
-	n.syncIdle()
-	d := n.routers[node]
-	// Three victim classes: packets buffered at the dying router, packets
-	// waiting (or streaming) at its source, and packets anywhere in the
-	// network addressed to it — none can ever be delivered.
-	victims := d.LocalPackets(n.victimScratch[:0])
-	q := &n.nis[node]
-	if q.cur != nil {
-		victims = append(victims, q.cur)
-	}
-	for i := q.qhead; i < len(q.queue); i++ {
-		victims = append(victims, q.queue[i])
-	}
-	for _, p := range n.collectPackets() {
-		if p.Dst == node {
-			victims = append(victims, p)
-		}
-	}
-	n.dropVictims(victims)
-	for p := 0; p < n.topo.Degree(); p++ {
-		nb := d.Neighbor(p)
-		if nb == nil {
-			continue
-		}
-		rev := n.reversePort(node, p)
-		// Surviving packets at the neighbor still aimed into the dying router
-		// re-route next cycle.
-		nb.ReleaseGrants(rev)
-		d.Disconnect(p)
-		nb.Disconnect(rev)
-		d.ResetOutputPort(p)
-		nb.ResetOutputPort(rev)
-	}
-	n.routerDead[node] = true
-	n.deadCount++
-	n.afterTopologyChange()
-	return ""
-}
-
-func (n *Network) applyHealRouter(node topology.Node) string {
-	if int(node) < 0 || int(node) >= len(n.routers) {
-		return fmt.Sprintf("no such router %d", node)
-	}
-	if !n.routerDead[node] {
-		return fmt.Sprintf("router %d is not dead", node)
-	}
-	// The healed router must rejoin the (connected) live component through at
-	// least one restorable link, or it would come back isolated.
-	restorable := 0
-	for p := 0; p < n.topo.Degree(); p++ {
-		nb, ok := n.topo.Neighbor(node, p)
-		if !ok || n.routerDead[nb] {
-			continue
-		}
-		if n.linkDown[n.linkKey(node, p)] {
-			continue
-		}
-		restorable++
-	}
-	if restorable == 0 {
-		return fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
-	}
-	n.routerDead[node] = false
-	n.deadCount--
-	d := n.routers[node]
-	for p := 0; p < n.topo.Degree(); p++ {
-		nb, ok := n.topo.Neighbor(node, p)
-		if !ok || n.routerDead[nb] || n.linkDown[n.linkKey(node, p)] {
-			continue
-		}
-		b := n.routers[nb]
-		rev := n.reversePort(node, p)
-		d.Connect(p, b)
-		b.Connect(rev, d)
-		d.ResetOutputPort(p)
-		b.ResetOutputPort(rev)
-	}
-	n.afterTopologyChange()
-	return ""
-}
-
-func (n *Network) applySwapAlgorithm(name string) string {
-	alg, err := routing.ByName(name)
-	if err != nil {
-		return err.Error()
-	}
-	if need := alg.MinVCs(n.topo); n.cfg.Router.VCs < need {
-		return fmt.Sprintf("%s needs >= %d VCs on %s, have %d", alg.Name(), need, n.topo.Name(), n.cfg.Router.VCs)
-	}
-	n.routerState.SetAlgorithm(alg)
-	return ""
 }
 
 // afterTopologyChange rebuilds the Deadlock Buffer next-hop table over the
@@ -568,92 +574,22 @@ func (n *Network) dropPacket(p *packet.Packet) {
 	n.event(telemetry.Drop, p.Src, p.ID)
 }
 
-// replayOutcome re-applies one logged reconfiguration event's topology-side
-// effects during snapshot restore: wiring, link/router liveness flags and
-// the routing function. Victim drops, channel resets and counter updates are
-// NOT repeated — the decoded state already reflects them. It reports whether
-// the event changed the topology (the caller rebuilds the DB next-hop table
-// once, after the whole log).
-func (n *Network) replayOutcome(o ReconfigOutcome) (topoChanged bool, err error) {
+// replayOutcome re-applies one logged reconfiguration event during snapshot
+// restore: the log entry, and for an applied event its bare transition.
+// Victim drops, channel resets and counter updates are NOT repeated — the
+// decoded state already reflects them — and the caller rebuilds the DB
+// next-hop table once, after the whole log.
+func (n *Network) replayOutcome(o ReconfigOutcome) error {
 	n.reconfigLog = append(n.reconfigLog, o)
 	if !o.Applied {
-		return false, nil
+		return nil
 	}
-	switch o.Kind {
-	case ReconfigKillLink:
-		if int(o.Node) < 0 || int(o.Node) >= len(n.routers) || o.Port < 0 || o.Port >= n.topo.Degree() {
-			return false, fmt.Errorf("no such link")
-		}
-		a := n.routers[o.Node]
-		b := a.Neighbor(o.Port)
-		if b == nil {
-			return false, fmt.Errorf("link already down")
-		}
-		a.Disconnect(o.Port)
-		b.Disconnect(n.reversePort(o.Node, o.Port))
-		n.linkDown[n.linkKey(o.Node, o.Port)] = true
-		n.failedLinks++
-		return true, nil
-	case ReconfigHealLink:
-		if int(o.Node) < 0 || int(o.Node) >= len(n.routers) || o.Port < 0 || o.Port >= n.topo.Degree() {
-			return false, fmt.Errorf("no such link")
-		}
-		nb, ok := n.topo.Neighbor(o.Node, o.Port)
-		if !ok {
-			return false, fmt.Errorf("no such link")
-		}
-		key := n.linkKey(o.Node, o.Port)
-		if !n.linkDown[key] {
-			return false, fmt.Errorf("link was not down")
-		}
-		n.routers[o.Node].Connect(o.Port, n.routers[nb])
-		n.routers[nb].Connect(n.reversePort(o.Node, o.Port), n.routers[o.Node])
-		delete(n.linkDown, key)
-		n.failedLinks--
-		return true, nil
-	case ReconfigKillRouter:
-		if int(o.Node) < 0 || int(o.Node) >= len(n.routers) {
-			return false, fmt.Errorf("no such router")
-		}
-		if n.routerDead[o.Node] {
-			return false, fmt.Errorf("router already dead")
-		}
-		d := n.routers[o.Node]
-		for p := 0; p < n.topo.Degree(); p++ {
-			if nb := d.Neighbor(p); nb != nil {
-				d.Disconnect(p)
-				nb.Disconnect(n.reversePort(o.Node, p))
-			}
-		}
-		n.routerDead[o.Node] = true
-		n.deadCount++
-		return true, nil
-	case ReconfigHealRouter:
-		if int(o.Node) < 0 || int(o.Node) >= len(n.routers) || !n.routerDead[o.Node] {
-			return false, fmt.Errorf("router was not dead")
-		}
-		n.routerDead[o.Node] = false
-		n.deadCount--
-		d := n.routers[o.Node]
-		for p := 0; p < n.topo.Degree(); p++ {
-			nb, ok := n.topo.Neighbor(o.Node, p)
-			if !ok || n.routerDead[nb] || n.linkDown[n.linkKey(o.Node, p)] {
-				continue
-			}
-			d.Connect(p, n.routers[nb])
-			n.routers[nb].Connect(n.reversePort(o.Node, p), d)
-		}
-		return true, nil
-	case ReconfigSwapAlgorithm:
-		alg, err := routing.ByName(o.Alg)
-		if err != nil {
-			return false, err
-		}
-		n.routerState.SetAlgorithm(alg)
-		return false, nil
-	default:
-		return false, fmt.Errorf("unknown kind %d", int(o.Kind))
+	ports, reason := n.validate(o.ReconfigEvent)
+	if reason != "" {
+		return errors.New(reason)
 	}
+	n.transition(o.ReconfigEvent, ports)
+	return nil
 }
 
 // liveConnectedExcluding checks that every live router (dead routers and,

@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"repro/internal/packet"
-	"repro/internal/sim"
+	"repro/internal/router"
 	"repro/internal/snapshot"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // Snapshot container identity. Bump snapshotVersion whenever the payload
@@ -25,7 +23,7 @@ const (
 // RNG streams, event counters, the live packet table (each in-flight or
 // queued packet once, by identity), every node's source-queue and
 // injection-stream state, the recovery Token, and every router's full
-// microstate plus its private RNG (router.EncodeState).
+// microstate plus its private RNG (router.WalkState).
 //
 // An armed reconfiguration schedule (ScheduleReconfig) is deliberately NOT
 // serialized: schedules live outside the network (chaos schedule files,
@@ -43,93 +41,12 @@ func (n *Network) Snapshot(w io.Writer) error {
 	// carries no trace of the active-set scheduler (activation is rebuilt
 	// from the restored state, never serialized).
 	n.syncIdle()
-	var enc snapshot.Writer
-	n.encodeConfigGuard(&enc)
-
-	enc.Int(len(n.reconfigLog))
-	for _, o := range n.reconfigLog {
-		enc.I64(int64(o.Cycle))
-		enc.Int(int(o.Kind))
-		enc.Int(int(o.Node))
-		enc.Int(o.Port)
-		enc.String(o.Alg)
-		enc.Bool(o.Applied)
-		enc.String(o.Reason)
-		enc.I64(o.PacketsLost)
-		enc.I64(o.FlitsLost)
-		enc.I64(o.PacketsUnroutable)
+	var enc snapshot.Codec
+	if err := n.walkState(&enc); err != nil {
+		return err
 	}
-
-	enc.I64(int64(n.clock.Now()))
-	for _, s := range n.rng.State() {
-		enc.U64(s)
-	}
-	enc.I64(int64(n.nextID))
-	EncodeCounters(&enc, n.counters)
-
-	// Live packet table: every packet reachable from any queue, buffer,
-	// channel or the Token, each serialized once. Pointer identity is
-	// preserved on restore by rewiring all references through the IDs.
-	pkts := n.collectPackets()
-	enc.Int(len(pkts))
-	for _, p := range pkts {
-		encodePacket(&enc, p)
-	}
-
-	n.encodeInjectionState(&enc)
-	for _, s := range n.sources {
-		st := s.State()
-		for _, v := range st.RNG {
-			enc.U64(v)
-		}
-		enc.Bool(st.Stopped)
-		enc.Bool(st.Bursting)
-		enc.I64(st.Offered)
-	}
-
-	enc.Bool(n.token != nil)
-	if n.token != nil {
-		t := n.token
-		enc.Int(t.pos)
-		enc.Bool(t.held)
-		if t.holder != nil {
-			enc.I64(int64(t.holder.ID))
-		} else {
-			enc.I64(-1)
-		}
-		enc.I64(t.seizures)
-		enc.I64(t.transitCycles)
-		enc.I64(t.holdCycles)
-	}
-
-	for _, r := range n.routers {
-		r.EncodeState(&enc)
-	}
-
 	_, err := w.Write(snapshot.Seal(snapshotMagic, snapshotVersion, enc.Bytes()))
 	return err
-}
-
-// encodeInjectionState writes every node's source queue (packet IDs, head
-// first), its in-progress injection stream (packet ID and next flit, or -1)
-// and the per-source outstanding counts. Snapshot and Fingerprint share it.
-func (n *Network) encodeInjectionState(enc *snapshot.Writer) {
-	for i := range n.nis {
-		q := &n.nis[i]
-		enc.Int(q.queued())
-		for j := q.qhead; j < len(q.queue); j++ {
-			enc.I64(int64(q.queue[j].ID))
-		}
-		if q.cur != nil {
-			enc.I64(int64(q.cur.ID))
-			enc.Int(q.seq)
-		} else {
-			enc.I64(-1)
-		}
-	}
-	for _, o := range n.outstanding {
-		enc.I64(int64(o))
-	}
 }
 
 // Restore loads a snapshot produced by Snapshot into this network. The
@@ -148,140 +65,8 @@ func (n *Network) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	dec := snapshot.NewReader(payload)
-
-	if err := n.decodeConfigGuard(dec); err != nil {
-		return err
-	}
-
-	nEvents := dec.Len(dec.Remaining() / 64)
-	topoChanged := false
-	for i := 0; i < nEvents; i++ {
-		var o ReconfigOutcome
-		o.Cycle = readCycleVal(dec)
-		o.Kind = ReconfigKind(dec.Int())
-		o.Node = topology.Node(dec.Int())
-		o.Port = dec.Int()
-		o.Alg = dec.String()
-		o.Applied = dec.Bool()
-		o.Reason = dec.String()
-		o.PacketsLost = dec.I64()
-		o.FlitsLost = dec.I64()
-		o.PacketsUnroutable = dec.I64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		changed, err := n.replayOutcome(o)
-		if err != nil {
-			return fmt.Errorf("network: replay reconfiguration log entry %d (%s): %w", i, o.ReconfigEvent, err)
-		}
-		topoChanged = topoChanged || changed
-	}
-	if topoChanged {
-		// The decoded router state below carries the exact per-lane DB routes;
-		// only the shared next-hop table (consulted for future recoveries)
-		// needs rebuilding over the replayed wiring.
-		n.rebuildDBTable()
-	}
-
-	n.clock.Set(readCycleVal(dec))
-	var rngState [4]uint64
-	for i := range rngState {
-		rngState[i] = dec.U64()
-	}
-	n.rng.SetState(rngState)
-	n.nextID = packet.ID(dec.I64())
-	n.counters = DecodeCounters(dec)
-
-	table, err := decodePacketTable(dec)
-	if err != nil {
-		return err
-	}
-	resolve := func(id int64) *packet.Packet { return table[id] }
-	getPkt := func() *packet.Packet {
-		id := dec.I64()
-		if dec.Err() != nil || id == -1 {
-			return nil
-		}
-		p := table[id]
-		if p == nil {
-			dec.Fail("snapshot: reference to unknown packet %d", id)
-		}
-		return p
-	}
-
-	for i := range n.nis {
-		q := &n.nis[i]
-		q.queue, q.qhead, q.cur, q.seq = nil, 0, nil, 0
-		queued := dec.Len(dec.Remaining() / 8)
-		for j := 0; j < queued; j++ {
-			p := getPkt()
-			if dec.Err() != nil {
-				return dec.Err()
-			}
-			if p == nil {
-				return dec.Fail("snapshot: node %d queue holds a nil packet", i)
-			}
-			q.push(p)
-		}
-		if id := dec.I64(); id != -1 && dec.Err() == nil {
-			if q.cur = table[id]; q.cur == nil {
-				return dec.Fail("snapshot: node %d streams unknown packet %d", i, id)
-			}
-			q.seq = dec.Int()
-			if dec.Err() == nil && (q.seq < 1 || q.seq >= q.cur.Length) {
-				return dec.Fail("snapshot: node %d stream position %d outside packet length %d", i, q.seq, q.cur.Length)
-			}
-		}
-		if err := dec.Err(); err != nil {
-			return err
-		}
-	}
-	for i := range n.outstanding {
-		v := dec.I64()
-		if dec.Err() == nil && (v < int32min || v > int32max) {
-			return dec.Fail("snapshot: outstanding count %d overflows int32", v)
-		}
-		n.outstanding[i] = int32(v)
-	}
-	for _, s := range n.sources {
-		var st [4]uint64
-		for i := range st {
-			st[i] = dec.U64()
-		}
-		stopped, bursting, offered := dec.Bool(), dec.Bool(), dec.I64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		s.SetState(sourceState(st, stopped, bursting, offered))
-	}
-
-	hasToken := dec.Bool()
-	if dec.Err() == nil && hasToken != (n.token != nil) {
-		return dec.Fail("snapshot: token presence mismatch (snapshot %v, configuration %v)", hasToken, n.token != nil)
-	}
-	if hasToken {
-		t := n.token
-		t.pos = dec.Int()
-		if dec.Err() == nil && (t.pos < 0 || t.pos >= len(t.order)) {
-			return dec.Fail("snapshot: token position %d outside ring of %d", t.pos, len(t.order))
-		}
-		t.held = dec.Bool()
-		t.holder = getPkt()
-		if dec.Err() == nil && t.held && t.holder == nil {
-			return dec.Fail("snapshot: held token has no holder")
-		}
-		t.seizures = dec.I64()
-		t.transitCycles = dec.I64()
-		t.holdCycles = dec.I64()
-	}
-
-	for _, rt := range n.routers {
-		if err := rt.DecodeState(dec, resolve); err != nil {
-			return err
-		}
-	}
-	if err := dec.Err(); err != nil {
+	dec := snapshot.NewDecoder(payload)
+	if err := n.walkState(dec); err != nil {
 		return err
 	}
 	if dec.Remaining() != 0 {
@@ -294,141 +79,193 @@ func (n *Network) Restore(r io.Reader) error {
 	return nil
 }
 
-const (
-	int32min = -1 << 31
-	int32max = 1<<31 - 1
-)
-
-// readCycleVal decodes a sim.Cycle-valued field.
-func readCycleVal(dec *snapshot.Reader) sim.Cycle { return sim.Cycle(dec.I64()) }
-
-// sourceState assembles a traffic.SourceState from decoded fields.
-func sourceState(rng [4]uint64, stopped, bursting bool, offered int64) traffic.SourceState {
-	return traffic.SourceState{RNG: rng, Stopped: stopped, Bursting: bursting, Offered: offered}
-}
-
-// EncodeCounters serializes a Counters value field by field; exported so
-// higher-level checkpoint formats (internal/harness) can embed counter
-// snapshots without duplicating the field walk.
-func EncodeCounters(enc *snapshot.Writer, c Counters) {
-	enc.I64(int64(c.Cycles))
-	enc.I64(c.PacketsOffered)
-	enc.I64(c.PacketsRefused)
-	enc.I64(c.PacketsInjected)
-	enc.I64(c.PacketsDelivered)
-	enc.I64(c.FlitsDelivered)
-	enc.I64(c.PacketsKilled)
-	enc.I64(c.TokenSeizures)
-	enc.I64(c.Recoveries)
-	enc.I64(c.TimeoutEvents)
-	enc.I64(c.FalseDetections)
-	enc.I64(c.MisrouteHops)
-	enc.I64(c.Preemptions)
-	enc.I64(c.BlockedCycles)
-	enc.I64(c.TokenTransit)
-	enc.I64(c.TokenHold)
-	enc.I64(c.PacketsLost)
-	enc.I64(c.FlitsLost)
-	enc.I64(c.PacketsUnroutable)
-}
-
-// DecodeCounters reverses EncodeCounters.
-func DecodeCounters(dec *snapshot.Reader) Counters {
-	var c Counters
-	c.Cycles = readCycleVal(dec)
-	c.PacketsOffered = dec.I64()
-	c.PacketsRefused = dec.I64()
-	c.PacketsInjected = dec.I64()
-	c.PacketsDelivered = dec.I64()
-	c.FlitsDelivered = dec.I64()
-	c.PacketsKilled = dec.I64()
-	c.TokenSeizures = dec.I64()
-	c.Recoveries = dec.I64()
-	c.TimeoutEvents = dec.I64()
-	c.FalseDetections = dec.I64()
-	c.MisrouteHops = dec.I64()
-	c.Preemptions = dec.I64()
-	c.BlockedCycles = dec.I64()
-	c.TokenTransit = dec.I64()
-	c.TokenHold = dec.I64()
-	c.PacketsLost = dec.I64()
-	c.FlitsLost = dec.I64()
-	c.PacketsUnroutable = dec.I64()
-	return c
-}
-
-// encodeConfigGuard writes the identity of the configuration the snapshot
-// was taken under. Restore validates every field against the receiving
-// network so a snapshot can never be loaded into a structurally different
-// simulation.
-func (n *Network) encodeConfigGuard(enc *snapshot.Writer) {
-	c := &n.cfg
-	enc.String(n.topo.Name())
-	enc.Int(n.topo.Nodes())
-	enc.Int(n.topo.Degree())
-	enc.String(c.Algorithm.Name())
-	enc.String(c.Selection.Name())
-	enc.String(c.Pattern.Name())
-	enc.Int(c.Router.VCs)
-	enc.Int(c.Router.BufferDepth)
-	enc.Int(c.Router.DeadlockBufferDepth)
-	enc.Int(c.Router.InjectionVCs)
-	enc.Int(c.Router.ReceptionChannels)
-	enc.I64(int64(c.Router.Timeout))
-	enc.Int(int(c.Router.Alloc))
-	enc.Int(int(c.Router.Recovery))
-	enc.Bool(c.Router.AdaptiveTimeout)
-	enc.F64(c.LoadRate)
-	enc.F64(c.InjectionProb)
-	enc.Int(c.MsgLen)
-	enc.U64(c.Seed)
-	enc.Int(c.TokenHopsPerCycle)
-	enc.Int(c.SourceQueueCap)
-	enc.Int(c.InjectionThrottle)
-	enc.F64(c.Burst.MeanBurst)
-	enc.F64(c.Burst.MeanIdle)
-}
-
-// decodeConfigGuard validates the snapshot's configuration identity against
-// this network's.
-func (n *Network) decodeConfigGuard(dec *snapshot.Reader) error {
-	c := &n.cfg
-	dec.ExpectString(n.topo.Name(), "topology")
-	dec.Expect(int64(n.topo.Nodes()), "node count")
-	dec.Expect(int64(n.topo.Degree()), "degree")
-	dec.ExpectString(c.Algorithm.Name(), "routing algorithm")
-	dec.ExpectString(c.Selection.Name(), "selection function")
-	dec.ExpectString(c.Pattern.Name(), "traffic pattern")
-	dec.Expect(int64(c.Router.VCs), "VC count")
-	dec.Expect(int64(c.Router.BufferDepth), "buffer depth")
-	dec.Expect(int64(c.Router.DeadlockBufferDepth), "deadlock buffer depth")
-	dec.Expect(int64(c.Router.InjectionVCs), "injection VCs")
-	dec.Expect(int64(c.Router.ReceptionChannels), "reception channels")
-	dec.Expect(int64(c.Router.Timeout), "timeout")
-	dec.Expect(int64(c.Router.Alloc), "allocation policy")
-	dec.Expect(int64(c.Router.Recovery), "recovery mode")
-	if got := dec.Bool(); dec.Err() == nil && got != c.Router.AdaptiveTimeout {
-		dec.Fail("snapshot: adaptive-timeout mismatch")
+// walkState is the DISHANET payload, written once: Snapshot runs it over an
+// encoder and Restore over a decoder, section by section in file order. A
+// decoding walk stops at the first section that fails. State behind
+// accessors (clock, RNGs, sources) is read, coded and set back: when
+// encoding, the set writes back what was just read.
+func (n *Network) walkState(c *snapshot.Codec) error {
+	n.walkConfigGuard(c)
+	if err := n.walkReconfigLog(c); err != nil {
+		return err
 	}
-	expectF64(dec, c.LoadRate, "load rate")
-	expectF64(dec, c.InjectionProb, "injection probability")
-	dec.Expect(int64(c.MsgLen), "message length")
-	if got := dec.U64(); dec.Err() == nil && got != c.Seed {
-		dec.Fail("snapshot: seed mismatch: snapshot has %#x, this configuration has %#x", got, c.Seed)
+
+	now := n.clock.Now()
+	snapshot.Int(c, &now)
+	n.clock.Set(now)
+	rng := n.rng.State()
+	c.U64x4(&rng)
+	n.rng.SetState(rng)
+	snapshot.Int(c, &n.nextID)
+	n.counters.Walk(c)
+
+	table := n.walkPacketTable(c)
+	n.walkInjectionState(c, table)
+	for _, s := range n.sources {
+		st := s.State()
+		c.U64x4(&st.RNG)
+		c.Bool(&st.Stopped)
+		c.Bool(&st.Bursting)
+		c.I64(&st.Offered)
+		s.SetState(st)
 	}
-	dec.Expect(int64(c.TokenHopsPerCycle), "token speed")
-	dec.Expect(int64(c.SourceQueueCap), "source queue cap")
-	dec.Expect(int64(c.InjectionThrottle), "injection throttle")
-	expectF64(dec, c.Burst.MeanBurst, "burst mean length")
-	expectF64(dec, c.Burst.MeanIdle, "burst mean idle")
-	return dec.Err()
+
+	c.ExpectBool(n.token != nil, "recovery Token presence")
+	if t := n.token; t != nil {
+		snapshot.Range(c, &t.pos, snapshot.In(0, len(t.order), "token position"))
+		c.Bool(&t.held)
+		router.PacketRef(c, &t.holder, table)
+		if t.held && t.holder == nil {
+			c.Fail("snapshot: held token has no holder")
+		}
+		c.I64(&t.seizures)
+		c.I64(&t.transitCycles)
+		c.I64(&t.holdCycles)
+	}
+
+	for _, r := range n.routers {
+		if err := r.WalkState(c, table); err != nil {
+			return fmt.Errorf("router %d: %w", r.NodeID(), err)
+		}
+	}
+	return c.Err()
 }
 
-func expectF64(dec *snapshot.Reader, want float64, what string) {
-	got := dec.F64()
-	if dec.Err() == nil && got != want {
-		dec.Fail("snapshot: %s mismatch: snapshot has %v, this configuration has %v", what, got, want)
+// walkReconfigLog codes the reconfiguration log. A decoder replays each
+// entry as it arrives, reconstructing the topology's history on the fresh
+// network before any router state is read.
+func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
+	count := len(n.reconfigLog)
+	c.Len(&count, c.Remaining()/64)
+	topoChanged := false
+	for i := 0; i < count; i++ {
+		var o ReconfigOutcome
+		if !c.Decoding() {
+			o = n.reconfigLog[i]
+		}
+		snapshot.Int(c, &o.Cycle)
+		snapshot.Int(c, &o.Kind)
+		snapshot.Int(c, &o.Node)
+		snapshot.Int(c, &o.Port)
+		c.String(&o.Alg)
+		c.Bool(&o.Applied)
+		c.String(&o.Reason)
+		c.I64(&o.PacketsLost)
+		c.I64(&o.FlitsLost)
+		c.I64(&o.PacketsUnroutable)
+		if !c.Decoding() {
+			continue
+		}
+		if err := c.Err(); err != nil {
+			return err
+		}
+		if err := n.replayOutcome(o); err != nil {
+			return fmt.Errorf("network: replay reconfiguration log entry %d (%s): %w", i, o.ReconfigEvent, err)
+		}
+		topoChanged = topoChanged || (o.Applied && o.Kind != ReconfigSwapAlgorithm)
 	}
+	if topoChanged {
+		// The router state decoded next carries the exact per-lane DB routes;
+		// only the shared next-hop table (consulted for future recoveries)
+		// needs rebuilding over the replayed wiring.
+		n.rebuildDBTable()
+	}
+	return c.Err()
+}
+
+// walkInjectionState codes every node's source queue (packet IDs, head
+// first), its in-progress injection stream (packet ID and next flit, or -1)
+// and the per-source outstanding counts. Snapshot, Restore and Fingerprint
+// share it; table is the decoded packet table (nil when encoding).
+func (n *Network) walkInjectionState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) {
+	for i := range n.nis {
+		q := &n.nis[i]
+		queued := q.queued()
+		c.Len(&queued, c.Remaining()/8)
+		src := q.queue[q.qhead:]
+		if c.Decoding() {
+			q.queue, q.qhead, q.seq = nil, 0, 0
+		}
+		for j := 0; j < queued; j++ {
+			var p *packet.Packet
+			if !c.Decoding() {
+				p = src[j]
+			}
+			router.PacketRef(c, &p, table)
+			if !c.Decoding() {
+				continue
+			}
+			if p == nil {
+				c.Fail("snapshot: node %d queue holds a nil packet", i)
+				return
+			}
+			q.push(p)
+		}
+		router.PacketRef(c, &q.cur, table)
+		if q.cur != nil {
+			snapshot.Range(c, &q.seq, snapshot.In(1, q.cur.Length, "injection stream position"))
+		}
+	}
+	for i := range n.outstanding {
+		snapshot.Int(c, &n.outstanding[i])
+	}
+}
+
+// Walk codes a Counters value field by field; exported so higher-level
+// checkpoint formats (internal/harness) embed counter snapshots without
+// duplicating the field walk.
+func (ctr *Counters) Walk(c *snapshot.Codec) {
+	snapshot.Int(c, &ctr.Cycles)
+	c.I64(&ctr.PacketsOffered)
+	c.I64(&ctr.PacketsRefused)
+	c.I64(&ctr.PacketsInjected)
+	c.I64(&ctr.PacketsDelivered)
+	c.I64(&ctr.FlitsDelivered)
+	c.I64(&ctr.PacketsKilled)
+	c.I64(&ctr.TokenSeizures)
+	c.I64(&ctr.Recoveries)
+	c.I64(&ctr.TimeoutEvents)
+	c.I64(&ctr.FalseDetections)
+	c.I64(&ctr.MisrouteHops)
+	c.I64(&ctr.Preemptions)
+	c.I64(&ctr.BlockedCycles)
+	c.I64(&ctr.TokenTransit)
+	c.I64(&ctr.TokenHold)
+	c.I64(&ctr.PacketsLost)
+	c.I64(&ctr.FlitsLost)
+	c.I64(&ctr.PacketsUnroutable)
+}
+
+// walkConfigGuard codes the identity of the configuration a snapshot is
+// taken under: every field is a guard, so encoding writes this network's
+// value and decoding compares against it — a snapshot can never be loaded
+// into a structurally different simulation.
+func (n *Network) walkConfigGuard(c *snapshot.Codec) {
+	cfg := &n.cfg
+	c.ExpectString(n.topo.Name(), "topology")
+	c.Expect(int64(n.topo.Nodes()), "node count")
+	c.Expect(int64(n.topo.Degree()), "degree")
+	c.ExpectString(cfg.Algorithm.Name(), "routing algorithm")
+	c.ExpectString(cfg.Selection.Name(), "selection function")
+	c.ExpectString(cfg.Pattern.Name(), "traffic pattern")
+	c.Expect(int64(cfg.Router.VCs), "VC count")
+	c.Expect(int64(cfg.Router.BufferDepth), "buffer depth")
+	c.Expect(int64(cfg.Router.DeadlockBufferDepth), "deadlock buffer depth")
+	c.Expect(int64(cfg.Router.InjectionVCs), "injection VCs")
+	c.Expect(int64(cfg.Router.ReceptionChannels), "reception channels")
+	c.Expect(int64(cfg.Router.Timeout), "timeout")
+	c.Expect(int64(cfg.Router.Alloc), "allocation policy")
+	c.Expect(int64(cfg.Router.Recovery), "recovery mode")
+	c.ExpectBool(cfg.Router.AdaptiveTimeout, "adaptive timeout")
+	c.ExpectF64(cfg.LoadRate, "load rate")
+	c.ExpectF64(cfg.InjectionProb, "injection probability")
+	c.Expect(int64(cfg.MsgLen), "message length")
+	c.ExpectU64(cfg.Seed, "seed")
+	c.Expect(int64(cfg.TokenHopsPerCycle), "token speed")
+	c.Expect(int64(cfg.SourceQueueCap), "source queue cap")
+	c.Expect(int64(cfg.InjectionThrottle), "injection throttle")
+	c.ExpectF64(cfg.Burst.MeanBurst, "burst mean length")
+	c.ExpectF64(cfg.Burst.MeanIdle, "burst mean idle")
 }
 
 // collectPackets walks every place a live packet can be referenced from, in
@@ -476,71 +313,67 @@ func (n *Network) collectPackets() []*packet.Packet {
 	return out
 }
 
-// encodePacket serializes every packet field. Any new Packet field that can
-// influence a future cycle must be added here and in decodePacketTable.
-func encodePacket(enc *snapshot.Writer, p *packet.Packet) {
-	enc.I64(int64(p.ID))
-	enc.I64(int64(p.Src))
-	enc.I64(int64(p.Dst))
-	enc.Int(p.Length)
-	enc.I64(int64(p.CreatedAt))
-	enc.I64(int64(p.InjectedAt))
-	enc.I64(int64(p.DeliveredAt))
-	enc.Int(p.Hops)
-	enc.Int(p.Misroutes)
-	enc.Int(p.DimReversals)
-	enc.Bool(p.OnDeterministic)
-	enc.U64(p.DatelineCrossed)
-	enc.Int(p.LastDim)
-	enc.Int(p.Retries)
-	enc.Bool(p.OnDB)
-	enc.Bool(p.TimedOut)
-	enc.Bool(p.SeizedToken)
-	enc.I64(int64(p.RecoveredAt))
-	enc.Int(p.FlitsDelivered)
-	enc.Bool(p.HeaderArrived)
-}
-
 // packetEncodedMin is a lower bound on one encoded packet's size, used to
 // bound the table count against the remaining input.
 const packetEncodedMin = 8*12 + 6
 
-func decodePacketTable(dec *snapshot.Reader) (map[int64]*packet.Packet, error) {
-	count := dec.Len(dec.Remaining() / packetEncodedMin)
-	table := make(map[int64]*packet.Packet, count)
-	for i := 0; i < count; i++ {
-		p := &packet.Packet{}
-		id := dec.I64()
-		p.ID = packet.ID(id)
-		p.Src = topology.Node(dec.I64())
-		p.Dst = topology.Node(dec.I64())
-		p.Length = dec.Int()
-		p.CreatedAt = readCycleVal(dec)
-		p.InjectedAt = readCycleVal(dec)
-		p.DeliveredAt = readCycleVal(dec)
-		p.Hops = dec.Int()
-		p.Misroutes = dec.Int()
-		p.DimReversals = dec.Int()
-		p.OnDeterministic = dec.Bool()
-		p.DatelineCrossed = dec.U64()
-		p.LastDim = dec.Int()
-		p.Retries = dec.Int()
-		p.OnDB = dec.Bool()
-		p.TimedOut = dec.Bool()
-		p.SeizedToken = dec.Bool()
-		p.RecoveredAt = readCycleVal(dec)
-		p.FlitsDelivered = dec.Int()
-		p.HeaderArrived = dec.Bool()
-		if err := dec.Err(); err != nil {
-			return nil, err
-		}
-		if p.Length < 1 {
-			return nil, dec.Fail("snapshot: packet %d has length %d < 1", id, p.Length)
-		}
-		if _, dup := table[id]; dup {
-			return nil, dec.Fail("snapshot: duplicate packet ID %d", id)
-		}
-		table[id] = p
+// walkPacketTable codes the live packet table: every packet reachable from
+// any queue, buffer, channel or the Token, each exactly once. References
+// elsewhere in the payload are IDs; a decoder returns the table they resolve
+// through, so pointer identity survives the round trip.
+func (n *Network) walkPacketTable(c *snapshot.Codec) map[packet.ID]*packet.Packet {
+	var pkts []*packet.Packet
+	if !c.Decoding() {
+		pkts = n.collectPackets()
 	}
-	return table, nil
+	count := len(pkts)
+	c.Len(&count, c.Remaining()/packetEncodedMin)
+	if !c.Decoding() {
+		for _, p := range pkts {
+			walkPacket(c, p)
+		}
+		return nil
+	}
+	nodes := n.topo.Nodes()
+	table := make(map[packet.ID]*packet.Packet, count)
+	for i := 0; i < count && c.Err() == nil; i++ {
+		p := &packet.Packet{}
+		walkPacket(c, p)
+		switch {
+		case c.Err() != nil:
+		case int(p.Src) < 0 || int(p.Src) >= nodes || int(p.Dst) < 0 || int(p.Dst) >= nodes:
+			c.Fail("snapshot: packet %d endpoints %d->%d outside the %d nodes", p.ID, p.Src, p.Dst, nodes)
+		case p.Length < 1:
+			c.Fail("snapshot: packet %d has length %d < 1", p.ID, p.Length)
+		case table[p.ID] != nil:
+			c.Fail("snapshot: duplicate packet ID %d", p.ID)
+		}
+		table[p.ID] = p
+	}
+	return table
+}
+
+// walkPacket codes every packet field. A Packet field that can influence a
+// future cycle belongs here, once, for both directions.
+func walkPacket(c *snapshot.Codec, p *packet.Packet) {
+	snapshot.Int(c, &p.ID)
+	snapshot.Int(c, &p.Src)
+	snapshot.Int(c, &p.Dst)
+	snapshot.Int(c, &p.Length)
+	snapshot.Int(c, &p.CreatedAt)
+	snapshot.Int(c, &p.InjectedAt)
+	snapshot.Int(c, &p.DeliveredAt)
+	snapshot.Int(c, &p.Hops)
+	snapshot.Int(c, &p.Misroutes)
+	snapshot.Int(c, &p.DimReversals)
+	c.Bool(&p.OnDeterministic)
+	c.U64(&p.DatelineCrossed)
+	snapshot.Int(c, &p.LastDim)
+	snapshot.Int(c, &p.Retries)
+	c.Bool(&p.OnDB)
+	c.Bool(&p.TimedOut)
+	c.Bool(&p.SeizedToken)
+	snapshot.Int(c, &p.RecoveredAt)
+	snapshot.Int(c, &p.FlitsDelivered)
+	c.Bool(&p.HeaderArrived)
 }

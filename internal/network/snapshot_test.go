@@ -2,8 +2,11 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"os"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/router"
@@ -245,7 +248,7 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 
 // TestAppendStateIsSnapshotPrefix pins the one-walk contract the digest's
 // soundness rests on: after each golden case's run, every router's digest
-// bytes (AppendState) are exactly its snapshot bytes (EncodeState) minus the
+// bytes (AppendState) are exactly its snapshot bytes (WalkState) minus the
 // 32-byte RNG trailer, so no field a restore brings back can go unhashed.
 func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 	const rngTrailer = 4 * 8
@@ -256,11 +259,13 @@ func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 			n.Run(gc.cycles)
 			n.Fingerprint() // brings routers the active set skipped up to date
 			for i, r := range n.routers {
-				var enc snapshot.Writer
-				r.EncodeState(&enc)
+				var enc snapshot.Codec
+				if err := r.WalkState(&enc, nil); err != nil {
+					t.Fatal(err)
+				}
 				snap := enc.Bytes()
 				if digest := r.AppendState(nil); !bytes.Equal(digest, snap[:len(snap)-rngTrailer]) {
-					t.Fatalf("router %d: AppendState (%d bytes) is not EncodeState (%d bytes) minus the RNG trailer",
+					t.Fatalf("router %d: AppendState (%d bytes) is not WalkState (%d bytes) minus the RNG trailer",
 						i, len(digest), len(snap))
 				}
 			}
@@ -309,45 +314,187 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	checkLockstep(t, orig, restored, 50)
 }
 
-// FuzzSnapshotRestore throws arbitrary bytes at Restore. Raw mutations are
-// usually stopped by the checksum trailer, so the fuzz body also re-seals the
-// input as a valid container to reach the payload decoder: either way the
-// requirement is an error, never a panic.
-func FuzzSnapshotRestore(f *testing.F) {
+// pbpFuzzConfig is a packet-by-packet network busy enough that crossbar
+// connections are live in a mid-run snapshot.
+func pbpFuzzConfig() Config {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
+	cfg.Router.Alloc = router.PacketByPacket
 	cfg.Router.Timeout = 4
-	n, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	n.Run(150)
-	var buf bytes.Buffer
-	if err := n.Snapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	payload, err := snapshot.Open(valid, snapshotMagic, snapshotVersion)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(snapshot.Seal(snapshotMagic, snapshotVersion, payload[:len(payload)/3]))
-	f.Add([]byte{})
+	return cfg
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh := func() *Network {
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+// lastRouterCrossbar returns the payload offset of the last router's crossbar
+// record for output 0 (cxInPort, cxInVC, cxDB, cxSaved, cxSavedPort,
+// cxSavedVC: 8+8+1+1+8+8 bytes). Router records end the payload, and what
+// follows the crossbar section has a fixed size, so the offset is counted
+// from the end and holds for any buffer occupancy.
+func lastRouterCrossbar(cfg Config, payload []byte) int {
+	deg := cfg.Topo.Degree()
+	rc := cfg.Router
+	blocked := max(rc.VCs, rc.InjectionVCs)
+	// vcArbOff, swArbOff[deg+1], effTout, decayCount, 9 stats, blockedByVC,
+	// lastBlocked, lastPresumed, RNG.
+	trailer := 8 + 8*(deg+1) + 8 + 8 + 9*8 + 8*blocked + 8 + 8 + 32
+	return len(payload) - trailer - deg*34
+}
+
+// TestSnapshotRejectsHostileCrossbarVC re-seals a packet-by-packet snapshot
+// whose crossbar names an input VC that does not exist. Restore used to
+// accept it (DecodeState bounds-checked the port but not the VC) and the
+// next StageSwitch indexed far outside the input-VC arrays; now the walk
+// rejects it next to the field, whether the value is one past the port's VC
+// count, absurd, or only in range after wrapping to 32 bits.
+func TestSnapshotRejectsHostileCrossbarVC(t *testing.T) {
+	cfg := pbpFuzzConfig()
+	_, data := takeSnapshot(t, cfg, 200)
+	payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx := lastRouterCrossbar(cfg, payload)
+	deg, rc := int64(cfg.Topo.Degree()), mustNet(t, cfg).cfg.Router
+	put := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
+
+	for name, mutate := range map[string]func(b []byte){
+		"network port, one past": func(b []byte) { put(b, cx, 0); put(b, cx+8, int64(rc.VCs)) },
+		"network port, absurd":   func(b []byte) { put(b, cx, 0); put(b, cx+8, 1<<20) },
+		"network port, negative": func(b []byte) { put(b, cx, 0); put(b, cx+8, -1) },
+		"injection port":         func(b []byte) { put(b, cx, deg); put(b, cx+8, int64(rc.InjectionVCs)) },
+		"wraps to zero":          func(b []byte) { put(b, cx, 0); put(b, cx+8, 1<<32) },
+		"saved VC":               func(b []byte) { b[cx+17] = 1; put(b, cx+18, 0); put(b, cx+26, int64(rc.VCs)) },
+		"saved port negative":    func(b []byte) { b[cx+17] = 1; put(b, cx+18, -1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mut := bytes.Clone(payload)
+			mutate(mut)
+			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
+			if err == nil {
+				t.Fatal("hostile crossbar state restored without error")
 			}
-			return n
-		}
-		n := fresh()
-		_ = n.Restore(bytes.NewReader(data)) // must not panic
+			if !strings.Contains(err.Error(), "crossbar") && !strings.Contains(err.Error(), "overflows") {
+				t.Fatalf("rejected for an unrelated reason (is the offset stale?): %v", err)
+			}
+		})
+	}
+	// Control: the offsets above address real crossbar fields — an in-range
+	// rewrite of the same bytes still restores.
+	mut := bytes.Clone(payload)
+	put(mut, cx, 0)
+	put(mut, cx+8, int64(rc.VCs-1))
+	if err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut)); err != nil {
+		t.Fatalf("in-range crossbar rewrite rejected: %v", err)
+	}
+}
 
-		// Re-seal so the checksum passes and the payload decoder runs.
-		n = fresh()
-		_ = n.Restore(bytes.NewReader(snapshot.Seal(snapshotMagic, snapshotVersion, data)))
+// restoreAndStep restores input into a fresh network and, when Restore
+// accepts it and CheckInvariants finds the state sound, runs 8 cycles. It
+// returns Restore's error; a panic anywhere fails the test. (A restored
+// state the invariant checker rejects is reported by the checker, not
+// stepped: Step's contract starts from a sound state.)
+func restoreAndStep(t *testing.T, cfg Config, input []byte) error {
+	t.Helper()
+	n := mustNet(t, cfg)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic on a %d-byte input: %v\n%s", len(input), r, debug.Stack())
+		}
+	}()
+	if err := n.Restore(bytes.NewReader(input)); err != nil {
+		return err
+	}
+	if n.CheckInvariants() == nil {
+		for i := 0; i < 8; i++ {
+			n.Step()
+		}
+	}
+	return nil
+}
+
+// TestSnapshotRejectsHostilePacketEndpoints rewrites, one packet at a time,
+// the destination of every packet in a re-sealed snapshot. A node the
+// topology does not have must be an error (it used to restore and index out
+// of range in the routing function); another valid node must either be
+// rejected or leave a network that steps — a packet already granted the
+// ejection port of its old destination used to restore and then trip the
+// delivery assertion.
+func TestSnapshotRejectsHostilePacketEndpoints(t *testing.T) {
+	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
+	n, data := takeSnapshot(t, cfg, 150)
+	payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table follows guard, log, clock, RNG, ID allocator and counters;
+	// a record is 125 bytes with Dst at +16.
+	var head snapshot.Codec
+	n.walkConfigGuard(&head)
+	if err := n.walkReconfigLog(&head); err != nil {
+		t.Fatal(err)
+	}
+	table := len(head.Bytes()) + 8 + 32 + 8 + 19*8
+	count := int(binary.LittleEndian.Uint64(payload[table:]))
+	if count != len(n.collectPackets()) || count < 20 {
+		t.Fatalf("packet table not where the layout says: count %d, live packets %d", count, len(n.collectPackets()))
+	}
+	nodes := uint64(cfg.Topo.Nodes())
+	seal := func(p []byte) []byte { return snapshot.Seal(snapshotMagic, snapshotVersion, p) }
+	rejected := 0
+	for k := 0; k < count; k++ {
+		dst := table + 8 + k*125 + 16
+		old := binary.LittleEndian.Uint64(payload[dst:])
+		mut := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(mut[dst:], nodes)
+		if restoreAndStep(t, cfg, seal(mut)) == nil {
+			t.Fatalf("packet %d: destination %d of %d nodes restored without error", k, nodes, nodes)
+		}
+		binary.LittleEndian.PutUint64(mut[dst:], (old+1)%nodes)
+		if restoreAndStep(t, cfg, seal(mut)) != nil {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no snapshot held a packet with an eject grant: the redirect case went untested")
+	}
+}
+
+// FuzzSnapshotRestore throws arbitrary bytes at Restore, for a flit-by-flit
+// and a packet-by-packet network. Raw mutations are usually stopped by the
+// checksum trailer, so the fuzz body also re-seals the input as a valid
+// container to reach the payload decoder. The targets: Restore returns an
+// error or nil, never a panic; and a network Restore accepted is one the
+// simulator can run (restoreAndStep).
+func FuzzSnapshotRestore(f *testing.F) {
+	fbf := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
+	fbf.Router.Timeout = 4
+	cfgs := []Config{fbf, pbpFuzzConfig()}
+	for i, cfg := range cfgs {
+		n, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		n.Run(150)
+		var buf bytes.Buffer
+		if err := n.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		valid := buf.Bytes()
+		f.Add(valid, uint8(i))
+		f.Add(valid[:len(valid)/2], uint8(i))
+		payload, err := snapshot.Open(valid, snapshotMagic, snapshotVersion)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snapshot.Seal(snapshotMagic, snapshotVersion, payload[:len(payload)/3]), uint8(i))
+		f.Add([]byte{}, uint8(i))
+		// The bare payload: re-sealed by the body, so mutations of it reach
+		// every field of the walk.
+		f.Add(payload, uint8(i))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
+		cfg := cfgs[int(which)%len(cfgs)]
+		// Error or nil are both fine; restoreAndStep fails the test on a panic.
+		_ = restoreAndStep(t, cfg, data)
+		_ = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, data))
 	})
 }

@@ -213,6 +213,10 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		func(s *State) { s.outCredits[0] = -1 },
 		func(s *State) { s.flitCount[0] = 5 },
 		func(s *State) { s.cxInPort[0] = int32(s.deg + 1) },
+		func(s *State) { s.cxInPort[0], s.cxInVC[0] = 1, int32(s.cfg.VCs) },
+		func(s *State) { s.cxInPort[0], s.cxInVC[0] = int32(s.deg), int32(s.cfg.InjectionVCs) },
+		func(s *State) { s.cxInVC[0] = -1 },
+		func(s *State) { s.cxSaved[0], s.cxSavedPort[0], s.cxSavedVC[0] = true, 1, 1<<20 },
 	}
 	for i, corrupt := range corruptions {
 		rc := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1))

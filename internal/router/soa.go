@@ -41,9 +41,9 @@ import (
 // Aliasing contract: a Router view may only touch slots inside its own base
 // ranges, except through another Router's methods (transfer commit writes
 // the receiving router's buffers via the receiver view). The layout is a
-// private representation: digests (AppendState), snapshots
-// (EncodeState/DecodeState) and all introspection walk the logical
-// (port, vc) order, so they are layout-invariant by construction.
+// private representation: digests (AppendState), snapshots (WalkState) and
+// all introspection walk the logical (port, vc) order, so they are
+// layout-invariant by construction.
 type State struct {
 	topo topology.Graph
 	// ctopo is the coordinate view of topo when it has one (k-ary n-cubes),
@@ -337,8 +337,9 @@ func (q *flitRing) check(i int) error {
 // CheckState cross-checks the router's slice of the shared struct-of-arrays
 // buffers against what the view API exposes: ring cursors in range, vacated
 // ring slots zeroed (no stale packet pointers), route/VC grants within their
-// sentinel-extended domains, credits within [0, depth], and the maintained
-// flit counter consistent with the rings. The network's CheckInvariants calls
+// sentinel-extended domains, credits within [0, depth], crossbar connections
+// naming an input VC that exists, and the maintained flit counter consistent
+// with the rings. The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
 // without (yet) changing observable behavior is still caught near its origin.
 func (r *Router) CheckState() error {
@@ -382,8 +383,18 @@ func (r *Router) CheckState() error {
 		if ip := int(s.cxInPort[i]); ip < connNone || ip > s.deg {
 			return fmt.Errorf("router %d crossbar %d: input port %d outside [-1,%d]", r.node, q, ip, s.deg)
 		}
-		if sp := int(s.cxSavedPort[i]); s.cxSaved[i] && (sp < 0 || sp > s.deg) {
+		if iv, n := int(s.cxInVC[i]), s.inVCCount(int(s.cxInPort[i])); iv < 0 || iv >= n {
+			return fmt.Errorf("router %d crossbar %d: input VC %d outside input port %d's [0,%d)", r.node, q, iv, s.cxInPort[i], n)
+		}
+		if !s.cxSaved[i] {
+			continue
+		}
+		sp := int(s.cxSavedPort[i])
+		if sp < 0 || sp > s.deg {
 			return fmt.Errorf("router %d crossbar %d: saved port %d outside [0,%d]", r.node, q, sp, s.deg)
+		}
+		if sv, n := int(s.cxSavedVC[i]), s.inVCCount(sp); sv < 0 || sv >= n {
+			return fmt.Errorf("router %d crossbar %d: saved VC %d outside input port %d's [0,%d)", r.node, q, sv, sp, n)
 		}
 	}
 	return nil

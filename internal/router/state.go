@@ -19,7 +19,7 @@ func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.db.at(r.dbIdx(l
 
 // AppendState appends a deterministic binary encoding of the router's full
 // microarchitectural state to b and returns the extended slice. It is the
-// snapshot's own field walk (encodeState) without the RNG trailer, so every
+// snapshot's own field walk (walkState) without the RNG trailer, so every
 // field a restore brings back is hashed by construction: every input VC
 // (owner, route grants, buffered flits, timer state), output VC (owner,
 // credits), Deadlock Buffer lane, crossbar connection, arbitration offset,
@@ -27,7 +27,7 @@ func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.db.at(r.dbIdx(l
 // suite hashes it to prove that every scan path leaves the network in
 // byte-identical states.
 func (r *Router) AppendState(b []byte) []byte {
-	w := snapshot.NewWriter(b)
-	r.encodeState(w)
-	return w.Bytes()
+	c := snapshot.NewEncoder(b)
+	r.walkState(c, nil)
+	return c.Bytes()
 }

@@ -9,79 +9,112 @@ import (
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	var w Writer
-	w.U64(0xdeadbeefcafef00d)
-	w.I64(-42)
-	w.Int(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.F64(3.14159)
-	w.F64(math.Inf(-1))
-	w.String("")
-	w.String("hello, 网络")
-	w.F64s(nil)
-	w.F64s([]float64{1.5, -2.5, 0})
+// enc builds a payload from a walk run in the encoding direction.
+func enc(walk func(c *Codec)) []byte {
+	var c Codec
+	walk(&c)
+	return c.Bytes()
+}
 
-	r := NewReader(w.Bytes())
-	if got := r.U64(); got != 0xdeadbeefcafef00d {
-		t.Errorf("U64 = %#x", got)
+// TestRoundTrip runs one walk in both directions: the decoder must fill the
+// second set of fields with exactly what the encoder read from the first.
+func TestRoundTrip(t *testing.T) {
+	type fields struct {
+		u    uint64
+		i    int64
+		n    int
+		n32  int32
+		t, f bool
+		x, y float64
+		e, s string
+		none []float64
+		vs   []float64
+		blob []byte
+		rng  [4]uint64
 	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
+	walk := func(c *Codec, v *fields) {
+		c.U64(&v.u)
+		c.I64(&v.i)
+		Int(c, &v.n)
+		Int(c, &v.n32)
+		c.Bool(&v.t)
+		c.Bool(&v.f)
+		c.F64(&v.x)
+		c.F64(&v.y)
+		c.String(&v.e)
+		c.String(&v.s)
+		c.F64s(&v.none)
+		c.F64s(&v.vs)
+		c.Blob(&v.blob)
+		c.U64x4(&v.rng)
 	}
-	if got := r.Int(); got != 7 {
-		t.Errorf("Int = %d", got)
+	in := fields{
+		u: 0xdeadbeefcafef00d, i: -42, n: 7, n32: -9, t: true,
+		x: 3.14159, y: math.Inf(-1), s: "hello, 网络",
+		vs: []float64{1.5, -2.5, 0}, blob: []byte{9, 8, 7}, rng: [4]uint64{1, 2, 3, 4},
 	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
+	var w Codec
+	if w.Decoding() {
+		t.Fatal("zero Codec is not an encoder")
 	}
-	if got := r.F64(); got != 3.14159 {
-		t.Errorf("F64 = %v", got)
+	walk(&w, &in)
+	if err := w.Err(); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	if got := r.F64(); !math.IsInf(got, -1) {
-		t.Errorf("F64 inf = %v", got)
-	}
-	if got := r.String(); got != "" {
-		t.Errorf("empty String = %q", got)
-	}
-	if got := r.String(); got != "hello, 网络" {
-		t.Errorf("String = %q", got)
-	}
-	if got := r.F64s(); len(got) != 0 {
-		t.Errorf("empty F64s = %v", got)
-	}
-	if got := r.F64s(); len(got) != 3 || got[0] != 1.5 || got[1] != -2.5 || got[2] != 0 {
-		t.Errorf("F64s = %v", got)
-	}
+
+	r := NewDecoder(w.Bytes())
+	var out fields
+	walk(r, &out)
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("%d bytes left over", r.Remaining())
 	}
+	if out.u != in.u || out.i != in.i || out.n != in.n || out.n32 != in.n32 || !out.t || out.f ||
+		out.x != in.x || !math.IsInf(out.y, -1) || out.e != "" || out.s != in.s ||
+		len(out.none) != 0 || len(out.vs) != 3 || out.vs[0] != 1.5 || out.vs[1] != -2.5 || out.vs[2] != 0 ||
+		!bytes.Equal(out.blob, in.blob) || out.rng != in.rng {
+		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+	// The layout is fixed-width little endian: the first field's low byte leads.
+	if b := w.Bytes(); b[0] != 0x0d || b[7] != 0xde {
+		t.Fatalf("U64 is not little endian: % x", b[:8])
+	}
+	// NewEncoder extends the caller's slice.
+	if b := NewEncoder([]byte{0xff}); b.Bytes()[0] != 0xff {
+		t.Fatal("NewEncoder dropped the caller's prefix")
+	}
 }
 
 func TestF64NaNBitPattern(t *testing.T) {
 	// A NaN payload must survive bit-identically; comparing values would lose it.
 	nan := math.Float64frombits(0x7ff8000000abc123)
-	var w Writer
-	w.F64(nan)
-	r := NewReader(w.Bytes())
-	if got := math.Float64bits(r.F64()); got != 0x7ff8000000abc123 {
-		t.Fatalf("NaN bits = %#x", got)
+	var got float64
+	NewDecoder(enc(func(c *Codec) { c.F64(&nan) })).F64(&got)
+	if bits := math.Float64bits(got); bits != 0x7ff8000000abc123 {
+		t.Fatalf("NaN bits = %#x", bits)
 	}
 }
 
 func TestReaderStickyError(t *testing.T) {
-	r := NewReader([]byte{1, 2, 3}) // too short for any 8-byte field
-	if r.U64() != 0 || r.Err() == nil {
+	r := NewDecoder([]byte{1, 2, 3}) // too short for any 8-byte field
+	u := uint64(9)
+	if r.U64(&u); u != 0 || r.Err() == nil {
 		t.Fatal("truncated U64 did not error")
 	}
 	first := r.Err()
-	// Every later read must keep returning zero values and the first error.
-	if r.I64() != 0 || r.Int() != 0 || r.Bool() || r.F64() != 0 || r.String() != "" || r.F64s() != nil {
-		t.Fatal("reads after error returned non-zero values")
+	// Every later field must be filled with its zero value, under the first error.
+	i, n, b, f, s, vs, blob := int64(9), 9, true, 9.0, "x", []float64{9}, []byte{9}
+	r.I64(&i)
+	Int(r, &n)
+	r.Bool(&b)
+	r.F64(&f)
+	r.String(&s)
+	r.F64s(&vs)
+	r.Blob(&blob)
+	if i != 0 || n != 0 || b || f != 0 || s != "" || vs != nil || blob != nil {
+		t.Fatal("reads after error left non-zero values")
 	}
 	if r.Err() != first {
 		t.Fatal("error was replaced after becoming sticky")
@@ -92,61 +125,118 @@ func TestReaderStickyError(t *testing.T) {
 }
 
 func TestReaderBoolRejectsJunk(t *testing.T) {
-	r := NewReader([]byte{2})
-	r.Bool()
+	r := NewDecoder([]byte{2})
+	var b bool
+	r.Bool(&b)
 	if r.Err() == nil {
 		t.Fatal("bool byte 2 accepted")
 	}
 }
 
 func TestReaderLenBounds(t *testing.T) {
-	var w Writer
-	w.I64(100)
-	r := NewReader(w.Bytes())
-	if r.Len(10) != 0 || r.Err() == nil {
-		t.Fatal("length above max accepted")
+	for _, stored := range []int{100, -1} {
+		r := NewDecoder(enc(func(c *Codec) { Int(c, &stored) }))
+		n := 5
+		if r.Len(&n, 10); n != 0 || r.Err() == nil {
+			t.Fatalf("length %d accepted against [0, 10]", stored)
+		}
 	}
-
-	w = Writer{}
-	w.I64(-1)
-	r = NewReader(w.Bytes())
-	if r.Len(10) != 0 || r.Err() == nil {
-		t.Fatal("negative length accepted")
+	at := 10
+	r := NewDecoder(enc(func(c *Codec) { c.Len(&at, 0) })) // an encoder writes what it holds
+	if r.Len(&at, 10); at != 10 || r.Err() != nil {
+		t.Fatalf("length at the bound: %d, %v", at, r.Err())
 	}
 }
 
 func TestReaderStringHostileLength(t *testing.T) {
 	// A string claiming more bytes than remain must error, not allocate.
-	var w Writer
-	w.I64(1 << 40)
-	r := NewReader(w.Bytes())
-	if r.String() != "" || r.Err() == nil {
+	huge := int64(1 << 40)
+	r := NewDecoder(enc(func(c *Codec) { c.I64(&huge) }))
+	s := "x"
+	if r.String(&s); s != "" || r.Err() == nil {
 		t.Fatal("hostile string length accepted")
 	}
 }
 
+// TestIntRejectsNarrowing pins the overflow check of the generic integer
+// primitive: a stored value that does not fit the field is an error, never a
+// silent wrap (1<<32 + 3 used to land in an int32 field as 3).
+func TestIntRejectsNarrowing(t *testing.T) {
+	wide := int64(1<<32 + 3)
+	payload := enc(func(c *Codec) { c.I64(&wide) })
+	var narrow int32
+	r := NewDecoder(payload)
+	if Int(r, &narrow); r.Err() == nil || narrow != 0 {
+		t.Fatalf("1<<32+3 into an int32 field: value %d, error %v", narrow, r.Err())
+	}
+	var fits int64
+	r = NewDecoder(payload)
+	if Int(r, &fits); r.Err() != nil || fits != wide {
+		t.Fatalf("1<<32+3 into an int64 field: value %d, error %v", fits, r.Err())
+	}
+	for _, v := range []int32{math.MinInt32, -1, math.MaxInt32} {
+		var got int32
+		r := NewDecoder(enc(func(c *Codec) { Int(c, &v) }))
+		if Int(r, &got); r.Err() != nil || got != v {
+			t.Fatalf("int32 %d round trip: %d, %v", v, got, r.Err())
+		}
+	}
+}
+
+func TestRange(t *testing.T) {
+	for v, ok := range map[int32]bool{-2: false, -1: true, 0: true, 3: true, 4: false} {
+		var got int32
+		r := NewDecoder(enc(func(c *Codec) { Range(c, &v, In(0, 0, "unchecked when encoding")) }))
+		Range(r, &got, In(-1, 4, "port"))
+		if (r.Err() == nil) != ok {
+			t.Errorf("Range(%d) in [-1, 4): error %v", v, r.Err())
+		}
+		if err := r.Err(); err != nil && !strings.Contains(err.Error(), "port") {
+			t.Errorf("Range error does not name the field: %v", err)
+		}
+	}
+}
+
+// TestExpect drives every guard in both directions: encoding writes the
+// receiver's value, decoding compares against it.
 func TestExpect(t *testing.T) {
-	var w Writer
-	w.I64(8)
-	w.String("torus-8x8")
-	r := NewReader(w.Bytes())
-	r.Expect(8, "degree")
-	r.ExpectString("torus-8x8", "topology")
+	guards := func(c *Codec, degree int64, topo string, seed uint64, adaptive bool, load float64) {
+		c.Expect(degree, "degree")
+		c.ExpectString(topo, "topology")
+		c.ExpectU64(seed, "seed")
+		c.ExpectBool(adaptive, "adaptive timeout")
+		c.ExpectF64(load, "load rate")
+	}
+	payload := enc(func(c *Codec) { guards(c, 8, "torus-8x8", 7, true, 0.5) })
+	want := enc(func(c *Codec) {
+		i, s, u, b, f := int64(8), "torus-8x8", uint64(7), true, 0.5
+		c.I64(&i)
+		c.String(&s)
+		c.U64(&u)
+		c.Bool(&b)
+		c.F64(&f)
+	})
+	if !bytes.Equal(payload, want) {
+		t.Fatal("guards do not encode as the plain primitives")
+	}
+
+	r := NewDecoder(payload)
+	guards(r, 8, "torus-8x8", 7, true, 0.5)
 	if err := r.Err(); err != nil {
-		t.Fatalf("matching Expect failed: %v", err)
+		t.Fatalf("matching guards failed: %v", err)
 	}
-
-	r = NewReader(w.Bytes())
-	r.Expect(9, "degree")
-	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "degree") {
-		t.Fatalf("Expect mismatch error = %v", err)
-	}
-
-	r = NewReader(w.Bytes())
-	r.Expect(8, "degree")
-	r.ExpectString("mesh-8x8", "topology")
-	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "topology") {
-		t.Fatalf("ExpectString mismatch error = %v", err)
+	for what, run := range map[string]func(c *Codec){
+		"degree":           func(c *Codec) { guards(c, 9, "torus-8x8", 7, true, 0.5) },
+		"topology":         func(c *Codec) { guards(c, 8, "mesh-8x8", 7, true, 0.5) },
+		"seed":             func(c *Codec) { guards(c, 8, "torus-8x8", 8, true, 0.5) },
+		"adaptive timeout": func(c *Codec) { guards(c, 8, "torus-8x8", 7, false, 0.5) },
+		"load rate":        func(c *Codec) { guards(c, 8, "torus-8x8", 7, true, 0.51) },
+	} {
+		r := NewDecoder(payload)
+		run(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), what) {
+			t.Errorf("%s mismatch error = %v", what, err)
+		}
 	}
 }
 

@@ -6,16 +6,12 @@ type Options struct {
 	// SampleEvery is the gauge sampling period in cycles (default 100).
 	// Negative disables sampling entirely.
 	SampleEvery int
-	// SeriesDepth is the per-probe time-series ring capacity (default 512).
-	SeriesDepth int
 	// FlightDepth is how many cycles of per-router frames the flight
 	// recorder retains (default 64). Negative disables the recorder.
 	FlightDepth int
 	// SnapshotCooldown is the minimum number of cycles between two
 	// flight-recorder dumps (default 500).
 	SnapshotCooldown int64
-	// MaxSnapshots bounds retained (and written) dumps per run (default 16).
-	MaxSnapshots int
 	// Writer, when set, streams samples, packet events, episode spans and
 	// snapshots as JSON Lines.
 	Writer *JSONLWriter
@@ -28,21 +24,21 @@ type Options struct {
 	ProfileEvery int
 }
 
+// Fixed capacities of a Hub: every caller ran with these values.
+const (
+	seriesDepth  = 512 // per-probe time-series ring capacity
+	maxSnapshots = 16  // flight-recorder dumps retained (and written) per run
+)
+
 func (o *Options) normalize() {
 	if o.SampleEvery == 0 {
 		o.SampleEvery = 100
-	}
-	if o.SeriesDepth == 0 {
-		o.SeriesDepth = 512
 	}
 	if o.FlightDepth == 0 {
 		o.FlightDepth = 64
 	}
 	if o.SnapshotCooldown == 0 {
 		o.SnapshotCooldown = 500
-	}
-	if o.MaxSnapshots == 0 {
-		o.MaxSnapshots = 16
 	}
 	if o.EpisodeDepth == 0 {
 		o.EpisodeDepth = 256
@@ -73,13 +69,13 @@ func NewHub(o Options) *Hub {
 	o.normalize()
 	h := &Hub{Registry: NewRegistry(), Writer: o.Writer}
 	if o.SampleEvery > 0 {
-		h.Sampler = NewSampler(int64(o.SampleEvery), o.SeriesDepth)
+		h.Sampler = NewSampler(int64(o.SampleEvery), seriesDepth)
 		if o.Writer != nil {
 			h.Sampler.Emit = o.Writer.Sample
 		}
 	}
 	if o.FlightDepth > 0 {
-		h.Recorder = NewFlightRecorder(o.FlightDepth, o.SnapshotCooldown, o.MaxSnapshots)
+		h.Recorder = NewFlightRecorder(o.FlightDepth, o.SnapshotCooldown, maxSnapshots)
 	}
 	if o.EpisodeDepth > 0 {
 		h.Episodes = NewEpisodeTracker(o.EpisodeDepth)

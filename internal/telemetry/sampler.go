@@ -109,9 +109,6 @@ func NewSampler(every int64, depth int) *Sampler {
 	return &Sampler{every: every, depth: depth}
 }
 
-// Every returns the sampling interval in cycles.
-func (s *Sampler) Every() int64 { return s.every }
-
 // AddProbe registers one sampled quantity.
 func (s *Sampler) AddProbe(p Probe) *TimeSeries {
 	ts := newTimeSeries(p.Name, p.Labels, s.depth)

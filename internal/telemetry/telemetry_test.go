@@ -155,7 +155,7 @@ func TestFlightRecorderThrottle(t *testing.T) {
 	}
 	f.AddSnapshot(&Snapshot{Cycle: 110})
 	if f.ShouldSnapshot(500) {
-		t.Fatal("snapshot beyond MaxSnapshots allowed")
+		t.Fatal("snapshot beyond the retention bound allowed")
 	}
 	if len(f.Snapshots()) != 2 {
 		t.Fatalf("retained %d snapshots, want 2", len(f.Snapshots()))
