@@ -70,8 +70,7 @@ func main() {
 	if *chaosScript != "" {
 		sched, err := chaos.Load(*chaosScript)
 		fail(err)
-		chaosEvents, err = sched.Reconfig()
-		fail(err)
+		chaosEvents = sched.Events
 	}
 	arm := func(s *disha.Simulator) {
 		if chaosEvents != nil {

@@ -28,6 +28,12 @@ func TestBisect(t *testing.T) {
 		{"-cycles 600 -granularity 200 -a vcs=4 -b vcs=4", 0, "identical: digests agree through cycle", false},
 		{"-cycles 600 -a alg=duato,vcs=3 -b alg=duato,vcs=3", 0, "identical: digests agree through cycle", false},
 		{"-cycles 600 -a mesh=true", 1, "side A: mesh 8-ary 2-cube", false},
+		// An override takes every spelling the flag takes; short and
+		// canonical names are one function.
+		{"-cycles 600 -a alg=turn,sel=min-congestion,traffic=neighbor -b alg=turn-negative-first,sel=min-congestion,traffic=neighbor",
+			0, "identical: digests agree through cycle", false},
+		{"-cycles 600 -a alg=disha,misroutes=3,recovery=abort-retry -b alg=disha-m3,recovery=abort-retry", 0, "identical: digests agree through cycle", false},
+		{"-a alg=disha,timeout=0", 2, "T_out must be ≥ 1", true},
 		{"-a bogus=1", 2, `unknown override key "bogus"`, true},
 		{"-a cycles=5", 2, `unknown override key "cycles"`, true},
 		{"-a misroutes", 2, "is not key=value", true},

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -55,12 +56,31 @@ func TestKernelFlags(t *testing.T) {
 			t.Errorf("disha-sim %s: exit %d, want fingerprint %s; output:\n%s", pin.args, code, pin.want, out)
 		}
 	}
+	// A name is accepted in either spelling (README, "Names"), and the header
+	// prints the canonical one.
+	for _, alg := range []string{"turn", "turn-negative-first"} {
+		if out, code := sim("-radix", "4", "-cycles", "200", "-alg", alg); code != 0 || !strings.HasPrefix(out, "torus-4x4 | turn-negative-first | ") {
+			t.Errorf("disha-sim -alg %s: exit %d; output:\n%s", alg, code, out)
+		}
+	}
+	// A scheduled swap to an algorithm the topology cannot run is skipped,
+	// not installed (it used to panic inside dor.Route on the next Step).
+	script := filepath.Join(t.TempDir(), "swap.json")
+	if err := os.WriteFile(script, []byte(`{"events":[{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, code := sim("-topo", "fullmesh-8", "-cycles", "300", "-chaos-script", script); code != 0 ||
+		!strings.Contains(out, "skipped") || !strings.Contains(out, "1 events (0 applied, 1 skipped") || strings.Contains(out, "goroutine") {
+		t.Errorf("disha-sim swap-to-dor on fullmesh-8: exit %d; output:\n%s", code, out)
+	}
 	for _, bad := range []struct{ args, want string }{
 		{"-alg nope", `unknown algorithm "nope"`},
 		{"-traffic hotspot -hotspot-fraction 1.5", "hot-spot fraction 1.5 outside [0, 1]"},
 		{"-dims -1", "dims -1 outside"},
 		{"-topo fattree-4 -traffic transpose", "transpose traffic needs cube coordinates"},
 		{"-topo dragonfly-4x2 -alg dor", "dor is not supported on dragonfly-4x2"},
+		{"-timeout 0", "T_out must be ≥ 1"},
+		{"-alg disha-m3 -timeout 0", "T_out must be ≥ 1"},
 	} {
 		out, code := sim(strings.Fields(bad.args)...)
 		if code != 2 || !strings.Contains(out, bad.want) || strings.Count(out, "\n") != 1 {

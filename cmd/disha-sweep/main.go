@@ -74,8 +74,7 @@ func main() {
 	if *chaosFile != "" {
 		sched, err := chaos.Load(*chaosFile)
 		fail(err)
-		chaosEvents, err = sched.Reconfig()
-		fail(err)
+		chaosEvents = sched.Events
 		fmt.Fprintf(os.Stderr, "disha-sweep: chaos campaign %q armed on every point: %d events\n",
 			sched.Name, len(sched.Events))
 	}

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -128,7 +129,7 @@ type Selection = routing.Selection
 
 // DishaRouting returns the paper's true fully adaptive routing with
 // misroute bound m (0 = minimal, 3 = the paper's misrouting configuration).
-// Run it with recovery enabled (SimConfig.Timeout > 0).
+// Run it with recovery enabled (SimConfig.DisableRecovery unset).
 func DishaRouting(m int) Algorithm { return routing.Disha(m) }
 
 // DOR returns deterministic dimension-order routing.
@@ -237,9 +238,9 @@ type SimConfig struct {
 	// VCs is virtual channels per physical channel; BufferDepth their
 	// per-VC depth in flits.
 	VCs, BufferDepth int
-	// Timeout is T_out; 0 disables detection (set 0 for avoidance
-	// algorithms, which need no recovery). Set DisableRecovery to force
-	// detection off even with a nonzero Timeout default.
+	// Timeout is T_out; 0 means the paper's default of 8. DisableRecovery is
+	// the off switch: set it for avoidance algorithms, which need no
+	// detection, Token or Deadlock Buffer (Timeout is then ignored).
 	Timeout         Cycle
 	DisableRecovery bool
 	// Alloc is the crossbar allocation policy (default flit-by-flit).
@@ -279,29 +280,14 @@ type Simulator struct {
 }
 
 // NewSimulator builds a simulator. Recovery (detection, Token, Deadlock
-// Buffer) is enabled whenever Timeout > 0 and DisableRecovery is false.
+// Buffer) is enabled unless DisableRecovery is set.
 func NewSimulator(cfg SimConfig) (*Simulator, error) {
-	rc := router.Default()
-	if cfg.VCs != 0 {
-		rc.VCs = cfg.VCs
-	}
-	if cfg.BufferDepth != 0 {
-		rc.BufferDepth = cfg.BufferDepth
-	}
+	rc := router.PaperConfig(!cfg.DisableRecovery, cfg.Timeout, cfg.Recovery)
+	rc.VCs = cfg.VCs
+	rc.BufferDepth = cfg.BufferDepth
 	rc.Alloc = cfg.Alloc
-	rc.Recovery = cfg.Recovery
 	rc.AdaptiveTimeout = cfg.AdaptiveTimeout
-	if cfg.ReceptionChannels != 0 {
-		rc.ReceptionChannels = cfg.ReceptionChannels
-	}
-	if cfg.Timeout != 0 {
-		rc.Timeout = cfg.Timeout
-	}
-	if cfg.DisableRecovery {
-		rc.Timeout = 0
-		rc.DeadlockBufferDepth = 0
-		rc.Recovery = RecoverySequential
-	}
+	rc.ReceptionChannels = cfg.ReceptionChannels
 	n, err := network.New(network.Config{
 		Topo:              cfg.Topo,
 		Router:            rc,
@@ -407,14 +393,9 @@ func (s *Simulator) HealRouter(node Node) error {
 }
 
 // SwapRouting switches every router to the named routing algorithm mid-run
-// (e.g. "duato", "disha-m1"); see network.SwapAlgorithm and routing.ByName.
-func (s *Simulator) SwapRouting(name string) error {
-	alg, err := routing.ByName(name)
-	if err != nil {
-		return err
-	}
-	return s.net.SwapAlgorithm(alg)
-}
+// (any -alg spelling: "duato", "turn", "disha-m1"); an algorithm the topology
+// or VC count cannot run is an error. See network.SwapAlgorithm.
+func (s *Simulator) SwapRouting(name string) error { return s.net.SwapAlgorithm(name) }
 
 // ReconfigLog returns every reconfiguration outcome so far, in application
 // order — the deterministic record a replayed run must reproduce exactly.
@@ -543,10 +524,18 @@ func PlotTimeSeries(title string, tel *Telemetry) string {
 	return plot.TimeSeries(title, tel.Sampler.MetricsSeries())
 }
 
-// Report summarizes the run as a human-readable string.
+// Report summarizes the run as a human-readable block: every counter, in the
+// Counters table's order, and the seizure ratio.
 func (s *Simulator) Report() string {
+	var sb strings.Builder
 	c := s.Counters()
-	return formatReport(c)
+	c.Each(func(key string, v int64) {
+		fmt.Fprintf(&sb, "%-18s %d\n", strings.ReplaceAll(key, "_", " ")+":", v)
+	})
+	if c.PacketsDelivered > 0 {
+		fmt.Fprintf(&sb, "%-18s %.5f\n", "seizure ratio:", float64(c.TokenSeizures)/float64(c.PacketsDelivered))
+	}
+	return sb.String()
 }
 
 // --- Experiments -----------------------------------------------------------------------

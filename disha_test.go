@@ -1,6 +1,7 @@
 package disha_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -312,5 +313,68 @@ func TestFacadeBurstyConfig(t *testing.T) {
 	}
 	if sim.Counters().PacketsDelivered == 0 {
 		t.Fatal("bursty run delivered nothing")
+	}
+}
+
+// TestSwapAdmission: a routing swap passes the same admission rule as
+// construction. Swapping to DOR on a coordinate-free full mesh used to be
+// accepted — and the next Step panicked inside dor.Route; now the manual call
+// is an error that leaves no trace, the same event scheduled is logged as
+// skipped with the reason, and the run carries on. An applied swap is logged
+// under the function's canonical name whichever spelling asked for it, so a
+// snapshot replays the same function.
+func TestSwapAdmission(t *testing.T) {
+	build := func() *disha.Simulator {
+		topo := disha.FullMesh(8)
+		sim, err := disha.NewSimulator(disha.SimConfig{
+			Topo: topo, Algorithm: disha.DishaRouting(2), Pattern: disha.Uniform(topo),
+			LoadRate: 0.3, MsgLen: 8, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	sim := build()
+	sim.Run(50)
+	if err := sim.SwapRouting("dor"); err == nil || !strings.Contains(err.Error(), "needs cube coordinates") {
+		t.Fatalf(`SwapRouting("dor") on %s: err = %v, want the cube-coordinates refusal`, sim.Network().Topo().Name(), err)
+	}
+	if log := sim.ReconfigLog(); len(log) != 0 {
+		t.Fatalf("a refused manual swap was logged: %v", log)
+	}
+	if err := sim.ScheduleReconfig([]disha.ReconfigEvent{
+		{Cycle: 60, Kind: disha.ReconfigSwapAlgorithm, Alg: "dor"},
+		{Cycle: 70, Kind: disha.ReconfigSwapAlgorithm, Alg: "disha"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(64)
+	log := sim.ReconfigLog()
+	if len(log) != 2 {
+		t.Fatalf("reconfiguration log has %d entries, want 2: %v", len(log), log)
+	}
+	if s := log[0].String(); log[0].Applied || !strings.Contains(s, "SKIPPED") || !strings.Contains(s, "needs cube coordinates") {
+		t.Errorf("scheduled swap to dor logged as %q, want SKIPPED with the cube-coordinates reason", s)
+	}
+	if !log[1].Applied || log[1].Alg != "disha-m0" {
+		t.Errorf(`scheduled swap to "disha" logged as %q, want applied under the canonical name disha-m0`, log[1])
+	}
+
+	var buf bytes.Buffer
+	if err := sim.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := build()
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Network().CurrentAlgorithm().Name(); got != "disha-m0" {
+		t.Errorf("the restored network runs %q, want the swapped-in disha-m0", got)
+	}
+	sim.Run(64)
+	restored.Run(64)
+	if sim.Fingerprint() != restored.Fingerprint() {
+		t.Error("the restored run diverged from the original after the replayed swap")
 	}
 }

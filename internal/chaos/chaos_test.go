@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/network"
@@ -90,20 +92,48 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScheduleValidation rejects malformed schedules.
+// TestScheduleValidation rejects malformed schedules, and tells a typo from
+// infeasibility: a swap naming no routing function is refused at load time
+// with the event index and the accepted names, while every spelling -alg
+// accepts loads (whether the live network can apply it is decided, and
+// logged, at apply time).
 func TestScheduleValidation(t *testing.T) {
 	bad := []Schedule{
-		{Events: []Event{{Cycle: 10, Kind: "explode"}}},
-		{Events: []Event{{Cycle: -1, Kind: "kill-link"}}},
-		{Events: []Event{{Cycle: 20, Kind: "kill-link"}, {Cycle: 10, Kind: "heal-link"}}},
+		{Events: []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKind(99)}}},
+		{Events: []network.ReconfigEvent{{Cycle: -1, Kind: network.ReconfigKillLink}}},
+		{Events: []network.ReconfigEvent{{Cycle: 20, Kind: network.ReconfigKillLink}, {Cycle: 10, Kind: network.ReconfigHealLink}}},
+		{Events: []network.ReconfigEvent{{Cycle: 5, Kind: network.ReconfigKillLink, Node: -1}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
 			t.Errorf("schedule %d accepted", i)
 		}
 	}
-	if _, err := Parse([]byte("{not json")); err == nil {
-		t.Error("garbage JSON accepted")
+	for _, data := range []string{"{not json", `{"events":[{"cycle":10,"kind":"explode"}]}`} {
+		if _, err := Parse([]byte(data)); err == nil {
+			t.Errorf("Parse(%s) accepted", data)
+		}
+	}
+
+	swap := func(alg string) []byte {
+		return []byte(`{"events":[{"cycle":1,"kind":"kill-link"},{"cycle":50,"kind":"swap-algorithm","alg":"` + alg + `"}]}`)
+	}
+	_, err := Parse(swap("trun"))
+	if err == nil {
+		t.Fatal(`a swap to "trun" loaded`)
+	}
+	for _, want := range []string{"event 1", `"trun"`, "turn-negative-first", "disha-m<N>"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	for _, alg := range append(routing.Names(), "disha-m3") {
+		s, err := Parse(swap(alg))
+		if err != nil {
+			t.Errorf("swap to %q refused: %v", alg, err)
+		} else if s.Events[1].Alg != alg {
+			t.Errorf("swap to %q loaded as %q", alg, s.Events[1].Alg)
+		}
 	}
 }
 
@@ -234,11 +264,7 @@ func TestRunnerPresenceInvisible(t *testing.T) {
 	}
 
 	raw := mustNet(t, testConfig(topo, 0.4, 5))
-	events, err := sched.Reconfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := raw.ScheduleReconfig(events); err != nil {
+	if err := raw.ScheduleReconfig(sched.Events); err != nil {
 		t.Fatal(err)
 	}
 	raw.Run(1500)
@@ -260,10 +286,10 @@ func TestRunnerPresenceInvisible(t *testing.T) {
 // both kernel variants agree on the outcome.
 func TestInfeasibleEventsSkippedDeterministically(t *testing.T) {
 	topo := topology.MustMesh(2, 2)
-	s := &Schedule{Events: []Event{
-		{Cycle: 50, Kind: "kill-link", Node: 0, Port: topology.PortFor(0, 1)},
+	s := &Schedule{Events: []network.ReconfigEvent{
+		{Cycle: 50, Kind: network.ReconfigKillLink, Node: 0, Port: topology.PortFor(0, 1)},
 		// This second cut would isolate corner 0: it must be skipped.
-		{Cycle: 100, Kind: "kill-link", Node: 0, Port: topology.PortFor(1, 1)},
+		{Cycle: 100, Kind: network.ReconfigKillLink, Node: 0, Port: topology.PortFor(1, 1)},
 	}}
 	net := mustNet(t, testConfig(topo, 0.0, 1))
 	run, err := NewRunner(net, s)
@@ -345,4 +371,45 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 	if digest2 != digest {
 		t.Fatalf("rerun diverged: %s vs %s", digest2, digest)
 	}
+}
+
+// FuzzScheduleParse covers the one external file format three binaries read:
+// whatever Parse accepts is armed on a 4x4 torus and on fullmesh-4 and
+// stepped 64 cycles. A refused file or a clean run (infeasible events logged
+// as skipped) — never a panic.
+func FuzzScheduleParse(f *testing.F) {
+	// The reproducer: a swap to DOR, which a coordinate-free graph cannot run.
+	f.Add([]byte(`{"events":[{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`))
+	f.Add([]byte(`{"name":"typo","events":[{"cycle":1,"kind":"swap-algorithm","alg":"trun"}]}`))
+	f.Add([]byte(`{"events":[{"cycle":3,"kind":"kill-router","node":2},{"cycle":9,"kind":"swap-algorithm","alg":"turn"},` +
+		`{"cycle":20,"kind":"heal-router","node":2},{"cycle":20,"kind":"kill-link","node":99,"port":7}]}`))
+	for _, topo := range []topology.Graph{topology.MustTorus(4, 4), topology.MustFullMesh(4)} {
+		s, err := Generate(CampaignConfig{Topo: topo, Seed: 1, Events: 8, Start: 2, Spacing: 8,
+			RouterKills: true, Algorithms: routing.Names()})
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		for _, topo := range []topology.Graph{topology.MustTorus(4, 4), topology.MustFullMesh(4)} {
+			net := mustNet(t, testConfig(topo, 0.3, 1))
+			run, err := NewRunner(net, s)
+			if err != nil {
+				t.Fatalf("Parse accepted a schedule NewRunner refuses: %v", err)
+			}
+			run.Run(64)
+			if err := net.CheckInvariants(); err != nil {
+				t.Fatalf("%s after the schedule: %v", topo.Name(), err)
+			}
+		}
+	})
 }

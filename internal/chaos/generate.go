@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -123,7 +124,7 @@ func Generate(cfg CampaignConfig) (*Schedule, error) {
 		Name: fmt.Sprintf("campaign-%s-seed%d", topo.Name(), cfg.Seed),
 		Seed: cfg.Seed,
 	}
-	cycle := cfg.Start
+	cycle := sim.Cycle(cfg.Start)
 	for len(s.Events) < cfg.Events {
 		// Event class: link (default), router (1/4 when enabled), swap
 		// (1/8 when algorithms are given). Draw order is fixed so the
@@ -132,37 +133,37 @@ func Generate(cfg CampaignConfig) (*Schedule, error) {
 		switch {
 		case len(cfg.Algorithms) > 0 && roll == 7:
 			alg := cfg.Algorithms[rng.Intn(len(cfg.Algorithms))]
-			s.Events = append(s.Events, Event{Cycle: cycle, Kind: "swap-algorithm", Alg: alg})
+			s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigSwapAlgorithm, Alg: alg})
 		case cfg.RouterKills && roll >= 5:
 			if len(dead) > 0 && (rng.Bernoulli(0.5) || len(dead) >= cfg.MaxDown) {
 				i := rng.Intn(len(dead))
 				node := dead[i]
 				dead = append(dead[:i], dead[i+1:]...)
-				s.Events = append(s.Events, Event{Cycle: cycle, Kind: "heal-router", Node: node})
+				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigHealRouter, Node: topology.Node(node)})
 			} else {
 				node := rng.Intn(topo.Nodes())
 				if isDead(node) {
 					continue // re-roll without advancing the cycle
 				}
 				dead = append(dead, node)
-				s.Events = append(s.Events, Event{Cycle: cycle, Kind: "kill-router", Node: node})
+				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigKillRouter, Node: topology.Node(node)})
 			}
 		default:
 			if len(down) > 0 && (len(down) >= cfg.MaxDown || rng.Bernoulli(0.5)) {
 				i := rng.Intn(len(down))
 				ref := down[i]
 				down = append(down[:i], down[i+1:]...)
-				s.Events = append(s.Events, Event{Cycle: cycle, Kind: "heal-link", Node: ref.node, Port: ref.port})
+				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigHealLink, Node: topology.Node(ref.node), Port: ref.port})
 			} else {
 				ref := allLinks[rng.Intn(len(allLinks))]
 				if isDown(ref) || isDead(ref.node) {
 					continue
 				}
 				down = append(down, ref)
-				s.Events = append(s.Events, Event{Cycle: cycle, Kind: "kill-link", Node: ref.node, Port: ref.port})
+				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigKillLink, Node: topology.Node(ref.node), Port: ref.port})
 			}
 		}
-		cycle += cfg.Spacing/2 + int64(rng.Intn(int(cfg.Spacing)))
+		cycle += sim.Cycle(cfg.Spacing/2 + int64(rng.Intn(int(cfg.Spacing))))
 	}
 	return s, nil
 }

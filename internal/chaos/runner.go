@@ -50,11 +50,10 @@ var chaosHistBounds = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 // measures each event as the run proceeds. Events already in the network's
 // reconfiguration log (e.g. replayed from a checkpoint) are not re-reported.
 func NewRunner(net *network.Network, s *Schedule) (*Runner, error) {
-	events, err := s.Reconfig()
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if err := net.ScheduleReconfig(events); err != nil {
+	if err := net.ScheduleReconfig(s.Events); err != nil {
 		return nil, err
 	}
 	r := &Runner{net: net, seen: net.ReconfigCount()}

@@ -15,40 +15,29 @@ import (
 	"os"
 
 	"repro/internal/network"
-	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/routing"
 )
 
-// Event is one schedule entry in the JSON event-schedule file format.
-// Kind is a network.ReconfigKind string: "kill-link", "heal-link",
-// "kill-router", "heal-router" or "swap-algorithm". Node/Port locate the
-// target (Port is meaningless for router events); Alg names the routing
-// function for swaps (routing.ByName).
-type Event struct {
-	Cycle int64  `json:"cycle"`
-	Kind  string `json:"kind"`
-	Node  int    `json:"node,omitempty"`
-	Port  int    `json:"port,omitempty"`
-	Alg   string `json:"alg,omitempty"`
-}
-
-// Schedule is a chaos campaign: an ordered list of reconfiguration events,
-// plus the generator seed when Generate produced it (0 for hand-written
-// schedules). The JSON form is the on-disk event-schedule file format
-// accepted by disha-sim -chaos-script, disha-bisect -chaos-script and
-// disha-sweep -chaos.
+// Schedule is a chaos campaign: an ordered list of reconfiguration events
+// (the network's own event type is the file's entry format), plus the
+// generator seed when Generate produced it (0 for hand-written schedules).
+// The JSON form is the on-disk event-schedule file format accepted by
+// disha-sim -chaos-script, disha-bisect -chaos-script and disha-sweep -chaos.
 type Schedule struct {
-	Name   string  `json:"name,omitempty"`
-	Seed   uint64  `json:"seed,omitempty"`
-	Events []Event `json:"events"`
+	Name   string                  `json:"name,omitempty"`
+	Seed   uint64                  `json:"seed,omitempty"`
+	Events []network.ReconfigEvent `json:"events"`
 }
 
 // Validate checks the schedule is well-formed: known kinds, non-negative
-// cycles and fields, events sorted by non-decreasing cycle.
+// cycles and fields, events sorted by non-decreasing cycle, and every
+// swap-algorithm event naming a routing function (a typo there is an error,
+// not an event the run would skip). Whether an event is feasible is the live
+// network's call, at apply time.
 func (s *Schedule) Validate() error {
 	for i, ev := range s.Events {
-		if _, ok := network.ParseReconfigKind(ev.Kind); !ok {
-			return fmt.Errorf("chaos: event %d: unknown kind %q", i, ev.Kind)
+		if _, err := ev.Kind.MarshalText(); err != nil {
+			return fmt.Errorf("chaos: event %d: %w", i, err)
 		}
 		if ev.Cycle < 0 {
 			return fmt.Errorf("chaos: event %d: negative cycle %d", i, ev.Cycle)
@@ -60,28 +49,13 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("chaos: event %d at cycle %d follows cycle %d; schedules must be sorted",
 				i, ev.Cycle, s.Events[i-1].Cycle)
 		}
-	}
-	return nil
-}
-
-// Reconfig lowers the schedule to the network's event representation,
-// validating it first.
-func (s *Schedule) Reconfig() ([]network.ReconfigEvent, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]network.ReconfigEvent, len(s.Events))
-	for i, ev := range s.Events {
-		kind, _ := network.ParseReconfigKind(ev.Kind)
-		out[i] = network.ReconfigEvent{
-			Cycle: sim.Cycle(ev.Cycle),
-			Kind:  kind,
-			Node:  topology.Node(ev.Node),
-			Port:  ev.Port,
-			Alg:   ev.Alg,
+		if ev.Kind == network.ReconfigSwapAlgorithm {
+			if _, err := routing.ByName(ev.Alg); err != nil {
+				return fmt.Errorf("chaos: event %d: %w", i, err)
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Parse decodes a JSON schedule and validates it.

@@ -93,20 +93,6 @@ func (sc Scale) torus() func() topology.Graph {
 	return func() topology.Graph { return topology.MustTorus(sc.Radix, sc.Radix) }
 }
 
-func uniformPattern(topo topology.Graph) (traffic.Pattern, error) {
-	return traffic.Uniform(topo), nil
-}
-
-// coordinated asserts that the spec's graph carries cube coordinates; the
-// coordinate-dependent patterns (transpose, hot-spot placement) need them.
-func coordinated(g topology.Graph) (topology.Topology, error) {
-	t, ok := topology.Coordinated(g)
-	if !ok {
-		return nil, fmt.Errorf("harness: pattern needs a coordinate topology, have %s", g.Name())
-	}
-	return t, nil
-}
-
 // dishaCurves returns the paper's two Disha configurations: minimal (M=0)
 // and misrouting up to three (M=3), both with sequential Token recovery.
 func dishaCurves(timeout sim.Cycle) []AlgSpec {
@@ -137,7 +123,7 @@ func Fig3a(sc Scale) *Spec {
 	return &Spec{
 		Name:    "fig3a-deadlock-characterization",
 		Topo:    sc.torus(),
-		Pattern: uniformPattern,
+		Pattern: traffic.NewUniform,
 		Algs: []AlgSpec{
 			{Label: "disha-m3-tout4", Algorithm: routing.Disha(3), Recovery: true, Timeout: 4},
 			{Label: "disha-m3-tout64", Algorithm: routing.Disha(3), Recovery: true, Timeout: 64},
@@ -167,7 +153,7 @@ func Fig3b(sc Scale) *Spec {
 	return &Spec{
 		Name:    "fig3b-timeout-selection",
 		Topo:    sc.torus(),
-		Pattern: uniformPattern,
+		Pattern: traffic.NewUniform,
 		Algs:    algs,
 		Loads:   sc.Loads,
 		MsgLen:  sc.MsgLen,
@@ -196,14 +182,12 @@ func comparisonSpec(name string, sc Scale, pattern func(topology.Graph) (traffic
 // Fig4 compares all schemes under uniform traffic (paper: Disha M=0's
 // latency rises linearly with load; M=3 saturates around 0.65 with Duato a
 // distant second at 0.35; peak throughput ~35% over Duato and sustained).
-func Fig4(sc Scale) *Spec { return comparisonSpec("fig4-uniform", sc, uniformPattern) }
+func Fig4(sc Scale) *Spec { return comparisonSpec("fig4-uniform", sc, traffic.NewUniform) }
 
 // Fig5 compares all schemes under bit-reversal traffic (paper: Disha M=0
 // saturates around 0.7, M=3 around 0.45; peak throughput ~50% over Duato).
 func Fig5(sc Scale) *Spec {
-	return comparisonSpec("fig5-bit-reversal", sc, func(t topology.Graph) (traffic.Pattern, error) {
-		return traffic.BitReversal(t)
-	})
+	return comparisonSpec("fig5-bit-reversal", sc, traffic.BitReversal)
 }
 
 // Fig6 compares all schemes under matrix-transpose traffic (paper: Disha
@@ -211,11 +195,7 @@ func Fig5(sc Scale) *Spec {
 // not sustained).
 func Fig6(sc Scale) *Spec {
 	return comparisonSpec("fig6-transpose", sc, func(g topology.Graph) (traffic.Pattern, error) {
-		t, err := coordinated(g)
-		if err != nil {
-			return nil, err
-		}
-		return traffic.Transpose(t)
+		return traffic.ByName("transpose", g, 0)
 	})
 }
 
@@ -226,7 +206,7 @@ func Fig6(sc Scale) *Spec {
 // helps by steering around the hot region.
 func Fig7(sc Scale) *Spec {
 	spec := comparisonSpec("fig7-hotspot", sc, func(g topology.Graph) (traffic.Pattern, error) {
-		t, err := coordinated(g)
+		t, err := traffic.Cube(g, "fig7's hot-spot placement")
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +238,7 @@ func FigFullMesh(sc Scale) *Spec {
 	return &Spec{
 		Name:    "fullmesh-baseline",
 		Topo:    func() topology.Graph { return topology.MustFullMesh(sc.Radix) },
-		Pattern: uniformPattern,
+		Pattern: traffic.NewUniform,
 		Algs: []AlgSpec{
 			{Label: "disha-recovery", Algorithm: routing.Disha(0), Recovery: true, Timeout: 8},
 			{Label: "minimal-vcfree", Algorithm: routing.Disha(0), Recovery: false},

@@ -36,7 +36,8 @@ type AlgSpec struct {
 	// Recovery enables time-out detection, the Token and the Deadlock
 	// Buffer. It must be true for Disha and false for avoidance schemes.
 	Recovery bool
-	// Timeout is T_out in cycles when Recovery is on (default 8).
+	// Timeout is T_out in cycles when Recovery is on (0 = the paper's
+	// default, see router.PaperConfig).
 	Timeout sim.Cycle
 }
 
@@ -196,7 +197,7 @@ type PointTask struct {
 // returns the partial Result (every fully-replicated point that did
 // complete), the engine report naming the failed jobs, and a non-nil error.
 func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
-	if err := s.normalize(); err != nil {
+	if err := s.Normalize(); err != nil {
 		return nil, nil, err
 	}
 	replicas := max(opts.Replicas, 1)
@@ -363,7 +364,7 @@ type PointOptions struct {
 // point that panics — are identical wherever the point runs. The algorithm
 // is selected by its curve label within this spec.
 func (s *Spec) RunPoint(algLabel string, load float64, seed uint64, po PointOptions) (PointResult, error) {
-	if err := s.normalize(); err != nil {
+	if err := s.Normalize(); err != nil {
 		return PointResult{}, err
 	}
 	var alg *AlgSpec
@@ -425,23 +426,22 @@ func firstLine(s string) string {
 }
 
 // Normalize fills the spec's defaulted fields (message length, VCs, buffer
-// depth, cycle counts, ...) exactly as RunWith does before deriving job
-// keys. Remote executors must call it before PointKey so their keys match
-// the coordinator's byte for byte.
-func (s *Spec) Normalize() error { return s.normalize() }
-
-func (s *Spec) normalize() error {
+// depth, cycle counts, ...) from the defaults of the packages that own them,
+// as RunWith and RunPoint do before deriving job keys. Remote executors must
+// call it before PointKey so their keys match the coordinator's byte for byte.
+func (s *Spec) Normalize() error {
 	if s.Topo == nil || s.Pattern == nil || len(s.Algs) == 0 || len(s.Loads) == 0 {
 		return fmt.Errorf("harness: spec %q incomplete", s.Name)
 	}
+	rc := router.Default()
 	if s.MsgLen == 0 {
-		s.MsgLen = 32
+		s.MsgLen = network.DefaultMsgLen
 	}
 	if s.VCs == 0 {
-		s.VCs = 4
+		s.VCs = rc.VCs
 	}
 	if s.BufferDepth == 0 {
-		s.BufferDepth = 2
+		s.BufferDepth = rc.BufferDepth
 	}
 	if s.Warmup == 0 {
 		s.Warmup = 2000
@@ -450,7 +450,7 @@ func (s *Spec) normalize() error {
 		s.Measure = 6000
 	}
 	if s.TokenHops == 0 {
-		s.TokenHops = 4
+		s.TokenHops = network.DefaultTokenHopsPerCycle
 	}
 	if s.Batches == 0 {
 		s.Batches = 5
@@ -492,20 +492,10 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 	if err != nil {
 		return PointResult{}, err
 	}
-	rc := router.Default()
+	rc := router.PaperConfig(alg.Recovery, alg.Timeout, router.RecoverySequential)
 	rc.VCs = s.VCs
 	rc.BufferDepth = s.BufferDepth
 	rc.Alloc = s.Alloc
-	if alg.Recovery {
-		rc.Timeout = alg.Timeout
-		if rc.Timeout == 0 {
-			rc.Timeout = 8
-		}
-		rc.DeadlockBufferDepth = 1
-	} else {
-		rc.Timeout = 0
-		rc.DeadlockBufferDepth = 0
-	}
 	net, err := network.New(network.Config{
 		Topo:              topo,
 		Router:            rc,

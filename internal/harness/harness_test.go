@@ -15,7 +15,7 @@ func tinySpec() *Spec {
 	return &Spec{
 		Name:    "tiny",
 		Topo:    func() topology.Graph { return topology.MustTorus(4, 4) },
-		Pattern: uniformPattern,
+		Pattern: traffic.NewUniform,
 		Algs: []AlgSpec{
 			{Algorithm: routing.Disha(0), Recovery: true, Timeout: 8},
 			{Algorithm: routing.DOR()},
@@ -165,7 +165,7 @@ func TestFigureSpecsConstruct(t *testing.T) {
 		if !ok {
 			t.Fatalf("figure %s missing", name)
 		}
-		if err := spec.normalize(); err != nil {
+		if err := spec.Normalize(); err != nil {
 			t.Fatalf("figure %s: %v", name, err)
 		}
 		topo := spec.Topo()
@@ -440,7 +440,7 @@ func TestPoisonPointReturnsError(t *testing.T) {
 		if built.Add(1) == 1 {
 			panic("poison point")
 		}
-		return uniformPattern(g)
+		return traffic.NewUniform(g)
 	}
 	res, rep, err := spec.RunWith(RunOptions{Parallel: 1})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {

@@ -27,18 +27,16 @@ type Config struct {
 	Selection routing.Selection // defaults to routing.Random()
 	Pattern   traffic.Pattern
 	// LoadRate is the offered load as a fraction of full network capacity
-	// (paper Section 4.1). Ignored if InjectionProb > 0.
+	// (paper Section 4.1).
 	LoadRate float64
-	// InjectionProb, when positive, directly sets the per-node per-cycle
-	// packet injection probability and bypasses LoadRate normalization.
-	InjectionProb float64
-	// MsgLen is the packet length in flits (paper: 32).
+	// MsgLen is the packet length in flits (default DefaultMsgLen).
 	MsgLen int
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed uint64
 	// TokenHopsPerCycle is how many Hamiltonian-ring hops the recovery
 	// Token advances per cycle; the asynchronous token circuit the paper
-	// cites "drastically reduces propagation time". Default 4.
+	// cites "drastically reduces propagation time". Default
+	// DefaultTokenHopsPerCycle.
 	TokenHopsPerCycle int
 	// SourceQueueCap bounds each node's source queue; 0 means unbounded.
 	// When the cap is hit newly generated packets are dropped and counted
@@ -54,6 +52,13 @@ type Config struct {
 	// conclusions claim Disha "performs well under bursty traffic").
 	Burst traffic.BurstConfig
 }
+
+// The paper's message length in flits and the Token speed a zero Config field
+// takes.
+const (
+	DefaultMsgLen            = 32
+	DefaultTokenHopsPerCycle = 4
+)
 
 func (c *Config) normalize() error {
 	if c.Topo == nil {
@@ -73,13 +78,13 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("network: no traffic pattern")
 	}
 	if c.MsgLen == 0 {
-		c.MsgLen = 32
+		c.MsgLen = DefaultMsgLen
 	}
 	if c.MsgLen < 1 {
 		return fmt.Errorf("network: message length %d < 1", c.MsgLen)
 	}
 	if c.TokenHopsPerCycle == 0 {
-		c.TokenHopsPerCycle = 4
+		c.TokenHopsPerCycle = DefaultTokenHopsPerCycle
 	}
 	if c.TokenHopsPerCycle < 0 {
 		return fmt.Errorf("network: negative token speed")
@@ -87,20 +92,25 @@ func (c *Config) normalize() error {
 	if c.LoadRate < 0 {
 		return fmt.Errorf("network: negative load rate %v", c.LoadRate)
 	}
-	if c.InjectionProb < 0 || c.InjectionProb > 1 {
-		return fmt.Errorf("network: injection probability %v outside [0,1]", c.InjectionProb)
-	}
 	if err := c.Router.Normalize(); err != nil {
 		return err
 	}
-	need := c.Algorithm.MinVCs(c.Topo)
-	if need < 0 {
-		return fmt.Errorf("network: %s is not supported on %s (the algorithm needs cube coordinates)",
-			c.Algorithm.Name(), c.Topo.Name())
+	if err := admits(c.Algorithm, c.Topo, c.Router.VCs); err != nil {
+		return fmt.Errorf("network: %w", err)
 	}
-	if c.Router.VCs < need {
-		return fmt.Errorf("network: %s needs >= %d VCs on %s, have %d",
-			c.Algorithm.Name(), need, c.Topo.Name(), c.Router.VCs)
+	return nil
+}
+
+// admits is the one algorithm/topology/VC admission rule: construction and
+// every routing swap (live, scheduled, replayed from a snapshot) ask it, so a
+// function the routers cannot run is never installed.
+func admits(alg routing.Algorithm, topo topology.Graph, vcs int) error {
+	need := alg.MinVCs(topo)
+	if need < 0 {
+		return fmt.Errorf("%s is not supported on %s (the algorithm needs cube coordinates)", alg.Name(), topo.Name())
+	}
+	if vcs < need {
+		return fmt.Errorf("%s needs >= %d VCs on %s, have %d", alg.Name(), need, topo.Name(), vcs)
 	}
 	return nil
 }
@@ -146,35 +156,6 @@ func (q *ni) remove(p *packet.Packet) {
 		q.queue = q.queue[:len(q.queue)-1]
 		return
 	}
-}
-
-// Counters are network-wide event totals since construction.
-type Counters struct {
-	Cycles           sim.Cycle
-	PacketsOffered   int64 // generated by sources
-	PacketsRefused   int64 // dropped at a full source queue (SourceQueueCap)
-	PacketsInjected  int64 // headers accepted into the network
-	PacketsDelivered int64 // tails consumed at destinations
-	FlitsDelivered   int64
-	PacketsKilled    int64 // abort-retry kills (each re-counts as injected on retry)
-	// Reconfiguration loss accounting (see reconfig.go): PacketsLost counts
-	// injected packets dropped because a kill event removed flits they had
-	// committed to the network (FlitsLost is those discarded flits);
-	// PacketsUnroutable counts packets dropped before injection — generated
-	// for, or queued toward, a destination router that is currently dead.
-	// After a drain, PacketsInjected == PacketsDelivered + PacketsLost.
-	PacketsLost       int64
-	FlitsLost         int64
-	PacketsUnroutable int64
-	TokenSeizures     int64 // recoveries initiated by capturing the Token (sequential mode)
-	Recoveries        int64 // packets switched onto the Deadlock Buffer lane (all modes)
-	TimeoutEvents     int64 // headers whose T_elapsed first crossed T_out
-	FalseDetections   int64 // presumed headers that moved normally afterwards
-	MisrouteHops      int64
-	Preemptions       int64 // packet-by-packet crossbar preemptions
-	BlockedCycles     int64 // header-cycles spent blocked across all routers
-	TokenTransit      int64 // cycles the recovery Token spent circulating free
-	TokenHold         int64 // cycles the recovery Token spent held
 }
 
 // Network is one simulation instance.
@@ -265,8 +246,8 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	prob := cfg.InjectionProb
-	if prob == 0 && cfg.LoadRate > 0 {
+	prob := 0.0
+	if cfg.LoadRate > 0 {
 		var err error
 		prob, err = traffic.InjectionProbability(cfg.Topo, cfg.Pattern, cfg.MsgLen, cfg.LoadRate)
 		if err != nil {

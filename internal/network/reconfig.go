@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/packet"
 	"repro/internal/router"
@@ -51,25 +52,34 @@ var reconfigKindNames = [...]string{"kill-link", "heal-link", "kill-router", "he
 
 // String returns the kind's schedule-file name (e.g. "kill-link").
 func (k ReconfigKind) String() string {
-	if k >= 0 && int(k) < len(reconfigKindNames) {
-		return reconfigKindNames[k]
+	if text, err := k.MarshalText(); err == nil {
+		return string(text)
 	}
 	return fmt.Sprintf("ReconfigKind(%d)", int(k))
 }
 
-// ParseReconfigKind maps a kind's string form (as used in chaos schedule
-// files and snapshots) back to the ReconfigKind, reporting whether the name
-// is known.
-func ParseReconfigKind(s string) (ReconfigKind, bool) {
-	for i, name := range reconfigKindNames {
-		if name == s {
-			return ReconfigKind(i), true
-		}
+// MarshalText writes the kind by name, so a ReconfigEvent is its own JSON
+// schedule-file entry.
+func (k ReconfigKind) MarshalText() ([]byte, error) {
+	if k < 0 || int(k) >= len(reconfigKindNames) {
+		return nil, fmt.Errorf("network: unknown reconfiguration kind %d", int(k))
 	}
-	return 0, false
+	return []byte(reconfigKindNames[k]), nil
 }
 
-// ReconfigEvent is one scheduled topology or routing mutation. Node/Port
+// UnmarshalText is the inverse of MarshalText.
+func (k *ReconfigKind) UnmarshalText(text []byte) error {
+	for i, name := range reconfigKindNames {
+		if name == string(text) {
+			*k = ReconfigKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("network: unknown reconfiguration kind %q (want %s)", text, strings.Join(reconfigKindNames[:], ", "))
+}
+
+// ReconfigEvent is one scheduled topology or routing mutation, and one entry
+// of a chaos schedule file (the JSON tags are that format). Node/Port
 // identify the target link or router (Port is ignored for router and swap
 // events); Alg names the routing function for swap events (routing.ByName).
 type ReconfigEvent struct {
@@ -78,11 +88,11 @@ type ReconfigEvent struct {
 	// Cycle+1. A checkpoint written at Cycle therefore captures the state
 	// just before the event — re-arming the same schedule after a restore
 	// replays it exactly.
-	Cycle sim.Cycle
-	Kind  ReconfigKind
-	Node  topology.Node
-	Port  int
-	Alg   string
+	Cycle sim.Cycle     `json:"cycle"`
+	Kind  ReconfigKind  `json:"kind"`
+	Node  topology.Node `json:"node,omitempty"`
+	Port  int           `json:"port,omitempty"`
+	Alg   string        `json:"alg,omitempty"`
 }
 
 // String renders the event compactly, e.g. "@200 kill-link node=14 port=2".
@@ -224,16 +234,13 @@ func (n *Network) HealRouter(node topology.Node) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigHealRouter, Node: node})
 }
 
-// SwapAlgorithm swaps the routing function on every router. Packets already
-// holding a granted route finish their hop under the old function; any
-// packet the new function cannot make progress for times out and escapes
-// through the Deadlock Buffer lane (the DBR argument for reconfiguring
-// routing under load).
-func (n *Network) SwapAlgorithm(alg routing.Algorithm) error {
-	if alg == nil {
-		return fmt.Errorf("network: nil algorithm")
-	}
-	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigSwapAlgorithm, Alg: alg.Name()})
+// SwapAlgorithm swaps the routing function, by any name routing.ByName
+// reads, on every router. Packets already holding a granted route finish their
+// hop under the old function; any packet the new function cannot make progress
+// for times out and escapes through the Deadlock Buffer lane (the DBR argument
+// for reconfiguring routing under load).
+func (n *Network) SwapAlgorithm(name string) error {
+	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigSwapAlgorithm, Alg: name})
 }
 
 // applyNow executes a manual (API-initiated) event: validation failures
@@ -241,7 +248,7 @@ func (n *Network) SwapAlgorithm(alg routing.Algorithm) error {
 // reconfiguration log for snapshot replay.
 func (n *Network) applyNow(ev ReconfigEvent) error {
 	before := n.counters
-	reason := n.applyMutation(ev)
+	reason := n.applyMutation(&ev)
 	if reason != "" {
 		return fmt.Errorf("network: %s", reason)
 	}
@@ -261,7 +268,7 @@ func (n *Network) applyScheduled() {
 		ev := n.sched[n.schedNext]
 		n.schedNext++
 		before := n.counters
-		reason := n.applyMutation(ev)
+		reason := n.applyMutation(&ev)
 		n.logOutcome(ev, reason, before)
 	}
 }
@@ -283,22 +290,27 @@ func (n *Network) logOutcome(ev ReconfigEvent, reason string, before Counters) {
 // state change itself is transition's; this path wraps it in the quiesce
 // protocol: victims dropped and grants at the dying resources released
 // before, the touched ports reset to as-constructed after, and the Deadlock
-// Buffer routes rebuilt over the new wiring.
-func (n *Network) applyMutation(ev ReconfigEvent) string {
-	ports, reason := n.validate(ev)
+// Buffer routes rebuilt over the new wiring. An applied swap rewrites ev.Alg
+// to the installed function's Name(), so the log — and a snapshot replaying
+// it — names the same function whichever spelling the caller used.
+func (n *Network) applyMutation(ev *ReconfigEvent) string {
+	ports, alg, reason := n.validate(*ev)
 	if reason != "" {
 		return reason
+	}
+	if alg != nil {
+		ev.Alg = alg.Name()
 	}
 	if ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter {
 		// Parked routers replay their skipped cycles before any state is read
 		// or mutated, so victim scans see exactly what a never-skipping kernel
 		// would.
 		n.syncIdle()
-		n.dropVictims(n.victimsOf(ev))
+		n.dropVictims(n.victimsOf(*ev))
 		// Surviving packets still aimed at a dying link re-route next cycle.
 		n.eachEnd(ev.Node, ports, (*router.Router).ReleaseGrants)
 	}
-	n.transition(ev, ports)
+	n.transition(*ev, ports, alg)
 	if ev.Kind == ReconfigSwapAlgorithm {
 		return "" // no link changed: channels and DB routes stand
 	}
@@ -310,70 +322,70 @@ func (n *Network) applyMutation(ev ReconfigEvent) string {
 }
 
 // validate checks that ev can apply to the network as it stands and returns
-// the ports of ev.Node whose links it takes down or brings up (none for a
-// routing swap), or the reason it cannot. Live application and snapshot
-// replay share it, so a logged event replays only where it could have
-// happened.
-func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
+// the ports of ev.Node whose links it takes down or brings up, or for a
+// routing swap the function to install, or the reason it cannot. Live
+// application and snapshot replay share it, so a logged event replays only
+// where it could have happened.
+func (n *Network) validate(ev ReconfigEvent) (ports []int, alg routing.Algorithm, reason string) {
 	node, port, deg := ev.Node, ev.Port, n.topo.Degree()
 	kill := ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter
 	if kill && n.cfg.Router.Recovery == router.RecoveryConcurrent {
-		return nil, "reconfiguration is not supported with concurrent recovery (its Hamiltonian lanes assume an intact path)"
+		return nil, nil, "reconfiguration is not supported with concurrent recovery (its Hamiltonian lanes assume an intact path)"
 	}
 	switch ev.Kind {
 	case ReconfigKillLink, ReconfigHealLink:
 		if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= deg {
-			return nil, fmt.Sprintf("no such link %d/%d", node, port)
+			return nil, nil, fmt.Sprintf("no such link %d/%d", node, port)
 		}
 	case ReconfigKillRouter, ReconfigHealRouter:
 		if int(node) < 0 || int(node) >= len(n.routers) {
-			return nil, fmt.Sprintf("no such router %d", node)
+			return nil, nil, fmt.Sprintf("no such router %d", node)
 		}
 	}
 	switch ev.Kind {
 	case ReconfigKillLink:
 		if n.RouterDead(node) {
-			return nil, fmt.Sprintf("router %d is dead; its links are already down", node)
+			return nil, nil, fmt.Sprintf("router %d is dead; its links are already down", node)
 		}
 		if n.routers[node].Neighbor(port) == nil {
-			return nil, fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
+			return nil, nil, fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
 		}
 		// Probe connectivity with the link removed before committing to anything.
 		n.wire(node, port, false)
 		ok := n.liveConnectedExcluding(-1)
 		n.wire(node, port, true)
 		if !ok {
-			return nil, fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
+			return nil, nil, fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
 		}
-		return []int{port}, ""
+		return []int{port}, nil, ""
 	case ReconfigHealLink:
 		nb, ok := n.topo.Neighbor(node, port)
 		if !ok {
-			return nil, fmt.Sprintf("no such link %d/%d", node, port)
+			return nil, nil, fmt.Sprintf("no such link %d/%d", node, port)
 		}
 		if !n.linkDown[n.linkKey(node, port)] {
-			return nil, fmt.Sprintf("link %d/%d is not failed", node, port)
+			return nil, nil, fmt.Sprintf("link %d/%d is not failed", node, port)
 		}
 		if n.RouterDead(node) || n.RouterDead(nb) {
-			return nil, fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
+			return nil, nil, fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
 		}
-		return []int{port}, ""
+		return []int{port}, nil, ""
 	case ReconfigKillRouter:
 		if n.routerDead[node] {
-			return nil, fmt.Sprintf("router %d is already dead", node)
+			return nil, nil, fmt.Sprintf("router %d is already dead", node)
 		}
 		if !n.liveConnectedExcluding(int(node)) {
-			return nil, fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
+			return nil, nil, fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
 		}
 		for p := 0; p < deg; p++ {
 			if n.routers[node].Neighbor(p) != nil {
 				ports = append(ports, p)
 			}
 		}
-		return ports, ""
+		return ports, nil, ""
 	case ReconfigHealRouter:
 		if !n.routerDead[node] {
-			return nil, fmt.Sprintf("router %d is not dead", node)
+			return nil, nil, fmt.Sprintf("router %d is not dead", node)
 		}
 		// The healed router must rejoin the (connected) live component through
 		// at least one restorable link, or it would come back isolated.
@@ -384,20 +396,20 @@ func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
 			}
 		}
 		if len(ports) == 0 {
-			return nil, fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
+			return nil, nil, fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
 		}
-		return ports, ""
+		return ports, nil, ""
 	case ReconfigSwapAlgorithm:
 		alg, err := routing.ByName(ev.Alg)
+		if err == nil {
+			err = admits(alg, n.topo, n.cfg.Router.VCs)
+		}
 		if err != nil {
-			return nil, err.Error()
+			return nil, nil, err.Error()
 		}
-		if need := alg.MinVCs(n.topo); n.cfg.Router.VCs < need {
-			return nil, fmt.Sprintf("%s needs >= %d VCs on %s, have %d", alg.Name(), need, n.topo.Name(), n.cfg.Router.VCs)
-		}
-		return nil, ""
+		return nil, alg, ""
 	default:
-		return nil, fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
+		return nil, nil, fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
 	}
 }
 
@@ -406,7 +418,7 @@ func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
 // or the installed routing function. Live application (applyMutation) and
 // snapshot replay (replayOutcome) both go through it, so the two cannot
 // disagree about what an event does to the topology.
-func (n *Network) transition(ev ReconfigEvent, ports []int) {
+func (n *Network) transition(ev ReconfigEvent, ports []int, alg routing.Algorithm) {
 	switch ev.Kind {
 	case ReconfigKillLink:
 		n.linkDown[n.linkKey(ev.Node, ev.Port)] = true
@@ -421,7 +433,6 @@ func (n *Network) transition(ev ReconfigEvent, ports []int) {
 		n.routerDead[ev.Node] = false
 		n.deadCount--
 	case ReconfigSwapAlgorithm:
-		alg, _ := routing.ByName(ev.Alg) // validate resolved the same name
 		n.routerState.SetAlgorithm(alg)
 	}
 	up := ev.Kind == ReconfigHealLink || ev.Kind == ReconfigHealRouter
@@ -584,11 +595,11 @@ func (n *Network) replayOutcome(o ReconfigOutcome) error {
 	if !o.Applied {
 		return nil
 	}
-	ports, reason := n.validate(o.ReconfigEvent)
+	ports, alg, reason := n.validate(o.ReconfigEvent)
 	if reason != "" {
 		return errors.New(reason)
 	}
-	n.transition(o.ReconfigEvent, ports)
+	n.transition(o.ReconfigEvent, ports, alg)
 	return nil
 }
 

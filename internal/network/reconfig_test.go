@@ -101,11 +101,7 @@ func TestSwapAlgorithmMidRun(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.4, 3))
 	n.Run(500)
-	alg, err := routing.ByName("disha-m1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SwapAlgorithm(alg); err != nil {
+	if err := n.SwapAlgorithm("disha-m1"); err != nil {
 		t.Fatalf("SwapAlgorithm: %v", err)
 	}
 	if n.CurrentAlgorithm().Name() != "disha-m1" {
@@ -331,11 +327,7 @@ func TestSwapAlgorithmIsNetworkWide(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(3), 0.4, 3)
 	n := mustNet(t, cfg)
 	n.Run(100)
-	alg, err := routing.ByName("disha-m1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SwapAlgorithm(alg); err != nil {
+	if err := n.SwapAlgorithm("disha-m1"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

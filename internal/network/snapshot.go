@@ -211,31 +211,6 @@ func (n *Network) walkInjectionState(c *snapshot.Codec, table map[packet.ID]*pac
 	}
 }
 
-// Walk codes a Counters value field by field; exported so higher-level
-// checkpoint formats (internal/harness) embed counter snapshots without
-// duplicating the field walk.
-func (ctr *Counters) Walk(c *snapshot.Codec) {
-	snapshot.Int(c, &ctr.Cycles)
-	c.I64(&ctr.PacketsOffered)
-	c.I64(&ctr.PacketsRefused)
-	c.I64(&ctr.PacketsInjected)
-	c.I64(&ctr.PacketsDelivered)
-	c.I64(&ctr.FlitsDelivered)
-	c.I64(&ctr.PacketsKilled)
-	c.I64(&ctr.TokenSeizures)
-	c.I64(&ctr.Recoveries)
-	c.I64(&ctr.TimeoutEvents)
-	c.I64(&ctr.FalseDetections)
-	c.I64(&ctr.MisrouteHops)
-	c.I64(&ctr.Preemptions)
-	c.I64(&ctr.BlockedCycles)
-	c.I64(&ctr.TokenTransit)
-	c.I64(&ctr.TokenHold)
-	c.I64(&ctr.PacketsLost)
-	c.I64(&ctr.FlitsLost)
-	c.I64(&ctr.PacketsUnroutable)
-}
-
 // walkConfigGuard codes the identity of the configuration a snapshot is
 // taken under: every field is a guard, so encoding writes this network's
 // value and decoding compares against it — a snapshot can never be loaded
@@ -258,7 +233,7 @@ func (n *Network) walkConfigGuard(c *snapshot.Codec) {
 	c.Expect(int64(cfg.Router.Recovery), "recovery mode")
 	c.ExpectBool(cfg.Router.AdaptiveTimeout, "adaptive timeout")
 	c.ExpectF64(cfg.LoadRate, "load rate")
-	c.ExpectF64(cfg.InjectionProb, "injection probability")
+	c.ExpectF64(0, "injection probability") // a field format v2 reserved; always 0
 	c.Expect(int64(cfg.MsgLen), "message length")
 	c.ExpectU64(cfg.Seed, "seed")
 	c.Expect(int64(cfg.TokenHopsPerCycle), "token speed")

@@ -43,31 +43,20 @@ func (n *Network) EnableTelemetry(opts telemetry.Options) *telemetry.Hub {
 // Telemetry returns the attached hub, or nil.
 func (n *Network) Telemetry() *telemetry.Hub { return n.tel }
 
-// registerMetrics registers the exposition metrics: network-wide totals,
-// the recovery Token's counters, and per-router (plus per-router-per-VC)
-// instrumentation.
+// registerMetrics registers the exposition metrics: network-wide totals and
+// per-router (plus per-router-per-VC) instrumentation.
 func (n *Network) registerMetrics(reg *telemetry.Registry) {
-	// Network-wide counters.
-	reg.CounterFunc("disha_cycles_total", "Simulation cycles executed.", nil,
-		func() int64 { return int64(n.clock.Now()) })
-	reg.CounterFunc("disha_packets_offered_total", "Packets generated by traffic sources.", nil,
-		func() int64 { return n.Counters().PacketsOffered })
-	reg.CounterFunc("disha_packets_injected_total", "Packet headers accepted into the network.", nil,
-		func() int64 { return n.counters.PacketsInjected })
-	reg.CounterFunc("disha_packets_delivered_total", "Packet tails consumed at destinations.", nil,
-		func() int64 { return n.counters.PacketsDelivered })
-	reg.CounterFunc("disha_packets_refused_total", "Packets dropped at full source queues.", nil,
-		func() int64 { return n.counters.PacketsRefused })
-	reg.CounterFunc("disha_packets_killed_total", "Packets killed by abort-retry recovery.", nil,
-		func() int64 { return n.counters.PacketsKilled })
-	reg.CounterFunc("disha_flits_delivered_total", "Flits consumed at destinations.", nil,
-		func() int64 { return n.counters.FlitsDelivered })
-	reg.CounterFunc("disha_packets_lost_total", "In-flight packets dropped by reconfiguration events.", nil,
-		func() int64 { return n.counters.PacketsLost })
-	reg.CounterFunc("disha_flits_lost_total", "Buffered flits discarded by reconfiguration events.", nil,
-		func() int64 { return n.counters.FlitsLost })
-	reg.CounterFunc("disha_packets_unroutable_total", "Packets dropped before injection because their destination router was dead.", nil,
-		func() int64 { return n.counters.PacketsUnroutable })
+	// Network-wide counters, from the Counters table (the per-router rows
+	// are registered below, once per router).
+	for _, row := range counterTable {
+		if row.perRouter != nil {
+			continue
+		}
+		reg.CounterFunc(row.metric, row.help, nil, func() int64 {
+			c := n.Counters()
+			return *row.field(&c)
+		})
+	}
 	reg.CounterFunc("disha_reconfig_events_total", "Reconfiguration events applied (kills, heals, routing swaps).", nil,
 		func() int64 {
 			applied := int64(0)
@@ -87,14 +76,7 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("disha_source_queued_packets", "Packets waiting in source queues.", nil,
 		func() float64 { return float64(n.QueuedPackets()) })
 
-	// Recovery Token (sequential recovery only).
 	if n.token != nil {
-		reg.CounterFunc("disha_token_seizures_total", "Recovery Token captures.", nil,
-			func() int64 { return n.token.Seizures() })
-		reg.CounterFunc("disha_token_transit_cycles", "Cycles the recovery Token spent circulating free.", nil,
-			func() int64 { return n.token.TransitCycles() })
-		reg.CounterFunc("disha_token_hold_cycles", "Cycles the recovery Token spent held by recovering packets.", nil,
-			func() int64 { return n.token.HoldCycles() })
 		reg.GaugeFunc("disha_token_held", "1 while a recovering packet holds the Token.", nil,
 			func() float64 {
 				if n.token.Held() {
@@ -107,7 +89,6 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 	// Per-router metrics. Label cardinality is nodes (+ nodes x VCs for the
 	// blocked-cycle counters): fine for the network sizes the paper uses.
 	for _, r := range n.routers {
-		r := r
 		node := telemetry.Labels{{Key: "node", Value: strconv.Itoa(int(r.NodeID()))}}
 		reg.CounterFunc("disha_flits_forwarded_total", "Flits sent on network output ports.", node,
 			func() int64 { return r.Stats().FlitsSwitched })
@@ -115,14 +96,11 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 			func() int64 { return r.Stats().FlitsEjected })
 		reg.CounterFunc("disha_db_flits_total", "Flits that transited this router's Deadlock Buffer.", node,
 			func() int64 { return r.Stats().DBFlitsCarried })
-		reg.CounterFunc("disha_timeouts_total", "Headers whose T_elapsed first crossed T_out here.", node,
-			func() int64 { return r.Stats().TimeoutEvents })
-		reg.CounterFunc("disha_recoveries_total", "Packets switched onto the Deadlock Buffer lane here.", node,
-			func() int64 { return r.Stats().Recoveries })
-		reg.CounterFunc("disha_misroute_hops_total", "Non-profitable hops taken out of this router.", node,
-			func() int64 { return r.Stats().MisrouteHops })
-		reg.CounterFunc("disha_blocked_cycles_total", "Header-cycles spent blocked at this router.", node,
-			func() int64 { return r.Stats().BlockedCycles })
+		for _, row := range counterTable {
+			if row.perRouter != nil {
+				reg.CounterFunc(row.metric, row.help, node, func() int64 { return row.perRouter(r.Stats()) })
+			}
+		}
 		reg.GaugeFunc("disha_blocked_headers", "Headers that failed to advance last cycle.", node,
 			func() float64 { return float64(r.BlockedHeaders()) })
 		reg.GaugeFunc("disha_presumed_headers", "Headers currently past T_out (presumed deadlocked).", node,
@@ -130,7 +108,6 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 		reg.GaugeFunc("disha_db_occupancy", "Flits currently in the Deadlock Buffer lane(s).", node,
 			func() float64 { return float64(r.DBOccupancy()) })
 		for v := 0; v < n.cfg.Router.VCs; v++ {
-			v := v
 			lbl := telemetry.Labels{
 				{Key: "node", Value: strconv.Itoa(int(r.NodeID()))},
 				{Key: "vc", Value: strconv.Itoa(v)},
@@ -173,11 +150,7 @@ func (n *Network) registerProbes(s *telemetry.Sampler) {
 		return float64(total)
 	}})
 	s.AddProbe(telemetry.Probe{Name: "disha_recoveries_total", Fn: func() float64 {
-		total := int64(0)
-		for _, r := range n.routers {
-			total += r.Stats().Recoveries
-		}
-		return float64(total)
+		return float64(n.Counters().Recoveries)
 	}})
 	if n.token != nil {
 		s.AddProbe(telemetry.Probe{Name: "disha_token_hold_cycles", Fn: func() float64 {
@@ -277,30 +250,4 @@ func (n *Network) buildSnapshot(now sim.Cycle, trigNode int, trigPkt int64) *tel
 	}
 	snap.TrueDeadlock = w.TrueDeadlock()
 	return snap
-}
-
-// CountersMap flattens the Counters snapshot for JSONL export.
-func (n *Network) CountersMap() map[string]int64 {
-	c := n.Counters()
-	return map[string]int64{
-		"cycles":             int64(c.Cycles),
-		"packets_offered":    c.PacketsOffered,
-		"packets_refused":    c.PacketsRefused,
-		"packets_injected":   c.PacketsInjected,
-		"packets_delivered":  c.PacketsDelivered,
-		"flits_delivered":    c.FlitsDelivered,
-		"packets_killed":     c.PacketsKilled,
-		"token_seizures":     c.TokenSeizures,
-		"token_transit":      c.TokenTransit,
-		"token_hold":         c.TokenHold,
-		"recoveries":         c.Recoveries,
-		"timeout_events":     c.TimeoutEvents,
-		"false_detections":   c.FalseDetections,
-		"misroute_hops":      c.MisrouteHops,
-		"preemptions":        c.Preemptions,
-		"blocked_cycles":     c.BlockedCycles,
-		"packets_lost":       c.PacketsLost,
-		"flits_lost":         c.FlitsLost,
-		"packets_unroutable": c.PacketsUnroutable,
-	}
 }

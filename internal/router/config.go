@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -97,18 +98,27 @@ const (
 	RecoveryAbortRetry
 )
 
-// String names the recovery mode for configuration dumps.
+var recoveryModeNames = [...]string{"sequential", "concurrent", "abort-retry"}
+
+// String names the recovery mode; ParseRecoveryMode reads the same table.
 func (m RecoveryMode) String() string {
-	switch m {
-	case RecoverySequential:
-		return "sequential"
-	case RecoveryConcurrent:
-		return "concurrent"
-	case RecoveryAbortRetry:
-		return "abort-retry"
-	default:
-		return fmt.Sprintf("RecoveryMode(%d)", int(m))
+	if m >= 0 && int(m) < len(recoveryModeNames) {
+		return recoveryModeNames[m]
 	}
+	return fmt.Sprintf("RecoveryMode(%d)", int(m))
+}
+
+// RecoveryModeNames lists the modes ParseRecoveryMode accepts.
+func RecoveryModeNames() []string { return append([]string(nil), recoveryModeNames[:]...) }
+
+// ParseRecoveryMode is the inverse of RecoveryMode.String.
+func ParseRecoveryMode(s string) (RecoveryMode, error) {
+	for i, name := range recoveryModeNames {
+		if name == s {
+			return RecoveryMode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("router: unknown recovery mode %q (want %s)", s, strings.Join(RecoveryModeNames(), ", "))
 }
 
 // Default returns the paper's router configuration: 4 VCs of depth 2, a
@@ -124,6 +134,25 @@ func Default() Config {
 		Timeout:             8,
 		Alloc:               FlitByFlit,
 	}
+}
+
+// PaperConfig is Default with the recovery decision made, the one place it
+// is: with recovery on, T_out is timeout (0 = the paper's 8), the single-flit
+// Deadlock Buffer is present and mode selects the scheme; with recovery off
+// there is no detection (Timeout 0), no Deadlock Buffer, and the unused mode
+// stays sequential. Callers set the remaining fields; Normalize fills the
+// ones they leave zero.
+func PaperConfig(recovery bool, timeout sim.Cycle, mode RecoveryMode) Config {
+	c := Default()
+	if !recovery {
+		c.Timeout, c.DeadlockBufferDepth = 0, 0
+		return c
+	}
+	c.Recovery = mode
+	if timeout != 0 {
+		c.Timeout = timeout
+	}
+	return c
 }
 
 // Normalize validates the configuration and fills unset (zero) fields with

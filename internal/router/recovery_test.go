@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -10,7 +11,7 @@ import (
 
 // wireHam replicates the network's Hamiltonian wiring for a test bench.
 func wireHam(b *testBench) {
-	order := b.topo.HamiltonianOrder()
+	order := b.topo.RecoveryLane()
 	labels := make([]int, b.topo.Nodes())
 	for i, node := range order {
 		labels[node] = i
@@ -42,7 +43,7 @@ func TestConcurrentRecoveryLaneSelection(t *testing.T) {
 	cfg.Recovery = RecoveryConcurrent
 	b := newBench(t, topo, cfg, routing.Disha(0))
 	wireHam(b)
-	order := topo.HamiltonianOrder()
+	order := topo.RecoveryLane()
 	mid := b.routers[order[7]] // somewhere in the middle of the path
 
 	if mid.DBLanes() != 2 {
@@ -75,7 +76,7 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	cfg.Recovery = RecoveryConcurrent
 	b := newBench(t, topo, cfg, routing.DOR())
 	wireHam(b)
-	order := topo.HamiltonianOrder()
+	order := topo.RecoveryLane()
 	src := order[3]
 	dst := order[8]
 
@@ -177,6 +178,38 @@ func TestRecoveryModeString(t *testing.T) {
 	} {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
+		}
+		// ParseRecoveryMode reads the table String prints: it inverts every
+		// real mode and refuses the rest, naming what it accepts.
+		got, err := ParseRecoveryMode(want)
+		if real := m <= RecoveryAbortRetry; real != (err == nil) || (real && got != m) {
+			t.Errorf("ParseRecoveryMode(%q) = %v, %v", want, got, err)
+		} else if !real && !strings.Contains(err.Error(), "abort-retry") {
+			t.Errorf("error %q does not list the accepted names", err)
+		}
+	}
+	if len(RecoveryModeNames()) != 3 {
+		t.Errorf("RecoveryModeNames() = %v", RecoveryModeNames())
+	}
+}
+
+// TestPaperConfig pins the one recovery on/off decision: off means no
+// detection, no Deadlock Buffer and the (unused) sequential mode whatever was
+// asked; on keeps the paper's T_out unless one is given.
+func TestPaperConfig(t *testing.T) {
+	off := PaperConfig(false, 16, RecoveryAbortRetry)
+	if off.Timeout != 0 || off.DeadlockBufferDepth != 0 || off.Recovery != RecoverySequential {
+		t.Errorf("recovery off: %+v", off)
+	}
+	if on := PaperConfig(true, 0, RecoveryConcurrent); on.Timeout != Default().Timeout || on.DeadlockBufferDepth != 1 || on.Recovery != RecoveryConcurrent {
+		t.Errorf("recovery on, default T_out: %+v", on)
+	}
+	if on := PaperConfig(true, 16, RecoverySequential); on.Timeout != 16 {
+		t.Errorf("recovery on, T_out 16: %+v", on)
+	}
+	for _, c := range []Config{off, PaperConfig(true, 0, RecoverySequential)} {
+		if err := c.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v): %v", c, err)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"strconv"
+
 	"repro/internal/packet"
 	"repro/internal/topology"
 )
@@ -32,12 +34,8 @@ func Disha(maxMisroutes int) Algorithm {
 	return disha{maxMisroutes: maxMisroutes}
 }
 
-func (d disha) Name() string {
-	if d.maxMisroutes == 0 {
-		return "disha-m0"
-	}
-	return "disha-m" + itoa(d.maxMisroutes)
-}
+// Name is "disha-m<M>"; ByName parses it back.
+func (d disha) Name() string { return "disha-m" + strconv.Itoa(d.maxMisroutes) }
 
 // MaxMisroutes exposes the livelock bound M.
 func (d disha) MaxMisroutes() int { return d.maxMisroutes }
@@ -70,18 +68,4 @@ func (d disha) Route(v View, p *packet.Packet, buf []Candidate) []Candidate {
 		}
 	}
 	return buf
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -568,6 +569,48 @@ func TestMinCongestionTieBreaksRandomly(t *testing.T) {
 func TestSelectionNames(t *testing.T) {
 	if Random().Name() != "random" || MinCongestion().Name() != "min-congestion" {
 		t.Fatal("selection names wrong")
+	}
+	for _, name := range SelectionNames() {
+		if s, err := SelectionByName(name); err != nil || s.Name() != name {
+			t.Errorf("SelectionByName(%q) = %v, %v", name, s, err)
+		}
+	}
+	if _, err := SelectionByName("nope"); err == nil || !strings.Contains(err.Error(), "min-congestion") {
+		t.Errorf("SelectionByName(nope): err = %v, want one listing the accepted names", err)
+	}
+}
+
+// TestByNameRoundTrip: the table parses every name it prints. Each spelling
+// in Names resolves, every constructed algorithm round-trips through its
+// Name(), a short form and its canonical name are the same function, and
+// only the Disha family needs recovery.
+func TestByNameRoundTrip(t *testing.T) {
+	algs := []Algorithm{Disha(0), Disha(3), Disha(12), DOR(), NegativeFirst(), DallyAoki(), Duato(), DuatoStrict()}
+	for _, name := range Names() {
+		a, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		algs = append(algs, a)
+	}
+	for _, a := range algs {
+		b, err := ByName(a.Name())
+		if err != nil || b.Name() != a.Name() || b != a {
+			t.Errorf("ByName(%q) = %v, %v", a.Name(), b, err)
+		}
+		if _, isDisha := a.(disha); NeedsRecovery(a) != isDisha {
+			t.Errorf("NeedsRecovery(%s) = %v", a.Name(), NeedsRecovery(a))
+		}
+	}
+	for short, canonical := range map[string]string{"disha": "disha-m0", "turn": "turn-negative-first", "dally": "dally-aoki"} {
+		if a, err := ByName(short); err != nil || a.Name() != canonical {
+			t.Errorf("ByName(%q) = %v, %v, want %s", short, a, err, canonical)
+		}
+	}
+	for _, bad := range []string{"", "trun", "disha-m", "disha-m-1", "disha-mx", "DOR"} {
+		if _, err := ByName(bad); err == nil || !strings.Contains(err.Error(), "turn-negative-first") {
+			t.Errorf("ByName(%q): err = %v, want one listing the accepted names", bad, err)
+		}
 	}
 }
 

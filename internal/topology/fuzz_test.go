@@ -52,7 +52,7 @@ func checkTopology(t *testing.T, topo Topology) {
 			}
 		}
 	}
-	order := topo.HamiltonianOrder()
+	order := topo.RecoveryLane()
 	if len(order) != nodes {
 		t.Fatalf("%s: Hamiltonian order covers %d of %d nodes", topo.Name(), len(order), nodes)
 	}

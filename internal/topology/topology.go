@@ -142,11 +142,6 @@ type Topology interface {
 	// torus dateline of the port's dimension (always false on a mesh).
 	// Deadlock-avoidance baselines use this to switch VC classes.
 	CrossesDateline(n Node, port int) bool
-	// HamiltonianOrder returns a fixed serpentine visiting order covering
-	// every node exactly once; consecutive nodes are always physically
-	// linked, so the order serves both recovery modes. Equal to
-	// RecoveryLane for cubes.
-	HamiltonianOrder() []Node
 	// Wrap reports whether the topology has wraparound links (torus).
 	Wrap() bool
 }
@@ -178,12 +173,11 @@ func NodeAtChecked(t Topology, co Coord) (Node, error) {
 
 // cube implements both torus and mesh k-ary n-cube topologies.
 type cube struct {
-	radix   []int
-	stride  []int // mixed-radix strides: stride[d] = product of radix[0..d-1]
-	nodes   int
-	wrap    bool
-	name    string
-	hamOnce []Node
+	radix  []int
+	stride []int // mixed-radix strides: stride[d] = product of radix[0..d-1]
+	nodes  int
+	wrap   bool
+	name   string
 }
 
 // NewTorus constructs a k-ary n-cube with wraparound links. radix gives the
@@ -278,7 +272,6 @@ func newCube(wrap bool, radix []int) (Topology, error) {
 		wrap:   wrap,
 		name:   kind + "-" + strings.Join(parts, "x"),
 	}
-	c.hamOnce = c.buildHamiltonian()
 	return c, nil
 }
 
@@ -442,11 +435,11 @@ func (c *cube) CrossesDateline(n Node, port int) bool {
 	return x == 0
 }
 
-// buildHamiltonian constructs a boustrophedon (snake) order: consecutive
-// nodes differ in exactly one coordinate by one, so the order is a
-// Hamiltonian path of the mesh (and of the torus, which has the mesh's links
-// plus wraparounds).
-func (c *cube) buildHamiltonian() []Node {
+// RecoveryLane for cubes is a boustrophedon (snake) order: consecutive nodes
+// differ in exactly one coordinate by one, so it is a Hamiltonian path of the
+// mesh (and of the torus, which has the mesh's links plus wraparounds) and
+// serves sequential and concurrent recovery alike. The golden digests pin it.
+func (c *cube) RecoveryLane() []Node {
 	order := make([]Node, 0, c.nodes)
 	for i := 0; i < c.nodes; i++ {
 		order = append(order, c.NodeAt(snakeCoord(i, c.radix)))
@@ -470,14 +463,3 @@ func snakeCoord(i int, radix []int) Coord {
 	}
 	return co
 }
-
-func (c *cube) HamiltonianOrder() []Node {
-	out := make([]Node, len(c.hamOnce))
-	copy(out, c.hamOnce)
-	return out
-}
-
-// RecoveryLane for cubes is the serpentine Hamiltonian order: consecutive
-// nodes are physically linked, so the same lane serves sequential and
-// concurrent recovery, and existing golden digests stay byte-identical.
-func (c *cube) RecoveryLane() []Node { return c.HamiltonianOrder() }

@@ -298,7 +298,7 @@ func TestDatelineOncePerRing(t *testing.T) {
 
 func TestHamiltonianOrder(t *testing.T) {
 	for _, topo := range []Topology{MustTorus(4, 4), MustMesh(5, 3), MustTorus(3, 3, 3), MustTorus(16, 16)} {
-		order := topo.HamiltonianOrder()
+		order := topo.RecoveryLane()
 		if len(order) != topo.Nodes() {
 			t.Fatalf("%s: order has %d entries", topo.Name(), len(order))
 		}
@@ -321,9 +321,9 @@ func TestHamiltonianOrder(t *testing.T) {
 
 func TestHamiltonianOrderIsCopied(t *testing.T) {
 	topo := MustTorus(4, 4)
-	a := topo.HamiltonianOrder()
+	a := topo.RecoveryLane()
 	a[0] = Node(99)
-	b := topo.HamiltonianOrder()
+	b := topo.RecoveryLane()
 	if b[0] == Node(99) {
 		t.Fatal("HamiltonianOrder aliases internal state")
 	}

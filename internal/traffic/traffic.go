@@ -12,6 +12,7 @@ package traffic
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -246,6 +247,72 @@ func (p neighbor) Dest(src topology.Node, _ *sim.RNG) topology.Node {
 	}
 	nb, _ := p.topo.Neighbor(src, topology.PortFor(0, -1))
 	return nb
+}
+
+// --- Names --------------------------------------------------------------------
+
+// patterns is the one table of traffic pattern names: what -traffic accepts
+// and what Name() prints (hotspot's Name() also carries its fraction and
+// base). cube marks the patterns defined on k-ary n-cube coordinates.
+var patterns = []struct {
+	name  string
+	cube  bool
+	build func(g topology.Graph, t topology.Topology, hot float64) (Pattern, error)
+}{
+	{"uniform", false, func(g topology.Graph, _ topology.Topology, _ float64) (Pattern, error) { return NewUniform(g) }},
+	{"bit-reversal", false, func(g topology.Graph, _ topology.Topology, _ float64) (Pattern, error) { return BitReversal(g) }},
+	{"transpose", true, func(_ topology.Graph, t topology.Topology, _ float64) (Pattern, error) { return Transpose(t) }},
+	{"hotspot", false, func(g topology.Graph, _ topology.Topology, hot float64) (Pattern, error) {
+		base, err := NewUniform(g)
+		if err != nil {
+			return nil, err
+		}
+		return NewHotSpot(base, topology.Node(g.Nodes()/3), hot)
+	}},
+	{"complement", true, func(_ topology.Graph, t topology.Topology, _ float64) (Pattern, error) { return Complement(t), nil }},
+	{"tornado", true, func(_ topology.Graph, t topology.Topology, _ float64) (Pattern, error) { return Tornado(t), nil }},
+	{"bit-shuffle", false, func(g topology.Graph, _ topology.Topology, _ float64) (Pattern, error) { return BitShuffle(g) }},
+	{"neighbor", true, func(_ topology.Graph, t topology.Topology, _ float64) (Pattern, error) { return Neighbor(t), nil }},
+}
+
+// ByName builds the named pattern on g. hotspotFraction applies to "hotspot"
+// only: that share of all traffic goes to node Nodes()/3 over a uniform
+// background. An unknown name, a pattern g cannot carry or an out-of-range
+// fraction is an error.
+func ByName(name string, g topology.Graph, hotspotFraction float64) (Pattern, error) {
+	for _, row := range patterns {
+		if row.name != name {
+			continue
+		}
+		var t topology.Topology
+		if row.cube {
+			var err error
+			if t, err = Cube(g, name+" traffic"); err != nil {
+				return nil, fmt.Errorf("%w (try uniform or bit-reversal)", err)
+			}
+		}
+		return row.build(g, t, hotspotFraction)
+	}
+	return nil, fmt.Errorf("traffic: unknown pattern %q (want %s)", name, strings.Join(Names(), ", "))
+}
+
+// Names lists the patterns ByName accepts.
+func Names() []string {
+	out := make([]string, len(patterns))
+	for i, row := range patterns {
+		out[i] = row.name
+	}
+	return out
+}
+
+// Cube returns g's coordinate view, or the one "needs cube coordinates"
+// error, naming who asked, when g is a coordinate-free graph.
+func Cube(g topology.Graph, who string) (topology.Topology, error) {
+	t, ok := topology.Coordinated(g)
+	if !ok {
+		return nil, fmt.Errorf("traffic: %s needs cube coordinates, which %s does not have", who, g.Name())
+	}
+	return t, nil
 }
 
 func log2(n int) (int, bool) {

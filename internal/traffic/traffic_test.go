@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,30 @@ func TestPatternNames(t *testing.T) {
 		if tc.p.Name() != tc.want {
 			t.Errorf("name %q, want %q", tc.p.Name(), tc.want)
 		}
+	}
+	// ByName parses the names above (hotspot's Name() also carries its
+	// parameters), and is the one place a coordinate-free graph is refused.
+	if len(Names()) != 8 {
+		t.Errorf("Names() = %v, want the 8 patterns above", Names())
+	}
+	mesh := topology.MustFullMesh(16)
+	for _, name := range Names() {
+		p, err := ByName(name, topo, 0.05)
+		if err != nil || (p.Name() != name && !(name == "hotspot" && p.Name() == "hotspot-5%-uniform")) {
+			t.Errorf("ByName(%q) = %v, %v", name, p, err)
+		}
+		_, cubeErr := Cube(mesh, name+" traffic")
+		_, err = ByName(name, mesh, 0.05)
+		needsCube := name == "transpose" || name == "complement" || name == "tornado" || name == "neighbor"
+		if needsCube != (err != nil) || (err != nil && !strings.Contains(err.Error(), cubeErr.Error())) {
+			t.Errorf("ByName(%q) on %s: err = %v", name, mesh.Name(), err)
+		}
+	}
+	if _, err := ByName("nope", topo, 0); err == nil || !strings.Contains(err.Error(), "bit-shuffle") {
+		t.Errorf("ByName(nope): err = %v, want one listing the accepted names", err)
+	}
+	if _, err := ByName("hotspot", topo, 1.5); err == nil {
+		t.Error("ByName(hotspot, 1.5) accepted")
 	}
 }
 

@@ -3,69 +3,77 @@ package disha
 import (
 	"flag"
 	"fmt"
+	"strings"
+
+	"repro/internal/network"
+	"repro/internal/router"
+	"repro/internal/routing"
+	"repro/internal/traffic"
 )
 
 // SimSpec is the command-line form of a SimConfig: one field per simulation
 // flag, holding the name or number as typed. It is the single definition of
-// those flags and of how they resolve to a SimConfig, shared by disha-sim
-// and disha-bisect (whose per-side overrides are flag assignments on a copy).
+// those flags, shared by disha-sim and disha-bisect (whose per-side overrides
+// are flag assignments on a copy); the names themselves are defined by the
+// packages that print them (routing.ByName, routing.SelectionByName,
+// traffic.ByName, router.ParseRecoveryMode — README, "Names").
 type SimSpec struct {
 	// Radix, Dims and Mesh describe a k-ary n-cube; a non-empty Topo (e.g.
 	// "fullmesh-16", see ParseTopology) overrides all three.
 	Radix, Dims int
 	Mesh        bool
 	Topo        string
-	// Alg is disha, dor, turn, dally, duato or duato-strict; Misroutes is
-	// Disha's misroute bound M.
+	// Alg names the routing algorithm; Misroutes is the misroute bound M of
+	// the short form "disha" ("disha-m<N>" states its own).
 	Alg       string
 	Misroutes int
-	// Sel is random or min-congestion.
-	Sel string
-	// Traffic is uniform, bit-reversal, transpose, hotspot, complement or
-	// tornado; HotspotFraction applies to hotspot only.
+	Sel       string
+	// Traffic names the pattern; HotspotFraction applies to hotspot only.
 	Traffic         string
 	HotspotFraction float64
 	Load            float64
 	MsgLen          int
 	VCs, Depth      int
 	Timeout         int
-	// Recovery is sequential, concurrent or abort-retry.
-	Recovery     string
-	Throttle, Rx int
-	Seed         uint64
+	Recovery        string
+	Throttle, Rx    int
+	Seed            uint64
 }
 
-// DefaultSimSpec returns disha-sim's defaults: the paper's 16x16 torus with
-// 4 VCs of depth 2, 32-flit messages and T_out = 8, Disha routing with
+// DefaultSimSpec returns disha-sim's defaults: the paper's 16x16 torus and
+// router (4 VCs of depth 2, T_out = 8), 32-flit messages, Disha routing with
 // sequential recovery under uniform traffic at load 0.4.
 func DefaultSimSpec() SimSpec {
+	rc := router.Default()
 	return SimSpec{
 		Radix: 16, Dims: 2,
-		Alg: "disha", Sel: "random",
+		Alg: "disha", Sel: routing.Random().Name(),
 		Traffic: "uniform", HotspotFraction: 0.05,
-		Load: 0.4, MsgLen: 32, VCs: 4, Depth: 2, Timeout: 8,
-		Recovery: "sequential", Rx: 1, Seed: 1,
+		Load: 0.4, MsgLen: network.DefaultMsgLen, VCs: rc.VCs, Depth: rc.BufferDepth, Timeout: int(rc.Timeout),
+		Recovery: rc.Recovery.String(), Rx: rc.ReceptionChannels, Seed: 1,
 	}
 }
 
 // Flags registers one flag per field on fs, with the spec's current values
-// as the defaults; parsing fs (or calling fs.Set) then writes into s.
+// as the defaults; parsing fs (or calling fs.Set) then writes into s. The
+// accepted names in the help text come from the tables that resolve them.
 func (s *SimSpec) Flags(fs *flag.FlagSet) {
+	list := func(names []string) string { return strings.Join(names, ", ") }
 	fs.IntVar(&s.Radix, "radix", s.Radix, "nodes per dimension")
 	fs.IntVar(&s.Dims, "dims", s.Dims, "dimensions")
 	fs.BoolVar(&s.Mesh, "mesh", s.Mesh, "use a mesh instead of a torus")
 	fs.StringVar(&s.Topo, "topo", s.Topo, `topology by name: "torus-8x8", "mesh-4x4x2", "hypercube-6", "fullmesh-16", "dragonfly-4x2", "fattree-4" (overrides -radix/-dims/-mesh)`)
-	fs.StringVar(&s.Alg, "alg", s.Alg, "routing algorithm: disha, dor, turn, dally, duato, duato-strict")
-	fs.IntVar(&s.Misroutes, "misroutes", s.Misroutes, "Disha misroute bound M")
-	fs.StringVar(&s.Sel, "sel", s.Sel, "selection function: random, min-congestion")
-	fs.StringVar(&s.Traffic, "traffic", s.Traffic, "pattern: uniform, bit-reversal, transpose, hotspot, complement, tornado")
+	fs.StringVar(&s.Alg, "alg", s.Alg, "routing algorithm: "+list(routing.Names())+", or disha-m<N> for misroute bound N")
+	fs.IntVar(&s.Misroutes, "misroutes", s.Misroutes, "misroute bound M of -alg disha")
+	fs.StringVar(&s.Sel, "sel", s.Sel, "selection function: "+list(routing.SelectionNames()))
+	fs.StringVar(&s.Traffic, "traffic", s.Traffic, "pattern: "+list(traffic.Names()))
 	fs.Float64Var(&s.HotspotFraction, "hotspot-fraction", s.HotspotFraction, "hot-spot traffic fraction")
 	fs.Float64Var(&s.Load, "load", s.Load, "offered load (fraction of capacity)")
 	fs.IntVar(&s.MsgLen, "msglen", s.MsgLen, "message length in flits")
 	fs.IntVar(&s.VCs, "vcs", s.VCs, "virtual channels per physical channel")
 	fs.IntVar(&s.Depth, "depth", s.Depth, "per-VC buffer depth in flits")
-	fs.IntVar(&s.Timeout, "timeout", s.Timeout, "deadlock time-out T_out (recovery algorithms)")
-	fs.StringVar(&s.Recovery, "recovery", s.Recovery, "recovery mode for disha: sequential, concurrent, abort-retry")
+	fs.IntVar(&s.Timeout, "timeout", s.Timeout, "deadlock time-out T_out >= 1, for the disha algorithms (avoidance algorithms run without recovery and ignore it)")
+	fs.StringVar(&s.Recovery, "recovery", s.Recovery, "recovery mode for the disha algorithms: "+list(router.RecoveryModeNames()))
 	fs.IntVar(&s.Throttle, "throttle", s.Throttle, "max outstanding packets per node (0 = unthrottled)")
 	fs.IntVar(&s.Rx, "rx", s.Rx, "reception channels per node")
 	fs.Uint64Var(&s.Seed, "seed", s.Seed, "random seed")
@@ -80,52 +88,32 @@ func (s SimSpec) Config() (SimConfig, error) {
 	if err != nil {
 		return SimConfig{}, err
 	}
-
-	var alg Algorithm
-	switch s.Alg {
-	case "disha":
-		alg = DishaRouting(s.Misroutes)
-	case "dor":
-		alg = DOR()
-	case "turn":
-		alg = NegativeFirst()
-	case "dally":
-		alg = DallyAoki()
-	case "duato":
-		alg = Duato()
-	case "duato-strict":
-		alg = DuatoStrict()
-	default:
-		return SimConfig{}, fmt.Errorf("unknown algorithm %q", s.Alg)
+	name := s.Alg
+	if name == "disha" {
+		name = DishaRouting(s.Misroutes).Name()
 	}
-
-	var sel Selection
-	switch s.Sel {
-	case "random":
-		sel = RandomSelection()
-	case "min-congestion":
-		sel = MinCongestionSelection()
-	default:
-		return SimConfig{}, fmt.Errorf("unknown selection %q", s.Sel)
-	}
-
-	pattern, err := s.pattern(topo)
+	alg, err := routing.ByName(name)
 	if err != nil {
 		return SimConfig{}, err
 	}
-
-	var mode RecoveryMode
-	switch s.Recovery {
-	case "sequential":
-		mode = RecoverySequential
-	case "concurrent":
-		mode = RecoveryConcurrent
-	case "abort-retry":
-		mode = RecoveryAbortRetry
-	default:
-		return SimConfig{}, fmt.Errorf("unknown recovery mode %q", s.Recovery)
+	sel, err := routing.SelectionByName(s.Sel)
+	if err != nil {
+		return SimConfig{}, err
 	}
-
+	pattern, err := traffic.ByName(s.Traffic, topo, s.HotspotFraction)
+	if err != nil {
+		return SimConfig{}, err
+	}
+	mode, err := router.ParseRecoveryMode(s.Recovery)
+	if err != nil {
+		return SimConfig{}, err
+	}
+	// SimConfig reads Timeout 0 as "the default"; a typed 0 meant something
+	// else, and the off switch is the choice of algorithm.
+	recovery := routing.NeedsRecovery(alg)
+	if recovery && s.Timeout < 1 {
+		return SimConfig{}, fmt.Errorf("T_out must be ≥ 1, have -timeout %d; run an avoidance -alg for no recovery", s.Timeout)
+	}
 	return SimConfig{
 		Topo:              topo,
 		Algorithm:         alg,
@@ -136,7 +124,7 @@ func (s SimSpec) Config() (SimConfig, error) {
 		VCs:               s.VCs,
 		BufferDepth:       s.Depth,
 		Timeout:           Cycle(s.Timeout),
-		DisableRecovery:   s.Alg != "disha",
+		DisableRecovery:   !recovery,
 		Recovery:          mode,
 		ReceptionChannels: s.Rx,
 		InjectionThrottle: s.Throttle,
@@ -162,35 +150,6 @@ func (s SimSpec) topology() (Graph, error) {
 		return NewMesh(radices...)
 	}
 	return NewTorus(radices...)
-}
-
-func (s SimSpec) pattern(topo Graph) (Pattern, error) {
-	switch s.Traffic {
-	case "uniform":
-		return NewUniform(topo)
-	case "bit-reversal":
-		return BitReversal(topo)
-	case "hotspot":
-		base, err := NewUniform(topo)
-		if err != nil {
-			return nil, err
-		}
-		return NewHotSpot(base, Node(topo.Nodes()/3), s.HotspotFraction)
-	case "transpose", "complement", "tornado":
-		cube, ok := topo.(Topology)
-		if !ok {
-			return nil, fmt.Errorf("%s traffic needs cube coordinates, which %s does not have (try uniform or bit-reversal)", s.Traffic, topo.Name())
-		}
-		switch s.Traffic {
-		case "transpose":
-			return Transpose(cube)
-		case "complement":
-			return Complement(cube), nil
-		default:
-			return Tornado(cube), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown traffic %q", s.Traffic)
 }
 
 // String renders the spec on one line for run headers.

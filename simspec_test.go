@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	disha "repro"
+	"repro/internal/router"
+	"repro/internal/routing"
+	"repro/internal/traffic"
 )
 
 // bisectDefaults mirrors cmd/disha-bisect's adjustments to DefaultSimSpec.
@@ -99,6 +102,89 @@ func TestSimSpecFlags(t *testing.T) {
 	}
 }
 
+// TestSimSpecNames holds the flags to the tables that define the names: for
+// -alg, -sel, -traffic and -recovery, every name the table lists appears in
+// the generated help, every name the help lists resolves, and assigning any
+// of them the way a disha-bisect -a/-b override does yields a Config.
+func TestSimSpecNames(t *testing.T) {
+	for flagName, names := range map[string][]string{
+		"alg":      append(routing.Names(), "disha-m3"),
+		"sel":      routing.SelectionNames(),
+		"traffic":  traffic.Names(),
+		"recovery": router.RecoveryModeNames(),
+	} {
+		spec := disha.DefaultSimSpec()
+		spec.Radix = 4
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		spec.Flags(fs)
+		usage := fs.Lookup(flagName).Usage
+		_, list, _ := strings.Cut(usage, ": ")
+		for _, name := range strings.Split(list, ", ") {
+			if !strings.Contains(name, " ") {
+				names = append(names, name) // a bare word in the help is a name
+			}
+		}
+		for _, name := range names {
+			if name != "disha-m3" && !strings.Contains(usage, name) {
+				t.Errorf("-%s help %q does not list %q", flagName, usage, name)
+			}
+			if err := fs.Set(flagName, name); err != nil {
+				t.Fatalf("Set(%s, %s): %v", flagName, name, err)
+			}
+			if _, err := spec.Config(); err != nil {
+				t.Errorf("-%s %s: %v", flagName, name, err)
+			}
+		}
+	}
+	// Short and canonical spellings are one algorithm.
+	for short, canonical := range map[string]string{"turn": "turn-negative-first", "dally": "dally-aoki", "disha": "disha-m0"} {
+		a, b := disha.DefaultSimSpec(), disha.DefaultSimSpec()
+		a.Alg, b.Alg = short, canonical
+		ca, errA := a.Config()
+		cb, errB := b.Config()
+		if errA != nil || errB != nil || ca.Algorithm.Name() != canonical || cb.Algorithm.Name() != canonical ||
+			ca.DisableRecovery != cb.DisableRecovery {
+			t.Errorf("%s / %s resolve to %v (%v) / %v (%v)", short, canonical, ca.Algorithm, errA, cb.Algorithm, errB)
+		}
+	}
+}
+
+// TestTimeoutZero pins the one meaning of T_out = 0: to SimConfig it is "the
+// paper's default, 8" (DisableRecovery is the off switch), and SimSpec
+// refuses a typed -timeout 0 for a recovery algorithm rather than simulate
+// T_out = 8 under a header that says 0.
+func TestTimeoutZero(t *testing.T) {
+	run := func(timeout disha.Cycle) (string, int64) {
+		topo := disha.Torus(4, 4)
+		sim, err := disha.NewSimulator(disha.SimConfig{
+			Topo: topo, Algorithm: disha.DishaRouting(0), Pattern: disha.Uniform(topo),
+			LoadRate: 0.9, MsgLen: 8, VCs: 1, Timeout: timeout, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(800)
+		return sim.Fingerprint(), sim.Counters().TimeoutEvents
+	}
+	fp0, timeouts := run(0)
+	if fp8, _ := run(8); fp0 != fp8 {
+		t.Error("SimConfig.Timeout 0 does not simulate the default T_out = 8")
+	}
+	if timeouts == 0 {
+		t.Error("SimConfig.Timeout 0 switched detection off; DisableRecovery is the off switch")
+	}
+
+	spec := disha.DefaultSimSpec()
+	spec.Timeout = 0
+	if _, err := spec.Config(); err == nil || !strings.Contains(err.Error(), "T_out must be ≥ 1") {
+		t.Errorf("-alg disha -timeout 0: err = %v, want the T_out refusal", err)
+	}
+	spec.Alg = "duato"
+	if cfg, err := spec.Config(); err != nil || !cfg.DisableRecovery {
+		t.Errorf("-alg duato -timeout 0: err = %v, DisableRecovery = %v; an avoidance algorithm ignores -timeout", err, cfg.DisableRecovery)
+	}
+}
+
 // FuzzSimSpecConfig drives the resolver with arbitrary names and numbers:
 // Config returns an error, or NewSimulator returns an error, or the pair
 // yields a simulator that steps — never a panic or a runaway allocation.
@@ -107,6 +193,11 @@ func FuzzSimSpecConfig(f *testing.F) {
 	f.Add("fullmesh-16", "disha", "min-congestion", "hotspot", "abort-retry", 0, 0, false, 2, 0.1, 0.3, 8, 2, 1, 4, 2, 2, uint64(7))
 	f.Add("dragonfly-4x2", "dor", "random", "tornado", "concurrent", 4, 3, true, -1, 2.0, -1.0, 0, 0, 0, 0, -1, 0, uint64(0))
 	f.Add("", "duato-strict", "random", "bit-reversal", "sequential", 3, 1<<30, true, 1<<30, 0.5, 5.0, 1<<30, 1<<30, 1<<30, -8, 1<<30, 1<<30, uint64(1)<<63)
+	// Every spelling the tables hold, so the fuzzer starts from both forms.
+	for i, alg := range append(routing.Names(), "disha-m2") {
+		sels, pats, modes := routing.SelectionNames(), traffic.Names(), router.RecoveryModeNames()
+		f.Add("", alg, sels[i%len(sels)], pats[i%len(pats)], modes[i%len(modes)], 4, 2, i%2 == 0, 1, 0.05, 0.3, 8, 2, 2, 8, 0, 1, uint64(i))
+	}
 	f.Fuzz(func(t *testing.T, topo, alg, sel, traffic, recovery string, radix, dims int, mesh bool,
 		misroutes int, hot, load float64, msgLen, vcs, depth, timeout, throttle, rx int, seed uint64) {
 		spec := disha.SimSpec{
