@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/jobserver"
@@ -325,7 +324,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	}
 	restarted.terminate(t)
 	// The records written behind the torn line are all readable.
-	if recs, err := engine.ReadJournal(store); err != nil || int64(len(recs)) != total {
+	if recs, err := fabric.ReadJournal(store); err != nil || int64(len(recs)) != total {
 		t.Fatalf("store after recovery: %d records (err %v), want %d", len(recs), err, total)
 	}
 }
@@ -354,7 +353,7 @@ func TestDrainLeavesFinishedPointsInStore(t *testing.T) {
 	if st.State != "failed" && st.State != "done" {
 		t.Fatalf("watch stream ended on a non-terminal status: %+v", st)
 	}
-	recs, err := engine.ReadJournal(filepath.Join(dataDir, "results.jsonl"))
+	recs, err := fabric.ReadJournal(filepath.Join(dataDir, "results.jsonl"))
 	if err != nil || len(recs) != st.Progress.Done || st.Progress.Done < 3 {
 		t.Fatalf("store holds %d records (err %v) after a drain that counted %d points done", len(recs), err, st.Progress.Done)
 	}

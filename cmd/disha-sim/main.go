@@ -67,6 +67,14 @@ func main() {
 		fmt.Println(telemetry.Build().String())
 		return
 	}
+	for _, count := range []struct {
+		name string
+		v    int
+	}{{"cycles", *cycles}, {"drain", *drain}, {"checkpoint-every", *ckptEvery}} {
+		if count.v < 0 {
+			usage(fmt.Errorf("-%s %d: a cycle count cannot be negative", count.name, count.v))
+		}
+	}
 	cfg, err := spec.Config()
 	usage(err)
 	sim, err := disha.NewSimulator(cfg)

@@ -12,8 +12,9 @@ import (
 // surface: there is none — the retired scan-path and scheduler flags are
 // unknown flags. It also pins what the simulation flags mean: four command
 // lines must reproduce the fingerprints recorded before the flags moved into
-// disha.SimSpec, and a flag set that does not describe a simulation exits 2
-// with one line.
+// disha.SimSpec, and a flag set that does not describe a simulation — or a
+// run of one: negative -cycles, -drain, -checkpoint-every — exits 2 with one
+// line.
 func TestKernelFlags(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "disha-sim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -81,6 +82,9 @@ func TestKernelFlags(t *testing.T) {
 		{"-topo dragonfly-4x2 -alg dor", "dor is not supported on dragonfly-4x2"},
 		{"-timeout 0", "T_out must be ≥ 1"},
 		{"-alg disha-m3 -timeout 0", "T_out must be ≥ 1"},
+		{"-cycles -5", "-cycles -5: a cycle count cannot be negative"},
+		{"-checkpoint-every -3", "-checkpoint-every -3: a cycle count cannot be negative"},
+		{"-drain -1", "-drain -1: a cycle count cannot be negative"},
 	} {
 		out, code := sim(strings.Fields(bad.args)...)
 		if code != 2 || !strings.Contains(out, bad.want) || strings.Count(out, "\n") != 1 {

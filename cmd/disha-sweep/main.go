@@ -6,10 +6,12 @@
 //
 // Points fan out across -parallel workers (default: all cores) with
 // identity-keyed seeds, so the results are bit-identical to a serial run.
-// -journal checkpoints completed points to a JSONL file and replays what the
-// file already holds, so a killed sweep rerun with the same flags restarts
-// where it left off (the file is the same format as disha-serve's
-// <data-dir>/results.jsonl, and either reads the other's). Adding
+// -journal sends every point through a private fabric.Coordinator — the one
+// disha-serve runs its sweeps through, here without workers — whose result
+// store is that JSONL file: finished points are appended to it and points it
+// already holds are served, not run, so a killed sweep rerun with the same
+// flags restarts where it left off (the file is disha-serve's
+// <data-dir>/results.jsonl, and either program opens the other's). Adding
 // -checkpoint-dir with -checkpoint-every additionally snapshots in-flight
 // points every N cycles, so even the point that was running when the process
 // died resumes mid-flight — with byte-identical CSV output. If any point
@@ -31,19 +33,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	disha "repro"
 	"repro/internal/chaos"
 	"repro/internal/engine"
+	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "4", "figure to reproduce: 3a, 3b, 4, 5, 6, 7, fullmesh, or all")
+		fig       = flag.String("fig", "4", "figure to reproduce: "+strings.Join(harness.FigureNames(), ", ")+", or all (the paper's: "+strings.Join(harness.PaperFigureNames(), ", ")+")")
 		scale     = flag.String("scale", "paper", "scale: paper (16x16, 32 flits) or small (8x8, 16 flits)")
 		csvDir    = flag.String("csv", "", "directory to write CSV results into (optional)")
 		warmup    = flag.Int("warmup", 0, "override warm-up cycles")
@@ -53,7 +55,7 @@ func main() {
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
 		parallel  = flag.Int("parallel", 0, "engine workers (0 = all cores, 1 = serial; results are identical either way)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
-		retries   = flag.Int("retries", 1, "extra attempts for a failing point")
+		retries   = flag.Int("retries", 0, "extra attempts for a failing point")
 		journal   = flag.String("journal", "", "JSONL checkpoint file: completed points are appended to it, points it already holds are not rerun (optional)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-point checkpoints; killed points resume mid-flight with byte-identical results (requires -checkpoint-every)")
 		ckptN     = flag.Int("checkpoint-every", 0, "cycles between mid-point checkpoints (0 = off; requires -checkpoint-dir)")
@@ -89,11 +91,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving engine progress on http://%s/metrics\n", addr)
 	}
 
+	// -journal: the coordinator's store is the one reader and writer of
+	// results files, so the sweep runs through a coordinator of its own. Its
+	// worker API is mounted nowhere: every point it does not hold runs here.
+	var store *fabric.Coordinator
+	if *journal != "" {
+		store = fabric.NewCoordinator(fabric.CoordinatorOptions{})
+		defer store.Close()
+		_, err := store.OpenStore(*journal)
+		fail(err)
+	}
+
 	names := []string{*fig}
 	if *fig == "all" {
-		names = []string{"3a", "3b", "4", "5", "6", "7"}
+		names = harness.PaperFigureNames()
 	}
-	sort.Strings(names)
 
 	var failedFigures []string
 	totalFailed, totalPoints := 0, 0
@@ -102,22 +114,28 @@ func main() {
 		// (figure, scale, overrides) tuple names the same points everywhere.
 		spec, err := harness.SpecFor(name, *scale, *warmup, *measure, *seed, nil)
 		fail(err)
+		fail(spec.CheckSweep(*parallel, *replicas, *retries, *warmup, *measure))
 		spec.Chaos = chaosEvents
 		fmt.Printf("== figure %s: %s ==\n", name, spec.Name)
 		progress := func(s string) { fmt.Println("  " + s) }
 		if *quiet {
 			progress = nil
 		}
-		res, report, err := spec.RunWith(disha.SweepOptions{
+		opts := disha.SweepOptions{
 			Parallel:        *parallel,
 			Replicas:        *replicas,
 			Retries:         *retries,
-			Journal:         *journal, // shared: it accumulates across figures
 			CheckpointEvery: *ckptN,
 			CheckpointDir:   *ckptDir,
 			Progress:        progress,
 			Metrics:         engineMetrics,
-		})
+		}
+		var before fabric.Stats
+		if store != nil {
+			opts.PointRunner = store.PointRunner(name, *scale, *warmup, *measure, *seed)
+			before = store.Stats() // the store accumulates across figures
+		}
+		res, report, err := spec.RunWith(opts)
 		if report != nil {
 			totalPoints += report.Total
 			totalFailed += report.Failed()
@@ -136,7 +154,13 @@ func main() {
 			fmt.Println(res.SeizureTable())
 		}
 		fmt.Println(res.SaturationSummary())
-		fmt.Printf("(%s: %s)\n\n", spec.Name, report)
+		summary := report.String()
+		if store != nil {
+			after := store.Stats()
+			summary += fmt.Sprintf("; %d points executed, %d served from %s",
+				after.LocalRuns-before.LocalRuns, after.CacheHits-before.CacheHits, *journal)
+		}
+		fmt.Printf("(%s: %s)\n\n", spec.Name, summary)
 
 		if err != nil {
 			failedFigures = append(failedFigures, name)
@@ -158,6 +182,14 @@ func main() {
 		}
 	}
 
+	exit := 0
+	if store != nil {
+		if n := store.Stats().StoreErrors; n > 0 {
+			// The results above are complete; the file is not.
+			fmt.Fprintf(os.Stderr, "disha-sweep: %d finished points could not be appended to %s\n", n, *journal)
+			exit = 1
+		}
+	}
 	if len(failedFigures) > 0 {
 		fmt.Fprintf(os.Stderr, "disha-sweep: PARTIAL RESULTS: %d/%d points failed across figure(s) %s",
 			totalFailed, totalPoints, strings.Join(failedFigures, ", "))
@@ -165,7 +197,10 @@ func main() {
 			fmt.Fprint(os.Stderr, "; rerun with the same flags to retry only the failures")
 		}
 		fmt.Fprintln(os.Stderr)
-		os.Exit(1)
+		exit = 1
+	}
+	if exit != 0 {
+		os.Exit(exit)
 	}
 }
 

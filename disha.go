@@ -572,12 +572,12 @@ func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures
 
 // SweepOptions controls how the deterministic parallel experiment engine
 // executes an Experiment: worker count, per-point replicas, retries,
-// checkpoint journal and progress reporting. Run an Experiment with them via
+// mid-point checkpoints and progress reporting. Run an Experiment with them via
 // Experiment.RunWith; results are bit-identical for every Parallel value.
 type SweepOptions = harness.RunOptions
 
-// SweepReport summarizes an engine run: completed/failed points, journal
-// restores, retries and wall time.
+// SweepReport summarizes an engine run: completed/failed points, retries
+// and wall time.
 type SweepReport = engine.Report
 
 // SweepStatus is the engine's live progress snapshot (done/total, ETA).

@@ -11,17 +11,17 @@
 //
 // Around that core the engine provides the operational features a long
 // sweep needs: panic isolation with per-job retries and a failed-jobs
-// report, a JSONL checkpoint journal so a killed sweep resumes where it left
-// off, and live progress (done/total, ETA) exported through an
-// internal/telemetry registry.
+// report, a drain signal, and live progress (done/total, ETA) exported
+// through an internal/telemetry registry. It only schedules: it keeps no
+// results between runs. What a finished job leaves behind is its Run
+// function's business (a sweep point goes through fabric.Coordinator, whose
+// store serves it to the next run).
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +32,8 @@ import (
 // not share mutable state with other jobs, because jobs execute concurrently.
 type Job[T any] struct {
 	// Key uniquely identifies the job within the batch (e.g.
-	// "fig4-uniform/disha-m3@0.60#2"). It keys the seed derivation, the
-	// checkpoint journal and the result map.
+	// "fig4-uniform/disha-m3@0.60#2"). It keys the seed derivation and the
+	// result map.
 	Key string
 	// Run computes the job's result. It is retried on error or panic.
 	Run func(seed uint64) (T, error)
@@ -42,26 +42,24 @@ type Job[T any] struct {
 // Status is a progress snapshot passed to the OnDone callback and exported
 // through telemetry.
 type Status struct {
-	Total       int // jobs in the batch
-	Done        int // completed successfully (including journal restores)
-	FromJournal int // of Done, restored from the journal
-	Failed      int // exhausted their retries
-	Retried     int // extra attempts spent across all jobs
-	Elapsed     time.Duration
-	// ETA estimates the remaining wall time from the live (non-restored)
-	// completion rate; zero until the first live job completes.
+	Total   int // jobs in the batch
+	Done    int // completed successfully
+	Failed  int // exhausted their retries
+	Retried int // extra attempts spent across all jobs
+	Elapsed time.Duration
+	// ETA estimates the remaining wall time from the completion rate; zero
+	// until the first job completes.
 	ETA time.Duration
 }
 
-// JobResult describes one settled job (success, restore or failure).
+// JobResult describes one settled job (success or failure).
 type JobResult[T any] struct {
-	Key         string
-	Seed        uint64
-	Value       T
-	Err         string // "" on success
-	Attempts    int
-	Elapsed     time.Duration
-	FromJournal bool
+	Key      string
+	Seed     uint64
+	Value    T
+	Err      string // "" on success
+	Attempts int
+	Elapsed  time.Duration
 }
 
 // Failure is one job that exhausted its retries.
@@ -73,14 +71,13 @@ type Failure struct {
 
 // Report summarizes a finished batch.
 type Report struct {
-	Total       int
-	Completed   int // successful jobs, journal restores included
-	FromJournal int
-	Retried     int
-	Aborted     int       // jobs never dispatched because Stop closed mid-run
-	Failures    []Failure // in batch order
-	Elapsed     time.Duration
-	Workers     int
+	Total     int
+	Completed int // successful jobs
+	Retried   int
+	Aborted   int       // jobs never dispatched because Stop closed mid-run
+	Failures  []Failure // in batch order
+	Elapsed   time.Duration
+	Workers   int
 }
 
 // Failed returns the number of jobs that did not complete.
@@ -90,9 +87,6 @@ func (r *Report) Failed() int { return len(r.Failures) }
 func (r *Report) String() string {
 	s := fmt.Sprintf("%d/%d jobs completed in %v (%d workers", r.Completed, r.Total,
 		r.Elapsed.Round(time.Millisecond), r.Workers)
-	if r.FromJournal > 0 {
-		s += fmt.Sprintf(", %d restored from journal", r.FromJournal)
-	}
 	if r.Retried > 0 {
 		s += fmt.Sprintf(", %d retries", r.Retried)
 	}
@@ -115,23 +109,17 @@ type Config[T any] struct {
 	// Retries is how many additional attempts a failing job gets (0 = one
 	// attempt total). Panics count as failures and are isolated per job.
 	Retries int
-	// Journal, when non-empty, is the JSONL checkpoint file completed jobs
-	// are appended to. It is replayed before running: a job the file already
-	// records under the same key and derived seed is served from it and not
-	// re-executed; every other record is left alone.
-	Journal string
 	// Metrics, when non-nil, receives live progress (jobs done/total, ETA)
 	// on the telemetry registry it was built from.
 	Metrics *Metrics
 	// Stop, when non-nil, makes the run drainable: once the channel is
 	// closed no further jobs are handed to workers, jobs already executing
-	// finish (and are journaled) normally, and the undispatched remainder is
-	// counted in Report.Aborted instead of being run. Results stay
-	// deterministic — a drained run is a prefix-complete subset of the full
-	// batch, and resuming from its journal completes the rest.
+	// finish normally, and the undispatched remainder is counted in
+	// Report.Aborted instead of being run. Results stay deterministic — a
+	// drained run is a prefix-complete subset of the full batch.
 	Stop <-chan struct{}
-	// OnDone, when non-nil, is called after every settled job (success,
-	// journal restore or final failure), always from the calling goroutine.
+	// OnDone, when non-nil, is called after every settled job (success or
+	// final failure), always from the calling goroutine.
 	OnDone func(Status, JobResult[T])
 }
 
@@ -146,10 +134,10 @@ type outcome[T any] struct {
 }
 
 // Run executes the batch and returns the results of all successful jobs
-// keyed by job key, plus a report of failures and journal restores. The
-// returned error covers setup problems (duplicate keys, unreadable journal);
-// job failures are reported, not returned, so callers can use partial
-// results. Callbacks and metrics updates happen on the calling goroutine.
+// keyed by job key, plus a report of failures. The returned error covers a
+// malformed batch (empty or duplicate keys, a nil Run); job failures are
+// reported, not returned, so callers can use partial results. Callbacks and
+// metrics updates happen on the calling goroutine.
 func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 	start := time.Now()
 	workers := cfg.Workers
@@ -171,19 +159,6 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 		seen[j.Key] = struct{}{}
 	}
 
-	var restored map[string]JournalRecord
-	var journal *Journal
-	if cfg.Journal != "" {
-		var err error
-		if restored, err = ReadJournal(cfg.Journal); err != nil {
-			return nil, nil, err
-		}
-		if journal, err = OpenJournal(cfg.Journal); err != nil {
-			return nil, nil, err
-		}
-		defer journal.Close()
-	}
-
 	results := make(map[string]T, len(jobs))
 	report := &Report{Total: len(jobs), Workers: workers}
 	st := Status{Total: len(jobs)}
@@ -192,51 +167,23 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 	}
 	settle := func(res JobResult[T]) {
 		st.Elapsed = time.Since(start)
-		live := st.Done - st.FromJournal
-		if remaining := st.Total - st.Done - st.Failed; live > 0 && remaining > 0 {
-			st.ETA = time.Duration(float64(st.Elapsed) / float64(live) * float64(remaining))
+		if remaining := st.Total - st.Done - st.Failed; st.Done > 0 && remaining > 0 {
+			st.ETA = time.Duration(float64(st.Elapsed) / float64(st.Done) * float64(remaining))
 		} else {
 			st.ETA = 0
 		}
 		if cfg.Metrics != nil {
-			cfg.Metrics.observe(st, res.Err != "", res.FromJournal, res.Attempts-1)
+			cfg.Metrics.observe(st, res.Err != "", res.Attempts-1)
 		}
 		if cfg.OnDone != nil {
 			cfg.OnDone(st, res)
 		}
 	}
 
-	// Serve journal restores first, in batch order, so resumed runs report
-	// progress deterministically before live work starts.
-	pending := make([]int, 0, len(jobs))
-	for i, j := range jobs {
-		// A record counts only under this run's seed for the job: the same key
-		// under another base seed names a different result.
-		rec, ok := restored[j.Key]
-		if ok && rec.Seed == SeedFor(cfg.Seed, j.Key) {
-			var v T
-			if err := json.Unmarshal(rec.Value, &v); err == nil {
-				results[j.Key] = v
-				st.Done++
-				st.FromJournal++
-				report.Completed++
-				report.FromJournal++
-				settle(JobResult[T]{
-					Key: j.Key, Seed: rec.Seed, Value: v,
-					Attempts: rec.Attempts, FromJournal: true,
-				})
-				continue
-			}
-			// Undecodable record (type changed, torn write): recompute.
-		}
-		pending = append(pending, i)
-	}
-
-	// Fan the remaining jobs out. Workers only compute; every mutation of
-	// results, journal, metrics and callbacks happens here on the collector
-	// side, in completion order, which the deterministic seed derivation
-	// makes harmless.
-	// The cursor into pending: the next index to claim. A plain int64 under
+	// Fan the jobs out. Workers only compute; every mutation of results,
+	// metrics and callbacks happens here on the collector side, in completion
+	// order, which the deterministic seed derivation makes harmless.
+	// The cursor into jobs: the next index to claim. A plain int64 under
 	// atomic.AddInt64, because inside this generic function the compiler
 	// leaves atomic.Int64's Add as a call instead of the intrinsic.
 	var next int64
@@ -255,11 +202,10 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 					return
 				default:
 				}
-				n := int(atomic.AddInt64(&next, 1)) - 1
-				if n >= len(pending) {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= len(jobs) {
 					return
 				}
-				i := pending[n]
 				job := jobs[i]
 				seed := SeedFor(cfg.Seed, job.Key)
 				jobStart := time.Now()
@@ -292,57 +238,36 @@ func Run[T any](cfg Config[T], jobs []Job[T]) (map[string]T, *Report, error) {
 		close(outCh)
 	}()
 
-	failures := make(map[int]Failure)
+	failures := make(map[string]Failure)
 	received := 0
 	for o := range outCh {
 		received++
-		key := jobs[o.index].Key
+		res := JobResult[T]{
+			Key: jobs[o.index].Key, Seed: o.seed, Err: o.err,
+			Attempts: o.attempts, Elapsed: o.elapsed,
+		}
 		st.Retried += o.attempts - 1
 		report.Retried += o.attempts - 1
 		if o.err != "" {
 			st.Failed++
-			failures[o.index] = Failure{Key: key, Err: o.err, Attempts: o.attempts}
-			settle(JobResult[T]{
-				Key: key, Seed: o.seed, Err: o.err,
-				Attempts: o.attempts, Elapsed: o.elapsed,
-			})
-			continue
+			failures[res.Key] = Failure{Key: res.Key, Err: o.err, Attempts: o.attempts}
+		} else {
+			res.Value = o.value
+			results[res.Key] = o.value
+			st.Done++
+			report.Completed++
 		}
-		results[key] = o.value
-		st.Done++
-		report.Completed++
-		if journal != nil {
-			raw, err := json.Marshal(o.value)
-			if err == nil {
-				err = journal.Append(JournalRecord{
-					Key: key, Seed: o.seed, Attempts: o.attempts,
-					ElapsedMS: float64(o.elapsed) / float64(time.Millisecond),
-					Value:     raw,
-				})
-			}
-			if err != nil {
-				// A dead journal must not kill the sweep; surface it as a
-				// (checkpointing) failure in the report instead.
-				failures[-1-o.index] = Failure{Key: key + " (journal)", Err: err.Error(), Attempts: o.attempts}
-			}
-		}
-		settle(JobResult[T]{
-			Key: key, Seed: o.seed, Value: o.value,
-			Attempts: o.attempts, Elapsed: o.elapsed,
-		})
+		settle(res)
 	}
 	// Every claimed job reports exactly once before the pool closes outCh;
 	// what was never claimed is what Stop cut off.
-	report.Aborted = len(pending) - received
+	report.Aborted = len(jobs) - received
 
 	// Failures in deterministic batch order, not completion order.
-	idxs := make([]int, 0, len(failures))
-	for i := range failures {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		report.Failures = append(report.Failures, failures[i])
+	for _, j := range jobs {
+		if f, failed := failures[j.Key]; failed {
+			report.Failures = append(report.Failures, f)
+		}
 	}
 	report.Elapsed = time.Since(start)
 	if cfg.Metrics != nil {

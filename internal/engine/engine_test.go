@@ -3,8 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,163 +109,11 @@ func TestSeedForIsIdentityKeyed(t *testing.T) {
 	}
 }
 
-func TestResumeEqualsUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal.jsonl")
-	jobs := simJobs(12, false)
-
-	clean, _, err := Run(Config[simResult]{Workers: 4, Seed: 7}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := assemble(t, jobs, clean)
-
-	// First attempt: half the jobs fail (simulating a sweep that died
-	// partway); the journal checkpoints the successes.
-	flaky := make([]Job[simResult], len(jobs))
-	copy(flaky, jobs)
-	for i := range flaky {
-		if i%2 == 1 {
-			flaky[i].Run = func(uint64) (simResult, error) {
-				return simResult{}, fmt.Errorf("injected crash")
-			}
-		}
-	}
-	_, rep, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal}, flaky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() != 6 || rep.Completed != 6 {
-		t.Fatalf("partial run: completed=%d failed=%d", rep.Completed, rep.Failed())
-	}
-
-	// Resume with the healthy jobs: the six checkpointed jobs must be served
-	// from the journal, the rest recomputed, and the assembled bytes must
-	// equal the uninterrupted run.
-	resumed, rep2, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.FromJournal != 6 {
-		t.Fatalf("restored %d jobs from journal, want 6", rep2.FromJournal)
-	}
-	if got := assemble(t, jobs, resumed); string(got) != string(want) {
-		t.Fatalf("resumed run diverged from uninterrupted run:\nwant %s\ngot  %s", want, got)
-	}
-
-	// Resuming a fully journaled sweep must not run any job at all.
-	poisoned := make([]Job[simResult], len(jobs))
-	copy(poisoned, jobs)
-	for i := range poisoned {
-		poisoned[i].Run = func(uint64) (simResult, error) {
-			panic("job executed despite full journal")
-		}
-	}
-	all, rep3, err := Run(Config[simResult]{Workers: 4, Seed: 7, Journal: journal}, poisoned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep3.FromJournal != len(jobs) || rep3.Failed() != 0 {
-		t.Fatalf("full resume: restored=%d failed=%d", rep3.FromJournal, rep3.Failed())
-	}
-	if got := assemble(t, jobs, all); string(got) != string(want) {
-		t.Fatal("journal round-trip changed the results")
-	}
-}
-
-func TestJournalToleratesTornLines(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal.jsonl")
-	jobs := simJobs(4, false)
-	if _, _, err := Run(Config[simResult]{Workers: 2, Seed: 3, Journal: journal}, jobs); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a kill mid-write: append garbage and a torn JSON prefix.
-	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("not json\n{\"key\":\"point-00\",\"val"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	res, rep, err := Run(Config[simResult]{Workers: 2, Seed: 3, Journal: journal}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromJournal != 4 || len(res) != 4 {
-		t.Fatalf("torn journal broke resume: restored=%d results=%d", rep.FromJournal, len(res))
-	}
-}
-
-func TestJournalResumeSkipsTruncatedLastLine(t *testing.T) {
-	// A SIGKILL can land mid-append, leaving the journal's final record cut
-	// short at an arbitrary byte. Resume must treat the partial line as
-	// never-written — recompute exactly that job — and still produce results
-	// identical to an uninterrupted run.
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal.jsonl")
-	jobs := simJobs(6, false)
-
-	clean, _, err := Run(Config[simResult]{Workers: 2, Seed: 11}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := assemble(t, jobs, clean)
-
-	if _, _, err := Run(Config[simResult]{Workers: 2, Seed: 11, Journal: journal}, jobs); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the file mid-way through its last line (drop the trailing
-	// "}\n" plus a few value bytes) to simulate the crash.
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := strings.TrimRight(string(data), "\n")
-	lines := strings.Split(body, "\n")
-	if len(lines) != 6 {
-		t.Fatalf("journal has %d lines, want 6", len(lines))
-	}
-	last := lines[len(lines)-1]
-	truncated := strings.Join(lines[:len(lines)-1], "\n") + "\n" + last[:len(last)/2]
-	if err := os.WriteFile(journal, []byte(truncated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	res, rep, err := Run(Config[simResult]{Workers: 2, Seed: 11, Journal: journal}, jobs)
-	if err != nil {
-		t.Fatalf("resume over a truncated journal must not fail: %v", err)
-	}
-	if rep.FromJournal != 5 {
-		t.Fatalf("restored %d jobs, want 5 (the torn record must be recomputed)", rep.FromJournal)
-	}
-	if rep.Failed() != 0 {
-		t.Fatalf("unexpected failures: %v", rep.Failures)
-	}
-	if got := assemble(t, jobs, res); string(got) != string(want) {
-		t.Fatalf("truncated-journal resume diverged:\nwant %s\ngot  %s", want, got)
-	}
-	// The recomputed record was appended behind the torn tail; it must sit on
-	// a line of its own, or the next read would lose it along with the tail.
-	if _, rep, err = Run(Config[simResult]{Workers: 2, Seed: 11, Journal: journal}, jobs); err != nil || rep.FromJournal != 6 {
-		t.Fatalf("second resume restored %d of 6 (err %v): the record after the torn line was lost", rep.FromJournal, err)
-	}
-}
-
 func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
-	// Closing Stop mid-run must let in-flight jobs finish, journal them, and
-	// count the undispatched remainder as Aborted — and a resumed run must
-	// complete the batch with results identical to an uninterrupted one.
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal.jsonl")
+	// Closing Stop mid-run must let in-flight jobs finish and count the
+	// undispatched remainder as Aborted. (That a second run over the same
+	// result store completes the batch is TestStopDrainsThenResumes.)
 	jobs := simJobs(10, false)
-
-	clean, _, err := Run(Config[simResult]{Workers: 2, Seed: 5}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := assemble(t, jobs, clean)
 
 	stop := make(chan struct{})
 	var settled atomic.Int64
@@ -284,10 +130,11 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	done := make(chan struct{})
 	var rep *Report
 	var drained map[string]simResult
+	var err error
 	go func() {
 		defer close(done)
 		drained, rep, err = Run(Config[simResult]{
-			Workers: 2, Seed: 5, Journal: journal, Stop: stop,
+			Workers: 2, Seed: 5, Stop: stop,
 			OnDone: func(Status, JobResult[simResult]) { settled.Add(1) },
 		}, gated)
 	}()
@@ -340,46 +187,6 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 		t.Fatalf("mid-batch drain: completed=%d aborted=%d, want 4 or 5 completed of %d", midRep.Completed, midRep.Aborted, midRep.Total)
 	}
 	assertPrefix(midDone, midRep)
-
-	// Resume finishes the batch; the combined results match the clean run.
-	res, rep2, err := Run(Config[simResult]{Workers: 2, Seed: 5, Journal: journal}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.FromJournal != rep.Completed {
-		t.Fatalf("resume restored %d, want %d", rep2.FromJournal, rep.Completed)
-	}
-	if got := assemble(t, jobs, res); string(got) != string(want) {
-		t.Fatal("drain+resume changed the results")
-	}
-}
-
-// TestJournalIsKeyedByKeyAndSeed: a record is a result for one (key, derived
-// seed) pair. A run under another base seed must not be served it.
-func TestJournalIsKeyedByKeyAndSeed(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.journal.jsonl")
-	jobs := simJobs(4, false)
-	if _, _, err := Run(Config[simResult]{Workers: 2, Seed: 7, Journal: journal}, jobs); err != nil {
-		t.Fatal(err)
-	}
-	clean, _, err := Run(Config[simResult]{Workers: 2, Seed: 8}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := Run(Config[simResult]{Workers: 2, Seed: 8, Journal: journal}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromJournal != 0 {
-		t.Fatalf("seed 8 run was served %d records written under seed 7", rep.FromJournal)
-	}
-	if want := assemble(t, jobs, clean); string(assemble(t, jobs, got)) != string(want) {
-		t.Fatal("seed 8 run over a seed 7 journal differs from a journal-free seed 8 run")
-	}
-	// The fresh records come later in the file, so they win the next read.
-	if _, rep, err = Run(Config[simResult]{Workers: 2, Seed: 8, Journal: journal}, jobs); err != nil || rep.FromJournal != len(jobs) {
-		t.Fatalf("rerun under seed 8: restored %d of %d, err %v", rep.FromJournal, len(jobs), err)
-	}
 }
 
 func TestPanicIsolationAndRetry(t *testing.T) {
@@ -478,56 +285,12 @@ func TestProgressCallbackAndMetrics(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := &Report{Total: 10, Completed: 8, FromJournal: 3, Retried: 2, Workers: 4,
+	r := &Report{Total: 10, Completed: 8, Retried: 2, Workers: 4,
 		Failures: []Failure{{Key: "x"}, {Key: "y"}}, Elapsed: 1500 * time.Millisecond}
 	s := r.String()
-	for _, want := range []string{"8/10", "4 workers", "3 restored", "2 retries", "2 FAILED"} {
+	for _, want := range []string{"8/10", "4 workers", "2 retries", "2 FAILED"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
 		}
 	}
-}
-
-// FuzzReadJournal feeds ReadJournal hostile files — the bytes a kill, a full
-// disk or another program can leave behind. The coordinator's result store
-// reads through the same function, so this covers both files. It must never
-// panic; it returns records or an error; every returned record is usable
-// (non-empty key, non-nil value); and a well-formed line ahead of the
-// garbage survives it.
-func FuzzReadJournal(f *testing.F) {
-	const good = `{"key":"first","seed":9,"attempts":1,"elapsed_ms":0.5,"value":{"sum":1}}` + "\n"
-	for _, seed := range []string{
-		"",
-		`{"key":"a","seed":1,"value":{"sum":2}}` + "\n" + `{"key":"b","se`,                                // torn tail
-		"\x00\x00\x00\n" + `{"key":"a","value":1}` + "\x00\n",                                             // NUL bytes
-		`{"key":"a","value":1}` + "\n" + `{"key":"a","value":2}` + "\n",                                   // duplicate keys
-		"[1,2,3]\n\"str\"\n42\nnull\n",                                                                    // non-object lines
-		`{"key":"a","seed":1,"value":}` + "\n" + `{"key":"b","value":null}` + "\n" + `{"key":"c"}` + "\n", // empty value
-		`{"key":"","value":1}` + "\n\n\n",
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, garbage []byte) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
-		if err := os.WriteFile(path, append([]byte(good), garbage...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := ReadJournal(path)
-		if err != nil {
-			if recs != nil {
-				t.Fatalf("error %v returned alongside %d records", err, len(recs))
-			}
-			return // e.g. a line beyond the scanner's 16 MiB bound
-		}
-		for key, rec := range recs {
-			if key == "" || rec.Key != key || rec.Value == nil {
-				t.Fatalf("unusable record under %q: %+v", key, rec)
-			}
-		}
-		// The first line ends in a newline, so nothing after it can tear it;
-		// only a later well-formed record for the same key may replace it.
-		if _, ok := recs["first"]; !ok {
-			t.Fatalf("well-formed first line lost behind %q", garbage)
-		}
-	})
 }

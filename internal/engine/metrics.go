@@ -24,7 +24,6 @@ type Metrics struct {
 	jobsDone     *telemetry.Counter
 	jobsFailed   *telemetry.Counter
 	jobsRetried  *telemetry.Counter
-	jobsRestored *telemetry.Counter
 
 	jobsTotal      *telemetry.Gauge
 	jobsRemaining  *telemetry.Gauge
@@ -45,7 +44,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		jobsDone:       reg.Counter("engine_jobs_done_total", "jobs completed successfully", nil),
 		jobsFailed:     reg.Counter("engine_jobs_failed_total", "jobs that exhausted their retries", nil),
 		jobsRetried:    reg.Counter("engine_jobs_retried_total", "extra attempts spent on failing jobs", nil),
-		jobsRestored:   reg.Counter("engine_jobs_restored_total", "jobs served from a resume journal", nil),
 		jobsTotal:      reg.Gauge("engine_jobs_total", "jobs in the current batch", nil),
 		jobsRemaining:  reg.Gauge("engine_jobs_remaining", "jobs not yet settled in the current batch", nil),
 		etaSeconds:     reg.Gauge("engine_eta_seconds", "estimated remaining wall time of the current batch", nil),
@@ -76,16 +74,12 @@ func (m *Metrics) beginRun(total int) {
 	m.reg.Publish()
 }
 
-func (m *Metrics) observe(st Status, failed, fromJournal bool, retries int) {
+func (m *Metrics) observe(st Status, failed bool, retries int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch {
-	case failed:
+	if failed {
 		m.jobsFailed.Inc()
-	case fromJournal:
-		m.jobsDone.Inc()
-		m.jobsRestored.Inc()
-	default:
+	} else {
 		m.jobsDone.Inc()
 	}
 	if retries > 0 {

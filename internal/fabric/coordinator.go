@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
@@ -60,8 +60,10 @@ type unit struct {
 
 // Coordinator decomposes sweeps into point work units, leases them to
 // workers, re-dispatches expired leases, and caches results by content
-// fingerprint — in memory, and after OpenStore also in a journal file on
-// disk. Create with NewCoordinator; mount Handler under /fleet/.
+// fingerprint — in memory, and after OpenStore also in a results file on
+// disk (store.go). Create with NewCoordinator; mount Handler under /fleet/
+// to give it workers: without them every point runs in-process, which is how
+// disha-sweep -journal and a plain disha-serve use it.
 type Coordinator struct {
 	opts CoordinatorOptions
 
@@ -69,7 +71,7 @@ type Coordinator struct {
 	units   map[string]*unit // by fingerprint: pending, leased or local
 	queue   []string         // fingerprints awaiting lease, FIFO
 	cache   map[string]harness.PointResult
-	store   *engine.Journal      // the cache on disk; nil until OpenStore
+	store   *os.File             // the cache on disk; nil until OpenStore
 	workers map[string]time.Time // worker id -> last contact
 	// wake is closed, and replaced, whenever a unit becomes pending: every
 	// lease request parked in LeaseWait holds the channel it read under mu.
@@ -163,13 +165,13 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 }
 
 // OpenStore makes the result cache durable: it loads every record of the
-// engine journal at path into the cache (reporting how many) and from then
-// on appends each new result to that file. The cache key is computed from the
-// record's own key and seed, so the file may equally have been written by a
-// sweep's -journal, and a sweep can take this file as its journal. It is an
-// error to open a second store.
+// results file at path into the cache (reporting how many) and from then on
+// appends each new result to that file. The cache key is computed from the
+// record's own key and seed, so whoever wrote the file — a sweep's -journal,
+// a server's -data-dir — any coordinator can open it. It is an error to open
+// a second store.
 func (c *Coordinator) OpenStore(path string) (loaded int, err error) {
-	recs, err := engine.ReadJournal(path)
+	recs, err := ReadJournal(path)
 	if err != nil {
 		return 0, err
 	}
@@ -178,13 +180,13 @@ func (c *Coordinator) OpenStore(path string) (loaded int, err error) {
 	if c.store != nil {
 		return 0, fmt.Errorf("fabric: result store already open")
 	}
-	if c.store, err = engine.OpenJournal(path); err != nil {
+	if c.store, err = openJournal(path); err != nil {
 		return 0, err
 	}
 	for _, rec := range recs {
 		var pr harness.PointResult
 		if json.Unmarshal(rec.Value, &pr) != nil {
-			continue // not a point result: recompute, as the engine would
+			continue // not a point result: that point is computed again
 		}
 		c.cache[Fingerprint(rec.Key, rec.Seed)] = pr
 		loaded++
@@ -275,6 +277,20 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 	return r.pr, r.err
 }
 
+// PointRunner returns the harness.RunOptions.PointRunner of one sweep: every
+// point goes through Execute, which serves it from the cache or store, hands
+// it to a fleet worker, or computes it with the sweep's own local closure. The
+// arguments are the ones harness.SpecFor resolved the sweep's spec from, so a
+// worker rebuilds a byte-identical spec from the PointSpec it is leased.
+func (c *Coordinator) PointRunner(figure, scale string, warmup, measure int, seed uint64) func(harness.PointTask, func() (harness.PointResult, error)) (harness.PointResult, error) {
+	return func(t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
+		return c.Execute(t, PointSpec{
+			Figure: figure, Scale: scale, Warmup: warmup, Measure: measure, Seed: seed,
+			Alg: t.Alg, Load: t.Load, Replica: t.Replica,
+		}, local)
+	}
+}
+
 // runLocalLocked transitions a unit to in-process execution. Caller holds
 // c.mu; the execution itself happens on a fresh goroutine. A unit that a
 // late worker upload settled in the meantime is left alone.
@@ -298,15 +314,9 @@ func (c *Coordinator) runLocalLocked(u *unit) {
 func (c *Coordinator) settleLocked(u *unit, pr harness.PointResult, err error) {
 	if err == nil {
 		c.cache[u.wu.Fingerprint] = pr
-		if c.store != nil {
-			// A dead store must not fail the point: count it, serve from memory.
-			raw, err := json.Marshal(pr)
-			if err == nil {
-				err = c.store.Append(engine.JournalRecord{Key: u.wu.Key, Seed: u.wu.Seed, Value: raw})
-			}
-			if err != nil {
-				c.storeErrors.Add(1)
-			}
+		// A dead store must not fail the point: count it, serve from memory.
+		if c.store != nil && appendRecord(c.store, u.wu.Key, u.wu.Seed, pr) != nil {
+			c.storeErrors.Add(1)
 		}
 	}
 	delete(c.units, u.wu.Fingerprint)

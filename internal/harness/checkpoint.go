@@ -186,8 +186,8 @@ func (ck *checkpointer) load(st *pointProgress, age, netLat, batch *metrics.Coll
 }
 
 // finish removes the checkpoint after the point completes: the result now
-// lives in the engine journal, and a stale file must not shadow a future
-// re-run with a fresh network.
+// belongs to whoever asked for the point (a coordinator's store keeps it),
+// and a stale file must not shadow a future re-run with a fresh network.
 func (ck *checkpointer) finish() {
 	os.Remove(ck.path)
 }

@@ -41,109 +41,6 @@ func checkpointSpec() *Spec {
 // errSimulatedKill marks the hook-induced crash.
 var errSimulatedKill = errors.New("simulated kill after checkpoint")
 
-// TestCheckpointResumeIdenticalCSV is the acceptance scenario from the
-// issue: a sweep is killed mid-point right after a checkpoint lands, the
-// sweep is re-run against the same journal and checkpoint directory, and the
-// final CSV must be byte-identical to an uninterrupted run's.
-func TestCheckpointResumeIdenticalCSV(t *testing.T) {
-	want, _, err := checkpointSpec().RunWith(RunOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	opts := RunOptions{
-		Parallel:        1,
-		Journal:         filepath.Join(dir, "journal.jsonl"),
-		CheckpointEvery: 300,
-		CheckpointDir:   filepath.Join(dir, "ckpt"),
-	}
-
-	// First attempt: die after the third checkpoint write — mid-measurement
-	// of some point, with earlier points already in the journal.
-	saves := 0
-	checkpointSaveHook = func(key string, cycle int) error {
-		saves++
-		if saves == 3 {
-			return errSimulatedKill
-		}
-		return nil
-	}
-	defer func() { checkpointSaveHook = nil }()
-	if _, _, err := checkpointSpec().RunWith(opts); err == nil {
-		t.Fatal("killed sweep reported success")
-	}
-	files, err := os.ReadDir(opts.CheckpointDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no checkpoint file survived the kill")
-	}
-
-	// Second attempt: resume. The interrupted point must restart from its
-	// checkpoint (counted as resumed loads), finish, and match the
-	// uninterrupted CSV byte for byte.
-	checkpointSaveHook = nil
-	got, _, err := checkpointSpec().RunWith(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CSV() != want.CSV() {
-		t.Fatalf("resumed CSV differs from uninterrupted run:\n--- uninterrupted\n%s--- resumed\n%s", want.CSV(), got.CSV())
-	}
-
-	// Completed points must clean their checkpoints up.
-	files, err = os.ReadDir(opts.CheckpointDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Fatalf("%d checkpoint files left after a successful sweep", len(files))
-	}
-}
-
-// TestCheckpointKillDuringWarmup kills during the warm-up phase of the very
-// first point, where measurement state is still empty — the cursor must
-// still resume correctly into warm-up and produce identical results.
-func TestCheckpointKillDuringWarmup(t *testing.T) {
-	want, _, err := checkpointSpec().RunWith(RunOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	opts := RunOptions{
-		Parallel:        1,
-		Journal:         filepath.Join(dir, "journal.jsonl"),
-		CheckpointEvery: 150, // first save lands at cycle 150 < Warmup 400
-		CheckpointDir:   filepath.Join(dir, "ckpt"),
-	}
-	killed := false
-	checkpointSaveHook = func(key string, cycle int) error {
-		if !killed && cycle < 400 {
-			killed = true
-			return errSimulatedKill
-		}
-		return nil
-	}
-	defer func() { checkpointSaveHook = nil }()
-	if _, _, err := checkpointSpec().RunWith(opts); err == nil {
-		t.Fatal("killed sweep reported success")
-	}
-	if !killed {
-		t.Fatal("kill hook never fired during warm-up")
-	}
-	checkpointSaveHook = nil
-	got, _, err := checkpointSpec().RunWith(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CSV() != want.CSV() {
-		t.Fatal("resumed-from-warmup CSV differs from uninterrupted run")
-	}
-}
-
 // TestCheckpointRejectsForeignFile plants a checkpoint whose embedded key
 // belongs to a different sweep at the path a point expects; the point must
 // fail loudly instead of loading foreign state.

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -76,7 +77,7 @@ func SpecFor(figure, scale string, warmup, measure int, seed uint64, loads []flo
 	}
 	spec, ok := Figures(sc)[figure]
 	if !ok {
-		return nil, fmt.Errorf("unknown figure %q (want 3a, 3b, 4, 5, 6, 7 or fullmesh)", figure)
+		return nil, fmt.Errorf("unknown figure %q (want %s)", figure, strings.Join(FigureNames(), ", "))
 	}
 	if len(loads) > 0 {
 		for _, l := range loads {
@@ -252,15 +253,44 @@ func FigFullMesh(sc Scale) *Spec {
 	}
 }
 
+// figureTable is the one list of canned figures, in name order. paper marks
+// the figures of the paper itself.
+var figureTable = []struct {
+	name  string
+	build func(Scale) *Spec
+	paper bool
+}{
+	{"3a", Fig3a, true},
+	{"3b", Fig3b, true},
+	{"4", Fig4, true},
+	{"5", Fig5, true},
+	{"6", Fig6, true},
+	{"7", Fig7, true},
+	{"fullmesh", FigFullMesh, false},
+}
+
 // Figures returns all canned figure specs keyed by their short name.
 func Figures(sc Scale) map[string]*Spec {
-	return map[string]*Spec{
-		"3a":       Fig3a(sc),
-		"3b":       Fig3b(sc),
-		"4":        Fig4(sc),
-		"5":        Fig5(sc),
-		"6":        Fig6(sc),
-		"7":        Fig7(sc),
-		"fullmesh": FigFullMesh(sc),
+	out := make(map[string]*Spec, len(figureTable))
+	for _, row := range figureTable {
+		out[row.name] = row.build(sc)
 	}
+	return out
+}
+
+// FigureNames returns the figure names SpecFor accepts, sorted.
+func FigureNames() []string { return figureNames(false) }
+
+// PaperFigureNames returns the subset of FigureNames that reproduces a
+// figure of the paper — what "all" means to disha-sweep.
+func PaperFigureNames() []string { return figureNames(true) }
+
+func figureNames(paperOnly bool) []string {
+	var out []string
+	for _, row := range figureTable {
+		if row.paper || !paperOnly {
+			out = append(out, row.name)
+		}
+	}
+	return out
 }

@@ -81,8 +81,8 @@ type Spec struct {
 	// every point's network (and re-arms it after a checkpoint resume —
 	// already-applied events replay from the snapshot's reconfiguration log
 	// and are dropped on arming). Event cycles are global: warm-up plus
-	// measurement. The schedule participates in PointKey, so journal and
-	// cache entries never leak between chaos and chaos-free sweeps.
+	// measurement. The schedule participates in PointKey, so stored and
+	// cached results never leak between chaos and chaos-free sweeps.
 	Chaos []network.ReconfigEvent
 }
 
@@ -126,20 +126,16 @@ type RunOptions struct {
 	// independent seeds and aggregates the replicas into mean ± 95% CI
 	// (default 1).
 	Replicas int
-	// Retries is how many extra attempts a failing point gets.
+	// Retries is how many extra attempts a failing point gets (see
+	// CheckSweep).
 	Retries int
-	// Journal, when non-empty, checkpoints completed points to this JSONL
-	// file and replays it first, so a killed sweep restarts where it left
-	// off (see engine.Config.Journal). The point key pins the whole spec, so
-	// any number of sweeps can share one file.
-	Journal string
 	// CheckpointEvery, when positive and CheckpointDir is set, snapshots
 	// every in-progress point's complete simulation state each time that
 	// many cycles (warm-up plus measurement) elapse. A killed sweep then
 	// resumes mid-point from the last checkpoint — not just at point
-	// granularity like the journal — and the resumed run's results are
-	// byte-identical to an uninterrupted one. Checkpoint files are removed
-	// as their points complete.
+	// granularity like a coordinator's result store — and the resumed run's
+	// results are byte-identical to an uninterrupted one. Checkpoint files
+	// are removed as their points complete.
 	CheckpointEvery int
 	// CheckpointDir is the directory holding per-point checkpoint files
 	// (created if missing). Point identity is embedded in each file, so a
@@ -151,13 +147,14 @@ type RunOptions struct {
 	// of simulating in-process the engine hands the task (plus a local
 	// fallback closure) to this function, which may execute it anywhere — a
 	// remote fleet worker, a shared result cache — as long as it returns the
-	// value the local closure would. Determinism is preserved because the
+	// value the local closure would (fabric.Coordinator.PointRunner is the
+	// one implementation: it is also what keeps finished points across runs,
+	// the sweep itself stores nothing). Determinism is preserved because the
 	// task carries the engine-derived seed: any executor computing the same
 	// pure function of (spec, alg, load, seed) returns identical bytes.
 	PointRunner func(t PointTask, local func() (PointResult, error)) (PointResult, error)
 	// Stop, if non-nil, drains the sweep when closed: in-flight points
-	// finish (and are journaled), undispatched points are aborted (see
-	// engine.Config.Stop).
+	// finish, undispatched points are aborted (see engine.Config.Stop).
 	Stop <-chan struct{}
 	// Status, if non-nil, receives the engine's structured progress
 	// (done/total, ETA) after every settled point.
@@ -235,7 +232,6 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 		Workers: opts.Parallel,
 		Seed:    s.Seed,
 		Retries: opts.Retries,
-		Journal: opts.Journal,
 		Metrics: opts.Metrics,
 		Stop:    opts.Stop,
 		OnDone: func(st engine.Status, jr engine.JobResult[PointResult]) {
@@ -245,12 +241,9 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 				if replicas > 1 {
 					line += fmt.Sprintf(" rep=%d", pj.replica)
 				}
-				switch {
-				case jr.Err != "":
+				if jr.Err != "" {
 					line += " FAILED: " + firstLine(jr.Err)
-				case jr.FromJournal:
-					line += " (from journal)"
-				default:
+				} else {
 					line += fmt.Sprintf(" latency=%8.1f thpt=%.3f seiz=%d",
 						jr.Value.MeanLatency, jr.Value.Throughput, jr.Value.TokenSeizures)
 				}
@@ -318,9 +311,41 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	return res, report, nil
 }
 
+// maxSweepPoints bounds curves x loads x replicas of one sweep. The paper's
+// largest figure is 6 x 9 points; 65536 leaves three orders of magnitude for
+// replication while keeping one request from allocating billions of jobs.
+const maxSweepPoints = 65536
+
+// CheckSweep is the one admission rule for the numbers of a sweep request,
+// whoever phrases it (disha-sweep's flags, POST /jobs): values that cannot
+// describe a sweep of s are refused, not read as defaults, and the job list —
+// built before anything runs — is bounded by maxSweepPoints. Zero is the
+// default of every field: all cores, one replica, the scale's cycle counts,
+// and retries 0 — one attempt, since a point is a pure function of (key,
+// seed) and a retry only helps against its environment (checkpoint I/O).
+func (s *Spec) CheckSweep(parallel, replicas, retries, warmup, measure int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"parallel", parallel}, {"replicas", replicas}, {"retries", retries},
+		{"warmup", warmup}, {"measure", measure},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("negative %s %d", f.name, f.v)
+		}
+	}
+	// Dividing keeps the comparison exact where the product would overflow.
+	if replicas = max(replicas, 1); replicas > maxSweepPoints/(len(s.Algs)*len(s.Loads)) {
+		return fmt.Errorf("%d curves x %d loads x replicas %d exceeds %d points",
+			len(s.Algs), len(s.Loads), replicas, maxSweepPoints)
+	}
+	return nil
+}
+
 // PointKey derives the engine job key of one (algorithm, load, replica)
 // point. The key pins the full identity of the point — spec configuration
-// included, so a journal cannot leak results across different scales or
+// included, so a result store cannot leak results across different scales or
 // seeds of the same figure — and via engine.SeedFor it also pins the
 // point's random stream. Remote executors use it as the content fingerprint
 // input: two points with equal keys (and equal base seeds) are guaranteed

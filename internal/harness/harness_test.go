@@ -289,27 +289,6 @@ func TestEngineParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestResumeFromJournalEqualsUninterrupted checks the checkpoint/resume path
-// end to end at the harness level: a resumed sweep renders the same bytes as
-// an uninterrupted one and actually restores points from the journal.
-func TestResumeFromJournalEqualsUninterrupted(t *testing.T) {
-	journal := t.TempDir() + "/sweep.journal.jsonl"
-	full, _, err := tinySpec().RunWith(RunOptions{Parallel: 4, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, rep, err := tinySpec().RunWith(RunOptions{Parallel: 4, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromJournal != rep.Total {
-		t.Fatalf("restored %d/%d points from journal", rep.FromJournal, rep.Total)
-	}
-	if full.CSV() != resumed.CSV() {
-		t.Fatalf("resumed CSV diverged:\n--- full ---\n%s--- resumed ---\n%s", full.CSV(), resumed.CSV())
-	}
-}
-
 func TestReplicasAggregateMeanCI(t *testing.T) {
 	spec := tinySpec()
 	spec.Algs = spec.Algs[:1]

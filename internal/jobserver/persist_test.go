@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/fabric"
 	"repro/internal/harness"
 )
 
@@ -48,7 +48,7 @@ func fetchCSV(t *testing.T, ts *httptest.Server, id string) string {
 // the data dir's store), the server is torn down, and a new server over the
 // same data dir serves the request — rephrased, then widened — from the
 // store: bit-identical CSV, nothing recomputed that any job already finished.
-// The store is an engine journal, so it is interchangeable with a sweep's.
+// The store is the file disha-sweep -journal keeps, so either opens the other's.
 func TestPersistentJobsResumeAcrossServers(t *testing.T) {
 	dataDir := t.TempDir()
 	store := filepath.Join(dataDir, "results.jsonl")
@@ -103,21 +103,32 @@ func TestPersistentJobsResumeAcrossServers(t *testing.T) {
 	s2.Close()
 	<-s2.runnerDone
 
-	// The server's file is a sweep journal...
+	// The server's file is a sweep journal (what disha-sweep -journal does
+	// with it: a coordinator of its own, no workers)...
 	req := tinyReq()
 	spec, err := req.spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := spec.RunWith(harness.RunOptions{Journal: store})
-	if err != nil || rep.FromJournal != rep.Total || res.CSV() != firstCSV {
-		t.Fatalf("sweep over the server's store: err %v, report %+v", err, rep)
+	sweep := func(journal string) (*harness.Result, fabric.Stats) {
+		t.Helper()
+		c := fabric.NewCoordinator(fabric.CoordinatorOptions{})
+		defer c.Close()
+		if _, err := c.OpenStore(journal); err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := spec.RunWith(harness.RunOptions{PointRunner: c.PointRunner(req.Figure, req.Scale, req.Warmup, req.Measure, req.Seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c.Stats()
+	}
+	if res, fs := sweep(store); fs.LocalRuns != 0 || res.CSV() != firstCSV {
+		t.Fatalf("sweep over the server's store ran %d points (served %d)", fs.LocalRuns, fs.CacheHits)
 	}
 	// ...and a sweep journal is a server's store.
 	otherDir := t.TempDir()
-	if _, _, err := spec.RunWith(harness.RunOptions{Journal: filepath.Join(otherDir, "results.jsonl")}); err != nil {
-		t.Fatal(err)
-	}
+	sweep(filepath.Join(otherDir, "results.jsonl"))
 	s4, ts4 := startDurableServer(t, otherDir)
 	st4 := waitDone(t, ts4, submit(t, ts4, tinyReq()).ID)
 	if fs := s4.fleet.Stats(); st4.State != "done" || fs.LocalRuns != 0 {
@@ -159,7 +170,7 @@ func TestDrainLeavesFinishedPointsInStore(t *testing.T) {
 	if js.Report == nil || js.Report.Completed == 0 || js.Report.Aborted == 0 {
 		t.Fatalf("drain did not land mid-sweep: %+v", js.Report)
 	}
-	recs, err := engine.ReadJournal(filepath.Join(dataDir, "results.jsonl"))
+	recs, err := fabric.ReadJournal(filepath.Join(dataDir, "results.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

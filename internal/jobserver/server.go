@@ -57,7 +57,8 @@ type SweepRequest struct {
 	// Replicas aggregates this many independent runs per point into
 	// mean ± 95% CI (default 1).
 	Replicas int `json:"replicas,omitempty"`
-	// Retries is how many extra attempts a failing point gets (default 1).
+	// Retries is how many extra attempts a failing point gets (see
+	// harness.Spec.CheckSweep for this and the other numbers' defaults).
 	Retries int `json:"retries,omitempty"`
 	// Warmup/Measure override the scale's cycle counts.
 	Warmup  int `json:"warmup,omitempty"`
@@ -182,8 +183,8 @@ type Options struct {
 	// result cache is kept in DataDir/results.jsonl (see
 	// fabric.Coordinator.OpenStore), so a server restarted on the same DataDir
 	// serves every point any earlier job finished — whichever request asked
-	// for it, however it was phrased — and computes only the rest. The file
-	// is an engine journal: a disha-sweep -journal file can be dropped in, and
+	// for it, however it was phrased — and computes only the rest. It is the
+	// file disha-sweep -journal keeps: one of those can be dropped in, and
 	// this one handed to disha-sweep. The directory is created if missing.
 	DataDir string
 	// CheckpointEvery additionally snapshots each in-progress point's full
@@ -329,16 +330,8 @@ func (s *Server) runJob(id string) {
 		Metrics:  s.em,
 		Stop:     s.drainCh,
 		// Every point goes through the coordinator, which decides between a
-		// cached result, a fleet worker, or the local closure. The PointSpec
-		// carries exactly the request fields harness.SpecFor consumes, so
-		// workers rebuild a byte-identical spec.
-		PointRunner: func(t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
-			return s.fleet.Execute(t, fabric.PointSpec{
-				Figure: req.Figure, Scale: req.Scale,
-				Warmup: req.Warmup, Measure: req.Measure, Seed: req.Seed,
-				Alg: t.Alg, Load: t.Load, Replica: t.Replica,
-			}, local)
-		},
+		// stored result, a fleet worker, or the local closure.
+		PointRunner: s.fleet.PointRunner(req.Figure, req.Scale, req.Warmup, req.Measure, req.Seed),
 	}
 	if s.dataDir != "" && s.checkpointEvery > 0 {
 		// One directory for every job: a checkpoint file is named by, and
@@ -415,11 +408,6 @@ func (s *Server) Handler() http.Handler {
 // client from streaming an unbounded body into the decoder.
 const maxSubmitBytes = 1 << 20
 
-// maxSweepPoints bounds curves x loads x replicas of one job. The paper's
-// largest figure is 6 x 9 points; 65536 leaves three orders of magnitude for
-// replication while keeping one request from allocating billions of jobs.
-const maxSweepPoints = 65536
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission control runs before the body is even read: a draining server
 	// and a throttled client get their answer cheaply.
@@ -442,24 +430,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}
-	// Numbers that cannot describe a sweep are refused, not read as defaults:
-	// the job list is built before anything runs, so its size is bounded here.
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"parallel", req.Parallel}, {"replicas", req.Replicas}, {"retries", req.Retries},
-		{"warmup", req.Warmup}, {"measure", req.Measure},
-	} {
-		if f.v < 0 {
-			httpError(w, http.StatusBadRequest, "bad sweep spec: negative %s %d", f.name, f.v)
-			return
-		}
-	}
-	// Dividing keeps the comparison exact where the product would overflow.
-	if replicas := max(req.Replicas, 1); replicas > maxSweepPoints/(len(spec.Algs)*len(spec.Loads)) {
-		httpError(w, http.StatusBadRequest, "bad sweep spec: %d curves x %d loads x replicas %d exceeds %d points",
-			len(spec.Algs), len(spec.Loads), replicas, maxSweepPoints)
+	if err := spec.CheckSweep(req.Parallel, req.Replicas, req.Retries, req.Warmup, req.Measure); err != nil {
+		httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}
 
