@@ -1,6 +1,6 @@
 // Command disha-serve runs the sweep job server: an HTTP API that accepts
-// experiment specifications, executes them through the deterministic
-// parallel engine, and serves status and results.
+// experiment specifications, executes each as one sweep through a
+// coordinator, and serves status and results.
 //
 //	disha-serve -addr :8080
 //
@@ -14,7 +14,7 @@
 //	curl -s localhost:8080/jobs/job-0001/result.csv
 //	curl -s localhost:8080/jobs/job-0001/result.json
 //
-//	# engine progress + server totals (Prometheus text format)
+//	# sweep progress + server totals (Prometheus text format)
 //	curl -s localhost:8080/metrics
 //
 //	# liveness probe and build metadata
@@ -109,7 +109,7 @@ func main() {
 	defer srv.Close()
 	if coord != nil {
 		// Register the fleet gauges/counters on the server's registry so
-		// /metrics shows coordinator state alongside engine progress.
+		// /metrics shows coordinator state alongside sweep progress.
 		coord.RegisterMetrics(srv.Registry())
 	}
 	// Listen before announcing, and announce the bound address: with a

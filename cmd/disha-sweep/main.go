@@ -1,11 +1,10 @@
 // Command disha-sweep regenerates the paper's figures: it runs the canned
-// load sweeps (Figures 3a, 3b, 4, 5, 6, 7) through the deterministic
-// parallel experiment engine and prints latency, throughput and
+// load sweeps (Figures 3a, 3b, 4, 5, 6, 7) and prints latency, throughput and
 // token-seizure tables plus a saturation summary, optionally writing CSV
 // files for plotting.
 //
-// Points fan out across -parallel workers (default: all cores) with
-// identity-keyed seeds, so the results are bit-identical to a serial run.
+// -parallel points simulate at once (default: all cores) with identity-keyed
+// seeds, so the results are bit-identical to a serial run.
 // -journal sends every point through a private fabric.Coordinator — the one
 // disha-serve runs its sweeps through, here without workers — whose result
 // store is that JSONL file: finished points are appended to it and points it
@@ -21,7 +20,7 @@
 // Examples:
 //
 //	disha-sweep -fig 4                                  # Figure 4, all cores
-//	disha-sweep -fig all -scale small -parallel 2       # everything, 2 workers
+//	disha-sweep -fig all -scale small -parallel 2       # everything, 2 points at a time
 //	disha-sweep -fig 3a -csv out/                       # write out/fig3a-....csv
 //	disha-sweep -fig 4 -replicas 5                      # mean ± 95% CI over 5 seeds
 //	disha-sweep -fig all -journal sweep.journal.jsonl   # checkpoint; rerun to resume
@@ -53,13 +52,13 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "override seed")
 		quiet     = flag.Bool("quiet", false, "suppress per-point progress")
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
-		parallel  = flag.Int("parallel", 0, "engine workers (0 = all cores, 1 = serial; results are identical either way)")
+		parallel  = flag.Int("parallel", 0, "points simulated in this process at once (0 = all cores, 1 = one at a time; results are identical either way)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
 		retries   = flag.Int("retries", 0, "extra attempts for a failing point")
 		journal   = flag.String("journal", "", "JSONL checkpoint file: completed points are appended to it, points it already holds are not rerun (optional)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-point checkpoints; killed points resume mid-flight with byte-identical results (requires -checkpoint-every)")
 		ckptN     = flag.Int("checkpoint-every", 0, "cycles between mid-point checkpoints (0 = off; requires -checkpoint-dir)")
-		metrics   = flag.String("metrics-addr", "", "serve engine progress on this address at /metrics (optional, e.g. :9090)")
+		metrics   = flag.String("metrics-addr", "", "serve sweep progress on this address at /metrics (optional, e.g. :9090)")
 		chaosFile = flag.String("chaos", "", "arm this JSON chaos event-schedule on every point's network (cycles are warm-up + measurement; see CHAOS.md)")
 		version   = flag.Bool("version", false, "print build metadata and exit")
 	)
@@ -88,7 +87,7 @@ func main() {
 		addr, shutdown, err := telemetry.Serve(*metrics, reg)
 		fail(err)
 		defer shutdown()
-		fmt.Fprintf(os.Stderr, "serving engine progress on http://%s/metrics\n", addr)
+		fmt.Fprintf(os.Stderr, "serving sweep progress on http://%s/metrics\n", addr)
 	}
 
 	// -journal: the coordinator's store is the one reader and writer of

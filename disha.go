@@ -568,31 +568,33 @@ func Figure(name string, sc ExperimentScale) *Experiment {
 // Figures returns all canned figure specs keyed by short name.
 func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures(sc) }
 
-// --- Experiment engine -------------------------------------------------------------------
+// --- Sweeps -------------------------------------------------------------------
 
-// SweepOptions controls how the deterministic parallel experiment engine
-// executes an Experiment: worker count, per-point replicas, retries,
-// mid-point checkpoints and progress reporting. Run an Experiment with them via
+// SweepOptions controls how an Experiment's sweep executes: how many points
+// this process simulates at once (Parallel — every point is offered to the
+// PointRunner, if any, at once), per-point replicas, retries, mid-point
+// checkpoints and progress reporting. Run an Experiment with them via
 // Experiment.RunWith; results are bit-identical for every Parallel value.
 type SweepOptions = harness.RunOptions
 
-// SweepReport summarizes an engine run: completed/failed points, retries
-// and wall time.
+// SweepReport summarizes a finished sweep: completed/failed/aborted points,
+// retries and wall time.
 type SweepReport = engine.Report
 
-// SweepStatus is the engine's live progress snapshot (done/total, ETA).
+// SweepStatus is a running sweep's progress snapshot (done/total, ETA).
 type SweepStatus = engine.Status
 
-// EngineMetrics exports engine progress through a telemetry registry.
+// EngineMetrics exports sweep progress (the engine_* families) through a
+// telemetry registry.
 type EngineMetrics = engine.Metrics
 
-// NewEngineMetrics registers the engine progress metrics (jobs done/total,
+// NewEngineMetrics registers the sweep progress metrics (jobs done/total,
 // ETA, retries) on a telemetry registry. Serve them with telemetry.Serve or
 // the /metrics endpoint of disha-serve.
 func NewEngineMetrics(reg *telemetry.Registry) *EngineMetrics { return engine.NewMetrics(reg) }
 
-// SweepSeedFor derives the deterministic per-job seed the engine assigns to
-// a job identity under a base seed (exposed for tooling and tests).
+// SweepSeedFor derives the deterministic seed of the point with the given
+// identity key under a base seed (exposed for tooling and tests).
 func SweepSeedFor(base uint64, key string) uint64 { return engine.SeedFor(base, key) }
 
 // PlotLatency renders an experiment's latency-vs-load curves as an ASCII

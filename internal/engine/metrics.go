@@ -6,10 +6,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metrics exports engine progress through an internal/telemetry registry:
+// Metrics exports sweep progress through an internal/telemetry registry:
 // jobs done/failed/retried, batch totals, elapsed time and the ETA estimate.
 // Unlike the simulator's telemetry (which is strictly single-goroutine, see
-// package telemetry), engine progress is inherently concurrent with whatever
+// package telemetry), sweep progress is inherently concurrent with whatever
 // else updates the registry — an HTTP server's own metrics, for example — so
 // all writes and every Publish go through one mutex owned here. Other
 // writers to the same registry must either share this mutex via Locked or
@@ -32,9 +32,9 @@ type Metrics struct {
 	running        *telemetry.Gauge
 }
 
-// NewMetrics registers the engine metric families on reg. Call once per
+// NewMetrics registers the engine_* metric families on reg. Call once per
 // registry; the returned Metrics may be shared by any number of sequential
-// or concurrent engine runs (counters accumulate across runs, gauges track
+// or concurrent sweeps (counters accumulate across runs, gauges track
 // the most recent update).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{

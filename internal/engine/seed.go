@@ -1,7 +1,7 @@
 package engine
 
 // Seed derivation. Every job's simulation seed is a pure function of the
-// engine's base seed and the job's identity key — never of the worker that
+// sweep's base seed and the job's identity key — never of the worker that
 // ran it or the order it completed in. That invariant is what makes a
 // parallel sweep bit-identical to a serial one: reordering or re-running
 // jobs cannot change the random streams they consume.
@@ -36,7 +36,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // SeedFor derives the deterministic simulation seed for the job identified
-// by key under the engine base seed.
+// by key under the sweep's base seed.
 func SeedFor(base uint64, key string) uint64 {
 	return splitmix64(splitmix64(base ^ fnv64(key)))
 }

@@ -6,46 +6,58 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/harness"
-	"repro/internal/sim"
 )
 
-// The engine keeps nothing between runs; these tests pin what its callers
-// get when their jobs go through the one thing that does, a
-// fabric.Coordinator's result store, the way disha-sweep -journal runs: a
-// fresh coordinator per "process", OpenStore on the shared file, every job's
-// Run going through Execute. What a run took from the file reads off Stats:
-// CacheHits were served, LocalRuns computed. They were engine journal tests
-// until PR 25 and keep their names (and this package path, which an external
-// test package may share while importing fabric, engine's own importer).
+// A sweep keeps nothing between runs; these tests pin what it gets when its
+// points go through the one thing that does, a fabric.Coordinator's result
+// store, the way disha-sweep -journal runs: a fresh coordinator per
+// "process", OpenStore on the shared file, every point through Execute. What
+// a run took from the file reads off Stats: CacheHits were served, LocalRuns
+// computed. They were engine journal tests until PR 25 and keep their names
+// (and this package path, which an external test package may share while
+// importing fabric, engine's own importer; moving them beside the store
+// renames thirteen test ids at once, which CHANGES.md, PR 26, explains it did
+// not).
 
-// purePoint mimics a simulation point: a pure function of the seed the
-// engine derived, so a seed or store mix-up shows up as a value difference.
-func purePoint(seed uint64) (harness.PointResult, error) {
-	rng := sim.NewRNG(seed)
-	return harness.PointResult{MeanLatency: rng.Float64(), Delivered: int64(rng.Uint64() >> 40)}, nil
-}
-
-// storedJobs builds n engine jobs that go through c; local, if non-nil,
-// replaces purePoint as job i's computation.
-func storedJobs(c *fabric.Coordinator, n int, local func(i int, seed uint64) (harness.PointResult, error)) []engine.Job[harness.PointResult] {
-	jobs := make([]engine.Job[harness.PointResult], n)
-	for i := range jobs {
+// runBatch offers n stub points under base seed to c all at once, as RunWith
+// does, and returns the results by key and how many points failed. local, if
+// non-nil, replaces purePoint as point i's computation.
+func runBatch(c *fabric.Coordinator, n int, base uint64, local func(i int, seed uint64) (harness.PointResult, error)) (map[string]harness.PointResult, int) {
+	var (
+		mu      sync.Mutex
+		wg      sync.WaitGroup
+		results = make(map[string]harness.PointResult, n)
+		failed  int
+	)
+	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("point-%02d", i)
-		jobs[i] = engine.Job[harness.PointResult]{Key: key, Run: func(seed uint64) (harness.PointResult, error) {
-			return c.Execute(harness.PointTask{Key: key, Seed: seed}, fabric.PointSpec{}, func() (harness.PointResult, error) {
+		seed := engine.SeedFor(base, key)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pr, err := c.Execute(nil, harness.PointTask{Key: key, Seed: seed}, fabric.PointSpec{}, func() (harness.PointResult, error) {
 				if local != nil {
 					return local(i, seed)
 				}
 				return purePoint(seed)
 			})
-		}}
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				failed++
+			} else {
+				results[key] = pr
+			}
+		}()
 	}
-	return jobs
+	wg.Wait()
+	return results, failed
 }
 
 // openStore is one "process" over the store file: a coordinator that
@@ -64,9 +76,9 @@ func openStore(t *testing.T, path string, wantLoaded int) *fabric.Coordinator {
 // store served and what ran.
 func runStored(t *testing.T, c *fabric.Coordinator, n int, seed uint64, wantHits, wantRuns int64) map[string]harness.PointResult {
 	t.Helper()
-	res, rep, err := engine.Run(engine.Config[harness.PointResult]{Workers: 2, Seed: seed}, storedJobs(c, n, nil))
-	if err != nil || rep.Failed() != 0 || len(res) != n {
-		t.Fatalf("run through the store: %d results, report %v, err %v", len(res), rep, err)
+	res, failed := runBatch(c, n, seed, nil)
+	if failed != 0 || len(res) != n {
+		t.Fatalf("run through the store: %d results, %d failed", len(res), failed)
 	}
 	if st := c.Stats(); st.CacheHits != wantHits || st.LocalRuns != wantRuns || st.StoreErrors != 0 {
 		t.Fatalf("served %d, ran %d (store_errors %d); want %d served, %d run", st.CacheHits, st.LocalRuns, st.StoreErrors, wantHits, wantRuns)
@@ -91,15 +103,14 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 
 	// First attempt: half the jobs fail (a sweep that died partway).
 	c1 := openStore(t, path, 0)
-	flaky := storedJobs(c1, 12, func(i int, seed uint64) (harness.PointResult, error) {
+	half, failed := runBatch(c1, 12, 7, func(i int, seed uint64) (harness.PointResult, error) {
 		if i%2 == 1 {
 			return harness.PointResult{}, fmt.Errorf("injected crash")
 		}
 		return purePoint(seed)
 	})
-	_, rep, err := engine.Run(engine.Config[harness.PointResult]{Workers: 4, Seed: 7}, flaky)
-	if err != nil || rep.Failed() != 6 || rep.Completed != 6 {
-		t.Fatalf("partial run: report %v, err %v", rep, err)
+	if failed != 6 || len(half) != 6 {
+		t.Fatalf("partial run: %d completed, %d failed", len(half), failed)
 	}
 	c1.Close()
 
@@ -113,12 +124,11 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 
 	// A fully stored sweep must not run any job at all.
 	c3 := openStore(t, path, 12)
-	poisoned := storedJobs(c3, 12, func(int, uint64) (harness.PointResult, error) {
-		panic("job executed despite a full store")
+	all, failed := runBatch(c3, 12, 7, func(int, uint64) (harness.PointResult, error) {
+		panic("point executed despite a full store")
 	})
-	all, rep, err := engine.Run(engine.Config[harness.PointResult]{Workers: 4, Seed: 7}, poisoned)
-	if err != nil || rep.Failed() != 0 || c3.Stats().LocalRuns != 0 {
-		t.Fatalf("full resume: report %v, err %v, local_runs %d", rep, err, c3.Stats().LocalRuns)
+	if failed != 0 || c3.Stats().LocalRuns != 0 {
+		t.Fatalf("full resume: %d failed, local_runs %d", failed, c3.Stats().LocalRuns)
 	}
 	if !maps.Equal(all, want) {
 		t.Fatal("store round-trip changed the results")
@@ -195,34 +205,47 @@ func TestJournalIsKeyedByKeyAndSeed(t *testing.T) {
 	runStored(t, openStore(t, path, 4), 4, 8, 4, 0)
 }
 
-// TestStopDrainsThenResumes: what a drained batch finished is in the store,
-// and a second run over it completes the batch with the results of an
+// TestStopDrainsThenResumes: what a drained sweep finished is in the store,
+// and a second sweep over it completes the batch with the results of an
 // uninterrupted one.
 func TestStopDrainsThenResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal.jsonl")
-	want := clean(t, 10, 5)
+	through := func(c *fabric.Coordinator, opts harness.RunOptions) harness.RunOptions {
+		opts.Parallel = 2
+		opts.PointRunner = c.PointRunner("4", "small", 50, 100, 5)
+		return opts
+	}
+	want, _, err := stubSpec(t, 5).RunWith(harness.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	c1 := openStore(t, path, 0)
-	stop, gate := make(chan struct{}), make(chan struct{})
-	gated := storedJobs(c1, 10, func(_ int, seed uint64) (harness.PointResult, error) {
-		<-gate // hold every dispatched job until the drain is signaled
-		return purePoint(seed)
-	})
+	started, gate, stop := make(chan struct{}, 24), make(chan struct{}), make(chan struct{})
 	done := make(chan *engine.Report, 1)
 	go func() {
-		_, rep, _ := engine.Run(engine.Config[harness.PointResult]{Workers: 2, Seed: 5, Stop: stop}, gated)
+		_, rep, _ := gatedSpec(t, started, gate).RunWith(through(c1, harness.RunOptions{Stop: stop}))
 		done <- rep
 	}()
-	close(stop) // drain before any job can complete...
-	close(gate) // ...then release the in-flight ones
+	<-started
+	<-started   // two points hold the slots
+	close(stop) // drain before either can complete...
+	close(gate) // ...then release them
 	rep := <-done
-	if rep == nil || rep.Aborted == 0 || rep.Completed+rep.Aborted != rep.Total {
+	if rep == nil || rep.Completed != 2 || rep.Completed+rep.Aborted != rep.Total {
 		t.Fatalf("drain did not land mid-batch: %v", rep)
 	}
 	c1.Close()
 
 	c2 := openStore(t, path, rep.Completed)
-	if got := runStored(t, c2, 10, 5, int64(rep.Completed), int64(rep.Aborted)); !maps.Equal(got, want) {
+	got, _, err := stubSpec(t, 5).RunWith(through(c2, harness.RunOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.CacheHits != int64(rep.Completed) || st.LocalRuns != int64(rep.Aborted) {
+		t.Fatalf("resumed sweep: %d served, %d run; want %d and %d", st.CacheHits, st.LocalRuns, rep.Completed, rep.Aborted)
+	}
+	if got.CSV() != want.CSV() {
 		t.Fatal("drain+resume changed the results")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,9 +68,13 @@ type unit struct {
 type Coordinator struct {
 	opts CoordinatorOptions
 
-	mu      sync.Mutex
-	units   map[string]*unit // by fingerprint: pending, leased or local
-	queue   []string         // fingerprints awaiting lease, FIFO
+	mu    sync.Mutex
+	units map[string]*unit // by fingerprint: pending, leased or local
+	// queue holds fingerprints awaiting lease, FIFO. An entry whose unit has
+	// been withdrawn, settled or pulled local stays until a lease pops it, so
+	// the number of pending units is counted apart, in pending.
+	queue   []string
+	pending int
 	cache   map[string]harness.PointResult
 	store   *os.File             // the cache on disk; nil until OpenStore
 	workers map[string]time.Time // worker id -> last contact
@@ -229,10 +234,14 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 
 // Execute runs one point through the fabric and blocks until its result is
 // available: from the shared cache, from a worker that leased the unit, or
-// from the local fallback closure when no live workers exist, the queue is
-// at its bound, or the fleet exhausted its dispatch attempts. Concurrent
-// Executes with the same fingerprint coalesce onto a single execution.
-func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func() (harness.PointResult, error)) (harness.PointResult, error) {
+// from the local fallback closure when no live workers exist, MaxQueue units
+// are already pending, or the fleet exhausted its dispatch attempts.
+// Concurrent Executes with the same fingerprint coalesce onto a single
+// execution. stop, when it closes, is the caller's drain: a unit still
+// pending is given up — this caller returns harness.ErrDrained, and the last
+// waiter to leave withdraws the unit — while a unit that is leased or
+// computing is waited for, so what was started still reaches the store.
+func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, point PointSpec, local func() (harness.PointResult, error)) (harness.PointResult, error) {
 	fp := Fingerprint(t.Key, t.Seed)
 
 	c.mu.Lock()
@@ -260,7 +269,7 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 			// No fleet: run in-process, but keep the unit visible so concurrent
 			// duplicates still coalesce onto this execution.
 			c.runLocalLocked(u)
-		case len(c.queue) >= c.opts.MaxQueue:
+		case c.pending >= c.opts.MaxQueue:
 			// Admission control: a bounded queue keeps a flood of units from
 			// accumulating unboundedly; overflow executes locally instead.
 			c.queueFull.Add(1)
@@ -273,8 +282,30 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 	u.waiters = append(u.waiters, ch)
 	c.mu.Unlock()
 
-	r := <-ch
-	return r.pr, r.err
+	// Wait for the result; from the moment stop closes, give up whenever the
+	// unit is merely pending. A unit leased or computing finishes — or its
+	// lease fails and it is queued again, which, like every enqueue, is
+	// announced on c.wake.
+	wake := stop
+	for {
+		select {
+		case r := <-ch:
+			return r.pr, r.err
+		case <-wake:
+		}
+		c.mu.Lock()
+		if c.units[fp] == u && u.state == unitPending {
+			u.waiters = slices.DeleteFunc(u.waiters, func(w chan unitResult) bool { return w == ch })
+			if len(u.waiters) == 0 {
+				delete(c.units, fp)
+				c.pending--
+			}
+			c.mu.Unlock()
+			return harness.PointResult{}, harness.ErrDrained
+		}
+		wake = c.wake
+		c.mu.Unlock()
+	}
 }
 
 // PointRunner returns the harness.RunOptions.PointRunner of one sweep: every
@@ -282,9 +313,9 @@ func (c *Coordinator) Execute(t harness.PointTask, point PointSpec, local func()
 // it to a fleet worker, or computes it with the sweep's own local closure. The
 // arguments are the ones harness.SpecFor resolved the sweep's spec from, so a
 // worker rebuilds a byte-identical spec from the PointSpec it is leased.
-func (c *Coordinator) PointRunner(figure, scale string, warmup, measure int, seed uint64) func(harness.PointTask, func() (harness.PointResult, error)) (harness.PointResult, error) {
-	return func(t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
-		return c.Execute(t, PointSpec{
+func (c *Coordinator) PointRunner(figure, scale string, warmup, measure int, seed uint64) func(<-chan struct{}, harness.PointTask, func() (harness.PointResult, error)) (harness.PointResult, error) {
+	return func(stop <-chan struct{}, t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
+		return c.Execute(stop, t, PointSpec{
 			Figure: figure, Scale: scale, Warmup: warmup, Measure: measure, Seed: seed,
 			Alg: t.Alg, Load: t.Load, Replica: t.Replica,
 		}, local)
@@ -292,8 +323,10 @@ func (c *Coordinator) PointRunner(figure, scale string, warmup, measure int, see
 }
 
 // runLocalLocked transitions a unit to in-process execution. Caller holds
-// c.mu; the execution itself happens on a fresh goroutine. A unit that a
-// late worker upload settled in the meantime is left alone.
+// c.mu; the execution itself happens on a fresh goroutine, and how many of
+// those compute at once is the local closure's business (a sweep's closure
+// waits for one of its RunOptions.Parallel slots). A unit that a late worker
+// upload settled in the meantime is left alone.
 func (c *Coordinator) runLocalLocked(u *unit) {
 	u.state = unitLocal
 	c.localRuns.Add(1)
@@ -312,6 +345,9 @@ func (c *Coordinator) runLocalLocked(u *unit) {
 // what keeps a racing duplicate upload from settling the unit twice; each
 // waiter channel is buffered for its one result, so no send blocks.
 func (c *Coordinator) settleLocked(u *unit, pr harness.PointResult, err error) {
+	if u.state == unitPending {
+		c.pending-- // a late upload for a unit that was queued again
+	}
 	if err == nil {
 		c.cache[u.wu.Fingerprint] = pr
 		// A dead store must not fail the point: count it, serve from memory.
@@ -333,6 +369,7 @@ func (c *Coordinator) enqueueLocked(u *unit) {
 	u.worker = ""
 	u.queued = time.Now()
 	c.queue = append(c.queue, u.wu.Fingerprint)
+	c.pending++
 	close(c.wake)
 	c.wake = make(chan struct{})
 }
@@ -355,8 +392,9 @@ func (c *Coordinator) leaseLocked(workerID string) *WorkUnit {
 		c.queue = c.queue[1:]
 		u, ok := c.units[fp]
 		if !ok || u.state != unitPending {
-			continue // settled or re-dispatched while queued; skip the stale entry
+			continue // stale: settled, withdrawn, or leased through an earlier entry
 		}
+		c.pending--
 		u.state = unitLeased
 		u.worker = workerID
 		u.expires = now.Add(c.opts.LeaseTTL)
@@ -520,7 +558,7 @@ func (c *Coordinator) sweep(now time.Time) {
 				c.runLocalLocked(u)
 			}
 		}
-		c.queue = c.queue[:0]
+		c.queue, c.pending = c.queue[:0], 0
 	}
 	c.mu.Unlock()
 }
@@ -551,19 +589,15 @@ func (c *Coordinator) Stats() Stats {
 	now := time.Now()
 	c.mu.Lock()
 	leased := 0
-	pending := 0
 	for _, u := range c.units {
-		switch u.state {
-		case unitLeased:
+		if u.state == unitLeased {
 			leased++
-		case unitPending:
-			pending++
 		}
 	}
 	st := Stats{
 		WorkersLive:       c.liveWorkersLocked(now),
 		LeasesOutstanding: leased,
-		QueueDepth:        pending,
+		QueueDepth:        c.pending,
 		LeaseWaiters:      c.leaseWaiters,
 		UnitsInFlight:     len(c.units),
 		CacheSize:         len(c.cache),

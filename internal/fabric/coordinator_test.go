@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,7 +51,7 @@ func TestExecuteRunsLocallyWithoutWorkersAndCaches(t *testing.T) {
 	calls := 0
 	local := func() (harness.PointResult, error) { calls++; return resultFor(1), nil }
 
-	pr, err := c.Execute(tk, ps, local)
+	pr, err := c.Execute(nil, tk, ps, local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestExecuteRunsLocallyWithoutWorkersAndCaches(t *testing.T) {
 	}
 
 	// Identical resubmission: served from the cache, no second execution.
-	if _, err := c.Execute(tk, ps, local); err != nil {
+	if _, err := c.Execute(nil, tk, ps, local); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -91,7 +92,7 @@ func TestRemoteLeaseDeliverAndConcurrentDedupe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = c.Execute(tk, ps, local)
+			results[i], errs[i] = c.Execute(nil, tk, ps, local)
 		}()
 	}
 
@@ -166,7 +167,7 @@ func TestLeaseExpiryRedispatchCarriesCheckpoint(t *testing.T) {
 	tk, ps := task(3)
 	done := make(chan harness.PointResult, 1)
 	go func() {
-		pr, err := c.Execute(tk, ps, func() (harness.PointResult, error) {
+		pr, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
 			t.Error("local fallback must not run")
 			return harness.PointResult{}, nil
 		})
@@ -230,7 +231,7 @@ func TestWorkerErrorsExhaustAttemptsThenRunLocally(t *testing.T) {
 	tk, ps := task(4)
 	done := make(chan harness.PointResult, 1)
 	go func() {
-		pr, err := c.Execute(tk, ps, func() (harness.PointResult, error) { return resultFor(4), nil })
+		pr, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) { return resultFor(4), nil })
 		if err != nil {
 			t.Error(err)
 		}
@@ -274,7 +275,7 @@ func TestStaleErrorUploadDoesNotRequeue(t *testing.T) {
 	tk, ps := task(7)
 	done := make(chan harness.PointResult, 1)
 	go func() {
-		pr, err := c.Execute(tk, ps, mustNotRunLocally(t))
+		pr, err := c.Execute(nil, tk, ps, mustNotRunLocally(t))
 		if err != nil {
 			t.Error(err)
 		}
@@ -316,7 +317,7 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	tk2, ps2 := task(6)
 	first := make(chan harness.PointResult, 1)
 	go func() {
-		pr, _ := c.Execute(tk1, ps1, func() (harness.PointResult, error) { return resultFor(5), nil })
+		pr, _ := c.Execute(nil, tk1, ps1, func() (harness.PointResult, error) { return resultFor(5), nil })
 		first <- pr
 	}()
 	// Wait for the first unit to occupy the queue.
@@ -331,7 +332,7 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	}
 
 	// Second unit overflows the bounded queue and runs locally.
-	pr, err := c.Execute(tk2, ps2, func() (harness.PointResult, error) { return resultFor(6), nil })
+	pr, err := c.Execute(nil, tk2, ps2, func() (harness.PointResult, error) { return resultFor(6), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,6 +351,82 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	res := resultFor(5)
 	c.Deliver(ResultUpload{Worker: "w1", Fingerprint: wu.Fingerprint, Key: wu.Key, Result: &res})
 	<-first
+}
+
+// TestWithdrawnUnitsFreeTheQueueBound: MaxQueue bounds the units pending, not
+// the entries of the queue slice, where a withdrawn unit's fingerprint stays
+// until a lease pops it. Two units are drained away, and the next two still
+// queue for the fleet instead of spilling.
+func TestWithdrawnUnitsFreeTheQueueBound(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, MaxQueue: 2})
+	defer c.Close()
+	c.Heartbeat("w1", nil)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	for n := 1; n <= 2; n++ {
+		tk, ps := task(n)
+		go func() { _, err := c.Execute(stop, tk, ps, mustNotRunLocally(t)); errs <- err }()
+	}
+	eventually(t, "two units pending", func() bool { return c.Stats().QueueDepth == 2 })
+	close(stop)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, harness.ErrDrained) {
+			t.Fatalf("drained Execute returned %v, want ErrDrained", err)
+		}
+	}
+	if st := c.Stats(); st.QueueDepth != 0 || st.UnitsInFlight != 0 {
+		t.Fatalf("after the drain: %+v", st)
+	}
+
+	done := make(chan harness.PointResult, 2)
+	for n := 3; n <= 4; n++ {
+		tk, ps := task(n)
+		go func() { pr, _ := c.Execute(nil, tk, ps, mustNotRunLocally(t)); done <- pr }()
+	}
+	eventually(t, "two more units pending", func() bool { return c.Stats().QueueDepth == 2 })
+	if st := c.Stats(); st.QueueFull != 0 || st.LocalRuns != 0 {
+		t.Fatalf("units spilled although nothing was pending: %+v", st)
+	}
+	// The leases skip the two stale entries ahead of the live ones.
+	for i := 0; i < 2; i++ {
+		wu := c.Lease("w1")
+		if wu == nil || (wu.Key != "unit-003" && wu.Key != "unit-004") {
+			t.Fatalf("leased %+v, want one of the two live units", wu)
+		}
+		res := resultFor(3)
+		c.Deliver(ResultUpload{Worker: "w1", Fingerprint: wu.Fingerprint, Key: wu.Key, Result: &res})
+		<-done
+	}
+	if wu := c.Lease("w1"); wu != nil {
+		t.Fatalf("a withdrawn unit was leased: %+v", wu)
+	}
+}
+
+// TestDrainWithdrawsRequeuedUnit: a draining Execute waits for a leased unit,
+// but not for a second lease — when the first one expires and the unit is
+// queued again, it is withdrawn.
+func TestDrainWithdrawsRequeuedUnit(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	defer c.Close()
+	c.Heartbeat("w1", nil)
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	tk, ps := task(1)
+	go func() { _, err := c.Execute(stop, tk, ps, mustNotRunLocally(t)); done <- err }()
+	eventually(t, "the unit to be pending", func() bool { return c.Stats().QueueDepth == 1 })
+	if c.Lease("w1") == nil {
+		t.Fatal("nothing to lease")
+	}
+	close(stop)
+	c.Heartbeat("w2", nil) // w1 falls silent; the fleet stays live
+	c.sweep(time.Now().Add(90 * time.Second))
+	if err := <-done; !errors.Is(err, harness.ErrDrained) {
+		t.Fatalf("Execute returned %v, want ErrDrained", err)
+	}
+	if st := c.Stats(); st.Redispatches != 1 || st.QueueDepth != 0 || st.UnitsInFlight != 0 || st.LocalRuns != 0 {
+		t.Fatalf("after the expired lease: %+v", st)
+	}
 }
 
 func TestFleetMetricsRegistered(t *testing.T) {
@@ -385,9 +462,9 @@ func TestFleetMetricsRegistered(t *testing.T) {
 		t.Fatalf("render with a parked request and nothing leased yet:\n%s", text.String())
 	}
 	tk, ps := task(8)
-	go c.Execute(tk, ps, func() (harness.PointResult, error) { return resultFor(8), nil })
+	go c.Execute(nil, tk, ps, func() (harness.PointResult, error) { return resultFor(8), nil })
 	wu := <-leased
-	for range 2 {
+	for i := 0; i < 2; i++ {
 		text.Reset()
 		reg.WriteText(&text)
 		if !strings.Contains(text.String(), "fleet_lease_waiters 0\n") || !strings.Contains(text.String(), "fleet_unit_queue_seconds_count 1\n") {
@@ -441,14 +518,14 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 		t.Fatalf("OpenStore on a missing file: loaded %d, err %v", n, err)
 	}
 	tk1, ps1 := task(1)
-	if _, err := c1.Execute(tk1, ps1, func() (harness.PointResult, error) { return resultFor(1), nil }); err != nil {
+	if _, err := c1.Execute(nil, tk1, ps1, func() (harness.PointResult, error) { return resultFor(1), nil }); err != nil {
 		t.Fatal(err)
 	}
 	// The second result arrives as a worker upload.
 	c1.Heartbeat("w1", nil)
 	tk2, ps2 := task(2)
 	done := make(chan error, 1)
-	go func() { _, err := c1.Execute(tk2, ps2, poison); done <- err }()
+	go func() { _, err := c1.Execute(nil, tk2, ps2, poison); done <- err }()
 	var wu *WorkUnit
 	for deadline := time.Now().Add(5 * time.Second); wu == nil; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -472,7 +549,7 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 		t.Fatal("second OpenStore must be refused")
 	}
 	for i, tk := range []harness.PointTask{tk1, tk2} {
-		pr, err := c2.Execute(tk, ps1, poison)
+		pr, err := c2.Execute(nil, tk, ps1, poison)
 		if err != nil || pr != resultFor(i+1) {
 			t.Fatalf("unit %d from the store: %+v, err %v", i+1, pr, err)
 		}
@@ -480,7 +557,7 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 	// Same key under another seed is another result, not a hit.
 	other := tk1
 	other.Seed++
-	if pr, err := c2.Execute(other, ps1, func() (harness.PointResult, error) { return resultFor(9), nil }); err != nil || pr != resultFor(9) {
+	if pr, err := c2.Execute(nil, other, ps1, func() (harness.PointResult, error) { return resultFor(9), nil }); err != nil || pr != resultFor(9) {
 		t.Fatalf("same key, other seed: %+v, err %v", pr, err)
 	}
 	if st := c2.Stats(); st.CacheHits != 2 || st.LocalRuns != 1 || st.StoreErrors != 0 {
@@ -493,8 +570,8 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 	os.RemoveAll(filepath.Dir(path))
 	c2.store.Close()
 	tk3, ps3 := task(3)
-	for range 2 {
-		pr, err := c2.Execute(tk3, ps3, func() (harness.PointResult, error) { return resultFor(3), nil })
+	for i := 0; i < 2; i++ {
+		pr, err := c2.Execute(nil, tk3, ps3, func() (harness.PointResult, error) { return resultFor(3), nil })
 		if err != nil || pr != resultFor(3) {
 			t.Fatalf("point over a dead store: %+v, err %v", pr, err)
 		}

@@ -19,7 +19,7 @@
 // a lease TTL, at most 10 s, so a parked worker is never presumed dead —
 // runs out, and the worker asks again).
 //
-// Correctness rests on the engine's determinism contract (PR 2): a point's
+// Correctness rests on the sweep's determinism contract (PR 2): a point's
 // result is a pure function of its job key and derived seed, so it does not
 // matter which worker runs it, how often it is re-dispatched, or whether a
 // presumed-dead worker was actually alive and uploads a duplicate — the
@@ -74,7 +74,7 @@ func (p PointSpec) Spec() (*harness.Spec, error) {
 }
 
 // Fingerprint derives the content identity of a point execution from its
-// engine job key and derived seed. The key embeds the full spec
+// point key and derived seed. The key embeds the full spec
 // configuration (figure, scale knobs, cycle counts, base seed — see
 // harness.PointKey) and the seed pins the random stream, so two units with
 // equal fingerprints are guaranteed to produce byte-identical results; the

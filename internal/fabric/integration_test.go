@@ -34,14 +34,8 @@ func fleetHarnessSpec(t *testing.T) *harness.Spec {
 // fleetRunOptions routes every point of a sweep through the coordinator.
 func fleetRunOptions(c *fabric.Coordinator) harness.RunOptions {
 	return harness.RunOptions{
-		Parallel: 4,
-		PointRunner: func(pt harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
-			return c.Execute(pt, fabric.PointSpec{
-				Figure: "3a", Scale: "small",
-				Warmup: fleetWarmup, Measure: fleetMeasure,
-				Alg: pt.Alg, Load: pt.Load, Replica: pt.Replica,
-			}, local)
-		},
+		Parallel:    4,
+		PointRunner: c.PointRunner("3a", "small", fleetWarmup, fleetMeasure, 0),
 	}
 }
 

@@ -78,7 +78,7 @@ func TestLeaseWaitParksAndWakes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Execute(tk, ps, mustNotRunLocally(t)); err != nil {
+			if _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -132,7 +132,7 @@ func TestCanceledLeaseWaitTakesNoUnit(t *testing.T) {
 
 	tk, ps := task(30)
 	done := make(chan error, 1)
-	go func() { _, err := c.Execute(tk, ps, mustNotRunLocally(t)); done <- err }()
+	go func() { _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); done <- err }()
 	eventually(t, "the unit to queue", func() bool { return c.Stats().QueueDepth == 1 })
 	if wu := c.LeaseWait(ctx, "w1"); wu != nil {
 		t.Fatalf("request canceled before it arrived got %+v", wu)
@@ -222,7 +222,7 @@ func TestParkedWorkerLeasesAtOnce(t *testing.T) {
 		key := spec.PointKey(ps.Alg, ps.Load, ps.Replica)
 		tk := harness.PointTask{Key: key, Seed: engine.SeedFor(spec.Seed, key), Alg: ps.Alg, Load: ps.Load, Replica: ps.Replica}
 		enqueued := time.Now()
-		if _, err := c.Execute(tk, ps, mustNotRunLocally(t)); err != nil {
+		if _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); err != nil {
 			t.Fatal(err)
 		}
 		waits = append(waits, (<-granted).Sub(enqueued))
@@ -270,7 +270,7 @@ func TestWorkerOutlivesCoordinator(t *testing.T) {
 	b, _ := serveOn(ln)
 	eventually(t, "the worker to reach B", func() bool { return b.Stats().WorkersLive == 1 })
 	tk, ps, _ := tinyPoint(t)
-	if _, err := b.Execute(tk, ps, mustNotRunLocally(t)); err != nil {
+	if _, err := b.Execute(nil, tk, ps, mustNotRunLocally(t)); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(gone); took > 3*time.Second {
@@ -293,7 +293,7 @@ func TestDuplicateAndStaleHeartbeats(t *testing.T) {
 	c.Heartbeat("wA", nil)
 	tk, ps := task(40)
 	done := make(chan error, 1)
-	go func() { _, err := c.Execute(tk, ps, mustNotRunLocally(t)); done <- err }()
+	go func() { _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); done <- err }()
 	wu := c.LeaseWait(context.Background(), "wA")
 	if wu == nil {
 		t.Fatal("no unit within the hold")

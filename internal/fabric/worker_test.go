@@ -74,7 +74,7 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	got, err := c.Execute(tk, ps, func() (harness.PointResult, error) {
+	got, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
 		t.Error("local fallback must not run with a live worker")
 		return harness.PointResult{}, nil
 	})
@@ -90,7 +90,7 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 	}
 
 	// Resubmission is a pure cache hit — the worker is never consulted.
-	again, err := c.Execute(tk, ps, nil)
+	again, err := c.Execute(nil, tk, ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestExecuteSurvivesPanickingLocalPoint(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
 	defer c.Close()
 	tk, ps, spec := poisonPoint(t)
-	_, err := c.Execute(tk, ps, func() (harness.PointResult, error) {
+	_, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
 		return spec.RunPoint(ps.Alg, ps.Load, tk.Seed, harness.PointOptions{Key: tk.Key})
 	})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
@@ -202,7 +202,7 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	_, err := c.Execute(poisonTask, poisonPS, func() (harness.PointResult, error) {
+	_, err := c.Execute(nil, poisonTask, poisonPS, func() (harness.PointResult, error) {
 		return poison.RunPoint(poisonPS.Alg, poisonPS.Load, poisonTask.Seed, harness.PointOptions{Key: poisonTask.Key})
 	})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
@@ -212,7 +212,7 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 		t.Fatalf("want 2 failed dispatches then 1 local attempt: %+v", st)
 	}
 
-	if _, err := c.Execute(tk, ps, func() (harness.PointResult, error) {
+	if _, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
 		t.Error("healthy unit fell back to local: the worker stopped leasing")
 		return harness.PointResult{}, nil
 	}); err != nil {

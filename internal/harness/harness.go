@@ -6,9 +6,12 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,11 +119,13 @@ type Result struct {
 	Points map[string][]PointResult // keyed by curve label
 }
 
-// RunOptions controls how the experiment engine executes a Spec.
+// RunOptions controls how RunWith executes a Spec.
 type RunOptions struct {
-	// Parallel is the worker count; 0 means GOMAXPROCS, 1 forces a serial
-	// run. Thanks to identity-keyed seeding the results are bit-identical
-	// for every value.
+	// Parallel is how many points this process simulates at once; 0 means
+	// GOMAXPROCS, 1 one at a time. It bounds nothing else: every point of the
+	// sweep is handed to the PointRunner at once, and a point a fleet worker
+	// computes takes no slot here. Thanks to identity-keyed seeding the
+	// results are bit-identical for every value.
 	Parallel int
 	// Replicas runs every (algorithm, load) point this many times with
 	// independent seeds and aggregates the replicas into mean ± 95% CI
@@ -143,26 +148,37 @@ type RunOptions struct {
 	CheckpointDir string
 	// Progress, if non-nil, receives one line per settled point.
 	Progress func(string)
-	// PointRunner, if non-nil, intercepts every point's execution: instead
-	// of simulating in-process the engine hands the task (plus a local
-	// fallback closure) to this function, which may execute it anywhere — a
-	// remote fleet worker, a shared result cache — as long as it returns the
-	// value the local closure would (fabric.Coordinator.PointRunner is the
-	// one implementation: it is also what keeps finished points across runs,
-	// the sweep itself stores nothing). Determinism is preserved because the
-	// task carries the engine-derived seed: any executor computing the same
-	// pure function of (spec, alg, load, seed) returns identical bytes.
-	PointRunner func(t PointTask, local func() (PointResult, error)) (PointResult, error)
-	// Stop, if non-nil, drains the sweep when closed: in-flight points
-	// finish, undispatched points are aborted (see engine.Config.Stop).
+	// PointRunner, if non-nil, intercepts every point's execution: RunWith
+	// calls it for all points at once, each on its own goroutine, with the
+	// sweep's Stop, the task and the local closure, and it may execute the
+	// task anywhere — a remote fleet worker, a shared result cache — as long
+	// as it returns the value the local closure would
+	// (fabric.Coordinator.PointRunner is the one implementation: it is also
+	// what keeps finished points across runs, the sweep itself stores
+	// nothing). The local closure is the one place a point waits for a core of
+	// this process: it simulates the point once one of the Parallel slots is
+	// free, or returns ErrDrained if Stop closes first. Determinism is
+	// preserved because the task carries the derived seed: any executor
+	// computing the same pure function of (spec, alg, load, seed) returns
+	// identical bytes.
+	PointRunner func(stop <-chan struct{}, t PointTask, local func() (PointResult, error)) (PointResult, error)
+	// Stop, if non-nil, drains the sweep when closed: points being computed —
+	// here or by a fleet worker — finish, and every point that has not
+	// started is withdrawn and counted in Report.Aborted.
 	Stop <-chan struct{}
-	// Status, if non-nil, receives the engine's structured progress
+	// Status, if non-nil, receives the sweep's structured progress
 	// (done/total, ETA) after every settled point.
 	Status func(engine.Status)
 	// Metrics, if non-nil, exports live progress through its telemetry
 	// registry (see engine.NewMetrics).
 	Metrics *engine.Metrics
 }
+
+// ErrDrained is what executing a point returns when the sweep's Stop closed
+// before the point started: from the local closure that was still waiting for
+// a slot, or from a PointRunner that withdrew the point unstarted. RunWith
+// counts such points in Report.Aborted, never as failures.
+var ErrDrained = errors.New("harness: sweep drained before the point started")
 
 // Run executes the experiment across all available cores. progress, if
 // non-nil, receives one line per completed point (in completion order; the
@@ -172,14 +188,7 @@ func (s *Spec) Run(progress func(string)) (*Result, error) {
 	return res, err
 }
 
-// pointJob identifies one engine job of this spec.
-type pointJob struct {
-	alg     AlgSpec
-	load    float64
-	replica int
-}
-
-// PointTask is the portable identity of one engine point job, handed to
+// PointTask is the portable identity of one point of a sweep, handed to
 // RunOptions.PointRunner. Key and Seed pin the result bytes; Alg, Load and
 // Replica let a remote executor rebuild the task from the spec.
 type PointTask struct {
@@ -190,98 +199,140 @@ type PointTask struct {
 	Replica int
 }
 
-// RunWith executes the experiment through the engine. On point failures it
-// returns the partial Result (every fully-replicated point that did
-// complete), the engine report naming the failed jobs, and a non-nil error.
+// RunWith executes the experiment: every point starts at once on its own
+// goroutine and goes to opts.PointRunner, or straight to its local closure.
+// On point failures it returns the partial Result (every fully-replicated
+// point that did complete), the report naming the failed points, and a
+// non-nil error.
 func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, nil, err
 	}
 	replicas := max(opts.Replicas, 1)
 
-	meta := make(map[string]pointJob)
-	var jobs []engine.Job[PointResult]
+	// The batch, in spec order: the order results are assembled in below.
+	type point struct {
+		task PointTask
+		alg  AlgSpec
+	}
+	var points []point
+	seen := make(map[string]struct{})
 	for _, alg := range s.Algs {
-		alg := alg
 		for _, load := range s.Loads {
-			load := load
 			for r := 0; r < replicas; r++ {
-				r := r
 				key := s.PointKey(alg.label(), load, r)
-				meta[key] = pointJob{alg: alg, load: load, replica: r}
-				po := PointOptions{Key: key, CheckpointEvery: opts.CheckpointEvery, CheckpointDir: opts.CheckpointDir}
-				jobs = append(jobs, engine.Job[PointResult]{
-					Key: key,
-					Run: func(seed uint64) (PointResult, error) {
-						local := func() (PointResult, error) {
-							return s.runPoint(alg, load, seed, po)
-						}
-						if opts.PointRunner != nil {
-							return opts.PointRunner(PointTask{
-								Key: key, Seed: seed, Alg: alg.label(), Load: load, Replica: r,
-							}, local)
-						}
-						return local()
-					},
-				})
+				if _, dup := seen[key]; dup {
+					return nil, nil, fmt.Errorf("harness: duplicate point key %q", key)
+				}
+				seen[key] = struct{}{}
+				points = append(points, point{alg: alg, task: PointTask{
+					Key: key, Seed: engine.SeedFor(s.Seed, key), Alg: alg.label(), Load: load, Replica: r,
+				}})
 			}
 		}
 	}
 
-	results, report, err := engine.Run(engine.Config[PointResult]{
-		Workers: opts.Parallel,
-		Seed:    s.Seed,
-		Retries: opts.Retries,
-		Metrics: opts.Metrics,
-		Stop:    opts.Stop,
-		OnDone: func(st engine.Status, jr engine.JobResult[PointResult]) {
-			if opts.Progress != nil {
-				pj := meta[jr.Key]
-				line := fmt.Sprintf("[%3d/%3d] %-22s load=%.2f", st.Done+st.Failed, st.Total, pj.alg.label(), pj.load)
-				if replicas > 1 {
-					line += fmt.Sprintf(" rep=%d", pj.replica)
-				}
-				if jr.Err != "" {
-					line += " FAILED: " + firstLine(jr.Err)
-				} else {
-					line += fmt.Sprintf(" latency=%8.1f thpt=%.3f seiz=%d",
-						jr.Value.MeanLatency, jr.Value.Throughput, jr.Value.TokenSeizures)
-				}
-				if st.ETA > 0 {
-					line += fmt.Sprintf(" eta=%s", st.ETA.Round(1e9))
-				}
-				opts.Progress(line)
-			}
-			if opts.Status != nil {
-				opts.Status(st)
-			}
-		},
-	}, jobs)
-	if err != nil {
-		return nil, nil, err
+	workers := opts.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(points))
+	slots := make(chan struct{}, workers) // a semaphore: one token per simulating point
+
+	type outcome struct {
+		index    int
+		pr       PointResult
+		err      error
+		attempts int
+	}
+	outcomes := make(chan outcome)
+	for i, p := range points {
+		go func() {
+			po := PointOptions{Key: p.task.Key, CheckpointEvery: opts.CheckpointEvery, CheckpointDir: opts.CheckpointDir}
+			local := func() (PointResult, error) {
+				select {
+				case slots <- struct{}{}:
+				case <-opts.Stop:
+					return PointResult{}, ErrDrained
+				}
+				defer func() { <-slots }()
+				// Both were ready: the drain wins, so nothing starts after Stop.
+				select {
+				case <-opts.Stop:
+					return PointResult{}, ErrDrained
+				default:
+				}
+				return s.runPoint(p.alg, p.task.Load, p.task.Seed, po)
+			}
+			o := outcome{index: i}
+			for {
+				o.attempts++
+				if opts.PointRunner != nil {
+					o.pr, o.err = opts.PointRunner(opts.Stop, p.task, local)
+				} else {
+					o.pr, o.err = local()
+				}
+				if o.err == nil || errors.Is(o.err, ErrDrained) || o.attempts > opts.Retries {
+					break
+				}
+			}
+			outcomes <- o
+		}()
+	}
+
+	// Every point reports exactly once. Progress, metrics and callbacks happen
+	// here on the calling goroutine, in completion order, which the seed
+	// derivation makes harmless.
+	fold := engine.Begin(len(points), workers, opts.Metrics)
+	results := make([]PointResult, len(points))
+	completed := make([]bool, len(points))
+	for range points {
+		o := <-outcomes
+		if errors.Is(o.err, ErrDrained) {
+			continue
+		}
+		task, errMsg := points[o.index].task, ""
+		if o.err != nil {
+			errMsg = o.err.Error()
+		} else {
+			results[o.index], completed[o.index] = o.pr, true
+		}
+		st := fold.Settle(o.index, task.Key, errMsg, o.attempts)
+		if opts.Progress != nil {
+			line := fmt.Sprintf("[%3d/%3d] %-22s load=%.2f", st.Done+st.Failed, st.Total, task.Alg, task.Load)
+			if replicas > 1 {
+				line += fmt.Sprintf(" rep=%d", task.Replica)
+			}
+			if o.err != nil {
+				line += " FAILED: " + firstLine(errMsg)
+			} else {
+				line += fmt.Sprintf(" latency=%8.1f thpt=%.3f seiz=%d",
+					o.pr.MeanLatency, o.pr.Throughput, o.pr.TokenSeizures)
+			}
+			if st.ETA > 0 {
+				line += fmt.Sprintf(" eta=%s", st.ETA.Round(1e9))
+			}
+			opts.Progress(line)
+		}
+		if opts.Status != nil {
+			opts.Status(st)
+		}
+	}
+	report := fold.End()
 
 	// Assemble in spec order — never completion order — so parallel runs
 	// render byte-identical tables and CSV.
 	res := &Result{Spec: s, Points: make(map[string][]PointResult)}
+	next := 0 // index of the current (algorithm, load)'s first replica
 	for _, alg := range s.Algs {
 		series := metrics.Series{Label: alg.label()}
 		for _, load := range s.Loads {
-			reps := make([]PointResult, 0, replicas)
-			complete := true
-			for r := 0; r < replicas; r++ {
-				key := s.PointKey(alg.label(), load, r)
-				pr, ok := results[key]
-				if !ok {
-					complete = false
-					break
-				}
-				reps = append(reps, pr)
+			first := next
+			next += replicas
+			if slices.Contains(completed[first:next], false) {
+				continue // failed or drained point: named or counted in the report
 			}
-			if !complete {
-				continue // failed point: reported via the engine report
-			}
-			pr := aggregateReplicas(load, reps)
+			pr := aggregateReplicas(load, results[first:next])
 			res.Points[alg.label()] = append(res.Points[alg.label()], pr)
 			deadlockRate := 0.0
 			if pr.WFGSamples > 0 {
@@ -343,7 +394,7 @@ func (s *Spec) CheckSweep(parallel, replicas, retries, warmup, measure int) erro
 	return nil
 }
 
-// PointKey derives the engine job key of one (algorithm, load, replica)
+// PointKey derives the identity key of one (algorithm, load, replica)
 // point. The key pins the full identity of the point — spec configuration
 // included, so a result store cannot leak results across different scales or
 // seeds of the same figure — and via engine.SeedFor it also pins the
@@ -364,10 +415,10 @@ func (s *Spec) PointKey(algLabel string, load float64, replica int) string {
 }
 
 // PointOptions configures the execution of one point, whoever runs it:
-// RunWith builds one per engine job, a fleet worker one per leased unit. All
+// RunWith builds one per point, a fleet worker one per leased unit. All
 // fields are optional; the zero value runs the point without checkpointing.
 type PointOptions struct {
-	// Key is the engine job key of the point (Spec.PointKey). It names and
+	// Key is the identity key of the point (Spec.PointKey). It names and
 	// validates the checkpoint file, so it is required when checkpointing.
 	Key string
 	// CheckpointEvery/CheckpointDir enable mid-point checkpointing exactly
@@ -384,8 +435,8 @@ type PointOptions struct {
 // RunPoint executes one (algorithm, load) point with an explicit seed and
 // returns its measurement. It is the remote half of RunOptions.PointRunner:
 // a fleet worker receives (alg label, load, seed) from the coordinator and
-// makes here the very call RunWith's engine jobs and the coordinator's local
-// fallback make (runPoint), so the result bytes — and the handling of a
+// makes here the very call RunWith's local closure — the coordinator's local
+// fallback — makes (runPoint), so the result bytes — and the handling of a
 // point that panics — are identical wherever the point runs. The algorithm
 // is selected by its curve label within this spec.
 func (s *Spec) RunPoint(algLabel string, load float64, seed uint64, po PointOptions) (PointResult, error) {
@@ -487,8 +538,8 @@ func (s *Spec) Normalize() error {
 }
 
 // runPoint measures one (algorithm, load) pair with the given simulation
-// seed. It is called concurrently by engine workers: everything it touches
-// (topology, pattern, network) is built fresh per call, and the stateless
+// seed. Several points run it at once: everything it touches (topology,
+// pattern, network) is built fresh per call, and the stateless
 // algorithm/selection values are safe to share.
 //
 // Checkpointing options make the point resumable: progress is persisted
@@ -498,10 +549,11 @@ func (s *Spec) Normalize() error {
 // (TestCheckpointResumeIdenticalCSV).
 //
 // A panic below (the simulator keeps panic(...) invariants) comes back as an
-// error carrying the stack. The guard sits here because every executor — an
-// engine worker, the coordinator's local fallback, a fleet worker's lease
-// loop — runs a point through this one function, so a poison point fails the
-// same way in all of them instead of killing the process that ran it.
+// error carrying the stack. The guard sits here because every executor — a
+// sweep's local closure, whether RunWith calls it or the coordinator does as
+// its fallback, and a fleet worker's lease loop — runs a point through this
+// one function, so a poison point fails the same way in all of them instead
+// of killing the process that ran it.
 func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions) (_ PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -345,34 +345,50 @@ func TestFailedPointsSurfaceInReport(t *testing.T) {
 }
 
 // TestParallelOverlapsPoints checks what RunOptions.Parallel promises,
-// without a clock: under Parallel: 2 two points are in flight at once (the
-// first to start waits for the second before simulating, so a sweep that
-// ran them one after the other would never get past the first), never
-// three, and under Parallel: 1 never two. Whether the overlap buys
-// wall-clock time depends on the cores free at that moment; the benchmark's
-// engine.* metrics measure that.
+// without a clock. It bounds the points simulating at once: under Parallel: 2
+// two (the first to start waits for the second before simulating, so a sweep
+// that ran them one after the other would never get past the first), never
+// three, and under Parallel: 1 never two — counted inside the point, where
+// runPoint builds its Pattern. It does not bound what the PointRunner sees:
+// every point's call is in flight before the first returns. Whether the
+// overlap buys wall-clock time depends on the cores free at that moment; the
+// benchmark's engine.* metrics measure that.
 func TestParallelOverlapsPoints(t *testing.T) {
-	peakInFlight := func(parallel int) int64 {
-		var started, inFlight, peak atomic.Int64
+	peakSimulating := func(parallel int) int64 {
+		spec := tinySpec()
+		total := int64(len(spec.Algs) * len(spec.Loads))
+		var started, simulating, peak, offered atomic.Int64
 		second := make(chan struct{}) // closed by the second point to start
-		_, _, err := tinySpec().RunWith(RunOptions{
-			Parallel: parallel,
-			PointRunner: func(_ PointTask, local func() (PointResult, error)) (PointResult, error) {
-				cur := inFlight.Add(1)
-				defer inFlight.Add(-1)
-				for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
-				}
-				if parallel > 1 {
-					switch started.Add(1) {
-					case 1:
-						select {
-						case <-second:
-						case <-time.After(30 * time.Second):
-							t.Error("no second point started while the first was in flight")
-						}
-					case 2:
-						close(second)
+		all := make(chan struct{})    // closed once every point has been offered
+		spec.Pattern = func(g topology.Graph) (traffic.Pattern, error) {
+			cur := simulating.Add(1)
+			defer simulating.Add(-1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
+			if parallel > 1 {
+				switch started.Add(1) {
+				case 1:
+					select {
+					case <-second:
+					case <-time.After(30 * time.Second):
+						t.Error("no second point started while the first was simulating")
 					}
+				case 2:
+					close(second)
+				}
+			}
+			return traffic.NewUniform(g)
+		}
+		_, rep, err := spec.RunWith(RunOptions{
+			Parallel: parallel,
+			PointRunner: func(_ <-chan struct{}, _ PointTask, local func() (PointResult, error)) (PointResult, error) {
+				if offered.Add(1) == total {
+					close(all)
+				}
+				select {
+				case <-all:
+				case <-time.After(30 * time.Second):
+					t.Errorf("only %d of %d points offered while the first was in flight", offered.Load(), total)
 				}
 				return local()
 			},
@@ -380,13 +396,16 @@ func TestParallelOverlapsPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if rep.Workers != parallel {
+			t.Errorf("Parallel: %d reported %d workers", parallel, rep.Workers)
+		}
 		return peak.Load()
 	}
-	if got := peakInFlight(2); got != 2 {
-		t.Errorf("Parallel: 2 had at most %d points in flight, want 2", got)
+	if got := peakSimulating(2); got != 2 {
+		t.Errorf("Parallel: 2 had at most %d points simulating, want 2", got)
 	}
-	if got := peakInFlight(1); got != 1 {
-		t.Errorf("Parallel: 1 had %d points in flight at once, want 1", got)
+	if got := peakSimulating(1); got != 1 {
+		t.Errorf("Parallel: 1 had %d points simulating at once, want 1", got)
 	}
 }
 
@@ -411,23 +430,27 @@ func TestPoisonPointReturnsError(t *testing.T) {
 		t.Fatalf("RunPoint on a panicking point: err = %v, want it to carry the panic", err)
 	}
 
-	// A sweep whose first point panics: that point fails, the report names
-	// it, and the sweep carries on with the rest.
+	// A sweep with one poison point, chosen by curve and load: that point
+	// fails, the report names it, and the sweep carries on with the rest.
 	spec = tinySpec()
-	var built atomic.Int64
-	spec.Pattern = func(g topology.Graph) (traffic.Pattern, error) {
-		if built.Add(1) == 1 {
-			panic("poison point")
-		}
-		return traffic.NewUniform(g)
-	}
-	res, rep, err := spec.RunWith(RunOptions{Parallel: 1})
+	poisoned := *spec
+	poisoned.Pattern = poisonSpec().Pattern
+	alg, load := spec.Algs[0].label(), spec.Loads[1]
+	res, rep, err := spec.RunWith(RunOptions{
+		Parallel: 1,
+		PointRunner: func(_ <-chan struct{}, pt PointTask, local func() (PointResult, error)) (PointResult, error) {
+			if pt.Alg == alg && pt.Load == load {
+				return poisoned.RunPoint(pt.Alg, pt.Load, pt.Seed, PointOptions{})
+			}
+			return local()
+		},
+	})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
 		t.Fatalf("RunWith: err = %v, want the panic surfaced", err)
 	}
-	first := spec.PointKey(spec.Algs[0].label(), spec.Loads[0], 0)
-	if !strings.Contains(err.Error(), first) || rep.Failed() != 1 || rep.Failures[0].Key != first {
-		t.Fatalf("err %v / failures %+v do not name %q", err, rep.Failures, first)
+	victim := spec.PointKey(alg, load, 0)
+	if !strings.Contains(err.Error(), victim) || rep.Failed() != 1 || rep.Failures[0].Key != victim {
+		t.Fatalf("err %v / failures %+v do not name %q", err, rep.Failures, victim)
 	}
 	if rep.Completed != rep.Total-1 || len(res.Points[spec.Algs[1].label()]) != len(spec.Loads) {
 		t.Fatalf("sweep did not continue past the poison point: %+v", rep)

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/harness"
 )
 
 // TestFleetModeMatchesSerialRun runs the same sweep twice: once on a plain
@@ -180,6 +182,75 @@ func TestDrainStopsAcceptingAndAbortsPending(t *testing.T) {
 	// Drain is idempotent.
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// TestDrainWithdrawsQueuedPoints: a drain does not wait for units nobody
+// started. The fleet here is one live worker id that never asks for work, so
+// a job's eight points all sit pending; one is leased by hand. Drain withdraws
+// the other seven at once — it does not wait for a worker to free up, nor the
+// two lease TTLs (two minutes here, beyond the drain's deadline) after which
+// the sweeper would pull them local and compute them — and still waits for
+// the leased one, which settles and is in the store.
+func TestDrainWithdrawsQueuedPoints(t *testing.T) {
+	dataDir := t.TempDir()
+	coord := fabric.NewCoordinator(fabric.CoordinatorOptions{LeaseTTL: time.Minute})
+	defer coord.Close()
+	s, err := NewWithOptions(Options{QueueDepth: 4, Fleet: coord, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	coord.Heartbeat("stalled", nil)
+
+	req := tinyReq()
+	req.Loads = []float64{0.2, 0.3, 0.4, 0.5}
+	req.Parallel = 1
+	st := submit(t, ts, req)
+	waitFleet := func(what string, cond func(fabric.Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(coord.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, coord.Stats())
+			}
+		}
+	}
+	waitFleet("all eight points pending", func(fs fabric.Stats) bool { return fs.QueueDepth == 8 })
+	wu := coord.Lease("stalled")
+	if wu == nil {
+		t.Fatal("nothing to lease")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	waitFleet("the seven pending units to be withdrawn", func(fs fabric.Stats) bool { return fs.UnitsInFlight == 1 })
+	if again := coord.Lease("stalled"); again != nil {
+		t.Fatalf("a withdrawn unit was leased: %+v", again)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) with a leased unit outstanding", err)
+	default:
+	}
+	coord.Deliver(fabric.ResultUpload{Worker: "stalled", Fingerprint: wu.Fingerprint, Key: wu.Key, Result: &harness.PointResult{Load: wu.Point.Load, MeanLatency: 1}})
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	var js JobStatus
+	getJSON(t, ts.URL+"/jobs/"+st.ID, &js)
+	if js.State != "failed" || js.Report == nil || js.Report.Aborted != 7 || js.Report.Completed != 1 || js.Report.Failed() != 0 {
+		t.Fatalf("drained job: state %s, report %+v; want 7 aborted, 1 completed", js.State, js.Report)
+	}
+	if fs := coord.Stats(); fs.LocalRuns != 0 || fs.RemoteRuns != 1 {
+		t.Fatalf("a withdrawn unit was computed: %+v", fs)
+	}
+	recs, err := fabric.ReadJournal(filepath.Join(dataDir, "results.jsonl"))
+	if _, ok := recs[wu.Key]; err != nil || len(recs) != 1 || !ok {
+		t.Fatalf("store holds %d records (err %v), want exactly the leased point %q", len(recs), err, wu.Key)
 	}
 }
 

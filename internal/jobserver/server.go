@@ -1,13 +1,14 @@
-// Package jobserver is the HTTP front end of the experiment engine: a job
+// Package jobserver is the HTTP front end of the experiment harness: a job
 // server that accepts sweep specifications as JSON, queues them, runs each
-// through the deterministic parallel engine, and serves live status and
-// finished results (JSON and CSV). It backs cmd/disha-serve.
+// as one harness sweep through a fabric.Coordinator, and serves live status
+// and finished results (JSON and CSV). It backs cmd/disha-serve.
 //
-// Jobs run one at a time from a FIFO queue — a sweep already saturates every
-// core through the engine's worker pool, so running sweeps concurrently
-// would only thrash the cache and blur the per-job ETA. Determinism is
-// inherited from the engine: submitting the same spec twice returns
-// bit-identical results regardless of server load.
+// Jobs run one at a time from a FIFO queue — a job offers all its points to
+// the coordinator at once and simulates up to "parallel" of them on this
+// process's cores, so running sweeps concurrently would only thrash the cache
+// and blur the per-job ETA. Determinism is inherited from the identity-keyed
+// seeds: submitting the same spec twice returns bit-identical results
+// regardless of server load.
 //
 // API:
 //
@@ -52,7 +53,9 @@ type SweepRequest struct {
 	Scale string `json:"scale,omitempty"`
 	// Loads overrides the swept offered-load rates.
 	Loads []float64 `json:"loads,omitempty"`
-	// Parallel is the engine worker count (0 = all cores).
+	// Parallel is how many points the server process simulates at once
+	// (0 = all cores). It does not throttle a fleet: every point of the job
+	// is offered to the workers immediately.
 	Parallel int `json:"parallel,omitempty"`
 	// Replicas aggregates this many independent runs per point into
 	// mean ± 95% CI (default 1).
@@ -116,7 +119,7 @@ type JobStatus struct {
 	Finished *time.Time   `json:"finished,omitempty"`
 	Progress Progress     `json:"progress"`
 	Error    string       `json:"error,omitempty"`
-	// Report is the engine's batch summary, present once the job settled.
+	// Report is the sweep's batch summary, present once the job settled.
 	Report *engine.Report `json:"report,omitempty"`
 	// Episodes totals the sweep's recovery-episode counters, present once
 	// the job settled with results.
@@ -167,7 +170,7 @@ type Server struct {
 	throttled atomic.Int64 // 429s: per-client rate limit
 
 	draining   atomic.Bool
-	drainCh    chan struct{} // closed by Drain; threaded to the engine as Stop
+	drainCh    chan struct{} // closed by Drain; every sweep's RunOptions.Stop
 	runnerDone chan struct{} // closed when the runner goroutine exits
 	drainOnce  sync.Once
 	closeOnce  sync.Once
@@ -273,9 +276,10 @@ func (s *Server) Close() {
 
 // Drain gracefully shuts the server down: new submissions are refused with
 // 503 (Retry-After set), the in-flight sweep is drained — points already
-// executing finish (and reach the result store), everything not yet
-// dispatched is aborted and left for a resubmission — and Drain returns once
-// the runner is idle or ctx expires.
+// executing, here or on a fleet worker, finish (and reach the result store),
+// every point that has not started is withdrawn from the coordinator's queue,
+// counted as aborted and left for a resubmission — and Drain returns once the
+// runner is idle or ctx expires.
 // It is safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
