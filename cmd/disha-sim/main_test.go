@@ -80,6 +80,9 @@ func TestKernelFlags(t *testing.T) {
 		{"-dims -1", "dims -1 outside"},
 		{"-topo fattree-4 -traffic transpose", "transpose traffic needs cube coordinates"},
 		{"-topo dragonfly-4x2 -alg dor", "dor is not supported on dragonfly-4x2"},
+		// The recovery order steps between unlinked routers, so the concurrent
+		// lane table derived from it cannot deliver every pair.
+		{"-topo dragonfly-4x2 -recovery concurrent", "Deadlock Buffer lane fails Lemma 1"},
 		{"-timeout 0", "T_out must be ≥ 1"},
 		{"-alg disha-m3 -timeout 0", "T_out must be ≥ 1"},
 		{"-cycles -5", "-cycles -5: a cycle count cannot be negative"},

@@ -216,7 +216,9 @@ const (
 // RecoveryMode selects the deadlock recovery scheme.
 type RecoveryMode = router.RecoveryMode
 
-// Recovery modes.
+// Recovery modes: the paper's Token-serialized escape through one Deadlock
+// Buffer lane, token-free recovery on two direction-partitioned lanes that
+// shortcut monotonically along the recovery order, and kill-and-retransmit.
 const (
 	RecoverySequential = router.RecoverySequential
 	RecoveryConcurrent = router.RecoveryConcurrent

@@ -94,5 +94,6 @@ func main() {
 	fmt.Printf("delivered %d/%d packets; %d recoveries with no token at all\n",
 		cc.PacketsDelivered, cc.PacketsInjected, cc.Recoveries)
 	fmt.Println("(deadlocked packets recover immediately over two direction-partitioned")
-	fmt.Println(" Hamiltonian Deadlock Buffer lanes — see DESIGN.md for the construction)")
+	fmt.Println(" Deadlock Buffer lanes that shortcut monotonically along the recovery")
+	fmt.Println(" order — see DESIGN.md for the construction)")
 }

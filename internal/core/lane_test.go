@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/router"
 	"repro/internal/topology"
 )
 
@@ -72,24 +73,63 @@ func TestDeadlockFreeOnAcyclicLanes(t *testing.T) {
 // packet Q, 3 -> 0, sits in DB(2) and needs DB(1). Channels 1->2 and 2->1 are
 // distinct and DOR never turns back, so the channel CDG has no arc between
 // them; the two DBs wait on each other forever.
+//
+// The same collapse rules out token-free use of one minimal lane on every
+// shipped class but the full mesh, whose lane is a single hop and so never
+// holds one DB while waiting for another.
 func TestAcyclicLaneCDGIsChannelGranular(t *testing.T) {
 	g := topology.MustMesh(4, 4)
 	lane := laneFor(g)
 	if err := core.VerifyDeadlockFree(g, lane); err != nil {
 		t.Fatalf("channel-granular check: %v", err)
 	}
+	routers := dbGraph(t, g, lane, nil)
+	if !routers.HasDep(db(1), db(2)) || !routers.HasDep(db(2), db(1)) {
+		t.Fatalf("router-granular lane graph lacks the DB(1) <-> DB(2) 2-cycle (%d DBs, %d deps)",
+			routers.Channels(), routers.Deps())
+	}
+	if routers.Acyclic() {
+		t.Fatal("router-granular lane graph reported acyclic")
+	}
 
-	db := func(v topology.Node) core.Channel { return core.Channel{From: v} }
+	for _, c := range []struct {
+		g       topology.Graph
+		acyclic bool
+	}{
+		{topology.MustTorus(4, 4), false},
+		{topology.MustMesh(4, 4), false},
+		{topology.MustHypercube(4), false},
+		{topology.MustDragonfly(4, 2), false},
+		{topology.MustFatTree(4), false},
+		{topology.MustFullMesh(8), true},
+	} {
+		if got := dbGraph(t, c.g, laneFor(c.g), nil).Acyclic(); got != c.acyclic {
+			t.Errorf("%s: single-lane router-granular graph acyclic = %v, want %v", c.g.Name(), got, c.acyclic)
+		}
+	}
+}
+
+// db is the resource a Deadlock Buffer lane flit holds at router v.
+func db(v topology.Node) core.Channel { return core.Channel{From: v} }
+
+// dbGraph collapses every lane channel onto its receiving router: the
+// dependency graph over Deadlock Buffers that token-free use of one DB lane
+// needs acyclic. It walks lane for every (src, dst) pair onLane accepts (nil
+// accepts all); the packet leaves src from an input VC, and every later hop
+// holds the DB of the router it is in and waits for the next one's.
+func dbGraph(t *testing.T, g topology.Graph, lane core.LaneRouting, onLane func(src, dst topology.Node) bool) *core.Graph {
+	t.Helper()
 	routers := core.NewGraph()
 	for s := 0; s < g.Nodes(); s++ {
 		for d := 0; d < g.Nodes(); d++ {
-			// The packet leaves s from an input VC; every later hop holds
-			// the DB of the router it is in and waits for the next one's.
 			cur, dst := topology.Node(s), topology.Node(d)
+			if onLane != nil && !onLane(cur, dst) {
+				continue
+			}
 			for held := false; cur != dst; held = true {
 				port, ok := lane(cur, dst)
 				if !ok {
-					t.Fatalf("lane stuck at %d for %d -> %d", cur, s, d)
+					t.Fatalf("%s: lane stuck at %d for %d -> %d", g.Name(), cur, s, d)
 				}
 				nb, _ := g.Neighbor(cur, port)
 				if held {
@@ -99,12 +139,52 @@ func TestAcyclicLaneCDGIsChannelGranular(t *testing.T) {
 			}
 		}
 	}
-	if !routers.HasDep(db(1), db(2)) || !routers.HasDep(db(2), db(1)) {
-		t.Fatalf("router-granular lane graph lacks the DB(1) <-> DB(2) 2-cycle (%d DBs, %d deps)",
-			routers.Channels(), routers.Deps())
-	}
-	if routers.Acyclic() {
-		t.Fatal("router-granular lane graph reported acyclic")
+	return routers
+}
+
+// TestConcurrentLanesMonotoneConnectedAcyclic guards the table concurrent
+// recovery routes both of its Deadlock Buffer lanes by: every hop moves
+// strictly toward dst in recovery order without passing it, the table passes
+// the Lemma 1 gate, and each lane's router-granular DB graph is acyclic — the
+// property the lane pair exists for, since one lane's is not (above). A table
+// that may overshoot dst passes every end-to-end test yet loses packets.
+func TestConcurrentLanesMonotoneConnectedAcyclic(t *testing.T) {
+	for _, g := range []topology.Graph{
+		topology.MustTorus(4, 4),
+		topology.MustTorus(3, 5),
+		topology.MustTorus(8, 8),
+		topology.MustMesh(4, 4),
+		topology.MustMesh(2, 3, 4),
+		topology.MustHypercube(4),
+		topology.MustFullMesh(8),
+	} {
+		pos, table := router.MonotoneLaneTable(g, g.RecoveryLane())
+		nodes := g.Nodes()
+		for d := 0; d < nodes; d++ {
+			for c := 0; c < nodes; c++ {
+				if c == d {
+					continue
+				}
+				port := int(table[d*nodes+c])
+				nb, ok := g.Neighbor(topology.Node(c), port)
+				up := pos[c] < pos[nb] && pos[nb] <= pos[d]
+				down := pos[d] <= pos[nb] && pos[nb] < pos[c]
+				if !ok || !up && !down {
+					t.Fatalf("%s: hop %d->%d via port %d (positions %d -> %d, dst %d) is not monotone toward dst",
+						g.Name(), c, d, port, pos[c], pos[nb], pos[d])
+				}
+			}
+		}
+		lane := core.TableLane(g, table)
+		if err := core.VerifyLaneConnected(g, lane); err != nil {
+			t.Errorf("%s: %v", g.Name(), err)
+		}
+		for _, up := range []bool{true, false} {
+			onLane := func(src, dst topology.Node) bool { return pos[dst] > pos[src] == up }
+			if cycle := dbGraph(t, g, lane, onLane).FindCycle(); cycle != nil {
+				t.Errorf("%s: lane (up=%v) has a router-granular DB cycle %v", g.Name(), up, cycle)
+			}
+		}
 	}
 }
 

@@ -53,7 +53,8 @@ func TestRejectsOversizedDegree(t *testing.T) {
 // TestRejectsBadRecoveryLane pins the constructor-time validation of the
 // declared recovery lane. A lane that skips nodes, repeats a node, or (for
 // concurrent recovery) steps between unlinked nodes used to panic deep in
-// wiring; every shape must now surface as an error from New.
+// wiring; every shape must now surface as an error from New. The last is the
+// Lemma 1 gate's: the lane table derived from such an order gets stuck.
 func TestRejectsBadRecoveryLane(t *testing.T) {
 	base := topology.MustHypercube(2)
 	cases := []struct {
@@ -66,7 +67,7 @@ func TestRejectsBadRecoveryLane(t *testing.T) {
 		{"duplicate", []topology.Node{0, 1, 1, 2}, router.RecoverySequential, "not a permutation"},
 		// 0,1,2,3 is a permutation, but 1->2 flips two bits: not a
 		// hypercube link, which only concurrent recovery requires.
-		{"unlinked step", []topology.Node{0, 1, 2, 3}, router.RecoveryConcurrent, "not a link"},
+		{"unlinked step", []topology.Node{0, 1, 2, 3}, router.RecoveryConcurrent, "fails Lemma 1: core: lane stuck"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -26,7 +26,9 @@ import (
 //
 // Restrictions, each returning an error: the link must exist and be idle;
 // the live network must remain connected; and concurrent recovery is
-// unsupported (its Hamiltonian lanes assume an intact path).
+// unsupported (its lane table is built once, over the intact topology, and
+// cutting a link between consecutive nodes of the recovery order leaves it
+// disconnected).
 func (n *Network) FailLink(node topology.Node, port int) error {
 	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
 		return fmt.Errorf("network: fault injection is not supported with concurrent recovery")

@@ -315,13 +315,19 @@ func New(cfg Config) (*Network, error) {
 		// The Deadlock Buffer lane must be a connected routing subfunction
 		// (the paper's Lemma 1, generalized to arbitrary digraphs): verify
 		// it at construction time against the lane routing the routers will
-		// actually use. Cubes route the lane by dimension order with no
-		// table (keeping golden digests byte-identical); everything else
-		// gets the BFS next-hop table installed.
+		// actually use. Concurrent recovery's two lanes are one table derived
+		// from the recovery order; otherwise cubes route the lane by
+		// dimension order with no table (keeping golden digests
+		// byte-identical) and everything else gets the BFS next-hop table.
 		var laneFn core.LaneRouting
-		if ctopo, ok := topology.Coordinated(topo); ok {
+		ctopo, cube := topology.Coordinated(topo)
+		switch {
+		case cfg.Router.Recovery == router.RecoveryConcurrent:
+			n.routerState.SetRecoveryOrder(lane)
+			laneFn = core.TableLane(topo, n.routerState.LaneTable())
+		case cube:
 			laneFn = core.DORLane(ctopo)
-		} else {
+		default:
 			table := core.BFSLaneTable(topo)
 			laneFn = core.TableLane(topo, table)
 			n.routerState.SetLaneTable(table)
@@ -329,13 +335,8 @@ func New(cfg Config) (*Network, error) {
 		if err := core.VerifyLaneConnected(topo, laneFn); err != nil {
 			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: %v", topo.Name(), err)
 		}
-		switch cfg.Router.Recovery {
-		case router.RecoverySequential:
+		if cfg.Router.Recovery == router.RecoverySequential {
 			n.token = NewToken(topo, cfg.TokenHopsPerCycle)
-		case router.RecoveryConcurrent:
-			if err := n.wireRecoveryLane(lane); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return n, nil
@@ -343,8 +344,8 @@ func New(cfg Config) (*Network, error) {
 
 // validRecoveryLane checks that the topology's declared recovery lane
 // visits every node exactly once, returning it. Both recovery modes rely
-// on this (the Token circulates the lane; concurrent lanes route along
-// it).
+// on this (the Token circulates the lane; concurrent lanes are derived from
+// its order).
 func validRecoveryLane(topo topology.Graph) ([]topology.Node, error) {
 	lane := topo.RecoveryLane()
 	if len(lane) != topo.Nodes() {
@@ -358,43 +359,6 @@ func validRecoveryLane(topo topology.Graph) ([]topology.Node, error) {
 		seen[node] = true
 	}
 	return lane, nil
-}
-
-// wireRecoveryLane gives every router its position on the declared
-// recovery lane and the ports toward its neighbors on it (concurrent
-// recovery routes Deadlock Buffer lanes monotonically along the lane, so
-// consecutive lane nodes must be physically linked; a declared lane that
-// breaks that contract is a configuration error, not a panic).
-func (n *Network) wireRecoveryLane(order []topology.Node) error {
-	labels := make([]int, n.topo.Nodes())
-	for i, node := range order {
-		labels[node] = i
-	}
-	n.routerState.SetHamiltonianLabels(labels)
-	portToward := func(from, to topology.Node) (int, error) {
-		for p := 0; p < n.topo.Degree(); p++ {
-			if nb, ok := n.topo.Neighbor(from, p); ok && nb == to {
-				return p, nil
-			}
-		}
-		return -1, fmt.Errorf("network: %s recovery lane step %d->%d is not a link; concurrent recovery needs a lane of physical links", n.topo.Name(), from, to)
-	}
-	for i, node := range order {
-		next, prev := -1, -1
-		var err error
-		if i+1 < len(order) {
-			if next, err = portToward(node, order[i+1]); err != nil {
-				return err
-			}
-		}
-		if i > 0 {
-			if prev, err = portToward(node, order[i-1]); err != nil {
-				return err
-			}
-		}
-		n.routers[node].ConnectHamiltonian(next, prev)
-	}
-	return nil
 }
 
 // Topo returns the network's topology.

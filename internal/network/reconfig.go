@@ -330,7 +330,7 @@ func (n *Network) validate(ev ReconfigEvent) (ports []int, alg routing.Algorithm
 	node, port, deg := ev.Node, ev.Port, n.topo.Degree()
 	kill := ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter
 	if kill && n.cfg.Router.Recovery == router.RecoveryConcurrent {
-		return nil, nil, "reconfiguration is not supported with concurrent recovery (its Hamiltonian lanes assume an intact path)"
+		return nil, nil, "reconfiguration is not supported with concurrent recovery (its lane table is built once, over the intact topology)"
 	}
 	switch ev.Kind {
 	case ReconfigKillLink, ReconfigHealLink:

@@ -80,7 +80,7 @@ func TestSnapshotRoundTripDigest(t *testing.T) {
 }
 
 // TestSnapshotRecoveryModes round-trips the two non-default recovery modes,
-// whose state machines (Hamiltonian DB lanes, abort-retry kill lists) put
+// whose state machines (two DB lanes per router, abort-retry kill lists) put
 // packets in places sequential recovery never does.
 func TestSnapshotRecoveryModes(t *testing.T) {
 	base := func(recovery router.RecoveryMode) Config {

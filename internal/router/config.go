@@ -85,10 +85,11 @@ const (
 	// points to via its Disha-CR citation): every presumed-deadlocked
 	// packet may recover immediately. Deadlock freedom of the recovery lane
 	// itself comes from structure instead of mutual exclusion — two
-	// direction-partitioned Deadlock Buffers per router, routed
-	// monotonically along the topology's Hamiltonian path, so each lane's
-	// buffer dependency chain is linear and acyclic. Requires FlitByFlit
-	// allocation.
+	// direction-partitioned Deadlock Buffers per router whose one next-hop
+	// table (MonotoneLaneTable) only moves a packet forward along the
+	// topology's recovery order, taking the furthest link that does not pass
+	// its destination, so each lane's buffer dependency graph is acyclic.
+	// Requires FlitByFlit allocation.
 	RecoveryConcurrent
 	// RecoveryAbortRetry is the Compressionless-Routing-style alternative
 	// the paper argues against: presumed-deadlocked packets are killed —

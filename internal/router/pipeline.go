@@ -153,9 +153,8 @@ func (r *Router) routeSlot(i int) {
 		// A recovered packet re-routes onto the DB lane; this occurs only if
 		// the recovery grant was made before the header advanced (normally
 		// Recover sets the route directly).
-		lane := r.recoveryLane(p.Dst)
-		s.inDBLane[i] = int32(lane)
-		s.inRoute[i] = int32(r.dbLaneRoute(lane, p.Dst))
+		s.inDBLane[i] = int32(r.recoveryLane(p.Dst))
+		s.inRoute[i] = int32(r.dbLaneRoute(p.Dst))
 		s.inOutVC[i] = VCDeadlockBuffer
 		return
 	}
@@ -359,7 +358,7 @@ func Commit(t Transfer, sink Sink) {
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
 			to.st.dbPkt[i] = fl.Pkt
-			to.st.dbRoute[i] = int32(to.dbLaneRoute(t.ToDBLane, fl.Pkt.Dst))
+			to.st.dbRoute[i] = int32(to.dbLaneRoute(fl.Pkt.Dst))
 			fl.Pkt.Hops++
 		}
 		t.From.stats.FlitsSwitched++
@@ -601,9 +600,8 @@ func (r *Router) MostStarved() (port, vc int, ok bool) {
 // onto the Deadlock Buffer lane: it releases any edge output VC the header
 // held, marks the packet recovered (it may use only Deadlock Buffers from
 // here to its destination — paper Assumption 3) and aims it at the next DB
-// hop: minimal dimension-order under sequential recovery, the monotone
-// Hamiltonian step of the packet's lane under concurrent recovery. It
-// returns the recovered packet.
+// hop (dbLaneRoute) on the lane recoveryLane picks. It returns the
+// recovered packet.
 func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	s := r.st
 	i := r.inIdx(port, vc)
@@ -617,9 +615,8 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	p.OnDB = true
 	p.SeizedToken = s.cfg.Recovery == RecoverySequential
 	p.RecoveredAt = now
-	lane := r.recoveryLane(p.Dst)
-	s.inDBLane[i] = int32(lane)
-	s.inRoute[i] = int32(r.dbLaneRoute(lane, p.Dst))
+	s.inDBLane[i] = int32(r.recoveryLane(p.Dst))
+	s.inRoute[i] = int32(r.dbLaneRoute(p.Dst))
 	s.inOutVC[i] = VCDeadlockBuffer
 	s.inWaiting[i] = 0
 	s.inPresumed[i] = false
@@ -647,37 +644,32 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 
 // recoveryLane picks the Deadlock Buffer lane for a recovery starting here:
 // lane 0 under sequential recovery; under concurrent recovery the up lane
-// when the destination's Hamiltonian label is larger, else the down lane.
+// when the destination lies further along the recovery order, else the down
+// lane.
 func (r *Router) recoveryLane(dst topology.Node) int {
 	if r.st.cfg.Recovery != RecoveryConcurrent {
 		return 0
 	}
-	labels := r.st.hamLabels
-	if labels == nil {
-		panic("router: concurrent recovery without SetHamiltonianLabels")
+	pos := r.st.orderPos
+	if pos == nil {
+		panic("router: concurrent recovery without SetRecoveryOrder")
 	}
-	if labels[dst] > labels[r.node] {
+	if pos[dst] > pos[r.node] {
 		return laneUp
 	}
 	return laneDown
 }
 
 // dbLaneRoute returns the Deadlock Buffer lane's output at this router for
-// a packet to dst: ejection at the destination, minimal dimension-order for
-// the sequential lane, the monotone Hamiltonian-path step for concurrent
-// lanes (which keeps each lane's buffer dependency chain linear and hence
-// acyclic).
-func (r *Router) dbLaneRoute(lane int, dst topology.Node) int {
+// a packet to dst: ejection at the destination, else the installed lane
+// table's entry (concurrent lanes, coordinate-free or faulted topologies),
+// else minimal dimension order. A concurrent packet's lane is implied by dst:
+// the table never carries it past dst in lane order.
+func (r *Router) dbLaneRoute(dst topology.Node) int {
 	if r.node == dst {
 		return PortEject
 	}
 	s := r.st
-	if s.cfg.Recovery == RecoveryConcurrent {
-		if lane == laneUp {
-			return r.hamNextPort
-		}
-		return r.hamPrevPort
-	}
 	if s.laneTable != nil {
 		return int(s.laneTable[int(dst)*s.nodes+int(r.node)])
 	}

@@ -153,7 +153,7 @@ func (r *Router) RefreshDBRoutes() {
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
 		if p := s.dbPkt[i]; p != nil && r.dbHeadIsHeader(i) {
-			s.dbRoute[i] = int32(r.dbLaneRoute(lane, p.Dst))
+			s.dbRoute[i] = int32(r.dbLaneRoute(p.Dst))
 		}
 	}
 }

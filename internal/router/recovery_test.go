@@ -9,31 +9,11 @@ import (
 	"repro/internal/topology"
 )
 
-// wireHam replicates the network's Hamiltonian wiring for a test bench.
-func wireHam(b *testBench) {
-	order := b.topo.RecoveryLane()
-	labels := make([]int, b.topo.Nodes())
-	for i, node := range order {
-		labels[node] = i
-	}
-	portToward := func(from, to topology.Node) int {
-		for p := 0; p < b.topo.Degree(); p++ {
-			if nb, ok := b.topo.Neighbor(from, p); ok && nb == to {
-				return p
-			}
-		}
-		panic("not adjacent")
-	}
-	for i, node := range order {
-		next, prev := -1, -1
-		if i+1 < len(order) {
-			next = portToward(node, order[i+1])
-		}
-		if i > 0 {
-			prev = portToward(node, order[i-1])
-		}
-		b.routers[node].st.SetHamiltonianLabels(labels) // every bench router has a State of its own
-		b.routers[node].ConnectHamiltonian(next, prev)
+// setRecoveryOrder installs the concurrent lanes the network would, on
+// every bench router (each has a State of its own).
+func setRecoveryOrder(b *testBench) {
+	for _, r := range b.routers {
+		r.st.SetRecoveryOrder(b.topo.RecoveryLane())
 	}
 }
 
@@ -42,9 +22,9 @@ func TestConcurrentRecoveryLaneSelection(t *testing.T) {
 	cfg := Default()
 	cfg.Recovery = RecoveryConcurrent
 	b := newBench(t, topo, cfg, routing.Disha(0))
-	wireHam(b)
+	setRecoveryOrder(b)
 	order := topo.RecoveryLane()
-	mid := b.routers[order[7]] // somewhere in the middle of the path
+	mid := b.routers[order[7]] // somewhere in the middle of the order
 
 	if mid.DBLanes() != 2 {
 		t.Fatalf("concurrent router has %d DB lanes, want 2", mid.DBLanes())
@@ -58,14 +38,21 @@ func TestConcurrentRecoveryLaneSelection(t *testing.T) {
 	if lane := mid.recoveryLane(down.Dst); lane != laneDown {
 		t.Fatalf("down destination got lane %d", lane)
 	}
-	// The lane route is the Hamiltonian successor/predecessor port.
-	if got := mid.dbLaneRoute(laneUp, up.Dst); got != mid.hamNextPort {
-		t.Fatalf("up lane route %d != next port %d", got, mid.hamNextPort)
+	// The lane route is the table's entry, and it lands strictly between
+	// here and the destination in lane order.
+	table, pos := mid.st.LaneTable(), mid.st.orderPos
+	for _, p := range []*packet.Packet{up, down} {
+		got := mid.dbLaneRoute(p.Dst)
+		if want := int(table[int(p.Dst)*topo.Nodes()+int(mid.node)]); got != want {
+			t.Fatalf("lane route to %d is %d, table entry %d", p.Dst, got, want)
+		}
+		nb, _ := topo.Neighbor(mid.node, got)
+		lo, hi := min(pos[mid.node], pos[p.Dst]), max(pos[mid.node], pos[p.Dst])
+		if nb == mid.node || pos[nb] < lo || pos[nb] > hi {
+			t.Fatalf("lane hop %d -> %d (position %d) leaves (%d, %d]", mid.node, nb, pos[nb], pos[mid.node], pos[p.Dst])
+		}
 	}
-	if got := mid.dbLaneRoute(laneDown, down.Dst); got != mid.hamPrevPort {
-		t.Fatalf("down lane route %d != prev port %d", got, mid.hamPrevPort)
-	}
-	if got := mid.dbLaneRoute(laneUp, mid.NodeID()); got != PortEject {
+	if got := mid.dbLaneRoute(mid.NodeID()); got != PortEject {
 		t.Fatal("at destination the lane must eject")
 	}
 }
@@ -75,7 +62,7 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	cfg := Default()
 	cfg.Recovery = RecoveryConcurrent
 	b := newBench(t, topo, cfg, routing.DOR())
-	wireHam(b)
+	setRecoveryOrder(b)
 	order := topo.RecoveryLane()
 	src := order[3]
 	dst := order[8]
@@ -110,12 +97,13 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 		b.step()
 	}
 	if !p.Delivered() {
-		t.Fatal("packet did not traverse the Hamiltonian DB lane to its destination")
+		t.Fatal("packet did not traverse the up DB lane to its destination")
 	}
-	// Exactly |label(dst) - label(src)| DB hops plus ejection: hops grow by
-	// the Hamiltonian distance.
-	if p.Hops != 8-3 {
-		t.Fatalf("ham lane hops = %d, want %d", p.Hops, 8-3)
+	// Hops grow by the table's path length, not the lane-order distance
+	// (8-3 = 5): order[3] steps to order[4], which shortcuts over the torus
+	// wraparound to order[7], which steps to order[8].
+	if p.Hops != 3 {
+		t.Fatalf("lane hops = %d, want 3", p.Hops)
 	}
 }
 

@@ -50,8 +50,8 @@ const (
 
 // Deadlock Buffer lane indices for concurrent recovery.
 const (
-	laneUp   = 0 // toward increasing Hamiltonian labels
-	laneDown = 1 // toward decreasing Hamiltonian labels
+	laneUp   = 0 // toward increasing positions on the recovery order
+	laneDown = 1 // toward decreasing positions on the recovery order
 )
 
 const connNone = -1
@@ -76,8 +76,8 @@ type Stats struct {
 
 // Router is one network node's switch: a view over the node's slice of the
 // network-wide State. It holds only what is the node's own — its base
-// offsets into the shared buffers, its wiring (neighbors, reverse ports,
-// Hamiltonian-path ports), its RNG stream, and the cold counters and scratch
+// offsets into the shared buffers, its wiring (neighbors, reverse ports),
+// its RNG stream, and the cold counters and scratch
 // no per-cycle scan sweeps. Everything network-wide (topology, configuration,
 // routing and selection functions, the Deadlock Buffer lane table) is read
 // through st.
@@ -100,11 +100,6 @@ type Router struct {
 	// port is unconnected or unpaired. The transfer-commit and credit hot
 	// paths index it instead of re-deriving the pairing per flit.
 	rev []int32
-
-	// Ports toward this router's successor/predecessor on the recovery
-	// Hamiltonian path (-1 at the path's ends); set by ConnectHamiltonian.
-	hamNextPort int
-	hamPrevPort int
 
 	candBuf []routing.Candidate
 	stats   Stats
@@ -137,8 +132,6 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 		rev:         make([]int32, deg),
 		candBuf:     make([]routing.Candidate, 0, st.outStr), // one per output VC
 		blockedByVC: make([]int64, max(cfg.VCs, cfg.InjectionVCs)),
-		hamNextPort: -1,
-		hamPrevPort: -1,
 	}
 	for p := 0; p < deg; p++ {
 		if q, ok := st.topo.ReversePortAt(node, p); ok {
@@ -160,15 +153,6 @@ func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algori
 // EffectiveTimeout returns the router's current deadlock time-out: the
 // configured T_out, or the self-tuned value under AdaptiveTimeout.
 func (r *Router) EffectiveTimeout() sim.Cycle { return r.st.effTout[r.node] }
-
-// ConnectHamiltonian wires the router into the recovery Hamiltonian path:
-// the output ports toward the path's successor and predecessor (pass -1 at
-// the ends). Concurrent recovery needs it on every router, plus the label
-// table in State.SetHamiltonianLabels.
-func (r *Router) ConnectHamiltonian(nextPort, prevPort int) {
-	r.hamNextPort = nextPort
-	r.hamPrevPort = prevPort
-}
 
 // Connect wires the neighbor reached through the given output port. The
 // network calls it for both directions of every link.

@@ -11,8 +11,8 @@ import (
 
 // State is everything the routers of one network share: the network-wide
 // facts — topology, router configuration, the installed routing and
-// selection functions, the Deadlock Buffer lane table, the Hamiltonian label
-// table, the timeout observer — each stored once, and the hot per-cycle
+// selection functions, the Deadlock Buffer lane table, the recovery-order
+// positions, the timeout observer — each stored once, and the hot per-cycle
 // microarchitectural state of every router as flat struct-of-arrays buffers
 // indexed by (router, port, vc). A Router is a view over its slice of the
 // buffers, so route compute, switch allocation and the deadlock-timer phase
@@ -54,12 +54,12 @@ type State struct {
 	alg   routing.Algorithm
 	sel   routing.Selection
 
-	// laneTable, when set, routes the sequential Deadlock Buffer lane by
-	// next-hop table instead of dimension order (see SetLaneTable).
+	// laneTable, when set, routes the Deadlock Buffer lanes by next-hop
+	// table instead of dimension order (see SetLaneTable).
 	laneTable []int32
-	// hamLabels is the node-to-label table of the recovery Hamiltonian path
-	// (concurrent recovery; see SetHamiltonianLabels).
-	hamLabels []int
+	// orderPos is every node's position on the recovery order (concurrent
+	// recovery picks a lane by it; see SetRecoveryOrder).
+	orderPos []int32
 	// onTimeout, when set via SetOnTimeout, observes every newly presumed
 	// header. TickTimers buffers them per router; FlushTimeouts drains them.
 	onTimeout func(topology.Node, *packet.Packet)
@@ -203,17 +203,64 @@ func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
 // lane routes by dimension order).
 func (s *State) LaneTable() []int32 { return s.laneTable }
 
-// SetLaneTable installs a next-hop table for the sequential Deadlock Buffer
-// lane: table[int(dst)*nodes + int(node)] is the output port toward dst at
-// node (core.BFSLaneTableOver's shape). When set it replaces dimension-order
-// DB routing: coordinate-free topologies from construction, every topology
-// once a link or router has failed.
+// SetLaneTable installs a next-hop table for the Deadlock Buffer lanes:
+// table[int(dst)*nodes + int(node)] is the output port toward dst at node
+// (core.BFSLaneTableOver's shape). When set it replaces dimension-order DB
+// routing: coordinate-free topologies from construction, concurrent recovery
+// (SetRecoveryOrder), every topology once a link or router has failed.
 func (s *State) SetLaneTable(table []int32) { s.laneTable = table }
 
-// SetHamiltonianLabels installs the node-to-label table of the recovery
-// Hamiltonian path. Required for concurrent recovery, together with each
-// router's ConnectHamiltonian.
-func (s *State) SetHamiltonianLabels(labels []int) { s.hamLabels = labels }
+// SetRecoveryOrder installs concurrent recovery's two Deadlock Buffer lanes
+// (MonotoneLaneTable over the recovery order): the positions pick a
+// recovery's lane, the table routes both.
+func (s *State) SetRecoveryOrder(order []topology.Node) {
+	pos, table := MonotoneLaneTable(s.topo, order)
+	s.orderPos = pos
+	s.SetLaneTable(table)
+}
+
+// MonotoneLaneTable returns each node's position on order (a permutation of
+// g's nodes) and a SetLaneTable-shaped table sending a flit at cur bound for
+// dst to the neighbor furthest along order toward dst that does not pass it —
+// the monotone shortcut of Lin–McKinley–Ni dual-path routing. Positions
+// strictly increase on the up lane and strictly decrease on the down lane, so
+// neither lane's dependency graph over receiving routers has a cycle. An
+// entry is -1 on the diagonal and where no neighbor qualifies (never when
+// order steps along links).
+func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos, table []int32) {
+	nodes, deg := g.Nodes(), g.Degree()
+	pos = make([]int32, nodes)
+	for i, v := range order {
+		pos[v] = int32(i)
+	}
+	nbPos := make([]int32, nodes*deg) // -1 where port p of v has no link
+	for i := range nbPos {
+		nbPos[i] = -1
+		if nb, ok := g.Neighbor(topology.Node(i/deg), i%deg); ok {
+			nbPos[i] = pos[nb]
+		}
+	}
+	table = make([]int32, nodes*nodes)
+	for d := 0; d < nodes; d++ {
+		for c := 0; c < nodes; c++ {
+			table[d*nodes+c] = -1
+			// ahead is how far short of dst a hop lands, in lane direction:
+			// the smallest non-negative one wins, the lowest port on a tie.
+			dir := int32(1)
+			if pos[d] < pos[c] {
+				dir = -1
+			}
+			best := dir * (pos[d] - pos[c])
+			for p := 0; p < deg; p++ {
+				np := nbPos[c*deg+p]
+				if ahead := dir * (pos[d] - np); np >= 0 && ahead >= 0 && ahead < best {
+					best, table[d*nodes+c] = ahead, int32(p)
+				}
+			}
+		}
+	}
+	return pos, table
+}
 
 // SetOnTimeout installs the observer invoked (from FlushTimeouts) for every
 // header newly presumed deadlocked, with the presuming router's node; nil
