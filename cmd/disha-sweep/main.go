@@ -109,8 +109,8 @@ func main() {
 	var failedFigures []string
 	totalFailed, totalPoints := 0, 0
 	for _, name := range names {
-		// The same resolver the job server and fleet workers use, so one
-		// (figure, scale, overrides) tuple names the same points everywhere.
+		// The same resolver the job server uses, so one (figure, scale,
+		// overrides) tuple names the same points in both.
 		spec, err := harness.SpecFor(name, *scale, *warmup, *measure, *seed, nil)
 		fail(err)
 		fail(spec.CheckSweep(*parallel, *replicas, *retries, *warmup, *measure))
@@ -131,7 +131,7 @@ func main() {
 		}
 		var before fabric.Stats
 		if store != nil {
-			opts.PointRunner = store.PointRunner(name, *scale, *warmup, *measure, *seed)
+			opts.PointRunner = store.Execute
 			before = store.Stats() // the store accumulates across figures
 		}
 		res, report, err := spec.RunWith(opts)

@@ -41,7 +41,7 @@ func runBatch(c *fabric.Coordinator, n int, base uint64, local func(i int, seed 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr, err := c.Execute(nil, harness.PointTask{Key: key, Seed: seed}, fabric.PointSpec{}, func() (harness.PointResult, error) {
+			pr, err := c.Execute(nil, harness.PointTask{Key: key, Seed: seed}, func() (harness.PointResult, error) {
 				if local != nil {
 					return local(i, seed)
 				}
@@ -212,7 +212,7 @@ func TestStopDrainsThenResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal.jsonl")
 	through := func(c *fabric.Coordinator, opts harness.RunOptions) harness.RunOptions {
 		opts.Parallel = 2
-		opts.PointRunner = c.PointRunner("4", "small", 50, 100, 5)
+		opts.PointRunner = c.Execute
 		return opts
 	}
 	want, _, err := stubSpec(t, 5).RunWith(harness.RunOptions{})
@@ -236,6 +236,7 @@ func TestStopDrainsThenResumes(t *testing.T) {
 		t.Fatalf("drain did not land mid-batch: %v", rep)
 	}
 	c1.Close()
+	harness.PointHook = nil // the resumed sweep is not gated
 
 	c2 := openStore(t, path, rep.Completed)
 	got, _, err := stubSpec(t, 5).RunWith(through(c2, harness.RunOptions{}))

@@ -11,8 +11,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // These were engine.Run's tests until the generic scheduler went (PR 26).
@@ -66,17 +64,21 @@ func TestDeterminismParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// hookPoints installs f as harness.PointHook until the test ends.
+func hookPoints(t *testing.T, f func(key string)) {
+	harness.PointHook = f
+	t.Cleanup(func() { harness.PointHook = nil })
+}
+
 // gatedSpec is stubSpec whose points really simulate, each announcing itself
-// on started and then holding its Parallel slot until gate closes: Pattern is
-// built inside runPoint, behind the slot.
+// on started and then holding its Parallel slot until gate closes: PointHook
+// runs inside runPoint, behind the slot.
 func gatedSpec(t *testing.T, started chan<- struct{}, gate <-chan struct{}) *harness.Spec {
-	spec := stubSpec(t, 5)
-	spec.Pattern = func(g topology.Graph) (traffic.Pattern, error) {
+	hookPoints(t, func(string) {
 		started <- struct{}{}
 		<-gate
-		return traffic.NewUniform(g)
-	}
-	return spec
+	})
+	return stubSpec(t, 5)
 }
 
 // TestStopDrainsWithoutDispatchingMore: closing Stop lets the points that hold
@@ -115,9 +117,9 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 	label := func(i int) string { return spec.Algs[i].Algorithm.Name() }
 	flaky, doomed, poison := label(0), label(1), label(2)
 	load := spec.Loads[0]
-	// A copy whose simulation panics, as the simulator's invariants do.
-	poisoned := *spec
-	poisoned.Pattern = func(topology.Graph) (traffic.Pattern, error) { panic("permanent panic") }
+	// Whatever point simulates panics, as the simulator's invariants do; only
+	// the poison point does.
+	hookPoints(t, func(string) { panic("permanent panic") })
 
 	var mu sync.Mutex
 	calls := map[string]int{}
@@ -133,7 +135,7 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 		case pt.Alg == doomed:
 			return harness.PointResult{}, errTransient
 		case pt.Alg == poison:
-			return poisoned.RunPoint(pt.Alg, pt.Load, pt.Seed, harness.PointOptions{})
+			return spec.RunPoint(pt.Alg, pt.Load, pt.Seed, harness.PointOptions{})
 		}
 		return purePoint(pt.Seed)
 	})})

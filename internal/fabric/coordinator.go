@@ -235,13 +235,15 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 // Execute runs one point through the fabric and blocks until its result is
 // available: from the shared cache, from a worker that leased the unit, or
 // from the local fallback closure when no live workers exist, MaxQueue units
-// are already pending, or the fleet exhausted its dispatch attempts.
+// are already pending, or the fleet exhausted its dispatch attempts. It is a
+// harness.RunOptions.PointRunner: a worker needs nothing but the task's key
+// and seed.
 // Concurrent Executes with the same fingerprint coalesce onto a single
 // execution. stop, when it closes, is the caller's drain: a unit still
 // pending is given up — this caller returns harness.ErrDrained, and the last
 // waiter to leave withdraws the unit — while a unit that is leased or
 // computing is waited for, so what was started still reaches the store.
-func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, point PointSpec, local func() (harness.PointResult, error)) (harness.PointResult, error) {
+func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
 	fp := Fingerprint(t.Key, t.Seed)
 
 	c.mu.Lock()
@@ -257,12 +259,7 @@ func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, point P
 		// pass): wait for that execution instead of starting a second one.
 		c.deduped.Add(1)
 	} else {
-		u = &unit{
-			wu: WorkUnit{
-				Key: t.Key, Fingerprint: fp, Seed: t.Seed, Point: point,
-			},
-			local: local,
-		}
+		u = &unit{wu: WorkUnit{Key: t.Key, Fingerprint: fp, Seed: t.Seed}, local: local}
 		c.units[fp] = u
 		switch {
 		case c.liveWorkersLocked(time.Now()) == 0:
@@ -305,20 +302,6 @@ func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, point P
 		}
 		wake = c.wake
 		c.mu.Unlock()
-	}
-}
-
-// PointRunner returns the harness.RunOptions.PointRunner of one sweep: every
-// point goes through Execute, which serves it from the cache or store, hands
-// it to a fleet worker, or computes it with the sweep's own local closure. The
-// arguments are the ones harness.SpecFor resolved the sweep's spec from, so a
-// worker rebuilds a byte-identical spec from the PointSpec it is leased.
-func (c *Coordinator) PointRunner(figure, scale string, warmup, measure int, seed uint64) func(<-chan struct{}, harness.PointTask, func() (harness.PointResult, error)) (harness.PointResult, error) {
-	return func(stop <-chan struct{}, t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
-		return c.Execute(stop, t, PointSpec{
-			Figure: figure, Scale: scale, Warmup: warmup, Measure: measure, Seed: seed,
-			Alg: t.Alg, Load: t.Load, Replica: t.Replica,
-		}, local)
 	}
 }
 

@@ -33,11 +33,9 @@ func TestFingerprintIdentity(t *testing.T) {
 }
 
 // task builds a synthetic point task; the coordinator never interprets the
-// spec fields, so placeholders suffice for coordinator-level tests.
-func task(n int) (harness.PointTask, PointSpec) {
-	key := fmt.Sprintf("unit-%03d", n)
-	return harness.PointTask{Key: key, Seed: uint64(1000 + n), Alg: "disha-m3", Load: 0.4},
-		PointSpec{Figure: "4", Scale: "small", Alg: "disha-m3", Load: 0.4}
+// key, so a placeholder suffices for coordinator-level tests.
+func task(n int) harness.PointTask {
+	return harness.PointTask{Key: fmt.Sprintf("unit-%03d", n), Seed: uint64(1000 + n), Alg: "disha-m3", Load: 0.4}
 }
 
 func resultFor(n int) harness.PointResult {
@@ -47,11 +45,11 @@ func resultFor(n int) harness.PointResult {
 func TestExecuteRunsLocallyWithoutWorkersAndCaches(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
 	defer c.Close()
-	tk, ps := task(1)
+	tk := task(1)
 	calls := 0
 	local := func() (harness.PointResult, error) { calls++; return resultFor(1), nil }
 
-	pr, err := c.Execute(nil, tk, ps, local)
+	pr, err := c.Execute(nil, tk, local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func TestExecuteRunsLocallyWithoutWorkersAndCaches(t *testing.T) {
 	}
 
 	// Identical resubmission: served from the cache, no second execution.
-	if _, err := c.Execute(nil, tk, ps, local); err != nil {
+	if _, err := c.Execute(nil, tk, local); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -80,7 +78,7 @@ func TestRemoteLeaseDeliverAndConcurrentDedupe(t *testing.T) {
 	defer c.Close()
 	c.Heartbeat("w1", nil) // mark a worker live so units queue for the fleet
 
-	tk, ps := task(2)
+	tk := task(2)
 	localRan := false
 	local := func() (harness.PointResult, error) { localRan = true; return resultFor(2), nil }
 
@@ -92,7 +90,7 @@ func TestRemoteLeaseDeliverAndConcurrentDedupe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = c.Execute(nil, tk, ps, local)
+			results[i], errs[i] = c.Execute(nil, tk, local)
 		}()
 	}
 
@@ -164,10 +162,10 @@ func TestLeaseExpiryRedispatchCarriesCheckpoint(t *testing.T) {
 	}()
 	c.Heartbeat("wB", nil)
 
-	tk, ps := task(3)
+	tk := task(3)
 	done := make(chan harness.PointResult, 1)
 	go func() {
-		pr, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
+		pr, err := c.Execute(nil, tk, func() (harness.PointResult, error) {
 			t.Error("local fallback must not run")
 			return harness.PointResult{}, nil
 		})
@@ -228,10 +226,10 @@ func TestWorkerErrorsExhaustAttemptsThenRunLocally(t *testing.T) {
 	defer c.Close()
 	c.Heartbeat("w1", nil)
 
-	tk, ps := task(4)
+	tk := task(4)
 	done := make(chan harness.PointResult, 1)
 	go func() {
-		pr, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) { return resultFor(4), nil })
+		pr, err := c.Execute(nil, tk, func() (harness.PointResult, error) { return resultFor(4), nil })
 		if err != nil {
 			t.Error(err)
 		}
@@ -272,10 +270,10 @@ func TestStaleErrorUploadDoesNotRequeue(t *testing.T) {
 	c.Heartbeat("wA", nil)
 	c.Heartbeat("wB", nil)
 
-	tk, ps := task(7)
+	tk := task(7)
 	done := make(chan harness.PointResult, 1)
 	go func() {
-		pr, err := c.Execute(nil, tk, ps, mustNotRunLocally(t))
+		pr, err := c.Execute(nil, tk, mustNotRunLocally(t))
 		if err != nil {
 			t.Error(err)
 		}
@@ -313,11 +311,11 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	defer c.Close()
 	c.Heartbeat("w1", nil)
 
-	tk1, ps1 := task(5)
-	tk2, ps2 := task(6)
+	tk1 := task(5)
+	tk2 := task(6)
 	first := make(chan harness.PointResult, 1)
 	go func() {
-		pr, _ := c.Execute(nil, tk1, ps1, func() (harness.PointResult, error) { return resultFor(5), nil })
+		pr, _ := c.Execute(nil, tk1, func() (harness.PointResult, error) { return resultFor(5), nil })
 		first <- pr
 	}()
 	// Wait for the first unit to occupy the queue.
@@ -332,7 +330,7 @@ func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	}
 
 	// Second unit overflows the bounded queue and runs locally.
-	pr, err := c.Execute(nil, tk2, ps2, func() (harness.PointResult, error) { return resultFor(6), nil })
+	pr, err := c.Execute(nil, tk2, func() (harness.PointResult, error) { return resultFor(6), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +363,8 @@ func TestWithdrawnUnitsFreeTheQueueBound(t *testing.T) {
 	stop := make(chan struct{})
 	errs := make(chan error, 2)
 	for n := 1; n <= 2; n++ {
-		tk, ps := task(n)
-		go func() { _, err := c.Execute(stop, tk, ps, mustNotRunLocally(t)); errs <- err }()
+		tk := task(n)
+		go func() { _, err := c.Execute(stop, tk, mustNotRunLocally(t)); errs <- err }()
 	}
 	eventually(t, "two units pending", func() bool { return c.Stats().QueueDepth == 2 })
 	close(stop)
@@ -381,8 +379,8 @@ func TestWithdrawnUnitsFreeTheQueueBound(t *testing.T) {
 
 	done := make(chan harness.PointResult, 2)
 	for n := 3; n <= 4; n++ {
-		tk, ps := task(n)
-		go func() { pr, _ := c.Execute(nil, tk, ps, mustNotRunLocally(t)); done <- pr }()
+		tk := task(n)
+		go func() { pr, _ := c.Execute(nil, tk, mustNotRunLocally(t)); done <- pr }()
 	}
 	eventually(t, "two more units pending", func() bool { return c.Stats().QueueDepth == 2 })
 	if st := c.Stats(); st.QueueFull != 0 || st.LocalRuns != 0 {
@@ -412,8 +410,8 @@ func TestDrainWithdrawsRequeuedUnit(t *testing.T) {
 	c.Heartbeat("w1", nil)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
-	tk, ps := task(1)
-	go func() { _, err := c.Execute(stop, tk, ps, mustNotRunLocally(t)); done <- err }()
+	tk := task(1)
+	go func() { _, err := c.Execute(stop, tk, mustNotRunLocally(t)); done <- err }()
 	eventually(t, "the unit to be pending", func() bool { return c.Stats().QueueDepth == 1 })
 	if c.Lease("w1") == nil {
 		t.Fatal("nothing to lease")
@@ -461,8 +459,8 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	if !strings.Contains(text.String(), "fleet_lease_waiters 1\n") || !strings.Contains(text.String(), "fleet_unit_queue_seconds_count 0\n") {
 		t.Fatalf("render with a parked request and nothing leased yet:\n%s", text.String())
 	}
-	tk, ps := task(8)
-	go c.Execute(nil, tk, ps, func() (harness.PointResult, error) { return resultFor(8), nil })
+	tk := task(8)
+	go c.Execute(nil, tk, func() (harness.PointResult, error) { return resultFor(8), nil })
 	wu := <-leased
 	for i := 0; i < 2; i++ {
 		text.Reset()
@@ -517,15 +515,15 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 	if n, err := c1.OpenStore(path); err != nil || n != 0 {
 		t.Fatalf("OpenStore on a missing file: loaded %d, err %v", n, err)
 	}
-	tk1, ps1 := task(1)
-	if _, err := c1.Execute(nil, tk1, ps1, func() (harness.PointResult, error) { return resultFor(1), nil }); err != nil {
+	tk1 := task(1)
+	if _, err := c1.Execute(nil, tk1, func() (harness.PointResult, error) { return resultFor(1), nil }); err != nil {
 		t.Fatal(err)
 	}
 	// The second result arrives as a worker upload.
 	c1.Heartbeat("w1", nil)
-	tk2, ps2 := task(2)
+	tk2 := task(2)
 	done := make(chan error, 1)
-	go func() { _, err := c1.Execute(nil, tk2, ps2, poison); done <- err }()
+	go func() { _, err := c1.Execute(nil, tk2, poison); done <- err }()
 	var wu *WorkUnit
 	for deadline := time.Now().Add(5 * time.Second); wu == nil; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -549,7 +547,7 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 		t.Fatal("second OpenStore must be refused")
 	}
 	for i, tk := range []harness.PointTask{tk1, tk2} {
-		pr, err := c2.Execute(nil, tk, ps1, poison)
+		pr, err := c2.Execute(nil, tk, poison)
 		if err != nil || pr != resultFor(i+1) {
 			t.Fatalf("unit %d from the store: %+v, err %v", i+1, pr, err)
 		}
@@ -557,7 +555,7 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 	// Same key under another seed is another result, not a hit.
 	other := tk1
 	other.Seed++
-	if pr, err := c2.Execute(nil, other, ps1, func() (harness.PointResult, error) { return resultFor(9), nil }); err != nil || pr != resultFor(9) {
+	if pr, err := c2.Execute(nil, other, func() (harness.PointResult, error) { return resultFor(9), nil }); err != nil || pr != resultFor(9) {
 		t.Fatalf("same key, other seed: %+v, err %v", pr, err)
 	}
 	if st := c2.Stats(); st.CacheHits != 2 || st.LocalRuns != 1 || st.StoreErrors != 0 {
@@ -569,9 +567,9 @@ func TestStoreOutlivesCoordinator(t *testing.T) {
 	// so the descriptor goes too.)
 	os.RemoveAll(filepath.Dir(path))
 	c2.store.Close()
-	tk3, ps3 := task(3)
+	tk3 := task(3)
 	for i := 0; i < 2; i++ {
-		pr, err := c2.Execute(nil, tk3, ps3, func() (harness.PointResult, error) { return resultFor(3), nil })
+		pr, err := c2.Execute(nil, tk3, func() (harness.PointResult, error) { return resultFor(3), nil })
 		if err != nil || pr != resultFor(3) {
 			t.Fatalf("point over a dead store: %+v, err %v", pr, err)
 		}

@@ -47,38 +47,11 @@ import (
 	"repro/internal/harness"
 )
 
-// PointSpec is the portable description of one sweep point: everything a
-// worker needs to rebuild the harness spec (via harness.SpecFor) and run
-// exactly the point the coordinator leased. The fields mirror the job
-// server's SweepRequest plus the point coordinates within the sweep.
-type PointSpec struct {
-	// Figure and Scale select the canned paper sweep ("3a".."7" at "paper"
-	// or "small" scale).
-	Figure string `json:"figure"`
-	Scale  string `json:"scale,omitempty"`
-	// Warmup/Measure/Seed override the scale's cycle counts and base seed
-	// (zero keeps the default), matching SweepRequest semantics.
-	Warmup  int    `json:"warmup,omitempty"`
-	Measure int    `json:"measure,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	// Alg is the curve label within the figure; Load and Replica locate the
-	// point on that curve.
-	Alg     string  `json:"alg"`
-	Load    float64 `json:"load"`
-	Replica int     `json:"replica"`
-}
-
-// Spec rebuilds the harness spec this point belongs to.
-func (p PointSpec) Spec() (*harness.Spec, error) {
-	return harness.SpecFor(p.Figure, p.Scale, p.Warmup, p.Measure, p.Seed, nil)
-}
-
 // Fingerprint derives the content identity of a point execution from its
-// point key and derived seed. The key embeds the full spec
-// configuration (figure, scale knobs, cycle counts, base seed — see
-// harness.PointKey) and the seed pins the random stream, so two units with
-// equal fingerprints are guaranteed to produce byte-identical results; the
-// shared result cache and cross-client dedupe key on it.
+// point key and derived seed. The key is the point's whole spec (see
+// harness.Spec.PointKey) and the seed pins the random stream, so two units
+// with equal fingerprints are guaranteed to produce byte-identical results;
+// the shared result cache and cross-client dedupe key on it.
 func Fingerprint(key string, seed uint64) string {
 	h := sha256.New()
 	var s [8]byte
@@ -88,13 +61,13 @@ func Fingerprint(key string, seed uint64) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
-// WorkUnit is one leased point: identity, spec, and (on re-dispatch) the
-// last checkpoint blob a previous lease holder streamed up.
+// WorkUnit is one leased point: its key — which is its spec, see
+// harness.ParsePointKey — its seed, and (on re-dispatch) the last checkpoint
+// blob a previous lease holder streamed up.
 type WorkUnit struct {
-	Key         string    `json:"key"`
-	Fingerprint string    `json:"fingerprint"`
-	Seed        uint64    `json:"seed"`
-	Point       PointSpec `json:"point"`
+	Key         string `json:"key"`
+	Fingerprint string `json:"fingerprint"`
+	Seed        uint64 `json:"seed"`
 	// Checkpoint, when non-empty, is a sealed harness checkpoint of a prior
 	// partial execution of this unit; the worker resumes from it.
 	Checkpoint []byte `json:"checkpoint,omitempty"`

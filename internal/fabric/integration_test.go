@@ -35,7 +35,7 @@ func fleetHarnessSpec(t *testing.T) *harness.Spec {
 func fleetRunOptions(c *fabric.Coordinator) harness.RunOptions {
 	return harness.RunOptions{
 		Parallel:    4,
-		PointRunner: c.PointRunner("3a", "small", fleetWarmup, fleetMeasure, 0),
+		PointRunner: c.Execute,
 	}
 }
 

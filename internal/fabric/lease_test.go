@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/harness"
 )
 
@@ -74,11 +73,11 @@ func TestLeaseWaitParksAndWakes(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < units; i++ {
-		tk, ps := task(20 + i)
+		tk := task(20 + i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); err != nil {
+			if _, err := c.Execute(nil, tk, mustNotRunLocally(t)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -130,9 +129,9 @@ func TestCanceledLeaseWaitTakesNoUnit(t *testing.T) {
 		t.Fatal("canceled request stayed parked")
 	}
 
-	tk, ps := task(30)
+	tk := task(30)
 	done := make(chan error, 1)
-	go func() { _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); done <- err }()
+	go func() { _, err := c.Execute(nil, tk, mustNotRunLocally(t)); done <- err }()
 	eventually(t, "the unit to queue", func() bool { return c.Stats().QueueDepth == 1 })
 	if wu := c.LeaseWait(ctx, "w1"); wu != nil {
 		t.Fatalf("request canceled before it arrived got %+v", wu)
@@ -214,15 +213,13 @@ func TestParkedWorkerLeasesAtOnce(t *testing.T) {
 	startWorker(t, srv.URL, "wfast")
 	eventually(t, "the worker to register", func() bool { return c.Stats().WorkersLive == 1 })
 
-	_, ps, spec := tinyPoint(t)
+	_, spec := tinyPoint(t)
 	var waits []time.Duration
 	for i := 0; i < 10; i++ {
 		time.Sleep(20 * time.Millisecond) // the worker has asked again and is idle
-		ps.Replica = i
-		key := spec.PointKey(ps.Alg, ps.Load, ps.Replica)
-		tk := harness.PointTask{Key: key, Seed: engine.SeedFor(spec.Seed, key), Alg: ps.Alg, Load: ps.Load, Replica: ps.Replica}
+		tk := pointTask(t, spec, i)
 		enqueued := time.Now()
-		if _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); err != nil {
+		if _, err := c.Execute(nil, tk, mustNotRunLocally(t)); err != nil {
 			t.Fatal(err)
 		}
 		waits = append(waits, (<-granted).Sub(enqueued))
@@ -269,8 +266,8 @@ func TestWorkerOutlivesCoordinator(t *testing.T) {
 	})
 	b, _ := serveOn(ln)
 	eventually(t, "the worker to reach B", func() bool { return b.Stats().WorkersLive == 1 })
-	tk, ps, _ := tinyPoint(t)
-	if _, err := b.Execute(nil, tk, ps, mustNotRunLocally(t)); err != nil {
+	tk, _ := tinyPoint(t)
+	if _, err := b.Execute(nil, tk, mustNotRunLocally(t)); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(gone); took > 3*time.Second {
@@ -291,9 +288,9 @@ func TestDuplicateAndStaleHeartbeats(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl})
 	defer c.Close()
 	c.Heartbeat("wA", nil)
-	tk, ps := task(40)
+	tk := task(40)
 	done := make(chan error, 1)
-	go func() { _, err := c.Execute(nil, tk, ps, mustNotRunLocally(t)); done <- err }()
+	go func() { _, err := c.Execute(nil, tk, mustNotRunLocally(t)); done <- err }()
 	wu := c.LeaseWait(context.Background(), "wA")
 	if wu == nil {
 		t.Fatal("no unit within the hold")

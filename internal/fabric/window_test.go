@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/harness"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // windowSpec is the sweep these tests offer: figure 4 at small scale, 24
@@ -29,7 +27,7 @@ func sweepThrough(c *Coordinator, spec *harness.Spec, parallel int, stop <-chan 
 	go func() {
 		_, rep, _ := spec.RunWith(harness.RunOptions{
 			Parallel: parallel, Stop: stop,
-			PointRunner: c.PointRunner("4", "small", 50, 100, 1),
+			PointRunner: c.Execute,
 		})
 		done <- rep
 	}()
@@ -87,15 +85,14 @@ func TestFleetSeesWholeSweep(t *testing.T) {
 // TestParallelBoundsLocalSimulation is the other half: however a point comes
 // to run in this process — no fleet at all, or a fleet whose queue is full so
 // that Execute spills — at most Parallel points simulate at once, and that
-// many do. The count is taken inside the point, where runPoint builds its
-// Pattern; the first Parallel points to get there wait for each other, so a
-// sweep that never reached Parallel at once would time out.
+// many do. The count is taken inside the point, where runPoint calls
+// harness.PointHook; the first Parallel points to get there wait for each
+// other, so a sweep that never reached Parallel at once would time out.
 func TestParallelBoundsLocalSimulation(t *testing.T) {
-	peakSimulating := func(spec *harness.Spec, parallel int) *atomic.Int64 {
+	peakSimulating := func(parallel int) *atomic.Int64 {
 		var simulating, started, peak atomic.Int64
 		together := make(chan struct{}) // closed by the Parallel-th point to start
-		pattern := spec.Pattern
-		spec.Pattern = func(g topology.Graph) (traffic.Pattern, error) {
+		hookPoints(t, func(string) {
 			cur := simulating.Add(1)
 			defer simulating.Add(-1)
 			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
@@ -108,17 +105,15 @@ func TestParallelBoundsLocalSimulation(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Errorf("Parallel: %d: never %d points simulating at once", parallel, parallel)
 			}
-			return pattern(g)
-		}
+		})
 		return &peak
 	}
 	for _, parallel := range []int{1, 2, 4} {
 		// No workers: every unit goes local the moment it is offered.
 		c := NewCoordinator(CoordinatorOptions{})
 		t.Cleanup(c.Close)
-		spec := windowSpec(t)
-		peak := peakSimulating(spec, parallel)
-		if rep := <-sweepThrough(c, spec, parallel, nil); rep.Completed != 24 {
+		peak := peakSimulating(parallel)
+		if rep := <-sweepThrough(c, windowSpec(t), parallel, nil); rep.Completed != 24 {
 			t.Fatalf("Parallel: %d, no fleet: %v", parallel, rep)
 		}
 		if st := c.Stats(); peak.Load() != int64(parallel) || st.LocalRuns != 24 {
@@ -131,10 +126,9 @@ func TestParallelBoundsLocalSimulation(t *testing.T) {
 		c = NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, MaxQueue: 1})
 		t.Cleanup(c.Close)
 		c.Heartbeat("w", nil)
-		spec = windowSpec(t)
-		peak = peakSimulating(spec, parallel)
+		peak = peakSimulating(parallel)
 		stop := make(chan struct{})
-		done := sweepThrough(c, spec, parallel, stop)
+		done := sweepThrough(c, windowSpec(t), parallel, stop)
 		eventually(t, "the spilled points to finish", func() bool {
 			st := c.Stats()
 			return st.CacheSize == 23 && st.UnitsInFlight == 1

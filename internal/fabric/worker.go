@@ -49,10 +49,6 @@ type Worker struct {
 	leases map[string]struct{} // fingerprints currently held, for heartbeats
 
 	reg RegisterResponse
-
-	// specFor rebuilds a unit's harness spec (PointSpec.Spec); a test
-	// substitutes one whose points panic.
-	specFor func(PointSpec) (*harness.Spec, error)
 }
 
 // NewWorker builds a worker. Run starts it.
@@ -72,10 +68,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return &Worker{
-		opts:    opts,
-		client:  client,
-		leases:  make(map[string]struct{}),
-		specFor: PointSpec.Spec,
+		opts:   opts,
+		client: client,
+		leases: make(map[string]struct{}),
 	}
 }
 
@@ -258,7 +253,7 @@ func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
 	}()
 
 	start := time.Now()
-	pr, err := w.runUnit(wu, ckptDir)
+	pr, curve, err := w.runUnit(wu, ckptDir)
 	up := ResultUpload{Worker: w.opts.ID, Fingerprint: wu.Fingerprint, Key: wu.Key}
 	if err != nil {
 		up.Error = err.Error()
@@ -266,7 +261,7 @@ func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
 	} else {
 		up.Result = &pr
 		w.logf("unit %s done in %v (alg=%s load=%.2f attempt=%d)",
-			wu.Fingerprint, time.Since(start).Round(time.Millisecond), wu.Point.Alg, wu.Point.Load, wu.Attempt)
+			wu.Fingerprint, time.Since(start).Round(time.Millisecond), curve, pr.Load, wu.Attempt)
 	}
 	// Upload with retries: a transient coordinator hiccup must not discard
 	// a finished simulation.
@@ -285,27 +280,22 @@ func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
 	}
 }
 
-// runUnit rebuilds the spec, validates the unit's identity against the
-// locally derived key and seed (a mismatched coordinator must not poison
-// the shared cache), places any coordinator-supplied checkpoint blob, and
-// runs the point.
-func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, error) {
-	spec, err := w.specFor(wu.Point)
+// runUnit reads the point's spec from its key (a key in another encoding is
+// refused), checks the unit's seed against the one the key derives (a
+// mismatched coordinator must not poison the shared cache), places any
+// coordinator-supplied checkpoint blob, and runs the point. It returns the
+// point's curve label beside the result.
+func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, string, error) {
+	spec, _, err := harness.ParsePointKey(wu.Key)
 	if err != nil {
-		return harness.PointResult{}, fmt.Errorf("rebuild spec: %w", err)
+		return harness.PointResult{}, "", err
 	}
-	if err := spec.Normalize(); err != nil {
-		return harness.PointResult{}, err
-	}
-	key := spec.PointKey(wu.Point.Alg, wu.Point.Load, wu.Point.Replica)
-	if key != wu.Key {
-		return harness.PointResult{}, fmt.Errorf("unit key mismatch: coordinator %q, derived %q", wu.Key, key)
-	}
-	if seed := engine.SeedFor(spec.Seed, key); seed != wu.Seed {
-		return harness.PointResult{}, fmt.Errorf("unit seed mismatch: coordinator %x, derived %x", wu.Seed, seed)
+	curve := spec.Algs[0].Label
+	if seed := engine.SeedFor(spec.Seed, wu.Key); seed != wu.Seed {
+		return harness.PointResult{}, curve, fmt.Errorf("unit seed mismatch: coordinator %x, derived %x", wu.Seed, seed)
 	}
 
-	po := harness.PointOptions{Key: key}
+	po := harness.PointOptions{Key: wu.Key}
 	if w.reg.CheckpointEvery > 0 {
 		po.CheckpointEvery = w.reg.CheckpointEvery
 		po.CheckpointDir = ckptDir
@@ -322,12 +312,13 @@ func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, err
 		}
 		if len(wu.Checkpoint) > 0 {
 			// A prior lease holder got partway: resume from its blob.
-			path := harness.CheckpointPath(ckptDir, key)
+			path := harness.CheckpointPath(ckptDir, wu.Key)
 			if err := os.WriteFile(path, wu.Checkpoint, 0o644); err != nil {
-				return harness.PointResult{}, fmt.Errorf("place checkpoint: %w", err)
+				return harness.PointResult{}, curve, fmt.Errorf("place checkpoint: %w", err)
 			}
 			w.logf("unit %s resuming from %d-byte checkpoint (attempt %d)", wu.Fingerprint, len(wu.Checkpoint), wu.Attempt)
 		}
 	}
-	return spec.RunPoint(wu.Point.Alg, wu.Point.Load, wu.Seed, po)
+	pr, err := spec.RunPoint(curve, spec.Loads[0], wu.Seed, po)
+	return pr, curve, err
 }

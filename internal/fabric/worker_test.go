@@ -10,28 +10,37 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/harness"
-	"repro/internal/topology"
-	"repro/internal/traffic"
+	"repro/internal/routing"
 )
 
 // tinyPoint is a fast real simulation point: figure 3a at small scale with
 // short cycle counts, one curve, one load.
-func tinyPoint(t *testing.T) (harness.PointTask, PointSpec, *harness.Spec) {
+func tinyPoint(t *testing.T) (harness.PointTask, *harness.Spec) {
 	t.Helper()
-	ps := PointSpec{
-		Figure: "3a", Scale: "small", Warmup: 40, Measure: 80,
-		Alg: "disha-m3-tout4", Load: 0.2, Replica: 0,
-	}
-	spec, err := ps.Spec()
+	spec, err := harness.SpecFor("3a", "small", 40, 80, 0, []float64{0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.Algs = spec.Algs[:1]
+	return pointTask(t, spec, 0), spec
+}
+
+// pointTask is the task RunWith offers a PointRunner for one replica of a
+// one-point spec.
+func pointTask(t *testing.T, spec *harness.Spec, replica int) harness.PointTask {
+	t.Helper()
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	key := spec.PointKey(ps.Alg, ps.Load, ps.Replica)
-	seed := engine.SeedFor(spec.Seed, key)
-	return harness.PointTask{Key: key, Seed: seed, Alg: ps.Alg, Load: ps.Load, Replica: ps.Replica}, ps, spec
+	alg, load := spec.Algs[0].Label, spec.Loads[0]
+	key := spec.PointKey(alg, load, replica)
+	return harness.PointTask{Key: key, Seed: engine.SeedFor(spec.Seed, key), Alg: alg, Load: load, Replica: replica}
+}
+
+// hookPoints installs f as harness.PointHook until the test ends.
+func hookPoints(t *testing.T, f func(key string)) {
+	harness.PointHook = f
+	t.Cleanup(func() { harness.PointHook = nil })
 }
 
 // TestWorkerExecutesLeasedPointOverHTTP drives the full remote path: a real
@@ -42,10 +51,10 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation point")
 	}
-	tk, ps, spec := tinyPoint(t)
+	tk, spec := tinyPoint(t)
 
 	// Reference: the same point computed serially in this process.
-	want, err := spec.RunPoint(ps.Alg, ps.Load, tk.Seed, harness.PointOptions{Key: tk.Key})
+	want, err := spec.RunPoint(tk.Alg, tk.Load, tk.Seed, harness.PointOptions{Key: tk.Key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +83,7 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	got, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
+	got, err := c.Execute(nil, tk, func() (harness.PointResult, error) {
 		t.Error("local fallback must not run with a live worker")
 		return harness.PointResult{}, nil
 	})
@@ -90,7 +99,7 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 	}
 
 	// Resubmission is a pure cache hit — the worker is never consulted.
-	again, err := c.Execute(nil, tk, ps, nil)
+	again, err := c.Execute(nil, tk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,40 +122,44 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 }
 
 // TestWorkerRejectsMismatchedUnit checks the cache-poisoning guard: a unit
-// whose key or seed does not match what the worker derives from the spec is
-// refused, not executed.
+// whose key is not a point key of this encoding, or whose seed does not match
+// what the key derives, is refused with one line, not executed.
 func TestWorkerRejectsMismatchedUnit(t *testing.T) {
-	tk, ps, _ := tinyPoint(t)
+	tk, _ := tinyPoint(t)
 	w := NewWorker(WorkerOptions{Coordinator: "http://unused", ID: "wtest"})
-
-	wu := &WorkUnit{Key: tk.Key + "-tampered", Fingerprint: "f", Seed: tk.Seed, Point: ps, Attempt: 1}
-	if _, err := w.runUnit(wu, t.TempDir()); err == nil || !strings.Contains(err.Error(), "key mismatch") {
-		t.Fatalf("tampered key: err = %v, want key mismatch", err)
-	}
-
-	wu = &WorkUnit{Key: tk.Key, Fingerprint: "f", Seed: tk.Seed + 1, Point: ps, Attempt: 1}
-	if _, err := w.runUnit(wu, t.TempDir()); err == nil || !strings.Contains(err.Error(), "seed mismatch") {
-		t.Fatalf("tampered seed: err = %v, want seed mismatch", err)
-	}
-
-	wu = &WorkUnit{Key: "k", Fingerprint: "f", Seed: 1, Point: PointSpec{Figure: "nope"}, Attempt: 1}
-	if _, err := w.runUnit(wu, t.TempDir()); err == nil || !strings.Contains(err.Error(), "unknown figure") {
-		t.Fatalf("bad figure: err = %v, want unknown figure", err)
+	for _, c := range []struct {
+		name string
+		wu   WorkUnit
+		want string
+	}{
+		{"tampered key", WorkUnit{Key: tk.Key + "-tampered", Seed: tk.Seed}, "harness: point key"},
+		{"tampered seed", WorkUnit{Key: tk.Key, Seed: tk.Seed + 1}, "seed mismatch"},
+		// The same point as a coordinator before this key encoding leased it.
+		{"previous encoding", WorkUnit{Key: "fig3a-deadlock-characterization|seed=d15ab1e|w=40|m=80|msg=16|vc=4|bd=2/disha-m3-tout4@0.2000#0", Seed: 1}, "is not a spec/1: point key"},
+	} {
+		c.wu.Fingerprint, c.wu.Attempt = "f", 1
+		_, _, err := w.runUnit(&c.wu, t.TempDir())
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: err = %v, want one line containing %q", c.name, err, c.want)
+		}
 	}
 }
 
-// poisonPoint is tinyPoint with a traffic pattern that panics — a stand-in
-// for the simulator's panic(...) invariants firing — under its own spec name,
-// so its key and fingerprint differ from the healthy point's.
-func poisonPoint(t *testing.T) (harness.PointTask, PointSpec, *harness.Spec) {
+// poisonPoint is tinyPoint under its own spec name, so that its key and
+// fingerprint differ from the healthy point's, and with a PointHook that
+// panics on it — a stand-in for the simulator's panic(...) invariants firing
+// — wherever it runs.
+func poisonPoint(t *testing.T) (harness.PointTask, *harness.Spec) {
 	t.Helper()
-	_, ps, spec := tinyPoint(t)
-	ps.Figure = "poison"
+	_, spec := tinyPoint(t)
 	spec.Name = "poison"
-	spec.Pattern = func(topology.Graph) (traffic.Pattern, error) { panic("poison point") }
-	key := spec.PointKey(ps.Alg, ps.Load, ps.Replica)
-	seed := engine.SeedFor(spec.Seed, key)
-	return harness.PointTask{Key: key, Seed: seed, Alg: ps.Alg, Load: ps.Load, Replica: ps.Replica}, ps, spec
+	tk := pointTask(t, spec, 0)
+	hookPoints(t, func(key string) {
+		if key == tk.Key {
+			panic("poison point")
+		}
+	})
+	return tk, spec
 }
 
 // TestExecuteSurvivesPanickingLocalPoint: the coordinator's local fallback
@@ -156,9 +169,9 @@ func poisonPoint(t *testing.T) (harness.PointTask, PointSpec, *harness.Spec) {
 func TestExecuteSurvivesPanickingLocalPoint(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
 	defer c.Close()
-	tk, ps, spec := poisonPoint(t)
-	_, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
-		return spec.RunPoint(ps.Alg, ps.Load, tk.Seed, harness.PointOptions{Key: tk.Key})
+	tk, spec := poisonPoint(t)
+	_, err := c.Execute(nil, tk, func() (harness.PointResult, error) {
+		return spec.RunPoint(tk.Alg, tk.Load, tk.Seed, harness.PointOptions{Key: tk.Key})
 	})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
 		t.Fatalf("err = %v, want the panic as an error", err)
@@ -176,8 +189,8 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation point")
 	}
-	poisonTask, poisonPS, poison := poisonPoint(t)
-	tk, ps, _ := tinyPoint(t)
+	poisonTask, poison := poisonPoint(t)
+	tk, _ := tinyPoint(t)
 
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 2 * time.Second, MaxAttempts: 2})
 	defer c.Close()
@@ -185,12 +198,6 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 	defer srv.Close()
 
 	w := NewWorker(WorkerOptions{Coordinator: srv.URL, ID: "wpoison", CheckpointDir: t.TempDir(), Logf: t.Logf})
-	w.specFor = func(p PointSpec) (*harness.Spec, error) {
-		if p.Figure == "poison" {
-			return poison, nil
-		}
-		return p.Spec()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	workerDone := make(chan error, 1)
@@ -202,8 +209,8 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	_, err := c.Execute(nil, poisonTask, poisonPS, func() (harness.PointResult, error) {
-		return poison.RunPoint(poisonPS.Alg, poisonPS.Load, poisonTask.Seed, harness.PointOptions{Key: poisonTask.Key})
+	_, err := c.Execute(nil, poisonTask, func() (harness.PointResult, error) {
+		return poison.RunPoint(poisonTask.Alg, poisonTask.Load, poisonTask.Seed, harness.PointOptions{Key: poisonTask.Key})
 	})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
 		t.Fatalf("poison unit: err = %v, want the panic as an error", err)
@@ -212,7 +219,7 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 		t.Fatalf("want 2 failed dispatches then 1 local attempt: %+v", st)
 	}
 
-	if _, err := c.Execute(nil, tk, ps, func() (harness.PointResult, error) {
+	if _, err := c.Execute(nil, tk, func() (harness.PointResult, error) {
 		t.Error("healthy unit fell back to local: the worker stopped leasing")
 		return harness.PointResult{}, nil
 	}); err != nil {
@@ -230,5 +237,55 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not drain after cancel")
+	}
+}
+
+// TestFleetRunsAnySpec: a worker runs whatever spec its unit's key carries, not
+// only a figure's. A full mesh at one VC and a dragonfly under disha-m0 — specs
+// no figure names — computed by an HTTP worker render the CSV of a local run
+// byte for byte, every point remotely.
+func TestFleetRunsAnySpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulation points")
+	}
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 2 * time.Second})
+	t.Cleanup(c.Close)
+	srv := httptest.NewServer(c.Handler())
+	t.Cleanup(srv.Close)
+	startWorker(t, srv.URL, "wany")
+	eventually(t, "the worker to register", func() bool { return c.Stats().WorkersLive == 1 })
+
+	specs := []func() *harness.Spec{
+		func() *harness.Spec {
+			return &harness.Spec{Name: "fullmesh-1vc", Topology: "fullmesh-8", Traffic: "uniform", VCs: 1,
+				Algs: []harness.AlgSpec{
+					{Label: "disha-recovery", Algorithm: routing.Disha(0), Recovery: true},
+					{Label: "minimal-vcfree", Algorithm: routing.Disha(0)},
+				},
+				Loads: []float64{0.2, 0.4}, MsgLen: 16, Warmup: 100, Measure: 300, Seed: 3}
+		},
+		func() *harness.Spec {
+			return &harness.Spec{Name: "dragonfly-disha", Topology: "dragonfly-4x2", Traffic: "uniform",
+				Algs:  []harness.AlgSpec{{Algorithm: routing.Disha(0), Recovery: true}},
+				Loads: []float64{0.1, 0.3}, MsgLen: 16, Warmup: 100, Measure: 300, Seed: 3}
+		},
+	}
+	points := 0
+	for _, spec := range specs {
+		local, _, err := spec().RunWith(harness.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, rep, err := spec().RunWith(harness.RunOptions{PointRunner: c.Execute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote.CSV() != local.CSV() {
+			t.Errorf("%s: fleet CSV differs from a local run:\n%s\nwant:\n%s", remote.Spec.Name, remote.CSV(), local.CSV())
+		}
+		points += rep.Total
+	}
+	if st := c.Stats(); st.RemoteRuns != int64(points) || st.LocalRuns != 0 {
+		t.Fatalf("%d points: %+v, want every one run remotely", points, st)
 	}
 }

@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/snapshot"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // checkpointSpec is a small but non-trivial sweep: two curves, two loads,
@@ -19,9 +17,9 @@ import (
 // the checkpoint must carry every piece of measurement state.
 func checkpointSpec() *Spec {
 	return &Spec{
-		Name:    "checkpoint-test",
-		Topo:    func() topology.Graph { return topology.MustTorus(4, 4) },
-		Pattern: func(t topology.Graph) (traffic.Pattern, error) { return traffic.Uniform(t), nil },
+		Name:     "checkpoint-test",
+		Topology: "torus-4x4",
+		Traffic:  "uniform",
 		Algs: []AlgSpec{
 			{Algorithm: routing.Disha(0), Recovery: true, Timeout: 6},
 			{Algorithm: routing.DOR()},

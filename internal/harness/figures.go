@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // Scale sets the simulation size of a figure reproduction. PaperScale
@@ -52,10 +50,9 @@ func SmallScale() Scale {
 // scale ("paper" or "small"; empty means paper), with optional overrides:
 // positive warmup/measure replace the scale's cycle counts, a non-zero seed
 // replaces the base seed, and a non-empty loads slice replaces the swept
-// load rates (each must lie in (0, 1]). It is the single spec-resolution
-// path shared by the job server and the fleet worker, so both sides of a
-// remote execution reconstruct byte-identical specs from the same request
-// fields.
+// load rates (each must lie in (0, 1]). It is how the job server and
+// disha-sweep turn a request's (figure, scale, overrides) into a spec; a fleet
+// worker needs none of it, since every point key carries its whole spec.
 func SpecFor(figure, scale string, warmup, measure int, seed uint64, loads []float64) (*Spec, error) {
 	var sc Scale
 	switch scale {
@@ -90,9 +87,7 @@ func SpecFor(figure, scale string, warmup, measure int, seed uint64, loads []flo
 	return spec, nil
 }
 
-func (sc Scale) torus() func() topology.Graph {
-	return func() topology.Graph { return topology.MustTorus(sc.Radix, sc.Radix) }
-}
+func (sc Scale) torus() string { return fmt.Sprintf("torus-%dx%d", sc.Radix, sc.Radix) }
 
 // dishaCurves returns the paper's two Disha configurations: minimal (M=0)
 // and misrouting up to three (M=3), both with sequential Token recovery.
@@ -122,9 +117,9 @@ func avoidanceCurves() []AlgSpec {
 // Token below saturation.
 func Fig3a(sc Scale) *Spec {
 	return &Spec{
-		Name:    "fig3a-deadlock-characterization",
-		Topo:    sc.torus(),
-		Pattern: traffic.NewUniform,
+		Name:     "fig3a-deadlock-characterization",
+		Topology: sc.torus(),
+		Traffic:  "uniform",
 		Algs: []AlgSpec{
 			{Label: "disha-m3-tout4", Algorithm: routing.Disha(3), Recovery: true, Timeout: 4},
 			{Label: "disha-m3-tout64", Algorithm: routing.Disha(3), Recovery: true, Timeout: 64},
@@ -152,69 +147,59 @@ func Fig3b(sc Scale) *Spec {
 		})
 	}
 	return &Spec{
-		Name:    "fig3b-timeout-selection",
-		Topo:    sc.torus(),
-		Pattern: traffic.NewUniform,
-		Algs:    algs,
-		Loads:   sc.Loads,
-		MsgLen:  sc.MsgLen,
-		Warmup:  sc.Warmup,
-		Measure: sc.Measure,
-		Seed:    sc.Seed,
+		Name:     "fig3b-timeout-selection",
+		Topology: sc.torus(),
+		Traffic:  "uniform",
+		Algs:     algs,
+		Loads:    sc.Loads,
+		MsgLen:   sc.MsgLen,
+		Warmup:   sc.Warmup,
+		Measure:  sc.Measure,
+		Seed:     sc.Seed,
 	}
 }
 
 // comparisonSpec builds the Figures 4-7 shape: Disha M=0 and M=3 against
-// the four avoidance baselines under the given traffic pattern.
-func comparisonSpec(name string, sc Scale, pattern func(topology.Graph) (traffic.Pattern, error)) *Spec {
+// the four avoidance baselines under the named traffic pattern.
+func comparisonSpec(name string, sc Scale, pattern string) *Spec {
 	return &Spec{
-		Name:    name,
-		Topo:    sc.torus(),
-		Pattern: pattern,
-		Algs:    append(dishaCurves(8), avoidanceCurves()...),
-		Loads:   sc.Loads,
-		MsgLen:  sc.MsgLen,
-		Warmup:  sc.Warmup,
-		Measure: sc.Measure,
-		Seed:    sc.Seed,
+		Name:     name,
+		Topology: sc.torus(),
+		Traffic:  pattern,
+		Algs:     append(dishaCurves(8), avoidanceCurves()...),
+		Loads:    sc.Loads,
+		MsgLen:   sc.MsgLen,
+		Warmup:   sc.Warmup,
+		Measure:  sc.Measure,
+		Seed:     sc.Seed,
 	}
 }
 
 // Fig4 compares all schemes under uniform traffic (paper: Disha M=0's
 // latency rises linearly with load; M=3 saturates around 0.65 with Duato a
 // distant second at 0.35; peak throughput ~35% over Duato and sustained).
-func Fig4(sc Scale) *Spec { return comparisonSpec("fig4-uniform", sc, traffic.NewUniform) }
+func Fig4(sc Scale) *Spec { return comparisonSpec("fig4-uniform", sc, "uniform") }
 
 // Fig5 compares all schemes under bit-reversal traffic (paper: Disha M=0
 // saturates around 0.7, M=3 around 0.45; peak throughput ~50% over Duato).
 func Fig5(sc Scale) *Spec {
-	return comparisonSpec("fig5-bit-reversal", sc, traffic.BitReversal)
+	return comparisonSpec("fig5-bit-reversal", sc, "bit-reversal")
 }
 
 // Fig6 compares all schemes under matrix-transpose traffic (paper: Disha
 // M=0 saturates around 0.7, more than twice Duato; peak ~50% over Duato but
 // not sustained).
 func Fig6(sc Scale) *Spec {
-	return comparisonSpec("fig6-transpose", sc, func(g topology.Graph) (traffic.Pattern, error) {
-		return traffic.ByName("transpose", g, 0)
-	})
+	return comparisonSpec("fig6-transpose", sc, "transpose")
 }
 
 // Fig7 compares all schemes under hot-spot traffic: 5% of all traffic is
-// directed at one (fixed) hot node on top of uniform background. The paper
+// directed at one fixed hot node (node N/3) on top of uniform background. The paper
 // observes early saturation for every scheme, Disha M=3 slightly ahead of
 // Duato, and Disha M=0 behind everyone — the one case where misrouting
 // helps by steering around the hot region.
 func Fig7(sc Scale) *Spec {
-	spec := comparisonSpec("fig7-hotspot", sc, func(g topology.Graph) (traffic.Pattern, error) {
-		t, err := traffic.Cube(g, "fig7's hot-spot placement")
-		if err != nil {
-			return nil, err
-		}
-		// A fixed, reproducible hot node away from (0,0).
-		spot := t.NodeAt(topology.Coord{3 % t.Radix(0), 5 % t.Radix(1)})
-		return traffic.HotSpot(traffic.Uniform(t), spot, 0.05), nil
-	})
+	spec := comparisonSpec("fig7-hotspot", sc, "hotspot")
 	// Hot-spot saturates early; sweep the low-load region more finely.
 	spec.Loads = hotspotLoads(sc)
 	return spec
@@ -237,9 +222,9 @@ func hotspotLoads(sc Scale) []float64 {
 // stay zero at every load.
 func FigFullMesh(sc Scale) *Spec {
 	return &Spec{
-		Name:    "fullmesh-baseline",
-		Topo:    func() topology.Graph { return topology.MustFullMesh(sc.Radix) },
-		Pattern: traffic.NewUniform,
+		Name:     "fullmesh-baseline",
+		Topology: "fullmesh-" + strconv.Itoa(sc.Radix),
+		Traffic:  "uniform",
 		Algs: []AlgSpec{
 			{Label: "disha-recovery", Algorithm: routing.Disha(0), Recovery: true, Timeout: 8},
 			{Label: "minimal-vcfree", Algorithm: routing.Disha(0), Recovery: false},

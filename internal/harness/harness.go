@@ -6,13 +6,14 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -28,13 +29,16 @@ import (
 )
 
 // AlgSpec describes one curve of an experiment: a routing algorithm with
-// its selection function and recovery settings.
+// its selection function and recovery settings. Its JSON form spells the
+// algorithm and the selection by the names routing.ByName and
+// routing.SelectionByName read.
 type AlgSpec struct {
-	// Label names the curve; defaults to the algorithm name.
+	// Label names the curve; Normalize defaults it to the algorithm name.
 	Label     string
 	Algorithm routing.Algorithm
 	// Selection defaults to random (the paper simulates Dally & Aoki with
-	// minimum-congestion and everything else with random selection).
+	// minimum-congestion and everything else with random selection);
+	// Normalize fills it in.
 	Selection routing.Selection
 	// Recovery enables time-out detection, the Token and the Deadlock
 	// Buffer. It must be true for Disha and false for avoidance schemes.
@@ -44,23 +48,54 @@ type AlgSpec struct {
 	Timeout sim.Cycle
 }
 
-func (a AlgSpec) label() string {
-	if a.Label != "" {
-		return a.Label
-	}
-	return a.Algorithm.Name()
+// algNames is AlgSpec's JSON form.
+type algNames struct {
+	Label, Algorithm, Selection string
+	Recovery                    bool
+	Timeout                     sim.Cycle
 }
 
+// MarshalJSON writes a normalized curve with its algorithm and selection by
+// name.
+func (a AlgSpec) MarshalJSON() ([]byte, error) {
+	return json.Marshal(algNames{a.Label, a.Algorithm.Name(), a.Selection.Name(), a.Recovery, a.Timeout})
+}
+
+// UnmarshalJSON resolves the names MarshalJSON wrote.
+func (a *AlgSpec) UnmarshalJSON(data []byte) error {
+	var n algNames
+	if err := json.Unmarshal(data, &n); err != nil {
+		return err
+	}
+	alg, err := routing.ByName(n.Algorithm)
+	if err != nil {
+		return err
+	}
+	sel, err := routing.SelectionByName(n.Selection)
+	if err != nil {
+		return err
+	}
+	*a = AlgSpec{n.Label, alg, sel, n.Recovery, n.Timeout}
+	return nil
+}
+
+// hotspotFraction is the share of all traffic the "hotspot" pattern sends to
+// its hot node: the paper's 5% (Figure 7, the one sweep that uses it).
+const hotspotFraction = 0.05
+
 // Spec is a declarative experiment: a topology, a traffic pattern, a set of
-// algorithm curves and a load sweep.
+// algorithm curves and a load sweep. It is plain data — names and numbers —
+// and its JSON encoding, once normalized, is the identity of its points
+// (PointKey).
 type Spec struct {
 	Name string
-	// Topo builds the network graph (fresh per run for safety). Any
-	// topology.Graph works; coordinate-dependent patterns and algorithms
-	// additionally need it to implement topology.Topology.
-	Topo func() topology.Graph
-	// Pattern builds the workload for the topology.
-	Pattern func(topology.Graph) (traffic.Pattern, error)
+	// Topology names the network graph as topology.Parse reads it
+	// ("torus-16x16", "fullmesh-8", "dragonfly-4x2", ...). Coordinate-
+	// dependent patterns and algorithms need a k-ary n-cube.
+	Topology string
+	// Traffic names the workload as traffic.ByName reads it; "hotspot" sends
+	// hotspotFraction of all traffic to node Nodes()/3.
+	Traffic string
 	Algs    []AlgSpec
 	// Loads are the offered load rates swept (fraction of capacity).
 	Loads  []float64
@@ -84,9 +119,20 @@ type Spec struct {
 	// every point's network (and re-arms it after a checkpoint resume —
 	// already-applied events replay from the snapshot's reconfiguration log
 	// and are dropped on arming). Event cycles are global: warm-up plus
-	// measurement. The schedule participates in PointKey, so stored and
-	// cached results never leak between chaos and chaos-free sweeps.
-	Chaos []network.ReconfigEvent
+	// measurement.
+	Chaos []network.ReconfigEvent `json:",omitempty"`
+}
+
+// Topo builds the spec's network graph. On a spec Normalize accepted the
+// name parses.
+func (s *Spec) Topo() topology.Graph {
+	g, _ := topology.Parse(s.Topology)
+	return g
+}
+
+// Pattern builds the spec's workload on g.
+func (s *Spec) Pattern(g topology.Graph) (traffic.Pattern, error) {
+	return traffic.ByName(s.Traffic, g, hotspotFraction)
 }
 
 // PointResult is the measurement of one (algorithm, load) pair. With
@@ -153,13 +199,13 @@ type RunOptions struct {
 	// sweep's Stop, the task and the local closure, and it may execute the
 	// task anywhere — a remote fleet worker, a shared result cache — as long
 	// as it returns the value the local closure would
-	// (fabric.Coordinator.PointRunner is the one implementation: it is also
+	// (fabric.Coordinator.Execute is the one implementation: it is also
 	// what keeps finished points across runs, the sweep itself stores
 	// nothing). The local closure is the one place a point waits for a core of
 	// this process: it simulates the point once one of the Parallel slots is
 	// free, or returns ErrDrained if Stop closes first. Determinism is
-	// preserved because the task carries the derived seed: any executor
-	// computing the same pure function of (spec, alg, load, seed) returns
+	// preserved because the task carries the key and the derived seed: any
+	// executor computing the point the key describes under that seed returns
 	// identical bytes.
 	PointRunner func(stop <-chan struct{}, t PointTask, local func() (PointResult, error)) (PointResult, error)
 	// Stop, if non-nil, drains the sweep when closed: points being computed —
@@ -189,8 +235,9 @@ func (s *Spec) Run(progress func(string)) (*Result, error) {
 }
 
 // PointTask is the portable identity of one point of a sweep, handed to
-// RunOptions.PointRunner. Key and Seed pin the result bytes; Alg, Load and
-// Replica let a remote executor rebuild the task from the spec.
+// RunOptions.PointRunner. Key and Seed are all a remote executor needs: the
+// key is the point's spec (ParsePointKey) and the seed its random stream.
+// Alg, Load and Replica locate the point within the sweep for progress lines.
 type PointTask struct {
 	Key     string
 	Seed    uint64
@@ -220,13 +267,13 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	for _, alg := range s.Algs {
 		for _, load := range s.Loads {
 			for r := 0; r < replicas; r++ {
-				key := s.PointKey(alg.label(), load, r)
+				key := s.PointKey(alg.Label, load, r)
 				if _, dup := seen[key]; dup {
 					return nil, nil, fmt.Errorf("harness: duplicate point key %q", key)
 				}
 				seen[key] = struct{}{}
 				points = append(points, point{alg: alg, task: PointTask{
-					Key: key, Seed: engine.SeedFor(s.Seed, key), Alg: alg.label(), Load: load, Replica: r,
+					Key: key, Seed: engine.SeedFor(s.Seed, key), Alg: alg.Label, Load: load, Replica: r,
 				}})
 			}
 		}
@@ -325,7 +372,7 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	res := &Result{Spec: s, Points: make(map[string][]PointResult)}
 	next := 0 // index of the current (algorithm, load)'s first replica
 	for _, alg := range s.Algs {
-		series := metrics.Series{Label: alg.label()}
+		series := metrics.Series{Label: alg.Label}
 		for _, load := range s.Loads {
 			first := next
 			next += replicas
@@ -333,7 +380,7 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 				continue // failed or drained point: named or counted in the report
 			}
 			pr := aggregateReplicas(load, results[first:next])
-			res.Points[alg.label()] = append(res.Points[alg.label()], pr)
+			res.Points[alg.Label] = append(res.Points[alg.Label], pr)
 			deadlockRate := 0.0
 			if pr.WFGSamples > 0 {
 				deadlockRate = float64(pr.TrueDeadlocks) / float64(pr.WFGSamples)
@@ -394,25 +441,61 @@ func (s *Spec) CheckSweep(parallel, replicas, retries, warmup, measure int) erro
 	return nil
 }
 
-// PointKey derives the identity key of one (algorithm, load, replica)
-// point. The key pins the full identity of the point — spec configuration
-// included, so a result store cannot leak results across different scales or
-// seeds of the same figure — and via engine.SeedFor it also pins the
-// point's random stream. Remote executors use it as the content fingerprint
-// input: two points with equal keys (and equal base seeds) are guaranteed
-// to produce identical result bytes.
+// pointKeyVersion opens every point key and names its encoding. A key in any
+// other encoding — in a results file or from a coordinator of another release
+// — equals no key PointKey derives and is refused by ParsePointKey, so its
+// point is computed again, never served a record made under another meaning.
+const pointKeyVersion = "spec/1:"
+
+// PointKey is the identity of one (curve, load, replica) point of a
+// normalized spec: pointKeyVersion, the spec's canonical JSON narrowed to that
+// one curve and one load, "#" and the replica. Every field of the spec is in
+// it, so two points that could compute different bytes never share a key —
+// nor, through engine.SeedFor, a random stream — and no result store serves
+// one for the other. It is also all a fleet worker is told: ParsePointKey
+// reads the spec back.
 func (s *Spec) PointKey(algLabel string, load float64, replica int) string {
-	cfgTag := fmt.Sprintf("%s|seed=%x|w=%d|m=%d|msg=%d|vc=%d|bd=%d",
-		s.Name, s.Seed, s.Warmup, s.Measure, s.MsgLen, s.VCs, s.BufferDepth)
-	if len(s.Chaos) > 0 {
-		h := fnv.New64a()
-		for _, ev := range s.Chaos {
-			fmt.Fprintf(h, "%d|%d|%d|%d|%s;", ev.Cycle, ev.Kind, ev.Node, ev.Port, ev.Alg)
-		}
-		cfgTag += fmt.Sprintf("|chaos=%x", h.Sum64())
+	point := *s
+	point.Algs, point.Loads = nil, []float64{load}
+	if i := slices.IndexFunc(s.Algs, func(a AlgSpec) bool { return a.Label == algLabel }); i >= 0 {
+		point.Algs = s.Algs[i : i+1]
 	}
-	return fmt.Sprintf("%s/%s@%.4f#%d", cfgTag, algLabel, load, replica)
+	data, _ := json.Marshal(point) // cannot fail: Normalize encoded the whole spec
+	return pointKeyVersion + string(data) + "#" + strconv.Itoa(replica)
 }
+
+// ParsePointKey is PointKey's inverse: it returns the one-curve, one-load spec
+// and the replica a key names. It refuses a key in another encoding, one that
+// does not decode to a spec Normalize accepts, and one that does not re-encode
+// to itself byte for byte, so a key it accepts names exactly one point.
+func ParsePointKey(key string) (*Spec, int, error) {
+	body, ok := strings.CutPrefix(key, pointKeyVersion)
+	cut := strings.LastIndexByte(body, '#')
+	if !ok || cut < 0 {
+		return nil, 0, fmt.Errorf("harness: %.80q is not a %s point key", key, pointKeyVersion)
+	}
+	var s Spec
+	replica, err := strconv.Atoi(body[cut+1:])
+	if err == nil {
+		err = json.Unmarshal([]byte(body[:cut]), &s)
+	}
+	if err == nil {
+		err = s.Normalize()
+	}
+	if err == nil && (len(s.Algs) != 1 || len(s.Loads) != 1 || replica < 0 || s.PointKey(s.Algs[0].Label, s.Loads[0], replica) != key) {
+		err = errors.New("not in canonical form")
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("harness: point key %.80q: %v", key, err)
+	}
+	return &s, replica, nil
+}
+
+// PointHook, when non-nil, is called with PointOptions.Key first thing in
+// every point, inside its panic guard, on whichever executor runs it. It is a
+// seam for tests, which hold a point there or make it panic; nothing else
+// sets it.
+var PointHook func(key string)
 
 // PointOptions configures the execution of one point, whoever runs it:
 // RunWith builds one per point, a fleet worker one per leased unit. All
@@ -434,7 +517,7 @@ type PointOptions struct {
 
 // RunPoint executes one (algorithm, load) point with an explicit seed and
 // returns its measurement. It is the remote half of RunOptions.PointRunner:
-// a fleet worker receives (alg label, load, seed) from the coordinator and
+// a fleet worker reads the spec from the key it is leased (ParsePointKey) and
 // makes here the very call RunWith's local closure — the coordinator's local
 // fallback — makes (runPoint), so the result bytes — and the handling of a
 // point that panics — are identical wherever the point runs. The algorithm
@@ -443,17 +526,11 @@ func (s *Spec) RunPoint(algLabel string, load float64, seed uint64, po PointOpti
 	if err := s.Normalize(); err != nil {
 		return PointResult{}, err
 	}
-	var alg *AlgSpec
-	for i := range s.Algs {
-		if s.Algs[i].label() == algLabel {
-			alg = &s.Algs[i]
-			break
-		}
-	}
-	if alg == nil {
+	i := slices.IndexFunc(s.Algs, func(a AlgSpec) bool { return a.Label == algLabel })
+	if i < 0 {
 		return PointResult{}, fmt.Errorf("harness: spec %q has no curve %q", s.Name, algLabel)
 	}
-	return s.runPoint(*alg, load, seed, po)
+	return s.runPoint(s.Algs[i], load, seed, po)
 }
 
 // aggregateReplicas folds N independent runs of one point into means ± 95%
@@ -501,13 +578,34 @@ func firstLine(s string) string {
 	return s
 }
 
-// Normalize fills the spec's defaulted fields (message length, VCs, buffer
-// depth, cycle counts, ...) from the defaults of the packages that own them,
-// as RunWith and RunPoint do before deriving job keys. Remote executors must
-// call it before PointKey so their keys match the coordinator's byte for byte.
+// Normalize fills the spec's defaulted fields (curve labels and selections,
+// message length, VCs, buffer depth, cycle counts, ...) from the defaults of
+// the packages that own them, as RunWith and RunPoint do before deriving point
+// keys, so that one experiment always encodes to the same key bytes. It
+// refuses a spec whose topology or traffic name does not resolve, or that
+// does not encode.
 func (s *Spec) Normalize() error {
-	if s.Topo == nil || s.Pattern == nil || len(s.Algs) == 0 || len(s.Loads) == 0 {
+	if len(s.Algs) == 0 || len(s.Loads) == 0 {
 		return fmt.Errorf("harness: spec %q incomplete", s.Name)
+	}
+	g, err := topology.Parse(s.Topology)
+	if err != nil {
+		return err
+	}
+	if _, err := s.Pattern(g); err != nil {
+		return err
+	}
+	for i := range s.Algs {
+		a := &s.Algs[i]
+		if a.Algorithm == nil {
+			return fmt.Errorf("harness: spec %q: curve %d has no algorithm", s.Name, i)
+		}
+		if a.Label == "" {
+			a.Label = a.Algorithm.Name()
+		}
+		if a.Selection == nil {
+			a.Selection = routing.Random()
+		}
 	}
 	rc := router.Default()
 	if s.MsgLen == 0 {
@@ -533,6 +631,9 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Batches < 1 {
 		return fmt.Errorf("harness: batches %d < 1", s.Batches)
+	}
+	if _, err := json.Marshal(s); err != nil {
+		return fmt.Errorf("harness: spec %q: %w", s.Name, err)
 	}
 	return nil
 }
@@ -560,6 +661,9 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
+	if PointHook != nil {
+		PointHook(po.Key)
+	}
 	ck, err := newCheckpointer(po)
 	if err != nil {
 		return PointResult{}, err

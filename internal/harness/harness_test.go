@@ -13,9 +13,9 @@ import (
 
 func tinySpec() *Spec {
 	return &Spec{
-		Name:    "tiny",
-		Topo:    func() topology.Graph { return topology.MustTorus(4, 4) },
-		Pattern: traffic.NewUniform,
+		Name:     "tiny",
+		Topology: "torus-4x4",
+		Traffic:  "uniform",
 		Algs: []AlgSpec{
 			{Algorithm: routing.Disha(0), Recovery: true, Timeout: 8},
 			{Algorithm: routing.DOR()},
@@ -76,7 +76,7 @@ func TestThroughputTracksLoadBelowSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := res.Points[spec.Algs[0].label()]
+	pts := res.Points[spec.Algs[0].Label]
 	// Below saturation accepted ~= offered: throughput within 25% of load.
 	for _, p := range pts {
 		if p.Throughput < p.Load*0.75 || p.Throughput > p.Load*1.25 {
@@ -179,14 +179,15 @@ func TestFigureSpecsConstruct(t *testing.T) {
 	if len(figs["4"].Algs) != 6 {
 		t.Fatal("fig4 must compare 6 schemes")
 	}
-	// Dally & Aoki must use min-congestion, everything else random.
+	// Dally & Aoki must use min-congestion, everything else random: the
+	// default Normalize writes in, so that the spec encodes one way only.
 	for _, a := range figs["4"].Algs {
+		want := "random"
 		if a.Algorithm.Name() == "dally-aoki" {
-			if a.Selection == nil || a.Selection.Name() != "min-congestion" {
-				t.Fatal("dally-aoki must use min-congestion selection")
-			}
-		} else if a.Selection != nil {
-			t.Fatalf("%s should default to random selection", a.Algorithm.Name())
+			want = "min-congestion"
+		}
+		if a.Selection == nil || a.Selection.Name() != want {
+			t.Fatalf("%s selection %v, want %s", a.Algorithm.Name(), a.Selection, want)
 		}
 	}
 }
@@ -256,7 +257,7 @@ func TestBatchMeansCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Points[spec.Algs[0].label()][0]
+	p := res.Points[spec.Algs[0].Label][0]
 	if p.LatencyCI95 <= 0 {
 		t.Fatalf("expected a positive CI, got %v", p.LatencyCI95)
 	}
@@ -297,7 +298,7 @@ func TestReplicasAggregateMeanCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Points[spec.Algs[0].label()][0]
+	p := res.Points[spec.Algs[0].Label][0]
 	if p.Replicas != 3 {
 		t.Fatalf("replicas = %d, want 3", p.Replicas)
 	}
@@ -312,7 +313,7 @@ func TestReplicasAggregateMeanCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := single.Points[spec.Algs[0].label()][0]
+	sp := single.Points[spec.Algs[0].Label][0]
 	if p.MeanLatency < sp.MeanLatency*0.5 || p.MeanLatency > sp.MeanLatency*2 {
 		t.Fatalf("replica mean %v implausibly far from single run %v", p.MeanLatency, sp.MeanLatency)
 	}
@@ -349,7 +350,7 @@ func TestFailedPointsSurfaceInReport(t *testing.T) {
 // two (the first to start waits for the second before simulating, so a sweep
 // that ran them one after the other would never get past the first), never
 // three, and under Parallel: 1 never two — counted inside the point, where
-// runPoint builds its Pattern. It does not bound what the PointRunner sees:
+// runPoint calls PointHook. It does not bound what the PointRunner sees:
 // every point's call is in flight before the first returns. Whether the
 // overlap buys wall-clock time depends on the cores free at that moment; the
 // benchmark's engine.* metrics measure that.
@@ -360,7 +361,7 @@ func TestParallelOverlapsPoints(t *testing.T) {
 		var started, simulating, peak, offered atomic.Int64
 		second := make(chan struct{}) // closed by the second point to start
 		all := make(chan struct{})    // closed once every point has been offered
-		spec.Pattern = func(g topology.Graph) (traffic.Pattern, error) {
+		hookPoints(t, func(string) {
 			cur := simulating.Add(1)
 			defer simulating.Add(-1)
 			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
@@ -377,8 +378,7 @@ func TestParallelOverlapsPoints(t *testing.T) {
 					close(second)
 				}
 			}
-			return traffic.NewUniform(g)
-		}
+		})
 		_, rep, err := spec.RunWith(RunOptions{
 			Parallel: parallel,
 			PointRunner: func(_ <-chan struct{}, _ PointTask, local func() (PointResult, error)) (PointResult, error) {
@@ -409,50 +409,45 @@ func TestParallelOverlapsPoints(t *testing.T) {
 	}
 }
 
-// poisonSpec is tinySpec with a traffic pattern that panics, standing in for
-// the simulator's panic(...) invariants firing mid-point.
-func poisonSpec() *Spec {
-	spec := tinySpec()
-	spec.Name = "poison"
-	spec.Algs = spec.Algs[:1]
-	spec.Pattern = func(topology.Graph) (traffic.Pattern, error) { panic("poison point") }
-	return spec
+// hookPoints installs f as PointHook until the test ends.
+func hookPoints(t *testing.T, f func(key string)) {
+	PointHook = f
+	t.Cleanup(func() { PointHook = nil })
 }
 
 // TestPoisonPointReturnsError pins the one panic guard every executor shares:
-// a point that panics comes back as an error carrying "panic:" from RunPoint
-// (the fleet worker's and the coordinator fallback's call) and from RunWith,
-// whose report names the point and whose sweep still runs the other points.
+// a point that panics — here in PointHook, standing in for the simulator's
+// panic(...) invariants firing mid-point — comes back as an error carrying
+// "panic:" from RunPoint (the fleet worker's and the coordinator fallback's
+// call) and from RunWith, whose report names the point and whose sweep still
+// runs the other points.
 func TestPoisonPointReturnsError(t *testing.T) {
-	spec := poisonSpec()
-	if _, err := spec.RunPoint(spec.Algs[0].label(), 0.2, 1, PointOptions{}); err == nil ||
+	spec := tinySpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	alg, load := spec.Algs[0].Label, spec.Loads[1]
+	victim := spec.PointKey(alg, load, 0)
+	hookPoints(t, func(key string) {
+		if key == victim {
+			panic("poison point")
+		}
+	})
+	if _, err := spec.RunPoint(alg, load, 1, PointOptions{Key: victim}); err == nil ||
 		!strings.Contains(err.Error(), "panic: poison point") {
 		t.Fatalf("RunPoint on a panicking point: err = %v, want it to carry the panic", err)
 	}
 
-	// A sweep with one poison point, chosen by curve and load: that point
-	// fails, the report names it, and the sweep carries on with the rest.
-	spec = tinySpec()
-	poisoned := *spec
-	poisoned.Pattern = poisonSpec().Pattern
-	alg, load := spec.Algs[0].label(), spec.Loads[1]
-	res, rep, err := spec.RunWith(RunOptions{
-		Parallel: 1,
-		PointRunner: func(_ <-chan struct{}, pt PointTask, local func() (PointResult, error)) (PointResult, error) {
-			if pt.Alg == alg && pt.Load == load {
-				return poisoned.RunPoint(pt.Alg, pt.Load, pt.Seed, PointOptions{})
-			}
-			return local()
-		},
-	})
+	// A sweep with that one poison point: it fails, the report names it, and
+	// the sweep carries on with the rest.
+	res, rep, err := spec.RunWith(RunOptions{Parallel: 1})
 	if err == nil || !strings.Contains(err.Error(), "panic: poison point") {
 		t.Fatalf("RunWith: err = %v, want the panic surfaced", err)
 	}
-	victim := spec.PointKey(alg, load, 0)
 	if !strings.Contains(err.Error(), victim) || rep.Failed() != 1 || rep.Failures[0].Key != victim {
 		t.Fatalf("err %v / failures %+v do not name %q", err, rep.Failures, victim)
 	}
-	if rep.Completed != rep.Total-1 || len(res.Points[spec.Algs[1].label()]) != len(spec.Loads) {
+	if rep.Completed != rep.Total-1 || len(res.Points[spec.Algs[1].Label]) != len(spec.Loads) {
 		t.Fatalf("sweep did not continue past the poison point: %+v", rep)
 	}
 }
@@ -460,8 +455,7 @@ func TestPoisonPointReturnsError(t *testing.T) {
 // TestRunPointCheckpointingNeedsKey covers the check that moved into
 // newCheckpointer: a checkpointing RunPoint without a key is refused.
 func TestRunPointCheckpointingNeedsKey(t *testing.T) {
-	spec := tinySpec()
-	_, err := spec.RunPoint(spec.Algs[0].label(), 0.2, 1, PointOptions{CheckpointEvery: 100, CheckpointDir: t.TempDir()})
+	_, err := tinySpec().RunPoint("disha-m0", 0.2, 1, PointOptions{CheckpointEvery: 100, CheckpointDir: t.TempDir()})
 	if err == nil || !strings.Contains(err.Error(), "requires PointOptions.Key") {
 		t.Fatalf("err = %v, want the missing-key error", err)
 	}

@@ -235,7 +235,7 @@ func TestDrainWithdrawsQueuedPoints(t *testing.T) {
 		t.Fatalf("Drain returned (%v) with a leased unit outstanding", err)
 	default:
 	}
-	coord.Deliver(fabric.ResultUpload{Worker: "stalled", Fingerprint: wu.Fingerprint, Key: wu.Key, Result: &harness.PointResult{Load: wu.Point.Load, MeanLatency: 1}})
+	coord.Deliver(fabric.ResultUpload{Worker: "stalled", Fingerprint: wu.Fingerprint, Key: wu.Key, Result: &harness.PointResult{Load: 0.2, MeanLatency: 1}})
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}

@@ -117,7 +117,7 @@ func TestPersistentJobsResumeAcrossServers(t *testing.T) {
 		if _, err := c.OpenStore(journal); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := spec.RunWith(harness.RunOptions{PointRunner: c.PointRunner(req.Figure, req.Scale, req.Warmup, req.Measure, req.Seed)})
+		res, _, err := spec.RunWith(harness.RunOptions{PointRunner: c.Execute})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,9 +70,8 @@ type SweepRequest struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// spec builds the harness spec the request describes. Resolution lives in
-// harness.SpecFor so the fleet worker reconstructs byte-identical specs
-// from the same fields.
+// spec builds the harness spec the request describes (harness.SpecFor, which
+// disha-sweep's flags resolve through too).
 func (r *SweepRequest) spec() (*harness.Spec, error) {
 	return harness.SpecFor(r.Figure, r.Scale, r.Warmup, r.Measure, r.Seed, r.Loads)
 }
@@ -335,7 +334,7 @@ func (s *Server) runJob(id string) {
 		Stop:     s.drainCh,
 		// Every point goes through the coordinator, which decides between a
 		// stored result, a fleet worker, or the local closure.
-		PointRunner: s.fleet.PointRunner(req.Figure, req.Scale, req.Warmup, req.Measure, req.Seed),
+		PointRunner: s.fleet.Execute,
 	}
 	if s.dataDir != "" && s.checkpointEvery > 0 {
 		// One directory for every job: a checkpoint file is named by, and
