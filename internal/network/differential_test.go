@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -80,6 +81,30 @@ func diffCases() []diffCase {
 		}},
 		{"dragonfly", func() Config { return tight(routing.Disha(2), topology.MustDragonfly(4, 2), 0.5, 2) }},
 		{"fattree", func() Config { return tight(routing.Disha(1), topology.MustFatTree(4), 0.5, 2) }},
+		// Radix 11, 46 input slots per router: per-output candidate lists
+		// are long and the round-robin offset often sits past the last
+		// candidate, so arbitration takes the wrap.
+		{"dragonfly-wide", func() Config {
+			cfg := tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 4)
+			cfg.Router.InjectionVCs = 2
+			return cfg
+		}},
+		// Two Deadlock Buffer lanes, each with priority on its output, in
+		// front of the input arbitration.
+		{"concurrent", func() Config {
+			cfg := tight(routing.Disha(0), topology.MustTorus(6, 6), 0.6, 1)
+			cfg.Router.BufferDepth = 1
+			cfg.Router.Timeout = 4
+			cfg.Router.Recovery = router.RecoveryConcurrent
+			return cfg
+		}},
+		// Packet-by-packet allocation is shared by both scan paths; the
+		// lockstep still checks it against the reference ejection scan.
+		{"pbp", func() Config {
+			cfg := tight(routing.Disha(1), topology.MustTorus(6, 6), 0.6, 2)
+			cfg.Router.Alloc = router.PacketByPacket
+			return cfg
+		}},
 	}
 }
 

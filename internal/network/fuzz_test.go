@@ -77,29 +77,46 @@ func FuzzConfigNormalize(f *testing.F) {
 }
 
 // FuzzSoALayout drives the struct-of-arrays layout through arbitrary
-// geometries — radix, VC count, injection VCs, buffer depth, load, seed —
-// and insists the optimized scan path stays digest-locked to the retained
-// reference path over a short run, with CheckInvariants (which includes the
-// per-router SoA CheckState cross-check) clean on both sides. The committed
-// corpus pins the shapes most likely to break slot arithmetic: 2-ary tori
-// (every port a wraparound), odd radices, and 1-VC configurations where the
-// injection-slot block starts immediately after a single-VC port block.
+// geometries — topology class, radix, VC count, injection VCs, buffer depth,
+// load, seed — and insists the optimized scan path stays digest-locked to
+// the retained reference path over a short run, with CheckInvariants (which
+// includes the per-router SoA CheckState cross-check) clean on both sides.
+// topoSel picks a torus (kx × ky), a full mesh of kx%17 nodes or a
+// dragonfly(kx%5+1, ky%4+1); the two digraphs reach degrees up to 15, where
+// the switch allocator's per-output candidate lists are longest. The
+// committed corpus pins the shapes most likely to break slot arithmetic:
+// 2-ary tori (every port a wraparound), odd radices, 1-VC configurations
+// where the injection-slot block starts immediately after a single-VC port
+// block, and high-radix digraphs with several injection VCs.
 func FuzzSoALayout(f *testing.F) {
 	// 2-ary torus, 1 VC, minimal depth.
-	f.Add(uint8(2), uint8(2), uint8(0), uint8(1), uint8(1), uint8(1), uint8(40), uint64(1), uint8(80))
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(1), uint8(1), uint8(1), uint8(40), uint64(1), uint8(80), uint8(0))
 	// Odd × odd mesh under NegativeFirst.
-	f.Add(uint8(3), uint8(5), uint8(3), uint8(2), uint8(2), uint8(2), uint8(50), uint64(7), uint8(100))
+	f.Add(uint8(3), uint8(5), uint8(3), uint8(2), uint8(2), uint8(2), uint8(50), uint64(7), uint8(100), uint8(0))
 	// Odd-radix torus, deadlock-prone DISHA settings.
-	f.Add(uint8(5), uint8(5), uint8(0), uint8(2), uint8(1), uint8(1), uint8(60), uint64(42), uint8(120))
+	f.Add(uint8(5), uint8(5), uint8(0), uint8(2), uint8(1), uint8(1), uint8(60), uint64(42), uint8(120), uint8(0))
 	// Duato needs 3 VCs on a torus; more injection VCs than network VCs.
-	f.Add(uint8(4), uint8(4), uint8(5), uint8(3), uint8(2), uint8(4), uint8(50), uint64(9), uint8(90))
-	f.Fuzz(func(t *testing.T, kx, ky, algSel, vcs, depth, injVCs, loadPct uint8, seed uint64, cycles uint8) {
+	f.Add(uint8(4), uint8(4), uint8(5), uint8(3), uint8(2), uint8(4), uint8(50), uint64(9), uint8(90), uint8(0))
+	// Full mesh of 16, radix 15, 4 VCs and 3 injection VCs.
+	f.Add(uint8(16), uint8(0), uint8(1), uint8(3), uint8(1), uint8(3), uint8(20), uint64(5), uint8(120), uint8(1))
+	// Dragonfly(4, 3), radix 6, 1 VC and 2 injection VCs.
+	f.Add(uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), uint8(2), uint8(60), uint64(3), uint8(140), uint8(2))
+	f.Fuzz(func(t *testing.T, kx, ky, algSel, vcs, depth, injVCs, loadPct uint8, seed uint64, cycles, topoSel uint8) {
 		algs := []routing.Algorithm{
 			routing.Disha(0), routing.Disha(3), routing.DOR(),
 			routing.NegativeFirst(), routing.DallyAoki(), routing.Duato(),
 		}
 		build := func() (*Network, error) {
-			topo, err := topology.NewTorus(int(kx)%9, int(ky)%9)
+			var topo topology.Graph
+			var err error
+			switch topoSel % 3 {
+			case 0:
+				topo, err = topology.NewTorus(int(kx)%9, int(ky)%9)
+			case 1:
+				topo, err = topology.NewFullMesh(int(kx) % 17)
+			default:
+				topo, err = topology.NewDragonfly(int(kx)%5+1, int(ky)%4+1)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -111,10 +128,11 @@ func FuzzSoALayout(f *testing.F) {
 				MsgLen:    4,
 				Seed:      seed,
 				Router: router.Config{
-					VCs:          int(vcs)%5 + 1,
-					BufferDepth:  int(depth)%4 + 1,
-					InjectionVCs: int(injVCs) % 6,
-					Timeout:      16,
+					VCs:                 int(vcs)%5 + 1,
+					BufferDepth:         int(depth)%4 + 1,
+					DeadlockBufferDepth: 1, // T_out > 0 needs the recovery lane
+					InjectionVCs:        int(injVCs) % 6,
+					Timeout:             16,
 				},
 			})
 		}

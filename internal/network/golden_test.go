@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -103,6 +104,21 @@ func goldenCases() []goldenCase {
 				cfg.Router.VCs = 2
 				cfg.Router.BufferDepth = 2
 				cfg.Router.Timeout = 8
+				return cfg
+			},
+		},
+		// Packet-by-packet allocation has no reference twin, so this digest
+		// is what pins it: held connections, Deadlock Buffer preemption and
+		// the reconfiguration buffer under the same deadlock-prone knobs.
+		{
+			name:   "pbp",
+			cycles: 600,
+			build: func() Config {
+				cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(1), 0.6, 42)
+				cfg.Router.VCs = 2
+				cfg.Router.BufferDepth = 2
+				cfg.Router.Timeout = 4
+				cfg.Router.Alloc = router.PacketByPacket
 				return cfg
 			},
 		},
@@ -211,21 +227,24 @@ func TestGoldenKernelVariants(t *testing.T) {
 	}
 }
 
-// TestGoldenDishaExercisesRecovery guards the DISHA golden case against
-// silently degenerating into benign traffic: the digest only pins recovery
-// behavior if deadlocks actually occur.
+// TestGoldenDishaExercisesRecovery guards the DISHA and packet-by-packet
+// golden cases against silently degenerating into benign traffic: the digest
+// only pins recovery behavior if deadlocks actually occur, and the
+// packet-by-packet allocator's preemption path only if the Deadlock Buffer
+// actually preempts a held connection.
 func TestGoldenDishaExercisesRecovery(t *testing.T) {
-	var disha goldenCase
 	for _, gc := range goldenCases() {
-		if gc.name == "disha" {
-			disha = gc
+		if gc.name != "disha" && gc.name != "pbp" {
+			continue
 		}
-	}
-	cfg := disha.build()
-	n := mustNet(t, cfg)
-	n.Run(disha.cycles)
-	c := n.Counters()
-	if c.TimeoutEvents == 0 || c.TokenSeizures == 0 {
-		t.Fatalf("golden disha case is not deadlock-prone: timeouts=%d seizures=%d", c.TimeoutEvents, c.TokenSeizures)
+		n := mustNet(t, gc.build())
+		n.Run(gc.cycles)
+		c := n.Counters()
+		if c.TimeoutEvents == 0 || c.TokenSeizures == 0 {
+			t.Errorf("golden %s case is not deadlock-prone: timeouts=%d seizures=%d", gc.name, c.TimeoutEvents, c.TokenSeizures)
+		}
+		if gc.name == "pbp" && c.Preemptions == 0 {
+			t.Errorf("golden pbp case never preempts a crossbar connection")
+		}
 	}
 }

@@ -28,6 +28,8 @@ type flitKey struct {
 //   - counter and activity soundness: every router's maintained O(1) flit
 //     counter equals a full buffer walk, and any router holding flits or
 //     crossbar connection state is in the active set;
+//   - source queues hold no stale pointers: every slot of a node's queue
+//     outside its live range [qhead, len) is nil, as for the flit rings;
 //   - token exclusivity (sequential recovery): at most one packet is
 //     recovering on the Token (OnDB, seized, header not yet arrived), and
 //     the Token's held/holder state agrees with it; an occupied Deadlock
@@ -137,6 +139,12 @@ func (n *Network) CheckInvariants() error {
 						node, q, v, c, depth)
 				}
 			}
+		}
+	}
+
+	for i := range n.nis {
+		if err := n.nis[i].check(); err != nil {
+			return fmt.Errorf("network invariant: node %d: %w", i, err)
 		}
 	}
 

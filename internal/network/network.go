@@ -126,9 +126,13 @@ type ni struct {
 
 func (q *ni) queued() int { return len(q.queue) - q.qhead }
 
+// push and pop keep every slot outside [qhead, len) nil, so a packet the
+// queue has handed on is not kept alive by it (CheckInvariants holds them
+// to that).
 func (q *ni) push(p *packet.Packet) {
 	if q.qhead > 64 && q.qhead*2 >= len(q.queue) {
 		n := copy(q.queue, q.queue[q.qhead:])
+		clear(q.queue[n:])
 		q.queue = q.queue[:n]
 		q.qhead = 0
 	}
@@ -142,7 +146,21 @@ func (q *ni) peek() *packet.Packet {
 	return q.queue[q.qhead]
 }
 
-func (q *ni) pop() { q.qhead++ }
+func (q *ni) pop() {
+	q.queue[q.qhead] = nil
+	q.qhead++
+}
+
+// check reports a non-nil slot outside the live range [qhead, len), up to
+// the backing array's capacity: a stale pointer that outlives its turn.
+func (q *ni) check() error {
+	for i, p := range q.queue[:cap(q.queue)] {
+		if p != nil && (i < q.qhead || i >= len(q.queue)) {
+			return fmt.Errorf("vacated source-queue slot %d (live [%d,%d)) holds packet %d", i, q.qhead, len(q.queue), p.ID)
+		}
+	}
+	return nil
+}
 
 // remove deletes p from the waiting queue if present (reconfiguration drops
 // reach into source queues; the hot path never calls this).

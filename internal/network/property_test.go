@@ -103,7 +103,9 @@ func TestConservationProperty(t *testing.T) {
 }
 
 // TestNIQueueCompaction exercises the source queue's amortized compaction
-// path (qhead > 64) which normal short tests never reach.
+// path (qhead > 64) which normal short tests never reach, and checks that
+// neither pop nor compaction leaves a handed-on packet reachable from the
+// queue.
 func TestNIQueueCompaction(t *testing.T) {
 	var q ni
 	mk := func(i int) *packet.Packet { return packet.New(packet.ID(i), 0, 1, 1, 0) }
@@ -117,6 +119,9 @@ func TestNIQueueCompaction(t *testing.T) {
 		q.pop()
 		// Interleave pushes to force compaction while non-empty.
 		q.push(mk(200 + i))
+		if err := q.check(); err != nil {
+			t.Fatalf("after pop %d: %v", i, err)
+		}
 	}
 	if q.queued() != 200 {
 		t.Fatalf("queued = %d, want 200", q.queued())
@@ -133,5 +138,13 @@ func TestNIQueueCompaction(t *testing.T) {
 	}
 	if q.peek() != nil {
 		t.Fatal("empty queue must peek nil")
+	}
+	if err := q.check(); err != nil {
+		t.Fatal(err)
+	}
+	// A stale pointer left behind the head is what check exists to catch.
+	q.queue[q.qhead-1] = mk(999)
+	if q.check() == nil {
+		t.Fatal("check accepted a non-nil slot before qhead")
 	}
 }

@@ -18,9 +18,11 @@ import "repro/internal/packet"
 // runs first in StageSwitch), matching routers whose delivery ports bypass
 // the switch. Connection state lives in the shared SoA crossbar arrays
 // (cxInPort and friends); there is no separate reference twin of this scan —
-// both kernel paths share it, and its inner arbitration uses the optimized
-// arbitrateInput.
-func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
+// both kernel paths share it. Its three per-output searches (connection
+// establishment, the lending fallback arbitrateInput and recoveredInputFor)
+// walk the candidate lists indexCandidates built; inputUsed arrives holding
+// the input ports the ejection grants consumed.
+func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer {
 	s := r.st
 	deg := s.deg
 
@@ -44,15 +46,6 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 			inputPkt[p] = s.inPkt[r.inIdx(p, int(s.cxInVC[c]))]
 		}
 	}
-	var inputUsed [64]bool
-	for l := 0; l < s.stride; l++ {
-		if s.inSent[r.in0+l] {
-			p, _ := r.portVCOf(l)
-			inputUsed[p] = true
-		}
-	}
-
-	total := s.stride
 
 	unwire := func(p int) {
 		inputConn[p]--
@@ -117,7 +110,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 			// need this very port, so lend the idle slot (the paper's
 			// Assumption 1: internal flow control guarantees forward
 			// progress of buffers the recovery lane depends on).
-			out = r.arbitrateInput(q, total, &inputUsed, out)
+			out = r.arbitrateInput(q, inputUsed, out)
 			continue
 		}
 
@@ -142,16 +135,9 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 		// Mid-packet establishment is allowed: it is how a connection
 		// dropped from the reconfiguration buffer heals.
 		if s.cxInPort[c] == connNone {
-			off := int(s.swArbOff[r.swIdx(q)])
-			for i := 0; i < total; i++ {
-				l := off + i
-				if l >= total {
-					l -= total
-				}
+			first := s.firstCand(q, int(s.swArbOff[r.swIdx(q)]))
+			for l := first; l >= 0; l = s.nextCand(q, l, first) {
 				g := r.in0 + l
-				if int(s.inRoute[g]) != q || s.in.n[g] == 0 {
-					continue
-				}
 				port, vc := r.portVCOf(l)
 				if inputUsed[port] {
 					continue
@@ -163,7 +149,7 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 				}
 				s.cxInPort[c], s.cxInVC[c] = int32(port), int32(vc)
 				wire(port, vc)
-				s.swArbOff[r.swIdx(q)] = int32((off + i + 1) % total)
+				s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
 				break
 			}
 		}
@@ -202,19 +188,20 @@ func (r *Router) stageSwitchPBP(out []Transfer) []Transfer {
 			}
 		}
 		if !staged {
-			out = r.arbitrateInput(q, total, &inputUsed, out)
+			out = r.arbitrateInput(q, inputUsed, out)
 		}
 	}
 	return out
 }
 
-// recoveredInputFor returns an input VC holding flits of a recovered packet
-// that must leave through output q onto the neighbor's Deadlock Buffer.
+// recoveredInputFor returns the lowest input VC holding flits of a
+// recovered packet that must leave through output q onto the neighbor's
+// Deadlock Buffer: the first such slot on q's candidate list.
 func (r *Router) recoveredInputFor(q int) (port, vc int, ok bool) {
 	s := r.st
-	for l := 0; l < s.stride; l++ {
+	for l := int(s.candHead[q]); l >= 0; l = int(s.candNext[l]) {
 		i := r.in0 + l
-		if s.inPkt[i] != nil && int(s.inRoute[i]) == q && int(s.inOutVC[i]) == VCDeadlockBuffer && s.in.n[i] != 0 {
+		if s.inPkt[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
 			p, v := r.portVCOf(l)
 			return p, v, true
 		}

@@ -200,7 +200,11 @@ func (r *Router) routeSlot(i int) {
 func (r *Router) StageSwitchRef(out []Transfer) []Transfer {
 	out = r.stageEjectionRef(out)
 	if r.st.cfg.Alloc == PacketByPacket {
-		return r.stageSwitchPBP(out)
+		// The shared packet-by-packet scan walks the candidate lists; built
+		// after the ejection grants, the used-port mask already holds them.
+		var inputUsed [64]bool
+		r.indexCandidates(&inputUsed)
+		return r.stageSwitchPBP(out, &inputUsed)
 	}
 	return r.stageSwitchFBFRef(out)
 }

@@ -1,14 +1,20 @@
 package router
 
+import "math/bits"
+
 // The optimized SoA scan phases. These are the default per-cycle entry
 // points; each makes exactly the decisions of its *Ref twin in pipeline.go,
 // in the same order, so the two paths stay byte-identical in effect (the
 // differential conformance suite in internal/network enforces this every
 // cycle). The speed comes from the flat layout: per-slot candidacy checks
-// are single loads from contiguous int32/bool arrays (inLen, inRoute,
+// are single loads from contiguous int32/bool arrays (in.n, inRoute,
 // inSent), the rotating flat index maps to (port, vc) with the O(1)
 // portVCOf inverse instead of the O(ports) nthInputVC walk, and the slot
-// total is the precomputed stride rather than a per-call summation.
+// total is the precomputed stride rather than a per-call summation. Switch
+// allocation sweeps the slots once per router and cycle (indexCandidates)
+// rather than once per output port: each output then walks only the slots
+// routed to it, O(stride + candidates) where the reference is
+// O(deg × stride).
 
 // StageRouting performs routing computation and output VC allocation for
 // every input VC whose head flit is an unrouted header. Grants take effect
@@ -44,16 +50,82 @@ func (r *Router) StageRouting() {
 // optimistically; the caller must run ResolveDB over all staged transfers
 // (in fixed router order) to settle the write port before committing them.
 func (r *Router) StageSwitch(out []Transfer) []Transfer {
-	out = r.stageEjection(out)
+	var inputUsed [64]bool // deg+1 <= 64: network.New rejects degree > MaxDegree
+	routed := r.indexCandidates(&inputUsed)
+	out = r.stageEjection(out, &inputUsed)
 	if r.st.cfg.Alloc == PacketByPacket {
-		return r.stageSwitchPBP(out)
+		return r.stageSwitchPBP(out, &inputUsed)
 	}
-	return r.stageSwitchFBF(out)
+	return r.stageSwitchFBF(out, &inputUsed, routed)
+}
+
+// indexCandidates is switch allocation's one sweep of the router's input
+// slots. It marks in inputUsed every input port a flit already left this
+// cycle, and links each slot that holds a flit with a granted route into
+// that output's candidate list (State.candHead/candNext), in ascending slot
+// order, so every per-output arbitration visits its own candidates only.
+// The lists stay exact for the whole of StageSwitch: arbitration changes
+// inSent, inputUsed and the rotating offsets, which the walks read live,
+// but no slot's route or occupancy before Commit. Bit q of routed is set
+// when output q < deg has a candidate.
+func (r *Router) indexCandidates(inputUsed *[64]bool) (routed uint64) {
+	s := r.st
+	head := s.candHead
+	for q := range head {
+		head[q] = -1
+	}
+	for l := s.stride - 1; l >= 0; l-- {
+		g := r.in0 + l
+		if s.inSent[g] {
+			p, _ := r.portVCOf(l)
+			inputUsed[p] = true
+		}
+		q := int(s.inRoute[g])
+		if s.in.n[g] == 0 || q == PortUnrouted {
+			continue
+		}
+		if q == PortEject {
+			q = s.deg
+		} else {
+			routed |= 1 << uint(q)
+		}
+		s.candNext[l] = head[q]
+		head[q] = int32(l)
+	}
+	return routed
+}
+
+// firstCand starts output q's round-robin walk from offset off: the lowest
+// listed slot at or after off, else (the wrap) the lowest listed slot; -1
+// when q has no candidate. Visiting firstCand, then nextCand until -1, is
+// the full-stride scan from off with every slot not on the list skipped.
+func (s *State) firstCand(q, off int) int {
+	l := s.candHead[q]
+	for l >= 0 && int(l) < off {
+		l = s.candNext[l]
+	}
+	if l < 0 {
+		l = s.candHead[q]
+	}
+	return int(l)
+}
+
+// nextCand returns the slot after l on output q's walk that started at
+// first, wrapping from the list's end to its head; -1 once back at first.
+func (s *State) nextCand(q, l, first int) int {
+	n := s.candNext[l]
+	if n < 0 {
+		n = s.candHead[q]
+	}
+	if int(n) == first {
+		return -1
+	}
+	return int(n)
 }
 
 // stageEjection grants the reception channel(s): the Deadlock Buffers first
 // (the recovery lane must always drain), then input VCs round-robin.
-func (r *Router) stageEjection(out []Transfer) []Transfer {
+func (r *Router) stageEjection(out []Transfer, inputUsed *[64]bool) []Transfer {
 	s := r.st
 	budget := s.cfg.ReceptionChannels
 	if budget == 0 {
@@ -69,24 +141,21 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 			budget--
 		}
 	}
-	total := s.stride
-	off := int(s.swArbOff[r.swIdx(s.deg)])
+	q := s.deg
 	granted := false
-	for i := 0; i < total && budget > 0; i++ {
-		l := off + i
-		if l >= total {
-			l -= total
-		}
+	first := s.firstCand(q, int(s.swArbOff[r.swIdx(q)]))
+	for l := first; l >= 0 && budget > 0; l = s.nextCand(q, l, first) {
 		g := r.in0 + l
-		if int(s.inRoute[g]) != PortEject || s.in.n[g] == 0 || s.inSent[g] {
+		if s.inSent[g] {
 			continue
 		}
 		port, vc := r.portVCOf(l)
 		out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
 		s.inSent[g] = true
+		inputUsed[port] = true
 		budget--
 		if !granted {
-			s.swArbOff[r.swIdx(s.deg)] = int32((off + i + 1) % total)
+			s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
 			granted = true
 		}
 	}
@@ -97,18 +166,18 @@ func (r *Router) stageEjection(out []Transfer) []Transfer {
 // matching of input ports to output ports, one flit per port per cycle,
 // with the Deadlock Buffer as an extra crossbar input that has priority on
 // its output (so the recovery lane always progresses).
-func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
+func (r *Router) stageSwitchFBF(out []Transfer, inputUsed *[64]bool, routed uint64) []Transfer {
 	s := r.st
-	var inputUsed [64]bool // deg+1 <= 64: network.New rejects degree > MaxDegree
-	// Ejection grants above already consumed their input ports this cycle:
-	// one linear sweep of the contiguous sent flags.
-	for l := 0; l < s.stride; l++ {
-		if s.inSent[r.in0+l] {
-			p, _ := r.portVCOf(l)
-			inputUsed[p] = true
+	// Only outputs with a candidate or a Deadlock Buffer flit routed to them
+	// have anything to grant; visiting just those, in ascending order, is
+	// the reference's scan of every output.
+	for lane := 0; lane < s.lanes; lane++ {
+		if i := r.dbIdx(lane); s.db.n[i] != 0 && s.dbRoute[i] >= 0 {
+			routed |= 1 << uint(s.dbRoute[i])
 		}
 	}
-	for q := 0; q < s.deg; q++ {
+	for ; routed != 0; routed &= routed - 1 {
+		q := bits.TrailingZeros64(routed)
 		if r.neighbors[q] == nil {
 			continue
 		}
@@ -116,33 +185,24 @@ func (r *Router) stageSwitchFBF(out []Transfer) []Transfer {
 		if r.stageDBOutput(q, &out) {
 			continue
 		}
-		out = r.arbitrateInput(q, s.stride, &inputUsed, out)
+		out = r.arbitrateInput(q, inputUsed, out)
 	}
 	return out
 }
 
 // arbitrateInput grants output port q to one sendable input VC this cycle,
-// round-robin starting from the port's rotating offset. It is the per-flit
-// output arbitration of the flit-by-flit policy and the lending fallback of
-// the packet-by-packet policy.
-func (r *Router) arbitrateInput(q, total int, inputUsed *[64]bool, out []Transfer) []Transfer {
+// round-robin over q's candidate list starting from the port's rotating
+// offset. It is the per-flit output arbitration of the flit-by-flit policy
+// and the lending fallback of the packet-by-packet policy.
+func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Transfer {
 	s := r.st
-	off := int(s.swArbOff[r.swIdx(q)])
-	for i := 0; i < total; i++ {
-		l := off + i
-		if l >= total {
-			l -= total
-		}
-		g := r.in0 + l
-		// Route mismatch is the overwhelmingly common case; test it on the
-		// contiguous route array before deriving (port, vc).
-		if int(s.inRoute[g]) != q || s.in.n[g] == 0 {
-			continue
-		}
+	first := s.firstCand(q, int(s.swArbOff[r.swIdx(q)]))
+	for l := first; l >= 0; l = s.nextCand(q, l, first) {
 		port, vc := r.portVCOf(l)
 		if inputUsed[port] {
 			continue
 		}
+		g := r.in0 + l
 		if int(s.inOutVC[g]) == VCDeadlockBuffer {
 			if !dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.inPkt[g]) {
 				continue
@@ -157,7 +217,7 @@ func (r *Router) arbitrateInput(q, total int, inputUsed *[64]bool, out []Transfe
 		}
 		inputUsed[port] = true
 		s.inSent[g] = true
-		s.swArbOff[r.swIdx(q)] = int32((off + i + 1) % total)
+		s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
 		break
 	}
 	return out

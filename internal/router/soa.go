@@ -37,6 +37,8 @@ import (
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
 //	per router   vcArbOff, swArbOff (deg+1 per router), flitCount, effTout,
 //	             decayCount, lastBlocked, lastPresumed.
+//	scratch      candHead (deg+1), candNext (stride): one router's switch
+//	             candidate lists, valid only inside its StageSwitch.
 //
 // Aliasing contract: a Router view may only touch slots inside its own base
 // ranges, except through another Router's methods (transfer commit writes
@@ -109,6 +111,14 @@ type State struct {
 	decayCount   []int32
 	lastBlocked  []int32
 	lastPresumed []int32
+
+	// Switch-allocation scratch, rebuilt by indexCandidates at the start of
+	// every StageSwitch and dead after it; staging is serial, so one pair
+	// serves every router. candHead[q] is the first router-local input slot
+	// holding a flit routed to output q (q == deg: the reception channel)
+	// and candNext[l] the next one after slot l, ascending, -1 ending a list.
+	candHead []int32
+	candNext []int32
 }
 
 // NewState builds the shared state for every router of a network on topo:
@@ -185,6 +195,8 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	for i := range s.effTout {
 		s.effTout[i] = cfg.Timeout
 	}
+	s.candHead = make([]int32, deg+1)
+	s.candNext = make([]int32, s.stride)
 	return s
 }
 
