@@ -69,7 +69,8 @@ func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topo
 }
 
 // BFSLaneTable is BFSLaneTableOver on every paired link of g: the recovery
-// lane of a topology without cube coordinates.
+// lane of a topology without cube coordinates. It builds a fresh table;
+// BFSLane is the one a digraph keeps.
 func BFSLaneTable(g topology.Graph) []int32 {
 	return BFSLaneTableOver(g.Nodes(), g.Degree(), func(v topology.Node, p int) (topology.Node, int, bool) {
 		nb, ok := g.Neighbor(v, p)
@@ -79,6 +80,26 @@ func BFSLaneTable(g topology.Graph) []int32 {
 		rev, ok := g.ReversePortAt(v, p)
 		return nb, rev, ok
 	})
+}
+
+// laneCarrier is a graph that keeps its own lane table: the digraphs.
+type laneCarrier interface {
+	LaneTable(build func() ([]int32, error)) ([]int32, error)
+}
+
+// BFSLane returns BFSLaneTable(g) with its Lemma 1 verdict
+// (VerifyLaneConnected over it). A digraph keeps both, built on the first
+// call, and hands every caller the same table, which must not be written
+// into; any other graph gets a fresh table and walk.
+func BFSLane(g topology.Graph) ([]int32, error) {
+	build := func() ([]int32, error) {
+		table := BFSLaneTable(g)
+		return table, VerifyLaneConnected(g, TableLane(g, table))
+	}
+	if c, ok := g.(laneCarrier); ok {
+		return c.LaneTable(build)
+	}
+	return build()
 }
 
 // TableLane wraps a BFSLaneTable-shaped per-destination next-hop table as

@@ -152,3 +152,24 @@ func FuzzParsePointKey(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkParsePointKey measures what a fleet worker does with a leased key
+// before it simulates: decode, normalize (which resolves the topology name)
+// and re-encode. On the dragonfly the topology comes from the process's
+// table cache after the first key.
+func BenchmarkParsePointKey(b *testing.B) {
+	s := tinySpec()
+	s.Topology, s.Algs, s.Loads = "dragonfly-8x4", s.Algs[:1], s.Loads[:1]
+	if err := s.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	key := s.PointKey(s.Algs[0].Label, s.Loads[0], 0)
+	b.Run("dragonfly", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := ParsePointKey(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

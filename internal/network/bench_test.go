@@ -142,3 +142,32 @@ func BenchmarkStepHighRadix(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewSimulatorDigraph measures a simulator's construction on a
+// digraph, topology name to ready network: "cold" empties the process's
+// table cache first, so the distance table, the Deadlock Buffer lane table
+// and its Lemma 1 walk are all built; "warm" finds them cached, as every
+// point after a process's first on that topology does. CI gates warm
+// against cold on dragonfly8x4.
+func BenchmarkNewSimulatorDigraph(b *testing.B) {
+	for _, topo := range []struct{ bench, name string }{{"dragonfly8x4", "dragonfly-8x4"}, {"fattree8", "fattree-8"}} {
+		for _, cache := range []string{"cold", "warm"} {
+			b.Run(topo.bench+"/"+cache, func(b *testing.B) {
+				b.Cleanup(topology.FlushSharedTables)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if cache == "cold" {
+						topology.FlushSharedTables()
+					}
+					g, err := topology.Parse(topo.name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := New(testConfig(g, routing.Disha(0), 0.01, 1)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

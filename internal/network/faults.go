@@ -56,7 +56,8 @@ func (n *Network) FailedLinks() int { return n.failedLinks }
 
 // rebuildDBTable rebuilds the Deadlock Buffer lane table over live links
 // (the builder construction uses, restricted to the current wiring) and
-// installs it. Each per-destination BFS tree is loop-free, so a recovered
+// installs it in place of the table the network was built with, which on a
+// digraph is shared by every network on that graph and never written. Each per-destination BFS tree is loop-free, so a recovered
 // packet following it always reaches its destination — preserving the
 // recovery theorem's connectivity requirement (Lemma 1) under faults. A dead
 // router has no live links, so nothing routes to or through it.

@@ -336,21 +336,23 @@ func New(cfg Config) (*Network, error) {
 		// actually use. Concurrent recovery's two lanes are one table derived
 		// from the recovery order; otherwise cubes route the lane by
 		// dimension order with no table (keeping golden digests
-		// byte-identical) and everything else gets the BFS next-hop table.
-		var laneFn core.LaneRouting
+		// byte-identical) and everything else gets the BFS next-hop table,
+		// whose verdict core.BFSLane reports. A digraph owns that table and
+		// verdict, so every network on it shares them read-only; a
+		// reconfiguration installs a table of its own (rebuildDBTable).
 		ctopo, cube := topology.Coordinated(topo)
 		switch {
 		case cfg.Router.Recovery == router.RecoveryConcurrent:
 			n.routerState.SetRecoveryOrder(lane)
-			laneFn = core.TableLane(topo, n.routerState.LaneTable())
+			err = core.VerifyLaneConnected(topo, core.TableLane(topo, n.routerState.LaneTable()))
 		case cube:
-			laneFn = core.DORLane(ctopo)
+			err = core.VerifyLaneConnected(topo, core.DORLane(ctopo))
 		default:
-			table := core.BFSLaneTable(topo)
-			laneFn = core.TableLane(topo, table)
+			var table []int32
+			table, err = core.BFSLane(topo)
 			n.routerState.SetLaneTable(table)
 		}
-		if err := core.VerifyLaneConnected(topo, laneFn); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: %v", topo.Name(), err)
 		}
 		if cfg.Router.Recovery == router.RecoverySequential {

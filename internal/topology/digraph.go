@@ -4,13 +4,77 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // maxDigraphNodes bounds digraph construction the same way newCube bounds
 // cubes: hostile sizes error instead of exploding the allocations below.
-// The bound is tighter than the cube one because digraphs precompute an
-// all-pairs distance table of nodes^2 int32s.
+// The bound is tighter than the cube one because a digraph carries two
+// all-pairs tables of nodes^2 int32s (distances, and the lane table
+// core.BFSLane builds), 128 MiB together at the bound: exactly tableBudget,
+// so the process cache can still hold the largest graph.
 const maxDigraphNodes = 1 << 12
+
+// tableBudget bounds the table bytes the process keeps for the named
+// digraph families (three dragonfly-16x8); past it the oldest graphs
+// leave the cache. Graphs already handed out stay valid.
+const tableBudget = 128 << 20
+
+// shared is the process cache behind NewFullMesh, NewDragonfly and
+// NewFatTree: one immutable graph per canonical name, so every simulator,
+// harness normalization and point key on that name shares its tables.
+var shared = struct {
+	sync.Mutex
+	budget, bytes, builds int
+	byName                map[string]*sharedGraph
+	order                 []*sharedGraph // oldest first
+}{budget: tableBudget, byName: map[string]*sharedGraph{}}
+
+var laneBuilds atomic.Int64 // LaneTable builds, for tests
+
+// sharedGraph is one cache entry, charged the bytes of both its tables
+// (distances and lane) from the start; once makes concurrent first callers
+// wait for a single build.
+type sharedGraph struct {
+	name  string
+	bytes int
+	once  sync.Once
+	g     Graph
+	err   error
+}
+
+// sharedDigraph returns the process's digraph called name, of nodes nodes,
+// built from the adjacency list adj returns on first use. name must
+// determine adj.
+func sharedDigraph(name string, nodes int, adj func() [][]int) (Graph, error) {
+	shared.Lock()
+	e := shared.byName[name]
+	if e == nil {
+		e = &sharedGraph{name: name, bytes: 8 * nodes * nodes}
+		shared.byName[name] = e
+		shared.order = append(shared.order, e)
+		shared.builds++
+		shared.bytes += e.bytes
+		for shared.bytes > shared.budget {
+			old := shared.order[0]
+			shared.order = shared.order[1:]
+			delete(shared.byName, old.name)
+			shared.bytes -= old.bytes
+		}
+	}
+	shared.Unlock()
+	e.once.Do(func() { e.g, e.err = NewDigraph(name, adj()) })
+	return e.g, e.err
+}
+
+// FlushSharedTables empties the process's digraph table cache, so the next
+// constructor call on any name builds afresh.
+func FlushSharedTables() {
+	shared.Lock()
+	defer shared.Unlock()
+	shared.bytes, shared.byName, shared.order = 0, map[string]*sharedGraph{}, nil
+}
 
 // digraph is the generic directed-graph topology base: an explicit
 // adjacency list with inferred reverse ports, all-pairs BFS distances, and
@@ -26,6 +90,11 @@ type digraph struct {
 	nodes  int
 	dist   []int32 // dist[from*nodes+to] minimal hops, or -1 unreachable
 	lane   []Node
+	dbLane struct { // LaneTable's memo
+		once  sync.Once
+		table []int32
+		err   error
+	}
 }
 
 // NewDigraph constructs a topology from an explicit adjacency list:
@@ -36,7 +105,8 @@ type digraph struct {
 // defaults to the identity order 0..n-1; construct a custom lane by
 // wrapping the result. Errors on empty graphs, out-of-range targets,
 // self-loops, and sizes past the same safety bound the cube constructors
-// enforce.
+// enforce. Every call builds a new graph: only the named families are
+// cached, by name, because there the name determines the adjacency.
 func NewDigraph(name string, adj [][]int) (Graph, error) {
 	n := len(adj)
 	if n == 0 {
@@ -122,9 +192,8 @@ func (g *digraph) buildDistances() {
 		row := g.dist[src*g.nodes : (src+1)*g.nodes]
 		row[src] = 0
 		queue = append(queue[:0], int32(src))
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			d := row[cur]
 			base := int(cur) * g.degree
 			for p := 0; p < g.degree; p++ {
@@ -136,6 +205,17 @@ func (g *digraph) buildDistances() {
 			}
 		}
 	}
+}
+
+// LaneTable returns the Deadlock Buffer lane table and Lemma 1 verdict that
+// build, run on the first call only, gives for g (core.BFSLane, which
+// topology cannot import). g is immutable, so every caller shares them.
+func (g *digraph) LaneTable(build func() ([]int32, error)) ([]int32, error) {
+	g.dbLane.once.Do(func() {
+		laneBuilds.Add(1)
+		g.dbLane.table, g.dbLane.err = build()
+	})
+	return g.dbLane.table, g.dbLane.err
 }
 
 func (g *digraph) Name() string { return g.name }
@@ -218,29 +298,25 @@ func NewFullMesh(n int) (Graph, error) {
 	if n > 1<<10 {
 		return nil, fmt.Errorf("topology: network too large")
 	}
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		row := make([]int, n-1)
-		for p := 0; p < n-1; p++ {
-			if p < i {
-				row[p] = p
-			} else {
-				row[p] = p + 1
+	return sharedDigraph("fullmesh-"+strconv.Itoa(n), n, func() [][]int {
+		adj := make([][]int, n)
+		for i := 0; i < n; i++ {
+			row := make([]int, n-1)
+			for p := 0; p < n-1; p++ {
+				if p < i {
+					row[p] = p
+				} else {
+					row[p] = p + 1
+				}
 			}
+			adj[i] = row
 		}
-		adj[i] = row
-	}
-	return NewDigraph("fullmesh-"+strconv.Itoa(n), adj)
+		return adj
+	})
 }
 
 // MustFullMesh is NewFullMesh that panics on error.
-func MustFullMesh(n int) Graph {
-	g, err := NewFullMesh(n)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+func MustFullMesh(n int) Graph { return must(NewFullMesh(n)) }
 
 // --- Dragonfly --------------------------------------------------------------
 
@@ -261,47 +337,43 @@ func NewDragonfly(a, h int) (Graph, error) {
 		return nil, fmt.Errorf("topology: network too large")
 	}
 	nodes := groups * a
-	degree := (a - 1) + h
-	adj := make([][]int, nodes)
-	for u := 0; u < groups; u++ {
-		for r := 0; r < a; r++ {
-			row := make([]int, degree)
-			// Local all-to-all: port p skips self.
-			for p := 0; p < a-1; p++ {
-				other := p
-				if p >= r {
-					other = p + 1
+	return sharedDigraph(fmt.Sprintf("dragonfly-%dx%d", a, h), nodes, func() [][]int {
+		degree := (a - 1) + h
+		adj := make([][]int, nodes)
+		for u := 0; u < groups; u++ {
+			for r := 0; r < a; r++ {
+				row := make([]int, degree)
+				// Local all-to-all: port p skips self.
+				for p := 0; p < a-1; p++ {
+					other := p
+					if p >= r {
+						other = p + 1
+					}
+					row[p] = u*a + other
 				}
-				row[p] = u*a + other
+				// Global channels: this router owns group channels r*h..r*h+h-1.
+				for k := 0; k < h; k++ {
+					ch := r*h + k
+					v := ch
+					if ch >= u {
+						v = ch + 1
+					}
+					// The reverse channel index at group v points back at u.
+					chBack := u
+					if u > v {
+						chBack = u - 1
+					}
+					row[a-1+k] = v*a + chBack/h
+				}
+				adj[u*a+r] = row
 			}
-			// Global channels: this router owns group channels r*h..r*h+h-1.
-			for k := 0; k < h; k++ {
-				ch := r*h + k
-				v := ch
-				if ch >= u {
-					v = ch + 1
-				}
-				// The reverse channel index at group v points back at u.
-				chBack := u
-				if u > v {
-					chBack = u - 1
-				}
-				row[a-1+k] = v*a + chBack/h
-			}
-			adj[u*a+r] = row
 		}
-	}
-	return NewDigraph(fmt.Sprintf("dragonfly-%dx%d", a, h), adj)
+		return adj
+	})
 }
 
 // MustDragonfly is NewDragonfly that panics on error.
-func MustDragonfly(a, h int) Graph {
-	g, err := NewDragonfly(a, h)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+func MustDragonfly(a, h int) Graph { return must(NewDragonfly(a, h)) }
 
 // --- Fat tree ---------------------------------------------------------------
 
@@ -323,49 +395,45 @@ func NewFatTree(k int) (Graph, error) {
 	}
 	half := k / 2
 	nodes := k*k + half*half
-	adj := make([][]int, nodes)
-	edge := func(p, e int) int { return p*k + e }
-	agg := func(p, a int) int { return p*k + half + a }
-	core := func(i, j int) int { return k*k + i*half + j }
-	for p := 0; p < k; p++ {
-		for e := 0; e < half; e++ {
-			row := make([]int, half)
-			for a := 0; a < half; a++ {
-				row[a] = agg(p, a)
-			}
-			adj[edge(p, e)] = row
-		}
-		for a := 0; a < half; a++ {
-			row := make([]int, k)
+	return sharedDigraph("fattree-"+strconv.Itoa(k), nodes, func() [][]int {
+		adj := make([][]int, nodes)
+		edge := func(p, e int) int { return p*k + e }
+		agg := func(p, a int) int { return p*k + half + a }
+		core := func(i, j int) int { return k*k + i*half + j }
+		for p := 0; p < k; p++ {
 			for e := 0; e < half; e++ {
-				row[e] = edge(p, e)
+				row := make([]int, half)
+				for a := 0; a < half; a++ {
+					row[a] = agg(p, a)
+				}
+				adj[edge(p, e)] = row
 			}
+			for a := 0; a < half; a++ {
+				row := make([]int, k)
+				for e := 0; e < half; e++ {
+					row[e] = edge(p, e)
+				}
+				for j := 0; j < half; j++ {
+					row[half+j] = core(a, j)
+				}
+				adj[agg(p, a)] = row
+			}
+		}
+		for i := 0; i < half; i++ {
 			for j := 0; j < half; j++ {
-				row[half+j] = core(a, j)
+				row := make([]int, k)
+				for p := 0; p < k; p++ {
+					row[p] = agg(p, i)
+				}
+				adj[core(i, j)] = row
 			}
-			adj[agg(p, a)] = row
 		}
-	}
-	for i := 0; i < half; i++ {
-		for j := 0; j < half; j++ {
-			row := make([]int, k)
-			for p := 0; p < k; p++ {
-				row[p] = agg(p, i)
-			}
-			adj[core(i, j)] = row
-		}
-	}
-	return NewDigraph("fattree-"+strconv.Itoa(k), adj)
+		return adj
+	})
 }
 
 // MustFatTree is NewFatTree that panics on error.
-func MustFatTree(k int) Graph {
-	g, err := NewFatTree(k)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+func MustFatTree(k int) Graph { return must(NewFatTree(k)) }
 
 // --- Name parsing -----------------------------------------------------------
 

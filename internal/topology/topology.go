@@ -187,23 +187,19 @@ func NewTorus(radix ...int) (Topology, error) { return newCube(true, radix) }
 // NewMesh constructs a k-ary n-cube without wraparound links.
 func NewMesh(radix ...int) (Topology, error) { return newCube(false, radix) }
 
-// MustTorus is NewTorus that panics on error; convenient in tests/examples.
-func MustTorus(radix ...int) Topology {
-	t, err := NewTorus(radix...)
+// must returns g, or panics with err: the Must constructors' shared body.
+func must[G any](g G, err error) G {
 	if err != nil {
 		panic(err)
 	}
-	return t
+	return g
 }
 
+// MustTorus is NewTorus that panics on error; convenient in tests/examples.
+func MustTorus(radix ...int) Topology { return must(NewTorus(radix...)) }
+
 // MustMesh is NewMesh that panics on error.
-func MustMesh(radix ...int) Topology {
-	t, err := NewMesh(radix...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
+func MustMesh(radix ...int) Topology { return must(NewMesh(radix...)) }
 
 // NewHypercube constructs the n-dimensional binary hypercube: a 2-ary
 // n-cube without wraparounds (each dimension has exactly two nodes joined
@@ -227,13 +223,7 @@ func NewHypercube(dims int) (Topology, error) {
 }
 
 // MustHypercube is NewHypercube that panics on error.
-func MustHypercube(dims int) Topology {
-	t, err := NewHypercube(dims)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
+func MustHypercube(dims int) Topology { return must(NewHypercube(dims)) }
 
 func newCube(wrap bool, radix []int) (Topology, error) {
 	if len(radix) == 0 {
