@@ -10,7 +10,7 @@
 // (the flags disha-sim shares: -topo, -alg, -load, -vcs, ...):
 //
 //	# when does misrouting first change global state?
-//	disha-bisect -radix 8 -load 0.7 -cycles 5000 -a misroutes=0 -b misroutes=3
+//	disha-bisect -load 0.7 -cycles 5000 -a alg=disha-m0 -b alg=disha-m3
 //
 //	# recovery-mode comparison at a fine granularity
 //	disha-bisect -load 0.9 -a recovery=sequential -b recovery=abort-retry -granularity 64
@@ -30,20 +30,21 @@ import (
 
 	disha "repro"
 	"repro/internal/chaos"
+	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	// The search defaults to a smaller, busier network than disha-sim's so a
 	// divergence shows up within few cycles.
-	base := disha.DefaultSimSpec()
-	base.Radix, base.Load, base.MsgLen, base.VCs = 8, 0.6, 16, 2
+	base := harness.DefaultPointFlags()
+	base.Spec.Topology, base.Load, base.Spec.MsgLen, base.Spec.VCs = "torus-8x8", 0.6, 16, 2
 	base.Flags(flag.CommandLine)
 	var (
 		cycles      = flag.Int("cycles", 10000, "cycles to search")
 		granularity = flag.Int("granularity", 256, "coarse comparison stride in cycles")
-		overridesA  = flag.String("a", "", "side A overrides, e.g. alg=disha,misroutes=0")
-		overridesB  = flag.String("b", "", "side B overrides, e.g. alg=disha,misroutes=3")
+		overridesA  = flag.String("a", "", "side A overrides, e.g. alg=disha-m0,vcs=2")
+		overridesB  = flag.String("b", "", "side B overrides, e.g. alg=disha-m3,vcs=2")
 		chaosScript = flag.String("chaos-script", "", "arm this JSON chaos event-schedule on BOTH sides (replayed deterministically; see CHAOS.md)")
 		version     = flag.Bool("version", false, "print build metadata and exit")
 	)
@@ -57,9 +58,9 @@ func main() {
 		fail(fmt.Errorf("-granularity must be at least 1"))
 	}
 
-	cfgA, err := applyOverrides(base, *overridesA)
+	pointA, err := applyOverrides(base, *overridesA)
 	fail(err)
-	cfgB, err := applyOverrides(base, *overridesB)
+	pointB, err := applyOverrides(base, *overridesB)
 	fail(err)
 
 	// A chaos schedule is armed identically on both sides — and re-armed
@@ -78,14 +79,14 @@ func main() {
 		}
 	}
 
-	simA, err := buildSim(cfgA)
+	simA, err := disha.NewPointSimulator(pointA)
 	fail(err)
-	simB, err := buildSim(cfgB)
+	simB, err := disha.NewPointSimulator(pointB)
 	fail(err)
 	arm(simA)
 	arm(simB)
 
-	fmt.Printf("side A: %s\nside B: %s\n", cfgA, cfgB)
+	fmt.Printf("side A: %s\nside B: %s\n", pointA.Describe(), pointB.Describe())
 
 	if simA.Fingerprint() != simB.Fingerprint() {
 		fmt.Println("divergence: cycle 0 (the configs already produce different initial state digests)")
@@ -125,9 +126,9 @@ func main() {
 
 	// Fine phase: rebuild both sides fresh, restore the last-equal
 	// snapshots, and single-step to the first cycle whose digests differ.
-	simA2, err := buildSim(cfgA)
+	simA2, err := disha.NewPointSimulator(pointA)
 	fail(err)
-	simB2, err := buildSim(cfgB)
+	simB2, err := disha.NewPointSimulator(pointB)
 	fail(err)
 	fail(simA2.Restore(bytes.NewReader(lastEqualA.Bytes())))
 	fail(simB2.Restore(bytes.NewReader(lastEqualB.Bytes())))
@@ -150,37 +151,27 @@ func main() {
 	}
 }
 
-// applyOverrides parses "k=v,k=v" and sets each key, as the simulation flag
-// of that name, on a copy of base.
-func applyOverrides(base disha.SimSpec, s string) (disha.SimSpec, error) {
-	side := base
+// applyOverrides parses "k=v,k=v", sets each key, as the simulation flag of
+// that name, on side (a copy of the base flags), and resolves side's point.
+func applyOverrides(side harness.PointFlags, s string) (*harness.Spec, error) {
 	if s == "" {
-		return side, nil
+		return side.Point()
 	}
 	fs := flag.NewFlagSet("override", flag.ContinueOnError)
 	side.Flags(fs)
 	for _, kv := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return side, fmt.Errorf("override %q is not key=value", kv)
+			return nil, fmt.Errorf("override %q is not key=value", kv)
 		}
 		if fs.Lookup(k) == nil {
-			return side, fmt.Errorf("unknown override key %q", k)
+			return nil, fmt.Errorf("unknown override key %q", k)
 		}
 		if err := fs.Set(k, v); err != nil {
-			return side, fmt.Errorf("override %q: %v", kv, err)
+			return nil, fmt.Errorf("override %q: %v", kv, err)
 		}
 	}
-	return side, nil
-}
-
-// buildSim resolves one side's spec and constructs its simulator.
-func buildSim(spec disha.SimSpec) (*disha.Simulator, error) {
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, err
-	}
-	return disha.NewSimulator(cfg)
+	return side.Point()
 }
 
 func fail(err error) {

@@ -4,11 +4,15 @@
 //
 // Example — the paper's configuration at moderate load:
 //
-//	disha-sim -radix 16 -alg disha -misroutes 3 -traffic uniform -load 0.5
+//	disha-sim -topo torus-16x16 -alg disha-m3 -traffic uniform -load 0.5
 //
 // Example — a baseline without recovery:
 //
 //	disha-sim -alg duato -load 0.5 -cycles 20000
+//
+// Example — Disha with recovery off, on a topology that needs none:
+//
+//	disha-sim -topo fullmesh-8 -vcs 1 -alg disha-m0 -recovery off
 //
 // Example — a non-cube topology by name (Disha routes on any graph):
 //
@@ -35,12 +39,13 @@ import (
 
 	disha "repro"
 	"repro/internal/chaos"
+	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
 
 func main() {
-	spec := disha.DefaultSimSpec()
-	spec.Flags(flag.CommandLine)
+	flags := harness.DefaultPointFlags()
+	flags.Flags(flag.CommandLine)
 	var (
 		cycles = flag.Int("cycles", 10000, "cycles to simulate")
 		drain  = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
@@ -75,10 +80,11 @@ func main() {
 			usage(fmt.Errorf("-%s %d: a cycle count cannot be negative", count.name, count.v))
 		}
 	}
-	cfg, err := spec.Config()
+	point, err := flags.Point()
 	usage(err)
-	sim, err := disha.NewSimulator(cfg)
+	sim, err := disha.NewPointSimulator(point)
 	usage(err)
+	topo := sim.Network().Topo()
 
 	// Restore must happen while the simulator is still fresh: the snapshot
 	// carries a configuration guard, so mismatched flags fail loudly here.
@@ -99,18 +105,7 @@ func main() {
 			traceFile, err = os.Create(*traceOut)
 			fail(err)
 			tw = disha.NewTelemetryWriter(traceFile)
-			tw.Meta(map[string]string{
-				"topology":  cfg.Topo.Name(),
-				"algorithm": cfg.Algorithm.Name(),
-				"traffic":   cfg.Pattern.Name(),
-				"load":      fmt.Sprintf("%g", spec.Load),
-				"msglen":    strconv.Itoa(spec.MsgLen),
-				"vcs":       strconv.Itoa(spec.VCs),
-				"timeout":   strconv.Itoa(spec.Timeout),
-				"recovery":  spec.Recovery,
-				"cycles":    strconv.Itoa(*cycles),
-				"seed":      strconv.FormatUint(spec.Seed, 10),
-			})
+			tw.Meta(map[string]string{"point": point.Describe(), "cycles": strconv.Itoa(*cycles)})
 			opts.Writer = tw
 		}
 		tel = sim.EnableTelemetry(opts)
@@ -132,7 +127,7 @@ func main() {
 			fail(fmt.Errorf("-chaos-gen requires -chaos-script (the file to write)"))
 		}
 		sched, err := chaos.Generate(chaos.CampaignConfig{
-			Topo: cfg.Topo, Seed: spec.Seed, Events: *chaosGen, RouterKills: *chaosRouters,
+			Topo: topo, Seed: point.Seed, Events: *chaosGen, RouterKills: *chaosRouters,
 		})
 		fail(err)
 		fail(sched.Save(*chaosScript))
@@ -189,8 +184,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "disha-sim: telemetry written to %s\n", *traceOut)
 	}
 
-	fmt.Printf("%s | %s | %s | load %.2f | %d-flit messages | %d VCs x depth %d\n",
-		cfg.Topo.Name(), cfg.Algorithm.Name(), cfg.Pattern.Name(), spec.Load, spec.MsgLen, spec.VCs, spec.Depth)
+	fmt.Println(point.Describe())
 	fmt.Println(strings.Repeat("-", 72))
 	fmt.Print(sim.Report())
 	fmt.Printf("latency:           %v\n", lat.Summarize())

@@ -27,7 +27,7 @@ func TestPostMortem(t *testing.T) {
 	}
 	sim, bin := build("disha-sim", "../disha-sim"), build("disha-trace", ".")
 	jsonl := filepath.Join(dir, "run.jsonl")
-	if out, err := exec.Command(sim, "-radix", "8", "-vcs", "1", "-load", "0.9", "-msglen", "8",
+	if out, err := exec.Command(sim, "-topo", "torus-8x8", "-vcs", "1", "-load", "0.9", "-msglen", "8",
 		"-cycles", "3000", "-trace-out", jsonl).CombinedOutput(); err != nil {
 		t.Fatalf("disha-sim: %v\n%s", err, out)
 	}

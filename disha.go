@@ -309,6 +309,21 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 	return &Simulator{net: n}, nil
 }
 
+// NewPointSimulator builds a normalized one-point Experiment (see
+// harness.PointFlags) as a sweep builds that point (Spec.NetworkConfig), with
+// the experiment's Seed as the simulation seed instead of a derived one.
+func NewPointSimulator(point *Experiment) (*Simulator, error) {
+	cfg, err := point.NetworkConfig(point.Algs[0], point.Loads[0], point.Seed)
+	if err != nil {
+		return nil, err
+	}
+	n, err := network.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Simulator{net: n}, nil
+}
+
 // Run advances the simulation the given number of cycles.
 func (s *Simulator) Run(cycles int) { s.net.Run(cycles) }
 

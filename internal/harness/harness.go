@@ -30,8 +30,8 @@ import (
 
 // AlgSpec describes one curve of an experiment: a routing algorithm with
 // its selection function and recovery settings. Its JSON form spells the
-// algorithm and the selection by the names routing.ByName and
-// routing.SelectionByName read.
+// algorithm, the selection and the recovery mode by the names
+// routing.ByName, routing.SelectionByName and router.ParseRecoveryMode read.
 type AlgSpec struct {
 	// Label names the curve; Normalize defaults it to the algorithm name.
 	Label     string
@@ -40,43 +40,55 @@ type AlgSpec struct {
 	// minimum-congestion and everything else with random selection);
 	// Normalize fills it in.
 	Selection routing.Selection
-	// Recovery enables time-out detection, the Token and the Deadlock
-	// Buffer. It must be true for Disha and false for avoidance schemes.
+	// Recovery, Mode and Timeout are router.PaperConfig's arguments: Recovery
+	// arms detection and the Deadlock Buffer (Disha needs it unless the
+	// topology cannot deadlock; avoidance schemes run without), Mode picks
+	// the scheme and Timeout is T_out (0 = the paper's 8).
 	Recovery bool
-	// Timeout is T_out in cycles when Recovery is on (0 = the paper's
-	// default, see router.PaperConfig).
-	Timeout sim.Cycle
+	Mode     router.RecoveryMode
+	Timeout  sim.Cycle
 }
 
-// algNames is AlgSpec's JSON form.
+// algNames is AlgSpec's JSON form. Sequential recovery writes no Mode, so a
+// sequential curve keeps the key it had before curves carried a mode.
 type algNames struct {
 	Label, Algorithm, Selection string
 	Recovery                    bool
 	Timeout                     sim.Cycle
+	Mode                        string `json:",omitempty"`
 }
 
-// MarshalJSON writes a normalized curve with its algorithm and selection by
-// name.
+// MarshalJSON writes a normalized curve with its algorithm, selection and
+// recovery mode by name.
 func (a AlgSpec) MarshalJSON() ([]byte, error) {
-	return json.Marshal(algNames{a.Label, a.Algorithm.Name(), a.Selection.Name(), a.Recovery, a.Timeout})
+	n := algNames{a.Label, a.Algorithm.Name(), a.Selection.Name(), a.Recovery, a.Timeout, ""}
+	if a.Mode != router.RecoverySequential {
+		n.Mode = a.Mode.String()
+	}
+	return json.Marshal(n)
 }
 
 // UnmarshalJSON resolves the names MarshalJSON wrote.
 func (a *AlgSpec) UnmarshalJSON(data []byte) error {
 	var n algNames
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
+	err := json.Unmarshal(data, &n)
+	if err == nil {
+		*a, err = n.resolve()
 	}
-	alg, err := routing.ByName(n.Algorithm)
-	if err != nil {
-		return err
+	return err
+}
+
+// resolve is the one reading of a curve's names, for a point key and for the
+// command line (PointFlags) alike.
+func (n algNames) resolve() (a AlgSpec, err error) {
+	a = AlgSpec{Label: n.Label, Recovery: n.Recovery, Timeout: n.Timeout}
+	if a.Algorithm, err = routing.ByName(n.Algorithm); err == nil {
+		a.Selection, err = routing.SelectionByName(n.Selection)
 	}
-	sel, err := routing.SelectionByName(n.Selection)
-	if err != nil {
-		return err
+	if err == nil && n.Mode != "" {
+		a.Mode, err = router.ParseRecoveryMode(n.Mode)
 	}
-	*a = AlgSpec{n.Label, alg, sel, n.Recovery, n.Timeout}
-	return nil
+	return a, err
 }
 
 // hotspotFraction is the share of all traffic the "hotspot" pattern sends to
@@ -94,20 +106,27 @@ type Spec struct {
 	// dependent patterns and algorithms need a k-ary n-cube.
 	Topology string
 	// Traffic names the workload as traffic.ByName reads it; "hotspot" sends
-	// hotspotFraction of all traffic to node Nodes()/3.
-	Traffic string
-	Algs    []AlgSpec
+	// HotspotFraction of all traffic to node Nodes()/3, nil meaning the
+	// paper's 5%.
+	Traffic         string
+	HotspotFraction *float64 `json:",omitempty"`
+	Algs            []AlgSpec
 	// Loads are the offered load rates swept (fraction of capacity).
 	Loads  []float64
 	MsgLen int
-	// Router parameters shared by all curves (Timeout and
-	// DeadlockBufferDepth are controlled per AlgSpec).
+	// Router parameters shared by all curves (recovery is per AlgSpec). Rx
+	// is the flits per cycle a node consumes; 0 is the paper's one
+	// reception channel.
 	VCs, BufferDepth int
+	Rx               int `json:",omitempty"`
 	Alloc            router.AllocPolicy
 	// Warmup cycles run before measurement; Measure cycles are observed.
 	Warmup, Measure int
 	Seed            uint64
 	TokenHops       int
+	// Throttle, when positive, stops a node injecting while it has this many
+	// packets outstanding (the injection limitation of the paper's §4.3.3).
+	Throttle int `json:",omitempty"`
 	// WFGSampleEvery, when positive, runs the wait-for-graph analyzer every
 	// that many cycles during measurement and records true-deadlock
 	// statistics (used for the deadlock characterization experiment).
@@ -132,7 +151,11 @@ func (s *Spec) Topo() topology.Graph {
 
 // Pattern builds the spec's workload on g.
 func (s *Spec) Pattern(g topology.Graph) (traffic.Pattern, error) {
-	return traffic.ByName(s.Traffic, g, hotspotFraction)
+	fraction := hotspotFraction
+	if s.HotspotFraction != nil {
+		fraction = *s.HotspotFraction
+	}
+	return traffic.ByName(s.Traffic, g, fraction)
 }
 
 // PointResult is the measurement of one (algorithm, load) pair. With
@@ -581,12 +604,30 @@ func firstLine(s string) string {
 // Normalize fills the spec's defaulted fields (curve labels and selections,
 // message length, VCs, buffer depth, cycle counts, ...) from the defaults of
 // the packages that own them, as RunWith and RunPoint do before deriving point
-// keys, so that one experiment always encodes to the same key bytes. It
-// refuses a spec whose topology or traffic name does not resolve, or that
-// does not encode.
+// keys, so that one experiment always encodes to the same key bytes; the
+// fields that encode as absent when zero (Rx, HotspotFraction) are set to
+// zero when they hold the default. It refuses a spec whose topology or
+// traffic name does not resolve, a curve the topology cannot run at the
+// spec's VCs (network.Admits), and a spec that does not encode.
 func (s *Spec) Normalize() error {
 	if len(s.Algs) == 0 || len(s.Loads) == 0 {
 		return fmt.Errorf("harness: spec %q incomplete", s.Name)
+	}
+	rc := router.Default()
+	if s.MsgLen == 0 {
+		s.MsgLen = network.DefaultMsgLen
+	}
+	if s.VCs == 0 {
+		s.VCs = rc.VCs
+	}
+	if s.BufferDepth == 0 {
+		s.BufferDepth = rc.BufferDepth
+	}
+	if s.Rx == rc.ReceptionChannels {
+		s.Rx = 0
+	}
+	if f := s.HotspotFraction; f != nil && *f == hotspotFraction {
+		s.HotspotFraction = nil
 	}
 	g, err := topology.Parse(s.Topology)
 	if err != nil {
@@ -606,16 +647,9 @@ func (s *Spec) Normalize() error {
 		if a.Selection == nil {
 			a.Selection = routing.Random()
 		}
-	}
-	rc := router.Default()
-	if s.MsgLen == 0 {
-		s.MsgLen = network.DefaultMsgLen
-	}
-	if s.VCs == 0 {
-		s.VCs = rc.VCs
-	}
-	if s.BufferDepth == 0 {
-		s.BufferDepth = rc.BufferDepth
+		if err := network.Admits(a.Algorithm, g, s.VCs); err != nil {
+			return fmt.Errorf("harness: curve %s: %w", a.Label, err)
+		}
 	}
 	if s.Warmup == 0 {
 		s.Warmup = 2000
@@ -668,26 +702,11 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 	if err != nil {
 		return PointResult{}, err
 	}
-	topo := s.Topo()
-	pattern, err := s.Pattern(topo)
+	cfg, err := s.NetworkConfig(alg, load, seed)
 	if err != nil {
 		return PointResult{}, err
 	}
-	rc := router.PaperConfig(alg.Recovery, alg.Timeout, router.RecoverySequential)
-	rc.VCs = s.VCs
-	rc.BufferDepth = s.BufferDepth
-	rc.Alloc = s.Alloc
-	net, err := network.New(network.Config{
-		Topo:              topo,
-		Router:            rc,
-		Algorithm:         alg.Algorithm,
-		Selection:         alg.Selection,
-		Pattern:           pattern,
-		LoadRate:          load,
-		MsgLen:            s.MsgLen,
-		Seed:              seed,
-		TokenHopsPerCycle: s.TokenHops,
-	})
+	net, err := network.New(cfg)
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -800,11 +819,56 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 
 	// Normalized accepted traffic: flits/node/cycle over the network's
 	// capacity (the load normalization of Section 4.1 in reverse).
-	ms := traffic.MeasureMean(topo, pattern, 64)
+	topo := cfg.Topo
+	ms := traffic.MeasureMean(topo, cfg.Pattern, 64)
 	capacityFPC := float64(traffic.TotalChannels(topo)) / (float64(topo.Nodes()) * ms.MeanDistance)
 	accepted := float64(flits) / (float64(s.Measure) * float64(topo.Nodes()))
 	pr.Throughput = accepted / capacityFPC
 	return pr, nil
+}
+
+// NetworkConfig is the one assembly of a point's network: curve alg of the
+// normalized spec s at load, under the simulation seed. runPoint builds every
+// sweep point from it, and disha-sim and disha-bisect their one point.
+func (s *Spec) NetworkConfig(alg AlgSpec, load float64, seed uint64) (network.Config, error) {
+	topo := s.Topo()
+	pattern, err := s.Pattern(topo)
+	if err != nil {
+		return network.Config{}, err
+	}
+	rc := router.PaperConfig(alg.Recovery, alg.Timeout, alg.Mode)
+	rc.VCs = s.VCs
+	rc.BufferDepth = s.BufferDepth
+	rc.Alloc = s.Alloc
+	rc.ReceptionChannels = s.Rx
+	return network.Config{
+		Topo:              topo,
+		Router:            rc,
+		Algorithm:         alg.Algorithm,
+		Selection:         alg.Selection,
+		Pattern:           pattern,
+		LoadRate:          load,
+		MsgLen:            s.MsgLen,
+		Seed:              seed,
+		TokenHopsPerCycle: s.TokenHops,
+		InjectionThrottle: s.Throttle,
+	}, nil
+}
+
+// Describe renders the normalized spec's first curve at its first load on
+// one line, for run and trace headers: names as they resolved, and the
+// recovery as router.PaperConfig arms it, so a header never states a T_out
+// other than the one simulated.
+func (s *Spec) Describe() string {
+	a, g := s.Algs[0], s.Topo()
+	pattern, _ := s.Pattern(g) // Normalize built it once already
+	recovery := "no recovery"
+	if rc := router.PaperConfig(a.Recovery, a.Timeout, a.Mode); a.Recovery {
+		recovery = fmt.Sprintf("%s recovery, T_out %d", rc.Recovery, rc.Timeout)
+	}
+	return fmt.Sprintf("%s | %s | %s | load %.2f | %d-flit messages | %d VCs x depth %d | %s | %s selection | seed %d",
+		g.Name(), a.Algorithm.Name(), pattern.Name(), s.Loads[0], s.MsgLen, s.VCs, s.BufferDepth,
+		recovery, a.Selection.Name(), s.Seed)
 }
 
 // --- Rendering -----------------------------------------------------------------

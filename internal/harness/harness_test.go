@@ -130,6 +130,31 @@ func TestIncompleteSpecFails(t *testing.T) {
 	if res != nil || report != nil {
 		t.Fatalf("Batches=-1 scheduled jobs before failing: result %v, report %v", res, report)
 	}
+	// So does a curve the topology cannot run (network.Admits): it used to
+	// build and fail every one of its points, and ParsePointKey refuses its
+	// key, so no fleet worker is ever leased one.
+	for _, tc := range []struct {
+		set  func(*Spec)
+		want string
+	}{
+		{func(s *Spec) { s.Topology = "fullmesh-8" }, "curve dor: dor is not supported on fullmesh-8"},
+		{func(s *Spec) { s.Algs[1].Algorithm, s.VCs = routing.Duato(), 1 }, "curve duato: duato needs >= 3 VCs on torus-4x4, have 1"},
+	} {
+		spec := tinySpec()
+		tc.set(spec)
+		res, report, err := spec.RunWith(RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil || report != nil {
+			t.Errorf("RunWith: result %v, report %v, err %v; want no points run and an error containing %q", res, report, err, tc.want)
+		}
+	}
+	spec = tinySpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Replace(spec.PointKey("dor", spec.Loads[0], 0), `"Topology":"torus-4x4"`, `"Topology":"fullmesh-8"`, 1)
+	if _, _, err := ParsePointKey(key); err == nil || !strings.Contains(err.Error(), "dor is not supported on fullmesh-8") {
+		t.Errorf("ParsePointKey of a DOR-on-fullmesh key: err = %v, want the admission refusal", err)
+	}
 }
 
 func TestTablesAndCSV(t *testing.T) {

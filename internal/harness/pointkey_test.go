@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,12 +62,16 @@ func TestPointKeyCoversEveryField(t *testing.T) {
 		"Chaos": func(s *Spec) {
 			s.Chaos = []network.ReconfigEvent{{Cycle: 400, Kind: network.ReconfigKillLink, Node: 5, Port: 1}}
 		},
+		"Throttle":        func(s *Spec) { s.Throttle = 3 },
+		"Rx":              func(s *Spec) { s.Rx = 2 },
+		"HotspotFraction": func(s *Spec) { f := 0.1; s.HotspotFraction = &f },
 	}
 	algChange := map[string]func(*AlgSpec){
 		"Label":     func(a *AlgSpec) { a.Label = "renamed" },
 		"Algorithm": func(a *AlgSpec) { a.Algorithm = routing.Disha(3) },
 		"Selection": func(a *AlgSpec) { a.Selection = routing.MinCongestion() },
 		"Recovery":  func(a *AlgSpec) { a.Recovery = false },
+		"Mode":      func(a *AlgSpec) { a.Mode = router.RecoveryConcurrent },
 		"Timeout":   func(a *AlgSpec) { a.Timeout = 16 },
 	}
 	base := keyedPoint(t)
@@ -103,6 +110,24 @@ func TestPointKeyCoversEveryField(t *testing.T) {
 	}
 	roundTrip(t, base.PointKey(base.Algs[0].Label, base.Loads[0], 3), 3)
 
+	// A field's default encodes as absent, so the keys written before the
+	// field existed still name their points.
+	for field, setDefault := range map[string]func(*Spec){
+		"Throttle":        func(s *Spec) { s.Throttle = 0 },
+		"Rx":              func(s *Spec) { s.Rx = router.Default().ReceptionChannels },
+		"HotspotFraction": func(s *Spec) { f := hotspotFraction; s.HotspotFraction = &f },
+		"AlgSpec.Mode":    func(s *Spec) { s.Algs[0].Mode = router.RecoverySequential },
+	} {
+		s := keyedPoint(t)
+		setDefault(s)
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if key := s.PointKey(s.Algs[0].Label, s.Loads[0], 0); key != baseKey {
+			t.Errorf("%s at its default moves the key:\n%s\nwant\n%s", field, key, baseKey)
+		}
+	}
+
 	for _, sc := range []Scale{PaperScale(), SmallScale()} {
 		for name, spec := range Figures(sc) {
 			if err := spec.Normalize(); err != nil {
@@ -114,6 +139,36 @@ func TestPointKeyCoversEveryField(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFigureKeysArePinned hashes every point key of every figure at both
+// scales against the digest of the keys as they were before curves carried a
+// recovery mode and specs a throttle, reception channels and a hot-spot
+// fraction. A changed key reseeds its point (engine.SeedFor hashes it) and
+// orphans its stored result, silently; round trips alone would not notice.
+// If a change to the encoding is deliberate, the committed results/fig*.csv
+// move with it, and this digest is regenerated with them.
+func TestFigureKeysArePinned(t *testing.T) {
+	const want = "639a431a65ce2392b1a715bf166f767822636e873fa6ef8809a2590afe82bd21"
+	h, n := sha256.New(), 0
+	for _, sc := range []Scale{PaperScale(), SmallScale()} {
+		figs := Figures(sc)
+		for _, name := range FigureNames() {
+			spec := figs[name]
+			if err := spec.Normalize(); err != nil {
+				t.Fatalf("figure %s: %v", name, err)
+			}
+			for _, a := range spec.Algs {
+				for _, load := range spec.Loads {
+					fmt.Fprintln(h, spec.PointKey(a.Label, load, 0))
+					n++
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || n != 434 {
+		t.Errorf("%d figure point keys hash to %s, want 434 keys hashing to %s", n, got, want)
 	}
 }
 

@@ -95,16 +95,18 @@ func (c *Config) normalize() error {
 	if err := c.Router.Normalize(); err != nil {
 		return err
 	}
-	if err := admits(c.Algorithm, c.Topo, c.Router.VCs); err != nil {
+	if err := Admits(c.Algorithm, c.Topo, c.Router.VCs); err != nil {
 		return fmt.Errorf("network: %w", err)
 	}
 	return nil
 }
 
-// admits is the one algorithm/topology/VC admission rule: construction and
-// every routing swap (live, scheduled, replayed from a snapshot) ask it, so a
-// function the routers cannot run is never installed.
-func admits(alg routing.Algorithm, topo topology.Graph, vcs int) error {
+// Admits is the one algorithm/topology/VC admission rule: construction, every
+// routing swap (live, scheduled, replayed from a snapshot) and every curve of
+// a sweep spec (harness.Spec.Normalize) ask it, so a function the routers
+// cannot run is never installed, and a sweep that asks for one is refused
+// before any point is scheduled.
+func Admits(alg routing.Algorithm, topo topology.Graph, vcs int) error {
 	need := alg.MinVCs(topo)
 	if need < 0 {
 		return fmt.Errorf("%s is not supported on %s (the algorithm needs cube coordinates)", alg.Name(), topo.Name())

@@ -402,7 +402,7 @@ func (n *Network) validate(ev ReconfigEvent) (ports []int, alg routing.Algorithm
 	case ReconfigSwapAlgorithm:
 		alg, err := routing.ByName(ev.Alg)
 		if err == nil {
-			err = admits(alg, n.topo, n.cfg.Router.VCs)
+			err = Admits(alg, n.topo, n.cfg.Router.VCs)
 		}
 		if err != nil {
 			return nil, nil, err.Error()

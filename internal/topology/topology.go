@@ -207,8 +207,10 @@ func MustMesh(radix ...int) Topology { return must(NewMesh(radix...)) }
 // paper's adaptive-routing lineage (Gaughan & Yalamanchili) targets
 // hypercubes; Disha applies unchanged.
 func NewHypercube(dims int) (Topology, error) {
-	if dims < 1 {
-		return nil, fmt.Errorf("topology: hypercube needs at least one dimension")
+	// 2^20 nodes is newCube's bound; refusing more here keeps a hostile
+	// count from sizing the radix slice.
+	if dims < 1 || dims > 20 {
+		return nil, fmt.Errorf("topology: hypercube-%d: dimensions outside [1, 20]", dims)
 	}
 	radix := make([]int, dims)
 	for i := range radix {
