@@ -119,15 +119,21 @@ func (n *Network) wakeAtCommit(i int, now sim.Cycle) {
 // and snapshots are indistinguishable from a kernel that never skips; the
 // routers stay asleep afterwards (idleSince advances to now).
 func (n *Network) syncIdle() {
-	now := n.clock.Now()
 	for i := range n.routers {
-		if n.activeOn(i) {
-			continue
-		}
-		if idle := int(now - n.idleSince[i]); idle > 0 {
-			n.routers[i].CatchUpIdle(idle, idle)
-			n.idleSince[i] = now
-		}
+		n.syncRouter(i)
+	}
+}
+
+// syncRouter is syncIdle for router i alone: O(1), for readers of a single
+// router's state (the per-router telemetry gauges).
+func (n *Network) syncRouter(i int) {
+	if n.activeOn(i) {
+		return
+	}
+	now := n.clock.Now()
+	if idle := int(now - n.idleSince[i]); idle > 0 {
+		n.routers[i].CatchUpIdle(idle, idle)
+		n.idleSince[i] = now
 	}
 }
 

@@ -3,10 +3,13 @@ package network
 import (
 	"bytes"
 	"math/bits"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/router"
 	"repro/internal/routing"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -99,6 +102,78 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			}
 			if len(got) != len(want) {
 				t.Fatalf("active set recorded %d events, full scan %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestActiveSetTelemetryMatchesFullScan holds the active-set telemetry path
+// — flight-recorder frames built from the active routers only, skipped
+// routers fast-forwarded only on sample and snapshot cycles, per-router
+// gauges catching up their own router — to what the full scan records: the
+// same frame and per-router gauges every cycle, the same snapshots and the
+// same sampled series. The last variant is where an
+// abort-retry purge often drains a router after its timer pass: it sleeps
+// holding the pre-purge gauges, which the full scan zeroes a cycle later.
+func TestActiveSetTelemetryMatchesFullScan(t *testing.T) {
+	const cycles = 800
+	variants := append(activeSetVariants(), kernelVariant{"abort-retry-purge-drains", func() Config {
+		cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.1, 2)
+		cfg.Router.VCs = 1
+		cfg.Router.BufferDepth = 1
+		cfg.Router.Timeout = 4
+		cfg.Router.Recovery = router.RecoveryAbortRetry
+		cfg.Router.DeadlockBufferDepth = 0
+		return cfg
+	}})
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			opts := telemetry.Options{SampleEvery: 7, FlightDepth: 1, SnapshotCooldown: 50}
+			baseline := mustNet(t, v.build())
+			useFullScan(t, baseline)
+			n := mustNet(t, v.build())
+			wantHub, gotHub := baseline.EnableTelemetry(opts), n.EnableTelemetry(opts)
+			gauges := func(h *telemetry.Hub) []telemetry.Sample {
+				var out []telemetry.Sample
+				for _, s := range h.Registry.Gather() {
+					if s.Name == "disha_blocked_headers" || s.Name == "disha_presumed_headers" {
+						out = append(out, s)
+					}
+				}
+				return out
+			}
+			framed, sawIdle := 0, false
+			for i := 0; i < cycles; i++ {
+				baseline.Step()
+				n.Step()
+				sawIdle = sawIdle || n.activeCount() < len(n.routers)
+				got, want := gotHub.Recorder.Frames(), wantHub.Recorder.Frames()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cycle %d: frame\n got %+v\nwant %+v", i+1, got, want)
+				}
+				if len(want[0].Routers) > 0 {
+					framed++
+				}
+				if !reflect.DeepEqual(gauges(gotHub), gauges(wantHub)) {
+					t.Fatalf("cycle %d: per-router gauges differ from the full scan's", i+1)
+				}
+			}
+			if !sawIdle || framed == 0 {
+				t.Fatalf("skipped a router: %v, non-empty frames: %d; the comparison is vacuous", sawIdle, framed)
+			}
+			if got, want := gotHub.Recorder.Snapshots(), wantHub.Recorder.Snapshots(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d snapshots differ from the full scan's %d", len(got), len(want))
+			}
+			for i, ws := range wantHub.Sampler.Series() {
+				if !strings.HasPrefix(ws.Name, "disha_") {
+					continue // go_* runtime probes describe the process
+				}
+				gc, gv := gotHub.Sampler.Series()[i].Points()
+				wc, wv := ws.Points()
+				if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gv, wv) {
+					t.Fatalf("series %s differs from the full scan's:\n got %v\nwant %v", ws.Name, gv, wv)
+				}
 			}
 		})
 	}

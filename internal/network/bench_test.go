@@ -87,11 +87,11 @@ func BenchmarkStepSerial(b *testing.B) {
 // BenchmarkStepActiveSet runs the kernel with the active-set
 // scheduler (what production runs) across the grid: at 0.1 load many
 // routers sleep and the scheduler must not be slower than the full scan
-// (an idle router costs the full scan little since switch allocation walks
-// candidate lists; BenchmarkStepHighRadix holds the 1.5x claim where most
-// routers are idle); by 0.9 load nearly every router is busy and the two
-// converge. Results are byte-identical to the full scan at every load; only
-// the wall time differs.
+// (an idle router costs the full scan a few bitmap words per phase, since
+// its per-slot sweeps visit only live input slots; BenchmarkStepHighRadix
+// holds the 1.5x claim where most routers are idle); by 0.9 load nearly
+// every router is busy and the two converge. Results are byte-identical to
+// the full scan at every load; only the wall time differs.
 func BenchmarkStepActiveSet(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
 		stepBenchAt(b, radix, load, true, false)
@@ -127,11 +127,11 @@ func BenchmarkStepProfiled(b *testing.B) {
 // skipping both matter most: dragonfly(8,4) — 264 routers of radix 11,
 // 4 VCs, 45 input slots each — at load 0.01 (like the repository
 // benchmark's dragonfly2k-sparse).
-// "serial" runs the optimized scans (per-output candidate lists,
-// O(stride + candidates) per router), "reference" the reference scans (one
-// full-stride walk per output port, O(deg × stride)), "active-set" the
-// production kernel. CI benchgates serial against reference and active-set
-// against serial.
+// "serial" runs the optimized scans (live-slot sweeps and per-output
+// candidate lists, O(stride/64 + live slots + candidates) per router),
+// "reference" the reference scans (one full-stride walk per output port,
+// O(deg × stride)), "active-set" the production kernel. CI benchgates
+// serial against reference and active-set against serial.
 func BenchmarkStepHighRadix(b *testing.B) {
 	for _, v := range []struct {
 		name               string

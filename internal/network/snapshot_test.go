@@ -108,6 +108,50 @@ func TestSnapshotRecoveryModes(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoredLiveSetMatchesReference restores a mid-run snapshot
+// twice — into the production kernel, whose input VC scans walk a live-slot
+// set the snapshot does not carry, and into the reference scan, which walks
+// every slot — and steps the pair in lockstep for 600 cycles with
+// CheckInvariants (every busy slot live) on the production side each cycle.
+// Sequential recovery exercises the Token's MostStarved walk; abort-retry
+// empties slots by purge outside the timer phase.
+func TestSnapshotRestoredLiveSetMatchesReference(t *testing.T) {
+	for _, mode := range []router.RecoveryMode{router.RecoverySequential, router.RecoveryAbortRetry} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.9, 12)
+			cfg.Router.VCs = 2
+			cfg.Router.BufferDepth = 1
+			cfg.Router.Timeout = 4
+			cfg.Router.Recovery = mode
+			_, data := takeSnapshot(t, cfg, 300)
+			soa := restoreFresh(t, cfg, data)
+			ref := mustNet(t, cfg)
+			useReferenceScan(t, ref)
+			if err := ref.Restore(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			recovered := func() int64 {
+				c := soa.Counters()
+				return c.Recoveries + c.PacketsKilled
+			}
+			before := recovered()
+			for c := 1; c <= 600; c++ {
+				soa.Step()
+				ref.Step()
+				if err := soa.CheckInvariants(); err != nil {
+					t.Fatalf("cycle %d after restore: %v", c, err)
+				}
+				if soa.Fingerprint() != ref.Fingerprint() {
+					reportDivergence(t, c, soa, ref)
+				}
+			}
+			if recovered() == before {
+				t.Fatal("no recovery or kill after the restore; the recovery walks are not under test")
+			}
+		})
+	}
+}
+
 // TestSnapshotFaultReplay verifies the fault-injection replay list: a
 // snapshot of a degraded network restores the same failed links (and the
 // rebuilt DB routing tables they imply) before applying state.

@@ -101,10 +101,13 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 				reg.CounterFunc(row.metric, row.help, node, func() int64 { return row.perRouter(r.Stats()) })
 			}
 		}
+		// The gauges catch their router up first: the registry may be
+		// rendered on a cycle that did not sync every skipped router.
+		i := int(r.NodeID())
 		reg.GaugeFunc("disha_blocked_headers", "Headers that failed to advance last cycle.", node,
-			func() float64 { return float64(r.BlockedHeaders()) })
+			func() float64 { n.syncRouter(i); return float64(r.BlockedHeaders()) })
 		reg.GaugeFunc("disha_presumed_headers", "Headers currently past T_out (presumed deadlocked).", node,
-			func() float64 { return float64(r.PresumedHeaders()) })
+			func() float64 { n.syncRouter(i); return float64(r.PresumedHeaders()) })
 		reg.GaugeFunc("disha_db_occupancy", "Flits currently in the Deadlock Buffer lane(s).", node,
 			func() float64 { return float64(r.DBOccupancy()) })
 		for v := 0; v < n.cfg.Router.VCs; v++ {
@@ -163,15 +166,20 @@ func (n *Network) registerProbes(s *telemetry.Sampler) {
 // it captures a sparse flight-recorder frame, dumps a snapshot if this
 // cycle presumed a new deadlock (throttled by the recorder's cooldown), and
 // fires the sampler on its period.
+//
+// It runs before the deactivation sweep, so every router that ran this cycle
+// is still active, and an inactive one missed at least this cycle's timer
+// pass: caught up, it reads 0 blocked, 0 presumed and (drained) 0 Deadlock
+// Buffer flits, which is the frame's "absent". The frame therefore walks the
+// active set, and the skipped routers are fast-forwarded (syncIdle, O(nodes))
+// only on cycles whose readers see every router: a snapshot or a sample.
 func (n *Network) telemetryTick(now sim.Cycle) {
-	// Telemetry observes routers the active-set scheduler may be skipping
-	// (per-router gauges, probe totals, flight-recorder frames); fast-forward
-	// them so every reading matches a kernel that never skips.
-	n.syncIdle()
 	h := n.tel
 	if rec := h.Recorder; rec != nil {
 		fr := rec.BeginFrame(int64(now))
-		for i, r := range n.routers {
+		hi := len(n.routers)
+		for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
+			r := n.routers[i]
 			b, p, d := r.BlockedHeaders(), r.PresumedHeaders(), r.DBOccupancy()
 			if b == 0 && p == 0 && d == 0 {
 				continue
@@ -181,6 +189,7 @@ func (n *Network) telemetryTick(now sim.Cycle) {
 			})
 		}
 		if node, pkt, ok := h.TakeTrigger(); ok && rec.ShouldSnapshot(int64(now)) {
+			n.syncIdle()
 			snap := n.buildSnapshot(now, node, pkt)
 			rec.AddSnapshot(snap)
 			if h.Writer != nil {
@@ -191,6 +200,7 @@ func (n *Network) telemetryTick(now sim.Cycle) {
 		h.TakeTrigger() // keep the trigger from going stale
 	}
 	if s := h.Sampler; s != nil && s.Due(int64(now)) {
+		n.syncIdle() // the probes total every router
 		s.Sample(int64(now))
 		h.Registry.Publish()
 	}

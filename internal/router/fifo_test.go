@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/packet"
@@ -224,6 +225,85 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		if err := rc.CheckState(); err == nil {
 			t.Errorf("corruption %d not caught by CheckState", i)
 		}
+	}
+}
+
+// TestLiveSlotScans checks nextLive and prevLive against a slot-by-slot
+// scan for every range over a bitmap three words long, so each crosses word
+// boundaries from both sides and stops at bounds inside a word.
+func TestLiveSlotScans(t *testing.T) {
+	const slots = 150
+	q := newFlitRing(slots, 1)
+	rng := sim.NewRNG(3)
+	for i := 0; i < slots; i++ {
+		if rng.Intn(5) == 0 || i == 0 || i == 63 || i == 64 || i == slots-1 {
+			q.setLive(i)
+		}
+	}
+	for lo := 0; lo <= slots; lo++ {
+		for hi := lo; hi <= slots; hi++ {
+			next, prev := -1, -1
+			for i := lo; i < hi; i++ {
+				if q.isLive(i) {
+					if next < 0 {
+						next = i
+					}
+					prev = i
+				}
+			}
+			if got := q.nextLive(lo, hi); got != next {
+				t.Fatalf("nextLive(%d, %d) = %d, want %d", lo, hi, got, next)
+			}
+			if got := q.prevLive(lo, hi); got != prev {
+				t.Fatalf("prevLive(%d, %d) = %d, want %d", lo, hi, got, prev)
+			}
+		}
+	}
+}
+
+// TestCheckStateRequiresLiveBusySlots clears the live bit of busy input
+// slots — every slot holding flits while a packet crosses a torus, then an
+// empty slot carrying each other kind of per-slot state — and expects
+// CheckState to name the router and the (port, vc).
+func TestCheckStateRequiresLiveBusySlots(t *testing.T) {
+	topo := topology.MustTorus(4, 4)
+	b := newBench(t, topo, cfg4(), routing.DOR())
+	b.injectAndRun(t, packet.New(1, 0, topo.NodeAt(topology.Coord{2, 2}), 4, 0), 6)
+	expectMissing := func(r *Router, i int) {
+		t.Helper()
+		port, vc := r.portVCOf(i - r.in0)
+		want := fmt.Sprintf("router %d input (%d,%d): busy slot missing from the live-slot set", r.node, port, vc)
+		r.st.in.clearLive(i)
+		if err := r.CheckState(); err == nil || err.Error() != want {
+			t.Fatalf("CheckState with slot %d's live bit clear = %v, want %q", i, err, want)
+		}
+		r.st.in.setLive(i)
+		if err := r.CheckState(); err != nil {
+			t.Fatalf("live bit restored: %v", err)
+		}
+	}
+	occupied := 0
+	for _, r := range b.routers {
+		for i := r.in0; i < r.in0+r.st.stride; i++ {
+			if r.st.in.n[i] != 0 {
+				expectMissing(r, i)
+				occupied++
+			}
+		}
+	}
+	if occupied < 2 {
+		t.Fatalf("%d occupied slots mid-flight; the packet should span routers", occupied)
+	}
+	for _, mark := range []func(s *State, i int){
+		func(s *State, i int) { s.inSent[i] = true },
+		func(s *State, i int) { s.inWaiting[i] = 3 },
+		func(s *State, i int) { s.inPresumed[i] = true },
+	} {
+		r := New(5, topo, b.routers[0].st.cfg, routing.DOR(), routing.Random(), sim.NewRNG(1))
+		i := r.inIdx(1, 0)
+		mark(r.st, i)
+		r.st.in.setLive(i)
+		expectMissing(r, i)
 	}
 }
 

@@ -585,15 +585,18 @@ func (r *Router) strandedHeader(p *packet.Packet) bool {
 // MostStarved returns the presumed-deadlocked input VC whose header has
 // waited longest; ok is false when the router has none. The circulating
 // Token queries this to decide whether to stop here. Injection-port VCs
-// are included: they are presumed only when stranded by faults.
+// are included: they are presumed only when stranded by faults. Presumed
+// slots are live, so this and the other presumed-slot readers
+// (RecoverPresumed, PresumedPackets) walk the live set, in ascending slot
+// order, so a tie goes to the lowest slot.
 func (r *Router) MostStarved() (port, vc int, ok bool) {
 	s := r.st
 	var best sim.Cycle = -1
-	for l := 0; l < s.stride; l++ {
-		i := r.in0 + l
+	hi := r.in0 + s.stride
+	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
 		if s.inPresumed[i] && s.inWaiting[i] > best {
 			best = s.inWaiting[i]
-			port, vc = r.portVCOf(l)
+			port, vc = r.portVCOf(i - r.in0)
 			ok = true
 		}
 	}
@@ -637,9 +640,10 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 	s := r.st
 	// Network ports only — exactly the first deg*vcs slots of the port-major
 	// layout (injection slots sit at the end of the router's range).
-	for l := 0; l < s.outStr; l++ {
-		if s.inPresumed[r.in0+l] {
-			p, v := r.portVCOf(l)
+	hi := r.in0 + s.outStr
+	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
+		if s.inPresumed[i] {
+			p, v := r.portVCOf(i - r.in0)
 			out = append(out, r.Recover(p, v, now))
 		}
 	}
@@ -692,8 +696,8 @@ func (r *Router) dbLaneRoute(dst topology.Node) int {
 // through it).
 func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 	s := r.st
-	for l := 0; l < s.stride; l++ {
-		i := r.in0 + l
+	hi := r.in0 + s.stride
+	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
 		if s.inPresumed[i] && s.inPkt[i] != nil {
 			out = append(out, s.inPkt[i])
 		}
@@ -706,7 +710,9 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 // flits' credits upstream), granted and in-use output VCs, and — indirectly,
 // through the stale-connection checks — packet-by-packet crossbar
 // connections. It returns the number of flits purged. Abort-and-retry
-// recovery calls it on every router to kill a packet.
+// recovery calls it on every router to kill a packet. It walks every slot,
+// not the live set: a VC p owns while its next flits are still upstream is
+// empty and may have left the live set.
 func (r *Router) PurgePacket(p *packet.Packet) int {
 	s := r.st
 	purged := 0

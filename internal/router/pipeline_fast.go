@@ -10,33 +10,37 @@ import "math/bits"
 // are single loads from contiguous int32/bool arrays (in.n, inRoute,
 // inSent), the rotating flat index maps to (port, vc) with the O(1)
 // portVCOf inverse instead of the O(ports) nthInputVC walk, and the slot
-// total is the precomputed stride rather than a per-call summation. Switch
-// allocation sweeps the slots once per router and cycle (indexCandidates)
-// rather than once per output port: each output then walks only the slots
-// routed to it, O(stride + candidates) where the reference is
-// O(deg × stride).
+// total is the precomputed stride rather than a per-call summation. The three
+// per-slot sweeps (route compute, candidate indexing, timers) visit only the
+// input ring's live slots (flitRing.live: every slot with flits, sent this
+// cycle, timing or presumed, plus slots gone idle since the last timer pass),
+// a word at a time, so a router with a handful of flits costs O(stride/64 +
+// live slots) rather than O(stride); a skipped slot is idle, which every
+// sweep's own per-slot check would have rejected. Switch allocation sweeps
+// the slots once per router and cycle (indexCandidates) rather than once per
+// output port: each output then walks only the slots routed to it,
+// O(live + candidates) where the reference is O(deg × stride).
 
 // StageRouting performs routing computation and output VC allocation for
 // every input VC whose head flit is an unrouted header. Grants take effect
 // immediately in router-local state (output VC ownership), so later headers
 // in the same cycle see them; the rotating start offset keeps this fair.
+// Walking the live slots of [off, stride) and then of [0, off) is the
+// reference's rotating order with the idle slots left out.
 func (r *Router) StageRouting() {
 	s := r.st
-	total := s.stride
 	off := int(s.vcArbOff[r.node])
-	s.vcArbOff[r.node] = int32((off + 1) % total)
-	for i := 0; i < total; i++ {
-		l := off + i
-		if l >= total {
-			l -= total
+	s.vcArbOff[r.node] = int32((off + 1) % s.stride)
+	lo, mid, hi := r.in0, r.in0+off, r.in0+s.stride
+	for _, span := range [2][2]int{{mid, hi}, {lo, mid}} {
+		for g := s.in.nextLive(span[0], span[1]); g >= 0; g = s.in.nextLive(g+1, span[1]) {
+			// Hot early-out on the contiguous arrays: most live slots are
+			// already routed, and this rejects them without touching the ring.
+			if s.in.n[g] == 0 || s.inRoute[g] != PortUnrouted {
+				continue
+			}
+			r.routeSlot(g)
 		}
-		g := r.in0 + l
-		// Hot early-out on the contiguous arrays: most slots are empty or
-		// already routed, and this rejects them without touching the ring.
-		if s.in.n[g] == 0 || s.inRoute[g] != PortUnrouted {
-			continue
-		}
-		r.routeSlot(g)
 	}
 }
 
@@ -59,23 +63,24 @@ func (r *Router) StageSwitch(out []Transfer) []Transfer {
 	return r.stageSwitchFBF(out, &inputUsed, routed)
 }
 
-// indexCandidates is switch allocation's one sweep of the router's input
-// slots. It marks in inputUsed every input port a flit already left this
-// cycle, and links each slot that holds a flit with a granted route into
-// that output's candidate list (State.candHead/candNext), in ascending slot
-// order, so every per-output arbitration visits its own candidates only.
-// The lists stay exact for the whole of StageSwitch: arbitration changes
-// inSent, inputUsed and the rotating offsets, which the walks read live,
-// but no slot's route or occupancy before Commit. Bit q of routed is set
-// when output q < deg has a candidate.
+// indexCandidates is switch allocation's one sweep of the router's live
+// input slots (the others are idle: no flit, nothing sent). It marks in
+// inputUsed every input port a flit already left this cycle, and links each
+// slot that holds a flit with a granted route into that output's candidate
+// list (State.candHead/candNext), walking downwards so every list is in
+// ascending slot order, and every per-output arbitration visits its own
+// candidates only. The lists stay exact for the whole of StageSwitch:
+// arbitration changes inSent, inputUsed and the rotating offsets, which the
+// walks read live, but no slot's route or occupancy before Commit. Bit q of
+// routed is set when output q < deg has a candidate.
 func (r *Router) indexCandidates(inputUsed *[64]bool) (routed uint64) {
 	s := r.st
 	head := s.candHead
 	for q := range head {
 		head[q] = -1
 	}
-	for l := s.stride - 1; l >= 0; l-- {
-		g := r.in0 + l
+	for g := s.in.prevLive(r.in0, r.in0+s.stride); g >= 0; g = s.in.prevLive(r.in0, g) {
+		l := g - r.in0
 		if s.inSent[g] {
 			p, _ := r.portVCOf(l)
 			inputUsed[p] = true
@@ -230,23 +235,25 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 // runs when the caller invokes FlushTimeouts — deferred so that TickTimers
 // touches only router-local state. As a side effect it refreshes the
 // router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
-// per-VC blocked-cycle counters) — the loop already touches every input VC,
-// so the extra cost is a few adds.
+// per-VC blocked-cycle counters) — the loop already touches every non-idle
+// input VC, so the extra cost is a few adds.
+//
+// It walks the live slots only — an idle slot (empty, nothing sent, timer
+// clear) is the common case at every load, and ticking one is a no-op — and
+// is the one place slots leave the live set: tickSlot leaves an empty slot
+// fully idle, so every slot it finds empty is cleared.
 func (r *Router) TickTimers() int {
 	s := r.st
 	newly := 0
 	blocked, presumed := 0, 0
 	tout := r.tickDecay()
-	for l := 0; l < s.stride; l++ {
-		i := r.in0 + l
-		// Idle slots (empty, nothing sent, timer already clear) are the
-		// common case at every load; reject them with contiguous loads
-		// before paying for the (port, vc) split and the full slot tick.
-		if !s.inSent[i] && s.in.n[i] == 0 && s.inWaiting[i] == 0 && !s.inPresumed[i] {
-			continue
-		}
-		p, v := r.portVCOf(l)
+	hi := r.in0 + s.stride
+	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
+		p, v := r.portVCOf(i - r.in0)
 		newly += r.tickSlot(i, p, v, tout, &blocked, &presumed)
+		if s.in.n[i] == 0 {
+			s.in.clearLive(i)
+		}
 	}
 	s.lastBlocked[r.node] = int32(blocked)
 	s.lastPresumed[r.node] = int32(presumed)

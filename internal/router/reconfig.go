@@ -82,7 +82,8 @@ func (r *Router) LocalPackets(out []*packet.Packet) []*packet.Packet {
 // its packet re-routes from scratch next cycle under whatever the topology
 // and routing function then are — the "quiesce only the affected resources"
 // half of the DBR-style protocol. Victims must be purged first; this only
-// touches slots whose packets keep all their flits.
+// touches slots whose packets keep all their flits. Like PurgePacket it walks
+// every slot: a granted VC may be empty and out of the live set.
 func (r *Router) ReleaseGrants(port int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {

@@ -376,7 +376,9 @@ func (r *Router) Disconnect(port int) { r.neighbors[port] = nil }
 // LinkBusy reports whether any traffic state rides the output link on port:
 // an owned output VC, undrained downstream credits, or Deadlock Buffer
 // traffic routed through it. Fault injection refuses busy links (dynamic
-// mid-stream faults lose flits and are out of scope, as in the paper).
+// mid-stream faults lose flits and are out of scope, as in the paper). Like
+// PurgePacket it walks every input slot: an owned VC may be empty and out of
+// the live set.
 func (r *Router) LinkBusy(port int) bool {
 	if r.neighbors[port] == nil {
 		return false

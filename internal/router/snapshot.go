@@ -82,6 +82,11 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 		c.Bool(&s.inPresumed[i])
 		c.Bool(&s.inSent[i])
 		r.walkFifo(c, &s.in, i, table)
+		if dec {
+			// The live set is derived, not coded: a decoded slot may carry
+			// timer state without flits, and the next timer pass settles it.
+			s.in.setLive(i)
+		}
 	}
 	for l := 0; l < s.outStr; l++ {
 		i := r.out0 + l

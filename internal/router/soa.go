@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -28,7 +29,14 @@ import (
 //	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
 //	             inWaiting, inPresumed, inSent); the flits live in the ring
 //	             set in (BufferDepth flits per slot, contiguous, with
-//	             per-slot cursors in.head / in.n).
+//	             per-slot cursors in.head / in.n). in.live is one bit per
+//	             slot, set by every push and cleared only by the timer phase
+//	             once the slot is idle again: a superset of the slots that
+//	             hold flits, sent this cycle, are timing or are presumed.
+//	             Route compute, switch candidate indexing, the timers and
+//	             the presumed-slot readers visit its set bits, so an idle
+//	             slot costs them nothing (O(words + live slots) per router,
+//	             not O(stride)); every visit still checks the slot itself.
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
 //	DB lanes     lanes slots per router (dbPkt, dbRoute, and dbWriteAt, the
 //	             single write port's last-admission cycle) with the
@@ -322,11 +330,17 @@ func (s *State) inVCCount(p int) int {
 // contiguous array: slot i owns flits[i*depth : (i+1)*depth], read from
 // head[i] and holding n[i] flits. The input VCs and the Deadlock Buffer
 // lanes are one ring set each.
+//
+// live has one bit per slot (bit i&63 of word i>>6), set by push. Only the
+// input VCs' set is read and cleared (by TickTimers; see the layout notes on
+// State); the Deadlock Buffer lanes, at most two per router, are scanned
+// directly and their bits are never read.
 type flitRing struct {
 	depth int
 	head  []int32
 	n     []int32
 	flits []packet.Flit
+	live  []uint64
 }
 
 func newFlitRing(slots, depth int) flitRing {
@@ -335,16 +349,74 @@ func newFlitRing(slots, depth int) flitRing {
 		head:  make([]int32, slots),
 		n:     make([]int32, slots),
 		flits: make([]packet.Flit, slots*depth),
+		live:  make([]uint64, (slots+63)/64),
 	}
 }
 
-// push appends a flit to ring i.
+// push appends a flit to ring i and marks the slot live.
 func (q *flitRing) push(i int, fl packet.Flit) {
 	if int(q.n[i]) == q.depth {
 		panic("router: push to full fifo")
 	}
 	q.flits[i*q.depth+(int(q.head[i])+int(q.n[i]))%q.depth] = fl
 	q.n[i]++
+	q.setLive(i)
+}
+
+// setLive marks slot i live.
+func (q *flitRing) setLive(i int) { q.live[i>>6] |= 1 << (uint(i) & 63) }
+
+// clearLive removes slot i from the live set.
+func (q *flitRing) clearLive(i int) { q.live[i>>6] &^= 1 << (uint(i) & 63) }
+
+// isLive reports whether slot i is in the live set.
+func (q *flitRing) isLive(i int) bool { return q.live[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// nextLive returns the smallest live slot in [from, hi), or -1. It scans the
+// bitmap a word at a time, so walking a router's live slots costs
+// O(stride/64 + live) and allocates nothing.
+func (q *flitRing) nextLive(from, hi int) int {
+	if from >= hi {
+		return -1
+	}
+	w := from >> 6
+	word := q.live[w] &^ (1<<(uint(from)&63) - 1)
+	for {
+		if word != 0 {
+			if i := w<<6 + bits.TrailingZeros64(word); i < hi {
+				return i
+			}
+			return -1
+		}
+		w++
+		if w<<6 >= hi {
+			return -1
+		}
+		word = q.live[w]
+	}
+}
+
+// prevLive returns the largest live slot in [lo, from), or -1: nextLive
+// walking downwards.
+func (q *flitRing) prevLive(lo, from int) int {
+	if from <= lo {
+		return -1
+	}
+	w := (from - 1) >> 6
+	word := q.live[w] & (^uint64(0) >> (63 - (uint(from-1) & 63)))
+	for {
+		if word != 0 {
+			if i := w<<6 + 63 - bits.LeadingZeros64(word); i >= lo {
+				return i
+			}
+			return -1
+		}
+		w--
+		if w < 0 || w<<6+63 < lo {
+			return -1
+		}
+		word = q.live[w]
+	}
 }
 
 // peek returns the head flit of ring i.
@@ -395,10 +467,11 @@ func (q *flitRing) check(i int) error {
 
 // CheckState cross-checks the router's slice of the shared struct-of-arrays
 // buffers against what the view API exposes: ring cursors in range, vacated
-// ring slots zeroed (no stale packet pointers), route/VC grants within their
-// sentinel-extended domains, credits within [0, depth], crossbar connections
-// naming an input VC that exists, and the maintained flit counter consistent
-// with the rings. The network's CheckInvariants calls
+// ring slots zeroed (no stale packet pointers), every busy input slot (flits,
+// sent, timing or presumed) in the live-slot set the scans walk, route/VC
+// grants within their sentinel-extended domains, credits within [0, depth],
+// crossbar connections naming an input VC that exists, and the maintained
+// flit counter consistent with the rings. The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
 // without (yet) changing observable behavior is still caught near its origin.
 func (r *Router) CheckState() error {
@@ -411,6 +484,9 @@ func (r *Router) CheckState() error {
 			return fmt.Errorf("router %d input (%d,%d): %v", r.node, p, v, err)
 		}
 		total += int(s.in.n[i])
+		if busy := s.in.n[i] != 0 || s.inSent[i] || s.inWaiting[i] != 0 || s.inPresumed[i]; busy && !s.in.isLive(i) {
+			return fmt.Errorf("router %d input (%d,%d): busy slot missing from the live-slot set", r.node, p, v)
+		}
 		if rt := int(s.inRoute[i]); rt < PortEject || rt >= s.deg {
 			return fmt.Errorf("router %d input (%d,%d): route %d outside [%d,%d)", r.node, p, v, rt, PortEject, s.deg)
 		}
