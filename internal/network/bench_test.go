@@ -127,8 +127,8 @@ func BenchmarkStepProfiled(b *testing.B) {
 // skipping both matter most: dragonfly(8,4) — 264 routers of radix 11,
 // 4 VCs, 45 input slots each — at load 0.01 (like the repository
 // benchmark's dragonfly2k-sparse).
-// "serial" runs the optimized scans (live-slot sweeps and per-output
-// candidate lists, O(stride/64 + live slots + candidates) per router),
+// "serial" runs the optimized scans (slot-mask walks and per-output
+// candidate masks, O(stride/64 + acting slots) per router),
 // "reference" the reference scans (one full-stride walk per output port,
 // O(deg × stride)), "active-set" the production kernel. CI benchgates
 // serial against reference and active-set against serial.

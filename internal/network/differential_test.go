@@ -89,6 +89,23 @@ func diffCases() []diffCase {
 			cfg.Router.InjectionVCs = 2
 			return cfg
 		}},
+		// Exactly 64 input slots per router (radix 21, 3 VCs, 1 injection
+		// VC): one full mask word, no padding bits.
+		{"fullmesh-64", func() Config {
+			cfg := tight(routing.Disha(1), topology.MustFullMesh(22), 0.3, 3)
+			cfg.Router.BufferDepth = 1
+			cfg.Router.Timeout = 4
+			return cfg
+		}},
+		// 68 input slots per router (radix 11, 6 VCs, 2 injection VCs): the
+		// masks span two words and the rotating walks cross the boundary.
+		{"dragonfly-68", func() Config {
+			cfg := tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 6)
+			cfg.Router.InjectionVCs = 2
+			cfg.Router.BufferDepth = 1
+			cfg.Router.Timeout = 4
+			return cfg
+		}},
 		// Two Deadlock Buffer lanes, each with priority on its output, in
 		// front of the input arbitration.
 		{"concurrent", func() Config {

@@ -107,6 +107,20 @@ func goldenCases() []goldenCase {
 				return cfg
 			},
 		},
+		// Radix 11 with 6 VCs and 2 injection VCs: 68 input slots per
+		// router, the only golden case whose slot masks span two words.
+		{
+			name:   "dragonfly-68",
+			cycles: 600,
+			build: func() Config {
+				cfg := testConfig(topology.MustDragonfly(8, 4), routing.Disha(2), 0.5, 42)
+				cfg.Router.VCs = 6
+				cfg.Router.InjectionVCs = 2
+				cfg.Router.BufferDepth = 1
+				cfg.Router.Timeout = 4
+				return cfg
+			},
+		},
 		// Packet-by-packet allocation has no reference twin, so this digest
 		// is what pins it: held connections, Deadlock Buffer preemption and
 		// the reconfiguration buffer under the same deadlock-prone knobs.

@@ -518,7 +518,8 @@ func (n *Network) Step() {
 	if profiled {
 		t0 = n.prof.lap(phaseDBResolve, t0)
 	}
-	for _, t := range n.stageBuf {
+	for i := range n.stageBuf {
+		t := &n.stageBuf[i]
 		router.Commit(t, n)
 		if !t.Dropped && !t.Eject {
 			n.wakeAtCommit(int(t.To.NodeID()), now)

@@ -109,10 +109,11 @@ func TestSnapshotRecoveryModes(t *testing.T) {
 }
 
 // TestSnapshotRestoredLiveSetMatchesReference restores a mid-run snapshot
-// twice — into the production kernel, whose input VC scans walk a live-slot
-// set the snapshot does not carry, and into the reference scan, which walks
-// every slot — and steps the pair in lockstep for 600 cycles with
-// CheckInvariants (every busy slot live) on the production side each cycle.
+// twice — into the production kernel, whose input VC scans walk slot masks
+// the snapshot does not carry (the decoder derives them), and into the
+// reference scan, which walks every slot — and steps the pair in lockstep for
+// 600 cycles with CheckInvariants (every mask bit exact) on the production
+// side each cycle.
 // Sequential recovery exercises the Token's MostStarved walk; abort-retry
 // empties slots by purge outside the timer phase.
 func TestSnapshotRestoredLiveSetMatchesReference(t *testing.T) {

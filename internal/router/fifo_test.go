@@ -228,82 +228,105 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestLiveSlotScans checks nextLive and prevLive against a slot-by-slot
-// scan for every range over a bitmap three words long, so each crosses word
-// boundaries from both sides and stops at bounds inside a word.
-func TestLiveSlotScans(t *testing.T) {
-	const slots = 150
-	q := newFlitRing(slots, 1)
+// TestRotatingWalk checks nextSet and the rotating walk (rotFirst/rotNext)
+// against a slot-by-slot scan on masks one, two and three words wide, from
+// every start: the walk must meet exactly the set bits, in the order a
+// full-stride round-robin scan from the offset meets them. The strides
+// include one that fills its word (64) and ones that end mid-word.
+func TestRotatingWalk(t *testing.T) {
 	rng := sim.NewRNG(3)
-	for i := 0; i < slots; i++ {
-		if rng.Intn(5) == 0 || i == 0 || i == 63 || i == 64 || i == slots-1 {
-			q.setLive(i)
-		}
-	}
-	for lo := 0; lo <= slots; lo++ {
-		for hi := lo; hi <= slots; hi++ {
-			next, prev := -1, -1
-			for i := lo; i < hi; i++ {
-				if q.isLive(i) {
-					if next < 0 {
-						next = i
+	for _, slots := range []int{17, 64, 68, 150} {
+		w := (slots + 63) / 64
+		masks := [][]uint64{make([]uint64, w), make([]uint64, w), make([]uint64, w), make([]uint64, w)}
+		for l := 0; l < slots; l++ {
+			masks[0][l>>6] |= 1 << (uint(l) & 63) // full
+			if rng.Intn(5) == 0 || l == 0 || l == 63 || l == 64 || l == slots-1 {
+				masks[1][l>>6] |= 1 << (uint(l) & 63)
+			}
+			if l == slots/2 {
+				masks[2][l>>6] |= 1 << (uint(l) & 63) // a single bit
+			}
+		} // masks[3] stays empty
+		for mi, m := range masks {
+			set := func(l int) bool { return m[l>>6]&(1<<(uint(l)&63)) != 0 }
+			for from := 0; from <= slots; from++ {
+				want := -1
+				for l := from; l < slots; l++ {
+					if set(l) {
+						want = l
+						break
 					}
-					prev = i
+				}
+				if got := nextSet(m, from); got != want {
+					t.Fatalf("w=%d mask %d: nextSet(%d) = %d, want %d", w, mi, from, got, want)
 				}
 			}
-			if got := q.nextLive(lo, hi); got != next {
-				t.Fatalf("nextLive(%d, %d) = %d, want %d", lo, hi, got, next)
-			}
-			if got := q.prevLive(lo, hi); got != prev {
-				t.Fatalf("prevLive(%d, %d) = %d, want %d", lo, hi, got, prev)
+			for off := 0; off < slots; off++ {
+				var want, got []int
+				for k := 0; k < slots; k++ {
+					if l := (off + k) % slots; set(l) {
+						want = append(want, l)
+					}
+				}
+				for l := rotFirst(m, off); l >= 0 && len(got) <= slots; l = rotNext(m, l, off) {
+					got = append(got, l)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("w=%d mask %d from %d: walk %v, want %v", w, mi, off, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestCheckStateRequiresLiveBusySlots clears the live bit of busy input
-// slots — every slot holding flits while a packet crosses a torus, then an
-// empty slot carrying each other kind of per-slot state — and expects
-// CheckState to name the router and the (port, vc).
-func TestCheckStateRequiresLiveBusySlots(t *testing.T) {
+// TestCheckStateNamesEachMaskBit flips, one at a time, every slot's
+// occupied, header-at-head, unrouted and timing bit on routers with a packet
+// mid-flight and a header timing behind a blocked output, and expects
+// CheckState to name the router, the (port, vc) and the mask; then a bit
+// past the stride of each mask, sent included. (mSent is the sent flag
+// itself, with no array to check it against.)
+func TestCheckStateNamesEachMaskBit(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
-	b := newBench(t, topo, cfg4(), routing.DOR())
-	b.injectAndRun(t, packet.New(1, 0, topo.NodeAt(topology.Coord{2, 2}), 4, 0), 6)
-	expectMissing := func(r *Router, i int) {
-		t.Helper()
-		port, vc := r.portVCOf(i - r.in0)
-		want := fmt.Sprintf("router %d input (%d,%d): busy slot missing from the live-slot set", r.node, port, vc)
-		r.st.in.clearLive(i)
-		if err := r.CheckState(); err == nil || err.Error() != want {
-			t.Fatalf("CheckState with slot %d's live bit clear = %v, want %q", i, err, want)
-		}
-		r.st.in.setLive(i)
-		if err := r.CheckState(); err != nil {
-			t.Fatalf("live bit restored: %v", err)
-		}
+	cfg := Default()
+	b := newBench(t, topo, cfg, routing.DOR())
+	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
+	for v := 0; v < cfg.VCs; v++ {
+		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = packet.New(99, 0, 1, 4, 0)
 	}
-	occupied := 0
+	b.injectAndRun(t, packet.New(1, 0, topo.NodeAt(topology.Coord{2, 0}), 4, 0), 12)
+	var seen [mSent]int
 	for _, r := range b.routers {
-		for i := r.in0; i < r.in0+r.st.stride; i++ {
-			if r.st.in.n[i] != 0 {
-				expectMissing(r, i)
-				occupied++
+		for l := 0; l < r.st.stride; l++ {
+			i := r.in0 + l
+			p, v := r.portVCOf(l)
+			for k := 0; k < mSent; k++ {
+				was := r.hasMask(k, i)
+				if was {
+					seen[k]++
+				}
+				r.setMask(k, i, !was)
+				want := fmt.Sprintf("router %d input (%d,%d): %s mask bit %v, slot state says %v", r.node, p, v, maskNames[k], !was, was)
+				if err := r.CheckState(); err == nil || err.Error() != want {
+					t.Fatalf("CheckState with router %d slot %d's %s bit flipped = %v, want %q", r.node, l, maskNames[k], err, want)
+				}
+				r.setMask(k, i, was)
+				if err := r.CheckState(); err != nil {
+					t.Fatalf("bit restored: %v", err)
+				}
 			}
 		}
 	}
-	if occupied < 2 {
-		t.Fatalf("%d occupied slots mid-flight; the packet should span routers", occupied)
+	if seen[mOcc] < 2 || seen[mHdr] < 1 || seen[mTim] < 1 || seen[mUnr] == 16*r1.st.stride {
+		t.Fatalf("set bits per mask %v: the setup should leave flits in two routers, a timing header and a routed slot", seen)
 	}
-	for _, mark := range []func(s *State, i int){
-		func(s *State, i int) { s.inSent[i] = true },
-		func(s *State, i int) { s.inWaiting[i] = 3 },
-		func(s *State, i int) { s.inPresumed[i] = true },
-	} {
-		r := New(5, topo, b.routers[0].st.cfg, routing.DOR(), routing.Random(), sim.NewRNG(1))
-		i := r.inIdx(1, 0)
-		mark(r.st, i)
-		r.st.in.setLive(i)
-		expectMissing(r, i)
+	for k := 0; k < maskKinds; k++ {
+		m, pad := r1.maskOf(k), r1.st.stride
+		m[pad>>6] ^= 1 << (uint(pad) & 63)
+		want := fmt.Sprintf("router %d: %s mask has bits past slot %d", r1.node, maskNames[k], pad-1)
+		if err := r1.CheckState(); err == nil || err.Error() != want {
+			t.Fatalf("CheckState with a %s bit past the stride = %v, want %q", maskNames[k], err, want)
+		}
+		m[pad>>6] ^= 1 << (uint(pad) & 63)
 	}
 }
 

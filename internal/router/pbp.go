@@ -20,7 +20,7 @@ import "repro/internal/packet"
 // (cxInPort and friends); there is no separate reference twin of this scan —
 // both kernel paths share it. Its three per-output searches (connection
 // establishment, the lending fallback arbitrateInput and recoveredInputFor)
-// walk the candidate lists indexCandidates built; inputUsed arrives holding
+// walk the per-output masks indexOutputs built; inputUsed arrives holding
 // the input ports the ejection grants consumed.
 func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer {
 	s := r.st
@@ -135,8 +135,8 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		// Mid-packet establishment is allowed: it is how a connection
 		// dropped from the reconfiguration buffer heals.
 		if s.cxInPort[c] == connNone {
-			first := s.firstCand(q, int(s.swArbOff[r.swIdx(q)]))
-			for l := first; l >= 0; l = s.nextCand(q, l, first) {
+			m, off := s.outputMask(q), int(s.swArbOff[r.swIdx(q)])
+			for l := rotFirst(m, off); l >= 0; l = rotNext(m, l, off) {
 				g := r.in0 + l
 				port, vc := r.portVCOf(l)
 				if inputUsed[port] {
@@ -179,7 +179,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 				fl := s.in.peek(g)
 				out = append(out, tr)
 				inputUsed[inPort] = true
-				s.inSent[g] = true
+				r.setMask(mSent, g, true)
 				if fl.IsTail() {
 					// Tail passes: tear down and reconnect any suspended
 					// input from the reconfiguration buffer.
@@ -196,10 +196,11 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 
 // recoveredInputFor returns the lowest input VC holding flits of a
 // recovered packet that must leave through output q onto the neighbor's
-// Deadlock Buffer: the first such slot on q's candidate list.
+// Deadlock Buffer: the lowest such slot in q's candidate mask.
 func (r *Router) recoveredInputFor(q int) (port, vc int, ok bool) {
 	s := r.st
-	for l := int(s.candHead[q]); l >= 0; l = int(s.candNext[l]) {
+	m := s.outputMask(q)
+	for l := nextSet(m, 0); l >= 0; l = nextSet(m, l+1) {
 		i := r.in0 + l
 		if s.inPkt[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
 			p, v := r.portVCOf(l)

@@ -25,10 +25,10 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	s := r.st
 	i00 := r.inIdx(0, 0)
 	s.inPkt[i00] = a
-	s.inRoute[i00] = int32(q)
+	r.setRoute(i00, int32(q))
 	s.inOutVC[i00] = 0
-	s.in.push(i00, a.Flit(2))
-	s.in.push(i00, a.Flit(3))
+	r.pushIn(i00, a.Flit(2))
+	r.pushIn(i00, a.Flit(3))
 	s.flitCount[r.node] += 2
 	s.outOwner[r.outIdx(q, 0)] = a
 
@@ -36,8 +36,8 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 		xfers := r.StageSwitch(nil)
 		b.now++
 		ResolveDB(xfers, b.now)
-		for _, tr := range xfers {
-			Commit(tr, b)
+		for i := range xfers {
+			Commit(&xfers[i], b)
 		}
 		r.TickTimers()
 		return xfers
@@ -113,9 +113,9 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	s := r.st
 	iA := r.inIdx(0, 0)
 	s.inPkt[iA] = a
-	s.inRoute[iA] = int32(q)
+	r.setRoute(iA, int32(q))
 	s.inOutVC[iA] = 0
-	s.in.push(iA, a.Flit(2))
+	r.pushIn(iA, a.Flit(2))
 	s.flitCount[r.node]++
 	s.outOwner[r.outIdx(q, 0)] = a
 	s.outCredits[r.outIdx(q, 0)] = 0
@@ -124,10 +124,10 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	bb := packet.New(2, 0, 9, 8, 0)
 	iB := r.inIdx(2, 0)
 	s.inPkt[iB] = bb
-	s.inRoute[iB] = int32(q)
+	r.setRoute(iB, int32(q))
 	s.inOutVC[iB] = 1
-	s.in.push(iB, bb.Flit(2))
-	s.in.push(iB, bb.Flit(3))
+	r.pushIn(iB, bb.Flit(2))
+	r.pushIn(iB, bb.Flit(3))
 	s.flitCount[r.node] += 2
 	s.outOwner[r.outIdx(q, 1)] = bb
 
@@ -143,8 +143,8 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 				sentB = true
 			}
 		}
-		for _, tr := range xfers {
-			Commit(tr, b)
+		for i := range xfers {
+			Commit(&xfers[i], b)
 		}
 		r.TickTimers()
 		if i == 1 && !sentB {

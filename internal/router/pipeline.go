@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -90,7 +92,7 @@ func ResolveDB(xfers []Transfer, now sim.Cycle) {
 		}
 		t.Dropped = true
 		if !t.FromDB {
-			t.From.st.inSent[t.From.inIdx(t.FromPort, t.FromVC)] = false
+			t.From.setMask(mSent, t.From.inIdx(t.FromPort, t.FromVC), false)
 		}
 	}
 }
@@ -146,7 +148,7 @@ func (r *Router) routeSlot(i int) {
 	}
 	p := head.Pkt
 	if p.Dst == r.node {
-		s.inRoute[i] = PortEject
+		r.setRoute(i, PortEject)
 		return
 	}
 	if p.OnDB {
@@ -154,7 +156,7 @@ func (r *Router) routeSlot(i int) {
 		// the recovery grant was made before the header advanced (normally
 		// Recover sets the route directly).
 		s.inDBLane[i] = int32(r.recoveryLane(p.Dst))
-		s.inRoute[i] = int32(r.dbLaneRoute(p.Dst))
+		r.setRoute(i, int32(r.dbLaneRoute(p.Dst)))
 		s.inOutVC[i] = VCDeadlockBuffer
 		return
 	}
@@ -185,7 +187,7 @@ func (r *Router) routeSlot(i int) {
 		choice = s.sel.Pick(r, usable, r.rng)
 	}
 	s.outOwner[r.outIdx(choice.Port, choice.VC)] = p
-	s.inRoute[i] = int32(choice.Port)
+	r.setRoute(i, int32(choice.Port))
 	s.inOutVC[i] = int32(choice.VC)
 	if choice.ToDeterministic {
 		p.OnDeterministic = true
@@ -200,10 +202,10 @@ func (r *Router) routeSlot(i int) {
 func (r *Router) StageSwitchRef(out []Transfer) []Transfer {
 	out = r.stageEjectionRef(out)
 	if r.st.cfg.Alloc == PacketByPacket {
-		// The shared packet-by-packet scan walks the candidate lists; built
-		// after the ejection grants, the used-port mask already holds them.
+		// The shared packet-by-packet scan walks the per-output masks; built
+		// after the ejection grants, the used-port array already holds them.
 		var inputUsed [64]bool
-		r.indexCandidates(&inputUsed)
+		r.indexOutputs(&inputUsed)
 		return r.stageSwitchPBP(out, &inputUsed)
 	}
 	return r.stageSwitchFBFRef(out)
@@ -236,11 +238,11 @@ func (r *Router) stageEjectionRef(out []Transfer) []Transfer {
 	for i := 0; i < total && budget > 0; i++ {
 		port, vc := r.nthInputVC((off + i) % total)
 		g := r.inIdx(port, vc)
-		if int(s.inRoute[g]) != PortEject || s.in.n[g] == 0 || s.inSent[g] {
+		if int(s.inRoute[g]) != PortEject || s.in.n[g] == 0 || r.hasMask(mSent, g) {
 			continue
 		}
 		out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
-		s.inSent[g] = true
+		r.setMask(mSent, g, true)
 		budget--
 		if !granted {
 			s.swArbOff[r.swIdx(s.deg)] = int32((off + i + 1) % total)
@@ -261,7 +263,7 @@ func (r *Router) stageSwitchFBFRef(out []Transfer) []Transfer {
 	// Ejection grants above already consumed their input ports this cycle.
 	for p := 0; p <= s.deg; p++ {
 		for v := 0; v < s.inVCCount(p); v++ {
-			if s.inSent[r.inIdx(p, v)] {
+			if r.hasMask(mSent, r.inIdx(p, v)) {
 				inputUsed[p] = true
 			}
 		}
@@ -329,7 +331,7 @@ func (r *Router) arbitrateInputRef(q, total int, inputUsed *[64]bool, out []Tran
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
 		}
 		inputUsed[port] = true
-		s.inSent[g] = true
+		r.setMask(mSent, g, true)
 		s.swArbOff[r.swIdx(q)] = int32((off + i + 1) % total)
 		break
 	}
@@ -346,7 +348,7 @@ type Sink interface {
 
 // Commit applies a staged transfer; ejected flits are passed to sink.
 // Transfers marked Dropped by ResolveDB are ignored.
-func Commit(t Transfer, sink Sink) {
+func Commit(t *Transfer, sink Sink) {
 	if t.Dropped {
 		return
 	}
@@ -370,7 +372,7 @@ func Commit(t Transfer, sink Sink) {
 		to := t.To
 		inPort := int(t.From.rev[t.OutPort])
 		ti := to.inIdx(inPort, t.ToVC)
-		to.st.in.push(ti, fl)
+		to.pushIn(ti, fl)
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
 			to.st.inPkt[ti] = fl.Pkt
@@ -389,7 +391,7 @@ func Commit(t Transfer, sink Sink) {
 
 // popSource removes the flit from its source buffer, returning credits to
 // the upstream output VC and releasing wormhole state on tails.
-func (t Transfer) popSource() packet.Flit {
+func (t *Transfer) popSource() packet.Flit {
 	r := t.From
 	s := r.st
 	if t.FromDB {
@@ -404,7 +406,7 @@ func (t Transfer) popSource() packet.Flit {
 		return fl
 	}
 	i := r.inIdx(t.FromPort, t.FromVC)
-	fl := s.in.pop(i)
+	fl := r.popIn(i)
 	s.flitCount[r.node]--
 	if t.FromPort < s.deg && r.neighbors[t.FromPort] != nil {
 		up := r.neighbors[t.FromPort]
@@ -412,10 +414,9 @@ func (t Transfer) popSource() packet.Flit {
 	}
 	if fl.IsTail() {
 		s.inPkt[i] = nil
-		s.inRoute[i] = PortUnrouted
+		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
-		s.inWaiting[i] = 0
-		s.inPresumed[i] = false
+		r.clearTimer(i)
 	}
 	return fl
 }
@@ -487,10 +488,10 @@ func (r *Router) tickDecay() sim.Cycle {
 // tickSlot advances the deadlock timer of the input VC at global slot i =
 // inIdx(p, v) and clears its per-cycle sent marker, returning 1 if its
 // header newly crossed T_out. Shared by the reference and optimized timer
-// scans.
+// scans; on a slot outside mTim ∨ mHdr it only clears the sent marker.
 func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) int {
 	s := r.st
-	if s.inSent[i] {
+	if r.hasMask(mSent, i) {
 		if s.inPresumed[i] {
 			// The presumed-deadlocked header moved normally: a false
 			// detection. Under AdaptiveTimeout, back off.
@@ -502,25 +503,23 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 				}
 			}
 		}
-		s.inSent[i] = false
-		s.inWaiting[i] = 0
-		s.inPresumed[i] = false
+		r.setMask(mSent, i, false)
+		r.clearTimer(i)
 		return 0
 	}
 	if s.in.n[i] == 0 {
-		s.inWaiting[i] = 0
-		s.inPresumed[i] = false
+		r.clearTimer(i)
 		return 0
 	}
 	head := s.in.peek(i)
 	// Only headers not draining to the local reception channel and not
 	// already recovering are candidates for presumption.
 	if !head.IsHeader() || int(s.inRoute[i]) == PortEject || head.Pkt.OnDB {
-		s.inWaiting[i] = 0
-		s.inPresumed[i] = false
+		r.clearTimer(i)
 		return 0
 	}
 	s.inWaiting[i]++
+	r.setMask(mTim, i, true)
 	*blocked++
 	r.stats.BlockedCycles++
 	r.blockedByVC[v]++
@@ -585,19 +584,21 @@ func (r *Router) strandedHeader(p *packet.Packet) bool {
 // MostStarved returns the presumed-deadlocked input VC whose header has
 // waited longest; ok is false when the router has none. The circulating
 // Token queries this to decide whether to stop here. Injection-port VCs
-// are included: they are presumed only when stranded by faults. Presumed
-// slots are live, so this and the other presumed-slot readers
-// (RecoverPresumed, PresumedPackets) walk the live set, in ascending slot
-// order, so a tie goes to the lowest slot.
+// are included: they are presumed only when stranded by faults. A presumed
+// slot is timing, so this and the other presumed-slot readers
+// (RecoverPresumed, PresumedPackets) walk mTim in ascending slot order, and
+// a tie goes to the lowest slot.
 func (r *Router) MostStarved() (port, vc int, ok bool) {
 	s := r.st
 	var best sim.Cycle = -1
-	hi := r.in0 + s.stride
-	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
-		if s.inPresumed[i] && s.inWaiting[i] > best {
-			best = s.inWaiting[i]
-			port, vc = r.portVCOf(i - r.in0)
-			ok = true
+	for j, word := range r.maskOf(mTim) {
+		for ; word != 0; word &= word - 1 {
+			l := j<<6 + bits.TrailingZeros64(word)
+			if i := r.in0 + l; s.inPresumed[i] && s.inWaiting[i] > best {
+				best = s.inWaiting[i]
+				port, vc = r.portVCOf(l)
+				ok = true
+			}
 		}
 	}
 	return port, vc, ok
@@ -623,10 +624,9 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	p.SeizedToken = s.cfg.Recovery == RecoverySequential
 	p.RecoveredAt = now
 	s.inDBLane[i] = int32(r.recoveryLane(p.Dst))
-	s.inRoute[i] = int32(r.dbLaneRoute(p.Dst))
+	r.setRoute(i, int32(r.dbLaneRoute(p.Dst)))
 	s.inOutVC[i] = VCDeadlockBuffer
-	s.inWaiting[i] = 0
-	s.inPresumed[i] = false
+	r.clearTimer(i)
 	r.stats.Recoveries++
 	return p
 }
@@ -638,13 +638,18 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 // returned so callers can trace and track per-packet recoveries.
 func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.Packet {
 	s := r.st
-	// Network ports only — exactly the first deg*vcs slots of the port-major
-	// layout (injection slots sit at the end of the router's range).
-	hi := r.in0 + s.outStr
-	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
-		if s.inPresumed[i] {
-			p, v := r.portVCOf(i - r.in0)
-			out = append(out, r.Recover(p, v, now))
+	for j, word := range r.maskOf(mTim) {
+		for ; word != 0; word &= word - 1 {
+			l := j<<6 + bits.TrailingZeros64(word)
+			// Network ports only — exactly the first deg*vcs slots of the
+			// port-major layout (injection slots end the router's range).
+			if l >= s.outStr {
+				return out
+			}
+			if s.inPresumed[r.in0+l] {
+				p, v := r.portVCOf(l)
+				out = append(out, r.Recover(p, v, now))
+			}
 		}
 	}
 	return out
@@ -696,10 +701,11 @@ func (r *Router) dbLaneRoute(dst topology.Node) int {
 // through it).
 func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 	s := r.st
-	hi := r.in0 + s.stride
-	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
-		if s.inPresumed[i] && s.inPkt[i] != nil {
-			out = append(out, s.inPkt[i])
+	for j, word := range r.maskOf(mTim) {
+		for ; word != 0; word &= word - 1 {
+			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.inPresumed[i] && s.inPkt[i] != nil {
+				out = append(out, s.inPkt[i])
+			}
 		}
 	}
 	return out
@@ -710,9 +716,9 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 // flits' credits upstream), granted and in-use output VCs, and — indirectly,
 // through the stale-connection checks — packet-by-packet crossbar
 // connections. It returns the number of flits purged. Abort-and-retry
-// recovery calls it on every router to kill a packet. It walks every slot,
-// not the live set: a VC p owns while its next flits are still upstream is
-// empty and may have left the live set.
+// recovery calls it on every router to kill a packet. It walks every slot:
+// a VC p owns while its next flits are still upstream is empty, and no slot
+// mask covers the empty ones.
 func (r *Router) PurgePacket(p *packet.Packet) int {
 	s := r.st
 	purged := 0
@@ -724,7 +730,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		port, v := r.portVCOf(l)
 		n := int(s.in.n[i])
 		for k := 0; k < n; k++ {
-			s.in.pop(i)
+			r.popIn(i)
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
@@ -733,11 +739,10 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int32(n)
 		}
 		s.inPkt[i] = nil
-		s.inRoute[i] = PortUnrouted
+		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
-		s.inWaiting[i] = 0
-		s.inPresumed[i] = false
-		s.inSent[i] = false
+		r.clearTimer(i)
+		r.setMask(mSent, i, false)
 	}
 	for q := 0; q < s.deg; q++ {
 		for v := 0; v < s.cfg.VCs; v++ {

@@ -6,40 +6,32 @@ import "math/bits"
 // points; each makes exactly the decisions of its *Ref twin in pipeline.go,
 // in the same order, so the two paths stay byte-identical in effect (the
 // differential conformance suite in internal/network enforces this every
-// cycle). The speed comes from the flat layout: per-slot candidacy checks
-// are single loads from contiguous int32/bool arrays (in.n, inRoute,
-// inSent), the rotating flat index maps to (port, vc) with the O(1)
-// portVCOf inverse instead of the O(ports) nthInputVC walk, and the slot
-// total is the precomputed stride rather than a per-call summation. The three
-// per-slot sweeps (route compute, candidate indexing, timers) visit only the
-// input ring's live slots (flitRing.live: every slot with flits, sent this
-// cycle, timing or presumed, plus slots gone idle since the last timer pass),
-// a word at a time, so a router with a handful of flits costs O(stride/64 +
-// live slots) rather than O(stride); a skipped slot is idle, which every
-// sweep's own per-slot check would have rejected. Switch allocation sweeps
-// the slots once per router and cycle (indexCandidates) rather than once per
-// output port: each output then walks only the slots routed to it,
-// O(live + candidates) where the reference is O(deg × stride).
+// cycle). The speed comes from the flat layout and the per-router slot
+// masks (see the layout notes on State): each sweep walks, a word at a
+// time, exactly the input slots that can act in it — route compute the
+// headers at a ring head, switch allocation the occupied routed slots, the
+// timers the timing slots and the headers at a ring head — so a
+// router costs O(w + acting slots) rather than O(stride). A rotating walk
+// (rotFirst/rotNext) is the reference's round-robin scan from its offset
+// with every slot outside the mask skipped, and slotPV maps a slot back to
+// its (port, vc) instead of the O(ports) nthInputVC walk. Switch
+// allocation sorts the routed slots into per-output masks once per router
+// and cycle (indexOutputs); each output then walks only its own.
 
 // StageRouting performs routing computation and output VC allocation for
 // every input VC whose head flit is an unrouted header. Grants take effect
 // immediately in router-local state (output VC ownership), so later headers
 // in the same cycle see them; the rotating start offset keeps this fair.
-// Walking the live slots of [off, stride) and then of [0, off) is the
-// reference's rotating order with the idle slots left out.
+// It walks mHdr from the offset, the reference's rotating order over the
+// only slots routeSlot can act on; routeSlot changes no slot's mHdr bit.
 func (r *Router) StageRouting() {
 	s := r.st
 	off := int(s.vcArbOff[r.node])
 	s.vcArbOff[r.node] = int32((off + 1) % s.stride)
-	lo, mid, hi := r.in0, r.in0+off, r.in0+s.stride
-	for _, span := range [2][2]int{{mid, hi}, {lo, mid}} {
-		for g := s.in.nextLive(span[0], span[1]); g >= 0; g = s.in.nextLive(g+1, span[1]) {
-			// Hot early-out on the contiguous arrays: most live slots are
-			// already routed, and this rejects them without touching the ring.
-			if s.in.n[g] == 0 || s.inRoute[g] != PortUnrouted {
-				continue
-			}
-			r.routeSlot(g)
+	hdr := r.maskOf(mHdr)
+	for l := rotFirst(hdr, off); l >= 0; l = rotNext(hdr, l, off) {
+		if i := r.in0 + l; s.inRoute[i] == PortUnrouted {
+			r.routeSlot(i)
 		}
 	}
 }
@@ -55,7 +47,7 @@ func (r *Router) StageRouting() {
 // (in fixed router order) to settle the write port before committing them.
 func (r *Router) StageSwitch(out []Transfer) []Transfer {
 	var inputUsed [64]bool // deg+1 <= 64: network.New rejects degree > MaxDegree
-	routed := r.indexCandidates(&inputUsed)
+	routed := r.indexOutputs(&inputUsed)
 	out = r.stageEjection(out, &inputUsed)
 	if r.st.cfg.Alloc == PacketByPacket {
 		return r.stageSwitchPBP(out, &inputUsed)
@@ -63,69 +55,42 @@ func (r *Router) StageSwitch(out []Transfer) []Transfer {
 	return r.stageSwitchFBF(out, &inputUsed, routed)
 }
 
-// indexCandidates is switch allocation's one sweep of the router's live
-// input slots (the others are idle: no flit, nothing sent). It marks in
-// inputUsed every input port a flit already left this cycle, and links each
-// slot that holds a flit with a granted route into that output's candidate
-// list (State.candHead/candNext), walking downwards so every list is in
-// ascending slot order, and every per-output arbitration visits its own
-// candidates only. The lists stay exact for the whole of StageSwitch:
-// arbitration changes inSent, inputUsed and the rotating offsets, which the
-// walks read live, but no slot's route or occupancy before Commit. Bit q of
-// routed is set when output q < deg has a candidate.
-func (r *Router) indexCandidates(inputUsed *[64]bool) (routed uint64) {
+// indexOutputs is switch allocation's one pass over the router's slot
+// masks. It marks in inputUsed every input port a flit already left this
+// cycle (mSent) and sorts the occupied routed slots (mOcc ∧ ¬mUnr) into
+// per-output masks (State.outMask), so every per-output arbitration walks
+// its own candidates only. The masks stay exact for the whole of
+// StageSwitch: arbitration changes mSent, inputUsed and the rotating
+// offsets, which the walks read live, but no slot's route or occupancy
+// before Commit. Bit q of routed is set when output q < deg has a candidate.
+func (r *Router) indexOutputs(inputUsed *[64]bool) (routed uint64) {
 	s := r.st
-	head := s.candHead
-	for q := range head {
-		head[q] = -1
-	}
-	for g := s.in.prevLive(r.in0, r.in0+s.stride); g >= 0; g = s.in.prevLive(r.in0, g) {
-		l := g - r.in0
-		if s.inSent[g] {
-			p, _ := r.portVCOf(l)
-			inputUsed[p] = true
+	w := s.w
+	clear(s.outMask)
+	occ, unr, sent := r.maskOf(mOcc), r.maskOf(mUnr), r.maskOf(mSent)
+	for j := 0; j < w; j++ {
+		for word := sent[j]; word != 0; word &= word - 1 {
+			inputUsed[s.slotPV[j<<6+bits.TrailingZeros64(word)].port] = true
 		}
-		q := int(s.inRoute[g])
-		if s.in.n[g] == 0 || q == PortUnrouted {
-			continue
+		for word := occ[j] &^ unr[j]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			q := int(s.inRoute[r.in0+j<<6+b])
+			if q == PortEject {
+				q = s.deg
+			} else {
+				routed |= 1 << uint(q)
+			}
+			s.outMask[q*w+j] |= 1 << uint(b)
 		}
-		if q == PortEject {
-			q = s.deg
-		} else {
-			routed |= 1 << uint(q)
-		}
-		s.candNext[l] = head[q]
-		head[q] = int32(l)
 	}
 	return routed
 }
 
-// firstCand starts output q's round-robin walk from offset off: the lowest
-// listed slot at or after off, else (the wrap) the lowest listed slot; -1
-// when q has no candidate. Visiting firstCand, then nextCand until -1, is
-// the full-stride scan from off with every slot not on the list skipped.
-func (s *State) firstCand(q, off int) int {
-	l := s.candHead[q]
-	for l >= 0 && int(l) < off {
-		l = s.candNext[l]
-	}
-	if l < 0 {
-		l = s.candHead[q]
-	}
-	return int(l)
-}
-
-// nextCand returns the slot after l on output q's walk that started at
-// first, wrapping from the list's end to its head; -1 once back at first.
-func (s *State) nextCand(q, l, first int) int {
-	n := s.candNext[l]
-	if n < 0 {
-		n = s.candHead[q]
-	}
-	if int(n) == first {
-		return -1
-	}
-	return int(n)
+// outputMask returns output q's candidate mask (q == deg: the reception
+// channel), as indexOutputs left it.
+func (s *State) outputMask(q int) []uint64 {
+	b := q * s.w
+	return s.outMask[b : b+s.w : b+s.w]
 }
 
 // stageEjection grants the reception channel(s): the Deadlock Buffers first
@@ -148,15 +113,15 @@ func (r *Router) stageEjection(out []Transfer, inputUsed *[64]bool) []Transfer {
 	}
 	q := s.deg
 	granted := false
-	first := s.firstCand(q, int(s.swArbOff[r.swIdx(q)]))
-	for l := first; l >= 0 && budget > 0; l = s.nextCand(q, l, first) {
+	m, off := s.outputMask(q), int(s.swArbOff[r.swIdx(q)])
+	for l := rotFirst(m, off); l >= 0 && budget > 0; l = rotNext(m, l, off) {
 		g := r.in0 + l
-		if s.inSent[g] {
+		if r.hasMask(mSent, g) {
 			continue
 		}
 		port, vc := r.portVCOf(l)
 		out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, Eject: true})
-		s.inSent[g] = true
+		r.setMask(mSent, g, true)
 		inputUsed[port] = true
 		budget--
 		if !granted {
@@ -196,13 +161,13 @@ func (r *Router) stageSwitchFBF(out []Transfer, inputUsed *[64]bool, routed uint
 }
 
 // arbitrateInput grants output port q to one sendable input VC this cycle,
-// round-robin over q's candidate list starting from the port's rotating
+// round-robin over q's candidate mask starting from the port's rotating
 // offset. It is the per-flit output arbitration of the flit-by-flit policy
 // and the lending fallback of the packet-by-packet policy.
 func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Transfer {
 	s := r.st
-	first := s.firstCand(q, int(s.swArbOff[r.swIdx(q)]))
-	for l := first; l >= 0; l = s.nextCand(q, l, first) {
+	m, off := s.outputMask(q), int(s.swArbOff[r.swIdx(q)])
+	for l := rotFirst(m, off); l >= 0; l = rotNext(m, l, off) {
 		port, vc := r.portVCOf(l)
 		if inputUsed[port] {
 			continue
@@ -221,7 +186,7 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
 		}
 		inputUsed[port] = true
-		s.inSent[g] = true
+		r.setMask(mSent, g, true)
 		s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
 		break
 	}
@@ -235,25 +200,26 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 // runs when the caller invokes FlushTimeouts — deferred so that TickTimers
 // touches only router-local state. As a side effect it refreshes the
 // router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
-// per-VC blocked-cycle counters) — the loop already touches every non-idle
-// input VC, so the extra cost is a few adds.
+// per-VC blocked-cycle counters) — the loop already touches every input VC
+// that can block, so the extra cost is a few adds.
 //
-// It walks the live slots only — an idle slot (empty, nothing sent, timer
-// clear) is the common case at every load, and ticking one is a no-op — and
-// is the one place slots leave the live set: tickSlot leaves an empty slot
-// fully idle, so every slot it finds empty is cleared.
+// It ticks mTim ∨ mHdr, in ascending slot order: a slot with its timer
+// clear and no header at its ring head cannot start timing, and tickSlot
+// on it only clears the sent marker, which zeroing mSent afterwards does for
+// all of them at once.
 func (r *Router) TickTimers() int {
 	s := r.st
 	newly := 0
 	blocked, presumed := 0, 0
 	tout := r.tickDecay()
-	hi := r.in0 + s.stride
-	for i := s.in.nextLive(r.in0, hi); i >= 0; i = s.in.nextLive(i+1, hi) {
-		p, v := r.portVCOf(i - r.in0)
-		newly += r.tickSlot(i, p, v, tout, &blocked, &presumed)
-		if s.in.n[i] == 0 {
-			s.in.clearLive(i)
+	tim, hdr, sent := r.maskOf(mTim), r.maskOf(mHdr), r.maskOf(mSent)
+	for j := range tim {
+		for word := tim[j] | hdr[j]; word != 0; word &= word - 1 {
+			l := j<<6 + bits.TrailingZeros64(word)
+			p, v := r.portVCOf(l)
+			newly += r.tickSlot(r.in0+l, p, v, tout, &blocked, &presumed)
 		}
+		sent[j] = 0
 	}
 	s.lastBlocked[r.node] = int32(blocked)
 	s.lastPresumed[r.node] = int32(presumed)

@@ -83,7 +83,8 @@ func (r *Router) LocalPackets(out []*packet.Packet) []*packet.Packet {
 // and routing function then are — the "quiesce only the affected resources"
 // half of the DBR-style protocol. Victims must be purged first; this only
 // touches slots whose packets keep all their flits. Like PurgePacket it walks
-// every slot: a granted VC may be empty and out of the live set.
+// every slot: a granted VC may be empty, and no slot mask covers the empty
+// ones.
 func (r *Router) ReleaseGrants(port int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {
@@ -94,7 +95,7 @@ func (r *Router) ReleaseGrants(port int) {
 		if ov := int(s.inOutVC[i]); ov >= 0 {
 			s.outOwner[r.outIdx(port, ov)] = nil
 		}
-		s.inRoute[i] = PortUnrouted
+		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 	}
 }

@@ -81,8 +81,8 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	p := packet.New(1, src, dst, 2, 0)
 	i00 := r.inIdx(0, 0)
 	r.st.inPkt[i00] = p
-	r.st.in.push(i00, p.Flit(0))
-	r.st.in.push(i00, p.Flit(1))
+	r.pushIn(i00, p.Flit(0))
+	r.pushIn(i00, p.Flit(1))
 	r.st.flitCount[r.node] += 2
 	for i := 0; i < int(cfg.Timeout)+2; i++ {
 		b.step()
@@ -122,17 +122,16 @@ func TestPurgePacket(t *testing.T) {
 	p := packet.New(1, 0, 9, 6, 0)
 	i0 := r0.inIdx(0, 0)
 	r0.st.inPkt[i0] = p
-	r0.st.inRoute[i0] = int32(q)
+	r0.setRoute(i0, int32(q))
 	r0.st.inOutVC[i0] = 0
-	r0.st.in.push(i0, p.Flit(1))
-	r0.st.in.push(i0, p.Flit(2))
+	r0.pushIn(i0, p.Flit(1))
+	r0.pushIn(i0, p.Flit(2))
 	r0.st.flitCount[r0.node] += 2
 	r0.st.outOwner[r0.outIdx(q, 0)] = p
 	rev := topology.ReversePort(q)
 	i1 := r1.inIdx(rev, 0)
 	r1.st.inPkt[i1] = p
-	r1.st.inRoute[i1] = PortUnrouted
-	r1.st.in.push(i1, p.Flit(0))
+	r1.pushIn(i1, p.Flit(0))
 	r1.st.flitCount[r1.node]++
 	r0.st.outCredits[r0.outIdx(q, 0)] = int32(cfg.BufferDepth - 1)
 

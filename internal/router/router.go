@@ -92,6 +92,7 @@ type Router struct {
 	db0  int // first Deadlock Buffer slot: node * st.lanes
 	cx0  int // first crossbar slot:        node * st.deg
 	sw0  int // first switch-arb slot:      node * (st.deg + 1)
+	mk0  int // first slot-mask word:       node * maskKinds * st.w
 
 	neighbors []*Router // per network port; nil where no link exists
 
@@ -105,7 +106,7 @@ type Router struct {
 	stats   Stats
 
 	// Telemetry instrumentation, maintained by TickTimers (which already
-	// visits every input VC each cycle, so this costs almost nothing):
+	// visits every input VC that can block, so this costs almost nothing):
 	// cumulative blocked cycles keyed by VC index.
 	blockedByVC []int64
 
@@ -128,6 +129,7 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 		db0:         int(node) * st.lanes,
 		cx0:         int(node) * deg,
 		sw0:         int(node) * (deg + 1),
+		mk0:         int(node) * maskKinds * st.w,
 		neighbors:   make([]*Router, deg),
 		rev:         make([]int32, deg),
 		candBuf:     make([]routing.Candidate, 0, st.outStr), // one per output VC
@@ -266,7 +268,7 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 			i := base + v
 			if s.inPkt[i] == nil && s.in.n[i] == 0 {
 				s.inPkt[i] = fl.Pkt
-				s.in.push(i, fl)
+				r.pushIn(i, fl)
 				s.flitCount[r.node]++
 				fl.Pkt.InjectedAt = now
 				return true
@@ -277,7 +279,7 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 	for v := 0; v < s.cfg.InjectionVCs; v++ {
 		i := base + v
 		if s.inPkt[i] == fl.Pkt && int(s.in.n[i]) < s.cfg.BufferDepth {
-			s.in.push(i, fl)
+			r.pushIn(i, fl)
 			s.flitCount[r.node]++
 			return true
 		}
@@ -302,7 +304,7 @@ func (r *Router) InputRoute(port, vc int) (route, outVC int) {
 // first divergent field between two lockstepped kernels.
 func (r *Router) InputTimer(port, vc int) (waiting sim.Cycle, presumed, sent bool) {
 	i := r.inIdx(port, vc)
-	return r.st.inWaiting[i], r.st.inPresumed[i], r.st.inSent[i]
+	return r.st.inWaiting[i], r.st.inPresumed[i], r.hasMask(mSent, i)
 }
 
 // InputOccupancy returns the number of buffered flits in input VC (port, vc).
@@ -377,8 +379,8 @@ func (r *Router) Disconnect(port int) { r.neighbors[port] = nil }
 // an owned output VC, undrained downstream credits, or Deadlock Buffer
 // traffic routed through it. Fault injection refuses busy links (dynamic
 // mid-stream faults lose flits and are out of scope, as in the paper). Like
-// PurgePacket it walks every input slot: an owned VC may be empty and out of
-// the live set.
+// PurgePacket it walks every input slot: a granted VC may be empty, and no
+// slot mask covers the empty ones.
 func (r *Router) LinkBusy(port int) bool {
 	if r.neighbors[port] == nil {
 		return false

@@ -61,8 +61,8 @@ func (b *testBench) step() {
 		xfers = r.StageSwitch(xfers)
 	}
 	ResolveDB(xfers, b.now)
-	for _, t := range xfers {
-		Commit(t, b)
+	for i := range xfers {
+		Commit(&xfers[i], b)
 	}
 	for _, r := range b.routers {
 		r.TickTimers()

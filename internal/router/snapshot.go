@@ -80,12 +80,16 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 		snapshot.Range(c, &s.inDBLane[i], snapshot.In(0, dbLanes, "DB lane"))
 		snapshot.Int(c, &s.inWaiting[i])
 		c.Bool(&s.inPresumed[i])
-		c.Bool(&s.inSent[i])
+		sent := r.hasMask(mSent, i)
+		c.Bool(&sent)
 		r.walkFifo(c, &s.in, i, table)
 		if dec {
-			// The live set is derived, not coded: a decoded slot may carry
-			// timer state without flits, and the next timer pass settles it.
-			s.in.setLive(i)
+			// The other masks are derived, not coded: set them from the
+			// decoded arrays.
+			for k, on := range r.derivedMasks(i) {
+				r.setMask(k, i, on)
+			}
+			r.setMask(mSent, i, sent)
 		}
 	}
 	for l := 0; l < s.outStr; l++ {

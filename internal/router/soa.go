@@ -27,16 +27,23 @@ import (
 //	             l = deg*VCs + v for the injection port. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
 //	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
-//	             inWaiting, inPresumed, inSent); the flits live in the ring
-//	             set in (BufferDepth flits per slot, contiguous, with
-//	             per-slot cursors in.head / in.n). in.live is one bit per
-//	             slot, set by every push and cleared only by the timer phase
-//	             once the slot is idle again: a superset of the slots that
-//	             hold flits, sent this cycle, are timing or are presumed.
-//	             Route compute, switch candidate indexing, the timers and
-//	             the presumed-slot readers visit its set bits, so an idle
-//	             slot costs them nothing (O(words + live slots) per router,
-//	             not O(stride)); every visit still checks the slot itself.
+//	             inWaiting, inPresumed); the flits live in the ring set in
+//	             (BufferDepth flits per slot, contiguous, with per-slot
+//	             cursors in.head / in.n). slotPV maps a router-local slot
+//	             back to its (port, vc).
+//	slot masks   maskKinds masks of w = ⌈stride/64⌉ words per router, one
+//	             contiguous block of maskKinds*w words per router (mask):
+//	             bit l of mask k is router-local slot l. mOcc (flits
+//	             buffered), mHdr (a header at the ring head), mUnr (inRoute
+//	             is PortUnrouted) and mTim (inWaiting != 0 or inPresumed)
+//	             are exact functions of the arrays, kept so by their only
+//	             writers (pushIn/popIn, setRoute, clearTimer and tickSlot)
+//	             and derived, not coded, when a snapshot is decoded; mSent
+//	             (a flit left this cycle) is the sent flag itself. Bits past
+//	             stride are always zero. Route compute walks mHdr, switch
+//	             allocation mOcc ∧ ¬mUnr, the timers mTim ∨ mHdr and
+//	             the presumed-slot readers mTim, so a router costs each
+//	             sweep O(w + slots that can act), not O(stride).
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
 //	DB lanes     lanes slots per router (dbPkt, dbRoute, and dbWriteAt, the
 //	             single write port's last-admission cycle) with the
@@ -45,8 +52,8 @@ import (
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
 //	per router   vcArbOff, swArbOff (deg+1 per router), flitCount, effTout,
 //	             decayCount, lastBlocked, lastPresumed.
-//	scratch      candHead (deg+1), candNext (stride): one router's switch
-//	             candidate lists, valid only inside its StageSwitch.
+//	scratch      outMask ((deg+1)*w words): one router's per-output
+//	             candidate masks, valid only inside its StageSwitch.
 //
 // Aliasing contract: a Router view may only touch slots inside its own base
 // ranges, except through another Router's methods (transfer commit writes
@@ -79,16 +86,21 @@ type State struct {
 	lanes  int // Deadlock Buffer lanes per router (0, 1 or 2)
 	stride int // input VC slots per router: deg*VCs + InjectionVCs
 	outStr int // output VC slots per router: deg*VCs
+	w      int // words per slot mask: ⌈stride/64⌉
 
 	// Input VC state, nodes*stride slots.
 	inPkt      []*packet.Packet
-	inRoute    []int32 // granted output port, PortEject or PortUnrouted
+	inRoute    []int32 // granted output port, PortEject or PortUnrouted (write via setRoute)
 	inOutVC    []int32 // granted output VC, VCDeadlockBuffer or VCUnrouted
 	inDBLane   []int32 // recovery lane when inOutVC == VCDeadlockBuffer
 	inWaiting  []sim.Cycle
 	inPresumed []bool
-	inSent     []bool
-	in         flitRing
+	in         flitRing // push and pop through pushIn/popIn
+	slotPV     []portVC // router-local slot -> (port, vc), stride entries
+
+	// Per-router input-slot masks, nodes*maskKinds*w words (see the layout
+	// notes above).
+	mask []uint64
 
 	// Output VC state, nodes*outStr slots.
 	outOwner   []*packet.Packet
@@ -120,14 +132,28 @@ type State struct {
 	lastBlocked  []int32
 	lastPresumed []int32
 
-	// Switch-allocation scratch, rebuilt by indexCandidates at the start of
-	// every StageSwitch and dead after it; staging is serial, so one pair
-	// serves every router. candHead[q] is the first router-local input slot
-	// holding a flit routed to output q (q == deg: the reception channel)
-	// and candNext[l] the next one after slot l, ascending, -1 ending a list.
-	candHead []int32
-	candNext []int32
+	// Switch-allocation scratch, rebuilt by indexOutputs at the start of
+	// every StageSwitch and dead after it; staging is serial, so one serves
+	// every router. Words [q*w, (q+1)*w) hold the router-local input slots
+	// with a flit routed to output q (q == deg: the reception channel).
+	outMask []uint64
 }
+
+// The per-router input-slot masks, in block order.
+const (
+	mOcc      = iota // the slot buffers flits
+	mHdr             // the ring head is a header
+	mUnr             // inRoute is PortUnrouted
+	mTim             // the deadlock timer runs or the header is presumed
+	mSent            // a flit left the slot this cycle
+	maskKinds        // masks per router
+)
+
+// maskNames names the masks for CheckState.
+var maskNames = [maskKinds]string{"occupied", "header-at-head", "unrouted", "timing", "sent"}
+
+// portVC is an input slot's (port, vc).
+type portVC struct{ port, vc int32 }
 
 // NewState builds the shared state for every router of a network on topo:
 // cfg (already normalized), the routing and selection functions all routers
@@ -155,6 +181,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 		stride: deg*cfg.VCs + cfg.InjectionVCs,
 		outStr: deg * cfg.VCs,
 	}
+	s.w = (s.stride + 63) / 64
 	in := nodes * s.stride
 	s.inPkt = make([]*packet.Packet, in)
 	s.inRoute = make([]int32, in)
@@ -162,11 +189,24 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.inDBLane = make([]int32, in)
 	s.inWaiting = make([]sim.Cycle, in)
 	s.inPresumed = make([]bool, in)
-	s.inSent = make([]bool, in)
 	s.in = newFlitRing(in, cfg.BufferDepth)
 	for i := range s.inRoute {
 		s.inRoute[i] = PortUnrouted
 		s.inOutVC[i] = VCUnrouted
+	}
+	s.slotPV = make([]portVC, 0, s.stride)
+	for p := 0; p <= deg; p++ {
+		for v := 0; v < s.inVCCount(p); v++ {
+			s.slotPV = append(s.slotPV, portVC{int32(p), int32(v)})
+		}
+	}
+	// Every slot starts unrouted: set mUnr's stride bits in every block.
+	s.mask = make([]uint64, nodes*maskKinds*s.w)
+	for r := 0; r < nodes; r++ {
+		unr := s.mask[(r*maskKinds+mUnr)*s.w:]
+		for l := 0; l < s.stride; l++ {
+			unr[l>>6] |= 1 << (uint(l) & 63)
+		}
 	}
 	out := nodes * s.outStr
 	s.outOwner = make([]*packet.Packet, out)
@@ -203,8 +243,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	for i := range s.effTout {
 		s.effTout[i] = cfg.Timeout
 	}
-	s.candHead = make([]int32, deg+1)
-	s.candNext = make([]int32, s.stride)
+	s.outMask = make([]uint64, (deg+1)*s.w)
 	return s
 }
 
@@ -307,13 +346,136 @@ func (r *Router) cxIdx(q int) int { return r.cx0 + q }
 func (r *Router) swIdx(q int) int { return r.sw0 + q }
 
 // portVCOf maps a router-local flat input slot l back to its (port, vc):
-// the O(1) inverse of the port-major layout.
+// the inverse of the port-major layout, one table load.
 func (r *Router) portVCOf(l int) (port, vc int) {
-	s := r.st
-	if l < s.outStr {
-		return l / s.cfg.VCs, l % s.cfg.VCs
+	pv := r.st.slotPV[l]
+	return int(pv.port), int(pv.vc)
+}
+
+// --- Slot masks --------------------------------------------------------------
+
+// maskOf returns the w words of router r's mask k.
+func (r *Router) maskOf(k int) []uint64 {
+	w := r.st.w
+	b := r.mk0 + k*w
+	return r.st.mask[b : b+w : b+w]
+}
+
+// bit returns the word and bit of global input slot i in router r's mask k.
+func (r *Router) bit(k, i int) (*uint64, uint64) {
+	l := i - r.in0
+	return &r.st.mask[r.mk0+k*r.st.w+l>>6], 1 << (uint(l) & 63)
+}
+
+// setMask sets (on) or clears global input slot i's bit in mask k.
+func (r *Router) setMask(k, i int, on bool) {
+	m, b := r.bit(k, i)
+	if on {
+		*m |= b
+	} else {
+		*m &^= b
 	}
-	return s.deg, l - s.outStr
+}
+
+// hasMask reports global input slot i's bit in mask k.
+func (r *Router) hasMask(k, i int) bool {
+	m, b := r.bit(k, i)
+	return *m&b != 0
+}
+
+// derivedMasks returns what the arrays say global input slot i's mOcc,
+// mHdr, mUnr and mTim bits must be (mSent has no array behind it).
+func (r *Router) derivedMasks(i int) [mSent]bool {
+	s := r.st
+	occ := s.in.n[i] != 0
+	return [mSent]bool{
+		mOcc: occ,
+		mHdr: occ && s.in.peek(i).IsHeader(),
+		mUnr: s.inRoute[i] == PortUnrouted,
+		mTim: s.inWaiting[i] != 0 || s.inPresumed[i],
+	}
+}
+
+// pushIn appends fl to global input slot i's ring; the first flit in an
+// empty ring sets mOcc and, if a header, mHdr.
+func (r *Router) pushIn(i int, fl packet.Flit) {
+	s := r.st
+	s.in.push(i, fl)
+	if s.in.n[i] == 1 {
+		r.setMask(mOcc, i, true)
+		r.setMask(mHdr, i, fl.IsHeader())
+	}
+}
+
+// popIn removes and returns global input slot i's head flit, updating mOcc
+// and mHdr for the flit (if any) that becomes the head.
+func (r *Router) popIn(i int) packet.Flit {
+	s := r.st
+	fl := s.in.pop(i)
+	if s.in.n[i] == 0 {
+		r.setMask(mOcc, i, false)
+		r.setMask(mHdr, i, false)
+	} else {
+		r.setMask(mHdr, i, s.in.peek(i).IsHeader())
+	}
+	return fl
+}
+
+// setRoute is the one writer of inRoute: it keeps mUnr exact.
+func (r *Router) setRoute(i int, route int32) {
+	r.st.inRoute[i] = route
+	r.setMask(mUnr, i, route == PortUnrouted)
+}
+
+// clearTimer stops global input slot i's deadlock timer and clears its
+// presumption and mTim bit.
+func (r *Router) clearTimer(i int) {
+	r.st.inWaiting[i] = 0
+	r.st.inPresumed[i] = false
+	r.setMask(mTim, i, false)
+}
+
+// nextSet returns the lowest set bit of m at or above from, or -1.
+func nextSet(m []uint64, from int) int {
+	j := from >> 6
+	if j >= len(m) {
+		return -1
+	}
+	if word := m[j] >> (uint(from) & 63); word != 0 {
+		return from + bits.TrailingZeros64(word)
+	}
+	for j++; j < len(m); j++ {
+		if m[j] != 0 {
+			return j<<6 + bits.TrailingZeros64(m[j])
+		}
+	}
+	return -1
+}
+
+// rotFirst and rotNext walk the set bits of m in the rotating order that
+// starts at off: [off, end) ascending, then [0, off). rotFirst returns the
+// first bit (-1 when m is empty), rotNext the one after l (-1 once the walk
+// is back at off). With m a slot mask this is the full-stride round-robin
+// scan from off with every slot outside the mask skipped.
+func rotFirst(m []uint64, off int) int {
+	if l := nextSet(m, off); l >= 0 {
+		return l
+	}
+	return nextSet(m, 0) // no bit at or past off, so any hit lies below it
+}
+
+func rotNext(m []uint64, l, off int) int {
+	n := nextSet(m, l+1)
+	if l >= off {
+		if n >= 0 {
+			return n
+		}
+		n = nextSet(m, 0) // the wrap
+	}
+	if n >= off {
+		return -1
+	}
+	return n
 }
 
 // inVCCount returns the number of VCs on input port p.
@@ -329,18 +491,13 @@ func (s *State) inVCCount(p int) int {
 // flitRing is a set of fixed-capacity flit FIFOs, one per slot, in one
 // contiguous array: slot i owns flits[i*depth : (i+1)*depth], read from
 // head[i] and holding n[i] flits. The input VCs and the Deadlock Buffer
-// lanes are one ring set each.
-//
-// live has one bit per slot (bit i&63 of word i>>6), set by push. Only the
-// input VCs' set is read and cleared (by TickTimers; see the layout notes on
-// State); the Deadlock Buffer lanes, at most two per router, are scanned
-// directly and their bits are never read.
+// lanes are one ring set each; the input set is pushed and popped through
+// Router.pushIn/popIn, which keep the slot masks exact.
 type flitRing struct {
 	depth int
 	head  []int32
 	n     []int32
 	flits []packet.Flit
-	live  []uint64
 }
 
 func newFlitRing(slots, depth int) flitRing {
@@ -349,74 +506,16 @@ func newFlitRing(slots, depth int) flitRing {
 		head:  make([]int32, slots),
 		n:     make([]int32, slots),
 		flits: make([]packet.Flit, slots*depth),
-		live:  make([]uint64, (slots+63)/64),
 	}
 }
 
-// push appends a flit to ring i and marks the slot live.
+// push appends a flit to ring i.
 func (q *flitRing) push(i int, fl packet.Flit) {
 	if int(q.n[i]) == q.depth {
 		panic("router: push to full fifo")
 	}
 	q.flits[i*q.depth+(int(q.head[i])+int(q.n[i]))%q.depth] = fl
 	q.n[i]++
-	q.setLive(i)
-}
-
-// setLive marks slot i live.
-func (q *flitRing) setLive(i int) { q.live[i>>6] |= 1 << (uint(i) & 63) }
-
-// clearLive removes slot i from the live set.
-func (q *flitRing) clearLive(i int) { q.live[i>>6] &^= 1 << (uint(i) & 63) }
-
-// isLive reports whether slot i is in the live set.
-func (q *flitRing) isLive(i int) bool { return q.live[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// nextLive returns the smallest live slot in [from, hi), or -1. It scans the
-// bitmap a word at a time, so walking a router's live slots costs
-// O(stride/64 + live) and allocates nothing.
-func (q *flitRing) nextLive(from, hi int) int {
-	if from >= hi {
-		return -1
-	}
-	w := from >> 6
-	word := q.live[w] &^ (1<<(uint(from)&63) - 1)
-	for {
-		if word != 0 {
-			if i := w<<6 + bits.TrailingZeros64(word); i < hi {
-				return i
-			}
-			return -1
-		}
-		w++
-		if w<<6 >= hi {
-			return -1
-		}
-		word = q.live[w]
-	}
-}
-
-// prevLive returns the largest live slot in [lo, from), or -1: nextLive
-// walking downwards.
-func (q *flitRing) prevLive(lo, from int) int {
-	if from <= lo {
-		return -1
-	}
-	w := (from - 1) >> 6
-	word := q.live[w] & (^uint64(0) >> (63 - (uint(from-1) & 63)))
-	for {
-		if word != 0 {
-			if i := w<<6 + 63 - bits.LeadingZeros64(word); i >= lo {
-				return i
-			}
-			return -1
-		}
-		w--
-		if w < 0 || w<<6+63 < lo {
-			return -1
-		}
-		word = q.live[w]
-	}
 }
 
 // peek returns the head flit of ring i.
@@ -467,9 +566,10 @@ func (q *flitRing) check(i int) error {
 
 // CheckState cross-checks the router's slice of the shared struct-of-arrays
 // buffers against what the view API exposes: ring cursors in range, vacated
-// ring slots zeroed (no stale packet pointers), every busy input slot (flits,
-// sent, timing or presumed) in the live-slot set the scans walk, route/VC
-// grants within their sentinel-extended domains, credits within [0, depth],
+// ring slots zeroed (no stale packet pointers), every input slot's occupied,
+// header-at-head, unrouted and timing mask bits equal to what its arrays say
+// (the scans trust them) and no mask bit past the stride, route/VC grants
+// within their sentinel-extended domains, credits within [0, depth],
 // crossbar connections naming an input VC that exists, and the maintained
 // flit counter consistent with the rings. The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
@@ -484,8 +584,10 @@ func (r *Router) CheckState() error {
 			return fmt.Errorf("router %d input (%d,%d): %v", r.node, p, v, err)
 		}
 		total += int(s.in.n[i])
-		if busy := s.in.n[i] != 0 || s.inSent[i] || s.inWaiting[i] != 0 || s.inPresumed[i]; busy && !s.in.isLive(i) {
-			return fmt.Errorf("router %d input (%d,%d): busy slot missing from the live-slot set", r.node, p, v)
+		for k, want := range r.derivedMasks(i) {
+			if got := r.hasMask(k, i); got != want {
+				return fmt.Errorf("router %d input (%d,%d): %s mask bit %v, slot state says %v", r.node, p, v, maskNames[k], got, want)
+			}
 		}
 		if rt := int(s.inRoute[i]); rt < PortEject || rt >= s.deg {
 			return fmt.Errorf("router %d input (%d,%d): route %d outside [%d,%d)", r.node, p, v, rt, PortEject, s.deg)
@@ -495,6 +597,13 @@ func (r *Router) CheckState() error {
 		}
 		if ln := int(s.inDBLane[i]); ln < 0 || (ln > 0 && ln >= s.lanes) {
 			return fmt.Errorf("router %d input (%d,%d): DB lane %d outside the router's %d lanes", r.node, p, v, ln, s.lanes)
+		}
+	}
+	if pad := s.stride & 63; pad != 0 {
+		for k := 0; k < maskKinds; k++ {
+			if r.maskOf(k)[s.w-1]>>uint(pad) != 0 {
+				return fmt.Errorf("router %d: %s mask has bits past slot %d", r.node, maskNames[k], s.stride-1)
+			}
 		}
 	}
 	for l := 0; l < s.outStr; l++ {
