@@ -256,38 +256,3 @@ func dependsMinimal(topo topology.Topology, m, n, o topology.Node) bool {
 	}
 	return false
 }
-
-// --- Deadlock Buffer lane checks ----------------------------------------------
-
-// VerifyDBLaneConnected checks Lemma 1 and Assumption 3 constructively: for
-// every (src, dst) pair the Deadlock Buffer lane's dimension-order routing
-// reaches dst in exactly Distance(src, dst) hops (connected and minimal).
-func VerifyDBLaneConnected(topo topology.Topology) error {
-	for s := 0; s < topo.Nodes(); s++ {
-		for d := 0; d < topo.Nodes(); d++ {
-			src, dst := topology.Node(s), topology.Node(d)
-			cur := src
-			steps := 0
-			want := topo.Distance(src, dst)
-			for cur != dst {
-				port, ok := routing.DORPort(topo, cur, dst)
-				if !ok {
-					return fmt.Errorf("core: DB lane stuck at %d en route %d->%d", cur, src, dst)
-				}
-				next, ok := topo.Neighbor(cur, port)
-				if !ok {
-					return fmt.Errorf("core: DB lane needs missing link at %d port %d (%d->%d)", cur, port, src, dst)
-				}
-				cur = next
-				steps++
-				if steps > want {
-					return fmt.Errorf("core: DB lane non-minimal for %d->%d (%d > %d hops)", src, dst, steps, want)
-				}
-			}
-			if steps != want {
-				return fmt.Errorf("core: DB lane took %d hops for %d->%d, distance %d", steps, src, dst, want)
-			}
-		}
-	}
-	return nil
-}

@@ -120,14 +120,30 @@ func TestMinimalAdaptiveCDGOnlyProfitableDeps(t *testing.T) {
 	}
 }
 
-// Lemma 1 / Assumption 3: the DB lane is connected and minimal.
+// Lemma 1 / Assumption 3: the DB lane is connected (VerifyLaneConnected)
+// and minimal — its walk from src to dst takes exactly Distance(src, dst)
+// hops.
 func TestDBLaneConnected(t *testing.T) {
 	for _, topo := range []topology.Topology{
 		topology.MustTorus(4, 4), topology.MustTorus(8, 8),
 		topology.MustMesh(5, 3), topology.MustTorus(3, 3, 3),
 	} {
-		if err := core.VerifyDBLaneConnected(topo); err != nil {
+		lane := core.DORLane(topo)
+		if err := core.VerifyLaneConnected(topo, lane); err != nil {
 			t.Fatalf("%s: %v", topo.Name(), err)
+		}
+		for s := 0; s < topo.Nodes(); s++ {
+			for d := 0; d < topo.Nodes(); d++ {
+				src, dst := topology.Node(s), topology.Node(d)
+				hops := 0
+				for cur := src; cur != dst; hops++ {
+					port, _ := lane(cur, dst) // connected: every step exists
+					cur, _ = topo.Neighbor(cur, port)
+				}
+				if want := topo.Distance(src, dst); hops != want {
+					t.Fatalf("%s: DB lane takes %d hops %d->%d, distance %d", topo.Name(), hops, src, dst, want)
+				}
+			}
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package network
 
-import (
-	"math/bits"
-
-	"repro/internal/sim"
-)
+import "math/bits"
 
 // Active-set scheduling for the phased step kernel.
 //
@@ -13,15 +9,17 @@ import (
 // most cycles. The full-scan kernel nonetheless pays route-compute, switch
 // allocation and timer cost for every router every cycle. The active-set
 // scheduler tracks which routers can possibly do work and has the stage and
-// timer phases visit only those, while reproducing a skipped router's
-// (tiny, closed-form) idle evolution on demand so execution stays
-// byte-identical to the full scan — the golden-digest conformance suite
-// and the snapshot lockstep tests prove it.
+// timer phases visit only those. A skipped router is frozen: everything its
+// skipped passes would have changed (the VC arbitration offset, the
+// adaptive T_out's decay, the blocked/presumed gauges) is a function of the
+// clock that the router derives when read (internal/router/activity.go), so
+// execution, digests and snapshots are byte-identical to the full scan —
+// the golden-digest conformance suite and the snapshot lockstep tests prove
+// it — and no reader writes.
 //
-// Representation: one bit per router in actMask, plus idleSince[i] — the
-// last cycle through which inactive router i's state is fully up to date.
-// The mask is mutated by injection wakes, commit wakes and the end-of-cycle
-// deactivation sweep; the stage and timer phases only read it.
+// Representation: one bit per router in actMask. The mask is mutated by
+// wakes and the end-of-cycle deactivation sweep; the stage and timer phases
+// only read it.
 //
 // Lifecycle:
 //
@@ -35,19 +33,13 @@ import (
 //     sleep on — they change only when a flit moves, and every flit
 //     movement into the router is a wake.
 //   - A router activates when it can next touch a flit: a successful
-//     injection (wakeAtInject, phase 1) or an incoming transfer — neighbor
-//     flit, Deadlock Buffer admission (wakeAtCommit, phase 3). Timer
-//     expiry and Token arrival need no wake of their own: both require a
-//     resident header, so the router is already active. Waking fast-
-//     forwards the missed idle evolution (router.CatchUpIdle) before the
-//     router next executes live.
-//
-// The two wake flavors differ by exactly one phase: a router woken during
-// injection still runs the current cycle's stage and timer phases live,
-// while a router woken during commit has already missed the current
-// cycle's stage phase (phase 2 ran before the flit arrived) but runs its
-// timer phase live — so the newly arrived header starts accruing blocked
-// time the same cycle it arrives, as under the full scan.
+//     injection (phase 1) or an incoming transfer — neighbor flit, Deadlock
+//     Buffer admission (phase 3). Either sets its bit. Timer expiry and
+//     Token arrival need no wake of their own: both require a resident
+//     header, so the router is already active. A router woken in phase 3
+//     runs the timer phase of the same cycle, so the newly arrived header
+//     starts accruing blocked time the cycle it arrives, as under the full
+//     scan.
 //
 // The scheduler is always on. In-package tests set activeSetOff to get the
 // full scan it is checked against: every bit stays set, the deactivation sweep
@@ -87,63 +79,13 @@ func (n *Network) nextActive(from, hi int) int {
 	}
 }
 
-// wakeAtInject activates router i during the injection phase of cycle now.
-// The router has missed both the stage and timer phases of every cycle in
-// (idleSince, now); it will run cycle now entirely live.
-func (n *Network) wakeAtInject(i int, now sim.Cycle) {
-	if n.activeOn(i) {
-		return
-	}
-	idle := int(now - 1 - n.idleSince[i])
-	n.routers[i].CatchUpIdle(idle, idle)
-	n.setActive(i)
-}
-
-// wakeAtCommit activates router i during the commit phase of cycle now
-// (a flit just arrived from a neighbor or entered a Deadlock Buffer). The
-// router additionally missed cycle now's stage phase — it ran before the
-// flit arrived — but runs cycle now's timer phase live, so the arriving
-// header accrues blocked time from this cycle on, exactly as under the
-// full scan.
-func (n *Network) wakeAtCommit(i int, now sim.Cycle) {
-	if n.activeOn(i) {
-		return
-	}
-	idle := int(now - n.idleSince[i])
-	n.routers[i].CatchUpIdle(idle, idle-1)
-	n.setActive(i)
-}
-
-// syncIdle brings every inactive router's state up to the current cycle
-// without activating it. Fingerprint and Snapshot call it first, so digests
-// and snapshots are indistinguishable from a kernel that never skips; the
-// routers stay asleep afterwards (idleSince advances to now).
-func (n *Network) syncIdle() {
-	for i := range n.routers {
-		n.syncRouter(i)
-	}
-}
-
-// syncRouter is syncIdle for router i alone: O(1), for readers of a single
-// router's state (the per-router telemetry gauges).
-func (n *Network) syncRouter(i int) {
-	if n.activeOn(i) {
-		return
-	}
-	now := n.clock.Now()
-	if idle := int(now - n.idleSince[i]); idle > 0 {
-		n.routers[i].CatchUpIdle(idle, idle)
-		n.idleSince[i] = now
-	}
-}
-
 // deactivateDrained is the end-of-cycle sweep: every active router that is
 // fully drained — no buffered flits and no crossbar connection state — goes
-// to sleep as of cycle now. It checks every active router, not only this
+// to sleep. It checks every active router, not only this
 // cycle's transfer endpoints, because a router can also drain by purge
 // (abort-retry) or hold only stale crossbar state that its stage phase just
 // released.
-func (n *Network) deactivateDrained(now sim.Cycle) {
+func (n *Network) deactivateDrained() {
 	if n.activeSetOff {
 		return
 	}
@@ -152,23 +94,17 @@ func (n *Network) deactivateDrained(now sim.Cycle) {
 		r := n.routers[i]
 		if r.FlitCount() == 0 && r.CrossbarIdle() {
 			n.clearActive(i)
-			n.idleSince[i] = now
 		}
 	}
 }
 
 // rebuildActiveSet reconstructs activation state from restored router state
 // (Restore calls it; activation is derived, never serialized). Snapshots are
-// taken between cycles, after the deactivation sweep and a syncIdle, so
-// "drained ⇔ inactive with idleSince = now" holds exactly in the network
-// that produced the snapshot — rebuilding from the same predicate yields a
-// byte-identical continuation.
+// taken between cycles, after the deactivation sweep, so "drained ⇔
+// inactive" holds exactly in the network that produced the snapshot —
+// rebuilding from the same predicate yields a byte-identical continuation.
 func (n *Network) rebuildActiveSet() {
-	now := n.clock.Now()
-	hi := len(n.routers)
-	for i := 0; i < hi; i++ {
-		r := n.routers[i]
-		n.idleSince[i] = now
+	for i, r := range n.routers {
 		if !n.activeSetOff && r.FlitCount() == 0 && r.CrossbarIdle() {
 			n.clearActive(i)
 		} else {

@@ -2,6 +2,8 @@ package network
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -105,26 +107,28 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 	}
 }
 
+// purgeDrainsVariant is where an abort-retry purge often drains a router
+// after its timer pass, so it sleeps holding that pass's gauges.
+var purgeDrainsVariant = kernelVariant{"abort-retry-purge-drains", func() Config {
+	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.1, 2)
+	cfg.Router.VCs = 1
+	cfg.Router.BufferDepth = 1
+	cfg.Router.Timeout = 4
+	cfg.Router.Recovery = router.RecoveryAbortRetry
+	cfg.Router.DeadlockBufferDepth = 0
+	return cfg
+}}
+
 // TestActiveSetTelemetryMatchesFullScan holds the active-set telemetry path
-// — flight-recorder frames built from the active routers only, skipped
-// routers fast-forwarded only on sample and snapshot cycles, per-router
-// gauges catching up their own router — to what the full scan records: the
+// — flight-recorder frames built from the active routers only, sleeping
+// routers' gauges read from the clock — to what the full scan records: the
 // same frame and per-router gauges every cycle, the same snapshots and the
-// same sampled series. The last variant is where an
-// abort-retry purge often drains a router after its timer pass: it sleeps
-// holding the pre-purge gauges, which the full scan zeroes a cycle later.
+// same sampled series. In the last variant a router drained by a purge
+// sleeps holding the pre-purge gauges, which the full scan zeroes a cycle
+// later.
 func TestActiveSetTelemetryMatchesFullScan(t *testing.T) {
 	const cycles = 800
-	variants := append(activeSetVariants(), kernelVariant{"abort-retry-purge-drains", func() Config {
-		cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.1, 2)
-		cfg.Router.VCs = 1
-		cfg.Router.BufferDepth = 1
-		cfg.Router.Timeout = 4
-		cfg.Router.Recovery = router.RecoveryAbortRetry
-		cfg.Router.DeadlockBufferDepth = 0
-		return cfg
-	}})
-	for _, v := range variants {
+	for _, v := range append(activeSetVariants(), purgeDrainsVariant) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			opts := telemetry.Options{SampleEvery: 7, FlightDepth: 1, SnapshotCooldown: 50}
@@ -263,13 +267,13 @@ func TestActiveSetSnapshotCrossMode(t *testing.T) {
 	}
 }
 
-// TestActiveSetAbortRetryPurgeGauges pins the subtlest catch-up rule: a
+// TestActiveSetAbortRetryPurgeGauges pins the subtlest gauge rule: a
 // router drained by an abort-retry purge goes to sleep with its
 // blocked/presumed telemetry gauges still holding the pre-purge values (the
-// full scan only clears them on the next timer pass). The catch-up must
-// clear them on any later observation, so telemetry and digests agree with
-// the full scan. Covered end to end by lockstep above; this isolates the
-// rule on one router.
+// full scan only clears them on the next timer pass). Once that pass is
+// older than the current cycle the gauges must read 0, so telemetry and
+// digests agree with the full scan. Covered end to end by lockstep above;
+// this isolates the rule on one router.
 func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.6, 7)
 	cfg.Router.VCs = 2
@@ -287,10 +291,75 @@ func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 		t.Fatal("network did not drain")
 	}
 	n.Run(3)
-	for _, r := range n.Routers() { // Routers() syncs skipped routers
+	for _, r := range n.Routers() {
 		if r.BlockedHeaders() != 0 || r.PresumedHeaders() != 0 {
 			t.Fatalf("node %d gauges stale after drain: blocked=%d presumed=%d",
 				r.NodeID(), r.BlockedHeaders(), r.PresumedHeaders())
 		}
 	}
+}
+
+// TestActiveSetObservationIsReadOnly holds every observer to reading: with
+// routers asleep, Fingerprint, Snapshot, Routers, the registry's Gather and
+// Publish, a flight-recorder dump and each router's EffectiveTimeout and
+// gauges leave the network's simulation state exactly as they found it
+// (stateImage, a deep copy of everything but the observers and memos).
+func TestActiveSetObservationIsReadOnly(t *testing.T) {
+	variants := append(activeSetVariants(), purgeDrainsVariant)
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			n := mustNet(t, v.build())
+			hub := n.EnableTelemetry(telemetry.Options{SampleEvery: 7, FlightDepth: 4})
+			observe := func() {
+				n.Fingerprint()
+				if err := n.Snapshot(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				hub.Registry.Gather()
+				hub.Registry.Publish()
+				n.buildSnapshot(n.Now(), 0, 0)
+				for _, r := range n.Routers() {
+					r.EffectiveTimeout()
+					r.BlockedHeaders()
+					r.PresumedHeaders()
+				}
+			}
+			observed := 0
+			for i := 1; i <= 600; i++ {
+				n.Step()
+				if i%5 != 0 || n.activeCount() == len(n.routers) {
+					continue
+				}
+				before := stateImage(n)
+				observe()
+				if after := stateImage(n); after != before {
+					t.Fatalf("cycle %d: observing wrote the state: %s", i, firstDifference(before, after))
+				}
+				observed++
+			}
+			if observed == 0 {
+				t.Fatal("no cycle had a sleeping router; the test is vacuous")
+			}
+		})
+	}
+}
+
+// firstDifference names the state field (an image line) where two images
+// first differ, with the text around the difference.
+func firstDifference(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] == lb[i] {
+			continue
+		}
+		k := 0
+		for k < len(la[i]) && k < len(lb[i]) && la[i][k] == lb[i][k] {
+			k++
+		}
+		lo := max(k-60, 0)
+		return fmt.Sprintf("%s\n before …%s\n  after …%s", la[i][:strings.IndexByte(la[i], ':')],
+			la[i][lo:min(k+60, len(la[i]))], lb[i][lo:min(k+60, len(lb[i]))])
+	}
+	return "images differ in length"
 }

@@ -1,10 +1,12 @@
 package network
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -191,4 +193,71 @@ func BenchmarkNewSimulatorDigraph(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchObservation times one observation of a network between cycles, at
+// the paper's Fig. 4 torus point (16x16, load 0.5, most routers busy) and on
+// the sparse dragonfly (dragonfly(8,4), load 0.01, most routers asleep). The
+// network steps once, untimed, before each observation, so every one reads
+// the state of a new cycle.
+func benchObservation(b *testing.B, observe func(b *testing.B, n *Network)) {
+	for _, pt := range []struct {
+		name string
+		topo topology.Graph
+		load float64
+	}{
+		{"torus16/load0.5", topology.MustTorus(16, 16), 0.5},
+		{"dragonfly8x4/load0.01", topology.MustDragonfly(8, 4), 0.01},
+	} {
+		b.Run(pt.name, func(b *testing.B) {
+			n := stepBenchNet(b, pt.topo, pt.load, true)
+			n.Run(2000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n.Step()
+				b.StartTimer()
+				observe(b, n)
+			}
+		})
+	}
+}
+
+// Sinks keeping the observation benchmarks' results alive.
+var (
+	fingerprintSink [32]byte
+	wfgSink         core.WFGResult
+)
+
+// BenchmarkFingerprint times the state digest.
+func BenchmarkFingerprint(b *testing.B) {
+	benchObservation(b, func(_ *testing.B, n *Network) { fingerprintSink = n.Fingerprint() })
+}
+
+// BenchmarkSnapshotRestore times a snapshot and its restore into a fresh
+// network (built untimed).
+func BenchmarkSnapshotRestore(b *testing.B) {
+	var buf bytes.Buffer
+	benchObservation(b, func(b *testing.B, n *Network) {
+		b.StopTimer()
+		fresh, err := New(n.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		buf.Reset()
+		if err := n.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := fresh.Restore(&buf); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkAnalyzeWFG times the wait-for-graph analysis episode labelling
+// and flight-recorder dumps run over every router.
+func BenchmarkAnalyzeWFG(b *testing.B) {
+	benchObservation(b, func(_ *testing.B, n *Network) { wfgSink = core.AnalyzeWFG(n.Routers()) })
 }

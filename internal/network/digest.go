@@ -17,9 +17,6 @@ import (
 // identically from here on for equal future inputs; the golden-digest suite
 // uses this to pin simulation behavior against a committed golden file.
 func (n *Network) Fingerprint() [32]byte {
-	// Fast-forward routers the active-set scheduler is currently skipping,
-	// so the digest never depends on which scheduler produced the state.
-	n.syncIdle()
 	c := snapshot.NewEncoder(make([]byte, 0, 4096))
 	ctr := n.Counters()
 	ctr.Walk(c)

@@ -194,20 +194,18 @@ type Network struct {
 	stageBuf []router.Transfer
 
 	// Active-set scheduler state (see activeset.go): one bit per router in
-	// actMask, the up-to-date-through cycle for inactive routers in
-	// idleSince. activeSetOff (set only by in-package tests, as the baseline
+	// actMask. activeSetOff (set only by in-package tests, as the baseline
 	// the active set is held to) keeps every bit set so the same loops
 	// degenerate to full scans.
 	actMask      []uint64
-	idleSince    []sim.Cycle
 	activeSetOff bool
 
 	// routerState is the shared struct-of-arrays buffer set every router is
 	// a view over (see router.State).
 	routerState *router.State
 
-	// Reusable scratch for abort-retry recovery, so the steady-state Step
-	// path allocates nothing.
+	// Reusable scratch for recovery and victim removal (distinct,
+	// releaseVictims), so the steady-state Step path allocates nothing.
 	presumedScratch []*packet.Packet
 	victimScratch   []*packet.Packet
 	seenScratch     map[*packet.Packet]bool
@@ -284,7 +282,6 @@ func New(cfg Config) (*Network, error) {
 		nis:         make([]ni, topo.Nodes()),
 		outstanding: make([]int32, topo.Nodes()),
 		actMask:     make([]uint64, (topo.Nodes()+63)/64),
-		idleSince:   make([]sim.Cycle, topo.Nodes()),
 		linkDown:    make(map[[2]int]bool),
 		routerDead:  make([]bool, topo.Nodes()),
 	}
@@ -292,8 +289,8 @@ func New(cfg Config) (*Network, error) {
 		n.setActive(i)
 	}
 	// All routers share one struct-of-arrays state, laid out router-major
-	// (see router.State for the memory map).
-	n.routerState = router.NewState(topo, cfg.Router, cfg.Algorithm, cfg.Selection)
+	// (see router.State for the memory map), timed by the network's clock.
+	n.routerState = router.NewState(topo, cfg.Router, cfg.Algorithm, cfg.Selection, &n.clock)
 	for i := range n.routers {
 		// Each router gets its own RNG split so adaptive-selection draws are
 		// router-local: a router's draws do not depend on which other
@@ -386,13 +383,10 @@ func validRecoveryLane(topo topology.Graph) ([]topology.Node, error) {
 func (n *Network) Topo() topology.Graph { return n.topo }
 
 // Routers exposes the router array for analysis tools (wait-for-graph
-// construction) and tests. Callers must not mutate router state. Routers the
-// active-set scheduler is currently skipping are fast-forwarded first, so
-// introspection always sees the state a never-skipping kernel would have.
-func (n *Network) Routers() []*router.Router {
-	n.syncIdle()
-	return n.routers
-}
+// construction) and tests. Callers must not mutate router state. A router
+// the active-set scheduler is skipping reads exactly as under a
+// never-skipping kernel: what it would evolve is derived from the clock.
+func (n *Network) Routers() []*router.Router { return n.routers }
 
 // Now returns the current simulation cycle.
 func (n *Network) Now() sim.Cycle { return n.clock.Now() }
@@ -521,7 +515,7 @@ func (n *Network) Step() {
 		t := &n.stageBuf[i]
 		router.Commit(t, n)
 		if !t.Dropped && !t.Eject {
-			n.wakeAtCommit(int(t.To.NodeID()), now)
+			n.setActive(int(t.To.NodeID()))
 		}
 	}
 	if profiled {
@@ -575,7 +569,7 @@ func (n *Network) Step() {
 				}
 			}
 		case router.RecoveryAbortRetry:
-			n.killPresumed(now)
+			n.killPresumed()
 		}
 	}
 	if profiled {
@@ -594,7 +588,7 @@ func (n *Network) Step() {
 	}
 
 	// 7. Active-set maintenance: put every fully drained router to sleep.
-	n.deactivateDrained(now)
+	n.deactivateDrained()
 	if profiled {
 		n.prof.lap(phaseActiveSweep, t0)
 		n.prof.observe(phaseStepTotal, time.Since(tStart))
@@ -680,7 +674,7 @@ func (n *Network) generateAndInject(i int, now sim.Cycle) {
 			return // throttled: too many of this node's packets in flight
 		}
 		if r.InjectFlit(head.Flit(0), now) {
-			n.wakeAtInject(i, now)
+			n.setActive(i)
 			q.pop()
 			n.counters.PacketsInjected++
 			n.outstanding[i]++
@@ -694,7 +688,7 @@ func (n *Network) generateAndInject(i int, now sim.Cycle) {
 		return
 	}
 	if r.InjectFlit(q.cur.Flit(q.seq), now) {
-		n.wakeAtInject(i, now)
+		n.setActive(i)
 		q.seq++
 		if q.seq == q.cur.Length {
 			q.cur, q.seq = nil, 0
@@ -744,42 +738,23 @@ func (n *Network) Deliver(fl packet.Flit, at topology.Node) {
 // network, every channel it holds released — and requeued at its source for
 // retransmission. Killed packets pay the latency penalty the paper points
 // out; in exchange no Deadlock Buffer hardware is needed.
-func (n *Network) killPresumed(now sim.Cycle) {
-	victims := n.victimScratch[:0]
-	if n.seenScratch == nil {
-		n.seenScratch = make(map[*packet.Packet]bool)
-	}
-	seen := n.seenScratch
+func (n *Network) killPresumed() {
 	// Only active routers can hold presumed headers (a presumed header is a
-	// buffered flit); the purge below still visits every router, because a
-	// victim can hold channel state (output VC ownership, empty-but-owned
-	// input VCs) on drained, inactive routers too.
+	// buffered flit); the purge still visits every router, because a victim
+	// can hold channel state (output VC ownership, empty-but-owned input
+	// VCs) on drained, inactive routers too.
+	victims := n.victimScratch[:0]
 	hi := len(n.routers)
 	for ri := n.nextActive(0, hi); ri >= 0; ri = n.nextActive(ri+1, hi) {
-		r := n.routers[ri]
-		if r.PresumedHeaders() == 0 {
-			continue
-		}
-		n.presumedScratch = r.PresumedPackets(n.presumedScratch[:0])
-		for _, p := range n.presumedScratch {
-			if !seen[p] {
-				seen[p] = true
-				victims = append(victims, p)
-			}
+		if r := n.routers[ri]; r.PresumedHeaders() != 0 {
+			victims = r.PresumedPackets(victims)
 		}
 	}
-	for _, p := range victims {
+	for _, p := range n.distinct(victims) {
 		if p.FlitsDelivered > 0 {
 			panic(fmt.Sprintf("network: killing %v with delivered flits", p))
 		}
-		for _, r := range n.routers {
-			r.PurgePacket(p)
-		}
-		// Stop any in-progress injection of this packet.
-		q := &n.nis[p.Src]
-		if q.cur == p {
-			q.cur, q.seq = nil, 0
-		}
+		n.purge(p)
 		// Reset routing state for a fresh attempt and requeue at the back
 		// of the source queue (the retransmission delay).
 		p.Hops, p.Misroutes, p.DimReversals = 0, 0, 0
@@ -790,14 +765,49 @@ func (n *Network) killPresumed(now sim.Cycle) {
 		p.Retries++
 		n.outstanding[p.Src]--
 		n.counters.PacketsKilled++
-		q.push(p)
+		n.nis[p.Src].push(p)
 		n.event(telemetry.Kill, p.Src, p.ID)
 	}
-	for p := range seen {
-		delete(seen, p)
+	n.releaseVictims(victims)
+}
+
+// distinct compacts victims in place to its distinct packets, each at its
+// first occurrence, through the reused seenScratch set.
+func (n *Network) distinct(victims []*packet.Packet) []*packet.Packet {
+	if n.seenScratch == nil {
+		n.seenScratch = make(map[*packet.Packet]bool)
 	}
-	for i := range victims {
-		victims[i] = nil
+	out := victims[:0]
+	for _, p := range victims {
+		if !n.seenScratch[p] {
+			n.seenScratch[p] = true
+			out = append(out, p)
+		}
 	}
+	clear(n.seenScratch)
+	return out
+}
+
+// releaseVictims returns the victim buffer (at its collected length) to
+// victimScratch with no packet kept alive by it.
+func (n *Network) releaseVictims(victims []*packet.Packet) {
+	clear(victims)
 	n.victimScratch = victims[:0]
+}
+
+// purge removes every flit of p from every router — input VCs, Deadlock
+// Buffer lanes, and the channel state p holds — and stops its injection
+// stream. It returns the number of flits removed. It is the one way a
+// packet leaves the network other than by delivery: abort-retry kills
+// (killPresumed) and reconfiguration drops (dropVictims) both collect
+// victims, purge each distinct one, then releaseVictims.
+func (n *Network) purge(p *packet.Packet) int {
+	flits := 0
+	for _, r := range n.routers {
+		flits += r.PurgePacket(p) + r.PurgeDB(p)
+	}
+	if q := &n.nis[p.Src]; q.cur == p {
+		q.cur, q.seq = nil, 0
+	}
+	return flits
 }

@@ -302,10 +302,6 @@ func (n *Network) applyMutation(ev *ReconfigEvent) string {
 		ev.Alg = alg.Name()
 	}
 	if ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter {
-		// Parked routers replay their skipped cycles before any state is read
-		// or mutated, so victim scans see exactly what a never-skipping kernel
-		// would.
-		n.syncIdle()
 		n.dropVictims(n.victimsOf(*ev))
 		// Surviving packets still aimed at a dying link re-route next cycle.
 		n.eachEnd(ev.Node, ports, (*router.Router).ReleaseGrants)
@@ -531,26 +527,12 @@ func (n *Network) afterTopologyChange() {
 
 // dropVictims drops each distinct packet in victims (the list may contain
 // duplicates — a packet can be a victim at both endpoints of a link) and
-// returns the scratch buffers to their pools.
+// returns the buffer to victimScratch.
 func (n *Network) dropVictims(victims []*packet.Packet) {
-	if n.seenScratch == nil {
-		n.seenScratch = make(map[*packet.Packet]bool)
-	}
-	seen := n.seenScratch
-	for _, p := range victims {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
+	for _, p := range n.distinct(victims) {
 		n.dropPacket(p)
 	}
-	for p := range seen {
-		delete(seen, p)
-	}
-	for i := range victims {
-		victims[i] = nil
-	}
-	n.victimScratch = victims[:0]
+	n.releaseVictims(victims)
 }
 
 // dropPacket removes every trace of p from the network — input VCs, output
@@ -562,16 +544,8 @@ func (n *Network) dropVictims(victims []*packet.Packet) {
 // not retransmitted, and partial delivery is tolerated: a packet whose head
 // already reached its destination simply never delivers its tail.
 func (n *Network) dropPacket(p *packet.Packet) {
-	flits := 0
-	for _, r := range n.routers {
-		flits += r.PurgePacket(p)
-		flits += r.PurgeDB(p)
-	}
-	q := &n.nis[p.Src]
-	if q.cur == p {
-		q.cur, q.seq = nil, 0
-	}
-	q.remove(p)
+	flits := n.purge(p)
+	n.nis[p.Src].remove(p)
 	if n.token != nil {
 		n.token.Drop(p)
 	}

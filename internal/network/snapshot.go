@@ -32,15 +32,12 @@ const (
 // replay above has already reproduced their effect.
 //
 // The encoding is deterministic: networks in the same state produce
-// identical bytes, whichever scan path got them there. Restoring it into a
+// identical bytes, whichever scan path got them there (activation is
+// rebuilt from the restored state, never serialized). Restoring it into a
 // freshly built Network with the identical Config reproduces the exact
 // Fingerprint at every subsequent cycle, which is the property the
 // checkpoint/resume machinery in internal/harness is built on.
 func (n *Network) Snapshot(w io.Writer) error {
-	// Bring skipped routers up to the current cycle first: the snapshot then
-	// carries no trace of the active-set scheduler (activation is rebuilt
-	// from the restored state, never serialized).
-	n.syncIdle()
 	var enc snapshot.Codec
 	if err := n.walkState(&enc); err != nil {
 		return err

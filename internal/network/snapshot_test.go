@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"os"
 	"runtime/debug"
 	"strings"
@@ -369,13 +370,78 @@ func pbpFuzzConfig() Config {
 // follows the crossbar section has a fixed size, so the offset is counted
 // from the end and holds for any buffer occupancy.
 func lastRouterCrossbar(cfg Config, payload []byte) int {
+	return lastRouterArbOffset(cfg, payload) - cfg.Topo.Degree()*34
+}
+
+// lastRouterArbOffset returns the payload offset of the last router's VC
+// arbitration offset, the field after its crossbar records.
+func lastRouterArbOffset(cfg Config, payload []byte) int {
 	deg := cfg.Topo.Degree()
 	rc := cfg.Router
 	blocked := max(rc.VCs, rc.InjectionVCs)
-	// vcArbOff, swArbOff[deg+1], effTout, decayCount, 9 stats, blockedByVC,
-	// lastBlocked, lastPresumed, RNG.
+	// VC arbitration offset, swArbOff[deg+1], effective T_out, decay count,
+	// 9 stats, blockedByVC, blocked and presumed gauges, RNG.
 	trailer := 8 + 8*(deg+1) + 8 + 8 + 9*8 + 8*blocked + 8 + 8 + 32
-	return len(payload) - trailer - deg*34
+	return len(payload) - trailer
+}
+
+// clockSeed is the committed FuzzSnapshotRestore seed holding
+// TestSnapshotRefusesValuesOffTheClock's edited offset.
+const clockSeed = "testdata/fuzz/FuzzSnapshotRestore/vc-arbitration-offset-off-the-clock"
+
+// TestSnapshotRefusesValuesOffTheClock edits, in a real snapshot, a router
+// field that is a function of the clock — the VC arbitration offset, and
+// under the adaptive time-out the decay count — to a value in its range
+// that disagrees with the snapshot's cycle. Restore must refuse it, not
+// resume a run no clock could have produced. The edited offset is also a
+// FuzzSnapshotRestore seed (its first configuration; rewrite it with
+// -update-snapshot).
+func TestSnapshotRefusesValuesOffTheClock(t *testing.T) {
+	fuzzCfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
+	fuzzCfg.Router.Timeout = 4
+	adaptive := fuzzCfg
+	adaptive.Router.AdaptiveTimeout = true
+	rc := mustNet(t, fuzzCfg).cfg.Router
+	stride := int64(fuzzCfg.Topo.Degree()*rc.VCs + rc.InjectionVCs)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		field  int // bytes past the VC arbitration offset
+		modulo int64
+	}{
+		{"VC arbitration offset", fuzzCfg, 0, stride},
+		{"adaptive decay count", adaptive, 8 + 8*(fuzzCfg.Topo.Degree()+1) + 8, 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, data := takeSnapshot(t, tc.cfg, 150)
+			payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := lastRouterArbOffset(tc.cfg, payload) + tc.field
+			mut := bytes.Clone(payload)
+			v := int64(binary.LittleEndian.Uint64(mut[at:]))
+			binary.LittleEndian.PutUint64(mut[at:], uint64((v+1)%tc.modulo))
+			edited := snapshot.Seal(snapshotMagic, snapshotVersion, mut)
+			err = restoreAndStep(t, tc.cfg, edited)
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("restore of a %s off the clock: %v, want a %s error", tc.name, err, tc.name)
+			}
+			if tc.field != 0 {
+				return
+			}
+			if *updateSnapshot {
+				seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte('\\x00')\n", edited)
+				if err := os.WriteFile(clockSeed, []byte(seed), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seed, err := os.ReadFile(clockSeed)
+			if err != nil || !bytes.Contains(seed, []byte(fmt.Sprintf("%q", edited))) {
+				t.Fatalf("%s is not this edited snapshot (rewrite it with -update-snapshot): %v", clockSeed, err)
+			}
+		})
+	}
 }
 
 // TestSnapshotRejectsHostileCrossbarVC re-seals a packet-by-packet snapshot

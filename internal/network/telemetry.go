@@ -101,13 +101,10 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 				reg.CounterFunc(row.metric, row.help, node, func() int64 { return row.perRouter(r.Stats()) })
 			}
 		}
-		// The gauges catch their router up first: the registry may be
-		// rendered on a cycle that did not sync every skipped router.
-		i := int(r.NodeID())
 		reg.GaugeFunc("disha_blocked_headers", "Headers that failed to advance last cycle.", node,
-			func() float64 { n.syncRouter(i); return float64(r.BlockedHeaders()) })
+			func() float64 { return float64(r.BlockedHeaders()) })
 		reg.GaugeFunc("disha_presumed_headers", "Headers currently past T_out (presumed deadlocked).", node,
-			func() float64 { n.syncRouter(i); return float64(r.PresumedHeaders()) })
+			func() float64 { return float64(r.PresumedHeaders()) })
 		reg.GaugeFunc("disha_db_occupancy", "Flits currently in the Deadlock Buffer lane(s).", node,
 			func() float64 { return float64(r.DBOccupancy()) })
 		for v := 0; v < n.cfg.Router.VCs; v++ {
@@ -167,12 +164,12 @@ func (n *Network) registerProbes(s *telemetry.Sampler) {
 // cycle presumed a new deadlock (throttled by the recorder's cooldown), and
 // fires the sampler on its period.
 //
-// It runs before the deactivation sweep, so every router that ran this cycle
-// is still active, and an inactive one missed at least this cycle's timer
-// pass: caught up, it reads 0 blocked, 0 presumed and (drained) 0 Deadlock
-// Buffer flits, which is the frame's "absent". The frame therefore walks the
-// active set, and the skipped routers are fast-forwarded (syncIdle, O(nodes))
-// only on cycles whose readers see every router: a snapshot or a sample.
+// It runs after the timer phase and before the deactivation sweep, so every
+// router that ran this cycle is still active, and an inactive one missed
+// this cycle's timer pass: it reads 0 blocked, 0 presumed and (drained) 0
+// Deadlock Buffer flits, which is the frame's "absent". The frame therefore
+// walks the active set; the snapshot and the sampled probes read every
+// router.
 func (n *Network) telemetryTick(now sim.Cycle) {
 	h := n.tel
 	if rec := h.Recorder; rec != nil {
@@ -189,7 +186,6 @@ func (n *Network) telemetryTick(now sim.Cycle) {
 			})
 		}
 		if node, pkt, ok := h.TakeTrigger(); ok && rec.ShouldSnapshot(int64(now)) {
-			n.syncIdle()
 			snap := n.buildSnapshot(now, node, pkt)
 			rec.AddSnapshot(snap)
 			if h.Writer != nil {
@@ -200,7 +196,6 @@ func (n *Network) telemetryTick(now sim.Cycle) {
 		h.TakeTrigger() // keep the trigger from going stale
 	}
 	if s := h.Sampler; s != nil && s.Due(int64(now)) {
-		n.syncIdle() // the probes total every router
 		s.Sample(int64(now))
 		h.Registry.Publish()
 	}
@@ -219,9 +214,6 @@ func (n *Network) labelEpisodes(now sim.Cycle) {
 	if !ep.HasPending() {
 		return
 	}
-	// The analyzer walks every router; fast-forward the ones the
-	// active-set scheduler is skipping so it sees canonical state.
-	n.syncIdle()
 	w := core.AnalyzeWFG(n.routers)
 	n.wfgCache, n.wfgCacheAt, n.wfgCacheOK = w, now, true
 	ep.LabelPending(w.TrueDeadlock(), w.DeadlockedIDs())

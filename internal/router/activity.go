@@ -2,15 +2,34 @@ package router
 
 import "repro/internal/sim"
 
-// Activity reporting and idle catch-up for the network's active-set
-// scheduler (internal/network). The paper's own premise motivates it:
-// deadlock is rare because at realistic loads most routers are idle most
-// cycles, so the step kernel skips fully drained routers entirely. Skipping
-// is only legal because an idle router's per-cycle state evolution is tiny
-// and closed-form: everything a drained router would have done under the
-// full per-cycle scan is reproduced exactly by CatchUpIdle, so digests and
-// snapshots are byte-identical to a kernel that never skips (the golden
-// conformance suite enforces this).
+// Activity reporting for the network's active-set scheduler
+// (internal/network), and the state an idle router would evolve, derived
+// from the clock. The paper's own premise motivates the scheduler: deadlock
+// is rare because at realistic loads most routers are idle most cycles, so
+// the step kernel skips fully drained routers entirely. A skipped router is
+// frozen — nothing about it is written while it sleeps — because everything
+// a drained router's passes change under the full per-cycle scan is a
+// function of the clock, read on demand:
+//
+//   - the VC-allocation priority offset StageRouting starts from in cycle now
+//     is (now-1) mod stride (vcArbOffset): the full scan rotates it by one
+//     every cycle from 0;
+//   - under AdaptiveTimeout the decay count is now mod 256, so the effective
+//     T_out steps back toward the base once per multiple of 256 cycles: the
+//     stored value, as of the router's last timer pass (State.tickedAt),
+//     less the multiples passed since, floored at the base (effTimeoutAt);
+//   - the blocked/presumed gauges are those of the last timer pass if it ran
+//     in the current cycle, else 0 (an empty router blocks nothing).
+//
+// The rule is exact between cycles and after the timer phase, which is where
+// every reader runs. Digests and snapshots write the derived values, so they
+// are byte-identical to a kernel that never skips (the golden conformance
+// suite enforces this), and a decoded snapshot whose offset or decay count
+// disagrees with its clock is refused.
+
+// decayEpoch is the adaptive T_out's decay period: one step back toward
+// the configured base per multiple of it.
+const decayEpoch = 256
 
 // FlitCount returns the number of flits buffered anywhere in the router —
 // input VCs and Deadlock Buffer lanes. It is maintained incrementally at
@@ -36,43 +55,26 @@ func (r *Router) CrossbarIdle() bool {
 	return true
 }
 
-// CatchUpIdle fast-forwards the state a fully drained router evolves while
-// skipped by the active-set scheduler, as if StageRouting had run for
-// stageCycles cycles and TickTimers for timerCycles cycles on an empty
-// router. On such a router those passes change exactly three things, all
-// with closed forms:
-//
-//   - StageRouting unconditionally rotates the VC-allocation priority
-//     offset by one per cycle;
-//   - TickTimers, under AdaptiveTimeout, counts decay ticks and steps the
-//     effective time-out back toward the configured base every 256 ticks;
-//   - TickTimers recomputes the blocked/presumed telemetry gauges, which on
-//     an empty router is zero after the first skipped pass.
-//
-// Everything else an empty router touches in those passes is provably a
-// no-op (empty buffers stage nothing, win no arbitration, and advance no
-// switch offsets). The two cycle counts differ at wake-up because a router
-// woken by a mid-cycle flit arrival has already missed the cycle's staging
-// pass but still runs its timer pass live.
-func (r *Router) CatchUpIdle(stageCycles, timerCycles int) {
+// vcArbOffset returns the VC-allocation priority offset as of the end of
+// cycle now: StageRouting in cycle now starts from vcArbOffset(now-1).
+func (s *State) vcArbOffset(now sim.Cycle) int { return int(now % sim.Cycle(s.stride)) }
+
+// effTimeoutAt returns the router's effective T_out as of the end of cycle
+// now (no earlier than its last timer pass): the stored value less one per
+// decay epoch begun since that pass, never below the configured base.
+// Without AdaptiveTimeout the stored value is the base.
+func (r *Router) effTimeoutAt(now sim.Cycle) sim.Cycle {
 	s := r.st
-	if stageCycles > 0 {
-		s.vcArbOff[r.node] = int32((int(s.vcArbOff[r.node]) + stageCycles) % max(s.stride, 1))
+	e := s.effTout[r.node]
+	decays := now/decayEpoch - s.tickedAt[r.node]/decayEpoch
+	return max(e-decays, min(e, s.cfg.Timeout))
+}
+
+// gauge returns router r's entry of a timer-pass gauge: its value if the
+// last timer pass ran this cycle, else 0.
+func (r *Router) gauge(g []int32) int {
+	if r.st.tickedAt[r.node] < r.st.clock.Now() {
+		return 0
 	}
-	if timerCycles > 0 {
-		if s.cfg.AdaptiveTimeout {
-			ticks := int(s.decayCount[r.node]) + timerCycles
-			decays := ticks / 256
-			s.decayCount[r.node] = int32(ticks % 256)
-			if over := s.effTout[r.node] - s.cfg.Timeout; over > 0 {
-				if int64(decays) < int64(over) {
-					s.effTout[r.node] -= sim.Cycle(decays)
-				} else {
-					s.effTout[r.node] = s.cfg.Timeout
-				}
-			}
-		}
-		s.lastBlocked[r.node] = 0
-		s.lastPresumed[r.node] = 0
-	}
+	return int(g[r.node])
 }

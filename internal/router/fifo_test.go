@@ -18,7 +18,7 @@ func ringState(t *testing.T, cfg Config) (*State, topology.Topology) {
 		t.Fatal(err)
 	}
 	topo := topology.MustTorus(4, 4)
-	return NewState(topo, cfg, nil, nil), topo
+	return NewState(topo, cfg, nil, nil, new(sim.Clock)), topo
 }
 
 func TestRingBasics(t *testing.T) {
@@ -175,7 +175,7 @@ func TestPortVCInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.MustTorus(4, 4)
-	r := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1))
+	r := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))
 	l := 0
 	for p := 0; p <= topo.Degree(); p++ {
 		for v := 0; v < r.InputVCCount(p); v++ {
@@ -200,7 +200,7 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	r := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1))
+	r := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))
 	if err := r.CheckState(); err != nil {
 		t.Fatalf("fresh router fails CheckState: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		func(s *State) { s.cxSaved[0], s.cxSavedPort[0], s.cxSavedVC[0] = true, 1, 1<<20 },
 	}
 	for i, corrupt := range corruptions {
-		rc := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1))
+		rc := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))
 		corrupt(rc.st)
 		if err := rc.CheckState(); err == nil {
 			t.Errorf("corruption %d not caught by CheckState", i)

@@ -34,8 +34,8 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 
 	step := func() []Transfer {
 		xfers := r.StageSwitch(nil)
-		b.now++
-		ResolveDB(xfers, b.now)
+		b.clock.Tick()
+		ResolveDB(xfers, b.clock.Now())
 		for i := range xfers {
 			Commit(&xfers[i], b)
 		}
@@ -135,8 +135,8 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	// flit must flow every cycle while somebody can send).
 	for i := 0; i < 2; i++ {
 		xfers := r.StageSwitch(nil)
-		b.now++
-		ResolveDB(xfers, b.now)
+		b.clock.Tick()
+		ResolveDB(xfers, b.clock.Now())
 		sentB := false
 		for _, tr := range xfers {
 			if tr.To != nil && tr.OutPort == q && tr.FromPort == 2 {

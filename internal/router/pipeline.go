@@ -290,25 +290,6 @@ func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
 
 // --- Deadlock detection & recovery ---------------------------------------------
 
-// tickDecay returns the timeout in force this cycle and, under
-// AdaptiveTimeout, applies the slow decay of the self-tuned T_out back
-// toward the configured base.
-func (r *Router) tickDecay() sim.Cycle {
-	s := r.st
-	tout := s.cfg.Timeout
-	if s.cfg.AdaptiveTimeout {
-		tout = s.effTout[r.node]
-		s.decayCount[r.node]++
-		if s.decayCount[r.node] >= 256 {
-			s.decayCount[r.node] = 0
-			if s.effTout[r.node] > s.cfg.Timeout {
-				s.effTout[r.node]--
-			}
-		}
-	}
-	return tout
-}
-
 // tickSlot advances the deadlock timer of the input VC at global slot i =
 // inIdx(p, v) and clears its per-cycle sent marker, returning 1 if its
 // header newly crossed T_out. TickTimers calls it on the slots of mTim ∨

@@ -25,13 +25,12 @@ import "math/bits"
 // every input VC whose head flit is an unrouted header. Grants take effect
 // immediately in router-local state (output VC ownership), so later headers
 // in the same cycle see them; the rotating start offset keeps this fair.
-// It walks mHdr from the offset: the rotating order over every slot,
-// restricted to the only slots routeSlot can act on; routeSlot changes no
-// slot's mHdr bit.
+// It walks mHdr from the offset, (now-1) mod stride in cycle now: the
+// rotating order over every slot, restricted to the only slots routeSlot can
+// act on; routeSlot changes no slot's mHdr bit.
 func (r *Router) StageRouting() {
 	s := r.st
-	off := int(s.vcArbOff[r.node])
-	s.vcArbOff[r.node] = int32((off + 1) % s.stride)
+	off := s.vcArbOffset(s.clock.Now() - 1)
 	hdr := r.maskOf(mHdr)
 	for l := rotFirst(hdr, off); l >= 0; l = rotNext(hdr, l, off) {
 		if i := r.in0 + l; s.inRoute[i] == PortUnrouted {
@@ -205,7 +204,10 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 // touches only router-local state. As a side effect it refreshes the
 // router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
 // per-VC blocked-cycle counters) — the loop already touches every input VC
-// that can block, so the extra cost is a few adds.
+// that can block, so the extra cost is a few adds — and stamps the pass's
+// cycle (tickedAt), as of which the gauges and the stored effective T_out
+// hold. Under AdaptiveTimeout the pass runs at the T_out in force before
+// this cycle's decay, if the cycle is a multiple of 256.
 //
 // It ticks mTim ∨ mHdr, in ascending slot order: a slot with its timer
 // clear and no header at its ring head cannot start timing, and tickSlot
@@ -215,7 +217,12 @@ func (r *Router) TickTimers() int {
 	s := r.st
 	newly := 0
 	blocked, presumed := 0, 0
-	tout := r.tickDecay()
+	now, tout := s.clock.Now(), s.cfg.Timeout
+	if s.cfg.AdaptiveTimeout {
+		tout = r.effTimeoutAt(now - 1)
+		s.effTout[r.node] = r.effTimeoutAt(now)
+	}
+	s.tickedAt[r.node] = now
 	tim, hdr, sent := r.maskOf(mTim), r.maskOf(mHdr), r.maskOf(mSent)
 	for j := range tim {
 		for word := tim[j] | hdr[j]; word != 0; word &= word - 1 {

@@ -165,10 +165,9 @@ func (r *Router) RefreshDBRoutes() {
 // header, busy the count of input VCs granted to the Deadlock Buffer lane
 // plus DB lane flits and unreleased lane ownerships. Zero for both,
 // network-wide, means no packet is presumed deadlocked and the recovery
-// lane has fully drained — the chaos runner's reconvergence condition. The
-// buffered state this reads is exact even for routers the active-set
-// scheduler has parked (only timers and arbitration offsets lag), so the
-// caller needs no syncIdle.
+// lane has fully drained — the chaos runner's reconvergence condition. It
+// reads buffered state only, which a router the active-set scheduler has
+// parked holds exactly as under the full scan.
 func (r *Router) RecoveryBusy() (presumed, busy int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {

@@ -87,7 +87,7 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	for i := 0; i < int(cfg.Timeout)+2; i++ {
 		b.step()
 	}
-	if got := r.RecoverPresumed(b.now, nil); len(got) != 1 {
+	if got := r.RecoverPresumed(b.clock.Now(), nil); len(got) != 1 {
 		t.Fatalf("RecoverPresumed = %d packets, want 1", len(got))
 	}
 	if !p.OnDB || p.SeizedToken {

@@ -146,15 +146,16 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 }
 
 // New constructs a standalone router for node over a State of its own
-// (cfg already normalized). Tests and single-router tools use it; a network
-// shares one State across all routers via NewState + NewWithState instead.
-func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, rng *sim.RNG) *Router {
-	return NewWithState(node, rng, NewState(topo, cfg, alg, sel))
+// (cfg already normalized), timed by clock. Tests and single-router tools
+// use it; a network shares one State across all routers via NewState +
+// NewWithState instead.
+func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, rng *sim.RNG, clock *sim.Clock) *Router {
+	return NewWithState(node, rng, NewState(topo, cfg, alg, sel, clock))
 }
 
 // EffectiveTimeout returns the router's current deadlock time-out: the
 // configured T_out, or the self-tuned value under AdaptiveTimeout.
-func (r *Router) EffectiveTimeout() sim.Cycle { return r.st.effTout[r.node] }
+func (r *Router) EffectiveTimeout() sim.Cycle { return r.effTimeoutAt(r.st.clock.Now()) }
 
 // Connect wires the neighbor reached through the given output port. The
 // network calls it for both directions of every link.
@@ -180,13 +181,15 @@ func (r *Router) NodeID() topology.Node { return r.node }
 // Stats returns a copy of the router's event counters.
 func (r *Router) Stats() Stats { return r.stats }
 
-// BlockedHeaders returns how many headers failed to advance during the most
-// recent TickTimers pass (a live congestion gauge).
-func (r *Router) BlockedHeaders() int { return int(r.st.lastBlocked[r.node]) }
+// BlockedHeaders returns how many headers failed to advance during this
+// cycle's TickTimers pass, 0 if the router's pass did not run this cycle (a
+// live congestion gauge).
+func (r *Router) BlockedHeaders() int { return r.gauge(r.st.lastBlocked) }
 
 // PresumedHeaders returns how many headers were in the presumed-deadlocked
-// state during the most recent TickTimers pass.
-func (r *Router) PresumedHeaders() int { return int(r.st.lastPresumed[r.node]) }
+// state during this cycle's TickTimers pass, 0 if the router's pass did not
+// run this cycle.
+func (r *Router) PresumedHeaders() int { return r.gauge(r.st.lastPresumed) }
 
 // BlockedCyclesVC returns the cumulative header-blocked cycles charged to
 // the given VC index (summed over all input ports).

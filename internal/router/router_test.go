@@ -14,7 +14,7 @@ import (
 type testBench struct {
 	topo      topology.Topology
 	routers   []*Router
-	now       sim.Cycle
+	clock     sim.Clock
 	delivered []packet.Flit
 	deliverAt []topology.Node
 }
@@ -27,7 +27,7 @@ func newBench(t *testing.T, topo topology.Topology, cfg Config, alg routing.Algo
 	rng := sim.NewRNG(1)
 	b := &testBench{topo: topo}
 	for i := 0; i < topo.Nodes(); i++ {
-		b.routers = append(b.routers, New(topology.Node(i), topo, cfg, alg, routing.Random(), rng))
+		b.routers = append(b.routers, New(topology.Node(i), topo, cfg, alg, routing.Random(), rng, &b.clock))
 	}
 	for i, r := range b.routers {
 		for p := 0; p < topo.Degree(); p++ {
@@ -47,12 +47,12 @@ func (b *testBench) Deliver(fl packet.Flit, at topology.Node) {
 		fl.Pkt.HeaderArrived = true
 	}
 	if fl.IsTail() {
-		fl.Pkt.DeliveredAt = b.now
+		fl.Pkt.DeliveredAt = b.clock.Now()
 	}
 }
 
 func (b *testBench) step() {
-	b.now++
+	b.clock.Tick()
 	for _, r := range b.routers {
 		r.StageRouting()
 	}
@@ -60,7 +60,7 @@ func (b *testBench) step() {
 	for _, r := range b.routers {
 		xfers = r.StageSwitch(xfers)
 	}
-	ResolveDB(xfers, b.now)
+	ResolveDB(xfers, b.clock.Now())
 	for i := range xfers {
 		Commit(&xfers[i], b)
 	}
@@ -76,7 +76,7 @@ func (b *testBench) injectAndRun(t *testing.T, p *packet.Packet, cycles int) {
 	seq := 0
 	for i := 0; i < cycles; i++ {
 		if seq < p.Length {
-			if b.routers[p.Src].InjectFlit(p.Flit(seq), b.now) {
+			if b.routers[p.Src].InjectFlit(p.Flit(seq), b.clock.Now()) {
 				seq++
 			}
 		}
@@ -219,7 +219,7 @@ func TestTimersAndMostStarved(t *testing.T) {
 	}
 	for i := 0; i < 6+int(cfg.Timeout); i++ {
 		if seq := i + 1; seq < p.Length {
-			r0.InjectFlit(p.Flit(seq), b.now)
+			r0.InjectFlit(p.Flit(seq), b.clock.Now())
 		}
 		b.step()
 	}
@@ -239,8 +239,8 @@ func TestTimersAndMostStarved(t *testing.T) {
 	}
 
 	// Recovery: the packet switches to the DB lane toward +X.
-	got := r1.Recover(port, vc, b.now)
-	if got != p || !p.OnDB || !p.SeizedToken || p.RecoveredAt != b.now {
+	got := r1.Recover(port, vc, b.clock.Now())
+	if got != p || !p.OnDB || !p.SeizedToken || p.RecoveredAt != b.clock.Now() {
 		t.Fatalf("recover state wrong: %+v", p)
 	}
 	route, outVC := r1.InputRoute(port, vc)
@@ -272,7 +272,7 @@ func TestFalseDeadlockPresumptionClears(t *testing.T) {
 	b.routers[0].InjectFlit(p.Flit(0), 0)
 	for i := 0; i < 6+int(cfg.Timeout); i++ {
 		if seq := i + 1; seq < p.Length {
-			b.routers[0].InjectFlit(p.Flit(seq), b.now)
+			b.routers[0].InjectFlit(p.Flit(seq), b.clock.Now())
 		}
 		b.step()
 	}
@@ -381,5 +381,35 @@ func TestRouterStringAndAccessors(t *testing.T) {
 	}
 	if r.DBOccupancy() != 0 || r.DBOwner() != nil {
 		t.Fatal("fresh DB state wrong")
+	}
+}
+
+// TestAdaptiveTimeoutDecaysOnEpochs pins the adaptive T_out's decay to the
+// cycles that are multiples of 256, one step each, down to the base — for
+// a router whose timer pass runs every cycle and for one that never runs
+// it (a sleeping router), whose effective T_out is derived from the clock.
+func TestAdaptiveTimeoutDecaysOnEpochs(t *testing.T) {
+	cfg := Default()
+	cfg.AdaptiveTimeout = true
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	topo := topology.MustTorus(4, 4)
+	var clock sim.Clock
+	ticking := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), &clock)
+	sleeping := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), &clock)
+	for _, r := range []*Router{ticking, sleeping} {
+		r.st.effTout[0] = cfg.Timeout + 3
+	}
+	for now := sim.Cycle(1); now <= 1100; now++ {
+		clock.Tick()
+		ticking.TickTimers()
+		want := cfg.Timeout + 3 - min(now/decayEpoch, 3)
+		if got := ticking.EffectiveTimeout(); got != want {
+			t.Fatalf("cycle %d: ticking router's T_out %d, want %d", now, got, want)
+		}
+		if got := sleeping.EffectiveTimeout(); got != want {
+			t.Fatalf("cycle %d: sleeping router's T_out %d, want %d", now, got, want)
+		}
 	}
 }

@@ -51,6 +51,9 @@ func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 // with it, so a field cannot be written without being read back, hashed and
 // range-checked — each check sits on the line of the field it guards, so
 // corrupt input yields an error, never a panic. Packets are stored as IDs.
+// The clock-derived values (activity.go) are written as of the current
+// cycle: a decoder refuses an offset or decay count that disagrees with the
+// restored clock, and stamps the timer pass's values with it.
 // The walk follows the logical (port, vc) order and each ring's logical
 // head-to-tail order, never the physical SoA layout (ring head positions,
 // flat slot indices), so the bytes are layout-invariant; a decoded ring is
@@ -67,6 +70,7 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	}
 
 	c.Expect(int64(r.node), "router node")
+	now := s.clock.Now()
 	dbLanes := max(s.lanes, 1) // lane 0 is the resting value with no DB at all
 	if dec {
 		s.flitCount[r.node] = 0
@@ -113,12 +117,17 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 		snapshot.Range(c, &s.cxSavedPort[i], snapshot.In(0, s.deg+1, "saved crossbar port"))
 		snapshot.Range(c, &s.cxSavedVC[i], snapshot.In(0, s.inVCCount(int(s.cxSavedPort[i])), "saved crossbar VC"))
 	}
-	snapshot.Range(c, &s.vcArbOff[r.node], snapshot.In(0, s.stride, "VC arbitration offset"))
+	c.Expect(int64(s.vcArbOffset(now)), "VC arbitration offset")
 	for q := 0; q <= s.deg; q++ {
 		snapshot.Range(c, &s.swArbOff[r.swIdx(q)], snapshot.In(0, s.stride, "switch arbitration offset"))
 	}
-	snapshot.Int(c, &s.effTout[r.node])
-	snapshot.Int(c, &s.decayCount[r.node])
+	tout := r.effTimeoutAt(now)
+	snapshot.Int(c, &tout)
+	decayCount := int64(0)
+	if s.cfg.AdaptiveTimeout {
+		decayCount = int64(now % decayEpoch)
+	}
+	c.Expect(decayCount, "adaptive decay count")
 	c.I64(&r.stats.TimeoutEvents)
 	c.I64(&r.stats.FalseDetections)
 	c.I64(&r.stats.Recoveries)
@@ -131,8 +140,13 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	for i := range r.blockedByVC {
 		c.I64(&r.blockedByVC[i])
 	}
-	snapshot.Int(c, &s.lastBlocked[r.node])
-	snapshot.Int(c, &s.lastPresumed[r.node])
+	blocked, presumed := int32(r.BlockedHeaders()), int32(r.PresumedHeaders())
+	snapshot.Int(c, &blocked)
+	snapshot.Int(c, &presumed)
+	if dec {
+		s.effTout[r.node], s.lastBlocked[r.node], s.lastPresumed[r.node] = tout, blocked, presumed
+		s.tickedAt[r.node] = now
+	}
 }
 
 // walkFifo codes ring i of q, head to tail. Decoding drains the ring first

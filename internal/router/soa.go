@@ -13,7 +13,8 @@ import (
 // State is everything the routers of one network share: the network-wide
 // facts — topology, router configuration, the installed routing and
 // selection functions, the Deadlock Buffer lane table, the recovery-order
-// positions, the timeout observer — each stored once, and the hot per-cycle
+// positions, the timeout observer, the network's clock — each stored once,
+// and the hot per-cycle
 // microarchitectural state of every router as flat struct-of-arrays buffers
 // indexed by (router, port, vc). A Router is a view over its slice of the
 // buffers, so route compute, switch allocation and the deadlock-timer phase
@@ -50,8 +51,10 @@ import (
 //	             DeadlockBufferDepth-flit ring set db.
 //	crossbar     deg packet-by-packet connections per router (cxInPort,
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
-//	per router   vcArbOff, swArbOff (deg+1 per router), flitCount, effTout,
-//	             decayCount, lastBlocked, lastPresumed.
+//	per router   swArbOff (deg+1 per router), flitCount, and the timer
+//	             pass's effTout, lastBlocked, lastPresumed and tickedAt (see
+//	             activity.go: the VC arbitration offset and the adaptive
+//	             decay count are functions of the clock, not stored).
 //	scratch      outMask ((deg+1)*w words): one router's per-output
 //	             candidate masks, valid only inside its StageSwitch.
 //
@@ -80,6 +83,9 @@ type State struct {
 	// onTimeout, when set via SetOnTimeout, observes every newly presumed
 	// header. TickTimers buffers them per router; FlushTimeouts drains them.
 	onTimeout func(topology.Node, *packet.Packet)
+	// clock is the network's one clock: the phases and the readers of the
+	// clock-derived state (activity.go) take the current cycle from it.
+	clock *sim.Clock
 
 	nodes  int
 	deg    int
@@ -124,13 +130,12 @@ type State struct {
 	cxSavedVC   []int32
 
 	// Per-router scalars, nodes slots (swArbOff: nodes*(deg+1)).
-	vcArbOff     []int32
 	swArbOff     []int32
 	flitCount    []int32
 	effTout      []sim.Cycle
-	decayCount   []int32
 	lastBlocked  []int32
 	lastPresumed []int32
+	tickedAt     []sim.Cycle // the cycle of the router's last TickTimers
 
 	// Switch-allocation scratch, rebuilt by indexOutputs at the start of
 	// every StageSwitch and dead after it; staging is serial, so one serves
@@ -157,9 +162,9 @@ type portVC struct{ port, vc int32 }
 
 // NewState builds the shared state for every router of a network on topo:
 // cfg (already normalized), the routing and selection functions all routers
-// run, and the struct-of-arrays buffers. The network constructs one State
-// and a NewWithState view per node.
-func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection) *State {
+// run, the clock the network advances, and the struct-of-arrays buffers. The
+// network constructs one State and a NewWithState view per node.
+func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, clock *sim.Clock) *State {
 	nodes, deg := topo.Nodes(), topo.Degree()
 	lanes := 0
 	if cfg.DeadlockBufferDepth > 0 {
@@ -175,6 +180,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 		cfg:    cfg,
 		alg:    alg,
 		sel:    sel,
+		clock:  clock,
 		nodes:  nodes,
 		deg:    deg,
 		lanes:  lanes,
@@ -233,13 +239,12 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	for i := range s.cxInPort {
 		s.cxInPort[i] = connNone
 	}
-	s.vcArbOff = make([]int32, nodes)
 	s.swArbOff = make([]int32, nodes*(deg+1))
 	s.flitCount = make([]int32, nodes)
 	s.effTout = make([]sim.Cycle, nodes)
-	s.decayCount = make([]int32, nodes)
 	s.lastBlocked = make([]int32, nodes)
 	s.lastPresumed = make([]int32, nodes)
+	s.tickedAt = make([]sim.Cycle, nodes)
 	for i := range s.effTout {
 		s.effTout[i] = cfg.Timeout
 	}
