@@ -32,18 +32,18 @@ func DORLane(topo topology.Topology) LaneRouting {
 // in increasing order, so the table is deterministic. It is the only lane-
 // table construction: BFSLaneTable runs it over a whole graph, and
 // internal/network over the links still live after a reconfiguration.
-func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int32 {
+func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int16 {
 	// Resolve every link once: the per-destination passes below then scan
 	// flat arrays instead of calling out nodes times per link.
 	nbr := make([]int32, nodes*deg) // -1 where link reports none
-	back := make([]int32, nodes*deg)
+	back := make([]int16, nodes*deg)
 	for i := range nbr {
 		nbr[i] = -1
 		if nb, rev, ok := link(topology.Node(i/deg), i%deg); ok {
-			nbr[i], back[i] = int32(nb), int32(rev)
+			nbr[i], back[i] = int32(nb), int16(rev)
 		}
 	}
-	table := make([]int32, nodes*nodes)
+	table := make([]int16, nodes*nodes)
 	for i := range table {
 		table[i] = -1
 	}
@@ -71,7 +71,7 @@ func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topo
 // BFSLaneTable is BFSLaneTableOver on every paired link of g: the recovery
 // lane of a topology without cube coordinates. It builds a fresh table;
 // BFSLane is the one a digraph keeps.
-func BFSLaneTable(g topology.Graph) []int32 {
+func BFSLaneTable(g topology.Graph) []int16 {
 	return BFSLaneTableOver(g.Nodes(), g.Degree(), func(v topology.Node, p int) (topology.Node, int, bool) {
 		nb, ok := g.Neighbor(v, p)
 		if !ok {
@@ -84,15 +84,15 @@ func BFSLaneTable(g topology.Graph) []int32 {
 
 // laneCarrier is a graph that keeps its own lane table: the digraphs.
 type laneCarrier interface {
-	LaneTable(build func() ([]int32, error)) ([]int32, error)
+	LaneTable(build func() ([]int16, error)) ([]int16, error)
 }
 
 // BFSLane returns BFSLaneTable(g) with its Lemma 1 verdict
 // (VerifyLaneConnected over it). A digraph keeps both, built on the first
 // call, and hands every caller the same table, which must not be written
 // into; any other graph gets a fresh table and walk.
-func BFSLane(g topology.Graph) ([]int32, error) {
-	build := func() ([]int32, error) {
+func BFSLane(g topology.Graph) ([]int16, error) {
+	build := func() ([]int16, error) {
 		table := BFSLaneTable(g)
 		return table, VerifyLaneConnected(g, TableLane(g, table))
 	}
@@ -104,7 +104,7 @@ func BFSLane(g topology.Graph) ([]int32, error) {
 
 // TableLane wraps a BFSLaneTable-shaped per-destination next-hop table as
 // a LaneRouting function.
-func TableLane(g topology.Graph, table []int32) LaneRouting {
+func TableLane(g topology.Graph, table []int16) LaneRouting {
 	nodes := g.Nodes()
 	return func(cur, dst topology.Node) (int, bool) {
 		p := table[int(dst)*nodes+int(cur)]

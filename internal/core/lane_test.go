@@ -288,12 +288,14 @@ func TestLaneStuckAndLoopWitnesses(t *testing.T) {
 // TestBFSLaneTableOverWholeGraph pins the one lane-table builder on all six
 // topology classes: fed every paired link of g it is BFSLaneTable(g), and
 // every hop it tabulates is a shortest-path hop (one closer to dst).
+// fullmesh-200's 199 ports run past an 8-bit table entry.
 func TestBFSLaneTableOverWholeGraph(t *testing.T) {
 	for _, g := range []topology.Graph{
 		topology.MustTorus(4, 4),
 		topology.MustMesh(3, 4),
 		topology.MustHypercube(4),
 		topology.MustFullMesh(8),
+		topology.MustFullMesh(200),
 		topology.MustDragonfly(4, 2),
 		topology.MustFatTree(4),
 	} {

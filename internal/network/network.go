@@ -346,7 +346,7 @@ func New(cfg Config) (*Network, error) {
 		case cube:
 			err = core.VerifyLaneConnected(topo, core.DORLane(ctopo))
 		default:
-			var table []int32
+			var table []int16
 			table, err = core.BFSLane(topo)
 			n.routerState.SetLaneTable(table)
 		}

@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -90,5 +91,50 @@ func TestReconfigurationLeavesSharedTableIntact(t *testing.T) {
 	c := mustNet(t, cfg)
 	if &c.routerState.LaneTable()[0] != &shared[0] {
 		t.Fatal("a new network on the graph built its own lane table")
+	}
+}
+
+// TestConcurrentNetworksShareTables steps two networks on one cached
+// dragonfly in two goroutines at once: they read the graph's distance and
+// lane tables together, each writes only its own State (its scratch
+// included), and each reaches the fingerprint it reaches when the two are
+// stepped one after the other. Run under -race it is also the data-race
+// check on that sharing.
+func TestConcurrentNetworksShareTables(t *testing.T) {
+	g, err := topology.Parse("dragonfly-4x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []uint64{3, 9}
+	build := func() []*Network {
+		nets := make([]*Network, len(seeds))
+		for i, seed := range seeds {
+			nets[i] = mustNet(t, testConfig(g, routing.Disha(0), 0.4, seed))
+		}
+		if &nets[0].routerState.LaneTable()[0] != &nets[1].routerState.LaneTable()[0] {
+			t.Fatal("the two networks do not share the graph's lane table")
+		}
+		return nets
+	}
+	var serial, concurrent [2][32]byte
+	for i, n := range build() {
+		n.Run(500)
+		serial[i] = n.Fingerprint()
+	}
+	var wg sync.WaitGroup
+	for i, n := range build() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.Run(500)
+			concurrent[i] = n.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	if serial[0] == serial[1] {
+		t.Fatal("both seeds reach one state; the comparison would not tell the networks apart")
+	}
+	if concurrent != serial {
+		t.Fatalf("concurrent fingerprints %x, serial %x", concurrent, serial)
 	}
 }

@@ -128,8 +128,8 @@ func (r *Router) routeSlot(i int) {
 		return
 	}
 
-	cands := s.alg.Route(r, p, r.candBuf[:0])
-	r.candBuf = cands[:0]
+	cands := s.alg.Route(r, p, s.cands[:0])
+	s.cands = cands[:0]
 	// Keep only candidates whose link exists and whose output VC is free,
 	// then restrict to the best (lowest) preference class present.
 	usable := cands[:0]
@@ -377,8 +377,8 @@ func (r *Router) FlushTimeouts() {
 // live output port at this router — only possible with failed links; such
 // a packet can never advance on edge channels and must be recovered.
 func (r *Router) strandedHeader(p *packet.Packet) bool {
-	cands := r.st.alg.Route(r, p, r.candBuf[:0])
-	r.candBuf = cands[:0]
+	cands := r.st.alg.Route(r, p, r.st.cands[:0])
+	r.st.cands = cands[:0]
 	for _, c := range cands {
 		if r.LinkExists(c.Port) {
 			return false

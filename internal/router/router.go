@@ -102,8 +102,7 @@ type Router struct {
 	// paths index it instead of re-deriving the pairing per flit.
 	rev []int32
 
-	candBuf []routing.Candidate
-	stats   Stats
+	stats Stats
 
 	// Telemetry instrumentation, maintained by TickTimers (which already
 	// visits every input VC that can block, so this costs almost nothing):
@@ -132,7 +131,6 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 		mk0:         int(node) * maskKinds * st.w,
 		neighbors:   make([]*Router, deg),
 		rev:         make([]int32, deg),
-		candBuf:     make([]routing.Candidate, 0, st.outStr), // one per output VC
 		blockedByVC: make([]int64, max(cfg.VCs, cfg.InjectionVCs)),
 	}
 	for p := 0; p < deg; p++ {

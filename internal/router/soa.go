@@ -55,8 +55,8 @@ import (
 //	             pass's effTout, lastBlocked, lastPresumed and tickedAt (see
 //	             activity.go: the VC arbitration offset and the adaptive
 //	             decay count are functions of the clock, not stored).
-//	scratch      outMask ((deg+1)*w words): one router's per-output
-//	             candidate masks, valid only inside its StageSwitch.
+//	scratch      outMask ((deg+1)*w words, one router's per-output masks in
+//	             StageSwitch) and cands (outStr, one header's candidates).
 //
 // Aliasing contract: a Router view may only touch slots inside its own base
 // ranges, except through another Router's methods (transfer commit writes
@@ -76,7 +76,7 @@ type State struct {
 
 	// laneTable, when set, routes the Deadlock Buffer lanes by next-hop
 	// table instead of dimension order (see SetLaneTable).
-	laneTable []int32
+	laneTable []int16
 	// orderPos is every node's position on the recovery order (concurrent
 	// recovery picks a lane by it; see SetRecoveryOrder).
 	orderPos []int32
@@ -142,6 +142,7 @@ type State struct {
 	// every router. Words [q*w, (q+1)*w) hold the router-local input slots
 	// with a flit routed to output q (q == deg: the reception channel).
 	outMask []uint64
+	cands   []routing.Candidate // route-compute scratch, likewise serial
 }
 
 // The per-router input-slot masks, in block order.
@@ -249,6 +250,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 		s.effTout[i] = cfg.Timeout
 	}
 	s.outMask = make([]uint64, (deg+1)*s.w)
+	s.cands = make([]routing.Candidate, 0, s.outStr)
 	return s
 }
 
@@ -265,14 +267,14 @@ func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
 
 // LaneTable returns the installed Deadlock Buffer lane table (nil when the
 // lane routes by dimension order).
-func (s *State) LaneTable() []int32 { return s.laneTable }
+func (s *State) LaneTable() []int16 { return s.laneTable }
 
 // SetLaneTable installs a next-hop table for the Deadlock Buffer lanes:
 // table[int(dst)*nodes + int(node)] is the output port toward dst at node
 // (core.BFSLaneTableOver's shape). When set it replaces dimension-order DB
 // routing: coordinate-free topologies from construction, concurrent recovery
 // (SetRecoveryOrder), every topology once a link or router has failed.
-func (s *State) SetLaneTable(table []int32) { s.laneTable = table }
+func (s *State) SetLaneTable(table []int16) { s.laneTable = table }
 
 // SetRecoveryOrder installs concurrent recovery's two Deadlock Buffer lanes
 // (MonotoneLaneTable over the recovery order): the positions pick a
@@ -291,7 +293,7 @@ func (s *State) SetRecoveryOrder(order []topology.Node) {
 // neither lane's dependency graph over receiving routers has a cycle. An
 // entry is -1 on the diagonal and where no neighbor qualifies (never when
 // order steps along links).
-func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos, table []int32) {
+func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos []int32, table []int16) {
 	nodes, deg := g.Nodes(), g.Degree()
 	pos = make([]int32, nodes)
 	for i, v := range order {
@@ -304,7 +306,7 @@ func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos, table []in
 			nbPos[i] = pos[nb]
 		}
 	}
-	table = make([]int32, nodes*nodes)
+	table = make([]int16, nodes*nodes)
 	for d := 0; d < nodes; d++ {
 		for c := 0; c < nodes; c++ {
 			table[d*nodes+c] = -1
@@ -318,7 +320,7 @@ func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos, table []in
 			for p := 0; p < deg; p++ {
 				np := nbPos[c*deg+p]
 				if ahead := dir * (pos[d] - np); np >= 0 && ahead >= 0 && ahead < best {
-					best, table[d*nodes+c] = ahead, int32(p)
+					best, table[d*nodes+c] = ahead, int16(p)
 				}
 			}
 		}

@@ -11,13 +11,13 @@ import (
 // maxDigraphNodes bounds digraph construction the same way newCube bounds
 // cubes: hostile sizes error instead of exploding the allocations below.
 // The bound is tighter than the cube one because a digraph carries two
-// all-pairs tables of nodes^2 int32s (distances, and the lane table
-// core.BFSLane builds), 128 MiB together at the bound: exactly tableBudget,
-// so the process cache can still hold the largest graph.
+// all-pairs tables of nodes^2 int16s (distances, and the lane table
+// core.BFSLane builds), 64 MiB together at the bound. It also keeps every
+// distance (< nodes) and port (< degree) inside an int16.
 const maxDigraphNodes = 1 << 12
 
 // tableBudget bounds the table bytes the process keeps for the named
-// digraph families (three dragonfly-16x8); past it the oldest graphs
+// digraph families (seven dragonfly-16x8); past it the oldest graphs
 // leave the cache. Graphs already handed out stay valid.
 const tableBudget = 128 << 20
 
@@ -51,7 +51,7 @@ func sharedDigraph(name string, nodes int, adj func() [][]int) (Graph, error) {
 	shared.Lock()
 	e := shared.byName[name]
 	if e == nil {
-		e = &sharedGraph{name: name, bytes: 8 * nodes * nodes}
+		e = &sharedGraph{name: name, bytes: 4 * nodes * nodes}
 		shared.byName[name] = e
 		shared.order = append(shared.order, e)
 		shared.builds++
@@ -88,11 +88,11 @@ type digraph struct {
 	adj    []int32 // adj[n*degree+p] = neighbor, or -1 when unconnected
 	rev    []int32 // rev[n*degree+p] = paired reverse port at adj, or -1
 	nodes  int
-	dist   []int32 // dist[from*nodes+to] minimal hops, or -1 unreachable
+	dist   []int16 // dist[from*nodes+to] minimal hops, or -1 unreachable
 	lane   []Node
 	dbLane struct { // LaneTable's memo
 		once  sync.Once
-		table []int32
+		table []int16
 		err   error
 	}
 }
@@ -183,7 +183,7 @@ func (g *digraph) pairReversePorts() {
 
 // buildDistances runs a BFS from every source over the directed adjacency.
 func (g *digraph) buildDistances() {
-	g.dist = make([]int32, g.nodes*g.nodes)
+	g.dist = make([]int16, g.nodes*g.nodes)
 	for i := range g.dist {
 		g.dist[i] = -1
 	}
@@ -210,7 +210,7 @@ func (g *digraph) buildDistances() {
 // LaneTable returns the Deadlock Buffer lane table and Lemma 1 verdict that
 // build, run on the first call only, gives for g (core.BFSLane, which
 // topology cannot import). g is immutable, so every caller shares them.
-func (g *digraph) LaneTable(build func() ([]int32, error)) ([]int32, error) {
+func (g *digraph) LaneTable(build func() ([]int16, error)) ([]int16, error) {
 	g.dbLane.once.Do(func() {
 		laneBuilds.Add(1)
 		g.dbLane.table, g.dbLane.err = build()

@@ -226,16 +226,26 @@ func TestDigraphUnpairedReversePorts(t *testing.T) {
 }
 
 func TestDigraphUnreachable(t *testing.T) {
-	// 0 -> 1 with no way back: distance must report -1, not panic.
-	g, err := NewDigraph("oneway", [][]int{{1}, nil})
+	// A one-way path 0 -> 1 -> ... through the most nodes a digraph may
+	// have, with no way back: distance must report -1, not panic, and the
+	// distance table must still hold the longest hop count there is.
+	adj := make([][]int, maxDigraphNodes)
+	for v := range adj[:maxDigraphNodes-1] {
+		adj[v] = []int{v + 1}
+	}
+	g, err := NewDigraph("oneway", adj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := g.Distance(1, 0); d != -1 {
+	last := Node(maxDigraphNodes - 1)
+	if d := g.Distance(last, 0); d != -1 {
 		t.Fatalf("unreachable distance = %d, want -1", d)
 	}
-	if ports := g.MinimalPorts(1, 0); len(ports) != 0 {
+	if ports := g.MinimalPorts(last, 0); len(ports) != 0 {
 		t.Fatalf("unreachable MinimalPorts = %v, want empty", ports)
+	}
+	if d := g.Distance(0, last); d != maxDigraphNodes-1 {
+		t.Fatalf("distance 0->%d = %d, want %d", last, d, maxDigraphNodes-1)
 	}
 }
 

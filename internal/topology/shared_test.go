@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // freshTables empties the process cache for one test and again after it,
@@ -79,8 +80,8 @@ func TestNewDigraphNeverShares(t *testing.T) {
 		graphs = append(graphs, g)
 	}
 	for i, g := range graphs {
-		want := int32(i + 1)
-		got, _ := g.(*digraph).LaneTable(func() ([]int32, error) { return []int32{want}, nil })
+		want := int16(i + 1)
+		got, _ := g.(*digraph).LaneTable(func() ([]int16, error) { return []int16{want}, nil })
 		if got[0] != want {
 			t.Fatalf("graph %d was handed graph %d's lane table", i, got[0]-1)
 		}
@@ -98,11 +99,12 @@ func TestNewDigraphNeverShares(t *testing.T) {
 // TestSharedTablesStayInBudget feeds the cache more distinct dragonfly sizes
 // than a small budget holds: after every graph the retained bytes, each
 // graph charged its distance and lane tables, are within the budget, and the
-// oldest graphs went first.
+// oldest graphs went first. The six graphs charge 9 668 bytes together.
 func TestSharedTablesStayInBudget(t *testing.T) {
+	const budget = 8 << 10
 	freshTables(t)
 	shared.Lock()
-	shared.budget = 16 << 10
+	shared.budget = budget
 	shared.Unlock()
 	t.Cleanup(func() {
 		shared.Lock()
@@ -117,8 +119,8 @@ func TestSharedTablesStayInBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			names = append(names, g.Name())
-			if st := SharedTableStats(); st.Bytes > 16<<10 {
-				t.Fatalf("after %s: %d bytes retained, budget %d", g.Name(), st.Bytes, 16<<10)
+			if st := SharedTableStats(); st.Bytes > budget {
+				t.Fatalf("after %s: %d bytes retained, budget %d", g.Name(), st.Bytes, budget)
 			}
 		}
 	}
@@ -137,8 +139,8 @@ func TestSharedTablesStayInBudget(t *testing.T) {
 
 // TestParseDragonflyAllocatesOneTable pins the cold build of the benchmark's
 // dragonfly to about its distance table: the BFS queue used to be re-sliced
-// from the front, so every later append reallocated it (68 MB for a 17 MB
-// table).
+// from the front, so every later append reallocated it (68 MB for what was
+// then a 17 MB int32 table).
 func TestParseDragonflyAllocatesOneTable(t *testing.T) {
 	freshTables(t)
 	var before, after runtime.MemStats
@@ -148,7 +150,8 @@ func TestParseDragonflyAllocatesOneTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := uint64(4 * g.Nodes() * g.Nodes())
+	dist := g.(*digraph).dist
+	table := uint64(unsafe.Sizeof(dist[0])) * uint64(len(dist))
 	if got := after.TotalAlloc - before.TotalAlloc; got > table*5/4 {
 		t.Fatalf("cold Parse(%s) allocated %d bytes, want about one %d-byte table", g.Name(), got, table)
 	}

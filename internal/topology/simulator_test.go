@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	disha "repro"
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -62,5 +63,26 @@ func TestConcurrentSimulatorsShareOneBuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedTableChargeIsTableBytes checks the process cache charges a
+// graph exactly what its distance table and lane table occupy.
+func TestSharedTableChargeIsTableBytes(t *testing.T) {
+	topology.FlushSharedTables()
+	t.Cleanup(topology.FlushSharedTables)
+	g, err := topology.NewDragonfly(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane, err := core.BFSLane(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lane) != g.Nodes()*g.Nodes() {
+		t.Fatalf("lane table has %d entries, want %d", len(lane), g.Nodes()*g.Nodes())
+	}
+	if charged, held := topology.SharedTableStats().Bytes, topology.TableBytes(g); charged != held {
+		t.Fatalf("%s charged %d bytes, its tables hold %d", g.Name(), charged, held)
 	}
 }
