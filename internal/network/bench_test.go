@@ -146,15 +146,17 @@ func BenchmarkStepProfiled(b *testing.B) {
 	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, true, 32) })
 }
 
-// BenchmarkStepHighRadix measures a high-radix digraph on which most routers
+// BenchmarkStepHighRadix measures high-radix digraphs on which most routers
 // are idle, where switch allocation's per-output cost and the active set's
-// skipping both matter most: dragonfly(8,4) — 264 routers of radix 11,
-// 4 VCs, 45 input slots each — at load 0.01 (like the repository
-// benchmark's dragonfly2k-sparse).
-// "serial" runs the full scan (slot-mask walks and per-output candidate
-// masks, O(stride/64 + acting slots) per router), "active-set" the
-// production kernel. CI benchgates serial against BenchmarkCalibrate and
-// active-set against serial.
+// skipping both matter most. dragonfly(8,4) — 264 routers of radix 11,
+// 4 VCs, 45 input slots each — runs at load 0.01: "serial" is the full
+// scan (slot-mask walks and per-output candidate masks, O(stride/64 +
+// acting slots) per router), "active-set" the production kernel.
+// dragonfly16x8/active-set is the repository benchmark's dragonfly2k-sparse
+// point (2 064 routers of radix 23, load 0.003), where about 7% of routers
+// are active and the inject phase's per-node cost shows. CI benchgates
+// serial and dragonfly16x8 against BenchmarkCalibrate and active-set
+// against serial.
 func BenchmarkStepHighRadix(b *testing.B) {
 	for _, v := range []struct {
 		name      string
@@ -164,6 +166,9 @@ func BenchmarkStepHighRadix(b *testing.B) {
 			stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, v.activeSet))
 		})
 	}
+	b.Run("dragonfly16x8/active-set", func(b *testing.B) {
+		stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(16, 8), 0.003, true))
+	})
 }
 
 // BenchmarkNewSimulatorDigraph measures a simulator's construction on a

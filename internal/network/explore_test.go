@@ -192,7 +192,7 @@ func exploreQueue(n *Network, load int) [][]topology.Node {
 			if k >= src {
 				dst++ // skip the source itself
 			}
-			n.nis[src].push(packet.New(n.allocID(), topology.Node(src), dst, exploreMsgLen, 0))
+			n.enqueue(src, packet.New(n.allocID(), topology.Node(src), dst, exploreMsgLen, 0))
 			queued[src] = append(queued[src], dst)
 		}
 	}

@@ -30,6 +30,8 @@ type flitKey struct {
 //     crossbar connection state is in the active set;
 //   - source queues hold no stale pointers: every slot of a node's queue
 //     outside its live range [qhead, len) is nil, as for the flit rings;
+//   - injection soundness: every node with a queued packet or an injection
+//     stream is in the pending mask the inject phase walks;
 //   - token exclusivity (sequential recovery): at most one packet is
 //     recovering on the Token (OnDB, seized, header not yet arrived), and
 //     the Token's held/holder state agrees with it; an occupied Deadlock
@@ -143,8 +145,12 @@ func (n *Network) CheckInvariants() error {
 	}
 
 	for i := range n.nis {
-		if err := n.nis[i].check(); err != nil {
+		q := &n.nis[i]
+		if err := q.check(); err != nil {
 			return fmt.Errorf("network invariant: node %d: %w", i, err)
+		}
+		if (q.queued() > 0 || q.cur != nil) && n.pending[i>>6]&(1<<(uint(i)&63)) == 0 {
+			return fmt.Errorf("network invariant: node %d has a packet to inject but is not pending", i)
 		}
 	}
 

@@ -7,6 +7,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -185,13 +186,16 @@ type Network struct {
 	clock   sim.Clock
 	rng     *sim.RNG
 	routers []*router.Router
-	sources []*traffic.Source
+	sources []traffic.Source
 	nis     []ni
 	token   *Token
 
 	// stageBuf is the reusable buffer holding the cycle's staged transfers
 	// in router order.
 	stageBuf []router.Transfer
+
+	// Inject-phase masks, one bit per node (see inject).
+	fired, pending []uint64
 
 	// Active-set scheduler state (see activeset.go): one bit per router in
 	// actMask. activeSetOff (set only by in-package tests, as the baseline
@@ -278,10 +282,12 @@ func New(cfg Config) (*Network, error) {
 		topo:        topo,
 		rng:         sim.NewRNG(cfg.Seed),
 		routers:     make([]*router.Router, topo.Nodes()),
-		sources:     make([]*traffic.Source, topo.Nodes()),
+		sources:     make([]traffic.Source, topo.Nodes()),
 		nis:         make([]ni, topo.Nodes()),
 		outstanding: make([]int32, topo.Nodes()),
 		actMask:     make([]uint64, (topo.Nodes()+63)/64),
+		fired:       make([]uint64, (topo.Nodes()+63)/64),
+		pending:     make([]uint64, (topo.Nodes()+63)/64),
 		linkDown:    make(map[[2]int]bool),
 		routerDead:  make([]bool, topo.Nodes()),
 	}
@@ -296,7 +302,7 @@ func New(cfg Config) (*Network, error) {
 		// router-local: a router's draws do not depend on which other
 		// routers the active set visits.
 		n.routers[i] = router.NewWithState(topology.Node(i), n.rng.Split(), n.routerState)
-		n.sources[i] = traffic.NewSource(topology.Node(i), cfg.Pattern, n.rng.Split(), prob, cfg.MsgLen)
+		n.sources[i] = traffic.NewSource(topology.Node(i), cfg.Pattern, *n.rng.Split(), prob, cfg.MsgLen)
 		if cfg.Burst.Valid() {
 			if err := n.sources[i].SetBursty(cfg.Burst); err != nil {
 				return nil, err
@@ -403,8 +409,8 @@ func (n *Network) Counters() Counters {
 	}
 	c := n.counters
 	c.Cycles = now
-	for _, s := range n.sources {
-		c.PacketsOffered += s.Offered
+	for i := range n.sources {
+		c.PacketsOffered += n.sources[i].Offered
 	}
 	for _, r := range n.routers {
 		st := r.Stats()
@@ -444,8 +450,8 @@ func (n *Network) QueuedPackets() int64 {
 
 // StopInjection halts all sources; use before draining the network.
 func (n *Network) StopInjection() {
-	for _, s := range n.sources {
-		s.Stop()
+	for i := range n.sources {
+		n.sources[i].Stop()
 	}
 }
 
@@ -488,9 +494,7 @@ func (n *Network) Step() {
 	}
 
 	// 1. Traffic generation and injection (one flit per node per cycle).
-	for i := range n.nis {
-		n.generateAndInject(i, now)
-	}
+	n.inject(now)
 	if profiled {
 		t0 = n.prof.lap(phaseInject, t0)
 	}
@@ -646,28 +650,46 @@ func (n *Network) RunUntilDrained(limit int) bool {
 	return n.Drained()
 }
 
-func (n *Network) generateAndInject(i int, now sim.Cycle) {
-	// A dead router neither generates nor injects (its source RNG draws
-	// nothing while dead, keeping replay after a restore deterministic).
+// inject is phase 1 (ARCHITECTURE.md): every live source's trial in one
+// pass, marking the hits in fired, then a walk in node order over the nodes
+// in fired or pending, a superset of those with a packet queued or
+// streaming. A dead router's source draws nothing.
+func (n *Network) inject(now sim.Cycle) {
+	traffic.Trials(n.sources, n.routerDead, n.fired)
+	for w, hit := range n.fired {
+		n.fired[w] = 0
+		for word := hit | n.pending[w]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			n.injectAt(w<<6+b, hit&(1<<b) != 0, now)
+		}
+	}
+}
+
+// injectAt completes node i's firing, if it fired, and injects one flit;
+// it clears i's pending bit once the node has nothing left to inject.
+func (n *Network) injectAt(i int, fired bool, now sim.Cycle) {
 	if n.deadCount != 0 && n.routerDead[i] {
 		return
 	}
 	q := &n.nis[i]
-	if p := n.sources[i].Generate(now, n.allocID); p != nil {
-		if n.deadCount != 0 && n.routerDead[p.Dst] {
+	if fired {
+		switch p := n.sources[i].Fire(now, n.allocID); {
+		case p == nil:
+		case n.deadCount != 0 && n.routerDead[p.Dst]:
 			// Destination is currently dead: the packet can never be
 			// delivered, so it is dropped at generation, not queued.
 			n.counters.PacketsUnroutable++
-		} else if n.cfg.SourceQueueCap > 0 && q.queued() >= n.cfg.SourceQueueCap {
+		case n.cfg.SourceQueueCap > 0 && q.queued() >= n.cfg.SourceQueueCap:
 			n.counters.PacketsRefused++
-		} else {
-			q.push(p)
+		default:
+			n.enqueue(i, p)
 		}
 	}
 	r := n.routers[i]
 	if q.cur == nil {
 		head := q.peek()
 		if head == nil {
+			n.pending[i>>6] &^= 1 << (uint(i) & 63)
 			return
 		}
 		if n.cfg.InjectionThrottle > 0 && int(n.outstanding[i]) >= n.cfg.InjectionThrottle {
@@ -694,6 +716,13 @@ func (n *Network) generateAndInject(i int, now sim.Cycle) {
 			q.cur, q.seq = nil, 0
 		}
 	}
+}
+
+// enqueue appends p to node i's source queue. It is the one way into a
+// queue, so a queued packet always has i's pending bit set.
+func (n *Network) enqueue(i int, p *packet.Packet) {
+	n.nis[i].push(p)
+	n.pending[i>>6] |= 1 << (uint(i) & 63)
 }
 
 func (n *Network) allocID() packet.ID {
@@ -765,7 +794,7 @@ func (n *Network) killPresumed() {
 		p.Retries++
 		n.outstanding[p.Src]--
 		n.counters.PacketsKilled++
-		n.nis[p.Src].push(p)
+		n.enqueue(int(p.Src), p)
 		n.event(telemetry.Kill, p.Src, p.ID)
 	}
 	n.releaseVictims(victims)

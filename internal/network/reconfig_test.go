@@ -40,6 +40,32 @@ func TestKillLinkDropsCommittedPackets(t *testing.T) {
 	}
 }
 
+// TestKillLinkRecountsCrossbar kills, between cycles, a link whose output
+// holds a packet-by-packet crossbar connection. The port reset tears the
+// connection down, and the count CrossbarIdle reads must follow at once,
+// not at the router's next staging pass.
+func TestKillLinkRecountsCrossbar(t *testing.T) {
+	n := mustNet(t, pbpFuzzConfig())
+	for c := 0; c < 2000; c++ {
+		n.Step()
+		for _, r := range n.routers {
+			for q := 0; q < n.topo.Degree(); q++ {
+				if in, _, db, _, _, saved := r.Connection(q); in < 0 && !db && !saved {
+					continue
+				}
+				if err := n.KillLink(r.NodeID(), q); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("cycle %d, after killing router %d port %d: %v", n.Now(), r.NodeID(), q, err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no crossbar connection in 2000 cycles")
+}
+
 // TestKillRouterLedger kills a router under load: packets buffered there or
 // addressed to it drop (PacketsLost for injected, PacketsUnroutable for
 // queued/generated), everything else still delivers.

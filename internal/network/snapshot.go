@@ -79,8 +79,8 @@ func (n *Network) Restore(r io.Reader) error {
 // walkState is the DISHANET payload, written once: Snapshot runs it over an
 // encoder and Restore over a decoder, section by section in file order. A
 // decoding walk stops at the first section that fails. State behind
-// accessors (clock, RNGs, sources) is read, coded and set back: when
-// encoding, the set writes back what was just read.
+// accessors (clock, RNG) is read, coded and set back: when encoding, the
+// set writes back what was just read.
 func (n *Network) walkState(c *snapshot.Codec) error {
 	n.walkConfigGuard(c)
 	if err := n.walkReconfigLog(c); err != nil {
@@ -98,13 +98,8 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 
 	table := n.walkPacketTable(c)
 	n.walkInjectionState(c, table)
-	for _, s := range n.sources {
-		st := s.State()
-		c.U64x4(&st.RNG)
-		c.Bool(&st.Stopped)
-		c.Bool(&st.Bursting)
-		c.I64(&st.Offered)
-		s.SetState(st)
+	for i := range n.sources {
+		n.sources[i].Walk(c)
 	}
 
 	c.ExpectBool(n.token != nil, "recovery Token presence")
@@ -196,11 +191,12 @@ func (n *Network) walkInjectionState(c *snapshot.Codec, table map[packet.ID]*pac
 				c.Fail("snapshot: node %d queue holds a nil packet", i)
 				return
 			}
-			q.push(p)
+			n.enqueue(i, p)
 		}
 		router.PacketRef(c, &q.cur, table)
 		if q.cur != nil {
 			snapshot.Range(c, &q.seq, snapshot.In(1, q.cur.Length, "injection stream position"))
+			n.pending[i>>6] |= 1 << (uint(i) & 63) // derived, not coded
 		}
 	}
 	for i := range n.outstanding {

@@ -49,8 +49,13 @@ func restoreFresh(t *testing.T, cfg Config, data []byte) *Network {
 
 // checkLockstep steps both networks together and insists their full-state
 // fingerprints agree at every cycle — the core restore-equivalence property.
+// The restored side must also pass CheckInvariants as decoded: what the
+// decoder derives (the pending mask, the crossbar counts) must already hold.
 func checkLockstep(t *testing.T, orig, restored *Network, cycles int) {
 	t.Helper()
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatalf("restored network: %v", err)
+	}
 	if got, want := restored.FingerprintHex(), orig.FingerprintHex(); got != want {
 		t.Fatalf("digest differs immediately after restore: %s vs %s", got, want)
 	}

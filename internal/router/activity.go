@@ -44,16 +44,28 @@ func (r *Router) FlitCount() int { return int(r.st.flitCount[r.node]) }
 // connections are released there), so the active-set scheduler keeps such a
 // router active until the crossbar has settled. Under flit-by-flit
 // allocation the crossbar state is never populated and this is always true.
-func (r *Router) CrossbarIdle() bool {
+// It reads a count that every writer of the connections refreshes
+// (syncCrossbar), so the end-of-cycle sweep pays O(1) per router.
+func (r *Router) CrossbarIdle() bool { return r.st.cxHeld[r.node] == 0 }
+
+// countCrossbar counts the router's held, Deadlock Buffer and saved
+// crossbar connections.
+func (r *Router) countCrossbar() (n int) {
 	s := r.st
-	for q := 0; q < s.deg; q++ {
-		i := r.cx0 + q
-		if s.cxInPort[i] != connNone || s.cxDB[i] || s.cxSaved[i] {
-			return false
+	for i := r.cx0; i < r.cx0+s.deg; i++ {
+		for _, on := range [...]bool{s.cxInPort[i] != connNone, s.cxDB[i], s.cxSaved[i]} {
+			if on {
+				n++
+			}
 		}
 	}
-	return true
+	return n
 }
+
+// syncCrossbar refreshes the count CrossbarIdle reads. The writers of the
+// connections call it once they are done: packet-by-packet switch
+// allocation, a port reset and the snapshot decoder.
+func (r *Router) syncCrossbar() { r.st.cxHeld[r.node] = uint8(r.countCrossbar()) }
 
 // vcArbOffset returns the VC-allocation priority offset as of the end of
 // cycle now: StageRouting in cycle now starts from vcArbOffset(now-1).

@@ -218,6 +218,8 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		func(s *State) { s.cxInPort[0], s.cxInVC[0] = int32(s.deg), int32(s.cfg.InjectionVCs) },
 		func(s *State) { s.cxInVC[0] = -1 },
 		func(s *State) { s.cxSaved[0], s.cxSavedPort[0], s.cxSavedVC[0] = true, 1, 1<<20 },
+		func(s *State) { s.cxDB[0] = true }, // a connection the count misses
+		func(s *State) { s.cxHeld[0] = 1 },  // a count with no connection
 	}
 	for i, corrupt := range corruptions {
 		rc := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))

@@ -190,6 +190,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 			out = r.arbitrateInput(q, inputUsed, out)
 		}
 	}
+	r.syncCrossbar()
 	return out
 }
 

@@ -116,6 +116,7 @@ func (r *Router) ResetOutputPort(port int) {
 	s.cxInPort[c], s.cxInVC[c] = connNone, 0
 	s.cxDB[c] = false
 	s.cxSaved[c], s.cxSavedPort[c], s.cxSavedVC[c] = false, 0, 0
+	r.syncCrossbar()
 }
 
 // PurgeDB removes every flit of p from this router's Deadlock Buffer lanes

@@ -117,6 +117,9 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 		snapshot.Range(c, &s.cxSavedPort[i], snapshot.In(0, s.deg+1, "saved crossbar port"))
 		snapshot.Range(c, &s.cxSavedVC[i], snapshot.In(0, s.inVCCount(int(s.cxSavedPort[i])), "saved crossbar VC"))
 	}
+	if dec {
+		r.syncCrossbar()
+	}
 	c.Expect(int64(s.vcArbOffset(now)), "VC arbitration offset")
 	for q := 0; q <= s.deg; q++ {
 		snapshot.Range(c, &s.swArbOff[r.swIdx(q)], snapshot.In(0, s.stride, "switch arbitration offset"))

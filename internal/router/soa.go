@@ -51,7 +51,7 @@ import (
 //	             DeadlockBufferDepth-flit ring set db.
 //	crossbar     deg packet-by-packet connections per router (cxInPort,
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
-//	per router   swArbOff (deg+1 per router), flitCount, and the timer
+//	per router   swArbOff (deg+1 per router), flitCount, cxHeld, and the timer
 //	             pass's effTout, lastBlocked, lastPresumed and tickedAt (see
 //	             activity.go: the VC arbitration offset and the adaptive
 //	             decay count are functions of the clock, not stored).
@@ -132,6 +132,7 @@ type State struct {
 	// Per-router scalars, nodes slots (swArbOff: nodes*(deg+1)).
 	swArbOff     []int32
 	flitCount    []int32
+	cxHeld       []uint8 // held, saved and DB crossbar connections (CrossbarIdle)
 	effTout      []sim.Cycle
 	lastBlocked  []int32
 	lastPresumed []int32
@@ -242,6 +243,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	}
 	s.swArbOff = make([]int32, nodes*(deg+1))
 	s.flitCount = make([]int32, nodes)
+	s.cxHeld = make([]uint8, nodes)
 	s.effTout = make([]sim.Cycle, nodes)
 	s.lastBlocked = make([]int32, nodes)
 	s.lastPresumed = make([]int32, nodes)
@@ -578,7 +580,8 @@ func (q *flitRing) check(i int) error {
 // (the scans trust them) and no mask bit past the stride, route/VC grants
 // within their sentinel-extended domains, credits within [0, depth],
 // crossbar connections naming an input VC that exists, and the maintained
-// flit counter consistent with the rings. The network's CheckInvariants calls
+// flit and crossbar-connection counters consistent with the rings and the
+// connections. The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
 // without (yet) changing observable behavior is still caught near its origin.
 func (r *Router) CheckState() error {
@@ -647,6 +650,9 @@ func (r *Router) CheckState() error {
 		if sv, n := int(s.cxSavedVC[i]), s.inVCCount(sp); sv < 0 || sv >= n {
 			return fmt.Errorf("router %d crossbar %d: saved VC %d outside input port %d's [0,%d)", r.node, q, sv, sp, n)
 		}
+	}
+	if got, want := int(s.cxHeld[r.node]), r.countCrossbar(); got != want {
+		return fmt.Errorf("router %d: maintained crossbar connection count %d, outputs hold %d", r.node, got, want)
 	}
 	return nil
 }

@@ -8,6 +8,8 @@
 // internal/router and internal/network.
 package sim
 
+import "math"
+
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256**, seeded via splitmix64. It is not safe for concurrent use;
 // every simulation owns exactly one RNG so that a (seed, configuration) pair
@@ -95,15 +97,35 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli reports true with probability p (clamped to [0, 1]).
-func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
+// Bernoulli reports true with probability p (clamped to [0, 1]). It is
+// Hit(ChanceOf(p)): p ≤ 0 (or NaN) and p ≥ 1 draw nothing.
+func (r *RNG) Bernoulli(p float64) bool { return r.Hit(ChanceOf(p)) }
+
+// Chance is a probability as Hit tests it, in one integer comparison:
+// ⌈p·2^53⌉ for 0 < p < 1, since a 53-bit draw x has Float64() = x/2^53 < p
+// exactly when x < ⌈p·2^53⌉ (p·2^53 is exact).
+type Chance uint64
+
+// Never and Always are the chances Hit decides without a draw.
+const Never, Always Chance = 0, 1<<64 - 1
+
+// ChanceOf returns p as a Chance: Never for p ≤ 0 or NaN, Always for p ≥ 1.
+func ChanceOf(p float64) Chance {
+	switch {
+	case !(p > 0):
+		return Never
+	case p >= 1:
+		return Always
 	}
-	if p >= 1 {
-		return true
+	return Chance(math.Ceil(p * (1 << 53)))
+}
+
+// Hit reports true with probability c.
+func (r *RNG) Hit(c Chance) bool {
+	if c == Never || c == Always {
+		return c == Always
 	}
-	return r.Float64() < p
+	return Chance(r.Uint64()>>11) < c
 }
 
 // Perm returns a random permutation of [0, n) using Fisher–Yates.

@@ -213,3 +213,43 @@ func BenchmarkRNGIntn(b *testing.B) {
 		_ = r.Intn(1000)
 	}
 }
+
+// TestHitIsFloat64Comparison sets the generator so that its next 53-bit draw
+// lands on, just below and just above each chance's threshold, and checks
+// that Hit agrees with the float comparison Float64() < p it replaces.
+func TestHitIsFloat64Comparison(t *testing.T) {
+	// xoshiro256**'s output is rotl(s1*5, 7)*9: invert it for s1.
+	const inv5, inv9 = 0xcccccccccccccccd, 0x8e38e38e38e38e39
+	ulp := math.Ldexp(1, -53)
+	k := float64(1<<51+12345) * ulp
+	for _, p := range []float64{ulp, 2 * ulp, math.Nextafter(k, 0), k, math.Nextafter(k, 1), 0.5, 1 - ulp, 0.0028, 1e-300} {
+		thr := uint64(ChanceOf(p))
+		for _, x := range []uint64{thr - 2, thr - 1, thr, thr + 1} {
+			if x >= 1<<53 {
+				continue
+			}
+			y := x<<11 | 0x5a5
+			s1 := (y*inv9>>7 | y*inv9<<57) * inv5
+			a := &RNG{s: [4]uint64{3, s1, 5, 7}}
+			b := *a
+			hit := a.Hit(ChanceOf(p))
+			f := b.Float64()
+			if f != float64(x)/(1<<53) {
+				t.Fatalf("p=%v: crafted draw %v, want %d/2^53", p, f, x)
+			}
+			if hit != (f < p) {
+				t.Errorf("p=%v draw %d/2^53: Hit %v, Float64() < p %v", p, x, hit, f < p)
+			}
+			if a.s != b.s {
+				t.Errorf("p=%v: Hit and Float64 consumed different draws", p)
+			}
+		}
+	}
+	for _, p := range []float64{0, -1, math.NaN(), 1, 2} {
+		r := NewRNG(3)
+		before := r.s
+		if r.Hit(ChanceOf(p)) != (p >= 1) || r.s != before {
+			t.Errorf("p=%v: want %v without a draw", p, p >= 1)
+		}
+	}
+}

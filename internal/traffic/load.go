@@ -96,50 +96,84 @@ func InjectionProbability(topo topology.Graph, p Pattern, msgLen int, loadRate f
 // packet is created with the configured probability and a destination drawn
 // from the pattern. Self-addressed draws are discarded (the slot is lost),
 // matching nodes that do not communicate under deterministic patterns.
+//
+// Trials runs a cycle's trials, one integer comparison against a sim.Chance
+// each, and Fire completes each hit. Each source owns its random stream, so
+// running every trial before any firing changes no draw. What a trial reads
+// comes first.
 type Source struct {
+	rng               sim.RNG
+	chance            sim.Chance // per-cycle injection chance (bursty: see SetBursty)
+	stopped, bursty   bool
+	bursting          bool
+	leave, enter, hot sim.Chance // leaving or entering a burst, injecting in one
+
 	node    topology.Node
 	pattern Pattern
-	rng     *sim.RNG
 	prob    float64
 	msgLen  int
-	stopped bool
-
-	// Optional on/off burst modulation (see SetBursty).
-	burst     BurstConfig
-	bursting  bool
-	burstProb float64
 
 	// Offered counts packets generated (accepted draws), for offered-load
 	// accounting by the harness.
 	Offered int64
 }
 
-// NewSource builds a source for node. prob is the per-cycle injection
-// probability (see InjectionProbability); msgLen is the packet length in
-// flits.
-func NewSource(node topology.Node, pattern Pattern, rng *sim.RNG, prob float64, msgLen int) *Source {
+// NewSource builds a source for node that draws from rng's stream. prob is
+// the per-cycle injection probability (see InjectionProbability); msgLen is
+// the packet length in flits.
+func NewSource(node topology.Node, pattern Pattern, rng sim.RNG, prob float64, msgLen int) Source {
 	if msgLen < 1 {
 		panic("traffic: message length must be >= 1")
 	}
-	return &Source{node: node, pattern: pattern, rng: rng, prob: prob, msgLen: msgLen}
+	return Source{rng: rng, chance: sim.ChanceOf(prob), node: node, pattern: pattern, prob: prob, msgLen: msgLen}
 }
 
 // Stop halts generation (used for the drain phase at the end of a run).
 func (s *Source) Stop() { s.stopped = true }
 
-// Stopped reports whether the source has been stopped.
-func (s *Source) Stopped() bool { return s.stopped }
+// Trials runs this cycle's trial of every source i without skip[i], setting
+// bit i of fired on a hit, which Fire must complete before the next trial. A
+// stopped or skipped source draws nothing. The common trial is inline: a
+// call per source per cycle would cost more than the trial.
+func Trials(srcs []Source, skip []bool, fired []uint64) {
+	for i := range srcs {
+		s := &srcs[i]
+		if skip[i] {
+			continue
+		}
+		var hit bool
+		if s.stopped || s.bursty {
+			hit = s.burstTrial()
+		} else {
+			hit = s.rng.Hit(s.chance)
+		}
+		if hit {
+			fired[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
 
-// Generate returns a new packet for this cycle or nil. nextID supplies
-// unique packet IDs (owned by the network so that IDs are global).
-func (s *Source) Generate(now sim.Cycle, nextID func() packet.ID) *packet.Packet {
+// burstTrial is the trial of a stopped or bursty source.
+func (s *Source) burstTrial() bool {
 	if s.stopped {
-		return nil
+		return false
 	}
-	if !s.rng.Bernoulli(s.stepBurst()) {
-		return nil
+	if s.bursting {
+		if s.rng.Hit(s.leave) {
+			s.bursting = false
+		}
+	} else if s.rng.Hit(s.enter) {
+		s.bursting = true
 	}
-	dst := s.pattern.Dest(s.node, s.rng)
+	return s.bursting && s.rng.Hit(s.hot)
+}
+
+// Fire completes a trial that hit: it draws the destination and returns the
+// new packet, or nil when the draw addresses the source itself. nextID
+// supplies unique packet IDs (owned by the network so that IDs are global)
+// and is called only for a packet.
+func (s *Source) Fire(now sim.Cycle, nextID func() packet.ID) *packet.Packet {
+	dst := s.pattern.Dest(s.node, &s.rng)
 	if dst == s.node {
 		return nil
 	}
@@ -175,32 +209,10 @@ func (s *Source) SetBursty(cfg BurstConfig) error {
 	if !cfg.Valid() {
 		return fmt.Errorf("traffic: invalid burst config %+v", cfg)
 	}
-	s.burst = cfg
+	s.bursty = true
 	s.bursting = false
-	s.burstProb = s.prob / cfg.DutyCycle()
-	if s.burstProb > 1 {
-		s.burstProb = 1
-	}
+	s.leave = sim.ChanceOf(1 / cfg.MeanBurst)
+	s.enter = sim.ChanceOf(1 / cfg.MeanIdle)
+	s.hot = sim.ChanceOf(s.prob / cfg.DutyCycle())
 	return nil
-}
-
-// stepBurst advances the on/off state machine one cycle and returns the
-// injection probability to use this cycle.
-func (s *Source) stepBurst() float64 {
-	if !s.burst.Valid() {
-		return s.prob
-	}
-	if s.bursting {
-		if s.rng.Bernoulli(1 / s.burst.MeanBurst) {
-			s.bursting = false
-		}
-	} else {
-		if s.rng.Bernoulli(1 / s.burst.MeanIdle) {
-			s.bursting = true
-		}
-	}
-	if s.bursting {
-		return s.burstProb
-	}
-	return 0
 }

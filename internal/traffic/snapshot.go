@@ -1,35 +1,17 @@
 package traffic
 
-// SourceState is the dynamic state of one Source — everything that evolves
-// as cycles pass. The static configuration (pattern, injection probability,
-// message length, burst shape) is reconstructed from the network Config on
-// restore, so a checkpoint only carries these four fields per node.
-type SourceState struct {
-	// RNG is the source's private random stream (see sim.RNG.State).
-	RNG [4]uint64
-	// Stopped records whether injection was halted (drain phase).
-	Stopped bool
-	// Bursting records the on/off Markov process state under bursty traffic.
-	Bursting bool
-	// Offered is the cumulative count of packets generated.
-	Offered int64
-}
+import "repro/internal/snapshot"
 
-// State captures the source's dynamic state for a checkpoint.
-func (s *Source) State() SourceState {
-	return SourceState{
-		RNG:      s.rng.State(),
-		Stopped:  s.stopped,
-		Bursting: s.bursting,
-		Offered:  s.Offered,
-	}
-}
-
-// SetState restores dynamic state captured by State. The source must have
-// been built with the same configuration the checkpoint was taken under.
-func (s *Source) SetState(st SourceState) {
-	s.rng.SetState(st.RNG)
-	s.stopped = st.Stopped
-	s.bursting = st.Bursting
-	s.Offered = st.Offered
+// Walk codes the source's dynamic state over c: its random stream (see
+// sim.RNG.State), whether it is stopped, the burst process's state and the
+// offered count. The static configuration (pattern, injection probability,
+// message length, burst shape) is rebuilt from the network Config on
+// restore.
+func (s *Source) Walk(c *snapshot.Codec) {
+	rng := s.rng.State()
+	c.U64x4(&rng)
+	s.rng.SetState(rng)
+	c.Bool(&s.stopped)
+	c.Bool(&s.bursting)
+	c.I64(&s.Offered)
 }

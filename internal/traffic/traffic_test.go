@@ -313,13 +313,13 @@ func TestInjectionProbabilityErrors(t *testing.T) {
 
 func TestSourceGeneration(t *testing.T) {
 	topo := topo16()
-	src := NewSource(5, Uniform(topo), sim.NewRNG(9), 0.25, 32)
+	src := NewSource(5, Uniform(topo), *sim.NewRNG(9), 0.25, 32)
 	var id packet.ID
 	nextID := func() packet.ID { id++; return id }
 	made := 0
 	const cycles = 20000
 	for c := 0; c < cycles; c++ {
-		if p := src.Generate(sim.Cycle(c), nextID); p != nil {
+		if p := generate(&src, sim.Cycle(c), nextID); p != nil {
 			made++
 			if p.Src != 5 || p.Dst == 5 || p.Length != 32 || p.CreatedAt != sim.Cycle(c) {
 				t.Fatalf("bad packet %v", p)
@@ -337,17 +337,17 @@ func TestSourceGeneration(t *testing.T) {
 
 func TestSourceStop(t *testing.T) {
 	topo := topo16()
-	src := NewSource(0, Uniform(topo), sim.NewRNG(9), 1.0, 4)
+	src := NewSource(0, Uniform(topo), *sim.NewRNG(9), 1.0, 4)
 	nextID := func() packet.ID { return 1 }
-	if src.Generate(0, nextID) == nil {
+	if generate(&src, 0, nextID) == nil {
 		t.Fatal("prob 1.0 source did not generate")
 	}
 	src.Stop()
-	if !src.Stopped() {
-		t.Fatal("Stopped false after Stop")
+	if !src.stopped {
+		t.Fatal("stopped false after Stop")
 	}
 	for i := 0; i < 100; i++ {
-		if src.Generate(sim.Cycle(i), nextID) != nil {
+		if generate(&src, sim.Cycle(i), nextID) != nil {
 			t.Fatal("stopped source generated a packet")
 		}
 	}
@@ -357,10 +357,10 @@ func TestSourceSelfAddressDiscarded(t *testing.T) {
 	topo := topo16()
 	tr, _ := Transpose(topo)
 	diag := topo.NodeAt(topology.Coord{4, 4})
-	src := NewSource(diag, tr, sim.NewRNG(9), 1.0, 4)
+	src := NewSource(diag, tr, *sim.NewRNG(9), 1.0, 4)
 	nextID := func() packet.ID { return 1 }
 	for i := 0; i < 50; i++ {
-		if src.Generate(sim.Cycle(i), nextID) != nil {
+		if generate(&src, sim.Cycle(i), nextID) != nil {
 			t.Fatal("diagonal transpose node generated a packet")
 		}
 	}
@@ -384,7 +384,7 @@ func TestBurstySourcePreservesLoad(t *testing.T) {
 	const prob = 0.05
 	const cycles = 200000
 	run := func(burst bool) float64 {
-		src := NewSource(3, Uniform(topo), sim.NewRNG(77), prob, 8)
+		src := NewSource(3, Uniform(topo), *sim.NewRNG(77), prob, 8)
 		if burst {
 			if err := src.SetBursty(BurstConfig{MeanBurst: 30, MeanIdle: 70}); err != nil {
 				t.Fatal(err)
@@ -394,7 +394,7 @@ func TestBurstySourcePreservesLoad(t *testing.T) {
 		nextID := func() packet.ID { id++; return id }
 		made := 0
 		for c := 0; c < cycles; c++ {
-			if src.Generate(sim.Cycle(c), nextID) != nil {
+			if generate(&src, sim.Cycle(c), nextID) != nil {
 				made++
 			}
 		}
@@ -412,7 +412,7 @@ func TestBurstySourcePreservesLoad(t *testing.T) {
 
 func TestBurstySourceIsActuallyBursty(t *testing.T) {
 	topo := topo16()
-	src := NewSource(3, Uniform(topo), sim.NewRNG(5), 0.05, 8)
+	src := NewSource(3, Uniform(topo), *sim.NewRNG(5), 0.05, 8)
 	if err := src.SetBursty(BurstConfig{MeanBurst: 25, MeanIdle: 75}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 	for w := 0; w < 400; w++ {
 		made := 0
 		for c := 0; c < 100; c++ {
-			if src.Generate(sim.Cycle(w*100+c), nextID) != nil {
+			if generate(&src, sim.Cycle(w*100+c), nextID) != nil {
 				made++
 			}
 		}
@@ -452,19 +452,19 @@ func TestBurstySourceClampsExtremeConfigs(t *testing.T) {
 	topo := topo16()
 	const prob = 0.3
 	cfg := BurstConfig{MeanBurst: 10, MeanIdle: 90} // duty cycle 0.1 < prob
-	src := NewSource(3, Uniform(topo), sim.NewRNG(11), prob, 8)
+	src := NewSource(3, Uniform(topo), *sim.NewRNG(11), prob, 8)
 	if err := src.SetBursty(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if src.burstProb != 1 {
-		t.Fatalf("in-burst probability %v, want clamp at 1", src.burstProb)
+	if src.hot != sim.Always {
+		t.Fatalf("in-burst chance %#x, want clamp at 1 (sim.Always)", src.hot)
 	}
 	var id packet.ID
 	nextID := func() packet.ID { id++; return id }
 	const cycles = 200000
 	made := 0
 	for c := 0; c < cycles; c++ {
-		if src.Generate(sim.Cycle(c), nextID) != nil {
+		if generate(&src, sim.Cycle(c), nextID) != nil {
 			made++
 		}
 	}
