@@ -169,7 +169,7 @@ func TestActiveSetTelemetryMatchesFullScan(t *testing.T) {
 			}
 			for i, ws := range wantHub.Sampler.Series() {
 				if !strings.HasPrefix(ws.Name, "disha_") {
-					continue // go_* runtime probes describe the process
+					continue // go_* runtime gauges describe the process
 				}
 				gc, gv := gotHub.Sampler.Series()[i].Points()
 				wc, wv := ws.Points()
@@ -318,7 +318,7 @@ func TestActiveSetObservationIsReadOnly(t *testing.T) {
 				}
 				hub.Registry.Gather()
 				hub.Registry.Publish()
-				n.buildSnapshot(n.Now(), 0, 0)
+				n.buildSnapshot(n.Now(), 0, 0, nil)
 				for _, r := range n.Routers() {
 					r.EffectiveTimeout()
 					r.BlockedHeaders()

@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/bits"
 	"testing"
 
@@ -144,6 +145,21 @@ func BenchmarkCalibrate(b *testing.B) {
 func BenchmarkStepProfiled(b *testing.B) {
 	b.Run("off", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, true, 0) })
 	b.Run("on", func(b *testing.B) { stepBenchProfiled(b, 16, 0.5, true, 32) })
+}
+
+// BenchmarkStepTraced measures the whole observation stack against none at
+// the BenchmarkStepActiveSet/torus16/load0.5 operating point: "off" has no
+// observer attached, "on" the default hub streaming JSONL to io.Discard, a
+// 1024-event ring and the phase profiler sampling every 32nd cycle. CI
+// benchgates on against off.
+func BenchmarkStepTraced(b *testing.B) {
+	b.Run("off", func(b *testing.B) { stepBenchAt(b, 16, 0.5, true) })
+	b.Run("on", func(b *testing.B) {
+		n := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
+		n.EnableTrace(1024)
+		n.EnableTelemetry(telemetry.Options{Writer: telemetry.NewJSONLWriter(io.Discard), ProfileEvery: 32})
+		stepBenchLoop(b, n)
+	})
 }
 
 // BenchmarkStepHighRadix measures high-radix digraphs on which most routers

@@ -8,12 +8,11 @@ import (
 )
 
 // unobservedFields are the Network fields stateImage leaves out: the
-// attached observers and the memos readers fill, none of which a simulation
+// attached observers and the memo readers fill, none of which a simulation
 // reads back.
 var unobservedFields = map[string]bool{
 	"ring": true, "tel": true, "observed": true, "prof": true, "OnDeliver": true,
 	"countersCache": true, "countersAt": true, "countersValid": true,
-	"wfgCache": true, "wfgCacheAt": true, "wfgCacheOK": true,
 }
 
 // stateImage returns a deep copy of n's simulation state as text: every

@@ -38,8 +38,9 @@ func (n *Network) stage(profiled bool) {
 	n.stageBuf = buf
 }
 
-// tickAllTimers runs the deadlock-timer phase for every active router.
-// Timeout observers are buffered per router and flushed afterwards.
+// tickAllTimers runs the deadlock-timer phase for every active router, in
+// ascending router order, which is therefore the order the timeout
+// observer sees a cycle's presumptions in.
 func (n *Network) tickAllTimers() {
 	hi := len(n.routers)
 	for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {

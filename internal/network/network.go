@@ -251,14 +251,6 @@ type Network struct {
 	// phases on sampled cycles (see profiler.go). It reads the wall clock
 	// and writes histograms — never simulation state.
 	prof *phaseProfiler
-
-	// wfgCache memoizes the cycle's wait-for-graph analysis: episode
-	// labeling runs the analyzer right after the timeout flush (before
-	// recovery mutates the graph), and the flight-recorder snapshot built
-	// later the same cycle reuses the result instead of re-analyzing.
-	wfgCache   core.WFGResult
-	wfgCacheAt sim.Cycle
-	wfgCacheOK bool
 }
 
 // New builds and wires a network. It returns an error for inconsistent
@@ -527,25 +519,20 @@ func (n *Network) Step() {
 	}
 
 	// 4. Deadlock timers: router-local, active routers only (an
-	// inactive router holds no flits, so it has no timers to tick and no
-	// pending timeout observations to flush). Commit-phase wakes landed
-	// before this point, so a router that just received its first flit
-	// ticks — and starts accruing blocked time — this same cycle.
+	// inactive router holds no flits, so it has no timers to tick).
+	// Commit-phase wakes landed before this point, so a router that just
+	// received its first flit ticks — and starts accruing blocked time —
+	// this same cycle. Each presumption is reported as it is detected.
 	n.tickAllTimers()
 	if profiled {
 		t0 = n.prof.lap(phaseTimers, t0)
 	}
-	if n.observed {
-		hi := len(n.routers)
-		for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-			n.routers[i].FlushTimeouts()
-		}
-		// Episodes opened by this cycle's timeouts get their WFG verdict
-		// now, while the deadlock is still intact (recovery below breaks
-		// it). The analysis is also cached for this cycle's snapshot.
-		if n.tel != nil {
-			n.labelEpisodes(now)
-		}
+	// Episodes opened by this cycle's timeouts get their WFG verdict now,
+	// while the deadlock is still intact (recovery below breaks it); this
+	// cycle's flight-recorder snapshot takes the same verdict.
+	var verdict *core.WFGResult
+	if n.tel != nil {
+		verdict = n.labelEpisodes()
 	}
 	if profiled {
 		t0 = n.prof.lap(phaseFlush, t0)
@@ -585,7 +572,7 @@ func (n *Network) Step() {
 	// a phase: it only runs with telemetry attached, so it would distort
 	// the phase breakdown the profiler exists to measure.
 	if n.tel != nil {
-		n.telemetryTick(now)
+		n.telemetryTick(now, verdict)
 	}
 	if profiled {
 		t0 = time.Now()

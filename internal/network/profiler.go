@@ -24,6 +24,8 @@ const (
 )
 
 // phaseNames are the `phase` label values, index-aligned with the constants.
+// phaseFlush times episode labelling; its label stays "flush" because the
+// repository benchmark's phase ledger reads it by that name.
 var phaseNames = [numPhases]string{
 	"inject", "route_compute", "switch_allocate", "db_resolve", "commit",
 	"timers", "flush", "recovery", "active_sweep", "step_total",

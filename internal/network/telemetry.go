@@ -10,7 +10,7 @@ import (
 
 // EnableTelemetry attaches an instrumentation hub to the network: per-router
 // and per-virtual-channel counters/gauges in the Prometheus registry, Go
-// runtime gauges, a set of default sampler probes, the recovery-episode
+// runtime gauges, the sampler tracking sampledFamilies, the recovery-episode
 // tracker, the deadlock flight recorder, and (when ProfileEvery > 0 in
 // opts) the kernel phase profiler. It must be called before the first
 // Step; calling it again replaces the previous hub.
@@ -29,8 +29,11 @@ func (n *Network) EnableTelemetry(opts telemetry.Options) *telemetry.Hub {
 	n.registerMetrics(h.Registry)
 	telemetry.RegisterRuntimeMetrics(h.Registry)
 	if h.Sampler != nil {
-		n.registerProbes(h.Sampler)
-		telemetry.AddRuntimeProbes(h.Sampler)
+		for _, name := range sampledFamilies {
+			if name != "disha_token_hold_cycles" || n.token != nil {
+				h.Sampler.Track(name)
+			}
+		}
 	}
 	n.prof = nil
 	if opts.ProfileEvery > 0 {
@@ -119,44 +122,15 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// registerProbes installs the default sampled time series: network-level
-// congestion and recovery signals cheap enough to evaluate every tick.
-func (n *Network) registerProbes(s *telemetry.Sampler) {
-	s.AddProbe(telemetry.Probe{Name: "disha_packets_in_flight", Fn: func() float64 {
-		return float64(n.InFlight())
-	}})
-	s.AddProbe(telemetry.Probe{Name: "disha_source_queued_packets", Fn: func() float64 {
-		return float64(n.QueuedPackets())
-	}})
-	s.AddProbe(telemetry.Probe{Name: "disha_blocked_headers", Fn: func() float64 {
-		total := 0
-		for _, r := range n.routers {
-			total += r.BlockedHeaders()
-		}
-		return float64(total)
-	}})
-	s.AddProbe(telemetry.Probe{Name: "disha_presumed_headers", Fn: func() float64 {
-		total := 0
-		for _, r := range n.routers {
-			total += r.PresumedHeaders()
-		}
-		return float64(total)
-	}})
-	s.AddProbe(telemetry.Probe{Name: "disha_db_occupancy", Fn: func() float64 {
-		total := 0
-		for _, r := range n.routers {
-			total += r.DBOccupancy()
-		}
-		return float64(total)
-	}})
-	s.AddProbe(telemetry.Probe{Name: "disha_recoveries_total", Fn: func() float64 {
-		return float64(n.Counters().Recoveries)
-	}})
-	if n.token != nil {
-		s.AddProbe(telemetry.Probe{Name: "disha_token_hold_cycles", Fn: func() float64 {
-			return float64(n.token.HoldCycles())
-		}})
-	}
+// sampledFamilies are the registry families the sampler tracks, in
+// sampling order: network-level congestion and recovery signals (the
+// per-router families summed over routers) and the Go runtime gauges. The
+// Token's hold cycles are tracked only when the network has a Token.
+var sampledFamilies = []string{
+	"disha_packets_in_flight", "disha_source_queued_packets",
+	"disha_blocked_headers", "disha_presumed_headers", "disha_db_occupancy",
+	"disha_recoveries_total", "disha_token_hold_cycles",
+	"go_goroutines", "go_heap_alloc_bytes", "go_gc_pause_total_seconds",
 }
 
 // telemetryTick runs at the end of every Step while telemetry is attached:
@@ -168,9 +142,9 @@ func (n *Network) registerProbes(s *telemetry.Sampler) {
 // router that ran this cycle is still active, and an inactive one missed
 // this cycle's timer pass: it reads 0 blocked, 0 presumed and (drained) 0
 // Deadlock Buffer flits, which is the frame's "absent". The frame therefore
-// walks the active set; the snapshot and the sampled probes read every
-// router.
-func (n *Network) telemetryTick(now sim.Cycle) {
+// walks the active set; the snapshot and the sampled families read every
+// router. verdict is this cycle's WFG analysis, if labelEpisodes ran one.
+func (n *Network) telemetryTick(now sim.Cycle, verdict *core.WFGResult) {
 	h := n.tel
 	if rec := h.Recorder; rec != nil {
 		fr := rec.BeginFrame(int64(now))
@@ -186,14 +160,12 @@ func (n *Network) telemetryTick(now sim.Cycle) {
 			})
 		}
 		if node, pkt, ok := h.TakeTrigger(); ok && rec.ShouldSnapshot(int64(now)) {
-			snap := n.buildSnapshot(now, node, pkt)
+			snap := n.buildSnapshot(now, node, pkt, verdict)
 			rec.AddSnapshot(snap)
 			if h.Writer != nil {
 				h.Writer.WriteSnapshot(snap)
 			}
 		}
-	} else {
-		h.TakeTrigger() // keep the trigger from going stale
 	}
 	if s := h.Sampler; s != nil && s.Due(int64(now)) {
 		s.Sample(int64(now))
@@ -202,41 +174,41 @@ func (n *Network) telemetryTick(now sim.Cycle) {
 }
 
 // labelEpisodes applies the WFG verdict to every recovery episode opened
-// this cycle. It runs right after the timeout flush — before recovery
-// mutates the wait-for graph — so the analysis sees the deadlock the
-// presumption fired on. The result is cached on the network: the
+// this cycle and returns the analysis, or nil when no episode opened. It
+// runs right after the timer phase — before recovery mutates the wait-for
+// graph — so the analysis sees the deadlock the presumption fired on. The
 // flight-recorder snapshot built later the same cycle (whose trigger was
-// armed by the same presumption) reuses it, which both saves the second
-// analysis and makes the episode labels agree with the snapshot's
-// TrueDeadlock verdict by construction.
-func (n *Network) labelEpisodes(now sim.Cycle) {
+// armed by the same presumption) takes the returned analysis, which both
+// saves the second analysis and makes the episode labels agree with the
+// snapshot's TrueDeadlock verdict by construction.
+func (n *Network) labelEpisodes() *core.WFGResult {
 	ep := n.tel.Episodes
 	if !ep.HasPending() {
-		return
+		return nil
 	}
 	w := core.AnalyzeWFG(n.routers)
-	n.wfgCache, n.wfgCacheAt, n.wfgCacheOK = w, now, true
 	ep.LabelPending(w.TrueDeadlock(), w.DeadlockedIDs())
+	return &w
 }
 
 // buildSnapshot assembles a flight-recorder dump: the retained frames plus
 // the instantaneous wait-for-graph (who waits on whom, and whether the
 // blocked set contains a true deadlocked configuration). The graph is
-// reused from this cycle's episode labeling when available (recovery runs
-// between the two, but it only moves already-presumed packets onto the
-// Deadlock Buffer — the pre-recovery graph is the one worth recording).
-func (n *Network) buildSnapshot(now sim.Cycle, trigNode int, trigPkt int64) *telemetry.Snapshot {
+// verdict, this cycle's episode-labelling analysis, when labelEpisodes ran
+// one (recovery runs between the two, but it only moves already-presumed
+// packets onto the Deadlock Buffer — the pre-recovery graph is the one
+// worth recording); otherwise the graph is analysed now.
+func (n *Network) buildSnapshot(now sim.Cycle, trigNode int, trigPkt int64, verdict *core.WFGResult) *telemetry.Snapshot {
 	snap := &telemetry.Snapshot{
 		Cycle:       int64(now),
 		TriggerNode: trigNode,
 		TriggerPkt:  trigPkt,
 		Frames:      n.tel.Recorder.Frames(),
 	}
-	var w core.WFGResult
-	if n.wfgCacheOK && n.wfgCacheAt == now {
-		w = n.wfgCache
-	} else {
-		w = core.AnalyzeWFG(n.routers)
+	w := verdict
+	if w == nil {
+		a := core.AnalyzeWFG(n.routers)
+		w = &a
 	}
 	deadlocked := w.DeadlockedIDs()
 	for _, bh := range w.Blocked {

@@ -348,29 +348,11 @@ func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) i
 		head.Pkt.TimedOut = true
 		r.stats.TimeoutEvents++
 		if s.onTimeout != nil {
-			r.pendingTimeouts = append(r.pendingTimeouts, head.Pkt)
+			s.onTimeout(r.node, head.Pkt)
 		}
 		return 1
 	}
 	return 0
-}
-
-// FlushTimeouts invokes the SetOnTimeout observer for every header newly
-// presumed during the last TickTimers, in detection order, and clears the
-// buffer. The network calls it in fixed router order after the timer phase,
-// so observer side effects — trace records, flight-recorder triggers —
-// happen in router order.
-func (r *Router) FlushTimeouts() {
-	if len(r.pendingTimeouts) == 0 {
-		return
-	}
-	for i, p := range r.pendingTimeouts {
-		if r.st.onTimeout != nil {
-			r.st.onTimeout(r.node, p)
-		}
-		r.pendingTimeouts[i] = nil
-	}
-	r.pendingTimeouts = r.pendingTimeouts[:0]
 }
 
 // strandedHeader reports whether the packet's routing function offers no

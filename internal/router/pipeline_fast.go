@@ -198,10 +198,9 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 
 // TickTimers advances T_elapsed for blocked headers (paper Section 3.1) and
 // clears the per-cycle sent markers. It returns the number of headers that
-// newly crossed T_out this cycle; each newly presumed packet is buffered for
-// the observer installed with SetOnTimeout (tracing, flight recorder), which
-// runs when the caller invokes FlushTimeouts — deferred so that TickTimers
-// touches only router-local state. As a side effect it refreshes the
+// newly crossed T_out this cycle, and reports each newly presumed packet to
+// the observer installed with SetOnTimeout (tracing, flight recorder) as it
+// presumes it, in slot order. As a side effect it refreshes the
 // router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
 // per-VC blocked-cycle counters) — the loop already touches every input VC
 // that can block, so the extra cost is a few adds — and stamps the pass's

@@ -108,10 +108,6 @@ type Router struct {
 	// visits every input VC that can block, so this costs almost nothing):
 	// cumulative blocked cycles keyed by VC index.
 	blockedByVC []int64
-
-	// pendingTimeouts buffers the packets TickTimers newly presumed, for
-	// FlushTimeouts to hand to the State's timeout observer.
-	pendingTimeouts []*packet.Packet
 }
 
 // NewWithState constructs the view of node over the shared state st, with

@@ -41,7 +41,6 @@ func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	c.U64x4(&rng)
 	if c.Decoding() && c.Err() == nil {
 		r.rng.SetState(rng)
-		r.pendingTimeouts = r.pendingTimeouts[:0]
 	}
 	return c.Err()
 }

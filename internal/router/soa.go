@@ -81,7 +81,7 @@ type State struct {
 	// recovery picks a lane by it; see SetRecoveryOrder).
 	orderPos []int32
 	// onTimeout, when set via SetOnTimeout, observes every newly presumed
-	// header. TickTimers buffers them per router; FlushTimeouts drains them.
+	// header, called by TickTimers where it presumes it.
 	onTimeout func(topology.Node, *packet.Packet)
 	// clock is the network's one clock: the phases and the readers of the
 	// clock-derived state (activity.go) take the current cycle from it.
@@ -330,9 +330,10 @@ func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos []int32, ta
 	return pos, table
 }
 
-// SetOnTimeout installs the observer invoked (from FlushTimeouts) for every
-// header newly presumed deadlocked, with the presuming router's node; nil
-// detaches. The network wires it when tracing or telemetry is attached.
+// SetOnTimeout installs the observer TickTimers calls for every header it
+// newly presumes deadlocked, with the presuming router's node, in slot
+// order; nil detaches. The observer must not read or write simulation
+// state. The network wires it when tracing or telemetry is attached.
 func (s *State) SetOnTimeout(fn func(topology.Node, *packet.Packet)) { s.onTimeout = fn }
 
 // --- Index helpers -----------------------------------------------------------

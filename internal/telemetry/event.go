@@ -77,15 +77,21 @@ func newRing[T any](capacity int) ring[T] {
 	return ring[T]{buf: make([]T, 0, capacity)}
 }
 
-// push appends v, evicting the oldest value when full.
-func (r *ring[T]) push(v T) {
+// slot advances the ring by one value and returns that value's slot: a
+// zero one while the ring fills, then the oldest, whose contents the caller
+// may reuse (a flight-recorder frame keeps its router list's array).
+func (r *ring[T]) slot() *T {
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, v)
-		return
+		r.buf = r.buf[:len(r.buf)+1]
+		return &r.buf[len(r.buf)-1]
 	}
-	r.buf[r.next] = v
+	s := &r.buf[r.next]
 	r.next = (r.next + 1) % cap(r.buf)
+	return s
 }
+
+// push appends v, evicting the oldest value when full.
+func (r *ring[T]) push(v T) { *r.slot() = v }
 
 // items returns the retained values oldest-first, in a slice of its own.
 func (r *ring[T]) items() []T {

@@ -38,9 +38,7 @@ type Snapshot struct {
 // snapshot dumps (a saturated network presumes deadlock every few cycles;
 // one post-mortem per episode is what a human wants to read).
 type FlightRecorder struct {
-	frames []Frame
-	next   int
-	full   bool
+	frames ring[Frame]
 
 	cooldown  int64 // min cycles between snapshots
 	lastSnap  int64
@@ -51,54 +49,36 @@ type FlightRecorder struct {
 // NewFlightRecorder keeps depth frames, allows one snapshot per cooldown
 // cycles, and retains at most maxSnaps snapshots in memory.
 func NewFlightRecorder(depth int, cooldown int64, maxSnaps int) *FlightRecorder {
-	if depth < 1 {
-		depth = 1
-	}
 	if maxSnaps < 1 {
 		maxSnaps = 1
 	}
-	f := &FlightRecorder{
-		frames:   make([]Frame, depth),
+	return &FlightRecorder{
+		frames:   newRing[Frame](depth),
 		cooldown: cooldown,
 		lastSnap: -1 << 62,
 		maxSnaps: maxSnaps,
 	}
-	for i := range f.frames {
-		f.frames[i].Routers = make([]RouterFrame, 0, 16)
-	}
-	return f
 }
 
 // Depth returns the number of frames retained.
-func (f *FlightRecorder) Depth() int { return len(f.frames) }
+func (f *FlightRecorder) Depth() int { return cap(f.frames.buf) }
 
 // BeginFrame claims the ring slot for this cycle and returns it with an
-// empty (reused) router list; the caller appends sparse RouterFrames.
+// empty router list, reusing the evicted frame's array; the caller appends
+// sparse RouterFrames.
 func (f *FlightRecorder) BeginFrame(cycle int64) *Frame {
-	fr := &f.frames[f.next]
+	fr := f.frames.slot()
 	fr.Cycle = cycle
 	fr.Routers = fr.Routers[:0]
-	f.next++
-	if f.next == len(f.frames) {
-		f.next = 0
-		f.full = true
-	}
 	return fr
 }
 
 // Frames returns deep copies of the retained frames oldest-first (a snapshot
 // must not alias the ring, which keeps being overwritten).
 func (f *FlightRecorder) Frames() []Frame {
-	var src []Frame
-	if f.full {
-		src = append(src, f.frames[f.next:]...)
-		src = append(src, f.frames[:f.next]...)
-	} else {
-		src = append(src, f.frames[:f.next]...)
-	}
-	out := make([]Frame, len(src))
-	for i, fr := range src {
-		out[i] = Frame{Cycle: fr.Cycle, Routers: append([]RouterFrame(nil), fr.Routers...)}
+	out := f.frames.items()
+	for i := range out {
+		out[i].Routers = append([]RouterFrame(nil), out[i].Routers...)
 	}
 	return out
 }

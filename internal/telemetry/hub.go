@@ -26,7 +26,7 @@ type Options struct {
 
 // Fixed capacities of a Hub: every caller ran with these values.
 const (
-	seriesDepth  = 512 // per-probe time-series ring capacity
+	seriesDepth  = 512 // per-family time-series ring capacity
 	maxSnapshots = 16  // flight-recorder dumps retained (and written) per run
 )
 
@@ -69,7 +69,7 @@ func NewHub(o Options) *Hub {
 	o.normalize()
 	h := &Hub{Registry: NewRegistry(), Writer: o.Writer}
 	if o.SampleEvery > 0 {
-		h.Sampler = NewSampler(int64(o.SampleEvery), seriesDepth)
+		h.Sampler = NewSampler(h.Registry, int64(o.SampleEvery), seriesDepth)
 		if o.Writer != nil {
 			h.Sampler.Emit = o.Writer.Sample
 		}
@@ -86,7 +86,8 @@ func NewHub(o Options) *Hub {
 }
 
 // Observe consumes one packet event: a Timeout arms the snapshot trigger
-// (the first presumption of a cycle wins), the event goes out as a JSONL
+// when a flight recorder exists (the first presumption of a cycle wins; the
+// network's telemetry tick takes it), the event goes out as a JSONL
 // "event" line, and the episode tracker folds it into the packet's span.
 // The line is written first, so a closing event precedes the span it
 // closes in the stream. No-op on a nil hub.
@@ -94,7 +95,7 @@ func (h *Hub) Observe(e Event) {
 	if h == nil {
 		return
 	}
-	if e.Kind == Timeout && !h.trigArmed {
+	if e.Kind == Timeout && h.Recorder != nil && !h.trigArmed {
 		h.trigArmed = true
 		h.trigNode = int(e.Node)
 		h.trigPkt = int64(e.Pkt)

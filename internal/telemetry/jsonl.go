@@ -20,10 +20,9 @@ type Line struct {
 	// meta: free-form run description (topology, algorithm, seed, ...).
 	Meta map[string]string `json:"meta,omitempty"`
 
-	// sample: one sampled probe value.
-	Name   string            `json:"name,omitempty"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value,omitempty"`
+	// sample: one sampled family value.
+	Name  string  `json:"name,omitempty"`
+	Value float64 `json:"value,omitempty"`
 
 	// event: one packet lifecycle Event (kind is the Kind string form).
 	Kind string `json:"kind,omitempty"`
@@ -67,9 +66,9 @@ func (w *JSONLWriter) Meta(meta map[string]string) {
 	w.write(Line{Type: "meta", Meta: meta})
 }
 
-// Sample writes one sampled probe value.
-func (w *JSONLWriter) Sample(cycle int64, name string, labels Labels, value float64) {
-	w.write(Line{Type: "sample", Cycle: cycle, Name: name, Labels: labels.Map(), Value: value})
+// Sample writes one sampled family value.
+func (w *JSONLWriter) Sample(cycle int64, name string, value float64) {
+	w.write(Line{Type: "sample", Cycle: cycle, Name: name, Value: value})
 }
 
 // Event writes one packet lifecycle event.

@@ -29,25 +29,3 @@ func RegisterRuntimeMetrics(reg *Registry) {
 			return float64(m.PauseTotalNs) / 1e9
 		})
 }
-
-// AddRuntimeProbes samples the same Go process gauges into the cycle
-// sampler's time-series rings, so runtime behavior lines up on the cycle
-// axis with the sim gauges. Nil-safe on a disabled sampler.
-func AddRuntimeProbes(s *Sampler) {
-	if s == nil {
-		return
-	}
-	s.AddProbe(Probe{Name: "go_goroutines", Fn: func() float64 {
-		return float64(runtime.NumGoroutine())
-	}})
-	s.AddProbe(Probe{Name: "go_heap_alloc_bytes", Fn: func() float64 {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return float64(m.HeapAlloc)
-	}})
-	s.AddProbe(Probe{Name: "go_gc_pause_total_seconds", Fn: func() float64 {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return float64(m.PauseTotalNs) / 1e9
-	}})
-}

@@ -20,12 +20,13 @@ func TestRuntimeMetrics(t *testing.T) {
 	}
 	// Nil-safe.
 	RegisterRuntimeMetrics(nil)
-	AddRuntimeProbes(nil)
 }
 
 func TestRuntimeProbes(t *testing.T) {
-	s := NewSampler(4, 8)
-	AddRuntimeProbes(s)
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+	s := NewSampler(r, 4, 8)
+	s.Track("go_goroutines")
 	s.Sample(0)
 	found := false
 	for _, ts := range s.Series() {
@@ -37,6 +38,6 @@ func TestRuntimeProbes(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("sampler did not record a go_goroutines probe sample")
+		t.Error("sampler did not record a go_goroutines sample")
 	}
 }

@@ -1,118 +1,83 @@
 package telemetry
 
 import (
+	"fmt"
+
 	"repro/internal/metrics"
 )
 
-// Probe is one sampled quantity: a named pull callback evaluated on every
-// sample tick.
-type Probe struct {
-	Name   string
-	Labels Labels
-	Fn     func() float64
+// point is one sampled (cycle, value) pair.
+type point struct {
+	cycle int64
+	value float64
 }
 
-// TimeSeries is a ring-buffered (cycle, value) history of one probe.
+// TimeSeries is a ring-buffered (cycle, value) history of one registry
+// family, each value the family's sum over its label sets.
 type TimeSeries struct {
-	Name   string
-	Labels Labels
+	Name string
 
-	cycles []int64
-	values []float64
-	next   int
-	full   bool
-}
-
-func newTimeSeries(name string, labels Labels, capacity int) *TimeSeries {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TimeSeries{
-		Name:   name,
-		Labels: labels,
-		cycles: make([]int64, capacity),
-		values: make([]float64, capacity),
-	}
-}
-
-func (ts *TimeSeries) append(cycle int64, v float64) {
-	ts.cycles[ts.next] = cycle
-	ts.values[ts.next] = v
-	ts.next++
-	if ts.next == len(ts.cycles) {
-		ts.next = 0
-		ts.full = true
-	}
+	family *family
+	points ring[point]
 }
 
 // Len returns the number of retained samples.
-func (ts *TimeSeries) Len() int {
-	if ts.full {
-		return len(ts.cycles)
-	}
-	return ts.next
-}
+func (ts *TimeSeries) Len() int { return len(ts.points.buf) }
 
 // Points returns the retained (cycle, value) pairs oldest-first.
 func (ts *TimeSeries) Points() (cycles []int64, values []float64) {
-	if !ts.full {
-		return append([]int64(nil), ts.cycles[:ts.next]...), append([]float64(nil), ts.values[:ts.next]...)
+	for _, p := range ts.points.items() {
+		cycles = append(cycles, p.cycle)
+		values = append(values, p.value)
 	}
-	n := len(ts.cycles)
-	cycles = make([]int64, 0, n)
-	values = make([]float64, 0, n)
-	cycles = append(cycles, ts.cycles[ts.next:]...)
-	cycles = append(cycles, ts.cycles[:ts.next]...)
-	values = append(values, ts.values[ts.next:]...)
-	values = append(values, ts.values[:ts.next]...)
 	return cycles, values
 }
 
 // MetricsSeries converts the ring into a metrics.Series (X = cycle,
 // Latency = sampled value) so internal/plot can chart it directly.
 func (ts *TimeSeries) MetricsSeries() metrics.Series {
-	label := ts.Name
-	if ls := ts.Labels.render(); ls != "" {
-		label += ls
-	}
-	s := metrics.Series{Label: label}
-	cycles, values := ts.Points()
-	for i := range cycles {
-		s.Append(metrics.Point{X: float64(cycles[i]), Latency: values[i]})
+	s := metrics.Series{Label: ts.Name}
+	for _, p := range ts.points.items() {
+		s.Append(metrics.Point{X: float64(p.cycle), Latency: p.value})
 	}
 	return s
 }
 
-// Sampler snapshots registered probes every Every cycles into per-probe
-// ring-buffered time series.
+// Sampler snapshots tracked registry families every Every cycles into
+// per-family ring-buffered time series.
 type Sampler struct {
-	every int64
-	depth int
-
-	probes []Probe
+	every  int64
+	depth  int
+	reg    *Registry
 	series []*TimeSeries
 
 	// Emit, when set, receives every sampled value (the Hub uses it to
 	// stream JSONL sample lines).
-	Emit func(cycle int64, name string, labels Labels, value float64)
+	Emit func(cycle int64, name string, value float64)
 }
 
-// NewSampler builds a sampler ticking every `every` cycles, keeping `depth`
-// samples per probe.
-func NewSampler(every int64, depth int) *Sampler {
+// NewSampler builds a sampler over reg ticking every `every` cycles,
+// keeping `depth` samples per tracked family.
+func NewSampler(reg *Registry, every int64, depth int) *Sampler {
 	if every < 1 {
 		every = 1
 	}
 	if depth < 1 {
 		depth = 1
 	}
-	return &Sampler{every: every, depth: depth}
+	return &Sampler{every: every, depth: depth, reg: reg}
 }
 
-// AddProbe registers one sampled quantity.
-func (s *Sampler) AddProbe(p Probe) *TimeSeries {
-	ts := newTimeSeries(p.Name, p.Labels, s.depth)
-	s.probes = append(s.probes, p)
+// Track samples the registered counter or gauge family name on every tick
+// from now on, after the families tracked before it. Each sample is the
+// family's value summed over its label sets, including sets registered
+// later. It panics when no such family is registered.
+func (s *Sampler) Track(name string) *TimeSeries {
+	f := s.reg.byName[name]
+	if f == nil || f.kind == "histogram" {
+		panic(fmt.Sprintf("telemetry: no counter or gauge family %q to sample", name))
+	}
+	ts := &TimeSeries{Name: name, family: f, points: newRing[point](s.depth)}
 	s.series = append(s.series, ts)
 	return ts
 }
@@ -122,19 +87,19 @@ func (s *Sampler) Due(cycle int64) bool {
 	return cycle%s.every == 0
 }
 
-// Sample evaluates every probe at the given cycle, appends to the rings and
-// forwards values to Emit.
+// Sample evaluates every tracked family at the given cycle, appends to the
+// rings and forwards values to Emit.
 func (s *Sampler) Sample(cycle int64) {
-	for i, p := range s.probes {
-		v := p.Fn()
-		s.series[i].append(cycle, v)
+	for _, ts := range s.series {
+		v := ts.family.sum()
+		ts.points.push(point{cycle, v})
 		if s.Emit != nil {
-			s.Emit(cycle, p.Name, p.Labels, v)
+			s.Emit(cycle, ts.Name, v)
 		}
 	}
 }
 
-// Series returns all probe rings in registration order.
+// Series returns all tracked rings in tracking order.
 func (s *Sampler) Series() []*TimeSeries { return s.series }
 
 // MetricsSeries converts every ring for plotting.

@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's observability layer: a registry of
 // named counters, gauges and fixed-bucket histograms (Prometheus text
-// exposition), a cycle-driven sampler that snapshots selected gauges into
-// ring-buffered time series, a flight recorder that retains the last K
+// exposition), a cycle-driven sampler that snapshots selected registry
+// families into ring-buffered time series, a flight recorder that retains the last K
 // cycles of condensed per-router state for post-mortem dumps on deadlock
 // presumption, the packet-event stream (Event: one record per packet
 // lifecycle step, which the network builds once and hands to the EventRing
@@ -133,6 +133,19 @@ type family struct {
 	name, help string
 	kind       string // "counter", "gauge" or "histogram"
 	entries    []*metricEntry
+}
+
+// sum is a counter or gauge family's value summed over its label sets.
+func (f *family) sum() float64 {
+	v := 0.0
+	for _, e := range f.entries {
+		if e.counter != nil {
+			v += float64(e.counter.Value())
+		} else {
+			v += e.gauge.Value()
+		}
+	}
+	return v
 }
 
 // Registry holds registered metrics and renders them in the Prometheus text

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -74,14 +76,15 @@ func TestNilMetricSafety(t *testing.T) {
 }
 
 func TestSamplerRingWraps(t *testing.T) {
-	s := NewSampler(10, 4)
-	cur := 0.0
-	ts := s.AddProbe(Probe{Name: "p", Fn: func() float64 { return cur }})
+	reg := NewRegistry()
+	s := NewSampler(reg, 10, 4)
+	g := reg.Gauge("p", "sampled", nil)
+	ts := s.Track("p")
 	for c := int64(0); c <= 70; c++ {
 		if !s.Due(c) {
 			continue
 		}
-		cur = float64(c)
+		g.Set(float64(c))
 		s.Sample(c)
 	}
 	if ts.Len() != 4 {
@@ -101,10 +104,12 @@ func TestSamplerRingWraps(t *testing.T) {
 }
 
 func TestSamplerEmit(t *testing.T) {
-	s := NewSampler(1, 8)
-	s.AddProbe(Probe{Name: "q", Fn: func() float64 { return 3 }})
+	reg := NewRegistry()
+	s := NewSampler(reg, 1, 8)
+	reg.GaugeFunc("q", "sampled", nil, func() float64 { return 3 })
+	s.Track("q")
 	var got []int64
-	s.Emit = func(cycle int64, name string, _ Labels, v float64) {
+	s.Emit = func(cycle int64, name string, v float64) {
 		if name != "q" || v != 3 {
 			t.Fatalf("emit (%s, %g)", name, v)
 		}
@@ -114,6 +119,43 @@ func TestSamplerEmit(t *testing.T) {
 	s.Sample(6)
 	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
 		t.Fatalf("emitted cycles %v", got)
+	}
+}
+
+// TestSamplerTracksFamilySums checks that a tracked family samples as the
+// sum over its label sets, counters and gauges alike, in tracking order,
+// and that an unknown or histogram family is refused.
+func TestSamplerTracksFamilySums(t *testing.T) {
+	reg := NewRegistry()
+	s := NewSampler(reg, 1, 8)
+	for i, v := range []float64{2, 5, 7} {
+		g := reg.Gauge("occ", "per node", Labels{{Key: "node", Value: strconv.Itoa(i)}})
+		g.Set(v)
+	}
+	c := reg.Counter("total", "network-wide", nil)
+	c.Add(4)
+	reg.Histogram("lat", "a histogram", nil, []float64{1})
+	s.Track("total")
+	s.Track("occ")
+	var names []string
+	var values []float64
+	s.Emit = func(_ int64, name string, v float64) {
+		names = append(names, name)
+		values = append(values, v)
+	}
+	s.Sample(1)
+	if !slices.Equal(names, []string{"total", "occ"}) || !slices.Equal(values, []float64{4, 14}) {
+		t.Fatalf("sampled %v = %v, want [total occ] = [4 14]", names, values)
+	}
+	for _, name := range []string{"missing", "lat"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Track(%q) did not panic", name)
+				}
+			}()
+			s.Track(name)
+		}()
 	}
 }
 
@@ -166,7 +208,7 @@ func TestJSONLRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
 	w.Meta(map[string]string{"alg": "disha"})
-	w.Sample(100, "disha_blocked_headers", Labels{{Key: "node", Value: "2"}}, 4)
+	w.Sample(100, "disha_blocked_headers", 4)
 	w.Event(Event{Cycle: 123, Kind: Timeout, Node: 7, Pkt: 55})
 	w.WriteSnapshot(&Snapshot{
 		Cycle: 130, TriggerNode: 7, TriggerPkt: 55,
@@ -189,8 +231,7 @@ func TestJSONLRoundtrip(t *testing.T) {
 	if lines[0].Type != "meta" || lines[0].Meta["alg"] != "disha" {
 		t.Fatalf("meta line %+v", lines[0])
 	}
-	if l := lines[1]; l.Type != "sample" || l.Cycle != 100 || l.Name != "disha_blocked_headers" ||
-		l.Labels["node"] != "2" || l.Value != 4 {
+	if l := lines[1]; l.Type != "sample" || l.Cycle != 100 || l.Name != "disha_blocked_headers" || l.Value != 4 {
 		t.Fatalf("sample line %+v", l)
 	}
 	if l := lines[2]; l.Type != "event" || l.Kind != "timeout" || l.Node != 7 || l.Pkt != 55 {
@@ -237,6 +278,13 @@ func TestHubTrigger(t *testing.T) {
 	}
 	if _, _, ok := h.TakeTrigger(); ok {
 		t.Fatal("trigger not consumed")
+	}
+
+	// Without a flight recorder nothing takes a trigger, so none arms.
+	h = NewHub(Options{FlightDepth: -1})
+	h.Observe(Event{Kind: Timeout, Node: 3, Pkt: 10})
+	if _, _, ok := h.TakeTrigger(); ok {
+		t.Fatal("a hub without a flight recorder armed the snapshot trigger")
 	}
 }
 
