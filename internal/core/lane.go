@@ -23,18 +23,17 @@ func DORLane(topo topology.Topology) LaneRouting {
 	}
 }
 
-// BFSLaneTableOver builds a per-destination next-hop table by reverse
-// breadth-first search from every destination: entry [dst*nodes+cur] is the
-// output port a lane flit at cur takes toward dst (-1 at cur == dst or when
-// dst is unreachable). link reports where port p of node v leads — the
+// LaneRows returns the builder of the Deadlock Buffer lane's next-hop rows
+// over a fixed set of links: row(dst, r) fills r[cur] with the output port a
+// lane flit at cur takes toward dst (-1 at cur == dst or when dst is
+// unreachable), by reverse breadth-first search from dst, ports in
+// increasing order. link reports where port p of node v leads — the
 // neighbor nb and the port rev >= 0 at nb whose link lands back on v — or
-// ok=false where v has no usable (paired, live) link on p. Ports are scanned
-// in increasing order, so the table is deterministic. It is the only lane-
-// table construction: BFSLaneTable runs it over a whole graph, and
-// internal/network over the links still live after a reconfiguration.
-func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int16 {
-	// Resolve every link once: the per-destination passes below then scan
-	// flat arrays instead of calling out nodes times per link.
+// ok=false where v has no usable (paired, live) link on p; it is resolved
+// once, here, so later changes to what it reports do not reach the rows.
+// This is the only BFS lane construction: internal/network memoises the rows
+// it needs over its live links, BFSLaneTableOver gathers every row.
+func LaneRows(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) func(dst topology.Node, row []int16) {
 	nbr := make([]int32, nodes*deg) // -1 where link reports none
 	back := make([]int16, nodes*deg)
 	for i := range nbr {
@@ -43,34 +42,40 @@ func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topo
 			nbr[i], back[i] = int32(nb), int16(rev)
 		}
 	}
-	table := make([]int16, nodes*nodes)
-	for i := range table {
-		table[i] = -1
-	}
 	queue := make([]int32, 0, nodes)
-	for d := 0; d < nodes; d++ {
-		row := table[d*nodes : (d+1)*nodes] // an entry >= 0 also marks its node visited
-		queue = append(queue[:0], int32(d))
+	return func(dst topology.Node, row []int16) {
+		for i := range row {
+			row[i] = -1 // an entry >= 0 also marks its node visited
+		}
+		queue = append(queue[:0], int32(dst))
 		for head := 0; head < len(queue); head++ {
 			// A neighbor one hop "behind" v reaches dst through the port
 			// whose link lands on v.
 			v := int(queue[head])
-			for l := v * deg; l < (v+1)*deg; l++ {
-				nb := nbr[l]
-				if nb < 0 || int(nb) == d || row[nb] >= 0 {
-					continue
+			for i := v * deg; i < (v+1)*deg; i++ {
+				if nb := nbr[i]; nb >= 0 && nb != int32(dst) && row[nb] < 0 {
+					row[nb] = back[i]
+					queue = append(queue, nb)
 				}
-				row[nb] = back[l]
-				queue = append(queue, nb)
 			}
 		}
+	}
+}
+
+// BFSLaneTableOver is every row of LaneRows(nodes, deg, link) in one
+// per-destination table: entry [dst*nodes+cur] is row dst's entry cur.
+func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int16 {
+	row := LaneRows(nodes, deg, link)
+	table := make([]int16, nodes*nodes)
+	for d := 0; d < nodes; d++ {
+		row(topology.Node(d), table[d*nodes:(d+1)*nodes])
 	}
 	return table
 }
 
-// BFSLaneTable is BFSLaneTableOver on every paired link of g: the recovery
-// lane of a topology without cube coordinates. It builds a fresh table;
-// BFSLane is the one a digraph keeps.
+// BFSLaneTable is BFSLaneTableOver on every paired link of g: the whole
+// recovery-lane table of a topology without cube coordinates, nodes² int16s.
+// Networks never build it; tests and the analysis tools compare against it.
 func BFSLaneTable(g topology.Graph) []int16 {
 	return BFSLaneTableOver(g.Nodes(), g.Degree(), func(v topology.Node, p int) (topology.Node, int, bool) {
 		nb, ok := g.Neighbor(v, p)
@@ -80,26 +85,6 @@ func BFSLaneTable(g topology.Graph) []int16 {
 		rev, ok := g.ReversePortAt(v, p)
 		return nb, rev, ok
 	})
-}
-
-// laneCarrier is a graph that keeps its own lane table: the digraphs.
-type laneCarrier interface {
-	LaneTable(build func() ([]int16, error)) ([]int16, error)
-}
-
-// BFSLane returns BFSLaneTable(g) with its Lemma 1 verdict
-// (VerifyLaneConnected over it). A digraph keeps both, built on the first
-// call, and hands every caller the same table, which must not be written
-// into; any other graph gets a fresh table and walk.
-func BFSLane(g topology.Graph) ([]int16, error) {
-	build := func() ([]int16, error) {
-		table := BFSLaneTable(g)
-		return table, VerifyLaneConnected(g, TableLane(g, table))
-	}
-	if c, ok := g.(laneCarrier); ok {
-		return c.LaneTable(build)
-	}
-	return build()
 }
 
 // TableLane wraps a BFSLaneTable-shaped per-destination next-hop table as
@@ -115,6 +100,25 @@ func TableLane(g topology.Graph, table []int16) LaneRouting {
 	}
 }
 
+// RowLane wraps a row builder (LaneRows' shape) as a LaneRouting
+// function over one row of scratch, rebuilt whenever the destination
+// changes. VerifyLaneConnected walks one destination at a time, so over it
+// each row is built once, in O(nodes) memory.
+func RowLane(nodes int, build func(dst topology.Node, row []int16)) LaneRouting {
+	row := make([]int16, nodes)
+	built := topology.Node(-1)
+	return func(cur, dst topology.Node) (int, bool) {
+		if dst != built {
+			build(dst, row)
+			built = dst
+		}
+		if p := row[cur]; p >= 0 {
+			return int(p), true
+		}
+		return 0, false
+	}
+}
+
 // VerifyLaneConnected is the generalized Lemma 1 check: the routing
 // subfunction next delivers every (src, dst) pair — from any node, the
 // declared lane reaches any destination. This is the whole deadlock-
@@ -126,14 +130,15 @@ func TableLane(g topology.Graph, table []int16) LaneRouting {
 // rather than hanging.
 func VerifyLaneConnected(g topology.Graph, next LaneRouting) error {
 	nodes := g.Nodes()
+	// reaches[v] caches "v's lane path reaches dst" so the per-destination
+	// sweep is linear: each walk stops at the first node already proven to
+	// reach dst.
+	reaches := make([]bool, nodes)
+	path := make([]topology.Node, 0, nodes)
 	for d := 0; d < nodes; d++ {
 		dst := topology.Node(d)
-		// reaches[v] caches "v's lane path reaches dst" so the per-
-		// destination sweep is linear: each walk stops at the first node
-		// already proven to reach dst.
-		reaches := make([]bool, nodes)
+		clear(reaches)
 		reaches[d] = true
-		path := make([]topology.Node, 0, nodes)
 		for s := 0; s < nodes; s++ {
 			cur := topology.Node(s)
 			path = path[:0]

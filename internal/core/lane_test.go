@@ -142,12 +142,13 @@ func dbGraph(t *testing.T, g topology.Graph, lane core.LaneRouting, onLane func(
 	return routers
 }
 
-// TestConcurrentLanesMonotoneConnectedAcyclic guards the table concurrent
-// recovery routes both of its Deadlock Buffer lanes by: every hop moves
-// strictly toward dst in recovery order without passing it, the table passes
-// the Lemma 1 gate, and each lane's router-granular DB graph is acyclic — the
-// property the lane pair exists for, since one lane's is not (above). A table
-// that may overshoot dst passes every end-to-end test yet loses packets.
+// TestConcurrentLanesMonotoneConnectedAcyclic guards the rows concurrent
+// recovery routes both of its Deadlock Buffer lanes by, gathered into one
+// table: every hop moves strictly toward dst in recovery order without
+// passing it, the rows pass the Lemma 1 gate, and each lane's
+// router-granular DB graph is acyclic — the property the lane pair exists
+// for, since one lane's is not (above). Rows that may overshoot dst pass
+// every end-to-end test yet lose packets.
 func TestConcurrentLanesMonotoneConnectedAcyclic(t *testing.T) {
 	for _, g := range []topology.Graph{
 		topology.MustTorus(4, 4),
@@ -158,8 +159,12 @@ func TestConcurrentLanesMonotoneConnectedAcyclic(t *testing.T) {
 		topology.MustHypercube(4),
 		topology.MustFullMesh(8),
 	} {
-		pos, table := router.MonotoneLaneTable(g, g.RecoveryLane())
+		pos, build := router.MonotoneLane(g, g.RecoveryLane())
 		nodes := g.Nodes()
+		table := make([]int16, nodes*nodes)
+		for d := 0; d < nodes; d++ {
+			build(topology.Node(d), table[d*nodes:(d+1)*nodes])
+		}
 		for d := 0; d < nodes; d++ {
 			for c := 0; c < nodes; c++ {
 				if c == d {

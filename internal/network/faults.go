@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/topology"
 )
@@ -13,8 +12,8 @@ import (
 // tolerance as a Disha capability: fully adaptive routing steers around
 // faults (with misrouting where needed), and any packet stranded by a fault
 // times out and escapes through the Deadlock Buffer lane, which is re-routed
-// over live links only (a breadth-first next-hop table replaces
-// dimension-order routing).
+// over live links only (breadth-first next-hop rows replace dimension-order
+// routing).
 //
 // FailLink is the conservative entry point: it refuses links carrying
 // traffic, so it never loses flits. Dynamic mid-stream faults ARE modeled —
@@ -26,9 +25,9 @@ import (
 //
 // Restrictions, each returning an error: the link must exist and be idle;
 // the live network must remain connected; and concurrent recovery is
-// unsupported (its lane table is built once, over the intact topology, and
-// cutting a link between consecutive nodes of the recovery order leaves it
-// disconnected).
+// unsupported (its monotone lane rows follow the recovery order over the
+// intact topology, and cutting a link between consecutive nodes of that
+// order leaves them disconnected).
 func (n *Network) FailLink(node topology.Node, port int) error {
 	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
 		return fmt.Errorf("network: fault injection is not supported with concurrent recovery")
@@ -53,22 +52,3 @@ func (n *Network) FailLink(node topology.Node, port int) error {
 // minus healed). Links downed because an endpoint router was killed are not
 // counted; they come back when the router heals.
 func (n *Network) FailedLinks() int { return n.failedLinks }
-
-// rebuildDBTable rebuilds the Deadlock Buffer lane table over live links
-// (the builder construction uses, restricted to the current wiring) and
-// installs it in place of the table the network was built with, which on a
-// digraph is shared by every network on that graph and never written. Each per-destination BFS tree is loop-free, so a recovered
-// packet following it always reaches its destination — preserving the
-// recovery theorem's connectivity requirement (Lemma 1) under faults. A dead
-// router has no live links, so nothing routes to or through it.
-func (n *Network) rebuildDBTable() {
-	n.routerState.SetLaneTable(core.BFSLaneTableOver(len(n.routers), n.topo.Degree(),
-		func(v topology.Node, p int) (topology.Node, int, bool) {
-			nb := n.routers[v].Neighbor(p)
-			if nb == nil {
-				return 0, 0, false
-			}
-			rev := n.routers[v].ReverseAt(p)
-			return nb.NodeID(), rev, rev >= 0
-		}))
-}

@@ -8,6 +8,8 @@ package network
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -329,24 +331,20 @@ func New(cfg Config) (*Network, error) {
 		// The Deadlock Buffer lane must be a connected routing subfunction
 		// (the paper's Lemma 1, generalized to arbitrary digraphs): verify
 		// it at construction time against the lane routing the routers will
-		// actually use. Concurrent recovery's two lanes are one table derived
-		// from the recovery order; otherwise cubes route the lane by
-		// dimension order with no table (keeping golden digests
-		// byte-identical) and everything else gets the BFS next-hop table,
-		// whose verdict core.BFSLane reports. A digraph owns that table and
-		// verdict, so every network on it shares them read-only; a
-		// reconfiguration installs a table of its own (rebuildDBTable).
+		// actually use. Cubes route it by dimension order (keeping golden
+		// digests byte-identical), concurrent recovery by monotone rows over
+		// the recovery order, everything else by BFS rows over this
+		// network's links.
 		ctopo, cube := topology.Coordinated(topo)
 		switch {
 		case cfg.Router.Recovery == router.RecoveryConcurrent:
 			n.routerState.SetRecoveryOrder(lane)
-			err = core.VerifyLaneConnected(topo, core.TableLane(topo, n.routerState.LaneTable()))
+			err = n.verifyLaneRows()
 		case cube:
 			err = core.VerifyLaneConnected(topo, core.DORLane(ctopo))
 		default:
-			var table []int16
-			table, err = core.BFSLane(topo)
-			n.routerState.SetLaneTable(table)
+			n.useLiveLaneRows()
+			err = laneVerdict(topo, n.verifyLaneRows)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: %v", topo.Name(), err)
@@ -356,6 +354,56 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// namedLanes memoises the Lemma 1 verdict of each named graph's BFS lane
+// by name (topology.Named): only the verdict, walked once per process.
+var namedLanes sync.Map // name -> *namedLane
+
+type namedLane struct {
+	once sync.Once
+	err  error
+}
+
+var laneWalks atomic.Int64 // walks namedLanes ran, for tests
+
+// laneVerdict returns walk's verdict, memoised when topo is a named graph
+// (a NewDigraph graph's name does not fix its links).
+func laneVerdict(topo topology.Graph, walk func() error) error {
+	if !topology.Named(topo) {
+		return walk()
+	}
+	e, _ := namedLanes.LoadOrStore(topo.Name(), new(namedLane))
+	v := e.(*namedLane)
+	v.once.Do(func() {
+		laneWalks.Add(1)
+		v.err = walk()
+	})
+	return v.err
+}
+
+// verifyLaneRows walks every (src, dst) pair over the installed lane rows,
+// one row at a time in scratch, outside the row memo.
+func (n *Network) verifyLaneRows() error {
+	return core.VerifyLaneConnected(n.topo, core.RowLane(len(n.routers), n.routerState.BuildLaneRow))
+}
+
+// useLiveLaneRows routes the Deadlock Buffer lane by BFS rows over the links
+// live now, each built on the first hop toward its destination, and empties
+// the row memo. Every BFS tree is loop-free and avoids dead links and
+// routers, so Lemma 1 holds under faults.
+func (n *Network) useLiveLaneRows() {
+	n.routerState.SetLaneRows(core.LaneRows(len(n.routers), n.topo.Degree(), n.liveLink))
+}
+
+// liveLink is where port p of v leads now, in core.LaneRows' shape.
+func (n *Network) liveLink(v topology.Node, p int) (topology.Node, int, bool) {
+	nb := n.routers[v].Neighbor(p)
+	if nb == nil {
+		return 0, 0, false
+	}
+	rev := n.routers[v].ReverseAt(p)
+	return nb.NodeID(), rev, rev >= 0
 }
 
 // validRecoveryLane checks that the topology's declared recovery lane

@@ -514,12 +514,12 @@ func (n *Network) linkKey(node topology.Node, port int) [2]int {
 	return [2]int{int(node), port}
 }
 
-// afterTopologyChange rebuilds the Deadlock Buffer next-hop table over the
+// afterTopologyChange routes the Deadlock Buffer lane by rows over the
 // surviving links and refreshes every lane whose header is still at the
 // lane head (frozen chains keep their established route; if one crossed the
 // removed resource its packet was already dropped as a victim).
 func (n *Network) afterTopologyChange() {
-	n.rebuildDBTable()
+	n.useLiveLaneRows()
 	for _, r := range n.routers {
 		r.RefreshDBRoutes()
 	}

@@ -11,14 +11,13 @@ import (
 	"repro/internal/topology"
 )
 
-// TestColdAndWarmBuildsAgree runs one configuration on a graph built from an
-// empty cache and again on the cached graph and lane table: after 500 cycles
-// both reach the same state.
+// TestColdAndWarmBuildsAgree runs one configuration on a network whose
+// named graph has no Lemma 1 verdict yet and again on one that finds the
+// verdict memoised: after 500 cycles both reach the same state.
 func TestColdAndWarmBuildsAgree(t *testing.T) {
 	for _, name := range []string{"dragonfly-4x2", "fattree-4", "fullmesh-8"} {
 		t.Run(name, func(t *testing.T) {
-			topology.FlushSharedTables()
-			t.Cleanup(topology.FlushSharedTables)
+			forgetLaneVerdicts()
 			var prints [2][32]byte
 			for i := range prints {
 				g, err := topology.Parse(name)
@@ -36,38 +35,123 @@ func TestColdAndWarmBuildsAgree(t *testing.T) {
 	}
 }
 
-// TestReconfigurationLeavesSharedTableIntact cuts and heals a link of one
-// network and restores a faulted snapshot into another, all on one cached
-// dragonfly: each installs a lane table of its own, and a third network on
-// the graph is still handed the shared table, byte for byte as first built.
-func TestReconfigurationLeavesSharedTableIntact(t *testing.T) {
+// TestConcurrentFirstCallersBuildOnce builds networks on one dragonfly and
+// one fat tree from many goroutines at once, with no verdict memoised: the
+// Lemma 1 walk runs once per name, and every network reaches the same state.
+func TestConcurrentFirstCallersBuildOnce(t *testing.T) {
+	for _, name := range []string{"dragonfly-4x3", "fattree-6"} {
+		t.Run(name, func(t *testing.T) {
+			forgetLaneVerdicts()
+			before := laneWalks.Load()
+			prints := make([][32]byte, 8)
+			errs := make([]error, len(prints))
+			var wg sync.WaitGroup
+			for i := range prints {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					g, err := topology.Parse(name)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					n, err := New(testConfig(g, routing.Disha(0), 0.3, 5))
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					n.Run(300)
+					prints[i] = n.Fingerprint()
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if walks := laneWalks.Load() - before; walks != 1 {
+				t.Fatalf("%d Lemma 1 walks, want 1", walks)
+			}
+			for i, p := range prints {
+				if p != prints[0] {
+					t.Fatalf("network %d fingerprint %x, network 0 %x", i, p, prints[0])
+				}
+			}
+		})
+	}
+}
+
+// TestNewDigraphVerifiesEveryNetwork builds two networks on one NewDigraph
+// graph under a named class's canonical name: its name does not fix its
+// links, so neither takes or leaves a memoised verdict.
+func TestNewDigraphVerifiesEveryNetwork(t *testing.T) {
+	ring := [][]int{{1, 3}, {2, 0}, {3, 1}, {0, 2}}
+	g, err := topology.NewDigraph("fullmesh-4", ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgetLaneVerdicts()
+	before := laneWalks.Load()
+	for range 2 {
+		mustNet(t, testConfig(g, routing.Disha(0), 0.3, 1))
+	}
+	if walks := laneWalks.Load() - before; walks != 0 {
+		t.Fatalf("%d memoised walks on a NewDigraph graph, want 0", walks)
+	}
+}
+
+// checkLaneRows asserts that every row n has memoised, and every row it
+// would build now, is the row of BFSLaneTableOver over its live links. It
+// returns how many rows the memo holds.
+func checkLaneRows(t *testing.T, n *Network, what string) int {
+	t.Helper()
+	nodes := len(n.routers)
+	live := core.BFSLaneTableOver(nodes, n.topo.Degree(), n.liveLink)
+	row := make([]int16, nodes)
+	held := 0
+	for d := 0; d < nodes; d++ {
+		want := live[d*nodes : (d+1)*nodes]
+		if rows := n.routerState.LaneRows(); rows != nil && rows[d] != nil {
+			held++
+			if !slices.Equal(rows[d], want) {
+				t.Fatalf("%s: memoised row toward %d is %v, live links give %v", what, d, rows[d], want)
+			}
+		}
+		n.routerState.BuildLaneRow(topology.Node(d), row)
+		if !slices.Equal(row, want) {
+			t.Fatalf("%s: row toward %d is %v, live links give %v", what, d, row, want)
+		}
+	}
+	return held
+}
+
+// TestReconfiguredRowsFollowLiveLinks cuts and heals a link of one network
+// and restores a faulted snapshot into another, on one dragonfly at one
+// virtual channel, where recoveries are frequent: after each, and after
+// running on, every lane row the network builds is the row
+// BFSLaneTableOver gives over its live links.
+func TestReconfiguredRowsFollowLiveLinks(t *testing.T) {
 	g, err := topology.Parse("dragonfly-4x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := core.BFSLane(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := slices.Clone(shared)
-	cfg := testConfig(g, routing.Disha(0), 0.3, 3)
-	ownsTable := func(n *Network, what string) {
+	cfg := testConfig(g, routing.Disha(0), 0.6, 3)
+	cfg.Router.VCs = 1
+	held := 0
+	step := func(n *Network, what string) {
 		t.Helper()
-		if &n.routerState.LaneTable()[0] == &shared[0] {
-			t.Fatalf("%s: the network still routes by the shared table", what)
-		}
-		if !slices.Equal(shared, want) {
-			t.Fatalf("%s wrote into the shared lane table", what)
-		}
+		checkLaneRows(t, n, what)
+		n.Run(300)
+		held = max(held, checkLaneRows(t, n, what+", then 300 cycles"))
 	}
 
 	a := mustNet(t, cfg)
-	a.Run(300)
+	step(a, "construction")
 	if err := a.KillLink(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	ownsTable(a, "KillLink")
-	a.Run(300)
+	step(a, "KillLink")
 	var snap bytes.Buffer
 	if err := a.Snapshot(&snap); err != nil {
 		t.Fatal(err)
@@ -75,31 +159,59 @@ func TestReconfigurationLeavesSharedTableIntact(t *testing.T) {
 	if err := a.HealLink(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	ownsTable(a, "HealLink")
-	if err := a.FailLink(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	ownsTable(a, "FailLink")
+	step(a, "HealLink")
 
 	b := mustNet(t, cfg)
 	if err := b.Restore(&snap); err != nil {
 		t.Fatal(err)
 	}
-	ownsTable(b, "restore with a dead link")
-	b.Run(300)
-
-	c := mustNet(t, cfg)
-	if &c.routerState.LaneTable()[0] != &shared[0] {
-		t.Fatal("a new network on the graph built its own lane table")
+	step(b, "restore with a dead link")
+	if held == 0 {
+		t.Fatal("no Deadlock Buffer hop built a row; the check saw no memoised row")
 	}
 }
 
-// TestConcurrentNetworksShareTables steps two networks on one cached
-// dragonfly in two goroutines at once: they read the graph's distance and
-// lane tables together, each writes only its own State (its scratch
-// included), and each reaches the fingerprint it reaches when the two are
-// stepped one after the other. Run under -race it is also the data-race
-// check on that sharing.
+// TestLaneRowsBuiltOnFirstUse pins the row memo's lifecycle: a fresh
+// network on the benchmark's dragonfly holds no row, and rows appear only
+// for destinations a Deadlock Buffer hop has needed.
+func TestLaneRowsBuiltOnFirstUse(t *testing.T) {
+	n := mustNet(t, testConfig(topology.MustDragonfly(16, 8), routing.Disha(0), 0.01, 1))
+	if rows := n.routerState.LaneRows(); rows != nil {
+		t.Fatalf("a fresh network holds %d row slots", len(rows))
+	}
+	small := testConfig(topology.MustDragonfly(4, 2), routing.Disha(0), 0.6, 3)
+	small.Router.VCs = 1
+	m := mustNet(t, small)
+	dsts := map[topology.Node]bool{}
+	for m.Counters().Recoveries == 0 && m.Now() < 5000 {
+		m.Step()
+	}
+	for _, r := range m.Routers() {
+		for l := 0; l < r.DBLanes(); l++ {
+			if r.DBLaneLen(l) > 0 {
+				dsts[r.DBFlitAt(l, 0).Pkt.Dst] = true
+			}
+		}
+	}
+	held := 0
+	for d, row := range m.routerState.LaneRows() {
+		if row != nil {
+			held++
+		}
+		if row == nil && dsts[topology.Node(d)] {
+			t.Fatalf("a Deadlock Buffer holds a flit for %d but no row toward it was built", d)
+		}
+	}
+	if held == 0 || held == m.topo.Nodes() {
+		t.Fatalf("%d of %d rows built after the first recovery", held, m.topo.Nodes())
+	}
+}
+
+// TestConcurrentNetworksShareTables steps two networks on one dragonfly in
+// two goroutines at once: they read the graph and its memoised verdict
+// together, each builds lane rows only in its own State, and each reaches
+// the fingerprint it reaches when the two are stepped one after the other.
+// Run under -race it is also the data-race check on that sharing.
 func TestConcurrentNetworksShareTables(t *testing.T) {
 	g, err := topology.Parse("dragonfly-4x2")
 	if err != nil {
@@ -109,10 +221,9 @@ func TestConcurrentNetworksShareTables(t *testing.T) {
 	build := func() []*Network {
 		nets := make([]*Network, len(seeds))
 		for i, seed := range seeds {
-			nets[i] = mustNet(t, testConfig(g, routing.Disha(0), 0.4, seed))
-		}
-		if &nets[0].routerState.LaneTable()[0] != &nets[1].routerState.LaneTable()[0] {
-			t.Fatal("the two networks do not share the graph's lane table")
+			cfg := testConfig(g, routing.Disha(0), 0.4, seed)
+			cfg.Router.VCs = 1
+			nets[i] = mustNet(t, cfg)
 		}
 		return nets
 	}
@@ -122,7 +233,8 @@ func TestConcurrentNetworksShareTables(t *testing.T) {
 		serial[i] = n.Fingerprint()
 	}
 	var wg sync.WaitGroup
-	for i, n := range build() {
+	nets := build()
+	for i, n := range nets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -136,5 +248,10 @@ func TestConcurrentNetworksShareTables(t *testing.T) {
 	}
 	if concurrent != serial {
 		t.Fatalf("concurrent fingerprints %x, serial %x", concurrent, serial)
+	}
+	for i, n := range nets {
+		if n.routerState.LaneRows() == nil {
+			t.Fatalf("network %d built no lane row; the networks shared nothing but the graph", i)
+		}
 	}
 }

@@ -158,9 +158,9 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 	}
 	if topoChanged {
 		// The router state decoded next carries the exact per-lane DB routes;
-		// only the shared next-hop table (consulted for future recoveries)
-		// needs rebuilding over the replayed wiring.
-		n.rebuildDBTable()
+		// only the lane rows (consulted for future recoveries) need to
+		// follow the replayed wiring.
+		n.useLiveLaneRows()
 	}
 	return c.Err()
 }

@@ -85,8 +85,8 @@ const (
 	// points to via its Disha-CR citation): every presumed-deadlocked
 	// packet may recover immediately. Deadlock freedom of the recovery lane
 	// itself comes from structure instead of mutual exclusion — two
-	// direction-partitioned Deadlock Buffers per router whose one next-hop
-	// table (MonotoneLaneTable) only moves a packet forward along the
+	// direction-partitioned Deadlock Buffers per router whose one set of
+	// next-hop rows (MonotoneLane) only moves a packet forward along the
 	// topology's recovery order, taking the furthest link that does not pass
 	// its destination, so each lane's buffer dependency graph is acyclic.
 	// Requires FlitByFlit allocation.

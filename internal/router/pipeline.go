@@ -463,19 +463,19 @@ func (r *Router) recoveryLane(dst topology.Node) int {
 
 // dbLaneRoute returns the Deadlock Buffer lane's output at this router for
 // a packet to dst: ejection at the destination, else the installed lane
-// table's entry (concurrent lanes, coordinate-free or faulted topologies),
+// row's entry (concurrent lanes, coordinate-free or faulted topologies),
 // else minimal dimension order. A concurrent packet's lane is implied by dst:
-// the table never carries it past dst in lane order.
+// the row never carries it past dst in lane order.
 func (r *Router) dbLaneRoute(dst topology.Node) int {
 	if r.node == dst {
 		return PortEject
 	}
 	s := r.st
-	if s.laneTable != nil {
-		return int(s.laneTable[int(dst)*s.nodes+int(r.node)])
+	if s.laneRow != nil {
+		return int(s.laneRowTo(dst)[r.node])
 	}
-	// Coordinate-free graphs always carry a lane table (the network installs
-	// the BFS table at construction), so reaching the dimension-order
+	// Coordinate-free graphs always route by lane rows (the network installs
+	// the BFS rows at construction), so reaching the dimension-order
 	// fallback implies cube coordinates exist.
 	port, ok := routing.DORPort(s.ctopo, r.node, dst)
 	if !ok {

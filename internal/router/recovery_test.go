@@ -38,13 +38,13 @@ func TestConcurrentRecoveryLaneSelection(t *testing.T) {
 	if lane := mid.recoveryLane(down.Dst); lane != laneDown {
 		t.Fatalf("down destination got lane %d", lane)
 	}
-	// The lane route is the table's entry, and it lands strictly between
-	// here and the destination in lane order.
-	table, pos := mid.st.LaneTable(), mid.st.orderPos
+	// The lane route is the memoised row's entry, and it lands strictly
+	// between here and the destination in lane order.
+	pos := mid.st.orderPos
 	for _, p := range []*packet.Packet{up, down} {
 		got := mid.dbLaneRoute(p.Dst)
-		if want := int(table[int(p.Dst)*topo.Nodes()+int(mid.node)]); got != want {
-			t.Fatalf("lane route to %d is %d, table entry %d", p.Dst, got, want)
+		if want := int(mid.st.LaneRows()[p.Dst][mid.node]); got != want {
+			t.Fatalf("lane route to %d is %d, row entry %d", p.Dst, got, want)
 		}
 		nb, _ := topo.Neighbor(mid.node, got)
 		lo, hi := min(pos[mid.node], pos[p.Dst]), max(pos[mid.node], pos[p.Dst])

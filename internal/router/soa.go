@@ -12,14 +12,15 @@ import (
 
 // State is everything the routers of one network share: the network-wide
 // facts — topology, router configuration, the installed routing and
-// selection functions, the Deadlock Buffer lane table, the recovery-order
-// positions, the timeout observer, the network's clock — each stored once,
+// selection functions, the Deadlock Buffer lane's row builder and its row
+// memo, the recovery-order positions, the timeout observer, the network's
+// clock — each stored once,
 // and the hot per-cycle
 // microarchitectural state of every router as flat struct-of-arrays buffers
 // indexed by (router, port, vc). A Router is a view over its slice of the
 // buffers, so route compute, switch allocation and the deadlock-timer phase
 // sweep contiguous memory, and a network-wide change (SetAlgorithm,
-// SetLaneTable) is one assignment. Routers are laid out consecutively.
+// SetLaneRows) is one assignment. Routers are laid out consecutively.
 //
 // Layout (all slices are allocated once, at NewState, and never grow):
 //
@@ -74,9 +75,11 @@ type State struct {
 	alg   routing.Algorithm
 	sel   routing.Selection
 
-	// laneTable, when set, routes the Deadlock Buffer lanes by next-hop
-	// table instead of dimension order (see SetLaneTable).
-	laneTable []int16
+	// laneRow, when set, routes the Deadlock Buffer lanes by next-hop rows
+	// instead of dimension order (see SetLaneRows); laneRows memoises them,
+	// laneRows[dst] nil until a Deadlock Buffer hop toward dst needs it.
+	laneRow  func(dst topology.Node, row []int16)
+	laneRows [][]int16
 	// orderPos is every node's position on the recovery order (concurrent
 	// recovery picks a lane by it; see SetRecoveryOrder).
 	orderPos []int32
@@ -267,35 +270,55 @@ func (s *State) Algorithm() routing.Algorithm { return s.alg }
 // between Step cycles.
 func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
 
-// LaneTable returns the installed Deadlock Buffer lane table (nil when the
-// lane routes by dimension order).
-func (s *State) LaneTable() []int16 { return s.laneTable }
-
-// SetLaneTable installs a next-hop table for the Deadlock Buffer lanes:
-// table[int(dst)*nodes + int(node)] is the output port toward dst at node
-// (core.BFSLaneTableOver's shape). When set it replaces dimension-order DB
-// routing: coordinate-free topologies from construction, concurrent recovery
-// (SetRecoveryOrder), every topology once a link or router has failed.
-func (s *State) SetLaneTable(table []int16) { s.laneTable = table }
-
-// SetRecoveryOrder installs concurrent recovery's two Deadlock Buffer lanes
-// (MonotoneLaneTable over the recovery order): the positions pick a
-// recovery's lane, the table routes both.
-func (s *State) SetRecoveryOrder(order []topology.Node) {
-	pos, table := MonotoneLaneTable(s.topo, order)
-	s.orderPos = pos
-	s.SetLaneTable(table)
+// SetLaneRows routes the Deadlock Buffer lanes by next-hop rows in place of
+// dimension order and empties the row memo. build fills row with the output
+// port toward dst at each node, -1 at dst (core.LaneRows' shape); a row
+// is built on the first hop that needs it and kept until the next call.
+func (s *State) SetLaneRows(build func(dst topology.Node, row []int16)) {
+	s.laneRow = build
+	clear(s.laneRows)
 }
 
-// MonotoneLaneTable returns each node's position on order (a permutation of
-// g's nodes) and a SetLaneTable-shaped table sending a flit at cur bound for
-// dst to the neighbor furthest along order toward dst that does not pass it —
+// BuildLaneRow fills row with the installed lane's next hops toward dst
+// without memoising it: the Lemma 1 walk's one row of scratch.
+func (s *State) BuildLaneRow(dst topology.Node, row []int16) { s.laneRow(dst, row) }
+
+// LaneRows returns the row memo by destination (nil entries: not built
+// yet). Callers must not write into it.
+func (s *State) LaneRows() [][]int16 { return s.laneRows }
+
+// laneRowTo returns the lane row toward dst, built on first use.
+func (s *State) laneRowTo(dst topology.Node) []int16 {
+	if s.laneRows == nil {
+		s.laneRows = make([][]int16, s.nodes)
+	}
+	row := s.laneRows[dst]
+	if row == nil {
+		row = make([]int16, s.nodes)
+		s.laneRow(dst, row)
+		s.laneRows[dst] = row
+	}
+	return row
+}
+
+// SetRecoveryOrder installs concurrent recovery's two Deadlock Buffer lanes
+// (MonotoneLane over the recovery order): the positions pick a recovery's
+// lane, the rows route both.
+func (s *State) SetRecoveryOrder(order []topology.Node) {
+	pos, row := MonotoneLane(s.topo, order)
+	s.orderPos = pos
+	s.SetLaneRows(row)
+}
+
+// MonotoneLane returns each node's position on order (a permutation of g's
+// nodes) and a SetLaneRows row builder sending a flit at cur bound for dst
+// to the neighbor furthest along order toward dst that does not pass it —
 // the monotone shortcut of Lin–McKinley–Ni dual-path routing. Positions
-// strictly increase on the up lane and strictly decrease on the down lane, so
-// neither lane's dependency graph over receiving routers has a cycle. An
-// entry is -1 on the diagonal and where no neighbor qualifies (never when
-// order steps along links).
-func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos []int32, table []int16) {
+// strictly increase on the up lane and strictly decrease on the down lane,
+// so neither lane's dependency graph over receiving routers has a cycle. An
+// entry is -1 at dst and where no neighbor qualifies (never when order
+// steps along links).
+func MonotoneLane(g topology.Graph, order []topology.Node) (pos []int32, row func(dst topology.Node, row []int16)) {
 	nodes, deg := g.Nodes(), g.Degree()
 	pos = make([]int32, nodes)
 	for i, v := range order {
@@ -308,26 +331,25 @@ func MonotoneLaneTable(g topology.Graph, order []topology.Node) (pos []int32, ta
 			nbPos[i] = pos[nb]
 		}
 	}
-	table = make([]int16, nodes*nodes)
-	for d := 0; d < nodes; d++ {
-		for c := 0; c < nodes; c++ {
-			table[d*nodes+c] = -1
+	return pos, func(dst topology.Node, row []int16) {
+		d := pos[dst]
+		for c := range row {
+			row[c] = -1
 			// ahead is how far short of dst a hop lands, in lane direction:
 			// the smallest non-negative one wins, the lowest port on a tie.
 			dir := int32(1)
-			if pos[d] < pos[c] {
+			if d < pos[c] {
 				dir = -1
 			}
-			best := dir * (pos[d] - pos[c])
+			best := dir * (d - pos[c])
 			for p := 0; p < deg; p++ {
 				np := nbPos[c*deg+p]
-				if ahead := dir * (pos[d] - np); np >= 0 && ahead >= 0 && ahead < best {
-					best, table[d*nodes+c] = ahead, int16(p)
+				if ahead := dir * (d - np); np >= 0 && ahead >= 0 && ahead < best {
+					best, row[c] = ahead, int16(p)
 				}
 			}
 		}
 	}
-	return pos, table
 }
 
 // SetOnTimeout installs the observer TickTimers calls for every header it

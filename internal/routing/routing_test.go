@@ -392,7 +392,7 @@ func TestDuatoMeshSingleEscape(t *testing.T) {
 
 // --- Disha ------------------------------------------------------------------------
 
-func TestDishaM0AllVCsAllMinimalPorts(t *testing.T) {
+func TestDishaM0AllVCsOnEveryMinimalPort(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
 	v := newFakeView(topo, topo.NodeAt(topology.Coord{0, 0}), 4)
 	p := pkt(v.node, topo.NodeAt(topology.Coord{2, 2}))

@@ -7,8 +7,8 @@ import (
 
 // checkGraph asserts the structural invariants every Graph must satisfy:
 // in-range neighbors, correctly paired reverse ports, BFS distances that
-// agree with adjacency, IsMinimal/MinimalPorts consistency, and a recovery
-// lane that is a permutation of the nodes.
+// agree with adjacency, IsMinimal exactly at the ports one hop closer to
+// the destination, and a recovery lane that is a permutation of the nodes.
 func checkGraph(t *testing.T, g Graph) {
 	t.Helper()
 	nodes := g.Nodes()
@@ -38,17 +38,7 @@ func checkGraph(t *testing.T, g Graph) {
 				}
 			}
 		}
-		to := Node((n*31 + 7) % nodes)
-		min := g.MinimalPorts(Node(n), to)
-		inMin := map[int]bool{}
-		for _, p := range min {
-			inMin[p] = true
-		}
-		for p := 0; p < g.Degree(); p++ {
-			if g.IsMinimal(Node(n), to, p) != inMin[p] {
-				t.Fatalf("%s: IsMinimal(%d,%d,%d) disagrees with MinimalPorts %v", g.Name(), n, to, p, min)
-			}
-		}
+		checkMinimal(t, g, Node(n), Node((n*31+7)%nodes))
 	}
 	lane := g.RecoveryLane()
 	if len(lane) != nodes {
@@ -60,6 +50,24 @@ func checkGraph(t *testing.T, g Graph) {
 			t.Fatalf("%s: recovery lane is not a permutation: %v", g.Name(), lane)
 		}
 		visited[n] = true
+	}
+}
+
+// checkMinimal asserts IsMinimal(from, to, p) holds exactly where port p
+// leads one hop closer to to, and somewhere whenever to is reachable.
+func checkMinimal(t *testing.T, g Graph, from, to Node) {
+	t.Helper()
+	found := false
+	for p := 0; p < g.Degree(); p++ {
+		nb, ok := g.Neighbor(from, p)
+		want := ok && from != to && g.Distance(from, to) > 0 && g.Distance(nb, to) == g.Distance(from, to)-1
+		if g.IsMinimal(from, to, p) != want {
+			t.Fatalf("%s: IsMinimal(%d,%d,%d) = %v, distances say %v", g.Name(), from, to, p, !want, want)
+		}
+		found = found || want
+	}
+	if found != (from != to && g.Distance(from, to) > 0) {
+		t.Fatalf("%s: %d->%d at distance %d has minimal ports: %v", g.Name(), from, to, g.Distance(from, to), found)
 	}
 }
 
@@ -106,7 +114,8 @@ func TestDragonfly(t *testing.T) {
 	if g.Degree() != a-1+h {
 		t.Fatalf("dragonfly-%dx%d: degree %d, want %d", a, h, g.Degree(), a-1+h)
 	}
-	// Canonical dragonfly: minimal paths are at most local-global-local.
+	// Canonical dragonfly: minimal paths take at most three hops (local-
+	// global-local, or two global hops through a third group).
 	for from := 0; from < g.Nodes(); from++ {
 		for to := 0; to < g.Nodes(); to++ {
 			if d := g.Distance(Node(from), Node(to)); d < 0 || d > 3 {
@@ -241,9 +250,7 @@ func TestDigraphUnreachable(t *testing.T) {
 	if d := g.Distance(last, 0); d != -1 {
 		t.Fatalf("unreachable distance = %d, want -1", d)
 	}
-	if ports := g.MinimalPorts(last, 0); len(ports) != 0 {
-		t.Fatalf("unreachable MinimalPorts = %v, want empty", ports)
-	}
+	checkMinimal(t, g, last, 0)
 	if d := g.Distance(0, last); d != maxDigraphNodes-1 {
 		t.Fatalf("distance 0->%d = %d, want %d", last, d, maxDigraphNodes-1)
 	}

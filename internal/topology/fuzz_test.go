@@ -17,7 +17,7 @@ func fuzzRadix(r0, r1, r2, r3 int16) []int {
 }
 
 // checkTopology asserts structural soundness of a successfully constructed
-// cube: reciprocal links, minimal-port membership consistency, and a
+// cube: reciprocal links, minimal ports exactly where distance drops, and a
 // Hamiltonian order that is a permutation stepping one link at a time.
 func checkTopology(t *testing.T, topo Topology) {
 	t.Helper()
@@ -40,17 +40,7 @@ func checkTopology(t *testing.T, topo Topology) {
 				t.Fatalf("%s: neighbor distance %d/%d, want 1", topo.Name(), d, dn)
 			}
 		}
-		to := Node((n * 31) % nodes)
-		min := topo.MinimalPorts(Node(n), to)
-		inMin := map[int]bool{}
-		for _, p := range min {
-			inMin[p] = true
-		}
-		for p := 0; p < topo.Degree(); p++ {
-			if topo.IsMinimal(Node(n), to, p) != inMin[p] {
-				t.Fatalf("%s: IsMinimal(%d,%d,%d) disagrees with MinimalPorts %v", topo.Name(), n, to, p, min)
-			}
-		}
+		checkMinimal(t, topo, Node(n), Node((n*31)%nodes))
 	}
 	order := topo.RecoveryLane()
 	if len(order) != nodes {

@@ -5,7 +5,8 @@
 // Topology extends it with the coordinate geometry of k-ary n-cubes (tori,
 // meshes, hypercubes) that coordinate-based routing algorithms and traffic
 // patterns require. Beyond the cubes, the package provides full-mesh,
-// dragonfly, and fat-tree constructors built on a generic digraph base.
+// dragonfly, and fat-tree constructors, which compute their answers in
+// closed form, and a generic digraph over an explicit adjacency list.
 //
 // Cube port numbering convention: a node with n dimensions has 2n network
 // ports; port 2*d is the positive direction of dimension d and port 2*d+1
@@ -102,13 +103,10 @@ type Graph interface {
 	// and whether such a paired reverse port exists. A directed link with
 	// no antiparallel twin reports false.
 	ReversePortAt(n Node, port int) (int, bool)
-	// MinimalPorts returns the set of output ports at from that lie on some
-	// minimal path to to. Empty iff from == to (or to is unreachable).
-	MinimalPorts(from, to Node) []int
 	// IsMinimal reports whether taking port at from lies on some minimal
-	// path to to — the allocation-free membership test for MinimalPorts,
-	// which routing hot paths use: iterating ports in numeric order and
-	// filtering with IsMinimal yields exactly MinimalPorts' sequence.
+	// path to to: the neighbor it leads to is one hop closer (Distance).
+	// False when from == to or to is unreachable. Routing hot paths scan
+	// every port with it.
 	IsMinimal(from, to Node, port int) bool
 	// Distance returns the minimal hop count between two nodes, or -1 when
 	// to is unreachable from from.
@@ -374,20 +372,6 @@ func (c *cube) dimSigns(from, to Node, d int) (signs [2]int, count, dist int) {
 		signs[0], signs[1] = 1, -1
 		return signs, 2, fwd
 	}
-}
-
-func (c *cube) MinimalPorts(from, to Node) []int {
-	if from == to {
-		return nil
-	}
-	ports := make([]int, 0, c.Degree())
-	for d := range c.radix {
-		signs, count, _ := c.dimSigns(from, to, d)
-		for i := 0; i < count; i++ {
-			ports = append(ports, PortFor(d, signs[i]))
-		}
-	}
-	return ports
 }
 
 func (c *cube) IsMinimal(from, to Node, port int) bool {

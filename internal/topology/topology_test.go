@@ -194,10 +194,9 @@ func TestDistanceAxiomsProperty(t *testing.T) {
 	}
 }
 
-// Property: every minimal port decreases distance by exactly one, and at
-// least one minimal port exists whenever from != to; non-minimal ports never
-// decrease distance.
-func TestMinimalPortsProperty(t *testing.T) {
+// Property: IsMinimal holds at exactly the ports that decrease distance by
+// one, at least one exists whenever from != to, and none when from == to.
+func TestIsMinimalProperty(t *testing.T) {
 	f := func(kRaw, fromRaw, toRaw uint16, mesh bool) bool {
 		k := int(kRaw%7) + 2
 		var topo Topology
@@ -208,37 +207,16 @@ func TestMinimalPortsProperty(t *testing.T) {
 		}
 		from := Node(int(fromRaw) % topo.Nodes())
 		to := Node(int(toRaw) % topo.Nodes())
-		min := topo.MinimalPorts(from, to)
-		if from == to {
-			return len(min) == 0
-		}
-		if len(min) == 0 {
-			return false
-		}
-		isMin := map[int]bool{}
-		for _, p := range min {
-			isMin[p] = true
-			nb, ok := topo.Neighbor(from, p)
-			if !ok {
-				return false
-			}
-			if topo.Distance(nb, to) != topo.Distance(from, to)-1 {
-				return false
-			}
-		}
+		found := false
 		for p := 0; p < topo.Degree(); p++ {
-			if isMin[p] {
-				continue
-			}
 			nb, ok := topo.Neighbor(from, p)
-			if !ok {
-				continue
+			want := ok && topo.Distance(nb, to) == topo.Distance(from, to)-1
+			if topo.IsMinimal(from, to, p) != want {
+				return false
 			}
-			if topo.Distance(nb, to) < topo.Distance(from, to) {
-				return false // a profitable port was not reported minimal
-			}
+			found = found || want
 		}
-		return true
+		return found == (from != to)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -248,9 +226,8 @@ func TestMinimalPortsProperty(t *testing.T) {
 func TestEquidistantRingBothDirectionsMinimal(t *testing.T) {
 	tor := MustTorus(4)
 	a, b := tor.NodeAt(Coord{0}), tor.NodeAt(Coord{2})
-	ports := tor.MinimalPorts(a, b)
-	if len(ports) != 2 {
-		t.Fatalf("half-ring offset should have 2 minimal ports, got %v", ports)
+	if !tor.IsMinimal(a, b, 0) || !tor.IsMinimal(a, b, 1) {
+		t.Fatal("half-ring offset should have both ports minimal")
 	}
 }
 
@@ -365,13 +342,6 @@ func TestNeighborInvalidPort(t *testing.T) {
 	}
 	if _, ok := topo.Neighbor(0, -1); ok {
 		t.Error("negative port should be invalid")
-	}
-}
-
-func BenchmarkMinimalPorts(b *testing.B) {
-	tor := MustTorus(16, 16)
-	for i := 0; i < b.N; i++ {
-		_ = tor.MinimalPorts(Node(i%256), Node((i*37)%256))
 	}
 }
 
