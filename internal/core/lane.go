@@ -100,25 +100,6 @@ func TableLane(g topology.Graph, table []int16) LaneRouting {
 	}
 }
 
-// RowLane wraps a row builder (LaneRows' shape) as a LaneRouting
-// function over one row of scratch, rebuilt whenever the destination
-// changes. VerifyLaneConnected walks one destination at a time, so over it
-// each row is built once, in O(nodes) memory.
-func RowLane(nodes int, build func(dst topology.Node, row []int16)) LaneRouting {
-	row := make([]int16, nodes)
-	built := topology.Node(-1)
-	return func(cur, dst topology.Node) (int, bool) {
-		if dst != built {
-			build(dst, row)
-			built = dst
-		}
-		if p := row[cur]; p >= 0 {
-			return int(p), true
-		}
-		return 0, false
-	}
-}
-
 // VerifyLaneConnected is the generalized Lemma 1 check: the routing
 // subfunction next delivers every (src, dst) pair — from any node, the
 // declared lane reaches any destination. This is the whole deadlock-
@@ -127,7 +108,9 @@ func RowLane(nodes int, build func(dst topology.Node, row []int16)) LaneRouting 
 // whatever the buffer model); concurrent use of per-channel lane buffers
 // additionally needs the acyclicity half of VerifyDeadlockFree. The walk is
 // bounded by the node count, so a lane that loops is reported as an error
-// rather than hanging.
+// rather than hanging. No network runs this O(nodes²) walk: network.New
+// checks the O(links) facts its lanes deliver by, and the tests hold them
+// to this oracle.
 func VerifyLaneConnected(g topology.Graph, next LaneRouting) error {
 	nodes := g.Nodes()
 	// reaches[v] caches "v's lane path reaches dst" so the per-destination

@@ -1,9 +1,13 @@
 package network
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -54,7 +58,7 @@ func TestRejectsOversizedDegree(t *testing.T) {
 // declared recovery lane. A lane that skips nodes, repeats a node, or (for
 // concurrent recovery) steps between unlinked nodes used to panic deep in
 // wiring; every shape must now surface as an error from New. The last is the
-// Lemma 1 gate's: the lane table derived from such an order gets stuck.
+// Lemma 1 gate's: monotone rows over such an order get stuck.
 func TestRejectsBadRecoveryLane(t *testing.T) {
 	base := topology.MustHypercube(2)
 	cases := []struct {
@@ -67,7 +71,7 @@ func TestRejectsBadRecoveryLane(t *testing.T) {
 		{"duplicate", []topology.Node{0, 1, 1, 2}, router.RecoverySequential, "not a permutation"},
 		// 0,1,2,3 is a permutation, but 1->2 flips two bits: not a
 		// hypercube link, which only concurrent recovery requires.
-		{"unlinked step", []topology.Node{0, 1, 2, 3}, router.RecoveryConcurrent, "fails Lemma 1: core: lane stuck"},
+		{"unlinked step", []topology.Node{0, 1, 2, 3}, router.RecoveryConcurrent, "fails Lemma 1: recovery order steps 1->2 off the links"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -85,6 +89,137 @@ func TestRejectsBadRecoveryLane(t *testing.T) {
 	cfg.Router.Recovery = router.RecoverySequential
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("identity lane rejected for sequential recovery: %v", err)
+	}
+}
+
+// TestAbortRetryNeedsNoRecoveryOrder builds abort-retry on
+// TestRejectsBadRecoveryLane's truncated-lane graph: with no Token and no
+// Deadlock Buffer hop it has no use for the recovery order, so New accepts
+// the graph, and the network kills, retransmits and drains.
+func TestAbortRetryNeedsNoRecoveryOrder(t *testing.T) {
+	cfg := testConfig(badLaneGraph{topology.MustHypercube(2), []topology.Node{0, 1}}, routing.Disha(0), 0.9, 3)
+	cfg.Router.VCs = 1
+	cfg.Router.BufferDepth = 1
+	cfg.Router.Recovery = router.RecoveryAbortRetry
+	cfg.Router.DeadlockBufferDepth = 0
+	n := mustNet(t, cfg)
+	drain(t, n, 2000, 60000)
+	if c := n.Counters(); c.PacketsKilled == 0 || c.PacketsDelivered == 0 {
+		t.Fatalf("%d packets killed, %d delivered; want both", c.PacketsKilled, c.PacketsDelivered)
+	}
+}
+
+// TestRejectsDisconnectedGraph builds two disjoint 4-rings under Token
+// recovery: no Deadlock Buffer lane can join them, so New returns the Lemma
+// 1 refusal instead of a network that strands a presumed deadlock.
+func TestRejectsDisconnectedGraph(t *testing.T) {
+	rings := [][]int{{1, 3}, {2, 0}, {3, 1}, {0, 2}, {5, 7}, {6, 4}, {7, 5}, {4, 6}}
+	g, err := topology.NewDigraph("two-rings", rings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(testConfig(g, routing.Disha(0), 0.3, 1))
+	if err == nil || !strings.Contains(err.Error(), "two-rings Deadlock Buffer lane fails Lemma 1: ") {
+		t.Fatalf("err = %v, want a Lemma 1 refusal", err)
+	}
+}
+
+// installedLane is the Deadlock Buffer lane New installs on g in mode, as
+// one table over g's links: monotone rows over the recovery order under
+// concurrent recovery, dimension order on a cube, BFS rows otherwise.
+func installedLane(g topology.Graph, mode router.RecoveryMode) core.LaneRouting {
+	if mode == router.RecoveryConcurrent {
+		_, row := router.MonotoneLane(g, g.RecoveryLane())
+		nodes := g.Nodes()
+		table := make([]int16, nodes*nodes)
+		for d := range nodes {
+			row(topology.Node(d), table[d*nodes:(d+1)*nodes])
+		}
+		return core.TableLane(g, table)
+	}
+	if t, ok := topology.Coordinated(g); ok {
+		return core.DORLane(t)
+	}
+	return core.TableLane(g, core.BFSLaneTable(g))
+}
+
+// randomSymmetricGraph returns n nodes joined by m random paired links;
+// with path set, also links i and i+1 for every i but skip (-1: none), so
+// the identity recovery order steps along links except at skip.
+func randomSymmetricGraph(rng *rand.Rand, n, m int, path bool, skip int) [][]int {
+	adj := make([][]int, n)
+	join := func(u, v int) {
+		if u == v || slices.Contains(adj[u], v) {
+			return
+		}
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+	}
+	for i := 0; path && i+1 < n; i++ {
+		if i != skip {
+			join(i, i+1)
+		}
+	}
+	for range m {
+		join(rng.IntN(n), rng.IntN(n))
+	}
+	return adj
+}
+
+// TestLemma1VerdictMatchesWalk holds New's O(links) Lemma 1 check to
+// core.VerifyLaneConnected's walk over every (src, dst) pair: on every
+// built-in of core's TestLaneConnectedOnBuiltins, seeded random NewDigraph
+// graphs (connected and not) and bad concurrent recovery orders, in every
+// recovery mode, New accepts exactly when the lane it installs delivers
+// every pair, and refuses with the Lemma 1 prefix otherwise.
+func TestLemma1VerdictMatchesWalk(t *testing.T) {
+	graphs := []topology.Graph{
+		topology.MustTorus(4, 4),
+		topology.MustTorus(3, 5),
+		topology.MustMesh(4, 4),
+		topology.MustMesh(2, 3, 4),
+		topology.MustHypercube(4),
+		topology.MustFullMesh(8),
+		topology.MustDragonfly(4, 2),
+		topology.MustFatTree(4),
+		// 0,1,2,3 on the 4-ring hypercube(2) steps 1->2 off the links.
+		badLaneGraph{topology.MustHypercube(2), []topology.Node{0, 1, 2, 3}},
+		// A 4x4 mesh snake from 1 whose only unlinked step is its last,
+		// 12->0.
+		badLaneGraph{topology.MustMesh(4, 4), []topology.Node{1, 2, 3, 7, 6, 5, 4, 8, 9, 10, 11, 15, 14, 13, 12, 0}},
+	}
+	rng := rand.New(rand.NewPCG(42, 7))
+	for i := range 60 {
+		n := 4 + rng.IntN(9)
+		adj := randomSymmetricGraph(rng, n, rng.IntN(2*n), i%3 != 0, []int{-1, rng.IntN(n - 1), n - 2}[i%3])
+		g, err := topology.NewDigraph(fmt.Sprintf("random-%d", i), adj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	modes := []router.RecoveryMode{router.RecoverySequential, router.RecoveryConcurrent, router.RecoveryAbortRetry}
+	accepted := map[router.RecoveryMode]int{}
+	for _, g := range graphs {
+		for _, mode := range modes {
+			cfg := testConfig(g, routing.Disha(0), 0, 1)
+			cfg.Router.Recovery = mode
+			_, err := New(cfg)
+			walk := core.VerifyLaneConnected(g, installedLane(g, mode))
+			switch {
+			case walk == nil && err != nil:
+				t.Errorf("%s, %s: New refuses (%v), the walk delivers every pair", g.Name(), mode, err)
+			case walk != nil && (err == nil || !strings.Contains(err.Error(), g.Name()+" Deadlock Buffer lane fails Lemma 1: ")):
+				t.Errorf("%s, %s: the walk fails (%v), New returns %v", g.Name(), mode, walk, err)
+			case err == nil:
+				accepted[mode]++
+			}
+		}
+	}
+	for _, mode := range modes {
+		if accepted[mode] == 0 || accepted[mode] == len(graphs) {
+			t.Errorf("%s: New accepts %d of %d graphs; the cases do not tell accept from refuse", mode, accepted[mode], len(graphs))
+		}
 	}
 }
 

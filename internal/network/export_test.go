@@ -129,12 +129,3 @@ func (s byText) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 	s.text[i], s.text[j] = s.text[j], s.text[i]
 }
-
-// forgetLaneVerdicts empties the memo of named graphs' Lemma 1 verdicts,
-// so the next network on any name walks its lane again.
-func forgetLaneVerdicts() {
-	namedLanes.Range(func(name, _ any) bool {
-		namedLanes.Delete(name)
-		return true
-	})
-}

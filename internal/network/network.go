@@ -6,10 +6,9 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -324,68 +323,48 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	if cfg.Router.Timeout > 0 {
-		lane, err := validRecoveryLane(topo)
-		if err != nil {
-			return nil, err
+		// Token-serialized and concurrent recovery route their Deadlock
+		// Buffer lanes by the recovery order; abort-retry routes no Deadlock
+		// Buffer hop and needs no order.
+		var order []topology.Node
+		if cfg.Router.Recovery != router.RecoveryAbortRetry {
+			var err error
+			if order, err = validRecoveryLane(topo); err != nil {
+				return nil, err
+			}
 		}
 		// The Deadlock Buffer lane must be a connected routing subfunction
-		// (the paper's Lemma 1, generalized to arbitrary digraphs): verify
-		// it at construction time against the lane routing the routers will
-		// actually use. Cubes route it by dimension order (keeping golden
-		// digests byte-identical), concurrent recovery by monotone rows over
-		// the recovery order, everything else by BFS rows over this
-		// network's links.
-		ctopo, cube := topology.Coordinated(topo)
-		switch {
-		case cfg.Router.Recovery == router.RecoveryConcurrent:
-			n.routerState.SetRecoveryOrder(lane)
-			err = n.verifyLaneRows()
-		case cube:
-			err = core.VerifyLaneConnected(topo, core.DORLane(ctopo))
-		default:
-			n.useLiveLaneRows()
-			err = laneVerdict(topo, n.verifyLaneRows)
+		// (the paper's Lemma 1, generalized to arbitrary digraphs). Every
+		// lane installed below is one by construction, given two O(links)
+		// facts checked here instead of walking every (src, dst) pair:
+		//   - BFS rows are reverse BFS trees toward each destination over
+		//     paired live links (every link is paired, checked above), so
+		//     each spans the network iff the live graph is connected;
+		//   - dimension order on an intact cube fixes one coordinate a hop;
+		//   - monotone rows (router.MonotoneLane) deliver iff consecutive
+		//     recovery-order nodes are linked.
+		// The tests hold this to core.VerifyLaneConnected's walk.
+		var err error
+		if !n.liveConnectedExcluding(-1) {
+			err = errors.New("the graph is disconnected")
+		} else if cfg.Router.Recovery == router.RecoveryConcurrent {
+			err = orderStepsAlongLinks(topo, order)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: %v", topo.Name(), err)
+		}
+		_, cube := topology.Coordinated(topo)
+		switch {
+		case cfg.Router.Recovery == router.RecoveryConcurrent:
+			n.routerState.SetRecoveryOrder(order)
+		case !cube:
+			n.useLiveLaneRows()
 		}
 		if cfg.Router.Recovery == router.RecoverySequential {
 			n.token = NewToken(topo, cfg.TokenHopsPerCycle)
 		}
 	}
 	return n, nil
-}
-
-// namedLanes memoises the Lemma 1 verdict of each named graph's BFS lane
-// by name (topology.Named): only the verdict, walked once per process.
-var namedLanes sync.Map // name -> *namedLane
-
-type namedLane struct {
-	once sync.Once
-	err  error
-}
-
-var laneWalks atomic.Int64 // walks namedLanes ran, for tests
-
-// laneVerdict returns walk's verdict, memoised when topo is a named graph
-// (a NewDigraph graph's name does not fix its links).
-func laneVerdict(topo topology.Graph, walk func() error) error {
-	if !topology.Named(topo) {
-		return walk()
-	}
-	e, _ := namedLanes.LoadOrStore(topo.Name(), new(namedLane))
-	v := e.(*namedLane)
-	v.once.Do(func() {
-		laneWalks.Add(1)
-		v.err = walk()
-	})
-	return v.err
-}
-
-// verifyLaneRows walks every (src, dst) pair over the installed lane rows,
-// one row at a time in scratch, outside the row memo.
-func (n *Network) verifyLaneRows() error {
-	return core.VerifyLaneConnected(n.topo, core.RowLane(len(n.routers), n.routerState.BuildLaneRow))
 }
 
 // useLiveLaneRows routes the Deadlock Buffer lane by BFS rows over the links
@@ -407,9 +386,9 @@ func (n *Network) liveLink(v topology.Node, p int) (topology.Node, int, bool) {
 }
 
 // validRecoveryLane checks that the topology's declared recovery lane
-// visits every node exactly once, returning it. Both recovery modes rely
-// on this (the Token circulates the lane; concurrent lanes are derived from
-// its order).
+// visits every node exactly once, returning it. Both Deadlock Buffer modes
+// rely on this (the Token circulates the lane; concurrent lanes are derived
+// from its order).
 func validRecoveryLane(topo topology.Graph) ([]topology.Node, error) {
 	lane := topo.RecoveryLane()
 	if len(lane) != topo.Nodes() {
@@ -423,6 +402,21 @@ func validRecoveryLane(topo topology.Graph) ([]topology.Node, error) {
 		seen[node] = true
 	}
 	return lane, nil
+}
+
+// orderStepsAlongLinks reports the first step of a recovery order that is
+// not a link of topo.
+func orderStepsAlongLinks(topo topology.Graph, order []topology.Node) error {
+steps:
+	for i := 1; i < len(order); i++ {
+		for p := 0; p < topo.Degree(); p++ {
+			if nb, ok := topo.Neighbor(order[i-1], p); ok && nb == order[i] {
+				continue steps
+			}
+		}
+		return fmt.Errorf("recovery order steps %d->%d off the links", order[i-1], order[i])
+	}
+	return nil
 }
 
 // Topo returns the network's topology.

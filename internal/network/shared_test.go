@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,38 +12,12 @@ import (
 	"repro/internal/topology"
 )
 
-// TestColdAndWarmBuildsAgree runs one configuration on a network whose
-// named graph has no Lemma 1 verdict yet and again on one that finds the
-// verdict memoised: after 500 cycles both reach the same state.
-func TestColdAndWarmBuildsAgree(t *testing.T) {
-	for _, name := range []string{"dragonfly-4x2", "fattree-4", "fullmesh-8"} {
-		t.Run(name, func(t *testing.T) {
-			forgetLaneVerdicts()
-			var prints [2][32]byte
-			for i := range prints {
-				g, err := topology.Parse(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := mustNet(t, testConfig(g, routing.Disha(0), 0.3, 7))
-				n.Run(500)
-				prints[i] = n.Fingerprint()
-			}
-			if prints[0] != prints[1] {
-				t.Fatalf("cold build %x, warm build %x", prints[0], prints[1])
-			}
-		})
-	}
-}
-
 // TestConcurrentFirstCallersBuildOnce builds networks on one dragonfly and
-// one fat tree from many goroutines at once, with no verdict memoised: the
-// Lemma 1 walk runs once per name, and every network reaches the same state.
+// one fat tree from many goroutines at once: every network reaches the same
+// state.
 func TestConcurrentFirstCallersBuildOnce(t *testing.T) {
 	for _, name := range []string{"dragonfly-4x3", "fattree-6"} {
 		t.Run(name, func(t *testing.T) {
-			forgetLaneVerdicts()
-			before := laneWalks.Load()
 			prints := make([][32]byte, 8)
 			errs := make([]error, len(prints))
 			var wg sync.WaitGroup
@@ -70,9 +45,6 @@ func TestConcurrentFirstCallersBuildOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if walks := laneWalks.Load() - before; walks != 1 {
-				t.Fatalf("%d Lemma 1 walks, want 1", walks)
-			}
 			for i, p := range prints {
 				if p != prints[0] {
 					t.Fatalf("network %d fingerprint %x, network 0 %x", i, p, prints[0])
@@ -82,22 +54,22 @@ func TestConcurrentFirstCallersBuildOnce(t *testing.T) {
 	}
 }
 
-// TestNewDigraphVerifiesEveryNetwork builds two networks on one NewDigraph
-// graph under a named class's canonical name: its name does not fix its
-// links, so neither takes or leaves a memoised verdict.
+// TestNewDigraphVerifiesEveryNetwork builds networks on a full mesh and on
+// two NewDigraph graphs that borrow its canonical name: a name does not fix
+// a graph's links, so each verdict follows the links of its own graph.
 func TestNewDigraphVerifiesEveryNetwork(t *testing.T) {
-	ring := [][]int{{1, 3}, {2, 0}, {3, 1}, {0, 2}}
-	g, err := topology.NewDigraph("fullmesh-4", ring)
+	mustNet(t, testConfig(topology.MustFullMesh(4), routing.Disha(0), 0.3, 1))
+	ring, err := topology.NewDigraph("fullmesh-4", [][]int{{1, 3}, {2, 0}, {3, 1}, {0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgetLaneVerdicts()
-	before := laneWalks.Load()
-	for range 2 {
-		mustNet(t, testConfig(g, routing.Disha(0), 0.3, 1))
+	mustNet(t, testConfig(ring, routing.Disha(0), 0.3, 1))
+	pairs, err := topology.NewDigraph("fullmesh-4", [][]int{{1}, {0}, {3}, {2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if walks := laneWalks.Load() - before; walks != 0 {
-		t.Fatalf("%d memoised walks on a NewDigraph graph, want 0", walks)
+	if _, err := New(testConfig(pairs, routing.Disha(0), 0.3, 1)); err == nil || !strings.Contains(err.Error(), "fails Lemma 1") {
+		t.Fatalf("two disjoint links named fullmesh-4: err = %v, want a Lemma 1 refusal", err)
 	}
 }
 
@@ -208,9 +180,9 @@ func TestLaneRowsBuiltOnFirstUse(t *testing.T) {
 }
 
 // TestConcurrentNetworksShareTables steps two networks on one dragonfly in
-// two goroutines at once: they read the graph and its memoised verdict
-// together, each builds lane rows only in its own State, and each reaches
-// the fingerprint it reaches when the two are stepped one after the other.
+// two goroutines at once: they read the graph together, each builds lane
+// rows only in its own State, and each reaches the fingerprint it reaches
+// when the two are stepped one after the other.
 // Run under -race it is also the data-race check on that sharing.
 func TestConcurrentNetworksShareTables(t *testing.T) {
 	g, err := topology.Parse("dragonfly-4x2")

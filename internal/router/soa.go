@@ -280,7 +280,7 @@ func (s *State) SetLaneRows(build func(dst topology.Node, row []int16)) {
 }
 
 // BuildLaneRow fills row with the installed lane's next hops toward dst
-// without memoising it: the Lemma 1 walk's one row of scratch.
+// without memoising it, for tests that compare rows against an oracle.
 func (s *State) BuildLaneRow(dst topology.Node, row []int16) { s.laneRow(dst, row) }
 
 // LaneRows returns the row memo by destination (nil entries: not built
@@ -316,8 +316,10 @@ func (s *State) SetRecoveryOrder(order []topology.Node) {
 // the monotone shortcut of Lin–McKinley–Ni dual-path routing. Positions
 // strictly increase on the up lane and strictly decrease on the down lane,
 // so neither lane's dependency graph over receiving routers has a cycle. An
-// entry is -1 at dst and where no neighbor qualifies (never when order
-// steps along links).
+// entry is -1 at dst and where no neighbor qualifies. The rows deliver every
+// (src, dst) pair iff every step of order is a link: then the next node on
+// order always qualifies, and a flit at one end of an unlinked step bound
+// for the other has no neighbor that does. network.New checks the steps.
 func MonotoneLane(g topology.Graph, order []topology.Node) (pos []int32, row func(dst topology.Node, row []int16)) {
 	nodes, deg := g.Nodes(), g.Degree()
 	pos = make([]int32, nodes)

@@ -11,7 +11,9 @@ import (
 // The bound is tighter than the cube one because a NewDigraph graph carries
 // an all-pairs distance table of nodes² int16s, 32 MiB at the bound, and it
 // keeps every distance, port and lane-row entry inside an int16. The named
-// classes hold no table but keep the same node cap.
+// classes hold no table, and a network checks Lemma 1 on them in O(links),
+// so nothing quadratic bounds them; they keep the same node cap until a
+// size past it has been measured.
 const maxDigraphNodes = 1 << 12
 
 // digraph is the generic directed-graph topology: an explicit adjacency

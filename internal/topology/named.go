@@ -5,18 +5,6 @@ import (
 	"strconv"
 )
 
-// Named reports whether g is a full mesh, dragonfly or fat tree: graphs
-// that are their construction parameters, whose name fixes every link. Their
-// Neighbor, ReversePortAt, Distance and IsMinimal are closed forms with no
-// table, held by the tests to what NewDigraph answers on their adjacency.
-func Named(g Graph) bool {
-	switch g.(type) {
-	case *dragonfly, *fatTree:
-		return true
-	}
-	return false
-}
-
 // identityLane is the recovery lane of the named classes and NewDigraph.
 func identityLane(nodes int) []Node {
 	lane := make([]Node, nodes)

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -34,17 +33,6 @@ type MeanStats struct {
 	GeneratingFraction float64
 }
 
-// uniformMeans memoises MeasureMean of the uniform pattern on named graphs
-// (topology.Named) by name and samples per node: the name fixes every
-// distance and the node count every draw, so each later network of a
-// process on one such topology skips the samples.
-var uniformMeans sync.Map // uniformMean -> MeanStats
-
-type uniformMean struct {
-	name    string
-	samples int
-}
-
 // MeasureMean estimates MeanStats by drawing samplesPerNode destinations from
 // every source with a deterministic RNG stream. Deterministic patterns are
 // measured exactly with a single sample per node.
@@ -52,19 +40,6 @@ func MeasureMean(topo topology.Graph, p Pattern, samplesPerNode int) MeanStats {
 	if samplesPerNode < 1 {
 		samplesPerNode = 1
 	}
-	if u, ok := p.(uniform); !ok || !topology.Named(topo) || u.topo != topo {
-		return measureMean(topo, p, samplesPerNode)
-	}
-	key := uniformMean{topo.Name(), samplesPerNode}
-	if st, ok := uniformMeans.Load(key); ok {
-		return st.(MeanStats)
-	}
-	st := measureMean(topo, p, samplesPerNode)
-	uniformMeans.Store(key, st)
-	return st
-}
-
-func measureMean(topo topology.Graph, p Pattern, samplesPerNode int) MeanStats {
 	r := sim.NewRNG(0x715a_1ed0)
 	var totalDist, generated, draws float64
 	for n := 0; n < topo.Nodes(); n++ {

@@ -520,34 +520,3 @@ func TestNewHotSpotValidatesFraction(t *testing.T) {
 	}()
 	HotSpot(base, 0, 2)
 }
-
-// TestUniformMeanMemoisedByName: the uniform pattern's MeasureMean on a
-// named graph is measured once per name and samples per node, and served
-// to every later graph of that name; a NewDigraph graph that borrows the
-// name is measured on its own links.
-func TestUniformMeanMemoisedByName(t *testing.T) {
-	g := topology.MustDragonfly(4, 2)
-	want := measureMean(g, Uniform(g), 64)
-	if got := MeasureMean(g, Uniform(g), 64); got != want {
-		t.Fatalf("first measure %+v, want %+v", got, want)
-	}
-	if _, ok := uniformMeans.Load(uniformMean{g.Name(), 64}); !ok {
-		t.Fatal("no memo entry after the first measure")
-	}
-	g2 := topology.MustDragonfly(4, 2)
-	if got := MeasureMean(g2, Uniform(g2), 64); got != want {
-		t.Fatalf("second graph of the name: %+v, want %+v", got, want)
-	}
-	ring := make([][]int, g.Nodes())
-	for i := range ring {
-		ring[i] = []int{(i + 1) % len(ring), (i + len(ring) - 1) % len(ring)}
-	}
-	d, err := topology.NewDigraph(g.Name(), ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	own := measureMean(d, Uniform(d), 64)
-	if got := MeasureMean(d, Uniform(d), 64); got != own || got == want {
-		t.Fatalf("digraph named %s: %+v, its own links give %+v, the dragonfly %+v", g.Name(), got, own, want)
-	}
-}
