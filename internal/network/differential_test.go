@@ -111,6 +111,19 @@ func diffCases() []diffCase {
 			cfg.Router.Timeout = 4
 			return cfg
 		}},
+		// Radix 11, 45 input slots per router (4 VCs, one injection VC):
+		// the same long candidate lists and wrapping arbitration as
+		// dragonfly-wide.
+		{"dragonfly-45", func() Config { return tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 4) }},
+		// 67 input slots per router (radix 11, 6 VCs, one injection VC):
+		// the masks span two words and the rotating walks cross the
+		// boundary.
+		{"dragonfly-67", func() Config {
+			cfg := tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 6)
+			cfg.Router.BufferDepth = 1
+			cfg.Router.Timeout = 4
+			return cfg
+		}},
 		// Two Deadlock Buffer lanes, each with priority on its output, in
 		// front of the input arbitration.
 		{"concurrent", func() Config {

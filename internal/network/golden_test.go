@@ -122,6 +122,19 @@ func goldenCases() []goldenCase {
 				return cfg
 			},
 		},
+		// Radix 11 with 6 VCs and one injection VC: 67 input slots per
+		// router, so the slot masks span two words.
+		{
+			name:   "dragonfly-67",
+			cycles: 600,
+			build: func() Config {
+				cfg := testConfig(topology.MustDragonfly(8, 4), routing.Disha(2), 0.5, 42)
+				cfg.Router.VCs = 6
+				cfg.Router.BufferDepth = 1
+				cfg.Router.Timeout = 4
+				return cfg
+			},
+		},
 		// Packet-by-packet allocation: held connections, Deadlock Buffer
 		// preemption and the reconfiguration buffer under the same
 		// deadlock-prone knobs.
