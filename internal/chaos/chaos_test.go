@@ -18,7 +18,6 @@ import (
 func testConfig(topo topology.Graph, load float64, seed uint64) network.Config {
 	rc := router.Default()
 	rc.Timeout = 8
-	rc.DeadlockBufferDepth = 1
 	return network.Config{
 		Topo:      topo,
 		Router:    rc,

@@ -27,6 +27,7 @@ type Channel struct {
 	VC   int
 }
 
+// String renders the channel as ch(from:pPort:vVC) for cycle reports.
 func (c Channel) String() string {
 	return fmt.Sprintf("ch(%d:p%d:v%d)", c.From, c.Port, c.VC)
 }

@@ -157,9 +157,6 @@ func buildNet(t *testing.T, alg routing.Algorithm, vcs int, load float64, seed u
 	rc.VCs = vcs
 	rc.BufferDepth = 1
 	rc.Timeout = sim.Cycle(timeout)
-	if timeout == 0 {
-		rc.DeadlockBufferDepth = 0
-	}
 	n, err := network.New(network.Config{
 		Topo:      topo,
 		Router:    rc,

@@ -16,7 +16,6 @@ func abortRetryConfig(seed uint64) Config {
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = 8
 	cfg.Router.Recovery = router.RecoveryAbortRetry
-	cfg.Router.DeadlockBufferDepth = 0 // no DB hardware needed at all
 	return cfg
 }
 
@@ -111,18 +110,5 @@ func TestAbortRetryCreditIntegrity(t *testing.T) {
 	}
 	if !n.RunUntilDrained(120000) {
 		t.Fatal("did not drain after kills")
-	}
-}
-
-// TestAbortRetryNeedsNoDeadlockBuffer checks the configuration claim: the
-// mode works with DeadlockBufferDepth 0, while DB-lane modes reject it.
-func TestAbortRetryNeedsNoDeadlockBuffer(t *testing.T) {
-	cfg := abortRetryConfig(1)
-	if _, err := New(cfg); err != nil {
-		t.Fatalf("abort-retry with no DB rejected: %v", err)
-	}
-	cfg.Router.Recovery = router.RecoverySequential
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sequential recovery without a Deadlock Buffer must be rejected")
 	}
 }

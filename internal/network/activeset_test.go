@@ -115,7 +115,6 @@ var purgeDrainsVariant = kernelVariant{"abort-retry-purge-drains", func() Config
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = 4
 	cfg.Router.Recovery = router.RecoveryAbortRetry
-	cfg.Router.DeadlockBufferDepth = 0
 	return cfg
 }}
 
@@ -280,7 +279,6 @@ func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = 4
 	cfg.Router.Recovery = router.RecoveryAbortRetry
-	cfg.Router.DeadlockBufferDepth = 0
 	n := mustNet(t, cfg)
 	n.Run(400)
 	if n.Counters().PacketsKilled == 0 {

@@ -86,38 +86,20 @@ func diffCases() []diffCase {
 		}},
 		{"dragonfly", func() Config { return tight(routing.Disha(2), topology.MustDragonfly(4, 2), 0.5, 2) }},
 		{"fattree", func() Config { return tight(routing.Disha(1), topology.MustFatTree(4), 0.5, 2) }},
-		// Radix 11, 46 input slots per router: per-output candidate lists
-		// are long and the round-robin offset often sits past the last
-		// candidate, so arbitration takes the wrap.
-		{"dragonfly-wide", func() Config {
-			cfg := tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 4)
-			cfg.Router.InjectionVCs = 2
-			return cfg
-		}},
-		// Exactly 64 input slots per router (radix 21, 3 VCs, 1 injection
-		// VC): one full mask word, no padding bits.
+		// Exactly 64 input slots per router (radix 21, 3 VCs): one full
+		// mask word, no padding bits.
 		{"fullmesh-64", func() Config {
 			cfg := tight(routing.Disha(1), topology.MustFullMesh(22), 0.3, 3)
 			cfg.Router.BufferDepth = 1
 			cfg.Router.Timeout = 4
 			return cfg
 		}},
-		// 68 input slots per router (radix 11, 6 VCs, 2 injection VCs): the
-		// masks span two words and the rotating walks cross the boundary.
-		{"dragonfly-68", func() Config {
-			cfg := tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 6)
-			cfg.Router.InjectionVCs = 2
-			cfg.Router.BufferDepth = 1
-			cfg.Router.Timeout = 4
-			return cfg
-		}},
-		// Radix 11, 45 input slots per router (4 VCs, one injection VC):
-		// the same long candidate lists and wrapping arbitration as
-		// dragonfly-wide.
+		// Radix 11, 45 input slots per router: per-output candidate lists
+		// are long and the round-robin offset often sits past the last
+		// candidate, so arbitration takes the wrap.
 		{"dragonfly-45", func() Config { return tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 4) }},
-		// 67 input slots per router (radix 11, 6 VCs, one injection VC):
-		// the masks span two words and the rotating walks cross the
-		// boundary.
+		// 67 input slots per router (radix 11, 6 VCs): the masks span two
+		// words and the rotating walks cross the boundary.
 		{"dragonfly-67", func() Config {
 			cfg := tight(routing.Disha(2), topology.MustDragonfly(8, 4), 0.5, 6)
 			cfg.Router.BufferDepth = 1

@@ -101,7 +101,6 @@ func TestAbortRetryNeedsNoRecoveryOrder(t *testing.T) {
 	cfg.Router.VCs = 1
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Recovery = router.RecoveryAbortRetry
-	cfg.Router.DeadlockBufferDepth = 0
 	n := mustNet(t, cfg)
 	drain(t, n, 2000, 60000)
 	if c := n.Counters(); c.PacketsKilled == 0 || c.PacketsDelivered == 0 {

@@ -208,7 +208,7 @@ func exploreRun(t *testing.T, ec exploreCase, seed uint64, load int, st *explore
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = exploreTout
 	if !ec.recovery {
-		cfg.Router.Timeout, cfg.Router.DeadlockBufferDepth = 0, 0
+		cfg.Router.Timeout = 0
 	}
 	n := mustNet(t, cfg)
 	queued := exploreQueue(n, load)

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/router"
 	"repro/internal/topology"
 )
 
@@ -24,14 +23,12 @@ import (
 // with HealLink.
 //
 // Restrictions, each returning an error: the link must exist and be idle;
-// the live network must remain connected; and concurrent recovery is
-// unsupported (its monotone lane rows follow the recovery order over the
-// intact topology, and cutting a link between consecutive nodes of that
-// order leaves them disconnected).
+// and every check of a scheduled kill applies (validate): the live network
+// must remain connected, and concurrent recovery is unsupported (its
+// monotone lane rows follow the recovery order over the intact topology,
+// and cutting a link between consecutive nodes of that order leaves them
+// disconnected).
 func (n *Network) FailLink(node topology.Node, port int) error {
-	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
-		return fmt.Errorf("network: fault injection is not supported with concurrent recovery")
-	}
 	if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= n.topo.Degree() {
 		return fmt.Errorf("network: no such link %d/%d", node, port)
 	}

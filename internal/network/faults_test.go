@@ -202,7 +202,6 @@ func TestDORWedgesOnFault(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	cfg := testConfig(topo, routing.DOR(), 0.4, 7)
 	cfg.Router.Timeout = 0
-	cfg.Router.DeadlockBufferDepth = 0
 	n := mustNet(t, cfg)
 	if err := n.FailLink(topo.NodeAt(topology.Coord{0, 0}), topology.PortFor(0, 1)); err != nil {
 		t.Fatal(err)

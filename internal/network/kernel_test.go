@@ -46,7 +46,6 @@ func kernelVariants() []kernelVariant {
 		{"abort-retry", func() Config {
 			cfg := base()
 			cfg.Router.Recovery = router.RecoveryAbortRetry
-			cfg.Router.DeadlockBufferDepth = 0
 			return cfg
 		}},
 		{"packet-by-packet", func() Config {

@@ -862,7 +862,7 @@ func (n *Network) releaseVictims(victims []*packet.Packet) {
 func (n *Network) purge(p *packet.Packet) int {
 	flits := 0
 	for _, r := range n.routers {
-		flits += r.PurgePacket(p) + r.PurgeDB(p)
+		flits += r.PurgePacket(p)
 	}
 	if q := &n.nis[p.Src]; q.cur == p {
 		q.cur, q.seq = nil, 0

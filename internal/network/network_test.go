@@ -71,7 +71,6 @@ func TestAllAlgorithmsDeliverLowLoad(t *testing.T) {
 			if alg.Name() != "disha-m0" && alg.Name() != "disha-m3" {
 				// Avoidance schemes run without detection/recovery.
 				cfg.Router.Timeout = 0
-				cfg.Router.DeadlockBufferDepth = 0
 			}
 			n := mustNet(t, cfg)
 			drain(t, n, 3000, 8000)
@@ -185,7 +184,6 @@ func TestDishaWithoutRecoveryWedges(t *testing.T) {
 	cfg.Router.VCs = 1
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = 0 // no detection, no token, no recovery
-	cfg.Router.DeadlockBufferDepth = 0
 	n := mustNet(t, cfg)
 	n.Run(4000)
 	if n.RunUntilDrained(20000) {
@@ -205,7 +203,6 @@ func TestAvoidanceSchemesNeverTimeout(t *testing.T) {
 			topo := topology.MustTorus(4, 4)
 			cfg := testConfig(topo, alg, 0.3, 13)
 			cfg.Router.Timeout = 0
-			cfg.Router.DeadlockBufferDepth = 0
 			n := mustNet(t, cfg)
 			drain(t, n, 5000, 10000)
 		})
@@ -291,7 +288,6 @@ func TestHopsAtLeastDistance(t *testing.T) {
 		alg := alg
 		cfg := testConfig(topo, alg, 0.3, 31)
 		cfg.Router.Timeout = 0
-		cfg.Router.DeadlockBufferDepth = 0
 		n := mustNet(t, cfg)
 		n.OnDeliver = func(p *packet.Packet) {
 			d := topo.Distance(p.Src, p.Dst)
@@ -368,7 +364,6 @@ func TestHigherDimensionTopologies(t *testing.T) {
 			drain(t, n, 2000, 20000)
 			cfg2 := testConfig(topo, routing.DOR(), 0.25, 52)
 			cfg2.Router.Timeout = 0
-			cfg2.Router.DeadlockBufferDepth = 0
 			n2 := mustNet(t, cfg2)
 			drain(t, n2, 2000, 20000)
 		})

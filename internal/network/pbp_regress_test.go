@@ -25,7 +25,6 @@ func TestPBPSelfCrossingWormholeDrains(t *testing.T) {
 	rc.BufferDepth = 3
 	rc.Timeout = 8
 	rc.Recovery = router.RecoveryAbortRetry
-	rc.DeadlockBufferDepth = 0
 	rc.Alloc = router.PacketByPacket
 	n, err := New(Config{
 		Topo:      topo,

@@ -45,13 +45,11 @@ func TestConservationProperty(t *testing.T) {
 			switch {
 			case k.AbortRetry:
 				rc.Recovery = router.RecoveryAbortRetry
-				rc.DeadlockBufferDepth = 0
 			case k.Concurrent:
 				rc.Recovery = router.RecoveryConcurrent
 			}
 		} else {
 			rc.Timeout = 0
-			rc.DeadlockBufferDepth = 0
 		}
 		if k.PBP && rc.Recovery != router.RecoveryConcurrent {
 			rc.Alloc = router.PacketByPacket

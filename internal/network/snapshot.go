@@ -218,8 +218,14 @@ func (n *Network) walkConfigGuard(c *snapshot.Codec) {
 	c.ExpectString(cfg.Pattern.Name(), "traffic pattern")
 	c.Expect(int64(cfg.Router.VCs), "VC count")
 	c.Expect(int64(cfg.Router.BufferDepth), "buffer depth")
-	c.Expect(int64(cfg.Router.DeadlockBufferDepth), "deadlock buffer depth")
-	c.Expect(int64(cfg.Router.InjectionVCs), "injection VCs")
+	// Format v2 codes these two; the router fixes them: a one-flit
+	// Deadlock Buffer exactly when detection is on, one injection VC.
+	dbDepth := int64(0)
+	if cfg.Router.Timeout > 0 {
+		dbDepth = 1
+	}
+	c.Expect(dbDepth, "deadlock buffer depth")
+	c.Expect(1, "injection VCs")
 	c.Expect(int64(cfg.Router.ReceptionChannels), "reception channels")
 	c.Expect(int64(cfg.Router.Timeout), "timeout")
 	c.Expect(int64(cfg.Router.Alloc), "allocation policy")

@@ -2,7 +2,9 @@ package network
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -360,6 +362,33 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	checkLockstep(t, orig, restored, 50)
 }
 
+// TestSnapshotBytesWithoutRecoveryLaneSettings pins the fixture
+// configuration's snapshot under recovery off and under abort-retry to
+// digests taken at 9d352f6, where the Deadlock Buffer depth and the
+// injection VC count were router settings (0 and 1 for recovery off, 1 and
+// 1 for abort-retry, as router.PaperConfig set them). Format v2 still codes
+// both, so checkpoints written on either side of that commit restore on
+// the other; snapshot_v2.bin pins sequential recovery the same way.
+func TestSnapshotBytesWithoutRecoveryLaneSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		build  func(*Config)
+		sha256 string
+	}{
+		{"recovery off", func(c *Config) { c.Router.Timeout = 0 }, "0932c43f2caa6022dec528b83f37c20acbb47ab9aacf08897be187fce3fb505f"},
+		{"abort-retry", func(c *Config) { c.Router.Recovery = router.RecoveryAbortRetry }, "bbb5a6385ac9bfc1f022476195a31239dc5dbfaaa985d94a5ec1585d10f7793a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := snapshotFixtureConfig()
+			tc.build(&cfg)
+			_, data := takeSnapshot(t, cfg, 250)
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != tc.sha256 {
+				t.Fatalf("snapshot SHA-256 %x, pinned %s: this encoder's bytes differ from format v2's", sum, tc.sha256)
+			}
+		})
+	}
+}
+
 // pbpFuzzConfig is a packet-by-packet network busy enough that crossbar
 // connections are live in a mid-run snapshot.
 func pbpFuzzConfig() Config {
@@ -382,11 +411,9 @@ func lastRouterCrossbar(cfg Config, payload []byte) int {
 // arbitration offset, the field after its crossbar records.
 func lastRouterArbOffset(cfg Config, payload []byte) int {
 	deg := cfg.Topo.Degree()
-	rc := cfg.Router
-	blocked := max(rc.VCs, rc.InjectionVCs)
 	// VC arbitration offset, swArbOff[deg+1], effective T_out, decay count,
-	// 9 stats, blockedByVC, blocked and presumed gauges, RNG.
-	trailer := 8 + 8*(deg+1) + 8 + 8 + 9*8 + 8*blocked + 8 + 8 + 32
+	// 9 stats, blockedByVC[VCs], blocked and presumed gauges, RNG.
+	trailer := 8 + 8*(deg+1) + 8 + 8 + 9*8 + 8*cfg.Router.VCs + 8 + 8 + 32
 	return len(payload) - trailer
 }
 
@@ -407,7 +434,7 @@ func TestSnapshotRefusesValuesOffTheClock(t *testing.T) {
 	adaptive := fuzzCfg
 	adaptive.Router.AdaptiveTimeout = true
 	rc := mustNet(t, fuzzCfg).cfg.Router
-	stride := int64(fuzzCfg.Topo.Degree()*rc.VCs + rc.InjectionVCs)
+	stride := int64(fuzzCfg.Topo.Degree()*rc.VCs + 1)
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
@@ -470,7 +497,7 @@ func TestSnapshotRejectsHostileCrossbarVC(t *testing.T) {
 		"network port, one past": func(b []byte) { put(b, cx, 0); put(b, cx+8, int64(rc.VCs)) },
 		"network port, absurd":   func(b []byte) { put(b, cx, 0); put(b, cx+8, 1<<20) },
 		"network port, negative": func(b []byte) { put(b, cx, 0); put(b, cx+8, -1) },
-		"injection port":         func(b []byte) { put(b, cx, deg); put(b, cx+8, int64(rc.InjectionVCs)) },
+		"injection port":         func(b []byte) { put(b, cx, deg); put(b, cx+8, 1) },
 		"wraps to zero":          func(b []byte) { put(b, cx, 0); put(b, cx+8, 1<<32) },
 		"saved VC":               func(b []byte) { b[cx+17] = 1; put(b, cx+18, 0); put(b, cx+26, int64(rc.VCs)) },
 		"saved port negative":    func(b []byte) { b[cx+17] = 1; put(b, cx+18, -1) },

@@ -36,7 +36,10 @@ func (a AllocPolicy) String() string {
 }
 
 // Config holds the router microarchitecture parameters. The zero value is
-// not usable; call Normalize (or use Default) first.
+// not usable; call Normalize (or use Default) first. The parts the paper
+// fixes are not parameters: every router has one injection channel (one
+// VC), and with detection on (Timeout > 0) a Deadlock Buffer of "a single
+// additional flit buffer" — one lane, or two under concurrent recovery.
 type Config struct {
 	// VCs is the number of virtual channels ("edge buffers") per physical
 	// channel. The paper's evaluation uses 4.
@@ -44,20 +47,14 @@ type Config struct {
 	// BufferDepth is the per-VC input buffer depth in flits. The paper
 	// selects 2 ("shallow buffers keep the routers simple").
 	BufferDepth int
-	// DeadlockBufferDepth is the central Deadlock Buffer's capacity in
-	// flits; the paper devotes "a single additional flit buffer" (1).
-	// Setting it to 0 disables recovery entirely (useful to demonstrate
-	// that Disha routing without recovery wedges).
-	DeadlockBufferDepth int
-	// InjectionVCs is the number of virtual channels on the injection
-	// input; all algorithms in the paper use one injection channel.
-	InjectionVCs int
 	// ReceptionChannels bounds how many flits per cycle a node can consume;
 	// the paper uses one and names raising it as future work.
 	ReceptionChannels int
 	// Timeout is T_out: consecutive cycles a header must be blocked before
-	// the router presumes deadlock (paper default 8). Zero disables
-	// detection — and with it every recovery mode.
+	// the router presumes deadlock (paper default 8). Zero is the one off
+	// switch: no detection, no Token, no Deadlock Buffer, and with them no
+	// recovery mode (useful to demonstrate that Disha routing without
+	// recovery wedges).
 	Timeout sim.Cycle
 	// Alloc is the crossbar allocation policy.
 	Alloc AllocPolicy
@@ -122,31 +119,28 @@ func ParseRecoveryMode(s string) (RecoveryMode, error) {
 	return 0, fmt.Errorf("router: unknown recovery mode %q (want %s)", s, strings.Join(RecoveryModeNames(), ", "))
 }
 
-// Default returns the paper's router configuration: 4 VCs of depth 2, a
-// single-flit Deadlock Buffer, one injection and one reception channel,
-// T_out = 8, flit-by-flit crossbar allocation.
+// Default returns the paper's router configuration: 4 VCs of depth 2, one
+// reception channel, T_out = 8 (so a single-flit Deadlock Buffer),
+// flit-by-flit crossbar allocation.
 func Default() Config {
 	return Config{
-		VCs:                 4,
-		BufferDepth:         2,
-		DeadlockBufferDepth: 1,
-		InjectionVCs:        1,
-		ReceptionChannels:   1,
-		Timeout:             8,
-		Alloc:               FlitByFlit,
+		VCs:               4,
+		BufferDepth:       2,
+		ReceptionChannels: 1,
+		Timeout:           8,
+		Alloc:             FlitByFlit,
 	}
 }
 
 // PaperConfig is Default with the recovery decision made, the one place it
-// is: with recovery on, T_out is timeout (0 = the paper's 8), the single-flit
-// Deadlock Buffer is present and mode selects the scheme; with recovery off
-// there is no detection (Timeout 0), no Deadlock Buffer, and the unused mode
-// stays sequential. Callers set the remaining fields; Normalize fills the
-// ones they leave zero.
+// is: with recovery on, T_out is timeout (0 = the paper's 8) and mode
+// selects the scheme; with recovery off, Timeout is 0 — no detection, no
+// Deadlock Buffer — and the unused mode stays sequential. Callers set the
+// remaining fields; Normalize fills the ones they leave zero.
 func PaperConfig(recovery bool, timeout sim.Cycle, mode RecoveryMode) Config {
 	c := Default()
 	if !recovery {
-		c.Timeout, c.DeadlockBufferDepth = 0, 0
+		c.Timeout = 0
 		return c
 	}
 	c.Recovery = mode
@@ -166,9 +160,6 @@ func (c *Config) Normalize() error {
 	if c.BufferDepth == 0 {
 		c.BufferDepth = d.BufferDepth
 	}
-	if c.InjectionVCs == 0 {
-		c.InjectionVCs = d.InjectionVCs
-	}
 	if c.ReceptionChannels == 0 {
 		c.ReceptionChannels = d.ReceptionChannels
 	}
@@ -177,12 +168,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.BufferDepth < 1 {
 		return fmt.Errorf("router: buffer depth %d < 1", c.BufferDepth)
-	}
-	if c.DeadlockBufferDepth < 0 {
-		return fmt.Errorf("router: negative deadlock buffer depth")
-	}
-	if c.InjectionVCs < 1 {
-		return fmt.Errorf("router: injection VCs %d < 1", c.InjectionVCs)
 	}
 	if c.ReceptionChannels < 1 {
 		return fmt.Errorf("router: reception channels %d < 1", c.ReceptionChannels)
@@ -201,9 +186,6 @@ func (c *Config) Normalize() error {
 		}
 	default:
 		return fmt.Errorf("router: unknown recovery mode %d", c.Recovery)
-	}
-	if c.Timeout > 0 && c.Recovery != RecoveryAbortRetry && c.DeadlockBufferDepth == 0 {
-		return fmt.Errorf("router: %s recovery requires a Deadlock Buffer (depth >= 1)", c.Recovery)
 	}
 	return nil
 }

@@ -170,7 +170,6 @@ func TestFlitRing(t *testing.T) {
 func TestPortVCInverse(t *testing.T) {
 	cfg := Default()
 	cfg.VCs = 3
-	cfg.InjectionVCs = 2
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		func(s *State) { s.flitCount[0] = 5 },
 		func(s *State) { s.cxInPort[0] = int32(s.deg + 1) },
 		func(s *State) { s.cxInPort[0], s.cxInVC[0] = 1, int32(s.cfg.VCs) },
-		func(s *State) { s.cxInPort[0], s.cxInVC[0] = int32(s.deg), int32(s.cfg.InjectionVCs) },
+		func(s *State) { s.cxInPort[0], s.cxInVC[0] = int32(s.deg), 1 }, // the injection port has one VC
 		func(s *State) { s.cxInVC[0] = -1 },
 		func(s *State) { s.cxSaved[0], s.cxSavedPort[0], s.cxSavedVC[0] = true, 1, 1<<20 },
 		func(s *State) { s.cxDB[0] = true }, // a connection the count misses
@@ -338,9 +337,9 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Default()
-	// DeadlockBufferDepth and Timeout legitimately stay zero (disabled);
-	// everything else fills in.
-	if c.VCs != d.VCs || c.BufferDepth != d.BufferDepth || c.InjectionVCs != d.InjectionVCs || c.ReceptionChannels != d.ReceptionChannels {
+	// Timeout legitimately stays zero (detection off); everything else
+	// fills in.
+	if c.VCs != d.VCs || c.BufferDepth != d.BufferDepth || c.ReceptionChannels != d.ReceptionChannels {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }
@@ -349,8 +348,6 @@ func TestConfigNormalizeErrors(t *testing.T) {
 	bad := []Config{
 		{VCs: -1},
 		{BufferDepth: -2},
-		{DeadlockBufferDepth: -1},
-		{InjectionVCs: -1},
 		{ReceptionChannels: -3},
 		{Timeout: -1},
 		{Alloc: AllocPolicy(9)},

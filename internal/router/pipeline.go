@@ -501,12 +501,13 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 
 // PurgePacket removes every flit of p from this router and releases all
 // channel state p holds here: input VC ownership (returning the purged
-// flits' credits upstream), granted and in-use output VCs, and — indirectly,
+// flits' credits upstream), granted and in-use output VCs, Deadlock Buffer
+// lanes (a reconfiguration victim may be mid-recovery) and — indirectly,
 // through the stale-connection checks — packet-by-packet crossbar
-// connections. It returns the number of flits purged. Abort-and-retry
-// recovery calls it on every router to kill a packet. It walks every slot:
-// a VC p owns while its next flits are still upstream is empty, and no slot
-// mask covers the empty ones.
+// connections. It returns the number of flits purged. The network calls it
+// on every router to kill a packet (abort-and-retry) or drop one
+// (reconfiguration). It walks every slot: a VC p owns while its next flits
+// are still upstream is empty, and no slot mask covers the empty ones.
 func (r *Router) PurgePacket(p *packet.Packet) int {
 	s := r.st
 	purged := 0
@@ -539,6 +540,20 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 				s.outOwner[i] = nil
 			}
 		}
+	}
+	for lane := 0; lane < s.lanes; lane++ {
+		i := r.dbIdx(lane)
+		if s.dbPkt[i] != p {
+			continue
+		}
+		n := int(s.db.n[i])
+		for k := 0; k < n; k++ {
+			s.db.pop(i)
+		}
+		s.flitCount[r.node] -= int32(n)
+		purged += n
+		s.dbPkt[i] = nil
+		s.dbRoute[i] = PortUnrouted
 	}
 	return purged
 }

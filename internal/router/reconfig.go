@@ -119,31 +119,6 @@ func (r *Router) ResetOutputPort(port int) {
 	r.syncCrossbar()
 }
 
-// PurgeDB removes every flit of p from this router's Deadlock Buffer lanes
-// and releases the lanes, returning the number of flits discarded.
-// PurgePacket only covers input VCs and output ownership; reconfiguration
-// drops need this companion because, unlike abort-retry victims, a dropped
-// packet may be mid-recovery on the DB lane.
-func (r *Router) PurgeDB(p *packet.Packet) int {
-	s := r.st
-	purged := 0
-	for lane := 0; lane < s.lanes; lane++ {
-		i := r.dbIdx(lane)
-		if s.dbPkt[i] != p {
-			continue
-		}
-		n := int(s.db.n[i])
-		for k := 0; k < n; k++ {
-			s.db.pop(i)
-		}
-		s.flitCount[r.node] -= int32(n)
-		purged += n
-		s.dbPkt[i] = nil
-		s.dbRoute[i] = PortUnrouted
-	}
-	return purged
-}
-
 // RefreshDBRoutes recomputes the stored route of every Deadlock Buffer lane
 // whose packet's header is still buffered at the lane head, after the
 // network rebuilt the DB next-hop table for a changed topology. Lanes whose

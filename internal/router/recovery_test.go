@@ -111,7 +111,6 @@ func TestPurgePacket(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	cfg := Default()
 	cfg.Timeout = 0
-	cfg.DeadlockBufferDepth = 0
 	b := newBench(t, topo, cfg, routing.DOR())
 	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
 	r0 := b.routers[topo.NodeAt(topology.Coord{0, 0})]
@@ -156,6 +155,32 @@ func TestPurgePacket(t *testing.T) {
 	}
 }
 
+// TestPurgePacketEmptiesDeadlockBuffer drops a packet caught mid-recovery:
+// its flit in a Deadlock Buffer lane goes with it, and the lane is free.
+func TestPurgePacketEmptiesDeadlockBuffer(t *testing.T) {
+	topo := topology.MustTorus(4, 4)
+	b := newBench(t, topo, Default(), routing.DOR())
+	r := b.routers[0]
+	p, other := packet.New(1, 0, 9, 6, 0), packet.New(2, 3, 9, 6, 0)
+	i := r.dbIdx(0)
+	r.st.dbPkt[i], r.st.dbRoute[i] = p, 0
+	r.st.db.push(i, p.Flit(2))
+	r.st.flitCount[r.node]++
+
+	if n := r.PurgePacket(other); n != 0 || r.DBLaneOwner(0) != p {
+		t.Fatalf("purging another packet removed %d flits, lane owner %v", n, r.DBLaneOwner(0))
+	}
+	if n := r.PurgePacket(p); n != 1 {
+		t.Fatalf("purged %d flits, want the lane's 1", n)
+	}
+	if r.DBLaneOwner(0) != nil || r.DBLaneLen(0) != 0 || !r.Quiescent() {
+		t.Fatalf("lane still held: owner %v, %d flits", r.DBLaneOwner(0), r.DBLaneLen(0))
+	}
+	if err := r.CheckState(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoveryModeString(t *testing.T) {
 	for m, want := range map[RecoveryMode]string{
 		RecoverySequential: "sequential",
@@ -181,22 +206,38 @@ func TestRecoveryModeString(t *testing.T) {
 }
 
 // TestPaperConfig pins the one recovery on/off decision: off means no
-// detection, no Deadlock Buffer and the (unused) sequential mode whatever was
-// asked; on keeps the paper's T_out unless one is given.
+// detection (Timeout 0), hence no Deadlock Buffer, and the (unused)
+// sequential mode whatever was asked; on keeps the paper's T_out unless one
+// is given. Timeout alone decides the Deadlock Buffer lanes: none when it
+// is 0, one per router, or two under concurrent recovery.
 func TestPaperConfig(t *testing.T) {
 	off := PaperConfig(false, 16, RecoveryAbortRetry)
-	if off.Timeout != 0 || off.DeadlockBufferDepth != 0 || off.Recovery != RecoverySequential {
+	if off.Timeout != 0 || off.Recovery != RecoverySequential {
 		t.Errorf("recovery off: %+v", off)
 	}
-	if on := PaperConfig(true, 0, RecoveryConcurrent); on.Timeout != Default().Timeout || on.DeadlockBufferDepth != 1 || on.Recovery != RecoveryConcurrent {
+	if on := PaperConfig(true, 0, RecoveryConcurrent); on.Timeout != Default().Timeout || on.Recovery != RecoveryConcurrent {
 		t.Errorf("recovery on, default T_out: %+v", on)
 	}
 	if on := PaperConfig(true, 16, RecoverySequential); on.Timeout != 16 {
 		t.Errorf("recovery on, T_out 16: %+v", on)
 	}
-	for _, c := range []Config{off, PaperConfig(true, 0, RecoverySequential)} {
-		if err := c.Normalize(); err != nil {
-			t.Errorf("Normalize(%+v): %v", c, err)
+	topo := topology.MustTorus(4, 4)
+	for _, tc := range []struct {
+		cfg   Config
+		lanes int
+	}{
+		{off, 0},
+		{PaperConfig(true, 0, RecoverySequential), 1},
+		{PaperConfig(true, 0, RecoveryConcurrent), 2},
+		{PaperConfig(true, 0, RecoveryAbortRetry), 1},
+	} {
+		if err := tc.cfg.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v): %v", tc.cfg, err)
+			continue
+		}
+		b := newBench(t, topo, tc.cfg, routing.DOR())
+		if got := b.routers[0].DBLanes(); got != tc.lanes {
+			t.Errorf("%+v: %d Deadlock Buffer lanes, want %d", tc.cfg, got, tc.lanes)
 		}
 	}
 }

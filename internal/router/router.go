@@ -127,7 +127,7 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 		mk0:         int(node) * maskKinds * st.w,
 		neighbors:   make([]*Router, deg),
 		rev:         make([]int32, deg),
-		blockedByVC: make([]int64, max(cfg.VCs, cfg.InjectionVCs)),
+		blockedByVC: make([]int64, cfg.VCs),
 	}
 	for p := 0; p < deg; p++ {
 		if q, ok := st.topo.ReversePortAt(node, p); ok {
@@ -254,34 +254,24 @@ var _ routing.View = (*Router)(nil)
 // --- Injection interface (used by the network's NI model) -------------------
 
 // InjectFlit offers the next flit of a packet to the injection input. It
-// returns false if the injection channel cannot accept it this cycle: the
-// flit's packet must already own an injection VC with buffer space, or — for
-// a header — some injection VC must be idle.
+// returns false if the injection channel cannot accept it this cycle: a
+// header needs the channel's one VC idle, any other flit needs its packet
+// to own the VC with buffer space.
 func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 	s := r.st
-	base := r.inIdx(s.deg, 0)
+	i := r.inIdx(s.deg, 0)
 	if fl.IsHeader() {
-		for v := 0; v < s.cfg.InjectionVCs; v++ {
-			i := base + v
-			if s.inPkt[i] == nil && s.in.n[i] == 0 {
-				s.inPkt[i] = fl.Pkt
-				r.pushIn(i, fl)
-				s.flitCount[r.node]++
-				fl.Pkt.InjectedAt = now
-				return true
-			}
+		if s.inPkt[i] != nil || s.in.n[i] != 0 {
+			return false
 		}
+		s.inPkt[i] = fl.Pkt
+		fl.Pkt.InjectedAt = now
+	} else if s.inPkt[i] != fl.Pkt || int(s.in.n[i]) == s.cfg.BufferDepth {
 		return false
 	}
-	for v := 0; v < s.cfg.InjectionVCs; v++ {
-		i := base + v
-		if s.inPkt[i] == fl.Pkt && int(s.in.n[i]) < s.cfg.BufferDepth {
-			r.pushIn(i, fl)
-			s.flitCount[r.node]++
-			return true
-		}
-	}
-	return false
+	r.pushIn(i, fl)
+	s.flitCount[r.node]++
+	return true
 }
 
 // --- Introspection helpers (tests, wait-for-graph analysis) ------------------

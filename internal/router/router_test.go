@@ -90,7 +90,6 @@ func (b *testBench) injectAndRun(t *testing.T, p *packet.Packet, cycles int) {
 func cfg4() Config {
 	c := Default()
 	c.Timeout = 0
-	c.DeadlockBufferDepth = 0
 	return c
 }
 

@@ -24,9 +24,9 @@ import (
 //
 // Layout (all slices are allocated once, at NewState, and never grow):
 //
-//	input VCs    stride = deg*VCs + InjectionVCs slots per router,
-//	             port-major: slot l = p*VCs + v for network port p < deg,
-//	             l = deg*VCs + v for the injection port. Global index of
+//	input VCs    stride = deg*VCs + 1 slots per router, port-major:
+//	             slot l = p*VCs + v for network port p < deg, l = deg*VCs
+//	             for the injection port's one VC. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
 //	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
 //	             inWaiting, inPresumed); the flits live in the ring set in
@@ -49,7 +49,8 @@ import (
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
 //	DB lanes     lanes slots per router (dbPkt, dbRoute, and dbWriteAt, the
 //	             single write port's last-admission cycle) with the
-//	             DeadlockBufferDepth-flit ring set db.
+//	             one-flit ring set db: one lane with Timeout > 0, two
+//	             under concurrent recovery, none with Timeout == 0.
 //	crossbar     deg packet-by-packet connections per router (cxInPort,
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
 //	per router   swArbOff (deg+1 per router), flitCount, cxHeld, and the timer
@@ -93,7 +94,7 @@ type State struct {
 	nodes  int
 	deg    int
 	lanes  int // Deadlock Buffer lanes per router (0, 1 or 2)
-	stride int // input VC slots per router: deg*VCs + InjectionVCs
+	stride int // input VC slots per router: deg*VCs + 1
 	outStr int // output VC slots per router: deg*VCs
 	w      int // words per slot mask: ⌈stride/64⌉
 
@@ -172,7 +173,7 @@ type portVC struct{ port, vc int32 }
 func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, clock *sim.Clock) *State {
 	nodes, deg := topo.Nodes(), topo.Degree()
 	lanes := 0
-	if cfg.DeadlockBufferDepth > 0 {
+	if cfg.Timeout > 0 {
 		lanes = 1
 		if cfg.Recovery == RecoveryConcurrent {
 			lanes = 2
@@ -189,7 +190,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 		nodes:  nodes,
 		deg:    deg,
 		lanes:  lanes,
-		stride: deg*cfg.VCs + cfg.InjectionVCs,
+		stride: deg*cfg.VCs + 1,
 		outStr: deg * cfg.VCs,
 	}
 	s.w = (s.stride + 63) / 64
@@ -229,7 +230,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.dbPkt = make([]*packet.Packet, db)
 	s.dbRoute = make([]int32, db)
 	s.dbWriteAt = make([]sim.Cycle, db)
-	s.db = newFlitRing(db, cfg.DeadlockBufferDepth)
+	s.db = newFlitRing(db, 1)
 	for i := range s.dbRoute {
 		s.dbRoute[i] = PortUnrouted
 		s.dbWriteAt[i] = -1
@@ -512,10 +513,11 @@ func rotNext(m []uint64, l, off int) int {
 	return n
 }
 
-// inVCCount returns the number of VCs on input port p.
+// inVCCount returns the number of VCs on input port p: one on the
+// injection port.
 func (s *State) inVCCount(p int) int {
 	if p == s.deg {
-		return s.cfg.InjectionVCs
+		return 1
 	}
 	return s.cfg.VCs
 }
