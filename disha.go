@@ -247,10 +247,6 @@ type SimConfig struct {
 	DisableRecovery bool
 	// Alloc is the crossbar allocation policy (default flit-by-flit).
 	Alloc AllocPolicy
-	// AdaptiveTimeout makes T_out self-tuning (the paper's "programmable
-	// T_out" future work): routers back off after false detections and
-	// decay back toward the configured Timeout.
-	AdaptiveTimeout bool
 	// Recovery selects the recovery scheme once Timeout presumes deadlock:
 	// Sequential (the paper's Token + Deadlock Buffer lane, the default),
 	// Concurrent (token-free two-lane recovery, the paper's future-work
@@ -288,7 +284,6 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 	rc.VCs = cfg.VCs
 	rc.BufferDepth = cfg.BufferDepth
 	rc.Alloc = cfg.Alloc
-	rc.AdaptiveTimeout = cfg.AdaptiveTimeout
 	rc.ReceptionChannels = cfg.ReceptionChannels
 	n, err := network.New(network.Config{
 		Topo:              cfg.Topo,
@@ -352,14 +347,6 @@ func (s *Simulator) AnalyzeDeadlock() core.WFGResult {
 	return core.AnalyzeWFG(s.net.Routers())
 }
 
-// FailLink severs the bidirectional link at node/port (fault injection).
-// Disha routes around faults adaptively, and the Deadlock Buffer lane is
-// re-routed over live links so recovery still reaches every destination.
-// See network.FailLink for the restrictions.
-func (s *Simulator) FailLink(node Node, port int) error {
-	return s.net.FailLink(node, port)
-}
-
 // --- Dynamic reconfiguration ---------------------------------------------------
 
 // ReconfigEvent is one scheduled mid-run topology or routing mutation; see
@@ -386,13 +373,15 @@ func (s *Simulator) ScheduleReconfig(events []ReconfigEvent) error {
 	return s.net.ScheduleReconfig(events)
 }
 
-// KillLink severs a link immediately, dropping packets with flits committed
-// to it (unlike FailLink, which refuses busy links); see network.KillLink.
+// KillLink severs a link immediately (fault injection), dropping packets with
+// flits committed to it. Disha routes around faults adaptively, and the
+// Deadlock Buffer lane is re-routed over live links so recovery still
+// reaches every destination; see network.KillLink for the restrictions.
 func (s *Simulator) KillLink(node Node, port int) error {
 	return s.net.KillLink(node, port)
 }
 
-// HealLink restores a previously killed or failed link.
+// HealLink restores a previously killed link.
 func (s *Simulator) HealLink(node Node, port int) error {
 	return s.net.HealLink(node, port)
 }

@@ -283,7 +283,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.FailLink(0, 0); err != nil {
+	if err := sim.KillLink(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(2000)

@@ -45,7 +45,7 @@ func failLinks(sim *disha.Simulator) {
 		{disha.Coord{3, 3}, 1}, // -X from (3,3)
 	}
 	for _, f := range faults {
-		if err := sim.FailLink(topo.NodeAt(f.at), f.port); err != nil {
+		if err := sim.KillLink(topo.NodeAt(f.at), f.port); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  failed link at %v port %d\n", f.at, f.port)

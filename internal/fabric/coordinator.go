@@ -458,12 +458,15 @@ func (c *Coordinator) Heartbeat(workerID string, fingerprints []string) (drop []
 }
 
 // StoreCheckpoint records the latest mid-point checkpoint blob for a unit,
-// to be handed to the next lease holder if this one dies.
+// to be handed to the next lease holder if this one dies. Only the unit's
+// lease holder may store one: a blob from any other worker — a presumed-dead
+// holder, or a worker that never held the lease — is dropped, or one stray
+// blob would fail every later attempt at checkpoint load.
 func (c *Coordinator) StoreCheckpoint(workerID, fp string, blob []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.workers[workerID] = time.Now()
-	if u, ok := c.units[fp]; ok && len(blob) > 0 {
+	if u, ok := c.units[fp]; ok && len(blob) > 0 && u.state == unitLeased && u.worker == workerID {
 		u.ckpt = blob
 	}
 }
@@ -471,7 +474,8 @@ func (c *Coordinator) StoreCheckpoint(workerID, fp string, blob []byte) {
 // Deliver accepts a worker's result upload. Because every unit is a pure
 // function of (key, seed), the first result to arrive is authoritative;
 // late duplicates from presumed-dead workers are counted and dropped. An
-// error from the worker holding the lease re-queues the unit until
+// error from the worker holding the lease re-queues the unit, without its
+// checkpoint blob (the error may be that blob failing to load), until
 // MaxAttempts dispatches have been spent, then falls back to local
 // execution; an error from anyone else is as stale as a late duplicate — the
 // unit is pending, running locally or leased to another worker — and must
@@ -486,6 +490,7 @@ func (c *Coordinator) Deliver(up ResultUpload) {
 		c.dupResults.Add(1)
 	case up.Error != "" && u.state == unitLeased && u.worker == up.Worker:
 		c.workerErrors.Add(1)
+		u.ckpt = nil
 		c.redispatchLocked(u)
 	case up.Error != "":
 		c.dupResults.Add(1)

@@ -306,6 +306,90 @@ func TestStaleErrorUploadDoesNotRequeue(t *testing.T) {
 	}
 }
 
+// TestCheckpointOnlyFromLeaseHolder: a checkpoint blob is the lease
+// holder's alone. A blob from a worker that never held the lease, or from a
+// holder whose lease has expired, must not reach the next dispatch.
+func TestCheckpointOnlyFromLeaseHolder(t *testing.T) {
+	const ttl = 5 * time.Second
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl})
+	defer c.Close()
+	c.Heartbeat("wA", nil)
+	c.Heartbeat("wB", nil)
+
+	tk := task(8)
+	done := make(chan harness.PointResult, 1)
+	go func() {
+		pr, err := c.Execute(nil, tk, mustNotRunLocally(t))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- pr
+	}()
+	wu := c.LeaseWait(context.Background(), "wA")
+	if wu == nil {
+		t.Fatal("unit never became leasable")
+	}
+	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("holder-blob"))
+	c.StoreCheckpoint("wB", wu.Fingerprint, []byte("foreign-blob"))
+	c.sweep(time.Now().Add(ttl + time.Millisecond)) // wA's lease runs out
+	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("blob-after-expiry"))
+
+	re := c.Lease("wB")
+	if re == nil || re.Fingerprint != wu.Fingerprint || re.Attempt != 2 {
+		t.Fatalf("re-dispatch to wB: %+v", re)
+	}
+	if string(re.Checkpoint) != "holder-blob" {
+		t.Fatalf("re-dispatch carries %q, want the lease holder's blob", re.Checkpoint)
+	}
+	res := resultFor(8)
+	c.Deliver(ResultUpload{Worker: "wB", Fingerprint: re.Fingerprint, Key: re.Key, Result: &res})
+	if pr := <-done; pr.MeanLatency != 108 {
+		t.Fatalf("waiter got %+v", pr)
+	}
+}
+
+// TestWorkerErrorRequeuesWithoutCheckpoint: the holder's error may be its
+// blob failing to load, so the unit goes back to the queue without it and
+// the next attempt starts from cycle 0.
+func TestWorkerErrorRequeuesWithoutCheckpoint(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
+	defer c.Close()
+	c.Heartbeat("wA", nil)
+	c.Heartbeat("wB", nil)
+
+	tk := task(9)
+	done := make(chan harness.PointResult, 1)
+	go func() {
+		pr, err := c.Execute(nil, tk, mustNotRunLocally(t))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- pr
+	}()
+	wu := c.LeaseWait(context.Background(), "wA")
+	if wu == nil {
+		t.Fatal("unit never became leasable")
+	}
+	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("torn-blob"))
+	c.Deliver(ResultUpload{Worker: "wA", Fingerprint: wu.Fingerprint, Key: wu.Key, Error: "checkpoint load failed"})
+
+	re := c.Lease("wB")
+	if re == nil || re.Fingerprint != wu.Fingerprint || re.Attempt != 2 {
+		t.Fatalf("re-dispatch to wB: %+v", re)
+	}
+	if re.Checkpoint != nil {
+		t.Fatalf("re-dispatch after a worker error carries %q, want no blob", re.Checkpoint)
+	}
+	res := resultFor(9)
+	c.Deliver(ResultUpload{Worker: "wB", Fingerprint: re.Fingerprint, Key: re.Key, Result: &res})
+	if pr := <-done; pr.MeanLatency != 109 {
+		t.Fatalf("waiter got %+v", pr)
+	}
+	if st := c.Stats(); st.WorkerErrors != 1 || st.RemoteRuns != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 func TestQueueBoundOverflowsToLocal(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second, MaxQueue: 1})
 	defer c.Close()

@@ -11,7 +11,7 @@ import "math/bits"
 // scheduler tracks which routers can possibly do work and has the stage and
 // timer phases visit only those. A skipped router is frozen: everything its
 // skipped passes would have changed (the VC arbitration offset, the
-// adaptive T_out's decay, the blocked/presumed gauges) is a function of the
+// blocked/presumed gauges) is a function of the
 // clock that the router derives when read (internal/router/activity.go), so
 // execution, digests and snapshots are byte-identical to the full scan —
 // the golden-digest conformance suite and the snapshot lockstep tests prove

@@ -26,17 +26,17 @@ func (n *Network) activeCount() int {
 }
 
 // activeSetVariants extends the kernel conformance matrix with the cases the
-// active-set scheduler is most likely to get wrong: long idle stretches under
-// the adaptive time-out (the decay catch-up must cross epoch boundaries) and
-// bursty injection (routers oscillate between drained and busy).
+// active-set scheduler is most likely to get wrong: long idle stretches
+// (routers sleep for hundreds of cycles and derive their arbitration offset
+// from the clock on waking) and bursty injection (routers oscillate between
+// drained and busy).
 func activeSetVariants() []kernelVariant {
 	vs := kernelVariants()
 	vs = append(vs,
-		kernelVariant{"adaptive-low-load", func() Config {
+		kernelVariant{"idle-low-load", func() Config {
 			cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.05, 17)
 			cfg.Router.VCs = 2
 			cfg.Router.Timeout = 4
-			cfg.Router.AdaptiveTimeout = true
 			return cfg
 		}},
 		kernelVariant{"bursty-low-load", func() Config {
@@ -54,12 +54,12 @@ func activeSetVariants() []kernelVariant {
 // directly: with the active set enabled execution is fingerprint-identical,
 // cycle range by cycle range, to the full-scan kernel on every recovery
 // mode, allocation policy, and the idle-heavy corner cases, and the state
-// passes CheckInvariants after every cycle. 1200 cycles crosses several
-// adaptive-decay epochs (256 idle timer ticks each), so the closed-form
-// catch-up is exercised well past one epoch. Both networks also record
-// their packet events, and the two sequences must be equal: a skipped router
-// that woke a cycle late could still reach the same state by the next
-// fingerprint, but not with the same event cycles.
+// passes CheckInvariants after every cycle. 1200 cycles gives the low-load
+// variant long sleeps, so the clock-derived state is read far from the
+// cycle it was last written. Both networks also record their packet
+// events, and the two sequences must be equal: a skipped router that woke a
+// cycle late could still reach the same state by the next fingerprint, but
+// not with the same event cycles.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	const cycles = 1200
 	for _, v := range activeSetVariants() {
@@ -299,9 +299,9 @@ func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 
 // TestActiveSetObservationIsReadOnly holds every observer to reading: with
 // routers asleep, Fingerprint, Snapshot, Routers, the registry's Gather and
-// Publish, a flight-recorder dump and each router's EffectiveTimeout and
-// gauges leave the network's simulation state exactly as they found it
-// (stateImage, a deep copy of everything but the observers and memos).
+// Publish, a flight-recorder dump and each router's gauges leave the
+// network's simulation state exactly as they found it (stateImage, a deep
+// copy of everything but the observers and memos).
 func TestActiveSetObservationIsReadOnly(t *testing.T) {
 	variants := append(activeSetVariants(), purgeDrainsVariant)
 	for _, v := range variants {
@@ -318,7 +318,6 @@ func TestActiveSetObservationIsReadOnly(t *testing.T) {
 				hub.Registry.Publish()
 				n.buildSnapshot(n.Now(), 0, 0, nil)
 				for _, r := range n.Routers() {
-					r.EffectiveTimeout()
 					r.BlockedHeaders()
 					r.PresumedHeaders()
 				}

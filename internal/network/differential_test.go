@@ -223,7 +223,7 @@ func locateDivergence(got, want *Network) (routerID int, field string, found boo
 		}
 		field = diffRouterField(got.routers[i], want.routers[i])
 		if field == "" {
-			field = "internal state outside the introspection surface (arbitration offsets, adaptive timeout, or stats)"
+			field = "internal state outside the introspection surface (arbitration offsets or stats)"
 		}
 		return i, field, true
 	}

@@ -9,63 +9,46 @@ import (
 	"repro/internal/topology"
 )
 
-func TestFailLinkValidation(t *testing.T) {
+func TestKillLinkValidation(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.0, 1))
-	if err := n.FailLink(0, 99); err == nil {
+	if err := n.KillLink(0, 99); err == nil {
 		t.Error("bad port accepted")
 	}
-	if err := n.FailLink(0, 0); err != nil {
+	if err := n.KillLink(0, 0); err != nil {
 		t.Fatalf("idle link refused: %v", err)
 	}
 	if n.FailedLinks() != 1 {
 		t.Fatal("failed link not counted")
 	}
-	if err := n.FailLink(0, 0); err == nil {
+	if err := n.KillLink(0, 0); err == nil {
 		t.Error("double-failing a link accepted")
 	}
 	// The paired reverse direction is gone too.
 	nb, _ := topo.Neighbor(0, 0)
-	if err := n.FailLink(nb, topology.ReversePort(0)); err == nil {
+	if err := n.KillLink(nb, topology.ReversePort(0)); err == nil {
 		t.Error("reverse direction should already be failed")
 	}
 }
 
-func TestFailLinkRefusesDisconnection(t *testing.T) {
+func TestKillLinkRefusesDisconnection(t *testing.T) {
 	// On a 2-node ring (radix-2 single dimension has doubled links) use a
 	// small mesh: cutting the only link to a corner must be refused.
 	topo := topology.MustMesh(2, 2)
 	cfg := testConfig(topo, routing.Disha(3), 0.0, 1)
 	n := mustNet(t, cfg)
 	// Corner (0,0) connects via +X and +Y. Fail +X, then +Y must refuse.
-	if err := n.FailLink(0, topology.PortFor(0, 1)); err != nil {
+	if err := n.KillLink(0, topology.PortFor(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailLink(0, topology.PortFor(1, 1)); err == nil {
+	if err := n.KillLink(0, topology.PortFor(1, 1)); err == nil {
 		t.Fatal("disconnecting a node must be refused")
 	}
 }
 
-func TestFailLinkRefusesBusyLink(t *testing.T) {
-	topo := topology.MustTorus(4, 4)
-	n := mustNet(t, testConfig(topo, routing.Disha(0), 0.6, 3))
-	n.Run(200) // get traffic flowing everywhere
-	busyRefusals := 0
-	for p := 0; p < topo.Degree(); p++ {
-		for node := 0; node < topo.Nodes(); node++ {
-			if err := n.FailLink(topology.Node(node), p); err != nil {
-				busyRefusals++
-			}
-		}
-	}
-	if busyRefusals == 0 {
-		t.Fatal("expected at least some busy-link refusals under load")
-	}
-}
-
-func TestFailLinkRejectsConcurrentRecovery(t *testing.T) {
+func TestKillLinkRejectsConcurrentRecovery(t *testing.T) {
 	n := mustNet(t, concurrentConfig(1))
-	if err := n.FailLink(0, 0); err == nil {
+	if err := n.KillLink(0, 0); err == nil {
 		t.Fatal("fault injection with concurrent recovery must be refused")
 	}
 }
@@ -86,7 +69,7 @@ func TestDishaToleratesFaults(t *testing.T) {
 		{topo.NodeAt(topology.Coord{2, 1}), topology.PortFor(1, 1)},
 		{topo.NodeAt(topology.Coord{3, 3}), topology.PortFor(0, -1)},
 	} {
-		if err := n.FailLink(f.node, f.port); err != nil {
+		if err := n.KillLink(f.node, f.port); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +88,7 @@ func TestDishaToleratesFaults(t *testing.T) {
 func TestHealThenRefailLink(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.3, 17))
-	if err := n.FailLink(0, 0); err != nil {
+	if err := n.KillLink(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.HealLink(0, 0); err != nil {
@@ -139,15 +122,12 @@ func TestHealThenRefailLink(t *testing.T) {
 }
 
 // TestFailLastRedundantLink strips a corner down to one link and checks the
-// final cut is refused — for both the conservative and the forced paths.
+// final cut is refused.
 func TestFailLastRedundantLink(t *testing.T) {
 	topo := topology.MustMesh(2, 2)
 	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.0, 1))
-	if err := n.FailLink(0, topology.PortFor(0, 1)); err != nil {
+	if err := n.KillLink(0, topology.PortFor(0, 1)); err != nil {
 		t.Fatal(err)
-	}
-	if err := n.FailLink(0, topology.PortFor(1, 1)); err == nil {
-		t.Fatal("FailLink accepted cutting the corner's last link")
 	}
 	if err := n.KillLink(0, topology.PortFor(1, 1)); err == nil {
 		t.Fatal("KillLink accepted cutting the corner's last link")
@@ -156,7 +136,7 @@ func TestFailLastRedundantLink(t *testing.T) {
 	if err := n.HealLink(0, topology.PortFor(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailLink(0, topology.PortFor(1, 1)); err != nil {
+	if err := n.KillLink(0, topology.PortFor(1, 1)); err != nil {
 		t.Fatalf("cut with restored redundancy refused: %v", err)
 	}
 }
@@ -177,7 +157,7 @@ func TestRecoveryLaneRoutesAroundFault(t *testing.T) {
 		{topo.NodeAt(topology.Coord{1, 1}), topology.PortFor(0, 1)},
 		{topo.NodeAt(topology.Coord{1, 2}), topology.PortFor(0, 1)},
 	} {
-		if err := n.FailLink(f.node, f.port); err != nil {
+		if err := n.KillLink(f.node, f.port); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +183,7 @@ func TestDORWedgesOnFault(t *testing.T) {
 	cfg := testConfig(topo, routing.DOR(), 0.4, 7)
 	cfg.Router.Timeout = 0
 	n := mustNet(t, cfg)
-	if err := n.FailLink(topo.NodeAt(topology.Coord{0, 0}), topology.PortFor(0, 1)); err != nil {
+	if err := n.KillLink(topo.NodeAt(topology.Coord{0, 0}), topology.PortFor(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(4000)

@@ -21,8 +21,8 @@ func useFullScan(t testing.TB, n *Network) {
 }
 
 // kernelVariant is one network configuration of the kernel conformance
-// matrix; together the variants cover every recovery mode, both crossbar
-// allocation policies, and the adaptive time-out.
+// matrix; together the variants cover every recovery mode and both crossbar
+// allocation policies.
 type kernelVariant struct {
 	name  string
 	build func() Config
@@ -51,11 +51,6 @@ func kernelVariants() []kernelVariant {
 		{"packet-by-packet", func() Config {
 			cfg := base()
 			cfg.Router.Alloc = router.PacketByPacket
-			return cfg
-		}},
-		{"adaptive-timeout", func() Config {
-			cfg := base()
-			cfg.Router.AdaptiveTimeout = true
 			return cfg
 		}},
 	}

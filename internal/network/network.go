@@ -224,7 +224,6 @@ type Network struct {
 	// fresh network on restore; sched/schedNext is the armed event schedule
 	// consumed by Step's prelude; linkDown holds the canonical key of every
 	// individually failed link; routerDead/deadCount track killed routers.
-	failedLinks int
 	reconfigLog []ReconfigOutcome
 	sched       []ReconfigEvent
 	schedNext   int

@@ -413,63 +413,3 @@ func TestBurstyTraffic(t *testing.T) {
 		t.Fatal("bursty run lost packets")
 	}
 }
-
-// TestAdaptiveTimeout exercises the paper's "programmable T_out" future
-// work: with a deliberately tiny base time-out, the adaptive variant must
-// produce fewer false detections than the fixed one while still delivering
-// everything.
-func TestAdaptiveTimeout(t *testing.T) {
-	run := func(adaptive bool) Counters {
-		topo := topology.MustTorus(4, 4)
-		cfg := testConfig(topo, routing.Disha(0), 0.6, 91)
-		cfg.Router.Timeout = 2 // aggressively small: many false detections
-		cfg.Router.AdaptiveTimeout = adaptive
-		n := mustNet(t, cfg)
-		n.Run(4000)
-		if !n.RunUntilDrained(60000) {
-			t.Fatalf("adaptive=%v did not drain", adaptive)
-		}
-		return n.Counters()
-	}
-	fixed, adaptive := run(false), run(true)
-	if fixed.FalseDetections == 0 {
-		t.Skip("no false detections at this seed; cannot compare")
-	}
-	if adaptive.FalseDetections >= fixed.FalseDetections {
-		t.Fatalf("adaptive T_out did not reduce false detections: %d vs %d",
-			adaptive.FalseDetections, fixed.FalseDetections)
-	}
-	if adaptive.PacketsDelivered != adaptive.PacketsInjected {
-		t.Fatal("adaptive run lost packets")
-	}
-}
-
-// TestEffectiveTimeoutBacksOffAndDecays checks the controller directly.
-func TestEffectiveTimeoutBacksOff(t *testing.T) {
-	topo := topology.MustTorus(4, 4)
-	cfg := testConfig(topo, routing.Disha(0), 0.7, 91)
-	cfg.Router.Timeout = 2
-	cfg.Router.AdaptiveTimeout = true
-	n := mustNet(t, cfg)
-	n.Run(3000)
-	raised := 0
-	for _, r := range n.Routers() {
-		if r.EffectiveTimeout() > 2 {
-			raised++
-		}
-		if r.EffectiveTimeout() > 16 { // 8x base cap
-			t.Fatalf("effective timeout %d exceeds cap", r.EffectiveTimeout())
-		}
-	}
-	if raised == 0 {
-		t.Skip("no router backed off at this seed")
-	}
-	// With injection stopped the network empties and time-outs decay back.
-	n.StopInjection()
-	n.Run(300 * 16 * 2) // enough decay epochs for the worst case
-	for _, r := range n.Routers() {
-		if r.EffectiveTimeout() != 2 {
-			t.Fatalf("timeout did not decay to base: %d", r.EffectiveTimeout())
-		}
-	}
-}

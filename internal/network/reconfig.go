@@ -33,8 +33,8 @@ const (
 	// ReconfigKillLink severs the bidirectional link (Node, Port) mid-run,
 	// dropping any packet with flits committed to the link.
 	ReconfigKillLink ReconfigKind = iota
-	// ReconfigHealLink restores a link previously killed (or failed via
-	// FailLink) with clean virtual channels on both ends.
+	// ReconfigHealLink restores a previously killed link with clean virtual
+	// channels on both ends.
 	ReconfigHealLink
 	// ReconfigKillRouter removes router Node entirely: its buffered packets,
 	// its source queue, and every packet in the network addressed to it are
@@ -172,8 +172,7 @@ func (n *Network) ReconfigCount() int { return len(n.reconfigLog) }
 
 // ReconfigLog returns a copy of every reconfiguration outcome so far, in
 // application order: scheduled events (applied or skipped) and successful
-// manual KillLink/HealLink/KillRouter/HealRouter/SwapAlgorithm/FailLink
-// calls.
+// manual KillLink/HealLink/KillRouter/HealRouter/SwapAlgorithm calls.
 func (n *Network) ReconfigLog() []ReconfigOutcome {
 	return append([]ReconfigOutcome(nil), n.reconfigLog...)
 }
@@ -181,6 +180,11 @@ func (n *Network) ReconfigLog() []ReconfigOutcome {
 // CurrentAlgorithm returns the routing function currently installed (the
 // configured one until a swap event replaces it).
 func (n *Network) CurrentAlgorithm() routing.Algorithm { return n.routerState.Algorithm() }
+
+// FailedLinks returns how many links are currently down (killed, minus
+// healed). Links downed because an endpoint router was killed are not
+// counted; they come back when the router heals.
+func (n *Network) FailedLinks() int { return len(n.linkDown) }
 
 // DeadRouters returns how many routers are currently killed.
 func (n *Network) DeadRouters() int { return n.deadCount }
@@ -209,12 +213,16 @@ func (n *Network) RecoveryBacklog() (presumed, busy int) {
 // protocol: packets with flits committed to the link are dropped and
 // counted, survivors aimed at it are un-routed to re-route next cycle, and
 // the Deadlock Buffer next-hop table is rebuilt over the remaining links.
+// This is the paper's fault tolerance: adaptive routing steers around the
+// fault, and a packet it strands times out and escapes through the lane. On
+// an idle link nothing is lost. Every check of validate applies: the live
+// network must stay connected, and concurrent recovery refuses it.
 func (n *Network) KillLink(node topology.Node, port int) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigKillLink, Node: node, Port: port})
 }
 
-// HealLink restores a previously killed (or FailLink-failed) link with
-// clean virtual channels on both ends; routing resumes over it next cycle.
+// HealLink restores a previously killed link with clean virtual channels
+// on both ends; routing resumes over it next cycle.
 func (n *Network) HealLink(node topology.Node, port int) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigHealLink, Node: node, Port: port})
 }
@@ -418,10 +426,8 @@ func (n *Network) transition(ev ReconfigEvent, ports []int, alg routing.Algorith
 	switch ev.Kind {
 	case ReconfigKillLink:
 		n.linkDown[n.linkKey(ev.Node, ev.Port)] = true
-		n.failedLinks++
 	case ReconfigHealLink:
 		delete(n.linkDown, n.linkKey(ev.Node, ev.Port))
-		n.failedLinks--
 	case ReconfigKillRouter:
 		n.routerDead[ev.Node] = true
 		n.deadCount++

@@ -230,7 +230,7 @@ func (n *Network) walkConfigGuard(c *snapshot.Codec) {
 	c.Expect(int64(cfg.Router.Timeout), "timeout")
 	c.Expect(int64(cfg.Router.Alloc), "allocation policy")
 	c.Expect(int64(cfg.Router.Recovery), "recovery mode")
-	c.ExpectBool(cfg.Router.AdaptiveTimeout, "adaptive timeout")
+	c.ExpectBool(false, "adaptive timeout") // a field format v2 reserved; always false
 	c.ExpectF64(cfg.LoadRate, "load rate")
 	c.ExpectF64(0, "injection probability") // a field format v2 reserved; always 0
 	c.Expect(int64(cfg.MsgLen), "message length")

@@ -162,10 +162,10 @@ func TestSnapshotRestoredLiveSetMatchesReference(t *testing.T) {
 func TestSnapshotFaultReplay(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.4, 9)
 	n := mustNet(t, cfg)
-	if err := n.FailLink(10, 0); err != nil {
+	if err := n.KillLink(10, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailLink(35, 1); err != nil {
+	if err := n.KillLink(35, 1); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(300)
@@ -422,40 +422,39 @@ func lastRouterArbOffset(cfg Config, payload []byte) int {
 const clockSeed = "testdata/fuzz/FuzzSnapshotRestore/vc-arbitration-offset-off-the-clock"
 
 // TestSnapshotRefusesValuesOffTheClock edits, in a real snapshot, a router
-// field that is a function of the clock — the VC arbitration offset, and
-// under the adaptive time-out the decay count — to a value in its range
-// that disagrees with the snapshot's cycle. Restore must refuse it, not
-// resume a run no clock could have produced. The edited offset is also a
-// FuzzSnapshotRestore seed (its first configuration; rewrite it with
-// -update-snapshot).
+// field that is a function of the clock or the configuration — the VC
+// arbitration offset, the effective T_out and the decay count the format
+// reserves — to a value in its range that disagrees with them. Restore must
+// refuse it, not resume a run no clock or configuration could have
+// produced. The edited offset is also a FuzzSnapshotRestore seed (its first
+// configuration; rewrite it with -update-snapshot).
 func TestSnapshotRefusesValuesOffTheClock(t *testing.T) {
 	fuzzCfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	fuzzCfg.Router.Timeout = 4
-	adaptive := fuzzCfg
-	adaptive.Router.AdaptiveTimeout = true
 	rc := mustNet(t, fuzzCfg).cfg.Router
-	stride := int64(fuzzCfg.Topo.Degree()*rc.VCs + 1)
+	deg := fuzzCfg.Topo.Degree()
+	stride := int64(deg*rc.VCs + 1)
 	for _, tc := range []struct {
 		name   string
-		cfg    Config
 		field  int // bytes past the VC arbitration offset
 		modulo int64
 	}{
-		{"VC arbitration offset", fuzzCfg, 0, stride},
-		{"adaptive decay count", adaptive, 8 + 8*(fuzzCfg.Topo.Degree()+1) + 8, 256},
+		{"VC arbitration offset", 0, stride},
+		{"effective T_out", 8 + 8*(deg+1), 1 << 32},
+		{"adaptive decay count", 8 + 8*(deg+1) + 8, 256},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, data := takeSnapshot(t, tc.cfg, 150)
+			_, data := takeSnapshot(t, fuzzCfg, 150)
 			payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
 			if err != nil {
 				t.Fatal(err)
 			}
-			at := lastRouterArbOffset(tc.cfg, payload) + tc.field
+			at := lastRouterArbOffset(fuzzCfg, payload) + tc.field
 			mut := bytes.Clone(payload)
 			v := int64(binary.LittleEndian.Uint64(mut[at:]))
 			binary.LittleEndian.PutUint64(mut[at:], uint64((v+1)%tc.modulo))
 			edited := snapshot.Seal(snapshotMagic, snapshotVersion, mut)
-			err = restoreAndStep(t, tc.cfg, edited)
+			err = restoreAndStep(t, fuzzCfg, edited)
 			if err == nil || !strings.Contains(err.Error(), tc.name) {
 				t.Fatalf("restore of a %s off the clock: %v, want a %s error", tc.name, err, tc.name)
 			}

@@ -14,22 +14,14 @@ import "repro/internal/sim"
 //   - the VC-allocation priority offset StageRouting starts from in cycle now
 //     is (now-1) mod stride (vcArbOffset): the full scan rotates it by one
 //     every cycle from 0;
-//   - under AdaptiveTimeout the decay count is now mod 256, so the effective
-//     T_out steps back toward the base once per multiple of 256 cycles: the
-//     stored value, as of the router's last timer pass (State.tickedAt),
-//     less the multiples passed since, floored at the base (effTimeoutAt);
 //   - the blocked/presumed gauges are those of the last timer pass if it ran
 //     in the current cycle, else 0 (an empty router blocks nothing).
 //
 // The rule is exact between cycles and after the timer phase, which is where
 // every reader runs. Digests and snapshots write the derived values, so they
 // are byte-identical to a kernel that never skips (the golden conformance
-// suite enforces this), and a decoded snapshot whose offset or decay count
-// disagrees with its clock is refused.
-
-// decayEpoch is the adaptive T_out's decay period: one step back toward
-// the configured base per multiple of it.
-const decayEpoch = 256
+// suite enforces this), and a decoded snapshot whose offset disagrees with
+// its clock is refused.
 
 // FlitCount returns the number of flits buffered anywhere in the router —
 // input VCs and Deadlock Buffer lanes. It is maintained incrementally at
@@ -70,17 +62,6 @@ func (r *Router) syncCrossbar() { r.st.cxHeld[r.node] = uint8(r.countCrossbar())
 // vcArbOffset returns the VC-allocation priority offset as of the end of
 // cycle now: StageRouting in cycle now starts from vcArbOffset(now-1).
 func (s *State) vcArbOffset(now sim.Cycle) int { return int(now % sim.Cycle(s.stride)) }
-
-// effTimeoutAt returns the router's effective T_out as of the end of cycle
-// now (no earlier than its last timer pass): the stored value less one per
-// decay epoch begun since that pass, never below the configured base.
-// Without AdaptiveTimeout the stored value is the base.
-func (r *Router) effTimeoutAt(now sim.Cycle) sim.Cycle {
-	s := r.st
-	e := s.effTout[r.node]
-	decays := now/decayEpoch - s.tickedAt[r.node]/decayEpoch
-	return max(e-decays, min(e, s.cfg.Timeout))
-}
 
 // gauge returns router r's entry of a timer-pass gauge: its value if the
 // last timer pass ran this cycle, else 0.

@@ -60,13 +60,6 @@ type Config struct {
 	Alloc AllocPolicy
 	// Recovery selects what happens to presumed-deadlocked packets.
 	Recovery RecoveryMode
-	// AdaptiveTimeout makes T_out self-tuning, the paper's last named
-	// future-work item ("T_out could be programmable to vary dynamically"):
-	// each router doubles its effective time-out (up to 8x Timeout) when a
-	// presumption proves false — the header moves normally after all — and
-	// decays it slowly back toward Timeout. Fewer false detections at small
-	// base time-outs, prompt detection when congestion clears.
-	AdaptiveTimeout bool
 }
 
 // RecoveryMode selects the deadlock recovery scheme used once detection

@@ -295,19 +295,13 @@ func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
 // header newly crossed T_out. TickTimers calls it on the slots of mTim ∨
 // mHdr only: on any other slot it would only clear the sent marker, which
 // TickTimers does for every slot at once.
-func (r *Router) tickSlot(i, p, v int, tout sim.Cycle, blocked, presumed *int) int {
-	s := r.st
+func (r *Router) tickSlot(i, p, v int, blocked, presumed *int) int {
+	s, tout := r.st, r.st.cfg.Timeout
 	if r.hasMask(mSent, i) {
 		if s.inPresumed[i] {
 			// The presumed-deadlocked header moved normally: a false
-			// detection. Under AdaptiveTimeout, back off.
+			// detection.
 			r.stats.FalseDetections++
-			if s.cfg.AdaptiveTimeout {
-				s.effTout[r.node] *= 2
-				if max8 := 8 * s.cfg.Timeout; s.effTout[r.node] > max8 {
-					s.effTout[r.node] = max8
-				}
-			}
 		}
 		r.setMask(mSent, i, false)
 		r.clearTimer(i)

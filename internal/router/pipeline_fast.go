@@ -204,9 +204,7 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 // router's telemetry instrumentation (BlockedHeaders, PresumedHeaders,
 // per-VC blocked-cycle counters) — the loop already touches every input VC
 // that can block, so the extra cost is a few adds — and stamps the pass's
-// cycle (tickedAt), as of which the gauges and the stored effective T_out
-// hold. Under AdaptiveTimeout the pass runs at the T_out in force before
-// this cycle's decay, if the cycle is a multiple of 256.
+// cycle (tickedAt), as of which the gauges hold.
 //
 // It ticks mTim ∨ mHdr, in ascending slot order: a slot with its timer
 // clear and no header at its ring head cannot start timing, and tickSlot
@@ -216,18 +214,13 @@ func (r *Router) TickTimers() int {
 	s := r.st
 	newly := 0
 	blocked, presumed := 0, 0
-	now, tout := s.clock.Now(), s.cfg.Timeout
-	if s.cfg.AdaptiveTimeout {
-		tout = r.effTimeoutAt(now - 1)
-		s.effTout[r.node] = r.effTimeoutAt(now)
-	}
-	s.tickedAt[r.node] = now
+	s.tickedAt[r.node] = s.clock.Now()
 	tim, hdr, sent := r.maskOf(mTim), r.maskOf(mHdr), r.maskOf(mSent)
 	for j := range tim {
 		for word := tim[j] | hdr[j]; word != 0; word &= word - 1 {
 			l := j<<6 + bits.TrailingZeros64(word)
 			p, v := r.portVCOf(l)
-			newly += r.tickSlot(r.in0+l, p, v, tout, &blocked, &presumed)
+			newly += r.tickSlot(r.in0+l, p, v, &blocked, &presumed)
 		}
 		sent[j] = 0
 	}

@@ -147,10 +147,6 @@ func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algori
 	return NewWithState(node, rng, NewState(topo, cfg, alg, sel, clock))
 }
 
-// EffectiveTimeout returns the router's current deadlock time-out: the
-// configured T_out, or the self-tuned value under AdaptiveTimeout.
-func (r *Router) EffectiveTimeout() sim.Cycle { return r.effTimeoutAt(r.st.clock.Now()) }
-
 // Connect wires the neighbor reached through the given output port. The
 // network calls it for both directions of every link.
 func (r *Router) Connect(port int, neighbor *Router) {
@@ -359,37 +355,5 @@ func (r *Router) String() string {
 }
 
 // Disconnect severs the output link on the given port (fault injection).
-// The network guarantees the link is idle when it calls this.
+// The network drops the link's victims and releases its grants first.
 func (r *Router) Disconnect(port int) { r.neighbors[port] = nil }
-
-// LinkBusy reports whether any traffic state rides the output link on port:
-// an owned output VC, undrained downstream credits, or Deadlock Buffer
-// traffic routed through it. Fault injection refuses busy links (dynamic
-// mid-stream faults lose flits and are out of scope, as in the paper). Like
-// PurgePacket it walks every input slot: a granted VC may be empty, and no
-// slot mask covers the empty ones.
-func (r *Router) LinkBusy(port int) bool {
-	if r.neighbors[port] == nil {
-		return false
-	}
-	s := r.st
-	for v := 0; v < s.cfg.VCs; v++ {
-		i := r.outIdx(port, v)
-		if s.outOwner[i] != nil || int(s.outCredits[i]) != s.cfg.BufferDepth {
-			return true
-		}
-	}
-	for lane := 0; lane < s.lanes; lane++ {
-		i := r.dbIdx(lane)
-		if s.dbPkt[i] != nil && int(s.dbRoute[i]) == port {
-			return true
-		}
-	}
-	for l := 0; l < s.stride; l++ {
-		i := r.in0 + l
-		if s.inPkt[i] != nil && int(s.inRoute[i]) == port {
-			return true
-		}
-	}
-	return false
-}

@@ -382,33 +382,3 @@ func TestRouterStringAndAccessors(t *testing.T) {
 		t.Fatal("fresh DB state wrong")
 	}
 }
-
-// TestAdaptiveTimeoutDecaysOnEpochs pins the adaptive T_out's decay to the
-// cycles that are multiples of 256, one step each, down to the base — for
-// a router whose timer pass runs every cycle and for one that never runs
-// it (a sleeping router), whose effective T_out is derived from the clock.
-func TestAdaptiveTimeoutDecaysOnEpochs(t *testing.T) {
-	cfg := Default()
-	cfg.AdaptiveTimeout = true
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	topo := topology.MustTorus(4, 4)
-	var clock sim.Clock
-	ticking := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), &clock)
-	sleeping := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), &clock)
-	for _, r := range []*Router{ticking, sleeping} {
-		r.st.effTout[0] = cfg.Timeout + 3
-	}
-	for now := sim.Cycle(1); now <= 1100; now++ {
-		clock.Tick()
-		ticking.TickTimers()
-		want := cfg.Timeout + 3 - min(now/decayEpoch, 3)
-		if got := ticking.EffectiveTimeout(); got != want {
-			t.Fatalf("cycle %d: ticking router's T_out %d, want %d", now, got, want)
-		}
-		if got := sleeping.EffectiveTimeout(); got != want {
-			t.Fatalf("cycle %d: sleeping router's T_out %d, want %d", now, got, want)
-		}
-	}
-}

@@ -51,8 +51,8 @@ func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 // range-checked — each check sits on the line of the field it guards, so
 // corrupt input yields an error, never a panic. Packets are stored as IDs.
 // The clock-derived values (activity.go) are written as of the current
-// cycle: a decoder refuses an offset or decay count that disagrees with the
-// restored clock, and stamps the timer pass's values with it.
+// cycle: a decoder refuses an offset that disagrees with the restored clock,
+// and stamps the timer pass's values with it.
 // The walk follows the logical (port, vc) order and each ring's logical
 // head-to-tail order, never the physical SoA layout (ring head positions,
 // flat slot indices), so the bytes are layout-invariant; a decoded ring is
@@ -123,13 +123,10 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	for q := 0; q <= s.deg; q++ {
 		snapshot.Range(c, &s.swArbOff[r.swIdx(q)], snapshot.In(0, s.stride, "switch arbitration offset"))
 	}
-	tout := r.effTimeoutAt(now)
-	snapshot.Int(c, &tout)
-	decayCount := int64(0)
-	if s.cfg.AdaptiveTimeout {
-		decayCount = int64(now % decayEpoch)
-	}
-	c.Expect(decayCount, "adaptive decay count")
+	// Format v2 codes a per-router T_out and decay count; every router
+	// presumes deadlock at the configured T_out.
+	c.Expect(int64(s.cfg.Timeout), "effective T_out")
+	c.Expect(0, "adaptive decay count")
 	c.I64(&r.stats.TimeoutEvents)
 	c.I64(&r.stats.FalseDetections)
 	c.I64(&r.stats.Recoveries)
@@ -146,7 +143,7 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	snapshot.Int(c, &blocked)
 	snapshot.Int(c, &presumed)
 	if dec {
-		s.effTout[r.node], s.lastBlocked[r.node], s.lastPresumed[r.node] = tout, blocked, presumed
+		s.lastBlocked[r.node], s.lastPresumed[r.node] = blocked, presumed
 		s.tickedAt[r.node] = now
 	}
 }

@@ -54,9 +54,9 @@ import (
 //	crossbar     deg packet-by-packet connections per router (cxInPort,
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
 //	per router   swArbOff (deg+1 per router), flitCount, cxHeld, and the timer
-//	             pass's effTout, lastBlocked, lastPresumed and tickedAt (see
-//	             activity.go: the VC arbitration offset and the adaptive
-//	             decay count are functions of the clock, not stored).
+//	             pass's lastBlocked, lastPresumed and tickedAt (see
+//	             activity.go: the VC arbitration offset is a function of the
+//	             clock, not stored).
 //	scratch      outMask ((deg+1)*w words, one router's per-output masks in
 //	             StageSwitch) and cands (outStr, one header's candidates).
 //
@@ -137,7 +137,6 @@ type State struct {
 	swArbOff     []int32
 	flitCount    []int32
 	cxHeld       []uint8 // held, saved and DB crossbar connections (CrossbarIdle)
-	effTout      []sim.Cycle
 	lastBlocked  []int32
 	lastPresumed []int32
 	tickedAt     []sim.Cycle // the cycle of the router's last TickTimers
@@ -248,13 +247,9 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.swArbOff = make([]int32, nodes*(deg+1))
 	s.flitCount = make([]int32, nodes)
 	s.cxHeld = make([]uint8, nodes)
-	s.effTout = make([]sim.Cycle, nodes)
 	s.lastBlocked = make([]int32, nodes)
 	s.lastPresumed = make([]int32, nodes)
 	s.tickedAt = make([]sim.Cycle, nodes)
-	for i := range s.effTout {
-		s.effTout[i] = cfg.Timeout
-	}
 	s.outMask = make([]uint64, (deg+1)*s.w)
 	s.cands = make([]routing.Candidate, 0, s.outStr)
 	return s
