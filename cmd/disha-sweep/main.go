@@ -54,7 +54,6 @@ func main() {
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
 		parallel  = flag.Int("parallel", 0, "points simulated in this process at once (0 = all cores, 1 = one at a time; results are identical either way)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
-		retries   = flag.Int("retries", 0, "extra attempts for a failing point")
 		journal   = flag.String("journal", "", "JSONL checkpoint file: completed points are appended to it, points it already holds are not rerun (optional)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-point checkpoints; killed points resume mid-flight with byte-identical results (requires -checkpoint-every)")
 		ckptN     = flag.Int("checkpoint-every", 0, "cycles between mid-point checkpoints (0 = off; requires -checkpoint-dir)")
@@ -113,7 +112,7 @@ func main() {
 		// overrides) tuple names the same points in both.
 		spec, err := harness.SpecFor(name, *scale, *warmup, *measure, *seed, nil)
 		fail(err)
-		fail(spec.CheckSweep(*parallel, *replicas, *retries, *warmup, *measure))
+		fail(spec.CheckSweep(*parallel, *replicas, *warmup, *measure))
 		spec.Chaos = chaosEvents
 		fmt.Printf("== figure %s: %s ==\n", name, spec.Name)
 		progress := func(s string) { fmt.Println("  " + s) }
@@ -123,7 +122,6 @@ func main() {
 		opts := disha.SweepOptions{
 			Parallel:        *parallel,
 			Replicas:        *replicas,
-			Retries:         *retries,
 			CheckpointEvery: *ckptN,
 			CheckpointDir:   *ckptDir,
 			Progress:        progress,
@@ -165,7 +163,7 @@ func main() {
 			failedFigures = append(failedFigures, name)
 			fmt.Fprintf(os.Stderr, "disha-sweep: figure %s incomplete: %v\n", name, err)
 			for _, f := range report.Failures {
-				fmt.Fprintf(os.Stderr, "  FAILED %s (attempts=%d): %s\n", f.Key, f.Attempts, firstLine(f.Err))
+				fmt.Fprintf(os.Stderr, "  FAILED %s: %s\n", f.Key, firstLine(f.Err))
 			}
 		}
 

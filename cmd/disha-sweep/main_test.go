@@ -77,7 +77,6 @@ func TestSweepResolvesThroughSpecFor(t *testing.T) {
 		{"-replicas -3", 1, "negative replicas -3"},
 		{"-warmup -5", 1, "negative warmup -5"},
 		{"-parallel -1", 1, "negative parallel -1"},
-		{"-retries -1", 1, "negative retries -1"},
 		{"-replicas 1000000000", 1, "exceeds 65536 points"},
 	} {
 		out, code := run(strings.Fields(bad.args)...)
@@ -85,6 +84,10 @@ func TestSweepResolvesThroughSpecFor(t *testing.T) {
 			t.Errorf("disha-sweep %s: exit %d, want %d with one line containing %q; output:\n%s",
 				bad.args, code, bad.code, bad.want, out)
 		}
+	}
+	// A point runs once: there is no retry count to set.
+	if out, code := run("-retries", "1"); code != 2 || !strings.Contains(out, "flag provided but not defined: -retries") {
+		t.Errorf("disha-sweep -retries 1: exit %d, want 2 as an unknown flag; output:\n%s", code, out)
 	}
 }
 

@@ -578,13 +578,13 @@ func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures
 
 // SweepOptions controls how an Experiment's sweep executes: how many points
 // this process simulates at once (Parallel — every point is offered to the
-// PointRunner, if any, at once), per-point replicas, retries, mid-point
+// PointRunner, if any, at once), per-point replicas, mid-point
 // checkpoints and progress reporting. Run an Experiment with them via
 // Experiment.RunWith; results are bit-identical for every Parallel value.
 type SweepOptions = harness.RunOptions
 
-// SweepReport summarizes a finished sweep: completed/failed/aborted points,
-// retries and wall time.
+// SweepReport summarizes a finished sweep: completed/failed/aborted points
+// and wall time.
 type SweepReport = engine.Report
 
 // SweepStatus is a running sweep's progress snapshot (done/total, ETA).
@@ -595,7 +595,7 @@ type SweepStatus = engine.Status
 type EngineMetrics = engine.Metrics
 
 // NewEngineMetrics registers the sweep progress metrics (jobs done/total,
-// ETA, retries) on a telemetry registry. Serve them with telemetry.Serve or
+// ETA) on a telemetry registry. Serve them with telemetry.Serve or
 // the /metrics endpoint of disha-serve.
 func NewEngineMetrics(reg *telemetry.Registry) *EngineMetrics { return engine.NewMetrics(reg) }
 

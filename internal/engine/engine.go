@@ -24,26 +24,23 @@ import (
 type Status struct {
 	Total   int // jobs in the batch
 	Done    int // completed successfully
-	Failed  int // exhausted their retries
-	Retried int // extra attempts spent across all jobs
+	Failed  int // ran and returned an error
 	Elapsed time.Duration
 	// ETA estimates the remaining wall time from the completion rate; zero
 	// until the first job completes.
 	ETA time.Duration
 }
 
-// Failure is one job that exhausted its retries.
+// Failure is one job that ran and returned an error.
 type Failure struct {
-	Key      string
-	Err      string
-	Attempts int
+	Key string
+	Err string
 }
 
 // Report summarizes a finished batch.
 type Report struct {
 	Total     int
-	Completed int // successful jobs
-	Retried   int
+	Completed int       // successful jobs
 	Aborted   int       // jobs withdrawn unrun because the sweep was drained
 	Failures  []Failure // in batch order
 	Elapsed   time.Duration
@@ -55,12 +52,8 @@ func (r *Report) Failed() int { return len(r.Failures) }
 
 // String renders the one-line summary CLIs print after a sweep.
 func (r *Report) String() string {
-	s := fmt.Sprintf("%d/%d jobs completed in %v (%d workers", r.Completed, r.Total,
+	s := fmt.Sprintf("%d/%d jobs completed in %v (%d workers)", r.Completed, r.Total,
 		r.Elapsed.Round(time.Millisecond), r.Workers)
-	if r.Retried > 0 {
-		s += fmt.Sprintf(", %d retries", r.Retried)
-	}
-	s += ")"
 	if r.Aborted > 0 {
 		s += fmt.Sprintf("; %d aborted by drain", r.Aborted)
 	}
@@ -91,13 +84,12 @@ func Begin(total, workers int, metrics *Metrics) *Fold {
 }
 
 // Settle records the outcome of the job at index in the batch — errMsg is ""
-// on success — after attempts tries, and returns the status including it.
-func (f *Fold) Settle(index int, key, errMsg string, attempts int) Status {
+// on success — and returns the status including it.
+func (f *Fold) Settle(index int, key, errMsg string) Status {
 	st := &f.st
-	st.Retried += attempts - 1
 	if errMsg != "" {
 		st.Failed++
-		f.failed[index] = Failure{Key: key, Err: errMsg, Attempts: attempts}
+		f.failed[index] = Failure{Key: key, Err: errMsg}
 	} else {
 		st.Done++
 	}
@@ -107,7 +99,7 @@ func (f *Fold) Settle(index int, key, errMsg string, attempts int) Status {
 		st.ETA = time.Duration(float64(st.Elapsed) / float64(st.Done) * float64(remaining))
 	}
 	if f.metrics != nil {
-		f.metrics.observe(*st, errMsg != "", attempts-1)
+		f.metrics.observe(*st, errMsg != "")
 	}
 	return *st
 }
@@ -120,7 +112,7 @@ func (f *Fold) End() *Report {
 		f.metrics.endRun(*st)
 	}
 	report := &Report{
-		Total: st.Total, Completed: st.Done, Retried: st.Retried,
+		Total: st.Total, Completed: st.Done,
 		Aborted: st.Total - st.Done - st.Failed,
 		Elapsed: st.Elapsed, Workers: f.workers,
 	}

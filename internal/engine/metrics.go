@@ -7,7 +7,7 @@ import (
 )
 
 // Metrics exports sweep progress through an internal/telemetry registry:
-// jobs done/failed/retried, batch totals, elapsed time and the ETA estimate.
+// jobs done/failed, batch totals, elapsed time and the ETA estimate.
 // Unlike the simulator's telemetry (which is strictly single-goroutine, see
 // package telemetry), sweep progress is inherently concurrent with whatever
 // else updates the registry — an HTTP server's own metrics, for example — so
@@ -23,7 +23,6 @@ type Metrics struct {
 	runsFinished *telemetry.Counter
 	jobsDone     *telemetry.Counter
 	jobsFailed   *telemetry.Counter
-	jobsRetried  *telemetry.Counter
 
 	jobsTotal      *telemetry.Gauge
 	jobsRemaining  *telemetry.Gauge
@@ -42,8 +41,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		runsStarted:    reg.Counter("engine_runs_started_total", "engine batches started", nil),
 		runsFinished:   reg.Counter("engine_runs_finished_total", "engine batches finished", nil),
 		jobsDone:       reg.Counter("engine_jobs_done_total", "jobs completed successfully", nil),
-		jobsFailed:     reg.Counter("engine_jobs_failed_total", "jobs that exhausted their retries", nil),
-		jobsRetried:    reg.Counter("engine_jobs_retried_total", "extra attempts spent on failing jobs", nil),
+		jobsFailed:     reg.Counter("engine_jobs_failed_total", "jobs that ran and returned an error", nil),
 		jobsTotal:      reg.Gauge("engine_jobs_total", "jobs in the current batch", nil),
 		jobsRemaining:  reg.Gauge("engine_jobs_remaining", "jobs not yet settled in the current batch", nil),
 		etaSeconds:     reg.Gauge("engine_eta_seconds", "estimated remaining wall time of the current batch", nil),
@@ -74,16 +72,13 @@ func (m *Metrics) beginRun(total int) {
 	m.reg.Publish()
 }
 
-func (m *Metrics) observe(st Status, failed bool, retries int) {
+func (m *Metrics) observe(st Status, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if failed {
 		m.jobsFailed.Inc()
 	} else {
 		m.jobsDone.Inc()
-	}
-	if retries > 0 {
-		m.jobsRetried.Add(int64(retries))
 	}
 	m.jobsRemaining.Set(float64(st.Total - st.Done - st.Failed))
 	m.etaSeconds.Set(st.ETA.Seconds())

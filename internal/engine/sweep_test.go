@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -112,56 +111,46 @@ func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	}
 }
 
-func TestPanicIsolationAndRetry(t *testing.T) {
+// TestPanicIsolationSingleAttempt: every point is handed to the PointRunner
+// exactly once. The poison point's panic comes back as its error, stack
+// included, and names it once in the report; every other point completes.
+func TestPanicIsolationSingleAttempt(t *testing.T) {
 	spec := stubSpec(t, 9)
-	label := func(i int) string { return spec.Algs[i].Algorithm.Name() }
-	flaky, doomed, poison := label(0), label(1), label(2)
-	load := spec.Loads[0]
+	poison, load := spec.Algs[2].Algorithm.Name(), spec.Loads[0]
 	// Whatever point simulates panics, as the simulator's invariants do; only
 	// the poison point does.
 	hookPoints(t, func(string) { panic("permanent panic") })
 
 	var mu sync.Mutex
 	calls := map[string]int{}
-	res, rep, err := spec.RunWith(harness.RunOptions{Retries: 1, PointRunner: stub(func(pt harness.PointTask) (harness.PointResult, error) {
+	res, rep, err := spec.RunWith(harness.RunOptions{PointRunner: stub(func(pt harness.PointTask) (harness.PointResult, error) {
 		mu.Lock()
 		calls[pt.Key]++
-		n := calls[pt.Key]
 		mu.Unlock()
-		switch {
-		case pt.Load != load:
-		case pt.Alg == flaky && n == 1:
-			return harness.PointResult{}, errTransient
-		case pt.Alg == doomed:
-			return harness.PointResult{}, errTransient
-		case pt.Alg == poison:
+		if pt.Alg == poison && pt.Load == load {
 			return spec.RunPoint(pt.Alg, pt.Load, pt.Seed, harness.PointOptions{})
 		}
 		return purePoint(pt.Seed)
 	})})
-	if err == nil || rep.Failed() != 2 || rep.Completed != rep.Total-2 {
-		t.Fatalf("report %v, err %v; want exactly the doomed and the poison point failed", rep, err)
+	if err == nil || rep.Failed() != 1 || rep.Completed != rep.Total-1 {
+		t.Fatalf("report %v, err %v; want exactly the poison point failed", rep, err)
 	}
-	// Failures are in batch order: curve 1 before curve 2.
-	if f := rep.Failures[0]; f.Key != spec.PointKey(doomed, load, 0) || f.Attempts != 2 {
-		t.Fatalf("first failure %+v, want the doomed point after 2 attempts", f)
-	}
-	if f := rep.Failures[1]; f.Key != spec.PointKey(poison, load, 0) || f.Attempts != 2 ||
+	if f := rep.Failures[0]; f.Key != spec.PointKey(poison, load, 0) ||
 		!strings.Contains(f.Err, "panic: permanent panic") || !strings.Contains(f.Err, "runtime/debug.Stack") {
-		t.Fatalf("second failure %+v, want the poison point's panic with its stack", f)
+		t.Fatalf("failure %+v, want the poison point's panic with its stack", f)
 	}
-	if rep.Retried != 3 {
-		t.Fatalf("retried = %d, want 3 (flaky, doomed, poison)", rep.Retried)
+	if len(calls) != rep.Total {
+		t.Fatalf("%d points reached the PointRunner, want %d", len(calls), rep.Total)
 	}
-	if len(res.Points[flaky]) != len(spec.Loads) {
-		t.Fatal("flaky point must succeed on retry")
+	for key, n := range calls {
+		if n != 1 {
+			t.Errorf("point %s was run %d times, want once", key, n)
+		}
 	}
-	if len(res.Points[doomed]) != len(spec.Loads)-1 {
-		t.Fatal("the doomed curve keeps its healthy points")
+	if len(res.Points[poison]) != len(spec.Loads)-1 {
+		t.Fatal("the poison curve keeps its healthy points")
 	}
 }
-
-var errTransient = errors.New("injected failure")
 
 func TestBadBatchesRejected(t *testing.T) {
 	never := stub(func(harness.PointTask) (harness.PointResult, error) {

@@ -200,9 +200,6 @@ type RunOptions struct {
 	// independent seeds and aggregates the replicas into mean ± 95% CI
 	// (default 1).
 	Replicas int
-	// Retries is how many extra attempts a failing point gets (see
-	// CheckSweep).
-	Retries int
 	// CheckpointEvery, when positive and CheckpointDir is set, snapshots
 	// every in-progress point's complete simulation state each time that
 	// many cycles (warm-up plus measurement) elapse. A killed sweep then
@@ -270,7 +267,10 @@ type PointTask struct {
 }
 
 // RunWith executes the experiment: every point starts at once on its own
-// goroutine and goes to opts.PointRunner, or straight to its local closure.
+// goroutine and goes to opts.PointRunner, or straight to its local closure,
+// once. A point is a pure function of (key, seed), so running it again would
+// repeat its error; rerunning the sweep over the same result store
+// recomputes only the failed points.
 // On point failures it returns the partial Result (every fully-replicated
 // point that did complete), the report naming the failed points, and a
 // non-nil error.
@@ -310,10 +310,9 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	slots := make(chan struct{}, workers) // a semaphore: one token per simulating point
 
 	type outcome struct {
-		index    int
-		pr       PointResult
-		err      error
-		attempts int
+		index int
+		pr    PointResult
+		err   error
 	}
 	outcomes := make(chan outcome)
 	for i, p := range points {
@@ -335,16 +334,10 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 				return s.runPoint(p.alg, p.task.Load, p.task.Seed, po)
 			}
 			o := outcome{index: i}
-			for {
-				o.attempts++
-				if opts.PointRunner != nil {
-					o.pr, o.err = opts.PointRunner(opts.Stop, p.task, local)
-				} else {
-					o.pr, o.err = local()
-				}
-				if o.err == nil || errors.Is(o.err, ErrDrained) || o.attempts > opts.Retries {
-					break
-				}
+			if opts.PointRunner != nil {
+				o.pr, o.err = opts.PointRunner(opts.Stop, p.task, local)
+			} else {
+				o.pr, o.err = local()
 			}
 			outcomes <- o
 		}()
@@ -367,7 +360,7 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 		} else {
 			results[o.index], completed[o.index] = o.pr, true
 		}
-		st := fold.Settle(o.index, task.Key, errMsg, o.attempts)
+		st := fold.Settle(o.index, task.Key, errMsg)
 		if opts.Progress != nil {
 			line := fmt.Sprintf("[%3d/%3d] %-22s load=%.2f", st.Done+st.Failed, st.Total, task.Alg, task.Load)
 			if replicas > 1 {
@@ -441,15 +434,13 @@ const maxSweepPoints = 65536
 // whoever phrases it (disha-sweep's flags, POST /jobs): values that cannot
 // describe a sweep of s are refused, not read as defaults, and the job list —
 // built before anything runs — is bounded by maxSweepPoints. Zero is the
-// default of every field: all cores, one replica, the scale's cycle counts,
-// and retries 0 — one attempt, since a point is a pure function of (key,
-// seed) and a retry only helps against its environment (checkpoint I/O).
-func (s *Spec) CheckSweep(parallel, replicas, retries, warmup, measure int) error {
+// default of every field: all cores, one replica, the scale's cycle counts.
+func (s *Spec) CheckSweep(parallel, replicas, warmup, measure int) error {
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
-		{"parallel", parallel}, {"replicas", replicas}, {"retries", retries},
+		{"parallel", parallel}, {"replicas", replicas},
 		{"warmup", warmup}, {"measure", measure},
 	} {
 		if f.v < 0 {

@@ -58,11 +58,9 @@ type SweepRequest struct {
 	// is offered to the workers immediately.
 	Parallel int `json:"parallel,omitempty"`
 	// Replicas aggregates this many independent runs per point into
-	// mean ± 95% CI (default 1).
+	// mean ± 95% CI (default 1; see harness.Spec.CheckSweep for the
+	// numbers' defaults).
 	Replicas int `json:"replicas,omitempty"`
-	// Retries is how many extra attempts a failing point gets (see
-	// harness.Spec.CheckSweep for this and the other numbers' defaults).
-	Retries int `json:"retries,omitempty"`
 	// Warmup/Measure override the scale's cycle counts.
 	Warmup  int `json:"warmup,omitempty"`
 	Measure int `json:"measure,omitempty"`
@@ -329,7 +327,6 @@ func (s *Server) runJob(id string) {
 	opts := harness.RunOptions{
 		Parallel: req.Parallel,
 		Replicas: req.Replicas,
-		Retries:  req.Retries,
 		Metrics:  s.em,
 		Stop:     s.drainCh,
 		// Every point goes through the coordinator, which decides between a
@@ -433,7 +430,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}
-	if err := spec.CheckSweep(req.Parallel, req.Replicas, req.Retries, req.Warmup, req.Measure); err != nil {
+	if err := spec.CheckSweep(req.Parallel, req.Replicas, req.Warmup, req.Measure); err != nil {
 		httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}

@@ -245,7 +245,7 @@ func TestBadRequests(t *testing.T) {
 		{"concatenated objects", `{"figure":"4"}{"figure":"4"}`, "unexpected data after JSON body"},
 		{"negative parallel", `{"figure":"4","parallel":-1}`, "negative parallel -1"},
 		{"negative replicas", `{"figure":"4","replicas":-2}`, "negative replicas -2"},
-		{"negative retries", `{"figure":"4","retries":-1}`, "negative retries -1"},
+		{"retries is not a field", `{"figure":"4","retries":1}`, `unknown field "retries"`},
 		{"negative warmup", `{"figure":"4","warmup":-1}`, "negative warmup -1"},
 		{"negative measure", `{"figure":"4","measure":-1}`, "negative measure -1"},
 		{"too many points", `{"figure":"4","replicas":1000000000}`, "replicas 1000000000 exceeds 65536 points"},

@@ -84,12 +84,12 @@ func InjectionProbability(topo topology.Graph, p Pattern, msgLen int, loadRate f
 	}
 	c := float64(TotalChannels(topo))
 	aggregate := loadRate * c / (float64(msgLen) * st.MeanDistance) // packets/cycle network-wide
-	perNodeAttempt := aggregate / (float64(topo.Nodes()) * st.GeneratingFraction)
-	if perNodeAttempt > 1 {
+	perNodeRate := aggregate / (float64(topo.Nodes()) * st.GeneratingFraction)
+	if perNodeRate > 1 {
 		return 0, fmt.Errorf("traffic: load rate %v needs %.3f packets/node/cycle (>1); increase message length or lower load",
-			loadRate, perNodeAttempt)
+			loadRate, perNodeRate)
 	}
-	return perNodeAttempt, nil
+	return perNodeRate, nil
 }
 
 // Source generates packets for one node as a Bernoulli process: each cycle a
