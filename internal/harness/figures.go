@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,7 +51,8 @@ func SmallScale() Scale {
 // scale ("paper" or "small"; empty means paper), with optional overrides:
 // positive warmup/measure replace the scale's cycle counts, a non-zero seed
 // replaces the base seed, and a non-empty loads slice replaces the swept
-// load rates (each must lie in (0, 1]). It is how the job server and
+// load rates (each must lie in (0, 1] and appear once: a repeated load would
+// name its points twice). It is how the job server and
 // disha-sweep turn a request's (figure, scale, overrides) into a spec; a fleet
 // worker needs none of it, since every point key carries its whole spec.
 func SpecFor(figure, scale string, warmup, measure int, seed uint64, loads []float64) (*Spec, error) {
@@ -77,9 +79,12 @@ func SpecFor(figure, scale string, warmup, measure int, seed uint64, loads []flo
 		return nil, fmt.Errorf("unknown figure %q (want %s)", figure, strings.Join(FigureNames(), ", "))
 	}
 	if len(loads) > 0 {
-		for _, l := range loads {
+		for i, l := range loads {
 			if l <= 0 || l > 1 {
 				return nil, fmt.Errorf("load %v out of (0, 1]", l)
+			}
+			if slices.Contains(loads[:i], l) {
+				return nil, fmt.Errorf("load %v repeated", l)
 			}
 		}
 		spec.Loads = loads

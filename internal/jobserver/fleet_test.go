@@ -254,6 +254,69 @@ func TestDrainWithdrawsQueuedPoints(t *testing.T) {
 	}
 }
 
+// TestMetricsShowFleetBeforeAnyJob: GET /metrics renders the registry on
+// the scrape, so families registered after the server was built — the
+// coordinator's fleet_* — show with live values before any job has run.
+func TestMetricsShowFleetBeforeAnyJob(t *testing.T) {
+	coord := fabric.NewCoordinator(fabric.CoordinatorOptions{LeaseTTL: 5 * time.Second})
+	defer coord.Close()
+	s, err := NewWithOptions(Options{Fleet: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	coord.RegisterMetrics(s.Registry())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/fleet/heartbeat", "application/json", strings.NewReader(`{"worker":"w1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat: status %d", resp.StatusCode)
+	}
+	if text := scrape(t, ts); !strings.Contains(text, "\nfleet_workers_live 1\n") {
+		t.Fatalf("want fleet_workers_live 1 before any job:\n%s", text)
+	}
+}
+
+// TestMetricsScrapedWhileJobRuns renders /metrics while a sweep updates the
+// same registry (the race detector's half of rendering on scrape), and the
+// scrape after the job reads its totals at once.
+func TestMetricsScrapedWhileJobRuns(t *testing.T) {
+	_, ts := startServer(t)
+	slow := tinyReq()
+	slow.Measure = 3000
+	slow.Loads = []float64{0.2, 0.4}
+	id := submit(t, ts, slow).ID
+	state := func() string {
+		var st JobStatus
+		if code := getJSON(t, ts.URL+"/jobs/"+id, &st); code != http.StatusOK {
+			t.Fatalf("status code = %d", code)
+		}
+		return st.State
+	}
+	during := 0 // scrapes with the job running before and after them
+	for st := state(); st == "queued" || st == "running"; {
+		scrape(t, ts)
+		next := state()
+		if st == "running" && next == "running" {
+			during++
+		}
+		st = next
+	}
+	if during == 0 {
+		t.Fatal("no scrape landed while the job ran")
+	}
+	text := scrape(t, ts)
+	for _, want := range []string{"\nserve_jobs_completed_total 1\n", "\nengine_jobs_done_total 4\n", "\nengine_running 0\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("scrape after the job missing %q:\n%s", want, text)
+		}
+	}
+}
+
 // TestRateLimitThrottlesPerClient proves the 429 admission path: a client
 // past its token bucket gets 429 with Retry-After and the structured error
 // body, while the server keeps serving once the bucket refills.

@@ -163,7 +163,7 @@ type Server struct {
 	completed atomic.Int64
 	failed    atomic.Int64
 	queued    atomic.Int64
-	rejected  atomic.Int64 // 503s: queue full or draining
+	rejected  atomic.Int64 // 503s: queue full, closed or draining
 	throttled atomic.Int64 // 429s: per-client rate limit
 
 	draining   atomic.Bool
@@ -257,10 +257,9 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.reg.CounterFunc("serve_jobs_failed_total", "sweep jobs finished with failures", nil, s.failed.Load)
 	s.reg.GaugeFunc("serve_jobs_queued", "sweep jobs waiting to run", nil,
 		func() float64 { return float64(s.queued.Load()) })
-	s.reg.CounterFunc("serve_jobs_rejected_total", "sweep submissions rejected with 503 (queue full or draining)", nil, s.rejected.Load)
+	s.reg.CounterFunc("serve_jobs_rejected_total", "sweep submissions rejected with 503 (queue full, closed or draining)", nil, s.rejected.Load)
 	s.reg.CounterFunc("serve_jobs_throttled_total", "sweep submissions throttled with 429 (per-client rate limit)", nil, s.throttled.Load)
 	s.em = engine.NewMetrics(s.reg)
-	s.em.Publish()
 	go s.runner()
 	return s, nil
 }
@@ -269,6 +268,16 @@ func NewWithOptions(opts Options) (*Server, error) {
 // after Close fail with 503.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
+}
+
+// closed reports whether Close (or Drain) has been called.
+func (s *Server) closed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Drain gracefully shuts the server down: new submissions are refused with
@@ -377,9 +386,6 @@ func (s *Server) runJob(id string) {
 		s.completed.Add(1)
 	}
 	s.mu.Unlock()
-	// Refresh the published snapshot so the server totals move even between
-	// engine updates.
-	s.em.Publish()
 }
 
 // Handler returns the server's HTTP API.
@@ -394,9 +400,14 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("/fleet/", http.StripPrefix("/fleet", s.fleet.Handler()))
 	}
 	// Reuse the telemetry exposition handler (it also serves pprof, the
-	// liveness probe and build metadata).
+	// liveness probe and build metadata). A scrape renders the registry
+	// first, so it is never older than the request; em's mutex serializes
+	// that render with every other one of this registry.
 	th := telemetry.Handler(s.reg)
-	mux.Handle("GET /metrics", th)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		s.em.Publish()
+		th.ServeHTTP(w, r)
+	})
 	mux.Handle("GET /healthz", th)
 	mux.Handle("GET /buildz", th)
 	mux.Handle("/debug/pprof/", th)
@@ -409,11 +420,11 @@ func (s *Server) Handler() http.Handler {
 const maxSubmitBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Admission control runs before the body is even read: a draining server
-	// and a throttled client get their answer cheaply.
-	if s.draining.Load() {
+	// Admission control runs before the body is even read: a closed or
+	// draining server and a throttled client get their answer cheaply.
+	if s.draining.Load() || s.closed() {
 		s.rejected.Add(1)
-		unavailable(w, http.StatusServiceUnavailable, 60, "server is draining for shutdown")
+		unavailable(w, http.StatusServiceUnavailable, 60, "server is shutting down")
 		return
 	}
 	if ok, retry := s.limiter.Allow(clientKey(r)); !ok {
@@ -457,7 +468,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.queued.Add(1)
 	s.accepted.Add(1)
-	s.em.Publish()
 	w.Header().Set("Location", "/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, s.snapshot(id))
 }

@@ -75,6 +75,19 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
+// scrape returns the body of GET /metrics.
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := new(bytes.Buffer)
+	body.ReadFrom(resp.Body)
+	return body.String()
+}
+
 func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -208,14 +221,7 @@ func TestMetricsExposition(t *testing.T) {
 	_, ts := startServer(t)
 	st := submit(t, ts, tinyReq())
 	waitDone(t, ts, st.ID)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body := new(bytes.Buffer)
-	body.ReadFrom(resp.Body)
-	text := body.String()
+	text := scrape(t, ts)
 	for _, want := range []string{
 		"serve_jobs_accepted_total 1",
 		"serve_jobs_completed_total 1",
@@ -246,6 +252,7 @@ func TestBadRequests(t *testing.T) {
 		{"negative parallel", `{"figure":"4","parallel":-1}`, "negative parallel -1"},
 		{"negative replicas", `{"figure":"4","replicas":-2}`, "negative replicas -2"},
 		{"retries is not a field", `{"figure":"4","retries":1}`, `unknown field "retries"`},
+		{"repeated load", `{"figure":"4","loads":[0.2,0.2]}`, "load 0.2 repeated"},
 		{"negative warmup", `{"figure":"4","warmup":-1}`, "negative warmup -1"},
 		{"negative measure", `{"figure":"4","measure":-1}`, "negative measure -1"},
 		{"too many points", `{"figure":"4","replicas":1000000000}`, "replicas 1000000000 exceeds 65536 points"},
@@ -347,6 +354,30 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterCloseRefused: a submission after Close gets 503 with a
+// retry hint and leaves no record, never a 202 for a job no runner will
+// start.
+func TestSubmitAfterCloseRefused(t *testing.T) {
+	s, ts := startServer(t)
+	s.Close()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"figure":"3a","scale":"small"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit after Close: status %d, Retry-After %q; want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	var listed []JobStatus
+	if code := getJSON(t, ts.URL+"/jobs", &listed); code != http.StatusOK || len(listed) != 0 {
+		t.Fatalf("GET /jobs after a refused submit: %d, %+v", code, listed)
+	}
+	if text := scrape(t, ts); !strings.Contains(text, "\nserve_jobs_rejected_total 1\n") {
+		t.Errorf("want the refusal in serve_jobs_rejected_total:\n%s", text)
+	}
+}
+
 func TestQueueFull(t *testing.T) {
 	s := newServer(t, 1)
 	defer s.Close()
@@ -415,10 +446,8 @@ func TestQueueFull(t *testing.T) {
 			t.Errorf("GET /jobs lists %s (%s %q), which no 202 announced", st.ID, st.State, st.Error)
 		}
 	}
-	// Through the engine metrics' lock: an accepted job is still running and
-	// updating the same registry.
-	s.em.Publish()
-	if text := string(s.reg.Published()); !strings.Contains(text, "\nserve_jobs_rejected_total 1\n") {
+	// An accepted job is still running and updating the same registry.
+	if text := scrape(t, ts); !strings.Contains(text, "\nserve_jobs_rejected_total 1\n") {
 		t.Errorf("want the one refusal in serve_jobs_rejected_total:\n%s", text)
 	}
 }
