@@ -810,11 +810,8 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 
 	// Normalized accepted traffic: flits/node/cycle over the network's
 	// capacity (the load normalization of Section 4.1 in reverse).
-	topo := cfg.Topo
-	ms := traffic.MeasureMean(topo, cfg.Pattern, 64)
-	capacityFPC := float64(traffic.TotalChannels(topo)) / (float64(topo.Nodes()) * ms.MeanDistance)
-	accepted := float64(flits) / (float64(s.Measure) * float64(topo.Nodes()))
-	pr.Throughput = accepted / capacityFPC
+	accepted := float64(flits) / (float64(s.Measure) * float64(cfg.Topo.Nodes()))
+	pr.Throughput = accepted / net.Capacity()
 	return pr, nil
 }
 

@@ -191,6 +191,9 @@ type Network struct {
 	nis     []ni
 	token   *Token
 
+	// capacity is the full load New measured (see Capacity).
+	capacity float64
+
 	// stageBuf is the reusable buffer holding the cycle's staged transfers
 	// in router order.
 	stageBuf []router.Transfer
@@ -253,25 +256,45 @@ type Network struct {
 	prof *phaseProfiler
 }
 
+// injectionProbability is traffic.InjectionProbability over a measurement
+// New already took, with the same arithmetic, so the probability is the same
+// to the bit.
+func injectionProbability(cfg Config, st traffic.MeanStats, channels float64) (float64, error) {
+	if st.GeneratingFraction == 0 {
+		return 0, fmt.Errorf("network: pattern %s generates no traffic on %s", cfg.Pattern.Name(), cfg.Topo.Name())
+	}
+	aggregate := cfg.LoadRate * channels / (float64(cfg.MsgLen) * st.MeanDistance) // packets/cycle network-wide
+	perNodeRate := aggregate / (float64(cfg.Topo.Nodes()) * st.GeneratingFraction)
+	if perNodeRate > 1 {
+		return 0, fmt.Errorf("network: load rate %v needs %.3f packets/node/cycle (>1); increase message length or lower load",
+			cfg.LoadRate, perNodeRate)
+	}
+	return perNodeRate, nil
+}
+
 // New builds and wires a network. It returns an error for inconsistent
 // configurations (e.g. fewer VCs than the routing algorithm requires).
 func New(cfg Config) (*Network, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	// The pattern is measured once per network: the one sample sets the
+	// sources' injection probability and the full-load capacity (Capacity).
+	topo := cfg.Topo
+	st := traffic.MeasureMean(topo, cfg.Pattern, 64)
+	channels := float64(traffic.TotalChannels(topo))
 	prob := 0.0
 	if cfg.LoadRate > 0 {
 		var err error
-		prob, err = traffic.InjectionProbability(cfg.Topo, cfg.Pattern, cfg.MsgLen, cfg.LoadRate)
-		if err != nil {
+		if prob, err = injectionProbability(cfg, st, channels); err != nil {
 			return nil, err
 		}
 	}
 
-	topo := cfg.Topo
 	n := &Network{
 		cfg:         cfg,
 		topo:        topo,
+		capacity:    channels / (float64(topo.Nodes()) * st.MeanDistance),
 		rng:         sim.NewRNG(cfg.Seed),
 		routers:     make([]*router.Router, topo.Nodes()),
 		sources:     make([]traffic.Source, topo.Nodes()),
@@ -420,6 +443,12 @@ steps:
 
 // Topo returns the network's topology.
 func (n *Network) Topo() topology.Graph { return n.topo }
+
+// Capacity is the network's full load in flits per node per cycle: every
+// channel busy, under the pattern's mean distance as New measured it
+// (traffic.MeasureMean with 64 samples per node). A point's accepted traffic
+// divided by it is the paper's normalized throughput (Section 4.1).
+func (n *Network) Capacity() float64 { return n.capacity }
 
 // Routers exposes the router array for analysis tools (wait-for-graph
 // construction) and tests. Callers must not mutate router state. A router

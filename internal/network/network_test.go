@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/packet"
@@ -278,6 +279,34 @@ func TestConfigValidation(t *testing.T) {
 	cfg.LoadRate = -0.5
 	if _, err := New(cfg); err == nil {
 		t.Error("negative load should fail")
+	}
+}
+
+// TestCapacityMatchesHarnessFormula: New measures the pattern once, and the
+// capacity it keeps is, to the bit, the full-load capacity the harness
+// computed from a measurement of its own before the two were one.
+func TestCapacityMatchesHarnessFormula(t *testing.T) {
+	built := map[string]bool{}
+	for _, g := range []topology.Graph{topology.MustTorus(8, 8), topology.MustMesh(4, 4), topology.MustDragonfly(4, 2)} {
+		for _, name := range traffic.Names() {
+			pat, err := traffic.ByName(name, g, 0.05)
+			if err != nil {
+				continue // e.g. transpose on a dragonfly
+			}
+			built[name] = true
+			ms := traffic.MeasureMean(g, pat, 64)
+			want := float64(traffic.TotalChannels(g)) / (float64(g.Nodes()) * ms.MeanDistance)
+			for _, load := range []float64{0, 0.3} {
+				cfg := testConfig(g, routing.Disha(0), load, 1)
+				cfg.Pattern = pat
+				if got := mustNet(t, cfg).Capacity(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s on %s at load %v: Capacity %v, harness formula %v", name, g.Name(), load, got, want)
+				}
+			}
+		}
+	}
+	if len(built) != len(traffic.Names()) {
+		t.Fatalf("only %d of the %d patterns built on any of the graphs", len(built), len(traffic.Names()))
 	}
 }
 

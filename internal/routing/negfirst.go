@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/bits"
+
 	"repro/internal/packet"
 	"repro/internal/topology"
 )
@@ -39,17 +41,18 @@ func (negFirst) MinVCs(g topology.Graph) int {
 func (negFirst) Route(v View, p *packet.Packet, buf []Candidate) []Candidate {
 	topo := v.Topo().(topology.Topology)
 	node := v.Node()
-	fc, tc := topo.Coord(node), topo.Coord(p.Dst)
 
 	// Mesh directions only: the sign of the raw coordinate offset. On a
-	// torus this never selects a wraparound hop.
-	var negPorts, posPorts []int
+	// torus this never selects a wraparound hop. The port sets are bit
+	// masks (degree <= 63), so a route allocates nothing.
+	var negPorts, posPorts uint64
 	for d := 0; d < topo.Dims(); d++ {
-		if fc[d] == tc[d] {
+		fx, tx := topo.CoordAt(node, d), topo.CoordAt(p.Dst, d)
+		if fx == tx {
 			continue
 		}
 		sign := 1
-		if tc[d] < fc[d] {
+		if tx < fx {
 			sign = -1
 		}
 		port := topology.PortFor(d, sign)
@@ -57,16 +60,17 @@ func (negFirst) Route(v View, p *packet.Packet, buf []Candidate) []Candidate {
 			continue
 		}
 		if sign < 0 {
-			negPorts = append(negPorts, port)
+			negPorts |= 1 << uint(port)
 		} else {
-			posPorts = append(posPorts, port)
+			posPorts |= 1 << uint(port)
 		}
 	}
 	ports := negPorts
-	if len(ports) == 0 {
+	if ports == 0 {
 		ports = posPorts
 	}
-	for _, port := range ports {
+	for ; ports != 0; ports &= ports - 1 {
+		port := bits.TrailingZeros64(ports)
 		for vc := 0; vc < v.VCs(); vc++ {
 			buf = append(buf, Candidate{Port: port, VC: vc})
 		}

@@ -114,20 +114,30 @@ func MinCongestion() Selection { return minCongestion{} }
 
 func (minCongestion) Name() string { return "min-congestion" }
 
+// Pick counts the candidates tied at the most free VCs in one pass and walks
+// to the drawn one in a second, so it draws as a pool of the ties would and
+// allocates nothing.
 func (minCongestion) Pick(v View, cands []Candidate, r *sim.RNG) Candidate {
-	best := -1
-	var pool []Candidate
+	best, ties := -1, 0
 	for _, c := range cands {
-		free := v.FreeVCs(c.Port)
-		if free > best {
-			best = free
-			pool = pool[:0]
-		}
-		if free == best {
-			pool = append(pool, c)
+		switch free := v.FreeVCs(c.Port); {
+		case free > best:
+			best, ties = free, 1
+		case free == best:
+			ties++
 		}
 	}
-	return pool[r.Intn(len(pool))]
+	k := r.Intn(ties)
+	for _, c := range cands {
+		if v.FreeVCs(c.Port) != best {
+			continue
+		}
+		if k == 0 {
+			return c
+		}
+		k--
+	}
+	panic("routing: min-congestion lost its drawn tie")
 }
 
 // --- Shared helpers ----------------------------------------------------------
@@ -145,13 +155,12 @@ func dorPort(topo topology.Topology, from, to topology.Node) (int, bool) {
 	if from == to {
 		return 0, false
 	}
-	fc, tc := topo.Coord(from), topo.Coord(to)
 	for d := 0; d < topo.Dims(); d++ {
-		if fc[d] == tc[d] {
+		fx, tx := topo.CoordAt(from, d), topo.CoordAt(to, d)
+		if fx == tx {
 			continue
 		}
-		sign := minimalSign(topo, d, fc[d], tc[d])
-		return topology.PortFor(d, sign), true
+		return topology.PortFor(d, minimalSign(topo, d, fx, tx)), true
 	}
 	return 0, false
 }

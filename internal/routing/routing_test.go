@@ -656,3 +656,112 @@ func TestDuatoStrictEscapeIsPermanent(t *testing.T) {
 		t.Fatalf("liberal duato should ignore OnDeterministic, got %v", liberal)
 	}
 }
+
+// --- Allocation-free hot paths ----------------------------------------------------
+
+// loadedView is an 8x8 torus view with 4 VCs, a third of them held by
+// packets of assorted dimension-reversal counts.
+func loadedView() *fakeView {
+	topo := topology.MustTorus(8, 8)
+	v := newFakeView(topo, 0, 4)
+	r := sim.NewRNG(7)
+	for port := 0; port < topo.Degree(); port++ {
+		for vc := 0; vc < v.vcs; vc++ {
+			if r.Intn(3) == 0 {
+				v.busy[[2]int{port, vc}] = r.Intn(4)
+			}
+		}
+	}
+	return v
+}
+
+// TestRouteAllocatesNothing: every router calls Route for every waiting
+// header every cycle, so a route must not allocate, whatever the
+// destination, the VC occupancy or the packet's routing state. Each run
+// routes from one node to all 63 others.
+func TestRouteAllocatesNothing(t *testing.T) {
+	v := loadedView()
+	p := pkt(0, 1)
+	buf := make([]Candidate, 0, 64)
+	for _, alg := range []Algorithm{DOR(), NegativeFirst(), Duato(), DallyAoki(), Disha(3)} {
+		run := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			v.node = topology.Node(run * 5 % 64)
+			for i := 0; i < 64; i++ {
+				p.Dst = topology.Node(i)
+				p.OnDeterministic = (run+i)%7 == 0
+				p.DimReversals = i % 3
+				p.DatelineCrossed = uint64(i % 4)
+				if v.node != p.Dst {
+					buf = alg.Route(v, p, buf[:0])
+				}
+			}
+			run++
+		}); allocs != 0 {
+			t.Errorf("%s Route allocates %v times per 63 routes", alg.Name(), allocs)
+		}
+	}
+}
+
+// TestPickAllocatesNothing: both selection functions pick without
+// allocating.
+func TestPickAllocatesNothing(t *testing.T) {
+	v := loadedView()
+	cands := []Candidate{{Port: 0, VC: 3}, {Port: 2, VC: 1}, {Port: 1, VC: 2}, {Port: 3, VC: 0}, {Port: 2, VC: 0}}
+	r := sim.NewRNG(1)
+	for _, sel := range []Selection{Random(), MinCongestion()} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			_ = sel.Pick(v, cands, r)
+		}); allocs != 0 {
+			t.Errorf("%s Pick allocates %v times a call", sel.Name(), allocs)
+		}
+	}
+}
+
+// poolPick is min-congestion's earlier form, which appended the tied
+// candidates to a fresh pool: the oracle for the two-pass Pick.
+func poolPick(v View, cands []Candidate, r *sim.RNG) Candidate {
+	best := -1
+	var pool []Candidate
+	for _, c := range cands {
+		free := v.FreeVCs(c.Port)
+		if free > best {
+			best = free
+			pool = pool[:0]
+		}
+		if free == best {
+			pool = append(pool, c)
+		}
+	}
+	return pool[r.Intn(len(pool))]
+}
+
+// TestMinCongestionMatchesPoolOracle: over random candidate lists and VC
+// occupancies, the two-pass Pick returns the pool oracle's candidate and
+// leaves the RNG in the same state, so every later draw is the same too.
+func TestMinCongestionMatchesPoolOracle(t *testing.T) {
+	topo := topology.MustTorus(8, 8)
+	gen := sim.NewRNG(3)
+	for trial := 0; trial < 2000; trial++ {
+		v := newFakeView(topo, 0, 1+gen.Intn(4))
+		for port := 0; port < topo.Degree(); port++ {
+			for vc := 0; vc < v.vcs; vc++ {
+				if gen.Intn(2) == 0 {
+					v.busy[[2]int{port, vc}] = 0
+				}
+			}
+		}
+		cands := make([]Candidate, 1+gen.Intn(12))
+		for i := range cands {
+			cands[i] = Candidate{Port: gen.Intn(topo.Degree()), VC: gen.Intn(v.vcs)}
+		}
+		seed := gen.Uint64()
+		got, want := sim.NewRNG(seed), sim.NewRNG(seed)
+		if g, w := MinCongestion().Pick(v, cands, got), poolPick(v, cands, want); g != w {
+			t.Fatalf("trial %d: Pick = %+v, oracle %+v over %+v", trial, g, w, cands)
+		}
+		if *got != *want {
+			t.Fatalf("trial %d: Pick left the RNG at %v, oracle at %v", trial, got.State(), want.State())
+		}
+	}
+}

@@ -18,6 +18,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -133,6 +134,10 @@ type Topology interface {
 	Radix(d int) int
 	// Coord returns the coordinate vector of a node.
 	Coord(Node) Coord
+	// CoordAt returns Coord(n)[d] without allocating. Node ids are
+	// mixed-radix numbers with dimension 0 least significant, so it is
+	// n / (Radix(0)*...*Radix(d-1)) mod Radix(d).
+	CoordAt(n Node, d int) int
 	// NodeAt returns the node with the given coordinates. It panics on a
 	// malformed coordinate; NodeAtChecked is the error-returning form.
 	NodeAt(Coord) Node
@@ -282,6 +287,10 @@ func (c *cube) Coord(n Node) Coord {
 	return co
 }
 
+func (c *cube) CoordAt(n Node, d int) int {
+	return (int(n) / c.stride[d]) % c.radix[d]
+}
+
 // NodeAt panics on a malformed coordinate, as documented on Topology;
 // NodeAtChecked is the error-returning form for external-input paths.
 func (c *cube) NodeAt(co Coord) Node {
@@ -389,11 +398,20 @@ func (c *cube) IsMinimal(from, to Node, port int) bool {
 	return false
 }
 
+// Distance takes each coordinate with one divide and mod and the ring
+// distance without a branch, since random destinations mispredict one.
 func (c *cube) Distance(from, to Node) int {
 	total := 0
-	for d := range c.radix {
-		_, _, dist := c.dimSigns(from, to, d)
-		total += dist
+	f, t := int(from), int(to)
+	for _, k := range c.radix {
+		delta := t%k - f%k
+		f, t = f/k, t/k
+		if c.wrap {
+			fwd := delta + k&(delta>>(bits.UintSize-1)) // delta mod k
+			total += min(fwd, k-fwd)
+		} else {
+			total += max(delta, -delta)
+		}
 	}
 	return total
 }

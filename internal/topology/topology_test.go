@@ -352,6 +352,40 @@ func BenchmarkDistance(b *testing.B) {
 	}
 }
 
+// TestDistanceAndCoordAtMatchCoord holds the branch-free Distance and the
+// allocation-free CoordAt to the coordinate vector over every pair: the ring
+// distance per dimension from Coord is the reference.
+func TestDistanceAndCoordAtMatchCoord(t *testing.T) {
+	for _, topo := range []Topology{MustTorus(5, 4), MustTorus(4, 4), MustMesh(3, 3, 2), MustTorus(7), MustHypercube(4)} {
+		for a := 0; a < topo.Nodes(); a++ {
+			from := Node(a)
+			fc := topo.Coord(from)
+			for d := range fc {
+				if got := topo.CoordAt(from, d); got != fc[d] {
+					t.Fatalf("%s: CoordAt(%d, %d) = %d, Coord %v", topo.Name(), from, d, got, fc)
+				}
+			}
+			for b := 0; b < topo.Nodes(); b++ {
+				tc := topo.Coord(Node(b))
+				want := 0
+				for d := range fc {
+					delta := tc[d] - fc[d]
+					if delta < 0 {
+						delta = -delta
+					}
+					if topo.Wrap() && topo.Radix(d)-delta < delta {
+						delta = topo.Radix(d) - delta
+					}
+					want += delta
+				}
+				if got := topo.Distance(from, Node(b)); got != want {
+					t.Fatalf("%s: Distance(%v, %v) = %d, want %d", topo.Name(), fc, tc, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHypercube(t *testing.T) {
 	h := MustHypercube(4)
 	if h.Nodes() != 16 || h.Dims() != 4 || h.Wrap() {

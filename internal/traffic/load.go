@@ -34,8 +34,9 @@ type MeanStats struct {
 }
 
 // MeasureMean estimates MeanStats by drawing samplesPerNode destinations from
-// every source with a deterministic RNG stream. Deterministic patterns are
-// measured exactly with a single sample per node.
+// every source with a deterministic RNG stream. Every pattern takes all
+// samplesPerNode draws, a deterministic one too: its draws repeat, so one
+// per node would measure it exactly, but the count is not cut for it.
 func MeasureMean(topo topology.Graph, p Pattern, samplesPerNode int) MeanStats {
 	if samplesPerNode < 1 {
 		samplesPerNode = 1

@@ -110,9 +110,11 @@ func Transpose(topo topology.Topology) (Pattern, error) {
 
 func (transpose) Name() string { return "transpose" }
 
+// Dest swaps the two digits of src's mixed-radix id (see
+// topology.Topology.CoordAt), which allocates nothing.
 func (p transpose) Dest(src topology.Node, _ *sim.RNG) topology.Node {
-	co := p.topo.Coord(src)
-	return p.topo.NodeAt(topology.Coord{co[1], co[0]})
+	x, y := p.topo.CoordAt(src, 0), p.topo.CoordAt(src, 1)
+	return topology.Node(y + x*p.topo.Radix(0))
 }
 
 // --- Hot spot ---------------------------------------------------------------
@@ -176,12 +178,10 @@ func Complement(topo topology.Topology) Pattern { return complement{topo} }
 
 func (complement) Name() string { return "complement" }
 
+// Dest complements every digit of src's mixed-radix id (see
+// topology.Topology.CoordAt), which is the largest id minus src.
 func (p complement) Dest(src topology.Node, _ *sim.RNG) topology.Node {
-	co := p.topo.Coord(src)
-	for d := range co {
-		co[d] = p.topo.Radix(d) - 1 - co[d]
-	}
-	return p.topo.NodeAt(co)
+	return topology.Node(p.topo.Nodes()-1) - src
 }
 
 // --- Tornado ----------------------------------------------------------------
@@ -197,11 +197,11 @@ func Tornado(topo topology.Topology) Pattern { return tornado{topo} }
 
 func (tornado) Name() string { return "tornado" }
 
+// Dest moves the least significant digit of src's mixed-radix id (see
+// topology.Topology.CoordAt), which allocates nothing.
 func (p tornado) Dest(src topology.Node, _ *sim.RNG) topology.Node {
-	co := p.topo.Coord(src)
-	k := p.topo.Radix(0)
-	co[0] = (co[0] + (k+1)/2 - 1) % k
-	return p.topo.NodeAt(co)
+	x, k := p.topo.CoordAt(src, 0), p.topo.Radix(0)
+	return src - topology.Node(x) + topology.Node((x+(k+1)/2-1)%k)
 }
 
 // --- Bit shuffle -------------------------------------------------------------

@@ -147,6 +147,58 @@ func TestTornado(t *testing.T) {
 	}
 }
 
+// TestCoordinatePatternsMatchCoord holds transpose, complement and tornado,
+// which compute on the mixed-radix node id, to the coordinate-vector
+// definitions over every source of several cubes.
+func TestCoordinatePatternsMatchCoord(t *testing.T) {
+	for _, topo := range []topology.Topology{topology.MustTorus(8, 8), topology.MustMesh(5, 5), topology.MustTorus(4, 3, 5), topology.MustTorus(7), topology.MustHypercube(4)} {
+		ref := map[string]func(topology.Coord) topology.Coord{
+			"complement": func(co topology.Coord) topology.Coord {
+				for d := range co {
+					co[d] = topo.Radix(d) - 1 - co[d]
+				}
+				return co
+			},
+			"tornado": func(co topology.Coord) topology.Coord {
+				k := topo.Radix(0)
+				co[0] = (co[0] + (k+1)/2 - 1) % k
+				return co
+			},
+		}
+		pats := map[string]Pattern{"complement": Complement(topo), "tornado": Tornado(topo)}
+		if tr, err := Transpose(topo); err == nil {
+			pats["transpose"] = tr
+			ref["transpose"] = func(co topology.Coord) topology.Coord { return topology.Coord{co[1], co[0]} }
+		}
+		for name, p := range pats {
+			for n := 0; n < topo.Nodes(); n++ {
+				src := topology.Node(n)
+				want := topo.NodeAt(ref[name](topo.Coord(src)))
+				if got := p.Dest(src, nil); got != want {
+					t.Fatalf("%s on %s: Dest(%v) = %v, want %v", name, topo.Name(), topo.Coord(src), topo.Coord(got), topo.Coord(want))
+				}
+			}
+		}
+	}
+}
+
+// TestCoordinatePatternsAllocateNothing: a source fires Dest once per packet.
+func TestCoordinatePatternsAllocateNothing(t *testing.T) {
+	topo := topology.MustTorus(8, 8)
+	tr, err := Transpose(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Pattern{tr, Complement(topo), Tornado(topo)} {
+		src := topology.Node(0)
+		if allocs := testing.AllocsPerRun(100, func() {
+			src = (p.Dest(src, nil) + 13) % 64
+		}); allocs != 0 {
+			t.Errorf("%s Dest allocates %v times a call", p.Name(), allocs)
+		}
+	}
+}
+
 func TestBitShuffle(t *testing.T) {
 	topo := topo16()
 	p, err := BitShuffle(topo)
