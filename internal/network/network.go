@@ -191,8 +191,9 @@ type Network struct {
 	nis     []ni
 	token   *Token
 
-	// capacity is the full load New measured (see Capacity).
-	capacity float64
+	// stats is the pattern measurement New took for the injection
+	// probability (see Capacity); zero at load 0, where New takes none.
+	stats traffic.MeanStats
 
 	// stageBuf is the reusable buffer holding the cycle's staged transfers
 	// in router order.
@@ -256,22 +257,6 @@ type Network struct {
 	prof *phaseProfiler
 }
 
-// injectionProbability is traffic.InjectionProbability over a measurement
-// New already took, with the same arithmetic, so the probability is the same
-// to the bit.
-func injectionProbability(cfg Config, st traffic.MeanStats, channels float64) (float64, error) {
-	if st.GeneratingFraction == 0 {
-		return 0, fmt.Errorf("network: pattern %s generates no traffic on %s", cfg.Pattern.Name(), cfg.Topo.Name())
-	}
-	aggregate := cfg.LoadRate * channels / (float64(cfg.MsgLen) * st.MeanDistance) // packets/cycle network-wide
-	perNodeRate := aggregate / (float64(cfg.Topo.Nodes()) * st.GeneratingFraction)
-	if perNodeRate > 1 {
-		return 0, fmt.Errorf("network: load rate %v needs %.3f packets/node/cycle (>1); increase message length or lower load",
-			cfg.LoadRate, perNodeRate)
-	}
-	return perNodeRate, nil
-}
-
 // New builds and wires a network. It returns an error for inconsistent
 // configurations (e.g. fewer VCs than the routing algorithm requires).
 func New(cfg Config) (*Network, error) {
@@ -280,21 +265,22 @@ func New(cfg Config) (*Network, error) {
 	}
 	// The pattern is measured once per network: the one sample sets the
 	// sources' injection probability and the full-load capacity (Capacity).
-	topo := cfg.Topo
-	st := traffic.MeasureMean(topo, cfg.Pattern, 64)
-	channels := float64(traffic.TotalChannels(topo))
+	// A network at load 0 injects nothing and measures nothing here.
+	var st traffic.MeanStats
 	prob := 0.0
 	if cfg.LoadRate > 0 {
+		st = traffic.MeasureMean(cfg.Topo, cfg.Pattern, 64)
 		var err error
-		if prob, err = injectionProbability(cfg, st, channels); err != nil {
+		if prob, err = traffic.ProbabilityFor(cfg.Topo, cfg.Pattern, st, cfg.MsgLen, cfg.LoadRate); err != nil {
 			return nil, err
 		}
 	}
 
+	topo := cfg.Topo
 	n := &Network{
 		cfg:         cfg,
 		topo:        topo,
-		capacity:    channels / (float64(topo.Nodes()) * st.MeanDistance),
+		stats:       st,
 		rng:         sim.NewRNG(cfg.Seed),
 		routers:     make([]*router.Router, topo.Nodes()),
 		sources:     make([]traffic.Source, topo.Nodes()),
@@ -445,10 +431,17 @@ steps:
 func (n *Network) Topo() topology.Graph { return n.topo }
 
 // Capacity is the network's full load in flits per node per cycle: every
-// channel busy, under the pattern's mean distance as New measured it
-// (traffic.MeasureMean with 64 samples per node). A point's accepted traffic
-// divided by it is the paper's normalized throughput (Section 4.1).
-func (n *Network) Capacity() float64 { return n.capacity }
+// channel busy, under the pattern's mean distance as measured by
+// traffic.MeasureMean with 64 samples per node. A point's accepted traffic
+// divided by it is the paper's normalized throughput (Section 4.1). It
+// reuses New's measurement; at load 0, where New took none, it measures.
+func (n *Network) Capacity() float64 {
+	st := n.stats
+	if n.cfg.LoadRate == 0 {
+		st = traffic.MeasureMean(n.topo, n.cfg.Pattern, 64)
+	}
+	return float64(traffic.TotalChannels(n.topo)) / (float64(n.topo.Nodes()) * st.MeanDistance)
+}
 
 // Routers exposes the router array for analysis tools (wait-for-graph
 // construction) and tests. Callers must not mutate router state. A router

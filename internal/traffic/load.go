@@ -73,13 +73,18 @@ func MeasureMean(topo topology.Graph, p Pattern, samplesPerNode int) MeanStats {
 // packet rate is C / (msgLen * E[dist]). That rate is spread across the
 // nodes that actually generate traffic under the pattern.
 func InjectionProbability(topo topology.Graph, p Pattern, msgLen int, loadRate float64) (float64, error) {
+	return ProbabilityFor(topo, p, MeasureMean(topo, p, 64), msgLen, loadRate)
+}
+
+// ProbabilityFor is InjectionProbability over st, a measurement of p on topo
+// (MeasureMean with 64 samples per node) the caller has already taken.
+func ProbabilityFor(topo topology.Graph, p Pattern, st MeanStats, msgLen int, loadRate float64) (float64, error) {
 	if msgLen < 1 {
 		return 0, fmt.Errorf("traffic: message length %d < 1", msgLen)
 	}
 	if loadRate < 0 {
 		return 0, fmt.Errorf("traffic: negative load rate %v", loadRate)
 	}
-	st := MeasureMean(topo, p, 64)
 	if st.GeneratingFraction == 0 {
 		return 0, fmt.Errorf("traffic: pattern %s generates no traffic on %s", p.Name(), topo.Name())
 	}
