@@ -23,17 +23,28 @@ func DORLane(topo topology.Topology) LaneRouting {
 	}
 }
 
-// LaneRows returns the builder of the Deadlock Buffer lane's next-hop rows
-// over a fixed set of links: row(dst, r) fills r[cur] with the output port a
-// lane flit at cur takes toward dst (-1 at cur == dst or when dst is
-// unreachable), by reverse breadth-first search from dst, ports in
-// increasing order. link reports where port p of node v leads — the
-// neighbor nb and the port rev >= 0 at nb whose link lands back on v — or
-// ok=false where v has no usable (paired, live) link on p; it is resolved
-// once, here, so later changes to what it reports do not reach the rows.
-// This is the only BFS lane construction: internal/network memoises the rows
-// it needs over its live links, BFSLaneTableOver gathers every row.
-func LaneRows(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) func(dst topology.Node, row []int16) {
+// LaneRows returns the builder of the Deadlock Buffer lanes' next-hop rows
+// over a fixed set of links: row(dst, r) fills r[lane*nodes+cur] with the
+// output port a flit in lane at cur takes toward dst (-1 at cur == dst or
+// where the lane cannot reach dst), by reverse breadth-first search from dst
+// over the (lane, node) states, ports in increasing order. link reports
+// where port p of node v leads — the neighbor nb and the port rev >= 0 at nb
+// whose link lands back on v — or ok=false where v has no usable (paired,
+// live) link on p; it is resolved once, here, so later changes to what it
+// reports do not reach the rows.
+//
+// One lane (Token-serialized recovery) takes any link. Two lanes (concurrent
+// recovery) are its ascend-then-descend case, up*/down* over the labels
+// returned (nil with one lane): nodes are labelled by reverse breadth-first
+// order from the lowest node of each component, so the root is highest and
+// every other node has a higher-labelled neighbor, its parent. Lane 0 only
+// climbs and lane 1 only descends: a hop to a lower label enters lane 1, and
+// nothing goes back. So each lane's buffer dependencies follow the labels,
+// the one crossing is one-way, and a flit in lane 0 reaches every node of
+// its component by climbing to the root and descending the root's tree.
+// This is the only lane construction: internal/network memoises the rows it
+// needs over its live links, BFSLaneTableOver gathers every one-lane row.
+func LaneRows(nodes, deg, lanes int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) (label []int32, row func(dst topology.Node, row []int16)) {
 	nbr := make([]int32, nodes*deg) // -1 where link reports none
 	back := make([]int16, nodes*deg)
 	for i := range nbr {
@@ -42,30 +53,60 @@ func LaneRows(nodes, deg int, link func(v topology.Node, p int) (nb topology.Nod
 			nbr[i], back[i] = int32(nb), int16(rev)
 		}
 	}
-	queue := make([]int32, 0, nodes)
-	return func(dst topology.Node, row []int16) {
-		for i := range row {
-			row[i] = -1 // an entry >= 0 also marks its node visited
+	queue := make([]int32, 0, lanes*nodes)
+	if lanes == 2 {
+		label = make([]int32, nodes) // 0 until labelled, then nodes down to 1
+		next := int32(nodes)
+		for root := range nodes {
+			if label[root] != 0 {
+				continue
+			}
+			label[root], next = next, next-1
+			queue = append(queue[:0], int32(root))
+			for head := 0; head < len(queue); head++ {
+				v := int(queue[head])
+				for i := v * deg; i < (v+1)*deg; i++ {
+					if nb := nbr[i]; nb >= 0 && label[nb] == 0 {
+						label[nb], next = next, next-1
+						queue = append(queue, nb)
+					}
+				}
+			}
 		}
-		queue = append(queue[:0], int32(dst))
+	}
+	return label, func(dst topology.Node, row []int16) {
+		for i := range row {
+			row[i] = -1 // an entry >= 0 also marks its state visited
+		}
+		queue = queue[:0]
+		for l := range lanes {
+			queue = append(queue, int32(l*nodes+int(dst)))
+		}
 		for head := 0; head < len(queue); head++ {
-			// A neighbor one hop "behind" v reaches dst through the port
-			// whose link lands on v.
-			v := int(queue[head])
+			// A neighbor one hop "behind" (l, v) reaches dst through the
+			// port whose link lands on v, if that hop enters lane l: from
+			// lane l, or from lane 0 into lane 1.
+			l, v := int(queue[head])/nodes, int(queue[head])%nodes
 			for i := v * deg; i < (v+1)*deg; i++ {
-				if nb := nbr[i]; nb >= 0 && nb != int32(dst) && row[nb] < 0 {
-					row[nb] = back[i]
-					queue = append(queue, nb)
+				nb := nbr[i]
+				if nb < 0 || nb == int32(dst) || (label != nil && label[v] < label[nb]) != (l == 1) {
+					continue
+				}
+				for from := 0; from <= l; from++ {
+					if s := from*nodes + int(nb); row[s] < 0 {
+						row[s] = back[i]
+						queue = append(queue, int32(s))
+					}
 				}
 			}
 		}
 	}
 }
 
-// BFSLaneTableOver is every row of LaneRows(nodes, deg, link) in one
-// per-destination table: entry [dst*nodes+cur] is row dst's entry cur.
+// BFSLaneTableOver is every row of one-lane LaneRows(nodes, deg, 1, link) in
+// one per-destination table: entry [dst*nodes+cur] is row dst's entry cur.
 func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int16 {
-	row := LaneRows(nodes, deg, link)
+	_, row := LaneRows(nodes, deg, 1, link)
 	table := make([]int16, nodes*nodes)
 	for d := 0; d < nodes; d++ {
 		row(topology.Node(d), table[d*nodes:(d+1)*nodes])

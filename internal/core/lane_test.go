@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/router"
 	"repro/internal/topology"
 )
 
@@ -83,7 +85,7 @@ func TestAcyclicLaneCDGIsChannelGranular(t *testing.T) {
 	if err := core.VerifyDeadlockFree(g, lane); err != nil {
 		t.Fatalf("channel-granular check: %v", err)
 	}
-	routers := dbGraph(t, g, lane, nil)
+	routers := dbGraph(t, g, oneLane(lane), nil)
 	if !routers.HasDep(db(1), db(2)) || !routers.HasDep(db(2), db(1)) {
 		t.Fatalf("router-granular lane graph lacks the DB(1) <-> DB(2) 2-cycle (%d DBs, %d deps)",
 			routers.Channels(), routers.Deps())
@@ -103,54 +105,165 @@ func TestAcyclicLaneCDGIsChannelGranular(t *testing.T) {
 		{topology.MustFatTree(4), false},
 		{topology.MustFullMesh(8), true},
 	} {
-		if got := dbGraph(t, c.g, laneFor(c.g), nil).Acyclic(); got != c.acyclic {
+		if got := dbGraph(t, c.g, oneLane(laneFor(c.g)), nil).Acyclic(); got != c.acyclic {
 			t.Errorf("%s: single-lane router-granular graph acyclic = %v, want %v", c.g.Name(), got, c.acyclic)
 		}
 	}
 }
 
-// db is the resource a Deadlock Buffer lane flit holds at router v.
+// db is the resource a lane-0 Deadlock Buffer flit holds at router v.
 func db(v topology.Node) core.Channel { return core.Channel{From: v} }
 
-// dbGraph collapses every lane channel onto its receiving router: the
-// dependency graph over Deadlock Buffers that token-free use of one DB lane
-// needs acyclic. It walks lane for every (src, dst) pair onLane accepts (nil
-// accepts all); the packet leaves src from an input VC, and every later hop
-// holds the DB of the router it is in and waits for the next one's.
-func dbGraph(t *testing.T, g topology.Graph, lane core.LaneRouting, onLane func(src, dst topology.Node) bool) *core.Graph {
+// laneStep is one Deadlock Buffer hop with its lane state: the port a flit
+// in lane at cur takes toward dst and the lane it enters at the far end, or
+// ok=false where the lane supplies no hop.
+type laneStep func(lane int, cur, dst topology.Node) (port, next int, ok bool)
+
+// oneLane is a single lane's laneStep: every hop stays in lane 0.
+func oneLane(lane core.LaneRouting) laneStep {
+	return func(_ int, cur, dst topology.Node) (int, int, bool) {
+		port, ok := lane(cur, dst)
+		return port, 0, ok
+	}
+}
+
+// lanes is every row of core.LaneRows, by destination, and its labels.
+type lanes struct {
+	label []int32
+	rows  [][]int16
+}
+
+// buildLanes gathers the rows core.LaneRows builds for n lanes over link.
+func buildLanes(nodes, deg, n int, link func(v topology.Node, p int) (topology.Node, int, bool)) lanes {
+	label, row := core.LaneRows(nodes, deg, n, link)
+	ls := lanes{label, make([][]int16, nodes)}
+	for d := range ls.rows {
+		ls.rows[d] = make([]int16, n*nodes)
+		row(topology.Node(d), ls.rows[d])
+	}
+	return ls
+}
+
+// twoLanes is the laneStep of two-lane rows over g's links, as the router
+// routes by them: a hop to a lower label enters lane 1, any other lane 0.
+func twoLanes(g topology.Graph, ls lanes) laneStep {
+	nodes := g.Nodes()
+	return func(lane int, cur, dst topology.Node) (int, int, bool) {
+		port := int(ls.rows[dst][lane*nodes+int(cur)])
+		nb, ok := g.Neighbor(cur, port)
+		if port < 0 || !ok {
+			return 0, 0, false
+		}
+		if ls.label[nb] < ls.label[cur] {
+			return port, 1, true
+		}
+		return port, 0, true
+	}
+}
+
+// walkLanes walks step from src to dst carrying the lane state, starting in
+// lane 0 as a recovery does, and calls hop on every hop. A walk longer than
+// one visit to every (lane, node) state loops, and is reported.
+func walkLanes(g topology.Graph, step laneStep, src, dst topology.Node, hop func(lane int, cur topology.Node, next int, nb topology.Node)) error {
+	lane, cur := 0, src
+	for n := 0; cur != dst; n++ {
+		port, next, ok := step(lane, cur, dst)
+		if !ok || n > 2*g.Nodes() {
+			return fmt.Errorf("lanes stuck or looping at %d (lane %d) en route %d->%d", cur, lane, src, dst)
+		}
+		nb, _ := g.Neighbor(cur, port)
+		hop(lane, cur, next, nb)
+		lane, cur = next, nb
+	}
+	return nil
+}
+
+// dbGraph collapses every lane channel onto its receiving router's
+// Deadlock Buffer lane: the dependency graph over Deadlock Buffers that
+// token-free use of the lanes needs acyclic. It walks step for every (src,
+// dst) pair; the packet leaves src from an input VC, and every later hop
+// holds the DB lane it is in and waits for the next one's. keep (nil keeps
+// all) selects the dependencies to add by the lanes they join.
+func dbGraph(t *testing.T, g topology.Graph, step laneStep, keep func(from, to int) bool) *core.Graph {
 	t.Helper()
 	routers := core.NewGraph()
 	for s := 0; s < g.Nodes(); s++ {
 		for d := 0; d < g.Nodes(); d++ {
-			cur, dst := topology.Node(s), topology.Node(d)
-			if onLane != nil && !onLane(cur, dst) {
-				continue
-			}
-			for held := false; cur != dst; held = true {
-				port, ok := lane(cur, dst)
-				if !ok {
-					t.Fatalf("%s: lane stuck at %d for %d -> %d", g.Name(), cur, s, d)
+			held := false
+			err := walkLanes(g, step, topology.Node(s), topology.Node(d), func(lane int, cur topology.Node, next int, nb topology.Node) {
+				if held && (keep == nil || keep(lane, next)) {
+					routers.AddDep(core.Channel{From: cur, Port: lane}, core.Channel{From: nb, Port: next})
 				}
-				nb, _ := g.Neighbor(cur, port)
-				if held {
-					routers.AddDep(db(cur), db(nb))
-				}
-				cur = nb
+				held = true
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name(), err)
 			}
 		}
 	}
 	return routers
 }
 
-// TestConcurrentLanesMonotoneConnectedAcyclic guards the rows concurrent
-// recovery routes both of its Deadlock Buffer lanes by, gathered into one
-// table: every hop moves strictly toward dst in recovery order without
-// passing it, the rows pass the Lemma 1 gate, and each lane's
-// router-granular DB graph is acyclic — the property the lane pair exists
-// for, since one lane's is not (above). Rows that may overshoot dst pass
-// every end-to-end test yet lose packets.
-func TestConcurrentLanesMonotoneConnectedAcyclic(t *testing.T) {
-	for _, g := range []topology.Graph{
+// pairedLinks is g's paired links in core.LaneRows' shape, less the link
+// on port cutPort of cut in both directions when cutPort >= 0.
+func pairedLinks(g topology.Graph, cut topology.Node, cutPort int) func(v topology.Node, p int) (topology.Node, int, bool) {
+	return func(v topology.Node, p int) (topology.Node, int, bool) {
+		nb, ok := g.Neighbor(v, p)
+		rev, paired := g.ReversePortAt(v, p)
+		if cutPort >= 0 && (v == cut && p == cutPort || nb == cut && rev == cutPort) {
+			return 0, 0, false
+		}
+		return nb, rev, ok && paired
+	}
+}
+
+// cutGraph is a graph with one link removed in both directions.
+type cutGraph struct {
+	topology.Graph
+	cut  topology.Node
+	port int
+}
+
+func (c cutGraph) Neighbor(v topology.Node, p int) (topology.Node, bool) {
+	if _, _, ok := pairedLinks(c.Graph, c.cut, c.port)(v, p); !ok {
+		return 0, false
+	}
+	return c.Graph.Neighbor(v, p)
+}
+
+// randomConnected returns a seeded random connected digraph of n nodes: a
+// random spanning tree plus m random extra paired links.
+func randomConnected(t *testing.T, rng *rand.Rand, name string, n, m int) topology.Graph {
+	t.Helper()
+	adj := make([][]int, n)
+	join := func(u, v int) {
+		if u != v && !slices.Contains(adj[u], v) {
+			adj[u] = append(adj[u], v)
+			adj[v] = append(adj[v], u)
+		}
+	}
+	for v := 1; v < n; v++ {
+		join(v, rng.IntN(v))
+	}
+	for range m {
+		join(rng.IntN(n), rng.IntN(n))
+	}
+	g, err := topology.NewDigraph(name, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestConcurrentLanesAscendThenDescend guards the rows concurrent recovery
+// routes its two Deadlock Buffer lanes by, on every shipped class, on
+// seeded random connected digraphs and on a torus with a link cut: every
+// hop obeys the lane rule (lane 1 only descends, so nothing goes back), a
+// walk carrying the lane state delivers every pair, and the router-granular
+// DB graph is acyclic for each lane and for the two together — the
+// property the lane pair exists for, since one lane's is not (above).
+func TestConcurrentLanesAscendThenDescend(t *testing.T) {
+	graphs := []topology.Graph{
 		topology.MustTorus(4, 4),
 		topology.MustTorus(3, 5),
 		topology.MustTorus(8, 8),
@@ -158,36 +271,45 @@ func TestConcurrentLanesMonotoneConnectedAcyclic(t *testing.T) {
 		topology.MustMesh(2, 3, 4),
 		topology.MustHypercube(4),
 		topology.MustFullMesh(8),
-	} {
-		pos, build := router.MonotoneLane(g, g.RecoveryLane())
-		nodes := g.Nodes()
-		table := make([]int16, nodes*nodes)
-		for d := 0; d < nodes; d++ {
-			build(topology.Node(d), table[d*nodes:(d+1)*nodes])
+		topology.MustDragonfly(4, 2),
+		topology.MustFatTree(4),
+		cutGraph{topology.MustTorus(4, 4), 5, topology.PortFor(0, 1)},
+	}
+	rng := rand.New(rand.NewPCG(47, 2))
+	for i := range 30 {
+		n := 4 + rng.IntN(13)
+		graphs = append(graphs, randomConnected(t, rng, fmt.Sprintf("random-%d", i), n, rng.IntN(2*n)))
+	}
+	for _, g := range graphs {
+		link := pairedLinks(g, 0, -1)
+		if c, ok := g.(cutGraph); ok {
+			link = pairedLinks(c.Graph, c.cut, c.port)
 		}
-		for d := 0; d < nodes; d++ {
-			for c := 0; c < nodes; c++ {
-				if c == d {
-					continue
-				}
-				port := int(table[d*nodes+c])
-				nb, ok := g.Neighbor(topology.Node(c), port)
-				up := pos[c] < pos[nb] && pos[nb] <= pos[d]
-				down := pos[d] <= pos[nb] && pos[nb] < pos[c]
-				if !ok || !up && !down {
-					t.Fatalf("%s: hop %d->%d via port %d (positions %d -> %d, dst %d) is not monotone toward dst",
-						g.Name(), c, d, port, pos[c], pos[nb], pos[d])
+		ls := buildLanes(g.Nodes(), g.Degree(), 2, link)
+		step := twoLanes(g, ls)
+		for s := range g.Nodes() {
+			for d := range g.Nodes() {
+				err := walkLanes(g, step, topology.Node(s), topology.Node(d), func(lane int, cur topology.Node, next int, nb topology.Node) {
+					if lane == 1 && ls.label[nb] >= ls.label[cur] {
+						t.Fatalf("%s: lane-1 hop %d->%d climbs (labels %d -> %d) en route %d->%d",
+							g.Name(), cur, nb, ls.label[cur], ls.label[nb], s, d)
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", g.Name(), err)
 				}
 			}
 		}
-		lane := core.TableLane(g, table)
-		if err := core.VerifyLaneConnected(g, lane); err != nil {
-			t.Errorf("%s: %v", g.Name(), err)
-		}
-		for _, up := range []bool{true, false} {
-			onLane := func(src, dst topology.Node) bool { return pos[dst] > pos[src] == up }
-			if cycle := dbGraph(t, g, lane, onLane).FindCycle(); cycle != nil {
-				t.Errorf("%s: lane (up=%v) has a router-granular DB cycle %v", g.Name(), up, cycle)
+		for _, c := range []struct {
+			what string
+			keep func(from, to int) bool
+		}{
+			{"lane 0", func(from, to int) bool { return from == 0 && to == 0 }},
+			{"lane 1", func(from, to int) bool { return from == 1 && to == 1 }},
+			{"both lanes", nil},
+		} {
+			if cycle := dbGraph(t, g, step, c.keep).FindCycle(); cycle != nil {
+				t.Errorf("%s: %s has a router-granular DB cycle %v", g.Name(), c.what, cycle)
 			}
 		}
 	}

@@ -20,23 +20,30 @@ func concurrentConfig(seed uint64) Config {
 }
 
 // TestConcurrentRecoveryDrains stresses the most deadlock-prone
-// configuration under token-free recovery: every packet must still be
-// delivered, and recoveries happen without any token.
+// configuration under token-free recovery, on the torus and on the two
+// classes whose recovery order steps off the links: every packet must still
+// be delivered, and recoveries happen without any token.
 func TestConcurrentRecoveryDrains(t *testing.T) {
-	n := mustNet(t, concurrentConfig(12))
-	if n.Token() != nil {
-		t.Fatal("concurrent recovery must not create a token")
-	}
-	drain(t, n, 4000, 60000)
-	c := n.Counters()
-	if c.PacketsDelivered != c.PacketsInjected {
-		t.Fatalf("lost packets: injected %d delivered %d", c.PacketsInjected, c.PacketsDelivered)
-	}
-	if c.Recoveries == 0 {
-		t.Fatal("expected recoveries under saturating 1-VC load")
-	}
-	if c.TokenSeizures != 0 {
-		t.Fatal("token seizures must be zero in concurrent mode")
+	for _, g := range []topology.Graph{topology.MustTorus(4, 4), topology.MustDragonfly(4, 2), topology.MustFatTree(4)} {
+		t.Run(g.Name(), func(t *testing.T) {
+			cfg := testConfig(g, routing.Disha(0), 0.9, 12)
+			cfg.Router = concurrentConfig(12).Router
+			n := mustNet(t, cfg)
+			if n.Token() != nil {
+				t.Fatal("concurrent recovery must not create a token")
+			}
+			drain(t, n, 4000, 60000)
+			c := n.Counters()
+			if c.PacketsDelivered != c.PacketsInjected {
+				t.Fatalf("lost packets: injected %d delivered %d", c.PacketsInjected, c.PacketsDelivered)
+			}
+			if c.Recoveries == 0 {
+				t.Fatal("expected recoveries under saturating 1-VC load")
+			}
+			if c.TokenSeizures != 0 {
+				t.Fatal("token seizures must be zero in concurrent mode")
+			}
+		})
 	}
 }
 

@@ -55,10 +55,11 @@ func TestRejectsOversizedDegree(t *testing.T) {
 }
 
 // TestRejectsBadRecoveryLane pins the constructor-time validation of the
-// declared recovery lane. A lane that skips nodes, repeats a node, or (for
-// concurrent recovery) steps between unlinked nodes used to panic deep in
-// wiring; every shape must now surface as an error from New. The last is the
-// Lemma 1 gate's: monotone rows over such an order get stuck.
+// declared recovery lane, which the Token tours. A lane that skips or
+// repeats a node used to panic deep in wiring; both shapes must now surface
+// as an error from New. A lane that steps between unlinked nodes is
+// accepted in every mode: the Token does not walk the links, and
+// concurrent recovery reads no recovery order.
 func TestRejectsBadRecoveryLane(t *testing.T) {
 	base := topology.MustHypercube(2)
 	cases := []struct {
@@ -70,15 +71,16 @@ func TestRejectsBadRecoveryLane(t *testing.T) {
 		{"truncated", []topology.Node{0, 1}, router.RecoverySequential, "visits 2 of 4"},
 		{"duplicate", []topology.Node{0, 1, 1, 2}, router.RecoverySequential, "not a permutation"},
 		// 0,1,2,3 is a permutation, but 1->2 flips two bits: not a
-		// hypercube link, which only concurrent recovery requires.
-		{"unlinked step", []topology.Node{0, 1, 2, 3}, router.RecoveryConcurrent, "fails Lemma 1: recovery order steps 1->2 off the links"},
+		// hypercube link. Concurrent recovery, which once derived its lanes
+		// from the order, accepts it (want "").
+		{"unlinked step", []topology.Node{0, 1, 2, 3}, router.RecoveryConcurrent, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig(badLaneGraph{base, c.lane}, routing.Disha(0), 0.2, 1)
 			cfg.Router.Recovery = c.mode
 			_, err := New(cfg)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
+			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
 				t.Fatalf("err = %v, want %q", err, c.want)
 			}
 		})
@@ -123,23 +125,43 @@ func TestRejectsDisconnectedGraph(t *testing.T) {
 	}
 }
 
-// installedLane is the Deadlock Buffer lane New installs on g in mode, as
-// one table over g's links: monotone rows over the recovery order under
-// concurrent recovery, dimension order on a cube, BFS rows otherwise.
-func installedLane(g topology.Graph, mode router.RecoveryMode) core.LaneRouting {
-	if mode == router.RecoveryConcurrent {
-		_, row := router.MonotoneLane(g, g.RecoveryLane())
-		nodes := g.Nodes()
-		table := make([]int16, nodes*nodes)
-		for d := range nodes {
-			row(topology.Node(d), table[d*nodes:(d+1)*nodes])
+// walkInstalledLane is core.VerifyLaneConnected's walk over every (src,
+// dst) pair of the Deadlock Buffer lane New installs on g in mode:
+// dimension order on a cube, BFS rows otherwise, and under concurrent
+// recovery the two-lane rows of core.LaneRows, walked with their lane state
+// from lane 0 (a hop to a lower label enters lane 1) and reported as stuck
+// or looping past one visit to every (lane, node) state.
+func walkInstalledLane(g topology.Graph, mode router.RecoveryMode) error {
+	if mode != router.RecoveryConcurrent {
+		if t, ok := topology.Coordinated(g); ok {
+			return core.VerifyLaneConnected(g, core.DORLane(t))
 		}
-		return core.TableLane(g, table)
+		return core.VerifyLaneConnected(g, core.TableLane(g, core.BFSLaneTable(g)))
 	}
-	if t, ok := topology.Coordinated(g); ok {
-		return core.DORLane(t)
+	nodes := g.Nodes()
+	label, build := core.LaneRows(nodes, g.Degree(), 2, func(v topology.Node, p int) (topology.Node, int, bool) {
+		nb, ok := g.Neighbor(v, p)
+		rev, paired := g.ReversePortAt(v, p)
+		return nb, rev, ok && paired
+	})
+	row := make([]int16, 2*nodes)
+	for d := range nodes {
+		build(topology.Node(d), row)
+		for s := range nodes {
+			lane, cur := 0, topology.Node(s)
+			for n := 0; cur != topology.Node(d); n++ {
+				nb, ok := g.Neighbor(cur, int(row[lane*nodes+int(cur)]))
+				if !ok || n > 2*nodes {
+					return fmt.Errorf("lanes stuck or looping at %d (lane %d) en route %d->%d", cur, lane, s, d)
+				}
+				if label[nb] < label[cur] {
+					lane = 1
+				}
+				cur = nb
+			}
+		}
 	}
-	return core.TableLane(g, core.BFSLaneTable(g))
+	return nil
 }
 
 // randomSymmetricGraph returns n nodes joined by m random paired links;
@@ -165,12 +187,13 @@ func randomSymmetricGraph(rng *rand.Rand, n, m int, path bool, skip int) [][]int
 	return adj
 }
 
-// TestLemma1VerdictMatchesWalk holds New's O(links) Lemma 1 check to
-// core.VerifyLaneConnected's walk over every (src, dst) pair: on every
-// built-in of core's TestLaneConnectedOnBuiltins, seeded random NewDigraph
-// graphs (connected and not) and bad concurrent recovery orders, in every
-// recovery mode, New accepts exactly when the lane it installs delivers
-// every pair, and refuses with the Lemma 1 prefix otherwise.
+// TestLemma1VerdictMatchesWalk holds New's O(links) Lemma 1 check to a walk
+// over every (src, dst) pair of the lane it installs: on every built-in of
+// core's TestLaneConnectedOnBuiltins, seeded random NewDigraph graphs
+// (connected and not) and recovery orders that step off the links, in
+// every recovery mode, New accepts exactly when the lane delivers every
+// pair, and refuses with the Lemma 1 prefix otherwise. Every lane delivers
+// on exactly the connected graphs.
 func TestLemma1VerdictMatchesWalk(t *testing.T) {
 	graphs := []topology.Graph{
 		topology.MustTorus(4, 4),
@@ -181,7 +204,8 @@ func TestLemma1VerdictMatchesWalk(t *testing.T) {
 		topology.MustFullMesh(8),
 		topology.MustDragonfly(4, 2),
 		topology.MustFatTree(4),
-		// 0,1,2,3 on the 4-ring hypercube(2) steps 1->2 off the links.
+		// Recovery orders no lane reads. 0,1,2,3 on the 4-ring
+		// hypercube(2) steps 1->2 off the links.
 		badLaneGraph{topology.MustHypercube(2), []topology.Node{0, 1, 2, 3}},
 		// A 4x4 mesh snake from 1 whose only unlinked step is its last,
 		// 12->0.
@@ -204,7 +228,7 @@ func TestLemma1VerdictMatchesWalk(t *testing.T) {
 			cfg := testConfig(g, routing.Disha(0), 0, 1)
 			cfg.Router.Recovery = mode
 			_, err := New(cfg)
-			walk := core.VerifyLaneConnected(g, installedLane(g, mode))
+			walk := walkInstalledLane(g, mode)
 			switch {
 			case walk == nil && err != nil:
 				t.Errorf("%s, %s: New refuses (%v), the walk delivers every pair", g.Name(), mode, err)

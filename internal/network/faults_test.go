@@ -46,13 +46,6 @@ func TestKillLinkRefusesDisconnection(t *testing.T) {
 	}
 }
 
-func TestKillLinkRejectsConcurrentRecovery(t *testing.T) {
-	n := mustNet(t, concurrentConfig(1))
-	if err := n.KillLink(0, 0); err == nil {
-		t.Fatal("fault injection with concurrent recovery must be refused")
-	}
-}
-
 // TestDishaToleratesFaults is the paper's fault-tolerance claim end to end:
 // with several failed links, Disha with misrouting delivers every packet —
 // including packets stranded by the faults, which escape through the

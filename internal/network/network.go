@@ -6,7 +6,6 @@
 package network
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"time"
@@ -331,13 +330,9 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	if cfg.Router.Timeout > 0 {
-		// Token-serialized and concurrent recovery route their Deadlock
-		// Buffer lanes by the recovery order; abort-retry routes no Deadlock
-		// Buffer hop and needs no order.
-		var order []topology.Node
-		if cfg.Router.Recovery != router.RecoveryAbortRetry {
-			var err error
-			if order, err = validRecoveryLane(topo); err != nil {
+		// The Token tours the recovery order; no other mode reads it.
+		if cfg.Router.Recovery == router.RecoverySequential {
+			if err := validRecoveryLane(topo); err != nil {
 				return nil, err
 			}
 		}
@@ -345,27 +340,17 @@ func New(cfg Config) (*Network, error) {
 		// (the paper's Lemma 1, generalized to arbitrary digraphs). Every
 		// lane installed below is one by construction, given two O(links)
 		// facts checked here instead of walking every (src, dst) pair:
-		//   - BFS rows are reverse BFS trees toward each destination over
-		//     paired live links (every link is paired, checked above), so
-		//     each spans the network iff the live graph is connected;
-		//   - dimension order on an intact cube fixes one coordinate a hop;
-		//   - monotone rows (router.MonotoneLane) deliver iff consecutive
-		//     recovery-order nodes are linked.
+		//   - lane rows (core.LaneRows) are reverse BFS trees toward each
+		//     destination over paired live links (every link is paired,
+		//     checked above), so each spans the network iff the live graph
+		//     is connected: one lane may take any link, and two lanes reach
+		//     every node by climbing to the root and descending its tree;
+		//   - dimension order on an intact cube fixes one coordinate a hop.
 		// The tests hold this to core.VerifyLaneConnected's walk.
-		var err error
 		if !n.liveConnectedExcluding(-1) {
-			err = errors.New("the graph is disconnected")
-		} else if cfg.Router.Recovery == router.RecoveryConcurrent {
-			err = orderStepsAlongLinks(topo, order)
+			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: the graph is disconnected", topo.Name())
 		}
-		if err != nil {
-			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: %v", topo.Name(), err)
-		}
-		_, cube := topology.Coordinated(topo)
-		switch {
-		case cfg.Router.Recovery == router.RecoveryConcurrent:
-			n.routerState.SetRecoveryOrder(order)
-		case !cube:
+		if _, cube := topology.Coordinated(topo); !cube || cfg.Router.Recovery == router.RecoveryConcurrent {
 			n.useLiveLaneRows()
 		}
 		if cfg.Router.Recovery == router.RecoverySequential {
@@ -375,12 +360,13 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// useLiveLaneRows routes the Deadlock Buffer lane by BFS rows over the links
-// live now, each built on the first hop toward its destination, and empties
-// the row memo. Every BFS tree is loop-free and avoids dead links and
-// routers, so Lemma 1 holds under faults.
+// useLiveLaneRows routes the Deadlock Buffer lanes by BFS rows over the
+// links live now, each built on the first hop toward its destination, and
+// empties the row memo; two lanes are relabelled over the same links. Every
+// BFS tree is loop-free and avoids dead links and routers, so Lemma 1 holds
+// under faults.
 func (n *Network) useLiveLaneRows() {
-	n.routerState.SetLaneRows(core.LaneRows(len(n.routers), n.topo.Degree(), n.liveLink))
+	n.routerState.SetLaneRows(core.LaneRows(len(n.routers), n.topo.Degree(), n.routers[0].DBLanes(), n.liveLink))
 }
 
 // liveLink is where port p of v leads now, in core.LaneRows' shape.
@@ -394,35 +380,19 @@ func (n *Network) liveLink(v topology.Node, p int) (topology.Node, int, bool) {
 }
 
 // validRecoveryLane checks that the topology's declared recovery lane
-// visits every node exactly once, returning it. Both Deadlock Buffer modes
-// rely on this (the Token circulates the lane; concurrent lanes are derived
-// from its order).
-func validRecoveryLane(topo topology.Graph) ([]topology.Node, error) {
+// visits every node exactly once. It serves the Token only, which
+// circulates the lane; no Deadlock Buffer hop reads it.
+func validRecoveryLane(topo topology.Graph) error {
 	lane := topo.RecoveryLane()
 	if len(lane) != topo.Nodes() {
-		return nil, fmt.Errorf("network: %s recovery lane visits %d of %d nodes", topo.Name(), len(lane), topo.Nodes())
+		return fmt.Errorf("network: %s recovery lane visits %d of %d nodes", topo.Name(), len(lane), topo.Nodes())
 	}
 	seen := make([]bool, topo.Nodes())
 	for _, node := range lane {
 		if int(node) < 0 || int(node) >= topo.Nodes() || seen[node] {
-			return nil, fmt.Errorf("network: %s recovery lane is not a permutation (node %d)", topo.Name(), node)
+			return fmt.Errorf("network: %s recovery lane is not a permutation (node %d)", topo.Name(), node)
 		}
 		seen[node] = true
-	}
-	return lane, nil
-}
-
-// orderStepsAlongLinks reports the first step of a recovery order that is
-// not a link of topo.
-func orderStepsAlongLinks(topo topology.Graph, order []topology.Node) error {
-steps:
-	for i := 1; i < len(order); i++ {
-		for p := 0; p < topo.Degree(); p++ {
-			if nb, ok := topo.Neighbor(order[i-1], p); ok && nb == order[i] {
-				continue steps
-			}
-		}
-		return fmt.Errorf("recovery order steps %d->%d off the links", order[i-1], order[i])
 	}
 	return nil
 }

@@ -216,7 +216,8 @@ func (n *Network) RecoveryBacklog() (presumed, busy int) {
 // This is the paper's fault tolerance: adaptive routing steers around the
 // fault, and a packet it strands times out and escapes through the lane. On
 // an idle link nothing is lost. Every check of validate applies: the live
-// network must stay connected, and concurrent recovery refuses it.
+// network must stay connected. Under concurrent recovery this and every
+// other kill or heal also drops the packets recovering on the lanes.
 func (n *Network) KillLink(node topology.Node, port int) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigKillLink, Node: node, Port: port})
 }
@@ -314,6 +315,19 @@ func (n *Network) applyMutation(ev *ReconfigEvent) string {
 		// Surviving packets still aimed at a dying link re-route next cycle.
 		n.eachEnd(ev.Node, ports, (*router.Router).ReleaseGrants)
 	}
+	if ev.Kind != ReconfigSwapAlgorithm && n.cfg.Router.Recovery == router.RecoveryConcurrent {
+		// New wiring relabels the two lanes. A recovering packet's chain and
+		// grant follow the old labels: under the new ones it may have no
+		// descending path left, and old chains could close a cycle. So every
+		// recovering packet is a victim, and the lanes restart empty.
+		victims := n.victimScratch[:0]
+		for _, p := range n.collectPackets() {
+			if p.OnDB {
+				victims = append(victims, p)
+			}
+		}
+		n.dropVictims(victims)
+	}
 	n.transition(*ev, ports, alg)
 	if ev.Kind == ReconfigSwapAlgorithm {
 		return "" // no link changed: channels and DB routes stand
@@ -332,10 +346,6 @@ func (n *Network) applyMutation(ev *ReconfigEvent) string {
 // where it could have happened.
 func (n *Network) validate(ev ReconfigEvent) (ports []int, alg routing.Algorithm, reason string) {
 	node, port, deg := ev.Node, ev.Port, n.topo.Degree()
-	kill := ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter
-	if kill && n.cfg.Router.Recovery == router.RecoveryConcurrent {
-		return nil, nil, "reconfiguration is not supported with concurrent recovery (its lane table is built once, over the intact topology)"
-	}
 	switch ev.Kind {
 	case ReconfigKillLink, ReconfigHealLink:
 		if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= deg {

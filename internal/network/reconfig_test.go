@@ -344,6 +344,60 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 	}
 }
 
+// TestKillUnderConcurrentRecovery kills a link and a router mid-run under
+// concurrent recovery at saturating load, then heals both: each event
+// relabels the two lanes over the live links and drops the packets
+// recovering on them, a snapshot taken after the kills restores to the
+// same fingerprint and runs on in lockstep, and the network drains with
+// every injected packet delivered or counted lost.
+func TestKillUnderConcurrentRecovery(t *testing.T) {
+	cfg := concurrentConfig(12)
+	n := mustNet(t, cfg)
+	n.Run(300)
+	if err := n.KillLink(5, 0); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(200)
+	if err := n.KillRouter(10); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(200)
+	var snap bytes.Buffer
+	if err := n.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	m := mustNet(t, cfg)
+	if err := m.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if got, want := m.FingerprintHex(), n.FingerprintHex(); got != want {
+			t.Fatalf("restored after the kills at cycle %d: fingerprint %s, original %s", n.Now(), got, want)
+		}
+		n.Run(200)
+		m.Run(200)
+	}
+	if err := n.HealRouter(10); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(200)
+	if err := n.HealLink(5, 0); err != nil {
+		t.Fatal(err)
+	}
+	n.StopInjection()
+	drain(t, n, 200, 60000)
+	c := n.Counters()
+	if c.PacketsInjected != c.PacketsDelivered+c.PacketsLost {
+		t.Fatalf("ledger: injected %d, delivered %d + lost %d", c.PacketsInjected, c.PacketsDelivered, c.PacketsLost)
+	}
+	if c.Recoveries == 0 || c.PacketsLost == 0 {
+		t.Fatalf("%d recoveries, %d packets lost; want both", c.Recoveries, c.PacketsLost)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSwapAlgorithmIsNetworkWide checks that a routing-function swap is one
 // fact: the network and every router report the new function, after the
 // swap and after a snapshot replays it into a fresh network.

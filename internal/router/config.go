@@ -75,11 +75,10 @@ const (
 	// points to via its Disha-CR citation): every presumed-deadlocked
 	// packet may recover immediately. Deadlock freedom of the recovery lane
 	// itself comes from structure instead of mutual exclusion — two
-	// direction-partitioned Deadlock Buffers per router whose one set of
-	// next-hop rows (MonotoneLane) only moves a packet forward along the
-	// topology's recovery order, taking the furthest link that does not pass
-	// its destination, so each lane's buffer dependency graph is acyclic.
-	// Requires FlitByFlit allocation.
+	// Deadlock Buffers per router routed ascend-then-descend over labels
+	// drawn from the live links (core.LaneRows): lane 0 only climbs, lane 1
+	// only descends and nothing goes back, so the lanes' buffer dependency
+	// graph is acyclic. Requires FlitByFlit allocation.
 	RecoveryConcurrent
 	// RecoveryAbortRetry is the Compressionless-Routing-style alternative
 	// the paper argues against: presumed-deadlocked packets are killed —

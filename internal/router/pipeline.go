@@ -122,9 +122,7 @@ func (r *Router) routeSlot(i int) {
 		// A recovered packet re-routes onto the DB lane; this occurs only if
 		// the recovery grant was made before the header advanced (normally
 		// Recover sets the route directly).
-		s.inDBLane[i] = int32(r.recoveryLane(p.Dst))
-		r.setRoute(i, int32(r.dbLaneRoute(p.Dst)))
-		s.inOutVC[i] = VCDeadlockBuffer
+		r.aimAtDB(i, p.Dst)
 		return
 	}
 
@@ -164,16 +162,19 @@ func (r *Router) routeSlot(i int) {
 // --- Switch allocation ----------------------------------------------------------
 
 // stageDBOutput stages the Deadlock Buffer hop on output q if some lane
-// wants it: each lane continues on the same lane index at the next router.
-// Both allocation policies call it before granting q to an input VC, which
-// is the Deadlock Buffer's priority on its output.
+// wants it: the hop enters the lane its direction picks (hopLane) at the
+// next router. Both allocation policies call it before granting q to an
+// input VC, which is the Deadlock Buffer's priority on its output.
 func (r *Router) stageDBOutput(q int, out *[]Transfer) bool {
 	s := r.st
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if s.db.n[i] != 0 && int(s.dbRoute[i]) == q && dbStageable(r.neighbors[q], lane, s.dbPkt[i]) {
+		if s.db.n[i] == 0 || int(s.dbRoute[i]) != q {
+			continue
+		}
+		if next := r.hopLane(q); dbStageable(r.neighbors[q], next, s.dbPkt[i]) {
 			*out = append(*out, Transfer{From: r, FromDB: true, FromDBLane: lane,
-				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: lane})
+				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: next})
 			return true
 		}
 	}
@@ -206,7 +207,7 @@ func Commit(t *Transfer, sink Sink) {
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
 			to.st.dbPkt[i] = fl.Pkt
-			to.st.dbRoute[i] = int32(to.dbLaneRoute(fl.Pkt.Dst))
+			to.st.dbRoute[i] = int32(to.dbLaneRoute(t.ToDBLane, fl.Pkt.Dst))
 			fl.Pkt.Hops++
 		}
 		t.From.stats.FlitsSwitched++
@@ -389,9 +390,8 @@ func (r *Router) MostStarved() (port, vc int, ok bool) {
 // Recover switches the packet whose header waits in input VC (port, vc)
 // onto the Deadlock Buffer lane: it releases any edge output VC the header
 // held, marks the packet recovered (it may use only Deadlock Buffers from
-// here to its destination — paper Assumption 3) and aims it at the next DB
-// hop (dbLaneRoute) on the lane recoveryLane picks. It returns the
-// recovered packet.
+// here to its destination — paper Assumption 3) and aims it at its first DB
+// hop (aimAtDB). It returns the recovered packet.
 func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	s := r.st
 	i := r.inIdx(port, vc)
@@ -405,9 +405,7 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	p.OnDB = true
 	p.SeizedToken = s.cfg.Recovery == RecoverySequential
 	p.RecoveredAt = now
-	s.inDBLane[i] = int32(r.recoveryLane(p.Dst))
-	r.setRoute(i, int32(r.dbLaneRoute(p.Dst)))
-	s.inOutVC[i] = VCDeadlockBuffer
+	r.aimAtDB(i, p.Dst)
 	r.clearTimer(i)
 	r.stats.Recoveries++
 	return p
@@ -437,36 +435,37 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 	return out
 }
 
-// recoveryLane picks the Deadlock Buffer lane for a recovery starting here:
-// lane 0 under sequential recovery; under concurrent recovery the up lane
-// when the destination lies further along the recovery order, else the down
-// lane.
-func (r *Router) recoveryLane(dst topology.Node) int {
-	if r.st.cfg.Recovery != RecoveryConcurrent {
-		return 0
-	}
-	pos := r.st.orderPos
-	if pos == nil {
-		panic("router: concurrent recovery without SetRecoveryOrder")
-	}
-	if pos[dst] > pos[r.node] {
-		return laneUp
-	}
-	return laneDown
+// aimAtDB grants input slot i, whose header is bound for dst, its first
+// Deadlock Buffer hop: a recovery starts in lane 0, which reaches every
+// destination, and enters the lane the hop's direction picks.
+func (r *Router) aimAtDB(i int, dst topology.Node) {
+	q := r.dbLaneRoute(0, dst)
+	r.setRoute(i, int32(q))
+	r.st.inDBLane[i] = int32(r.hopLane(q))
+	r.st.inOutVC[i] = VCDeadlockBuffer
 }
 
-// dbLaneRoute returns the Deadlock Buffer lane's output at this router for
-// a packet to dst: ejection at the destination, else the installed lane
-// row's entry (concurrent lanes, coordinate-free or faulted topologies),
-// else minimal dimension order. A concurrent packet's lane is implied by dst:
-// the row never carries it past dst in lane order.
-func (r *Router) dbLaneRoute(dst topology.Node) int {
+// hopLane is the Deadlock Buffer lane a hop out of port q enters at the
+// next router: with two lanes, lane 1 where the hop descends to a lower
+// label, else lane 0.
+func (r *Router) hopLane(q int) int {
+	if label := r.st.laneLabel; label != nil && q >= 0 && label[r.neighbors[q].node] < label[r.node] {
+		return 1
+	}
+	return 0
+}
+
+// dbLaneRoute returns the output at this router of Deadlock Buffer lane
+// lane for a packet to dst: ejection at the destination, else the installed
+// lane row's entry (concurrent lanes, coordinate-free or faulted
+// topologies), else minimal dimension order.
+func (r *Router) dbLaneRoute(lane int, dst topology.Node) int {
 	if r.node == dst {
 		return PortEject
 	}
 	s := r.st
 	if s.laneRow != nil {
-		return int(s.laneRowTo(dst)[r.node])
+		return int(s.laneRowTo(dst)[lane*s.nodes+int(r.node)])
 	}
 	// Coordinate-free graphs always route by lane rows (the network installs
 	// the BFS rows at construction), so reaching the dimension-order

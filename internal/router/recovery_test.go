@@ -9,51 +9,100 @@ import (
 	"repro/internal/topology"
 )
 
-// setRecoveryOrder installs the concurrent lanes the network would, on
-// every bench router (each has a State of its own).
-func setRecoveryOrder(b *testBench) {
-	for _, r := range b.routers {
-		r.st.SetRecoveryOrder(b.topo.RecoveryLane())
+// installTwoLanes installs concurrent recovery's two Deadlock Buffer lanes
+// on every bench router of a torus (each has a State of its own), in the
+// shape core.LaneRows gives them but built here, since core imports this
+// package: routers are labelled by node ID, lane 0 climbs by +1 steps
+// (lowest dimension first) while dst has a higher coordinate, then both
+// lanes descend by -1 steps; no hop crosses a wraparound. It returns the
+// labels.
+func installTwoLanes(b *testBench) []int32 {
+	topo, nodes := b.topo, b.topo.Nodes()
+	label := make([]int32, nodes)
+	for v := range label {
+		label[v] = int32(v)
 	}
+	build := func(dst topology.Node, row []int16) {
+		for i := range row {
+			lane, cur := i/nodes, topology.Node(i%nodes)
+			up, down := -1, -1
+			for dim := range len(topo.Coord(cur)) {
+				c, want := topo.CoordAt(cur, dim), topo.CoordAt(dst, dim)
+				if want > c && up < 0 {
+					up = topology.PortFor(dim, +1)
+				}
+				if want < c && down < 0 {
+					down = topology.PortFor(dim, -1)
+				}
+			}
+			switch {
+			case up >= 0 && lane == 0:
+				row[i] = int16(up)
+			case up < 0 && down >= 0:
+				row[i] = int16(down)
+			default:
+				row[i] = -1
+			}
+		}
+	}
+	for _, r := range b.routers {
+		r.st.SetLaneRows(label, build)
+	}
+	return label
 }
 
+// TestConcurrentRecoveryLaneSelection pins how a router moves a packet
+// between the two lanes: a recovery starts on lane 0's row and enters the
+// lane its first hop's direction picks, every later hop likewise, and a
+// lane's route is the memoised row's entry for (lane, router).
 func TestConcurrentRecoveryLaneSelection(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	cfg := Default()
 	cfg.Recovery = RecoveryConcurrent
 	b := newBench(t, topo, cfg, routing.Disha(0))
-	setRecoveryOrder(b)
-	order := topo.RecoveryLane()
-	mid := b.routers[order[7]] // somewhere in the middle of the order
+	label := installTwoLanes(b)
+	mid := b.routers[topo.NodeAt(topology.Coord{2, 1})]
 
 	if mid.DBLanes() != 2 {
 		t.Fatalf("concurrent router has %d DB lanes, want 2", mid.DBLanes())
 	}
-	// Destination further up the path -> up lane; further down -> down lane.
-	up := packet.New(1, order[7], order[12], 2, 0)
-	down := packet.New(2, order[7], order[2], 2, 0)
-	if lane := mid.recoveryLane(up.Dst); lane != laneUp {
-		t.Fatalf("up destination got lane %d", lane)
-	}
-	if lane := mid.recoveryLane(down.Dst); lane != laneDown {
-		t.Fatalf("down destination got lane %d", lane)
-	}
-	// The lane route is the memoised row's entry, and it lands strictly
-	// between here and the destination in lane order.
-	pos := mid.st.orderPos
-	for _, p := range []*packet.Packet{up, down} {
-		got := mid.dbLaneRoute(p.Dst)
-		if want := int(mid.st.LaneRows()[p.Dst][mid.node]); got != want {
-			t.Fatalf("lane route to %d is %d, row entry %d", p.Dst, got, want)
+	for _, c := range []struct {
+		dst        topology.Coord
+		port, lane int
+	}{
+		// (2,3) lies above: climb +y and stay in lane 0.
+		{topology.Coord{2, 3}, topology.PortFor(1, +1), 0},
+		// (0,0) lies below on both axes: descend -x into lane 1.
+		{topology.Coord{0, 0}, topology.PortFor(0, -1), 1},
+		// (1,3) needs +y before -x: climb first, in lane 0.
+		{topology.Coord{1, 3}, topology.PortFor(1, +1), 0},
+	} {
+		dst := topo.NodeAt(c.dst)
+		i := mid.inIdx(0, 0)
+		mid.aimAtDB(i, dst)
+		if got, lane := int(mid.st.inRoute[i]), int(mid.st.inDBLane[i]); got != c.port || lane != c.lane {
+			t.Fatalf("recovery toward %v aims at port %d, lane %d; want port %d, lane %d", c.dst, got, lane, c.port, c.lane)
 		}
-		nb, _ := topo.Neighbor(mid.node, got)
-		lo, hi := min(pos[mid.node], pos[p.Dst]), max(pos[mid.node], pos[p.Dst])
-		if nb == mid.node || pos[nb] < lo || pos[nb] > hi {
-			t.Fatalf("lane hop %d -> %d (position %d) leaves (%d, %d]", mid.node, nb, pos[nb], pos[mid.node], pos[p.Dst])
+		for lane := 0; lane < 2; lane++ {
+			if got, want := mid.dbLaneRoute(lane, dst), int(mid.st.LaneRows()[dst][lane*topo.Nodes()+int(mid.node)]); got != want {
+				t.Fatalf("lane %d route toward %v is %d, row entry %d", lane, c.dst, got, want)
+			}
 		}
 	}
-	if got := mid.dbLaneRoute(mid.NodeID()); got != PortEject {
-		t.Fatal("at destination the lane must eject")
+	// Every hop takes its lane from its direction, whichever lane it leaves.
+	for q := 0; q < topo.Degree(); q++ {
+		want := 0
+		if label[mid.Neighbor(q).node] < label[mid.node] {
+			want = 1
+		}
+		if got := mid.hopLane(q); got != want {
+			t.Fatalf("hop out of port %d enters lane %d, want %d", q, got, want)
+		}
+	}
+	for lane := 0; lane < 2; lane++ {
+		if got := mid.dbLaneRoute(lane, mid.NodeID()); got != PortEject {
+			t.Fatal("at destination the lane must eject")
+		}
 	}
 }
 
@@ -62,10 +111,9 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	cfg := Default()
 	cfg.Recovery = RecoveryConcurrent
 	b := newBench(t, topo, cfg, routing.DOR())
-	setRecoveryOrder(b)
-	order := topo.RecoveryLane()
-	src := order[3]
-	dst := order[8]
+	installTwoLanes(b)
+	src := topo.NodeAt(topology.Coord{2, 0})
+	dst := topo.NodeAt(topology.Coord{1, 2})
 
 	// Park a blocked header at src's network input port 0 by occupying all
 	// of its DOR output VCs, then force the timers past T_out.
@@ -93,17 +141,18 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	if !p.OnDB || p.SeizedToken {
 		t.Fatalf("concurrent recovery state wrong: onDB=%v seized=%v", p.OnDB, p.SeizedToken)
 	}
+	down := false
 	for i := 0; i < 60 && !p.Delivered(); i++ {
 		b.step()
+		down = down || b.routers[dst].DBLaneOwner(1) == p
 	}
 	if !p.Delivered() {
-		t.Fatal("packet did not traverse the up DB lane to its destination")
+		t.Fatal("packet did not traverse the DB lanes to its destination")
 	}
-	// Hops grow by the table's path length, not the lane-order distance
-	// (8-3 = 5): order[3] steps to order[4], which shortcuts over the torus
-	// wraparound to order[7], which steps to order[8].
-	if p.Hops != 3 {
-		t.Fatalf("lane hops = %d, want 3", p.Hops)
+	// (2,0) climbs +y twice in lane 0, to (2,2), then descends -x into
+	// lane 1 at (1,2): three hops, one crossing.
+	if p.Hops != 3 || !down {
+		t.Fatalf("lane hops = %d, arrived in lane 1 = %v; want 3 hops ending in lane 1", p.Hops, down)
 	}
 }
 

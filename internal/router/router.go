@@ -48,12 +48,6 @@ const (
 	VCDeadlockBuffer = -2
 )
 
-// Deadlock Buffer lane indices for concurrent recovery.
-const (
-	laneUp   = 0 // toward increasing positions on the recovery order
-	laneDown = 1 // toward decreasing positions on the recovery order
-)
-
 const connNone = -1
 
 // MaxDegree is the largest router degree the switch allocators support: they

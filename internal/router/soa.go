@@ -12,15 +12,14 @@ import (
 
 // State is everything the routers of one network share: the network-wide
 // facts — topology, router configuration, the installed routing and
-// selection functions, the Deadlock Buffer lane's row builder and its row
-// memo, the recovery-order positions, the timeout observer, the network's
-// clock — each stored once,
-// and the hot per-cycle
-// microarchitectural state of every router as flat struct-of-arrays buffers
-// indexed by (router, port, vc). A Router is a view over its slice of the
-// buffers, so route compute, switch allocation and the deadlock-timer phase
-// sweep contiguous memory, and a network-wide change (SetAlgorithm,
-// SetLaneRows) is one assignment. Routers are laid out consecutively.
+// selection functions, the Deadlock Buffer lanes' row builder, its row
+// memo and labels, the timeout observer, the network's clock — each stored
+// once, and the hot per-cycle microarchitectural state of every router as
+// flat struct-of-arrays buffers indexed by (router, port, vc). A Router is a
+// view over its slice of the buffers, so route compute, switch allocation
+// and the deadlock-timer phase sweep contiguous memory, and a network-wide
+// change (SetAlgorithm, SetLaneRows) is one assignment. Routers are laid out
+// consecutively.
 //
 // Layout (all slices are allocated once, at NewState, and never grow):
 //
@@ -79,11 +78,11 @@ type State struct {
 	// laneRow, when set, routes the Deadlock Buffer lanes by next-hop rows
 	// instead of dimension order (see SetLaneRows); laneRows memoises them,
 	// laneRows[dst] nil until a Deadlock Buffer hop toward dst needs it.
-	laneRow  func(dst topology.Node, row []int16)
-	laneRows [][]int16
-	// orderPos is every node's position on the recovery order (concurrent
-	// recovery picks a lane by it; see SetRecoveryOrder).
-	orderPos []int32
+	// laneLabel orders two lanes (nil with one): a hop to a lower label
+	// enters lane 1.
+	laneRow   func(dst topology.Node, row []int16)
+	laneRows  [][]int16
+	laneLabel []int32
 	// onTimeout, when set via SetOnTimeout, observes every newly presumed
 	// header, called by TickTimers where it presumes it.
 	onTimeout func(topology.Node, *packet.Packet)
@@ -102,7 +101,7 @@ type State struct {
 	inPkt      []*packet.Packet
 	inRoute    []int32 // granted output port, PortEject or PortUnrouted (write via setRoute)
 	inOutVC    []int32 // granted output VC, VCDeadlockBuffer or VCUnrouted
-	inDBLane   []int32 // recovery lane when inOutVC == VCDeadlockBuffer
+	inDBLane   []int32 // lane the hop enters when inOutVC == VCDeadlockBuffer
 	inWaiting  []sim.Cycle
 	inPresumed []bool
 	in         flitRing // push and pop through pushIn/popIn
@@ -268,10 +267,11 @@ func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
 
 // SetLaneRows routes the Deadlock Buffer lanes by next-hop rows in place of
 // dimension order and empties the row memo. build fills row with the output
-// port toward dst at each node, -1 at dst (core.LaneRows' shape); a row
-// is built on the first hop that needs it and kept until the next call.
-func (s *State) SetLaneRows(build func(dst topology.Node, row []int16)) {
-	s.laneRow = build
+// port toward dst of each lane at each node, -1 at dst, and label orders two
+// lanes (core.LaneRows' shape); a row is built on the first hop that needs
+// it and kept until the next call.
+func (s *State) SetLaneRows(label []int32, build func(dst topology.Node, row []int16)) {
+	s.laneLabel, s.laneRow = label, build
 	clear(s.laneRows)
 }
 
@@ -290,64 +290,11 @@ func (s *State) laneRowTo(dst topology.Node) []int16 {
 	}
 	row := s.laneRows[dst]
 	if row == nil {
-		row = make([]int16, s.nodes)
+		row = make([]int16, s.lanes*s.nodes)
 		s.laneRow(dst, row)
 		s.laneRows[dst] = row
 	}
 	return row
-}
-
-// SetRecoveryOrder installs concurrent recovery's two Deadlock Buffer lanes
-// (MonotoneLane over the recovery order): the positions pick a recovery's
-// lane, the rows route both.
-func (s *State) SetRecoveryOrder(order []topology.Node) {
-	pos, row := MonotoneLane(s.topo, order)
-	s.orderPos = pos
-	s.SetLaneRows(row)
-}
-
-// MonotoneLane returns each node's position on order (a permutation of g's
-// nodes) and a SetLaneRows row builder sending a flit at cur bound for dst
-// to the neighbor furthest along order toward dst that does not pass it —
-// the monotone shortcut of Lin–McKinley–Ni dual-path routing. Positions
-// strictly increase on the up lane and strictly decrease on the down lane,
-// so neither lane's dependency graph over receiving routers has a cycle. An
-// entry is -1 at dst and where no neighbor qualifies. The rows deliver every
-// (src, dst) pair iff every step of order is a link: then the next node on
-// order always qualifies, and a flit at one end of an unlinked step bound
-// for the other has no neighbor that does. network.New checks the steps.
-func MonotoneLane(g topology.Graph, order []topology.Node) (pos []int32, row func(dst topology.Node, row []int16)) {
-	nodes, deg := g.Nodes(), g.Degree()
-	pos = make([]int32, nodes)
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	nbPos := make([]int32, nodes*deg) // -1 where port p of v has no link
-	for i := range nbPos {
-		nbPos[i] = -1
-		if nb, ok := g.Neighbor(topology.Node(i/deg), i%deg); ok {
-			nbPos[i] = pos[nb]
-		}
-	}
-	return pos, func(dst topology.Node, row []int16) {
-		d := pos[dst]
-		for c := range row {
-			row[c] = -1
-			// ahead is how far short of dst a hop lands, in lane direction:
-			// the smallest non-negative one wins, the lowest port on a tie.
-			dir := int32(1)
-			if d < pos[c] {
-				dir = -1
-			}
-			best := dir * (d - pos[c])
-			for p := 0; p < deg; p++ {
-				np := nbPos[c*deg+p]
-				if ahead := dir * (d - np); np >= 0 && ahead >= 0 && ahead < best {
-					best, row[c] = ahead, int16(p)
-				}
-			}
-		}
-	}
 }
 
 // SetOnTimeout installs the observer TickTimers calls for every header it
