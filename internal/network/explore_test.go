@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -29,7 +30,9 @@ import (
 // In every visited state CheckInvariants holds. With sequential recovery
 // armed every run drains (the paper's appendix theorem), and a presumed
 // header never waits longer than one Token tour while the Token is free
-// (Assumption 4: the Token visits every router). With recovery off
+// (Assumption 4: the Token visits every router). With concurrent recovery
+// armed every run drains too: its two ascend-then-descend lanes never
+// wedge, however many packets recover at once. With recovery off
 // the run ends drained or wedged, and core.AnalyzeWFG is held to ground
 // truth in the one direction that holds cycle by cycle: a packet it flags
 // never moves again. The converse fails mid-run (a blocked header whose
@@ -61,11 +64,11 @@ type exploreCase struct {
 	topo     topology.Graph
 	alg      routing.Algorithm
 	vcs      int
-	recovery bool // sequential recovery at T_out exploreTout, or none
+	recovery bool                // recovery in mode at T_out exploreTout, or none
+	mode     router.RecoveryMode // sequential or concurrent
 	seeds    []uint64
-	// presumes: the case must presume a deadlock in some run (sequential
-	// recovery) or wedge in some run (recovery off); otherwise it is
-	// vacuous.
+	// presumes: the case must presume a deadlock in some run (recovery
+	// armed) or wedge in some run (recovery off); otherwise it is vacuous.
 	presumes bool
 	// avoidance: a deadlock-avoidance baseline, which must never wedge.
 	avoidance bool
@@ -82,23 +85,29 @@ func exploreCases() []exploreCase {
 		topo     topology.Graph
 		alg      routing.Algorithm
 		presumes bool
+		// concurrent: also explore concurrent recovery, on the instances
+		// whose runs presume most.
+		concurrent bool
 	}{
-		{"torus-4", torus4, routing.Disha(0), true},
-		{"torus-2x2", torus2x2, routing.Disha(0), true},
+		{"torus-4", torus4, routing.Disha(0), true, true},
+		{"torus-2x2", torus2x2, routing.Disha(0), true, false},
 		// Minimal routing on a full mesh is one hop, so M=0 never presumes;
 		// only M=1 puts packets on the BFS Deadlock Buffer lane table.
-		{"fullmesh-4-m0", fullmesh4, routing.Disha(0), false},
-		{"fullmesh-4-m1", fullmesh4, routing.Disha(1), true},
+		{"fullmesh-4-m0", fullmesh4, routing.Disha(0), false, false},
+		{"fullmesh-4-m1", fullmesh4, routing.Disha(1), true, true},
 	} {
 		cases = append(cases,
-			exploreCase{in.name + "/sequential", in.topo, in.alg, 1, true, seeds, in.presumes, false},
+			exploreCase{in.name + "/sequential", in.topo, in.alg, 1, true, router.RecoverySequential, seeds, in.presumes, false},
 			// Only torus-4 must wedge: the other instances' runs are
 			// checked the same way, but need not deadlock at all.
-			exploreCase{in.name + "/off", in.topo, in.alg, 1, false, seeds, in.name == "torus-4", false})
+			exploreCase{in.name + "/off", in.topo, in.alg, 1, false, router.RecoverySequential, seeds, in.name == "torus-4", false})
+		if in.concurrent {
+			cases = append(cases, exploreCase{in.name + "/concurrent", in.topo, in.alg, 1, true, router.RecoveryConcurrent, seeds, true, false})
+		}
 	}
 	for _, topo := range []topology.Graph{torus4, torus2x2} {
 		for _, alg := range []routing.Algorithm{routing.DOR(), routing.NegativeFirst(), routing.DallyAoki(), routing.Duato()} {
-			cases = append(cases, exploreCase{topo.Name() + "/" + alg.Name(), topo, alg, alg.MinVCs(topo), false, []uint64{1}, false, true})
+			cases = append(cases, exploreCase{topo.Name() + "/" + alg.Name(), topo, alg, alg.MinVCs(topo), false, router.RecoverySequential, []uint64{1}, false, true})
 		}
 	}
 	return cases
@@ -110,8 +119,9 @@ type exploreStats struct {
 	// endStates holds the fingerprint of every run's final state (its first
 	// 8 bytes): fingerprinting every visited state would double the run time.
 	endStates map[uint64]struct{}
-	presumed  int   // runs with at least one timeout
-	seizures  int64 // Token seizures over all runs
+	presumed   int   // runs with at least one timeout
+	seizures   int64 // Token seizures over all runs
+	recoveries int64 // packets recovered over all runs
 	wedged    int   // runs that ended at a fixed point with packets left
 	peakHeap  uint64
 }
@@ -138,9 +148,9 @@ func TestExplore(t *testing.T) {
 			}
 			st.samplePeakHeap()
 			secs := time.Since(start).Seconds()
-			t.Logf("%d runs, %d states, %d distinct end-state fingerprints, %.0f states/s, peak heap %.1f MB; %d runs presume, %d Token seizures, %d wedge",
-				st.runs, st.states, len(st.endStates), float64(st.states)/secs, float64(st.peakHeap)/(1<<20),
-				st.presumed, st.seizures, st.wedged)
+			t.Logf("%d runs, %d states, %d distinct end-state fingerprints, %.0f states/s, %.1f s, peak heap %.1f MB; %d runs presume, %d recoveries, %d Token seizures, %d wedge",
+				st.runs, st.states, len(st.endStates), float64(st.states)/secs, secs, float64(st.peakHeap)/(1<<20),
+				st.presumed, st.recoveries, st.seizures, st.wedged)
 			switch {
 			case ec.presumes && ec.recovery && st.presumed == 0:
 				t.Error("no run presumed a deadlock; the recovery check is vacuous")
@@ -207,6 +217,7 @@ func exploreRun(t *testing.T, ec exploreCase, seed uint64, load int, st *explore
 	cfg.Router.VCs = ec.vcs
 	cfg.Router.BufferDepth = 1
 	cfg.Router.Timeout = exploreTout
+	cfg.Router.Recovery = ec.mode
 	if !ec.recovery {
 		cfg.Router.Timeout = 0
 	}
@@ -237,11 +248,11 @@ func exploreRun(t *testing.T, ec exploreCase, seed uint64, load int, st *explore
 		unserved := 0
 		for !n.Drained() {
 			if n.Now() >= exploreLimit {
-				fail("sequential recovery has not drained the network")
+				fail("%s recovery has not drained the network", ec.mode)
 			}
 			n.Step()
 			visit()
-			if exploreTokenIdle(n) {
+			if n.token != nil && exploreTokenIdle(n) {
 				unserved++
 			} else {
 				unserved = 0
@@ -255,6 +266,7 @@ func exploreRun(t *testing.T, ec exploreCase, seed uint64, load int, st *explore
 			st.presumed++
 		}
 		st.seizures += c.TokenSeizures
+		st.recoveries += c.Recoveries
 		return
 	}
 
