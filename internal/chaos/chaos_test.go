@@ -145,7 +145,24 @@ func TestCampaignAcceptance(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("16x16 campaign is slow; CI runs it in a dedicated non-race step")
 	}
-	topo := topology.MustTorus(16, 16)
+	campaignAcceptance(t, topology.MustTorus(16, 16), router.RecoverySequential)
+}
+
+// TestCampaignAcceptanceConcurrent runs the same campaign under concurrent
+// recovery: each kill and heal relabels the two lanes and drops the
+// packets recovering on them, and the ledger must still balance.
+func TestCampaignAcceptanceConcurrent(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("16x16 campaign is slow; CI runs it in a dedicated non-race step")
+	}
+	campaignAcceptance(t, topology.MustTorus(16, 16), router.RecoveryConcurrent)
+}
+
+// campaignAcceptance runs TestCampaignAcceptance's 24-event campaign on topo
+// with recovery: it drains with every injected packet delivered or counted
+// lost, every applied event reconverges, and a mid-campaign checkpoint
+// replays byte-identically.
+func campaignAcceptance(t *testing.T, topo topology.Graph, recovery router.RecoveryMode) {
 	sched, err := Generate(CampaignConfig{
 		Topo: topo, Seed: 11, Events: 24, Start: 200, Spacing: 150, RouterKills: true,
 	})
@@ -157,6 +174,7 @@ func TestCampaignAcceptance(t *testing.T) {
 	}
 
 	cfg := testConfig(topo, 0.35, 11)
+	cfg.Router.Recovery = recovery
 	net := mustNet(t, cfg)
 	run, err := NewRunner(net, sched)
 	if err != nil {
@@ -182,6 +200,8 @@ func TestCampaignAcceptance(t *testing.T) {
 		t.Fatalf("undelivered non-dropped packets: injected=%d delivered=%d lost=%d",
 			c.PacketsInjected, c.PacketsDelivered, c.PacketsLost)
 	}
+	t.Logf("%s: injected %d, delivered %d, lost %d, %d recoveries, drained at cycle %d",
+		recovery, c.PacketsInjected, c.PacketsDelivered, c.PacketsLost, c.Recoveries, net.Now())
 	sum := run.Summary()
 	applied := 0
 	for _, rep := range run.Reports() {
