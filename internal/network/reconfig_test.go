@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/routing"
@@ -345,11 +346,13 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 }
 
 // TestKillUnderConcurrentRecovery kills a link and a router mid-run under
-// concurrent recovery at saturating load, then heals both: each event
-// relabels the two lanes over the live links and drops the packets
-// recovering on them, a snapshot taken after the kills restores to the
-// same fingerprint and runs on in lockstep, and the network drains with
-// every injected packet delivered or counted lost.
+// concurrent recovery at saturating load, then heals both and cuts and
+// heals 30 more links: each event relabels the two lanes over the live
+// links and drops the packets recovering on them, a snapshot taken after
+// the kills restores to the same fingerprint and runs on in lockstep, and
+// the network drains with every injected packet delivered or counted lost.
+// Kept on the lanes, a packet whose chain was laid under the old labels
+// wedges the lanes or loses flits within a few such events.
 func TestKillUnderConcurrentRecovery(t *testing.T) {
 	cfg := concurrentConfig(12)
 	n := mustNet(t, cfg)
@@ -383,6 +386,17 @@ func TestKillUnderConcurrentRecovery(t *testing.T) {
 	n.Run(200)
 	if err := n.HealLink(5, 0); err != nil {
 		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(12, 0))
+	for range 30 {
+		n.Run(40)
+		v, p := topology.Node(rng.IntN(16)), rng.IntN(4)
+		if n.KillLink(v, p) == nil {
+			n.Run(20)
+			if err := n.HealLink(v, p); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	n.StopInjection()
 	drain(t, n, 200, 60000)
