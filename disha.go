@@ -217,8 +217,8 @@ const (
 type RecoveryMode = router.RecoveryMode
 
 // Recovery modes: the paper's Token-serialized escape through one Deadlock
-// Buffer lane, token-free recovery on two direction-partitioned lanes that
-// shortcut monotonically along the recovery order, and kill-and-retransmit.
+// Buffer lane, token-free recovery on two lanes that climb then descend
+// over BFS labels of the live links, and kill-and-retransmit.
 const (
 	RecoverySequential = router.RecoverySequential
 	RecoveryConcurrent = router.RecoveryConcurrent

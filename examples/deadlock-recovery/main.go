@@ -93,7 +93,7 @@ func main() {
 	cc := cr.Counters()
 	fmt.Printf("delivered %d/%d packets; %d recoveries with no token at all\n",
 		cc.PacketsDelivered, cc.PacketsInjected, cc.Recoveries)
-	fmt.Println("(deadlocked packets recover immediately over two direction-partitioned")
-	fmt.Println(" Deadlock Buffer lanes that shortcut monotonically along the recovery")
-	fmt.Println(" order — see DESIGN.md for the construction)")
+	fmt.Println("(deadlocked packets recover immediately over two Deadlock Buffer lanes")
+	fmt.Println(" that climb, then descend, BFS labels of the links — see DESIGN.md for")
+	fmt.Println(" the construction)")
 }

@@ -115,10 +115,8 @@ type Graph interface {
 	// RecoveryLane returns the topology's declared deadlock-recovery
 	// visiting order: every node exactly once. Sequential (Token) recovery
 	// circulates it over a dedicated hardwired control path, so any
-	// permutation works; concurrent recovery routes Deadlock Buffer flits
-	// monotonically along it, so consecutive lane nodes must then be
-	// physically linked. internal/network validates the declared lane
-	// against the recovery mode at construction time.
+	// permutation works; no other mode reads it. internal/network
+	// validates it at construction time.
 	RecoveryLane() []Node
 }
 
@@ -431,8 +429,8 @@ func (c *cube) CrossesDateline(n Node, port int) bool {
 
 // RecoveryLane for cubes is a boustrophedon (snake) order: consecutive nodes
 // differ in exactly one coordinate by one, so it is a Hamiltonian path of the
-// mesh (and of the torus, which has the mesh's links plus wraparounds) and
-// serves sequential and concurrent recovery alike. The golden digests pin it.
+// mesh (and of the torus, which has the mesh's links plus wraparounds). The
+// Token tours it; the golden digests pin it.
 func (c *cube) RecoveryLane() []Node {
 	order := make([]Node, 0, c.nodes)
 	for i := 0; i < c.nodes; i++ {
