@@ -118,12 +118,12 @@ type exploreStats struct {
 	runs, states int
 	// endStates holds the fingerprint of every run's final state (its first
 	// 8 bytes): fingerprinting every visited state would double the run time.
-	endStates map[uint64]struct{}
+	endStates  map[uint64]struct{}
 	presumed   int   // runs with at least one timeout
 	seizures   int64 // Token seizures over all runs
 	recoveries int64 // packets recovered over all runs
-	wedged    int   // runs that ended at a fixed point with packets left
-	peakHeap  uint64
+	wedged     int   // runs that ended at a fixed point with packets left
+	peakHeap   uint64
 }
 
 // TestExplore runs every case of exploreCases over every load and seed.
