@@ -449,7 +449,7 @@ func (r *Router) aimAtDB(i int, dst topology.Node) {
 // next router: with two lanes, lane 1 where the hop descends to a lower
 // label, else lane 0.
 func (r *Router) hopLane(q int) int {
-	if label := r.st.laneLabel; label != nil && q >= 0 && label[r.neighbors[q].node] < label[r.node] {
+	if label := r.st.laneLabel; label != nil && label[r.neighbors[q].node] < label[r.node] {
 		return 1
 	}
 	return 0
