@@ -11,10 +11,10 @@ import (
 // Unlike the simulator's telemetry (which is strictly single-goroutine, see
 // package telemetry), sweep progress is inherently concurrent with whatever
 // else updates the registry — an HTTP server's own metrics, for example — so
-// all writes and every Publish go through one mutex owned here. Other
-// writers to the same registry must either share this mutex via Locked or
-// register pull-style metrics over atomic values, which are safe to render
-// from any goroutine.
+// all writes and every Publish go through one mutex owned here. Anything
+// else that registers on the same registry must register pull-style metrics
+// over atomic values, which are safe to render from any goroutine, as the
+// job server's serve_jobs_* totals do.
 type Metrics struct {
 	mu  sync.Mutex
 	reg *telemetry.Registry
