@@ -26,12 +26,12 @@
 // points land in a result cache keyed by content fingerprint, so identical
 // sub-requests across jobs dedupe to one execution. With -data-dir that
 // cache is also a file, <data-dir>/results.jsonl, in the format of
-// disha-sweep -journal (either reads the other's), beside mid-point
-// checkpoints in <data-dir>/ckpt: a killed server restarted on the
-// directory computes only what no earlier job finished, however the
-// resubmitted request is phrased:
+// disha-sweep -journal (either reads the other's): a killed server
+// restarted on the directory computes only what no earlier job finished,
+// however the resubmitted request is phrased. A point in flight at the kill
+// runs again from cycle 0:
 //
-//	disha-serve -addr :8080 -data-dir /var/lib/disha -checkpoint-every 2000
+//	disha-serve -addr :8080 -data-dir /var/lib/disha
 //
 // -fleet is the switch that exposes the (unauthenticated) worker API under
 // /fleet/ so workers can register at all:
@@ -68,8 +68,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		queue       = flag.Int("queue", 64, "maximum queued (not yet running) jobs")
-		dataDir     = flag.String("data-dir", "", "persistence directory: every finished point is kept in <dir>/results.jsonl (a disha-sweep -journal file) and in-flight points checkpoint to <dir>/ckpt, so a restarted server computes only what no earlier job finished (empty = in-memory only)")
-		ckptN       = flag.Int("checkpoint-every", 2000, "cycles between mid-point checkpoints when -data-dir is set (0 = finished points only)")
+		dataDir     = flag.String("data-dir", "", "persistence directory: every finished point is kept in <dir>/results.jsonl (a disha-sweep -journal file), so a restarted server computes only what no earlier job finished (empty = in-memory only)")
 		fleet       = flag.Bool("fleet", false, "coordinate a worker fleet: serve the /fleet/ API and execute sweep points on registered disha-worker processes (local fallback when none are live)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet lease time-to-live: a worker silent this long is presumed dead and its points re-dispatched")
 		maxAttempts = flag.Int("max-attempts", 3, "fleet dispatch attempts per point before falling back to local execution")
@@ -85,18 +84,16 @@ func main() {
 	}
 
 	opts := jobserver.Options{
-		QueueDepth:      *queue,
-		DataDir:         *dataDir,
-		CheckpointEvery: *ckptN,
-		RateLimit:       *rateLimit,
-		RateBurst:       *rateBurst,
+		QueueDepth: *queue,
+		DataDir:    *dataDir,
+		RateLimit:  *rateLimit,
+		RateBurst:  *rateBurst,
 	}
 	var coord *fabric.Coordinator
 	if *fleet {
 		coord = fabric.NewCoordinator(fabric.CoordinatorOptions{
-			LeaseTTL:        *leaseTTL,
-			MaxAttempts:     *maxAttempts,
-			CheckpointEvery: *ckptN,
+			LeaseTTL:    *leaseTTL,
+			MaxAttempts: *maxAttempts,
 		})
 		defer coord.Close()
 		opts.Fleet = coord

@@ -10,12 +10,11 @@
 // store is that JSONL file: finished points are appended to it and points it
 // already holds are served, not run, so a killed sweep rerun with the same
 // flags restarts where it left off (the file is disha-serve's
-// <data-dir>/results.jsonl, and either program opens the other's). Adding
-// -checkpoint-dir with -checkpoint-every additionally snapshots in-flight
-// points every N cycles, so even the point that was running when the process
-// died resumes mid-flight — with byte-identical CSV output. If any point
-// fails the command prints the partial results plus a failure summary and
-// exits non-zero.
+// <data-dir>/results.jsonl, and either program opens the other's). The
+// points that were running when the process died run again from cycle 0,
+// and the CSV output is byte-identical to an uninterrupted run's. If any
+// point fails the command prints the partial results plus a failure summary
+// and exits non-zero.
 //
 // Examples:
 //
@@ -23,8 +22,7 @@
 //	disha-sweep -fig all -scale small -parallel 2       # everything, 2 points at a time
 //	disha-sweep -fig 3a -csv out/                       # write out/fig3a-....csv
 //	disha-sweep -fig 4 -replicas 5                      # mean ± 95% CI over 5 seeds
-//	disha-sweep -fig all -journal sweep.journal.jsonl   # checkpoint; rerun to resume
-//	disha-sweep -fig 4 -journal s.jsonl -checkpoint-dir ckpt -checkpoint-every 2000
+//	disha-sweep -fig all -journal sweep.journal.jsonl   # rerun to resume
 package main
 
 import (
@@ -54,9 +52,7 @@ func main() {
 		charts    = flag.Bool("plot", true, "render ASCII charts of each figure")
 		parallel  = flag.Int("parallel", 0, "points simulated in this process at once (0 = all cores, 1 = one at a time; results are identical either way)")
 		replicas  = flag.Int("replicas", 1, "independent runs per point, aggregated into mean ± 95% CI")
-		journal   = flag.String("journal", "", "JSONL checkpoint file: completed points are appended to it, points it already holds are not rerun (optional)")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-point checkpoints; killed points resume mid-flight with byte-identical results (requires -checkpoint-every)")
-		ckptN     = flag.Int("checkpoint-every", 0, "cycles between mid-point checkpoints (0 = off; requires -checkpoint-dir)")
+		journal   = flag.String("journal", "", "JSONL result journal: completed points are appended to it, points it already holds are not rerun (optional)")
 		metrics   = flag.String("metrics-addr", "", "serve sweep progress on this address at /metrics (optional, e.g. :9090)")
 		chaosFile = flag.String("chaos", "", "arm this JSON chaos event-schedule on every point's network (cycles are warm-up + measurement; see CHAOS.md)")
 		version   = flag.Bool("version", false, "print build metadata and exit")
@@ -65,9 +61,6 @@ func main() {
 	if *version {
 		fmt.Println(telemetry.Build().String())
 		return
-	}
-	if (*ckptDir == "") != (*ckptN == 0) {
-		fail(fmt.Errorf("-checkpoint-dir and -checkpoint-every must be set together"))
 	}
 
 	var chaosEvents []disha.ReconfigEvent
@@ -120,12 +113,10 @@ func main() {
 			progress = nil
 		}
 		opts := disha.SweepOptions{
-			Parallel:        *parallel,
-			Replicas:        *replicas,
-			CheckpointEvery: *ckptN,
-			CheckpointDir:   *ckptDir,
-			Progress:        progress,
-			Metrics:         engineMetrics,
+			Parallel: *parallel,
+			Replicas: *replicas,
+			Progress: progress,
+			Metrics:  engineMetrics,
 		}
 		var before fabric.Stats
 		if store != nil {

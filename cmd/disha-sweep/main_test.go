@@ -73,7 +73,6 @@ func TestSweepResolvesThroughSpecFor(t *testing.T) {
 	}{
 		{"-scale huge", 1, `unknown scale "huge"`},
 		{"-fig 9", 1, `unknown figure "9"`},
-		{"-checkpoint-every 100", 1, "must be set together"},
 		{"-replicas -3", 1, "negative replicas -3"},
 		{"-warmup -5", 1, "negative warmup -5"},
 		{"-parallel -1", 1, "negative parallel -1"},
@@ -85,9 +84,12 @@ func TestSweepResolvesThroughSpecFor(t *testing.T) {
 				bad.args, code, bad.code, bad.want, out)
 		}
 	}
-	// A point runs once: there is no retry count to set.
-	if out, code := run("-retries", "1"); code != 2 || !strings.Contains(out, "flag provided but not defined: -retries") {
-		t.Errorf("disha-sweep -retries 1: exit %d, want 2 as an unknown flag; output:\n%s", code, out)
+	// A point runs once, from cycle 0: there is no retry count to set and no
+	// mid-point checkpoint to take.
+	for _, flag := range []string{"-retries", "-checkpoint-every", "-checkpoint-dir"} {
+		if out, code := run(flag, "1"); code != 2 || !strings.Contains(out, "flag provided but not defined: "+flag) {
+			t.Errorf("disha-sweep %s 1: exit %d, want 2 as an unknown flag; output:\n%s", flag, code, out)
+		}
 	}
 }
 

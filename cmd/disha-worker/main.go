@@ -1,7 +1,8 @@
 // Command disha-worker is a fleet worker: it registers with a disha-serve
 // coordinator running in -fleet mode, leases sweep points, executes them
-// through the deterministic harness, and uploads results (streaming
-// mid-point checkpoint blobs so a killed worker's points resume elsewhere).
+// through the deterministic harness, and uploads results. A killed worker's
+// points are re-dispatched when their leases expire and run again from
+// cycle 0 elsewhere.
 //
 //	disha-worker -coordinator http://host:8080/fleet
 //	disha-worker -coordinator http://host:8080/fleet -parallel 4 -id rack3-07
@@ -34,7 +35,6 @@ func main() {
 		coordinator = flag.String("coordinator", "", "coordinator fleet URL, e.g. http://host:8080/fleet (required)")
 		id          = flag.String("id", "", "worker identity, unique within the fleet (default hostname-pid)")
 		parallel    = flag.Int("parallel", 1, "points to execute concurrently")
-		ckptDir     = flag.String("checkpoint-dir", "", "local directory for mid-point checkpoint files (default: per-run temp dir)")
 		version     = flag.Bool("version", false, "print build metadata and exit")
 	)
 	flag.Parse()
@@ -50,11 +50,10 @@ func main() {
 
 	logger := log.New(os.Stderr, "disha-worker: ", log.LstdFlags)
 	w := fabric.NewWorker(fabric.WorkerOptions{
-		Coordinator:   *coordinator,
-		ID:            *id,
-		Parallel:      *parallel,
-		CheckpointDir: *ckptDir,
-		Logf:          logger.Printf,
+		Coordinator: *coordinator,
+		ID:          *id,
+		Parallel:    *parallel,
+		Logf:        logger.Printf,
 	})
 
 	// SIGINT/SIGTERM cancels the lease loops; points already executing

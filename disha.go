@@ -578,8 +578,8 @@ func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures
 
 // SweepOptions controls how an Experiment's sweep executes: how many points
 // this process simulates at once (Parallel — every point is offered to the
-// PointRunner, if any, at once), per-point replicas, mid-point
-// checkpoints and progress reporting. Run an Experiment with them via
+// PointRunner, if any, at once), per-point replicas and progress
+// reporting. Run an Experiment with them via
 // Experiment.RunWith; results are bit-identical for every Parallel value.
 type SweepOptions = harness.RunOptions
 

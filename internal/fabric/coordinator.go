@@ -25,10 +25,6 @@ type CoordinatorOptions struct {
 	// MaxAttempts bounds how often a unit is dispatched to workers before
 	// the coordinator gives up on the fleet and runs it locally (default 3).
 	MaxAttempts int
-	// CheckpointEvery, when positive, asks workers to checkpoint in-progress
-	// points every that many cycles and stream the blobs up, so a
-	// re-dispatched unit resumes mid-point (0 = start over on re-dispatch).
-	CheckpointEvery int
 }
 
 // unitState tracks where a work unit is in its lifecycle. Completed units
@@ -56,7 +52,6 @@ type unit struct {
 	worker  string    // lease holder when leased
 	expires time.Time // lease expiry when leased
 	queued  time.Time // when it last became pending
-	ckpt    []byte    // latest checkpoint blob streamed by a lease holder
 }
 
 // Coordinator decomposes sweeps into point work units, leases them to
@@ -384,7 +379,6 @@ func (c *Coordinator) leaseLocked(workerID string) *WorkUnit {
 		u.wu.Attempt++
 		c.queueWait.Observe(now.Sub(u.queued).Seconds())
 		wu := u.wu
-		wu.Checkpoint = u.ckpt
 		return &wu
 	}
 	return nil
@@ -457,25 +451,10 @@ func (c *Coordinator) Heartbeat(workerID string, fingerprints []string) (drop []
 	return drop
 }
 
-// StoreCheckpoint records the latest mid-point checkpoint blob for a unit,
-// to be handed to the next lease holder if this one dies. Only the unit's
-// lease holder may store one: a blob from any other worker — a presumed-dead
-// holder, or a worker that never held the lease — is dropped, or one stray
-// blob would fail every later attempt at checkpoint load.
-func (c *Coordinator) StoreCheckpoint(workerID, fp string, blob []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[workerID] = time.Now()
-	if u, ok := c.units[fp]; ok && len(blob) > 0 && u.state == unitLeased && u.worker == workerID {
-		u.ckpt = blob
-	}
-}
-
 // Deliver accepts a worker's result upload. Because every unit is a pure
 // function of (key, seed), the first result to arrive is authoritative;
 // late duplicates from presumed-dead workers are counted and dropped. An
-// error from the worker holding the lease re-queues the unit, without its
-// checkpoint blob (the error may be that blob failing to load), until
+// error from the worker holding the lease re-queues the unit until
 // MaxAttempts dispatches have been spent, then falls back to local
 // execution; an error from anyone else is as stale as a late duplicate — the
 // unit is pending, running locally or leased to another worker — and must
@@ -490,7 +469,6 @@ func (c *Coordinator) Deliver(up ResultUpload) {
 		c.dupResults.Add(1)
 	case up.Error != "" && u.state == unitLeased && u.worker == up.Worker:
 		c.workerErrors.Add(1)
-		u.ckpt = nil
 		c.redispatchLocked(u)
 	case up.Error != "":
 		c.dupResults.Add(1)
@@ -512,7 +490,7 @@ func (c *Coordinator) redispatchLocked(u *unit) {
 }
 
 // sweeper is the recovery loop: it expires dead leases (re-dispatching
-// their units, checkpoint blob attached) and, when the fleet has no live
+// their units) and, when the fleet has no live
 // workers, drains pending units to local execution so progress never
 // depends on a worker coming back.
 func (c *Coordinator) sweeper() {

@@ -138,11 +138,11 @@ func TestRemoteLeaseDeliverAndConcurrentDedupe(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiryRedispatchCarriesCheckpoint(t *testing.T) {
-	// Worker A leases a unit, streams a checkpoint blob, then goes silent
-	// (simulating a SIGKILL). The sweeper must presume it dead after the
-	// lease TTL and re-dispatch the unit — checkpoint attached — to worker
-	// B, whose result then settles the waiters.
+func TestLeaseExpiryRedispatches(t *testing.T) {
+	// Worker A leases a unit, then goes silent (simulating a SIGKILL). The
+	// sweeper must presume it dead after the lease TTL and re-dispatch the
+	// unit to worker B, which runs it from cycle 0 and whose result then
+	// settles the waiters.
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 200 * time.Millisecond})
 	defer c.Close()
 
@@ -175,7 +175,7 @@ func TestLeaseExpiryRedispatchCarriesCheckpoint(t *testing.T) {
 		done <- pr
 	}()
 
-	// Worker A takes the lease and checkpoints some progress.
+	// Worker A takes the lease...
 	var wu *WorkUnit
 	for deadline := time.Now().Add(5 * time.Second); wu == nil; {
 		if time.Now().After(deadline) {
@@ -185,7 +185,6 @@ func TestLeaseExpiryRedispatchCarriesCheckpoint(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("blob-at-cycle-1000"))
 	// ...and is never heard from again.
 
 	var re *WorkUnit
@@ -202,9 +201,6 @@ func TestLeaseExpiryRedispatchCarriesCheckpoint(t *testing.T) {
 	}
 	if re.Attempt != 2 {
 		t.Fatalf("re-dispatch attempt = %d, want 2", re.Attempt)
-	}
-	if string(re.Checkpoint) != "blob-at-cycle-1000" {
-		t.Fatalf("re-dispatch lost the checkpoint blob: %q", re.Checkpoint)
 	}
 	res := resultFor(3)
 	c.Deliver(ResultUpload{Worker: "wB", Fingerprint: re.Fingerprint, Key: re.Key, Result: &res})
@@ -306,52 +302,9 @@ func TestStaleErrorUploadDoesNotRequeue(t *testing.T) {
 	}
 }
 
-// TestCheckpointOnlyFromLeaseHolder: a checkpoint blob is the lease
-// holder's alone. A blob from a worker that never held the lease, or from a
-// holder whose lease has expired, must not reach the next dispatch.
-func TestCheckpointOnlyFromLeaseHolder(t *testing.T) {
-	const ttl = 5 * time.Second
-	c := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl})
-	defer c.Close()
-	c.Heartbeat("wA", nil)
-	c.Heartbeat("wB", nil)
-
-	tk := task(8)
-	done := make(chan harness.PointResult, 1)
-	go func() {
-		pr, err := c.Execute(nil, tk, mustNotRunLocally(t))
-		if err != nil {
-			t.Error(err)
-		}
-		done <- pr
-	}()
-	wu := c.LeaseWait(context.Background(), "wA")
-	if wu == nil {
-		t.Fatal("unit never became leasable")
-	}
-	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("holder-blob"))
-	c.StoreCheckpoint("wB", wu.Fingerprint, []byte("foreign-blob"))
-	c.sweep(time.Now().Add(ttl + time.Millisecond)) // wA's lease runs out
-	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("blob-after-expiry"))
-
-	re := c.Lease("wB")
-	if re == nil || re.Fingerprint != wu.Fingerprint || re.Attempt != 2 {
-		t.Fatalf("re-dispatch to wB: %+v", re)
-	}
-	if string(re.Checkpoint) != "holder-blob" {
-		t.Fatalf("re-dispatch carries %q, want the lease holder's blob", re.Checkpoint)
-	}
-	res := resultFor(8)
-	c.Deliver(ResultUpload{Worker: "wB", Fingerprint: re.Fingerprint, Key: re.Key, Result: &res})
-	if pr := <-done; pr.MeanLatency != 108 {
-		t.Fatalf("waiter got %+v", pr)
-	}
-}
-
-// TestWorkerErrorRequeuesWithoutCheckpoint: the holder's error may be its
-// blob failing to load, so the unit goes back to the queue without it and
-// the next attempt starts from cycle 0.
-func TestWorkerErrorRequeuesWithoutCheckpoint(t *testing.T) {
+// TestWorkerErrorRequeues: an error from the lease holder puts the unit back
+// in the queue, and the next worker's lease is its second attempt.
+func TestWorkerErrorRequeues(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second})
 	defer c.Close()
 	c.Heartbeat("wA", nil)
@@ -370,15 +323,11 @@ func TestWorkerErrorRequeuesWithoutCheckpoint(t *testing.T) {
 	if wu == nil {
 		t.Fatal("unit never became leasable")
 	}
-	c.StoreCheckpoint("wA", wu.Fingerprint, []byte("torn-blob"))
-	c.Deliver(ResultUpload{Worker: "wA", Fingerprint: wu.Fingerprint, Key: wu.Key, Error: "checkpoint load failed"})
+	c.Deliver(ResultUpload{Worker: "wA", Fingerprint: wu.Fingerprint, Key: wu.Key, Error: "simulated failure"})
 
 	re := c.Lease("wB")
 	if re == nil || re.Fingerprint != wu.Fingerprint || re.Attempt != 2 {
 		t.Fatalf("re-dispatch to wB: %+v", re)
-	}
-	if re.Checkpoint != nil {
-		t.Fatalf("re-dispatch after a worker error carries %q, want no blob", re.Checkpoint)
 	}
 	res := resultFor(9)
 	c.Deliver(ResultUpload{Worker: "wB", Fingerprint: re.Fingerprint, Key: re.Key, Result: &res})

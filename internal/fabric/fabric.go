@@ -8,10 +8,8 @@
 // lease that is not renewed before its TTL expires is treated as dead and
 // its work unit re-dispatched to the next worker, exactly as DISHA presumes
 // deadlock after T_out cycles and routes the blocked packet through the
-// recovery lane. Progressive recovery is possible too: workers stream
-// mid-point checkpoint blobs to the coordinator, and a re-dispatched lease
-// carries the last blob so the next worker resumes mid-flight rather than
-// from scratch.
+// recovery lane. A re-dispatched unit runs again from cycle 0: a point takes
+// seconds, so nothing mid-point is worth carrying to the next worker.
 //
 // The time-out is for the rare case only. Handing out work waits on no
 // timer: an idle worker's lease request is held open by the coordinator and
@@ -35,7 +33,6 @@
 //	POST /fleet/lease       acquire the next work unit; held open until one is pending (204 once the hold elapses)
 //	POST /fleet/heartbeat   renew held leases; response lists leases to drop
 //	POST /fleet/result      upload a finished point (or a worker-side error)
-//	POST /fleet/checkpoint  stream a mid-point checkpoint blob
 //	GET  /fleet/status      coordinator stats (JSON)
 package fabric
 
@@ -62,15 +59,11 @@ func Fingerprint(key string, seed uint64) string {
 }
 
 // WorkUnit is one leased point: its key — which is its spec, see
-// harness.ParsePointKey — its seed, and (on re-dispatch) the last checkpoint
-// blob a previous lease holder streamed up.
+// harness.ParsePointKey — and its seed.
 type WorkUnit struct {
 	Key         string `json:"key"`
 	Fingerprint string `json:"fingerprint"`
 	Seed        uint64 `json:"seed"`
-	// Checkpoint, when non-empty, is a sealed harness checkpoint of a prior
-	// partial execution of this unit; the worker resumes from it.
-	Checkpoint []byte `json:"checkpoint,omitempty"`
 	// Attempt counts dispatches of this unit (1 = first lease).
 	Attempt int `json:"attempt"`
 }
@@ -94,9 +87,6 @@ type RegisterResponse struct {
 	HoldSeconds float64 `json:"hold_seconds,omitempty"`
 	// HeartbeatSeconds is how often a busy worker must renew its leases.
 	HeartbeatSeconds float64 `json:"heartbeat_seconds"`
-	// CheckpointEvery, when positive, asks workers to checkpoint in-progress
-	// points every that many cycles and stream the blobs up.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
 // LeaseRequest asks for the next work unit.
@@ -134,12 +124,4 @@ type ResultUpload struct {
 	Result *harness.PointResult `json:"result,omitempty"`
 	// Error reports a worker-side execution failure for this unit.
 	Error string `json:"error,omitempty"`
-}
-
-// CheckpointUpload streams a mid-point checkpoint blob to the coordinator.
-type CheckpointUpload struct {
-	Worker      string `json:"worker"`
-	Fingerprint string `json:"fingerprint"`
-	// Blob is the sealed harness checkpoint (see internal/snapshot).
-	Blob []byte `json:"blob"`
 }

@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// maxUploadBytes bounds worker upload bodies. Checkpoint blobs are the
-// largest payload: a full 16x16 network snapshot is a few MiB, so 64 MiB
-// leaves generous headroom while keeping a hostile client from streaming
-// an unbounded body into the decoder.
-const maxUploadBytes = 64 << 20
+// maxUploadBytes bounds worker request bodies, as the job server's
+// maxSubmitBytes bounds a submission. The largest is a ResultUpload, a few
+// KiB even with a panic stack in its error, so 1 MiB keeps a hostile client
+// from streaming an unbounded body into the decoder.
+const maxUploadBytes = 1 << 20
 
 // Handler returns the coordinator's HTTP API. Mount it under a /fleet/
 // prefix with http.StripPrefix (the job server does this in fleet mode).
@@ -23,7 +23,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /lease", c.handleLease)
 	mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /result", c.handleResult)
-	mux.HandleFunc("POST /checkpoint", c.handleCheckpoint)
 	mux.HandleFunc("GET /status", c.handleStatus)
 	return mux
 }
@@ -71,7 +70,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		PollSeconds:      max(c.opts.LeaseTTL/10, 100*time.Millisecond).Seconds(),
 		HoldSeconds:      c.leaseHold().Seconds(),
 		HeartbeatSeconds: (c.opts.LeaseTTL / 3).Seconds(),
-		CheckpointEvery:  c.opts.CheckpointEvery,
 	})
 }
 
@@ -118,19 +116,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Deliver(up)
-	w.WriteHeader(http.StatusOK)
-}
-
-func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	var up CheckpointUpload
-	if err := DecodeBody(w, r, maxUploadBytes, &up); err != nil {
-		return
-	}
-	if up.Worker == "" || up.Fingerprint == "" {
-		writeError(w, http.StatusBadRequest, "checkpoint: empty worker id or fingerprint")
-		return
-	}
-	c.StoreCheckpoint(up.Worker, up.Fingerprint, up.Blob)
 	w.WriteHeader(http.StatusOK)
 }
 

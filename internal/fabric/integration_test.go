@@ -60,7 +60,7 @@ func (w logWriter) Write(p []byte) (int, error) { w.t.Logf("%s", p); return len(
 // URL and returns its exec handle.
 func startWorkerProc(t *testing.T, bin, url, id string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin, "-coordinator", url, "-id", id, "-checkpoint-dir", t.TempDir())
+	cmd := exec.Command(bin, "-coordinator", url, "-id", id)
 	cmd.Stderr = logWriter{t}
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", id, err)
@@ -73,8 +73,8 @@ func startWorkerProc(t *testing.T, bin, url, id string) *exec.Cmd {
 // localhost HTTP, one of them is SIGKILLed while all three are mid-point,
 // and the final aggregated CSV is still byte-identical to a serial
 // single-process run — the killed worker's lease expires, its point is
-// re-dispatched (resuming from its last streamed checkpoint), and
-// determinism guarantees the replacement execution produces the same bytes.
+// re-dispatched and run again from cycle 0, and determinism guarantees the
+// replacement execution produces the same bytes.
 // A duplicate submission afterwards is served entirely from the result
 // cache, and every point executed at most once.
 func TestFleetSurvivesWorkerKill(t *testing.T) {
@@ -91,9 +91,8 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 
 	bin := buildWorker(t)
 	c := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		LeaseTTL:        2 * time.Second,
-		MaxAttempts:     5,
-		CheckpointEvery: 500, // workers stream blobs; the re-dispatch resumes mid-point
+		LeaseTTL:    2 * time.Second,
+		MaxAttempts: 5,
 	})
 	defer c.Close()
 	srv := httptest.NewServer(c.Handler())

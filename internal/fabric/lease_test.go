@@ -36,7 +36,7 @@ func mustNotRunLocally(t *testing.T) func() (harness.PointResult, error) {
 // after the worker has let go of it.
 func startWorker(t *testing.T, url, id string) {
 	t.Helper()
-	w := NewWorker(WorkerOptions{Coordinator: url, ID: id, CheckpointDir: t.TempDir(), Logf: t.Logf})
+	w := NewWorker(WorkerOptions{Coordinator: url, ID: id, Logf: t.Logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()

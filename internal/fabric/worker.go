@@ -25,9 +25,8 @@ type WorkerOptions struct {
 	// Parallel is how many points this worker executes concurrently
 	// (default 1). Each slot runs its own lease loop.
 	Parallel int
-	// CheckpointDir is the local directory for mid-point checkpoint files;
-	// empty uses a per-run temp directory. Re-dispatched units resume from
-	// the coordinator-supplied blob placed here.
+	// Deprecated: CheckpointDir is ignored. A point always runs from cycle 0,
+	// and the worker writes no files.
 	CheckpointDir string
 	// Client is the HTTP client used for all coordinator calls (default:
 	// a client with a 30s timeout).
@@ -37,10 +36,10 @@ type WorkerOptions struct {
 }
 
 // Worker is the fleet worker loop: it registers with the coordinator,
-// leases work units, executes them through the deterministic harness
-// (streaming checkpoint blobs up), and uploads results. Run blocks until
-// the context is canceled; cancellation is graceful — points already
-// executing finish and upload before Run returns.
+// leases work units, executes them through the deterministic harness, and
+// uploads results. Run blocks until the context is canceled; cancellation
+// is graceful — points already executing finish and upload before Run
+// returns.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -115,22 +114,9 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) (ok bool, e
 	return true, nil
 }
 
-// Run executes the worker loop until ctx is canceled. It returns a non-nil
-// error only when startup fails (registration, checkpoint dir); a canceled
-// context is a clean shutdown and returns nil.
+// Run executes the worker loop until ctx is canceled, which is a clean
+// shutdown. It always returns nil.
 func (w *Worker) Run(ctx context.Context) error {
-	ckptDir := w.opts.CheckpointDir
-	if ckptDir == "" {
-		dir, err := os.MkdirTemp("", "disha-worker-")
-		if err != nil {
-			return fmt.Errorf("worker: checkpoint dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		ckptDir = dir
-	} else if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-		return fmt.Errorf("worker: checkpoint dir: %w", err)
-	}
-
 	// Register, retrying while the coordinator comes up.
 	for {
 		if _, err := w.post(ctx, "/register", RegisterRequest{Worker: w.opts.ID}, &w.reg); err == nil {
@@ -160,7 +146,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.leaseLoop(ctx, ckptDir)
+			w.leaseLoop(ctx)
 		}()
 	}
 	wg.Wait()
@@ -206,7 +192,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // normally asks again the moment an empty reply arrives; PollSeconds only
 // spaces out empty replies that come back at once (a coordinator that is
 // closing) and requests that fail.
-func (w *Worker) leaseLoop(ctx context.Context, ckptDir string) {
+func (w *Worker) leaseLoop(ctx context.Context) {
 	poll := time.Duration(w.reg.PollSeconds * float64(time.Second))
 	if poll <= 0 {
 		poll = time.Second
@@ -234,7 +220,7 @@ func (w *Worker) leaseLoop(ctx context.Context, ckptDir string) {
 			}
 			continue
 		}
-		w.execute(lease.Unit, ckptDir)
+		w.execute(lease.Unit)
 	}
 }
 
@@ -242,7 +228,7 @@ func (w *Worker) leaseLoop(ctx context.Context, ckptDir string) {
 // deliberately takes no context: once leased, a point runs to completion
 // and uploads even during shutdown — abandoning it would only cost the
 // fleet a lease-TTL wait before re-dispatch.
-func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
+func (w *Worker) execute(wu *WorkUnit) {
 	w.mu.Lock()
 	w.leases[wu.Fingerprint] = struct{}{}
 	w.mu.Unlock()
@@ -253,7 +239,7 @@ func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
 	}()
 
 	start := time.Now()
-	pr, curve, err := w.runUnit(wu, ckptDir)
+	pr, curve, err := w.runUnit(wu)
 	up := ResultUpload{Worker: w.opts.ID, Fingerprint: wu.Fingerprint, Key: wu.Key}
 	if err != nil {
 		up.Error = err.Error()
@@ -282,10 +268,9 @@ func (w *Worker) execute(wu *WorkUnit, ckptDir string) {
 
 // runUnit reads the point's spec from its key (a key in another encoding is
 // refused), checks the unit's seed against the one the key derives (a
-// mismatched coordinator must not poison the shared cache), places any
-// coordinator-supplied checkpoint blob, and runs the point. It returns the
-// point's curve label beside the result.
-func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, string, error) {
+// mismatched coordinator must not poison the shared cache), and runs the
+// point. It returns the point's curve label beside the result.
+func (w *Worker) runUnit(wu *WorkUnit) (harness.PointResult, string, error) {
 	spec, _, err := harness.ParsePointKey(wu.Key)
 	if err != nil {
 		return harness.PointResult{}, "", err
@@ -295,30 +280,6 @@ func (w *Worker) runUnit(wu *WorkUnit, ckptDir string) (harness.PointResult, str
 		return harness.PointResult{}, curve, fmt.Errorf("unit seed mismatch: coordinator %x, derived %x", wu.Seed, seed)
 	}
 
-	po := harness.PointOptions{Key: wu.Key}
-	if w.reg.CheckpointEvery > 0 {
-		po.CheckpointEvery = w.reg.CheckpointEvery
-		po.CheckpointDir = ckptDir
-		po.OnCheckpoint = func(data []byte) error {
-			// Best effort: a failed stream only costs resume granularity.
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if _, err := w.post(ctx, "/checkpoint", CheckpointUpload{
-				Worker: w.opts.ID, Fingerprint: wu.Fingerprint, Blob: data,
-			}, nil); err != nil {
-				w.logf("checkpoint upload %s: %v", wu.Fingerprint, err)
-			}
-			return nil
-		}
-		if len(wu.Checkpoint) > 0 {
-			// A prior lease holder got partway: resume from its blob.
-			path := harness.CheckpointPath(ckptDir, wu.Key)
-			if err := os.WriteFile(path, wu.Checkpoint, 0o644); err != nil {
-				return harness.PointResult{}, curve, fmt.Errorf("place checkpoint: %w", err)
-			}
-			w.logf("unit %s resuming from %d-byte checkpoint (attempt %d)", wu.Fingerprint, len(wu.Checkpoint), wu.Attempt)
-		}
-	}
-	pr, err := spec.RunPoint(curve, spec.Loads[0], wu.Seed, po)
+	pr, err := spec.RunPoint(curve, spec.Loads[0], wu.Seed, harness.PointOptions{Key: wu.Key})
 	return pr, curve, err
 }

@@ -68,10 +68,9 @@ func TestWorkerExecutesLeasedPointOverHTTP(t *testing.T) {
 	defer cancel()
 	workerDone := make(chan error, 1)
 	w := NewWorker(WorkerOptions{
-		Coordinator:   srv.URL,
-		ID:            "wtest",
-		CheckpointDir: t.TempDir(),
-		Logf:          t.Logf,
+		Coordinator: srv.URL,
+		ID:          "wtest",
+		Logf:        t.Logf,
 	})
 	go func() { workerDone <- w.Run(ctx) }()
 
@@ -138,7 +137,7 @@ func TestWorkerRejectsMismatchedUnit(t *testing.T) {
 		{"previous encoding", WorkUnit{Key: "fig3a-deadlock-characterization|seed=d15ab1e|w=40|m=80|msg=16|vc=4|bd=2/disha-m3-tout4@0.2000#0", Seed: 1}, "is not a spec/1: point key"},
 	} {
 		c.wu.Fingerprint, c.wu.Attempt = "f", 1
-		_, _, err := w.runUnit(&c.wu, t.TempDir())
+		_, _, err := w.runUnit(&c.wu)
 		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("%s: err = %v, want one line containing %q", c.name, err, c.want)
 		}
@@ -197,7 +196,7 @@ func TestWorkerSurvivesPoisonPoint(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	w := NewWorker(WorkerOptions{Coordinator: srv.URL, ID: "wpoison", CheckpointDir: t.TempDir(), Logf: t.Logf})
+	w := NewWorker(WorkerOptions{Coordinator: srv.URL, ID: "wpoison", Logf: t.Logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	workerDone := make(chan error, 1)

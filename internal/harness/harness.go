@@ -135,9 +135,7 @@ type Spec struct {
 	// intervals on the latency estimate (default 5; 1 disables).
 	Batches int
 	// Chaos, when non-empty, arms this reconfiguration event schedule on
-	// every point's network (and re-arms it after a checkpoint resume —
-	// already-applied events replay from the snapshot's reconfiguration log
-	// and are dropped on arming). Event cycles are global: warm-up plus
+	// every point's network. Event cycles are global: warm-up plus
 	// measurement.
 	Chaos []network.ReconfigEvent `json:",omitempty"`
 }
@@ -200,18 +198,6 @@ type RunOptions struct {
 	// independent seeds and aggregates the replicas into mean ± 95% CI
 	// (default 1).
 	Replicas int
-	// CheckpointEvery, when positive and CheckpointDir is set, snapshots
-	// every in-progress point's complete simulation state each time that
-	// many cycles (warm-up plus measurement) elapse. A killed sweep then
-	// resumes mid-point from the last checkpoint — not just at point
-	// granularity like a coordinator's result store — and the resumed run's
-	// results are byte-identical to an uninterrupted one. Checkpoint files
-	// are removed as their points complete.
-	CheckpointEvery int
-	// CheckpointDir is the directory holding per-point checkpoint files
-	// (created if missing). Point identity is embedded in each file, so a
-	// directory can safely be shared across different sweeps.
-	CheckpointDir string
 	// Progress, if non-nil, receives one line per settled point.
 	Progress func(string)
 	// PointRunner, if non-nil, intercepts every point's execution: RunWith
@@ -317,7 +303,7 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 	outcomes := make(chan outcome)
 	for i, p := range points {
 		go func() {
-			po := PointOptions{Key: p.task.Key, CheckpointEvery: opts.CheckpointEvery, CheckpointDir: opts.CheckpointDir}
+			po := PointOptions{Key: p.task.Key}
 			local := func() (PointResult, error) {
 				select {
 				case slots <- struct{}{}:
@@ -512,21 +498,12 @@ func ParsePointKey(key string) (*Spec, int, error) {
 var PointHook func(key string)
 
 // PointOptions configures the execution of one point, whoever runs it:
-// RunWith builds one per point, a fleet worker one per leased unit. All
-// fields are optional; the zero value runs the point without checkpointing.
+// RunWith builds one per point, a fleet worker one per leased unit. The zero
+// value is valid.
 type PointOptions struct {
-	// Key is the identity key of the point (Spec.PointKey). It names and
-	// validates the checkpoint file, so it is required when checkpointing.
+	// Key is the identity key of the point (Spec.PointKey), which PointHook
+	// receives.
 	Key string
-	// CheckpointEvery/CheckpointDir enable mid-point checkpointing exactly
-	// as in RunOptions: the point's full simulation state is persisted every
-	// CheckpointEvery cycles, and an existing checkpoint for Key is resumed.
-	CheckpointEvery int
-	CheckpointDir   string
-	// OnCheckpoint, if non-nil, receives the sealed checkpoint bytes after
-	// every successful save — the hook a fleet worker uses to stream its
-	// progress blob to the coordinator. A non-nil return aborts the point.
-	OnCheckpoint func(data []byte) error
 }
 
 // RunPoint executes one (algorithm, load) point with an explicit seed and
@@ -666,13 +643,9 @@ func (s *Spec) Normalize() error {
 // runPoint measures one (algorithm, load) pair with the given simulation
 // seed. Several points run it at once: everything it touches (topology,
 // pattern, network) is built fresh per call, and the stateless
-// algorithm/selection values are safe to share.
-//
-// Checkpointing options make the point resumable: progress is persisted
-// every CheckpointEvery cycles, a previous checkpoint (if present) is loaded
-// before the first step, and because the simulation is deterministic the
-// resumed point finishes with results byte-identical to an uninterrupted run
-// (TestCheckpointResumeIdenticalCSV).
+// algorithm/selection values are safe to share. A point always runs from
+// cycle 0: a killed sweep loses only its points in flight, and a rerun over
+// the same result store recomputes exactly those.
 //
 // A panic below (the simulator keeps panic(...) invariants) comes back as an
 // error carrying the stack. The guard sits here because every executor — a
@@ -689,10 +662,6 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 	if PointHook != nil {
 		PointHook(po.Key)
 	}
-	ck, err := newCheckpointer(po)
-	if err != nil {
-		return PointResult{}, err
-	}
 	cfg, err := s.NetworkConfig(alg, load, seed)
 	if err != nil {
 		return PointResult{}, err
@@ -701,22 +670,6 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 	if err != nil {
 		return PointResult{}, err
 	}
-
-	// The resumable cursor: a fresh start begins at zero everywhere; with
-	// checkpointing enabled, a prior checkpoint reloads the cursor, the
-	// collectors and the network, and the loops below continue from it.
-	var age, netLat, batch metrics.Collector
-	st := pointProgress{nextWFG: s.WFGSampleEvery}
-	if ck != nil {
-		if _, err := ck.load(&st, &age, &netLat, &batch, net); err != nil {
-			return PointResult{}, err
-		}
-		ck.arm(st.warmupRan + st.ran)
-	}
-	// Arm the chaos schedule after any restore: events already applied were
-	// replayed from the snapshot's reconfiguration log, and ScheduleReconfig
-	// drops them as stale, so a resumed point replays the remaining
-	// timeline exactly.
 	if len(s.Chaos) > 0 {
 		if err := net.ScheduleReconfig(s.Chaos); err != nil {
 			return PointResult{}, err
@@ -724,75 +677,45 @@ func (s *Spec) runPoint(alg AlgSpec, load float64, seed uint64, po PointOptions)
 	}
 
 	// Warm-up: run without collecting.
-	for st.warmupRan < s.Warmup {
-		step := s.Warmup - st.warmupRan
-		if ck != nil {
-			step = ck.clamp(step, st.warmupRan+st.ran)
-		}
-		net.Run(step)
-		st.warmupRan += step
-		if ck != nil && ck.due(st.warmupRan+st.ran) {
-			if err := ck.save(&st, &age, &netLat, &batch, net); err != nil {
-				return PointResult{}, err
-			}
-		}
-	}
-	if !st.warmed {
-		st.warmed = true
-		st.startCounters = net.Counters()
-	}
+	net.Run(s.Warmup)
+	startCounters := net.Counters()
 
 	// Measurement: collect latency of every packet delivered in-window,
-	// batched for the confidence interval. (The callback is reattached on
-	// every entry — restore does not carry it — so a resumed point collects
-	// exactly the deliveries an uninterrupted run would.)
+	// batched for the confidence interval.
+	var age, netLat, batch metrics.Collector
 	net.OnDeliver = func(p *packet.Packet) {
 		age.Add(float64(p.Age()))
 		netLat.Add(float64(p.NetworkLatency()))
 		batch.Add(float64(p.Age()))
 	}
 	pr := PointResult{Load: load}
-	for b := st.batch; b < s.Batches; b++ {
-		st.batch = b
+	var batchMeans []float64
+	ran, nextWFG := 0, s.WFGSampleEvery
+	for b := range s.Batches {
 		target := (b + 1) * s.Measure / s.Batches
-		for st.ran < target {
-			step := target - st.ran
-			if s.WFGSampleEvery > 0 && st.nextWFG-st.ran < step {
-				step = st.nextWFG - st.ran
-			}
-			if ck != nil {
-				step = ck.clamp(step, st.warmupRan+st.ran)
+		for ran < target {
+			step := target - ran
+			if s.WFGSampleEvery > 0 && nextWFG-ran < step {
+				step = nextWFG - ran
 			}
 			net.Run(step)
-			st.ran += step
-			if s.WFGSampleEvery > 0 && st.ran >= st.nextWFG {
-				w := core.AnalyzeWFG(net.Routers())
-				st.wfgSamples++
-				if w.TrueDeadlock() {
-					st.trueDeadlocks++
+			ran += step
+			if s.WFGSampleEvery > 0 && ran >= nextWFG {
+				pr.WFGSamples++
+				if core.AnalyzeWFG(net.Routers()).TrueDeadlock() {
+					pr.TrueDeadlocks++
 				}
-				st.nextWFG += s.WFGSampleEvery
-			}
-			if ck != nil && ck.due(st.warmupRan+st.ran) {
-				if err := ck.save(&st, &age, &netLat, &batch, net); err != nil {
-					return PointResult{}, err
-				}
+				nextWFG += s.WFGSampleEvery
 			}
 		}
 		if batch.Count() > 0 {
-			st.batchMeans = append(st.batchMeans, batch.Mean())
+			batchMeans = append(batchMeans, batch.Mean())
 		}
 		batch.Reset()
 	}
-	pr.WFGSamples = st.wfgSamples
-	pr.TrueDeadlocks = st.trueDeadlocks
-	pr.LatencyCI95 = metrics.CI95(st.batchMeans)
+	pr.LatencyCI95 = metrics.CI95(batchMeans)
 	end := net.Counters()
 
-	if ck != nil {
-		ck.finish()
-	}
-	startCounters := st.startCounters
 	delivered := end.PacketsDelivered - startCounters.PacketsDelivered
 	flits := end.FlitsDelivered - startCounters.FlitsDelivered
 	pr.Delivered = delivered

@@ -476,12 +476,3 @@ func TestPoisonPointReturnsError(t *testing.T) {
 		t.Fatalf("sweep did not continue past the poison point: %+v", rep)
 	}
 }
-
-// TestRunPointCheckpointingNeedsKey covers the check that moved into
-// newCheckpointer: a checkpointing RunPoint without a key is refused.
-func TestRunPointCheckpointingNeedsKey(t *testing.T) {
-	_, err := tinySpec().RunPoint("disha-m0", 0.2, 1, PointOptions{CheckpointEvery: 100, CheckpointDir: t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "requires PointOptions.Key") {
-		t.Fatalf("err = %v, want the missing-key error", err)
-	}
-}

@@ -46,10 +46,9 @@ func TestFleetModeMatchesSerialRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := fabric.NewWorker(fabric.WorkerOptions{
-		Coordinator:   ts.URL + "/fleet",
-		ID:            "fleet-test-worker",
-		CheckpointDir: t.TempDir(),
-		Logf:          t.Logf,
+		Coordinator: ts.URL + "/fleet",
+		ID:          "fleet-test-worker",
+		Logf:        t.Logf,
 	})
 	workerDone := make(chan struct{})
 	go func() { defer close(workerDone); w.Run(ctx) }()

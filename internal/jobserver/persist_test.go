@@ -15,7 +15,7 @@ import (
 
 func startDurableServer(t *testing.T, dataDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := NewWithOptions(Options{QueueDepth: 4, DataDir: dataDir, CheckpointEvery: 100})
+	s, err := NewWithOptions(Options{QueueDepth: 4, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,9 @@ func TestPersistentJobsResumeAcrossServers(t *testing.T) {
 	total := st.Report.Total
 	s1.Close()
 	<-s1.runnerDone
-	// One store and one checkpoint directory, whatever the requests were;
-	// finished points leave no checkpoint behind.
-	if entries, _ := os.ReadDir(dataDir); len(entries) != 2 || entries[0].Name() != "ckpt" || entries[1].Name() != "results.jsonl" {
-		t.Fatalf("data dir after a finished job: %v, want ckpt/ and results.jsonl", entries)
-	}
-	if left, _ := os.ReadDir(filepath.Join(dataDir, "ckpt")); len(left) != 0 {
-		t.Fatalf("finished job left checkpoints behind: %v", left)
+	// One store, whatever the requests were, and nothing else.
+	if entries, _ := os.ReadDir(dataDir); len(entries) != 1 || entries[0].Name() != "results.jsonl" {
+		t.Fatalf("data dir after a finished job: %v, want only results.jsonl", entries)
 	}
 
 	// A "restarted" server over the same data dir. The request differs in a

@@ -146,9 +146,6 @@ type Server struct {
 	queue chan string
 	next  int
 
-	dataDir         string
-	checkpointEvery int
-
 	// fleet executes every sweep point; ownFleet marks the private
 	// coordinator built when Options.Fleet was nil (never mounted, closed
 	// when the runner exits).
@@ -187,11 +184,6 @@ type Options struct {
 	// file disha-sweep -journal keeps: one of those can be dropped in, and
 	// this one handed to disha-sweep. The directory is created if missing.
 	DataDir string
-	// CheckpointEvery additionally snapshots each in-progress point's full
-	// simulation state to DataDir/ckpt every that many cycles, so resumption
-	// is mid-point, not just between points (see harness.RunOptions). It is
-	// ignored without DataDir; 0 disables mid-point checkpointing.
-	CheckpointEvery int
 	// Fleet is the coordinator every sweep point executes through: points
 	// run on whichever fleet workers hold leases, in-process when no workers
 	// are live, and identical points dedupe through its result cache. A
@@ -220,22 +212,20 @@ func NewWithOptions(opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		jobs:            make(map[string]*job),
-		queue:           make(chan string, queueDepth),
-		dataDir:         opts.DataDir,
-		checkpointEvery: opts.CheckpointEvery,
-		fleet:           opts.Fleet,
-		ownFleet:        opts.Fleet == nil,
-		reg:             telemetry.NewRegistry(),
-		drainCh:         make(chan struct{}),
-		runnerDone:      make(chan struct{}),
-		done:            make(chan struct{}),
+		jobs:       make(map[string]*job),
+		queue:      make(chan string, queueDepth),
+		fleet:      opts.Fleet,
+		ownFleet:   opts.Fleet == nil,
+		reg:        telemetry.NewRegistry(),
+		drainCh:    make(chan struct{}),
+		runnerDone: make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	if s.ownFleet {
 		s.fleet = fabric.NewCoordinator(fabric.CoordinatorOptions{})
 	}
-	if s.dataDir != "" {
-		if _, err := s.fleet.OpenStore(filepath.Join(s.dataDir, "results.jsonl")); err != nil {
+	if opts.DataDir != "" {
+		if _, err := s.fleet.OpenStore(filepath.Join(opts.DataDir, "results.jsonl")); err != nil {
 			if s.ownFleet {
 				s.fleet.Close()
 			}
@@ -341,12 +331,6 @@ func (s *Server) runJob(id string) {
 		// Every point goes through the coordinator, which decides between a
 		// stored result, a fleet worker, or the local closure.
 		PointRunner: s.fleet.Execute,
-	}
-	if s.dataDir != "" && s.checkpointEvery > 0 {
-		// One directory for every job: a checkpoint file is named by, and
-		// verified against, its point key.
-		opts.CheckpointEvery = s.checkpointEvery
-		opts.CheckpointDir = filepath.Join(s.dataDir, "ckpt")
 	}
 	opts.Status = func(st engine.Status) {
 		s.mu.Lock()

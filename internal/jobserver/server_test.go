@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fabric"
 )
 
 // tinyReq is a sweep small enough for a unit test: one low load on the 8x8
@@ -311,6 +313,37 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	// The server must still be healthy for well-formed requests.
 	if st := submit(t, ts, tinyReq()); st.ID == "" {
 		t.Fatal("server unhealthy after oversized request")
+	}
+}
+
+// TestFleetBodyTooLarge: a worker request body is bounded like a submission.
+// A 2 MiB POST /fleet/result, which no result upload comes near, gets a 413
+// and a JSON error.
+func TestFleetBodyTooLarge(t *testing.T) {
+	coord := fabric.NewCoordinator(fabric.CoordinatorOptions{})
+	defer coord.Close()
+	s, err := NewWithOptions(Options{Fleet: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"worker":"w","fingerprint":"f","error":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/fleet/result", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
+		t.Fatalf("413 body not a JSON error: %v (%+v)", err, body)
 	}
 }
 

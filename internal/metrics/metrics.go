@@ -31,20 +31,6 @@ func (c *Collector) Reset() {
 	c.sorted = false
 }
 
-// Samples exposes the raw sample slice for checkpoint serialization. The
-// returned slice aliases the collector's storage and reflects its current
-// internal order (insertion order until the first order-statistic query
-// sorts in place) — callers must copy before mutating and snapshot before
-// querying percentiles if insertion order matters.
-func (c *Collector) Samples() []float64 { return c.samples }
-
-// RestoreSamples replaces the collector's contents with vs (taking
-// ownership of the slice), reversing Samples across a checkpoint.
-func (c *Collector) RestoreSamples(vs []float64) {
-	c.samples = vs
-	c.sorted = false
-}
-
 // Mean returns the sample mean, or 0 with no samples.
 func (c *Collector) Mean() float64 {
 	if len(c.samples) == 0 {

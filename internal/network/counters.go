@@ -36,7 +36,7 @@ type Counters struct {
 }
 
 // counterTable is the one enumeration of Counters: a row per field, in the
-// order the DISHANET/DISHACKP formats store them (which is why it is not the
+// order the DISHANET format stores them (which is why it is not the
 // struct's order). Walk, CountersMap/Each, the /metrics registration and the
 // run report all read it, so a counter added to the struct and given a row
 // here reaches every one of them (TestCounterTableCoversStruct holds the
@@ -76,9 +76,8 @@ var counterTable = [...]struct {
 	{func(c *Counters) *int64 { return &c.PacketsUnroutable }, "packets_unroutable", "disha_packets_unroutable_total", "Packets dropped before injection because their destination router was dead.", nil},
 }
 
-// Walk codes a Counters value field by field; exported so higher-level
-// checkpoint formats (internal/harness) embed counter snapshots without
-// duplicating the field walk.
+// Walk codes a Counters value field by field, for the network snapshot and
+// the state digest.
 func (ctr *Counters) Walk(c *snapshot.Codec) {
 	for _, row := range counterTable {
 		c.I64(row.field(ctr))

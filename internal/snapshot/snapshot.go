@@ -10,10 +10,10 @@
 // Because a primitive works in both directions, a format is written once: a
 // single field walk is the encoder, the decoder and (for router state) the
 // digest, with each range check on the line of the field it guards. Higher
-// layers — internal/router, internal/network, internal/harness — compose
-// their formats as such walks. Decoding is bounds-checked with a sticky
-// error, so a walk over hostile input returns an error instead of panicking
-// (FuzzOpen, FuzzSnapshotRestore and FuzzCheckpointLoad enforce this).
+// layers — internal/router, internal/network — compose their formats as
+// such walks. Decoding is bounds-checked with a sticky error, so a walk over
+// hostile input returns an error instead of panicking (FuzzOpen and
+// FuzzSnapshotRestore enforce this).
 package snapshot
 
 import (
@@ -236,9 +236,8 @@ func (c *Codec) readLen(n *int, max int) {
 	*n = int(x)
 }
 
-// Blob codes a length-prefixed byte slice, bounded by the remaining input;
-// higher-level checkpoint formats use it to embed nested containers (e.g. a
-// whole network snapshot). A decoded slice aliases the decoder's buffer.
+// Blob codes a length-prefixed byte slice, bounded by the remaining input.
+// A decoded slice aliases the decoder's buffer.
 func (c *Codec) Blob(b *[]byte) {
 	n := len(*b)
 	c.Len(&n, c.Remaining())
@@ -257,24 +256,8 @@ func (c *Codec) String(s *string) {
 	*s = string(b)
 }
 
-// F64s codes a length-prefixed slice of float64 values, bounded by the
-// remaining input.
-func (c *Codec) F64s(vs *[]float64) {
-	n := len(*vs)
-	c.Len(&n, c.Remaining()/8)
-	if c.dec {
-		*vs = make([]float64, n)
-	}
-	for i := range *vs {
-		c.F64(&(*vs)[i])
-	}
-	if c.err != nil {
-		*vs = nil
-	}
-}
-
-// The Expect guards pin structural constants (node counts, VC counts, job
-// keys) against the receiving configuration: an encoder writes want; a
+// The Expect guards pin structural constants (node counts, VC counts,
+// names) against the receiving configuration: an encoder writes want; a
 // decoder reads the field and fails unless it equals want.
 
 // Expect guards an integer field.
