@@ -34,7 +34,6 @@ import (
 
 	disha "repro"
 	"repro/internal/chaos"
-	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/telemetry"
@@ -72,10 +71,10 @@ func main() {
 			sched.Name, len(sched.Events))
 	}
 
-	var engineMetrics *engine.Metrics
+	var engineMetrics *harness.Metrics
 	if *metrics != "" {
 		reg := telemetry.NewRegistry()
-		engineMetrics = engine.NewMetrics(reg)
+		engineMetrics = harness.NewMetrics(reg)
 		addr, shutdown, err := telemetry.Serve(*metrics, reg)
 		fail(err)
 		defer shutdown()

@@ -1,14 +1,11 @@
 package engine
 
-import (
-	"strings"
-	"testing"
-	"time"
-)
+import "testing"
 
-// What RunWith does with this vocabulary — determinism across Parallel, the
-// drain, single-attempt failures, panics, duplicate keys, progress and metrics — is pinned in
-// sweep_test.go, over harness.RunWith.
+// What harness.RunWith does with the seeds — determinism across Parallel, the
+// drain, single-attempt failures, panics, duplicate keys, progress and
+// metrics — is pinned in sweep_test.go; how it balances its report, in
+// report_test.go.
 
 func TestSeedForIsIdentityKeyed(t *testing.T) {
 	if SeedFor(1, "a") != SeedFor(1, "a") {
@@ -26,31 +23,28 @@ func TestSeedForIsIdentityKeyed(t *testing.T) {
 	}
 }
 
-// TestFoldBalances: failures come out in batch order whatever order they
-// settled in, and what never settled is what a drain withdrew.
-func TestFoldBalances(t *testing.T) {
-	f := Begin(5, 2, nil)
-	f.Settle(3, "d", "boom")
-	f.Settle(0, "a", "")
-	if st := f.Settle(1, "b", "bang"); st.Done != 1 || st.Failed != 2 || st.Total != 5 {
-		t.Fatalf("status after three settles: %+v", st)
-	}
-	r := f.End()
-	if r.Completed != 1 || r.Aborted != 2 || r.Workers != 2 || r.Completed+r.Aborted+r.Failed() != r.Total {
-		t.Fatalf("report does not balance: %+v", r)
-	}
-	if len(r.Failures) != 2 || r.Failures[0] != (Failure{Key: "b", Err: "bang"}) || r.Failures[1].Key != "d" {
-		t.Fatalf("failures not in batch order: %+v", r.Failures)
-	}
-}
-
-func TestReportString(t *testing.T) {
-	r := &Report{Total: 10, Completed: 8, Workers: 4,
-		Failures: []Failure{{Key: "x"}, {Key: "y"}}, Elapsed: 1500 * time.Millisecond}
-	s := r.String()
-	for _, want := range []string{"8/10", "(4 workers)", "2 FAILED"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("report %q missing %q", s, want)
+// TestSeedForPinned: the values themselves. A journal serves a record only
+// under the seed it was written with, so a changed value here orphans every
+// journal an older build wrote.
+func TestSeedForPinned(t *testing.T) {
+	// What Spec.PointKey gives for figure 4's first point at small scale,
+	// 50 + 100 cycles, seed 5.
+	const specKey = `spec/1:{"Name":"fig4-uniform","Topology":"torus-8x8","Traffic":"uniform",` +
+		`"Algs":[{"Label":"disha-m0","Algorithm":"disha-m0","Selection":"random","Recovery":true,"Timeout":8}],` +
+		`"Loads":[0.2],"MsgLen":16,"VCs":4,"BufferDepth":2,"Alloc":0,"Warmup":50,"Measure":100,"Seed":5,` +
+		`"TokenHops":4,"WFGSampleEvery":0,"Batches":5}#0`
+	for _, c := range []struct {
+		base uint64
+		key  string
+		want uint64
+	}{
+		{0, "", 0x21fa69a58f3d62f5},
+		{1, "a", 0xe65d27ff6ad396c7},
+		{0xdeadbeef, "fig4/dor@0.2#0", 0x42085e978da36c1b},
+		{5, specKey, 0x19e5abb5c16e68af},
+	} {
+		if got := SeedFor(c.base, c.key); got != c.want {
+			t.Errorf("SeedFor(%#x, %.40q) = %#x, want %#x", c.base, c.key, got, c.want)
 		}
 	}
 }

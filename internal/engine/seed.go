@@ -1,16 +1,24 @@
-package engine
-
-// Seed derivation. Every job's simulation seed is a pure function of the
-// sweep's base seed and the job's identity key — never of the worker that
-// ran it or the order it completed in. That invariant is what makes a
-// parallel sweep bit-identical to a serial one: reordering or re-running
-// jobs cannot change the random streams they consume.
+// Package engine holds one function, SeedFor: how a sweep point's random
+// seed follows from the sweep's base seed and the point's identity key —
+// never from the worker that ran it or the order it completed in. That
+// invariant is what makes a parallel sweep bit-identical to a serial one:
+// reordering or re-running jobs cannot change the random streams they
+// consume. Result stores serve a record by (key, seed), so SeedFor's values
+// are part of the journal format: a journal written by an older build is
+// served only while they stay the same.
 //
 // The derivation folds the key into 64 bits with FNV-1a and then pushes the
 // mix through two rounds of the splitmix64 finalizer, the same generator the
 // simulation RNG (internal/sim) uses for state expansion. splitmix64 is a
 // bijection on 64-bit integers, so distinct (base, key-hash) mixes can only
 // collide if FNV collides on the keys themselves.
+//
+// The sweep's progress vocabulary (Report, Status, Metrics) lives in
+// internal/harness beside RunWith, its one writer. This package is still a
+// directory of its own for two reasons: the benchmark module imports
+// SeedFor from here, and the sweep tests in this directory keep their
+// package path, which is part of each test's name.
+package engine
 
 const (
 	fnvOffset = 14695981039346656037

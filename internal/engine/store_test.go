@@ -222,7 +222,7 @@ func TestStopDrainsThenResumes(t *testing.T) {
 
 	c1 := openStore(t, path, 0)
 	started, gate, stop := make(chan struct{}, 24), make(chan struct{}), make(chan struct{})
-	done := make(chan *engine.Report, 1)
+	done := make(chan *harness.Report, 1)
 	go func() {
 		_, rep, _ := gatedSpec(t, started, gate).RunWith(through(c1, harness.RunOptions{Stop: stop}))
 		done <- rep

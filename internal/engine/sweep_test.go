@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -87,7 +86,7 @@ func gatedSpec(t *testing.T, started chan<- struct{}, gate <-chan struct{}) *har
 func TestStopDrainsWithoutDispatchingMore(t *testing.T) {
 	started, gate, stop := make(chan struct{}, 24), make(chan struct{}), make(chan struct{})
 	spec := gatedSpec(t, started, gate)
-	done := make(chan *engine.Report, 1)
+	done := make(chan *harness.Report, 1)
 	go func() {
 		_, rep, _ := spec.RunWith(harness.RunOptions{Parallel: 2, Stop: stop})
 		done <- rep
@@ -175,7 +174,7 @@ func TestProgressCallbackAndMetrics(t *testing.T) {
 	var calls, lines, lastDone int // both callbacks run on RunWith's goroutine
 	_, rep, err := stubSpec(t, 5).RunWith(harness.RunOptions{
 		Parallel: 4,
-		Metrics:  engine.NewMetrics(reg),
+		Metrics:  harness.NewMetrics(reg),
 		PointRunner: stub(func(pt harness.PointTask) (harness.PointResult, error) {
 			return purePoint(pt.Seed)
 		}),
@@ -185,7 +184,7 @@ func TestProgressCallbackAndMetrics(t *testing.T) {
 				t.Errorf("progress line %q", line)
 			}
 		},
-		Status: func(st engine.Status) {
+		Status: func(st harness.Status) {
 			calls++
 			if st.Total != 24 {
 				t.Errorf("status total = %d", st.Total)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/harness"
 )
 
@@ -22,8 +21,8 @@ func windowSpec(t *testing.T) *harness.Spec {
 
 // sweepThrough starts spec's sweep through c on a goroutine and returns the
 // channel its report arrives on.
-func sweepThrough(c *Coordinator, spec *harness.Spec, parallel int, stop <-chan struct{}) <-chan *engine.Report {
-	done := make(chan *engine.Report, 1)
+func sweepThrough(c *Coordinator, spec *harness.Spec, parallel int, stop <-chan struct{}) <-chan *harness.Report {
+	done := make(chan *harness.Report, 1)
 	go func() {
 		_, rep, _ := spec.RunWith(harness.RunOptions{
 			Parallel: parallel, Stop: stop,

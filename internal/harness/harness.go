@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -220,10 +221,10 @@ type RunOptions struct {
 	Stop <-chan struct{}
 	// Status, if non-nil, receives the sweep's structured progress
 	// (done/total, ETA) after every settled point.
-	Status func(engine.Status)
+	Status func(Status)
 	// Metrics, if non-nil, exports live progress through its telemetry
-	// registry (see engine.NewMetrics).
-	Metrics *engine.Metrics
+	// registry (see NewMetrics).
+	Metrics *Metrics
 }
 
 // ErrDrained is what executing a point returns when the sweep's Stop closed
@@ -260,7 +261,7 @@ type PointTask struct {
 // On point failures it returns the partial Result (every fully-replicated
 // point that did complete), the report naming the failed points, and a
 // non-nil error.
-func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
+func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -331,29 +332,42 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 
 	// Every point reports exactly once. Progress, metrics and callbacks happen
 	// here on the calling goroutine, in completion order, which the seed
-	// derivation makes harmless.
-	fold := engine.Begin(len(points), workers, opts.Metrics)
+	// derivation makes harmless. A point that never settles is one a drain
+	// withdrew.
+	start, st := time.Now(), Status{Total: len(points)}
+	if opts.Metrics != nil {
+		opts.Metrics.beginRun(st.Total)
+	}
 	results := make([]PointResult, len(points))
 	completed := make([]bool, len(points))
+	errs := make([]error, len(points))
 	for range points {
 		o := <-outcomes
 		if errors.Is(o.err, ErrDrained) {
 			continue
 		}
-		task, errMsg := points[o.index].task, ""
+		task := points[o.index].task
 		if o.err != nil {
-			errMsg = o.err.Error()
+			st.Failed++
+			errs[o.index] = o.err
 		} else {
+			st.Done++
 			results[o.index], completed[o.index] = o.pr, true
 		}
-		st := fold.Settle(o.index, task.Key, errMsg)
+		st.Elapsed, st.ETA = time.Since(start), 0
+		if remaining := st.Total - st.Done - st.Failed; st.Done > 0 && remaining > 0 {
+			st.ETA = time.Duration(float64(st.Elapsed) / float64(st.Done) * float64(remaining))
+		}
+		if opts.Metrics != nil {
+			opts.Metrics.observe(st, o.err != nil)
+		}
 		if opts.Progress != nil {
 			line := fmt.Sprintf("[%3d/%3d] %-22s load=%.2f", st.Done+st.Failed, st.Total, task.Alg, task.Load)
 			if replicas > 1 {
 				line += fmt.Sprintf(" rep=%d", task.Replica)
 			}
 			if o.err != nil {
-				line += " FAILED: " + firstLine(errMsg)
+				line += " FAILED: " + firstLine(o.err.Error())
 			} else {
 				line += fmt.Sprintf(" latency=%8.1f thpt=%.3f seiz=%d",
 					o.pr.MeanLatency, o.pr.Throughput, o.pr.TokenSeizures)
@@ -367,7 +381,19 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *engine.Report, error) {
 			opts.Status(st)
 		}
 	}
-	report := fold.End()
+	st.Elapsed = time.Since(start)
+	if opts.Metrics != nil {
+		opts.Metrics.endRun(st)
+	}
+	report := &Report{
+		Total: st.Total, Completed: st.Done, Aborted: st.Total - st.Done - st.Failed,
+		Elapsed: st.Elapsed, Workers: workers,
+	}
+	for i, err := range errs { // batch order, not completion order
+		if err != nil {
+			report.Failures = append(report.Failures, Failure{Key: points[i].task.Key, Err: err.Error()})
+		}
+	}
 
 	// Assemble in spec order — never completion order — so parallel runs
 	// render byte-identical tables and CSV.

@@ -1,10 +1,56 @@
-package engine
+package harness
 
 import (
+	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/telemetry"
 )
+
+// Status is a progress snapshot of a running sweep, handed to
+// RunOptions.Status after every settled point and exported through Metrics.
+type Status struct {
+	Total   int // jobs in the batch
+	Done    int // completed successfully
+	Failed  int // ran and returned an error
+	Elapsed time.Duration
+	// ETA estimates the remaining wall time from the completion rate; zero
+	// until the first job completes.
+	ETA time.Duration
+}
+
+// Failure is one job that ran and returned an error.
+type Failure struct {
+	Key string
+	Err string
+}
+
+// Report summarizes a finished batch.
+type Report struct {
+	Total     int
+	Completed int       // successful jobs
+	Aborted   int       // jobs withdrawn unrun because the sweep was drained
+	Failures  []Failure // in batch order
+	Elapsed   time.Duration
+	Workers   int // jobs this process computed at once, at most
+}
+
+// Failed returns the number of jobs that did not complete.
+func (r *Report) Failed() int { return len(r.Failures) }
+
+// String renders the one-line summary CLIs print after a sweep.
+func (r *Report) String() string {
+	s := fmt.Sprintf("%d/%d jobs completed in %v (%d workers)", r.Completed, r.Total,
+		r.Elapsed.Round(time.Millisecond), r.Workers)
+	if r.Aborted > 0 {
+		s += fmt.Sprintf("; %d aborted by drain", r.Aborted)
+	}
+	if len(r.Failures) > 0 {
+		s += fmt.Sprintf("; %d FAILED", len(r.Failures))
+	}
+	return s
+}
 
 // Metrics exports sweep progress through an internal/telemetry registry:
 // jobs done/failed, batch totals, elapsed time and the ETA estimate.
@@ -49,9 +95,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		running:        reg.Gauge("engine_running", "1 while a batch is in flight", nil),
 	}
 }
-
-// Registry returns the registry the metrics publish into.
-func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 
 // Publish renders the registry snapshot for HTTP exposition.
 func (m *Metrics) Publish() {

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -117,7 +116,7 @@ type JobStatus struct {
 	Progress Progress     `json:"progress"`
 	Error    string       `json:"error,omitempty"`
 	// Report is the sweep's batch summary, present once the job settled.
-	Report *engine.Report `json:"report,omitempty"`
+	Report *harness.Report `json:"report,omitempty"`
 	// Episodes totals the sweep's recovery-episode counters, present once
 	// the job settled with results.
 	Episodes *EpisodeCounts `json:"episodes,omitempty"`
@@ -154,7 +153,7 @@ type Server struct {
 	limiter  *fabric.RateLimiter
 
 	reg *telemetry.Registry
-	em  *engine.Metrics
+	em  *harness.Metrics
 
 	accepted  atomic.Int64
 	completed atomic.Int64
@@ -240,8 +239,8 @@ func NewWithOptions(opts Options) (*Server, error) {
 		s.limiter = fabric.NewRateLimiter(opts.RateLimit, burst)
 	}
 	// Server totals are pull-style metrics over atomics so the registry can
-	// render them from any goroutine; the engine's own progress metrics
-	// serialize through em's mutex (see engine.Metrics).
+	// render them from any goroutine; the sweep's own progress metrics
+	// serialize through em's mutex (see harness.Metrics).
 	s.reg.CounterFunc("serve_jobs_accepted_total", "sweep jobs accepted", nil, s.accepted.Load)
 	s.reg.CounterFunc("serve_jobs_completed_total", "sweep jobs finished successfully", nil, s.completed.Load)
 	s.reg.CounterFunc("serve_jobs_failed_total", "sweep jobs finished with failures", nil, s.failed.Load)
@@ -249,7 +248,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 		func() float64 { return float64(s.queued.Load()) })
 	s.reg.CounterFunc("serve_jobs_rejected_total", "sweep submissions rejected with 503 (queue full, closed or draining)", nil, s.rejected.Load)
 	s.reg.CounterFunc("serve_jobs_throttled_total", "sweep submissions throttled with 429 (per-client rate limit)", nil, s.throttled.Load)
-	s.em = engine.NewMetrics(s.reg)
+	s.em = harness.NewMetrics(s.reg)
 	go s.runner()
 	return s, nil
 }
@@ -332,7 +331,7 @@ func (s *Server) runJob(id string) {
 		// stored result, a fleet worker, or the local closure.
 		PointRunner: s.fleet.Execute,
 	}
-	opts.Status = func(st engine.Status) {
+	opts.Status = func(st harness.Status) {
 		s.mu.Lock()
 		j.status.Progress = Progress{
 			Done:           st.Done,

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/harness"
 )
 
 // tinyReq is a sweep small enough for a unit test: one low load on the 8x8
@@ -189,6 +191,38 @@ func TestSubmitRunAndFetchResults(t *testing.T) {
 	if list[0].ID != st.ID || list[1].ID != st2.ID {
 		t.Fatalf("list order %s, %s", list[0].ID, list[1].ID)
 	}
+
+	// The report's wire names, read without the Go type, which would
+	// round-trip a renamed field: a job whose every point panics names each
+	// one under Key and Err.
+	harness.PointHook = func(string) { panic("poison") }
+	t.Cleanup(func() { harness.PointHook = nil })
+	req := tinyReq()
+	req.Loads = []float64{0.3} // not in the coordinator's cache
+	st3 := submit(t, ts, req)
+	if got := waitDone(t, ts, st3.ID); got.State != "failed" {
+		t.Fatalf("poisoned job state = %s", got.State)
+	}
+	var raw struct{ Report map[string]any }
+	getJSON(t, ts.URL+"/jobs/"+st3.ID, &raw)
+	failures, _ := raw.Report["Failures"].([]any)
+	if got := wireKeys(raw.Report); got != "Aborted Completed Elapsed Failures Total Workers" || len(failures) == 0 {
+		t.Fatalf("report keys %q, %d failures", got, len(failures))
+	}
+	failure, _ := failures[0].(map[string]any)
+	if got := wireKeys(failure); got != "Err Key" {
+		t.Fatalf("failure keys %q", got)
+	}
+}
+
+// wireKeys lists a decoded JSON object's keys, sorted and space-separated.
+func wireKeys(m map[string]any) string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }
 
 func TestWatchStreamsStatusUntilTerminal(t *testing.T) {
