@@ -13,11 +13,10 @@
 // bijection on 64-bit integers, so distinct (base, key-hash) mixes can only
 // collide if FNV collides on the keys themselves.
 //
-// The sweep's progress vocabulary (Report, Status, Metrics) lives in
-// internal/harness beside RunWith, its one writer. This package is still a
-// directory of its own for two reasons: the benchmark module imports
-// SeedFor from here, and the sweep tests in this directory keep their
-// package path, which is part of each test's name.
+// This package stays a directory of its own for two reasons: the benchmark
+// module imports SeedFor from here, and the tests in this directory, most
+// of which drive harness.RunWith, keep their package path, part of each
+// test's ID.
 package engine
 
 const (
