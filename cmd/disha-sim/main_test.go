@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/snapshot"
 )
 
 // TestDocumentedFlags builds disha-sim and disha-bisect and reads the flags
@@ -147,13 +148,13 @@ func TestKernelFlags(t *testing.T) {
 
 	for _, pin := range []struct{ args, want string }{
 		{"-topo torus-8x8 -vcs 1 -load 0.9 -msglen 8 -cycles 2000",
-			"d16ffe0e9b147cd8841d9d14736fa205552bd09e49f5311c15301d4646fcb428"},
+			"b1b1d4bb4807baa91e407f0123a1a46305ccf75d21aebe66415d494421c22c76"},
 		{"-topo mesh-4x4x4 -alg duato -traffic tornado -cycles 1500",
-			"94dc8a1c5d4b313bf448def136ecacd970b55c30c1fb1e01c9e541162a0ff65e"},
+			"f563da66724e07571b5383bc70982f9a911ec0c1fddaf93810f62764980526c8"},
 		{"-topo dragonfly-4x2 -load 0.3 -cycles 1500",
-			"6c97daa55ccb6a5995f46c8af38262aa579f5df13fb5672c26cb042a1353afd7"},
+			"47c78766750e4570af8a7808f13aee9a7ac893b4b2dd4496749bbb58af88421e"},
 		{"-topo fullmesh-16 -traffic hotspot -hotspot-fraction 0.1 -alg disha-m2 -sel min-congestion -recovery abort-retry -vcs 2 -cycles 1500 -seed 7",
-			"871a1ffac14598058445178d2fc1bc284323b4b7aaf8f58eeed52bbae86da2ad"},
+			"a5b6d33d94ae5d8754f0efc109e02de8e5570ed29dcdf30000455a85b79aa312"},
 	} {
 		out, code := sim(append(strings.Fields(pin.args), "-fingerprint")...)
 		if code != 0 || !strings.Contains(out, "fingerprint:       "+pin.want+"\n") {
@@ -190,6 +191,26 @@ func TestKernelFlags(t *testing.T) {
 	if out, code := sim("-topo", "fullmesh-8", "-cycles", "300", "-chaos-script", script); code != 0 ||
 		!strings.Contains(out, "skipped") || !strings.Contains(out, "1 events (0 applied, 1 skipped") || strings.Contains(out, "goroutine") {
 		t.Errorf("disha-sim swap-to-dor on fullmesh-8: exit %d; output:\n%s", code, out)
+	}
+	// A checkpoint of another format version is refused by its version
+	// with one line, exit 1: the network's fixture payload sealed as
+	// version 2, restored under the fixture's own configuration.
+	fixture, err := os.ReadFile("../../internal/network/testdata/snapshot_v3.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := snapshot.Open(fixture, "DISHANET", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := filepath.Join(t.TempDir(), "v2.ckpt")
+	if err := os.WriteFile(v2, snapshot.Seal("DISHANET", 2, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const refused = "disha-sim: snapshot: format version 2 not supported (this build reads version 3)\n"
+	if out, code := sim("-topo", "torus-4x4", "-alg", "disha-m0", "-load", "0.6", "-msglen", "8", "-seed", "2026",
+		"-vcs", "2", "-depth", "1", "-timeout", "4", "-cycles", "300", "-restore", "-checkpoint", v2); code != 1 || out != refused {
+		t.Errorf("disha-sim -restore of a version-2 file: exit %d, want 1 with the line %q; output:\n%s", code, refused, out)
 	}
 	for _, bad := range []struct{ args, want string }{
 		{"-alg nope", `unknown algorithm "nope"`},

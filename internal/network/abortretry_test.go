@@ -47,6 +47,7 @@ func TestAbortRetryDrains(t *testing.T) {
 	if c.Recoveries != 0 || c.TokenSeizures != 0 {
 		t.Fatal("abort-retry must not use the Deadlock Buffer lane")
 	}
+	checkOfferedLedger(t, n)
 }
 
 // TestAbortRetrySeeds covers several deadlock shapes.

@@ -10,7 +10,6 @@ import (
 type Counters struct {
 	Cycles           sim.Cycle
 	PacketsOffered   int64 // generated by sources
-	PacketsRefused   int64 // dropped at a full source queue (SourceQueueCap)
 	PacketsInjected  int64 // headers accepted into the network
 	PacketsDelivered int64 // tails consumed at destinations
 	FlitsDelivered   int64
@@ -51,7 +50,6 @@ var counterTable = [...]struct {
 }{
 	{func(c *Counters) *int64 { return (*int64)(&c.Cycles) }, "cycles", "disha_cycles_total", "Simulation cycles executed.", nil},
 	{func(c *Counters) *int64 { return &c.PacketsOffered }, "packets_offered", "disha_packets_offered_total", "Packets generated by traffic sources.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsRefused }, "packets_refused", "disha_packets_refused_total", "Packets dropped at full source queues.", nil},
 	{func(c *Counters) *int64 { return &c.PacketsInjected }, "packets_injected", "disha_packets_injected_total", "Packet headers accepted into the network.", nil},
 	{func(c *Counters) *int64 { return &c.PacketsDelivered }, "packets_delivered", "disha_packets_delivered_total", "Packet tails consumed at destinations.", nil},
 	{func(c *Counters) *int64 { return &c.FlitsDelivered }, "flits_delivered", "disha_flits_delivered_total", "Flits consumed at destinations.", nil},

@@ -39,10 +39,6 @@ type Config struct {
 	// cites "drastically reduces propagation time". Default
 	// DefaultTokenHopsPerCycle.
 	TokenHopsPerCycle int
-	// SourceQueueCap bounds each node's source queue; 0 means unbounded.
-	// When the cap is hit newly generated packets are dropped and counted
-	// as refused (offered-but-not-queued).
-	SourceQueueCap int
 	// InjectionThrottle, when positive, implements the injection-limitation
 	// scheme the paper cites (§4.3.3: "throttling ... could be used to
 	// reduce deadlocks even further"): a node stops injecting while it has
@@ -699,8 +695,6 @@ func (n *Network) injectAt(i int, fired bool, now sim.Cycle) {
 			// Destination is currently dead: the packet can never be
 			// delivered, so it is dropped at generation, not queued.
 			n.counters.PacketsUnroutable++
-		case n.cfg.SourceQueueCap > 0 && q.queued() >= n.cfg.SourceQueueCap:
-			n.counters.PacketsRefused++
 		default:
 			n.enqueue(i, p)
 		}

@@ -240,22 +240,6 @@ func TestMeshTopologyRuns(t *testing.T) {
 	drain(t, n, 2000, 6000)
 }
 
-func TestSourceQueueCap(t *testing.T) {
-	topo := topology.MustTorus(4, 4)
-	cfg := testConfig(topo, routing.Disha(0), 0.95, 29)
-	cfg.SourceQueueCap = 2
-	n := mustNet(t, cfg)
-	n.Run(5000)
-	c := n.Counters()
-	if c.PacketsRefused == 0 {
-		t.Fatal("expected refusals with a tiny source queue at high load")
-	}
-	if c.PacketsOffered != c.PacketsRefused+c.PacketsInjected+n.QueuedPackets() {
-		t.Fatalf("offered %d != refused %d + injected %d + queued %d",
-			c.PacketsOffered, c.PacketsRefused, c.PacketsInjected, n.QueuedPackets())
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	bad := []Config{

@@ -99,6 +99,22 @@ func TestKillRouterLedger(t *testing.T) {
 	if c.PacketsUnroutable == 0 {
 		t.Fatal("expected undeliverable generated traffic while the router was dead")
 	}
+	checkOfferedLedger(t, n)
+}
+
+// checkOfferedLedger holds every packet a source generated to one fate:
+// injected, still queued, or dropped before injection as unroutable.
+// Abort-retry re-queues a killed packet and counts it as injected again on
+// retry, so its kills come off the injected count:
+//
+//	PacketsOffered == PacketsInjected - PacketsKilled + queued + PacketsUnroutable
+func checkOfferedLedger(t *testing.T, n *Network) {
+	t.Helper()
+	c := n.Counters()
+	if got := c.PacketsInjected - c.PacketsKilled + n.QueuedPackets() + c.PacketsUnroutable; c.PacketsOffered != got {
+		t.Fatalf("offered %d != injected %d - killed %d + queued %d + unroutable %d",
+			c.PacketsOffered, c.PacketsInjected, c.PacketsKilled, n.QueuedPackets(), c.PacketsUnroutable)
+	}
 }
 
 // TestKillRouterRefusesDisconnection builds a 2x2 mesh and kills routers

@@ -14,7 +14,7 @@ import (
 // of being mis-decoded (TestSnapshotGoldenFixture pins the current layout).
 const (
 	snapshotMagic   = "DISHANET"
-	snapshotVersion = 2
+	snapshotVersion = 3
 )
 
 // Snapshot writes a versioned binary serialization of the network's complete
@@ -218,25 +218,14 @@ func (n *Network) walkConfigGuard(c *snapshot.Codec) {
 	c.ExpectString(cfg.Pattern.Name(), "traffic pattern")
 	c.Expect(int64(cfg.Router.VCs), "VC count")
 	c.Expect(int64(cfg.Router.BufferDepth), "buffer depth")
-	// Format v2 codes these two; the router fixes them: a one-flit
-	// Deadlock Buffer exactly when detection is on, one injection VC.
-	dbDepth := int64(0)
-	if cfg.Router.Timeout > 0 {
-		dbDepth = 1
-	}
-	c.Expect(dbDepth, "deadlock buffer depth")
-	c.Expect(1, "injection VCs")
 	c.Expect(int64(cfg.Router.ReceptionChannels), "reception channels")
 	c.Expect(int64(cfg.Router.Timeout), "timeout")
 	c.Expect(int64(cfg.Router.Alloc), "allocation policy")
 	c.Expect(int64(cfg.Router.Recovery), "recovery mode")
-	c.ExpectBool(false, "adaptive timeout") // a field format v2 reserved; always false
 	c.ExpectF64(cfg.LoadRate, "load rate")
-	c.ExpectF64(0, "injection probability") // a field format v2 reserved; always 0
 	c.Expect(int64(cfg.MsgLen), "message length")
 	c.ExpectU64(cfg.Seed, "seed")
 	c.Expect(int64(cfg.TokenHopsPerCycle), "token speed")
-	c.Expect(int64(cfg.SourceQueueCap), "source queue cap")
 	c.Expect(int64(cfg.InjectionThrottle), "injection throttle")
 	c.ExpectF64(cfg.Burst.MeanBurst, "burst mean length")
 	c.ExpectF64(cfg.Burst.MeanIdle, "burst mean idle")

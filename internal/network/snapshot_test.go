@@ -22,9 +22,9 @@ import (
 // format change (remember to bump snapshotVersion) with:
 //
 //	go test ./internal/network -run TestSnapshotGoldenFixture -update-snapshot
-var updateSnapshot = flag.Bool("update-snapshot", false, "rewrite testdata/snapshot_v2.bin from the current encoder")
+var updateSnapshot = flag.Bool("update-snapshot", false, "rewrite testdata/snapshot_v3.bin from the current encoder")
 
-const snapshotFixture = "testdata/snapshot_v2.bin"
+const snapshotFixture = "testdata/snapshot_v3.bin"
 
 // takeSnapshot runs a fresh network for warm cycles and returns the network
 // plus its serialized state.
@@ -322,7 +322,7 @@ func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 }
 
 // snapshotFixtureConfig is the pinned configuration for the committed
-// format fixture. Changing it invalidates testdata/snapshot_v2.bin.
+// format fixture. Changing it invalidates testdata/snapshot_v3.bin.
 func snapshotFixtureConfig() Config {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.6, 2026)
 	cfg.Router.VCs = 2
@@ -333,7 +333,9 @@ func snapshotFixtureConfig() Config {
 
 // TestSnapshotGoldenFixture decodes a snapshot file committed to testdata,
 // pinning the on-disk format: if the encoding changes in any way, this test
-// fails until the format version is bumped and the fixture regenerated.
+// fails until the format version is bumped and the fixture regenerated. The
+// same payload sealed as version 2 is refused by its version: a reader
+// decodes one format.
 func TestSnapshotGoldenFixture(t *testing.T) {
 	cfg := snapshotFixtureConfig()
 	if *updateSnapshot {
@@ -353,6 +355,15 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 		t.Fatalf("missing snapshot fixture (regenerate with -update-snapshot): %v", err)
 	}
 	restored := restoreFresh(t, cfg, data)
+	payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refused = "format version 2 not supported (this build reads version 3)"
+	v2 := snapshot.Seal(snapshotMagic, 2, payload)
+	if err := mustNet(t, cfg).Restore(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Fatalf("restore of the fixture sealed as version 2: %v, want %q", err, refused)
+	}
 
 	// The fixture must decode to the exact state the encoder produces today.
 	orig, fresh := takeSnapshot(t, cfg, 250)
@@ -363,27 +374,25 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 }
 
 // TestSnapshotBytesWithoutRecoveryLaneSettings pins the fixture
-// configuration's snapshot under recovery off and under abort-retry to
-// digests taken at 9d352f6, where the Deadlock Buffer depth and the
-// injection VC count were router settings (0 and 1 for recovery off, 1 and
-// 1 for abort-retry, as router.PaperConfig set them). Format v2 still codes
-// both, so checkpoints written on either side of that commit restore on
-// the other; snapshot_v2.bin pins sequential recovery the same way.
+// configuration's snapshot under recovery off and under abort-retry, the
+// two recovery settings snapshot_v3.bin (sequential recovery) leaves
+// unpinned. Neither the Deadlock Buffer depth nor the injection VC count is
+// a setting, and the format codes neither.
 func TestSnapshotBytesWithoutRecoveryLaneSettings(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		build  func(*Config)
 		sha256 string
 	}{
-		{"recovery off", func(c *Config) { c.Router.Timeout = 0 }, "0932c43f2caa6022dec528b83f37c20acbb47ab9aacf08897be187fce3fb505f"},
-		{"abort-retry", func(c *Config) { c.Router.Recovery = router.RecoveryAbortRetry }, "bbb5a6385ac9bfc1f022476195a31239dc5dbfaaa985d94a5ec1585d10f7793a"},
+		{"recovery off", func(c *Config) { c.Router.Timeout = 0 }, "4ea8f3df45e0fcbb5aacaa6095c9501889e672d981f6ea5ba245928a4657b2b8"},
+		{"abort-retry", func(c *Config) { c.Router.Recovery = router.RecoveryAbortRetry }, "49710b6ad24d9ccfab63e511f28994f55ed1bed8184af4b2e721dfd8bfe0bd3f"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := snapshotFixtureConfig()
 			tc.build(&cfg)
 			_, data := takeSnapshot(t, cfg, 250)
 			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != tc.sha256 {
-				t.Fatalf("snapshot SHA-256 %x, pinned %s: this encoder's bytes differ from format v2's", sum, tc.sha256)
+				t.Fatalf("snapshot SHA-256 %x, pinned %s: this encoder's bytes differ from the pinned format's", sum, tc.sha256)
 			}
 		})
 	}
@@ -411,9 +420,9 @@ func lastRouterCrossbar(cfg Config, payload []byte) int {
 // arbitration offset, the field after its crossbar records.
 func lastRouterArbOffset(cfg Config, payload []byte) int {
 	deg := cfg.Topo.Degree()
-	// VC arbitration offset, swArbOff[deg+1], effective T_out, decay count,
-	// 9 stats, blockedByVC[VCs], blocked and presumed gauges, RNG.
-	trailer := 8 + 8*(deg+1) + 8 + 8 + 9*8 + 8*cfg.Router.VCs + 8 + 8 + 32
+	// VC arbitration offset, swArbOff[deg+1], 9 stats, blockedByVC[VCs],
+	// blocked and presumed gauges, RNG.
+	trailer := 8 + 8*(deg+1) + 9*8 + 8*cfg.Router.VCs + 8 + 8 + 32
 	return len(payload) - trailer
 }
 
@@ -421,58 +430,44 @@ func lastRouterArbOffset(cfg Config, payload []byte) int {
 // TestSnapshotRefusesValuesOffTheClock's edited offset.
 const clockSeed = "testdata/fuzz/FuzzSnapshotRestore/vc-arbitration-offset-off-the-clock"
 
-// TestSnapshotRefusesValuesOffTheClock edits, in a real snapshot, a router
-// field that is a function of the clock or the configuration — the VC
-// arbitration offset, the effective T_out and the decay count the format
-// reserves — to a value in its range that disagrees with them. Restore must
-// refuse it, not resume a run no clock or configuration could have
-// produced. The edited offset is also a FuzzSnapshotRestore seed (its first
-// configuration; rewrite it with -update-snapshot).
+// TestSnapshotRefusesValuesOffTheClock edits, in a real snapshot, the VC
+// arbitration offset of a router — a function of the clock — to a value in
+// its range that disagrees with it. Restore must refuse it, not resume a
+// run no clock could have produced. The edited snapshot is also a
+// FuzzSnapshotRestore seed (its first configuration; rewrite it with
+// -update-snapshot).
 func TestSnapshotRefusesValuesOffTheClock(t *testing.T) {
 	fuzzCfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	fuzzCfg.Router.Timeout = 4
 	rc := mustNet(t, fuzzCfg).cfg.Router
-	deg := fuzzCfg.Topo.Degree()
-	stride := int64(deg*rc.VCs + 1)
-	for _, tc := range []struct {
-		name   string
-		field  int // bytes past the VC arbitration offset
-		modulo int64
-	}{
-		{"VC arbitration offset", 0, stride},
-		{"effective T_out", 8 + 8*(deg+1), 1 << 32},
-		{"adaptive decay count", 8 + 8*(deg+1) + 8, 256},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, data := takeSnapshot(t, fuzzCfg, 150)
-			payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-			if err != nil {
+	stride := int64(fuzzCfg.Topo.Degree()*rc.VCs + 1)
+	const field = "VC arbitration offset"
+	t.Run(field, func(t *testing.T) {
+		_, data := takeSnapshot(t, fuzzCfg, 150)
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := lastRouterArbOffset(fuzzCfg, payload)
+		mut := bytes.Clone(payload)
+		v := int64(binary.LittleEndian.Uint64(mut[at:]))
+		binary.LittleEndian.PutUint64(mut[at:], uint64((v+1)%stride))
+		edited := snapshot.Seal(snapshotMagic, snapshotVersion, mut)
+		err = restoreAndStep(t, fuzzCfg, edited)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("restore of a %s off the clock: %v, want a %s error", field, err, field)
+		}
+		if *updateSnapshot {
+			seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte('\\x00')\n", edited)
+			if err := os.WriteFile(clockSeed, []byte(seed), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			at := lastRouterArbOffset(fuzzCfg, payload) + tc.field
-			mut := bytes.Clone(payload)
-			v := int64(binary.LittleEndian.Uint64(mut[at:]))
-			binary.LittleEndian.PutUint64(mut[at:], uint64((v+1)%tc.modulo))
-			edited := snapshot.Seal(snapshotMagic, snapshotVersion, mut)
-			err = restoreAndStep(t, fuzzCfg, edited)
-			if err == nil || !strings.Contains(err.Error(), tc.name) {
-				t.Fatalf("restore of a %s off the clock: %v, want a %s error", tc.name, err, tc.name)
-			}
-			if tc.field != 0 {
-				return
-			}
-			if *updateSnapshot {
-				seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte('\\x00')\n", edited)
-				if err := os.WriteFile(clockSeed, []byte(seed), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			seed, err := os.ReadFile(clockSeed)
-			if err != nil || !bytes.Contains(seed, []byte(fmt.Sprintf("%q", edited))) {
-				t.Fatalf("%s is not this edited snapshot (rewrite it with -update-snapshot): %v", clockSeed, err)
-			}
-		})
-	}
+		}
+		seed, err := os.ReadFile(clockSeed)
+		if err != nil || !bytes.Contains(seed, []byte(fmt.Sprintf("%q", edited))) {
+			t.Fatalf("%s is not this edited snapshot (rewrite it with -update-snapshot): %v", clockSeed, err)
+		}
+	})
 }
 
 // TestSnapshotRejectsHostileCrossbarVC re-seals a packet-by-packet snapshot
@@ -568,7 +563,7 @@ func TestSnapshotRejectsHostilePacketEndpoints(t *testing.T) {
 	if err := n.walkReconfigLog(&head); err != nil {
 		t.Fatal(err)
 	}
-	table := len(head.Bytes()) + 8 + 32 + 8 + 19*8
+	table := len(head.Bytes()) + 8 + 32 + 8 + 8*len(counterTable)
 	count := int(binary.LittleEndian.Uint64(payload[table:]))
 	if count != len(n.collectPackets()) || count < 20 {
 		t.Fatalf("packet table not where the layout says: count %d, live packets %d", count, len(n.collectPackets()))

@@ -123,10 +123,6 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	for q := 0; q <= s.deg; q++ {
 		snapshot.Range(c, &s.swArbOff[r.swIdx(q)], snapshot.In(0, s.stride, "switch arbitration offset"))
 	}
-	// Format v2 codes a per-router T_out and decay count; every router
-	// presumes deadlock at the configured T_out.
-	c.Expect(int64(s.cfg.Timeout), "effective T_out")
-	c.Expect(0, "adaptive decay count")
 	c.I64(&r.stats.TimeoutEvents)
 	c.I64(&r.stats.FalseDetections)
 	c.I64(&r.stats.Recoveries)
