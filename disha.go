@@ -583,22 +583,6 @@ func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures
 // Experiment.RunWith; results are bit-identical for every Parallel value.
 type SweepOptions = harness.RunOptions
 
-// SweepReport summarizes a finished sweep: completed/failed/aborted points
-// and wall time.
-type SweepReport = harness.Report
-
-// SweepStatus is a running sweep's progress snapshot (done/total, ETA).
-type SweepStatus = harness.Status
-
-// EngineMetrics exports sweep progress (the engine_* families) through a
-// telemetry registry.
-type EngineMetrics = harness.Metrics
-
-// NewEngineMetrics registers the sweep progress metrics (jobs done/total,
-// ETA) on a telemetry registry. Serve them with telemetry.Serve or
-// the /metrics endpoint of disha-serve.
-func NewEngineMetrics(reg *telemetry.Registry) *EngineMetrics { return harness.NewMetrics(reg) }
-
 // SweepSeedFor derives the deterministic seed of the point with the given
 // identity key under a base seed (exposed for tooling and tests).
 func SweepSeedFor(base uint64, key string) uint64 { return engine.SeedFor(base, key) }
