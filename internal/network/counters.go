@@ -19,7 +19,8 @@ type Counters struct {
 	// committed to the network (FlitsLost is those discarded flits);
 	// PacketsUnroutable counts packets dropped before injection — generated
 	// for, or queued toward, a destination router that is currently dead.
-	// After a drain, PacketsInjected == PacketsDelivered + PacketsLost.
+	// After a drain, PacketsInjected - PacketsKilled == PacketsDelivered +
+	// PacketsLost.
 	PacketsLost       int64
 	FlitsLost         int64
 	PacketsUnroutable int64

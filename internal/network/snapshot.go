@@ -35,8 +35,8 @@ const (
 // identical bytes, whichever scan path got them there (activation is
 // rebuilt from the restored state, never serialized). Restoring it into a
 // freshly built Network with the identical Config reproduces the exact
-// Fingerprint at every subsequent cycle, which is the property the
-// checkpoint/resume machinery in internal/harness is built on.
+// Fingerprint at every subsequent cycle, which is the property disha-sim's
+// -checkpoint/-restore and disha-bisect's rewind are built on.
 func (n *Network) Snapshot(w io.Writer) error {
 	var enc snapshot.Codec
 	if err := n.walkState(&enc); err != nil {
