@@ -223,6 +223,8 @@ func TestKernelFlags(t *testing.T) {
 		{"-cycles -5", "-cycles -5: a cycle count cannot be negative"},
 		{"-checkpoint-every -3", "-checkpoint-every -3: a cycle count cannot be negative"},
 		{"-drain -1", "-drain -1: a cycle count cannot be negative"},
+		{"-depth 256", "router: buffer depth 256 outside [1,255]"},
+		{"-vcs 128", "router: VCs 128 outside [1,127]"},
 	} {
 		out, code := sim(strings.Fields(bad.args)...)
 		if code != 2 || !strings.Contains(out, bad.want) || strings.Count(out, "\n") != 1 {

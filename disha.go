@@ -583,6 +583,14 @@ func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures
 // Experiment.RunWith; results are bit-identical for every Parallel value.
 type SweepOptions = harness.RunOptions
 
+// SweepStatus is a running sweep's progress snapshot (done/total, ETA), the
+// value SweepOptions.Status receives.
+type SweepStatus = harness.Status
+
+// SweepReport summarizes a finished sweep (completed, failed and aborted
+// points, wall time): Experiment.RunWith returns it.
+type SweepReport = harness.Report
+
 // SweepSeedFor derives the deterministic seed of the point with the given
 // identity key under a base seed (exposed for tooling and tests).
 func SweepSeedFor(base uint64, key string) uint64 { return engine.SeedFor(base, key) }

@@ -269,6 +269,25 @@ func TestFacadePlots(t *testing.T) {
 	}
 }
 
+// TestFacadeSweepTypes names, through the facade alone, the two types a
+// sweep hands back: the progress SweepOptions.Status receives and the report
+// Experiment.RunWith returns.
+func TestFacadeSweepTypes(t *testing.T) {
+	sc := disha.ExperimentScale{Radix: 4, MsgLen: 8, Warmup: 50, Measure: 100,
+		Loads: []float64{0.2}, Seed: 5}
+	spec := disha.Figure("4", sc)
+	spec.Algs = spec.Algs[:2]
+	var last disha.SweepStatus
+	_, rep, err := spec.RunWith(disha.SweepOptions{Parallel: 1, Status: func(st disha.SweepStatus) { last = st }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report *disha.SweepReport = rep
+	if report.Completed != 2 || report.Failed() != 0 || last.Done != 2 || last.Total != 2 {
+		t.Fatalf("report %+v, last status %+v; want 2 of 2 points done", report, last)
+	}
+}
+
 func TestFacadeFaultInjection(t *testing.T) {
 	topo := disha.Torus(4, 4)
 	sim, err := disha.NewSimulator(disha.SimConfig{

@@ -52,8 +52,8 @@ func (p *PointFlags) Flags(fs *flag.FlagSet) {
 	fs.Float64Var(&p.HotspotFraction, "hotspot-fraction", p.HotspotFraction, "hot-spot traffic fraction")
 	fs.Float64Var(&p.Load, "load", p.Load, "offered load (fraction of capacity)")
 	fs.IntVar(&s.MsgLen, "msglen", s.MsgLen, "message length in flits")
-	fs.IntVar(&s.VCs, "vcs", s.VCs, "virtual channels per physical channel")
-	fs.IntVar(&s.BufferDepth, "depth", s.BufferDepth, "per-VC buffer depth in flits")
+	fs.IntVar(&s.VCs, "vcs", s.VCs, "virtual channels per physical channel, at most 127")
+	fs.IntVar(&s.BufferDepth, "depth", s.BufferDepth, "per-VC buffer depth in flits, at most 255")
 	fs.IntVar(&p.Timeout, "timeout", p.Timeout, "deadlock time-out T_out >= 1, for the disha algorithms (avoidance algorithms run without recovery and ignore it)")
 	fs.StringVar(&p.Recovery, "recovery", p.Recovery, "recovery mode for the disha algorithms, or off: off, "+list(router.RecoveryModeNames()))
 	fs.IntVar(&s.Throttle, "throttle", s.Throttle, "max outstanding packets per node (0 = unthrottled)")

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -293,7 +295,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative measure", `{"figure":"4","measure":-1}`, "negative measure -1"},
 		{"too many points", `{"figure":"4","replicas":1000000000}`, "replicas 1000000000 exceeds 65536 points"},
 		{"one point past the bound", `{"figure":"4","scale":"small","replicas":2731}`, "6 curves x 4 loads x replicas 2731 exceeds 65536 points"},
-		{"point count overflows int", `{"figure":"4","replicas":9223372036854775807}`, "exceeds 65536 points"},
+		// The largest int of the build (9223372036854775807 on 64-bit), so
+		// the request decodes on 32-bit too and the product overflows there.
+		{"point count overflows int", `{"figure":"4","replicas":` + strconv.Itoa(math.MaxInt) + `}`, "exceeds 65536 points"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))

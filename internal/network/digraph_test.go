@@ -2,8 +2,10 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,6 +53,44 @@ func TestRejectsOversizedDegree(t *testing.T) {
 	_, err := New(testConfig(topology.MustFullMesh(65), routing.Disha(0), 0.01, 1))
 	if err == nil || !strings.Contains(err.Error(), "router degree 64") {
 		t.Fatalf("fullmesh-65: err = %v, want a router-degree rejection", err)
+	}
+}
+
+// TestRejectsPastNarrowStateBounds pins that a configuration past what the
+// routers' narrow state types hold is a construction error, and that the
+// bounds themselves build: buffer depth (uint8 ring cursors), VC count
+// (int8 grants), T_out (an int32 timer that must pass it) and, on 64-bit,
+// the message length (a flit's int32 position in its ring).
+func TestRejectsPastNarrowStateBounds(t *testing.T) {
+	type bound struct {
+		name string
+		edit func(*Config)
+		want string
+	}
+	cases := []bound{
+		{"depth", func(c *Config) { c.Router.BufferDepth = router.MaxBufferDepth + 1 }, "buffer depth 256 outside [1,255]"},
+		{"vcs", func(c *Config) { c.Router.VCs = router.MaxVCs + 1 }, "VCs 128 outside [1,127]"},
+		{"timeout", func(c *Config) { c.Router.Timeout = router.MaxTimeout + 1 }, "timeout 2147483647 > 2147483646"},
+	}
+	if strconv.IntSize == 64 { // a 32-bit int cannot hold the length
+		big := int64(math.MaxInt32) + 1
+		cases = append(cases, bound{"msglen", func(c *Config) { c.MsgLen = int(big) }, "message length 2147483648 > 2147483647"})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.1, 1)
+			c.edit(&cfg)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.1, 1)
+	cfg.Router.BufferDepth, cfg.Router.VCs, cfg.Router.Timeout = router.MaxBufferDepth, router.MaxVCs, router.MaxTimeout
+	n := mustNet(t, cfg)
+	n.Run(50)
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

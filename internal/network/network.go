@@ -7,6 +7,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -79,6 +80,9 @@ func (c *Config) normalize() error {
 	}
 	if c.MsgLen < 1 {
 		return fmt.Errorf("network: message length %d < 1", c.MsgLen)
+	}
+	if c.MsgLen > math.MaxInt32 { // a router ring stores a flit's position as an int32
+		return fmt.Errorf("network: message length %d > %d", c.MsgLen, math.MaxInt32)
 	}
 	if c.TokenHopsPerCycle == 0 {
 		c.TokenHopsPerCycle = DefaultTokenHopsPerCycle

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/sim"
@@ -142,6 +143,17 @@ func PaperConfig(recovery bool, timeout sim.Cycle, mode RecoveryMode) Config {
 	return c
 }
 
+// The largest VC count, buffer depth and T_out Normalize accepts. State
+// stores every per-slot value in the narrowest type its range allows (see its
+// layout notes), and these are the ranges: a VC index is an int8, a ring
+// cursor a uint8 and a credit count an int16, and a deadlock timer is an
+// int32 that saturates at math.MaxInt32, which must still exceed T_out.
+const (
+	MaxVCs         = math.MaxInt8
+	MaxBufferDepth = math.MaxUint8
+	MaxTimeout     = math.MaxInt32 - 1
+)
+
 // Normalize validates the configuration and fills unset (zero) fields with
 // defaults.
 func (c *Config) Normalize() error {
@@ -155,17 +167,20 @@ func (c *Config) Normalize() error {
 	if c.ReceptionChannels == 0 {
 		c.ReceptionChannels = d.ReceptionChannels
 	}
-	if c.VCs < 1 {
-		return fmt.Errorf("router: VCs %d < 1", c.VCs)
+	if c.VCs < 1 || c.VCs > MaxVCs {
+		return fmt.Errorf("router: VCs %d outside [1,%d]", c.VCs, MaxVCs)
 	}
-	if c.BufferDepth < 1 {
-		return fmt.Errorf("router: buffer depth %d < 1", c.BufferDepth)
+	if c.BufferDepth < 1 || c.BufferDepth > MaxBufferDepth {
+		return fmt.Errorf("router: buffer depth %d outside [1,%d]", c.BufferDepth, MaxBufferDepth)
 	}
 	if c.ReceptionChannels < 1 {
 		return fmt.Errorf("router: reception channels %d < 1", c.ReceptionChannels)
 	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("router: negative timeout")
+	}
+	if c.Timeout > MaxTimeout {
+		return fmt.Errorf("router: timeout %d > %d", c.Timeout, MaxTimeout)
 	}
 	if c.Alloc != FlitByFlit && c.Alloc != PacketByPacket {
 		return fmt.Errorf("router: unknown allocation policy %d", c.Alloc)

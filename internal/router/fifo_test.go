@@ -73,7 +73,7 @@ func TestRingPopZeroesVacatedSlot(t *testing.T) {
 	s.in.push(0, p.Flit(0))
 	s.in.pop(0)
 	for k := 0; k < s.cfg.BufferDepth; k++ {
-		if s.in.flits[k].Pkt != nil {
+		if s.in.pkts[k] != nil {
 			t.Fatal("vacated ring slot retains a stale packet pointer")
 		}
 	}
@@ -151,16 +151,16 @@ func TestFlitRing(t *testing.T) {
 		if q.n[0] != 0 || q.n[2] != 0 || q.check(0) != nil || q.check(2) != nil {
 			t.Fatalf("depth %d: traffic on slot 1 leaked into its neighbours", depth)
 		}
-		q.flits[i*depth] = pkt.Flit(0)
+		q.pkts[i*depth] = pkt
 		if q.check(i) == nil {
 			t.Fatalf("depth %d: check missed a stale flit in a vacated slot", depth)
 		}
-		q.flits[i*depth] = packet.Flit{}
-		q.head[i] = int32(depth)
+		q.pkts[i*depth] = nil
+		q.head[i] = uint8(depth)
 		if q.check(i) == nil {
 			t.Fatalf("depth %d: check missed an out-of-range head", depth)
 		}
-		q.head[i], q.n[i] = 0, int32(depth+1)
+		q.head[i], q.n[i] = 0, uint8(depth+1)
 		if q.check(i) == nil {
 			t.Fatalf("depth %d: check missed an out-of-range length", depth)
 		}
@@ -204,19 +204,19 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		t.Fatalf("fresh router fails CheckState: %v", err)
 	}
 	corruptions := []func(s *State){
-		func(s *State) { s.in.head[0] = int32(s.cfg.BufferDepth) },
-		func(s *State) { s.in.n[0] = int32(s.cfg.BufferDepth + 1) },
-		func(s *State) { s.in.flits[0] = packet.New(9, 0, 1, 2, 0).Flit(0) },
-		func(s *State) { s.inRoute[0] = int32(s.deg) },
-		func(s *State) { s.inOutVC[0] = int32(s.cfg.VCs) },
-		func(s *State) { s.outCredits[0] = int32(s.cfg.BufferDepth + 1) },
+		func(s *State) { s.in.head[0] = uint8(s.cfg.BufferDepth) },
+		func(s *State) { s.in.n[0] = uint8(s.cfg.BufferDepth + 1) },
+		func(s *State) { s.in.pkts[0] = packet.New(9, 0, 1, 2, 0) },
+		func(s *State) { s.inRoute[0] = int8(s.deg) },
+		func(s *State) { s.inOutVC[0] = int8(s.cfg.VCs) },
+		func(s *State) { s.outCredits[0] = int16(s.cfg.BufferDepth + 1) },
 		func(s *State) { s.outCredits[0] = -1 },
 		func(s *State) { s.flitCount[0] = 5 },
-		func(s *State) { s.cxInPort[0] = int32(s.deg + 1) },
-		func(s *State) { s.cxInPort[0], s.cxInVC[0] = 1, int32(s.cfg.VCs) },
-		func(s *State) { s.cxInPort[0], s.cxInVC[0] = int32(s.deg), 1 }, // the injection port has one VC
+		func(s *State) { s.cxInPort[0] = int8(s.deg + 1) },
+		func(s *State) { s.cxInPort[0], s.cxInVC[0] = 1, int8(s.cfg.VCs) },
+		func(s *State) { s.cxInPort[0], s.cxInVC[0] = int8(s.deg), 1 }, // the injection port has one VC
 		func(s *State) { s.cxInVC[0] = -1 },
-		func(s *State) { s.cxSaved[0], s.cxSavedPort[0], s.cxSavedVC[0] = true, 1, 1<<20 },
+		func(s *State) { s.cxSaved[0], s.cxSavedPort[0], s.cxSavedVC[0] = true, 1, MaxVCs },
 		func(s *State) { s.cxDB[0] = true }, // a connection the count misses
 		func(s *State) { s.cxHeld[0] = 1 },  // a count with no connection
 	}
@@ -351,11 +351,20 @@ func TestConfigNormalizeErrors(t *testing.T) {
 		{ReceptionChannels: -3},
 		{Timeout: -1},
 		{Alloc: AllocPolicy(9)},
+		{VCs: MaxVCs + 1},
+		{BufferDepth: MaxBufferDepth + 1},
+		{Timeout: MaxTimeout + 1},
 	}
 	for i, c := range bad {
 		if err := c.Normalize(); err == nil {
 			t.Errorf("config %d should fail: %+v", i, c)
 		}
+	}
+	// The bounds themselves are accepted: they are what the narrow state
+	// types hold.
+	edge := Config{VCs: MaxVCs, BufferDepth: MaxBufferDepth, Timeout: MaxTimeout}
+	if err := edge.Normalize(); err != nil {
+		t.Errorf("config at the bounds refused: %v", err)
 	}
 }
 

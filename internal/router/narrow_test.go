@@ -1,0 +1,206 @@
+package router
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"repro/internal/packet"
+	"repro/internal/routing"
+	"repro/internal/sim"
+	"repro/internal/snapshot"
+	"repro/internal/topology"
+)
+
+// slotBytes sums len × element size over the slices of v (a State, or a
+// flitRing inside it) whose length is one of the keys of by, into by's
+// values: every per-slot array of one kind has the same length.
+func slotBytes(v reflect.Value, by map[int]*int) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Struct:
+			slotBytes(f, by)
+		case reflect.Slice:
+			if sum := by[f.Len()]; sum != nil {
+				*sum += f.Len() * int(f.Type().Elem().Size())
+			}
+		}
+	}
+}
+
+// TestSlotBytes is the memory budget of the struct-of-arrays state: on
+// dragonfly-16x8 (2 064 routers of radix 23, the dragonfly2k-sparse
+// benchmark's network) at 4 VCs and depth 2 it sums the bytes of every
+// per-slot array and pins them per input slot (191 952 of them, the flit
+// rings included), per output slot (189 888) and per crossbar slot (47 472).
+// Widening any per-slot field, or adding one, moves a figure.
+func TestSlotBytes(t *testing.T) {
+	cfg := Default()
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	topo := topology.MustDragonfly(16, 8)
+	s := NewState(topo, cfg, nil, nil, new(sim.Clock))
+	in, out, cx := s.nodes*s.stride, s.nodes*s.outStr, s.nodes*s.deg
+	if in != 191952 || out != 189888 || cx != 47472 {
+		t.Fatalf("dragonfly-16x8 has %d input, %d output and %d crossbar slots", in, out, cx)
+	}
+	var inBytes, outBytes, cxBytes int
+	slotBytes(reflect.ValueOf(s).Elem(), map[int]*int{
+		in: &inBytes, in * cfg.BufferDepth: &inBytes, out: &outBytes, cx: &cxBytes,
+	})
+	ptr := int(unsafe.Sizeof(uintptr(0)))
+	// An input slot: inPkt, inRoute, inOutVC, inDBLane (1 byte each),
+	// inWaiting (4), the ring cursors (1 each) and depth flits of a
+	// pointer and an int32. An output slot: outOwner and outCredits (2). A
+	// crossbar slot: four int8 ports and VCs and two bools.
+	for _, c := range []struct {
+		what      string
+		got, want int
+		slots     int
+	}{
+		{"input", inBytes, ptr + 9 + cfg.BufferDepth*(ptr+4), in},
+		{"output", outBytes, ptr + 2, out},
+		{"crossbar", cxBytes, 6, cx},
+	} {
+		if c.got != c.want*c.slots {
+			t.Errorf("%s slots hold %d bytes, %.2f a slot; want %d a slot", c.what, c.got, float64(c.got)/float64(c.slots), c.want)
+		}
+	}
+	if t.Failed() || testing.Verbose() {
+		t.Logf("input %d B, output %d B, crossbar %d B (%d-byte pointers)", inBytes, outBytes, cxBytes, ptr)
+	}
+}
+
+// blockedHeader builds a 4x4 torus under cfg whose router (1,0) holds the
+// header of a packet for (2,0) blocked on the +X output VCs (owned by a
+// fake packet), as TestTimersAndMostStarved does; it returns the bench,
+// that router and the header's global input slot. The header has waited
+// six cycles (T_out is 8 in the paper configuration).
+func blockedHeader(t *testing.T, cfg Config) (*testBench, *Router, int) {
+	t.Helper()
+	topo := topology.MustTorus(4, 4)
+	b := newBench(t, topo, cfg, routing.DOR())
+	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
+	blocker := packet.New(99, 0, 1, 4, 0)
+	for v := 0; v < r1.st.cfg.VCs; v++ {
+		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = blocker
+	}
+	p := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 1, 0)
+	if !b.routers[p.Src].InjectFlit(p.Flit(0), 0) {
+		t.Fatal("inject failed")
+	}
+	for i := 0; i < 6; i++ {
+		b.step()
+	}
+	for l := 0; l < r1.st.stride; l++ {
+		if i := r1.in0 + l; r1.st.inPkt[i] == p {
+			if r1.st.inWaiting[i] != 6 {
+				t.Fatalf("header waited %d cycles, want 6", r1.st.inWaiting[i])
+			}
+			return b, r1, i
+		}
+	}
+	t.Fatal("header not parked at router (1,0)")
+	return nil, nil, 0
+}
+
+// TestTimerSaturates sets a blocked header's timer just below its type's
+// maximum and ticks it: the timer stops at math.MaxInt32 instead of
+// wrapping, the header stays blocked and presumed, and at T_out =
+// MaxTimeout the presumption still happens, on the tick that reaches the
+// maximum.
+func TestTimerSaturates(t *testing.T) {
+	for _, tout := range []sim.Cycle{8, MaxTimeout} {
+		cfg := Default()
+		cfg.Timeout = tout
+		b, r, i := blockedHeader(t, cfg)
+		r.st.inWaiting[i] = math.MaxInt32 - 2
+		port, vc := r.portVCOf(i - r.in0)
+		for k, want := range []int32{math.MaxInt32 - 1, math.MaxInt32, math.MaxInt32, math.MaxInt32} {
+			b.step()
+			waiting, presumed, _ := r.InputTimer(port, vc)
+			if int32(waiting) != want || waiting < 0 {
+				t.Fatalf("T_out %d, tick %d: waiting %d, want %d", tout, k, waiting, want)
+			}
+			if wantPresumed := tout == 8 || want == math.MaxInt32; presumed != wantPresumed {
+				t.Fatalf("T_out %d, tick %d: presumed %v at waiting %d", tout, k, presumed, waiting)
+			}
+			if err := r.CheckState(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p, v, ok := r.MostStarved(); !ok || p != port || v != vc {
+			t.Fatalf("T_out %d: MostStarved = (%d,%d,%v), want the saturated header (%d,%d)", tout, p, v, ok, port, vc)
+		}
+		if r.BlockedHeaders() != 1 || r.PresumedHeaders() != 1 {
+			t.Fatalf("T_out %d: gauges %d blocked, %d presumed; want 1 and 1", tout, r.BlockedHeaders(), r.PresumedHeaders())
+		}
+	}
+}
+
+// TestSnapshotRefusesValuesPastNarrowTypes edits a router's encoded state
+// where a blocked header waits: its waiting count at math.MaxInt32, the
+// saturated value, restores, and at 2³¹, which does not fit the timer's
+// int32, is refused with an error, not wrapped. So is a buffered flit
+// position of 2³¹, even in a packet long enough to hold it.
+func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
+	_, r, i := blockedHeader(t, Default())
+	enc := snapshot.NewEncoder(nil)
+	if err := r.WalkState(enc, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Router node, then per input slot: packet, route, output VC, DB lane
+	// and waiting count, 8 bytes each, and presumed, sent (1 byte each)
+	// and the ring (a count, then a packet and a position, 8 bytes each,
+	// per flit).
+	at := 8
+	for l := 0; l < i-r.in0; l++ {
+		at += 5*8 + 2 + 8 + 16*int(r.st.in.n[r.in0+l])
+	}
+	waitingAt := at + 4*8
+	seqAt := waitingAt + 8 + 2 + 8 + 8
+	if w, q := binary.LittleEndian.Uint64(enc.Bytes()[waitingAt:]), binary.LittleEndian.Uint64(enc.Bytes()[seqAt:]); w != 6 || q != 0 {
+		t.Fatalf("offsets %d and %d read %d and %d, not the header's waiting count 6 and position 0", waitingAt, seqAt, w, q)
+	}
+	hdr := r.st.inPkt[i]
+	long := *hdr
+	long.Length = math.MaxInt
+	for _, c := range []struct {
+		at      int
+		value   uint64
+		refused string
+		pkt     *packet.Packet
+	}{
+		{waitingAt, 6, "", hdr},
+		{waitingAt, math.MaxInt32, "", hdr},
+		{waitingAt, 1 << 31, "value 2147483648 overflows int32", hdr},
+		{seqAt, 1 << 31, "value 2147483648 overflows int32", &long},
+	} {
+		// The packet table a decoder rewires references through: every
+		// packet the router's slots hold.
+		table := map[packet.ID]*packet.Packet{hdr.ID: c.pkt}
+		for _, p := range r.st.outOwner[r.out0 : r.out0+r.st.outStr] {
+			if p != nil {
+				table[p.ID] = p
+			}
+		}
+		b := bytes.Clone(enc.Bytes())
+		binary.LittleEndian.PutUint64(b[c.at:], c.value)
+		_, r2, _ := blockedHeader(t, Default())
+		err := r2.WalkState(snapshot.NewDecoder(b), table)
+		switch {
+		case c.refused == "" && err != nil:
+			t.Errorf("%d at offset %d refused: %v", c.value, c.at, err)
+		case c.refused == "" && uint64(r2.st.inWaiting[i]) != c.value:
+			t.Errorf("waiting %d restored as %d", c.value, r2.st.inWaiting[i])
+		case c.refused != "" && (err == nil || !strings.Contains(err.Error(), c.refused)):
+			t.Errorf("%d at offset %d: error %v, want one containing %q", c.value, c.at, err, c.refused)
+		}
+	}
+}

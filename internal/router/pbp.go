@@ -117,7 +117,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		// preempts as well: its flits must reach the neighbor's DB.
 		if rp, rv, ok := r.recoveredInputFor(q); ok && !(int(s.cxInPort[c]) == rp && int(s.cxInVC[c]) == rv) {
 			preempt(q)
-			s.cxInPort[c], s.cxInVC[c] = int32(rp), int32(rv)
+			s.cxInPort[c], s.cxInVC[c] = int8(rp), int8(rv)
 			wire(rp, rv)
 		}
 
@@ -146,9 +146,9 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 				if inputConn[port] > 0 && inputPkt[port] != s.inPkt[g] {
 					continue
 				}
-				s.cxInPort[c], s.cxInVC[c] = int32(port), int32(vc)
+				s.cxInPort[c], s.cxInVC[c] = int8(port), int8(vc)
 				wire(port, vc)
-				s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
+				s.swArbOff[r.swIdx(q)] = int16((l + 1) % s.stride)
 				break
 			}
 		}

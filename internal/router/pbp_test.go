@@ -25,7 +25,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	s := r.st
 	i00 := r.inIdx(0, 0)
 	s.inPkt[i00] = a
-	r.setRoute(i00, int32(q))
+	r.setRoute(i00, q)
 	s.inOutVC[i00] = 0
 	r.pushIn(i00, a.Flit(2))
 	r.pushIn(i00, a.Flit(3))
@@ -57,7 +57,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	p := packet.New(2, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 1, 0)
 	p.OnDB = true
 	s.dbPkt[r.db0] = p
-	s.dbRoute[r.db0] = int32(q)
+	s.dbRoute[r.db0] = int8(q)
 	s.db.push(r.db0, p.Flit(0))
 	s.flitCount[r.node]++
 
@@ -113,7 +113,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	s := r.st
 	iA := r.inIdx(0, 0)
 	s.inPkt[iA] = a
-	r.setRoute(iA, int32(q))
+	r.setRoute(iA, q)
 	s.inOutVC[iA] = 0
 	r.pushIn(iA, a.Flit(2))
 	s.flitCount[r.node]++
@@ -124,7 +124,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	bb := packet.New(2, 0, 9, 8, 0)
 	iB := r.inIdx(2, 0)
 	s.inPkt[iB] = bb
-	r.setRoute(iB, int32(q))
+	r.setRoute(iB, q)
 	s.inOutVC[iB] = 1
 	r.pushIn(iB, bb.Flit(2))
 	r.pushIn(iB, bb.Flit(3))

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/packet"
@@ -152,8 +153,8 @@ func (r *Router) routeSlot(i int) {
 		choice = s.sel.Pick(r, usable, r.rng)
 	}
 	s.outOwner[r.outIdx(choice.Port, choice.VC)] = p
-	r.setRoute(i, int32(choice.Port))
-	s.inOutVC[i] = int32(choice.VC)
+	r.setRoute(i, choice.Port)
+	s.inOutVC[i] = int8(choice.VC)
 	if choice.ToDeterministic {
 		p.OnDeterministic = true
 	}
@@ -207,7 +208,7 @@ func Commit(t *Transfer, sink Sink) {
 		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
 			to.st.dbPkt[i] = fl.Pkt
-			to.st.dbRoute[i] = int32(to.dbLaneRoute(t.ToDBLane, fl.Pkt.Dst))
+			to.st.dbRoute[i] = int8(to.dbLaneRoute(t.ToDBLane, fl.Pkt.Dst))
 			fl.Pkt.Hops++
 		}
 		t.From.stats.FlitsSwitched++
@@ -298,8 +299,9 @@ func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
 // TickTimers does for every slot at once.
 func (r *Router) tickSlot(i, p, v int, blocked, presumed *int) int {
 	s, tout := r.st, r.st.cfg.Timeout
+	presumedHere := r.hasMask(mPre, i)
 	if r.hasMask(mSent, i) {
-		if s.inPresumed[i] {
+		if presumedHere {
 			// The presumed-deadlocked header moved normally: a false
 			// detection.
 			r.stats.FalseDetections++
@@ -319,26 +321,29 @@ func (r *Router) tickSlot(i, p, v int, blocked, presumed *int) int {
 		r.clearTimer(i)
 		return 0
 	}
-	s.inWaiting[i]++
+	if s.inWaiting[i] < math.MaxInt32 {
+		s.inWaiting[i]++
+	}
+	waiting := sim.Cycle(s.inWaiting[i])
 	r.setMask(mTim, i, true)
 	*blocked++
 	r.stats.BlockedCycles++
 	r.blockedByVC[v]++
-	if s.inPresumed[i] {
+	if presumedHere {
 		*presumed++
 	}
-	if tout > 0 && s.inWaiting[i] > tout && !s.inPresumed[i] {
+	if tout > 0 && waiting > tout && !presumedHere {
 		// Headers still at the injection port hold no network channels, so
 		// they cannot be deadlock members; they are presumed only when
 		// STRANDED by link faults (the routing function offers no live port
 		// at all), in which case only the recovery lane can ever deliver
 		// them. The stranded check is throttled: faults are rare events.
 		if p == s.deg {
-			if (s.inWaiting[i]-tout)%16 != 1 || !r.strandedHeader(head.Pkt) {
+			if (waiting-tout)%16 != 1 || !r.strandedHeader(head.Pkt) {
 				return 0
 			}
 		}
-		s.inPresumed[i] = true
+		r.setMask(mPre, i, true)
 		*presumed++
 		head.Pkt.TimedOut = true
 		r.stats.TimeoutEvents++
@@ -367,17 +372,16 @@ func (r *Router) strandedHeader(p *packet.Packet) bool {
 // MostStarved returns the presumed-deadlocked input VC whose header has
 // waited longest; ok is false when the router has none. The circulating
 // Token queries this to decide whether to stop here. Injection-port VCs
-// are included: they are presumed only when stranded by faults. A presumed
-// slot is timing, so this and the other presumed-slot readers
-// (RecoverPresumed, PresumedPackets) walk mTim in ascending slot order, and
-// a tie goes to the lowest slot.
+// are included: they are presumed only when stranded by faults. This and
+// the other presumed-slot readers (RecoverPresumed, PresumedPackets) walk
+// mPre in ascending slot order, and a tie goes to the lowest slot.
 func (r *Router) MostStarved() (port, vc int, ok bool) {
 	s := r.st
-	var best sim.Cycle = -1
-	for j, word := range r.maskOf(mTim) {
+	var best int32 = -1
+	for j, word := range r.maskOf(mPre) {
 		for ; word != 0; word &= word - 1 {
 			l := j<<6 + bits.TrailingZeros64(word)
-			if i := r.in0 + l; s.inPresumed[i] && s.inWaiting[i] > best {
+			if i := r.in0 + l; s.inWaiting[i] > best {
 				best = s.inWaiting[i]
 				port, vc = r.portVCOf(l)
 				ok = true
@@ -418,7 +422,7 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 // returned so callers can trace and track per-packet recoveries.
 func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.Packet {
 	s := r.st
-	for j, word := range r.maskOf(mTim) {
+	for j, word := range r.maskOf(mPre) {
 		for ; word != 0; word &= word - 1 {
 			l := j<<6 + bits.TrailingZeros64(word)
 			// Network ports only — exactly the first deg*vcs slots of the
@@ -426,10 +430,8 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 			if l >= s.outStr {
 				return out
 			}
-			if s.inPresumed[r.in0+l] {
-				p, v := r.portVCOf(l)
-				out = append(out, r.Recover(p, v, now))
-			}
+			p, v := r.portVCOf(l)
+			out = append(out, r.Recover(p, v, now))
 		}
 	}
 	return out
@@ -440,8 +442,8 @@ func (r *Router) RecoverPresumed(now sim.Cycle, out []*packet.Packet) []*packet.
 // destination, and enters the lane the hop's direction picks.
 func (r *Router) aimAtDB(i int, dst topology.Node) {
 	q := r.dbLaneRoute(0, dst)
-	r.setRoute(i, int32(q))
-	r.st.inDBLane[i] = int32(r.hopLane(q))
+	r.setRoute(i, q)
+	r.st.inDBLane[i] = int8(r.hopLane(q))
 	r.st.inOutVC[i] = VCDeadlockBuffer
 }
 
@@ -482,9 +484,9 @@ func (r *Router) dbLaneRoute(lane int, dst topology.Node) int {
 // through it).
 func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 	s := r.st
-	for j, word := range r.maskOf(mTim) {
+	for j, word := range r.maskOf(mPre) {
 		for ; word != 0; word &= word - 1 {
-			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.inPresumed[i] && s.inPkt[i] != nil {
+			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.inPkt[i] != nil {
 				out = append(out, s.inPkt[i])
 			}
 		}
@@ -518,7 +520,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		purged += n
 		if n > 0 && port < s.deg && r.neighbors[port] != nil {
 			up := r.neighbors[port]
-			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int32(n)
+			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int16(n)
 		}
 		s.inPkt[i] = nil
 		r.setRoute(i, PortUnrouted)

@@ -128,7 +128,7 @@ func (r *Router) stageEjection(out []Transfer, inputUsed *[64]bool) []Transfer {
 		inputUsed[port] = true
 		budget--
 		if !granted {
-			s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
+			s.swArbOff[r.swIdx(q)] = int16((l + 1) % s.stride)
 			granted = true
 		}
 	}
@@ -190,7 +190,7 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 		}
 		inputUsed[port] = true
 		r.setMask(mSent, g, true)
-		s.swArbOff[r.swIdx(q)] = int32((l + 1) % s.stride)
+		s.swArbOff[r.swIdx(q)] = int16((l + 1) % s.stride)
 		break
 	}
 	return out

@@ -110,7 +110,7 @@ func (r *Router) ResetOutputPort(port int) {
 	for v := 0; v < s.cfg.VCs; v++ {
 		i := r.outIdx(port, v)
 		s.outOwner[i] = nil
-		s.outCredits[i] = int32(s.cfg.BufferDepth)
+		s.outCredits[i] = int16(s.cfg.BufferDepth)
 	}
 	c := r.cxIdx(port)
 	s.cxInPort[c], s.cxInVC[c] = connNone, 0
@@ -131,7 +131,7 @@ func (r *Router) RefreshDBRoutes() {
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
 		if p := s.dbPkt[i]; p != nil && r.dbHeadIsHeader(i) {
-			s.dbRoute[i] = int32(r.dbLaneRoute(lane, p.Dst))
+			s.dbRoute[i] = int8(r.dbLaneRoute(lane, p.Dst))
 		}
 	}
 }
@@ -148,7 +148,7 @@ func (r *Router) RecoveryBusy() (presumed, busy int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.inPresumed[i] && s.in.n[i] != 0 {
+		if r.hasMask(mPre, i) && s.in.n[i] != 0 {
 			presumed++
 		}
 		if s.inPkt[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {

@@ -170,7 +170,7 @@ func TestPurgePacket(t *testing.T) {
 	p := packet.New(1, 0, 9, 6, 0)
 	i0 := r0.inIdx(0, 0)
 	r0.st.inPkt[i0] = p
-	r0.setRoute(i0, int32(q))
+	r0.setRoute(i0, q)
 	r0.st.inOutVC[i0] = 0
 	r0.pushIn(i0, p.Flit(1))
 	r0.pushIn(i0, p.Flit(2))
@@ -181,7 +181,7 @@ func TestPurgePacket(t *testing.T) {
 	r1.st.inPkt[i1] = p
 	r1.pushIn(i1, p.Flit(0))
 	r1.st.flitCount[r1.node]++
-	r0.st.outCredits[r0.outIdx(q, 0)] = int32(cfg.BufferDepth - 1)
+	r0.st.outCredits[r0.outIdx(q, 0)] = int16(cfg.BufferDepth - 1)
 
 	purged := r0.PurgePacket(p) + r1.PurgePacket(p)
 	if purged != 3 {

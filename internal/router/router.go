@@ -281,7 +281,7 @@ func (r *Router) InputRoute(port, vc int) (route, outVC int) {
 // tests uses it to name the first field in which two networks differ.
 func (r *Router) InputTimer(port, vc int) (waiting sim.Cycle, presumed, sent bool) {
 	i := r.inIdx(port, vc)
-	return r.st.inWaiting[i], r.st.inPresumed[i], r.hasMask(mSent, i)
+	return sim.Cycle(r.st.inWaiting[i]), r.hasMask(mPre, i), r.hasMask(mSent, i)
 }
 
 // InputOccupancy returns the number of buffered flits in input VC (port, vc).

@@ -356,7 +356,7 @@ func TestRouterViewImplementation(t *testing.T) {
 	}
 	// Draining VC (owner gone, credits low) is not allocatable.
 	corner.st.outOwner[corner.outIdx(0, 0)] = nil
-	corner.st.outCredits[corner.outIdx(0, 0)] = int32(cfg.BufferDepth - 1)
+	corner.st.outCredits[corner.outIdx(0, 0)] = int16(cfg.BufferDepth - 1)
 	if corner.OutputVCFree(0, 0) {
 		t.Fatal("draining VC must not be reallocatable")
 	}

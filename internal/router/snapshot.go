@@ -62,7 +62,7 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	dec := c.Decoding()
 	// ejectsHere rejects a decoded eject grant at a router that is not the
 	// packet's destination: delivery asserts it.
-	ejectsHere := func(p *packet.Packet, route int32) {
+	ejectsHere := func(p *packet.Packet, route int8) {
 		if dec && p != nil && route == PortEject && p.Dst != r.node {
 			c.Fail("snapshot: packet %d for node %d holds an eject grant at node %d", p.ID, p.Dst, r.node)
 		}
@@ -82,17 +82,18 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 		snapshot.Range(c, &s.inOutVC[i], snapshot.In(VCDeadlockBuffer, s.cfg.VCs, "output VC grant"))
 		snapshot.Range(c, &s.inDBLane[i], snapshot.In(0, dbLanes, "DB lane"))
 		snapshot.Int(c, &s.inWaiting[i])
-		c.Bool(&s.inPresumed[i])
-		sent := r.hasMask(mSent, i)
+		presumed, sent := r.hasMask(mPre, i), r.hasMask(mSent, i)
+		c.Bool(&presumed)
 		c.Bool(&sent)
 		r.walkFifo(c, &s.in, i, table)
 		if dec {
 			// The other masks are derived, not coded: set them from the
-			// decoded arrays.
+			// decoded arrays and flags.
+			r.setMask(mPre, i, presumed)
+			r.setMask(mSent, i, sent)
 			for k, on := range r.derivedMasks(i) {
 				r.setMask(k, i, on)
 			}
-			r.setMask(mSent, i, sent)
 		}
 	}
 	for l := 0; l < s.outStr; l++ {
@@ -162,8 +163,10 @@ func (r *Router) walkFifo(c *snapshot.Codec, q *flitRing, i int, table map[packe
 		if !dec {
 			fl = q.at(i, k)
 		}
+		seq := int32(fl.Seq) // the ring's storage type: a wider value is refused
 		PacketRef(c, &fl.Pkt, table)
-		snapshot.Int(c, &fl.Seq)
+		snapshot.Int(c, &seq)
+		fl.Seq = int(seq)
 		if !dec {
 			continue
 		}

@@ -21,30 +21,38 @@ import (
 // change (SetAlgorithm, SetLaneRows) is one assignment. Routers are laid out
 // consecutively.
 //
-// Layout (all slices are allocated once, at NewState, and never grow):
+// Layout (all slices are allocated once, at NewState, and never grow). Each
+// per-slot field is stored in the narrowest type its validated range allows
+// (Config.Normalize and network.New hold the bounds: degree ≤ MaxDegree,
+// VCs ≤ MaxVCs, depth ≤ MaxBufferDepth), because memory grows with routers
+// × radix × VCs; every reader widens to int. On 64-bit, an input slot costs
+// 17 + depth*12 bytes and maskKinds mask bits, an output slot 10 bytes and a
+// crossbar slot 6 (TestSlotBytes pins all three):
 //
 //	input VCs    stride = deg*VCs + 1 slots per router, port-major:
 //	             slot l = p*VCs + v for network port p < deg, l = deg*VCs
 //	             for the injection port's one VC. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
 //	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
-//	             inWaiting, inPresumed); the flits live in the ring set in
-//	             (BufferDepth flits per slot, contiguous, with per-slot
+//	             inWaiting); the flits live in the ring set in
+//	             (BufferDepth flits per slot, contiguous, stored as a packet
+//	             pointer and an int32 position each, with per-slot uint8
 //	             cursors in.head / in.n). slotPV maps a router-local slot
 //	             back to its (port, vc).
 //	slot masks   maskKinds masks of w = ⌈stride/64⌉ words per router, one
 //	             contiguous block of maskKinds*w words per router (mask):
 //	             bit l of mask k is router-local slot l. mOcc (flits
 //	             buffered), mHdr (a header at the ring head), mUnr (inRoute
-//	             is PortUnrouted) and mTim (inWaiting != 0 or inPresumed)
-//	             are exact functions of the arrays, kept so by their only
+//	             is PortUnrouted) and mTim (inWaiting != 0 or mPre) are
+//	             exact functions of the arrays, kept so by their only
 //	             writers (pushIn/popIn, setRoute, clearTimer and tickSlot)
 //	             and derived, not coded, when a snapshot is decoded; mSent
-//	             (a flit left this cycle) is the sent flag itself. Bits past
-//	             stride are always zero. Route compute walks mHdr, switch
-//	             allocation mOcc ∧ ¬mUnr, the timers mTim ∨ mHdr and
-//	             the presumed-slot readers mTim, so a router costs each
-//	             sweep O(w + slots that can act), not O(stride).
+//	             (a flit left this cycle) and mPre (the header is presumed
+//	             deadlocked) are the flags themselves. Bits past stride are
+//	             always zero. Route compute walks mHdr, switch allocation
+//	             mOcc ∧ ¬mUnr, the timers mTim ∨ mHdr and the presumed-slot
+//	             readers mPre, so a router costs each sweep O(w + slots that
+//	             can act), not O(stride).
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
 //	DB lanes     lanes slots per router (dbPkt, dbRoute, and dbWriteAt, the
 //	             single write port's last-admission cycle) with the
@@ -98,14 +106,13 @@ type State struct {
 	w      int // words per slot mask: ⌈stride/64⌉
 
 	// Input VC state, nodes*stride slots.
-	inPkt      []*packet.Packet
-	inRoute    []int32 // granted output port, PortEject or PortUnrouted (write via setRoute)
-	inOutVC    []int32 // granted output VC, VCDeadlockBuffer or VCUnrouted
-	inDBLane   []int32 // lane the hop enters when inOutVC == VCDeadlockBuffer
-	inWaiting  []sim.Cycle
-	inPresumed []bool
-	in         flitRing // push and pop through pushIn/popIn
-	slotPV     []portVC // router-local slot -> (port, vc), stride entries
+	inPkt     []*packet.Packet
+	inRoute   []int8   // granted output port, PortEject or PortUnrouted (write via setRoute)
+	inOutVC   []int8   // granted output VC, VCDeadlockBuffer or VCUnrouted
+	inDBLane  []int8   // lane the hop enters when inOutVC == VCDeadlockBuffer
+	inWaiting []int32  // T_elapsed, saturating at math.MaxInt32 (Timeout < it)
+	in        flitRing // push and pop through pushIn/popIn
+	slotPV    []portVC // router-local slot -> (port, vc), stride entries
 
 	// Per-router input-slot masks, nodes*maskKinds*w words (see the layout
 	// notes above).
@@ -113,27 +120,27 @@ type State struct {
 
 	// Output VC state, nodes*outStr slots.
 	outOwner   []*packet.Packet
-	outCredits []int32
+	outCredits []int16
 
 	// Deadlock Buffer lanes, nodes*lanes slots. Each DB is a central queue
 	// with a single write port (as in the Chaos router the paper cites):
 	// dbWriteAt is the cycle of the lane's last admission, so at most one
 	// flit per cycle enters it (see ResolveDB).
 	dbPkt     []*packet.Packet
-	dbRoute   []int32
+	dbRoute   []int8
 	dbWriteAt []sim.Cycle
 	db        flitRing
 
 	// Packet-by-packet crossbar connections, nodes*deg slots.
-	cxInPort    []int32
-	cxInVC      []int32
+	cxInPort    []int8
+	cxInVC      []int8
 	cxDB        []bool
 	cxSaved     []bool
-	cxSavedPort []int32
-	cxSavedVC   []int32
+	cxSavedPort []int8
+	cxSavedVC   []int8
 
 	// Per-router scalars, nodes slots (swArbOff: nodes*(deg+1)).
-	swArbOff     []int32
+	swArbOff     []int16 // < stride ≤ MaxDegree*MaxVCs + 1
 	flitCount    []int32
 	cxHeld       []uint8 // held, saved and DB crossbar connections (CrossbarIdle)
 	lastBlocked  []int32
@@ -155,11 +162,12 @@ const (
 	mUnr             // inRoute is PortUnrouted
 	mTim             // the deadlock timer runs or the header is presumed
 	mSent            // a flit left the slot this cycle
+	mPre             // the header at the ring head is presumed deadlocked
 	maskKinds        // masks per router
 )
 
 // maskNames names the masks for CheckState.
-var maskNames = [maskKinds]string{"occupied", "header-at-head", "unrouted", "timing", "sent"}
+var maskNames = [maskKinds]string{"occupied", "header-at-head", "unrouted", "timing", "sent", "presumed"}
 
 // portVC is an input slot's (port, vc).
 type portVC struct{ port, vc int32 }
@@ -194,11 +202,10 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.w = (s.stride + 63) / 64
 	in := nodes * s.stride
 	s.inPkt = make([]*packet.Packet, in)
-	s.inRoute = make([]int32, in)
-	s.inOutVC = make([]int32, in)
-	s.inDBLane = make([]int32, in)
-	s.inWaiting = make([]sim.Cycle, in)
-	s.inPresumed = make([]bool, in)
+	s.inRoute = make([]int8, in)
+	s.inOutVC = make([]int8, in)
+	s.inDBLane = make([]int8, in)
+	s.inWaiting = make([]int32, in)
 	s.in = newFlitRing(in, cfg.BufferDepth)
 	for i := range s.inRoute {
 		s.inRoute[i] = PortUnrouted
@@ -220,13 +227,13 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	}
 	out := nodes * s.outStr
 	s.outOwner = make([]*packet.Packet, out)
-	s.outCredits = make([]int32, out)
+	s.outCredits = make([]int16, out)
 	for i := range s.outCredits {
-		s.outCredits[i] = int32(cfg.BufferDepth)
+		s.outCredits[i] = int16(cfg.BufferDepth)
 	}
 	db := nodes * lanes
 	s.dbPkt = make([]*packet.Packet, db)
-	s.dbRoute = make([]int32, db)
+	s.dbRoute = make([]int8, db)
 	s.dbWriteAt = make([]sim.Cycle, db)
 	s.db = newFlitRing(db, 1)
 	for i := range s.dbRoute {
@@ -234,16 +241,16 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 		s.dbWriteAt[i] = -1
 	}
 	cx := nodes * deg
-	s.cxInPort = make([]int32, cx)
-	s.cxInVC = make([]int32, cx)
+	s.cxInPort = make([]int8, cx)
+	s.cxInVC = make([]int8, cx)
 	s.cxDB = make([]bool, cx)
 	s.cxSaved = make([]bool, cx)
-	s.cxSavedPort = make([]int32, cx)
-	s.cxSavedVC = make([]int32, cx)
+	s.cxSavedPort = make([]int8, cx)
+	s.cxSavedVC = make([]int8, cx)
 	for i := range s.cxInPort {
 		s.cxInPort[i] = connNone
 	}
-	s.swArbOff = make([]int32, nodes*(deg+1))
+	s.swArbOff = make([]int16, nodes*(deg+1))
 	s.flitCount = make([]int32, nodes)
 	s.cxHeld = make([]uint8, nodes)
 	s.lastBlocked = make([]int32, nodes)
@@ -369,7 +376,7 @@ func (r *Router) derivedMasks(i int) [mSent]bool {
 		mOcc: occ,
 		mHdr: occ && s.in.peek(i).IsHeader(),
 		mUnr: s.inRoute[i] == PortUnrouted,
-		mTim: s.inWaiting[i] != 0 || s.inPresumed[i],
+		mTim: s.inWaiting[i] != 0 || r.hasMask(mPre, i),
 	}
 }
 
@@ -399,8 +406,8 @@ func (r *Router) popIn(i int) packet.Flit {
 }
 
 // setRoute is the one writer of inRoute: it keeps mUnr exact.
-func (r *Router) setRoute(i int, route int32) {
-	r.st.inRoute[i] = route
+func (r *Router) setRoute(i, route int) {
+	r.st.inRoute[i] = int8(route)
 	r.setMask(mUnr, i, route == PortUnrouted)
 }
 
@@ -408,7 +415,7 @@ func (r *Router) setRoute(i int, route int32) {
 // presumption and mTim bit.
 func (r *Router) clearTimer(i int) {
 	r.st.inWaiting[i] = 0
-	r.st.inPresumed[i] = false
+	r.setMask(mPre, i, false)
 	r.setMask(mTim, i, false)
 }
 
@@ -467,32 +474,51 @@ func (s *State) inVCCount(p int) int {
 // --- Flit rings --------------------------------------------------------------
 
 // flitRing is a set of fixed-capacity flit FIFOs, one per slot, in one
-// contiguous array: slot i owns flits[i*depth : (i+1)*depth], read from
-// head[i] and holding n[i] flits. The input VCs and the Deadlock Buffer
-// lanes are one ring set each; the input set is pushed and popped through
-// Router.pushIn/popIn, which keep the slot masks exact.
+// contiguous array: slot i owns positions [i*depth, (i+1)*depth), read from
+// head[i] and holding n[i] flits. A flit is stored as its packet pointer and
+// its position in the packet (pkts, seqs), 12 bytes on 64-bit instead of a
+// 16-byte packet.Flit, which is what push, peek, at and pop exchange. The
+// input VCs and the Deadlock Buffer lanes are one ring set each; the input
+// set is pushed and popped through Router.pushIn/popIn, which keep the slot
+// masks exact.
 type flitRing struct {
 	depth int
-	head  []int32
-	n     []int32
-	flits []packet.Flit
+	head  []uint8 // depth ≤ MaxBufferDepth
+	n     []uint8
+	pkts  []*packet.Packet
+	seqs  []int32 // a packet's length fits an int32 (network.New)
 }
 
 func newFlitRing(slots, depth int) flitRing {
 	return flitRing{
 		depth: depth,
-		head:  make([]int32, slots),
-		n:     make([]int32, slots),
-		flits: make([]packet.Flit, slots*depth),
+		head:  make([]uint8, slots),
+		n:     make([]uint8, slots),
+		pkts:  make([]*packet.Packet, slots*depth),
+		seqs:  make([]int32, slots*depth),
 	}
 }
+
+// pos returns the storage index of the k-th buffered flit (0 == head) of
+// ring i.
+func (q *flitRing) pos(i, k int) int {
+	k += int(q.head[i])
+	if k >= q.depth {
+		k -= q.depth
+	}
+	return i*q.depth + k
+}
+
+// flit returns the flit stored at index k.
+func (q *flitRing) flit(k int) packet.Flit { return packet.Flit{Pkt: q.pkts[k], Seq: int(q.seqs[k])} }
 
 // push appends a flit to ring i.
 func (q *flitRing) push(i int, fl packet.Flit) {
 	if int(q.n[i]) == q.depth {
 		panic("router: push to full fifo")
 	}
-	q.flits[i*q.depth+(int(q.head[i])+int(q.n[i]))%q.depth] = fl
+	k := q.pos(i, int(q.n[i]))
+	q.pkts[k], q.seqs[k] = fl.Pkt, int32(fl.Seq)
 	q.n[i]++
 }
 
@@ -501,7 +527,7 @@ func (q *flitRing) peek(i int) packet.Flit {
 	if q.n[i] == 0 {
 		panic("router: peek on empty fifo")
 	}
-	return q.flits[i*q.depth+int(q.head[i])]
+	return q.flit(i*q.depth + int(q.head[i]))
 }
 
 // at returns the k-th buffered flit (0 == head) of ring i.
@@ -509,15 +535,20 @@ func (q *flitRing) at(i, k int) packet.Flit {
 	if k < 0 || k >= int(q.n[i]) {
 		panic("router: fifo index out of range")
 	}
-	return q.flits[i*q.depth+(int(q.head[i])+k)%q.depth]
+	return q.flit(q.pos(i, k))
 }
 
 // pop removes and returns the head flit of ring i, zeroing the vacated slot
 // so no stale packet pointer outlives its buffered flit.
 func (q *flitRing) pop(i int) packet.Flit {
 	fl := q.peek(i)
-	q.flits[i*q.depth+int(q.head[i])] = packet.Flit{}
-	q.head[i] = int32((int(q.head[i]) + 1) % q.depth)
+	k := i*q.depth + int(q.head[i])
+	q.pkts[k], q.seqs[k] = nil, 0
+	if h := int(q.head[i]) + 1; h < q.depth {
+		q.head[i] = uint8(h)
+	} else {
+		q.head[i] = 0
+	}
 	q.n[i]--
 	return fl
 }
@@ -526,15 +557,15 @@ func (q *flitRing) pop(i int) packet.Flit {
 // still holds a flit (a stale packet pointer).
 func (q *flitRing) check(i int) error {
 	h, n := int(q.head[i]), int(q.n[i])
-	if h < 0 || h >= q.depth {
+	if h >= q.depth {
 		return fmt.Errorf("ring head %d outside [0,%d)", h, q.depth)
 	}
-	if n < 0 || n > q.depth {
+	if n > q.depth {
 		return fmt.Errorf("ring length %d outside [0,%d]", n, q.depth)
 	}
 	for k := n; k < q.depth; k++ {
-		if fl := q.flits[i*q.depth+(h+k)%q.depth]; fl.Pkt != nil {
-			return fmt.Errorf("vacated ring slot %d holds a stale flit of packet %d", k, fl.Pkt.ID)
+		if p := q.pkts[i*q.depth+(h+k)%q.depth]; p != nil {
+			return fmt.Errorf("vacated ring slot %d holds a stale flit of packet %d", k, p.ID)
 		}
 	}
 	return nil

@@ -152,9 +152,27 @@ func TestDragonfly(t *testing.T) {
 }
 
 func TestDragonflyRejects(t *testing.T) {
-	for _, ah := range [][2]int{{0, 1}, {1, 0}, {-2, 3}, {1 << 9, 1 << 9}} {
+	for _, ah := range [][2]int{{0, 1}, {1, 0}, {-2, 3}, {1 << 9, 1 << 9}, {64, 8}} {
 		if _, err := NewDragonfly(ah[0], ah[1]); err == nil {
 			t.Fatalf("NewDragonfly(%d,%d) accepted", ah[0], ah[1])
+		}
+	}
+}
+
+// TestDragonflyPastDigraphCap pins the dragonfly's own node cap: past
+// NewDigraph's 4 096 nodes, dragonfly-32x16 (16 416 routers) and
+// dragonfly-32x31 (31 776) build, dragonfly-64x8 (32 832) does not.
+func TestDragonflyPastDigraphCap(t *testing.T) {
+	for _, c := range []struct{ a, h, nodes, degree int }{{32, 16, 16416, 47}, {32, 31, 31776, 62}} {
+		g, err := NewDragonfly(c.a, c.h)
+		if err != nil {
+			t.Fatalf("NewDragonfly(%d,%d): %v", c.a, c.h, err)
+		}
+		if g.Nodes() != c.nodes || g.Degree() != c.degree || g.Nodes() <= maxDigraphNodes {
+			t.Fatalf("%s: %d nodes of degree %d, want %d of degree %d", g.Name(), g.Nodes(), g.Degree(), c.nodes, c.degree)
+		}
+		if last := Node(c.nodes - 1); g.Distance(0, last) < 1 || g.Distance(0, last) > 3 {
+			t.Fatalf("%s: distance 0->%d is %d", g.Name(), last, g.Distance(0, last))
 		}
 	}
 }

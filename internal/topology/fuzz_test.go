@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // fuzzRadix decodes up to four dimensions from raw fuzz bytes; zero bytes
 // terminate the list so the fuzzer can explore 1..4-dimensional shapes,
@@ -114,9 +117,10 @@ func FuzzNewHypercube(f *testing.F) {
 
 // TestNewCubeRejectsHugeSingleRadix pins the size-guard fix: a single
 // enormous radix used to pass the pre-multiplication check and OOM inside
-// the Hamiltonian builder.
+// the Hamiltonian builder. The radix is 2⁴⁰ where an int holds it and the
+// largest int on 32-bit targets.
 func TestNewCubeRejectsHugeSingleRadix(t *testing.T) {
-	if _, err := NewTorus(1 << 40); err == nil {
+	if _, err := NewTorus(min(1<<40, math.MaxInt)); err == nil {
 		t.Fatal("gigantic 1-dim torus accepted")
 	}
 	if _, err := NewMesh(1<<10, 1<<10, 1<<10); err == nil {

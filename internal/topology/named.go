@@ -60,7 +60,7 @@ func NewDragonfly(a, h int) (Graph, error) {
 		return nil, fmt.Errorf("topology: dragonfly needs a >= 1 routers/group and h >= 1 global ports, have a=%d h=%d", a, h)
 	}
 	groups := a*h + 1
-	if a > 1<<8 || h > 1<<8 || groups > 1<<10 || groups*a > maxDigraphNodes {
+	if a > 1<<8 || h > 1<<8 || groups > 1<<10 || groups*a > maxNamedNodes {
 		return nil, fmt.Errorf("topology: network too large")
 	}
 	return &dragonfly{a: a, h: h, groups: groups, name: fmt.Sprintf("dragonfly-%dx%d", a, h)}, nil

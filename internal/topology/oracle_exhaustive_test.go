@@ -5,7 +5,10 @@ package topology
 import "testing"
 
 // TestNamedClassesMatchOracleEverySize covers every constructible size of
-// the named classes: 1 023 full meshes, 16 fat trees and 1 836 dragonflies.
+// the named classes up to 4 096 nodes: 1 023 full meshes, 16 fat trees and
+// 1 836 dragonflies, and dragonfly-32x16 (16 416 routers) past that bound.
+// Every dragonfly size up to NewDragonfly's own cap of 2¹⁵ routers would
+// take about four times as long.
 // Checking every pair of each against the BFS oracle would take about 10¹²
 // steps, so each size is checked at every node and port, and toward a fixed
 // set of destinations from every node:
@@ -26,6 +29,7 @@ func TestNamedClassesMatchOracleEverySize(t *testing.T) {
 	for _, c := range namedCases(1 << 62) {
 		checkAdjacency(t, c.g, c.adj())
 	}
+	checkAdjacency(t, MustDragonfly(32, 16), dragonflyAdj(32, 16))
 	checkOracle(t, MustDragonfly(16, 8), dragonflyAdj(16, 8))
 	checkOracle(t, MustFatTree(32), fatTreeAdj(32))
 }
@@ -100,37 +104,43 @@ func checkAdjacency(t *testing.T, g Graph, adj [][]int) {
 // within one, u and w within h) keeps every one of them. The gate holds by
 // construction, as t's channels to u and w lie within h-1 of each other and
 // u's and w's channels to v are v-1 or v, but the test checks the code.
-// Every middle group is enumerated on the 1 180 sizes with at most 10⁷
-// such paths; the larger ones, up to 2.6·10⁸ paths, at seven middle groups.
-// The links come from Neighbor, which TestNamedClassesMatchOracleEverySize
-// holds to the adjacency list.
+// Every middle group is enumerated on the 1 180 sizes up to 4 096 routers
+// with at most 10⁷ such paths, and on dragonfly-32x16; the larger ones, up
+// to 2.6·10⁸ paths, at seven middle groups. The links come from Neighbor,
+// which TestNamedClassesMatchOracleEverySize holds to the adjacency list.
 func TestDragonflyTwoGlobalHopsEverySize(t *testing.T) {
 	for a := 1; a <= 1<<8; a++ {
 		for h := 2; h <= 1<<8 && (a*h+1)*a <= maxDigraphNodes; h++ {
-			g, err := NewDragonfly(a, h)
-			if err != nil {
-				continue
+			if g, err := NewDragonfly(a, h); err == nil {
+				checkTwoGlobalHops(t, g.(*dragonfly))
 			}
-			d, groups := g.(*dragonfly), a*h+1
-			middles := make([]int, groups)
-			for v := range middles {
-				middles[v] = v
+		}
+	}
+	checkTwoGlobalHops(t, MustDragonfly(32, 16).(*dragonfly))
+}
+
+// checkTwoGlobalHops is TestDragonflyTwoGlobalHopsEverySize's check of one
+// size.
+func checkTwoGlobalHops(t *testing.T, d *dragonfly) {
+	t.Helper()
+	a, h, groups := d.a, d.h, d.groups
+	middles := make([]int, groups)
+	for v := range middles {
+		middles[v] = v
+	}
+	if d.Nodes()*h*(h-1) > 1e7 {
+		middles = []int{0, groups - 1, groups / 2, groups * 3 / 7, groups * 5 / 11, groups * 8 / 9, h}
+	}
+	far := make([]Node, h) // where the middle router's global ports lead
+	for _, v := range middles {
+		for mid := v * a; mid < v*a+a; mid++ {
+			for k := range far {
+				far[k], _ = d.Neighbor(Node(mid), a-1+k)
 			}
-			if g.Nodes()*h*(h-1) > 1e7 {
-				middles = []int{0, groups - 1, groups / 2, groups * 3 / 7, groups * 5 / 11, groups * 8 / 9, h}
-			}
-			far := make([]Node, h) // where the middle router's global ports lead
-			for _, v := range middles {
-				for mid := v * a; mid < v*a+a; mid++ {
-					for k := range far {
-						far[k], _ = g.Neighbor(Node(mid), a-1+k)
-					}
-					for _, x := range far {
-						for _, y := range far {
-							if x != y && !d.throughThird(int(x)/a, int(x)%a, int(y)/a, int(y)%a) {
-								t.Fatalf("%s: %d reaches %d through %d by two global hops; throughThird misses it", g.Name(), x, y, mid)
-							}
-						}
+			for _, x := range far {
+				for _, y := range far {
+					if x != y && !d.throughThird(int(x)/a, int(x)%a, int(y)/a, int(y)%a) {
+						t.Fatalf("%s: %d reaches %d through %d by two global hops; throughThird misses it", d.Name(), x, y, mid)
 					}
 				}
 			}

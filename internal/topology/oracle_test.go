@@ -103,11 +103,15 @@ type namedCase struct {
 }
 
 // namedCases returns every constructible size of each class whose
-// every-pair check, nodes² × degree, is at most maxWork.
-func namedCases(maxWork int) []namedCase {
+// every-pair check, nodes² × degree, is at most maxWork (counted in int64:
+// it passes 2³¹ on a 32-bit int).
+func namedCases(maxWork int64) []namedCase {
 	var cases []namedCase
 	add := func(g Graph, err error, adj func() [][]int) {
-		if err == nil && g.Nodes()*g.Nodes()*g.Degree() <= maxWork {
+		if err != nil {
+			return
+		}
+		if n := int64(g.Nodes()); n*n*int64(g.Degree()) <= maxWork {
 			cases = append(cases, namedCase{g, adj})
 		}
 	}
