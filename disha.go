@@ -527,7 +527,16 @@ func PlotTimeSeries(title string, tel *Telemetry) string {
 	if tel == nil || tel.Sampler == nil {
 		return title + "\n(no data)\n"
 	}
-	return plot.TimeSeries(title, tel.Sampler.MetricsSeries())
+	var curves []plot.Curve
+	for _, ts := range tel.Sampler.Series() {
+		cycles, values := ts.Points()
+		c := plot.Curve{Label: ts.Name, Y: values}
+		for _, cycle := range cycles {
+			c.X = append(c.X, float64(cycle))
+		}
+		curves = append(curves, c)
+	}
+	return plot.TimeSeries(title, curves)
 }
 
 // Report summarizes the run as a human-readable block: every counter, in the
@@ -549,8 +558,13 @@ func (s *Simulator) Report() string {
 // Experiment aliases the harness spec type for custom experiments.
 type Experiment = harness.Spec
 
-// ExperimentResult aliases the harness result type.
+// ExperimentResult aliases the harness result type: each curve's points by
+// label.
 type ExperimentResult = harness.Result
+
+// PointResult is the measurement of one (curve, load) point of a sweep, the
+// value ExperimentResult.Points holds and a SweepOptions.PointRunner returns.
+type PointResult = harness.PointResult
 
 // AlgCurve aliases one experiment curve definition.
 type AlgCurve = harness.AlgSpec
@@ -581,7 +595,14 @@ func Figures(sc ExperimentScale) map[string]*Experiment { return harness.Figures
 // PointRunner, if any, at once), per-point replicas and progress
 // reporting. Run an Experiment with them via
 // Experiment.RunWith; results are bit-identical for every Parallel value.
+// Its Metrics field is for the module's own binaries, which export sweep
+// progress on a registry they serve; other code leaves it nil and reads the
+// same progress through Status.
 type SweepOptions = harness.RunOptions
+
+// PointTask is the identity of one point of a sweep, the value a
+// SweepOptions.PointRunner receives.
+type PointTask = harness.PointTask
 
 // SweepStatus is a running sweep's progress snapshot (done/total, ETA), the
 // value SweepOptions.Status receives.
@@ -598,13 +619,26 @@ func SweepSeedFor(base uint64, key string) uint64 { return engine.SeedFor(base, 
 // PlotLatency renders an experiment's latency-vs-load curves as an ASCII
 // chart (log y axis).
 func PlotLatency(title string, res *ExperimentResult) string {
-	return plot.Latency(title, res.Series)
+	return plot.Latency(title, curves(res, func(p PointResult) float64 { return p.MeanLatency }))
 }
 
 // PlotThroughput renders an experiment's throughput-vs-load curves as an
 // ASCII chart.
 func PlotThroughput(title string, res *ExperimentResult) string {
-	return plot.Throughput(title, res.Series)
+	return plot.Throughput(title, curves(res, func(p PointResult) float64 { return p.Throughput }))
+}
+
+// curves charts y against load for every curve of res, in Spec.Algs order.
+func curves(res *ExperimentResult, y func(PointResult) float64) []plot.Curve {
+	out := make([]plot.Curve, 0, len(res.Spec.Algs))
+	for _, alg := range res.Spec.Algs {
+		c := plot.Curve{Label: alg.Label}
+		for _, p := range res.Points[alg.Label] {
+			c.X, c.Y = append(c.X, p.Load), append(c.Y, y(p))
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // --- Cost model --------------------------------------------------------------------------

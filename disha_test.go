@@ -3,6 +3,7 @@ package disha_test
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	disha "repro"
@@ -262,29 +263,40 @@ func TestFacadePlots(t *testing.T) {
 	if !strings.Contains(lat, "log scale") || !strings.Contains(thr, "accepted") {
 		t.Fatal("plots malformed")
 	}
-	for _, s := range res.Series {
-		if !strings.Contains(lat, s.Label) {
-			t.Fatalf("legend missing %s", s.Label)
+	for _, alg := range res.Spec.Algs {
+		if !strings.Contains(lat, alg.Label) {
+			t.Fatalf("legend missing %s", alg.Label)
 		}
 	}
 }
 
-// TestFacadeSweepTypes names, through the facade alone, the two types a
-// sweep hands back: the progress SweepOptions.Status receives and the report
-// Experiment.RunWith returns.
+// TestFacadeSweepTypes names, through the facade alone, the types a sweep
+// hands out and back: the task and point a SweepOptions.PointRunner takes and
+// returns, the progress SweepOptions.Status receives, and the report and the
+// points Experiment.RunWith returns.
 func TestFacadeSweepTypes(t *testing.T) {
 	sc := disha.ExperimentScale{Radix: 4, MsgLen: 8, Warmup: 50, Measure: 100,
 		Loads: []float64{0.2}, Seed: 5}
 	spec := disha.Figure("4", sc)
 	spec.Algs = spec.Algs[:2]
 	var last disha.SweepStatus
-	_, rep, err := spec.RunWith(disha.SweepOptions{Parallel: 1, Status: func(st disha.SweepStatus) { last = st }})
+	var ran atomic.Int32
+	runner := func(_ <-chan struct{}, _ disha.PointTask, local func() (disha.PointResult, error)) (disha.PointResult, error) {
+		ran.Add(1)
+		return local()
+	}
+	res, rep, err := spec.RunWith(disha.SweepOptions{Parallel: 1, PointRunner: runner,
+		Status: func(st disha.SweepStatus) { last = st }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var report *disha.SweepReport = rep
-	if report.Completed != 2 || report.Failed() != 0 || last.Done != 2 || last.Total != 2 {
-		t.Fatalf("report %+v, last status %+v; want 2 of 2 points done", report, last)
+	if report.Completed != 2 || report.Failed() != 0 || last.Done != 2 || last.Total != 2 || ran.Load() != 2 {
+		t.Fatalf("report %+v, last status %+v, %d points through the runner; want 2 of 2 points done", report, last, ran.Load())
+	}
+	var pts []disha.PointResult = res.Points[spec.Algs[0].Label]
+	if len(pts) != 1 || pts[0].Delivered == 0 {
+		t.Fatalf("%s points %+v", spec.Algs[0].Label, pts)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // The claims EXPERIMENTS.md's "Summary of claims" makes, each as a predicate
@@ -19,31 +18,34 @@ import (
 // an ordering a regenerated sweep no longer has, fails its predicate; every
 // row of the Summary names the predicates (or the tests) that check it.
 
-// figure is one committed results/fig*.csv: its curves by label, each point
-// carrying the CSV's seizure_ratio and true_deadlock_rate as extras.
-type figure map[string]*metrics.Series
-
-// curve returns the labelled curve, or an empty one that no predicate
-// accepts: a renamed curve fails its claims instead of panicking.
-func (f figure) curve(label string) *metrics.Series {
-	if s, ok := f[label]; ok {
-		return s
-	}
-	return &metrics.Series{Label: label}
+// curve is one labelled curve of a committed CSV: each row read into a
+// PointResult, and beside it the row's true_deadlock_rate, which a
+// PointResult holds only as a count over WFGSamples.
+type curve struct {
+	points        []PointResult
+	deadlockRates []float64
 }
 
+// figure is one committed results/fig*.csv, its curves by label. A label the
+// file lacks reads as a curve with no points, which no predicate accepts: a
+// renamed curve fails its claims instead of panicking.
+type figure map[string]curve
+
+// points returns label's points in load order.
+func (f figure) points(label string) []PointResult { return f[label].points }
+
 // point returns label's point at load, or ok false.
-func (f figure) point(label string, load float64) (metrics.Point, bool) {
-	for _, p := range f.curve(label).Points {
-		if math.Abs(p.X-load) < 1e-9 {
+func (f figure) point(label string, load float64) (PointResult, bool) {
+	for _, p := range f.points(label) {
+		if math.Abs(p.Load-load) < 1e-9 {
 			return p, true
 		}
 	}
-	return metrics.Point{}, false
+	return PointResult{}, false
 }
 
 // readFigure parses a results CSV: blocks of rows, each under its own
-// "series,load,..." header.
+// "series,load,..." header, every column one Result.CSV writes.
 func readFigure(path string) (figure, error) {
 	file, err := os.Open(path)
 	if err != nil {
@@ -62,21 +64,27 @@ func readFigure(path string) (figure, error) {
 		if len(cells) != len(header) {
 			return nil, fmt.Errorf("%s:%d: %d cells under a %d-column header", path, line, len(cells), len(header))
 		}
-		col := map[string]float64{}
+		var p PointResult
+		var rate float64
+		column := map[string]*float64{
+			"load": &p.Load, "latency": &p.MeanLatency, "throughput": &p.Throughput,
+			"latency_ci95": &p.LatencyCI95, "net_latency": &p.MeanNetLatency, "p95": &p.P95Latency,
+			"seizure_ratio": &p.SeizureRatio, "throughput_ci95": &p.ThroughputCI95,
+			"true_deadlock_rate": &rate,
+		}
 		for i, name := range header[1:] {
-			v, err := strconv.ParseFloat(cells[i+1], 64)
-			if err != nil {
+			dst, ok := column[name]
+			if !ok {
+				return nil, fmt.Errorf("%s:%d: unknown column %q", path, line, name)
+			}
+			if *dst, err = strconv.ParseFloat(cells[i+1], 64); err != nil {
 				return nil, fmt.Errorf("%s:%d: %s: %v", path, line, name, err)
 			}
-			col[name] = v
 		}
-		s := fig[cells[0]]
-		if s == nil {
-			s = &metrics.Series{Label: cells[0]}
-			fig[cells[0]] = s
-		}
-		s.Append(metrics.Point{X: col["load"], Latency: col["latency"], Throughput: col["throughput"],
-			Extra: map[string]float64{"seizure_ratio": col["seizure_ratio"], "true_deadlock_rate": col["true_deadlock_rate"]}})
+		c := fig[cells[0]]
+		c.points = append(c.points, p)
+		c.deadlockRates = append(c.deadlockRates, rate)
+		fig[cells[0]] = c
 	}
 	return fig, sc.Err()
 }
@@ -106,24 +114,24 @@ var claims = []struct {
 	{"seizures-rare", func(fig func(string) figure) (bad []string) {
 		// At most 1.4% of delivered packets seize the Token up to
 		// saturation (load 0.4), and at most 2.6% past it.
-		for label, s := range fig(fig3a) {
-			for _, p := range s.Points {
+		for label, c := range fig(fig3a) {
+			for _, p := range c.points {
 				limit := 0.014
-				if p.X > 0.4 {
+				if p.Load > 0.4 {
 					limit = 0.026
 				}
-				if r := p.Extra["seizure_ratio"]; r > limit {
-					bad = append(bad, fmt.Sprintf("%s at %.2f: %.4f > %.3f", label, p.X, r, limit))
+				if r := p.SeizureRatio; r > limit {
+					bad = append(bad, fmt.Sprintf("%s at %.2f: %.4f > %.3f", label, p.Load, r, limit))
 				}
 			}
 		}
 		return bad
 	}},
 	{"no-true-deadlock", func(fig func(string) figure) (bad []string) {
-		for label, s := range fig(fig3a) {
-			for _, p := range s.Points {
-				if r := p.Extra["true_deadlock_rate"]; r != 0 {
-					bad = append(bad, fmt.Sprintf("%s at %.2f: true deadlock rate %g", label, p.X, r))
+		for label, c := range fig(fig3a) {
+			for i, p := range c.points {
+				if r := c.deadlockRates[i]; r != 0 {
+					bad = append(bad, fmt.Sprintf("%s at %.2f: true deadlock rate %g", label, p.Load, r))
 				}
 			}
 		}
@@ -132,8 +140,8 @@ var claims = []struct {
 	{"tout-flat-peak", func(fig func(string) figure) (bad []string) {
 		// All four time-outs peak within 2% of one another.
 		lo, hi := math.Inf(1), 0.0
-		for _, s := range fig(fig3b) {
-			lo, hi = min(lo, s.PeakThroughput()), max(hi, s.PeakThroughput())
+		for _, c := range fig(fig3b) {
+			lo, hi = min(lo, PeakThroughput(c.points)), max(hi, PeakThroughput(c.points))
 		}
 		if len(fig(fig3b)) != 4 || hi > 1.02*lo {
 			bad = append(bad, fmt.Sprintf("%d curves peak between %.4f and %.4f", len(fig(fig3b)), lo, hi))
@@ -146,8 +154,8 @@ var claims = []struct {
 		for _, load := range []float64{0.1, 0.2, 0.3, 0.4} {
 			best, bestLat := "", math.Inf(1)
 			for label := range f {
-				if p, ok := f.point(label, load); ok && p.Latency < bestLat {
-					best, bestLat = label, p.Latency
+				if p, ok := f.point(label, load); ok && p.MeanLatency < bestLat {
+					best, bestLat = label, p.MeanLatency
 				}
 			}
 			if best != "disha-m3-tout8" && best != "disha-m3-tout16" {
@@ -159,9 +167,9 @@ var claims = []struct {
 	{"m0-highest-peak", func(fig func(string) figure) (bad []string) {
 		for _, file := range permutations {
 			f := fig(file)
-			m0 := f.curve("disha-m0").PeakThroughput()
+			m0 := PeakThroughput(f.points("disha-m0"))
 			for _, label := range curves[1:] {
-				if peak := f.curve(label).PeakThroughput(); peak >= m0 {
+				if peak := PeakThroughput(f.points(label)); peak >= m0 {
 					bad = append(bad, fmt.Sprintf("%s: %s peaks at %.4f, disha-m0 at %.4f", file, label, peak, m0))
 				}
 			}
@@ -171,9 +179,9 @@ var claims = []struct {
 	{"m0-sustains-peak", func(fig func(string) figure) (bad []string) {
 		// At 0.9 offered load disha-m0 still carries 99% of its peak.
 		for _, file := range permutations {
-			s := fig(file).curve("disha-m0")
-			if p, ok := fig(file).point("disha-m0", 0.9); !ok || p.Throughput < 0.99*s.PeakThroughput() {
-				bad = append(bad, fmt.Sprintf("%s: %.4f at 0.9 against a %.4f peak", file, p.Throughput, s.PeakThroughput()))
+			peak := PeakThroughput(fig(file).points("disha-m0"))
+			if p, ok := fig(file).point("disha-m0", 0.9); !ok || p.Throughput < 0.99*peak {
+				bad = append(bad, fmt.Sprintf("%s: %.4f at 0.9 against a %.4f peak", file, p.Throughput, peak))
 			}
 		}
 		return bad
@@ -182,7 +190,7 @@ var claims = []struct {
 		// The peak margins over Duato the Summary quotes: +4/+6/+11%.
 		for i, want := range []float64{4, 6, 11} {
 			f := fig(permutations[i])
-			margin := 100 * (f.curve("disha-m0").PeakThroughput()/f.curve("duato").PeakThroughput() - 1)
+			margin := 100 * (PeakThroughput(f.points("disha-m0"))/PeakThroughput(f.points("duato")) - 1)
 			if math.Abs(margin-want) > 0.5 {
 				bad = append(bad, fmt.Sprintf("%s: margin %+.1f%%, quoted %+.0f%%", permutations[i], margin, want))
 			}
@@ -196,7 +204,7 @@ var claims = []struct {
 		want := map[string][2]float64{fig4: {0.5, 0.5}, fig5: {0.5, 0.5}, fig6: {0.4, 0.5}}
 		for _, file := range permutations {
 			f := fig(file)
-			got := [2]float64{f.curve("disha-m0").SaturationLoad(3), f.curve("duato").SaturationLoad(3)}
+			got := [2]float64{SaturationLoad(f.points("disha-m0"), 3), SaturationLoad(f.points("duato"), 3)}
 			if math.Abs(got[0]-want[file][0]) > 1e-9 || math.Abs(got[1]-want[file][1]) > 1e-9 {
 				bad = append(bad, fmt.Sprintf("%s: disha-m0 and duato saturate at %v, quoted %v", file, got, want[file]))
 			}
@@ -206,7 +214,7 @@ var claims = []struct {
 	{"m3-below-m0", func(fig func(string) figure) (bad []string) {
 		for _, file := range permutations {
 			f := fig(file)
-			if m3, m0 := f.curve("disha-m3").PeakThroughput(), f.curve("disha-m0").PeakThroughput(); m3 >= m0 {
+			if m3, m0 := PeakThroughput(f.points("disha-m3")), PeakThroughput(f.points("disha-m0")); m3 >= m0 {
 				bad = append(bad, fmt.Sprintf("%s: disha-m3 peaks at %.4f, disha-m0 at %.4f", file, m3, m0))
 			}
 		}
@@ -223,9 +231,9 @@ var claims = []struct {
 				bad = append(bad, fmt.Sprintf("load %.1f: disha-m3 %.4f, disha-m0 %.4f", load, m3.Throughput, m0.Throughput))
 			}
 		}
-		m0 := f.curve("disha-m0").PeakThroughput()
+		m0 := PeakThroughput(f.points("disha-m0"))
 		for _, label := range curves[1:] {
-			if peak := f.curve(label).PeakThroughput(); peak >= m0 {
+			if peak := PeakThroughput(f.points(label)); peak >= m0 {
 				bad = append(bad, fmt.Sprintf("%s peaks at %.4f, disha-m0 at %.4f", label, peak, m0))
 			}
 		}
@@ -235,7 +243,7 @@ var claims = []struct {
 		// Every curve saturates (3x zero-load latency) by 0.20 offered load.
 		f := fig(fig7)
 		for _, label := range curves {
-			if sat := f.curve(label).SaturationLoad(3); sat > 0.2+1e-9 {
+			if sat := SaturationLoad(f.points(label), 3); sat > 0.2+1e-9 {
 				bad = append(bad, fmt.Sprintf("%s saturates at %.2f", label, sat))
 			}
 		}
@@ -256,7 +264,7 @@ var claims = []struct {
 	{"dor-above-turn", func(fig func(string) figure) (bad []string) {
 		// Under uniform DOR peaks above the Turn model: 0.388 vs 0.285.
 		f := fig(fig4)
-		dor, turn := f.curve("dor").PeakThroughput(), f.curve("turn-negative-first").PeakThroughput()
+		dor, turn := PeakThroughput(f.points("dor")), PeakThroughput(f.points("turn-negative-first"))
 		if dor <= turn || math.Abs(dor-0.388) > 0.001 || math.Abs(turn-0.285) > 0.001 {
 			bad = append(bad, fmt.Sprintf("dor peaks at %.4f, turn at %.4f; quoted 0.388 vs 0.285", dor, turn))
 		}
@@ -267,7 +275,7 @@ var claims = []struct {
 		// below it under transpose.
 		for i, file := range permutations {
 			f := fig(file)
-			duato, dally := f.curve("duato").PeakThroughput(), f.curve("dally-aoki").PeakThroughput()
+			duato, dally := PeakThroughput(f.points("duato")), PeakThroughput(f.points("dally-aoki"))
 			if (duato > dally) != (i < 2) {
 				bad = append(bad, fmt.Sprintf("%s: duato peaks at %.4f, dally-aoki at %.4f", file, duato, dally))
 			}
@@ -279,9 +287,8 @@ var claims = []struct {
 // resultsDir is where the committed sweep lives, relative to this package.
 const resultsDir = "../../results"
 
-// TestClaimsHoldOnCommittedResults evaluates every claim against the
-// committed CSVs.
-func TestClaimsHoldOnCommittedResults(t *testing.T) {
+// readResults reads every committed CSV, by file name.
+func readResults(t *testing.T) map[string]figure {
 	figs := map[string]figure{}
 	for _, file := range []string{fig3a, fig3b, fig4, fig5, fig6, fig7} {
 		f, err := readFigure(filepath.Join(resultsDir, file))
@@ -290,12 +297,71 @@ func TestClaimsHoldOnCommittedResults(t *testing.T) {
 		}
 		figs[file] = f
 	}
+	return figs
+}
+
+// TestClaimsHoldOnCommittedResults evaluates every claim against the
+// committed CSVs.
+func TestClaimsHoldOnCommittedResults(t *testing.T) {
+	figs := readResults(t)
 	fig := func(file string) figure { return figs[file] }
 	for _, c := range claims {
 		t.Run(c.name, func(t *testing.T) {
 			for _, v := range c.holds(fig) {
 				t.Error(v)
 			}
+		})
+	}
+}
+
+// TestClaimsFailOnEditedCells edits one cell of a committed CSV and requires
+// the predicate that reads it to fail: a true_deadlock_rate of 0.5, which the
+// reader keeps as a rate rather than a count, and a Duato throughput above
+// disha-m0's peak.
+func TestClaimsFailOnEditedCells(t *testing.T) {
+	for _, tc := range []struct {
+		claim, file, row, column, value string
+	}{
+		{"no-true-deadlock", fig3a, "disha-m3-tout4,0.3000", "true_deadlock_rate", "0.5"},
+		{"m0-highest-peak", fig4, "duato,0.5000", "throughput", "0.6000"},
+	} {
+		t.Run(tc.claim, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join(resultsDir, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(string(data), "\n")
+			col := slices.Index(strings.Split(lines[0], ","), tc.column)
+			edited := 0
+			for i, line := range lines {
+				if strings.HasPrefix(line, tc.row+",") && col > 0 {
+					cells := strings.Split(line, ",")
+					cells[col] = tc.value
+					lines[i] = strings.Join(cells, ",")
+					edited++
+				}
+			}
+			if edited != 1 {
+				t.Fatalf("%s: %d rows %q with a %s column", tc.file, edited, tc.row, tc.column)
+			}
+			path := filepath.Join(t.TempDir(), tc.file)
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			figs := readResults(t)
+			if figs[tc.file], err = readFigure(path); err != nil {
+				t.Fatal(err)
+			}
+			var bad []string
+			for _, c := range claims {
+				if c.name == tc.claim {
+					bad = c.holds(func(file string) figure { return figs[file] })
+				}
+			}
+			if len(bad) == 0 {
+				t.Fatalf("%s holds with %s's %s at %s set to %s", tc.claim, tc.file, tc.column, tc.row, tc.value)
+			}
+			t.Log(bad)
 		})
 	}
 }

@@ -180,11 +180,13 @@ type PointResult struct {
 	Replicas       int   // independent runs aggregated into this point (>= 1)
 }
 
-// Result bundles an experiment's curves.
+// Result bundles an experiment's curves: each curve's completed points in
+// load order, keyed by its label. The CSV, the saturation summary and the
+// charts walk the curves in Spec.Algs order, so a curve with no completed
+// point keeps its place in each.
 type Result struct {
 	Spec   *Spec
-	Series []metrics.Series
-	Points map[string][]PointResult // keyed by curve label
+	Points map[string][]PointResult
 }
 
 // RunOptions controls how RunWith executes a Spec.
@@ -400,34 +402,14 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
 	res := &Result{Spec: s, Points: make(map[string][]PointResult)}
 	next := 0 // index of the current (algorithm, load)'s first replica
 	for _, alg := range s.Algs {
-		series := metrics.Series{Label: alg.Label}
 		for _, load := range s.Loads {
 			first := next
 			next += replicas
 			if slices.Contains(completed[first:next], false) {
 				continue // failed or drained point: named or counted in the report
 			}
-			pr := aggregateReplicas(load, results[first:next])
-			res.Points[alg.Label] = append(res.Points[alg.Label], pr)
-			deadlockRate := 0.0
-			if pr.WFGSamples > 0 {
-				deadlockRate = float64(pr.TrueDeadlocks) / float64(pr.WFGSamples)
-			}
-			series.Append(metrics.Point{
-				X:          pr.Load,
-				Latency:    pr.MeanLatency,
-				Throughput: pr.Throughput,
-				Extra: map[string]float64{
-					"seizure_ratio":      pr.SeizureRatio,
-					"net_latency":        pr.MeanNetLatency,
-					"p95":                pr.P95Latency,
-					"latency_ci95":       pr.LatencyCI95,
-					"throughput_ci95":    pr.ThroughputCI95,
-					"true_deadlock_rate": deadlockRate,
-				},
-			})
+			res.Points[alg.Label] = append(res.Points[alg.Label], aggregateReplicas(load, results[first:next]))
 		}
-		res.Series = append(res.Series, series)
 	}
 	if report.Failed() > 0 {
 		f := report.Failures[0]
@@ -838,26 +820,39 @@ func (r *Result) table(title string, f func(PointResult) float64, cellFmt string
 		fmt.Fprintf(&sb, " %20s", l)
 	}
 	sb.WriteString("\n")
-	for i, load := range r.Spec.Loads {
+	for _, load := range r.Spec.Loads {
 		fmt.Fprintf(&sb, "%6.2f", load)
 		for _, l := range labels {
-			pts := r.Points[l]
-			if i < len(pts) {
-				fmt.Fprintf(&sb, " %20s", fmt.Sprintf(cellFmt, f(pts[i])))
-			} else {
-				fmt.Fprintf(&sb, " %20s", "-")
+			cell := "-" // the point failed or was drained
+			if i := slices.IndexFunc(r.Points[l], func(p PointResult) bool { return p.Load == load }); i >= 0 {
+				cell = fmt.Sprintf(cellFmt, f(r.Points[l][i]))
 			}
+			fmt.Fprintf(&sb, " %20s", cell)
 		}
 		sb.WriteString("\n")
 	}
 	return sb.String()
 }
 
-// CSV renders every curve's points as CSV (one block per curve).
+// csvHeader opens every curve's CSV block: the curve, the offered load, mean
+// latency and throughput, then the other columns in name order.
+const csvHeader = "series,load,latency,throughput,latency_ci95,net_latency,p95,seizure_ratio,throughput_ci95,true_deadlock_rate\n"
+
+// CSV renders every curve's points as CSV, one block per curve in Spec.Algs
+// order, each under its own header.
 func (r *Result) CSV() string {
 	var sb strings.Builder
-	for _, s := range r.Series {
-		sb.WriteString(s.CSV())
+	for _, alg := range r.Spec.Algs {
+		sb.WriteString(csvHeader)
+		for _, p := range r.Points[alg.Label] {
+			deadlockRate := 0.0
+			if p.WFGSamples > 0 {
+				deadlockRate = float64(p.TrueDeadlocks) / float64(p.WFGSamples)
+			}
+			fmt.Fprintf(&sb, "%s,%.4f,%.3f,%.4f,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n",
+				alg.Label, p.Load, p.MeanLatency, p.Throughput, p.LatencyCI95, p.MeanNetLatency,
+				p.P95Latency, p.SeizureRatio, p.ThroughputCI95, deadlockRate)
+		}
 	}
 	return sb.String()
 }
@@ -868,8 +863,45 @@ func (r *Result) SaturationSummary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s — saturation summary\n", r.Spec.Name)
 	fmt.Fprintf(&sb, "%-22s %12s %12s\n", "curve", "saturation", "peak-thpt")
-	for _, s := range r.Series {
-		fmt.Fprintf(&sb, "%-22s %12.2f %12.3f\n", s.Label, s.SaturationLoad(3), s.PeakThroughput())
+	for _, alg := range r.Spec.Algs {
+		pts := r.Points[alg.Label]
+		fmt.Fprintf(&sb, "%-22s %12.2f %12.3f\n", alg.Label, SaturationLoad(pts, 3), PeakThroughput(pts))
 	}
 	return sb.String()
+}
+
+// SaturationLoad estimates the saturation point of a latency-vs-load curve:
+// the smallest load whose mean latency exceeds threshold times the zero-load
+// latency (the curve's first point). It returns the last load plus one step
+// if the curve never saturates within the sweep, and 0 for no points.
+func SaturationLoad(pts []PointResult, threshold float64) float64 {
+	if len(pts) == 0 {
+		return 0
+	}
+	base := pts[0].MeanLatency
+	if base <= 0 {
+		base = 1
+	}
+	for _, p := range pts {
+		if p.MeanLatency > base*threshold {
+			return p.Load
+		}
+	}
+	last := pts[len(pts)-1].Load
+	if len(pts) > 1 {
+		last += pts[len(pts)-1].Load - pts[len(pts)-2].Load
+	}
+	return last
+}
+
+// PeakThroughput returns the highest throughput a curve reaches, or 0 for no
+// points.
+func PeakThroughput(pts []PointResult) float64 {
+	peak := 0.0
+	for _, p := range pts {
+		if p.Throughput > peak {
+			peak = p.Throughput
+		}
+	}
+	return peak
 }

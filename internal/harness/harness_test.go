@@ -35,27 +35,23 @@ func TestRunProducesSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != 2 {
-		t.Fatalf("series = %d", len(res.Series))
+	if len(res.Points) != 2 {
+		t.Fatalf("curves = %d", len(res.Points))
 	}
 	if len(lines) != 4 {
 		t.Fatalf("progress lines = %d, want 4", len(lines))
 	}
-	for _, s := range res.Series {
-		if len(s.Points) != 2 {
-			t.Fatalf("%s has %d points", s.Label, len(s.Points))
+	for label, pts := range res.Points {
+		if len(pts) != 2 {
+			t.Fatalf("%s has %d points", label, len(pts))
 		}
-		for _, p := range s.Points {
-			if p.Latency <= 0 {
-				t.Fatalf("%s: non-positive latency at load %v", s.Label, p.X)
+		for _, p := range pts {
+			if p.MeanLatency <= 0 {
+				t.Fatalf("%s: non-positive latency at load %v", label, p.Load)
 			}
 			if p.Throughput <= 0 || p.Throughput > 1.2 {
-				t.Fatalf("%s: implausible throughput %v", s.Label, p.Throughput)
+				t.Fatalf("%s: implausible throughput %v", label, p.Throughput)
 			}
-		}
-	}
-	for label, pts := range res.Points {
-		for _, p := range pts {
 			if p.Delivered == 0 {
 				t.Fatalf("%s delivered nothing at load %v", label, p.Load)
 			}

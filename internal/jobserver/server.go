@@ -15,7 +15,7 @@
 //	POST /jobs                 submit a sweep spec (SweepRequest JSON) -> 202 + job status
 //	GET  /jobs                 list all jobs, oldest first
 //	GET  /jobs/{id}            job status; ?watch=1 streams NDJSON status until terminal
-//	GET  /jobs/{id}/result.json finished curves as JSON
+//	GET  /jobs/{id}/result.json finished curves as JSON: {name, points}, each curve's points by label
 //	GET  /jobs/{id}/result.csv  finished curves as CSV
 //	GET  /metrics              telemetry registry (engine progress + server totals)
 //	GET  /healthz              liveness probe
@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -82,29 +81,6 @@ type Progress struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-// EpisodeCounts aggregates a finished sweep's recovery-episode totals
-// across every measured point: how often deadlock was presumed, how often
-// the recovery Token was seized, and how many WFG samples found a true
-// deadlocked configuration.
-type EpisodeCounts struct {
-	Presumptions  int64 `json:"presumptions"`
-	TokenSeizures int64 `json:"token_seizures"`
-	TrueDeadlocks int64 `json:"true_deadlocks"`
-}
-
-// episodeCounts sums the per-point recovery counters over all curves.
-func episodeCounts(res *harness.Result) *EpisodeCounts {
-	ec := &EpisodeCounts{}
-	for _, pts := range res.Points {
-		for _, p := range pts {
-			ec.Presumptions += p.TimeoutEvents
-			ec.TokenSeizures += p.TokenSeizures
-			ec.TrueDeadlocks += p.TrueDeadlocks
-		}
-	}
-	return ec
-}
-
 // JobStatus is the JSON rendering of one job.
 type JobStatus struct {
 	ID       string       `json:"id"`
@@ -117,17 +93,14 @@ type JobStatus struct {
 	Error    string       `json:"error,omitempty"`
 	// Report is the sweep's batch summary, present once the job settled.
 	Report *harness.Report `json:"report,omitempty"`
-	// Episodes totals the sweep's recovery-episode counters, present once
-	// the job settled with results.
-	Episodes *EpisodeCounts `json:"episodes,omitempty"`
 }
 
 func (s JobStatus) terminal() bool { return s.State == "done" || s.State == "failed" }
 
-// jobResult is the serialized form of a finished sweep.
+// jobResult is the serialized form of a finished sweep: each curve's points
+// by label.
 type jobResult struct {
 	Name   string                           `json:"name"`
-	Series []metrics.Series                 `json:"series"`
 	Points map[string][]harness.PointResult `json:"points"`
 }
 
@@ -349,9 +322,6 @@ func (s *Server) runJob(id string) {
 	j.status.Finished = &end
 	j.status.Report = report
 	j.result = res
-	if res != nil {
-		j.status.Episodes = episodeCounts(res)
-	}
 	switch {
 	case err != nil:
 		j.status.State = "failed"
@@ -504,7 +474,7 @@ func (s *Server) handleResultJSON(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, jobResult{Name: status.Request.Figure, Series: res.Series, Points: res.Points})
+	writeJSON(w, http.StatusOK, jobResult{Name: status.Request.Figure, Points: res.Points})
 }
 
 func (s *Server) handleResultCSV(w http.ResponseWriter, r *http.Request) {

@@ -152,8 +152,8 @@ func TestSubmitRunAndFetchResults(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/result.json", &res); code != http.StatusOK {
 		t.Fatalf("result.json code = %d", code)
 	}
-	if len(res.Series) != 2 || len(res.Points) != 2 {
-		t.Fatalf("result series=%d points=%d, want 2 curves", len(res.Series), len(res.Points))
+	if len(res.Points) != 2 {
+		t.Fatalf("result has %d curves, want 2", len(res.Points))
 	}
 	for label, pts := range res.Points {
 		if len(pts) != 1 || pts[0].Delivered == 0 {

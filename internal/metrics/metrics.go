@@ -1,13 +1,12 @@
 // Package metrics provides the measurement primitives the experiment
-// harness uses: latency sample collection with summary statistics,
-// histograms, and labeled (x, y) series matching the paper's figures.
+// harness uses: latency sample collection with summary statistics, and the
+// mean and 95% confidence interval of a set of samples.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Collector accumulates scalar samples (latencies in cycles, typically).
@@ -179,89 +178,4 @@ func TQuantile95(df int) float64 {
 		return table[df-1]
 	}
 	return 1.960
-}
-
-// Point is one measurement of a sweep: x is the independent variable (load
-// rate), and the named fields mirror what the paper's figures plot.
-type Point struct {
-	X          float64 // offered load rate
-	Latency    float64 // mean packet latency, cycles
-	Throughput float64 // normalized accepted traffic (fraction of capacity)
-	Extra      map[string]float64
-}
-
-// Series is a labeled sequence of points, e.g. one curve of Figure 4.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Append adds a point keeping X order (appends are expected in order).
-func (s *Series) Append(p Point) { s.Points = append(s.Points, p) }
-
-// CSV renders the series as lines "label,x,latency,throughput[,extras]"
-// with a header derived from the first point's Extra keys (sorted).
-func (s *Series) CSV() string {
-	var sb strings.Builder
-	keys := s.extraKeys()
-	sb.WriteString("series,load,latency,throughput")
-	for _, k := range keys {
-		sb.WriteString("," + k)
-	}
-	sb.WriteString("\n")
-	for _, p := range s.Points {
-		fmt.Fprintf(&sb, "%s,%.4f,%.3f,%.4f", s.Label, p.X, p.Latency, p.Throughput)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, ",%.6g", p.Extra[k])
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-func (s *Series) extraKeys() []string {
-	if len(s.Points) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(s.Points[0].Extra))
-	for k := range s.Points[0].Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// SaturationLoad estimates the saturation point of a latency-vs-load curve:
-// the smallest X whose latency exceeds threshold times the zero-load
-// latency (the curve's first point). It returns the last X plus one step if
-// the curve never saturates within the sweep.
-func (s *Series) SaturationLoad(threshold float64) float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	base := s.Points[0].Latency
-	if base <= 0 {
-		base = 1
-	}
-	for _, p := range s.Points {
-		if p.Latency > base*threshold {
-			return p.X
-		}
-	}
-	last := s.Points[len(s.Points)-1].X
-	if len(s.Points) > 1 {
-		last += s.Points[len(s.Points)-1].X - s.Points[len(s.Points)-2].X
-	}
-	return last
-}
-
-// PeakThroughput returns the maximum throughput reached across the sweep.
-func (s *Series) PeakThroughput() float64 {
-	peak := 0.0
-	for _, p := range s.Points {
-		if p.Throughput > peak {
-			peak = p.Throughput
-		}
-	}
-	return peak
 }

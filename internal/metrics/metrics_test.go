@@ -96,61 +96,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSeriesCSV(t *testing.T) {
-	s := Series{Label: "disha-m0"}
-	s.Append(Point{X: 0.1, Latency: 40, Throughput: 0.1, Extra: map[string]float64{"seizures": 0}})
-	s.Append(Point{X: 0.2, Latency: 45, Throughput: 0.2, Extra: map[string]float64{"seizures": 3}})
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "series,load,latency,throughput,seizures\n") {
-		t.Fatalf("csv header wrong: %q", csv)
-	}
-	if !strings.Contains(csv, "disha-m0,0.1000,40.000,0.1000,0") {
-		t.Fatalf("csv row wrong: %q", csv)
-	}
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 3 {
-		t.Fatal("csv line count wrong")
-	}
-}
-
-func TestSaturationLoad(t *testing.T) {
-	s := Series{Label: "x"}
-	for i, lat := range []float64{40, 42, 45, 60, 400, 2000} {
-		s.Append(Point{X: 0.1 * float64(i+1), Latency: lat})
-	}
-	// Threshold 3x base (40) = 120: first exceeded at X=0.5.
-	if got := s.SaturationLoad(3); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("saturation %v, want 0.5", got)
-	}
-	// Never saturates: returns last + step.
-	flat := Series{Label: "y"}
-	flat.Append(Point{X: 0.1, Latency: 40})
-	flat.Append(Point{X: 0.2, Latency: 41})
-	if got := flat.SaturationLoad(3); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("unsaturated estimate %v, want 0.3", got)
-	}
-}
-
-func TestSaturationLoadEdgeCases(t *testing.T) {
-	var empty Series
-	if empty.SaturationLoad(3) != 0 {
-		t.Fatal("empty series saturation must be 0")
-	}
-	one := Series{Points: []Point{{X: 0.1, Latency: 10}}}
-	if got := one.SaturationLoad(3); got != 0.1 {
-		t.Fatalf("single-point unsaturated estimate %v", got)
-	}
-}
-
-func TestPeakThroughput(t *testing.T) {
-	s := Series{}
-	for _, th := range []float64{0.1, 0.35, 0.3} {
-		s.Append(Point{Throughput: th})
-	}
-	if s.PeakThroughput() != 0.35 {
-		t.Fatalf("peak %v", s.PeakThroughput())
-	}
-}
-
 func TestMeanAndCI95(t *testing.T) {
 	if Mean(nil) != 0 || Mean([]float64{3, 5}) != 4 {
 		t.Fatal("mean wrong")

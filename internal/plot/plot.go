@@ -7,9 +7,14 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/metrics"
 )
+
+// Curve is one labelled line of a chart: Y[i] is plotted at X[i], and X and
+// Y have the same length.
+type Curve struct {
+	Label string
+	X, Y  []float64
+}
 
 // Config controls chart geometry and scaling.
 type Config struct {
@@ -29,9 +34,9 @@ type Config struct {
 // markers label up to ten curves.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '=', '~'}
 
-// Render draws the series as a scatter chart with a shared x/y scale and a
-// legend mapping markers to labels. Y values are taken from extract.
-func Render(cfg Config, series []metrics.Series, extract func(metrics.Point) float64) string {
+// Render draws the curves as a scatter chart with a shared x/y scale and a
+// legend mapping markers to labels.
+func Render(cfg Config, curves []Curve) string {
 	if cfg.Width <= 0 {
 		cfg.Width = 60
 	}
@@ -47,10 +52,10 @@ func Render(cfg Config, series []metrics.Series, extract func(metrics.Point) flo
 		m    byte
 	}
 	var pts []pt
-	for si, s := range series {
-		m := markers[si%len(markers)]
-		for _, p := range s.Points {
-			y := extract(p)
+	for ci, c := range curves {
+		m := markers[ci%len(markers)]
+		for i, x := range c.X {
+			y := c.Y[i]
 			if cfg.YMax > 0 && y > cfg.YMax {
 				y = cfg.YMax
 			}
@@ -60,9 +65,9 @@ func Render(cfg Config, series []metrics.Series, extract func(metrics.Point) flo
 				}
 				y = math.Log10(y)
 			}
-			pts = append(pts, pt{p.X, y, m})
-			xMin = math.Min(xMin, p.X)
-			xMax = math.Max(xMax, p.X)
+			pts = append(pts, pt{x, y, m})
+			xMin = math.Min(xMin, x)
+			xMax = math.Max(xMax, x)
 			yMax = math.Max(yMax, y)
 		}
 	}
@@ -133,35 +138,34 @@ func Render(cfg Config, series []metrics.Series, extract func(metrics.Point) flo
 		}
 		sb.WriteString("\n")
 	}
-	// Legend, in series order.
+	// Legend, in curve order.
 	var legend []string
-	for si, s := range series {
-		legend = append(legend, fmt.Sprintf("%c %s", markers[si%len(markers)], s.Label))
+	for ci, c := range curves {
+		legend = append(legend, fmt.Sprintf("%c %s", markers[ci%len(markers)], c.Label))
 	}
 	fmt.Fprintf(&sb, "%10s  %s\n", "", strings.Join(legend, "   "))
 	return sb.String()
 }
 
-// Latency renders a latency-vs-load chart on a log y axis.
-func Latency(title string, series []metrics.Series) string {
+// Latency renders latency-vs-load curves on a log y axis.
+func Latency(title string, curves []Curve) string {
 	return Render(Config{
 		Title: title, XLabel: "offered load (fraction of capacity)", YLabel: "mean latency (cycles)",
 		LogY: true,
-	}, series, func(p metrics.Point) float64 { return p.Latency })
+	}, curves)
 }
 
-// Throughput renders a throughput-vs-load chart.
-func Throughput(title string, series []metrics.Series) string {
+// Throughput renders throughput-vs-load curves.
+func Throughput(title string, curves []Curve) string {
 	return Render(Config{
 		Title: title, XLabel: "offered load (fraction of capacity)", YLabel: "accepted (fraction of capacity)",
-	}, series, func(p metrics.Point) float64 { return p.Throughput })
+	}, curves)
 }
 
-// TimeSeries renders telemetry sampler rings (X = simulation cycle, value
-// carried in the Latency field, as telemetry.TimeSeries.MetricsSeries
-// produces them) as a value-vs-cycle chart.
-func TimeSeries(title string, series []metrics.Series) string {
+// TimeSeries renders telemetry sampler rings (X = simulation cycle, Y = the
+// sampled value) as a value-vs-cycle chart.
+func TimeSeries(title string, curves []Curve) string {
 	return Render(Config{
 		Title: title, XLabel: "cycle", YLabel: "sampled value",
-	}, series, func(p metrics.Point) float64 { return p.Latency })
+	}, curves)
 }

@@ -3,24 +3,22 @@ package plot
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
-func demoSeries() []metrics.Series {
-	a := metrics.Series{Label: "disha-m0"}
-	b := metrics.Series{Label: "duato"}
+// demoCurves returns two latency-vs-load curves.
+func demoCurves() []Curve {
+	a, b := Curve{Label: "disha-m0"}, Curve{Label: "duato"}
 	for i := 1; i <= 8; i++ {
 		x := 0.1 * float64(i)
-		a.Append(metrics.Point{X: x, Latency: 40 + 100*x*x, Throughput: x * 0.9})
-		b.Append(metrics.Point{X: x, Latency: 40 + 400*x*x, Throughput: x * 0.7})
+		a.X, a.Y = append(a.X, x), append(a.Y, 40+100*x*x)
+		b.X, b.Y = append(b.X, x), append(b.Y, 40+400*x*x)
 	}
-	return []metrics.Series{a, b}
+	return []Curve{a, b}
 }
 
 func TestRenderBasics(t *testing.T) {
 	s := Render(Config{Title: "demo", Width: 40, Height: 10, XLabel: "load", YLabel: "latency"},
-		demoSeries(), func(p metrics.Point) float64 { return p.Latency })
+		demoCurves())
 	if !strings.Contains(s, "demo") {
 		t.Fatal("missing title")
 	}
@@ -41,16 +39,15 @@ func TestRenderBasics(t *testing.T) {
 }
 
 func TestRenderEmpty(t *testing.T) {
-	s := Render(Config{Title: "empty"}, nil, func(p metrics.Point) float64 { return p.Latency })
+	s := Render(Config{Title: "empty"}, nil)
 	if !strings.Contains(s, "no data") {
 		t.Fatalf("empty render: %q", s)
 	}
 }
 
 func TestRenderSinglePoint(t *testing.T) {
-	one := metrics.Series{Label: "x", Points: []metrics.Point{{X: 0.5, Latency: 10}}}
-	s := Render(Config{Width: 20, Height: 5}, []metrics.Series{one},
-		func(p metrics.Point) float64 { return p.Latency })
+	one := Curve{Label: "x", X: []float64{0.5}, Y: []float64{10}}
+	s := Render(Config{Width: 20, Height: 5}, []Curve{one})
 	if !strings.Contains(s, "*") {
 		t.Fatalf("single point missing:\n%s", s)
 	}
@@ -58,7 +55,7 @@ func TestRenderSinglePoint(t *testing.T) {
 
 func TestYMaxClipping(t *testing.T) {
 	s := Render(Config{Width: 30, Height: 8, YMax: 100, XLabel: "x", YLabel: "y"},
-		demoSeries(), func(p metrics.Point) float64 { return p.Latency })
+		demoCurves())
 	if !strings.Contains(s, "clipped at 100") {
 		t.Fatalf("clip note missing:\n%s", s)
 	}
@@ -68,11 +65,8 @@ func TestYMaxClipping(t *testing.T) {
 }
 
 func TestLogYSkipsNonPositive(t *testing.T) {
-	srs := metrics.Series{Label: "l", Points: []metrics.Point{
-		{X: 0.1, Latency: 0}, {X: 0.2, Latency: 10}, {X: 0.3, Latency: 1000},
-	}}
-	s := Render(Config{Width: 20, Height: 6, LogY: true, XLabel: "x", YLabel: "y"},
-		[]metrics.Series{srs}, func(p metrics.Point) float64 { return p.Latency })
+	c := Curve{Label: "l", X: []float64{0.1, 0.2, 0.3}, Y: []float64{0, 10, 1000}}
+	s := Render(Config{Width: 20, Height: 6, LogY: true, XLabel: "x", YLabel: "y"}, []Curve{c})
 	if !strings.Contains(s, "log scale") {
 		t.Fatal("log scale note missing")
 	}
@@ -82,20 +76,19 @@ func TestLogYSkipsNonPositive(t *testing.T) {
 }
 
 func TestCollisionsMarked(t *testing.T) {
-	a := metrics.Series{Label: "a", Points: []metrics.Point{{X: 0.5, Latency: 10}, {X: 1, Latency: 20}}}
-	b := metrics.Series{Label: "b", Points: []metrics.Point{{X: 0.5, Latency: 10}, {X: 1, Latency: 5}}}
-	s := Render(Config{Width: 10, Height: 5}, []metrics.Series{a, b},
-		func(p metrics.Point) float64 { return p.Latency })
+	a := Curve{Label: "a", X: []float64{0.5, 1}, Y: []float64{10, 20}}
+	b := Curve{Label: "b", X: []float64{0.5, 1}, Y: []float64{10, 5}}
+	s := Render(Config{Width: 10, Height: 5}, []Curve{a, b})
 	if !strings.Contains(s, "?") {
 		t.Fatalf("overlapping points should collide:\n%s", s)
 	}
 }
 
 func TestConvenienceWrappers(t *testing.T) {
-	if !strings.Contains(Latency("t", demoSeries()), "log scale") {
+	if !strings.Contains(Latency("t", demoCurves()), "log scale") {
 		t.Fatal("Latency wrapper must use a log axis")
 	}
-	if !strings.Contains(Throughput("t", demoSeries()), "accepted") {
+	if !strings.Contains(Throughput("t", demoCurves()), "accepted") {
 		t.Fatal("Throughput wrapper missing axis label")
 	}
 }

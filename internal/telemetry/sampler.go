@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // point is one sampled (cycle, value) pair.
 type point struct {
@@ -31,16 +27,6 @@ func (ts *TimeSeries) Points() (cycles []int64, values []float64) {
 		values = append(values, p.value)
 	}
 	return cycles, values
-}
-
-// MetricsSeries converts the ring into a metrics.Series (X = cycle,
-// Latency = sampled value) so internal/plot can chart it directly.
-func (ts *TimeSeries) MetricsSeries() metrics.Series {
-	s := metrics.Series{Label: ts.Name}
-	for _, p := range ts.points.items() {
-		s.Append(metrics.Point{X: float64(p.cycle), Latency: p.value})
-	}
-	return s
 }
 
 // Sampler snapshots tracked registry families every Every cycles into
@@ -101,12 +87,3 @@ func (s *Sampler) Sample(cycle int64) {
 
 // Series returns all tracked rings in tracking order.
 func (s *Sampler) Series() []*TimeSeries { return s.series }
-
-// MetricsSeries converts every ring for plotting.
-func (s *Sampler) MetricsSeries() []metrics.Series {
-	out := make([]metrics.Series, 0, len(s.series))
-	for _, ts := range s.series {
-		out = append(out, ts.MetricsSeries())
-	}
-	return out
-}

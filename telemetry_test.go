@@ -211,3 +211,23 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
 }
+
+// TestPlotTimeSeries charts the sampler's rings against the cycle: one legend
+// entry per tracked family, and (no data) without a sampler.
+func TestPlotTimeSeries(t *testing.T) {
+	sim := newWedgeSim(t, 3)
+	tel := sim.EnableTelemetry(disha.TelemetryOptions{SampleEvery: 50})
+	sim.Run(500)
+	chart := disha.PlotTimeSeries("sampled", tel)
+	if !strings.Contains(chart, "x: cycle, y: sampled value") {
+		t.Fatalf("chart has no cycle axis:\n%s", chart)
+	}
+	for _, ts := range tel.Sampler.Series() {
+		if !strings.Contains(chart, " "+ts.Name) {
+			t.Errorf("legend misses %s:\n%s", ts.Name, chart)
+		}
+	}
+	if got := disha.PlotTimeSeries("none", nil); got != "none\n(no data)\n" {
+		t.Errorf("PlotTimeSeries(nil) = %q", got)
+	}
+}
