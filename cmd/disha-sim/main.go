@@ -62,7 +62,7 @@ func main() {
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, /buildz and /debug/pprof on this address (e.g. :9090)")
 		traceOut     = flag.String("trace-out", "", "write telemetry samples, trace events, recovery-episode spans, flight-recorder snapshots and final counters as JSON Lines to this file")
-		sampleEvery  = flag.Int("sample-every", 100, "telemetry sampling period in cycles (negative disables sampling)")
+		sampleEvery  = flag.Int("sample-every", 100, "telemetry sampling period in cycles (negative disables sampling; /metrics still refreshes every 100 cycles)")
 		profileEvery = flag.Int("profile-every", 64, "kernel phase-profiler sampling period in cycles (0 disables phase timing)")
 		hold         = flag.Duration("hold", 0, "keep the -metrics-addr endpoint up this long after the run (for scraping/pprof)")
 		version      = flag.Bool("version", false, "print build metadata and exit")

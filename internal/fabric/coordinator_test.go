@@ -465,20 +465,16 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: 10 * time.Second})
 	defer c.Close()
 	c.RegisterMetrics(reg)
-	names := reg.Names()
-	want := []string{
+	var text bytes.Buffer
+	reg.WriteText(&text)
+	for _, n := range []string{
 		"fleet_workers_live", "fleet_leases_outstanding", "fleet_queue_depth",
 		"fleet_cache_hit_rate", "fleet_cache_hits_total", "fleet_cache_misses_total",
 		"fleet_redispatch_total", "fleet_remote_runs_total", "fleet_local_runs_total",
 		"fleet_lease_waiters", "fleet_unit_queue_seconds",
-	}
-	have := make(map[string]bool, len(names))
-	for _, n := range names {
-		have[n] = true
-	}
-	for _, n := range want {
-		if !have[n] {
-			t.Fatalf("metric %s not registered (have %v)", n, names)
+	} {
+		if !strings.Contains(text.String(), "\n# TYPE "+n+" ") {
+			t.Fatalf("metric %s not registered:\n%s", n, text.String())
 		}
 	}
 
@@ -487,7 +483,7 @@ func TestFleetMetricsRegistered(t *testing.T) {
 	leased := make(chan *WorkUnit, 1)
 	go func() { leased <- c.LeaseWait(context.Background(), "w1") }()
 	eventually(t, "the request to park", func() bool { return c.Stats().LeaseWaiters == 1 })
-	var text bytes.Buffer
+	text.Reset()
 	reg.WriteText(&text)
 	if !strings.Contains(text.String(), "fleet_lease_waiters 1\n") || !strings.Contains(text.String(), "fleet_unit_queue_seconds_count 0\n") {
 		t.Fatalf("render with a parked request and nothing leased yet:\n%s", text.String())

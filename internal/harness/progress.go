@@ -53,28 +53,20 @@ func (r *Report) String() string {
 }
 
 // Metrics exports sweep progress through an internal/telemetry registry:
-// jobs done/failed, batch totals, elapsed time and the ETA estimate.
-// Unlike the simulator's telemetry (which is strictly single-goroutine, see
-// package telemetry), sweep progress is inherently concurrent with whatever
-// else updates the registry — an HTTP server's own metrics, for example — so
-// all writes and every Publish go through one mutex owned here. Anything
-// else that registers on the same registry must register pull-style metrics
-// over atomic values, which are safe to render from any goroutine, as the
-// job server's serve_jobs_* totals do.
+// jobs done/failed, batch totals, elapsed time and the ETA estimate, as
+// reads of plain fields. Unlike the simulator's telemetry (strictly
+// single-goroutine, see package telemetry), sweep progress is concurrent
+// with whatever else renders the registry — an HTTP scrape, for example —
+// so every update, and every Publish that reads the fields, holds one
+// mutex owned here. Anything else registered on the same registry must be
+// safe to read from any goroutine, as the job server's serve_jobs_* totals
+// (reads of atomics) are.
 type Metrics struct {
 	mu  sync.Mutex
 	reg *telemetry.Registry
 
-	runsStarted  *telemetry.Counter
-	runsFinished *telemetry.Counter
-	jobsDone     *telemetry.Counter
-	jobsFailed   *telemetry.Counter
-
-	jobsTotal      *telemetry.Gauge
-	jobsRemaining  *telemetry.Gauge
-	etaSeconds     *telemetry.Gauge
-	elapsedSeconds *telemetry.Gauge
-	running        *telemetry.Gauge
+	runsStarted, runsFinished, jobsDone, jobsFailed               int64
+	jobsTotal, jobsRemaining, etaSeconds, elapsedSeconds, running float64
 }
 
 // NewMetrics registers the engine_* metric families on reg. Call once per
@@ -82,18 +74,23 @@ type Metrics struct {
 // or concurrent sweeps (counters accumulate across runs, gauges track
 // the most recent update).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
-	return &Metrics{
-		reg:            reg,
-		runsStarted:    reg.Counter("engine_runs_started_total", "engine batches started", nil),
-		runsFinished:   reg.Counter("engine_runs_finished_total", "engine batches finished", nil),
-		jobsDone:       reg.Counter("engine_jobs_done_total", "jobs completed successfully", nil),
-		jobsFailed:     reg.Counter("engine_jobs_failed_total", "jobs that ran and returned an error", nil),
-		jobsTotal:      reg.Gauge("engine_jobs_total", "jobs in the current batch", nil),
-		jobsRemaining:  reg.Gauge("engine_jobs_remaining", "jobs not yet settled in the current batch", nil),
-		etaSeconds:     reg.Gauge("engine_eta_seconds", "estimated remaining wall time of the current batch", nil),
-		elapsedSeconds: reg.Gauge("engine_elapsed_seconds", "wall time spent on the current batch", nil),
-		running:        reg.Gauge("engine_running", "1 while a batch is in flight", nil),
+	m := &Metrics{reg: reg}
+	counter := func(name, help string, v *int64) {
+		reg.CounterFunc(name, help, nil, func() int64 { return *v })
 	}
+	gauge := func(name, help string, v *float64) {
+		reg.GaugeFunc(name, help, nil, func() float64 { return *v })
+	}
+	counter("engine_runs_started_total", "engine batches started", &m.runsStarted)
+	counter("engine_runs_finished_total", "engine batches finished", &m.runsFinished)
+	counter("engine_jobs_done_total", "jobs completed successfully", &m.jobsDone)
+	counter("engine_jobs_failed_total", "jobs that ran and returned an error", &m.jobsFailed)
+	gauge("engine_jobs_total", "jobs in the current batch", &m.jobsTotal)
+	gauge("engine_jobs_remaining", "jobs not yet settled in the current batch", &m.jobsRemaining)
+	gauge("engine_eta_seconds", "estimated remaining wall time of the current batch", &m.etaSeconds)
+	gauge("engine_elapsed_seconds", "wall time spent on the current batch", &m.elapsedSeconds)
+	gauge("engine_running", "1 while a batch is in flight", &m.running)
+	return m
 }
 
 // Publish renders the registry snapshot for HTTP exposition.
@@ -106,12 +103,11 @@ func (m *Metrics) Publish() {
 func (m *Metrics) beginRun(total int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.runsStarted.Inc()
-	m.jobsTotal.Set(float64(total))
-	m.jobsRemaining.Set(float64(total))
-	m.etaSeconds.Set(0)
-	m.elapsedSeconds.Set(0)
-	m.running.Set(1)
+	m.runsStarted++
+	m.jobsTotal = float64(total)
+	m.jobsRemaining = float64(total)
+	m.etaSeconds, m.elapsedSeconds = 0, 0
+	m.running = 1
 	m.reg.Publish()
 }
 
@@ -119,22 +115,21 @@ func (m *Metrics) observe(st Status, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if failed {
-		m.jobsFailed.Inc()
+		m.jobsFailed++
 	} else {
-		m.jobsDone.Inc()
+		m.jobsDone++
 	}
-	m.jobsRemaining.Set(float64(st.Total - st.Done - st.Failed))
-	m.etaSeconds.Set(st.ETA.Seconds())
-	m.elapsedSeconds.Set(st.Elapsed.Seconds())
+	m.jobsRemaining = float64(st.Total - st.Done - st.Failed)
+	m.etaSeconds = st.ETA.Seconds()
+	m.elapsedSeconds = st.Elapsed.Seconds()
 	m.reg.Publish()
 }
 
 func (m *Metrics) endRun(st Status) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.runsFinished.Inc()
-	m.running.Set(0)
-	m.etaSeconds.Set(0)
-	m.elapsedSeconds.Set(st.Elapsed.Seconds())
+	m.runsFinished++
+	m.running, m.etaSeconds = 0, 0
+	m.elapsedSeconds = st.Elapsed.Seconds()
 	m.reg.Publish()
 }

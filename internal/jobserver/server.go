@@ -211,9 +211,9 @@ func NewWithOptions(opts Options) (*Server, error) {
 		}
 		s.limiter = fabric.NewRateLimiter(opts.RateLimit, burst)
 	}
-	// Server totals are pull-style metrics over atomics so the registry can
-	// render them from any goroutine; the sweep's own progress metrics
-	// serialize through em's mutex (see harness.Metrics).
+	// Every metric is a read. The server totals read atomics, safe from any
+	// goroutine; the sweep's progress fields are read only by a render
+	// under em's mutex (see harness.Metrics).
 	s.reg.CounterFunc("serve_jobs_accepted_total", "sweep jobs accepted", nil, s.accepted.Load)
 	s.reg.CounterFunc("serve_jobs_completed_total", "sweep jobs finished successfully", nil, s.completed.Load)
 	s.reg.CounterFunc("serve_jobs_failed_total", "sweep jobs finished with failures", nil, s.failed.Load)

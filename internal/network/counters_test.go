@@ -24,7 +24,7 @@ func TestCounterTableCoversStruct(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(2), 0.9, 7)
 	cfg.Router.VCs = 1
 	n := mustNet(t, cfg)
-	hub := n.EnableTelemetry(telemetry.Options{SampleEvery: -1, FlightDepth: -1})
+	hub := n.EnableTelemetry(telemetry.Options{SampleEvery: -1})
 	n.Run(600)
 	c := n.Counters()
 	if c.TimeoutEvents == 0 || c.TokenSeizures == 0 || c.MisrouteHops == 0 {

@@ -136,7 +136,7 @@ var sampledFamilies = []string{
 // telemetryTick runs at the end of every Step while telemetry is attached:
 // it captures a sparse flight-recorder frame, dumps a snapshot if this
 // cycle presumed a new deadlock (throttled by the recorder's cooldown), and
-// fires the sampler on its period.
+// ticks the hub, which samples and publishes on its period.
 //
 // It runs after the timer phase and before the deactivation sweep, so every
 // router that ran this cycle is still active, and an inactive one missed
@@ -145,32 +145,27 @@ var sampledFamilies = []string{
 // walks the active set; the snapshot and the sampled families read every
 // router. verdict is this cycle's WFG analysis, if labelEpisodes ran one.
 func (n *Network) telemetryTick(now sim.Cycle, verdict *core.WFGResult) {
-	h := n.tel
-	if rec := h.Recorder; rec != nil {
-		fr := rec.BeginFrame(int64(now))
-		hi := len(n.routers)
-		for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
-			r := n.routers[i]
-			b, p, d := r.BlockedHeaders(), r.PresumedHeaders(), r.DBOccupancy()
-			if b == 0 && p == 0 && d == 0 {
-				continue
-			}
-			fr.Routers = append(fr.Routers, telemetry.RouterFrame{
-				Node: int32(i), Blocked: int32(b), Presumed: int32(p), DBOcc: int32(d),
-			})
+	h, rec := n.tel, n.tel.Recorder
+	fr := rec.BeginFrame(int64(now))
+	hi := len(n.routers)
+	for i := n.nextActive(0, hi); i >= 0; i = n.nextActive(i+1, hi) {
+		r := n.routers[i]
+		b, p, d := r.BlockedHeaders(), r.PresumedHeaders(), r.DBOccupancy()
+		if b == 0 && p == 0 && d == 0 {
+			continue
 		}
-		if node, pkt, ok := h.TakeTrigger(); ok && rec.ShouldSnapshot(int64(now)) {
-			snap := n.buildSnapshot(now, node, pkt, verdict)
-			rec.AddSnapshot(snap)
-			if h.Writer != nil {
-				h.Writer.WriteSnapshot(snap)
-			}
+		fr.Routers = append(fr.Routers, telemetry.RouterFrame{
+			Node: int32(i), Blocked: int32(b), Presumed: int32(p), DBOcc: int32(d),
+		})
+	}
+	if node, pkt, ok := h.TakeTrigger(); ok && rec.ShouldSnapshot(int64(now)) {
+		snap := n.buildSnapshot(now, node, pkt, verdict)
+		rec.AddSnapshot(snap)
+		if h.Writer != nil {
+			h.Writer.WriteSnapshot(snap)
 		}
 	}
-	if s := h.Sampler; s != nil && s.Due(int64(now)) {
-		s.Sample(int64(now))
-		h.Registry.Publish()
-	}
+	h.Tick(int64(now))
 }
 
 // labelEpisodes applies the WFG verdict to every recovery episode opened

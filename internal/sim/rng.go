@@ -128,28 +128,6 @@ func (r *RNG) Hit(c Chance) bool {
 	return Chance(r.Uint64()>>11) < c
 }
 
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Split derives a child RNG whose stream is independent of subsequent draws
 // from the parent. It is used to give each traffic source its own stream so
 // that adding instrumentation draws does not perturb workloads.

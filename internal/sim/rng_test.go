@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -119,49 +118,6 @@ func TestBernoulliRate(t *testing.T) {
 	rate := float64(hits) / draws
 	if math.Abs(rate-p) > 0.01 {
 		t.Errorf("Bernoulli(%v) empirical rate %v", p, rate)
-	}
-}
-
-// TestPermIsPermutation is a property test: Perm(n) is always a permutation
-// of [0, n).
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(13)
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%32) + 1
-		r.Seed(seed)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRNG(17)
-	xs := []int{1, 2, 2, 3, 5, 8, 13}
-	counts := map[int]int{}
-	for _, x := range xs {
-		counts[x]++
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, x := range xs {
-		counts[x]--
-	}
-	for k, v := range counts {
-		if v != 0 {
-			t.Fatalf("element %d count changed by %d", k, v)
-		}
 	}
 }
 

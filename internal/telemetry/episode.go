@@ -49,9 +49,9 @@ type EpisodeSpan struct {
 // cycle. Closed spans land in a bounded ring, stream to the JSONL writer
 // (if set), and feed the time-to-resolve / time-in-DB histograms.
 //
-// Like the rest of the package it is single-writer (simulation goroutine)
-// and nil-safe: every method no-ops on a nil receiver, so instrumentation
-// sites need no enabled-checks.
+// Like the rest of the package it is single-writer (simulation goroutine).
+// Every Hub builds one; the verdict and outcome counts are plain fields
+// that Register exposes as counters.
 type EpisodeTracker struct {
 	open    map[int64]*EpisodeSpan
 	pending []*EpisodeSpan     // opened this cycle, awaiting the WFG verdict
@@ -59,12 +59,12 @@ type EpisodeTracker struct {
 	seq     int64
 	writer  *JSONLWriter
 
-	// Registered metrics (nil until Register; nil-safe to update).
+	trueCycles, falsePresumptions int64                 // labelled spans by WFG verdict
+	outcomes                      [len(kindNames)]int64 // closed spans by closing event kind
+
+	// Registered histograms (nil until Register; Observe on nil is a no-op).
 	histResolve *Histogram
 	histInDB    *Histogram
-	cntTrue     *Counter
-	cntFalse    *Counter
-	cntOutcome  [len(kindNames)]*Counter // by closing event kind
 }
 
 // NewEpisodeTracker returns a tracker retaining the most recent depth
@@ -77,36 +77,28 @@ func NewEpisodeTracker(depth int) *EpisodeTracker {
 }
 
 // SetWriter streams every closed span as a JSONL "span" line. Nil detaches.
-func (t *EpisodeTracker) SetWriter(w *JSONLWriter) {
-	if t == nil {
-		return
-	}
-	t.writer = w
-}
+func (t *EpisodeTracker) SetWriter(w *JSONLWriter) { t.writer = w }
 
 // Register adds the tracker's derived metrics to reg: episode-verdict and
 // outcome counters, time-to-resolve and time-in-DB cycle histograms, and
 // an open-episodes gauge.
 func (t *EpisodeTracker) Register(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
 	cycles := ExponentialBuckets(1, 2, 12) // 1 .. 2048 cycles
 	t.histResolve = reg.Histogram("disha_episode_resolve_cycles",
 		"Cycles from deadlock presumption to episode close (delivery, kill or drop).", nil, cycles)
 	t.histInDB = reg.Histogram("disha_episode_db_cycles",
 		"Cycles a recovered packet spent on the Deadlock Buffer lane before delivery.", nil, cycles)
-	t.cntTrue = reg.Counter("disha_episodes_total",
+	reg.CounterFunc("disha_episodes_total",
 		"Recovery episodes by WFG verdict at presumption time.",
-		Labels{{Key: "verdict", Value: "true-cycle"}})
-	t.cntFalse = reg.Counter("disha_episodes_total",
+		Labels{{Key: "verdict", Value: "true-cycle"}}, func() int64 { return t.trueCycles })
+	reg.CounterFunc("disha_episodes_total",
 		"Recovery episodes by WFG verdict at presumption time.",
-		Labels{{Key: "verdict", Value: "false-presumption"}})
+		Labels{{Key: "verdict", Value: "false-presumption"}}, func() int64 { return t.falsePresumptions })
 	for kind, outcome := range closingOutcome {
 		if outcome != "" {
-			t.cntOutcome[kind] = reg.Counter("disha_episode_outcomes_total",
+			reg.CounterFunc("disha_episode_outcomes_total",
 				"Closed recovery episodes by outcome.",
-				Labels{{Key: "outcome", Value: outcome}})
+				Labels{{Key: "outcome", Value: outcome}}, func() int64 { return t.outcomes[kind] })
 		}
 	}
 	reg.GaugeFunc("disha_episodes_open",
@@ -125,7 +117,7 @@ var closingOutcome = [len(kindNames)]string{Deliver: "delivered", Kill: "killed"
 // Kill and Drop close it. Events of packets with no open episode — nearly
 // all of them — cost one map lookup.
 func (t *EpisodeTracker) Observe(e Event) {
-	if t == nil || e.Kind == Inject {
+	if e.Kind == Inject {
 		return
 	}
 	pkt, cycle := int64(e.Pkt), int64(e.Cycle)
@@ -161,7 +153,7 @@ func (t *EpisodeTracker) Observe(e Event) {
 		if s.Recover >= 0 {
 			t.histInDB.Observe(float64(cycle - s.Recover))
 		}
-		t.cntOutcome[e.Kind].Inc()
+		t.outcomes[e.Kind]++
 		t.retire(s)
 	}
 }
@@ -177,7 +169,7 @@ func markOnce(field *int64, cycle int64) {
 // WFG verdict (the network uses this to decide whether to run the
 // analyzer).
 func (t *EpisodeTracker) HasPending() bool {
-	return t != nil && len(t.pending) > 0
+	return len(t.pending) > 0
 }
 
 // LabelPending applies the WFG verdict to every span opened this cycle:
@@ -185,16 +177,13 @@ func (t *EpisodeTracker) HasPending() bool {
 // marks the packet IDs inside the deadlocked set. Call once per
 // presumption cycle, after the analyzer ran and before recovery proceeds.
 func (t *EpisodeTracker) LabelPending(trueCycle bool, member map[int64]bool) {
-	if t == nil {
-		return
-	}
 	for _, s := range t.pending {
 		s.TrueCycle = trueCycle
 		s.Member = member[s.Pkt]
 		if trueCycle {
-			t.cntTrue.Inc()
+			t.trueCycles++
 		} else {
-			t.cntFalse.Inc()
+			t.falsePresumptions++
 		}
 	}
 	t.pending = t.pending[:0]
@@ -214,7 +203,7 @@ func (t *EpisodeTracker) retire(s *EpisodeSpan) {
 // episode never resolved), in Seq order so the JSONL stream stays
 // deterministic.
 func (t *EpisodeTracker) FlushOpen(cycle int64) {
-	if t == nil || len(t.open) == 0 {
+	if len(t.open) == 0 {
 		return
 	}
 	spans := make([]*EpisodeSpan, 0, len(t.open))
@@ -230,25 +219,10 @@ func (t *EpisodeTracker) FlushOpen(cycle int64) {
 }
 
 // OpenCount returns how many episodes are currently unresolved.
-func (t *EpisodeTracker) OpenCount() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.open)
-}
+func (t *EpisodeTracker) OpenCount() int { return len(t.open) }
 
 // Total returns how many episodes were ever opened.
-func (t *EpisodeTracker) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.seq
-}
+func (t *EpisodeTracker) Total() int64 { return t.seq }
 
 // Spans returns the retained closed spans, oldest-first.
-func (t *EpisodeTracker) Spans() []*EpisodeSpan {
-	if t == nil {
-		return nil
-	}
-	return t.closed.items()
-}
+func (t *EpisodeTracker) Spans() []*EpisodeSpan { return t.closed.items() }

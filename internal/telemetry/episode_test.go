@@ -252,38 +252,24 @@ func TestEpisodeSpanJSONLRoundtrip(t *testing.T) {
 	}
 }
 
-func TestEpisodeTrackerNilSafety(t *testing.T) {
-	var tr *EpisodeTracker
-	tr.Observe(ev(Timeout, 1, 0, 0))
-	tr.LabelPending(true, nil)
-	tr.Observe(ev(TokenCapture, 1, 0, 1))
-	tr.Observe(ev(Recover, 1, 0, 2))
-	tr.Observe(ev(TokenRelease, 1, 0, 3))
-	tr.Observe(ev(Deliver, 1, 0, 4))
-	tr.Observe(ev(Kill, 1, 0, 5))
-	tr.FlushOpen(6)
-	tr.SetWriter(nil)
-	tr.Register(NewRegistry())
-	if tr.HasPending() || tr.OpenCount() != 0 || tr.Total() != 0 || tr.Spans() != nil {
-		t.Error("nil tracker reads should be zero values")
-	}
-	// Unregistered tracker (nil metrics) must also close spans safely.
+// TestEpisodeTrackerUnregistered closes a span on a tracker whose metrics
+// were never registered (its histograms are nil).
+func TestEpisodeTrackerUnregistered(t *testing.T) {
 	live := NewEpisodeTracker(1)
 	live.Observe(ev(Timeout, 1, 0, 0))
 	live.LabelPending(true, nil)
 	live.Observe(ev(Deliver, 1, 0, 5))
-	if live.Total() != 1 {
-		t.Errorf("unregistered tracker Total() = %d, want 1", live.Total())
+	if live.Total() != 1 || len(live.Spans()) != 1 {
+		t.Errorf("unregistered tracker Total() = %d, %d spans; want 1, 1", live.Total(), len(live.Spans()))
 	}
 }
 
+// TestHubEpisodeOptions: every hub has an episode tracker, retaining
+// EpisodeDepth spans, or 256 when EpisodeDepth is not positive.
 func TestHubEpisodeOptions(t *testing.T) {
-	h := NewHub(Options{})
-	if h.Episodes == nil {
-		t.Error("default Options should enable the episode tracker")
-	}
-	h = NewHub(Options{EpisodeDepth: -1})
-	if h.Episodes != nil {
-		t.Error("EpisodeDepth < 0 should disable the episode tracker")
+	for depth, want := range map[int]int{0: 256, -1: 256, 3: 3} {
+		if got := cap(NewHub(Options{EpisodeDepth: depth}).Episodes.closed.buf); got != want {
+			t.Errorf("EpisodeDepth %d: tracker retains %d spans, want %d", depth, got, want)
+		}
 	}
 }

@@ -60,9 +60,6 @@ func NewFlightRecorder(depth int, cooldown int64, maxSnaps int) *FlightRecorder 
 	}
 }
 
-// Depth returns the number of frames retained.
-func (f *FlightRecorder) Depth() int { return cap(f.frames.buf) }
-
 // BeginFrame claims the ring slot for this cycle and returns it with an
 // empty router list, reusing the evicted frame's array; the caller appends
 // sparse RouterFrames.

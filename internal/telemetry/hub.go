@@ -1,14 +1,13 @@
 package telemetry
 
 // Options configures a Hub. The zero value enables sampling every 100
-// cycles with a 64-frame flight recorder and no JSONL output.
+// cycles and no JSONL output. Every hub has a flight recorder and an
+// episode tracker.
 type Options struct {
 	// SampleEvery is the gauge sampling period in cycles (default 100).
-	// Negative disables sampling entirely.
+	// Negative disables sampling; the registry is then still published
+	// every 100 cycles.
 	SampleEvery int
-	// FlightDepth is how many cycles of per-router frames the flight
-	// recorder retains (default 64). Negative disables the recorder.
-	FlightDepth int
 	// SnapshotCooldown is the minimum number of cycles between two
 	// flight-recorder dumps (default 500).
 	SnapshotCooldown int64
@@ -16,7 +15,7 @@ type Options struct {
 	// snapshots as JSON Lines.
 	Writer *JSONLWriter
 	// EpisodeDepth is how many closed recovery-episode spans the episode
-	// tracker retains (default 256). Negative disables episode tracking.
+	// tracker retains (≤ 0 means the default, 256).
 	EpisodeDepth int
 	// ProfileEvery enables the kernel phase profiler on every Nth cycle
 	// (0 disables it). Profiling reads the wall clock but never simulation
@@ -24,32 +23,31 @@ type Options struct {
 	ProfileEvery int
 }
 
-// Fixed capacities of a Hub: every caller ran with these values.
+// A Hub's default sampling period and fixed capacities (every caller ran
+// with these capacities).
 const (
-	seriesDepth  = 512 // per-family time-series ring capacity
-	maxSnapshots = 16  // flight-recorder dumps retained (and written) per run
+	defaultSampleEvery = 100 // cycles between samples, and between publishes
+	seriesDepth        = 512 // per-family time-series ring capacity
+	flightDepth        = 64  // cycles of per-router frames the flight recorder retains
+	maxSnapshots       = 16  // flight-recorder dumps retained (and written) per run
 )
 
 func (o *Options) normalize() {
 	if o.SampleEvery == 0 {
-		o.SampleEvery = 100
-	}
-	if o.FlightDepth == 0 {
-		o.FlightDepth = 64
+		o.SampleEvery = defaultSampleEvery
 	}
 	if o.SnapshotCooldown == 0 {
 		o.SnapshotCooldown = 500
 	}
-	if o.EpisodeDepth == 0 {
+	if o.EpisodeDepth <= 0 {
 		o.EpisodeDepth = 256
 	}
 }
 
 // Hub bundles one simulation's telemetry: the metric registry, the cycle
-// sampler (nil when disabled), the flight recorder (nil when disabled), the
-// episode tracker (nil when disabled) and the optional JSONL writer. The
-// network hands it every packet event (Observe) and drives it once per
-// cycle.
+// sampler (nil with sampling off), the flight recorder, the episode tracker
+// and the optional JSONL writer. The network hands it every packet event
+// (Observe) and drives it once per cycle.
 type Hub struct {
 	Registry *Registry
 	Sampler  *Sampler
@@ -74,20 +72,16 @@ func NewHub(o Options) *Hub {
 			h.Sampler.Emit = o.Writer.Sample
 		}
 	}
-	if o.FlightDepth > 0 {
-		h.Recorder = NewFlightRecorder(o.FlightDepth, o.SnapshotCooldown, maxSnapshots)
-	}
-	if o.EpisodeDepth > 0 {
-		h.Episodes = NewEpisodeTracker(o.EpisodeDepth)
-		h.Episodes.Register(h.Registry)
-		h.Episodes.SetWriter(o.Writer)
-	}
+	h.Recorder = NewFlightRecorder(flightDepth, o.SnapshotCooldown, maxSnapshots)
+	h.Episodes = NewEpisodeTracker(o.EpisodeDepth)
+	h.Episodes.Register(h.Registry)
+	h.Episodes.SetWriter(o.Writer)
 	return h
 }
 
 // Observe consumes one packet event: a Timeout arms the snapshot trigger
-// when a flight recorder exists (the first presumption of a cycle wins; the
-// network's telemetry tick takes it), the event goes out as a JSONL
+// (the first presumption of a cycle wins; the network's telemetry tick
+// takes it), the event goes out as a JSONL
 // "event" line, and the episode tracker folds it into the packet's span.
 // The line is written first, so a closing event precedes the span it
 // closes in the stream. No-op on a nil hub.
@@ -95,7 +89,7 @@ func (h *Hub) Observe(e Event) {
 	if h == nil {
 		return
 	}
-	if e.Kind == Timeout && h.Recorder != nil && !h.trigArmed {
+	if e.Kind == Timeout && !h.trigArmed {
 		h.trigArmed = true
 		h.trigNode = int(e.Node)
 		h.trigPkt = int64(e.Pkt)
@@ -113,4 +107,19 @@ func (h *Hub) TakeTrigger() (node int, pkt int64, ok bool) {
 	}
 	h.trigArmed = false
 	return h.trigNode, h.trigPkt, true
+}
+
+// Tick ends a cycle: on the sampling period it samples the tracked families
+// and publishes the registry, so /metrics refreshes during a run; with
+// sampling off it publishes every defaultSampleEvery cycles.
+func (h *Hub) Tick(cycle int64) {
+	if s := h.Sampler; s != nil {
+		if !s.Due(cycle) {
+			return
+		}
+		s.Sample(cycle)
+	} else if cycle%defaultSampleEvery != 0 {
+		return
+	}
+	h.Registry.Publish()
 }

@@ -17,9 +17,6 @@ type TimeSeries struct {
 	points ring[point]
 }
 
-// Len returns the number of retained samples.
-func (ts *TimeSeries) Len() int { return len(ts.points.buf) }
-
 // Points returns the retained (cycle, value) pairs oldest-first.
 func (ts *TimeSeries) Points() (cycles []int64, values []float64) {
 	for _, p := range ts.points.items() {

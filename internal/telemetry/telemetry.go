@@ -1,6 +1,7 @@
 // Package telemetry is the simulator's observability layer: a registry of
 // named counters, gauges and fixed-bucket histograms (Prometheus text
-// exposition), a cycle-driven sampler that snapshots selected registry
+// exposition; a counter or gauge is a read of a value the instrumented code
+// keeps, registered with CounterFunc or GaugeFunc), a cycle-driven sampler that snapshots selected registry
 // families into ring-buffered time series, a flight recorder that retains the last K
 // cycles of condensed per-router state for post-mortem dumps on deadlock
 // presumption, the packet-event stream (Event: one record per packet
@@ -10,16 +11,16 @@
 // JSONL writer/reader for exporting samples, events, snapshots and spans.
 //
 // The package is deliberately passive and single-threaded: all mutation
-// (registration, counter updates, sampling, frame capture, event folding)
-// happens on the simulation goroutine, in cycle order, so enabling telemetry never changes
-// simulation results. The only concurrency concession is Registry.Publish,
-// which renders the current values into an immutable byte snapshot that the
-// HTTP exposition handler serves from any goroutine.
+// (registration, histogram observations, sampling, frame capture, event
+// folding) happens on the simulation goroutine, in cycle order, so enabling
+// telemetry never changes simulation results. The one cross-goroutine
+// bridge is Publish/Published: Registry.Publish renders the current values
+// into an immutable byte snapshot, and Published hands that snapshot to the
+// HTTP exposition handler on any goroutine.
 package telemetry
 
 import (
 	"io"
-	"sort"
 	"strconv"
 	"sync/atomic"
 )
@@ -62,69 +63,12 @@ func (ls Labels) render() string {
 	return string(out)
 }
 
-// Counter is a monotonically increasing metric. It either accumulates pushed
-// increments (Add/Inc) or pulls its value from a callback registered with
-// Registry.CounterFunc. A nil *Counter is safe to use and costs one branch,
-// so instrumentation sites need no enabled-checks of their own.
-type Counter struct {
-	v  int64
-	fn func() int64
-}
-
-// Add increments the counter by d. No-op on a nil or callback-backed counter.
-func (c *Counter) Add(d int64) {
-	if c == nil || c.fn != nil {
-		return
-	}
-	c.v += d
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	if c.fn != nil {
-		return c.fn()
-	}
-	return c.v
-}
-
-// Gauge is a point-in-time metric: a pushed value (Set) or a pull callback
-// (Registry.GaugeFunc). A nil *Gauge is safe to use.
-type Gauge struct {
-	v  float64
-	fn func() float64
-}
-
-// Set stores the gauge value. No-op on a nil or callback-backed gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil || g.fn != nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v
-}
-
 // metricEntry is one labeled instance of a metric family.
 type metricEntry struct {
 	labels   string
 	labelSet Labels
-	counter  *Counter
-	gauge    *Gauge
+	counter  func() int64
+	gauge    func() float64
 	hist     *Histogram
 }
 
@@ -140,9 +84,9 @@ func (f *family) sum() float64 {
 	v := 0.0
 	for _, e := range f.entries {
 		if e.counter != nil {
-			v += float64(e.counter.Value())
+			v += float64(e.counter())
 		} else {
-			v += e.gauge.Value()
+			v += e.gauge()
 		}
 	}
 	return v
@@ -172,33 +116,19 @@ func (r *Registry) lookup(name, help, kind string) *family {
 	return f
 }
 
-// Counter registers a push-style counter.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	f := r.lookup(name, help, "counter")
-	f.entries = append(f.entries, &metricEntry{labels: labels.render(), labelSet: labels, counter: c})
-	return c
-}
-
-// CounterFunc registers a pull-style counter whose value is read from fn at
-// render time (on the simulation goroutine only).
+// CounterFunc registers a counter whose value is read from fn, a read of
+// a monotone count the instrumented code keeps, whenever the registry is
+// rendered or gathered.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {
 	f := r.lookup(name, help, "counter")
-	f.entries = append(f.entries, &metricEntry{labels: labels.render(), labelSet: labels, counter: &Counter{fn: fn}})
+	f.entries = append(f.entries, &metricEntry{labels: labels.render(), labelSet: labels, counter: fn})
 }
 
-// Gauge registers a push-style gauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	f := r.lookup(name, help, "gauge")
-	f.entries = append(f.entries, &metricEntry{labels: labels.render(), labelSet: labels, gauge: g})
-	return g
-}
-
-// GaugeFunc registers a pull-style gauge.
+// GaugeFunc registers a gauge whose value is read from fn whenever the
+// registry is rendered or gathered.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 	f := r.lookup(name, help, "gauge")
-	f.entries = append(f.entries, &metricEntry{labels: labels.render(), labelSet: labels, gauge: &Gauge{fn: fn}})
+	f.entries = append(f.entries, &metricEntry{labels: labels.render(), labelSet: labels, gauge: fn})
 }
 
 // Histogram registers a fixed-bucket histogram with the given bucket upper
@@ -233,9 +163,9 @@ func (r *Registry) Gather() []Sample {
 					Sample{Name: f.name + "_count", Labels: e.labelSet, Value: float64(e.hist.Count())},
 					Sample{Name: f.name + "_sum", Labels: e.labelSet, Value: e.hist.Sum()})
 			case e.counter != nil:
-				out = append(out, Sample{Name: f.name, Labels: e.labelSet, Value: float64(e.counter.Value())})
+				out = append(out, Sample{Name: f.name, Labels: e.labelSet, Value: float64(e.counter())})
 			default:
-				out = append(out, Sample{Name: f.name, Labels: e.labelSet, Value: e.gauge.Value()})
+				out = append(out, Sample{Name: f.name, Labels: e.labelSet, Value: e.gauge()})
 			}
 		}
 	}
@@ -264,9 +194,9 @@ func (r *Registry) renderText(buf []byte) []byte {
 			buf = append(buf, e.labels...)
 			buf = append(buf, ' ')
 			if e.counter != nil {
-				buf = strconv.AppendInt(buf, e.counter.Value(), 10)
+				buf = strconv.AppendInt(buf, e.counter(), 10)
 			} else {
-				buf = strconv.AppendFloat(buf, e.gauge.Value(), 'g', -1, 64)
+				buf = strconv.AppendFloat(buf, e.gauge(), 'g', -1, 64)
 			}
 			buf = append(buf, '\n')
 		}
@@ -338,7 +268,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 // Publish renders the current values into an immutable snapshot served by
 // Published (and hence the HTTP handler). Call from the simulation goroutine
-// at a cadence of your choosing (the Hub publishes on every sample tick).
+// at a cadence of your choosing (the Hub publishes on every sample tick, or
+// every 100 cycles with sampling off).
 func (r *Registry) Publish() {
 	r.published.Store(r.renderText(nil))
 }
@@ -348,14 +279,4 @@ func (r *Registry) Publish() {
 func (r *Registry) Published() []byte {
 	b, _ := r.published.Load().([]byte)
 	return b
-}
-
-// Names returns all registered family names, sorted (tests, tooling).
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

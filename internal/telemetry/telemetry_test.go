@@ -11,9 +11,7 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("disha_test_total", "A test counter.", Labels{{Key: "node", Value: "3"}})
-	c.Add(41)
-	c.Inc()
+	r.CounterFunc("disha_test_total", "A test counter.", Labels{{Key: "node", Value: "3"}}, func() int64 { return 42 })
 	r.GaugeFunc("disha_test_gauge", "A test gauge.", nil, func() float64 { return 2.5 })
 
 	var buf bytes.Buffer
@@ -34,17 +32,16 @@ func TestRegistryExposition(t *testing.T) {
 
 func TestRegistrySharedFamily(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("disha_shared_total", "Shared.", Labels{{Key: "node", Value: "0"}})
-	r.Counter("disha_shared_total", "Shared.", Labels{{Key: "node", Value: "1"}})
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
+	for _, node := range []string{"0", "1"} {
+		r.CounterFunc("disha_shared_total", "Shared.", Labels{{Key: "node", Value: node}}, func() int64 { return 1 })
 	}
-	if strings.Count(buf.String(), "# TYPE disha_shared_total") != 1 {
-		t.Fatalf("family header repeated:\n%s", buf.String())
-	}
-	if len(r.Names()) != 1 {
-		t.Fatalf("Names() = %v, want one family", r.Names())
+	r.Publish()
+	want := "# HELP disha_shared_total Shared.\n" +
+		"# TYPE disha_shared_total counter\n" +
+		"disha_shared_total{node=\"0\"} 1\n" +
+		"disha_shared_total{node=\"1\"} 1\n"
+	if got := string(r.Published()); got != want {
+		t.Fatalf("one family, two series:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -64,33 +61,23 @@ func TestPublishSnapshot(t *testing.T) {
 	}
 }
 
-func TestNilMetricSafety(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	c.Add(5)
-	c.Inc()
-	g.Set(1)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("nil metrics must read zero")
-	}
-}
-
 func TestSamplerRingWraps(t *testing.T) {
 	reg := NewRegistry()
 	s := NewSampler(reg, 10, 4)
-	g := reg.Gauge("p", "sampled", nil)
-	ts := s.Track("p")
+	p := 0.0
+	reg.GaugeFunc("p", "sampled", nil, func() float64 { return p })
+	s.Track("p")
 	for c := int64(0); c <= 70; c++ {
 		if !s.Due(c) {
 			continue
 		}
-		g.Set(float64(c))
+		p = float64(c)
 		s.Sample(c)
 	}
-	if ts.Len() != 4 {
-		t.Fatalf("Len = %d, want ring capacity 4", ts.Len())
+	cycles, values := s.Series()[0].Points()
+	if len(cycles) != 4 {
+		t.Fatalf("retained %d points, want ring capacity 4", len(cycles))
 	}
-	cycles, values := ts.Points()
 	wantCycles := []int64{40, 50, 60, 70}
 	for i, c := range wantCycles {
 		if cycles[i] != c || values[i] != float64(c) {
@@ -125,11 +112,9 @@ func TestSamplerTracksFamilySums(t *testing.T) {
 	reg := NewRegistry()
 	s := NewSampler(reg, 1, 8)
 	for i, v := range []float64{2, 5, 7} {
-		g := reg.Gauge("occ", "per node", Labels{{Key: "node", Value: strconv.Itoa(i)}})
-		g.Set(v)
+		reg.GaugeFunc("occ", "per node", Labels{{Key: "node", Value: strconv.Itoa(i)}}, func() float64 { return v })
 	}
-	c := reg.Counter("total", "network-wide", nil)
-	c.Add(4)
+	reg.CounterFunc("total", "network-wide", nil, func() int64 { return 4 })
 	reg.Histogram("lat", "a histogram", nil, []float64{1})
 	s.Track("total")
 	s.Track("occ")
@@ -275,13 +260,6 @@ func TestHubTrigger(t *testing.T) {
 	if _, _, ok := h.TakeTrigger(); ok {
 		t.Fatal("trigger not consumed")
 	}
-
-	// Without a flight recorder nothing takes a trigger, so none arms.
-	h = NewHub(Options{FlightDepth: -1})
-	h.Observe(Event{Kind: Timeout, Node: 3, Pkt: 10})
-	if _, _, ok := h.TakeTrigger(); ok {
-		t.Fatal("a hub without a flight recorder armed the snapshot trigger")
-	}
 }
 
 // TestHubObserveOneStream feeds a hub the events of one recovery and reads
@@ -335,11 +313,10 @@ func TestHubObserveOneStream(t *testing.T) {
 }
 
 func TestOptionsDisable(t *testing.T) {
-	h := NewHub(Options{SampleEvery: -1, FlightDepth: -1})
-	if h.Sampler != nil || h.Recorder != nil {
-		t.Fatal("negative options must disable sampler and recorder")
+	if NewHub(Options{SampleEvery: -1}).Sampler != nil {
+		t.Fatal("a negative SampleEvery must disable the sampler")
 	}
-	if NewHub(Options{}).Sampler == nil || NewHub(Options{}).Recorder == nil {
-		t.Fatal("defaults must enable sampler and recorder")
+	if NewHub(Options{}).Sampler == nil {
+		t.Fatal("defaults must enable the sampler")
 	}
 }

@@ -49,7 +49,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 			var jsonl bytes.Buffer
 			tw := disha.NewTelemetryWriter(&jsonl)
 			sim.EnableTelemetry(disha.TelemetryOptions{
-				SampleEvery: 10, FlightDepth: 32, SnapshotCooldown: 100, Writer: tw,
+				SampleEvery: 10, SnapshotCooldown: 100, Writer: tw,
 				ProfileEvery: 16,
 			})
 			sim.EnableTrace(1024)
@@ -147,7 +147,7 @@ func TestFlightRecorderCapturesDeadlock(t *testing.T) {
 	tw := disha.NewTelemetryWriter(&jsonl)
 	sim := newWedgeSim(t, 12)
 	tel := sim.EnableTelemetry(disha.TelemetryOptions{
-		SampleEvery: 50, FlightDepth: 48, SnapshotCooldown: 200, Writer: tw,
+		SampleEvery: 50, SnapshotCooldown: 200, Writer: tw,
 	})
 	sim.Run(4000)
 	if sim.Counters().TimeoutEvents == 0 {
