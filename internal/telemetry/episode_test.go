@@ -252,9 +252,9 @@ func TestEpisodeSpanJSONLRoundtrip(t *testing.T) {
 	}
 }
 
-// TestEpisodeTrackerUnregistered closes a span on a tracker whose metrics
+// TestEpisodeTrackerNilSafety closes a span on a tracker whose metrics
 // were never registered (its histograms are nil).
-func TestEpisodeTrackerUnregistered(t *testing.T) {
+func TestEpisodeTrackerNilSafety(t *testing.T) {
 	live := NewEpisodeTracker(1)
 	live.Observe(ev(Timeout, 1, 0, 0))
 	live.LabelPending(true, nil)
