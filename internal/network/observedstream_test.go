@@ -14,8 +14,7 @@ import (
 )
 
 // observedStreamFile holds one SHA-256 per observedStreamCases entry: the
-// observed JSONL stream without its go_* samples, followed by the event
-// ring's Dump. Regenerate after an intentional change to what the
+// observed JSONL stream without its go_* samples. Regenerate after an intentional change to what the
 // observation stack records with
 //
 //	go test ./internal/network -run TestObservedStreamFrozen -update-golden
@@ -61,18 +60,16 @@ func observedStreamCases() []streamCase {
 	)
 }
 
-// observedStreamDigest runs sc with a 1024-event ring and a hub writing
-// JSONL (samples every 25 cycles, a snapshot at most every 50), closes the
-// open episodes, writes the counters line and returns the SHA-256 of the
-// stream's lines but the go_* samples (they describe the host process),
-// followed by the ring's Dump.
+// observedStreamDigest runs sc with a hub writing JSONL (samples every 25
+// cycles, a snapshot at most every 50), closes the open episodes, writes the
+// counters line and returns the SHA-256 of the stream's lines but the go_*
+// samples.
 func observedStreamDigest(t *testing.T, sc streamCase) string {
 	t.Helper()
 	n := mustNet(t, sc.build())
 	if err := n.ScheduleReconfig(sc.sched); err != nil {
 		t.Fatal(err)
 	}
-	ring := n.EnableTrace(1024)
 	var buf bytes.Buffer
 	w := telemetry.NewJSONLWriter(&buf)
 	hub := n.EnableTelemetry(telemetry.Options{SampleEvery: 25, SnapshotCooldown: 50, Writer: w})
@@ -83,23 +80,32 @@ func observedStreamDigest(t *testing.T, sc streamCase) string {
 		t.Fatal(err)
 	}
 	for _, k := range sc.kinds {
-		if ring.Count(k) == 0 {
+		if !bytes.Contains(buf.Bytes(), []byte(`"kind":"`+k.String()+`"`)) {
 			t.Fatalf("the run emitted no %s event; its digest would not pin them", k)
 		}
 	}
 	h := sha256.New()
-	for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
-		if !bytes.Contains(line, []byte(`"name":"go_`)) {
-			h.Write(line)
-		}
+	for _, line := range runLines(buf.Bytes()) {
+		h.Write(line)
 	}
-	h.Write([]byte(ring.Dump()))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// runLines splits a JSONL stream into its lines, newline kept, but the go_*
+// samples: they describe the host process, not the run.
+func runLines(stream []byte) [][]byte {
+	var out [][]byte
+	for _, line := range bytes.SplitAfter(stream, []byte("\n")) {
+		if len(line) > 0 && !bytes.Contains(line, []byte(`"name":"go_`)) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
 // TestObservedStreamFrozen holds everything the observation stack records
-// — events, samples, flight-recorder snapshots, episode spans, the counters
-// line and the event ring — to digests committed in observedStreamFile.
+// — events, samples, flight-recorder snapshots, episode spans and the
+// counters line — to digests committed in observedStreamFile.
 func TestObservedStreamFrozen(t *testing.T) {
 	cases := observedStreamCases()
 	got := make(map[string]string)
