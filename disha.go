@@ -450,33 +450,12 @@ func (s *Simulator) LoadCheckpoint(path string) error {
 // cmd/disha-bisect uses it to locate the first cycle two runs diverge.
 func (s *Simulator) Fingerprint() string { return s.net.FingerprintHex() }
 
-// TraceEvent is one recorded simulation event.
-type TraceEvent = telemetry.Event
-
-// Trace event kinds.
-const (
-	TraceInject       = telemetry.Inject
-	TraceDeliver      = telemetry.Deliver
-	TraceTimeout      = telemetry.Timeout
-	TraceRecover      = telemetry.Recover
-	TraceTokenCapture = telemetry.TokenCapture
-	TraceTokenRelease = telemetry.TokenRelease
-	TraceKill         = telemetry.Kill
-	TraceDrop         = telemetry.Drop
-)
-
-// EnableTrace attaches a ring buffer recording the most recent capacity
-// packet-level events (injections, deliveries, timeouts, recoveries, Token
-// movements) and returns it.
-func (s *Simulator) EnableTrace(capacity int) *telemetry.EventRing {
-	return s.net.EnableTrace(capacity)
-}
-
 // --- Telemetry ---------------------------------------------------------------------------
 
 // TelemetryOptions configures the instrumentation layer (sampling period,
-// flight-recorder depth, JSONL output). With a Writer set, the stream
-// carries every packet event, episode span, sample and snapshot.
+// snapshot cooldown, episode depth, JSONL output, phase profiling). With a
+// Writer set, the stream carries every packet event, episode span, sample
+// and snapshot: it is the run's one record of them, which disha-trace reads.
 type TelemetryOptions = telemetry.Options
 
 // Telemetry bundles a simulation's registry, sampler, flight recorder and
@@ -499,9 +478,10 @@ func NewTelemetryWriter(w io.Writer) *TelemetryWriter { return telemetry.NewJSON
 
 // EnableTelemetry attaches the observability layer: per-router/per-VC
 // counters and gauges (Prometheus text exposition via telemetry.Handler or
-// telemetry.Serve), ring-buffered time-series sampling usable with
-// PlotTimeSeries, and the deadlock flight recorder. Telemetry is pull-based
-// and does not change simulation results (same seed, same outcome).
+// telemetry.Serve), the recovery-episode tracker, the deadlock flight
+// recorder and, with a Writer, the JSONL stream of packet events, samples,
+// spans and snapshots. Telemetry is pull-based and does not change
+// simulation results (same seed, same outcome).
 func (s *Simulator) EnableTelemetry(opts TelemetryOptions) *Telemetry {
 	return s.net.EnableTelemetry(opts)
 }
@@ -520,24 +500,6 @@ func (s *Simulator) ServeMetrics(addr string) (string, func() error, error) {
 // CountersMap flattens the Counters snapshot into named totals (JSONL
 // export, dashboards).
 func (s *Simulator) CountersMap() map[string]int64 { return s.net.CountersMap() }
-
-// PlotTimeSeries renders the telemetry sampler's ring-buffered series as an
-// ASCII value-vs-cycle chart.
-func PlotTimeSeries(title string, tel *Telemetry) string {
-	if tel == nil || tel.Sampler == nil {
-		return title + "\n(no data)\n"
-	}
-	var curves []plot.Curve
-	for _, ts := range tel.Sampler.Series() {
-		cycles, values := ts.Points()
-		c := plot.Curve{Label: ts.Name, Y: values}
-		for _, cycle := range cycles {
-			c.X = append(c.X, float64(cycle))
-		}
-		curves = append(curves, c)
-	}
-	return plot.TimeSeries(title, curves)
-}
 
 // Report summarizes the run as a human-readable block: every counter, in the
 // Counters table's order, and the seizure ratio.

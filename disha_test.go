@@ -2,6 +2,8 @@ package disha_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -163,37 +165,56 @@ func TestFacadeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := sim.EnableTrace(4096)
+	var stream bytes.Buffer
+	tw := disha.NewTelemetryWriter(&stream)
+	sim.EnableTelemetry(disha.TelemetryOptions{SampleEvery: -1, Writer: tw})
 	sim.Run(3000)
 	sim.Drain(60000)
-	if buf.Count(disha.TraceInject) == 0 || buf.Count(disha.TraceDeliver) == 0 {
-		t.Fatal("trace missing inject/deliver events")
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	c := sim.Counters()
-	if buf.Count(disha.TraceTokenCapture) != c.TokenSeizures {
-		t.Fatalf("trace captures %d != seizures %d", buf.Count(disha.TraceTokenCapture), c.TokenSeizures)
-	}
-	if buf.Count(disha.TraceTokenRelease) != c.TokenSeizures {
-		t.Fatalf("releases %d != seizures %d", buf.Count(disha.TraceTokenRelease), c.TokenSeizures)
-	}
-	if buf.Count(disha.TraceTimeout) != c.TimeoutEvents {
-		t.Fatalf("trace timeouts %d != counter %d", buf.Count(disha.TraceTimeout), c.TimeoutEvents)
-	}
-	if c.TokenSeizures > 0 {
-		// A recovered packet's retained history should show the protocol
-		// order: timeout before recover.
-		recs := buf.Filter(disha.TraceRecover)
-		last := recs[len(recs)-1]
-		hist := buf.PacketHistory(last.Pkt)
-		sawTimeout := false
-		for _, e := range hist {
-			if e.Kind == disha.TraceTimeout {
-				sawTimeout = true
-			}
-			if e.Kind == disha.TraceRecover && !sawTimeout {
-				t.Fatal("recover recorded before timeout")
+	// Count the stream's event lines by kind; every Recover must follow a
+	// Timeout of the same packet (the protocol order).
+	count := map[string]int64{}
+	timedOut := map[int64]bool{}
+	for dec := json.NewDecoder(&stream); ; {
+		var l struct {
+			Type, Kind string
+			Pkt        int64
+		}
+		if err := dec.Decode(&l); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if l.Type != "event" {
+			continue
+		}
+		count[l.Kind]++
+		switch l.Kind {
+		case "timeout":
+			timedOut[l.Pkt] = true
+		case "recover":
+			if !timedOut[l.Pkt] {
+				t.Fatalf("packet %d recovered before its timeout", l.Pkt)
 			}
 		}
+	}
+	if count["inject"] == 0 || count["deliver"] == 0 {
+		t.Fatal("stream missing inject/deliver events")
+	}
+	c := sim.Counters()
+	if count["token-capture"] != c.TokenSeizures || c.TokenSeizures == 0 {
+		t.Fatalf("stream captures %d, seizures %d (want equal and nonzero)", count["token-capture"], c.TokenSeizures)
+	}
+	if count["token-release"] != c.TokenSeizures {
+		t.Fatalf("releases %d != seizures %d", count["token-release"], c.TokenSeizures)
+	}
+	if count["recover"] != c.Recoveries {
+		t.Fatalf("stream recoveries %d != counter %d", count["recover"], c.Recoveries)
+	}
+	if count["timeout"] != c.TimeoutEvents {
+		t.Fatalf("stream timeouts %d != counter %d", count["timeout"], c.TimeoutEvents)
 	}
 }
 

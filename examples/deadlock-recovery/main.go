@@ -66,7 +66,10 @@ func main() {
 
 	fmt.Println("--- phase 2: the same routing WITH Disha recovery ---")
 	recovered := build(true, disha.RecoverySequential)
-	buf := recovered.EnableTrace(64) // keep the last few protocol events
+	// The hub's episode tracker folds each presumption's protocol events
+	// (time-out, Token capture, DB-lane switch, Token release, delivery)
+	// into one span.
+	tel := recovered.EnableTelemetry(disha.TelemetryOptions{SampleEvery: -1})
 	recovered.Run(4000)
 	if !recovered.Drain(100000) {
 		log.Fatal("recovery-enabled network failed to drain — bug!")
@@ -76,12 +79,16 @@ func main() {
 	fmt.Printf("\nevery one of the %d injected packets was delivered;\n", c.PacketsInjected)
 	fmt.Printf("%d deadlocked packets escaped through the Deadlock Buffer lane\n", c.TokenSeizures)
 	fmt.Println("(each seized the Token, crawled the DB lane minimally, and sank at its destination)")
-	fmt.Println("\nlast protocol events from the trace:")
-	events := buf.Events()
-	for i := len(events) - 6; i < len(events); i++ {
-		if i >= 0 {
-			fmt.Println("  ", events[i])
+	fmt.Println("\nlast Token recoveries, as the telemetry hub's episode tracker recorded them:")
+	var seized []*disha.EpisodeSpan // false presumptions never capture the Token
+	for _, s := range tel.Episodes.Spans() {
+		if s.Capture >= 0 {
+			seized = append(seized, s)
 		}
+	}
+	for _, s := range seized[max(len(seized)-3, 0):] {
+		fmt.Printf("   pkt %d: timeout@%d node=%d -> token@%d -> db-lane@%d -> release@%d -> %s@%d\n",
+			s.Pkt, s.Start, s.Node, s.Capture, s.Recover, s.Release, s.Outcome, s.End)
 	}
 
 	fmt.Println("\n--- phase 3: token-free CONCURRENT recovery (future work in the paper) ---")

@@ -78,7 +78,7 @@ func AnalyzeWFG(routers []*router.Router) WFGResult {
 				if pkt.OnDB {
 					continue
 				}
-				if pkt.Dst == r.NodeID() {
+				if pkt.Dst == r.Node() {
 					// At the destination: the reception channel always
 					// drains, so this header can always advance.
 					continue

@@ -413,9 +413,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.next++
+	// A job reports its point count from the start; the sweep's Status
+	// callback takes Progress over once a point settles.
 	s.jobs[id] = &job{
-		status: JobStatus{ID: id, State: "queued", Request: req, Created: time.Now()},
-		spec:   spec,
+		status: JobStatus{ID: id, State: "queued", Request: req, Created: time.Now(),
+			Progress: Progress{Total: len(spec.Algs) * len(spec.Loads) * max(req.Replicas, 1)}},
+		spec: spec,
 	}
 	s.order = append(s.order, id)
 	s.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +215,52 @@ func TestSubmitRunAndFetchResults(t *testing.T) {
 	failure, _ := failures[0].(map[string]any)
 	if got := wireKeys(failure); got != "Err Key" {
 		t.Fatalf("failure keys %q", got)
+	}
+}
+
+// TestUnsettledJobsReportTotal holds a job's first point in PointHook and
+// reads the statuses: the running job and a job queued behind it report
+// their point counts before any point settles, the same count the finished
+// jobs report.
+func TestUnsettledJobsReportTotal(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	harness.PointHook = func(string) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	t.Cleanup(func() { harness.PointHook = nil })
+	_, ts := startServer(t)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the server's cleanup
+
+	req := tinyReq()
+	req.Loads = []float64{0.2, 0.3}
+	running := submit(t, ts, req)
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first point never started")
+	}
+	queued := submit(t, ts, req)
+	var early [2]JobStatus
+	for i, id := range []string{running.ID, queued.ID} {
+		if code := getJSON(t, ts.URL+"/jobs/"+id, &early[i]); code != http.StatusOK {
+			t.Fatalf("status code = %d", code)
+		}
+	}
+	unblock()
+	for i, id := range []string{running.ID, queued.ID} {
+		final := waitDone(t, ts, id)
+		if want := []string{"running", "queued"}[i]; early[i].State != want {
+			t.Fatalf("%s was %q while the first point was held, want %q", id, early[i].State, want)
+		}
+		if p := early[i].Progress; final.Progress.Total == 0 || p.Total != final.Progress.Total || p.Done+p.Failed != 0 {
+			t.Fatalf("%s %s reported progress %+v, finished with total %d", early[i].State, id, p, final.Progress.Total)
+		}
 	}
 }
 

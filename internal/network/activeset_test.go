@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -56,10 +57,10 @@ func activeSetVariants() []kernelVariant {
 // mode, allocation policy, and the idle-heavy corner cases, and the state
 // passes CheckInvariants after every cycle. 1200 cycles gives the low-load
 // variant long sleeps, so the clock-derived state is read far from the
-// cycle it was last written. Both networks also record their packet
-// events, and the two sequences must be equal: a skipped router that woke a
-// cycle late could still reach the same state by the next fingerprint, but
-// not with the same event cycles.
+// cycle it was last written. Both networks also write their JSONL streams,
+// and the two must be equal but for the go_* samples: a skipped router that
+// woke a cycle late could still reach the same state by the next
+// fingerprint, but not with the same event cycles.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	const cycles = 1200
 	for _, v := range activeSetVariants() {
@@ -68,8 +69,10 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			baseline := mustNet(t, v.build())
 			useFullScan(t, baseline)
 			n := mustNet(t, v.build())
-			const ringCap = 1 << 16 // holds every event of the run
-			wantEvents, gotEvents := baseline.EnableTrace(ringCap), n.EnableTrace(ringCap)
+			var wantBuf, gotBuf bytes.Buffer
+			wantW, gotW := telemetry.NewJSONLWriter(&wantBuf), telemetry.NewJSONLWriter(&gotBuf)
+			baseline.EnableTelemetry(telemetry.Options{Writer: wantW})
+			n.EnableTelemetry(telemetry.Options{Writer: gotW})
 
 			sawIdle := false
 			for i := 0; i < cycles; i++ {
@@ -91,17 +94,20 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			if baseline.activeCount() != len(baseline.routers) {
 				t.Fatal("the full-scan baseline deactivated a router")
 			}
-			got, want := gotEvents.Events(), wantEvents.Events()
-			if wantEvents.Total() == 0 || wantEvents.Total() > ringCap {
-				t.Fatalf("full scan recorded %d events; want between 1 and the ring's %d", wantEvents.Total(), ringCap)
+			if err := errors.Join(wantW.Flush(), gotW.Flush()); err != nil {
+				t.Fatal(err)
 			}
+			if !bytes.Contains(wantBuf.Bytes(), []byte(`"type":"event"`)) {
+				t.Fatal("the full scan wrote no event line; the comparison is vacuous")
+			}
+			got, want := runLines(gotBuf.Bytes()), runLines(wantBuf.Bytes())
 			for i := 0; i < len(got) && i < len(want); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("event %d differs from the full scan's:\n got %v\nwant %v", i, got[i], want[i])
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("line %d differs from the full scan's:\n got %s\nwant %s", i, got[i], want[i])
 				}
 			}
 			if len(got) != len(want) {
-				t.Fatalf("active set recorded %d events, full scan %d", len(got), len(want))
+				t.Fatalf("active set wrote %d lines, full scan %d", len(got), len(want))
 			}
 		})
 	}
@@ -122,7 +128,7 @@ var purgeDrainsVariant = kernelVariant{"abort-retry-purge-drains", func() Config
 // — flight-recorder frames built from the active routers only, sleeping
 // routers' gauges read from the clock — to what the full scan records: the
 // same frame and per-router gauges every cycle, the same snapshots and the
-// same sampled series. In the last variant a router drained by a purge
+// same disha_* sample lines. In the last variant a router drained by a purge
 // sleeps holding the pre-purge gauges, which the full scan zeroes a cycle
 // later.
 func TestActiveSetTelemetryMatchesFullScan(t *testing.T) {
@@ -130,11 +136,13 @@ func TestActiveSetTelemetryMatchesFullScan(t *testing.T) {
 	for _, v := range append(activeSetVariants(), purgeDrainsVariant) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			opts := telemetry.Options{SampleEvery: 7, SnapshotCooldown: 50}
+			var wantBuf, gotBuf bytes.Buffer
+			wantW, gotW := telemetry.NewJSONLWriter(&wantBuf), telemetry.NewJSONLWriter(&gotBuf)
 			baseline := mustNet(t, v.build())
 			useFullScan(t, baseline)
 			n := mustNet(t, v.build())
-			wantHub, gotHub := baseline.EnableTelemetry(opts), n.EnableTelemetry(opts)
+			wantHub := baseline.EnableTelemetry(telemetry.Options{SampleEvery: 7, SnapshotCooldown: 50, Writer: wantW})
+			gotHub := n.EnableTelemetry(telemetry.Options{SampleEvery: 7, SnapshotCooldown: 50, Writer: gotW})
 			gauges := func(h *telemetry.Hub) []telemetry.Sample {
 				var out []telemetry.Sample
 				for _, s := range h.Registry.Gather() {
@@ -166,18 +174,35 @@ func TestActiveSetTelemetryMatchesFullScan(t *testing.T) {
 			if got, want := gotHub.Recorder.Snapshots(), wantHub.Recorder.Snapshots(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%d snapshots differ from the full scan's %d", len(got), len(want))
 			}
-			for i, ws := range wantHub.Sampler.Series() {
-				if !strings.HasPrefix(ws.Name, "disha_") {
-					continue // go_* runtime gauges describe the process
-				}
-				gc, gv := gotHub.Sampler.Series()[i].Points()
-				wc, wv := ws.Points()
-				if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gv, wv) {
-					t.Fatalf("series %s differs from the full scan's:\n got %v\nwant %v", ws.Name, gv, wv)
-				}
+			if err := errors.Join(wantW.Flush(), gotW.Flush()); err != nil {
+				t.Fatal(err)
+			}
+			got, want := simSamples(t, &gotBuf), simSamples(t, &wantBuf)
+			if len(want) == 0 {
+				t.Fatal("the full scan wrote no disha_* sample; the comparison is vacuous")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("disha_* samples differ from the full scan's:\n got %v\nwant %v", got, want)
 			}
 		})
 	}
+}
+
+// simSamples decodes a JSONL stream's disha_* sample lines, in stream
+// order; the go_* runtime gauges describe the process, not the run.
+func simSamples(t *testing.T, stream io.Reader) []telemetry.Line {
+	t.Helper()
+	lines, err := telemetry.ReadJSONL(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []telemetry.Line
+	for _, l := range lines {
+		if l.Type == "sample" && strings.HasPrefix(l.Name, "disha_") {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // TestActiveSetDeactivatesAndReawakens pins the scheduler's lifecycle: under
@@ -292,7 +317,7 @@ func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 	for _, r := range n.Routers() {
 		if r.BlockedHeaders() != 0 || r.PresumedHeaders() != 0 {
 			t.Fatalf("node %d gauges stale after drain: blocked=%d presumed=%d",
-				r.NodeID(), r.BlockedHeaders(), r.PresumedHeaders())
+				r.Node(), r.BlockedHeaders(), r.PresumedHeaders())
 		}
 	}
 }

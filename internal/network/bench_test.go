@@ -149,14 +149,13 @@ func BenchmarkStepProfiled(b *testing.B) {
 
 // BenchmarkStepTraced measures the whole observation stack against none at
 // the BenchmarkStepActiveSet/torus16/load0.5 operating point: "off" has no
-// observer attached, "on" the default hub streaming JSONL to io.Discard, a
-// 1024-event ring and the phase profiler sampling every 32nd cycle. CI
-// benchgates on against off.
+// observer attached, "on" the default hub streaming JSONL to io.Discard and
+// the phase profiler sampling every 32nd cycle. CI benchgates on against
+// off.
 func BenchmarkStepTraced(b *testing.B) {
 	b.Run("off", func(b *testing.B) { stepBenchAt(b, 16, 0.5, true) })
 	b.Run("on", func(b *testing.B) {
 		n := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
-		n.EnableTrace(1024)
 		n.EnableTelemetry(telemetry.Options{Writer: telemetry.NewJSONLWriter(io.Discard), ProfileEvery: 32})
 		stepBenchLoop(b, n)
 	})

@@ -290,7 +290,7 @@ func exploreRun(t *testing.T, ec exploreCase, seed uint64, load int, st *explore
 		wfg = core.AnalyzeWFG(n.Routers())
 		for _, bh := range wfg.Deadlocked {
 			if _, ok := flaggedAt[bh.Pkt]; !ok {
-				flaggedAt[bh.Pkt] = where{bh.Router.NodeID(), bh.Port, bh.VC, bh.Pkt.Hops}
+				flaggedAt[bh.Pkt] = where{bh.Router.Node(), bh.Port, bh.VC, bh.Pkt.Hops}
 			}
 		}
 		if exploreMotion(n) == before {
@@ -364,7 +364,7 @@ func headerSlot(n *Network, p *packet.Packet) (node topology.Node, port, vc int,
 		for port := 0; port < r.InputPorts(); port++ {
 			for vc := 0; vc < r.InputVCCount(port); vc++ {
 				if head, ok := r.InputHead(port, vc); ok && head.Pkt == p && head.IsHeader() {
-					return r.NodeID(), port, vc, true
+					return r.Node(), port, vc, true
 				}
 			}
 		}

@@ -65,7 +65,7 @@ func (n *Network) CheckInvariants() error {
 	}
 
 	for _, r := range n.routers {
-		node := r.NodeID()
+		node := r.Node()
 		if err := r.CheckState(); err != nil {
 			return fmt.Errorf("network invariant: %w", err)
 		}

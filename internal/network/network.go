@@ -244,12 +244,10 @@ type Network struct {
 	// OnDeliver, when set, is invoked for every packet whose tail is
 	// consumed; the harness uses it to collect latency samples.
 	OnDeliver func(*packet.Packet)
-	// ring (EnableTrace) and tel (EnableTelemetry) consume the packet-event
-	// stream (see event); tel is also driven once per cycle. observed is set
-	// once either is attached: the one check an unobserved run pays.
-	ring     *telemetry.EventRing
-	tel      *telemetry.Hub
-	observed bool
+	// tel (EnableTelemetry) consumes the packet-event stream (see event)
+	// and is driven once per cycle; nil is the one check an unobserved run
+	// pays.
+	tel *telemetry.Hub
 	// prof, when enabled via telemetry.Options.ProfileEvery, times Step's
 	// phases on sampled cycles (see profiler.go). It reads the wall clock
 	// and writes histograms — never simulation state.
@@ -376,7 +374,7 @@ func (n *Network) liveLink(v topology.Node, p int) (topology.Node, int, bool) {
 		return 0, 0, false
 	}
 	rev := n.routers[v].ReverseAt(p)
-	return nb.NodeID(), rev, rev >= 0
+	return nb.Node(), rev, rev >= 0
 }
 
 // validRecoveryLane checks that the topology's declared recovery lane
@@ -544,7 +542,7 @@ func (n *Network) Step() {
 		t := &n.stageBuf[i]
 		router.Commit(t, n)
 		if !t.Dropped && !t.Eject {
-			n.setActive(int(t.To.NodeID()))
+			n.setActive(int(t.To.Node()))
 		}
 	}
 	if profiled {
@@ -589,7 +587,7 @@ func (n *Network) Step() {
 				}
 				n.presumedScratch = r.RecoverPresumed(now, n.presumedScratch[:0])
 				for _, p := range n.presumedScratch {
-					n.event(telemetry.Recover, r.NodeID(), p.ID)
+					n.event(telemetry.Recover, r.Node(), p.ID)
 				}
 			}
 		case router.RecoveryAbortRetry:
@@ -620,34 +618,14 @@ func (n *Network) Step() {
 }
 
 // event is the one place a packet lifecycle step is reported: it builds the
-// record, stamped with the current cycle, and hands it to whoever is
-// attached — the opt-in ring and the telemetry hub (its snapshot trigger,
-// episode tracker and JSONL stream). Unobserved runs return at the check.
+// record, stamped with the current cycle, and hands it to the telemetry hub
+// (its snapshot trigger, episode tracker and JSONL stream). Unobserved runs
+// return at the check.
 func (n *Network) event(k telemetry.Kind, node topology.Node, id packet.ID) {
-	if !n.observed {
+	if n.tel == nil {
 		return
 	}
-	e := telemetry.Event{Cycle: n.clock.Now(), Kind: k, Node: node, Pkt: id}
-	n.ring.Record(e)
-	n.tel.Observe(e)
-}
-
-// EnableTrace attaches a ring retaining the most recent capacity packet
-// events and returns it; calling it again replaces the previous ring.
-func (n *Network) EnableTrace(capacity int) *telemetry.EventRing {
-	n.ring = telemetry.NewEventRing(capacity)
-	n.observe()
-	return n.ring
-}
-
-// observe runs when an event consumer is attached: from then on event builds
-// records, and the routers report every newly presumed header as a Timeout
-// event (bookkeeping they skip on an unobserved run).
-func (n *Network) observe() {
-	n.observed = true
-	n.routerState.SetOnTimeout(func(node topology.Node, p *packet.Packet) {
-		n.event(telemetry.Timeout, node, p.ID)
-	})
+	n.tel.Observe(telemetry.Event{Cycle: n.clock.Now(), Kind: k, Node: node, Pkt: id})
 }
 
 // Run advances the simulation by the given number of cycles.

@@ -398,7 +398,7 @@ func TestTokenCirculatesWholeNetwork(t *testing.T) {
 	}
 	for _, r := range n.Routers() {
 		if r.Stats().Recoveries > 0 {
-			nodes[r.NodeID()] = true
+			nodes[r.Node()] = true
 		}
 	}
 	if len(nodes) < 4 {

@@ -2,7 +2,6 @@ package network
 
 import (
 	"bytes"
-	"io"
 	"regexp"
 	"testing"
 
@@ -22,22 +21,22 @@ func dishaGolden() goldenCase {
 	panic("no golden case named disha")
 }
 
-// runCaseObserved is runCase with every consumer of the packet-event
-// stream attached — the event ring, and a hub with its episode tracker (on
-// by default), flight recorder and JSONL writer — plus the phase profiler at
-// an awkward prime period so profiled and unprofiled cycles interleave.
+// runCaseObserved is runCase with the hub attached — the packet-event
+// stream's one consumer: its snapshot trigger, episode tracker, flight
+// recorder and JSONL writer — plus the phase profiler at an awkward prime
+// period so profiled and unprofiled cycles interleave.
 func runCaseObserved(t *testing.T, gc goldenCase) string {
 	t.Helper()
 	n := mustNet(t, gc.build())
-	ring := n.EnableTrace(64)
-	w := telemetry.NewJSONLWriter(io.Discard)
+	var buf bytes.Buffer
+	w := telemetry.NewJSONLWriter(&buf)
 	n.EnableTelemetry(telemetry.Options{SampleEvery: 25, ProfileEvery: 7, Writer: w})
 	n.Run(gc.cycles)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Total() == 0 {
-		t.Fatal("the event ring saw nothing; the emit point is not under test")
+	if !bytes.Contains(buf.Bytes(), []byte(`"type":"event"`)) {
+		t.Fatal("the stream has no event line; the emit point is not under test")
 	}
 	return n.FingerprintHex()
 }

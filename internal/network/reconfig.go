@@ -622,12 +622,12 @@ func (n *Network) liveConnectedExcluding(exclude int) bool {
 		r := n.routers[cur]
 		for p := 0; p < n.topo.Degree(); p++ {
 			nb := r.Neighbor(p)
-			if nb == nil || int(nb.NodeID()) == exclude || seen[nb.NodeID()] {
+			if nb == nil || int(nb.Node()) == exclude || seen[nb.Node()] {
 				continue
 			}
-			seen[nb.NodeID()] = true
+			seen[nb.Node()] = true
 			count++
-			queue = append(queue, nb.NodeID())
+			queue = append(queue, nb.Node())
 		}
 	}
 	return count == alive

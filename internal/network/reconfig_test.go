@@ -54,11 +54,11 @@ func TestKillLinkRecountsCrossbar(t *testing.T) {
 				if in, _, db, _, _, saved := r.Connection(q); in < 0 && !db && !saved {
 					continue
 				}
-				if err := n.KillLink(r.NodeID(), q); err != nil {
+				if err := n.KillLink(r.Node(), q); err != nil {
 					t.Fatal(err)
 				}
 				if err := n.CheckInvariants(); err != nil {
-					t.Fatalf("cycle %d, after killing router %d port %d: %v", n.Now(), r.NodeID(), q, err)
+					t.Fatalf("cycle %d, after killing router %d port %d: %v", n.Now(), r.Node(), q, err)
 				}
 				return
 			}
@@ -351,7 +351,7 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 					if nb == nil {
 						t.Fatalf("%s: lane %d->%d needs a dead link at %d", name, src, dst, cur)
 					}
-					cur = int(nb.NodeID())
+					cur = int(nb.Node())
 				}
 				if cur != dst {
 					t.Fatalf("%s: lane %d->%d loops", name, src, dst)
@@ -452,7 +452,7 @@ func TestSwapAlgorithmIsNetworkWide(t *testing.T) {
 		}
 		for _, r := range net.Routers() {
 			if r.Algorithm() != net.CurrentAlgorithm() {
-				t.Fatalf("router %d runs %q, network %q", r.NodeID(), r.Algorithm().Name(), net.CurrentAlgorithm().Name())
+				t.Fatalf("router %d runs %q, network %q", r.Node(), r.Algorithm().Name(), net.CurrentAlgorithm().Name())
 			}
 		}
 	}

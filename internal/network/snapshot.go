@@ -117,7 +117,7 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 
 	for _, r := range n.routers {
 		if err := r.WalkState(c, table); err != nil {
-			return fmt.Errorf("router %d: %w", r.NodeID(), err)
+			return fmt.Errorf("router %d: %w", r.Node(), err)
 		}
 	}
 	return c.Err()

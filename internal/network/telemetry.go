@@ -4,16 +4,18 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // EnableTelemetry attaches an instrumentation hub to the network: per-router
 // and per-virtual-channel counters/gauges in the Prometheus registry, Go
-// runtime gauges, the sampler tracking sampledFamilies, the recovery-episode
-// tracker, the deadlock flight recorder, and (when ProfileEvery > 0 in
-// opts) the kernel phase profiler. It must be called before the first
-// Step; calling it again replaces the previous hub.
+// runtime gauges, the sampler writing sampledFamilies (with a Writer), the
+// recovery-episode tracker, the deadlock flight recorder, and (when
+// ProfileEvery > 0 in opts) the kernel phase profiler. It must be called
+// before the first Step; calling it again replaces the previous hub.
 //
 // Everything registered here is pull-based — callbacks into state the
 // routers already maintain — so the simulation hot path is untouched and
@@ -39,7 +41,11 @@ func (n *Network) EnableTelemetry(opts telemetry.Options) *telemetry.Hub {
 	if opts.ProfileEvery > 0 {
 		n.prof = newPhaseProfiler(h.Registry, opts.ProfileEvery)
 	}
-	n.observe()
+	// From now on the routers report every newly presumed header as a
+	// Timeout event (bookkeeping they skip on an unobserved run).
+	n.routerState.SetOnTimeout(func(node topology.Node, p *packet.Packet) {
+		n.event(telemetry.Timeout, node, p.ID)
+	})
 	return h
 }
 
@@ -92,7 +98,7 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 	// Per-router metrics. Label cardinality is nodes (+ nodes x VCs for the
 	// blocked-cycle counters): fine for the network sizes the paper uses.
 	for _, r := range n.routers {
-		node := telemetry.Labels{{Key: "node", Value: strconv.Itoa(int(r.NodeID()))}}
+		node := telemetry.Labels{{Key: "node", Value: strconv.Itoa(int(r.Node()))}}
 		reg.CounterFunc("disha_flits_forwarded_total", "Flits sent on network output ports.", node,
 			func() int64 { return r.Stats().FlitsSwitched })
 		reg.CounterFunc("disha_flits_ejected_total", "Flits consumed by the local reception channel(s).", node,
@@ -112,7 +118,7 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 			func() float64 { return float64(r.DBOccupancy()) })
 		for v := 0; v < n.cfg.Router.VCs; v++ {
 			lbl := telemetry.Labels{
-				{Key: "node", Value: strconv.Itoa(int(r.NodeID()))},
+				{Key: "node", Value: strconv.Itoa(int(r.Node()))},
 				{Key: "vc", Value: strconv.Itoa(v)},
 			}
 			reg.CounterFunc("disha_vc_blocked_cycles_total",
@@ -122,7 +128,7 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// sampledFamilies are the registry families the sampler tracks, in
+// sampledFamilies are the registry families the sampler writes, in
 // sampling order: network-level congestion and recovery signals (the
 // per-router families summed over routers) and the Go runtime gauges. The
 // Token's hold cycles are tracked only when the network has a Token.
@@ -208,7 +214,7 @@ func (n *Network) buildSnapshot(now sim.Cycle, trigNode int, trigPkt int64, verd
 	deadlocked := w.DeadlockedIDs()
 	for _, bh := range w.Blocked {
 		node := telemetry.WFGNode{
-			Node:       int(bh.Router.NodeID()),
+			Node:       int(bh.Router.Node()),
 			Pkt:        int64(bh.Pkt.ID),
 			Deadlocked: deadlocked[int64(bh.Pkt.ID)],
 		}

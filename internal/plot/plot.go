@@ -161,11 +161,3 @@ func Throughput(title string, curves []Curve) string {
 		Title: title, XLabel: "offered load (fraction of capacity)", YLabel: "accepted (fraction of capacity)",
 	}, curves)
 }
-
-// TimeSeries renders telemetry sampler rings (X = simulation cycle, Y = the
-// sampled value) as a value-vs-cycle chart.
-func TimeSeries(title string, curves []Curve) string {
-	return Render(Config{
-		Title: title, XLabel: "cycle", YLabel: "sampled value",
-	}, curves)
-}

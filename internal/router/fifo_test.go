@@ -174,7 +174,7 @@ func TestPortVCInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.MustTorus(4, 4)
-	r := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))
+	r := NewWithState(0, sim.NewRNG(1), NewState(topo, cfg, routing.DOR(), routing.Random(), new(sim.Clock)))
 	l := 0
 	for p := 0; p <= topo.Degree(); p++ {
 		for v := 0; v < r.InputVCCount(p); v++ {
@@ -199,7 +199,7 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	r := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))
+	r := NewWithState(0, sim.NewRNG(1), NewState(topo, cfg, routing.DOR(), routing.Random(), new(sim.Clock)))
 	if err := r.CheckState(); err != nil {
 		t.Fatalf("fresh router fails CheckState: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		func(s *State) { s.cxHeld[0] = 1 },  // a count with no connection
 	}
 	for i, corrupt := range corruptions {
-		rc := New(0, topo, cfg, routing.DOR(), routing.Random(), sim.NewRNG(1), new(sim.Clock))
+		rc := NewWithState(0, sim.NewRNG(1), NewState(topo, cfg, routing.DOR(), routing.Random(), new(sim.Clock)))
 		corrupt(rc.st)
 		if err := rc.CheckState(); err == nil {
 			t.Errorf("corruption %d not caught by CheckState", i)

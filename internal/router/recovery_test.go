@@ -100,7 +100,7 @@ func TestConcurrentRecoveryLaneSelection(t *testing.T) {
 		}
 	}
 	for lane := 0; lane < 2; lane++ {
-		if got := mid.dbLaneRoute(lane, mid.NodeID()); got != PortEject {
+		if got := mid.dbLaneRoute(lane, mid.Node()); got != PortEject {
 			t.Fatal("at destination the lane must eject")
 		}
 	}

@@ -133,14 +133,6 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 	return r
 }
 
-// New constructs a standalone router for node over a State of its own
-// (cfg already normalized), timed by clock. Tests and single-router tools
-// use it; a network shares one State across all routers via NewState +
-// NewWithState instead.
-func New(node topology.Node, topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, rng *sim.RNG, clock *sim.Clock) *Router {
-	return NewWithState(node, rng, NewState(topo, cfg, alg, sel, clock))
-}
-
 // Connect wires the neighbor reached through the given output port. The
 // network calls it for both directions of every link.
 func (r *Router) Connect(port int, neighbor *Router) {
@@ -158,9 +150,6 @@ func (r *Router) InjectionPort() int { return r.st.deg }
 // Algorithm returns the routing algorithm this router runs; analysis tools
 // use it to recompute a blocked header's candidate set.
 func (r *Router) Algorithm() routing.Algorithm { return r.st.alg }
-
-// NodeID returns the router's node.
-func (r *Router) NodeID() topology.Node { return r.node }
 
 // Stats returns a copy of the router's event counters.
 func (r *Router) Stats() Stats { return r.stats }
@@ -186,7 +175,7 @@ func (r *Router) BlockedCyclesVC(vc int) int64 {
 
 // --- routing.View -----------------------------------------------------------
 
-// Node implements routing.View.
+// Node returns the router's node (routing.View).
 func (r *Router) Node() topology.Node { return r.node }
 
 // Topo implements routing.View.

@@ -26,8 +26,9 @@ func newBench(t *testing.T, topo topology.Topology, cfg Config, alg routing.Algo
 	}
 	rng := sim.NewRNG(1)
 	b := &testBench{topo: topo}
+	st := NewState(topo, cfg, alg, routing.Random(), &b.clock)
 	for i := 0; i < topo.Nodes(); i++ {
-		b.routers = append(b.routers, New(topology.Node(i), topo, cfg, alg, routing.Random(), rng, &b.clock))
+		b.routers = append(b.routers, NewWithState(topology.Node(i), rng, st))
 	}
 	for i, r := range b.routers {
 		for p := 0; p < topo.Degree(); p++ {
@@ -137,7 +138,7 @@ func TestCreditsRoundTrip(t *testing.T) {
 			for v := 0; v < cfg.VCs; v++ {
 				if r.Credits(q, v) != cfg.BufferDepth {
 					t.Fatalf("router %d out[%d][%d] credits %d, want %d",
-						r.NodeID(), q, v, r.Credits(q, v), cfg.BufferDepth)
+						r.Node(), q, v, r.Credits(q, v), cfg.BufferDepth)
 				}
 				if r.OutputOwner(q, v) != nil {
 					t.Fatalf("output VC still owned after drain")
@@ -145,7 +146,7 @@ func TestCreditsRoundTrip(t *testing.T) {
 			}
 		}
 		if !r.Quiescent() {
-			t.Fatalf("router %d not quiescent", r.NodeID())
+			t.Fatalf("router %d not quiescent", r.Node())
 		}
 	}
 }

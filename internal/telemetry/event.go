@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -49,19 +48,13 @@ func KindStrings() []string {
 }
 
 // Event is one step of a packet's lifecycle. The network builds it once, at
-// the site where the step happens, and every consumer — the EventRing, the
-// Hub's snapshot trigger, episode tracker and JSONL "event" line — reads
-// that same record.
+// the site where the step happens, and hands it to the Hub, whose snapshot
+// trigger, episode tracker and JSONL "event" line read that same record.
 type Event struct {
 	Cycle sim.Cycle
 	Kind  Kind
 	Node  topology.Node
 	Pkt   packet.ID
-}
-
-// String renders the event as one fixed-width line (EventRing.Dump).
-func (e Event) String() string {
-	return fmt.Sprintf("[%6d] %-13s node=%-4d pkt=%d", e.Cycle, e.Kind, e.Node, e.Pkt)
 }
 
 // ring retains the most recent cap(buf) values pushed into it.
@@ -98,86 +91,4 @@ func (r *ring[T]) items() []T {
 	out := make([]T, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// EventRing keeps the most recent events of a run for debugging and
-// teaching, and counts every event ever recorded by kind. It is opt-in
-// (Network.EnableTrace) and independent of the Hub. Like the rest of the
-// package it is nil-safe: reads return zero values, Record is a no-op.
-type EventRing struct {
-	events ring[Event]
-	total  int64
-	counts [len(kindNames)]int64
-}
-
-// NewEventRing returns a ring keeping the most recent capacity events
-// (minimum 1).
-func NewEventRing(capacity int) *EventRing {
-	return &EventRing{events: newRing[Event](capacity)}
-}
-
-// Record appends an event, evicting the oldest when full. No-op on nil.
-func (b *EventRing) Record(e Event) {
-	if b == nil {
-		return
-	}
-	b.events.push(e)
-	b.total++
-	b.counts[e.Kind]++
-}
-
-// Total returns how many events were ever recorded (including evicted).
-func (b *EventRing) Total() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.total
-}
-
-// Count returns how many events of kind were ever recorded.
-func (b *EventRing) Count(k Kind) int64 {
-	if b == nil || int(k) >= len(b.counts) {
-		return 0
-	}
-	return b.counts[k]
-}
-
-// Events returns the retained events oldest-first.
-func (b *EventRing) Events() []Event {
-	if b == nil {
-		return nil
-	}
-	return b.events.items()
-}
-
-// Filter returns retained events of one kind, oldest-first.
-func (b *EventRing) Filter(k Kind) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// PacketHistory returns retained events for one packet, oldest-first.
-func (b *EventRing) PacketHistory(id packet.ID) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if e.Pkt == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump renders the retained events, one per line.
-func (b *EventRing) Dump() string {
-	var sb strings.Builder
-	for _, e := range b.Events() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

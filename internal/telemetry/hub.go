@@ -5,8 +5,9 @@ package telemetry
 // episode tracker.
 type Options struct {
 	// SampleEvery is the gauge sampling period in cycles (default 100).
-	// Negative disables sampling; the registry is then still published
-	// every 100 cycles.
+	// Samples go only to the Writer; the registry is published on the same
+	// period either way. Negative disables sampling, and the registry is
+	// then published every 100 cycles.
 	SampleEvery int
 	// SnapshotCooldown is the minimum number of cycles between two
 	// flight-recorder dumps (default 500).
@@ -27,7 +28,6 @@ type Options struct {
 // with these capacities).
 const (
 	defaultSampleEvery = 100 // cycles between samples, and between publishes
-	seriesDepth        = 512 // per-family time-series ring capacity
 	flightDepth        = 64  // cycles of per-router frames the flight recorder retains
 	maxSnapshots       = 16  // flight-recorder dumps retained (and written) per run
 )
@@ -45,15 +45,17 @@ func (o *Options) normalize() {
 }
 
 // Hub bundles one simulation's telemetry: the metric registry, the cycle
-// sampler (nil with sampling off), the flight recorder, the episode tracker
-// and the optional JSONL writer. The network hands it every packet event
-// (Observe) and drives it once per cycle.
+// sampler (nil with sampling off or no Writer), the flight recorder, the
+// episode tracker and the optional JSONL writer. The network hands it every
+// packet event (Observe) and drives it once per cycle.
 type Hub struct {
 	Registry *Registry
 	Sampler  *Sampler
 	Recorder *FlightRecorder
 	Writer   *JSONLWriter
 	Episodes *EpisodeTracker
+
+	every int64 // cycles between samples and between publishes
 
 	// Pending snapshot trigger (set on deadlock presumption, consumed by
 	// the network's telemetry tick at the end of the same cycle).
@@ -65,11 +67,11 @@ type Hub struct {
 // NewHub builds the telemetry bundle for one simulation.
 func NewHub(o Options) *Hub {
 	o.normalize()
-	h := &Hub{Registry: NewRegistry(), Writer: o.Writer}
+	h := &Hub{Registry: NewRegistry(), Writer: o.Writer, every: defaultSampleEvery}
 	if o.SampleEvery > 0 {
-		h.Sampler = NewSampler(h.Registry, int64(o.SampleEvery), seriesDepth)
+		h.every = int64(o.SampleEvery)
 		if o.Writer != nil {
-			h.Sampler.Emit = o.Writer.Sample
+			h.Sampler = NewSampler(h.Registry, o.Writer)
 		}
 	}
 	h.Recorder = NewFlightRecorder(flightDepth, o.SnapshotCooldown, maxSnapshots)
@@ -84,11 +86,8 @@ func NewHub(o Options) *Hub {
 // takes it), the event goes out as a JSONL
 // "event" line, and the episode tracker folds it into the packet's span.
 // The line is written first, so a closing event precedes the span it
-// closes in the stream. No-op on a nil hub.
+// closes in the stream.
 func (h *Hub) Observe(e Event) {
-	if h == nil {
-		return
-	}
 	if e.Kind == Timeout && !h.trigArmed {
 		h.trigArmed = true
 		h.trigNode = int(e.Node)
@@ -109,17 +108,15 @@ func (h *Hub) TakeTrigger() (node int, pkt int64, ok bool) {
 	return h.trigNode, h.trigPkt, true
 }
 
-// Tick ends a cycle: on the sampling period it samples the tracked families
-// and publishes the registry, so /metrics refreshes during a run; with
-// sampling off it publishes every defaultSampleEvery cycles.
+// Tick ends a cycle: on the sampling period it writes the tracked families'
+// samples and publishes the registry, so /metrics refreshes during a run;
+// with sampling off it publishes every defaultSampleEvery cycles.
 func (h *Hub) Tick(cycle int64) {
-	if s := h.Sampler; s != nil {
-		if !s.Due(cycle) {
-			return
-		}
-		s.Sample(cycle)
-	} else if cycle%defaultSampleEvery != 0 {
+	if cycle%h.every != 0 {
 		return
+	}
+	if h.Sampler != nil {
+		h.Sampler.Sample(cycle)
 	}
 	h.Registry.Publish()
 }

@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
@@ -23,21 +26,14 @@ func TestRuntimeMetrics(t *testing.T) {
 }
 
 func TestRuntimeProbes(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)
-	s := NewSampler(r, 4, 8)
+	s := NewSampler(r, w)
 	s.Track("go_goroutines")
 	s.Sample(0)
-	found := false
-	for _, ts := range s.Series() {
-		if ts.Name != "go_goroutines" {
-			continue
-		}
-		if _, values := ts.Points(); len(values) == 1 && values[0] >= 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("sampler did not record a go_goroutines sample")
+	if got := samples(t, w, &buf); len(got) != 1 || got[0].Name != "go_goroutines" || got[0].Value < 1 {
+		t.Errorf("sampler wrote %+v, want one go_goroutines sample >= 1", got)
 	}
 }

@@ -1,14 +1,15 @@
 // Package telemetry is the simulator's observability layer: a registry of
 // named counters, gauges and fixed-bucket histograms (Prometheus text
 // exposition; a counter or gauge is a read of a value the instrumented code
-// keeps, registered with CounterFunc or GaugeFunc), a cycle-driven sampler that snapshots selected registry
-// families into ring-buffered time series, a flight recorder that retains the last K
-// cycles of condensed per-router state for post-mortem dumps on deadlock
-// presumption, the packet-event stream (Event: one record per packet
-// lifecycle step, which the network builds once and hands to the EventRing
-// and to Hub.Observe), a recovery-episode span tracer that folds that
+// keeps, registered with CounterFunc or GaugeFunc), a cycle-driven sampler
+// that writes selected registry families as JSONL samples, a flight recorder
+// that retains the last K cycles of condensed per-router state for
+// post-mortem dumps on deadlock presumption, the packet-event stream (Event:
+// one record per packet lifecycle step, which the network builds once and
+// hands to Hub.Observe), a recovery-episode span tracer that folds that
 // stream into a labeled lifecycle record per deadlock presumption, and a
 // JSONL writer/reader for exporting samples, events, snapshots and spans.
+// The JSONL stream is a run's one record of its events and samples.
 //
 // The package is deliberately passive and single-threaded: all mutation
 // (registration, histogram observations, sampling, frame capture, event

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -61,47 +62,65 @@ func TestPublishSnapshot(t *testing.T) {
 	}
 }
 
-func TestSamplerRingWraps(t *testing.T) {
-	reg := NewRegistry()
-	s := NewSampler(reg, 10, 4)
+// samples flushes w and decodes the "sample" lines it wrote to buf.
+func samples(t *testing.T, w *JSONLWriter, buf *bytes.Buffer) []Line {
+	t.Helper()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadJSONL(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Line
+	for _, l := range lines {
+		if l.Type == "sample" {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// TestHubSamplesOnPeriod checks that a hub with a Writer writes the tracked
+// families' samples on its sampling period and publishes on the same
+// cycles.
+func TestHubSamplesOnPeriod(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
+	h := NewHub(Options{SampleEvery: 10, Writer: w})
 	p := 0.0
-	reg.GaugeFunc("p", "sampled", nil, func() float64 { return p })
-	s.Track("p")
-	for c := int64(0); c <= 70; c++ {
-		if !s.Due(c) {
-			continue
-		}
+	h.Registry.GaugeFunc("p", "sampled", nil, func() float64 { return p })
+	h.Sampler.Track("p")
+	for c := int64(1); c <= 75; c++ {
 		p = float64(c)
-		s.Sample(c)
+		h.Tick(c)
 	}
-	cycles, values := s.Series()[0].Points()
-	if len(cycles) != 4 {
-		t.Fatalf("retained %d points, want ring capacity 4", len(cycles))
+	got := samples(t, w, &buf)
+	if len(got) != 7 {
+		t.Fatalf("wrote %d samples, want one every 10 cycles to 70", len(got))
 	}
-	wantCycles := []int64{40, 50, 60, 70}
-	for i, c := range wantCycles {
-		if cycles[i] != c || values[i] != float64(c) {
-			t.Fatalf("point %d = (%d, %g), want (%d, %d)", i, cycles[i], values[i], c, c)
+	for i, l := range got {
+		if c := int64(10 * (i + 1)); l.Cycle != c || l.Name != "p" || l.Value != float64(c) {
+			t.Fatalf("sample %d = %+v, want p = %d at cycle %d", i, l, c, c)
 		}
+	}
+	if pub := string(h.Registry.Published()); !strings.Contains(pub, "p 70\n") {
+		t.Fatalf("published at cycle 70:\n%s", pub)
 	}
 }
 
 func TestSamplerEmit(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
 	reg := NewRegistry()
-	s := NewSampler(reg, 1, 8)
+	s := NewSampler(reg, w)
 	reg.GaugeFunc("q", "sampled", nil, func() float64 { return 3 })
 	s.Track("q")
-	var got []int64
-	s.Emit = func(cycle int64, name string, v float64) {
-		if name != "q" || v != 3 {
-			t.Fatalf("emit (%s, %g)", name, v)
-		}
-		got = append(got, cycle)
-	}
 	s.Sample(5)
 	s.Sample(6)
-	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
-		t.Fatalf("emitted cycles %v", got)
+	got := samples(t, w, &buf)
+	if len(got) != 2 || got[0].Cycle != 5 || got[1].Cycle != 6 || got[0].Name != "q" || got[1].Value != 3 {
+		t.Fatalf("sample lines %+v", got)
 	}
 }
 
@@ -109,8 +128,10 @@ func TestSamplerEmit(t *testing.T) {
 // sum over its label sets, counters and gauges alike, in tracking order,
 // and that an unknown or histogram family is refused.
 func TestSamplerTracksFamilySums(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
 	reg := NewRegistry()
-	s := NewSampler(reg, 1, 8)
+	s := NewSampler(reg, w)
 	for i, v := range []float64{2, 5, 7} {
 		reg.GaugeFunc("occ", "per node", Labels{{Key: "node", Value: strconv.Itoa(i)}}, func() float64 { return v })
 	}
@@ -118,13 +139,13 @@ func TestSamplerTracksFamilySums(t *testing.T) {
 	reg.Histogram("lat", "a histogram", nil, []float64{1})
 	s.Track("total")
 	s.Track("occ")
+	s.Sample(1)
 	var names []string
 	var values []float64
-	s.Emit = func(_ int64, name string, v float64) {
-		names = append(names, name)
-		values = append(values, v)
+	for _, l := range samples(t, w, &buf) {
+		names = append(names, l.Name)
+		values = append(values, l.Value)
 	}
-	s.Sample(1)
 	if !slices.Equal(names, []string{"total", "occ"}) || !slices.Equal(values, []float64{4, 14}) {
 		t.Fatalf("sampled %v = %v, want [total occ] = [4 14]", names, values)
 	}
@@ -307,16 +328,17 @@ func TestHubObserveOneStream(t *testing.T) {
 	if node, pkt, ok := h.TakeTrigger(); !ok || node != 3 || pkt != 8 {
 		t.Errorf("trigger (%d, %d, %v), want armed by the timeout at node 3", node, pkt, ok)
 	}
-
-	var nilHub *Hub
-	nilHub.Observe(events[1]) // the network calls Observe with no hub attached
 }
 
 func TestOptionsDisable(t *testing.T) {
-	if NewHub(Options{SampleEvery: -1}).Sampler != nil {
+	w := NewJSONLWriter(io.Discard)
+	if NewHub(Options{SampleEvery: -1, Writer: w}).Sampler != nil {
 		t.Fatal("a negative SampleEvery must disable the sampler")
 	}
-	if NewHub(Options{}).Sampler == nil {
-		t.Fatal("defaults must enable the sampler")
+	if NewHub(Options{Writer: w}).Sampler == nil {
+		t.Fatal("defaults with a Writer must enable the sampler")
+	}
+	if NewHub(Options{}).Sampler != nil {
+		t.Fatal("a hub with no Writer has nothing to sample into")
 	}
 }

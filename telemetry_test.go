@@ -39,7 +39,7 @@ func newWedgeSim(t testing.TB, seed uint64) *disha.Simulator {
 
 // TestTelemetryDeterminism runs the same seed twice — once bare, once with
 // every telemetry feature enabled (tight sampling, flight recorder, JSONL
-// writer, event ring) — and requires bit-identical results: same counters,
+// writer, phase profiler) — and requires bit-identical results: same counters,
 // same per-packet latencies. Telemetry is pull-based; it must never perturb
 // the simulation.
 func TestTelemetryDeterminism(t *testing.T) {
@@ -52,7 +52,6 @@ func TestTelemetryDeterminism(t *testing.T) {
 				SampleEvery: 10, SnapshotCooldown: 100, Writer: tw,
 				ProfileEvery: 16,
 			})
-			sim.EnableTrace(1024)
 		}
 		var lats []float64
 		sim.OnDeliver(func(p *disha.Packet) { lats = append(lats, float64(p.Age())) })
@@ -210,24 +209,4 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
-}
-
-// TestPlotTimeSeries charts the sampler's rings against the cycle: one legend
-// entry per tracked family, and (no data) without a sampler.
-func TestPlotTimeSeries(t *testing.T) {
-	sim := newWedgeSim(t, 3)
-	tel := sim.EnableTelemetry(disha.TelemetryOptions{SampleEvery: 50})
-	sim.Run(500)
-	chart := disha.PlotTimeSeries("sampled", tel)
-	if !strings.Contains(chart, "x: cycle, y: sampled value") {
-		t.Fatalf("chart has no cycle axis:\n%s", chart)
-	}
-	for _, ts := range tel.Sampler.Series() {
-		if !strings.Contains(chart, " "+ts.Name) {
-			t.Errorf("legend misses %s:\n%s", ts.Name, chart)
-		}
-	}
-	if got := disha.PlotTimeSeries("none", nil); got != "none\n(no data)\n" {
-		t.Errorf("PlotTimeSeries(nil) = %q", got)
-	}
 }
