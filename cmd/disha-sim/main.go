@@ -51,7 +51,7 @@ func main() {
 		drain  = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
 		wfg    = flag.Bool("wfg", false, "run the wait-for-graph analyzer at the end")
 
-		chaosScript  = flag.String("chaos-script", "", "run a chaos campaign: JSON event-schedule of mid-run kill/heal/swap reconfiguration events (see CHAOS.md)")
+		chaosScript  = flag.String("chaos-script", "", "run a chaos campaign: JSON event-schedule of mid-run kill/heal reconfiguration events (see CHAOS.md)")
 		chaosGen     = flag.Int("chaos-gen", 0, "generate a seeded chaos campaign of this many kill/heal events for the current topology, save it to -chaos-script, then run it (seeded by -seed)")
 		chaosRouters = flag.Bool("chaos-routers", false, "include router kill/heal events in -chaos-gen campaigns")
 

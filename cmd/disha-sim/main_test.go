@@ -182,15 +182,17 @@ func TestKernelFlags(t *testing.T) {
 		!strings.Contains(out, "| concurrent recovery, T_out 8 |") || strings.Contains(out, "\nrecoveries:        0\n") || strings.Contains(out, "\npackets delivered: 0\n") {
 		t.Errorf("disha-sim -topo dragonfly-4x2 -recovery concurrent: exit %d, want a run that recovers and delivers; output:\n%s", code, out)
 	}
-	// A scheduled swap to an algorithm the topology cannot run is skipped,
-	// not installed (it used to panic inside dor.Route on the next Step).
-	script := filepath.Join(t.TempDir(), "swap.json")
-	if err := os.WriteFile(script, []byte(`{"events":[{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`), 0o644); err != nil {
+	// A scheduled event the network cannot take is skipped, and the run
+	// carries on: with router 1 of a 2x2 mesh dead, killing router 2
+	// would cut corner 0 off from corner 3.
+	script := filepath.Join(t.TempDir(), "kills.json")
+	if err := os.WriteFile(script, []byte(`{"events":[{"cycle":50,"kind":"kill-router","node":1},{"cycle":100,"kind":"kill-router","node":2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out, code := sim("-topo", "fullmesh-8", "-cycles", "300", "-chaos-script", script); code != 0 ||
-		!strings.Contains(out, "skipped") || !strings.Contains(out, "1 events (0 applied, 1 skipped") || strings.Contains(out, "goroutine") {
-		t.Errorf("disha-sim swap-to-dor on fullmesh-8: exit %d; output:\n%s", code, out)
+	if out, code := sim("-topo", "mesh-2x2", "-cycles", "200", "-chaos-script", script); code != 0 ||
+		!strings.Contains(out, "@100 kill-router node=2                  skipped") ||
+		!strings.Contains(out, "2 events (1 applied, 1 skipped") || strings.Contains(out, "goroutine") {
+		t.Errorf("disha-sim with a disconnecting kill on mesh-2x2: exit %d; output:\n%s", code, out)
 	}
 	// A checkpoint of another format version is refused by its version
 	// with one line, exit 1: the network's fixture payload sealed as

@@ -349,7 +349,7 @@ func (s *Simulator) AnalyzeDeadlock() core.WFGResult {
 
 // --- Dynamic reconfiguration ---------------------------------------------------
 
-// ReconfigEvent is one scheduled mid-run topology or routing mutation; see
+// ReconfigEvent is one scheduled mid-run topology mutation; see
 // network.ReconfigEvent and CHAOS.md.
 type ReconfigEvent = network.ReconfigEvent
 
@@ -359,11 +359,10 @@ type ReconfigOutcome = network.ReconfigOutcome
 
 // Reconfiguration event kinds.
 const (
-	ReconfigKillLink      = network.ReconfigKillLink
-	ReconfigHealLink      = network.ReconfigHealLink
-	ReconfigKillRouter    = network.ReconfigKillRouter
-	ReconfigHealRouter    = network.ReconfigHealRouter
-	ReconfigSwapAlgorithm = network.ReconfigSwapAlgorithm
+	ReconfigKillLink   = network.ReconfigKillLink
+	ReconfigHealLink   = network.ReconfigHealLink
+	ReconfigKillRouter = network.ReconfigKillRouter
+	ReconfigHealRouter = network.ReconfigHealRouter
 )
 
 // ScheduleReconfig arms a sorted schedule of reconfiguration events that the
@@ -397,11 +396,6 @@ func (s *Simulator) KillRouter(node Node) error {
 func (s *Simulator) HealRouter(node Node) error {
 	return s.net.HealRouter(node)
 }
-
-// SwapRouting switches every router to the named routing algorithm mid-run
-// (any -alg spelling: "duato", "turn", "disha-m1"); an algorithm the topology
-// or VC count cannot run is an error. See network.SwapAlgorithm.
-func (s *Simulator) SwapRouting(name string) error { return s.net.SwapAlgorithm(name) }
 
 // ReconfigLog returns every reconfiguration outcome so far, in application
 // order — the deterministic record a replayed run must reproduce exactly.

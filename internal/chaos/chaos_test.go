@@ -42,8 +42,7 @@ func mustNet(t *testing.T, cfg network.Config) *network.Network {
 // byte-identical schedule, and a different seed a different one.
 func TestGenerateDeterministic(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
-	cfg := CampaignConfig{Topo: topo, Seed: 42, Events: 30, RouterKills: true,
-		Algorithms: []string{"disha-m1", "disha-m3"}}
+	cfg := CampaignConfig{Topo: topo, Seed: 42, Events: 30, RouterKills: true}
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +90,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScheduleValidation rejects malformed schedules, and tells a typo from
-// infeasibility: a swap naming no routing function is refused at load time
-// with the event index and the accepted names, while every spelling -alg
-// accepts loads (whether the live network can apply it is decided, and
-// logged, at apply time).
+// TestScheduleValidation rejects malformed schedules. A file naming the
+// removed swap-algorithm kind is refused at load time with the four kinds
+// that remain, not run without its events.
 func TestScheduleValidation(t *testing.T) {
 	bad := []Schedule{
 		{Events: []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKind(99)}}},
@@ -114,24 +111,13 @@ func TestScheduleValidation(t *testing.T) {
 		}
 	}
 
-	swap := func(alg string) []byte {
-		return []byte(`{"events":[{"cycle":1,"kind":"kill-link"},{"cycle":50,"kind":"swap-algorithm","alg":"` + alg + `"}]}`)
-	}
-	_, err := Parse(swap("trun"))
+	_, err := Parse([]byte(`{"events":[{"cycle":1,"kind":"kill-link"},{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`))
 	if err == nil {
-		t.Fatal(`a swap to "trun" loaded`)
+		t.Fatal("a swap-algorithm event loaded")
 	}
-	for _, want := range []string{"event 1", `"trun"`, "turn-negative-first", "disha-m<N>"} {
+	for _, want := range []string{`"swap-algorithm"`, "kill-link, heal-link, kill-router, heal-router)"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
-		}
-	}
-	for _, alg := range append(routing.Names(), "disha-m3") {
-		s, err := Parse(swap(alg))
-		if err != nil {
-			t.Errorf("swap to %q refused: %v", alg, err)
-		} else if s.Events[1].Alg != alg {
-			t.Errorf("swap to %q loaded as %q", alg, s.Events[1].Alg)
 		}
 	}
 }
@@ -397,14 +383,21 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 // stepped 64 cycles. A refused file or a clean run (infeasible events logged
 // as skipped) — never a panic.
 func FuzzScheduleParse(f *testing.F) {
-	// The reproducer: a swap to DOR, which a coordinate-free graph cannot run.
-	f.Add([]byte(`{"events":[{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`))
-	f.Add([]byte(`{"name":"typo","events":[{"cycle":1,"kind":"swap-algorithm","alg":"trun"}]}`))
-	f.Add([]byte(`{"events":[{"cycle":3,"kind":"kill-router","node":2},{"cycle":9,"kind":"swap-algorithm","alg":"turn"},` +
-		`{"cycle":20,"kind":"heal-router","node":2},{"cycle":20,"kind":"kill-link","node":99,"port":7}]}`))
+	// Schedules of the removed swap-algorithm kind: each must be refused.
+	for _, swap := range []string{
+		`{"events":[{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`,
+		`{"name":"typo","events":[{"cycle":1,"kind":"swap-algorithm","alg":"trun"}]}`,
+		`{"events":[{"cycle":3,"kind":"kill-router","node":2},{"cycle":9,"kind":"swap-algorithm","alg":"turn"},` +
+			`{"cycle":20,"kind":"heal-router","node":2},{"cycle":20,"kind":"kill-link","node":99,"port":7}]}`,
+	} {
+		if _, err := Parse([]byte(swap)); err == nil {
+			f.Fatalf("Parse accepted %s", swap)
+		}
+		f.Add([]byte(swap))
+	}
 	for _, topo := range []topology.Graph{topology.MustTorus(4, 4), topology.MustFullMesh(4)} {
 		s, err := Generate(CampaignConfig{Topo: topo, Seed: 1, Events: 8, Start: 2, Spacing: 8,
-			RouterKills: true, Algorithms: routing.Names()})
+			RouterKills: true})
 		if err != nil {
 			f.Fatal(err)
 		}

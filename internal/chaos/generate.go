@@ -26,14 +26,11 @@ type CampaignConfig struct {
 	// actual gap is uniform in [Spacing/2, 3*Spacing/2).
 	Spacing int64
 	// RouterKills enables kill-router/heal-router events alongside link
-	// events (roughly one event in four targets a router when set).
+	// events (roughly three events in eight target a router when set).
 	RouterKills bool
 	// MaxDown bounds how many links the generator lets be down at once
 	// (default 3); at the cap it emits heals instead of kills.
 	MaxDown int
-	// Algorithms, when non-empty, mixes swap-algorithm events over these
-	// routing names (roughly one event in eight).
-	Algorithms []string
 }
 
 // linkRef is a canonical link identity matching the network's internal
@@ -126,14 +123,11 @@ func Generate(cfg CampaignConfig) (*Schedule, error) {
 	}
 	cycle := sim.Cycle(cfg.Start)
 	for len(s.Events) < cfg.Events {
-		// Event class: link (default), router (1/4 when enabled), swap
-		// (1/8 when algorithms are given). Draw order is fixed so the
-		// stream of RNG consumption is part of the schedule's identity.
+		// Event class: link (default) or router (3/8 when enabled). Draw
+		// order is fixed so the stream of RNG consumption is part of the
+		// schedule's identity.
 		roll := rng.Intn(8)
 		switch {
-		case len(cfg.Algorithms) > 0 && roll == 7:
-			alg := cfg.Algorithms[rng.Intn(len(cfg.Algorithms))]
-			s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigSwapAlgorithm, Alg: alg})
 		case cfg.RouterKills && roll >= 5:
 			if len(dead) > 0 && (rng.Bernoulli(0.5) || len(dead) >= cfg.MaxDown) {
 				i := rng.Intn(len(dead))

@@ -1,7 +1,6 @@
 // Package chaos generates, loads and executes reconfiguration campaigns:
-// seeded random schedules of link/router kill and heal events (plus routing
-// swaps) applied to a live network mid-run through the dynamic
-// reconfiguration subsystem (internal/network/reconfig.go). Campaigns are
+// seeded random schedules of link/router kill and heal events applied to a
+// live network mid-run through the dynamic reconfiguration subsystem (internal/network/reconfig.go). Campaigns are
 // deterministic — a (seed, schedule) pair reproduces the identical run
 // byte-for-byte — and the runner measures, per event, the packets lost, the
 // recovery latency (cycles until no header remains presumed deadlocked) and
@@ -15,7 +14,6 @@ import (
 	"os"
 
 	"repro/internal/network"
-	"repro/internal/routing"
 )
 
 // Schedule is a chaos campaign: an ordered list of reconfiguration events
@@ -30,10 +28,8 @@ type Schedule struct {
 }
 
 // Validate checks the schedule is well-formed: known kinds, non-negative
-// cycles and fields, events sorted by non-decreasing cycle, and every
-// swap-algorithm event naming a routing function (a typo there is an error,
-// not an event the run would skip). Whether an event is feasible is the live
-// network's call, at apply time.
+// cycles and fields, and events sorted by non-decreasing cycle. Whether an
+// event is feasible is the live network's call, at apply time.
 func (s *Schedule) Validate() error {
 	for i, ev := range s.Events {
 		if _, err := ev.Kind.MarshalText(); err != nil {
@@ -48,11 +44,6 @@ func (s *Schedule) Validate() error {
 		if i > 0 && ev.Cycle < s.Events[i-1].Cycle {
 			return fmt.Errorf("chaos: event %d at cycle %d follows cycle %d; schedules must be sorted",
 				i, ev.Cycle, s.Events[i-1].Cycle)
-		}
-		if ev.Kind == network.ReconfigSwapAlgorithm {
-			if _, err := routing.ByName(ev.Alg); err != nil {
-				return fmt.Errorf("chaos: event %d: %w", i, err)
-			}
 		}
 	}
 	return nil

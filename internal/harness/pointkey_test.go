@@ -186,7 +186,7 @@ func FuzzParsePointKey(f *testing.F) {
 	f.Add(strings.TrimSuffix(key, "0") + "+0")
 	f.Add("tiny|seed=2a|w=300|m=800|msg=8|vc=4|bd=2/disha-m0@0.2000#0")
 	f.Add("")
-	s.Chaos = []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigSwapAlgorithm, Alg: "duato"}}
+	s.Chaos = []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKillRouter, Node: 3}}
 	f.Add(s.PointKey(s.Algs[0].Label, s.Loads[0], 2))
 	for _, spec := range Figures(SmallScale()) {
 		if err := spec.Normalize(); err != nil {

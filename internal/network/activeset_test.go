@@ -307,7 +307,7 @@ func TestActiveSetAbortRetryPurgeGauges(t *testing.T) {
 	n := mustNet(t, cfg)
 	n.Run(400)
 	if n.Counters().PacketsKilled == 0 {
-		t.Skip("no abort-retry kills at this seed; gauge rule not exercisable")
+		t.Fatal("no abort-retry kills by cycle 400 at seed 7, so the gauge rule is not exercised: pin a seed with PacketsKilled > 0 (try seeds 1-20)")
 	}
 	n.StopInjection()
 	if !n.RunUntilDrained(10000) {

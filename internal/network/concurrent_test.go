@@ -74,7 +74,7 @@ func TestConcurrentRecoveredPacketsAreNotTokenHolders(t *testing.T) {
 	}
 	drain(t, n, 4000, 60000)
 	if recovered == 0 {
-		t.Skip("no recovery at this seed")
+		t.Fatal("no recovery at this seed, so the check is vacuous: pin a seed whose drain delivers a packet over the lanes (try seeds 1-20)")
 	}
 	if int64(recovered) != n.Counters().Recoveries {
 		t.Fatalf("recovered %d, counter says %d", recovered, n.Counters().Recoveries)
@@ -101,7 +101,7 @@ func TestConcurrentRecoveryParallelism(t *testing.T) {
 		}
 	}
 	if maxSimultaneous < 2 {
-		t.Skipf("never saw concurrent DB use (max %d); seed too gentle", maxSimultaneous)
+		t.Fatalf("never saw concurrent DB use (max %d), so the check is vacuous: pin a seed at which two lanes are owned at once (try seeds 1-20)", maxSimultaneous)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestCounterTableCoversStruct(t *testing.T) {
 // text marshalers String shares its table with, and an unknown name or value
 // is an error listing the accepted names.
 func TestReconfigKindText(t *testing.T) {
-	for k := ReconfigKillLink; k <= ReconfigSwapAlgorithm; k++ {
+	for k := ReconfigKillLink; k <= ReconfigHealRouter; k++ {
 		text, err := k.MarshalText()
 		if err != nil || string(text) != k.String() {
 			t.Fatalf("%d.MarshalText() = %q, %v", int(k), text, err)
@@ -132,7 +132,7 @@ func TestReconfigKindText(t *testing.T) {
 		t.Error("ReconfigKind(99) marshalled")
 	}
 	var k ReconfigKind
-	if err := k.UnmarshalText([]byte("explode")); err == nil || !strings.Contains(err.Error(), "swap-algorithm") {
+	if err := k.UnmarshalText([]byte("explode")); err == nil || !strings.Contains(err.Error(), "heal-router") {
 		t.Errorf("UnmarshalText(explode): err = %v, want one listing the accepted names", err)
 	}
 }

@@ -272,7 +272,7 @@ func TestDifferentialReportsField(t *testing.T) {
 	}
 	r, field, ok := locateDivergence(a, b)
 	if !ok {
-		t.Skip("extra cycle changed only network-level state; router-field report not exercised")
+		t.Fatal("the extra cycle changed only network-level state, so the router-field report is not exercised: pin a case whose extra cycle moves a router field")
 	}
 	t.Logf("one-cycle skew localized to router %d: %s", r, field)
 	if field == "" {

@@ -162,7 +162,7 @@ func TestRecoveryLaneRoutesAroundFault(t *testing.T) {
 	}
 	drain(t, n, 4000, 120000)
 	if recovered == 0 {
-		t.Skip("no recoveries at this seed")
+		t.Fatal("no recoveries at this seed, so the check is vacuous: pin a seed whose drain recovers a packet (try seeds 1-20)")
 	}
 	if n.Counters().PacketsDelivered != n.Counters().PacketsInjected {
 		t.Fatal("lost packets with recoveries across faults")
@@ -181,7 +181,7 @@ func TestDORWedgesOnFault(t *testing.T) {
 	}
 	n.Run(4000)
 	if n.RunUntilDrained(20000) {
-		t.Skip("no packet happened to need the failed link (unlikely)")
+		t.Fatal("the run drained: no packet needed the failed link, so the check is vacuous; pin a seed that wedges (try seeds 1-20)")
 	}
 	if n.InFlight() == 0 {
 		t.Fatal("wedged with nothing in flight?")

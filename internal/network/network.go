@@ -102,11 +102,10 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Admits is the one algorithm/topology/VC admission rule: construction, every
-// routing swap (live, scheduled, replayed from a snapshot) and every curve of
-// a sweep spec (harness.Spec.Normalize) ask it, so a function the routers
-// cannot run is never installed, and a sweep that asks for one is refused
-// before any point is scheduled.
+// Admits is the one algorithm/topology/VC admission rule: construction and
+// every curve of a sweep spec (harness.Spec.Normalize) ask it, so a function
+// the routers cannot run is never installed, and a sweep that asks for one is
+// refused before any point is scheduled.
 func Admits(alg routing.Algorithm, topo topology.Graph, vcs int) error {
 	need := alg.MinVCs(topo)
 	if need < 0 {

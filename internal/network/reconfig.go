@@ -7,15 +7,13 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/router"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
 // This file implements dynamic reconfiguration: mid-run topology mutations
-// (kill/heal links and routers, swap the routing function) applied between
-// cycles under a DBR-style protocol (arXiv 1211.5747). The protocol quiesces
+// (kill/heal links and routers) applied between cycles under a DBR-style protocol (arXiv 1211.5747). The protocol quiesces
 // only the resources a mutation touches: packets whose flits would be lost
 // on the removed resource are dropped and accounted, surviving packets
 // holding a now-stale route are returned to the unrouted state and re-route
@@ -43,12 +41,9 @@ const (
 	// ReconfigHealRouter revives a killed router, reconnecting every link
 	// whose far endpoint is alive and not individually failed.
 	ReconfigHealRouter
-	// ReconfigSwapAlgorithm swaps the routing function (by Name) on every
-	// router; granted routes finish under the old function.
-	ReconfigSwapAlgorithm
 )
 
-var reconfigKindNames = [...]string{"kill-link", "heal-link", "kill-router", "heal-router", "swap-algorithm"}
+var reconfigKindNames = [...]string{"kill-link", "heal-link", "kill-router", "heal-router"}
 
 // String returns the kind's schedule-file name (e.g. "kill-link").
 func (k ReconfigKind) String() string {
@@ -78,10 +73,9 @@ func (k *ReconfigKind) UnmarshalText(text []byte) error {
 	return fmt.Errorf("network: unknown reconfiguration kind %q (want %s)", text, strings.Join(reconfigKindNames[:], ", "))
 }
 
-// ReconfigEvent is one scheduled topology or routing mutation, and one entry
-// of a chaos schedule file (the JSON tags are that format). Node/Port
-// identify the target link or router (Port is ignored for router and swap
-// events); Alg names the routing function for swap events (routing.ByName).
+// ReconfigEvent is one scheduled topology mutation, and one entry of a chaos
+// schedule file (the JSON tags are that format). Node/Port identify the
+// target link or router (Port is ignored for router events).
 type ReconfigEvent struct {
 	// Cycle is when the event applies: in the prelude of the Step executed
 	// with the clock standing at Cycle, i.e. before the tick that produces
@@ -92,14 +86,11 @@ type ReconfigEvent struct {
 	Kind  ReconfigKind  `json:"kind"`
 	Node  topology.Node `json:"node,omitempty"`
 	Port  int           `json:"port,omitempty"`
-	Alg   string        `json:"alg,omitempty"`
 }
 
 // String renders the event compactly, e.g. "@200 kill-link node=14 port=2".
 func (e ReconfigEvent) String() string {
 	switch e.Kind {
-	case ReconfigSwapAlgorithm:
-		return fmt.Sprintf("@%d %s %s", e.Cycle, e.Kind, e.Alg)
 	case ReconfigKillRouter, ReconfigHealRouter:
 		return fmt.Sprintf("@%d %s node=%d", e.Cycle, e.Kind, e.Node)
 	default:
@@ -172,14 +163,10 @@ func (n *Network) ReconfigCount() int { return len(n.reconfigLog) }
 
 // ReconfigLog returns a copy of every reconfiguration outcome so far, in
 // application order: scheduled events (applied or skipped) and successful
-// manual KillLink/HealLink/KillRouter/HealRouter/SwapAlgorithm calls.
+// manual KillLink/HealLink/KillRouter/HealRouter calls.
 func (n *Network) ReconfigLog() []ReconfigOutcome {
 	return append([]ReconfigOutcome(nil), n.reconfigLog...)
 }
-
-// CurrentAlgorithm returns the routing function currently installed (the
-// configured one until a swap event replaces it).
-func (n *Network) CurrentAlgorithm() routing.Algorithm { return n.routerState.Algorithm() }
 
 // FailedLinks returns how many links are currently down (killed, minus
 // healed). Links downed because an endpoint router was killed are not
@@ -243,21 +230,12 @@ func (n *Network) HealRouter(node topology.Node) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigHealRouter, Node: node})
 }
 
-// SwapAlgorithm swaps the routing function, by any name routing.ByName
-// reads, on every router. Packets already holding a granted route finish their
-// hop under the old function; any packet the new function cannot make progress
-// for times out and escapes through the Deadlock Buffer lane (the DBR argument
-// for reconfiguring routing under load).
-func (n *Network) SwapAlgorithm(name string) error {
-	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigSwapAlgorithm, Alg: name})
-}
-
 // applyNow executes a manual (API-initiated) event: validation failures
 // return an error and leave no trace; successes are recorded in the
 // reconfiguration log for snapshot replay.
 func (n *Network) applyNow(ev ReconfigEvent) error {
 	before := n.counters
-	reason := n.applyMutation(&ev)
+	reason := n.applyMutation(ev)
 	if reason != "" {
 		return fmt.Errorf("network: %s", reason)
 	}
@@ -277,7 +255,7 @@ func (n *Network) applyScheduled() {
 		ev := n.sched[n.schedNext]
 		n.schedNext++
 		before := n.counters
-		reason := n.applyMutation(&ev)
+		reason := n.applyMutation(ev)
 		n.logOutcome(ev, reason, before)
 	}
 }
@@ -299,23 +277,18 @@ func (n *Network) logOutcome(ev ReconfigEvent, reason string, before Counters) {
 // state change itself is transition's; this path wraps it in the quiesce
 // protocol: victims dropped and grants at the dying resources released
 // before, the touched ports reset to as-constructed after, and the Deadlock
-// Buffer routes rebuilt over the new wiring. An applied swap rewrites ev.Alg
-// to the installed function's Name(), so the log — and a snapshot replaying
-// it — names the same function whichever spelling the caller used.
-func (n *Network) applyMutation(ev *ReconfigEvent) string {
-	ports, alg, reason := n.validate(*ev)
+// Buffer routes rebuilt over the new wiring.
+func (n *Network) applyMutation(ev ReconfigEvent) string {
+	ports, reason := n.validate(ev)
 	if reason != "" {
 		return reason
 	}
-	if alg != nil {
-		ev.Alg = alg.Name()
-	}
 	if ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter {
-		n.dropVictims(n.victimsOf(*ev))
+		n.dropVictims(n.victimsOf(ev))
 		// Surviving packets still aimed at a dying link re-route next cycle.
 		n.eachEnd(ev.Node, ports, (*router.Router).ReleaseGrants)
 	}
-	if ev.Kind != ReconfigSwapAlgorithm && n.cfg.Router.Recovery == router.RecoveryConcurrent {
+	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
 		// New wiring relabels the two lanes. A recovering packet's chain and
 		// grant follow the old labels: under the new ones it may have no
 		// descending path left, and old chains could close a cycle. So every
@@ -328,10 +301,7 @@ func (n *Network) applyMutation(ev *ReconfigEvent) string {
 		}
 		n.dropVictims(victims)
 	}
-	n.transition(*ev, ports, alg)
-	if ev.Kind == ReconfigSwapAlgorithm {
-		return "" // no link changed: channels and DB routes stand
-	}
+	n.transition(ev, ports)
 	// A kill leaves clean channels behind and a heal comes back with them,
 	// even when a snapshot restore replayed only the wiring in between.
 	n.eachEnd(ev.Node, ports, (*router.Router).ResetOutputPort)
@@ -340,66 +310,65 @@ func (n *Network) applyMutation(ev *ReconfigEvent) string {
 }
 
 // validate checks that ev can apply to the network as it stands and returns
-// the ports of ev.Node whose links it takes down or brings up, or for a
-// routing swap the function to install, or the reason it cannot. Live
-// application and snapshot replay share it, so a logged event replays only
-// where it could have happened.
-func (n *Network) validate(ev ReconfigEvent) (ports []int, alg routing.Algorithm, reason string) {
+// the ports of ev.Node whose links it takes down or brings up, or the reason
+// it cannot. Live application and snapshot replay share it, so a logged event
+// replays only where it could have happened.
+func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
 	node, port, deg := ev.Node, ev.Port, n.topo.Degree()
 	switch ev.Kind {
 	case ReconfigKillLink, ReconfigHealLink:
 		if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= deg {
-			return nil, nil, fmt.Sprintf("no such link %d/%d", node, port)
+			return nil, fmt.Sprintf("no such link %d/%d", node, port)
 		}
 	case ReconfigKillRouter, ReconfigHealRouter:
 		if int(node) < 0 || int(node) >= len(n.routers) {
-			return nil, nil, fmt.Sprintf("no such router %d", node)
+			return nil, fmt.Sprintf("no such router %d", node)
 		}
 	}
 	switch ev.Kind {
 	case ReconfigKillLink:
 		if n.RouterDead(node) {
-			return nil, nil, fmt.Sprintf("router %d is dead; its links are already down", node)
+			return nil, fmt.Sprintf("router %d is dead; its links are already down", node)
 		}
 		if n.routers[node].Neighbor(port) == nil {
-			return nil, nil, fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
+			return nil, fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
 		}
 		// Probe connectivity with the link removed before committing to anything.
 		n.wire(node, port, false)
 		ok := n.liveConnectedExcluding(-1)
 		n.wire(node, port, true)
 		if !ok {
-			return nil, nil, fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
+			return nil, fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
 		}
-		return []int{port}, nil, ""
+		return []int{port}, ""
 	case ReconfigHealLink:
 		nb, ok := n.topo.Neighbor(node, port)
 		if !ok {
-			return nil, nil, fmt.Sprintf("no such link %d/%d", node, port)
+			return nil, fmt.Sprintf("no such link %d/%d", node, port)
 		}
 		if !n.linkDown[n.linkKey(node, port)] {
-			return nil, nil, fmt.Sprintf("link %d/%d is not failed", node, port)
+			return nil, fmt.Sprintf("link %d/%d is not failed", node, port)
 		}
 		if n.RouterDead(node) || n.RouterDead(nb) {
-			return nil, nil, fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
+			return nil, fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
 		}
-		return []int{port}, nil, ""
+		return []int{port}, ""
 	case ReconfigKillRouter:
 		if n.routerDead[node] {
-			return nil, nil, fmt.Sprintf("router %d is already dead", node)
+			return nil, fmt.Sprintf("router %d is already dead", node)
 		}
 		if !n.liveConnectedExcluding(int(node)) {
-			return nil, nil, fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
+			return nil, fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
 		}
 		for p := 0; p < deg; p++ {
 			if n.routers[node].Neighbor(p) != nil {
 				ports = append(ports, p)
 			}
 		}
-		return ports, nil, ""
+		return ports, ""
 	case ReconfigHealRouter:
 		if !n.routerDead[node] {
-			return nil, nil, fmt.Sprintf("router %d is not dead", node)
+			return nil, fmt.Sprintf("router %d is not dead", node)
 		}
 		// The healed router must rejoin the (connected) live component through
 		// at least one restorable link, or it would come back isolated.
@@ -410,29 +379,20 @@ func (n *Network) validate(ev ReconfigEvent) (ports []int, alg routing.Algorithm
 			}
 		}
 		if len(ports) == 0 {
-			return nil, nil, fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
+			return nil, fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
 		}
-		return ports, nil, ""
-	case ReconfigSwapAlgorithm:
-		alg, err := routing.ByName(ev.Alg)
-		if err == nil {
-			err = Admits(alg, n.topo, n.cfg.Router.VCs)
-		}
-		if err != nil {
-			return nil, nil, err.Error()
-		}
-		return nil, alg, ""
+		return ports, ""
 	default:
-		return nil, nil, fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
+		return nil, fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
 	}
 }
 
 // transition is the state change of one validated event and nothing else:
-// the liveness flags, the neighbour pointers of the links validate listed,
-// or the installed routing function. Live application (applyMutation) and
+// the liveness flags and the neighbour pointers of the links validate
+// listed. Live application (applyMutation) and
 // snapshot replay (replayOutcome) both go through it, so the two cannot
 // disagree about what an event does to the topology.
-func (n *Network) transition(ev ReconfigEvent, ports []int, alg routing.Algorithm) {
+func (n *Network) transition(ev ReconfigEvent, ports []int) {
 	switch ev.Kind {
 	case ReconfigKillLink:
 		n.linkDown[n.linkKey(ev.Node, ev.Port)] = true
@@ -444,8 +404,6 @@ func (n *Network) transition(ev ReconfigEvent, ports []int, alg routing.Algorith
 	case ReconfigHealRouter:
 		n.routerDead[ev.Node] = false
 		n.deadCount--
-	case ReconfigSwapAlgorithm:
-		n.routerState.SetAlgorithm(alg)
 	}
 	up := ev.Kind == ReconfigHealLink || ev.Kind == ReconfigHealRouter
 	for _, p := range ports {
@@ -585,11 +543,11 @@ func (n *Network) replayOutcome(o ReconfigOutcome) error {
 	if !o.Applied {
 		return nil
 	}
-	ports, alg, reason := n.validate(o.ReconfigEvent)
+	ports, reason := n.validate(o.ReconfigEvent)
 	if reason != "" {
 		return errors.New(reason)
 	}
-	n.transition(o.ReconfigEvent, ports, alg)
+	n.transition(o.ReconfigEvent, ports)
 	return nil
 }
 

@@ -19,7 +19,7 @@ const (
 
 // Snapshot writes a versioned binary serialization of the network's complete
 // dynamic state to w: configuration guard, the reconfiguration log (every
-// link/router kill and heal and routing swap, for topology replay), clock,
+// link/router kill and heal, for topology replay), clock,
 // RNG streams, event counters, the live packet table (each in-flight or
 // queued packet once, by identity), every node's source-queue and
 // injection-stream state, the recovery Token, and every router's full
@@ -125,7 +125,10 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 
 // walkReconfigLog codes the reconfiguration log. A decoder replays each
 // entry as it arrives, reconstructing the topology's history on the fresh
-// network before any router state is read.
+// network before any router state is read. Each entry keeps a reserved
+// string slot, always written empty: it held a removed routing swap's
+// function name, and a file whose slot is set (or whose kind is unknown) is
+// refused rather than replayed without it.
 func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 	count := len(n.reconfigLog)
 	c.Len(&count, c.Remaining()/64)
@@ -139,7 +142,8 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 		snapshot.Int(c, &o.Kind)
 		snapshot.Int(c, &o.Node)
 		snapshot.Int(c, &o.Port)
-		c.String(&o.Alg)
+		var reserved string
+		c.String(&reserved)
 		c.Bool(&o.Applied)
 		c.String(&o.Reason)
 		c.I64(&o.PacketsLost)
@@ -148,13 +152,19 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 		if !c.Decoding() {
 			continue
 		}
+		if _, err := o.Kind.MarshalText(); err != nil {
+			c.Fail("snapshot: reconfiguration log entry %d: %v", i, err)
+		}
+		if reserved != "" {
+			c.Fail("snapshot: reconfiguration log entry %d: reserved field holds %q (routing swaps are not supported)", i, reserved)
+		}
 		if err := c.Err(); err != nil {
 			return err
 		}
 		if err := n.replayOutcome(o); err != nil {
 			return fmt.Errorf("network: replay reconfiguration log entry %d (%s): %w", i, o.ReconfigEvent, err)
 		}
-		topoChanged = topoChanged || (o.Applied && o.Kind != ReconfigSwapAlgorithm)
+		topoChanged = topoChanged || o.Applied
 	}
 	if topoChanged {
 		// The router state decoded next carries the exact per-lane DB routes;

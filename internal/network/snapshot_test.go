@@ -245,7 +245,9 @@ func TestSnapshotFreshnessGuard(t *testing.T) {
 
 // TestSnapshotCorruption flips bytes and truncates a valid snapshot at every
 // prefix length; decoding must always fail cleanly, never panic, and never
-// silently succeed.
+// silently succeed. A reconfiguration log entry this build cannot replay —
+// kind 4, or a set reserved slot, both once a routing swap — is refused by
+// name.
 func TestSnapshotCorruption(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	cfg.Router.Timeout = 4
@@ -268,6 +270,48 @@ func TestSnapshotCorruption(t *testing.T) {
 			if err := n.Restore(bytes.NewReader(mut)); err == nil {
 				t.Fatalf("bit flip at %d decoded without error", pos)
 			}
+		}
+	})
+	t.Run("retired log entry", func(t *testing.T) {
+		n := mustNet(t, cfg)
+		if err := n.KillLink(5, 0); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(50)
+		var buf bytes.Buffer
+		if err := n.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := snapshot.Open(buf.Bytes(), snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The log follows the guard: a count, then per entry the cycle,
+		// kind, node and port, then the reserved string slot.
+		var head snapshot.Codec
+		n.walkConfigGuard(&head)
+		kind, slot := len(head.Bytes())+16, len(head.Bytes())+40
+		if binary.LittleEndian.Uint64(payload[kind:]) != uint64(ReconfigKillLink) || binary.LittleEndian.Uint64(payload[slot:]) != 0 {
+			t.Fatal("log entry not where the layout says")
+		}
+		mut := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(mut[kind:], 4)
+		set := append(binary.LittleEndian.AppendUint64(bytes.Clone(payload[:slot]), 3), "dor"...)
+		set = append(set, payload[slot+8:]...)
+		for name, tc := range map[string]struct {
+			payload []byte
+			want    string
+		}{
+			"kind 4":        {mut, "log entry 0: network: unknown reconfiguration kind 4"},
+			"reserved slot": {set, `log entry 0: reserved field holds "dor"`},
+		} {
+			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, tc.payload))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: restore error %v, want one containing %q", name, err, tc.want)
+			}
+		}
+		if err := restoreAndStep(t, cfg, buf.Bytes()); err != nil {
+			t.Fatalf("the unedited snapshot is refused: %v", err)
 		}
 	})
 }

@@ -18,7 +18,7 @@ import (
 // flat struct-of-arrays buffers indexed by (router, port, vc). A Router is a
 // view over its slice of the buffers, so route compute, switch allocation
 // and the deadlock-timer phase sweep contiguous memory, and a network-wide
-// change (SetAlgorithm, SetLaneRows) is one assignment. Routers are laid out
+// change (SetLaneRows) is one assignment. Routers are laid out
 // consecutively.
 //
 // Layout (all slices are allocated once, at NewState, and never grow). Each
@@ -260,17 +260,6 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.cands = make([]routing.Candidate, 0, s.outStr)
 	return s
 }
-
-// Algorithm returns the routing function every router currently runs.
-func (s *State) Algorithm() routing.Algorithm { return s.alg }
-
-// SetAlgorithm swaps the routing function every router consults for
-// unrouted headers. Granted routes are untouched: packets already holding an
-// output VC finish their hop under the old function, and any packet the new
-// function can no longer make progress for times out and escapes through
-// the Deadlock Buffer lane — the DBR reconfiguration argument. Called
-// between Step cycles.
-func (s *State) SetAlgorithm(alg routing.Algorithm) { s.alg = alg }
 
 // SetLaneRows routes the Deadlock Buffer lanes by next-hop rows in place of
 // dimension order and empties the row memo. build fills row with the output

@@ -7,11 +7,11 @@ import (
 )
 
 // algorithms is the one table of routing algorithm names: every spelling a
-// flag, a chaos schedule, a routing swap or a snapshot replay may use. An
-// algorithm's canonical name is what its Name() prints (reconfiguration logs,
-// snapshots and trace headers record that one); "disha", "turn" and "dally"
-// are the short forms the command line has always taught. Disha is a family:
-// ByName also reads "disha-m<N>" for any misroute bound N >= 0.
+// flag or a sweep spec may use. An algorithm's canonical name is what its
+// Name() prints (snapshot guards and trace headers record that one); "disha",
+// "turn" and "dally" are the short forms the command line has always taught.
+// Disha is a family: ByName also reads "disha-m<N>" for any misroute bound
+// N >= 0.
 var algorithms = []struct {
 	name  string
 	build func() Algorithm
