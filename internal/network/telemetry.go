@@ -66,7 +66,7 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 			return *row.field(&c)
 		})
 	}
-	reg.CounterFunc("disha_reconfig_events_total", "Reconfiguration events applied (kills, heals, routing swaps).", nil,
+	reg.CounterFunc("disha_reconfig_events_total", "Reconfiguration events applied (kills and heals).", nil,
 		func() int64 {
 			applied := int64(0)
 			for i := range n.reconfigLog {
