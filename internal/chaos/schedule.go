@@ -1,11 +1,12 @@
 // Package chaos generates, loads and executes reconfiguration campaigns:
 // seeded random schedules of link/router kill and heal events applied to a
-// live network mid-run through the dynamic reconfiguration subsystem (internal/network/reconfig.go). Campaigns are
-// deterministic — a (seed, schedule) pair reproduces the identical run
-// byte-for-byte — and the runner measures, per event, the packets lost, the
-// recovery latency (cycles until no header remains presumed deadlocked) and
-// the time to reconverge (cycles until the Deadlock Buffer lane has fully
-// drained). See CHAOS.md for the protocol and the replay workflow.
+// live network mid-run through the dynamic reconfiguration subsystem
+// (internal/network/reconfig.go). Campaigns are deterministic — a (seed,
+// schedule) pair reproduces the identical run byte-for-byte — and the
+// runner measures, per event, the packets lost, the recovery latency
+// (cycles until no header remains presumed deadlocked) and the time to
+// reconverge (cycles until the Deadlock Buffer lane has fully drained). See
+// CHAOS.md for the protocol and the replay workflow.
 package chaos
 
 import (

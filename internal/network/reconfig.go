@@ -13,16 +13,17 @@ import (
 )
 
 // This file implements dynamic reconfiguration: mid-run topology mutations
-// (kill/heal links and routers) applied between cycles under a DBR-style protocol (arXiv 1211.5747). The protocol quiesces
-// only the resources a mutation touches: packets whose flits would be lost
-// on the removed resource are dropped and accounted, surviving packets
-// holding a now-stale route are returned to the unrouted state and re-route
-// next cycle, and anything the post-change routing function can no longer
-// make progress for times out and escapes through the Deadlock Buffer lane —
-// the network is never drained. Every mutation runs in the prelude of Step
+// (kill/heal links and routers) applied between cycles under a DBR-style
+// protocol (arXiv 1211.5747). The protocol quiesces only the resources a
+// mutation touches: packets whose flits would be lost on the removed
+// resource are dropped and accounted, surviving packets holding a now-stale
+// route are returned to the unrouted state and re-route next cycle, and
+// anything the routing function can no longer make progress for over the
+// new topology times out and escapes through the Deadlock Buffer lane — the
+// network is never drained. Every mutation runs in the prelude of Step
 // (before the clock ticks), so no phase sees a half-applied change, and
-// every applied mutation is recorded in the reconfiguration log so snapshots
-// can replay the topology's history on restore.
+// every applied mutation is recorded in the reconfiguration log so
+// snapshots can replay the topology's history on restore.
 
 // ReconfigKind enumerates the dynamic reconfiguration event types.
 type ReconfigKind int
@@ -389,9 +390,9 @@ func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
 
 // transition is the state change of one validated event and nothing else:
 // the liveness flags and the neighbour pointers of the links validate
-// listed. Live application (applyMutation) and
-// snapshot replay (replayOutcome) both go through it, so the two cannot
-// disagree about what an event does to the topology.
+// listed. Live application (applyMutation) and snapshot replay
+// (replayOutcome) both go through it, so the two cannot disagree about what
+// an event does to the topology.
 func (n *Network) transition(ev ReconfigEvent, ports []int) {
 	switch ev.Kind {
 	case ReconfigKillLink:

@@ -19,11 +19,11 @@ const (
 
 // Snapshot writes a versioned binary serialization of the network's complete
 // dynamic state to w: configuration guard, the reconfiguration log (every
-// link/router kill and heal, for topology replay), clock,
-// RNG streams, event counters, the live packet table (each in-flight or
-// queued packet once, by identity), every node's source-queue and
-// injection-stream state, the recovery Token, and every router's full
-// microstate plus its private RNG (router.WalkState).
+// link/router kill and heal, for topology replay), clock, RNG streams, event
+// counters, the live packet table (each in-flight or queued packet once, by
+// identity), every node's source-queue and injection-stream state, the
+// recovery Token, and every router's full microstate plus its private RNG
+// (router.WalkState).
 //
 // An armed reconfiguration schedule (ScheduleReconfig) is deliberately NOT
 // serialized: schedules live outside the network (chaos schedule files,

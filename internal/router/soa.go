@@ -18,8 +18,7 @@ import (
 // flat struct-of-arrays buffers indexed by (router, port, vc). A Router is a
 // view over its slice of the buffers, so route compute, switch allocation
 // and the deadlock-timer phase sweep contiguous memory, and a network-wide
-// change (SetLaneRows) is one assignment. Routers are laid out
-// consecutively.
+// change (SetLaneRows) is one assignment. Routers are laid out consecutively.
 //
 // Layout (all slices are allocated once, at NewState, and never grow). Each
 // per-slot field is stored in the narrowest type its validated range allows
