@@ -51,9 +51,8 @@ func main() {
 		drain  = flag.Int("drain", 0, "extra cycles to drain after stopping injection (0 = no drain)")
 		wfg    = flag.Bool("wfg", false, "run the wait-for-graph analyzer at the end")
 
-		chaosScript  = flag.String("chaos-script", "", "run a chaos campaign: JSON event-schedule of mid-run kill/heal reconfiguration events (see CHAOS.md)")
-		chaosGen     = flag.Int("chaos-gen", 0, "generate a seeded chaos campaign of this many kill/heal events for the current topology, save it to -chaos-script, then run it (seeded by -seed)")
-		chaosRouters = flag.Bool("chaos-routers", false, "include router kill/heal events in -chaos-gen campaigns")
+		chaosScript = flag.String("chaos-script", "", "run a chaos campaign: JSON event-schedule of mid-run kill/heal reconfiguration events (see CHAOS.md)")
+		chaosGen    = flag.Int("chaos-gen", 0, "generate a seeded chaos campaign of this many kill/heal events for the current topology, save it to -chaos-script, then run it (seeded by -seed)")
 
 		ckptPath    = flag.String("checkpoint", "disha-sim.ckpt", "checkpoint file path (used by -checkpoint-every and -restore)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "atomically save a checkpoint every N cycles (0 = off)")
@@ -127,7 +126,7 @@ func main() {
 			fail(fmt.Errorf("-chaos-gen requires -chaos-script (the file to write)"))
 		}
 		sched, err := chaos.Generate(chaos.CampaignConfig{
-			Topo: topo, Seed: point.Seed, Events: *chaosGen, RouterKills: *chaosRouters,
+			Topo: topo, Seed: point.Seed, Events: *chaosGen,
 		})
 		fail(err)
 		fail(sched.Save(*chaosScript))

@@ -183,14 +183,14 @@ func TestKernelFlags(t *testing.T) {
 		t.Errorf("disha-sim -topo dragonfly-4x2 -recovery concurrent: exit %d, want a run that recovers and delivers; output:\n%s", code, out)
 	}
 	// A scheduled event the network cannot take is skipped, and the run
-	// carries on: with router 1 of a 2x2 mesh dead, killing router 2
-	// would cut corner 0 off from corner 3.
+	// carries on: with link 0-1 of a 2x2 mesh cut, cutting link 0-2 would
+	// isolate corner 0.
 	script := filepath.Join(t.TempDir(), "kills.json")
-	if err := os.WriteFile(script, []byte(`{"events":[{"cycle":50,"kind":"kill-router","node":1},{"cycle":100,"kind":"kill-router","node":2}]}`), 0o644); err != nil {
+	if err := os.WriteFile(script, []byte(`{"events":[{"cycle":50,"kind":"kill-link","node":0,"port":0},{"cycle":100,"kind":"kill-link","node":0,"port":2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if out, code := sim("-topo", "mesh-2x2", "-cycles", "200", "-chaos-script", script); code != 0 ||
-		!strings.Contains(out, "@100 kill-router node=2                  skipped") ||
+		!strings.Contains(out, "@100 kill-link node=0 port=2             skipped") ||
 		!strings.Contains(out, "2 events (1 applied, 1 skipped") || strings.Contains(out, "goroutine") {
 		t.Errorf("disha-sim with a disconnecting kill on mesh-2x2: exit %d; output:\n%s", code, out)
 	}

@@ -359,10 +359,8 @@ type ReconfigOutcome = network.ReconfigOutcome
 
 // Reconfiguration event kinds.
 const (
-	ReconfigKillLink   = network.ReconfigKillLink
-	ReconfigHealLink   = network.ReconfigHealLink
-	ReconfigKillRouter = network.ReconfigKillRouter
-	ReconfigHealRouter = network.ReconfigHealRouter
+	ReconfigKillLink = network.ReconfigKillLink
+	ReconfigHealLink = network.ReconfigHealLink
 )
 
 // ScheduleReconfig arms a sorted schedule of reconfiguration events that the
@@ -383,18 +381,6 @@ func (s *Simulator) KillLink(node Node, port int) error {
 // HealLink restores a previously killed link.
 func (s *Simulator) HealLink(node Node, port int) error {
 	return s.net.HealLink(node, port)
-}
-
-// KillRouter removes a router and its links, dropping packets at or destined
-// for it; see network.KillRouter.
-func (s *Simulator) KillRouter(node Node) error {
-	return s.net.KillRouter(node)
-}
-
-// HealRouter revives a killed router, reconnecting its links whose far
-// endpoints are alive and not independently failed.
-func (s *Simulator) HealRouter(node Node) error {
-	return s.net.HealRouter(node)
 }
 
 // ReconfigLog returns every reconfiguration outcome so far, in application

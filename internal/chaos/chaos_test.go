@@ -42,7 +42,7 @@ func mustNet(t *testing.T, cfg network.Config) *network.Network {
 // byte-identical schedule, and a different seed a different one.
 func TestGenerateDeterministic(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
-	cfg := CampaignConfig{Topo: topo, Seed: 42, Events: 30, RouterKills: true}
+	cfg := CampaignConfig{Topo: topo, Seed: 42, Events: 30}
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +90,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScheduleValidation rejects malformed schedules. A file naming the
-// removed swap-algorithm kind is refused at load time with the four kinds
-// that remain, not run without its events.
+// TestScheduleValidation rejects malformed schedules. A file naming a
+// removed kind (swap-algorithm, kill-router, heal-router) is refused at load
+// time with the two kinds that remain, not run without its events.
 func TestScheduleValidation(t *testing.T) {
 	bad := []Schedule{
 		{Events: []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKind(99)}}},
@@ -111,13 +111,19 @@ func TestScheduleValidation(t *testing.T) {
 		}
 	}
 
-	_, err := Parse([]byte(`{"events":[{"cycle":1,"kind":"kill-link"},{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`))
-	if err == nil {
-		t.Fatal("a swap-algorithm event loaded")
-	}
-	for _, want := range []string{`"swap-algorithm"`, "kill-link, heal-link, kill-router, heal-router)"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
+	for kind, data := range map[string]string{
+		"swap-algorithm": `{"events":[{"cycle":1,"kind":"kill-link"},{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`,
+		"kill-router":    `{"events":[{"cycle":1,"kind":"kill-link"},{"cycle":50,"kind":"kill-router","node":3}]}`,
+		"heal-router":    `{"events":[{"cycle":50,"kind":"heal-router","node":3}]}`,
+	} {
+		_, err := Parse([]byte(data))
+		if err == nil {
+			t.Fatalf("a %s event loaded", kind)
+		}
+		for _, want := range []string{`"` + kind + `"`, "(want kill-link, heal-link)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %s", err, want)
+			}
 		}
 	}
 }
@@ -150,7 +156,7 @@ func TestCampaignAcceptanceConcurrent(t *testing.T) {
 // replays byte-identically.
 func campaignAcceptance(t *testing.T, topo topology.Graph, recovery router.RecoveryMode) {
 	sched, err := Generate(CampaignConfig{
-		Topo: topo, Seed: 11, Events: 24, Start: 200, Spacing: 150, RouterKills: true,
+		Topo: topo, Seed: 11, Events: 24, Start: 200, Spacing: 150,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,14 +239,14 @@ func campaignAcceptance(t *testing.T, topo topology.Graph, recovery router.Recov
 	}
 }
 
-// TestCampaignRaceClean runs a moderate campaign with router kills twice and
+// TestCampaignRaceClean runs a moderate campaign of link events twice and
 // compares the fingerprints — small enough for the race detector, which is
 // the point: the 16x16 acceptance campaign self-skips under -race, so this is
 // the campaign `go test -race ./internal/chaos` actually steps.
 func TestCampaignRaceClean(t *testing.T) {
 	topo := topology.MustTorus(8, 8)
 	sched, err := Generate(CampaignConfig{
-		Topo: topo, Seed: 5, Events: 12, Start: 150, Spacing: 200, RouterKills: true,
+		Topo: topo, Seed: 5, Events: 12, Start: 150, Spacing: 200,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +331,7 @@ func TestInfeasibleEventsSkippedDeterministically(t *testing.T) {
 func TestCampaignAcceptanceFullMesh(t *testing.T) {
 	topo := topology.MustFullMesh(16)
 	sched, err := Generate(CampaignConfig{
-		Topo: topo, Seed: 9, Events: 16, Start: 150, Spacing: 120, RouterKills: true,
+		Topo: topo, Seed: 9, Events: 16, Start: 150, Spacing: 120,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,21 +389,21 @@ func TestCampaignAcceptanceFullMesh(t *testing.T) {
 // stepped 64 cycles. A refused file or a clean run (infeasible events logged
 // as skipped) — never a panic.
 func FuzzScheduleParse(f *testing.F) {
-	// Schedules of the removed swap-algorithm kind: each must be refused.
-	for _, swap := range []string{
+	// Schedules of the removed swap-algorithm and router kinds: each must
+	// be refused.
+	for _, removed := range []string{
 		`{"events":[{"cycle":50,"kind":"swap-algorithm","alg":"dor"}]}`,
 		`{"name":"typo","events":[{"cycle":1,"kind":"swap-algorithm","alg":"trun"}]}`,
 		`{"events":[{"cycle":3,"kind":"kill-router","node":2},{"cycle":9,"kind":"swap-algorithm","alg":"turn"},` +
 			`{"cycle":20,"kind":"heal-router","node":2},{"cycle":20,"kind":"kill-link","node":99,"port":7}]}`,
 	} {
-		if _, err := Parse([]byte(swap)); err == nil {
-			f.Fatalf("Parse accepted %s", swap)
+		if _, err := Parse([]byte(removed)); err == nil {
+			f.Fatalf("Parse accepted %s", removed)
 		}
-		f.Add([]byte(swap))
+		f.Add([]byte(removed))
 	}
 	for _, topo := range []topology.Graph{topology.MustTorus(4, 4), topology.MustFullMesh(4)} {
-		s, err := Generate(CampaignConfig{Topo: topo, Seed: 1, Events: 8, Start: 2, Spacing: 8,
-			RouterKills: true})
+		s, err := Generate(CampaignConfig{Topo: topo, Seed: 1, Events: 8, Start: 2, Spacing: 8})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -25,9 +25,6 @@ type CampaignConfig struct {
 	// Spacing is the mean gap between events in cycles (default 300); the
 	// actual gap is uniform in [Spacing/2, 3*Spacing/2).
 	Spacing int64
-	// RouterKills enables kill-router/heal-router events alongside link
-	// events (roughly three events in eight target a router when set).
-	RouterKills bool
 	// MaxDown bounds how many links the generator lets be down at once
 	// (default 3); at the cap it emits heals instead of kills.
 	MaxDown int
@@ -57,8 +54,8 @@ func canonicalLink(topo topology.Graph, node, port int) (linkRef, bool) {
 }
 
 // Generate builds a seeded random kill/heal campaign over the topology.
-// The generator tracks a model of which links are down and which routers
-// are dead so most events are feasible, but it does not simulate the
+// The generator tracks a model of which links are down so most events are
+// feasible, but it does not simulate the
 // network: events the live run cannot apply (e.g. a kill that would
 // disconnect the fabric, or a kill colliding with an in-progress recovery)
 // are skipped deterministically by the network and logged as such — they
@@ -99,15 +96,6 @@ func Generate(cfg CampaignConfig) (*Schedule, error) {
 	}
 
 	var down []linkRef // model: links currently down
-	var dead []int     // model: routers currently dead
-	isDead := func(n int) bool {
-		for _, d := range dead {
-			if d == n {
-				return true
-			}
-		}
-		return false
-	}
 	isDown := func(ref linkRef) bool {
 		for _, d := range down {
 			if d == ref {
@@ -123,39 +111,23 @@ func Generate(cfg CampaignConfig) (*Schedule, error) {
 	}
 	cycle := sim.Cycle(cfg.Start)
 	for len(s.Events) < cfg.Events {
-		// Event class: link (default) or router (3/8 when enabled). Draw
-		// order is fixed so the stream of RNG consumption is part of the
-		// schedule's identity.
-		roll := rng.Intn(8)
-		switch {
-		case cfg.RouterKills && roll >= 5:
-			if len(dead) > 0 && (rng.Bernoulli(0.5) || len(dead) >= cfg.MaxDown) {
-				i := rng.Intn(len(dead))
-				node := dead[i]
-				dead = append(dead[:i], dead[i+1:]...)
-				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigHealRouter, Node: topology.Node(node)})
-			} else {
-				node := rng.Intn(topo.Nodes())
-				if isDead(node) {
-					continue // re-roll without advancing the cycle
-				}
-				dead = append(dead, node)
-				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigKillRouter, Node: topology.Node(node)})
+		// This draw once chose between a link and a router event. It stays,
+		// unread, so every schedule generated without router events keeps
+		// its bytes: the stream of RNG consumption is part of a schedule's
+		// identity.
+		rng.Intn(8)
+		if len(down) > 0 && (len(down) >= cfg.MaxDown || rng.Bernoulli(0.5)) {
+			i := rng.Intn(len(down))
+			ref := down[i]
+			down = append(down[:i], down[i+1:]...)
+			s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigHealLink, Node: topology.Node(ref.node), Port: ref.port})
+		} else {
+			ref := allLinks[rng.Intn(len(allLinks))]
+			if isDown(ref) {
+				continue // re-roll without advancing the cycle
 			}
-		default:
-			if len(down) > 0 && (len(down) >= cfg.MaxDown || rng.Bernoulli(0.5)) {
-				i := rng.Intn(len(down))
-				ref := down[i]
-				down = append(down[:i], down[i+1:]...)
-				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigHealLink, Node: topology.Node(ref.node), Port: ref.port})
-			} else {
-				ref := allLinks[rng.Intn(len(allLinks))]
-				if isDown(ref) || isDead(ref.node) {
-					continue
-				}
-				down = append(down, ref)
-				s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigKillLink, Node: topology.Node(ref.node), Port: ref.port})
-			}
+			down = append(down, ref)
+			s.Events = append(s.Events, network.ReconfigEvent{Cycle: cycle, Kind: network.ReconfigKillLink, Node: topology.Node(ref.node), Port: ref.port})
 		}
 		cycle += sim.Cycle(cfg.Spacing/2 + int64(rng.Intn(int(cfg.Spacing))))
 	}

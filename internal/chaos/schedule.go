@@ -1,5 +1,5 @@
 // Package chaos generates, loads and executes reconfiguration campaigns:
-// seeded random schedules of link/router kill and heal events applied to a
+// seeded random schedules of link kill and heal events applied to a
 // live network mid-run through the dynamic reconfiguration subsystem
 // (internal/network/reconfig.go). Campaigns are deterministic — a (seed,
 // schedule) pair reproduces the identical run byte-for-byte — and the

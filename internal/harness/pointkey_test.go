@@ -172,6 +172,24 @@ func TestFigureKeysArePinned(t *testing.T) {
 	}
 }
 
+// TestPointKeyRefusesRouterKill: a key whose chaos list names a removed
+// router event is refused with the kinds that remain, not run without it.
+func TestPointKeyRefusesRouterKill(t *testing.T) {
+	s := keyedPoint(t)
+	s.Chaos = []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKillLink, Node: 3, Port: 1}}
+	key := s.PointKey(s.Algs[0].Label, s.Loads[0], 0)
+	roundTrip(t, key, 0)
+	for _, kind := range []string{"kill-router", "heal-router"} {
+		old := strings.Replace(key, `"kind":"kill-link"`, `"kind":"`+kind+`"`, 1)
+		if old == key {
+			t.Fatalf("key %s names no kill-link event", key)
+		}
+		if _, _, err := ParsePointKey(old); err == nil || !strings.Contains(err.Error(), "(want kill-link, heal-link)") {
+			t.Errorf("ParsePointKey of a %s key: err = %v, want the unknown-kind refusal", kind, err)
+		}
+	}
+}
+
 // FuzzParsePointKey feeds ParsePointKey hostile keys: it never panics, and a
 // key it accepts re-encodes to itself byte for byte. The seeds are real keys
 // (a tiny point, one of every figure, one with a chaos schedule), the key of
@@ -186,7 +204,7 @@ func FuzzParsePointKey(f *testing.F) {
 	f.Add(strings.TrimSuffix(key, "0") + "+0")
 	f.Add("tiny|seed=2a|w=300|m=800|msg=8|vc=4|bd=2/disha-m0@0.2000#0")
 	f.Add("")
-	s.Chaos = []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKillRouter, Node: 3}}
+	s.Chaos = []network.ReconfigEvent{{Cycle: 10, Kind: network.ReconfigKillLink, Node: 3, Port: 1}}
 	f.Add(s.PointKey(s.Algs[0].Label, s.Loads[0], 2))
 	for _, spec := range Figures(SmallScale()) {
 		if err := spec.Normalize(); err != nil {

@@ -113,3 +113,17 @@ func TestAbortRetryCreditIntegrity(t *testing.T) {
 		t.Fatal("did not drain after kills")
 	}
 }
+
+// checkOfferedLedger holds every packet a source generated to one fate:
+// injected or still queued. Abort-retry re-queues a killed packet and counts
+// it as injected again on retry, so its kills come off the injected count:
+//
+//	PacketsOffered == PacketsInjected - PacketsKilled + queued
+func checkOfferedLedger(t *testing.T, n *Network) {
+	t.Helper()
+	c := n.Counters()
+	if got := c.PacketsInjected - c.PacketsKilled + n.QueuedPackets(); c.PacketsOffered != got || c.PacketsUnroutable != 0 {
+		t.Fatalf("offered %d != injected %d - killed %d + queued %d (unroutable %d, want 0)",
+			c.PacketsOffered, c.PacketsInjected, c.PacketsKilled, n.QueuedPackets(), c.PacketsUnroutable)
+	}
+}

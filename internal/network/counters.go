@@ -16,10 +16,10 @@ type Counters struct {
 	PacketsKilled    int64 // abort-retry kills (each re-counts as injected on retry)
 	// Reconfiguration loss accounting (see reconfig.go): PacketsLost counts
 	// injected packets dropped because a kill event removed flits they had
-	// committed to the network (FlitsLost is those discarded flits);
-	// PacketsUnroutable counts packets dropped before injection — generated
-	// for, or queued toward, a destination router that is currently dead.
-	// After a drain, PacketsInjected - PacketsKilled == PacketsDelivered +
+	// committed to the network (FlitsLost is those discarded flits).
+	// PacketsUnroutable is always 0: a link event drops no packet before
+	// injection. It stays because snapshots and digests walk it. After a
+	// drain, PacketsInjected - PacketsKilled == PacketsDelivered +
 	// PacketsLost.
 	PacketsLost       int64
 	FlitsLost         int64
@@ -72,7 +72,7 @@ var counterTable = [...]struct {
 	{func(c *Counters) *int64 { return &c.TokenHold }, "token_hold", "disha_token_hold_cycles", "Cycles the recovery Token spent held by recovering packets.", nil},
 	{func(c *Counters) *int64 { return &c.PacketsLost }, "packets_lost", "disha_packets_lost_total", "In-flight packets dropped by reconfiguration events.", nil},
 	{func(c *Counters) *int64 { return &c.FlitsLost }, "flits_lost", "disha_flits_lost_total", "Buffered flits discarded by reconfiguration events.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsUnroutable }, "packets_unroutable", "disha_packets_unroutable_total", "Packets dropped before injection because their destination router was dead.", nil},
+	{func(c *Counters) *int64 { return &c.PacketsUnroutable }, "packets_unroutable", "disha_packets_unroutable_total", "Packets dropped before injection; no link event drops one, so this reads 0.", nil},
 }
 
 // Walk codes a Counters value field by field, for the network snapshot and

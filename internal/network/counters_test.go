@@ -118,7 +118,7 @@ func TestCounterTableCoversStruct(t *testing.T) {
 // text marshalers String shares its table with, and an unknown name or value
 // is an error listing the accepted names.
 func TestReconfigKindText(t *testing.T) {
-	for k := ReconfigKillLink; k <= ReconfigHealRouter; k++ {
+	for k := ReconfigKillLink; k <= ReconfigHealLink; k++ {
 		text, err := k.MarshalText()
 		if err != nil || string(text) != k.String() {
 			t.Fatalf("%d.MarshalText() = %q, %v", int(k), text, err)
@@ -128,11 +128,16 @@ func TestReconfigKindText(t *testing.T) {
 			t.Errorf("UnmarshalText(%q) = %v, %v", text, back, err)
 		}
 	}
-	if _, err := ReconfigKind(99).MarshalText(); err == nil {
-		t.Error("ReconfigKind(99) marshalled")
+	// Kinds 2 and 3 were the removed router kill and heal.
+	for _, k := range []ReconfigKind{2, 3, 99} {
+		if _, err := k.MarshalText(); err == nil {
+			t.Errorf("ReconfigKind(%d) marshalled", int(k))
+		}
 	}
-	var k ReconfigKind
-	if err := k.UnmarshalText([]byte("explode")); err == nil || !strings.Contains(err.Error(), "heal-router") {
-		t.Errorf("UnmarshalText(explode): err = %v, want one listing the accepted names", err)
+	for _, name := range []string{"explode", "kill-router", "heal-router"} {
+		var k ReconfigKind
+		if err := k.UnmarshalText([]byte(name)); err == nil || !strings.Contains(err.Error(), "(want kill-link, heal-link)") {
+			t.Errorf("UnmarshalText(%s): err = %v, want one listing the accepted names", name, err)
+		}
 	}
 }

@@ -31,18 +31,36 @@ func TestKillLinkValidation(t *testing.T) {
 	}
 }
 
+// TestKillLinkRefusesDisconnection builds a 2x2 mesh, a ring of four
+// links, and cuts it: the first cut leaves a chain, and every further cut
+// would disconnect the live network.
 func TestKillLinkRefusesDisconnection(t *testing.T) {
-	// On a 2-node ring (radix-2 single dimension has doubled links) use a
-	// small mesh: cutting the only link to a corner must be refused.
 	topo := topology.MustMesh(2, 2)
-	cfg := testConfig(topo, routing.Disha(3), 0.0, 1)
-	n := mustNet(t, cfg)
-	// Corner (0,0) connects via +X and +Y. Fail +X, then +Y must refuse.
+	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.0, 1))
 	if err := n.KillLink(0, topology.PortFor(0, 1)); err != nil {
-		t.Fatal(err)
+		t.Fatalf("first kill: %v", err)
 	}
+	// The survivors form the chain 1-3-2-0; cutting 0-2 would strand
+	// corner 0.
 	if err := n.KillLink(0, topology.PortFor(1, 1)); err == nil {
-		t.Fatal("disconnecting a node must be refused")
+		t.Fatal("kill that disconnects the live network must be refused")
+	}
+	// A refused manual event leaves no trace: the log holds the first kill
+	// only.
+	if log := n.ReconfigLog(); len(log) != 1 {
+		t.Fatalf("refused kill was logged: %v", log)
+	}
+	if err := n.KillLink(0, topology.PortFor(0, 1)); err == nil {
+		t.Fatal("kill of a failed link accepted")
+	}
+	if err := n.KillLink(99, 0); err == nil {
+		t.Fatal("out-of-range node accepted")
+	}
+	if err := n.HealLink(0, topology.PortFor(1, 1)); err == nil {
+		t.Fatal("heal of a live link accepted")
+	}
+	if err := n.HealLink(0, topology.PortFor(0, 1)); err != nil || len(n.ReconfigLog()) != 2 {
+		t.Fatalf("heal: %v, log %v", err, n.ReconfigLog())
 	}
 }
 

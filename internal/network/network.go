@@ -164,20 +164,6 @@ func (q *ni) check() error {
 	return nil
 }
 
-// remove deletes p from the waiting queue if present (reconfiguration drops
-// reach into source queues; the hot path never calls this).
-func (q *ni) remove(p *packet.Packet) {
-	for i := q.qhead; i < len(q.queue); i++ {
-		if q.queue[i] != p {
-			continue
-		}
-		copy(q.queue[i:], q.queue[i+1:])
-		q.queue[len(q.queue)-1] = nil
-		q.queue = q.queue[:len(q.queue)-1]
-		return
-	}
-}
-
 // Network is one simulation instance.
 type Network struct {
 	cfg     Config
@@ -225,13 +211,11 @@ type Network struct {
 	// every outcome so a snapshot can replay the topology's history into a
 	// fresh network on restore; sched/schedNext is the armed event schedule
 	// consumed by Step's prelude; linkDown holds the canonical key of every
-	// individually failed link; routerDead/deadCount track killed routers.
+	// individually failed link.
 	reconfigLog []ReconfigOutcome
 	sched       []ReconfigEvent
 	schedNext   int
 	linkDown    map[[2]int]bool
-	routerDead  []bool
-	deadCount   int
 
 	// Counters() snapshot cache: aggregating per-router stats walks every
 	// router, so repeated calls within one cycle reuse the last snapshot
@@ -286,7 +270,6 @@ func New(cfg Config) (*Network, error) {
 		fired:       make([]uint64, (topo.Nodes()+63)/64),
 		pending:     make([]uint64, (topo.Nodes()+63)/64),
 		linkDown:    make(map[[2]int]bool),
-		routerDead:  make([]bool, topo.Nodes()),
 	}
 	for i := 0; i < topo.Nodes(); i++ {
 		n.setActive(i)
@@ -344,7 +327,7 @@ func New(cfg Config) (*Network, error) {
 		//     every node by climbing to the root and descending its tree;
 		//   - dimension order on an intact cube fixes one coordinate a hop.
 		// The tests hold this to core.VerifyLaneConnected's walk.
-		if !n.liveConnectedExcluding(-1) {
+		if !n.liveConnected() {
 			return nil, fmt.Errorf("network: %s Deadlock Buffer lane fails Lemma 1: the graph is disconnected", topo.Name())
 		}
 		if _, cube := topology.Coordinated(topo); !cube || cfg.Router.Recovery == router.RecoveryConcurrent {
@@ -647,12 +630,11 @@ func (n *Network) RunUntilDrained(limit int) bool {
 	return n.Drained()
 }
 
-// inject is phase 1 (ARCHITECTURE.md): every live source's trial in one
-// pass, marking the hits in fired, then a walk in node order over the nodes
-// in fired or pending, a superset of those with a packet queued or
-// streaming. A dead router's source draws nothing.
+// inject is phase 1 (ARCHITECTURE.md): every source's trial in one pass,
+// marking the hits in fired, then a walk in node order over the nodes in
+// fired or pending, a superset of those with a packet queued or streaming.
 func (n *Network) inject(now sim.Cycle) {
-	traffic.Trials(n.sources, n.routerDead, n.fired)
+	traffic.Trials(n.sources, n.fired)
 	for w, hit := range n.fired {
 		n.fired[w] = 0
 		for word := hit | n.pending[w]; word != 0; word &= word - 1 {
@@ -665,18 +647,9 @@ func (n *Network) inject(now sim.Cycle) {
 // injectAt completes node i's firing, if it fired, and injects one flit;
 // it clears i's pending bit once the node has nothing left to inject.
 func (n *Network) injectAt(i int, fired bool, now sim.Cycle) {
-	if n.deadCount != 0 && n.routerDead[i] {
-		return
-	}
 	q := &n.nis[i]
 	if fired {
-		switch p := n.sources[i].Fire(now, n.allocID); {
-		case p == nil:
-		case n.deadCount != 0 && n.routerDead[p.Dst]:
-			// Destination is currently dead: the packet can never be
-			// delivered, so it is dropped at generation, not queued.
-			n.counters.PacketsUnroutable++
-		default:
+		if p := n.sources[i].Fire(now, n.allocID); p != nil {
 			n.enqueue(i, p)
 		}
 	}

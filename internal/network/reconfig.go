@@ -13,7 +13,7 @@ import (
 )
 
 // This file implements dynamic reconfiguration: mid-run topology mutations
-// (kill/heal links and routers) applied between cycles under a DBR-style
+// (link kills and heals) applied between cycles under a DBR-style
 // protocol (arXiv 1211.5747). The protocol quiesces only the resources a
 // mutation touches: packets whose flits would be lost on the removed
 // resource are dropped and accounted, surviving packets holding a now-stale
@@ -35,16 +35,9 @@ const (
 	// ReconfigHealLink restores a previously killed link with clean virtual
 	// channels on both ends.
 	ReconfigHealLink
-	// ReconfigKillRouter removes router Node entirely: its buffered packets,
-	// its source queue, and every packet in the network addressed to it are
-	// dropped, and all its links go down.
-	ReconfigKillRouter
-	// ReconfigHealRouter revives a killed router, reconnecting every link
-	// whose far endpoint is alive and not individually failed.
-	ReconfigHealRouter
 )
 
-var reconfigKindNames = [...]string{"kill-link", "heal-link", "kill-router", "heal-router"}
+var reconfigKindNames = [...]string{"kill-link", "heal-link"}
 
 // String returns the kind's schedule-file name (e.g. "kill-link").
 func (k ReconfigKind) String() string {
@@ -76,7 +69,7 @@ func (k *ReconfigKind) UnmarshalText(text []byte) error {
 
 // ReconfigEvent is one scheduled topology mutation, and one entry of a chaos
 // schedule file (the JSON tags are that format). Node/Port identify the
-// target link or router (Port is ignored for router events).
+// target link.
 type ReconfigEvent struct {
 	// Cycle is when the event applies: in the prelude of the Step executed
 	// with the clock standing at Cycle, i.e. before the tick that produces
@@ -91,12 +84,7 @@ type ReconfigEvent struct {
 
 // String renders the event compactly, e.g. "@200 kill-link node=14 port=2".
 func (e ReconfigEvent) String() string {
-	switch e.Kind {
-	case ReconfigKillRouter, ReconfigHealRouter:
-		return fmt.Sprintf("@%d %s node=%d", e.Cycle, e.Kind, e.Node)
-	default:
-		return fmt.Sprintf("@%d %s node=%d port=%d", e.Cycle, e.Kind, e.Node, e.Port)
-	}
+	return fmt.Sprintf("@%d %s node=%d port=%d", e.Cycle, e.Kind, e.Node, e.Port)
 }
 
 // ReconfigOutcome records one attempted reconfiguration event: whether it
@@ -110,8 +98,9 @@ type ReconfigOutcome struct {
 	// Reason explains a skipped event; empty when Applied.
 	Reason string
 	// PacketsLost / FlitsLost count in-flight packets (and their buffered
-	// flits) this event dropped; PacketsUnroutable counts packets dropped
-	// before injection because the event made their destination unreachable.
+	// flits) this event dropped. PacketsUnroutable is always 0: a link event
+	// drops no packet before injection. It stays because snapshots and the
+	// chaos report code it.
 	PacketsLost       int64
 	FlitsLost         int64
 	PacketsUnroutable int64
@@ -164,23 +153,14 @@ func (n *Network) ReconfigCount() int { return len(n.reconfigLog) }
 
 // ReconfigLog returns a copy of every reconfiguration outcome so far, in
 // application order: scheduled events (applied or skipped) and successful
-// manual KillLink/HealLink/KillRouter/HealRouter calls.
+// manual KillLink/HealLink calls.
 func (n *Network) ReconfigLog() []ReconfigOutcome {
 	return append([]ReconfigOutcome(nil), n.reconfigLog...)
 }
 
 // FailedLinks returns how many links are currently down (killed, minus
-// healed). Links downed because an endpoint router was killed are not
-// counted; they come back when the router heals.
+// healed).
 func (n *Network) FailedLinks() int { return len(n.linkDown) }
-
-// DeadRouters returns how many routers are currently killed.
-func (n *Network) DeadRouters() int { return n.deadCount }
-
-// RouterDead reports whether the given router is currently killed.
-func (n *Network) RouterDead(node topology.Node) bool {
-	return n.deadCount != 0 && n.routerDead[node]
-}
 
 // RecoveryBacklog sums recovery-resource occupancy across all routers:
 // presumed counts input VCs holding a presumed-deadlocked header, busy
@@ -205,7 +185,7 @@ func (n *Network) RecoveryBacklog() (presumed, busy int) {
 // fault, and a packet it strands times out and escapes through the lane. On
 // an idle link nothing is lost. Every check of validate applies: the live
 // network must stay connected. Under concurrent recovery this and every
-// other kill or heal also drops the packets recovering on the lanes.
+// heal also drop the packets recovering on the lanes.
 func (n *Network) KillLink(node topology.Node, port int) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigKillLink, Node: node, Port: port})
 }
@@ -214,21 +194,6 @@ func (n *Network) KillLink(node topology.Node, port int) error {
 // on both ends; routing resumes over it next cycle.
 func (n *Network) HealLink(node topology.Node, port int) error {
 	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigHealLink, Node: node, Port: port})
-}
-
-// KillRouter removes a router mid-run: every packet buffered there, queued
-// at its source, or addressed to it anywhere in the network is dropped and
-// counted, and all its links go down. The live remainder must stay
-// connected.
-func (n *Network) KillRouter(node topology.Node) error {
-	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigKillRouter, Node: node})
-}
-
-// HealRouter revives a killed router, reconnecting each of its links whose
-// far endpoint is alive and not individually failed. Its source resumes
-// generating traffic next cycle.
-func (n *Network) HealRouter(node topology.Node) error {
-	return n.applyNow(ReconfigEvent{Cycle: n.clock.Now(), Kind: ReconfigHealRouter, Node: node})
 }
 
 // applyNow executes a manual (API-initiated) event: validation failures
@@ -263,12 +228,11 @@ func (n *Network) applyScheduled() {
 
 func (n *Network) logOutcome(ev ReconfigEvent, reason string, before Counters) {
 	n.reconfigLog = append(n.reconfigLog, ReconfigOutcome{
-		ReconfigEvent:     ev,
-		Applied:           reason == "",
-		Reason:            reason,
-		PacketsLost:       n.counters.PacketsLost - before.PacketsLost,
-		FlitsLost:         n.counters.FlitsLost - before.FlitsLost,
-		PacketsUnroutable: n.counters.PacketsUnroutable - before.PacketsUnroutable,
+		ReconfigEvent: ev,
+		Applied:       reason == "",
+		Reason:        reason,
+		PacketsLost:   n.counters.PacketsLost - before.PacketsLost,
+		FlitsLost:     n.counters.FlitsLost - before.FlitsLost,
 	})
 	n.countersValid = false
 }
@@ -280,14 +244,14 @@ func (n *Network) logOutcome(ev ReconfigEvent, reason string, before Counters) {
 // before, the touched ports reset to as-constructed after, and the Deadlock
 // Buffer routes rebuilt over the new wiring.
 func (n *Network) applyMutation(ev ReconfigEvent) string {
-	ports, reason := n.validate(ev)
+	reason := n.validate(ev)
 	if reason != "" {
 		return reason
 	}
-	if ev.Kind == ReconfigKillLink || ev.Kind == ReconfigKillRouter {
-		n.dropVictims(n.victimsOf(ev))
-		// Surviving packets still aimed at a dying link re-route next cycle.
-		n.eachEnd(ev.Node, ports, (*router.Router).ReleaseGrants)
+	if ev.Kind == ReconfigKillLink {
+		n.dropVictims(n.linkVictims(ev))
+		// Surviving packets still aimed at the dying link re-route next cycle.
+		n.eachEnd(ev, (*router.Router).ReleaseGrants)
 	}
 	if n.cfg.Router.Recovery == router.RecoveryConcurrent {
 		// New wiring relabels the two lanes. A recovering packet's chain and
@@ -302,114 +266,60 @@ func (n *Network) applyMutation(ev ReconfigEvent) string {
 		}
 		n.dropVictims(victims)
 	}
-	n.transition(ev, ports)
+	n.transition(ev)
 	// A kill leaves clean channels behind and a heal comes back with them,
 	// even when a snapshot restore replayed only the wiring in between.
-	n.eachEnd(ev.Node, ports, (*router.Router).ResetOutputPort)
+	n.eachEnd(ev, (*router.Router).ResetOutputPort)
 	n.afterTopologyChange()
 	return ""
 }
 
-// validate checks that ev can apply to the network as it stands and returns
-// the ports of ev.Node whose links it takes down or brings up, or the reason
-// it cannot. Live application and snapshot replay share it, so a logged event
-// replays only where it could have happened.
-func (n *Network) validate(ev ReconfigEvent) (ports []int, reason string) {
-	node, port, deg := ev.Node, ev.Port, n.topo.Degree()
-	switch ev.Kind {
-	case ReconfigKillLink, ReconfigHealLink:
-		if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= deg {
-			return nil, fmt.Sprintf("no such link %d/%d", node, port)
-		}
-	case ReconfigKillRouter, ReconfigHealRouter:
-		if int(node) < 0 || int(node) >= len(n.routers) {
-			return nil, fmt.Sprintf("no such router %d", node)
-		}
+// validate checks that ev can apply to the network as it stands, returning
+// "" or the reason it cannot. Live application and snapshot replay share it,
+// so a logged event replays only where it could have happened.
+func (n *Network) validate(ev ReconfigEvent) string {
+	node, port := ev.Node, ev.Port
+	if int(node) < 0 || int(node) >= len(n.routers) || port < 0 || port >= n.topo.Degree() {
+		return fmt.Sprintf("no such link %d/%d", node, port)
 	}
 	switch ev.Kind {
 	case ReconfigKillLink:
-		if n.RouterDead(node) {
-			return nil, fmt.Sprintf("router %d is dead; its links are already down", node)
-		}
 		if n.routers[node].Neighbor(port) == nil {
-			return nil, fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
+			return fmt.Sprintf("link %d/%d does not exist (or already failed)", node, port)
 		}
 		// Probe connectivity with the link removed before committing to anything.
 		n.wire(node, port, false)
-		ok := n.liveConnectedExcluding(-1)
+		ok := n.liveConnected()
 		n.wire(node, port, true)
 		if !ok {
-			return nil, fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
+			return fmt.Sprintf("failing link %d/%d would disconnect the network", node, port)
 		}
-		return []int{port}, ""
+		return ""
 	case ReconfigHealLink:
-		nb, ok := n.topo.Neighbor(node, port)
-		if !ok {
-			return nil, fmt.Sprintf("no such link %d/%d", node, port)
+		if _, ok := n.topo.Neighbor(node, port); !ok {
+			return fmt.Sprintf("no such link %d/%d", node, port)
 		}
 		if !n.linkDown[n.linkKey(node, port)] {
-			return nil, fmt.Sprintf("link %d/%d is not failed", node, port)
+			return fmt.Sprintf("link %d/%d is not failed", node, port)
 		}
-		if n.RouterDead(node) || n.RouterDead(nb) {
-			return nil, fmt.Sprintf("an endpoint of link %d/%d is dead; heal the router instead", node, port)
-		}
-		return []int{port}, ""
-	case ReconfigKillRouter:
-		if n.routerDead[node] {
-			return nil, fmt.Sprintf("router %d is already dead", node)
-		}
-		if !n.liveConnectedExcluding(int(node)) {
-			return nil, fmt.Sprintf("killing router %d would disconnect (or empty) the live network", node)
-		}
-		for p := 0; p < deg; p++ {
-			if n.routers[node].Neighbor(p) != nil {
-				ports = append(ports, p)
-			}
-		}
-		return ports, ""
-	case ReconfigHealRouter:
-		if !n.routerDead[node] {
-			return nil, fmt.Sprintf("router %d is not dead", node)
-		}
-		// The healed router must rejoin the (connected) live component through
-		// at least one restorable link, or it would come back isolated.
-		for p := 0; p < deg; p++ {
-			nb, ok := n.topo.Neighbor(node, p)
-			if ok && !n.routerDead[nb] && !n.linkDown[n.linkKey(node, p)] {
-				ports = append(ports, p)
-			}
-		}
-		if len(ports) == 0 {
-			return nil, fmt.Sprintf("healing router %d would leave it isolated (every link is down or leads to a dead router)", node)
-		}
-		return ports, ""
+		return ""
 	default:
-		return nil, fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
+		return fmt.Sprintf("unknown reconfiguration kind %d", int(ev.Kind))
 	}
 }
 
 // transition is the state change of one validated event and nothing else:
-// the liveness flags and the neighbour pointers of the links validate
-// listed. Live application (applyMutation) and snapshot replay
-// (replayOutcome) both go through it, so the two cannot disagree about what
-// an event does to the topology.
-func (n *Network) transition(ev ReconfigEvent, ports []int) {
-	switch ev.Kind {
-	case ReconfigKillLink:
-		n.linkDown[n.linkKey(ev.Node, ev.Port)] = true
-	case ReconfigHealLink:
+// the link's down flag and its neighbour pointers. Live application
+// (applyMutation) and snapshot replay (replayOutcome) both go through it, so
+// the two cannot disagree about what an event does to the topology.
+func (n *Network) transition(ev ReconfigEvent) {
+	up := ev.Kind == ReconfigHealLink
+	if up {
 		delete(n.linkDown, n.linkKey(ev.Node, ev.Port))
-	case ReconfigKillRouter:
-		n.routerDead[ev.Node] = true
-		n.deadCount++
-	case ReconfigHealRouter:
-		n.routerDead[ev.Node] = false
-		n.deadCount--
+	} else {
+		n.linkDown[n.linkKey(ev.Node, ev.Port)] = true
 	}
-	up := ev.Kind == ReconfigHealLink || ev.Kind == ReconfigHealRouter
-	for _, p := range ports {
-		n.wire(ev.Node, p, up)
-	}
+	n.wire(ev.Node, ev.Port, up)
 }
 
 // wire connects (up) or disconnects both directions of the link on (node,
@@ -426,40 +336,20 @@ func (n *Network) wire(node topology.Node, port int, up bool) {
 	}
 }
 
-// eachEnd calls do for both ends of every listed link of node: (node, port)
-// itself and the far router's reverse port.
-func (n *Network) eachEnd(node topology.Node, ports []int, do func(r *router.Router, port int)) {
-	for _, p := range ports {
-		nb, _ := n.topo.Neighbor(node, p)
-		do(n.routers[node], p)
-		do(n.routers[nb], n.reversePort(node, p))
-	}
+// eachEnd calls do for both ends of ev's link: (Node, Port) itself and the
+// far router's reverse port.
+func (n *Network) eachEnd(ev ReconfigEvent, do func(r *router.Router, port int)) {
+	nb, _ := n.topo.Neighbor(ev.Node, ev.Port)
+	do(n.routers[ev.Node], ev.Port)
+	do(n.routers[nb], n.reversePort(ev.Node, ev.Port))
 }
 
-// victimsOf lists the packets a validated kill loses (duplicates allowed).
-// A link takes the packets with flits committed to it at either end. A
-// router takes three classes: packets buffered there, packets waiting (or
-// streaming) at its source, and packets anywhere in the network addressed
-// to it — none can ever be delivered.
-func (n *Network) victimsOf(ev ReconfigEvent) []*packet.Packet {
-	victims := n.victimScratch[:0]
-	if ev.Kind == ReconfigKillLink {
-		nb, _ := n.topo.Neighbor(ev.Node, ev.Port)
-		victims = n.routers[ev.Node].LinkVictims(ev.Port, victims)
-		return n.routers[nb].LinkVictims(n.reversePort(ev.Node, ev.Port), victims)
-	}
-	victims = n.routers[ev.Node].LocalPackets(victims)
-	q := &n.nis[ev.Node]
-	if q.cur != nil {
-		victims = append(victims, q.cur)
-	}
-	victims = append(victims, q.queue[q.qhead:]...)
-	for _, p := range n.collectPackets() {
-		if p.Dst == ev.Node {
-			victims = append(victims, p)
-		}
-	}
-	return victims
+// linkVictims lists the packets a validated link kill loses: those with
+// flits committed to the link at either end (duplicates allowed).
+func (n *Network) linkVictims(ev ReconfigEvent) []*packet.Packet {
+	nb, _ := n.topo.Neighbor(ev.Node, ev.Port)
+	victims := n.routers[ev.Node].LinkVictims(ev.Port, n.victimScratch[:0])
+	return n.routers[nb].LinkVictims(n.reversePort(ev.Node, ev.Port), victims)
 }
 
 // reversePort returns the input port at the neighbor reached over (node,
@@ -511,26 +401,25 @@ func (n *Network) dropVictims(victims []*packet.Packet) {
 }
 
 // dropPacket removes every trace of p from the network — input VCs, output
-// ownership, Deadlock Buffer lanes, its source queue and injection stream,
-// and the recovery Token if p holds it — and accounts the loss: an injected
-// packet counts as PacketsLost with its discarded flits in FlitsLost; a
-// packet dropped before injection (queued for a destination that just died)
-// counts as PacketsUnroutable. Unlike abort-retry kills, dropped packets are
+// ownership, Deadlock Buffer lanes, its injection stream, and the recovery
+// Token if p holds it — and accounts the loss as PacketsLost, with its
+// discarded flits in FlitsLost. Unlike abort-retry kills, dropped packets are
 // not retransmitted, and partial delivery is tolerated: a packet whose head
 // already reached its destination simply never delivers its tail.
+//
+// Every victim has been injected. Both victim lists (linkVictims, and the
+// packets on the lanes under concurrent recovery) are read from router
+// state, a packet enters router state only when InjectFlit takes its header
+// and stamps InjectedAt, and the one reset of InjectedAt (abort-retry) purges
+// the packet from every router first.
 func (n *Network) dropPacket(p *packet.Packet) {
 	flits := n.purge(p)
-	n.nis[p.Src].remove(p)
 	if n.token != nil {
 		n.token.Drop(p)
 	}
-	if p.InjectedAt >= 0 {
-		n.outstanding[p.Src]--
-		n.counters.PacketsLost++
-		n.counters.FlitsLost += int64(flits)
-	} else {
-		n.counters.PacketsUnroutable++
-	}
+	n.outstanding[p.Src]--
+	n.counters.PacketsLost++
+	n.counters.FlitsLost += int64(flits)
 	n.event(telemetry.Drop, p.Src, p.ID)
 }
 
@@ -544,36 +433,20 @@ func (n *Network) replayOutcome(o ReconfigOutcome) error {
 	if !o.Applied {
 		return nil
 	}
-	ports, reason := n.validate(o.ReconfigEvent)
-	if reason != "" {
+	if reason := n.validate(o.ReconfigEvent); reason != "" {
 		return errors.New(reason)
 	}
-	n.transition(o.ReconfigEvent, ports)
+	n.transition(o.ReconfigEvent)
 	return nil
 }
 
-// liveConnectedExcluding checks that every live router (dead routers and,
-// when exclude >= 0, the router about to die are not counted) is reachable
-// from any other over live links. Links are killed in pairs, so the live
-// graph is symmetric and one BFS suffices. An empty live set is reported as
-// disconnected: killing the last router is rejected.
-func (n *Network) liveConnectedExcluding(exclude int) bool {
-	alive, start := 0, -1
-	for i := range n.routers {
-		if i == exclude || (n.deadCount != 0 && n.routerDead[i]) {
-			continue
-		}
-		alive++
-		if start < 0 {
-			start = i
-		}
-	}
-	if alive == 0 {
-		return false
-	}
+// liveConnected checks that every router is reachable from router 0 over
+// live links. Links are killed in pairs, so the live graph is symmetric and
+// one BFS suffices.
+func (n *Network) liveConnected() bool {
 	seen := make([]bool, len(n.routers))
-	queue := []topology.Node{topology.Node(start)}
-	seen[start] = true
+	queue := []topology.Node{0}
+	seen[0] = true
 	count := 1
 	for len(queue) > 0 {
 		cur := queue[0]
@@ -581,7 +454,7 @@ func (n *Network) liveConnectedExcluding(exclude int) bool {
 		r := n.routers[cur]
 		for p := 0; p < n.topo.Degree(); p++ {
 			nb := r.Neighbor(p)
-			if nb == nil || int(nb.Node()) == exclude || seen[nb.Node()] {
+			if nb == nil || seen[nb.Node()] {
 				continue
 			}
 			seen[nb.Node()] = true
@@ -589,5 +462,5 @@ func (n *Network) liveConnectedExcluding(exclude int) bool {
 			queue = append(queue, nb.Node())
 		}
 	}
-	return count == alive
+	return count == len(n.routers)
 }

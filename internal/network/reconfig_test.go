@@ -39,6 +39,9 @@ func TestKillLinkDropsCommittedPackets(t *testing.T) {
 	if c.PacketsLost > 0 && c.FlitsLost == 0 {
 		t.Fatal("packets lost but no flits accounted")
 	}
+	// A link kill drops only injected packets: every generated packet was
+	// injected.
+	checkOfferedLedger(t, n)
 }
 
 // TestKillLinkRecountsCrossbar kills, between cycles, a link whose output
@@ -67,90 +70,14 @@ func TestKillLinkRecountsCrossbar(t *testing.T) {
 	t.Fatal("no crossbar connection in 2000 cycles")
 }
 
-// TestKillRouterLedger kills a router under load: packets buffered there or
-// addressed to it drop (PacketsLost for injected, PacketsUnroutable for
-// queued/generated), everything else still delivers.
-func TestKillRouterLedger(t *testing.T) {
-	topo := topology.MustTorus(4, 4)
-	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.5, 9))
-	n.Run(300)
-	if err := n.KillRouter(6); err != nil {
-		t.Fatalf("KillRouter: %v", err)
-	}
-	if !n.RouterDead(6) || n.DeadRouters() != 1 {
-		t.Fatal("router not marked dead")
-	}
-	n.Run(500)
-	if err := n.HealRouter(6); err != nil {
-		t.Fatalf("HealRouter: %v", err)
-	}
-	if n.DeadRouters() != 0 {
-		t.Fatal("router not revived")
-	}
-	drain(t, n, 1000, 60000)
-	c := n.Counters()
-	if c.PacketsInjected != c.PacketsDelivered+c.PacketsLost {
-		t.Fatalf("loss ledger broken: injected=%d delivered=%d lost=%d",
-			c.PacketsInjected, c.PacketsDelivered, c.PacketsLost)
-	}
-	if c.PacketsLost == 0 {
-		t.Fatal("killing a loaded router should drop something")
-	}
-	if c.PacketsUnroutable == 0 {
-		t.Fatal("expected undeliverable generated traffic while the router was dead")
-	}
-	checkOfferedLedger(t, n)
-}
-
-// checkOfferedLedger holds every packet a source generated to one fate:
-// injected, still queued, or dropped before injection as unroutable.
-// Abort-retry re-queues a killed packet and counts it as injected again on
-// retry, so its kills come off the injected count:
-//
-//	PacketsOffered == PacketsInjected - PacketsKilled + queued + PacketsUnroutable
-func checkOfferedLedger(t *testing.T, n *Network) {
-	t.Helper()
-	c := n.Counters()
-	if got := c.PacketsInjected - c.PacketsKilled + n.QueuedPackets() + c.PacketsUnroutable; c.PacketsOffered != got {
-		t.Fatalf("offered %d != injected %d - killed %d + queued %d + unroutable %d",
-			c.PacketsOffered, c.PacketsInjected, c.PacketsKilled, n.QueuedPackets(), c.PacketsUnroutable)
-	}
-}
-
-// TestKillRouterRefusesDisconnection builds a 2x2 mesh and kills routers
-// until removing another would disconnect (or empty) the live remainder.
-func TestKillRouterRefusesDisconnection(t *testing.T) {
-	topo := topology.MustMesh(2, 2)
-	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.0, 1))
-	if err := n.KillRouter(1); err != nil {
-		t.Fatalf("first kill: %v", err)
-	}
-	// The survivors form the chain 0-2-3; cutting its middle would strand
-	// corner 0 from corner 3.
-	if err := n.KillRouter(2); err == nil {
-		t.Fatal("kill that disconnects the live remainder must be refused")
-	}
-	// A refused manual event leaves no trace: the log holds the first kill
-	// only.
-	if log := n.ReconfigLog(); len(log) != 1 {
-		t.Fatalf("refused kill was logged: %v", log)
-	}
-	if err := n.KillRouter(3); err != nil {
-		t.Fatalf("leaf kill refused: %v", err)
-	}
-	if err := n.KillRouter(99); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-}
-
 // scheduleFixture is a mixed schedule used by the determinism tests.
 func scheduleFixture() []ReconfigEvent {
 	return []ReconfigEvent{
 		{Cycle: 150, Kind: ReconfigKillLink, Node: 5, Port: 0},
 		{Cycle: 340, Kind: ReconfigKillLink, Node: 10, Port: 2},
 		{Cycle: 520, Kind: ReconfigHealLink, Node: 5, Port: 0},
-		{Cycle: 700, Kind: ReconfigKillRouter, Node: 9},
-		{Cycle: 1200, Kind: ReconfigHealRouter, Node: 9},
+		{Cycle: 700, Kind: ReconfigKillLink, Node: 9, Port: 1},
+		{Cycle: 1200, Kind: ReconfigHealLink, Node: 9, Port: 1},
 		{Cycle: 1390, Kind: ReconfigHealLink, Node: 10, Port: 2},
 	}
 }
@@ -241,7 +168,7 @@ func TestSnapshotReplaysReconfig(t *testing.T) {
 	if err := orig.ScheduleReconfig(sched); err != nil {
 		t.Fatal(err)
 	}
-	orig.Run(800) // past the kill-link/heal-link/kill-router events
+	orig.Run(800) // past the first four events
 
 	var buf bytes.Buffer
 	if err := orig.Snapshot(&buf); err != nil {
@@ -293,9 +220,9 @@ func TestRecoveryBacklogQuiesces(t *testing.T) {
 }
 
 // TestRebuiltLaneReachesEveryLiveDestination is Lemma 1 on the table the
-// network actually routes by: after a link kill and a router kill, the
-// installed Deadlock Buffer lane leads from every live node to every live
-// destination over live links, within Nodes hops.
+// network actually routes by: after two link kills, the installed Deadlock
+// Buffer lane leads from every node to every destination over live links,
+// within Nodes hops.
 func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 	for _, name := range []string{"torus-4x4", "dragonfly-4x2", "fattree-4"} {
 		topo, err := topology.Parse(name)
@@ -305,30 +232,30 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 		n := mustNet(t, testConfig(topo, routing.Disha(3), 0.3, 4))
 		n.Run(200)
 		nodes := topo.Nodes()
-		// The first link and the first router the protocol lets go (a kill
-		// that would disconnect the live network is refused).
-		killed := false
-		for v := 0; v < nodes && !killed; v++ {
-			for p := 0; p < topo.Degree() && !killed; p++ {
-				killed = n.KillLink(topology.Node(v), p) == nil
+		// The first link from each end of the node order that the protocol
+		// lets go (a kill that would disconnect the network is refused).
+		killed := 0
+		for v := 0; v < nodes && killed == 0; v++ {
+			for p := 0; p < topo.Degree() && killed == 0; p++ {
+				if n.KillLink(topology.Node(v), p) == nil {
+					killed++
+				}
 			}
 		}
-		dead := -1
-		for v := nodes - 1; v >= 0 && dead < 0; v-- {
-			if n.KillRouter(topology.Node(v)) == nil {
-				dead = v
+		for v := nodes - 1; v >= 0 && killed == 1; v-- {
+			for p := 0; p < topo.Degree() && killed == 1; p++ {
+				if n.KillLink(topology.Node(v), p) == nil {
+					killed++
+				}
 			}
 		}
-		if !killed || dead < 0 {
-			t.Fatalf("%s: no link or router could be killed", name)
+		if killed != 2 {
+			t.Fatalf("%s: %d links could be killed, want 2", name, killed)
 		}
 		row := make([]int16, nodes)
 		for dst := 0; dst < nodes; dst++ {
 			n.routerState.BuildLaneRow(topology.Node(dst), row)
 			for src := 0; src < nodes; src++ {
-				if src == dead || dst == dead {
-					continue
-				}
 				cur, hops := src, 0
 				for ; cur != dst && hops <= nodes; hops++ {
 					nb := n.routers[cur].Neighbor(int(row[cur]))
@@ -345,8 +272,8 @@ func TestRebuiltLaneReachesEveryLiveDestination(t *testing.T) {
 	}
 }
 
-// TestKillUnderConcurrentRecovery kills a link and a router mid-run under
-// concurrent recovery at saturating load, then heals both and cuts and
+// TestKillUnderConcurrentRecovery kills two links mid-run under concurrent
+// recovery at saturating load, then heals both and cuts and
 // heals 30 more links: each event relabels the two lanes over the live
 // links and drops the packets recovering on them, a snapshot taken after
 // the kills restores to the same fingerprint and runs on in lockstep, and
@@ -361,7 +288,7 @@ func TestKillUnderConcurrentRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(200)
-	if err := n.KillRouter(10); err != nil {
+	if err := n.KillLink(10, 1); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(200)
@@ -380,7 +307,7 @@ func TestKillUnderConcurrentRecovery(t *testing.T) {
 		n.Run(200)
 		m.Run(200)
 	}
-	if err := n.HealRouter(10); err != nil {
+	if err := n.HealLink(10, 1); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(200)

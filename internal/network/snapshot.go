@@ -19,7 +19,7 @@ const (
 
 // Snapshot writes a versioned binary serialization of the network's complete
 // dynamic state to w: configuration guard, the reconfiguration log (every
-// link/router kill and heal, for topology replay), clock, RNG streams, event
+// link kill and heal, for topology replay), clock, RNG streams, event
 // counters, the live packet table (each in-flight or queued packet once, by
 // identity), every node's source-queue and injection-stream state, the
 // recovery Token, and every router's full microstate plus its private RNG

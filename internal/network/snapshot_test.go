@@ -246,8 +246,8 @@ func TestSnapshotFreshnessGuard(t *testing.T) {
 // TestSnapshotCorruption flips bytes and truncates a valid snapshot at every
 // prefix length; decoding must always fail cleanly, never panic, and never
 // silently succeed. A reconfiguration log entry this build cannot replay —
-// kind 4, or a set reserved slot, both once a routing swap — is refused by
-// name.
+// kind 2 or 3 (once a router kill and heal), kind 4 or a set reserved slot
+// (both once a routing swap) — is refused by its index.
 func TestSnapshotCorruption(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	cfg.Router.Timeout = 4
@@ -294,15 +294,20 @@ func TestSnapshotCorruption(t *testing.T) {
 		if binary.LittleEndian.Uint64(payload[kind:]) != uint64(ReconfigKillLink) || binary.LittleEndian.Uint64(payload[slot:]) != 0 {
 			t.Fatal("log entry not where the layout says")
 		}
-		mut := bytes.Clone(payload)
-		binary.LittleEndian.PutUint64(mut[kind:], 4)
+		withKind := func(k uint64) []byte {
+			mut := bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(mut[kind:], k)
+			return mut
+		}
 		set := append(binary.LittleEndian.AppendUint64(bytes.Clone(payload[:slot]), 3), "dor"...)
 		set = append(set, payload[slot+8:]...)
 		for name, tc := range map[string]struct {
 			payload []byte
 			want    string
 		}{
-			"kind 4":        {mut, "log entry 0: network: unknown reconfiguration kind 4"},
+			"kind 2":        {withKind(2), "log entry 0: network: unknown reconfiguration kind 2"},
+			"kind 3":        {withKind(3), "log entry 0: network: unknown reconfiguration kind 3"},
+			"kind 4":        {withKind(4), "log entry 0: network: unknown reconfiguration kind 4"},
 			"reserved slot": {set, `log entry 0: reserved field holds "dor"`},
 		} {
 			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, tc.payload))

@@ -78,8 +78,6 @@ func (n *Network) registerMetrics(reg *telemetry.Registry) {
 		})
 	reg.GaugeFunc("disha_links_down", "Links currently failed or killed (healed links excluded).", nil,
 		func() float64 { return float64(n.FailedLinks()) })
-	reg.GaugeFunc("disha_routers_dead", "Routers currently killed.", nil,
-		func() float64 { return float64(n.deadCount) })
 	reg.GaugeFunc("disha_packets_in_flight", "Packets injected but not yet delivered.", nil,
 		func() float64 { return float64(n.InFlight()) })
 	reg.GaugeFunc("disha_source_queued_packets", "Packets waiting in source queues.", nil,

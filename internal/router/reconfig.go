@@ -4,7 +4,7 @@ import "repro/internal/packet"
 
 // This file holds the router-local primitives the network's dynamic
 // reconfiguration subsystem (internal/network/reconfig.go) composes into
-// mid-run link and router kills and heals. Every method here mutates only
+// mid-run link kills and heals. Every method here mutates only
 // this router's slice of the shared SoA state (plus the well-defined upstream
 // credit return PurgePacket already performs), and all of them are called
 // between Step cycles.
@@ -52,25 +52,6 @@ func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 			continue
 		}
 		if s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// LocalPackets appends every distinct packet with flits or wormhole state
-// buffered at this router (input VCs and Deadlock Buffer lanes). The
-// network's router-kill path uses it to enumerate what a dying router takes
-// down with it.
-func (r *Router) LocalPackets(out []*packet.Packet) []*packet.Packet {
-	s := r.st
-	for l := 0; l < s.stride; l++ {
-		if p := s.inPkt[r.in0+l]; p != nil {
-			out = append(out, p)
-		}
-	}
-	for lane := 0; lane < s.lanes; lane++ {
-		if p := s.dbPkt[r.dbIdx(lane)]; p != nil {
 			out = append(out, p)
 		}
 	}

@@ -26,8 +26,8 @@ const (
 	TokenRelease
 	// Kill: abort-and-retry recovery purged the packet for retransmission.
 	Kill
-	// Drop: a dynamic reconfiguration event (link or router kill) discarded
-	// the packet's in-flight flits; unlike Kill it is not retransmitted.
+	// Drop: a dynamic reconfiguration event discarded the packet's
+	// in-flight flits; unlike Kill it is not retransmitted.
 	Drop
 )
 

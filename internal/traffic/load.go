@@ -137,16 +137,13 @@ func NewSource(node topology.Node, pattern Pattern, rng sim.RNG, prob float64, m
 // Stop halts generation (used for the drain phase at the end of a run).
 func (s *Source) Stop() { s.stopped = true }
 
-// Trials runs this cycle's trial of every source i without skip[i], setting
-// bit i of fired on a hit, which Fire must complete before the next trial. A
-// stopped or skipped source draws nothing. The common trial is inline: a
-// call per source per cycle would cost more than the trial.
-func Trials(srcs []Source, skip []bool, fired []uint64) {
+// Trials runs this cycle's trial of every source i, setting bit i of fired
+// on a hit, which Fire must complete before the next trial. A stopped source
+// draws nothing. The common trial is inline: a call per source per cycle
+// would cost more than the trial.
+func Trials(srcs []Source, fired []uint64) {
 	for i := range srcs {
 		s := &srcs[i]
-		if skip[i] {
-			continue
-		}
 		var hit bool
 		if s.stopped || s.bursty {
 			hit = s.burstTrial()

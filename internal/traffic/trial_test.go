@@ -14,7 +14,7 @@ import (
 func generate(s *Source, now sim.Cycle, nextID func() packet.ID) *packet.Packet {
 	var fired [1]uint64
 	one := []Source{*s}
-	Trials(one, []bool{false}, fired[:])
+	Trials(one, fired[:])
 	if *s = one[0]; fired[0] == 0 {
 		return nil
 	}
