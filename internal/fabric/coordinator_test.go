@@ -94,16 +94,18 @@ func TestRemoteLeaseDeliverAndConcurrentDedupe(t *testing.T) {
 		}()
 	}
 
-	// Wait until the unit is queued, then play the worker.
-	var wu *WorkUnit
-	for deadline := time.Now().Add(5 * time.Second); wu == nil; {
+	// Wait until both callers wait on the one unit (the second attaches
+	// under the lock that counts it deduped), then play the worker. A lease
+	// taken before the second caller attaches lets it find the result in
+	// the cache instead.
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Deduped != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("unit never became leasable")
+			t.Fatalf("the second caller never joined the unit: %+v", c.Stats())
 		}
-		wu = c.Lease("w1")
-		if wu == nil {
-			time.Sleep(5 * time.Millisecond)
-		}
+	}
+	wu := c.Lease("w1")
+	if wu == nil {
+		t.Fatal("the queued unit is not leasable")
 	}
 	if wu.Key != tk.Key || wu.Seed != tk.Seed || wu.Attempt != 1 {
 		t.Fatalf("lease: %+v", wu)
