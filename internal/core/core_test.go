@@ -1,10 +1,14 @@
 package core_test
 
 import (
+	"encoding/json"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/packet"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -172,35 +176,77 @@ func buildNet(t *testing.T, alg routing.Algorithm, vcs int, load float64, seed u
 	return n
 }
 
-// TestAnalyzerFindsRealDeadlock wedges Disha routing with recovery disabled
-// and checks the WFG analyzer reports a true deadlocked configuration whose
-// members mutually wait on members. The network is internal/network's
-// wedgeConfig, whose seed 2 is the first of 1–20 that wedges; if it drains,
-// the search described at wedgeSeed finds another.
+// TestAnalyzerFindsRealDeadlock runs internal/network's wedge fixtures
+// (testdata/wedges.json there: initial loads the explorer reaches a deadlock
+// from with recovery off) to their fixed point and checks the WFG analyzer
+// reports a true deadlock whose members are exactly the fixture's stuck set,
+// each waiting only on blocked packets. Each fixture's load is restored from
+// its wedge-<name>.bin snapshot; the network package holds the files to the
+// JSON.
 func TestAnalyzerFindsRealDeadlock(t *testing.T) {
-	n := buildNet(t, routing.Disha(0), 1, 0.9, 2, 0)
-	n.Run(4000)
-	if n.RunUntilDrained(20000) {
-		t.Fatal("seed 2 drained without recovery; see internal/network's wedgeSeed for how to find one that wedges")
+	data, err := os.ReadFile("../network/testdata/wedges.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := core.AnalyzeWFG(n.Routers())
-	if !res.TrueDeadlock() {
-		t.Fatalf("wedged network but analyzer found no true deadlock (blocked=%d)", len(res.Blocked))
+	var fixtures []struct {
+		Name      string
+		Topology  string
+		Misroutes int
+		Seed      uint64
+		Stuck     []packet.ID
 	}
-	members := map[interface{}]bool{}
-	for _, bh := range res.Deadlocked {
-		members[bh.Pkt] = true
+	if err := json.Unmarshal(data, &fixtures); err != nil {
+		t.Fatal(err)
 	}
-	// Every deadlocked header waits only on blocked packets (by fixpoint
-	// construction none of its waitees can advance).
-	for _, bh := range res.Deadlocked {
-		if len(bh.WaitsOn) == 0 {
-			continue
+	if len(fixtures) == 0 {
+		t.Fatal("no wedge fixtures")
+	}
+	for _, fx := range fixtures {
+		topo, err := topology.Parse(fx.Topology)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range bh.WaitsOn {
-			if w.OnDB {
-				t.Fatalf("deadlocked header waits on a recovering packet %v", w)
+		// The explorer's configuration: one VC of depth 1, 2-flit packets,
+		// no injection after cycle 0, no recovery.
+		rc := router.Default()
+		rc.VCs, rc.BufferDepth, rc.Timeout = 1, 1, 0
+		n, err := network.New(network.Config{Topo: topo, Router: rc, Algorithm: routing.Disha(fx.Misroutes),
+			Pattern: traffic.Uniform(topo), MsgLen: 2, Seed: fx.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		load, err := os.Open("../network/testdata/wedge-" + fx.Name + ".bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = n.Restore(load)
+		load.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", fx.Name, err)
+		}
+		// Every fixture reaches its fixed point within a dozen cycles.
+		n.Run(100)
+		if n.Drained() {
+			t.Fatalf("%s drained without recovery", fx.Name)
+		}
+		res := core.AnalyzeWFG(n.Routers())
+		if !res.TrueDeadlock() {
+			t.Fatalf("%s: wedged network but analyzer found no true deadlock (blocked=%d)", fx.Name, len(res.Blocked))
+		}
+		var members []packet.ID
+		for _, bh := range res.Deadlocked {
+			members = append(members, bh.Pkt.ID)
+			// Every deadlocked header waits only on blocked packets (by
+			// fixpoint construction none of its waitees can advance).
+			for _, w := range bh.WaitsOn {
+				if w.OnDB {
+					t.Fatalf("%s: deadlocked header waits on a recovering packet %v", fx.Name, w)
+				}
 			}
+		}
+		slices.Sort(members)
+		if !slices.Equal(members, fx.Stuck) {
+			t.Errorf("%s: analyzer flags %v, the stuck set is %v", fx.Name, members, fx.Stuck)
 		}
 	}
 }

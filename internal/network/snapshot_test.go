@@ -22,7 +22,7 @@ import (
 // format change (remember to bump snapshotVersion) with:
 //
 //	go test ./internal/network -run TestSnapshotGoldenFixture -update-snapshot
-var updateSnapshot = flag.Bool("update-snapshot", false, "rewrite testdata/snapshot_v3.bin from the current encoder")
+var updateSnapshot = flag.Bool("update-snapshot", false, "rewrite testdata/snapshot_v3.bin and the wedge-*.bin loads from the current encoder")
 
 const snapshotFixture = "testdata/snapshot_v3.bin"
 
