@@ -1,8 +1,8 @@
 // Command benchgate is a dependency-free benchstat-style gate for CI: it
 // parses `go test -bench` output, summarizes benchmarks as medians of their
-// ns/op samples, evaluates every gate, prints one per-gate summary table,
-// and exits non-zero when any candidate's median exceeds its baseline's by
-// more than the allowed ratio.
+// samples, evaluates every gate, prints one per-gate summary table, and
+// exits non-zero when any candidate's median exceeds its baseline's by more
+// than the allowed ratio.
 //
 // Gates are given with the repeatable -gate flag as
 // "candidate:baseline:max-ratio" triples:
@@ -16,7 +16,14 @@
 // The first gate above requires the active-set scheduler to clear 1.5x the
 // full scan's cycles/sec at low load (ns/op ratio <= 0.667); the second
 // holds a full-scan step to at most twice the time of a fixed-work
-// calibration loop run in the same job. At least one -gate is required. All
+// calibration loop run in the same job. A baseline that is not a benchmark
+// name is a unit the candidate reports with b.ReportMetric, and the gate
+// bounds the median of that metric itself:
+//
+//	-gate 'BenchmarkStepProfiled:on/off:1.111'
+//
+// requires the median "on/off" value BenchmarkStepProfiled reports to stay
+// at or below 1.111. At least one -gate is required. All
 // gates are always evaluated — a failing gate never hides the state of the
 // others — and the table marks each row PASS, FAIL, or MISSING (a renamed
 // benchmark must not silently disarm its gate). Medians over the -count
@@ -36,11 +43,26 @@ import (
 )
 
 // gate is one candidate-vs-baseline comparison: fail when the candidate's
-// median ns/op exceeds baseline median * maxRatio.
+// median ns/op exceeds baseline median * maxRatio. When baseline is a unit
+// (metric), fail when the median of the candidate's metric in that unit
+// exceeds maxRatio.
 type gate struct {
 	candidate string
 	baseline  string
 	maxRatio  float64
+}
+
+// metric reports whether the gate bounds a reported metric: its baseline
+// names a unit, not a benchmark.
+func (g gate) metric() bool { return !strings.HasPrefix(g.baseline, "Benchmark") }
+
+// sampleKey is where samples holds name's values in unit: ns/op under the
+// bare name, any other unit under "name unit".
+func sampleKey(name, unit string) string {
+	if unit == "ns/op" {
+		return name
+	}
+	return name + " " + unit
 }
 
 // gateList collects repeated -gate flags.
@@ -98,9 +120,9 @@ func main() {
 	samples := map[string][]float64{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		name, nsPerOp, ok := parseBenchLine(sc.Text())
-		if ok {
-			samples[name] = append(samples[name], nsPerOp)
+		name, values, _ := parseBenchLine(sc.Text())
+		for unit, v := range values {
+			samples[sampleKey(name, unit)] = append(samples[sampleKey(name, unit)], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -137,6 +159,14 @@ func (r gateResult) ok() bool { return r.missing == "" && r.ratio <= r.maxRatio 
 // benchmark is a failure: a renamed benchmark must not silently disarm its
 // gate.
 func evalGate(gt gate, samples map[string][]float64) gateResult {
+	if gt.metric() {
+		xs := samples[sampleKey(gt.candidate, gt.baseline)]
+		r := gateResult{gate: gt, cand: median(xs), candN: len(xs), ratio: median(xs)}
+		if r.candN == 0 {
+			r.missing = sampleKey(gt.candidate, gt.baseline)
+		}
+		return r
+	}
 	r := gateResult{
 		gate:  gt,
 		base:  median(samples[gt.baseline]),
@@ -161,23 +191,24 @@ func evalGate(gt gate, samples map[string][]float64) gateResult {
 func renderTable(results []gateResult) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "CANDIDATE\tBASELINE\tCAND ns/op\tBASE ns/op\tRATIO\tLIMIT\tRESULT")
+	fmt.Fprintln(w, "CANDIDATE\tBASELINE\tCAND\tBASE ns/op\tRATIO\tLIMIT\tRESULT")
 	for _, r := range results {
+		cand := sampleCell(r.cand, r.candN)
+		if r.metric() && r.candN > 0 {
+			cand = fmt.Sprintf("%.3f (n=%d)", r.cand, r.candN)
+		}
 		switch {
 		case r.missing != "":
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%.3f\tMISSING %s\n",
-				r.candidate, r.baseline,
-				sampleCell(r.cand, r.candN), sampleCell(r.base, r.baseN),
+				r.candidate, r.baseline, cand, sampleCell(r.base, r.baseN),
 				"-", r.maxRatio, r.missing)
 		case r.ratio > r.maxRatio:
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.3f\t%.3f\tFAIL\n",
-				r.candidate, r.baseline,
-				sampleCell(r.cand, r.candN), sampleCell(r.base, r.baseN),
+				r.candidate, r.baseline, cand, sampleCell(r.base, r.baseN),
 				r.ratio, r.maxRatio)
 		default:
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.3f\t%.3f\tPASS\n",
-				r.candidate, r.baseline,
-				sampleCell(r.cand, r.candN), sampleCell(r.base, r.baseN),
+				r.candidate, r.baseline, cand, sampleCell(r.base, r.baseN),
 				r.ratio, r.maxRatio)
 		}
 	}
@@ -194,11 +225,12 @@ func sampleCell(med float64, n int) string {
 }
 
 // parseBenchLine extracts the benchmark name (GOMAXPROCS suffix stripped)
-// and ns/op from one `go test -bench` result line.
-func parseBenchLine(line string) (name string, nsPerOp float64, ok bool) {
+// and every value by its unit from one `go test -bench` result line. A line
+// without ns/op is not a result.
+func parseBenchLine(line string) (name string, values map[string]float64, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", 0, false
+		return "", nil, false
 	}
 	name = fields[0]
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
@@ -206,16 +238,18 @@ func parseBenchLine(line string) (name string, nsPerOp float64, ok bool) {
 			name = name[:i] // strip -<GOMAXPROCS>
 		}
 	}
-	for i := 2; i+1 < len(fields); i++ {
-		if fields[i+1] == "ns/op" {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return "", 0, false
-			}
-			return name, v, true
+	values = map[string]float64{}
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return "", nil, false
 		}
+		values[fields[i+1]] = v
 	}
-	return "", 0, false
+	if _, ok := values["ns/op"]; !ok {
+		return "", nil, false
+	}
+	return name, values, true
 }
 
 func median(xs []float64) float64 {

@@ -46,9 +46,9 @@ func TestUsageErrors(t *testing.T) {
 
 func TestParseBenchLine(t *testing.T) {
 	line := "BenchmarkStepSerial/torus16-8   \t     400\t   123456 ns/op\t       0 B/op\t       0 allocs/op\t       256 routers/step"
-	name, ns, ok := parseBenchLine(line)
-	if !ok || name != "BenchmarkStepSerial/torus16" || ns != 123456 {
-		t.Fatalf("parsed (%q, %v, %v)", name, ns, ok)
+	name, values, ok := parseBenchLine(line)
+	if !ok || name != "BenchmarkStepSerial/torus16" || values["ns/op"] != 123456 || values["routers/step"] != 256 || len(values) != 4 {
+		t.Fatalf("parsed (%q, %v, %v)", name, values, ok)
 	}
 	for _, bad := range []string{
 		"goos: linux",
@@ -89,41 +89,73 @@ func TestParseGate(t *testing.T) {
 
 func TestEvalGate(t *testing.T) {
 	samples := map[string][]float64{
-		"Base": {100, 110, 90, 105, 95}, // median 100
-		"Fast": {40, 50, 45},            // median 45
-		"Slow": {200, 210, 190},         // median 200
+		"BenchmarkBase": {100, 110, 90, 105, 95}, // median 100
+		"BenchmarkFast": {40, 50, 45},            // median 45
+		"BenchmarkSlow": {200, 210, 190},         // median 200
 	}
-	if r := evalGate(gate{candidate: "Fast", baseline: "Base", maxRatio: 0.667}, samples); !r.ok() || r.ratio != 0.45 {
+	if r := evalGate(gate{candidate: "BenchmarkFast", baseline: "BenchmarkBase", maxRatio: 0.667}, samples); !r.ok() || r.ratio != 0.45 {
 		t.Fatalf("fast candidate: %+v", r)
 	}
-	if r := evalGate(gate{candidate: "Slow", baseline: "Base", maxRatio: 1.0}, samples); r.ok() {
+	if r := evalGate(gate{candidate: "BenchmarkSlow", baseline: "BenchmarkBase", maxRatio: 1.0}, samples); r.ok() {
 		t.Fatalf("slow candidate passed gate: %+v", r)
 	}
 	// Missing benchmarks must fail rather than silently disarm the gate.
-	if r := evalGate(gate{candidate: "Gone", baseline: "Base", maxRatio: 1.0}, samples); r.ok() || r.missing != "Gone" {
+	if r := evalGate(gate{candidate: "BenchmarkGone", baseline: "BenchmarkBase", maxRatio: 1.0}, samples); r.ok() || r.missing != "BenchmarkGone" {
 		t.Fatalf("missing candidate: %+v", r)
 	}
-	if r := evalGate(gate{candidate: "Fast", baseline: "Gone", maxRatio: 1.0}, samples); r.ok() || r.missing != "Gone" {
+	if r := evalGate(gate{candidate: "BenchmarkFast", baseline: "BenchmarkGone", maxRatio: 1.0}, samples); r.ok() || r.missing != "BenchmarkGone" {
 		t.Fatalf("missing baseline: %+v", r)
+	}
+}
+
+// TestMetricGate: a gate whose baseline is a unit bounds the median of the
+// candidate's reported metric, and a metric nobody reported fails.
+func TestMetricGate(t *testing.T) {
+	samples := map[string][]float64{}
+	for _, line := range []string{
+		"BenchmarkStepProfiled-2   400   344548 ns/op   1.083 on/off   23690 B/op   66 allocs/op",
+		"BenchmarkStepProfiled-2   400   340793 ns/op   0.990 on/off   23690 B/op   66 allocs/op",
+		"BenchmarkStepProfiled-2   400   437577 ns/op   1.300 on/off   23690 B/op   66 allocs/op",
+	} {
+		name, values, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("line %q not parsed", line)
+		}
+		for unit, v := range values {
+			samples[sampleKey(name, unit)] = append(samples[sampleKey(name, unit)], v)
+		}
+	}
+	if r := evalGate(gate{candidate: "BenchmarkStepProfiled", baseline: "on/off", maxRatio: 1.111}, samples); !r.ok() || r.ratio != 1.083 || r.candN != 3 {
+		t.Fatalf("metric gate: %+v", r)
+	}
+	if r := evalGate(gate{candidate: "BenchmarkStepProfiled", baseline: "on/off", maxRatio: 1.05}, samples); r.ok() {
+		t.Fatalf("metric over its bound passed: %+v", r)
+	}
+	if r := evalGate(gate{candidate: "BenchmarkStepProfiled", baseline: "off/on", maxRatio: 2}, samples); r.ok() || r.missing != "BenchmarkStepProfiled off/on" {
+		t.Fatalf("unreported metric: %+v", r)
+	}
+	table := renderTable([]gateResult{evalGate(gate{candidate: "BenchmarkStepProfiled", baseline: "on/off", maxRatio: 1.111}, samples)})
+	if !strings.Contains(table, "1.083 (n=3)") || !strings.Contains(table, "PASS") {
+		t.Errorf("metric row:\n%s", table)
 	}
 }
 
 func TestRenderTable(t *testing.T) {
 	samples := map[string][]float64{
-		"Base": {100},
-		"Fast": {45},
-		"Slow": {200},
+		"BenchmarkBase": {100},
+		"BenchmarkFast": {45},
+		"BenchmarkSlow": {200},
 	}
 	table := renderTable([]gateResult{
-		evalGate(gate{candidate: "Fast", baseline: "Base", maxRatio: 0.667}, samples),
-		evalGate(gate{candidate: "Slow", baseline: "Base", maxRatio: 1.0}, samples),
-		evalGate(gate{candidate: "Gone", baseline: "Base", maxRatio: 1.0}, samples),
+		evalGate(gate{candidate: "BenchmarkFast", baseline: "BenchmarkBase", maxRatio: 0.667}, samples),
+		evalGate(gate{candidate: "BenchmarkSlow", baseline: "BenchmarkBase", maxRatio: 1.0}, samples),
+		evalGate(gate{candidate: "BenchmarkGone", baseline: "BenchmarkBase", maxRatio: 1.0}, samples),
 	})
 	lines := strings.Split(strings.TrimRight(table, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("table has %d lines, want header + 3 rows:\n%s", len(lines), table)
 	}
-	for i, want := range []string{"RESULT", "PASS", "FAIL", "MISSING Gone"} {
+	for i, want := range []string{"RESULT", "PASS", "FAIL", "MISSING BenchmarkGone"} {
 		if !strings.Contains(lines[i], want) {
 			t.Errorf("line %d missing %q:\n%s", i, want, table)
 		}
