@@ -158,15 +158,14 @@ func (r *Runner) Open() int { return r.open }
 // Summary aggregates the campaign: event counts, total losses, and worst
 // latencies among closed events.
 type Summary struct {
-	Events            int
-	Applied           int
-	Skipped           int
-	Open              int
-	PacketsLost       int64
-	FlitsLost         int64
-	PacketsUnroutable int64
-	MaxRecovery       int64
-	MaxReconverge     int64
+	Events        int
+	Applied       int
+	Skipped       int
+	Open          int
+	PacketsLost   int64
+	FlitsLost     int64
+	MaxRecovery   int64
+	MaxReconverge int64
 }
 
 // Summary computes aggregate statistics over the reports so far.
@@ -183,7 +182,6 @@ func (r *Runner) Summary() Summary {
 		s.Applied++
 		s.PacketsLost += rep.PacketsLost
 		s.FlitsLost += rep.FlitsLost
-		s.PacketsUnroutable += rep.PacketsUnroutable
 		if rep.RecoveryCycles > s.MaxRecovery {
 			s.MaxRecovery = rep.RecoveryCycles
 		}
