@@ -407,11 +407,12 @@ func (n *Network) dropVictims(victims []*packet.Packet) {
 // not retransmitted, and partial delivery is tolerated: a packet whose head
 // already reached its destination simply never delivers its tail.
 //
-// Every victim has been injected. Both victim lists (linkVictims, and the
-// packets on the lanes under concurrent recovery) are read from router
-// state, a packet enters router state only when InjectFlit takes its header
-// and stamps InjectedAt, and the one reset of InjectedAt (abort-retry) purges
-// the packet from every router first.
+// Every victim has been injected: linkVictims reads router state, and
+// concurrent recovery's victims are on a lane, which only a router puts a
+// packet on. A packet enters router state only when InjectFlit takes its
+// header and stamps InjectedAt, and injectAt then pops it from its source
+// queue; the one reset of InjectedAt (abort-retry) purges the packet from
+// every router first. So no victim waits in a source queue.
 func (n *Network) dropPacket(p *packet.Packet) {
 	flits := n.purge(p)
 	if n.token != nil {
