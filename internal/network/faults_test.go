@@ -31,10 +31,25 @@ func TestKillLinkValidation(t *testing.T) {
 	}
 }
 
-// TestKillLinkRefusesDisconnection builds a 2x2 mesh, a ring of four
-// links, and cuts it: the first cut leaves a chain, and every further cut
-// would disconnect the live network.
 func TestKillLinkRefusesDisconnection(t *testing.T) {
+	// On a 2-node ring (radix-2 single dimension has doubled links) use a
+	// small mesh: cutting the only link to a corner must be refused.
+	topo := topology.MustMesh(2, 2)
+	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.0, 1))
+	// Corner (0,0) connects via +X and +Y. Fail +X, then +Y must refuse.
+	if err := n.KillLink(0, topology.PortFor(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.KillLink(0, topology.PortFor(1, 1)); err == nil {
+		t.Fatal("disconnecting a node must be refused")
+	}
+}
+
+// TestKillLinkRefusalLeavesNoLog builds a 2x2 mesh, a ring of four links,
+// and cuts it: the first cut leaves a chain, a further cut would disconnect
+// the live network, and every refused manual event leaves the
+// reconfiguration log as it was.
+func TestKillLinkRefusalLeavesNoLog(t *testing.T) {
 	topo := topology.MustMesh(2, 2)
 	n := mustNet(t, testConfig(topo, routing.Disha(3), 0.0, 1))
 	if err := n.KillLink(0, topology.PortFor(0, 1)); err != nil {
@@ -58,6 +73,9 @@ func TestKillLinkRefusesDisconnection(t *testing.T) {
 	}
 	if err := n.HealLink(0, topology.PortFor(1, 1)); err == nil {
 		t.Fatal("heal of a live link accepted")
+	}
+	if log := n.ReconfigLog(); len(log) != 1 {
+		t.Fatalf("refused events were logged: %v", log)
 	}
 	if err := n.HealLink(0, topology.PortFor(0, 1)); err != nil || len(n.ReconfigLog()) != 2 {
 		t.Fatalf("heal: %v, log %v", err, n.ReconfigLog())
