@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/network"
@@ -58,8 +57,9 @@ import (
 // --- Topologies -----------------------------------------------------------------
 
 // Graph is a directed network graph — the minimal interface the simulator
-// needs. Every Topology is a Graph; coordinate-free constructors (FullMesh,
-// Dragonfly, FatTree, ParseTopology) return plain Graphs.
+// needs. Every Topology is a Graph; the coordinate-free graphs (full mesh,
+// dragonfly, fat-tree) are plain Graphs, built by NewDragonfly or by name
+// through ParseTopology.
 type Graph = topology.Graph
 
 // Topology is a direct interconnection network graph with k-ary n-cube
@@ -82,37 +82,16 @@ func Mesh(radix ...int) Topology { return topology.MustMesh(radix...) }
 // NewTorus is the error-returning variant of Torus.
 func NewTorus(radix ...int) (Topology, error) { return topology.NewTorus(radix...) }
 
-// NewMesh is the error-returning variant of Mesh.
-func NewMesh(radix ...int) (Topology, error) { return topology.NewMesh(radix...) }
-
 // Hypercube builds the n-dimensional binary hypercube; it panics for n < 1.
 func Hypercube(dims int) Topology { return topology.MustHypercube(dims) }
 
 // NewHypercube is the error-returning variant of Hypercube.
 func NewHypercube(dims int) (Topology, error) { return topology.NewHypercube(dims) }
 
-// FullMesh builds the complete graph on n nodes (every pair directly
-// linked); it panics on invalid n.
-func FullMesh(n int) Graph { return topology.MustFullMesh(n) }
-
-// NewFullMesh is the error-returning variant of FullMesh.
-func NewFullMesh(n int) (Graph, error) { return topology.NewFullMesh(n) }
-
-// Dragonfly builds a canonical dragonfly: groups of a routers, all-to-all
+// NewDragonfly builds a canonical dragonfly: groups of a routers, all-to-all
 // within a group, h global channels per router, one global channel between
-// every pair of groups. It panics on invalid parameters.
-func Dragonfly(a, h int) Graph { return topology.MustDragonfly(a, h) }
-
-// NewDragonfly is the error-returning variant of Dragonfly.
+// every pair of groups. It returns an error on invalid parameters.
 func NewDragonfly(a, h int) (Graph, error) { return topology.NewDragonfly(a, h) }
-
-// FatTree builds a three-level k-ary fat-tree (k even) over the router
-// fabric: k pods of k edge+aggregation switches plus (k/2)^2 core switches.
-// It panics on invalid k.
-func FatTree(k int) Graph { return topology.MustFatTree(k) }
-
-// NewFatTree is the error-returning variant of FatTree.
-func NewFatTree(k int) (Graph, error) { return topology.NewFatTree(k) }
 
 // ParseTopology builds a topology from its textual name: "torus-8x8",
 // "mesh-4x4x2", "hypercube-3", "fullmesh-16", "dragonfly-4x2", "fattree-4".
@@ -175,23 +154,10 @@ func BitReversal(topo Graph) (Pattern, error) { return traffic.BitReversal(topo)
 func Transpose(topo Topology) (Pattern, error) { return traffic.Transpose(topo) }
 
 // HotSpot directs fraction of all traffic at the spot node on top of base;
-// it panics when base is nil or fraction lies outside [0, 1] (use
-// NewHotSpot to get an error).
+// it panics when base is nil or fraction lies outside [0, 1].
 func HotSpot(base Pattern, spot Node, fraction float64) Pattern {
 	return traffic.HotSpot(base, spot, fraction)
 }
-
-// NewHotSpot is HotSpot with an error instead of a panic on a nil base or a
-// fraction outside [0, 1].
-func NewHotSpot(base Pattern, spot Node, fraction float64) (Pattern, error) {
-	return traffic.NewHotSpot(base, spot, fraction)
-}
-
-// Complement sends every node to its coordinate-wise complement.
-func Complement(topo Topology) Pattern { return traffic.Complement(topo) }
-
-// Tornado sends (x, ...) to ((x + ceil(k/2) - 1) mod k, ...).
-func Tornado(topo Topology) Pattern { return traffic.Tornado(topo) }
 
 // --- Simulation ----------------------------------------------------------------------
 
@@ -353,10 +319,6 @@ func (s *Simulator) AnalyzeDeadlock() core.WFGResult {
 // network.ReconfigEvent and CHAOS.md.
 type ReconfigEvent = network.ReconfigEvent
 
-// ReconfigOutcome records how one reconfiguration event was applied (or why
-// it was skipped) and what it cost; see network.ReconfigOutcome.
-type ReconfigOutcome = network.ReconfigOutcome
-
 // Reconfiguration event kinds.
 const (
 	ReconfigKillLink = network.ReconfigKillLink
@@ -381,12 +343,6 @@ func (s *Simulator) KillLink(node Node, port int) error {
 // HealLink restores a previously killed link.
 func (s *Simulator) HealLink(node Node, port int) error {
 	return s.net.HealLink(node, port)
-}
-
-// ReconfigLog returns every reconfiguration outcome so far, in application
-// order — the deterministic record a replayed run must reproduce exactly.
-func (s *Simulator) ReconfigLog() []ReconfigOutcome {
-	return s.net.ReconfigLog()
 }
 
 // --- Checkpoint / restore -----------------------------------------------------
@@ -553,10 +509,6 @@ type SweepStatus = harness.Status
 // SweepReport summarizes a finished sweep (completed, failed and aborted
 // points, wall time): Experiment.RunWith returns it.
 type SweepReport = harness.Report
-
-// SweepSeedFor derives the deterministic seed of the point with the given
-// identity key under a base seed (exposed for tooling and tests).
-func SweepSeedFor(base uint64, key string) uint64 { return engine.SeedFor(base, key) }
 
 // PlotLatency renders an experiment's latency-vs-load curves as an ASCII
 // chart (log y axis).

@@ -144,9 +144,6 @@ func TestFacadePatterns(t *testing.T) {
 	if !strings.Contains(hs.Name(), "hotspot") {
 		t.Fatal("hotspot name")
 	}
-	if disha.Complement(topo).Name() != "complement" || disha.Tornado(topo).Name() != "tornado" {
-		t.Fatal("extension pattern names")
-	}
 }
 
 func TestFacadeTrace(t *testing.T) {

@@ -98,12 +98,9 @@ type ReconfigOutcome struct {
 	// Reason explains a skipped event; empty when Applied.
 	Reason string
 	// PacketsLost / FlitsLost count in-flight packets (and their buffered
-	// flits) this event dropped. PacketsUnroutable is always 0: a link event
-	// drops no packet before injection. It stays because snapshots and the
-	// chaos report code it.
-	PacketsLost       int64
-	FlitsLost         int64
-	PacketsUnroutable int64
+	// flits) this event dropped.
+	PacketsLost int64
+	FlitsLost   int64
 }
 
 // String renders the outcome: the event plus either its loss tally or the
@@ -112,7 +109,7 @@ func (o ReconfigOutcome) String() string {
 	if !o.Applied {
 		return fmt.Sprintf("%s SKIPPED (%s)", o.ReconfigEvent, o.Reason)
 	}
-	return fmt.Sprintf("%s lost=%d flits=%d unroutable=%d", o.ReconfigEvent, o.PacketsLost, o.FlitsLost, o.PacketsUnroutable)
+	return fmt.Sprintf("%s lost=%d flits=%d", o.ReconfigEvent, o.PacketsLost, o.FlitsLost)
 }
 
 // ScheduleReconfig arms a schedule of reconfiguration events, replacing any

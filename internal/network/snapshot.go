@@ -125,10 +125,11 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 
 // walkReconfigLog codes the reconfiguration log. A decoder replays each
 // entry as it arrives, reconstructing the topology's history on the fresh
-// network before any router state is read. Each entry keeps a reserved
-// string slot, always written empty: it held a removed routing swap's
-// function name, and a file whose slot is set (or whose kind is unknown) is
-// refused rather than replayed without it.
+// network before any router state is read. Each entry keeps two reserved
+// slots, always written empty: a string that held a removed routing swap's
+// function name, and a last integer that held a removed count of packets
+// dropped before injection. A file with either slot set (or an unknown
+// kind) is refused rather than replayed without it.
 func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 	count := len(n.reconfigLog)
 	c.Len(&count, c.Remaining()/64)
@@ -143,12 +144,13 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 		snapshot.Int(c, &o.Node)
 		snapshot.Int(c, &o.Port)
 		var reserved string
+		var reservedCount int64
 		c.String(&reserved)
 		c.Bool(&o.Applied)
 		c.String(&o.Reason)
 		c.I64(&o.PacketsLost)
 		c.I64(&o.FlitsLost)
-		c.I64(&o.PacketsUnroutable)
+		c.I64(&reservedCount)
 		if !c.Decoding() {
 			continue
 		}
@@ -157,6 +159,9 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 		}
 		if reserved != "" {
 			c.Fail("snapshot: reconfiguration log entry %d: reserved field holds %q (routing swaps are not supported)", i, reserved)
+		}
+		if reservedCount != 0 {
+			c.Fail("snapshot: reconfiguration log entry %d: reserved count holds %d (always 0)", i, reservedCount)
 		}
 		if err := c.Err(); err != nil {
 			return err

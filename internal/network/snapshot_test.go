@@ -287,28 +287,36 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The log follows the guard: a count, then per entry the cycle,
-		// kind, node and port, then the reserved string slot.
+		// kind, node and port, then the reserved string slot; the entry ends
+		// with its reserved count, so that is the log's last 8 bytes.
 		var head snapshot.Codec
 		n.walkConfigGuard(&head)
 		kind, slot := len(head.Bytes())+16, len(head.Bytes())+40
-		if binary.LittleEndian.Uint64(payload[kind:]) != uint64(ReconfigKillLink) || binary.LittleEndian.Uint64(payload[slot:]) != 0 {
+		if err := n.walkReconfigLog(&head); err != nil {
+			t.Fatal(err)
+		}
+		count := len(head.Bytes()) - 8
+		if binary.LittleEndian.Uint64(payload[kind:]) != uint64(ReconfigKillLink) ||
+			binary.LittleEndian.Uint64(payload[slot:]) != 0 || binary.LittleEndian.Uint64(payload[count:]) != 0 {
 			t.Fatal("log entry not where the layout says")
 		}
-		withKind := func(k uint64) []byte {
+		with := func(off int, v uint64) []byte {
 			mut := bytes.Clone(payload)
-			binary.LittleEndian.PutUint64(mut[kind:], k)
+			binary.LittleEndian.PutUint64(mut[off:], v)
 			return mut
 		}
+		withKind := func(k uint64) []byte { return with(kind, k) }
 		set := append(binary.LittleEndian.AppendUint64(bytes.Clone(payload[:slot]), 3), "dor"...)
 		set = append(set, payload[slot+8:]...)
 		for name, tc := range map[string]struct {
 			payload []byte
 			want    string
 		}{
-			"kind 2":        {withKind(2), "log entry 0: network: unknown reconfiguration kind 2"},
-			"kind 3":        {withKind(3), "log entry 0: network: unknown reconfiguration kind 3"},
-			"kind 4":        {withKind(4), "log entry 0: network: unknown reconfiguration kind 4"},
-			"reserved slot": {set, `log entry 0: reserved field holds "dor"`},
+			"kind 2":         {withKind(2), "log entry 0: network: unknown reconfiguration kind 2"},
+			"kind 3":         {withKind(3), "log entry 0: network: unknown reconfiguration kind 3"},
+			"kind 4":         {withKind(4), "log entry 0: network: unknown reconfiguration kind 4"},
+			"reserved slot":  {set, `log entry 0: reserved field holds "dor"`},
+			"reserved count": {with(count, 3), "log entry 0: reserved count holds 3"},
 		} {
 			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, tc.payload))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -317,6 +325,27 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 		if err := restoreAndStep(t, cfg, buf.Bytes()); err != nil {
 			t.Fatalf("the unedited snapshot is refused: %v", err)
+		}
+	})
+	t.Run("reserved counter slot", func(t *testing.T) {
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The counters follow the guard, the empty log's count, the clock,
+		// the RNG and the ID allocator; the reserved slot follows their rows.
+		var head snapshot.Codec
+		mustNet(t, cfg).walkConfigGuard(&head)
+		clock := len(head.Bytes()) + 8
+		slot := clock + 8 + 32 + 8 + 8*len(counterTable)
+		if binary.LittleEndian.Uint64(payload[clock:]) != 200 || binary.LittleEndian.Uint64(payload[slot:]) != 0 {
+			t.Fatal("counters not where the layout says")
+		}
+		mut := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(mut[slot:], 5)
+		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
+		if want := "counters: reserved slot after flits_lost holds 5"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("restore error %v, want one containing %q", err, want)
 		}
 	})
 }
@@ -612,7 +641,9 @@ func TestSnapshotRejectsHostilePacketEndpoints(t *testing.T) {
 	if err := n.walkReconfigLog(&head); err != nil {
 		t.Fatal(err)
 	}
-	table := len(head.Bytes()) + 8 + 32 + 8 + 8*len(counterTable)
+	var ctr Counters
+	ctr.Walk(&head)
+	table := len(head.Bytes()) + 8 + 32 + 8
 	count := int(binary.LittleEndian.Uint64(payload[table:]))
 	if count != len(n.collectPackets()) || count < 20 {
 		t.Fatalf("packet table not where the layout says: count %d, live packets %d", count, len(n.collectPackets()))

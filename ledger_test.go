@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -33,7 +34,11 @@ import (
 //     coordinator render on /metrics.
 //
 // A row's Serves cell must cite a DESIGN.md inventory row that exists, an
-// EXPERIMENTS.md heading (quoted, any part of it), or say "tests only".
+// EXPERIMENTS.md heading (quoted, any part of it), or say "tests only", and
+// must not say "no caller": such a mechanism goes instead. Every facade name
+// the frozen benchmark module selects (benchmarkSelections) must be named in
+// its row's Serves cell after "benchmark/ uses", so no row can call it
+// unused.
 func TestMechanismLedger(t *testing.T) {
 	code := map[string][]string{
 		"reconfig kind":  reconfigKinds(),
@@ -68,6 +73,16 @@ func TestMechanismLedger(t *testing.T) {
 			listed[r.kind][name] = true
 		}
 		checkServes(t, r, design, headings)
+	}
+	for _, name := range benchmarkSelections(t, code["facade"]) {
+		i := slices.IndexFunc(rows, func(r ledgerRow) bool { return r.kind == "facade" && slices.Contains(r.names, name) })
+		if i < 0 {
+			continue // reported above as a facade name without a row
+		}
+		_, uses, _ := strings.Cut(rows[i].serves, "benchmark/ uses ")
+		if uses, _, _ = strings.Cut(uses, ";"); !strings.Contains(uses, "`"+name+"`") {
+			t.Errorf("benchmark/ selects facade %q, but its ledger row %q does not name it after \"benchmark/ uses\"", name, rows[i].line)
+		}
 	}
 	for kind, names := range code {
 		if len(names) == 0 {
@@ -144,6 +159,9 @@ func checkServes(t *testing.T, r ledgerRow, design map[string]bool, headings []s
 	}
 	if !cited {
 		t.Errorf("ledger row %q cites no DESIGN.md row, EXPERIMENTS.md heading or \"tests only\"", r.line)
+	}
+	if strings.Contains(r.serves, "no caller") {
+		t.Errorf("ledger row %q says \"no caller\": a mechanism nothing calls is deleted, not listed", r.line)
 	}
 }
 
@@ -245,6 +263,54 @@ func facadeNames(t *testing.T) []string {
 					}
 				}
 			}
+		}
+	}
+	return names
+}
+
+// benchmarkSelections parses the benchmark module's files and returns the
+// facade names they select: X for a selector disha.X on the root package's
+// import, and Type.Method for any selector .Method whatever its receiver,
+// an over-approximation that can only ask a row to name more.
+func benchmarkSelections(t *testing.T, facade []string) []string {
+	t.Helper()
+	paths, err := filepath.Glob("benchmark/*.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no benchmark/*.go files: %v", err)
+	}
+	fset := token.NewFileSet()
+	selected := map[string]bool{}
+	for _, path := range paths {
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := ""
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"repro"` {
+				pkg = "disha"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+				selected[sel.Sel.Name] = true
+			}
+			selected["."+sel.Sel.Name] = true
+			return true
+		})
+	}
+	var names []string
+	for _, name := range facade {
+		_, method, isMethod := strings.Cut(name, ".")
+		if isMethod && selected["."+method] || !isMethod && selected[name] {
+			names = append(names, name)
 		}
 	}
 	return names
