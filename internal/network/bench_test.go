@@ -126,24 +126,18 @@ func BenchmarkCalibrate(b *testing.B) {
 	calibrationSink = sink
 }
 
-// BenchmarkStepProfiled measures the kernel phase profiler's overhead at
-// the BenchmarkStepActiveSet/torus16/load0.5 operating point. Two identical
-// networks carry the telemetry stack (hub, episode tracker, flight
-// recorder), so the comparison isolates the profiler: "off" has
-// ProfileEvery=0, "on" samples every 32nd cycle (the disha-sim default is
-// 64, so this is conservative). One op is a step of each. The arms take
-// turns in blocks of 32 steps, which profile exactly one cycle of "on", and
-// swap which goes first every block, so host drift lands on both. The
-// benchmark reports the median over block pairs of on's time over off's as
-// its "on/off" metric, so a GC pause that lands in one block moves one pair;
-// CI's benchgate bounds it.
-func BenchmarkStepProfiled(b *testing.B) {
-	const block = 32
-	var arms [2]*Network
-	for i, every := range []int{0, 32} {
-		arms[i] = stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
-		arms[i].EnableTelemetry(telemetry.Options{ProfileEvery: every})
-		arms[i].Run(2000) // steady state
+// stepInterleaved measures arm "on" against arm "off", two networks that
+// simulate the same run and differ only in what observes them. One op is a
+// step of each. The arms take turns in blocks of block steps and swap which
+// goes first every block, so host drift lands on both. The benchmark reports
+// the median over block pairs of on's time over off's as its "on/off"
+// metric, so a GC pause that lands in one block moves one pair; CI's
+// benchgate bounds it. A block must span whole periods of on's periodic
+// work, so that every block carries the same share of it.
+func stepInterleaved(b *testing.B, off, on *Network, block int) {
+	arms := [2]*Network{off, on}
+	for _, n := range arms {
+		n.Run(2000) // steady state
 	}
 	var ratios []float64
 	b.ReportAllocs()
@@ -165,18 +159,32 @@ func BenchmarkStepProfiled(b *testing.B) {
 	b.ReportMetric(ratios[len(ratios)/2], "on/off")
 }
 
+// BenchmarkStepProfiled measures the kernel phase profiler's overhead at
+// the BenchmarkStepActiveSet/torus16/load0.5 operating point. Both arms
+// carry the telemetry stack (hub, episode tracker, flight recorder), so the
+// comparison isolates the profiler: "off" has ProfileEvery=0, "on" samples
+// every 32nd cycle (the disha-sim default is 64, so this is conservative),
+// and a block of 32 steps profiles exactly one cycle of "on".
+func BenchmarkStepProfiled(b *testing.B) {
+	var arms [2]*Network
+	for i, every := range []int{0, 32} {
+		arms[i] = stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
+		arms[i].EnableTelemetry(telemetry.Options{ProfileEvery: every})
+	}
+	stepInterleaved(b, arms[0], arms[1], 32)
+}
+
 // BenchmarkStepTraced measures the whole observation stack against none at
 // the BenchmarkStepActiveSet/torus16/load0.5 operating point: "off" has no
-// observer attached, "on" the default hub streaming JSONL to io.Discard and
-// the phase profiler sampling every 32nd cycle. CI benchgates on against
-// off.
+// observer attached, "on" the default hub streaming JSONL to io.Discard
+// (a sample and a registry publish every 100 cycles) and the phase profiler
+// on every 25th cycle, so a block of 100 steps carries one sample and four
+// profiled cycles of "on".
 func BenchmarkStepTraced(b *testing.B) {
-	b.Run("off", func(b *testing.B) { stepBenchAt(b, 16, 0.5, true) })
-	b.Run("on", func(b *testing.B) {
-		n := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
-		n.EnableTelemetry(telemetry.Options{Writer: telemetry.NewJSONLWriter(io.Discard), ProfileEvery: 32})
-		stepBenchLoop(b, n)
-	})
+	off := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
+	on := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
+	on.EnableTelemetry(telemetry.Options{Writer: telemetry.NewJSONLWriter(io.Discard), ProfileEvery: 25})
+	stepInterleaved(b, off, on, 100)
 }
 
 // BenchmarkStepHighRadix measures high-radix digraphs on which most routers
