@@ -126,9 +126,9 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 // walkReconfigLog codes the reconfiguration log. A decoder replays each
 // entry as it arrives, reconstructing the topology's history on the fresh
 // network before any router state is read. Each entry keeps two reserved
-// slots, always written empty: a string that held a removed routing swap's
-// function name, and a last integer that held a removed count of packets
-// dropped before injection. A file with either slot set (or an unknown
+// slots, always written empty or 0: a string that held a removed routing
+// swap's function name, and a last integer that held a removed count of
+// packets dropped before injection. A file with either slot set (or an unknown
 // kind) is refused rather than replayed without it.
 func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 	count := len(n.reconfigLog)
