@@ -81,7 +81,7 @@ func (ctr *Counters) Walk(c *snapshot.Codec) {
 	}
 	var reserved int64
 	if c.I64(&reserved); reserved != 0 {
-		c.Fail("snapshot: counters: reserved slot after flits_lost holds %d (always 0)", reserved)
+		c.Fail("snapshot: counters: reserved slot holds %d (always 0)", reserved)
 	}
 }
 

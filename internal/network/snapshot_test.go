@@ -344,7 +344,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		mut := bytes.Clone(payload)
 		binary.LittleEndian.PutUint64(mut[slot:], 5)
 		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
-		if want := "counters: reserved slot after flits_lost holds 5"; err == nil || !strings.Contains(err.Error(), want) {
+		if want := "counters: reserved slot holds 5"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("restore error %v, want one containing %q", err, want)
 		}
 	})
