@@ -39,36 +39,40 @@ type Counters struct {
 // here reaches every one of them (TestCounterTableCoversStruct holds the
 // struct to the table). A row with perRouter set is the sum of a router.Stats
 // field: /metrics exports that family per router, labelled by node, instead
-// of as one network-wide series.
+// of as one network-wide series. A row with derived set (perRouter rows
+// included) is kept elsewhere — the clock, the sources, the Token or the
+// routers' Stats — and Network.Counters adds it to the stored zero, so a
+// snapshot always writes its slot 0 and refuses a file that sets it.
 var counterTable = [...]struct {
 	field        func(*Counters) *int64
 	key          string // JSONL and CountersMap key; the report prints it with spaces
 	metric, help string // /metrics family
 	perRouter    func(router.Stats) int64
+	derived      bool
 }{
-	{func(c *Counters) *int64 { return (*int64)(&c.Cycles) }, "cycles", "disha_cycles_total", "Simulation cycles executed.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsOffered }, "packets_offered", "disha_packets_offered_total", "Packets generated by traffic sources.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsInjected }, "packets_injected", "disha_packets_injected_total", "Packet headers accepted into the network.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsDelivered }, "packets_delivered", "disha_packets_delivered_total", "Packet tails consumed at destinations.", nil},
-	{func(c *Counters) *int64 { return &c.FlitsDelivered }, "flits_delivered", "disha_flits_delivered_total", "Flits consumed at destinations.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsKilled }, "packets_killed", "disha_packets_killed_total", "Packets killed by abort-retry recovery.", nil},
-	{func(c *Counters) *int64 { return &c.TokenSeizures }, "token_seizures", "disha_token_seizures_total", "Recovery Token captures.", nil},
+	{func(c *Counters) *int64 { return (*int64)(&c.Cycles) }, "cycles", "disha_cycles_total", "Simulation cycles executed.", nil, true},
+	{func(c *Counters) *int64 { return &c.PacketsOffered }, "packets_offered", "disha_packets_offered_total", "Packets generated by traffic sources.", nil, true},
+	{func(c *Counters) *int64 { return &c.PacketsInjected }, "packets_injected", "disha_packets_injected_total", "Packet headers accepted into the network.", nil, false},
+	{func(c *Counters) *int64 { return &c.PacketsDelivered }, "packets_delivered", "disha_packets_delivered_total", "Packet tails consumed at destinations.", nil, false},
+	{func(c *Counters) *int64 { return &c.FlitsDelivered }, "flits_delivered", "disha_flits_delivered_total", "Flits consumed at destinations.", nil, false},
+	{func(c *Counters) *int64 { return &c.PacketsKilled }, "packets_killed", "disha_packets_killed_total", "Packets killed by abort-retry recovery.", nil, false},
+	{func(c *Counters) *int64 { return &c.TokenSeizures }, "token_seizures", "disha_token_seizures_total", "Recovery Token captures.", nil, true},
 	{func(c *Counters) *int64 { return &c.Recoveries }, "recoveries", "disha_recoveries_total", "Packets switched onto the Deadlock Buffer lane here.",
-		func(s router.Stats) int64 { return s.Recoveries }},
+		func(s router.Stats) int64 { return s.Recoveries }, true},
 	{func(c *Counters) *int64 { return &c.TimeoutEvents }, "timeout_events", "disha_timeouts_total", "Headers whose T_elapsed first crossed T_out here.",
-		func(s router.Stats) int64 { return s.TimeoutEvents }},
+		func(s router.Stats) int64 { return s.TimeoutEvents }, true},
 	{func(c *Counters) *int64 { return &c.FalseDetections }, "false_detections", "disha_false_detections_total", "Presumed headers here that moved normally afterwards.",
-		func(s router.Stats) int64 { return s.FalseDetections }},
+		func(s router.Stats) int64 { return s.FalseDetections }, true},
 	{func(c *Counters) *int64 { return &c.MisrouteHops }, "misroute_hops", "disha_misroute_hops_total", "Non-profitable hops taken out of this router.",
-		func(s router.Stats) int64 { return s.MisrouteHops }},
+		func(s router.Stats) int64 { return s.MisrouteHops }, true},
 	{func(c *Counters) *int64 { return &c.Preemptions }, "preemptions", "disha_preemptions_total", "Packet-by-packet crossbar connections preempted by the Deadlock Buffer here.",
-		func(s router.Stats) int64 { return s.Preemptions }},
+		func(s router.Stats) int64 { return s.Preemptions }, true},
 	{func(c *Counters) *int64 { return &c.BlockedCycles }, "blocked_cycles", "disha_blocked_cycles_total", "Header-cycles spent blocked at this router.",
-		func(s router.Stats) int64 { return s.BlockedCycles }},
-	{func(c *Counters) *int64 { return &c.TokenTransit }, "token_transit", "disha_token_transit_cycles", "Cycles the recovery Token spent circulating free.", nil},
-	{func(c *Counters) *int64 { return &c.TokenHold }, "token_hold", "disha_token_hold_cycles", "Cycles the recovery Token spent held by recovering packets.", nil},
-	{func(c *Counters) *int64 { return &c.PacketsLost }, "packets_lost", "disha_packets_lost_total", "In-flight packets dropped by reconfiguration events.", nil},
-	{func(c *Counters) *int64 { return &c.FlitsLost }, "flits_lost", "disha_flits_lost_total", "Buffered flits discarded by reconfiguration events.", nil},
+		func(s router.Stats) int64 { return s.BlockedCycles }, true},
+	{func(c *Counters) *int64 { return &c.TokenTransit }, "token_transit", "disha_token_transit_cycles", "Cycles the recovery Token spent circulating free.", nil, true},
+	{func(c *Counters) *int64 { return &c.TokenHold }, "token_hold", "disha_token_hold_cycles", "Cycles the recovery Token spent held by recovering packets.", nil, true},
+	{func(c *Counters) *int64 { return &c.PacketsLost }, "packets_lost", "disha_packets_lost_total", "In-flight packets dropped by reconfiguration events.", nil, false},
+	{func(c *Counters) *int64 { return &c.FlitsLost }, "flits_lost", "disha_flits_lost_total", "Buffered flits discarded by reconfiguration events.", nil, false},
 }
 
 // Walk codes a Counters value field by field, for the network snapshot and

@@ -358,7 +358,7 @@ func exploreMotion(n *Network) [3]int64 {
 	return m
 }
 
-// headerSlot finds the input VC whose ring head is p's header.
+// headerSlot finds the input VC whose buffer head is p's header.
 func headerSlot(n *Network, p *packet.Packet) (node topology.Node, port, vc int, ok bool) {
 	for _, r := range n.Routers() {
 		for port := 0; port < r.InputPorts(); port++ {

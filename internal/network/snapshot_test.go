@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/snapshot"
@@ -247,11 +248,13 @@ func TestSnapshotFreshnessGuard(t *testing.T) {
 // prefix length; decoding must always fail cleanly, never panic, and never
 // silently succeed. A reconfiguration log entry this build cannot replay —
 // kind 2 or 3 (once a router kill and heal), kind 4 or a set reserved slot
-// (both once a routing swap) — is refused by its index.
+// (both once a routing swap) — is refused by its index; so is a set counter
+// slot whose count lives elsewhere, by its key, and a buffered flit that is
+// not its slot owner's next, by the slot.
 func TestSnapshotCorruption(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	cfg.Router.Timeout = 4
-	_, data := takeSnapshot(t, cfg, 200)
+	orig, data := takeSnapshot(t, cfg, 200)
 
 	t.Run("truncation", func(t *testing.T) {
 		for cut := 0; cut < len(data); cut++ {
@@ -346,6 +349,111 @@ func TestSnapshotCorruption(t *testing.T) {
 		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
 		if want := "counters: reserved slot holds 5"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("restore error %v, want one containing %q", err, want)
+		}
+	})
+	t.Run("derived counter slot", func(t *testing.T) {
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Counters adds these to the stored slot, so a set one would be
+		// counted twice (timeout_events 1000 read back as 1002).
+		var head snapshot.Codec
+		mustNet(t, cfg).walkConfigGuard(&head)
+		rows := len(head.Bytes()) + 8 + 8 + 32 + 8
+		derived := 0
+		for k, row := range counterTable {
+			if !row.derived {
+				continue
+			}
+			derived++
+			slot := rows + 8*k
+			if binary.LittleEndian.Uint64(payload[slot:]) != 0 {
+				t.Fatalf("%s slot at %d is not the 0 a snapshot writes", row.key, slot)
+			}
+			mut := bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(mut[slot:], 1000)
+			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
+			if want := "counters: " + row.key + " slot holds 1000"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: restore error %v, want one containing %q", row.key, err, want)
+			}
+		}
+		if derived != 11 {
+			t.Fatalf("%d derived counter rows, want 11: the clock, the offered count, three Token counts and six router sums", derived)
+		}
+	})
+	t.Run("buffer not its owner's run", func(t *testing.T) {
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Router records end the payload, each its WalkState bytes: the node,
+		// then per input slot the owner, route, output VC, DB lane and
+		// waiting count (8 bytes each), presumed and sent (1 each), and the
+		// buffer: a count, then a packet and a position per flit (8 each).
+		// Find the first input VC buffering two flits.
+		at := len(payload)
+		records := make([]int, len(orig.routers))
+		for i, r := range orig.routers {
+			var enc snapshot.Codec
+			if err := r.WalkState(&enc, nil); err != nil {
+				t.Fatal(err)
+			}
+			records[i] = len(enc.Bytes())
+			at -= records[i]
+		}
+		slot, node, port, vc := -1, 0, 0, 0
+		for i, r := range orig.routers {
+			off := at + 8
+			for p := 0; p < r.InputPorts() && slot < 0; p++ {
+				for v := 0; v < r.InputVCCount(p) && slot < 0; v++ {
+					if occ := r.InputOccupancy(p, v); occ == 2 {
+						slot, node, port, vc = off, i, p, v
+					} else {
+						off += 5*8 + 2 + 8 + 16*occ
+					}
+				}
+			}
+			if slot >= 0 {
+				break
+			}
+			at += records[i]
+		}
+		if slot < 0 {
+			t.Fatal("no input VC buffers two flits at cycle 200")
+		}
+		r := orig.routers[node]
+		owner, first := r.InputOwner(port, vc), r.InputFlitAt(port, vc, 0).Seq
+		flits := slot + 5*8 + 2 + 8
+		u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
+		if u64(slot) != uint64(owner.ID) || u64(flits-8) != 2 || u64(flits) != uint64(owner.ID) ||
+			u64(flits+8) != uint64(first) || u64(flits+24) != uint64(first+1) {
+			t.Fatal("input slot not where the layout says")
+		}
+		var other *packet.Packet
+		for _, p := range orig.collectPackets() {
+			if p != owner {
+				other = p
+				break
+			}
+		}
+		with := func(off int, v uint64) []byte {
+			mut := bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(mut[off:], v)
+			return snapshot.Seal(snapshotMagic, snapshotVersion, mut)
+		}
+		where := fmt.Sprintf("router %d: snapshot: input (%d,%d)", node, port, vc)
+		for name, tc := range map[string]struct {
+			file []byte
+			want string
+		}{
+			"no owner":              {with(slot, ^uint64(0)), where + " buffers flits with no owner"},
+			"another packet's flit": {with(flits+16, uint64(other.ID)), fmt.Sprintf("%s buffers a flit that its owner, packet %d, does not own", where, owner.ID)},
+			"gap in sequence":       {with(flits+24, uint64(first+2)), fmt.Sprintf("%s: flit seq %d is not its owner's next, %d", where, first+2, first+1)},
+		} {
+			if err := restoreAndStep(t, cfg, tc.file); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: restore error %v, want %q", name, err, tc.want)
+			}
 		}
 	})
 }

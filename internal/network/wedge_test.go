@@ -122,6 +122,13 @@ func TestDishaWithoutRecoveryWedges(t *testing.T) {
 		if n.Drained() || still < exploreStill {
 			t.Fatalf("%s: without recovery the load did not wedge (drained %v at cycle %d)", fx.Name, n.Drained(), n.Now())
 		}
+		// A wedge is a fixed point: it stays still for as long as it runs,
+		// past any T_out a recovery could have fired at.
+		for wedged := exploreMotion(n); n.Now() < exploreLimit; {
+			if n.Step(); exploreMotion(n) != wedged {
+				t.Fatalf("%s: the wedge moved again at cycle %d", fx.Name, n.Now())
+			}
+		}
 		var stuck []packet.ID
 		for _, p := range n.collectPackets() {
 			stuck = append(stuck, p.ID)

@@ -11,7 +11,7 @@ import (
 )
 
 // ringState builds a normalized two-node-per-dim state to exercise the SoA
-// flit rings directly.
+// flit buffers directly.
 func ringState(t *testing.T, cfg Config) (*State, topology.Topology) {
 	t.Helper()
 	if err := cfg.Normalize(); err != nil {
@@ -27,13 +27,14 @@ func TestRingBasics(t *testing.T) {
 	s, _ := ringState(t, cfg)
 	i := 3 // an arbitrary input VC slot
 	if s.in.n[i] != 0 {
-		t.Fatal("fresh ring not empty")
+		t.Fatal("fresh buffer not empty")
 	}
 	p := packet.New(1, 0, 1, 3, 0)
+	s.in.owner[i] = p
 	s.in.push(i, p.Flit(0))
 	s.in.push(i, p.Flit(1))
 	if int(s.in.n[i]) != 2 {
-		t.Fatal("full ring length wrong")
+		t.Fatal("full buffer length wrong")
 	}
 	if s.in.peek(i).Seq != 0 {
 		t.Fatal("peek must see the oldest flit")
@@ -45,7 +46,7 @@ func TestRingBasics(t *testing.T) {
 		t.Fatal("pop order wrong")
 	}
 	if s.in.n[i] != 0 {
-		t.Fatal("ring should be empty")
+		t.Fatal("buffer should be empty")
 	}
 }
 
@@ -54,8 +55,9 @@ func TestRingWrapAround(t *testing.T) {
 	cfg.BufferDepth = 2
 	s, _ := ringState(t, cfg)
 	p := packet.New(1, 0, 1, 8, 0)
-	// Interleave pushes and pops so the ring indices wrap repeatedly.
+	// Interleave pushes and pops so the run advances through the packet.
 	i, seq := 5, 0
+	s.in.owner[i] = p
 	for k := 0; k < 8; k++ {
 		s.in.push(i, p.Flit(k))
 		got := s.in.pop(i)
@@ -63,19 +65,6 @@ func TestRingWrapAround(t *testing.T) {
 			t.Fatalf("wrap: got seq %d, want %d", got.Seq, seq)
 		}
 		seq++
-	}
-}
-
-func TestRingPopZeroesVacatedSlot(t *testing.T) {
-	cfg := Default()
-	s, _ := ringState(t, cfg)
-	p := packet.New(1, 0, 1, 2, 0)
-	s.in.push(0, p.Flit(0))
-	s.in.pop(0)
-	for k := 0; k < s.cfg.BufferDepth; k++ {
-		if s.in.pkts[k] != nil {
-			t.Fatal("vacated ring slot retains a stale packet pointer")
-		}
 	}
 }
 
@@ -92,6 +81,7 @@ func TestRingPanics(t *testing.T) {
 		s.in.pop(0)
 	}()
 	p := packet.New(1, 0, 1, 2, 0)
+	s.in.owner[0] = p
 	s.in.push(0, p.Flit(0))
 	func() {
 		defer func() {
@@ -103,66 +93,84 @@ func TestRingPanics(t *testing.T) {
 	}()
 }
 
-// TestFlitRing drives the one ring type at both depths in use (input VCs: 2,
-// Deadlock Buffer: 1): FIFO order through push/peek/at/pop with the head
-// wrapping, the overflow/underflow panics, and check's two findings.
-func TestFlitRing(t *testing.T) {
+// TestFlitRun drives the owner-run buffer at depths 1 (the Deadlock Buffer),
+// 2 (the default input VC) and 8: FIFO order through push/peek/at/pop as the
+// run advances through its packet, the guard's panics (full, empty, past
+// the tail, another packet's flit, a flit out of sequence), a run restarting
+// wherever its owner is, and check's findings.
+func TestFlitRun(t *testing.T) {
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
 		f()
 		return false
 	}
-	pkt := packet.New(1, 0, 1, 16, 0)
-	for _, depth := range []int{2, 1} {
-		q := newFlitRing(3, depth)
+	pkt, other := packet.New(1, 0, 1, 40, 0), packet.New(2, 0, 1, 40, 0)
+	for _, depth := range []int{1, 2, 8} {
+		q := newFlitRun(3, depth)
 		const i = 1 // a middle slot, so neighbouring slots would show overruns
+		if q.n[i] != 0 || !panics(func() { q.peek(i) }) || !panics(func() { q.pop(i) }) {
+			t.Fatalf("depth %d: a fresh slot is not empty", depth)
+		}
+		if !panics(func() { q.push(i, pkt.Flit(0)) }) {
+			t.Fatalf("depth %d: push into a slot with no owner did not panic", depth)
+		}
+		q.owner[i] = pkt
 		seq := 0
-		for round := 0; round < 3; round++ { // odd fills leave the head mid-ring
+		for round := 0; round < 3; round++ {
 			for k := 0; k < depth; k++ {
 				q.push(i, pkt.Flit(seq+k))
 			}
-			if !panics(func() { q.push(i, pkt.Flit(0)) }) {
-				t.Fatalf("depth %d: push to a full ring did not panic", depth)
+			if !panics(func() { q.push(i, pkt.Flit(seq+depth)) }) {
+				t.Fatalf("depth %d: push to a full slot did not panic", depth)
 			}
-			if q.peek(i).Seq != seq || q.at(i, depth-1).Seq != seq+depth-1 {
+			if q.peek(i).Seq != seq || q.at(i, depth-1) != pkt.Flit(seq+depth-1) {
 				t.Fatalf("depth %d: peek/at do not index from the head", depth)
 			}
-			if !panics(func() { q.at(i, depth) }) {
-				t.Fatalf("depth %d: at past the tail did not panic", depth)
+			if !panics(func() { q.at(i, depth) }) || !panics(func() { q.at(i, -1) }) {
+				t.Fatalf("depth %d: at outside the run did not panic", depth)
 			}
 			for k := 0; k < depth; k++ {
-				if got := q.pop(i).Seq; got != seq {
-					t.Fatalf("depth %d: popped seq %d, want %d", depth, got, seq)
+				if got := q.pop(i); got != pkt.Flit(seq) {
+					t.Fatalf("depth %d: popped %v, want flit %d of packet 1", depth, got, seq)
 				}
 				seq++
+				if k < depth-1 && q.peek(i).Seq != seq {
+					t.Fatalf("depth %d: head after a pop is flit %d, want %d", depth, q.peek(i).Seq, seq)
+				}
 			}
-			if err := q.check(i); err != nil {
-				t.Fatalf("depth %d: drained ring fails check: %v", depth, err)
-			}
-			if depth > 1 {
-				q.push(i, pkt.Flit(seq)) // shift the head by one for the next round
-				q.pop(i)
-				seq++
+			if err := q.check(i); err != nil || q.owner[i] != pkt {
+				t.Fatalf("depth %d: drained slot fails check (%v) or lost its owner", depth, err)
 			}
 		}
-		if !panics(func() { q.pop(i) }) || !panics(func() { q.peek(i) }) {
-			t.Fatalf("depth %d: pop/peek on an empty ring did not panic", depth)
+		// An empty slot's run starts wherever the owner is; behind a
+		// buffered flit only the next one enters.
+		q.push(i, pkt.Flit(seq+5))
+		if depth > 1 {
+			if !panics(func() { q.push(i, pkt.Flit(seq+7)) }) || !panics(func() { q.push(i, pkt.Flit(seq+5)) }) {
+				t.Fatalf("depth %d: push of a flit out of sequence did not panic", depth)
+			}
+			if !panics(func() { q.push(i, other.Flit(seq+6)) }) {
+				t.Fatalf("depth %d: push of another packet's flit did not panic", depth)
+			}
+			q.push(i, pkt.Flit(seq+6))
 		}
-		if q.n[0] != 0 || q.n[2] != 0 || q.check(0) != nil || q.check(2) != nil {
+		if q.n[0] != 0 || q.n[2] != 0 || q.owner[0] != nil || q.owner[2] != nil || q.check(0) != nil || q.check(2) != nil {
 			t.Fatalf("depth %d: traffic on slot 1 leaked into its neighbours", depth)
 		}
-		q.pkts[i*depth] = pkt
-		if q.check(i) == nil {
-			t.Fatalf("depth %d: check missed a stale flit in a vacated slot", depth)
+		for name, corrupt := range map[string]func(){
+			"no owner":        func() { q.owner[i] = nil },
+			"past its tail":   func() { q.seq[i] = int32(pkt.Length) },
+			"before its head": func() { q.seq[i] = -1 },
+			"overfull":        func() { q.n[i] = uint8(depth + 1) },
+		} {
+			o, sq, n := q.owner[i], q.seq[i], q.n[i]
+			if corrupt(); q.check(i) == nil {
+				t.Errorf("depth %d: check missed a run %s", depth, name)
+			}
+			q.owner[i], q.seq[i], q.n[i] = o, sq, n
 		}
-		q.pkts[i*depth] = nil
-		q.head[i] = uint8(depth)
-		if q.check(i) == nil {
-			t.Fatalf("depth %d: check missed an out-of-range head", depth)
-		}
-		q.head[i], q.n[i] = 0, uint8(depth+1)
-		if q.check(i) == nil {
-			t.Fatalf("depth %d: check missed an out-of-range length", depth)
+		if err := q.check(i); err != nil {
+			t.Fatalf("depth %d: restored slot fails check: %v", depth, err)
 		}
 	}
 }
@@ -204,9 +212,9 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		t.Fatalf("fresh router fails CheckState: %v", err)
 	}
 	corruptions := []func(s *State){
-		func(s *State) { s.in.head[0] = uint8(s.cfg.BufferDepth) },
-		func(s *State) { s.in.n[0] = uint8(s.cfg.BufferDepth + 1) },
-		func(s *State) { s.in.pkts[0] = packet.New(9, 0, 1, 2, 0) },
+		func(s *State) { s.in.owner[0], s.in.n[0] = packet.New(9, 0, 1, 9, 0), uint8(s.cfg.BufferDepth+1) },
+		func(s *State) { s.in.n[0] = 1 }, // a flit with no owner
+		func(s *State) { s.in.owner[0], s.in.seq[0], s.in.n[0] = packet.New(9, 0, 1, 2, 0), 1, 2 },
 		func(s *State) { s.inRoute[0] = int8(s.deg) },
 		func(s *State) { s.inOutVC[0] = int8(s.cfg.VCs) },
 		func(s *State) { s.outCredits[0] = int16(s.cfg.BufferDepth + 1) },

@@ -17,7 +17,7 @@ import (
 )
 
 // slotBytes sums len × element size over the slices of v (a State, or a
-// flitRing inside it) whose length is one of the keys of by, into by's
+// flitRun inside it) whose length is one of the keys of by, into by's
 // values: every per-slot array of one kind has the same length.
 func slotBytes(v reflect.Value, by map[int]*int) {
 	for i := 0; i < v.NumField(); i++ {
@@ -35,45 +35,48 @@ func slotBytes(v reflect.Value, by map[int]*int) {
 
 // TestSlotBytes is the memory budget of the struct-of-arrays state: on
 // dragonfly-16x8 (2 064 routers of radix 23, the dragonfly2k-sparse
-// benchmark's network) at 4 VCs and depth 2 it sums the bytes of every
-// per-slot array and pins them per input slot (191 952 of them, the flit
-// rings included), per output slot (189 888) and per crossbar slot (47 472).
-// Widening any per-slot field, or adding one, moves a figure.
+// benchmark's network) at 4 VCs it sums the bytes of every per-slot array
+// and pins them per input slot (191 952 of them, the flit buffers
+// included), per output slot (189 888) and per crossbar slot (47 472), at
+// the default depth 2 and at depth 8: a slot stores its buffered flits as
+// its owner's run, so no figure grows with depth. Widening any per-slot
+// field, or adding one, moves a figure.
 func TestSlotBytes(t *testing.T) {
-	cfg := Default()
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	topo := topology.MustDragonfly(16, 8)
-	s := NewState(topo, cfg, nil, nil, new(sim.Clock))
-	in, out, cx := s.nodes*s.stride, s.nodes*s.outStr, s.nodes*s.deg
-	if in != 191952 || out != 189888 || cx != 47472 {
-		t.Fatalf("dragonfly-16x8 has %d input, %d output and %d crossbar slots", in, out, cx)
-	}
-	var inBytes, outBytes, cxBytes int
-	slotBytes(reflect.ValueOf(s).Elem(), map[int]*int{
-		in: &inBytes, in * cfg.BufferDepth: &inBytes, out: &outBytes, cx: &cxBytes,
-	})
-	ptr := int(unsafe.Sizeof(uintptr(0)))
-	// An input slot: inPkt, inRoute, inOutVC, inDBLane (1 byte each),
-	// inWaiting (4), the ring cursors (1 each) and depth flits of a
-	// pointer and an int32. An output slot: outOwner and outCredits (2). A
-	// crossbar slot: four int8 ports and VCs and two bools.
-	for _, c := range []struct {
-		what      string
-		got, want int
-		slots     int
-	}{
-		{"input", inBytes, ptr + 9 + cfg.BufferDepth*(ptr+4), in},
-		{"output", outBytes, ptr + 2, out},
-		{"crossbar", cxBytes, 6, cx},
-	} {
-		if c.got != c.want*c.slots {
-			t.Errorf("%s slots hold %d bytes, %.2f a slot; want %d a slot", c.what, c.got, float64(c.got)/float64(c.slots), c.want)
+	for _, depth := range []int{2, 8} {
+		cfg := Default()
+		cfg.BufferDepth = depth
+		if err := cfg.Normalize(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if t.Failed() || testing.Verbose() {
-		t.Logf("input %d B, output %d B, crossbar %d B (%d-byte pointers)", inBytes, outBytes, cxBytes, ptr)
+		topo := topology.MustDragonfly(16, 8)
+		s := NewState(topo, cfg, nil, nil, new(sim.Clock))
+		in, out, cx := s.nodes*s.stride, s.nodes*s.outStr, s.nodes*s.deg
+		if in != 191952 || out != 189888 || cx != 47472 {
+			t.Fatalf("dragonfly-16x8 has %d input, %d output and %d crossbar slots", in, out, cx)
+		}
+		var inBytes, outBytes, cxBytes int
+		slotBytes(reflect.ValueOf(s).Elem(), map[int]*int{in: &inBytes, out: &outBytes, cx: &cxBytes})
+		ptr := int(unsafe.Sizeof(uintptr(0)))
+		// An input slot: its owner, inRoute, inOutVC, inDBLane (1 byte
+		// each), inWaiting (4), and the buffer's head position (4) and count
+		// (1). An output slot: outOwner and outCredits (2). A crossbar slot:
+		// four int8 ports and VCs and two bools.
+		for _, c := range []struct {
+			what      string
+			got, want int
+			slots     int
+		}{
+			{"input", inBytes, ptr + 12, in},
+			{"output", outBytes, ptr + 2, out},
+			{"crossbar", cxBytes, 6, cx},
+		} {
+			if c.got != c.want*c.slots {
+				t.Errorf("depth %d: %s slots hold %d bytes, %.2f a slot; want %d a slot", depth, c.what, c.got, float64(c.got)/float64(c.slots), c.want)
+			}
+		}
+		if t.Failed() || testing.Verbose() {
+			t.Logf("depth %d: input %d B, output %d B, crossbar %d B (%d-byte pointers)", depth, inBytes, outBytes, cxBytes, ptr)
+		}
 	}
 }
 
@@ -99,7 +102,7 @@ func blockedHeader(t *testing.T, cfg Config) (*testBench, *Router, int) {
 		b.step()
 	}
 	for l := 0; l < r1.st.stride; l++ {
-		if i := r1.in0 + l; r1.st.inPkt[i] == p {
+		if i := r1.in0 + l; r1.st.in.owner[i] == p {
 			if r1.st.inWaiting[i] != 6 {
 				t.Fatalf("header waited %d cycles, want 6", r1.st.inWaiting[i])
 			}
@@ -157,7 +160,7 @@ func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
 	}
 	// Router node, then per input slot: packet, route, output VC, DB lane
 	// and waiting count, 8 bytes each, and presumed, sent (1 byte each)
-	// and the ring (a count, then a packet and a position, 8 bytes each,
+	// and the buffer (a count, then a packet and a position, 8 bytes each,
 	// per flit).
 	at := 8
 	for l := 0; l < i-r.in0; l++ {
@@ -168,7 +171,7 @@ func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
 	if w, q := binary.LittleEndian.Uint64(enc.Bytes()[waitingAt:]), binary.LittleEndian.Uint64(enc.Bytes()[seqAt:]); w != 6 || q != 0 {
 		t.Fatalf("offsets %d and %d read %d and %d, not the header's waiting count 6 and position 0", waitingAt, seqAt, w, q)
 	}
-	hdr := r.st.inPkt[i]
+	hdr := r.st.in.owner[i]
 	long := *hdr
 	long.Length = math.MaxInt
 	for _, c := range []struct {

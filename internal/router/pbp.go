@@ -42,7 +42,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		if s.cxInPort[c] != connNone {
 			p := int(s.cxInPort[c])
 			inputConn[p]++
-			inputPkt[p] = s.inPkt[r.inIdx(p, int(s.cxInVC[c]))]
+			inputPkt[p] = s.in.owner[r.inIdx(p, int(s.cxInVC[c]))]
 		}
 	}
 
@@ -54,7 +54,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 	}
 	wire := func(p, v int) {
 		inputConn[p]++
-		inputPkt[p] = s.inPkt[r.inIdx(p, v)]
+		inputPkt[p] = s.in.owner[r.inIdx(p, v)]
 	}
 	release := func(q int) {
 		c := r.cxIdx(q)
@@ -86,7 +86,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		c := r.cxIdx(q)
 		db0 := r.db0 // lane 0; the PBP policy runs with sequential recovery
 
-		dbUnitWants := s.lanes > 0 && s.dbPkt[db0] != nil && int(s.dbRoute[db0]) == q
+		dbUnitWants := s.lanes > 0 && s.db.owner[db0] != nil && int(s.dbRoute[db0]) == q
 
 		// Release a finished DB-unit connection.
 		if s.cxDB[c] && !dbUnitWants {
@@ -99,7 +99,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 				preempt(q)
 				s.cxDB[c] = true
 			}
-			if s.db.n[db0] != 0 && dbStageable(r.neighbors[q], 0, s.dbPkt[db0]) {
+			if s.db.n[db0] != 0 && dbStageable(r.neighbors[q], 0, s.db.owner[db0]) {
 				out = append(out, Transfer{From: r, FromDB: true, To: r.neighbors[q], OutPort: q, ToDB: true})
 				continue
 			}
@@ -125,7 +125,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		// through a different port) and reconnect any suspended input.
 		if s.cxInPort[c] != connNone {
 			g := r.inIdx(int(s.cxInPort[c]), int(s.cxInVC[c]))
-			if s.inPkt[g] == nil || int(s.inRoute[g]) != q {
+			if s.in.owner[g] == nil || int(s.inRoute[g]) != q {
 				release(q)
 			}
 		}
@@ -143,7 +143,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 				}
 				// A wired input port accepts further connections only for
 				// the packet already holding it (see inputConn above).
-				if inputConn[port] > 0 && inputPkt[port] != s.inPkt[g] {
+				if inputConn[port] > 0 && inputPkt[port] != s.in.owner[g] {
 					continue
 				}
 				s.cxInPort[c], s.cxInVC[c] = int8(port), int8(vc)
@@ -166,7 +166,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		if s.in.n[g] != 0 && !inputUsed[inPort] {
 			var tr Transfer
 			if int(s.inOutVC[g]) == VCDeadlockBuffer {
-				if dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.inPkt[g]) {
+				if dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.in.owner[g]) {
 					tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])}
 					staged = true
 				}
@@ -202,7 +202,7 @@ func (r *Router) recoveredInputFor(q int) (port, vc int, ok bool) {
 	m := s.outputMask(q)
 	for l := nextSet(m, 0); l >= 0; l = nextSet(m, l+1) {
 		i := r.in0 + l
-		if s.inPkt[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
+		if s.in.owner[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
 			p, v := r.portVCOf(l)
 			return p, v, true
 		}
@@ -221,7 +221,7 @@ func (r *Router) restoreConn(q int) {
 	}
 	s.cxSaved[c] = false
 	g := r.inIdx(int(s.cxSavedPort[c]), int(s.cxSavedVC[c]))
-	if s.inPkt[g] != nil && int(s.inRoute[g]) == q {
+	if s.in.owner[g] != nil && int(s.inRoute[g]) == q {
 		s.cxInPort[c], s.cxInVC[c] = s.cxSavedPort[c], s.cxSavedVC[c]
 	}
 }

@@ -24,13 +24,16 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	a := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{3, 0}), 8, 0)
 	s := r.st
 	i00 := r.inIdx(0, 0)
-	s.inPkt[i00] = a
+	s.in.owner[i00] = a
 	r.setRoute(i00, q)
 	s.inOutVC[i00] = 0
 	r.pushIn(i00, a.Flit(2))
 	r.pushIn(i00, a.Flit(3))
 	s.flitCount[r.node] += 2
 	s.outOwner[r.outIdx(q, 0)] = a
+	// A's header went ahead: A owns the VC its flits enter downstream.
+	nb := r.neighbors[q]
+	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 0)] = a
 
 	step := func() []Transfer {
 		xfers := r.StageSwitch(nil)
@@ -56,7 +59,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	// A recovered packet enters the Deadlock Buffer wanting the same output.
 	p := packet.New(2, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 1, 0)
 	p.OnDB = true
-	s.dbPkt[r.db0] = p
+	s.db.owner[r.db0] = p
 	s.dbRoute[r.db0] = int8(q)
 	s.db.push(r.db0, p.Flit(0))
 	s.flitCount[r.node]++
@@ -77,11 +80,10 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 		t.Fatalf("preemptions = %d", r.Stats().Preemptions)
 	}
 	// The DB packet (single flit) left for the neighbor's DB.
-	nb := r.neighbors[q]
 	if nb.DBOccupancy() != 1 || nb.DBOwner() != p {
 		t.Fatal("DB flit did not reach the neighbor's Deadlock Buffer")
 	}
-	if s.dbPkt[r.db0] != nil {
+	if s.db.owner[r.db0] != nil {
 		t.Fatal("local DB must release after the tail leaves")
 	}
 
@@ -112,7 +114,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	a := packet.New(1, 0, 9, 8, 0)
 	s := r.st
 	iA := r.inIdx(0, 0)
-	s.inPkt[iA] = a
+	s.in.owner[iA] = a
 	r.setRoute(iA, q)
 	s.inOutVC[iA] = 0
 	r.pushIn(iA, a.Flit(2))
@@ -123,13 +125,17 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	// Packet B on another input also routes to q, on VC 1 with credits.
 	bb := packet.New(2, 0, 9, 8, 0)
 	iB := r.inIdx(2, 0)
-	s.inPkt[iB] = bb
+	s.in.owner[iB] = bb
 	r.setRoute(iB, q)
 	s.inOutVC[iB] = 1
 	r.pushIn(iB, bb.Flit(2))
 	r.pushIn(iB, bb.Flit(3))
 	s.flitCount[r.node] += 2
 	s.outOwner[r.outIdx(q, 1)] = bb
+	// Both headers went ahead and own the VCs their flits enter downstream.
+	nb := r.neighbors[q]
+	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 0)] = a
+	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 1)] = bb
 
 	// First stage: A establishes the connection (or B does — either way a
 	// flit must flow every cycle while somebody can send).

@@ -62,7 +62,7 @@ func dbStageable(target *Router, lane int, p *packet.Packet) bool {
 		return false
 	}
 	i := target.dbIdx(lane)
-	owner := target.st.dbPkt[i]
+	owner := target.st.db.owner[i]
 	return (owner == nil || owner == p) && int(target.st.db.n[i]) < target.st.db.depth
 }
 
@@ -84,9 +84,9 @@ func ResolveDB(xfers []Transfer, now sim.Cycle) {
 		}
 		var p *packet.Packet
 		if t.FromDB {
-			p = t.From.st.dbPkt[t.From.dbIdx(t.FromDBLane)]
+			p = t.From.st.db.owner[t.From.dbIdx(t.FromDBLane)]
 		} else {
-			p = t.From.st.inPkt[t.From.inIdx(t.FromPort, t.FromVC)]
+			p = t.From.st.in.owner[t.From.inIdx(t.FromPort, t.FromVC)]
 		}
 		if reserveDB(t.To, t.ToDBLane, p, now) {
 			continue
@@ -173,7 +173,7 @@ func (r *Router) stageDBOutput(q int, out *[]Transfer) bool {
 		if s.db.n[i] == 0 || int(s.dbRoute[i]) != q {
 			continue
 		}
-		if next := r.hopLane(q); dbStageable(r.neighbors[q], next, s.dbPkt[i]) {
+		if next := r.hopLane(q); dbStageable(r.neighbors[q], next, s.db.owner[i]) {
 			*out = append(*out, Transfer{From: r, FromDB: true, FromDBLane: lane,
 				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: next})
 			return true
@@ -204,23 +204,23 @@ func Commit(t *Transfer, sink Sink) {
 	case t.ToDB:
 		to := t.To
 		i := to.dbIdx(t.ToDBLane)
-		to.st.db.push(i, fl)
-		to.st.flitCount[to.node]++
 		if fl.IsHeader() {
-			to.st.dbPkt[i] = fl.Pkt
+			to.st.db.owner[i] = fl.Pkt
 			to.st.dbRoute[i] = int8(to.dbLaneRoute(t.ToDBLane, fl.Pkt.Dst))
 			fl.Pkt.Hops++
 		}
+		to.st.db.push(i, fl)
+		to.st.flitCount[to.node]++
 		t.From.stats.FlitsSwitched++
 	default:
 		to := t.To
 		inPort := int(t.From.rev[t.OutPort])
 		ti := to.inIdx(inPort, t.ToVC)
+		if fl.IsHeader() {
+			to.st.in.owner[ti] = fl.Pkt
+		}
 		to.pushIn(ti, fl)
 		to.st.flitCount[to.node]++
-		if fl.IsHeader() {
-			to.st.inPkt[ti] = fl.Pkt
-		}
 		oi := t.From.outIdx(t.OutPort, t.ToVC)
 		t.From.st.outCredits[oi]--
 		if fl.IsTail() {
@@ -244,7 +244,7 @@ func (t *Transfer) popSource() packet.Flit {
 		s.flitCount[r.node]--
 		r.stats.DBFlitsCarried++
 		if fl.IsTail() {
-			s.dbPkt[i] = nil
+			s.db.owner[i] = nil
 			s.dbRoute[i] = PortUnrouted
 		}
 		return fl
@@ -257,7 +257,7 @@ func (t *Transfer) popSource() packet.Flit {
 		up.st.outCredits[up.outIdx(int(r.rev[t.FromPort]), t.FromVC)]++
 	}
 	if fl.IsTail() {
-		s.inPkt[i] = nil
+		s.in.owner[i] = nil
 		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		r.clearTimer(i)
@@ -399,7 +399,7 @@ func (r *Router) MostStarved() (port, vc int, ok bool) {
 func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	s := r.st
 	i := r.inIdx(port, vc)
-	p := s.inPkt[i]
+	p := s.in.owner[i]
 	if p == nil || s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
 		panic("router: Recover on a VC without a blocked header")
 	}
@@ -486,8 +486,8 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 	s := r.st
 	for j, word := range r.maskOf(mPre) {
 		for ; word != 0; word &= word - 1 {
-			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.inPkt[i] != nil {
-				out = append(out, s.inPkt[i])
+			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.in.owner[i] != nil {
+				out = append(out, s.in.owner[i])
 			}
 		}
 	}
@@ -508,7 +508,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 	purged := 0
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.inPkt[i] != p {
+		if s.in.owner[i] != p {
 			continue
 		}
 		port, v := r.portVCOf(l)
@@ -522,7 +522,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 			up := r.neighbors[port]
 			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int16(n)
 		}
-		s.inPkt[i] = nil
+		s.in.owner[i] = nil
 		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		r.clearTimer(i)
@@ -538,7 +538,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if s.dbPkt[i] != p {
+		if s.db.owner[i] != p {
 			continue
 		}
 		n := int(s.db.n[i])
@@ -547,7 +547,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
-		s.dbPkt[i] = nil
+		s.db.owner[i] = nil
 		s.dbRoute[i] = PortUnrouted
 	}
 	return purged

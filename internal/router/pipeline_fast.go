@@ -6,8 +6,8 @@ import "math/bits"
 // switch allocation (StageSwitch) and the deadlock timers (TickTimers).
 // Each walks, a word at a time, exactly the input slots that can act in it,
 // read from the per-router slot masks (see the layout notes on State):
-// route compute the headers at a ring head, switch allocation the occupied
-// routed slots, the timers the timing slots and the headers at a ring head.
+// route compute the headers at a buffer head, switch allocation the occupied
+// routed slots, the timers the timing slots and the headers at a buffer head.
 // A router therefore costs O(w + acting slots) rather than O(stride). A
 // rotating walk (rotFirst/rotNext) is a round-robin scan of every slot from
 // the phase's offset with the slots outside the mask skipped, and slotPV
@@ -177,7 +177,7 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 		}
 		g := r.in0 + l
 		if int(s.inOutVC[g]) == VCDeadlockBuffer {
-			if !dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.inPkt[g]) {
+			if !dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.in.owner[g]) {
 				continue
 			}
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc,
@@ -207,7 +207,7 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 // cycle (tickedAt), as of which the gauges hold.
 //
 // It ticks mTim ∨ mHdr, in ascending slot order: a slot with its timer
-// clear and no header at its ring head cannot start timing, and tickSlot
+// clear and no header at its buffer head cannot start timing, and tickSlot
 // on it only clears the sent marker, which zeroing mSent afterwards does for
 // all of them at once.
 func (r *Router) TickTimers() int {

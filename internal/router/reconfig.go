@@ -10,7 +10,7 @@ import "repro/internal/packet"
 // between Step cycles.
 
 // dbHeadIsHeader reports whether DB lane slot i currently buffers its
-// packet's header at the ring head — the one case where the lane's stored
+// packet's header at the buffer head — the one case where the lane's stored
 // route may be recomputed without tearing the packet's lane chain apart
 // (body flits blindly follow the route their header established).
 func (r *Router) dbHeadIsHeader(i int) bool {
@@ -29,7 +29,7 @@ func (r *Router) dbHeadIsHeader(i int) bool {
 func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 	s := r.st
 	for v := 0; v < s.inVCCount(port); v++ {
-		if p := s.inPkt[r.inIdx(port, v)]; p != nil {
+		if p := s.in.owner[r.inIdx(port, v)]; p != nil {
 			out = append(out, p)
 		}
 	}
@@ -41,13 +41,13 @@ func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if p := s.dbPkt[i]; p != nil && int(s.dbRoute[i]) == port && !r.dbHeadIsHeader(i) {
+		if p := s.db.owner[i]; p != nil && int(s.dbRoute[i]) == port && !r.dbHeadIsHeader(i) {
 			out = append(out, p)
 		}
 	}
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		p := s.inPkt[i]
+		p := s.in.owner[i]
 		if p == nil || int(s.inOutVC[i]) != VCDeadlockBuffer || int(s.inRoute[i]) != port {
 			continue
 		}
@@ -70,7 +70,7 @@ func (r *Router) ReleaseGrants(port int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.inPkt[i] == nil || int(s.inRoute[i]) != port {
+		if s.in.owner[i] == nil || int(s.inRoute[i]) != port {
 			continue
 		}
 		if ov := int(s.inOutVC[i]); ov >= 0 {
@@ -111,7 +111,7 @@ func (r *Router) RefreshDBRoutes() {
 	s := r.st
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if p := s.dbPkt[i]; p != nil && r.dbHeadIsHeader(i) {
+		if p := s.db.owner[i]; p != nil && r.dbHeadIsHeader(i) {
 			s.dbRoute[i] = int8(r.dbLaneRoute(lane, p.Dst))
 		}
 	}
@@ -132,14 +132,14 @@ func (r *Router) RecoveryBusy() (presumed, busy int) {
 		if r.hasMask(mPre, i) && s.in.n[i] != 0 {
 			presumed++
 		}
-		if s.inPkt[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
+		if s.in.owner[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
 			busy++
 		}
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
 		busy += int(s.db.n[i])
-		if s.dbPkt[i] != nil {
+		if s.db.owner[i] != nil {
 			busy++
 		}
 	}

@@ -240,12 +240,12 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 	s := r.st
 	i := r.inIdx(s.deg, 0)
 	if fl.IsHeader() {
-		if s.inPkt[i] != nil || s.in.n[i] != 0 {
+		if s.in.owner[i] != nil || s.in.n[i] != 0 {
 			return false
 		}
-		s.inPkt[i] = fl.Pkt
+		s.in.owner[i] = fl.Pkt
 		fl.Pkt.InjectedAt = now
-	} else if s.inPkt[i] != fl.Pkt || int(s.in.n[i]) == s.cfg.BufferDepth {
+	} else if s.in.owner[i] != fl.Pkt || int(s.in.n[i]) == s.cfg.BufferDepth {
 		return false
 	}
 	r.pushIn(i, fl)
@@ -256,7 +256,7 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 // --- Introspection helpers (tests, wait-for-graph analysis) ------------------
 
 // InputOwner returns the packet owning input VC (port, vc), if any.
-func (r *Router) InputOwner(port, vc int) *packet.Packet { return r.st.inPkt[r.inIdx(port, vc)] }
+func (r *Router) InputOwner(port, vc int) *packet.Packet { return r.st.in.owner[r.inIdx(port, vc)] }
 
 // InputRoute returns the granted (route, outVC) of input VC (port, vc).
 func (r *Router) InputRoute(port, vc int) (route, outVC int) {
@@ -312,11 +312,11 @@ func (r *Router) DBOwner() *packet.Packet {
 	if r.st.lanes == 0 {
 		return nil
 	}
-	return r.st.dbPkt[r.db0]
+	return r.st.db.owner[r.db0]
 }
 
 // DBLaneOwner returns the packet threading the given Deadlock Buffer lane.
-func (r *Router) DBLaneOwner(lane int) *packet.Packet { return r.st.dbPkt[r.dbIdx(lane)] }
+func (r *Router) DBLaneOwner(lane int) *packet.Packet { return r.st.db.owner[r.dbIdx(lane)] }
 
 // InputPorts returns the number of input ports including injection.
 func (r *Router) InputPorts() int { return r.st.deg + 1 }

@@ -308,7 +308,7 @@ func TestReservations(t *testing.T) {
 		t.Fatal("single write port violated")
 	}
 	// Occupy the DB with p1; p2 must be refused even in a new cycle.
-	target.st.dbPkt[target.db0] = p1
+	target.st.db.owner[target.db0] = p1
 	if reserveDB(target, 0, p2, 2) {
 		t.Fatal("DB reserved for a foreign packet")
 	}

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+
 	"repro/internal/packet"
 	"repro/internal/snapshot"
 )
@@ -53,10 +55,10 @@ func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 // The clock-derived values (activity.go) are written as of the current
 // cycle: a decoder refuses an offset that disagrees with the restored clock,
 // and stamps the timer pass's values with it.
-// The walk follows the logical (port, vc) order and each ring's logical
-// head-to-tail order, never the physical SoA layout (ring head positions,
-// flat slot indices), so the bytes are layout-invariant; a decoded ring is
-// repacked from physical position 0, which no digest can see.
+// The walk follows the logical (port, vc) order and each buffer's
+// head-to-tail order, never the physical SoA layout (flat slot indices), and
+// codes every buffered flit although a buffer stores only its owner's run,
+// so the bytes are layout-invariant.
 func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) {
 	s := r.st
 	dec := c.Decoding()
@@ -76,9 +78,9 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	}
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		PacketRef(c, &s.inPkt[i], table)
+		PacketRef(c, &s.in.owner[i], table)
 		snapshot.Range(c, &s.inRoute[i], snapshot.In(PortEject, s.deg, "input route"))
-		ejectsHere(s.inPkt[i], s.inRoute[i])
+		ejectsHere(s.in.owner[i], s.inRoute[i])
 		snapshot.Range(c, &s.inOutVC[i], snapshot.In(VCDeadlockBuffer, s.cfg.VCs, "output VC grant"))
 		snapshot.Range(c, &s.inDBLane[i], snapshot.In(0, dbLanes, "DB lane"))
 		snapshot.Int(c, &s.inWaiting[i])
@@ -103,9 +105,9 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.db0 + lane
-		PacketRef(c, &s.dbPkt[i], table)
+		PacketRef(c, &s.db.owner[i], table)
 		snapshot.Range(c, &s.dbRoute[i], snapshot.In(PortEject, s.deg, "DB route"))
-		ejectsHere(s.dbPkt[i], s.dbRoute[i])
+		ejectsHere(s.db.owner[i], s.dbRoute[i])
 		r.walkFifo(c, &s.db, i, table)
 	}
 	for q := 0; q < s.deg; q++ {
@@ -145,25 +147,24 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	}
 }
 
-// walkFifo codes ring i of q, head to tail. Decoding drains the ring first
-// (zeroing its slots) and counts the refill into the router's derived flit
-// counter (not serialized: the snapshot format predates it).
-func (r *Router) walkFifo(c *snapshot.Codec, q *flitRing, i int, table map[packet.ID]*packet.Packet) {
+// walkFifo codes slot i of q, head to tail, each flit as its packet and its
+// position. The slot's owner is decoded before it, and decoding refuses a
+// flit that is not the owner's next, naming the slot; the refill is counted
+// into the router's derived flit counter (not serialized: the snapshot
+// format predates it).
+func (r *Router) walkFifo(c *snapshot.Codec, q *flitRun, i int, table map[packet.ID]*packet.Packet) {
 	dec := c.Decoding()
 	n := int(q.n[i])
 	c.Len(&n, q.depth)
 	if dec {
-		for q.n[i] > 0 {
-			q.pop(i)
-		}
-		q.head[i] = 0
+		q.n[i] = 0
 	}
 	for k := 0; k < n; k++ {
 		var fl packet.Flit
 		if !dec {
 			fl = q.at(i, k)
 		}
-		seq := int32(fl.Seq) // the ring's storage type: a wider value is refused
+		seq := int32(fl.Seq) // the buffer's storage type: a wider value is refused
 		PacketRef(c, &fl.Pkt, table)
 		snapshot.Int(c, &seq)
 		fl.Seq = int(seq)
@@ -173,15 +174,30 @@ func (r *Router) walkFifo(c *snapshot.Codec, q *flitRing, i int, table map[packe
 		if c.Err() != nil {
 			return
 		}
-		if fl.Pkt == nil {
-			c.Fail("snapshot: buffered flit with no packet")
-			return
+		switch owner := q.owner[i]; {
+		case owner == nil:
+			c.Fail("snapshot: %s buffers flits with no owner", r.slotName(q, i))
+		case fl.Pkt != owner:
+			c.Fail("snapshot: %s buffers a flit that its owner, packet %d, does not own", r.slotName(q, i), owner.ID)
+		case k == 0 && (fl.Seq < 0 || fl.Seq >= owner.Length):
+			c.Fail("snapshot: %s: flit seq %d outside packet length %d", r.slotName(q, i), fl.Seq, owner.Length)
+		case k > 0 && fl.Seq != int(q.seq[i])+k:
+			c.Fail("snapshot: %s: flit seq %d is not its owner's next, %d", r.slotName(q, i), fl.Seq, int(q.seq[i])+k)
 		}
-		if fl.Seq < 0 || fl.Seq >= fl.Pkt.Length {
-			c.Fail("snapshot: flit seq %d outside packet length %d", fl.Seq, fl.Pkt.Length)
+		if c.Err() != nil {
 			return
 		}
 		q.push(i, fl)
 		r.st.flitCount[r.node]++
 	}
+}
+
+// slotName names global slot i of q (the input VCs or the Deadlock Buffer
+// lanes) in a decoding error.
+func (r *Router) slotName(q *flitRun, i int) string {
+	if q == &r.st.db {
+		return fmt.Sprintf("DB lane %d", i-r.db0)
+	}
+	p, v := r.portVCOf(i - r.in0)
+	return fmt.Sprintf("input (%d,%d)", p, v)
 }

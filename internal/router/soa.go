@@ -25,23 +25,22 @@ import (
 // (Config.Normalize and network.New hold the bounds: degree ≤ MaxDegree,
 // VCs ≤ MaxVCs, depth ≤ MaxBufferDepth), because memory grows with routers
 // × radix × VCs; every reader widens to int. On 64-bit, an input slot costs
-// 17 + depth*12 bytes and maskKinds mask bits, an output slot 10 bytes and a
-// crossbar slot 6 (TestSlotBytes pins all three):
+// 20 bytes at any buffer depth and maskKinds mask bits, an output slot 10
+// bytes and a crossbar slot 6 (TestSlotBytes pins all three):
 //
 //	input VCs    stride = deg*VCs + 1 slots per router, port-major:
 //	             slot l = p*VCs + v for network port p < deg, l = deg*VCs
 //	             for the injection port's one VC. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
-//	             parallel arrays (inPkt, inRoute, inOutVC, inDBLane,
-//	             inWaiting); the flits live in the ring set in
-//	             (BufferDepth flits per slot, contiguous, stored as a packet
-//	             pointer and an int32 position each, with per-slot uint8
-//	             cursors in.head / in.n). slotPV maps a router-local slot
-//	             back to its (port, vc).
+//	             parallel arrays (inRoute, inOutVC, inDBLane, inWaiting);
+//	             the buffer set in holds each slot's owner and its flits,
+//	             stored as the head flit's position and a count (up to
+//	             BufferDepth), not flit by flit. slotPV maps a router-local
+//	             slot back to its (port, vc).
 //	slot masks   maskKinds masks of w = ⌈stride/64⌉ words per router, one
 //	             contiguous block of maskKinds*w words per router (mask):
 //	             bit l of mask k is router-local slot l. mOcc (flits
-//	             buffered), mHdr (a header at the ring head), mUnr (inRoute
+//	             buffered), mHdr (a header at the buffer head), mUnr (inRoute
 //	             is PortUnrouted) and mTim (inWaiting != 0 or mPre) are
 //	             exact functions of the arrays, kept so by their only
 //	             writers (pushIn/popIn, setRoute, clearTimer and tickSlot)
@@ -53,9 +52,9 @@ import (
 //	             readers mPre, so a router costs each sweep O(w + slots that
 //	             can act), not O(stride).
 //	output VCs   deg*VCs slots per router (outOwner, outCredits).
-//	DB lanes     lanes slots per router (dbPkt, dbRoute, and dbWriteAt, the
+//	DB lanes     lanes slots per router (dbRoute, and dbWriteAt, the
 //	             single write port's last-admission cycle) with the
-//	             one-flit ring set db: one lane with Timeout > 0, two
+//	             one-flit buffer set db: one lane with Timeout > 0, two
 //	             under concurrent recovery, none with Timeout == 0.
 //	crossbar     deg packet-by-packet connections per router (cxInPort,
 //	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
@@ -105,12 +104,11 @@ type State struct {
 	w      int // words per slot mask: ⌈stride/64⌉
 
 	// Input VC state, nodes*stride slots.
-	inPkt     []*packet.Packet
 	inRoute   []int8   // granted output port, PortEject or PortUnrouted (write via setRoute)
 	inOutVC   []int8   // granted output VC, VCDeadlockBuffer or VCUnrouted
 	inDBLane  []int8   // lane the hop enters when inOutVC == VCDeadlockBuffer
 	inWaiting []int32  // T_elapsed, saturating at math.MaxInt32 (Timeout < it)
-	in        flitRing // push and pop through pushIn/popIn
+	in        flitRun  // owners and flits; push and pop through pushIn/popIn
 	slotPV    []portVC // router-local slot -> (port, vc), stride entries
 
 	// Per-router input-slot masks, nodes*maskKinds*w words (see the layout
@@ -125,10 +123,9 @@ type State struct {
 	// with a single write port (as in the Chaos router the paper cites):
 	// dbWriteAt is the cycle of the lane's last admission, so at most one
 	// flit per cycle enters it (see ResolveDB).
-	dbPkt     []*packet.Packet
 	dbRoute   []int8
 	dbWriteAt []sim.Cycle
-	db        flitRing
+	db        flitRun
 
 	// Packet-by-packet crossbar connections, nodes*deg slots.
 	cxInPort    []int8
@@ -157,11 +154,11 @@ type State struct {
 // The per-router input-slot masks, in block order.
 const (
 	mOcc      = iota // the slot buffers flits
-	mHdr             // the ring head is a header
+	mHdr             // the buffer head is a header
 	mUnr             // inRoute is PortUnrouted
 	mTim             // the deadlock timer runs or the header is presumed
 	mSent            // a flit left the slot this cycle
-	mPre             // the header at the ring head is presumed deadlocked
+	mPre             // the header at the buffer head is presumed deadlocked
 	maskKinds        // masks per router
 )
 
@@ -200,12 +197,11 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	}
 	s.w = (s.stride + 63) / 64
 	in := nodes * s.stride
-	s.inPkt = make([]*packet.Packet, in)
 	s.inRoute = make([]int8, in)
 	s.inOutVC = make([]int8, in)
 	s.inDBLane = make([]int8, in)
 	s.inWaiting = make([]int32, in)
-	s.in = newFlitRing(in, cfg.BufferDepth)
+	s.in = newFlitRun(in, cfg.BufferDepth)
 	for i := range s.inRoute {
 		s.inRoute[i] = PortUnrouted
 		s.inOutVC[i] = VCUnrouted
@@ -231,10 +227,9 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 		s.outCredits[i] = int16(cfg.BufferDepth)
 	}
 	db := nodes * lanes
-	s.dbPkt = make([]*packet.Packet, db)
 	s.dbRoute = make([]int8, db)
 	s.dbWriteAt = make([]sim.Cycle, db)
-	s.db = newFlitRing(db, 1)
+	s.db = newFlitRun(db, 1)
 	for i := range s.dbRoute {
 		s.dbRoute[i] = PortUnrouted
 		s.dbWriteAt[i] = -1
@@ -368,8 +363,8 @@ func (r *Router) derivedMasks(i int) [mSent]bool {
 	}
 }
 
-// pushIn appends fl to global input slot i's ring; the first flit in an
-// empty ring sets mOcc and, if a header, mHdr.
+// pushIn appends fl to global input slot i's buffer; the first flit in an
+// empty buffer sets mOcc and, if a header, mHdr.
 func (r *Router) pushIn(i int, fl packet.Flit) {
 	s := r.st
 	s.in.push(i, fl)
@@ -459,102 +454,89 @@ func (s *State) inVCCount(p int) int {
 	return s.cfg.VCs
 }
 
-// --- Flit rings --------------------------------------------------------------
+// --- Flit buffers ------------------------------------------------------------
 
-// flitRing is a set of fixed-capacity flit FIFOs, one per slot, in one
-// contiguous array: slot i owns positions [i*depth, (i+1)*depth), read from
-// head[i] and holding n[i] flits. A flit is stored as its packet pointer and
-// its position in the packet (pkts, seqs), 12 bytes on 64-bit instead of a
-// 16-byte packet.Flit, which is what push, peek, at and pop exchange. The
-// input VCs and the Deadlock Buffer lanes are one ring set each; the input
-// set is pushed and popped through Router.pushIn/popIn, which keep the slot
-// masks exact.
-type flitRing struct {
+// flitRun is a set of fixed-capacity flit buffers, one per slot. A VC is
+// reallocated only once its buffer has drained (OutputVCFree), and a
+// Deadlock Buffer lane admits one packet at a time, so a slot only ever
+// buffers consecutive flits of its owner: flit k (0 == head) of slot i is
+// Flit{owner[i], seq[i]+k}, and a slot costs its owner, its head's position
+// and a count at any depth. The owner outlives the flits: a VC stays owned
+// while its next flits are still upstream, until its tail leaves. The input
+// VCs and the Deadlock Buffer lanes are one set each; the input set is
+// pushed and popped through Router.pushIn/popIn, which keep the slot masks
+// exact.
+type flitRun struct {
 	depth int
-	head  []uint8 // depth ≤ MaxBufferDepth
-	n     []uint8
-	pkts  []*packet.Packet
-	seqs  []int32 // a packet's length fits an int32 (network.New)
+	owner []*packet.Packet // set before its header is pushed, cleared when its tail leaves
+	seq   []int32          // the head flit's position; a packet's length fits an int32 (network.New)
+	n     []uint8          // depth ≤ MaxBufferDepth
 }
 
-func newFlitRing(slots, depth int) flitRing {
-	return flitRing{
+func newFlitRun(slots, depth int) flitRun {
+	return flitRun{
 		depth: depth,
-		head:  make([]uint8, slots),
+		owner: make([]*packet.Packet, slots),
+		seq:   make([]int32, slots),
 		n:     make([]uint8, slots),
-		pkts:  make([]*packet.Packet, slots*depth),
-		seqs:  make([]int32, slots*depth),
 	}
 }
 
-// pos returns the storage index of the k-th buffered flit (0 == head) of
-// ring i.
-func (q *flitRing) pos(i, k int) int {
-	k += int(q.head[i])
-	if k >= q.depth {
-		k -= q.depth
-	}
-	return i*q.depth + k
-}
-
-// flit returns the flit stored at index k.
-func (q *flitRing) flit(k int) packet.Flit { return packet.Flit{Pkt: q.pkts[k], Seq: int(q.seqs[k])} }
-
-// push appends a flit to ring i.
-func (q *flitRing) push(i int, fl packet.Flit) {
-	if int(q.n[i]) == q.depth {
+// push appends fl to slot i. It is the writers' guard: fl must be a flit of
+// the slot's owner and, behind buffered flits, the next in sequence. The
+// first flit into an empty slot starts the run wherever the owner is: the
+// flits before it have left or are still upstream.
+func (q *flitRun) push(i int, fl packet.Flit) {
+	n := int(q.n[i])
+	switch {
+	case n == q.depth:
 		panic("router: push to full fifo")
+	case fl.Pkt != q.owner[i]:
+		panic("router: push of a flit its slot's owner does not own")
+	case n == 0:
+		q.seq[i] = int32(fl.Seq)
+	case fl.Seq != int(q.seq[i])+n:
+		panic("router: push of a flit out of sequence")
 	}
-	k := q.pos(i, int(q.n[i]))
-	q.pkts[k], q.seqs[k] = fl.Pkt, int32(fl.Seq)
 	q.n[i]++
 }
 
-// peek returns the head flit of ring i.
-func (q *flitRing) peek(i int) packet.Flit {
-	if q.n[i] == 0 {
-		panic("router: peek on empty fifo")
-	}
-	return q.flit(i*q.depth + int(q.head[i]))
-}
+// peek returns the head flit of slot i.
+func (q *flitRun) peek(i int) packet.Flit { return q.at(i, 0) }
 
-// at returns the k-th buffered flit (0 == head) of ring i.
-func (q *flitRing) at(i, k int) packet.Flit {
+// at returns the k-th buffered flit (0 == head) of slot i.
+func (q *flitRun) at(i, k int) packet.Flit {
 	if k < 0 || k >= int(q.n[i]) {
 		panic("router: fifo index out of range")
 	}
-	return q.flit(q.pos(i, k))
+	return packet.Flit{Pkt: q.owner[i], Seq: int(q.seq[i]) + k}
 }
 
-// pop removes and returns the head flit of ring i, zeroing the vacated slot
-// so no stale packet pointer outlives its buffered flit.
-func (q *flitRing) pop(i int) packet.Flit {
+// pop removes and returns the head flit of slot i. The owner stays: its
+// next flit may still arrive.
+func (q *flitRun) pop(i int) packet.Flit {
 	fl := q.peek(i)
-	k := i*q.depth + int(q.head[i])
-	q.pkts[k], q.seqs[k] = nil, 0
-	if h := int(q.head[i]) + 1; h < q.depth {
-		q.head[i] = uint8(h)
-	} else {
-		q.head[i] = 0
-	}
+	q.seq[i]++
 	q.n[i]--
 	return fl
 }
 
-// check reports a cursor of ring i outside its range or a vacated slot that
-// still holds a flit (a stale packet pointer).
-func (q *flitRing) check(i int) error {
-	h, n := int(q.head[i]), int(q.n[i])
-	if h >= q.depth {
-		return fmt.Errorf("ring head %d outside [0,%d)", h, q.depth)
-	}
+// check reports a count of slot i outside its range, or flits that are not
+// a run of an owner's: buffered with no owner, or past its length.
+func (q *flitRun) check(i int) error {
+	n := int(q.n[i])
 	if n > q.depth {
-		return fmt.Errorf("ring length %d outside [0,%d]", n, q.depth)
+		return fmt.Errorf("buffer length %d outside [0,%d]", n, q.depth)
 	}
-	for k := n; k < q.depth; k++ {
-		if p := q.pkts[i*q.depth+(h+k)%q.depth]; p != nil {
-			return fmt.Errorf("vacated ring slot %d holds a stale flit of packet %d", k, p.ID)
-		}
+	if n == 0 {
+		return nil
+	}
+	p := q.owner[i]
+	if p == nil {
+		return fmt.Errorf("%d flits with no owner", n)
+	}
+	if first := int(q.seq[i]); first < 0 || first+n > p.Length {
+		return fmt.Errorf("flits %d..%d outside packet %d's length %d", first, first+n-1, p.ID, p.Length)
 	}
 	return nil
 }
@@ -562,13 +544,13 @@ func (q *flitRing) check(i int) error {
 // --- Structural cross-checks -------------------------------------------------
 
 // CheckState cross-checks the router's slice of the shared struct-of-arrays
-// buffers against what the view API exposes: ring cursors in range, vacated
-// ring slots zeroed (no stale packet pointers), every input slot's occupied,
+// buffers against what the view API exposes: buffer lengths in range and
+// every buffered run an owner's, every input slot's occupied,
 // header-at-head, unrouted and timing mask bits equal to what its arrays say
 // (the scans trust them) and no mask bit past the stride, route/VC grants
 // within their sentinel-extended domains, credits within [0, depth],
 // crossbar connections naming an input VC that exists, and the maintained
-// flit and crossbar-connection counters consistent with the rings and the
+// flit and crossbar-connection counters consistent with the buffers and the
 // connections. The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
 // without (yet) changing observable behavior is still caught near its origin.
@@ -618,7 +600,7 @@ func (r *Router) CheckState() error {
 		total += int(s.db.n[i])
 	}
 	if got := int(s.flitCount[r.node]); got != total {
-		return fmt.Errorf("router %d: maintained flit count %d, rings hold %d", r.node, got, total)
+		return fmt.Errorf("router %d: maintained flit count %d, buffers hold %d", r.node, got, total)
 	}
 	for q := 0; q < s.deg; q++ {
 		i := r.cx0 + q
