@@ -542,12 +542,9 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 			continue
 		}
 		n := int(s.db.n[i])
-		for k := 0; k < n; k++ {
-			s.db.pop(i)
-		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
-		s.db.owner[i] = nil
+		s.db.owner[i], s.db.n[i] = nil, 0
 		s.dbRoute[i] = PortUnrouted
 	}
 	return purged
