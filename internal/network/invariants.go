@@ -20,8 +20,6 @@ type flitKey struct {
 //     all buffers in the network;
 //   - flit conservation: for every packet with flits in the network,
 //     in-network flits + delivered flits == flits injected so far;
-//   - credit consistency: on every link and VC, sender-side credits plus
-//     downstream buffer occupancy equal the configured buffer depth;
 //   - counter and activity soundness: every router's maintained O(1) flit
 //     counter equals a full buffer walk, and any router holding flits or
 //     crossbar connection state is in the active set;
@@ -38,17 +36,18 @@ type flitKey struct {
 //     struct-of-arrays buffers passes router.CheckState — buffer lengths in
 //     range, every non-empty input VC and Deadlock Buffer lane owned and
 //     holding a run inside its owner's length, grants inside their sentinel
-//     domains, credits in range, flit counter consistent with the buffers —
+//     domains, one output VC grant bit per routed header at a buffer head,
+//     flit counter consistent with the buffers —
 //     so a scan-path bug that corrupts the flat layout is caught even
 //     before it changes view-level behavior. A buffer stores its flits as
-//     its owner's run, so it cannot hold another packet's flit or a gap.
+//     its owner's run, so it cannot hold another packet's flit or a gap,
+//     and an output VC's credits are the free space of the buffer it
+//     feeds, so they cannot disagree with it.
 //
 // The conformance tests call it every few cycles, so a phase-ordering bug
 // that corrupts state without immediately crashing is still caught near its
 // origin.
 func (n *Network) CheckInvariants() error {
-	depth := n.cfg.Router.BufferDepth
-	deg := n.topo.Degree()
 	seen := make(map[flitKey]struct{})
 	inNet := make(map[*packet.Packet]int)
 
@@ -102,19 +101,6 @@ func (n *Network) CheckInvariants() error {
 		// sweep runs.)
 		if (routerFlits > 0 || !r.CrossbarIdle()) && !n.activeOn(int(node)) {
 			return fmt.Errorf("network invariant: node %d holds work but is inactive", node)
-		}
-		for q := 0; q < deg; q++ {
-			nb := r.Neighbor(q)
-			if nb == nil {
-				continue
-			}
-			rp := r.ReverseAt(q)
-			for v := 0; v < n.cfg.Router.VCs; v++ {
-				if c := r.Credits(q, v) + nb.InputOccupancy(rp, v); c != depth {
-					return fmt.Errorf("network invariant: node %d output (%d,%d) credits+occupancy = %d, want buffer depth %d",
-						node, q, v, c, depth)
-				}
-			}
 		}
 	}
 

@@ -4,8 +4,10 @@ import "time"
 
 // stage runs the fused route-compute + switch-allocation phase for every
 // active router, in router order, into the reusable transfer buffer. Both
-// stages mutate only the owning router's state and read neighbor Deadlock
-// Buffer state that is start-of-cycle stable; Deadlock-Buffer admissions are
+// stages mutate only the owning router's state and read neighbor state that
+// is start-of-cycle stable: the Deadlock Buffers, and the owners and counts
+// of the input VCs an output VC feeds (its owner past the grant and its
+// credits); Deadlock-Buffer admissions are
 // staged optimistically and settled afterwards by router.ResolveDB in
 // router order.
 func (n *Network) stage(profiled bool) {

@@ -126,6 +126,13 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 			return fmt.Errorf("router %d: %w", r.Node(), err)
 		}
 	}
+	if c.Decoding() {
+		// An output's coded pair is checked against the input slot it
+		// feeds, which a later router may hold.
+		if err := n.routerState.VerifyOutputs(n.routers); err != nil {
+			return err
+		}
+	}
 	return c.Err()
 }
 

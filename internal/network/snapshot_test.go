@@ -387,37 +387,23 @@ func TestSnapshotCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Router records end the payload, each its WalkState bytes: the node,
-		// then per input slot the owner, route, output VC, DB lane and
-		// waiting count (8 bytes each), presumed and sent (1 each), and the
-		// buffer: a count, then a packet and a position per flit (8 each).
 		// Find the first input VC buffering two flits.
-		at := len(payload)
-		records := make([]int, len(orig.routers))
-		for i, r := range orig.routers {
-			var enc snapshot.Codec
-			if err := r.WalkState(&enc, nil); err != nil {
-				t.Fatal(err)
-			}
-			records[i] = len(enc.Bytes())
-			at -= records[i]
-		}
+		records := routerRecords(t, orig, len(payload))
 		slot, node, port, vc := -1, 0, 0, 0
 		for i, r := range orig.routers {
-			off := at + 8
+			off := records[i] + 8
 			for p := 0; p < r.InputPorts() && slot < 0; p++ {
 				for v := 0; v < r.InputVCCount(p) && slot < 0; v++ {
 					if occ := r.InputOccupancy(p, v); occ == 2 {
 						slot, node, port, vc = off, i, p, v
 					} else {
-						off += 5*8 + 2 + 8 + 16*occ
+						off += inputSlotBytes(occ)
 					}
 				}
 			}
 			if slot >= 0 {
 				break
 			}
-			at += records[i]
 		}
 		if slot < 0 {
 			t.Fatal("no input VC buffers two flits at cycle 200")
@@ -456,7 +442,102 @@ func TestSnapshotCorruption(t *testing.T) {
 			}
 		}
 	})
+	t.Run("output pair not derived", func(t *testing.T) {
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each output VC is coded as (owner, credits), 8 bytes each, after
+		// the router's input slots. Find an idle output, one whose owner is
+		// its downstream slot's, and a packet other than that owner.
+		records := routerRecords(t, orig, len(payload))
+		type output struct{ at, node, port, vc int }
+		idle, held := output{at: -1}, output{at: -1}
+		var owner *packet.Packet
+		for i, r := range orig.routers {
+			off := records[i] + 8
+			for p := 0; p < r.InputPorts(); p++ {
+				for v := 0; v < r.InputVCCount(p); v++ {
+					off += inputSlotBytes(r.InputOccupancy(p, v))
+				}
+			}
+			for q := 0; q < orig.topo.Degree(); q++ {
+				for v := 0; v < cfg.Router.VCs; v++ {
+					o, nb := r.OutputOwner(q, v), r.Neighbor(q)
+					switch {
+					case idle.at < 0 && o == nil && nb != nil && nb.InputOwner(r.ReverseAt(q), v) == nil:
+						idle = output{off, i, q, v}
+					case held.at < 0 && o != nil && nb != nil && nb.InputOwner(r.ReverseAt(q), v) == o:
+						held, owner = output{off, i, q, v}, o
+					}
+					off += 16
+				}
+			}
+		}
+		if idle.at < 0 || held.at < 0 {
+			t.Fatal("no idle output, or none held past its grant, at cycle 200")
+		}
+		var other *packet.Packet
+		for _, p := range orig.collectPackets() {
+			if p != owner {
+				other = p
+				break
+			}
+		}
+		u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
+		depth := uint64(cfg.Router.BufferDepth)
+		if u64(idle.at) != ^uint64(0) || u64(idle.at+8) != depth || u64(held.at) != uint64(owner.ID) {
+			t.Fatal("output pairs not where the layout says")
+		}
+		with := func(off int, v uint64) []byte {
+			mut := bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(mut[off:], v)
+			return snapshot.Seal(snapshotMagic, snapshotVersion, mut)
+		}
+		name := func(o output) string {
+			return fmt.Sprintf("router %d: snapshot: output (%d,%d)", o.node, o.port, o.vc)
+		}
+		for what, tc := range map[string]struct {
+			file []byte
+			want string
+		}{
+			"credits on an idle output": {with(idle.at+8, 1),
+				name(idle) + ": credits 1, but the buffer it feeds has room for 2"},
+			"owner on an idle output": {with(idle.at, uint64(other.ID)),
+				fmt.Sprintf("%s: owner packet %d, but no header holds its grant and its downstream slot is idle", name(idle), other.ID)},
+			"owner not the downstream slot's": {with(held.at, uint64(other.ID)),
+				fmt.Sprintf("%s: owner packet %d, but its downstream slot is packet %d's", name(held), other.ID, owner.ID)},
+		} {
+			if err := restoreAndStep(t, cfg, tc.file); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: restore error %v, want %q", what, err, tc.want)
+			}
+		}
+	})
 }
+
+// routerRecords returns where each router's record starts in n's snapshot
+// payload of payloadLen bytes: the records end the payload, each its
+// WalkState bytes.
+func routerRecords(t *testing.T, n *Network, payloadLen int) []int {
+	t.Helper()
+	starts := make([]int, len(n.routers))
+	at := payloadLen
+	for i := len(n.routers) - 1; i >= 0; i-- {
+		var enc snapshot.Codec
+		if err := n.routers[i].WalkState(&enc, nil); err != nil {
+			t.Fatal(err)
+		}
+		at -= len(enc.Bytes())
+		starts[i] = at
+	}
+	return starts
+}
+
+// inputSlotBytes is the size of one input slot in a router record holding
+// occ buffered flits: the owner, route, output VC, DB lane and waiting
+// count (8 bytes each), presumed and sent (1 each), and the buffer: a
+// count, then a packet and a position per flit (8 each).
+func inputSlotBytes(occ int) int { return 5*8 + 2 + 8 + 16*occ }
 
 // TestSnapshotDeterministicBytes pins that the encoder itself is
 // deterministic: two snapshots of the same state are byte-identical.

@@ -217,8 +217,8 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		func(s *State) { s.in.owner[0], s.in.seq[0], s.in.n[0] = packet.New(9, 0, 1, 2, 0), 1, 2 },
 		func(s *State) { s.inRoute[0] = int8(s.deg) },
 		func(s *State) { s.inOutVC[0] = int8(s.cfg.VCs) },
-		func(s *State) { s.outCredits[0] = int16(s.cfg.BufferDepth + 1) },
-		func(s *State) { s.outCredits[0] = -1 },
+		func(s *State) { s.grant[0] = 1 },                   // a grant no header holds
+		func(s *State) { s.grant[0] = 1 << (s.outStr - 1) }, // the last output VC's
 		func(s *State) { s.flitCount[0] = 5 },
 		func(s *State) { s.cxInPort[0] = int8(s.deg + 1) },
 		func(s *State) { s.cxInPort[0], s.cxInVC[0] = 1, int8(s.cfg.VCs) },
@@ -300,7 +300,7 @@ func TestCheckStateNamesEachMaskBit(t *testing.T) {
 	b := newBench(t, topo, cfg, routing.DOR())
 	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
 	for v := 0; v < cfg.VCs; v++ {
-		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = packet.New(99, 0, 1, 4, 0)
+		holdDownstream(r1, topology.PortFor(0, 1), v, packet.New(99, 0, 1, 4, 0))
 	}
 	b.injectAndRun(t, packet.New(1, 0, topo.NodeAt(topology.Coord{2, 0}), 4, 0), 12)
 	var seen [mSent]int
@@ -382,5 +382,47 @@ func TestAllocPolicyString(t *testing.T) {
 	}
 	if AllocPolicy(7).String() == "" {
 		t.Fatal("unknown policy must still format")
+	}
+}
+
+// TestCheckStateChecksGrants holds CheckState to the grant bits' one fact:
+// each routed header at a buffer head holds its output VC's bit alone, and
+// each set bit has such a header. A header granted without its bit, a bit
+// no header holds and a second header on the same output VC are each
+// refused with the router and the output (port, vc) named.
+func TestCheckStateChecksGrants(t *testing.T) {
+	topo := topology.MustTorus(4, 4)
+	b := newBench(t, topo, Default(), routing.DOR())
+	r := b.routers[5]
+	q := topology.PortFor(0, 1)
+	park := func(port int, p *packet.Packet) {
+		i := r.inIdx(port, 0)
+		r.st.in.owner[i] = p
+		r.pushIn(i, p.Flit(0))
+		r.st.flitCount[r.node]++
+		r.setRoute(i, q)
+		r.st.inOutVC[i] = 1
+	}
+	park(0, packet.New(1, 0, 9, 4, 0))
+	r.setGrant(q, 1, true)
+	if err := r.CheckState(); err != nil {
+		t.Fatalf("a granted header fails CheckState: %v", err)
+	}
+	r.setGrant(q, 1, false)
+	want := fmt.Sprintf("router 5 input (0,0): header holds output (%d,1) without its grant bit", q)
+	if err := r.CheckState(); err == nil || err.Error() != want {
+		t.Fatalf("bit cleared: CheckState = %v, want %q", err, want)
+	}
+	r.setGrant(q, 1, true)
+	r.setGrant(q, 2, true)
+	want = fmt.Sprintf("router 5 output (%d,2): grant bit set with no header holding it", q)
+	if err := r.CheckState(); err == nil || err.Error() != want {
+		t.Fatalf("stray bit: CheckState = %v, want %q", err, want)
+	}
+	r.setGrant(q, 2, false)
+	park(2, packet.New(2, 0, 9, 4, 0))
+	want = fmt.Sprintf("router 5 output (%d,1): granted to two headers, the second at input (2,0)", q)
+	if err := r.CheckState(); err == nil || err.Error() != want {
+		t.Fatalf("two headers: CheckState = %v, want %q", err, want)
 	}
 }

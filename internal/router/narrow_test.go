@@ -39,8 +39,10 @@ func slotBytes(v reflect.Value, by map[int]*int) {
 // and pins them per input slot (191 952 of them, the flit buffers
 // included), per output slot (189 888) and per crossbar slot (47 472), at
 // the default depth 2 and at depth 8: a slot stores its buffered flits as
-// its owner's run, so no figure grows with depth. Widening any per-slot
-// field, or adding one, moves a figure.
+// its owner's run, so no figure grows with depth. An output slot costs no
+// per-slot bytes, only its bit in the router's grant words (two 64-bit
+// words for 92 output VCs). Widening any per-slot field, or adding one,
+// moves a figure.
 func TestSlotBytes(t *testing.T) {
 	for _, depth := range []int{2, 8} {
 		cfg := Default()
@@ -59,7 +61,7 @@ func TestSlotBytes(t *testing.T) {
 		ptr := int(unsafe.Sizeof(uintptr(0)))
 		// An input slot: its owner, inRoute, inOutVC, inDBLane (1 byte
 		// each), inWaiting (4), and the buffer's head position (4) and count
-		// (1). An output slot: outOwner and outCredits (2). A crossbar slot:
+		// (1). An output slot: nothing but its grant bit. A crossbar slot:
 		// four int8 ports and VCs and two bools.
 		for _, c := range []struct {
 			what      string
@@ -67,15 +69,18 @@ func TestSlotBytes(t *testing.T) {
 			slots     int
 		}{
 			{"input", inBytes, ptr + 12, in},
-			{"output", outBytes, ptr + 2, out},
+			{"output", outBytes, 0, out},
 			{"crossbar", cxBytes, 6, cx},
 		} {
 			if c.got != c.want*c.slots {
 				t.Errorf("depth %d: %s slots hold %d bytes, %.2f a slot; want %d a slot", depth, c.what, c.got, float64(c.got)/float64(c.slots), c.want)
 			}
 		}
+		if s.gw != 2 || len(s.grant) != 2*s.nodes {
+			t.Errorf("depth %d: %d grant words a router, %d in all; want 2 and %d", depth, s.gw, len(s.grant), 2*s.nodes)
+		}
 		if t.Failed() || testing.Verbose() {
-			t.Logf("depth %d: input %d B, output %d B, crossbar %d B (%d-byte pointers)", depth, inBytes, outBytes, cxBytes, ptr)
+			t.Logf("depth %d: input %d B, output %d B + %d grant words, crossbar %d B (%d-byte pointers)", depth, inBytes, outBytes, len(s.grant), cxBytes, ptr)
 		}
 	}
 }
@@ -92,7 +97,7 @@ func blockedHeader(t *testing.T, cfg Config) (*testBench, *Router, int) {
 	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
 	blocker := packet.New(99, 0, 1, 4, 0)
 	for v := 0; v < r1.st.cfg.VCs; v++ {
-		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = blocker
+		holdDownstream(r1, topology.PortFor(0, 1), v, blocker)
 	}
 	p := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 1, 0)
 	if !b.routers[p.Src].InjectFlit(p.Flit(0), 0) {
@@ -188,9 +193,11 @@ func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
 		// The packet table a decoder rewires references through: every
 		// packet the router's slots hold.
 		table := map[packet.ID]*packet.Packet{hdr.ID: c.pkt}
-		for _, p := range r.st.outOwner[r.out0 : r.out0+r.st.outStr] {
-			if p != nil {
-				table[p.ID] = p
+		for q := 0; q < r.st.deg; q++ {
+			for v := 0; v < r.st.cfg.VCs; v++ {
+				if p := r.OutputOwner(q, v); p != nil {
+					table[p.ID] = p
+				}
 			}
 		}
 		b := bytes.Clone(enc.Bytes())

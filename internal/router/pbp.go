@@ -170,7 +170,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 					tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])}
 					staged = true
 				}
-			} else if s.outCredits[r.outIdx(q, int(s.inOutVC[g]))] > 0 {
+			} else if int(s.in.n[r.downIdx(q, int(s.inOutVC[g]))]) < s.cfg.BufferDepth {
 				tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])}
 				staged = true
 			}

@@ -30,7 +30,6 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	r.pushIn(i00, a.Flit(2))
 	r.pushIn(i00, a.Flit(3))
 	s.flitCount[r.node] += 2
-	s.outOwner[r.outIdx(q, 0)] = a
 	// A's header went ahead: A owns the VC its flits enter downstream.
 	nb := r.neighbors[q]
 	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 0)] = a
@@ -119,8 +118,6 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	s.inOutVC[iA] = 0
 	r.pushIn(iA, a.Flit(2))
 	s.flitCount[r.node]++
-	s.outOwner[r.outIdx(q, 0)] = a
-	s.outCredits[r.outIdx(q, 0)] = 0
 
 	// Packet B on another input also routes to q, on VC 1 with credits.
 	bb := packet.New(2, 0, 9, 8, 0)
@@ -131,11 +128,18 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	r.pushIn(iB, bb.Flit(2))
 	r.pushIn(iB, bb.Flit(3))
 	s.flitCount[r.node] += 2
-	s.outOwner[r.outIdx(q, 1)] = bb
-	// Both headers went ahead and own the VCs their flits enter downstream.
+	// Both headers went ahead and own the VCs their flits enter downstream;
+	// A's flits fill its downstream buffer, so A has no credit.
 	nb := r.neighbors[q]
-	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 0)] = a
-	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 1)] = bb
+	holdDownstream(r, q, 0, a)
+	holdDownstream(r, q, 1, bb)
+	for seq := 0; seq < cfg.BufferDepth; seq++ {
+		nb.pushIn(r.downIdx(q, 0), a.Flit(seq))
+		nb.st.flitCount[nb.node]++
+	}
+	if r.Credits(q, 0) != 0 {
+		t.Fatalf("A's output VC has %d credits, want 0", r.Credits(q, 0))
+	}
 
 	// First stage: A establishes the connection (or B does — either way a
 	// flit must flow every cycle while somebody can send).

@@ -103,8 +103,8 @@ func ResolveDB(xfers []Transfer, now sim.Cycle) {
 // routeSlot performs routing computation and output VC allocation for the
 // input VC at global slot i, if its head flit is an unrouted header.
 // StageRouting calls it on each such slot in its rotating order. Grants take
-// effect immediately in router-local state (output VC ownership), so later
-// slots visited in the same cycle see them.
+// effect immediately in router-local state (the output VC's grant bit), so
+// later slots visited in the same cycle see them.
 func (r *Router) routeSlot(i int) {
 	s := r.st
 	if s.in.n[i] == 0 || s.inRoute[i] != PortUnrouted {
@@ -152,7 +152,7 @@ func (r *Router) routeSlot(i int) {
 	if len(usable) > 1 {
 		choice = s.sel.Pick(r, usable, r.rng)
 	}
-	s.outOwner[r.outIdx(choice.Port, choice.VC)] = p
+	r.setGrant(choice.Port, choice.VC, true)
 	r.setRoute(i, choice.Port)
 	s.inOutVC[i] = int8(choice.VC)
 	if choice.ToDeterministic {
@@ -221,20 +221,16 @@ func Commit(t *Transfer, sink Sink) {
 		}
 		to.pushIn(ti, fl)
 		to.st.flitCount[to.node]++
-		oi := t.From.outIdx(t.OutPort, t.ToVC)
-		t.From.st.outCredits[oi]--
-		if fl.IsTail() {
-			t.From.st.outOwner[oi] = nil
-		}
 		t.From.stats.FlitsSwitched++
 		if fl.IsHeader() {
+			t.From.setGrant(t.OutPort, t.ToVC, false)
 			t.From.applyHeaderHop(fl.Pkt, t.OutPort)
 		}
 	}
 }
 
-// popSource removes the flit from its source buffer, returning credits to
-// the upstream output VC and releasing wormhole state on tails.
+// popSource removes the flit from its source buffer, releasing wormhole
+// state on tails. The freed space is the upstream output VC's credit.
 func (t *Transfer) popSource() packet.Flit {
 	r := t.From
 	s := r.st
@@ -252,10 +248,6 @@ func (t *Transfer) popSource() packet.Flit {
 	i := r.inIdx(t.FromPort, t.FromVC)
 	fl := r.popIn(i)
 	s.flitCount[r.node]--
-	if t.FromPort < s.deg && r.neighbors[t.FromPort] != nil {
-		up := r.neighbors[t.FromPort]
-		up.st.outCredits[up.outIdx(int(r.rev[t.FromPort]), t.FromVC)]++
-	}
 	if fl.IsTail() {
 		s.in.owner[i] = nil
 		r.setRoute(i, PortUnrouted)
@@ -403,9 +395,7 @@ func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	if p == nil || s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
 		panic("router: Recover on a VC without a blocked header")
 	}
-	if s.inRoute[i] >= 0 && s.inOutVC[i] >= 0 {
-		s.outOwner[r.outIdx(int(s.inRoute[i]), int(s.inOutVC[i]))] = nil
-	}
+	r.releaseGrant(i)
 	p.OnDB = true
 	p.SeizedToken = s.cfg.Recovery == RecoverySequential
 	p.RecoveredAt = now
@@ -495,8 +485,8 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 }
 
 // PurgePacket removes every flit of p from this router and releases all
-// channel state p holds here: input VC ownership (returning the purged
-// flits' credits upstream), granted and in-use output VCs, Deadlock Buffer
+// channel state p holds here: input VC ownership (the purged flits' space
+// is the upstream output VC's credit), output VC grants, Deadlock Buffer
 // lanes (a reconfiguration victim may be mid-recovery) and — indirectly,
 // through the stale-connection checks — packet-by-packet crossbar
 // connections. It returns the number of flits purged. The network calls it
@@ -511,30 +501,18 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		if s.in.owner[i] != p {
 			continue
 		}
-		port, v := r.portVCOf(l)
+		r.releaseGrant(i)
 		n := int(s.in.n[i])
 		for k := 0; k < n; k++ {
 			r.popIn(i)
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
-		if n > 0 && port < s.deg && r.neighbors[port] != nil {
-			up := r.neighbors[port]
-			up.st.outCredits[up.outIdx(int(r.rev[port]), v)] += int16(n)
-		}
 		s.in.owner[i] = nil
 		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		r.clearTimer(i)
 		r.setMask(mSent, i, false)
-	}
-	for q := 0; q < s.deg; q++ {
-		for v := 0; v < s.cfg.VCs; v++ {
-			i := r.outIdx(q, v)
-			if s.outOwner[i] == p {
-				s.outOwner[i] = nil
-			}
-		}
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)

@@ -23,7 +23,7 @@ import "math/bits"
 
 // StageRouting performs routing computation and output VC allocation for
 // every input VC whose head flit is an unrouted header. Grants take effect
-// immediately in router-local state (output VC ownership), so later headers
+// immediately in router-local state (the grant bits), so later headers
 // in the same cycle see them; the rotating start offset keeps this fair.
 // It walks mHdr from the offset, (now-1) mod stride in cycle now: the
 // rotating order over every slot, restricted to the only slots routeSlot can
@@ -41,10 +41,13 @@ func (r *Router) StageRouting() {
 
 // StageSwitch arbitrates the crossbar and reception channels for this cycle
 // and appends the staged flit movements to out. Decisions use
-// start-of-cycle buffer/credit state; Commit applies them afterwards.
+// start-of-cycle buffer state, credits included: an output VC's credit is
+// the free space of the neighbour's buffer it feeds, which no commit has
+// written yet. Commit applies them afterwards.
 //
 // StageSwitch mutates only this router's state and reads neighbors' Deadlock
-// Buffer state, which is start-of-cycle stable: staging reads only
+// Buffers and the counts of the input VCs its output VCs feed, which are
+// start-of-cycle stable: staging reads only
 // start-of-cycle state. Deadlock-Buffer-bound transfers are staged
 // optimistically; the caller must run ResolveDB over all staged transfers
 // (in fixed router order) to settle the write port before committing them.
@@ -183,8 +186,8 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc,
 				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])})
 		} else {
-			if s.outCredits[r.outIdx(q, int(s.inOutVC[g]))] <= 0 {
-				continue
+			if int(s.in.n[r.downIdx(q, int(s.inOutVC[g]))]) == s.cfg.BufferDepth {
+				continue // no credit: the downstream buffer is full
 			}
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
 		}

@@ -5,9 +5,9 @@ import "repro/internal/packet"
 // This file holds the router-local primitives the network's dynamic
 // reconfiguration subsystem (internal/network/reconfig.go) composes into
 // mid-run link kills and heals. Every method here mutates only
-// this router's slice of the shared SoA state (plus the well-defined upstream
-// credit return PurgePacket already performs), and all of them are called
-// between Step cycles.
+// this router's slice of the shared SoA state, and all of them are called
+// between Step cycles. An output VC's credits are the buffer it feeds, so a
+// purge or a reset has no credit to return upstream.
 
 // dbHeadIsHeader reports whether DB lane slot i currently buffers its
 // packet's header at the buffer head — the one case where the lane's stored
@@ -21,7 +21,8 @@ func (r *Router) dbHeadIsHeader(i int) bool {
 // LinkVictims appends every packet that would lose flits if the link on
 // port were severed right now: packets with flits (or live wormhole
 // ownership) in the input VCs the link feeds, packets owning an output VC
-// on the link with flits already across (credits consumed), and packets
+// on the link with flits already across (credits consumed: the neighbour's
+// input VC holds them, so its own scan finds these too), and packets
 // whose Deadlock Buffer chain is threaded across the link — a lane or
 // DB-granted input VC routed at port whose header has already departed, so
 // the remaining flits cannot be re-aimed. Callers scan both endpoints and
@@ -34,8 +35,7 @@ func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 		}
 	}
 	for v := 0; v < s.cfg.VCs; v++ {
-		i := r.outIdx(port, v)
-		if p := s.outOwner[i]; p != nil && int(s.outCredits[i]) < s.cfg.BufferDepth {
+		if p := r.OutputOwner(port, v); p != nil && r.Credits(port, v) < s.cfg.BufferDepth {
 			out = append(out, p)
 		}
 	}
@@ -73,25 +73,22 @@ func (r *Router) ReleaseGrants(port int) {
 		if s.in.owner[i] == nil || int(s.inRoute[i]) != port {
 			continue
 		}
-		if ov := int(s.inOutVC[i]); ov >= 0 {
-			s.outOwner[r.outIdx(port, ov)] = nil
-		}
+		r.releaseGrant(i)
 		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 	}
 }
 
 // ResetOutputPort restores port's output-side channel state to
-// as-constructed: no owners, full credit, and no packet-by-packet crossbar
-// connection (live or suspended). Called after a kill has purged or
-// re-routed everything that used the link, and again is what lets a healed
-// link come back with clean virtual channels.
+// as-constructed: no grants and no packet-by-packet crossbar connection
+// (live or suspended). Its credits and its owners past a grant are the
+// buffers it feeds, which a kill's purges emptied. Called after a kill has
+// purged or re-routed everything that used the link, and again is what
+// lets a healed link come back with clean virtual channels.
 func (r *Router) ResetOutputPort(port int) {
 	s := r.st
 	for v := 0; v < s.cfg.VCs; v++ {
-		i := r.outIdx(port, v)
-		s.outOwner[i] = nil
-		s.outCredits[i] = int16(s.cfg.BufferDepth)
+		r.setGrant(port, v, false)
 	}
 	c := r.cxIdx(port)
 	s.cxInPort[c], s.cxInVC[c] = connNone, 0

@@ -124,7 +124,7 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 		t.Fatal("no DOR port")
 	}
 	for v := 0; v < cfg.VCs; v++ {
-		r.st.outOwner[r.outIdx(port, v)] = blocker
+		holdDownstream(r, port, v, blocker)
 	}
 	p := packet.New(1, src, dst, 2, 0)
 	i00 := r.inIdx(0, 0)
@@ -175,13 +175,14 @@ func TestPurgePacket(t *testing.T) {
 	r0.pushIn(i0, p.Flit(1))
 	r0.pushIn(i0, p.Flit(2))
 	r0.st.flitCount[r0.node] += 2
-	r0.st.outOwner[r0.outIdx(q, 0)] = p
 	rev := topology.ReversePort(q)
 	i1 := r1.inIdx(rev, 0)
 	r1.st.in.owner[i1] = p
 	r1.pushIn(i1, p.Flit(0))
 	r1.st.flitCount[r1.node]++
-	r0.st.outCredits[r0.outIdx(q, 0)] = int16(cfg.BufferDepth - 1)
+	if r0.OutputOwner(q, 0) != p || r0.Credits(q, 0) != cfg.BufferDepth-1 {
+		t.Fatalf("before the purge: output owner %v, credits %d; want packet 1 and %d", r0.OutputOwner(q, 0), r0.Credits(q, 0), cfg.BufferDepth-1)
+	}
 
 	purged := r0.PurgePacket(p) + r1.PurgePacket(p)
 	if purged != 3 {

@@ -13,8 +13,10 @@
 //
 // Everything the routers of one network share lives once in a State: the
 // network-wide facts (topology, configuration, routing function, Deadlock
-// Buffer lane table) and the hot per-cycle state — VC buffers, credits,
-// deadlock timers, crossbar connections — as flat struct-of-arrays buffers. A
+// Buffer lane table) and the hot per-cycle state — VC buffers, output VC
+// grants, deadlock timers, crossbar connections — as flat struct-of-arrays
+// buffers. An output VC stores only its grant: its credits and, once its
+// header has crossed, its owner are those of the input buffer it feeds. A
 // Router is a view over its slice of those buffers, so the per-cycle scan
 // phases sweep contiguous memory while the router API, digests and snapshots
 // stay layout-invariant.
@@ -80,13 +82,13 @@ type Router struct {
 	rng  *sim.RNG
 
 	// Shared state and this router's base offsets into its buffers.
-	st   *State
-	in0  int // first input VC slot:       node * st.stride
-	out0 int // first output VC slot:      node * st.outStr
-	db0  int // first Deadlock Buffer slot: node * st.lanes
-	cx0  int // first crossbar slot:        node * st.deg
-	sw0  int // first switch-arb slot:      node * (st.deg + 1)
-	mk0  int // first slot-mask word:       node * maskKinds * st.w
+	st  *State
+	in0 int // first input VC slot:       node * st.stride
+	g0  int // first grant word:          node * st.gw
+	db0 int // first Deadlock Buffer slot: node * st.lanes
+	cx0 int // first crossbar slot:        node * st.deg
+	sw0 int // first switch-arb slot:      node * (st.deg + 1)
+	mk0 int // first slot-mask word:       node * maskKinds * st.w
 
 	neighbors []*Router // per network port; nil where no link exists
 
@@ -114,7 +116,7 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 		rng:         rng,
 		st:          st,
 		in0:         int(node) * st.stride,
-		out0:        int(node) * st.outStr,
+		g0:          int(node) * st.gw,
 		db0:         int(node) * st.lanes,
 		cx0:         int(node) * deg,
 		sw0:         int(node) * (deg + 1),
@@ -201,16 +203,20 @@ func (r *Router) LinkExists(port int) bool {
 }
 
 // OutputVCFree implements routing.View: a VC is allocatable only when no
-// packet owns it and the downstream buffer has fully drained (atomic VC
-// reallocation, so packets never interleave inside one edge buffer).
+// header here holds its grant and the downstream buffer has no owner, so
+// has drained and expects no flit (atomic VC reallocation, so packets never
+// interleave inside one edge buffer).
 func (r *Router) OutputVCFree(port, vc int) bool {
-	i := r.outIdx(port, vc)
-	return r.st.outOwner[i] == nil && int(r.st.outCredits[i]) == r.st.cfg.BufferDepth
+	if r.granted(port, vc) {
+		return false
+	}
+	d := r.downIdx(port, vc)
+	return d < 0 || r.st.in.owner[d] == nil
 }
 
 // OccupantDimReversals implements routing.View.
 func (r *Router) OccupantDimReversals(port, vc int) (int, bool) {
-	o := r.st.outOwner[r.outIdx(port, vc)]
+	o := r.OutputOwner(port, vc)
 	if o == nil {
 		return 0, false
 	}
@@ -286,11 +292,34 @@ func (r *Router) InputHead(port, vc int) (packet.Flit, bool) {
 	return r.st.in.peek(i), true
 }
 
-// OutputOwner returns the packet holding output VC (port, vc), if any.
-func (r *Router) OutputOwner(port, vc int) *packet.Packet { return r.st.outOwner[r.outIdx(port, vc)] }
+// OutputOwner returns the packet holding output VC (port, vc), if any: the
+// header here that holds its grant, else the downstream slot's owner until
+// its tail has entered that slot.
+func (r *Router) OutputOwner(port, vc int) *packet.Packet {
+	if r.granted(port, vc) {
+		return r.grantHolder(port, vc)
+	}
+	d := r.downIdx(port, vc)
+	if d < 0 {
+		return nil
+	}
+	q := &r.st.in
+	p := q.owner[d]
+	if p == nil || (q.n[d] != 0 && int(q.seq[d])+int(q.n[d]) == p.Length) {
+		return nil // idle, or the tail has crossed
+	}
+	return p
+}
 
-// Credits returns the credit count of output VC (port, vc).
-func (r *Router) Credits(port, vc int) int { return int(r.st.outCredits[r.outIdx(port, vc)]) }
+// Credits returns the credit count of output VC (port, vc): the free space
+// of the buffer it feeds, the full depth where the port has no link.
+func (r *Router) Credits(port, vc int) int {
+	n := 0
+	if d := r.downIdx(port, vc); d >= 0 {
+		n = int(r.st.in.n[d])
+	}
+	return r.st.cfg.BufferDepth - n
+}
 
 // DBLanes returns the number of Deadlock Buffer units (0 with recovery
 // disabled, 1 for sequential recovery, 2 for concurrent recovery).

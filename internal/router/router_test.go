@@ -40,6 +40,13 @@ func newBench(t *testing.T, topo topology.Topology, cfg Config, alg routing.Algo
 	return b
 }
 
+// holdDownstream makes p hold output VC (port, vc) of r as a packet whose
+// header has crossed does: p owns the input VC the output feeds, and its
+// next flits are still upstream. nil releases the VC.
+func holdDownstream(r *Router, port, vc int, p *packet.Packet) {
+	r.st.in.owner[r.downIdx(port, vc)] = p
+}
+
 func (b *testBench) Deliver(fl packet.Flit, at topology.Node) {
 	b.delivered = append(b.delivered, fl)
 	b.deliverAt = append(b.deliverAt, at)
@@ -211,7 +218,7 @@ func TestTimersAndMostStarved(t *testing.T) {
 	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
 	blocker := packet.New(99, 0, 1, 4, 0)
 	for v := 0; v < cfg.VCs; v++ {
-		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = blocker
+		holdDownstream(r1, topology.PortFor(0, 1), v, blocker)
 	}
 	p := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 3, 0)
 	if !r0.InjectFlit(p.Flit(0), 0) {
@@ -266,7 +273,7 @@ func TestFalseDeadlockPresumptionClears(t *testing.T) {
 	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
 	blocker := packet.New(99, 0, 1, 4, 0)
 	for v := 0; v < cfg.VCs; v++ {
-		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = blocker
+		holdDownstream(r1, topology.PortFor(0, 1), v, blocker)
 	}
 	p := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 3, 0)
 	b.routers[0].InjectFlit(p.Flit(0), 0)
@@ -281,7 +288,7 @@ func TestFalseDeadlockPresumptionClears(t *testing.T) {
 	}
 	// The congestion clears before the Token arrives: a false deadlock.
 	for v := 0; v < cfg.VCs; v++ {
-		r1.st.outOwner[r1.outIdx(topology.PortFor(0, 1), v)] = nil
+		holdDownstream(r1, topology.PortFor(0, 1), v, nil)
 	}
 	for i := 0; i < 4; i++ {
 		b.step()
@@ -345,7 +352,7 @@ func TestRouterViewImplementation(t *testing.T) {
 	}
 	p := packet.New(1, 0, 1, 4, 0)
 	p.DimReversals = 3
-	corner.st.outOwner[corner.outIdx(0, 0)] = p
+	holdDownstream(corner, 0, 0, p)
 	if corner.FreeVCs(0) != cfg.VCs-1 {
 		t.Fatal("FreeVCs did not drop")
 	}
@@ -355,9 +362,13 @@ func TestRouterViewImplementation(t *testing.T) {
 	if _, ok := corner.OccupantDimReversals(0, 1); ok {
 		t.Fatal("free VC reported occupied")
 	}
-	// Draining VC (owner gone, credits low) is not allocatable.
-	corner.st.outOwner[corner.outIdx(0, 0)] = nil
-	corner.st.outCredits[corner.outIdx(0, 0)] = int16(cfg.BufferDepth - 1)
+	// Draining VC (the tail has crossed, credits low) is not allocatable.
+	nb := corner.Neighbor(0)
+	nb.pushIn(corner.downIdx(0, 0), p.Flit(p.Length-1))
+	nb.st.flitCount[nb.node]++
+	if corner.OutputOwner(0, 0) != nil || corner.Credits(0, 0) != cfg.BufferDepth-1 {
+		t.Fatalf("draining VC: owner %v, credits %d; want none and %d", corner.OutputOwner(0, 0), corner.Credits(0, 0), cfg.BufferDepth-1)
+	}
 	if corner.OutputVCFree(0, 0) {
 		t.Fatal("draining VC must not be reallocatable")
 	}

@@ -36,7 +36,9 @@ func PacketRef(c *snapshot.Codec, p **packet.Packet, table map[packet.ID]*packet
 //
 // Decoding restores a router freshly constructed with the identical
 // configuration the snapshot was taken under; table is the packet table the
-// network decoded (nil when encoding).
+// network decoded (nil when encoding). The coded output VC pairs are kept
+// for State.VerifyOutputs, which the decoder calls once every router is
+// decoded.
 func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) error {
 	r.walkState(c, table)
 	rng := r.rng.State()
@@ -58,7 +60,9 @@ func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 // The walk follows the logical (port, vc) order and each buffer's
 // head-to-tail order, never the physical SoA layout (flat slot indices), and
 // codes every buffered flit although a buffer stores only its owner's run,
-// so the bytes are layout-invariant.
+// and every output VC's owner and credits although they are derived (the
+// grant bits from the input slots, the rest from the buffers the outputs
+// feed), so the bytes are layout-invariant.
 func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) {
 	s := r.st
 	dec := c.Decoding()
@@ -98,10 +102,23 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 			}
 		}
 	}
+	if dec {
+		r.decodeGrants(c)
+		if s.coded == nil {
+			s.coded = make([]outPair, s.nodes*s.outStr)
+		}
+	}
 	for l := 0; l < s.outStr; l++ {
-		i := r.out0 + l
-		PacketRef(c, &s.outOwner[i], table)
-		snapshot.Range(c, &s.outCredits[i], snapshot.In(0, s.cfg.BufferDepth+1, "credits"))
+		q, v := l/s.cfg.VCs, l%s.cfg.VCs
+		var o outPair
+		if !dec {
+			o = outPair{r.OutputOwner(q, v), int16(r.Credits(q, v))}
+		}
+		PacketRef(c, &o.owner, table)
+		snapshot.Range(c, &o.credits, snapshot.In(0, s.cfg.BufferDepth+1, "credits"))
+		if dec {
+			s.coded[int(r.node)*s.outStr+l] = o
+		}
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.db0 + lane
@@ -200,4 +217,90 @@ func (r *Router) slotName(q *flitRun, i int) string {
 	}
 	p, v := r.portVCOf(i - r.in0)
 	return fmt.Sprintf("input (%d,%d)", p, v)
+}
+
+// outPair is an output VC as a snapshot codes it: its owner and credits.
+type outPair struct {
+	owner   *packet.Packet
+	credits int16
+}
+
+// decodeGrants sets the router's grant bits from its decoded input slots:
+// each routed header at a buffer head holds its output VC's grant, and a
+// second header claiming the same VC is refused.
+func (r *Router) decodeGrants(c *snapshot.Codec) {
+	s := r.st
+	clear(s.grant[r.g0 : r.g0+s.gw])
+	for i := r.in0; i < r.in0+s.stride; i++ {
+		if !r.holdsGrant(i) {
+			continue
+		}
+		q, v := int(s.inRoute[i]), int(s.inOutVC[i])
+		if r.granted(q, v) {
+			c.Fail("snapshot: output (%d,%d) is granted to two headers", q, v)
+			return
+		}
+		r.setGrant(q, v, true)
+	}
+}
+
+// VerifyOutputs checks every router's coded output VC pairs against the
+// state they derive from, and drops them. The network's decoder calls it
+// once every router's input slots are decoded (and the reconfiguration log
+// has rewired the links), since an output's credits and owner past its
+// grant are its neighbour's input slot. An error names the router and the
+// output (port, vc).
+func (s *State) VerifyOutputs(routers []*Router) error {
+	defer func() { s.coded = nil }()
+	for _, r := range routers {
+		for l := 0; l < s.outStr; l++ {
+			q, v := l/s.cfg.VCs, l%s.cfg.VCs
+			if msg := r.outputMismatch(q, v, s.coded[int(r.node)*s.outStr+l]); msg != "" {
+				return fmt.Errorf("router %d: snapshot: output (%d,%d): %s", r.node, q, v, msg)
+			}
+		}
+	}
+	return nil
+}
+
+// outputMismatch returns why the coded pair o of output VC (q, v)
+// disagrees with the state, or "".
+func (r *Router) outputMismatch(q, v int, o outPair) string {
+	s := r.st
+	d := r.downIdx(q, v)
+	if want := r.Credits(q, v); int(o.credits) != want {
+		return fmt.Sprintf("credits %d, but the buffer it feeds has room for %d", o.credits, want)
+	}
+	if r.granted(q, v) {
+		h := r.grantHolder(q, v)
+		switch {
+		case d < 0:
+			return fmt.Sprintf("packet %d's header holds its grant on a link that is down", h.ID)
+		case s.in.owner[d] != nil:
+			return fmt.Sprintf("packet %d's header holds its grant while its downstream slot is packet %d's", h.ID, s.in.owner[d].ID)
+		case o.owner != h:
+			return fmt.Sprintf("owner %s, but packet %d's header holds its grant", refName(o.owner), h.ID)
+		}
+		return ""
+	}
+	want := r.OutputOwner(q, v)
+	switch {
+	case o.owner == want:
+		return ""
+	case want != nil:
+		return fmt.Sprintf("owner %s, but its downstream slot is packet %d's", refName(o.owner), want.ID)
+	case d < 0:
+		return fmt.Sprintf("owner %s, but no header holds its grant and its link is down", refName(o.owner))
+	case s.in.owner[d] == nil:
+		return fmt.Sprintf("owner %s, but no header holds its grant and its downstream slot is idle", refName(o.owner))
+	}
+	return fmt.Sprintf("owner %s, but packet %d's tail has entered its downstream slot", refName(o.owner), s.in.owner[d].ID)
+}
+
+// refName names a coded packet reference in a decoding error.
+func refName(p *packet.Packet) string {
+	if p == nil {
+		return "none"
+	}
+	return fmt.Sprintf("packet %d", p.ID)
 }

@@ -25,8 +25,9 @@ import (
 // (Config.Normalize and network.New hold the bounds: degree ≤ MaxDegree,
 // VCs ≤ MaxVCs, depth ≤ MaxBufferDepth), because memory grows with routers
 // × radix × VCs; every reader widens to int. On 64-bit, an input slot costs
-// 20 bytes at any buffer depth and maskKinds mask bits, an output slot 10
-// bytes and a crossbar slot 6 (TestSlotBytes pins all three):
+// 20 bytes at any buffer depth and maskKinds mask bits, an output slot no
+// bytes and one grant bit, and a crossbar slot 6 (TestSlotBytes pins all
+// three):
 //
 //	input VCs    stride = deg*VCs + 1 slots per router, port-major:
 //	             slot l = p*VCs + v for network port p < deg, l = deg*VCs
@@ -51,7 +52,15 @@ import (
 //	             mOcc ∧ ¬mUnr, the timers mTim ∨ mHdr and the presumed-slot
 //	             readers mPre, so a router costs each sweep O(w + slots that
 //	             can act), not O(stride).
-//	output VCs   deg*VCs slots per router (outOwner, outCredits).
+//	output VCs   deg*VCs slots per router, stored as gw = ⌈deg*VCs/64⌉
+//	             grant words per router (grant): bit q*VCs+v is set while
+//	             a header at this router holds output VC (q, v) and has
+//	             not crossed. Everything else about an output VC is the
+//	             input slot it feeds (downIdx): credit flow control
+//	             reallocates a VC only once that slot has drained, so
+//	             its credits are depth less the slot's count, and once
+//	             the header has crossed its owner is the slot's owner
+//	             until the tail enters the slot (OutputOwner, Credits).
 //	DB lanes     lanes slots per router (dbRoute, and dbWriteAt, the
 //	             single write port's last-admission cycle) with the
 //	             one-flit buffer set db: one lane with Timeout > 0, two
@@ -65,9 +74,12 @@ import (
 //	scratch      outMask ((deg+1)*w words, one router's per-output masks in
 //	             StageSwitch) and cands (outStr, one header's candidates).
 //
-// Aliasing contract: a Router view may only touch slots inside its own base
+// Aliasing contract: a Router view may only write slots inside its own base
 // ranges, except through another Router's methods (transfer commit writes
-// the receiving router's buffers via the receiver view). The layout is a
+// the receiving router's buffers via the receiver view). It reads one
+// range of another router's: the input slots its output VCs feed, whose
+// owners and counts are its outputs' owners and credits; the stage phases
+// read them before any commit of the cycle writes them. The layout is a
 // private representation: digests (AppendState), snapshots (WalkState) and
 // all introspection walk the logical (port, vc) order, so they are
 // layout-invariant by construction.
@@ -102,6 +114,7 @@ type State struct {
 	stride int // input VC slots per router: deg*VCs + 1
 	outStr int // output VC slots per router: deg*VCs
 	w      int // words per slot mask: ⌈stride/64⌉
+	gw     int // words per grant mask: ⌈outStr/64⌉
 
 	// Input VC state, nodes*stride slots.
 	inRoute   []int8   // granted output port, PortEject or PortUnrouted (write via setRoute)
@@ -115,9 +128,11 @@ type State struct {
 	// notes above).
 	mask []uint64
 
-	// Output VC state, nodes*outStr slots.
-	outOwner   []*packet.Packet
-	outCredits []int16
+	// Output VC grants, nodes*gw words (write via setGrant).
+	grant []uint64
+	// coded holds a decoding walk's output VC pairs, nodes*outStr, until
+	// VerifyOutputs checks them; nil otherwise.
+	coded []outPair
 
 	// Deadlock Buffer lanes, nodes*lanes slots. Each DB is a central queue
 	// with a single write port (as in the Chaos router the paper cites):
@@ -220,12 +235,8 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 			unr[l>>6] |= 1 << (uint(l) & 63)
 		}
 	}
-	out := nodes * s.outStr
-	s.outOwner = make([]*packet.Packet, out)
-	s.outCredits = make([]int16, out)
-	for i := range s.outCredits {
-		s.outCredits[i] = int16(cfg.BufferDepth)
-	}
+	s.gw = (s.outStr + 63) / 64
+	s.grant = make([]uint64, nodes*s.gw)
 	db := nodes * lanes
 	s.dbRoute = make([]int8, db)
 	s.dbWriteAt = make([]sim.Cycle, db)
@@ -299,8 +310,15 @@ func (s *State) SetOnTimeout(fn func(topology.Node, *packet.Packet)) { s.onTimeo
 // ports and the injection port (port == deg) share the port-major formula.
 func (r *Router) inIdx(port, vc int) int { return r.in0 + port*r.st.cfg.VCs + vc }
 
-// outIdx returns the global output VC slot of (port, vc) at router r.
-func (r *Router) outIdx(port, vc int) int { return r.out0 + port*r.st.cfg.VCs + vc }
+// downIdx returns the global input VC slot that output VC (port, vc) of
+// router r feeds, or -1 where the port has no link.
+func (r *Router) downIdx(port, vc int) int {
+	nb := r.neighbors[port]
+	if nb == nil {
+		return -1
+	}
+	return nb.inIdx(int(r.rev[port]), vc)
+}
 
 // dbIdx returns the global Deadlock Buffer lane slot of lane at router r.
 func (r *Router) dbIdx(lane int) int { return r.db0 + lane }
@@ -386,6 +404,66 @@ func (r *Router) popIn(i int) packet.Flit {
 		r.setMask(mHdr, i, s.in.peek(i).IsHeader())
 	}
 	return fl
+}
+
+// grantBit returns the word and bit of output VC (port, vc) in router r's
+// grant mask.
+func (r *Router) grantBit(port, vc int) (*uint64, uint64) {
+	l := port*r.st.cfg.VCs + vc
+	return &r.st.grant[r.g0+l>>6], 1 << (uint(l) & 63)
+}
+
+// setGrant sets (on) or clears output VC (port, vc)'s grant bit.
+func (r *Router) setGrant(port, vc int, on bool) {
+	m, b := r.grantBit(port, vc)
+	if on {
+		*m |= b
+	} else {
+		*m &^= b
+	}
+}
+
+// granted reports whether a header at router r holds output VC (port, vc)
+// and has not crossed.
+func (r *Router) granted(port, vc int) bool {
+	m, b := r.grantBit(port, vc)
+	return *m&b != 0
+}
+
+// releaseGrant clears the grant bit of the output VC global input slot i's
+// route names, if it names one. A header that has already crossed holds no
+// bit, and no other header can hold one for that VC until its downstream
+// slot drains, so the clear is then a no-op.
+func (r *Router) releaseGrant(i int) {
+	s := r.st
+	if q, v := int(s.inRoute[i]), int(s.inOutVC[i]); q >= 0 && v >= 0 {
+		r.setGrant(q, v, false)
+	}
+}
+
+// grantHolder returns the packet whose header at router r holds output VC
+// (port, vc), or nil. Only a routed header at a buffer head holds a grant,
+// so it walks mHdr ∧ ¬mUnr.
+func (r *Router) grantHolder(port, vc int) *packet.Packet {
+	s := r.st
+	hdr, unr := r.maskOf(mHdr), r.maskOf(mUnr)
+	for j := range hdr {
+		for word := hdr[j] &^ unr[j]; word != 0; word &= word - 1 {
+			i := r.in0 + j<<6 + bits.TrailingZeros64(word)
+			if int(s.inRoute[i]) == port && int(s.inOutVC[i]) == vc {
+				return s.in.owner[i]
+			}
+		}
+	}
+	return nil
+}
+
+// holdsGrant reports whether global input slot i's head is a header that
+// holds an output VC grant: it is routed to an output VC and has not
+// crossed.
+func (r *Router) holdsGrant(i int) bool {
+	s := r.st
+	return r.hasMask(mHdr, i) && s.inRoute[i] >= 0 && s.inOutVC[i] >= 0
 }
 
 // setRoute is the one writer of inRoute: it keeps mUnr exact.
@@ -548,8 +626,9 @@ func (q *flitRun) check(i int) error {
 // every buffered run an owner's, every input slot's occupied,
 // header-at-head, unrouted and timing mask bits equal to what its arrays say
 // (the scans trust them) and no mask bit past the stride, route/VC grants
-// within their sentinel-extended domains, credits within [0, depth],
-// crossbar connections naming an input VC that exists, and the maintained
+// within their sentinel-extended domains, one grant bit for each routed
+// header at a buffer head and none other (checkGrants), crossbar
+// connections naming an input VC that exists, and the maintained
 // flit and crossbar-connection counters consistent with the buffers and the
 // connections. The network's CheckInvariants calls
 // it for every router, so a scan-path bug that corrupts the flat layout
@@ -586,11 +665,8 @@ func (r *Router) CheckState() error {
 			}
 		}
 	}
-	for l := 0; l < s.outStr; l++ {
-		i := r.out0 + l
-		if c := int(s.outCredits[i]); c < 0 || c > s.cfg.BufferDepth {
-			return fmt.Errorf("router %d output slot %d: credits %d outside [0,%d]", r.node, l, c, s.cfg.BufferDepth)
-		}
+	if err := r.checkGrants(); err != nil {
+		return err
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.db0 + lane
@@ -623,6 +699,40 @@ func (r *Router) CheckState() error {
 	}
 	if got, want := int(s.cxHeld[r.node]), r.countCrossbar(); got != want {
 		return fmt.Errorf("router %d: maintained crossbar connection count %d, outputs hold %d", r.node, got, want)
+	}
+	return nil
+}
+
+// maxGrantWords bounds a router's grant words (MaxDegree × MaxVCs bits).
+const maxGrantWords = (MaxDegree*MaxVCs + 63) / 64
+
+// checkGrants reports a grant bit that is not exactly one header's: each
+// routed header at a buffer head (holdsGrant) must hold its output VC's bit
+// alone, and each set bit must have such a header.
+func (r *Router) checkGrants() error {
+	s := r.st
+	var held [maxGrantWords]uint64
+	for l := 0; l < s.stride; l++ {
+		i := r.in0 + l
+		if !r.holdsGrant(i) {
+			continue
+		}
+		p, v := r.portVCOf(l)
+		q, ov := int(s.inRoute[i]), int(s.inOutVC[i])
+		b := q*s.cfg.VCs + ov
+		switch {
+		case held[b>>6]&(1<<(uint(b)&63)) != 0:
+			return fmt.Errorf("router %d output (%d,%d): granted to two headers, the second at input (%d,%d)", r.node, q, ov, p, v)
+		case !r.granted(q, ov):
+			return fmt.Errorf("router %d input (%d,%d): header holds output (%d,%d) without its grant bit", r.node, p, v, q, ov)
+		}
+		held[b>>6] |= 1 << (uint(b) & 63)
+	}
+	for j, word := range s.grant[r.g0 : r.g0+s.gw] {
+		if stray := word &^ held[j]; stray != 0 {
+			b := j<<6 + bits.TrailingZeros64(stray)
+			return fmt.Errorf("router %d output (%d,%d): grant bit set with no header holding it", r.node, b/s.cfg.VCs, b%s.cfg.VCs)
+		}
 	}
 	return nil
 }

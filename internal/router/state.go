@@ -21,9 +21,9 @@ func (r *Router) DBFlitAt(lane, i int) packet.Flit { return r.st.db.at(r.dbIdx(l
 // microarchitectural state to b and returns the extended slice. It is the
 // snapshot's own field walk (walkState) without the RNG trailer, so every
 // field a restore brings back is hashed by construction: every input VC
-// (owner, route grants, buffered flits, timer state), output VC (owner,
-// credits), Deadlock Buffer lane, crossbar connection, arbitration offset
-// and event counter. The golden-digest conformance
+// (owner, route grants, buffered flits, timer state), output VC (owner and
+// credits, derived as the walk codes them), Deadlock Buffer lane, crossbar
+// connection, arbitration offset and event counter. The golden-digest conformance
 // suite hashes it to prove that every scan path leaves the network in
 // byte-identical states.
 func (r *Router) AppendState(b []byte) []byte {
