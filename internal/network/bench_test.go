@@ -79,7 +79,7 @@ func BenchmarkStepSerial(b *testing.B) {
 // routers sleep and the scheduler must not be slower than the full scan
 // (an idle router costs the full scan a few bitmap words per phase, since
 // its per-slot sweeps visit only live input slots; BenchmarkStepHighRadix
-// holds the 1.5x claim where most routers are idle); by 0.9 load nearly
+// holds the 2x claim where most routers are idle); by 0.9 load nearly
 // every router is busy and the two converge. Results are byte-identical to
 // the full scan at every load; only the wall time differs.
 func BenchmarkStepActiveSet(b *testing.B) {
@@ -127,8 +127,9 @@ func BenchmarkCalibrate(b *testing.B) {
 }
 
 // stepInterleaved measures arm "on" against arm "off", two networks that
-// simulate the same run and differ only in what observes them. One op is a
-// step of each. The arms take turns in blocks of block steps and swap which
+// simulate the same run and differ only in what observes them or in which
+// kernel steps them (BenchmarkStepHighRadix's full scan and active set).
+// One op is a step of each. The arms take turns in blocks of block steps and swap which
 // goes first every block, so host drift lands on both. The benchmark reports
 // the median over block pairs of on's time over off's as its "on/off"
 // metric, so a GC pause that lands in one block moves one pair; CI's
@@ -190,23 +191,25 @@ func BenchmarkStepTraced(b *testing.B) {
 // BenchmarkStepHighRadix measures high-radix digraphs on which most routers
 // are idle, where switch allocation's per-output cost and the active set's
 // skipping both matter most. dragonfly(8,4) — 264 routers of radix 11,
-// 4 VCs, 45 input slots each — runs at load 0.01: "serial" is the full
-// scan (slot-mask walks and per-output candidate masks, O(stride/64 +
-// acting slots) per router), "active-set" the production kernel.
+// 4 VCs, 45 input slots each — runs at load 0.01. dragonfly8x4 interleaves
+// the full scan (slot-mask walks and per-output candidate masks,
+// O(stride/64 + acting slots) per router) as "off" with the production
+// active-set kernel as "on", in blocks of 32 steps, and reports the median
+// block-pair "on/off"; dragonfly8x4/serial times the full scan alone.
 // dragonfly16x8/active-set is the repository benchmark's dragonfly2k-sparse
 // point (2 064 routers of radix 23, load 0.003), where about 7% of routers
 // are active and the inject phase's per-node cost shows. CI benchgates
-// serial and dragonfly16x8 against BenchmarkCalibrate and active-set
-// against serial.
+// dragonfly8x4's on/off, and serial and dragonfly16x8 against
+// BenchmarkCalibrate.
 func BenchmarkStepHighRadix(b *testing.B) {
-	for _, v := range []struct {
-		name      string
-		activeSet bool
-	}{{"serial", false}, {"active-set", true}} {
-		b.Run("dragonfly8x4/"+v.name, func(b *testing.B) {
-			stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, v.activeSet))
-		})
-	}
+	b.Run("dragonfly8x4", func(b *testing.B) {
+		off := stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, false)
+		on := stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, true)
+		stepInterleaved(b, off, on, 32)
+	})
+	b.Run("dragonfly8x4/serial", func(b *testing.B) {
+		stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, false))
+	})
 	b.Run("dragonfly16x8/active-set", func(b *testing.B) {
 		stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(16, 8), 0.003, true))
 	})

@@ -32,7 +32,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	s.flitCount[r.node] += 2
 	// A's header went ahead: A owns the VC its flits enter downstream.
 	nb := r.neighbors[q]
-	nb.st.in.owner[nb.inIdx(int(r.rev[q]), 0)] = a
+	holdDownstream(r, q, 0, a)
 
 	step := func() []Transfer {
 		xfers := r.StageSwitch(nil)
