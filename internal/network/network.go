@@ -296,9 +296,10 @@ func New(cfg Config) (*Network, error) {
 				continue
 			}
 			// Wormhole flow control needs a paired reverse channel on every
-			// link: credits and purges flow back along it. A digraph with an
-			// unpaired directed edge is rejected here, gracefully, rather
-			// than corrupting credit state mid-simulation.
+			// link: it names the input VCs the link's flits land in, whose
+			// free space is the sender's credit. A digraph with an unpaired
+			// directed edge is rejected here, gracefully, rather than
+			// corrupting buffer state mid-simulation.
 			rev, ok := topo.ReversePortAt(topology.Node(i), p)
 			if !ok {
 				return nil, fmt.Errorf("network: %s link %d port %d -> %d has no reverse channel", topo.Name(), i, p, nb)

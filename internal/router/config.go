@@ -145,9 +145,9 @@ func PaperConfig(recovery bool, timeout sim.Cycle, mode RecoveryMode) Config {
 
 // The largest VC count, buffer depth and T_out Normalize accepts. State
 // stores every per-slot value in the narrowest type its range allows (see its
-// layout notes), and these are the ranges: a VC index is an int8, a buffer
-// count a uint8 and a credit count an int16, and a deadlock timer is an
-// int32 that saturates at math.MaxInt32, which must still exceed T_out.
+// layout notes), and these are the ranges: a VC index is an int8 and a
+// buffer count a uint8, and a deadlock timer is an int32 that saturates at
+// math.MaxInt32, which must still exceed T_out.
 const (
 	MaxVCs         = math.MaxInt8
 	MaxBufferDepth = math.MaxUint8

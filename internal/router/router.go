@@ -185,8 +185,8 @@ func (r *Router) Topo() topology.Graph { return r.st.topo }
 
 // ReverseAt returns the input port at Neighbor(port) that this router's
 // link through port lands on, or -1 where the port is unconnected or has
-// no paired reverse channel. Wait-for-graph analysis and the invariant
-// checker use it to follow flow control across arbitrary-graph links.
+// no paired reverse channel. Wait-for-graph analysis and the lane-row
+// builder use it to follow flow control across arbitrary-graph links.
 func (r *Router) ReverseAt(port int) int {
 	if port < 0 || port >= len(r.rev) {
 		return -1
