@@ -24,14 +24,17 @@ func DORLane(topo topology.Topology) LaneRouting {
 }
 
 // LaneRows returns the builder of the Deadlock Buffer lanes' next-hop rows
-// over a fixed set of links: row(dst, r) fills r[lane*nodes+cur] with the
-// output port a flit in lane at cur takes toward dst (-1 at cur == dst or
-// where the lane cannot reach dst), by reverse breadth-first search from dst
-// over the (lane, node) states, ports in increasing order. link reports
-// where port p of node v leads — the neighbor nb and the port rev >= 0 at nb
-// whose link lands back on v — or ok=false where v has no usable (paired,
-// live) link on p; it is resolved once, here, so later changes to what it
-// reports do not reach the rows.
+// over a wiring table: row(dst, r) fills r[lane*nodes+cur] with the output
+// port a flit in lane at cur takes toward dst (-1 at cur == dst or where the
+// lane cannot reach dst), by reverse breadth-first search from dst over the
+// (lane, node) states, ports in increasing order. Port p of node v is entry
+// v*deg+p of nbr, the neighbor its link reaches, and of rev, the port there
+// whose link lands back on v; v has a usable (paired, live) link on p where
+// both are >= 0. The builder reads the tables when it builds a row, so they
+// must not change while its rows are in use: a network passes its routers'
+// own wiring (router.State.Wiring) and calls LaneRows again, emptying its
+// row memo, whenever a link fails or heals. LinkTable builds the tables
+// from a function that reports the links.
 //
 // One lane (Token-serialized recovery) takes any link. Two lanes (concurrent
 // recovery) are its ascend-then-descend case, up*/down* over the labels
@@ -44,14 +47,13 @@ func DORLane(topo topology.Topology) LaneRouting {
 // its component by climbing to the root and descending the root's tree.
 // This is the only lane construction: internal/network memoises the rows it
 // needs over its live links, BFSLaneTableOver gathers every one-lane row.
-func LaneRows(nodes, deg, lanes int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) (label []int32, row func(dst topology.Node, row []int16)) {
-	nbr := make([]int32, nodes*deg) // -1 where link reports none
-	back := make([]int16, nodes*deg)
-	for i := range nbr {
-		nbr[i] = -1
-		if nb, rev, ok := link(topology.Node(i/deg), i%deg); ok {
-			nbr[i], back[i] = int32(nb), int16(rev)
+func LaneRows[R int8 | int16](nodes, deg, lanes int, nbr []int32, rev []R) (label []int32, row func(dst topology.Node, row []int16)) {
+	// linked is port i's neighbor where it has a usable link, else -1.
+	linked := func(i int) int32 {
+		if rev[i] < 0 {
+			return -1
 		}
+		return nbr[i]
 	}
 	queue := make([]int32, 0, lanes*nodes)
 	if lanes == 2 {
@@ -66,7 +68,7 @@ func LaneRows(nodes, deg, lanes int, link func(v topology.Node, p int) (nb topol
 			for head := 0; head < len(queue); head++ {
 				v := int(queue[head])
 				for i := v * deg; i < (v+1)*deg; i++ {
-					if nb := nbr[i]; nb >= 0 && label[nb] == 0 {
+					if nb := linked(i); nb >= 0 && label[nb] == 0 {
 						label[nb], next = next, next-1
 						queue = append(queue, nb)
 					}
@@ -88,13 +90,13 @@ func LaneRows(nodes, deg, lanes int, link func(v topology.Node, p int) (nb topol
 			// lane l, or from lane 0 into lane 1.
 			l, v := int(queue[head])/nodes, int(queue[head])%nodes
 			for i := v * deg; i < (v+1)*deg; i++ {
-				nb := nbr[i]
+				nb := linked(i)
 				if nb < 0 || nb == int32(dst) || (label != nil && label[v] < label[nb]) != (l == 1) {
 					continue
 				}
 				for from := 0; from <= l; from++ {
 					if s := from*nodes + int(nb); row[s] < 0 {
-						row[s] = back[i]
+						row[s] = int16(rev[i])
 						queue = append(queue, int32(s))
 					}
 				}
@@ -103,10 +105,27 @@ func LaneRows(nodes, deg, lanes int, link func(v topology.Node, p int) (nb topol
 	}
 }
 
-// BFSLaneTableOver is every row of one-lane LaneRows(nodes, deg, 1, link) in
-// one per-destination table: entry [dst*nodes+cur] is row dst's entry cur.
+// LinkTable is LaneRows' wiring tables of the links link reports: where
+// port p of node v leads — the neighbor nb and the port rev >= 0 at nb whose
+// link lands back on v — or ok=false where v has no usable (paired, live)
+// link on p. A port fits an int16, as a row entry does.
+func LinkTable(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) (nbr []int32, rev []int16) {
+	nbr, rev = make([]int32, nodes*deg), make([]int16, nodes*deg)
+	for i := range nbr {
+		nbr[i], rev[i] = -1, -1
+		if nb, back, ok := link(topology.Node(i/deg), i%deg); ok {
+			nbr[i], rev[i] = int32(nb), int16(back)
+		}
+	}
+	return nbr, rev
+}
+
+// BFSLaneTableOver is every row of one-lane LaneRows over LinkTable(nodes,
+// deg, link) in one per-destination table: entry [dst*nodes+cur] is row
+// dst's entry cur.
 func BFSLaneTableOver(nodes, deg int, link func(v topology.Node, p int) (nb topology.Node, rev int, ok bool)) []int16 {
-	_, row := LaneRows(nodes, deg, 1, link)
+	nbr, rev := LinkTable(nodes, deg, link)
+	_, row := LaneRows(nodes, deg, 1, nbr, rev)
 	table := make([]int16, nodes*nodes)
 	for d := 0; d < nodes; d++ {
 		row(topology.Node(d), table[d*nodes:(d+1)*nodes])

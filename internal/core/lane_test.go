@@ -135,7 +135,8 @@ type lanes struct {
 
 // buildLanes gathers the rows core.LaneRows builds for n lanes over link.
 func buildLanes(nodes, deg, n int, link func(v topology.Node, p int) (topology.Node, int, bool)) lanes {
-	label, row := core.LaneRows(nodes, deg, n, link)
+	nbr, rev := core.LinkTable(nodes, deg, link)
+	label, row := core.LaneRows(nodes, deg, n, nbr, rev)
 	ls := lanes{label, make([][]int16, nodes)}
 	for d := range ls.rows {
 		ls.rows[d] = make([]int16, n*nodes)

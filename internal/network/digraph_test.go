@@ -179,11 +179,12 @@ func walkInstalledLane(g topology.Graph, mode router.RecoveryMode) error {
 		return core.VerifyLaneConnected(g, core.TableLane(g, core.BFSLaneTable(g)))
 	}
 	nodes := g.Nodes()
-	label, build := core.LaneRows(nodes, g.Degree(), 2, func(v topology.Node, p int) (topology.Node, int, bool) {
+	nbr, rev := core.LinkTable(nodes, g.Degree(), func(v topology.Node, p int) (topology.Node, int, bool) {
 		nb, ok := g.Neighbor(v, p)
 		rev, paired := g.ReversePortAt(v, p)
 		return nb, rev, ok && paired
 	})
+	label, build := core.LaneRows(nodes, g.Degree(), 2, nbr, rev)
 	row := make([]int16, 2*nodes)
 	for d := range nodes {
 		build(topology.Node(d), row)

@@ -79,9 +79,13 @@ func FuzzConfigNormalize(f *testing.F) {
 // CheckInvariants on the production kernel every cycle. That includes the
 // per-router CheckState, which verifies every slot-mask bit against the
 // arrays it summarizes, so a mask the scans would misread fails on the cycle
-// it goes stale. topoSel picks a torus (kx × ky), a full mesh of kx%23 nodes
-// or a dragonfly(kx%5+1, ky%4+1); the two digraphs reach degrees up to 21,
-// where the switch allocator's per-output masks are longest. The committed
+// it goes stale. topoSel%3 picks a torus (kx × ky), a full mesh of kx%23
+// nodes or a dragonfly(kx%5+1, ky%4+1); the two digraphs reach degrees up to
+// 21, where the switch allocator's per-output masks are longest. topoSel/3
+// picks the crossbar allocation and recovery mode (fuzzModes), so the
+// packet-by-packet crossbar, concurrent recovery's two lanes and
+// abort-and-retry's purges run too; every entry with topoSel < 3 keeps the
+// flit-by-flit sequential mode it always ran. The committed
 // corpus pins the shapes most likely to break slot arithmetic: 2-ary tori
 // (every port a wraparound), odd radices, 1-VC configurations where the
 // injection slot comes immediately after a single-VC port block, and full
@@ -100,11 +104,20 @@ func FuzzSoALayout(f *testing.F) {
 	f.Add(uint8(16), uint8(0), uint8(1), uint8(3), uint8(1), uint8(20), uint64(5), uint8(120), uint8(1))
 	// Dragonfly(4, 3), radix 6, 1 VC.
 	f.Add(uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), uint8(60), uint64(3), uint8(140), uint8(2))
+	// One seed per other mode. Concurrent recovery on a 4x4 torus, 1 VC.
+	f.Add(uint8(4), uint8(4), uint8(0), uint8(0), uint8(0), uint8(70), uint64(11), uint8(140), uint8(3))
+	// Abort-and-retry on a 5x5 torus, 2 VCs, depth 1.
+	f.Add(uint8(5), uint8(5), uint8(0), uint8(1), uint8(0), uint8(80), uint64(12), uint8(140), uint8(6))
+	// Packet-by-packet, sequential recovery, on Dragonfly(3, 2), 2 VCs.
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(60), uint64(13), uint8(140), uint8(11))
+	// Packet-by-packet with abort-and-retry on a 5x5 torus, 1 VC.
+	f.Add(uint8(5), uint8(5), uint8(0), uint8(0), uint8(0), uint8(60), uint64(14), uint8(140), uint8(12))
 	f.Fuzz(func(t *testing.T, kx, ky, algSel, vcs, depth, loadPct uint8, seed uint64, cycles, topoSel uint8) {
 		algs := []routing.Algorithm{
 			routing.Disha(0), routing.Disha(3), routing.DOR(),
 			routing.NegativeFirst(), routing.DallyAoki(), routing.Duato(),
 		}
+		mode := fuzzModes[int(topoSel/3)%len(fuzzModes)]
 		build := func() (*Network, error) {
 			var topo topology.Graph
 			var err error
@@ -130,6 +143,8 @@ func FuzzSoALayout(f *testing.F) {
 					VCs:         int(vcs)%5 + 1,
 					BufferDepth: int(depth)%4 + 1,
 					Timeout:     16,
+					Alloc:       mode.alloc,
+					Recovery:    mode.recovery,
 				},
 			})
 		}
@@ -157,4 +172,18 @@ func FuzzSoALayout(f *testing.F) {
 			t.Fatalf("full scan after %d cycles: %v", steps, err)
 		}
 	})
+}
+
+// fuzzModes are the crossbar allocation and recovery modes FuzzSoALayout
+// selects from topoSel/3: every combination Config.Normalize accepts, the
+// default (flit-by-flit, sequential) first.
+var fuzzModes = []struct {
+	alloc    router.AllocPolicy
+	recovery router.RecoveryMode
+}{
+	{router.FlitByFlit, router.RecoverySequential},
+	{router.FlitByFlit, router.RecoveryConcurrent},
+	{router.FlitByFlit, router.RecoveryAbortRetry},
+	{router.PacketByPacket, router.RecoverySequential},
+	{router.PacketByPacket, router.RecoveryAbortRetry},
 }

@@ -35,7 +35,9 @@ type flitKey struct {
 //   - SoA layout soundness: every router's slice of the shared
 //     struct-of-arrays buffers passes router.CheckState — buffer lengths in
 //     range, every non-empty input VC and Deadlock Buffer lane owned and
-//     holding a run inside its owner's length, grants inside their sentinel
+//     holding a run inside its owner's length, every owner handle its
+//     packet table entry's and every live handle some slot's owner
+//     (router.State.CheckHandles), grants inside their sentinel
 //     domains, one output VC grant bit per routed header at a buffer head,
 //     flit counter consistent with the buffers —
 //     so a scan-path bug that corrupts the flat layout is caught even
@@ -62,6 +64,9 @@ func (n *Network) CheckInvariants() error {
 		return nil
 	}
 
+	if err := n.routerState.CheckHandles(); err != nil {
+		return fmt.Errorf("network invariant: %w", err)
+	}
 	for _, r := range n.routers {
 		node := r.Node()
 		if err := r.CheckState(); err != nil {

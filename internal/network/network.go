@@ -347,17 +347,8 @@ func New(cfg Config) (*Network, error) {
 // BFS tree is loop-free and avoids dead links and routers, so Lemma 1 holds
 // under faults.
 func (n *Network) useLiveLaneRows() {
-	n.routerState.SetLaneRows(core.LaneRows(len(n.routers), n.topo.Degree(), n.routers[0].DBLanes(), n.liveLink))
-}
-
-// liveLink is where port p of v leads now, in core.LaneRows' shape.
-func (n *Network) liveLink(v topology.Node, p int) (topology.Node, int, bool) {
-	nb := n.routers[v].Neighbor(p)
-	if nb == nil {
-		return 0, 0, false
-	}
-	rev := n.routers[v].ReverseAt(p)
-	return nb.Node(), rev, rev >= 0
+	nbr, rev := n.routerState.Wiring()
+	n.routerState.SetLaneRows(core.LaneRows(len(n.routers), n.topo.Degree(), n.routers[0].DBLanes(), nbr, rev))
 }
 
 // validRecoveryLane checks that the topology's declared recovery lane
@@ -804,6 +795,7 @@ func (n *Network) purge(p *packet.Packet) int {
 	for _, r := range n.routers {
 		flits += r.PurgePacket(p)
 	}
+	n.routerState.Release(p)
 	if q := &n.nis[p.Src]; q.cur == p {
 		q.cur, q.seq = nil, 0
 	}

@@ -73,6 +73,17 @@ func TestNewDigraphVerifiesEveryNetwork(t *testing.T) {
 	}
 }
 
+// liveLink is where port p of v leads now, in core.BFSLaneTableOver's
+// shape.
+func (n *Network) liveLink(v topology.Node, p int) (topology.Node, int, bool) {
+	nb := n.routers[v].Neighbor(p)
+	if nb == nil {
+		return 0, 0, false
+	}
+	rev := n.routers[v].ReverseAt(p)
+	return nb.Node(), rev, rev >= 0
+}
+
 // checkLaneRows asserts that every row n has memoised, and every row it
 // would build now, is the row of BFSLaneTableOver over its live links. It
 // returns how many rows the memo holds.

@@ -129,7 +129,7 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 	if c.Decoding() {
 		// An output's coded pair is checked against the input slot it
 		// feeds, which a later router may hold.
-		if err := n.routerState.VerifyOutputs(n.routers); err != nil {
+		if err := n.routerState.VerifyOutputs(); err != nil {
 			return err
 		}
 	}
@@ -339,7 +339,9 @@ func (n *Network) walkPacketTable(c *snapshot.Codec) map[packet.ID]*packet.Packe
 }
 
 // walkPacket codes every packet field. A Packet field that can influence a
-// future cycle belongs here, once, for both directions.
+// future cycle belongs here, once, for both directions, except two the
+// routers keep: Waiting is coded as the timer of the input slot whose head
+// is the packet's header (router.WalkState), and Handle is never coded.
 func walkPacket(c *snapshot.Codec, p *packet.Packet) {
 	snapshot.Int(c, &p.ID)
 	snapshot.Int(c, &p.Src)

@@ -442,6 +442,81 @@ func TestSnapshotCorruption(t *testing.T) {
 			}
 		}
 	})
+	t.Run("timer off its owner's header", func(t *testing.T) {
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// T_elapsed is its owner's while a slot's head is the owner's
+		// header; find a slot whose head is a body flit, and code a timer
+		// there.
+		records := routerRecords(t, orig, len(payload))
+		slot, node, port, vc := -1, 0, 0, 0
+		for i, r := range orig.routers {
+			off := records[i] + 8
+			for p := 0; p < r.InputPorts() && slot < 0; p++ {
+				for v := 0; v < r.InputVCCount(p) && slot < 0; v++ {
+					occ := r.InputOccupancy(p, v)
+					if occ > 0 && !r.InputFlitAt(p, v, 0).IsHeader() {
+						slot, node, port, vc = off, i, p, v
+					} else {
+						off += inputSlotBytes(occ)
+					}
+				}
+			}
+			if slot >= 0 {
+				break
+			}
+		}
+		if slot < 0 {
+			t.Fatal("no input VC holds a body flit at its head at cycle 200")
+		}
+		waiting := slot + 4*8
+		if binary.LittleEndian.Uint64(payload[slot:]) != uint64(orig.routers[node].InputOwner(port, vc).ID) ||
+			binary.LittleEndian.Uint64(payload[waiting:]) != 0 {
+			t.Fatal("input slot not where the layout says")
+		}
+		mut := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(mut[waiting:], 3)
+		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
+		want := fmt.Sprintf("router %d: snapshot: input (%d,%d): T_elapsed 3, but its head is not its owner's header", node, port, vc)
+		if err == nil || err.Error() != want {
+			t.Errorf("restore error %v, want %q", err, want)
+		}
+	})
+	t.Run("crossbar connection under flit-by-flit", func(t *testing.T) {
+		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Router 3's crossbar follows its input slots, its output pairs (16
+		// bytes each) and its DB lane (owner, route, then the buffer); each
+		// port codes its input port, input VC, DB and saved flags and saved
+		// port and VC, a resting port as (-1, 0, false, false, 0, 0).
+		const node, q = 3, 2
+		r := orig.routers[node]
+		at := routerRecords(t, orig, len(payload))[node] + 8
+		for p := 0; p < r.InputPorts(); p++ {
+			for v := 0; v < r.InputVCCount(p); v++ {
+				at += inputSlotBytes(r.InputOccupancy(p, v))
+			}
+		}
+		at += 16 * orig.topo.Degree() * cfg.Router.VCs
+		for lane := 0; lane < r.DBLanes(); lane++ {
+			at += 3*8 + 16*r.DBLaneLen(lane)
+		}
+		at += q * (4*8 + 2)
+		if binary.LittleEndian.Uint64(payload[at:]) != ^uint64(0) || binary.LittleEndian.Uint64(payload[at+8:]) != 0 {
+			t.Fatal("crossbar port not where the layout says")
+		}
+		mut := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(mut[at:], 1)
+		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
+		want := fmt.Sprintf("router %d: snapshot: crossbar %d: a connection under flit-by-flit allocation", node, q)
+		if err == nil || err.Error() != want {
+			t.Errorf("restore error %v, want %q", err, want)
+		}
+	})
 	t.Run("output pair not derived", func(t *testing.T) {
 		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
 		if err != nil {

@@ -105,14 +105,28 @@ type Packet struct {
 	Retries int
 
 	// Deadlock recovery state (Disha).
-	OnDB        bool      // packet switched onto the Deadlock Buffer lane
-	TimedOut    bool      // packet ever presumed deadlocked
-	SeizedToken bool      // packet captured the recovery Token
+	OnDB        bool // packet switched onto the Deadlock Buffer lane
+	TimedOut    bool // packet ever presumed deadlocked
+	SeizedToken bool // packet captured the recovery Token
+	// Waiting is the header's T_elapsed, the blocking time-out the paper
+	// keeps per packet: the cycles its header has waited at the head of the
+	// input VC it is in, saturating at math.MaxInt32. The router that holds
+	// the header ticks it, and a header entering a VC starts it at 0; it
+	// means nothing while the header is not at an input VC's head (the
+	// router reads 0 for every other VC).
+	Waiting     int32
 	RecoveredAt sim.Cycle // cycle the packet switched to the DB lane; -1 if never
 
 	// Delivery accounting.
 	FlitsDelivered int // flits consumed at the destination so far
 	HeaderArrived  bool
+
+	// Handle names the packet in its network's router state while it owns
+	// an input VC or a Deadlock Buffer lane (0 otherwise): the VCs store it
+	// in place of a pointer. The routers assign and free it, so a packet
+	// belongs to one network. It is never coded; snapshots name packets by
+	// ID.
+	Handle int32
 }
 
 // New creates a packet with delivery timestamps initialized to -1.

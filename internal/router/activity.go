@@ -44,7 +44,10 @@ func (r *Router) CrossbarIdle() bool { return r.st.cxHeld[r.node] == 0 }
 // crossbar connections.
 func (r *Router) countCrossbar() (n int) {
 	s := r.st
-	for i := r.cx0; i < r.cx0+s.deg; i++ {
+	if s.cxInPort == nil {
+		return 0 // flit-by-flit allocation keeps no connection
+	}
+	for i := r.pt0; i < r.pt0+s.deg; i++ {
 		for _, on := range [...]bool{s.cxInPort[i] != connNone, s.cxDB[i], s.cxSaved[i]} {
 			if on {
 				n++

@@ -30,7 +30,7 @@ func TestRingBasics(t *testing.T) {
 		t.Fatal("fresh buffer not empty")
 	}
 	p := packet.New(1, 0, 1, 3, 0)
-	s.in.owner[i] = p
+	s.in.own(i, p)
 	s.in.push(i, p.Flit(0))
 	s.in.push(i, p.Flit(1))
 	if int(s.in.n[i]) != 2 {
@@ -57,7 +57,7 @@ func TestRingWrapAround(t *testing.T) {
 	p := packet.New(1, 0, 1, 8, 0)
 	// Interleave pushes and pops so the run advances through the packet.
 	i, seq := 5, 0
-	s.in.owner[i] = p
+	s.in.own(i, p)
 	for k := 0; k < 8; k++ {
 		s.in.push(i, p.Flit(k))
 		got := s.in.pop(i)
@@ -81,7 +81,7 @@ func TestRingPanics(t *testing.T) {
 		s.in.pop(0)
 	}()
 	p := packet.New(1, 0, 1, 2, 0)
-	s.in.owner[0] = p
+	s.in.own(0, p)
 	s.in.push(0, p.Flit(0))
 	func() {
 		defer func() {
@@ -97,7 +97,8 @@ func TestRingPanics(t *testing.T) {
 // 2 (the default input VC) and 8: FIFO order through push/peek/at/pop as the
 // run advances through its packet, the guard's panics (full, empty, past
 // the tail, another packet's flit, a flit out of sequence), a run restarting
-// wherever its owner is, and check's findings.
+// wherever its owner is, and check's findings, an owner handle that names
+// no packet carrying it among them.
 func TestFlitRun(t *testing.T) {
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
@@ -106,7 +107,7 @@ func TestFlitRun(t *testing.T) {
 	}
 	pkt, other := packet.New(1, 0, 1, 40, 0), packet.New(2, 0, 1, 40, 0)
 	for _, depth := range []int{1, 2, 8} {
-		q := newFlitRun(3, depth)
+		q := newFlitRun(3, depth, &pktTable{pkts: make([]*packet.Packet, 1)})
 		const i = 1 // a middle slot, so neighbouring slots would show overruns
 		if q.n[i] != 0 || !panics(func() { q.peek(i) }) || !panics(func() { q.pop(i) }) {
 			t.Fatalf("depth %d: a fresh slot is not empty", depth)
@@ -114,7 +115,7 @@ func TestFlitRun(t *testing.T) {
 		if !panics(func() { q.push(i, pkt.Flit(0)) }) {
 			t.Fatalf("depth %d: push into a slot with no owner did not panic", depth)
 		}
-		q.owner[i] = pkt
+		q.own(i, pkt)
 		seq := 0
 		for round := 0; round < 3; round++ {
 			for k := 0; k < depth; k++ {
@@ -138,7 +139,7 @@ func TestFlitRun(t *testing.T) {
 					t.Fatalf("depth %d: head after a pop is flit %d, want %d", depth, q.peek(i).Seq, seq)
 				}
 			}
-			if err := q.check(i); err != nil || q.owner[i] != pkt {
+			if err := q.check(i); err != nil || q.pkt(i) != pkt {
 				t.Fatalf("depth %d: drained slot fails check (%v) or lost its owner", depth, err)
 			}
 		}
@@ -154,20 +155,27 @@ func TestFlitRun(t *testing.T) {
 			}
 			q.push(i, pkt.Flit(seq+6))
 		}
-		if q.n[0] != 0 || q.n[2] != 0 || q.owner[0] != nil || q.owner[2] != nil || q.check(0) != nil || q.check(2) != nil {
+		if q.n[0] != 0 || q.n[2] != 0 || q.owner[0] != 0 || q.owner[2] != 0 || q.check(0) != nil || q.check(2) != nil {
 			t.Fatalf("depth %d: traffic on slot 1 leaked into its neighbours", depth)
 		}
 		for name, corrupt := range map[string]func(){
-			"no owner":        func() { q.owner[i] = nil },
-			"past its tail":   func() { q.seq[i] = int32(pkt.Length) },
-			"before its head": func() { q.seq[i] = -1 },
-			"overfull":        func() { q.n[i] = uint8(depth + 1) },
+			"no owner":               func() { q.owner[i] = 0 },
+			"past its tail":          func() { q.seq[i] = int32(pkt.Length) },
+			"before its head":        func() { q.seq[i] = -1 },
+			"overfull":               func() { q.n[i] = uint8(depth + 1) },
+			"owned by a free handle": func() { q.owner[i] = int32(len(q.tab.pkts)) },
+			"owned by a stale handle": func() {
+				h := q.owner[i]
+				q.tab.release(pkt)
+				q.owner[i] = h
+			},
 		} {
 			o, sq, n := q.owner[i], q.seq[i], q.n[i]
 			if corrupt(); q.check(i) == nil {
 				t.Errorf("depth %d: check missed a run %s", depth, name)
 			}
 			q.owner[i], q.seq[i], q.n[i] = o, sq, n
+			q.own(i, pkt)
 		}
 		if err := q.check(i); err != nil {
 			t.Fatalf("depth %d: restored slot fails check: %v", depth, err)
@@ -203,6 +211,7 @@ func TestPortVCInverse(t *testing.T) {
 
 func TestCheckStateCatchesCorruption(t *testing.T) {
 	cfg := Default()
+	cfg.Alloc = PacketByPacket // so the crossbar arrays exist
 	topo := topology.MustTorus(4, 4)
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
@@ -212,9 +221,11 @@ func TestCheckStateCatchesCorruption(t *testing.T) {
 		t.Fatalf("fresh router fails CheckState: %v", err)
 	}
 	corruptions := []func(s *State){
-		func(s *State) { s.in.owner[0], s.in.n[0] = packet.New(9, 0, 1, 9, 0), uint8(s.cfg.BufferDepth+1) },
+		func(s *State) { s.in.own(0, packet.New(9, 0, 1, 9, 0)); s.in.n[0] = uint8(s.cfg.BufferDepth + 1) },
 		func(s *State) { s.in.n[0] = 1 }, // a flit with no owner
-		func(s *State) { s.in.owner[0], s.in.seq[0], s.in.n[0] = packet.New(9, 0, 1, 2, 0), 1, 2 },
+		func(s *State) { s.in.own(0, packet.New(9, 0, 1, 2, 0)); s.in.seq[0], s.in.n[0] = 1, 2 },
+		func(s *State) { s.in.owner[0] = 1 }, // a handle no packet holds
+		func(s *State) { p := packet.New(9, 0, 1, 2, 0); s.in.own(0, p); p.Handle = 2 },
 		func(s *State) { s.inRoute[0] = int8(s.deg) },
 		func(s *State) { s.inOutVC[0] = int8(s.cfg.VCs) },
 		func(s *State) { s.grant[0] = 1 },                   // a grant no header holds
@@ -397,7 +408,7 @@ func TestCheckStateChecksGrants(t *testing.T) {
 	q := topology.PortFor(0, 1)
 	park := func(port int, p *packet.Packet) {
 		i := r.inIdx(port, 0)
-		r.st.in.owner[i] = p
+		r.st.in.own(i, p)
 		r.pushIn(i, p.Flit(0))
 		r.st.flitCount[r.node]++
 		r.setRoute(i, q)

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -37,52 +36,114 @@ func slotBytes(v reflect.Value, by map[int]*int) {
 // dragonfly-16x8 (2 064 routers of radix 23, the dragonfly2k-sparse
 // benchmark's network) at 4 VCs it sums the bytes of every per-slot array
 // and pins them per input slot (191 952 of them, the flit buffers
-// included), per output slot (189 888) and per crossbar slot (47 472), at
-// the default depth 2 and at depth 8: a slot stores its buffered flits as
-// its owner's run, so no figure grows with depth. An output slot costs no
-// per-slot bytes, only its bit in the router's grant words (two 64-bit
-// words for 92 output VCs). Widening any per-slot field, or adding one,
-// moves a figure.
+// included), per output slot (189 888) and per port (47 472), at the
+// default depth 2 and at depth 8, under both crossbar allocation policies:
+// a slot stores its buffered flits as its owner's run, so no figure grows
+// with depth. An input slot holds no pointer, so its figure is the same on
+// 64-bit and 32-bit. An output slot costs no per-slot bytes, only its bit in
+// the router's grant words (two 64-bit words for 92 output VCs). A port
+// costs its wiring, plus its crossbar connection under packet-by-packet
+// allocation only. Widening any per-slot field, or adding one, moves a
+// figure.
 func TestSlotBytes(t *testing.T) {
-	for _, depth := range []int{2, 8} {
-		cfg := Default()
-		cfg.BufferDepth = depth
-		if err := cfg.Normalize(); err != nil {
-			t.Fatal(err)
-		}
-		topo := topology.MustDragonfly(16, 8)
-		s := NewState(topo, cfg, nil, nil, new(sim.Clock))
-		in, out, cx := s.nodes*s.stride, s.nodes*s.outStr, s.nodes*s.deg
-		if in != 191952 || out != 189888 || cx != 47472 {
-			t.Fatalf("dragonfly-16x8 has %d input, %d output and %d crossbar slots", in, out, cx)
-		}
-		var inBytes, outBytes, cxBytes int
-		slotBytes(reflect.ValueOf(s).Elem(), map[int]*int{in: &inBytes, out: &outBytes, cx: &cxBytes})
-		ptr := int(unsafe.Sizeof(uintptr(0)))
-		// An input slot: its owner, inRoute, inOutVC, inDBLane (1 byte
-		// each), inWaiting (4), and the buffer's head position (4) and count
-		// (1). An output slot: nothing but its grant bit. A crossbar slot:
-		// four int8 ports and VCs and two bools.
-		for _, c := range []struct {
-			what      string
-			got, want int
-			slots     int
-		}{
-			{"input", inBytes, ptr + 12, in},
-			{"output", outBytes, 0, out},
-			{"crossbar", cxBytes, 6, cx},
-		} {
-			if c.got != c.want*c.slots {
-				t.Errorf("depth %d: %s slots hold %d bytes, %.2f a slot; want %d a slot", depth, c.what, c.got, float64(c.got)/float64(c.slots), c.want)
+	for _, alloc := range []AllocPolicy{FlitByFlit, PacketByPacket} {
+		for _, depth := range []int{2, 8} {
+			cfg := Default()
+			cfg.BufferDepth = depth
+			cfg.Alloc = alloc
+			if err := cfg.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			topo := topology.MustDragonfly(16, 8)
+			s := NewState(topo, cfg, nil, nil, new(sim.Clock))
+			in, out, ports := s.nodes*s.stride, s.nodes*s.outStr, s.nodes*s.deg
+			if in != 191952 || out != 189888 || ports != 47472 {
+				t.Fatalf("dragonfly-16x8 has %d input slots, %d output slots and %d ports", in, out, ports)
+			}
+			var inBytes, outBytes, portBytes int
+			slotBytes(reflect.ValueOf(s).Elem(), map[int]*int{in: &inBytes, out: &outBytes, ports: &portBytes})
+			// An input slot: its owner's handle (4), inRoute, inOutVC,
+			// inDBLane (1 byte each), and the buffer's head position (4) and
+			// count (1). An output slot: nothing but its grant bit. A port:
+			// the wiring, nbr (4) and rev (1), and under packet-by-packet
+			// allocation the crossbar's four int8 ports and VCs and two
+			// bools.
+			cx := 0
+			if alloc == PacketByPacket {
+				cx = 6
+			}
+			for _, c := range []struct {
+				what      string
+				got, want int
+				slots     int
+			}{
+				{"input", inBytes, 12, in},
+				{"output", outBytes, 0, out},
+				{"port", portBytes, 5 + cx, ports},
+			} {
+				if c.got != c.want*c.slots {
+					t.Errorf("%v, depth %d: %s slots hold %d bytes, %.2f a slot; want %d a slot", alloc, depth, c.what, c.got, float64(c.got)/float64(c.slots), c.want)
+				}
+			}
+			if s.gw != 2 || len(s.grant) != 2*s.nodes {
+				t.Errorf("%v, depth %d: %d grant words a router, %d in all; want 2 and %d", alloc, depth, s.gw, len(s.grant), 2*s.nodes)
+			}
+			if t.Failed() || testing.Verbose() {
+				t.Logf("%v, depth %d: input %d B, output %d B + %d grant words, ports %d B", alloc, depth, inBytes, outBytes, len(s.grant), portBytes)
 			}
 		}
-		if s.gw != 2 || len(s.grant) != 2*s.nodes {
-			t.Errorf("depth %d: %d grant words a router, %d in all; want 2 and %d", depth, s.gw, len(s.grant), 2*s.nodes)
-		}
-		if t.Failed() || testing.Verbose() {
-			t.Logf("depth %d: input %d B, output %d B + %d grant words, crossbar %d B (%d-byte pointers)", depth, inBytes, outBytes, len(s.grant), cxBytes, ptr)
+	}
+}
+
+// TestStateHoldsNoPointers holds every per-slot, per-port and per-router
+// slice of State, the flit buffers' included, to a pointer-free element
+// type, so the collector never scans them: a slot names its owner by a
+// handle into the packet table and a port its neighbor by node. The
+// exceptions are named: the routers' views (each points at the State), the
+// packet table the handles index, and the Deadlock Buffer lane rows, a memo
+// by destination whose rows are built on demand.
+func TestStateHoldsNoPointers(t *testing.T) {
+	except := map[string]bool{"views": true, "pkts": true, "laneRows": true}
+	var walk func(v reflect.Type, path string)
+	checked := 0
+	walk = func(v reflect.Type, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch name := path + f.Name; {
+			case except[f.Name]:
+			case f.Type.Kind() == reflect.Struct && f.Type.PkgPath() == v.PkgPath():
+				walk(f.Type, name+".")
+			case f.Type.Kind() == reflect.Slice:
+				checked++
+				if e := f.Type.Elem(); hasPointers(e) {
+					t.Errorf("State.%s is a slice of %v, which holds pointers", name, e)
+				}
+			}
 		}
 	}
+	walk(reflect.TypeOf(State{}), "")
+	if checked < 25 {
+		t.Fatalf("checked %d slices: the walk missed State's arrays", checked)
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// collector would scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // blockedHeader builds a 4x4 torus under cfg whose router (1,0) holds the
@@ -107,9 +168,9 @@ func blockedHeader(t *testing.T, cfg Config) (*testBench, *Router, int) {
 		b.step()
 	}
 	for l := 0; l < r1.st.stride; l++ {
-		if i := r1.in0 + l; r1.st.in.owner[i] == p {
-			if r1.st.inWaiting[i] != 6 {
-				t.Fatalf("header waited %d cycles, want 6", r1.st.inWaiting[i])
+		if i := r1.in0 + l; r1.st.in.pkt(i) == p {
+			if r1.waiting(i) != 6 {
+				t.Fatalf("header waited %d cycles, want 6", r1.waiting(i))
 			}
 			return b, r1, i
 		}
@@ -128,7 +189,7 @@ func TestTimerSaturates(t *testing.T) {
 		cfg := Default()
 		cfg.Timeout = tout
 		b, r, i := blockedHeader(t, cfg)
-		r.st.inWaiting[i] = math.MaxInt32 - 2
+		r.st.in.pkt(i).Waiting = math.MaxInt32 - 2
 		port, vc := r.portVCOf(i - r.in0)
 		for k, want := range []int32{math.MaxInt32 - 1, math.MaxInt32, math.MaxInt32, math.MaxInt32} {
 			b.step()
@@ -176,7 +237,7 @@ func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
 	if w, q := binary.LittleEndian.Uint64(enc.Bytes()[waitingAt:]), binary.LittleEndian.Uint64(enc.Bytes()[seqAt:]); w != 6 || q != 0 {
 		t.Fatalf("offsets %d and %d read %d and %d, not the header's waiting count 6 and position 0", waitingAt, seqAt, w, q)
 	}
-	hdr := r.st.in.owner[i]
+	hdr := r.st.in.pkt(i)
 	long := *hdr
 	long.Length = math.MaxInt
 	for _, c := range []struct {
@@ -207,8 +268,8 @@ func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
 		switch {
 		case c.refused == "" && err != nil:
 			t.Errorf("%d at offset %d refused: %v", c.value, c.at, err)
-		case c.refused == "" && uint64(r2.st.inWaiting[i]) != c.value:
-			t.Errorf("waiting %d restored as %d", c.value, r2.st.inWaiting[i])
+		case c.refused == "" && uint64(r2.waiting(i)) != c.value:
+			t.Errorf("waiting %d restored as %d", c.value, r2.waiting(i))
 		case c.refused != "" && (err == nil || !strings.Contains(err.Error(), c.refused)):
 			t.Errorf("%d at offset %d: error %v, want one containing %q", c.value, c.at, err, c.refused)
 		}

@@ -1,7 +1,5 @@
 package router
 
-import "repro/internal/packet"
-
 // stageSwitchPBP implements packet-by-packet crossbar allocation (paper
 // Section 3.3): a crossbar connection is established when a packet wins an
 // output port and held until its tail passes; neither input nor output ports
@@ -36,7 +34,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 	// a body-flit deadlock the timeout detector, which watches headers,
 	// can never recover).
 	var inputConn [64]int8
-	var inputPkt [64]*packet.Packet
+	var inputPkt [64]int32 // handles
 	for q := 0; q < deg; q++ {
 		c := r.cxIdx(q)
 		if s.cxInPort[c] != connNone {
@@ -49,7 +47,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 	unwire := func(p int) {
 		inputConn[p]--
 		if inputConn[p] == 0 {
-			inputPkt[p] = nil
+			inputPkt[p] = 0
 		}
 	}
 	wire := func(p, v int) {
@@ -80,13 +78,14 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 	}
 
 	for q := 0; q < deg; q++ {
-		if r.neighbors[q] == nil {
+		nb := r.Neighbor(q)
+		if nb == nil {
 			continue
 		}
 		c := r.cxIdx(q)
 		db0 := r.db0 // lane 0; the PBP policy runs with sequential recovery
 
-		dbUnitWants := s.lanes > 0 && s.db.owner[db0] != nil && int(s.dbRoute[db0]) == q
+		dbUnitWants := s.lanes > 0 && s.db.owner[db0] != 0 && int(s.dbRoute[db0]) == q
 
 		// Release a finished DB-unit connection.
 		if s.cxDB[c] && !dbUnitWants {
@@ -99,8 +98,8 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 				preempt(q)
 				s.cxDB[c] = true
 			}
-			if s.db.n[db0] != 0 && dbStageable(r.neighbors[q], 0, s.db.owner[db0]) {
-				out = append(out, Transfer{From: r, FromDB: true, To: r.neighbors[q], OutPort: q, ToDB: true})
+			if s.db.n[db0] != 0 && dbStageable(nb, 0, s.db.owner[db0]) {
+				out = append(out, Transfer{From: r, FromDB: true, To: nb, OutPort: q, ToDB: true})
 				continue
 			}
 			// The DB unit is stalled (downstream DB busy). Flits that the
@@ -125,7 +124,7 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		// through a different port) and reconnect any suspended input.
 		if s.cxInPort[c] != connNone {
 			g := r.inIdx(int(s.cxInPort[c]), int(s.cxInVC[c]))
-			if s.in.owner[g] == nil || int(s.inRoute[g]) != q {
+			if s.in.owner[g] == 0 || int(s.inRoute[g]) != q {
 				release(q)
 			}
 		}
@@ -166,12 +165,12 @@ func (r *Router) stageSwitchPBP(out []Transfer, inputUsed *[64]bool) []Transfer 
 		if s.in.n[g] != 0 && !inputUsed[inPort] {
 			var tr Transfer
 			if int(s.inOutVC[g]) == VCDeadlockBuffer {
-				if dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.in.owner[g]) {
-					tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])}
+				if dbStageable(nb, int(s.inDBLane[g]), s.in.owner[g]) {
+					tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: nb, OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])}
 					staged = true
 				}
 			} else if int(s.in.n[r.downIdx(q, int(s.inOutVC[g]))]) < s.cfg.BufferDepth {
-				tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])}
+				tr = Transfer{From: r, FromPort: inPort, FromVC: inVC, To: nb, OutPort: q, ToVC: int(s.inOutVC[g])}
 				staged = true
 			}
 			if staged {
@@ -202,7 +201,7 @@ func (r *Router) recoveredInputFor(q int) (port, vc int, ok bool) {
 	m := s.outputMask(q)
 	for l := nextSet(m, 0); l >= 0; l = nextSet(m, l+1) {
 		i := r.in0 + l
-		if s.in.owner[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
+		if s.in.owner[i] != 0 && int(s.inOutVC[i]) == VCDeadlockBuffer {
 			p, v := r.portVCOf(l)
 			return p, v, true
 		}
@@ -221,7 +220,7 @@ func (r *Router) restoreConn(q int) {
 	}
 	s.cxSaved[c] = false
 	g := r.inIdx(int(s.cxSavedPort[c]), int(s.cxSavedVC[c]))
-	if s.in.owner[g] != nil && int(s.inRoute[g]) == q {
+	if s.in.owner[g] != 0 && int(s.inRoute[g]) == q {
 		s.cxInPort[c], s.cxInVC[c] = s.cxSavedPort[c], s.cxSavedVC[c]
 	}
 }

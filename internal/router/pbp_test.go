@@ -24,14 +24,14 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	a := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{3, 0}), 8, 0)
 	s := r.st
 	i00 := r.inIdx(0, 0)
-	s.in.owner[i00] = a
+	s.in.own(i00, a)
 	r.setRoute(i00, q)
 	s.inOutVC[i00] = 0
 	r.pushIn(i00, a.Flit(2))
 	r.pushIn(i00, a.Flit(3))
 	s.flitCount[r.node] += 2
 	// A's header went ahead: A owns the VC its flits enter downstream.
-	nb := r.neighbors[q]
+	nb := r.Neighbor(q)
 	holdDownstream(r, q, 0, a)
 
 	step := func() []Transfer {
@@ -58,7 +58,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	// A recovered packet enters the Deadlock Buffer wanting the same output.
 	p := packet.New(2, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{2, 0}), 1, 0)
 	p.OnDB = true
-	s.db.owner[r.db0] = p
+	s.db.own(r.db0, p)
 	s.dbRoute[r.db0] = int8(q)
 	s.db.push(r.db0, p.Flit(0))
 	s.flitCount[r.node]++
@@ -82,7 +82,7 @@ func TestPBPPreemptionAndReconfiguration(t *testing.T) {
 	if nb.DBOccupancy() != 1 || nb.DBOwner() != p {
 		t.Fatal("DB flit did not reach the neighbor's Deadlock Buffer")
 	}
-	if s.db.owner[r.db0] != nil {
+	if s.db.owner[r.db0] != 0 {
 		t.Fatal("local DB must release after the tail leaves")
 	}
 
@@ -113,7 +113,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	a := packet.New(1, 0, 9, 8, 0)
 	s := r.st
 	iA := r.inIdx(0, 0)
-	s.in.owner[iA] = a
+	s.in.own(iA, a)
 	r.setRoute(iA, q)
 	s.inOutVC[iA] = 0
 	r.pushIn(iA, a.Flit(2))
@@ -122,7 +122,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	// Packet B on another input also routes to q, on VC 1 with credits.
 	bb := packet.New(2, 0, 9, 8, 0)
 	iB := r.inIdx(2, 0)
-	s.in.owner[iB] = bb
+	s.in.own(iB, bb)
 	r.setRoute(iB, q)
 	s.inOutVC[iB] = 1
 	r.pushIn(iB, bb.Flit(2))
@@ -130,7 +130,7 @@ func TestPBPLendsStalledConnection(t *testing.T) {
 	s.flitCount[r.node] += 2
 	// Both headers went ahead and own the VCs their flits enter downstream;
 	// A's flits fill its downstream buffer, so A has no credit.
-	nb := r.neighbors[q]
+	nb := r.Neighbor(q)
 	holdDownstream(r, q, 0, a)
 	holdDownstream(r, q, 1, bb)
 	for seq := 0; seq < cfg.BufferDepth; seq++ {

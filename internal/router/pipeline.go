@@ -35,11 +35,12 @@ type Transfer struct {
 	Dropped bool
 }
 
-// reserveDB attempts to admit one flit of p into lane of target's Deadlock
-// Buffer at cycle now: the lane must be stageable and its single write port
-// (State.dbWriteAt) not yet used this cycle. Admission stamps the port.
-func reserveDB(target *Router, lane int, p *packet.Packet, now sim.Cycle) bool {
-	if !dbStageable(target, lane, p) {
+// reserveDB attempts to admit one flit of the packet with handle h into
+// lane of target's Deadlock Buffer at cycle now: the lane must be stageable
+// and its single write port (State.dbWriteAt) not yet used this cycle.
+// Admission stamps the port.
+func reserveDB(target *Router, lane int, h int32, now sim.Cycle) bool {
+	if !dbStageable(target, lane, h) {
 		return false
 	}
 	i := target.dbIdx(lane)
@@ -50,20 +51,21 @@ func reserveDB(target *Router, lane int, p *packet.Packet, now sim.Cycle) bool {
 	return true
 }
 
-// dbStageable reports whether one flit of p could enter lane of target's
-// Deadlock Buffer this cycle as far as start-of-cycle state is concerned:
-// the lane exists, is idle or already threaded by p, and has a free slot.
+// dbStageable reports whether one flit of the packet with handle h could
+// enter lane of target's Deadlock Buffer this cycle as far as start-of-cycle
+// state is concerned: the lane exists, is idle or already threaded by that
+// packet, and has a free slot.
 // It deliberately ignores the per-cycle single-write-port constraint, which
 // depends on what other routers stage: StageSwitch uses this check so that
 // staging reads only start-of-cycle state, and ResolveDB settles the write
 // port afterwards in fixed router order.
-func dbStageable(target *Router, lane int, p *packet.Packet) bool {
+func dbStageable(target *Router, lane int, h int32) bool {
 	if target == nil || lane < 0 || lane >= target.st.lanes {
 		return false
 	}
 	i := target.dbIdx(lane)
 	owner := target.st.db.owner[i]
-	return (owner == nil || owner == p) && int(target.st.db.n[i]) < target.st.db.depth
+	return (owner == 0 || owner == h) && int(target.st.db.n[i]) < target.st.db.depth
 }
 
 // ResolveDB arbitrates the Deadlock Buffer admissions staged for cycle now:
@@ -82,13 +84,13 @@ func ResolveDB(xfers []Transfer, now sim.Cycle) {
 		if !t.ToDB {
 			continue
 		}
-		var p *packet.Packet
+		var h int32
 		if t.FromDB {
-			p = t.From.st.db.owner[t.From.dbIdx(t.FromDBLane)]
+			h = t.From.st.db.owner[t.From.dbIdx(t.FromDBLane)]
 		} else {
-			p = t.From.st.in.owner[t.From.inIdx(t.FromPort, t.FromVC)]
+			h = t.From.st.in.owner[t.From.inIdx(t.FromPort, t.FromVC)]
 		}
-		if reserveDB(t.To, t.ToDBLane, p, now) {
+		if reserveDB(t.To, t.ToDBLane, h, now) {
 			continue
 		}
 		t.Dropped = true
@@ -150,7 +152,7 @@ func (r *Router) routeSlot(i int) {
 	}
 	choice := usable[0]
 	if len(usable) > 1 {
-		choice = s.sel.Pick(r, usable, r.rng)
+		choice = s.sel.Pick(r, usable, &r.rng)
 	}
 	r.setGrant(choice.Port, choice.VC, true)
 	r.setRoute(i, choice.Port)
@@ -173,9 +175,9 @@ func (r *Router) stageDBOutput(q int, out *[]Transfer) bool {
 		if s.db.n[i] == 0 || int(s.dbRoute[i]) != q {
 			continue
 		}
-		if next := r.hopLane(q); dbStageable(r.neighbors[q], next, s.db.owner[i]) {
+		if nb, next := r.Neighbor(q), r.hopLane(q); dbStageable(nb, next, s.db.owner[i]) {
 			*out = append(*out, Transfer{From: r, FromDB: true, FromDBLane: lane,
-				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: next})
+				To: nb, OutPort: q, ToDB: true, ToDBLane: next})
 			return true
 		}
 	}
@@ -190,8 +192,11 @@ type Sink interface {
 	Deliver(fl packet.Flit, at topology.Node)
 }
 
-// Commit applies a staged transfer; ejected flits are passed to sink.
-// Transfers marked Dropped by ResolveDB are ignored.
+// Commit applies a staged transfer; ejected flits are passed to sink, and
+// a consumed tail gives back its packet's handle. A header entering an
+// input slot starts its T_elapsed at 0: the slot it left is cleared by its
+// own router's timer pass, which may run after the receiver's. Transfers
+// marked Dropped by ResolveDB are ignored.
 func Commit(t *Transfer, sink Sink) {
 	if t.Dropped {
 		return
@@ -201,11 +206,14 @@ func Commit(t *Transfer, sink Sink) {
 	case t.Eject:
 		t.From.stats.FlitsEjected++
 		sink.Deliver(fl, t.From.node)
+		if fl.IsTail() {
+			t.From.st.pk.release(fl.Pkt)
+		}
 	case t.ToDB:
 		to := t.To
 		i := to.dbIdx(t.ToDBLane)
 		if fl.IsHeader() {
-			to.st.db.owner[i] = fl.Pkt
+			to.st.db.own(i, fl.Pkt)
 			to.st.dbRoute[i] = int8(to.dbLaneRoute(t.ToDBLane, fl.Pkt.Dst))
 			fl.Pkt.Hops++
 		}
@@ -214,10 +222,11 @@ func Commit(t *Transfer, sink Sink) {
 		t.From.stats.FlitsSwitched++
 	default:
 		to := t.To
-		inPort := int(t.From.rev[t.OutPort])
+		inPort := int(t.From.st.rev[t.From.cxIdx(t.OutPort)])
 		ti := to.inIdx(inPort, t.ToVC)
 		if fl.IsHeader() {
-			to.st.in.owner[ti] = fl.Pkt
+			to.st.in.own(ti, fl.Pkt)
+			fl.Pkt.Waiting = 0
 		}
 		to.pushIn(ti, fl)
 		to.st.flitCount[to.node]++
@@ -240,7 +249,7 @@ func (t *Transfer) popSource() packet.Flit {
 		s.flitCount[r.node]--
 		r.stats.DBFlitsCarried++
 		if fl.IsTail() {
-			s.db.owner[i] = nil
+			s.db.owner[i] = 0
 			s.dbRoute[i] = PortUnrouted
 		}
 		return fl
@@ -249,7 +258,7 @@ func (t *Transfer) popSource() packet.Flit {
 	fl := r.popIn(i)
 	s.flitCount[r.node]--
 	if fl.IsTail() {
-		s.in.owner[i] = nil
+		s.in.owner[i] = 0
 		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		r.clearTimer(i)
@@ -275,7 +284,7 @@ func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
 			p.DatelineCrossed |= 1 << uint(d)
 		}
 	}
-	nb := r.neighbors[outPort]
+	nb := r.Neighbor(outPort)
 	if topo.Distance(nb.node, p.Dst) >= topo.Distance(r.node, p.Dst) {
 		p.Misroutes++
 		r.stats.MisrouteHops++
@@ -313,14 +322,14 @@ func (r *Router) tickSlot(i, p, v int, blocked, presumed *int) int {
 		r.clearTimer(i)
 		return 0
 	}
-	if s.inWaiting[i] < math.MaxInt32 {
-		s.inWaiting[i]++
+	if head.Pkt.Waiting < math.MaxInt32 {
+		head.Pkt.Waiting++
 	}
-	waiting := sim.Cycle(s.inWaiting[i])
+	waiting := sim.Cycle(head.Pkt.Waiting)
 	r.setMask(mTim, i, true)
 	*blocked++
 	r.stats.BlockedCycles++
-	r.blockedByVC[v]++
+	s.blockedByVC[int(r.node)*s.cfg.VCs+v]++
 	if presumedHere {
 		*presumed++
 	}
@@ -368,13 +377,12 @@ func (r *Router) strandedHeader(p *packet.Packet) bool {
 // the other presumed-slot readers (RecoverPresumed, PresumedPackets) walk
 // mPre in ascending slot order, and a tie goes to the lowest slot.
 func (r *Router) MostStarved() (port, vc int, ok bool) {
-	s := r.st
 	var best int32 = -1
 	for j, word := range r.maskOf(mPre) {
 		for ; word != 0; word &= word - 1 {
 			l := j<<6 + bits.TrailingZeros64(word)
-			if i := r.in0 + l; s.inWaiting[i] > best {
-				best = s.inWaiting[i]
+			if w := r.waiting(r.in0 + l); w > best {
+				best = w
 				port, vc = r.portVCOf(l)
 				ok = true
 			}
@@ -391,7 +399,7 @@ func (r *Router) MostStarved() (port, vc int, ok bool) {
 func (r *Router) Recover(port, vc int, now sim.Cycle) *packet.Packet {
 	s := r.st
 	i := r.inIdx(port, vc)
-	p := s.in.owner[i]
+	p := s.in.pkt(i)
 	if p == nil || s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
 		panic("router: Recover on a VC without a blocked header")
 	}
@@ -441,7 +449,7 @@ func (r *Router) aimAtDB(i int, dst topology.Node) {
 // next router: with two lanes, lane 1 where the hop descends to a lower
 // label, else lane 0.
 func (r *Router) hopLane(q int) int {
-	if label := r.st.laneLabel; label != nil && label[r.neighbors[q].node] < label[r.node] {
+	if label := r.st.laneLabel; label != nil && label[r.st.nbr[r.cxIdx(q)]] < label[r.node] {
 		return 1
 	}
 	return 0
@@ -476,8 +484,8 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 	s := r.st
 	for j, word := range r.maskOf(mPre) {
 		for ; word != 0; word &= word - 1 {
-			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.in.owner[i] != nil {
-				out = append(out, s.in.owner[i])
+			if i := r.in0 + j<<6 + bits.TrailingZeros64(word); s.in.owner[i] != 0 {
+				out = append(out, s.in.pkt(i))
 			}
 		}
 	}
@@ -491,14 +499,19 @@ func (r *Router) PresumedPackets(out []*packet.Packet) []*packet.Packet {
 // through the stale-connection checks — packet-by-packet crossbar
 // connections. It returns the number of flits purged. The network calls it
 // on every router to kill a packet (abort-and-retry) or drop one
-// (reconfiguration). It walks every slot: a VC p owns while its next flits
-// are still upstream is empty, and no slot mask covers the empty ones.
+// (reconfiguration), and then State.Release. It walks every slot: a VC p
+// owns while its next flits are still upstream is empty, and no slot mask
+// covers the empty ones. A packet with no handle owns no slot.
 func (r *Router) PurgePacket(p *packet.Packet) int {
 	s := r.st
+	h := p.Handle
+	if h == 0 {
+		return 0
+	}
 	purged := 0
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.in.owner[i] != p {
+		if s.in.owner[i] != h {
 			continue
 		}
 		r.releaseGrant(i)
@@ -508,7 +521,7 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 		}
 		s.flitCount[r.node] -= int32(n)
 		purged += n
-		s.in.owner[i] = nil
+		s.in.owner[i] = 0
 		r.setRoute(i, PortUnrouted)
 		s.inOutVC[i] = VCUnrouted
 		r.clearTimer(i)
@@ -516,13 +529,13 @@ func (r *Router) PurgePacket(p *packet.Packet) int {
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if s.db.owner[i] != p {
+		if s.db.owner[i] != h {
 			continue
 		}
 		n := int(s.db.n[i])
 		s.flitCount[r.node] -= int32(n)
 		purged += n
-		s.db.owner[i], s.db.n[i] = nil, 0
+		s.db.owner[i], s.db.n[i] = 0, 0
 		s.dbRoute[i] = PortUnrouted
 	}
 	return purged

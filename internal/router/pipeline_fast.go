@@ -154,7 +154,7 @@ func (r *Router) stageSwitchFBF(out []Transfer, inputUsed *[64]bool, routed uint
 	}
 	for ; routed != 0; routed &= routed - 1 {
 		q := bits.TrailingZeros64(routed)
-		if r.neighbors[q] == nil {
+		if !r.LinkExists(q) {
 			continue
 		}
 		// Deadlock Buffer priority on its output.
@@ -172,6 +172,7 @@ func (r *Router) stageSwitchFBF(out []Transfer, inputUsed *[64]bool, routed uint
 // and the lending fallback of the packet-by-packet policy.
 func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Transfer {
 	s := r.st
+	nb := r.Neighbor(q)
 	m, off := s.outputMask(q), int(s.swArbOff[r.swIdx(q)])
 	for l := rotFirst(m, off); l >= 0; l = rotNext(m, l, off) {
 		port, vc := r.portVCOf(l)
@@ -180,16 +181,16 @@ func (r *Router) arbitrateInput(q int, inputUsed *[64]bool, out []Transfer) []Tr
 		}
 		g := r.in0 + l
 		if int(s.inOutVC[g]) == VCDeadlockBuffer {
-			if !dbStageable(r.neighbors[q], int(s.inDBLane[g]), s.in.owner[g]) {
+			if !dbStageable(nb, int(s.inDBLane[g]), s.in.owner[g]) {
 				continue
 			}
 			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc,
-				To: r.neighbors[q], OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])})
+				To: nb, OutPort: q, ToDB: true, ToDBLane: int(s.inDBLane[g])})
 		} else {
 			if int(s.in.n[r.downIdx(q, int(s.inOutVC[g]))]) == s.cfg.BufferDepth {
 				continue // no credit: the downstream buffer is full
 			}
-			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: r.neighbors[q], OutPort: q, ToVC: int(s.inOutVC[g])})
+			out = append(out, Transfer{From: r, FromPort: port, FromVC: vc, To: nb, OutPort: q, ToVC: int(s.inOutVC[g])})
 		}
 		inputUsed[port] = true
 		r.setMask(mSent, g, true)

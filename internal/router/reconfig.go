@@ -30,7 +30,7 @@ func (r *Router) dbHeadIsHeader(i int) bool {
 func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 	s := r.st
 	for v := 0; v < s.inVCCount(port); v++ {
-		if p := s.in.owner[r.inIdx(port, v)]; p != nil {
+		if p := s.in.pkt(r.inIdx(port, v)); p != nil {
 			out = append(out, p)
 		}
 	}
@@ -41,18 +41,17 @@ func (r *Router) LinkVictims(port int, out []*packet.Packet) []*packet.Packet {
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if p := s.db.owner[i]; p != nil && int(s.dbRoute[i]) == port && !r.dbHeadIsHeader(i) {
+		if p := s.db.pkt(i); p != nil && int(s.dbRoute[i]) == port && !r.dbHeadIsHeader(i) {
 			out = append(out, p)
 		}
 	}
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		p := s.in.owner[i]
-		if p == nil || int(s.inOutVC[i]) != VCDeadlockBuffer || int(s.inRoute[i]) != port {
+		if s.in.owner[i] == 0 || int(s.inOutVC[i]) != VCDeadlockBuffer || int(s.inRoute[i]) != port {
 			continue
 		}
 		if s.in.n[i] == 0 || !s.in.peek(i).IsHeader() {
-			out = append(out, p)
+			out = append(out, s.in.pkt(i))
 		}
 	}
 	return out
@@ -70,7 +69,7 @@ func (r *Router) ReleaseGrants(port int) {
 	s := r.st
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		if s.in.owner[i] == nil || int(s.inRoute[i]) != port {
+		if s.in.owner[i] == 0 || int(s.inRoute[i]) != port {
 			continue
 		}
 		r.releaseGrant(i)
@@ -81,7 +80,7 @@ func (r *Router) ReleaseGrants(port int) {
 
 // ResetOutputPort restores port's output-side channel state to
 // as-constructed: no grants and no packet-by-packet crossbar connection
-// (live or suspended). Its credits and its owners past a grant are the
+// (live or suspended; flit-by-flit allocation keeps none). Its credits and its owners past a grant are the
 // buffers it feeds, which a kill's purges emptied. Called after a kill has
 // purged or re-routed everything that used the link, and again is what
 // lets a healed link come back with clean virtual channels.
@@ -89,6 +88,9 @@ func (r *Router) ResetOutputPort(port int) {
 	s := r.st
 	for v := 0; v < s.cfg.VCs; v++ {
 		r.setGrant(port, v, false)
+	}
+	if s.cxInPort == nil {
+		return
 	}
 	c := r.cxIdx(port)
 	s.cxInPort[c], s.cxInVC[c] = connNone, 0
@@ -108,7 +110,7 @@ func (r *Router) RefreshDBRoutes() {
 	s := r.st
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
-		if p := s.db.owner[i]; p != nil && r.dbHeadIsHeader(i) {
+		if p := s.db.pkt(i); p != nil && r.dbHeadIsHeader(i) {
 			s.dbRoute[i] = int8(r.dbLaneRoute(lane, p.Dst))
 		}
 	}
@@ -129,14 +131,14 @@ func (r *Router) RecoveryBusy() (presumed, busy int) {
 		if r.hasMask(mPre, i) && s.in.n[i] != 0 {
 			presumed++
 		}
-		if s.in.owner[i] != nil && int(s.inOutVC[i]) == VCDeadlockBuffer {
+		if s.in.owner[i] != 0 && int(s.inOutVC[i]) == VCDeadlockBuffer {
 			busy++
 		}
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.dbIdx(lane)
 		busy += int(s.db.n[i])
-		if s.db.owner[i] != nil {
+		if s.db.owner[i] != 0 {
 			busy++
 		}
 	}

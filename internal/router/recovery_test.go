@@ -128,7 +128,7 @@ func TestRecoverPresumedAndHamDelivery(t *testing.T) {
 	}
 	p := packet.New(1, src, dst, 2, 0)
 	i00 := r.inIdx(0, 0)
-	r.st.in.owner[i00] = p
+	r.st.in.own(i00, p)
 	r.pushIn(i00, p.Flit(0))
 	r.pushIn(i00, p.Flit(1))
 	r.st.flitCount[r.node] += 2
@@ -169,7 +169,7 @@ func TestPurgePacket(t *testing.T) {
 	// toward q), header at r1 on the matching input VC.
 	p := packet.New(1, 0, 9, 6, 0)
 	i0 := r0.inIdx(0, 0)
-	r0.st.in.owner[i0] = p
+	r0.st.in.own(i0, p)
 	r0.setRoute(i0, q)
 	r0.st.inOutVC[i0] = 0
 	r0.pushIn(i0, p.Flit(1))
@@ -177,7 +177,7 @@ func TestPurgePacket(t *testing.T) {
 	r0.st.flitCount[r0.node] += 2
 	rev := topology.ReversePort(q)
 	i1 := r1.inIdx(rev, 0)
-	r1.st.in.owner[i1] = p
+	r1.st.in.own(i1, p)
 	r1.pushIn(i1, p.Flit(0))
 	r1.st.flitCount[r1.node]++
 	if r0.OutputOwner(q, 0) != p || r0.Credits(q, 0) != cfg.BufferDepth-1 {
@@ -213,7 +213,8 @@ func TestPurgePacketEmptiesDeadlockBuffer(t *testing.T) {
 	r := b.routers[0]
 	p, other := packet.New(1, 0, 9, 6, 0), packet.New(2, 3, 9, 6, 0)
 	i := r.dbIdx(0)
-	r.st.db.owner[i], r.st.dbRoute[i] = p, 0
+	r.st.db.own(i, p)
+	r.st.dbRoute[i] = 0
 	r.st.db.push(i, p.Flit(2))
 	r.st.flitCount[r.node]++
 

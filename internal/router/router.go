@@ -13,13 +13,15 @@
 //
 // Everything the routers of one network share lives once in a State: the
 // network-wide facts (topology, configuration, routing function, Deadlock
-// Buffer lane table) and the hot per-cycle state — VC buffers, output VC
-// grants, deadlock timers, crossbar connections — as flat struct-of-arrays
-// buffers. An output VC stores only its grant: its credits and, once its
-// header has crossed, its owner are those of the input buffer it feeds. A
-// Router is a view over its slice of those buffers, so the per-cycle scan
-// phases sweep contiguous memory while the router API, digests and snapshots
-// stay layout-invariant.
+// Buffer lane table), the wiring, and the hot per-cycle state — VC buffers,
+// output VC grants, deadlock timers, crossbar connections — as flat
+// struct-of-arrays buffers that hold no pointer: a buffer names its owner by
+// a handle into the State's packet table. An output VC stores only its
+// grant: its credits and, once its header has crossed, its owner are those
+// of the input buffer it feeds. A header's T_elapsed is its packet's
+// (packet.Packet.Waiting). A Router is an element of the State's views over
+// its slice of those buffers, so the per-cycle scan phases sweep contiguous
+// memory while the router API, digests and snapshots stay layout-invariant.
 package router
 
 import (
@@ -70,67 +72,44 @@ type Stats struct {
 	BlockedCycles   int64 // header-cycles spent blocked (sum of T_elapsed ticks)
 }
 
-// Router is one network node's switch: a view over the node's slice of the
-// network-wide State. It holds only what is the node's own — its base
-// offsets into the shared buffers, its wiring (neighbors, reverse ports),
-// its RNG stream, and the cold counters and scratch
-// no per-cycle scan sweeps. Everything network-wide (topology, configuration,
-// routing and selection functions, the Deadlock Buffer lane table) is read
-// through st.
+// Router is one network node's switch: an element of the network-wide
+// State's views over the node's slice of its buffers. It holds only what is
+// the node's own — its base offsets into the shared buffers, its RNG
+// stream, and the cold counters no per-cycle scan sweeps. Everything else,
+// its wiring (the State's nbr and rev rows) included, and everything
+// network-wide (topology, configuration, routing and selection functions,
+// the Deadlock Buffer lane table) is read through st.
 type Router struct {
 	node topology.Node
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	// Shared state and this router's base offsets into its buffers.
 	st  *State
 	in0 int // first input VC slot:       node * st.stride
 	g0  int // first grant word:          node * st.gw
 	db0 int // first Deadlock Buffer slot: node * st.lanes
-	cx0 int // first crossbar slot:        node * st.deg
+	pt0 int // first port (wiring, crossbar) slot: node * st.deg
 	sw0 int // first switch-arb slot:      node * (st.deg + 1)
 	mk0 int // first slot-mask word:       node * maskKinds * st.w
 
-	neighbors []*Router // per network port; nil where no link exists
-
-	// rev caches topo.ReversePortAt for every output port: rev[p] is the
-	// input port at neighbors[p] that our link lands on, or -1 where the
-	// port is unconnected or unpaired. The transfer-commit and credit hot
-	// paths index it instead of re-deriving the pairing per flit.
-	rev []int32
-
 	stats Stats
-
-	// Telemetry instrumentation, maintained by TickTimers (which already
-	// visits every input VC that can block, so this costs almost nothing):
-	// cumulative blocked cycles keyed by VC index.
-	blockedByVC []int64
 }
 
-// NewWithState constructs the view of node over the shared state st, with
-// rng as the router's private selection stream. The caller wires neighbors
-// with Connect before the first cycle.
+// NewWithState sets up node's view in the shared state st, with a copy of
+// rng as the router's private selection stream, and returns it. The caller
+// wires neighbors with Connect before the first cycle.
 func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
-	deg, cfg := st.deg, st.cfg
-	r := &Router{
-		node:        node,
-		rng:         rng,
-		st:          st,
-		in0:         int(node) * st.stride,
-		g0:          int(node) * st.gw,
-		db0:         int(node) * st.lanes,
-		cx0:         int(node) * deg,
-		sw0:         int(node) * (deg + 1),
-		mk0:         int(node) * maskKinds * st.w,
-		neighbors:   make([]*Router, deg),
-		rev:         make([]int32, deg),
-		blockedByVC: make([]int64, cfg.VCs),
-	}
-	for p := 0; p < deg; p++ {
-		if q, ok := st.topo.ReversePortAt(node, p); ok {
-			r.rev[p] = int32(q)
-		} else {
-			r.rev[p] = -1
-		}
+	r := &st.views[node]
+	*r = Router{
+		node: node,
+		rng:  *rng,
+		st:   st,
+		in0:  int(node) * st.stride,
+		g0:   int(node) * st.gw,
+		db0:  int(node) * st.lanes,
+		pt0:  int(node) * st.deg,
+		sw0:  int(node) * (st.deg + 1),
+		mk0:  int(node) * maskKinds * st.w,
 	}
 	return r
 }
@@ -138,13 +117,18 @@ func NewWithState(node topology.Node, rng *sim.RNG, st *State) *Router {
 // Connect wires the neighbor reached through the given output port. The
 // network calls it for both directions of every link.
 func (r *Router) Connect(port int, neighbor *Router) {
-	r.neighbors[port] = neighbor
+	r.st.nbr[r.pt0+port] = int32(neighbor.node)
 }
 
 // Neighbor returns the router wired to the given output port (nil where no
 // link exists). Analysis tools use it to follow wait-for relations across
 // links.
-func (r *Router) Neighbor(port int) *Router { return r.neighbors[port] }
+func (r *Router) Neighbor(port int) *Router {
+	if nb := r.st.nbr[r.pt0+port]; nb >= 0 {
+		return &r.st.views[nb]
+	}
+	return nil
+}
 
 // InjectionPort returns the input port index of the injection channel.
 func (r *Router) InjectionPort() int { return r.st.deg }
@@ -169,10 +153,10 @@ func (r *Router) PresumedHeaders() int { return r.gauge(r.st.lastPresumed) }
 // BlockedCyclesVC returns the cumulative header-blocked cycles charged to
 // the given VC index (summed over all input ports).
 func (r *Router) BlockedCyclesVC(vc int) int64 {
-	if vc < 0 || vc >= len(r.blockedByVC) {
+	if vc < 0 || vc >= r.st.cfg.VCs {
 		return 0
 	}
-	return r.blockedByVC[vc]
+	return r.st.blockedByVC[int(r.node)*r.st.cfg.VCs+vc]
 }
 
 // --- routing.View -----------------------------------------------------------
@@ -188,10 +172,10 @@ func (r *Router) Topo() topology.Graph { return r.st.topo }
 // no paired reverse channel. Wait-for-graph analysis and the lane-row
 // builder use it to follow flow control across arbitrary-graph links.
 func (r *Router) ReverseAt(port int) int {
-	if port < 0 || port >= len(r.rev) {
+	if port < 0 || port >= r.st.deg {
 		return -1
 	}
-	return int(r.rev[port])
+	return int(r.st.rev[r.pt0+port])
 }
 
 // VCs implements routing.View.
@@ -199,7 +183,7 @@ func (r *Router) VCs() int { return r.st.cfg.VCs }
 
 // LinkExists implements routing.View.
 func (r *Router) LinkExists(port int) bool {
-	return port >= 0 && port < len(r.neighbors) && r.neighbors[port] != nil
+	return port >= 0 && port < r.st.deg && r.st.nbr[r.pt0+port] >= 0
 }
 
 // OutputVCFree implements routing.View: a VC is allocatable only when no
@@ -211,7 +195,7 @@ func (r *Router) OutputVCFree(port, vc int) bool {
 		return false
 	}
 	d := r.downIdx(port, vc)
-	return d < 0 || r.st.in.owner[d] == nil
+	return d < 0 || r.st.in.owner[d] == 0
 }
 
 // OccupantDimReversals implements routing.View.
@@ -241,17 +225,19 @@ var _ routing.View = (*Router)(nil)
 // InjectFlit offers the next flit of a packet to the injection input. It
 // returns false if the injection channel cannot accept it this cycle: a
 // header needs the channel's one VC idle, any other flit needs its packet
-// to own the VC with buffer space.
+// to own the VC with buffer space. A header takes the packet's handle and
+// starts its T_elapsed at 0.
 func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 	s := r.st
 	i := r.inIdx(s.deg, 0)
 	if fl.IsHeader() {
-		if s.in.owner[i] != nil || s.in.n[i] != 0 {
+		if s.in.owner[i] != 0 || s.in.n[i] != 0 {
 			return false
 		}
-		s.in.owner[i] = fl.Pkt
+		s.in.own(i, fl.Pkt)
 		fl.Pkt.InjectedAt = now
-	} else if s.in.owner[i] != fl.Pkt || int(s.in.n[i]) == s.cfg.BufferDepth {
+		fl.Pkt.Waiting = 0
+	} else if s.in.owner[i] == 0 || s.in.owner[i] != fl.Pkt.Handle || int(s.in.n[i]) == s.cfg.BufferDepth {
 		return false
 	}
 	r.pushIn(i, fl)
@@ -262,7 +248,7 @@ func (r *Router) InjectFlit(fl packet.Flit, now sim.Cycle) bool {
 // --- Introspection helpers (tests, wait-for-graph analysis) ------------------
 
 // InputOwner returns the packet owning input VC (port, vc), if any.
-func (r *Router) InputOwner(port, vc int) *packet.Packet { return r.st.in.owner[r.inIdx(port, vc)] }
+func (r *Router) InputOwner(port, vc int) *packet.Packet { return r.st.in.pkt(r.inIdx(port, vc)) }
 
 // InputRoute returns the granted (route, outVC) of input VC (port, vc).
 func (r *Router) InputRoute(port, vc int) (route, outVC int) {
@@ -276,7 +262,7 @@ func (r *Router) InputRoute(port, vc int) (route, outVC int) {
 // tests uses it to name the first field in which two networks differ.
 func (r *Router) InputTimer(port, vc int) (waiting sim.Cycle, presumed, sent bool) {
 	i := r.inIdx(port, vc)
-	return sim.Cycle(r.st.inWaiting[i]), r.hasMask(mPre, i), r.hasMask(mSent, i)
+	return sim.Cycle(r.waiting(i)), r.hasMask(mPre, i), r.hasMask(mSent, i)
 }
 
 // InputOccupancy returns the number of buffered flits in input VC (port, vc).
@@ -285,11 +271,11 @@ func (r *Router) InputOccupancy(port, vc int) int { return int(r.st.in.n[r.inIdx
 // InputHead returns the head flit of input VC (port, vc); ok is false when
 // the buffer is empty.
 func (r *Router) InputHead(port, vc int) (packet.Flit, bool) {
-	i := r.inIdx(port, vc)
-	if r.st.in.n[i] == 0 {
+	q, i := &r.st.in, r.inIdx(port, vc)
+	if q.n[i] == 0 {
 		return packet.Flit{}, false
 	}
-	return r.st.in.peek(i), true
+	return packet.Flit{Pkt: q.pkt(i), Seq: int(q.seq[i])}, true
 }
 
 // OutputOwner returns the packet holding output VC (port, vc), if any: the
@@ -304,7 +290,7 @@ func (r *Router) OutputOwner(port, vc int) *packet.Packet {
 		return nil
 	}
 	q := &r.st.in
-	p := q.owner[d]
+	p := q.pkt(d)
 	if p == nil || (q.n[d] != 0 && int(q.seq[d])+int(q.n[d]) == p.Length) {
 		return nil // idle, or the tail has crossed
 	}
@@ -341,11 +327,11 @@ func (r *Router) DBOwner() *packet.Packet {
 	if r.st.lanes == 0 {
 		return nil
 	}
-	return r.st.db.owner[r.db0]
+	return r.st.db.pkt(r.db0)
 }
 
 // DBLaneOwner returns the packet threading the given Deadlock Buffer lane.
-func (r *Router) DBLaneOwner(lane int) *packet.Packet { return r.st.db.owner[r.dbIdx(lane)] }
+func (r *Router) DBLaneOwner(lane int) *packet.Packet { return r.st.db.pkt(r.dbIdx(lane)) }
 
 // InputPorts returns the number of input ports including injection.
 func (r *Router) InputPorts() int { return r.st.deg + 1 }
@@ -368,4 +354,4 @@ func (r *Router) String() string {
 
 // Disconnect severs the output link on the given port (fault injection).
 // The network drops the link's victims and releases its grants first.
-func (r *Router) Disconnect(port int) { r.neighbors[port] = nil }
+func (r *Router) Disconnect(port int) { r.st.nbr[r.pt0+port] = -1 }

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+
 	"testing"
 
 	"repro/internal/packet"
@@ -44,7 +46,12 @@ func newBench(t *testing.T, topo topology.Topology, cfg Config, alg routing.Algo
 // header has crossed does: p owns the input VC the output feeds, and its
 // next flits are still upstream. nil releases the VC.
 func holdDownstream(r *Router, port, vc int, p *packet.Packet) {
-	r.st.in.owner[r.downIdx(port, vc)] = p
+	d := r.downIdx(port, vc)
+	if p == nil {
+		r.st.in.owner[d] = 0
+		return
+	}
+	r.st.in.own(d, p)
 }
 
 func (b *testBench) Deliver(fl packet.Flit, at topology.Node) {
@@ -308,27 +315,28 @@ func TestReservations(t *testing.T) {
 	target := b.routers[0]
 	p1 := packet.New(1, 1, 0, 4, 0)
 	p2 := packet.New(2, 2, 0, 4, 0)
-	if !reserveDB(target, 0, p1, 1) {
+	h1, h2 := target.st.pk.acquire(p1), target.st.pk.acquire(p2)
+	if !reserveDB(target, 0, h1, 1) {
 		t.Fatal("first reservation failed")
 	}
-	if reserveDB(target, 0, p1, 1) {
+	if reserveDB(target, 0, h1, 1) {
 		t.Fatal("single write port violated")
 	}
 	// Occupy the DB with p1; p2 must be refused even in a new cycle.
-	target.st.db.owner[target.db0] = p1
-	if reserveDB(target, 0, p2, 2) {
+	target.st.db.own(target.db0, p1)
+	if reserveDB(target, 0, h2, 2) {
 		t.Fatal("DB reserved for a foreign packet")
 	}
-	if !reserveDB(target, 0, p1, 2) {
+	if !reserveDB(target, 0, h1, 2) {
 		t.Fatal("owner refused its own DB")
 	}
 	// Full DB refuses even the owner.
 	target.st.db.push(target.db0, p1.Flit(0))
 	target.st.flitCount[target.node]++
-	if reserveDB(target, 0, p1, 3) {
+	if reserveDB(target, 0, h1, 3) {
 		t.Fatal("full DB accepted a flit")
 	}
-	if reserveDB(nil, 0, p1, 3) {
+	if reserveDB(nil, 0, h1, 3) {
 		t.Fatal("nil target accepted")
 	}
 }
@@ -392,5 +400,122 @@ func TestRouterStringAndAccessors(t *testing.T) {
 	}
 	if r.DBOccupancy() != 0 || r.DBOwner() != nil {
 		t.Fatal("fresh DB state wrong")
+	}
+}
+
+// TestTimerRidesOnTheHeader holds the T_elapsed rule at a crossing: a slot's
+// timer is its owner's Waiting while the slot's head is the owner's header.
+// A header blocked at router (1,0) for a while is released and crosses into
+// router (2,0), where it blocks again; the timers then tick downstream
+// first. The header's timer restarts at the crossing and counts its one
+// blocked cycle at (2,0), and the slot it left reads 0 and is cleared
+// without touching the header's timer.
+func TestTimerRidesOnTheHeader(t *testing.T) {
+	topo := topology.MustTorus(8, 8)
+	cfg := Default() // T_out 8
+	b := newBench(t, topo, cfg, routing.DOR())
+	r1 := b.routers[topo.NodeAt(topology.Coord{1, 0})]
+	r2 := b.routers[topo.NodeAt(topology.Coord{2, 0})]
+	east := topology.PortFor(0, 1)
+	for v := 0; v < cfg.VCs; v++ {
+		holdDownstream(r1, east, v, packet.New(98, 0, 1, 4, 0))
+		holdDownstream(r2, east, v, packet.New(99, 0, 1, 4, 0))
+	}
+	p := packet.New(1, topo.NodeAt(topology.Coord{0, 0}), topo.NodeAt(topology.Coord{4, 0}), 2, 0)
+	b.injectAndRun(t, p, 7)
+	at := func(r *Router) (port, vc int, ok bool) {
+		for l := 0; l < r.st.stride; l++ {
+			if i := r.in0 + l; r.st.in.pkt(i) == p && r.st.in.n[i] != 0 && r.st.in.seq[i] == 0 {
+				port, vc = r.portVCOf(l)
+				return port, vc, true
+			}
+		}
+		return 0, 0, false
+	}
+	port1, vc1, ok := at(r1)
+	if w, presumed, _ := r1.InputTimer(port1, vc1); !ok || w < 2 || presumed || sim.Cycle(p.Waiting) != w {
+		t.Fatalf("header at (1,0) %v: timer %d (presumed %v), packet's %d", ok, w, presumed, p.Waiting)
+	}
+	for v := 0; v < cfg.VCs; v++ {
+		holdDownstream(r1, east, v, nil)
+	}
+	// One cycle with the timer passes downstream first.
+	b.clock.Tick()
+	var xfers []Transfer
+	for _, r := range b.routers {
+		r.StageRouting()
+	}
+	for _, r := range b.routers {
+		xfers = r.StageSwitch(xfers)
+	}
+	ResolveDB(xfers, b.clock.Now())
+	for i := range xfers {
+		Commit(&xfers[i], b)
+	}
+	for n := len(b.routers) - 1; n >= 0; n-- {
+		b.routers[n].TickTimers()
+	}
+	port2, vc2, ok := at(r2)
+	if w, _, _ := r2.InputTimer(port2, vc2); !ok || w != 1 || p.Waiting != 1 {
+		t.Fatalf("header at (2,0) %v: timer %d, packet's %d; want 1 after its one blocked cycle", ok, w, p.Waiting)
+	}
+	if w, presumed, _ := r1.InputTimer(port1, vc1); w != 0 || presumed {
+		t.Fatalf("the slot the header left reads timer %d (presumed %v), want 0", w, presumed)
+	}
+	for _, r := range []*Router{r1, r2} {
+		if err := r.CheckState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPacketHandles follows one packet's handle through the packet table:
+// taken when its header is injected, kept while its worm owns a slot, given
+// back when its tail is delivered and reused by the next packet. The table's
+// checks refuse a leaked handle (a packet that owns no slot) and a free
+// handle whose entry is not empty.
+func TestPacketHandles(t *testing.T) {
+	topo := topology.MustTorus(4, 4)
+	b := newBench(t, topo, cfg4(), routing.DOR())
+	st := b.routers[0].st
+	p := packet.New(1, 0, topo.NodeAt(topology.Coord{2, 1}), 4, 0)
+	if !b.routers[0].InjectFlit(p.Flit(0), 0) {
+		t.Fatal("inject failed")
+	}
+	h := p.Handle
+	if h == 0 || st.pk.pkts[h] != p {
+		t.Fatalf("injected header holds handle %d, table entry %v", h, st.pk.pkts[h])
+	}
+	seq := 1
+	for i := 0; i < 40 && !p.Delivered(); i++ {
+		if seq < p.Length && b.routers[0].InjectFlit(p.Flit(seq), b.clock.Now()) {
+			seq++
+		}
+		b.step()
+		if !p.Delivered() && p.Handle != h {
+			t.Fatalf("cycle %d: handle moved from %d to %d in flight", i, h, p.Handle)
+		}
+		if err := st.CheckHandles(); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	if !p.Delivered() || p.Handle != 0 || st.pk.pkts[h] != nil || len(st.pk.free) != 1 {
+		t.Fatalf("delivered %v: handle %d, entry %v, %d free; want 0, nil and 1", p.Delivered(), p.Handle, st.pk.pkts[h], len(st.pk.free))
+	}
+	q := packet.New(2, 0, 5, 4, 0)
+	if !b.routers[0].InjectFlit(q.Flit(0), b.clock.Now()) || q.Handle != h {
+		t.Fatalf("the next packet took handle %d, want the freed %d", q.Handle, h)
+	}
+	i := b.routers[0].inIdx(st.deg, 0)
+	st.in.owner[i] = 0 // q's header slot forgets it, but q keeps its handle
+	want := fmt.Sprintf("packet table: packet 2 holds handle %d but owns no input slot or DB lane", h)
+	if err := st.CheckHandles(); err == nil || err.Error() != want {
+		t.Fatalf("leak: CheckHandles = %v, want %q", err, want)
+	}
+	st.in.owner[i] = h
+	st.pk.free = append(st.pk.free, h)
+	want = fmt.Sprintf("packet table: free handle %d is not an empty entry", h)
+	if err := st.CheckHandles(); err == nil || err.Error() != want {
+		t.Fatalf("free handle in use: CheckHandles = %v, want %q", err, want)
 	}
 }

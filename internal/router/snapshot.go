@@ -82,16 +82,26 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	}
 	for l := 0; l < s.stride; l++ {
 		i := r.in0 + l
-		PacketRef(c, &s.in.owner[i], table)
+		owner := walkOwner(c, &s.in, i, table)
 		snapshot.Range(c, &s.inRoute[i], snapshot.In(PortEject, s.deg, "input route"))
-		ejectsHere(s.in.owner[i], s.inRoute[i])
+		ejectsHere(owner, s.inRoute[i])
 		snapshot.Range(c, &s.inOutVC[i], snapshot.In(VCDeadlockBuffer, s.cfg.VCs, "output VC grant"))
 		snapshot.Range(c, &s.inDBLane[i], snapshot.In(0, dbLanes, "DB lane"))
-		snapshot.Int(c, &s.inWaiting[i])
+		waiting := r.waiting(i)
+		snapshot.Int(c, &waiting)
 		presumed, sent := r.hasMask(mPre, i), r.hasMask(mSent, i)
 		c.Bool(&presumed)
 		c.Bool(&sent)
 		r.walkFifo(c, &s.in, i, table)
+		if dec && c.Err() == nil {
+			// T_elapsed is the owner's while the slot's head is its
+			// header, and 0 on any other slot.
+			if s.in.n[i] != 0 && s.in.seq[i] == 0 {
+				owner.Waiting = waiting
+			} else if waiting != 0 {
+				c.Fail("snapshot: %s: T_elapsed %d, but its head is not its owner's header", r.slotName(&s.in, i), waiting)
+			}
+		}
 		if dec {
 			// The other masks are derived, not coded: set them from the
 			// decoded arrays and flags.
@@ -110,35 +120,25 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	}
 	for l := 0; l < s.outStr; l++ {
 		q, v := l/s.cfg.VCs, l%s.cfg.VCs
-		var o outPair
+		var owner *packet.Packet
+		var credits int16
 		if !dec {
-			o = outPair{r.OutputOwner(q, v), int16(r.Credits(q, v))}
+			owner, credits = r.OutputOwner(q, v), int16(r.Credits(q, v))
 		}
-		PacketRef(c, &o.owner, table)
-		snapshot.Range(c, &o.credits, snapshot.In(0, s.cfg.BufferDepth+1, "credits"))
+		PacketRef(c, &owner, table)
+		snapshot.Range(c, &credits, snapshot.In(0, s.cfg.BufferDepth+1, "credits"))
 		if dec {
-			s.coded[int(r.node)*s.outStr+l] = o
+			s.coded[int(r.node)*s.outStr+l] = outPair{refID(owner), credits}
 		}
 	}
 	for lane := 0; lane < s.lanes; lane++ {
 		i := r.db0 + lane
-		PacketRef(c, &s.db.owner[i], table)
+		owner := walkOwner(c, &s.db, i, table)
 		snapshot.Range(c, &s.dbRoute[i], snapshot.In(PortEject, s.deg, "DB route"))
-		ejectsHere(s.db.owner[i], s.dbRoute[i])
+		ejectsHere(owner, s.dbRoute[i])
 		r.walkFifo(c, &s.db, i, table)
 	}
-	for q := 0; q < s.deg; q++ {
-		i := r.cx0 + q
-		snapshot.Range(c, &s.cxInPort[i], snapshot.In(connNone, s.deg+1, "crossbar input port"))
-		snapshot.Range(c, &s.cxInVC[i], snapshot.In(0, s.inVCCount(int(s.cxInPort[i])), "crossbar input VC"))
-		c.Bool(&s.cxDB[i])
-		c.Bool(&s.cxSaved[i])
-		snapshot.Range(c, &s.cxSavedPort[i], snapshot.In(0, s.deg+1, "saved crossbar port"))
-		snapshot.Range(c, &s.cxSavedVC[i], snapshot.In(0, s.inVCCount(int(s.cxSavedPort[i])), "saved crossbar VC"))
-	}
-	if dec {
-		r.syncCrossbar()
-	}
+	r.walkCrossbar(c)
 	c.Expect(int64(s.vcArbOffset(now)), "VC arbitration offset")
 	for q := 0; q <= s.deg; q++ {
 		snapshot.Range(c, &s.swArbOff[r.swIdx(q)], snapshot.In(0, s.stride, "switch arbitration offset"))
@@ -152,8 +152,9 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	c.I64(&r.stats.DBFlitsCarried)
 	c.I64(&r.stats.Preemptions)
 	c.I64(&r.stats.BlockedCycles)
-	for i := range r.blockedByVC {
-		c.I64(&r.blockedByVC[i])
+	byVC := s.blockedByVC[int(r.node)*s.cfg.VCs:][:s.cfg.VCs]
+	for v := range byVC {
+		c.I64(&byVC[v])
 	}
 	blocked, presumed := int32(r.BlockedHeaders()), int32(r.PresumedHeaders())
 	snapshot.Int(c, &blocked)
@@ -161,6 +162,54 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	if dec {
 		s.lastBlocked[r.node], s.lastPresumed[r.node] = blocked, presumed
 		s.tickedAt[r.node] = now
+	}
+}
+
+// walkOwner codes slot i of q's owner as a packet reference and returns
+// it; decoding makes the referenced packet the owner, giving it a handle.
+func walkOwner(c *snapshot.Codec, q *flitRun, i int, table map[packet.ID]*packet.Packet) *packet.Packet {
+	p := q.pkt(i)
+	PacketRef(c, &p, table)
+	if c.Decoding() {
+		q.owner[i] = 0
+		if p != nil {
+			q.own(i, p)
+		}
+	}
+	return p
+}
+
+// walkCrossbar codes the router's packet-by-packet crossbar connections.
+// Flit-by-flit allocation keeps none: its walk codes every port at rest, as
+// a connection-free packet-by-packet port reads, and a decoder refuses any
+// other value, naming the port.
+func (r *Router) walkCrossbar(c *snapshot.Codec) {
+	s := r.st
+	for q := 0; q < s.deg; q++ {
+		if s.cxInPort == nil {
+			port, vc, savedPort, savedVC := int8(connNone), int8(0), int8(0), int8(0)
+			db, saved := false, false
+			snapshot.Int(c, &port)
+			snapshot.Int(c, &vc)
+			c.Bool(&db)
+			c.Bool(&saved)
+			snapshot.Int(c, &savedPort)
+			snapshot.Int(c, &savedVC)
+			if port != connNone || vc != 0 || db || saved || savedPort != 0 || savedVC != 0 {
+				c.Fail("snapshot: crossbar %d: a connection under flit-by-flit allocation", q)
+			}
+			continue
+		}
+		i := r.cxIdx(q)
+		snapshot.Range(c, &s.cxInPort[i], snapshot.In(connNone, s.deg+1, "crossbar input port"))
+		snapshot.Range(c, &s.cxInVC[i], snapshot.In(0, s.inVCCount(int(s.cxInPort[i])), "crossbar input VC"))
+		c.Bool(&s.cxDB[i])
+		c.Bool(&s.cxSaved[i])
+		snapshot.Range(c, &s.cxSavedPort[i], snapshot.In(0, s.deg+1, "saved crossbar port"))
+		snapshot.Range(c, &s.cxSavedVC[i], snapshot.In(0, s.inVCCount(int(s.cxSavedPort[i])), "saved crossbar VC"))
+	}
+	if c.Decoding() {
+		r.syncCrossbar()
 	}
 }
 
@@ -191,7 +240,7 @@ func (r *Router) walkFifo(c *snapshot.Codec, q *flitRun, i int, table map[packet
 		if c.Err() != nil {
 			return
 		}
-		switch owner := q.owner[i]; {
+		switch owner := q.pkt(i); {
 		case owner == nil:
 			c.Fail("snapshot: %s buffers flits with no owner", r.slotName(q, i))
 		case fl.Pkt != owner:
@@ -219,10 +268,19 @@ func (r *Router) slotName(q *flitRun, i int) string {
 	return fmt.Sprintf("input (%d,%d)", p, v)
 }
 
-// outPair is an output VC as a snapshot codes it: its owner and credits.
+// outPair is an output VC as a snapshot codes it: its owner (-1 for none)
+// and credits.
 type outPair struct {
-	owner   *packet.Packet
+	owner   packet.ID
 	credits int16
+}
+
+// refID is p's ID, -1 for nil (PacketRef's coding).
+func refID(p *packet.Packet) packet.ID {
+	if p == nil {
+		return -1
+	}
+	return p.ID
 }
 
 // decodeGrants sets the router's grant bits from its decoded input slots:
@@ -250,9 +308,10 @@ func (r *Router) decodeGrants(c *snapshot.Codec) {
 // has rewired the links), since an output's credits and owner past its
 // grant are its neighbour's input slot. An error names the router and the
 // output (port, vc).
-func (s *State) VerifyOutputs(routers []*Router) error {
+func (s *State) VerifyOutputs() error {
 	defer func() { s.coded = nil }()
-	for _, r := range routers {
+	for n := range s.views {
+		r := &s.views[n]
 		for l := 0; l < s.outStr; l++ {
 			q, v := l/s.cfg.VCs, l%s.cfg.VCs
 			if msg := r.outputMismatch(q, v, s.coded[int(r.node)*s.outStr+l]); msg != "" {
@@ -276,31 +335,31 @@ func (r *Router) outputMismatch(q, v int, o outPair) string {
 		switch {
 		case d < 0:
 			return fmt.Sprintf("packet %d's header holds its grant on a link that is down", h.ID)
-		case s.in.owner[d] != nil:
-			return fmt.Sprintf("packet %d's header holds its grant while its downstream slot is packet %d's", h.ID, s.in.owner[d].ID)
-		case o.owner != h:
+		case s.in.owner[d] != 0:
+			return fmt.Sprintf("packet %d's header holds its grant while its downstream slot is packet %d's", h.ID, s.in.pkt(d).ID)
+		case o.owner != h.ID:
 			return fmt.Sprintf("owner %s, but packet %d's header holds its grant", refName(o.owner), h.ID)
 		}
 		return ""
 	}
 	want := r.OutputOwner(q, v)
 	switch {
-	case o.owner == want:
+	case o.owner == refID(want):
 		return ""
 	case want != nil:
 		return fmt.Sprintf("owner %s, but its downstream slot is packet %d's", refName(o.owner), want.ID)
 	case d < 0:
 		return fmt.Sprintf("owner %s, but no header holds its grant and its link is down", refName(o.owner))
-	case s.in.owner[d] == nil:
+	case s.in.owner[d] == 0:
 		return fmt.Sprintf("owner %s, but no header holds its grant and its downstream slot is idle", refName(o.owner))
 	}
-	return fmt.Sprintf("owner %s, but packet %d's tail has entered its downstream slot", refName(o.owner), s.in.owner[d].ID)
+	return fmt.Sprintf("owner %s, but packet %d's tail has entered its downstream slot", refName(o.owner), s.in.pkt(d).ID)
 }
 
 // refName names a coded packet reference in a decoding error.
-func refName(p *packet.Packet) string {
-	if p == nil {
+func refName(id packet.ID) string {
+	if id == -1 {
 		return "none"
 	}
-	return fmt.Sprintf("packet %d", p.ID)
+	return fmt.Sprintf("packet %d", id)
 }

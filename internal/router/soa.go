@@ -14,44 +14,52 @@ import (
 // facts — topology, router configuration, the installed routing and
 // selection functions, the Deadlock Buffer lanes' row builder, its row
 // memo and labels, the timeout observer, the network's clock — each stored
-// once, and the hot per-cycle microarchitectural state of every router as
-// flat struct-of-arrays buffers indexed by (router, port, vc). A Router is a
-// view over its slice of the buffers, so route compute, switch allocation
-// and the deadlock-timer phase sweep contiguous memory, and a network-wide
-// change (SetLaneRows) is one assignment. Routers are laid out consecutively.
+// once, every router's view (views), the table of the packets its slots
+// hold, and the hot per-cycle microarchitectural state of every router as
+// flat struct-of-arrays buffers indexed by (router, port, vc). A Router is an
+// element of views over its slice of the buffers, so route compute, switch
+// allocation and the deadlock-timer phase sweep contiguous memory, and a
+// network-wide change (SetLaneRows) is one assignment. Routers are laid out
+// consecutively.
 //
-// Layout (all slices are allocated once, at NewState, and never grow). Each
-// per-slot field is stored in the narrowest type its validated range allows
-// (Config.Normalize and network.New hold the bounds: degree ≤ MaxDegree,
-// VCs ≤ MaxVCs, depth ≤ MaxBufferDepth), because memory grows with routers
-// × radix × VCs; every reader widens to int. On 64-bit, an input slot costs
-// 20 bytes at any buffer depth and maskKinds mask bits, an output slot no
-// bytes and one grant bit, and a crossbar slot 6 (TestSlotBytes pins all
-// three):
+// Layout (every per-slot, per-port and per-router slice is allocated once,
+// at NewState, and never grows; TestStateHoldsNoPointers holds each of them
+// pointer-free, so the collector never scans them). Each per-slot field is
+// stored in the narrowest type its validated range allows (Config.Normalize
+// and network.New hold the bounds: degree ≤ MaxDegree, VCs ≤ MaxVCs, depth
+// ≤ MaxBufferDepth), because memory grows with routers × radix × VCs; every
+// reader widens to int. On 64-bit and 32-bit alike, an input slot costs 12
+// bytes at any buffer depth and maskKinds mask bits, an output slot no bytes
+// and one grant bit, and a port 5 bytes of wiring plus 6 of crossbar state
+// under packet-by-packet allocation, none under flit-by-flit
+// (TestSlotBytes pins them):
 //
 //	input VCs    stride = deg*VCs + 1 slots per router, port-major:
 //	             slot l = p*VCs + v for network port p < deg, l = deg*VCs
 //	             for the injection port's one VC. Global index of
 //	             router r's slot l is r*stride + l. Per-slot fields live in
-//	             parallel arrays (inRoute, inOutVC, inDBLane, inWaiting);
-//	             the buffer set in holds each slot's owner and its flits,
-//	             stored as the head flit's position and a count (up to
-//	             BufferDepth), not flit by flit. slotPV maps a router-local
-//	             slot back to its (port, vc).
+//	             parallel arrays (inRoute, inOutVC, inDBLane); the buffer
+//	             set in holds each slot's owner, as a handle into the
+//	             packet table, and its flits, stored as the head flit's
+//	             position and a count (up to BufferDepth), not flit by
+//	             flit. A slot's T_elapsed is its owner's Waiting while the
+//	             slot's head is the owner's header, else 0 (waiting): a
+//	             header waits in one slot at a time. slotPV maps a
+//	             router-local slot back to its (port, vc).
 //	slot masks   maskKinds masks of w = ⌈stride/64⌉ words per router, one
 //	             contiguous block of maskKinds*w words per router (mask):
 //	             bit l of mask k is router-local slot l. mOcc (flits
 //	             buffered), mHdr (a header at the buffer head), mUnr (inRoute
-//	             is PortUnrouted) and mTim (inWaiting != 0 or mPre) are
-//	             exact functions of the arrays, kept so by their only
-//	             writers (pushIn/popIn, setRoute, clearTimer and tickSlot)
-//	             and derived, not coded, when a snapshot is decoded; mSent
-//	             (a flit left this cycle) and mPre (the header is presumed
-//	             deadlocked) are the flags themselves. Bits past stride are
-//	             always zero. Route compute walks mHdr, switch allocation
-//	             mOcc ∧ ¬mUnr, the timers mTim ∨ mHdr and the presumed-slot
-//	             readers mPre, so a router costs each sweep O(w + slots that
-//	             can act), not O(stride).
+//	             is PortUnrouted) and mTim (T_elapsed != 0 or mPre) are
+//	             exact functions of the arrays between cycles, kept so by
+//	             their only writers (pushIn/popIn, setRoute, clearTimer and
+//	             tickSlot) and derived, not coded, when a snapshot is
+//	             decoded; mSent (a flit left this cycle) and mPre (the
+//	             header is presumed deadlocked) are the flags themselves.
+//	             Bits past stride are always zero. Route compute walks mHdr,
+//	             switch allocation mOcc ∧ ¬mUnr, the timers mTim ∨ mHdr and
+//	             the presumed-slot readers mPre, so a router costs each sweep
+//	             O(w + slots that can act), not O(stride).
 //	output VCs   deg*VCs slots per router, stored as gw = ⌈deg*VCs/64⌉
 //	             grant words per router (grant): bit q*VCs+v is set while
 //	             a header at this router holds output VC (q, v) and has
@@ -65,24 +73,37 @@ import (
 //	             single write port's last-admission cycle) with the
 //	             one-flit buffer set db: one lane with Timeout > 0, two
 //	             under concurrent recovery, none with Timeout == 0.
-//	crossbar     deg packet-by-packet connections per router (cxInPort,
-//	             cxInVC, cxDB, cxSaved, cxSavedPort, cxSavedVC).
-//	per router   swArbOff (deg+1 per router), flitCount, cxHeld, and the timer
+//	ports        deg per router: the wiring (nbr, the router a port's
+//	             link reaches, and rev, the input port there it lands on;
+//	             -1 where there is no link or no paired reverse port), and
+//	             under packet-by-packet allocation only, the crossbar
+//	             connections (cxInPort, cxInVC, cxDB, cxSaved, cxSavedPort,
+//	             cxSavedVC; nil under flit-by-flit, which never connects).
+//	per router   swArbOff (deg+1 per router), flitCount, cxHeld, the timer
 //	             pass's lastBlocked, lastPresumed and tickedAt (see
 //	             activity.go: the VC arbitration offset is a function of the
-//	             clock, not stored).
+//	             clock, not stored), and blockedByVC (VCs per router).
 //	scratch      outMask ((deg+1)*w words, one router's per-output masks in
 //	             StageSwitch) and cands (outStr, one header's candidates).
+//
+// The packet table (pk) gives every packet that owns an input slot or a
+// Deadlock Buffer lane a handle, from when it first owns one until it owns
+// none; a freed handle is reused, so the table grows only to the most
+// packets that have owned slots at once. Handles are private: snapshots, digests
+// and introspection name packets, never handles, so the order handles are
+// taken in moves no byte.
 //
 // Aliasing contract: a Router view may only write slots inside its own base
 // ranges, except through another Router's methods (transfer commit writes
 // the receiving router's buffers via the receiver view). It reads one
 // range of another router's: the input slots its output VCs feed, whose
 // owners and counts are its outputs' owners and credits; the stage phases
-// read them before any commit of the cycle writes them. The layout is a
-// private representation: digests (AppendState), snapshots (WalkState) and
-// all introspection walk the logical (port, vc) order, so they are
-// layout-invariant by construction.
+// read them before any commit of the cycle writes them. A header's owner's
+// Waiting is written by the one router whose slot head holds that header
+// (tickSlot, clearTimer), and reset by the commit or injection that brings
+// the header into a slot. The layout is a private representation: digests
+// (AppendState), snapshots (WalkState) and all introspection walk the
+// logical (port, vc) order, so they are layout-invariant by construction.
 type State struct {
 	topo topology.Graph
 	// ctopo is the coordinate view of topo when it has one (k-ary n-cubes),
@@ -116,13 +137,17 @@ type State struct {
 	w      int // words per slot mask: ⌈stride/64⌉
 	gw     int // words per grant mask: ⌈outStr/64⌉
 
+	// views holds every router, by node (NewWithState fills it).
+	views []Router
+	// pk is the packet table the slots' owner handles index.
+	pk pktTable
+
 	// Input VC state, nodes*stride slots.
-	inRoute   []int8   // granted output port, PortEject or PortUnrouted (write via setRoute)
-	inOutVC   []int8   // granted output VC, VCDeadlockBuffer or VCUnrouted
-	inDBLane  []int8   // lane the hop enters when inOutVC == VCDeadlockBuffer
-	inWaiting []int32  // T_elapsed, saturating at math.MaxInt32 (Timeout < it)
-	in        flitRun  // owners and flits; push and pop through pushIn/popIn
-	slotPV    []portVC // router-local slot -> (port, vc), stride entries
+	inRoute  []int8   // granted output port, PortEject or PortUnrouted (write via setRoute)
+	inOutVC  []int8   // granted output VC, VCDeadlockBuffer or VCUnrouted
+	inDBLane []int8   // lane the hop enters when inOutVC == VCDeadlockBuffer
+	in       flitRun  // owners and flits; push and pop through pushIn/popIn
+	slotPV   []portVC // router-local slot -> (port, vc), stride entries
 
 	// Per-router input-slot masks, nodes*maskKinds*w words (see the layout
 	// notes above).
@@ -142,7 +167,12 @@ type State struct {
 	dbWriteAt []sim.Cycle
 	db        flitRun
 
-	// Packet-by-packet crossbar connections, nodes*deg slots.
+	// The wiring, nodes*deg ports (write via Connect and Disconnect).
+	nbr []int32 // the node port p's link reaches, -1 where it is down or absent
+	rev []int8  // topo.ReversePortAt: the input port there, -1 where unpaired
+
+	// Packet-by-packet crossbar connections, nodes*deg ports; nil under
+	// flit-by-flit allocation.
 	cxInPort    []int8
 	cxInVC      []int8
 	cxDB        []bool
@@ -157,6 +187,10 @@ type State struct {
 	lastBlocked  []int32
 	lastPresumed []int32
 	tickedAt     []sim.Cycle // the cycle of the router's last TickTimers
+	// blockedByVC is telemetry, maintained by TickTimers (which already
+	// visits every input VC that can block): cumulative blocked cycles,
+	// nodes*VCs entries keyed by router and VC index.
+	blockedByVC []int64
 
 	// Switch-allocation scratch, rebuilt by indexOutputs at the start of
 	// every StageSwitch and dead after it; staging is serial, so one serves
@@ -186,7 +220,8 @@ type portVC struct{ port, vc int32 }
 // NewState builds the shared state for every router of a network on topo:
 // cfg (already normalized), the routing and selection functions all routers
 // run, the clock the network advances, and the struct-of-arrays buffers. The
-// network constructs one State and a NewWithState view per node.
+// network constructs one State and a NewWithState view per node, and wires
+// the views with Connect.
 func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routing.Selection, clock *sim.Clock) *State {
 	nodes, deg := topo.Nodes(), topo.Degree()
 	lanes := 0
@@ -215,8 +250,7 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.inRoute = make([]int8, in)
 	s.inOutVC = make([]int8, in)
 	s.inDBLane = make([]int8, in)
-	s.inWaiting = make([]int32, in)
-	s.in = newFlitRun(in, cfg.BufferDepth)
+	s.in = newFlitRun(in, cfg.BufferDepth, &s.pk)
 	for i := range s.inRoute {
 		s.inRoute[i] = PortUnrouted
 		s.inOutVC[i] = VCUnrouted
@@ -240,20 +274,30 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	db := nodes * lanes
 	s.dbRoute = make([]int8, db)
 	s.dbWriteAt = make([]sim.Cycle, db)
-	s.db = newFlitRun(db, 1)
+	s.db = newFlitRun(db, 1, &s.pk)
 	for i := range s.dbRoute {
 		s.dbRoute[i] = PortUnrouted
 		s.dbWriteAt[i] = -1
 	}
-	cx := nodes * deg
-	s.cxInPort = make([]int8, cx)
-	s.cxInVC = make([]int8, cx)
-	s.cxDB = make([]bool, cx)
-	s.cxSaved = make([]bool, cx)
-	s.cxSavedPort = make([]int8, cx)
-	s.cxSavedVC = make([]int8, cx)
-	for i := range s.cxInPort {
-		s.cxInPort[i] = connNone
+	ports := nodes * deg
+	s.nbr = make([]int32, ports)
+	s.rev = make([]int8, ports)
+	for i := range s.nbr {
+		s.nbr[i], s.rev[i] = -1, -1
+		if q, ok := topo.ReversePortAt(topology.Node(i/deg), i%deg); ok {
+			s.rev[i] = int8(q)
+		}
+	}
+	if cfg.Alloc == PacketByPacket {
+		s.cxInPort = make([]int8, ports)
+		s.cxInVC = make([]int8, ports)
+		s.cxDB = make([]bool, ports)
+		s.cxSaved = make([]bool, ports)
+		s.cxSavedPort = make([]int8, ports)
+		s.cxSavedVC = make([]int8, ports)
+		for i := range s.cxInPort {
+			s.cxInPort[i] = connNone
+		}
 	}
 	s.swArbOff = make([]int16, nodes*(deg+1))
 	s.flitCount = make([]int32, nodes)
@@ -261,6 +305,9 @@ func NewState(topo topology.Graph, cfg Config, alg routing.Algorithm, sel routin
 	s.lastBlocked = make([]int32, nodes)
 	s.lastPresumed = make([]int32, nodes)
 	s.tickedAt = make([]sim.Cycle, nodes)
+	s.blockedByVC = make([]int64, nodes*cfg.VCs)
+	s.views = make([]Router, nodes)
+	s.pk.pkts = []*packet.Packet{nil} // handle 0 is no owner
 	s.outMask = make([]uint64, (deg+1)*s.w)
 	s.cands = make([]routing.Candidate, 0, s.outStr)
 	return s
@@ -275,6 +322,12 @@ func (s *State) SetLaneRows(label []int32, build func(dst topology.Node, row []i
 	s.laneLabel, s.laneRow = label, build
 	clear(s.laneRows)
 }
+
+// Wiring returns the network's wiring tables, nodes*deg ports in router
+// order: nbr[v*deg+p] is the node port p of v reaches (-1 where its link is
+// down or absent) and rev the input port there its link lands on (-1 where
+// unpaired). core.LaneRows reads them; callers must not write them.
+func (s *State) Wiring() (nbr []int32, rev []int8) { return s.nbr, s.rev }
 
 // BuildLaneRow fills row with the installed lane's next hops toward dst
 // without memoising it, for tests that compare rows against an oracle.
@@ -313,18 +366,20 @@ func (r *Router) inIdx(port, vc int) int { return r.in0 + port*r.st.cfg.VCs + vc
 // downIdx returns the global input VC slot that output VC (port, vc) of
 // router r feeds, or -1 where the port has no link.
 func (r *Router) downIdx(port, vc int) int {
-	nb := r.neighbors[port]
-	if nb == nil {
+	s := r.st
+	nb := s.nbr[r.pt0+port]
+	if nb < 0 {
 		return -1
 	}
-	return nb.inIdx(int(r.rev[port]), vc)
+	return int(nb)*s.stride + int(s.rev[r.pt0+port])*s.cfg.VCs + vc
 }
 
 // dbIdx returns the global Deadlock Buffer lane slot of lane at router r.
 func (r *Router) dbIdx(lane int) int { return r.db0 + lane }
 
-// cxIdx returns the global crossbar connection slot of output q at router r.
-func (r *Router) cxIdx(q int) int { return r.cx0 + q }
+// cxIdx returns the global port slot (wiring, crossbar connection) of
+// output q at router r.
+func (r *Router) cxIdx(q int) int { return r.pt0 + q }
 
 // swIdx returns the global switch-arbitration offset slot of output q
 // (q == deg is the reception channel) at router r.
@@ -377,7 +432,7 @@ func (r *Router) derivedMasks(i int) [mSent]bool {
 		mOcc: occ,
 		mHdr: occ && s.in.peek(i).IsHeader(),
 		mUnr: s.inRoute[i] == PortUnrouted,
-		mTim: s.inWaiting[i] != 0 || r.hasMask(mPre, i),
+		mTim: r.waiting(i) != 0 || r.hasMask(mPre, i),
 	}
 }
 
@@ -451,7 +506,7 @@ func (r *Router) grantHolder(port, vc int) *packet.Packet {
 		for word := hdr[j] &^ unr[j]; word != 0; word &= word - 1 {
 			i := r.in0 + j<<6 + bits.TrailingZeros64(word)
 			if int(s.inRoute[i]) == port && int(s.inOutVC[i]) == vc {
-				return s.in.owner[i]
+				return s.in.pkt(i)
 			}
 		}
 	}
@@ -472,10 +527,24 @@ func (r *Router) setRoute(i, route int) {
 	r.setMask(mUnr, i, route == PortUnrouted)
 }
 
+// waiting returns global input slot i's T_elapsed: its owner's Waiting
+// while the slot's head is the owner's header, else 0.
+func (r *Router) waiting(i int) int32 {
+	if q := &r.st.in; q.n[i] != 0 && q.seq[i] == 0 {
+		return q.pkt(i).Waiting
+	}
+	return 0
+}
+
 // clearTimer stops global input slot i's deadlock timer and clears its
-// presumption and mTim bit.
+// presumption and mTim bit. It zeroes the owner's Waiting only while the
+// slot's head is still the owner's header: once the header has crossed, its
+// Waiting is the timer of the slot it entered, which that slot's router may
+// already have ticked this cycle.
 func (r *Router) clearTimer(i int) {
-	r.st.inWaiting[i] = 0
+	if q := &r.st.in; q.n[i] != 0 && q.seq[i] == 0 {
+		q.pkt(i).Waiting = 0
+	}
 	r.setMask(mPre, i, false)
 	r.setMask(mTim, i, false)
 }
@@ -538,38 +607,47 @@ func (s *State) inVCCount(p int) int {
 // reallocated only once its buffer has drained (OutputVCFree), and a
 // Deadlock Buffer lane admits one packet at a time, so a slot only ever
 // buffers consecutive flits of its owner: flit k (0 == head) of slot i is
-// Flit{owner[i], seq[i]+k}, and a slot costs its owner, its head's position
-// and a count at any depth. The owner outlives the flits: a VC stays owned
-// while its next flits are still upstream, until its tail leaves. The input
-// VCs and the Deadlock Buffer lanes are one set each; the input set is
-// pushed and popped through Router.pushIn/popIn, which keep the slot masks
-// exact.
+// Flit{owner, seq[i]+k}, and a slot costs its owner's handle, its head's
+// position and a count at any depth. The owner outlives the flits: a VC
+// stays owned while its next flits are still upstream, until its tail
+// leaves. The input VCs and the Deadlock Buffer lanes are one set each; the
+// input set is pushed and popped through Router.pushIn/popIn, which keep the
+// slot masks exact.
 type flitRun struct {
 	depth int
-	owner []*packet.Packet // set before its header is pushed, cleared when its tail leaves
-	seq   []int32          // the head flit's position; a packet's length fits an int32 (network.New)
-	n     []uint8          // depth ≤ MaxBufferDepth
+	tab   *pktTable // the network's packet table, which owner indexes
+	owner []int32   // handle; set (own) before its header is pushed, 0 once its tail leaves
+	seq   []int32   // the head flit's position; a packet's length fits an int32 (network.New)
+	n     []uint8   // depth ≤ MaxBufferDepth
 }
 
-func newFlitRun(slots, depth int) flitRun {
+func newFlitRun(slots, depth int, tab *pktTable) flitRun {
 	return flitRun{
 		depth: depth,
-		owner: make([]*packet.Packet, slots),
+		tab:   tab,
+		owner: make([]int32, slots),
 		seq:   make([]int32, slots),
 		n:     make([]uint8, slots),
 	}
 }
 
+// pkt returns slot i's owner, nil if it has none.
+func (q *flitRun) pkt(i int) *packet.Packet { return q.tab.pkts[q.owner[i]] }
+
+// own makes p slot i's owner, giving p a handle if it holds none.
+func (q *flitRun) own(i int, p *packet.Packet) { q.owner[i] = q.tab.acquire(p) }
+
 // push appends fl to slot i. It is the writers' guard: fl must be a flit of
 // the slot's owner and, behind buffered flits, the next in sequence. The
 // first flit into an empty slot starts the run wherever the owner is: the
-// flits before it have left or are still upstream.
+// flits before it have left or are still upstream. It compares handles, so
+// it reads no table entry.
 func (q *flitRun) push(i int, fl packet.Flit) {
 	n := int(q.n[i])
 	switch {
 	case n == q.depth:
 		panic("router: push to full fifo")
-	case fl.Pkt != q.owner[i]:
+	case q.owner[i] == 0 || fl.Pkt.Handle != q.owner[i]:
 		panic("router: push of a flit its slot's owner does not own")
 	case n == 0:
 		q.seq[i] = int32(fl.Seq)
@@ -587,7 +665,7 @@ func (q *flitRun) at(i, k int) packet.Flit {
 	if k < 0 || k >= int(q.n[i]) {
 		panic("router: fifo index out of range")
 	}
-	return packet.Flit{Pkt: q.owner[i], Seq: int(q.seq[i]) + k}
+	return packet.Flit{Pkt: q.pkt(i), Seq: int(q.seq[i]) + k}
 }
 
 // pop removes and returns the head flit of slot i. The owner stays: its
@@ -599,22 +677,113 @@ func (q *flitRun) pop(i int) packet.Flit {
 	return fl
 }
 
-// check reports a count of slot i outside its range, or flits that are not
-// a run of an owner's: buffered with no owner, or past its length.
+// check reports a count of slot i outside its range, an owner handle whose
+// table entry does not carry it, or flits that are not a run of an owner's:
+// buffered with no owner, or past its length.
 func (q *flitRun) check(i int) error {
 	n := int(q.n[i])
 	if n > q.depth {
 		return fmt.Errorf("buffer length %d outside [0,%d]", n, q.depth)
 	}
+	h := q.owner[i]
+	if h != 0 && (h < 0 || int(h) >= len(q.tab.pkts) || q.tab.pkts[h] == nil || q.tab.pkts[h].Handle != h) {
+		return fmt.Errorf("owner handle %d names no packet that carries it", h)
+	}
 	if n == 0 {
 		return nil
 	}
-	p := q.owner[i]
-	if p == nil {
+	if h == 0 {
 		return fmt.Errorf("%d flits with no owner", n)
 	}
+	p := q.tab.pkts[h]
 	if first := int(q.seq[i]); first < 0 || first+n > p.Length {
 		return fmt.Errorf("flits %d..%d outside packet %d's length %d", first, first+n-1, p.ID, p.Length)
+	}
+	return nil
+}
+
+// --- The packet table ----------------------------------------------------------
+
+// pktTable names the network's packets that own an input slot or a
+// Deadlock Buffer lane by 32-bit handles, so the slots store no pointer: a
+// packet takes a handle when it first owns a slot (its header is injected,
+// committed or decoded) and gives it back once it owns none (its tail is
+// delivered, or the network purges it). Handle 0 is no owner, and a freed
+// handle is reused before the table grows, so a network in steady state
+// takes handles without allocating. The packet carries its own handle
+// (packet.Packet.Handle), which is why a packet belongs to one network.
+type pktTable struct {
+	pkts []*packet.Packet // by handle; pkts[0] is nil, as is every free handle's
+	free []int32          // released handles, reused last first
+}
+
+// acquire returns p's handle, giving it one if it holds none here.
+func (t *pktTable) acquire(p *packet.Packet) int32 {
+	if h := p.Handle; h > 0 && int(h) < len(t.pkts) && t.pkts[h] == p {
+		return h
+	}
+	var h int32
+	if k := len(t.free) - 1; k >= 0 {
+		h, t.free = t.free[k], t.free[:k]
+	} else {
+		h = int32(len(t.pkts))
+		t.pkts = append(t.pkts, nil)
+	}
+	t.pkts[h], p.Handle = p, h
+	return h
+}
+
+// release frees p's handle, if it holds one here.
+func (t *pktTable) release(p *packet.Packet) {
+	h := p.Handle
+	if h <= 0 || int(h) >= len(t.pkts) || t.pkts[h] != p {
+		return
+	}
+	t.pkts[h], p.Handle = nil, 0
+	t.free = append(t.free, h)
+}
+
+// Release gives back p's handle once p owns no input slot or Deadlock
+// Buffer lane: the network calls it after purging p from every router.
+// Delivery releases a packet's handle itself, when its tail is consumed.
+func (s *State) Release(p *packet.Packet) { s.pk.release(p) }
+
+// CheckHandles cross-checks the packet table against the slots that index
+// it: every live handle's packet carries that handle and owns an input slot
+// or a Deadlock Buffer lane (one that owns none is a leak: its release was
+// missed), and every free handle's entry is empty. CheckState checks the
+// other direction, slot by slot; the network's CheckInvariants calls both.
+func (s *State) CheckHandles() error {
+	t := &s.pk
+	owned := make([]bool, len(t.pkts))
+	for _, q := range [...]*flitRun{&s.in, &s.db} {
+		for _, h := range q.owner {
+			if h > 0 && int(h) < len(owned) {
+				owned[h] = true
+			}
+		}
+	}
+	for _, h := range t.free {
+		if h <= 0 || int(h) >= len(t.pkts) || t.pkts[h] != nil {
+			return fmt.Errorf("packet table: free handle %d is not an empty entry", h)
+		}
+	}
+	live := 0
+	for h, p := range t.pkts {
+		switch {
+		case p == nil:
+			continue
+		case h == 0:
+			return fmt.Errorf("packet table: handle 0 holds packet %d", p.ID)
+		case p.Handle != int32(h):
+			return fmt.Errorf("packet table: handle %d holds packet %d, which carries handle %d", h, p.ID, p.Handle)
+		case !owned[h]:
+			return fmt.Errorf("packet table: packet %d holds handle %d but owns no input slot or DB lane", p.ID, h)
+		}
+		live++
+	}
+	if live+len(t.free)+1 != len(t.pkts) {
+		return fmt.Errorf("packet table: %d live and %d free handles, but %d entries past handle 0", live, len(t.free), len(t.pkts)-1)
 	}
 	return nil
 }
@@ -622,8 +791,10 @@ func (q *flitRun) check(i int) error {
 // --- Structural cross-checks -------------------------------------------------
 
 // CheckState cross-checks the router's slice of the shared struct-of-arrays
-// buffers against what the view API exposes: buffer lengths in range and
-// every buffered run an owner's, every input slot's occupied,
+// buffers against what the view API exposes: buffer lengths in range,
+// every owner handle its packet table entry's (the leak check, the other
+// direction, is State.CheckHandles) and every buffered run an owner's,
+// every input slot's occupied,
 // header-at-head, unrouted and timing mask bits equal to what its arrays say
 // (the scans trust them) and no mask bit past the stride, route/VC grants
 // within their sentinel-extended domains, one grant bit for each routed
@@ -678,8 +849,8 @@ func (r *Router) CheckState() error {
 	if got := int(s.flitCount[r.node]); got != total {
 		return fmt.Errorf("router %d: maintained flit count %d, buffers hold %d", r.node, got, total)
 	}
-	for q := 0; q < s.deg; q++ {
-		i := r.cx0 + q
+	for q := 0; q < s.deg && s.cxInPort != nil; q++ {
+		i := r.cxIdx(q)
 		if ip := int(s.cxInPort[i]); ip < connNone || ip > s.deg {
 			return fmt.Errorf("router %d crossbar %d: input port %d outside [-1,%d]", r.node, q, ip, s.deg)
 		}
