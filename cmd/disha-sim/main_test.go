@@ -196,23 +196,23 @@ func TestKernelFlags(t *testing.T) {
 	}
 	// A checkpoint of another format version is refused by its version
 	// with one line, exit 1: the network's fixture payload sealed as
-	// version 2, restored under the fixture's own configuration.
-	fixture, err := os.ReadFile("../../internal/network/testdata/snapshot_v3.bin")
+	// version 3, restored under the fixture's own configuration.
+	fixture, err := os.ReadFile("../../internal/network/testdata/snapshot_v4.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := snapshot.Open(fixture, "DISHANET", 3)
+	payload, err := snapshot.Open(fixture, "DISHANET", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := filepath.Join(t.TempDir(), "v2.ckpt")
-	if err := os.WriteFile(v2, snapshot.Seal("DISHANET", 2, payload), 0o644); err != nil {
+	v3 := filepath.Join(t.TempDir(), "v3.ckpt")
+	if err := os.WriteFile(v3, snapshot.Seal("DISHANET", 3, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const refused = "disha-sim: snapshot: format version 2 not supported (this build reads version 3)\n"
+	const refused = "disha-sim: snapshot: format version 3 not supported (this build reads version 4); regenerate the file from cycle 0 with the same flags\n"
 	if out, code := sim("-topo", "torus-4x4", "-alg", "disha-m0", "-load", "0.6", "-msglen", "8", "-seed", "2026",
-		"-vcs", "2", "-depth", "1", "-timeout", "4", "-cycles", "300", "-restore", "-checkpoint", v2); code != 1 || out != refused {
-		t.Errorf("disha-sim -restore of a version-2 file: exit %d, want 1 with the line %q; output:\n%s", code, refused, out)
+		"-vcs", "2", "-depth", "1", "-timeout", "4", "-cycles", "300", "-restore", "-checkpoint", v3); code != 1 || out != refused {
+		t.Errorf("disha-sim -restore of a version-3 file: exit %d, want 1 with the line %q; output:\n%s", code, refused, out)
 	}
 	for _, bad := range []struct{ args, want string }{
 		{"-alg nope", `unknown algorithm "nope"`},

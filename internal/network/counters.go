@@ -41,8 +41,8 @@ type Counters struct {
 // field: /metrics exports that family per router, labelled by node, instead
 // of as one network-wide series. A row with derived set (perRouter rows
 // included) is kept elsewhere — the clock, the sources, the Token or the
-// routers' Stats — and Network.Counters adds it to the stored zero, so a
-// snapshot always writes its slot 0 and refuses a file that sets it.
+// routers' Stats — and Network.Counters adds it to the stored zero, so Walk
+// does not code it.
 var counterTable = [...]struct {
 	field        func(*Counters) *int64
 	key          string // JSONL and CountersMap key; the report prints it with spaces
@@ -75,17 +75,13 @@ var counterTable = [...]struct {
 	{func(c *Counters) *int64 { return &c.FlitsLost }, "flits_lost", "disha_flits_lost_total", "Buffered flits discarded by reconfiguration events.", nil, false},
 }
 
-// Walk codes a Counters value field by field, for the network snapshot and
-// the state digest, then one reserved slot, always written 0: it held a
-// removed count of packets dropped before injection, and a file whose slot
-// is set is refused rather than restored without it.
+// Walk codes the stored rows of a Counters value, for the network snapshot
+// and the state digest; the derived rows are coded where they are kept.
 func (ctr *Counters) Walk(c *snapshot.Codec) {
 	for _, row := range counterTable {
-		c.I64(row.field(ctr))
-	}
-	var reserved int64
-	if c.I64(&reserved); reserved != 0 {
-		c.Fail("snapshot: counters: reserved slot holds %d (always 0)", reserved)
+		if !row.derived {
+			c.I64(row.field(ctr))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -137,7 +138,7 @@ func pktID(p *packet.Packet) int64 {
 // (got, want).
 // Returns "" when every inspected field matches (the divergence then lives
 // in state the getters do not cover, e.g. arbitration offsets or stats —
-// the AppendState byte diff still localizes it to this router).
+// the routerDigest byte diff still localizes it to this router).
 func diffRouterField(got, want RouterView) string {
 	for p := 0; p < got.InputPorts(); p++ {
 		for v := 0; v < got.InputVCCount(p); v++ {
@@ -203,7 +204,14 @@ type RouterView interface {
 	DBLaneOwner(lane int) *packet.Packet
 	DBLaneLen(lane int) int
 	Connection(q int) (inPort, inVC int, db bool, savedPort, savedVC int, saved bool)
-	AppendState(b []byte) []byte
+}
+
+// routerDigest is r's part of the network fingerprint: its snapshot walk
+// over a digest, which codes no RNG stream.
+func routerDigest(r *router.Router) []byte {
+	c := snapshot.NewDigest(nil)
+	r.WalkState(c, nil)
+	return c.Bytes()
 }
 
 func sprintf(format string, args ...any) string {
@@ -216,8 +224,8 @@ func sprintf(format string, args ...any) string {
 // then lives in network-level state: counters, source queues, or Token).
 func locateDivergence(got, want *Network) (routerID int, field string, found bool) {
 	for i := range got.routers {
-		sb := got.routers[i].AppendState(nil)
-		rb := want.routers[i].AppendState(nil)
+		sb := routerDigest(got.routers[i])
+		rb := routerDigest(want.routers[i])
 		if bytes.Equal(sb, rb) {
 			continue
 		}

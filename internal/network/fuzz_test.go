@@ -1,6 +1,11 @@
 package network
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/router"
@@ -92,61 +97,12 @@ func FuzzConfigNormalize(f *testing.F) {
 // meshes whose routers have exactly 64 and 65 input slots (one mask word,
 // and the injection slot alone in the second).
 func FuzzSoALayout(f *testing.F) {
-	// 2-ary torus, 1 VC, minimal depth.
-	f.Add(uint8(2), uint8(2), uint8(0), uint8(1), uint8(1), uint8(40), uint64(1), uint8(80), uint8(0))
-	// Odd × odd mesh under NegativeFirst.
-	f.Add(uint8(3), uint8(5), uint8(3), uint8(2), uint8(2), uint8(50), uint64(7), uint8(100), uint8(0))
-	// Odd-radix torus, deadlock-prone DISHA settings.
-	f.Add(uint8(5), uint8(5), uint8(0), uint8(2), uint8(1), uint8(60), uint64(42), uint8(120), uint8(0))
-	// Duato needs 3 VCs on a torus.
-	f.Add(uint8(4), uint8(4), uint8(5), uint8(3), uint8(2), uint8(50), uint64(9), uint8(90), uint8(0))
-	// Full mesh of 16, radix 15, 4 VCs.
-	f.Add(uint8(16), uint8(0), uint8(1), uint8(3), uint8(1), uint8(20), uint64(5), uint8(120), uint8(1))
-	// Dragonfly(4, 3), radix 6, 1 VC.
-	f.Add(uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), uint8(60), uint64(3), uint8(140), uint8(2))
-	// One seed per other mode. Concurrent recovery on a 4x4 torus, 1 VC.
-	f.Add(uint8(4), uint8(4), uint8(0), uint8(0), uint8(0), uint8(70), uint64(11), uint8(140), uint8(3))
-	// Abort-and-retry on a 5x5 torus, 2 VCs, depth 1.
-	f.Add(uint8(5), uint8(5), uint8(0), uint8(1), uint8(0), uint8(80), uint64(12), uint8(140), uint8(6))
-	// Packet-by-packet, sequential recovery, on Dragonfly(3, 2), 2 VCs.
-	f.Add(uint8(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(60), uint64(13), uint8(140), uint8(11))
-	// Packet-by-packet with abort-and-retry on a 5x5 torus, 1 VC.
-	f.Add(uint8(5), uint8(5), uint8(0), uint8(0), uint8(0), uint8(60), uint64(14), uint8(140), uint8(12))
+	for _, a := range soaSeeds {
+		f.Add(a.kx, a.ky, a.algSel, a.vcs, a.depth, a.loadPct, a.seed, a.cycles, a.topoSel)
+	}
 	f.Fuzz(func(t *testing.T, kx, ky, algSel, vcs, depth, loadPct uint8, seed uint64, cycles, topoSel uint8) {
-		algs := []routing.Algorithm{
-			routing.Disha(0), routing.Disha(3), routing.DOR(),
-			routing.NegativeFirst(), routing.DallyAoki(), routing.Duato(),
-		}
-		mode := fuzzModes[int(topoSel/3)%len(fuzzModes)]
 		build := func() (*Network, error) {
-			var topo topology.Graph
-			var err error
-			switch topoSel % 3 {
-			case 0:
-				topo, err = topology.NewTorus(int(kx)%9, int(ky)%9)
-			case 1:
-				topo, err = topology.NewFullMesh(int(kx) % 23)
-			default:
-				topo, err = topology.NewDragonfly(int(kx)%5+1, int(ky)%4+1)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return New(Config{
-				Topo:      topo,
-				Algorithm: algs[int(algSel)%len(algs)],
-				Pattern:   traffic.Uniform(topo),
-				LoadRate:  float64(loadPct%100) / 100,
-				MsgLen:    4,
-				Seed:      seed,
-				Router: router.Config{
-					VCs:         int(vcs)%5 + 1,
-					BufferDepth: int(depth)%4 + 1,
-					Timeout:     16,
-					Alloc:       mode.alloc,
-					Recovery:    mode.recovery,
-				},
-			})
+			return soaArgs{kx, ky, algSel, vcs, depth, loadPct, seed, cycles, topoSel}.build()
 		}
 		n, err := build()
 		if err != nil {
@@ -172,6 +128,133 @@ func FuzzSoALayout(f *testing.F) {
 			t.Fatalf("full scan after %d cycles: %v", steps, err)
 		}
 	})
+}
+
+// soaArgs are FuzzSoALayout's arguments.
+type soaArgs struct {
+	kx, ky, algSel, vcs, depth, loadPct uint8
+	seed                                uint64
+	cycles, topoSel                     uint8
+}
+
+// soaSeeds are FuzzSoALayout's seeds.
+var soaSeeds = []soaArgs{
+	// 2-ary torus, 2 VCs, minimal depth.
+	{2, 2, 0, 1, 1, 40, 1, 80, 0},
+	// Odd × odd mesh under NegativeFirst.
+	{3, 5, 3, 2, 2, 50, 7, 100, 0},
+	// Odd-radix torus, deadlock-prone DISHA settings.
+	{5, 5, 0, 2, 1, 60, 42, 120, 0},
+	// Duato needs 3 VCs on a torus.
+	{4, 4, 5, 3, 2, 50, 9, 90, 0},
+	// Full mesh of 16, radix 15, 4 VCs.
+	{16, 0, 1, 3, 1, 20, 5, 120, 1},
+	// Dragonfly(4, 3), radix 6, 1 VC.
+	{3, 2, 0, 0, 0, 60, 3, 140, 2},
+	// One seed per other mode. Concurrent recovery on a 4x4 torus, 1 VC.
+	{4, 4, 0, 0, 0, 70, 11, 140, 3},
+	// Abort-and-retry on a 5x5 torus, 2 VCs, depth 1.
+	{5, 5, 0, 1, 0, 80, 12, 140, 6},
+	// Packet-by-packet, sequential recovery, on Dragonfly(3, 2), 2 VCs.
+	{2, 1, 1, 1, 1, 60, 13, 140, 11},
+	// Packet-by-packet with abort-and-retry on a 5x5 torus, 1 VC.
+	{5, 5, 0, 0, 0, 60, 14, 140, 12},
+}
+
+// build decodes a: topoSel%3 picks a torus (kx × ky), a full mesh of kx%23
+// nodes or a dragonfly(kx%5+1, ky%4+1), topoSel/3 the mode (fuzzModes), and
+// the rest their domains modulo.
+func (a soaArgs) build() (*Network, error) {
+	algs := []routing.Algorithm{
+		routing.Disha(0), routing.Disha(3), routing.DOR(),
+		routing.NegativeFirst(), routing.DallyAoki(), routing.Duato(),
+	}
+	mode := fuzzModes[int(a.topoSel/3)%len(fuzzModes)]
+	var topo topology.Graph
+	var err error
+	switch a.topoSel % 3 {
+	case 0:
+		topo, err = topology.NewTorus(int(a.kx)%9, int(a.ky)%9)
+	case 1:
+		topo, err = topology.NewFullMesh(int(a.kx) % 23)
+	default:
+		topo, err = topology.NewDragonfly(int(a.kx)%5+1, int(a.ky)%4+1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return New(Config{
+		Topo:      topo,
+		Algorithm: algs[int(a.algSel)%len(algs)],
+		Pattern:   traffic.Uniform(topo),
+		LoadRate:  float64(a.loadPct%100) / 100,
+		MsgLen:    4,
+		Seed:      a.seed,
+		Router: router.Config{
+			VCs:         int(a.vcs)%5 + 1,
+			BufferDepth: int(a.depth)%4 + 1,
+			Timeout:     16,
+			Alloc:       mode.alloc,
+			Recovery:    mode.recovery,
+		},
+	})
+}
+
+// TestFuzzSoALayoutSeedsConstruct requires every FuzzSoALayout seed and
+// committed corpus entry to build a network: the fuzz body returns at once
+// on a geometry New refuses, so a refused entry would step no cycle and
+// check nothing.
+func TestFuzzSoALayoutSeedsConstruct(t *testing.T) {
+	for i, a := range soaSeeds {
+		if _, err := a.build(); err != nil {
+			t.Errorf("seed %d %+v: %v", i, a, err)
+		}
+	}
+	paths, err := filepath.Glob("testdata/fuzz/FuzzSoALayout/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed FuzzSoALayout corpus: %v", err)
+	}
+	for _, path := range paths {
+		a, err := readSoAEntry(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.build(); err != nil {
+			t.Errorf("%s %+v: %v", path, a, err)
+		}
+	}
+}
+
+// readSoAEntry parses a committed FuzzSoALayout corpus file: the "go test
+// fuzz v1" line, then one byte(...) or uint64(...) literal per argument.
+func readSoAEntry(path string) (soaArgs, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return soaArgs{}, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != 10 || lines[0] != "go test fuzz v1" {
+		return soaArgs{}, fmt.Errorf("%s: not a nine-argument corpus entry", path)
+	}
+	var v [9]uint64
+	for i, line := range lines[1:] {
+		switch {
+		case strings.HasPrefix(line, "byte('") && strings.HasSuffix(line, "')"):
+			r, _, tail, err := strconv.UnquoteChar(line[len("byte('"):len(line)-len("')")], '\'')
+			if err != nil || tail != "" || r > 0xff {
+				return soaArgs{}, fmt.Errorf("%s: argument %d: %q", path, i, line)
+			}
+			v[i] = uint64(r)
+		case strings.HasPrefix(line, "uint64(") && strings.HasSuffix(line, ")"):
+			if v[i], err = strconv.ParseUint(line[len("uint64("):len(line)-1], 10, 64); err != nil {
+				return soaArgs{}, fmt.Errorf("%s: argument %d: %v", path, i, err)
+			}
+		default:
+			return soaArgs{}, fmt.Errorf("%s: argument %d: %q", path, i, line)
+		}
+	}
+	u8 := func(i int) uint8 { return uint8(v[i]) }
+	return soaArgs{u8(0), u8(1), u8(2), u8(3), u8(4), u8(5), v[6], u8(7), u8(8)}, nil
 }
 
 // fuzzModes are the crossbar allocation and recovery modes FuzzSoALayout

@@ -12,9 +12,11 @@ import (
 // Snapshot container identity. Bump snapshotVersion whenever the payload
 // layout changes; old snapshots are then rejected with a clear error instead
 // of being mis-decoded (TestSnapshotGoldenFixture pins the current layout).
+// Version 4 codes only the slots that are not at rest, as varints; no
+// earlier version is read.
 const (
 	snapshotMagic   = "DISHANET"
-	snapshotVersion = 3
+	snapshotVersion = 4
 )
 
 // Snapshot writes a versioned binary serialization of the network's complete
@@ -78,29 +80,34 @@ func (n *Network) Restore(r io.Reader) error {
 
 // walkState is the DISHANET payload, written once: Snapshot runs it over an
 // encoder and Restore over a decoder, section by section in file order. A
-// decoding walk stops at the first section that fails. State behind
-// accessors (clock, RNG) is read, coded and set back: when encoding, the
-// set writes back what was just read.
+// decoding walk stops at the first section that fails.
 func (n *Network) walkState(c *snapshot.Codec) error {
 	n.walkConfigGuard(c)
 	if err := n.walkReconfigLog(c); err != nil {
 		return err
 	}
+	return n.walkDynamic(c)
+}
 
+// walkDynamic codes the state that evolves cycle by cycle: the clock, the
+// RNG streams, the packet-ID allocator, the stored counters, the live
+// packet table, every node's source-queue and injection-stream state and
+// source, the recovery Token, and every router (router.WalkState). The
+// snapshot codes it after the configuration it was taken under, and
+// Fingerprint hashes it over a digest, which codes no RNG stream. State
+// behind accessors (clock, RNG) is read, coded and, when decoding, set; an
+// encoding walk writes nothing.
+func (n *Network) walkDynamic(c *snapshot.Codec) error {
 	now := n.clock.Now()
 	snapshot.Int(c, &now)
-	n.clock.Set(now)
 	rng := n.rng.State()
-	c.U64x4(&rng)
-	n.rng.SetState(rng)
+	c.RNG(&rng)
+	if c.Decoding() {
+		n.clock.Set(now)
+		n.rng.SetState(rng)
+	}
 	snapshot.Int(c, &n.nextID)
 	n.counters.Walk(c)
-	for _, row := range counterTable {
-		// Counters would count a set derived slot twice.
-		if v := *row.field(&n.counters); row.derived && v != 0 {
-			c.Fail("snapshot: counters: %s slot holds %d (kept elsewhere, always 0)", row.key, v)
-		}
-	}
 
 	table := n.walkPacketTable(c)
 	n.walkInjectionState(c, table)
@@ -108,8 +115,7 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 		n.sources[i].Walk(c)
 	}
 
-	c.ExpectBool(n.token != nil, "recovery Token presence")
-	if t := n.token; t != nil {
+	if t := n.token; t != nil { // the configuration guard implies its presence
 		snapshot.Range(c, &t.pos, snapshot.In(0, len(t.order), "token position"))
 		c.Bool(&t.held)
 		router.PacketRef(c, &t.holder, table)
@@ -121,31 +127,26 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 		c.I64(&t.holdCycles)
 	}
 
+	if err := c.Err(); err != nil {
+		return err
+	}
 	for _, r := range n.routers {
 		if err := r.WalkState(c, table); err != nil {
 			return fmt.Errorf("router %d: %w", r.Node(), err)
 		}
 	}
-	if c.Decoding() {
-		// An output's coded pair is checked against the input slot it
-		// feeds, which a later router may hold.
-		if err := n.routerState.VerifyOutputs(); err != nil {
-			return err
-		}
-	}
-	return c.Err()
+	return nil
 }
 
 // walkReconfigLog codes the reconfiguration log. A decoder replays each
 // entry as it arrives, reconstructing the topology's history on the fresh
-// network before any router state is read. Each entry keeps two reserved
-// slots, always written empty or 0: a string that held a removed routing
-// swap's function name, and a last integer that held a removed count of
-// packets dropped before injection. A file with either slot set (or an unknown
-// kind) is refused rather than replayed without it.
+// network before any router state is read; an entry of an unknown kind is
+// refused rather than replayed.
 func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 	count := len(n.reconfigLog)
-	c.Len(&count, c.Remaining()/64)
+	// An entry codes six integers, a bool and a string's length, at least a
+	// byte each.
+	c.Len(&count, c.Remaining()/8)
 	topoChanged := false
 	for i := 0; i < count; i++ {
 		var o ReconfigOutcome
@@ -156,25 +157,15 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 		snapshot.Int(c, &o.Kind)
 		snapshot.Int(c, &o.Node)
 		snapshot.Int(c, &o.Port)
-		var reserved string
-		var reservedCount int64
-		c.String(&reserved)
 		c.Bool(&o.Applied)
 		c.String(&o.Reason)
 		c.I64(&o.PacketsLost)
 		c.I64(&o.FlitsLost)
-		c.I64(&reservedCount)
 		if !c.Decoding() {
 			continue
 		}
 		if _, err := o.Kind.MarshalText(); err != nil {
 			c.Fail("snapshot: reconfiguration log entry %d: %v", i, err)
-		}
-		if reserved != "" {
-			c.Fail("snapshot: reconfiguration log entry %d: reserved field holds %q (routing swaps are not supported)", i, reserved)
-		}
-		if reservedCount != 0 {
-			c.Fail("snapshot: reconfiguration log entry %d: reserved count holds %d (always 0)", i, reservedCount)
 		}
 		if err := c.Err(); err != nil {
 			return err
@@ -195,13 +186,14 @@ func (n *Network) walkReconfigLog(c *snapshot.Codec) error {
 
 // walkInjectionState codes every node's source queue (packet IDs, head
 // first), its in-progress injection stream (packet ID and next flit, or -1)
-// and the per-source outstanding counts. Snapshot, Restore and Fingerprint
-// share it; table is the decoded packet table (nil when encoding).
+// and the per-source outstanding counts; table is the decoded packet table
+// (nil when encoding).
 func (n *Network) walkInjectionState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) {
 	for i := range n.nis {
 		q := &n.nis[i]
 		queued := q.queued()
-		c.Len(&queued, c.Remaining()/8)
+		// A queued packet is coded as its ID, at least a byte.
+		c.Len(&queued, c.Remaining())
 		src := q.queue[q.qhead:]
 		if c.Decoding() {
 			q.queue, q.qhead, q.seq = nil, 0, 0
@@ -278,14 +270,12 @@ func (n *Network) collectPackets() []*packet.Packet {
 		add(q.cur)
 	}
 	for _, r := range n.routers {
+		// A buffered flit is its slot owner's, and an output VC's owner is
+		// the header holding its grant or the owner of the slot it feeds:
+		// both own an input slot.
 		for p := 0; p < r.InputPorts(); p++ {
 			for v := 0; v < r.InputVCCount(p); v++ {
-				add(r.InputOwner(p, v)) // a buffered flit is its VC owner's
-			}
-		}
-		for p := 0; p < n.topo.Degree(); p++ {
-			for v := 0; v < n.cfg.Router.VCs; v++ {
-				add(r.OutputOwner(p, v))
+				add(r.InputOwner(p, v))
 			}
 		}
 		for lane := 0; lane < r.DBLanes(); lane++ {
@@ -299,8 +289,9 @@ func (n *Network) collectPackets() []*packet.Packet {
 }
 
 // packetEncodedMin is a lower bound on one encoded packet's size, used to
-// bound the table count against the remaining input.
-const packetEncodedMin = 8*12 + 6
+// bound the table count against the remaining input: walkPacket codes 14
+// integers and 5 bools, at least a byte each, and DatelineCrossed in 8.
+const packetEncodedMin = 14 + 5 + 8
 
 // walkPacketTable codes the live packet table: every packet reachable from
 // any queue, buffer, channel or the Token, each exactly once. References

@@ -8,9 +8,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/packet"
 	"repro/internal/router"
@@ -23,9 +25,9 @@ import (
 // format change (remember to bump snapshotVersion) with:
 //
 //	go test ./internal/network -run TestSnapshotGoldenFixture -update-snapshot
-var updateSnapshot = flag.Bool("update-snapshot", false, "rewrite testdata/snapshot_v3.bin and the wedge-*.bin loads from the current encoder")
+var updateSnapshot = flag.Bool("update-snapshot", false, "rewrite testdata/snapshot_v4.bin, the wedge-*.bin loads and the FuzzSnapshotRestore seed from the current encoder")
 
-const snapshotFixture = "testdata/snapshot_v3.bin"
+const snapshotFixture = "testdata/snapshot_v4.bin"
 
 // takeSnapshot runs a fresh network for warm cycles and returns the network
 // plus its serialized state.
@@ -246,15 +248,26 @@ func TestSnapshotFreshnessGuard(t *testing.T) {
 
 // TestSnapshotCorruption flips bytes and truncates a valid snapshot at every
 // prefix length; decoding must always fail cleanly, never panic, and never
-// silently succeed. A reconfiguration log entry this build cannot replay —
-// kind 2 or 3 (once a router kill and heal), kind 4 or a set reserved slot
-// (both once a routing swap) — is refused by its index; so is a set counter
-// slot whose count lives elsewhere, by its key, and a buffered flit that is
-// not its slot owner's next, by the slot.
+// silently succeed. Each hostile payload after those is a state the walk
+// itself encodes — edited in a restored copy (poke, or a packet's own
+// fields), with splice putting a value no state can hold in a field the
+// edit located — so no case depends on where a field sits in the bytes.
+// Every field that is decoded keeps one refusal: a reconfiguration log
+// entry this build cannot replay, kind 2 or 3 (once a router kill and heal)
+// or 4 (once a routing swap), by its index; flits with no owner and a run
+// past its owner's length, by the slot; a listed slot at rest and a listing
+// past the slot count, which would give one state two encodings; and a file
+// of another format version, by its version.
 func TestSnapshotCorruption(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	cfg.Router.Timeout = 4
 	orig, data := takeSnapshot(t, cfg, 200)
+	refused := func(t *testing.T, file []byte, want string) {
+		t.Helper()
+		if err := restoreAndStep(t, cfg, file); err == nil || err.Error() != want {
+			t.Errorf("restore error %v, want %q", err, want)
+		}
+	}
 
 	t.Run("truncation", func(t *testing.T) {
 		for cut := 0; cut < len(data); cut++ {
@@ -281,313 +294,174 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Run(50)
-		var buf bytes.Buffer
-		if err := n.Snapshot(&buf); err != nil {
-			t.Fatal(err)
+		for _, kind := range []ReconfigKind{2, 3, 4} {
+			n.reconfigLog[0].Kind = kind
+			refused(t, sealedOf(t, n), fmt.Sprintf("snapshot: reconfiguration log entry 0: network: unknown reconfiguration kind %d", kind))
 		}
-		payload, err := snapshot.Open(buf.Bytes(), snapshotMagic, snapshotVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The log follows the guard: a count, then per entry the cycle,
-		// kind, node and port, then the reserved string slot; the entry ends
-		// with its reserved count, so that is the log's last 8 bytes.
-		var head snapshot.Codec
-		n.walkConfigGuard(&head)
-		kind, slot := len(head.Bytes())+16, len(head.Bytes())+40
-		if err := n.walkReconfigLog(&head); err != nil {
-			t.Fatal(err)
-		}
-		count := len(head.Bytes()) - 8
-		if binary.LittleEndian.Uint64(payload[kind:]) != uint64(ReconfigKillLink) ||
-			binary.LittleEndian.Uint64(payload[slot:]) != 0 || binary.LittleEndian.Uint64(payload[count:]) != 0 {
-			t.Fatal("log entry not where the layout says")
-		}
-		with := func(off int, v uint64) []byte {
-			mut := bytes.Clone(payload)
-			binary.LittleEndian.PutUint64(mut[off:], v)
-			return mut
-		}
-		withKind := func(k uint64) []byte { return with(kind, k) }
-		set := append(binary.LittleEndian.AppendUint64(bytes.Clone(payload[:slot]), 3), "dor"...)
-		set = append(set, payload[slot+8:]...)
-		for name, tc := range map[string]struct {
-			payload []byte
-			want    string
-		}{
-			"kind 2":         {withKind(2), "log entry 0: network: unknown reconfiguration kind 2"},
-			"kind 3":         {withKind(3), "log entry 0: network: unknown reconfiguration kind 3"},
-			"kind 4":         {withKind(4), "log entry 0: network: unknown reconfiguration kind 4"},
-			"reserved slot":  {set, `log entry 0: reserved field holds "dor"`},
-			"reserved count": {with(count, 3), "log entry 0: reserved count holds 3"},
-		} {
-			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, tc.payload))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: restore error %v, want one containing %q", name, err, tc.want)
-			}
-		}
-		if err := restoreAndStep(t, cfg, buf.Bytes()); err != nil {
+		n.reconfigLog[0].Kind = ReconfigKillLink
+		if err := restoreAndStep(t, cfg, sealedOf(t, n)); err != nil {
 			t.Fatalf("the unedited snapshot is refused: %v", err)
 		}
 	})
-	t.Run("reserved counter slot", func(t *testing.T) {
-		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The counters follow the guard, the empty log's count, the clock,
-		// the RNG and the ID allocator; the reserved slot follows their rows.
-		var head snapshot.Codec
-		mustNet(t, cfg).walkConfigGuard(&head)
-		clock := len(head.Bytes()) + 8
-		slot := clock + 8 + 32 + 8 + 8*len(counterTable)
-		if binary.LittleEndian.Uint64(payload[clock:]) != 200 || binary.LittleEndian.Uint64(payload[slot:]) != 0 {
-			t.Fatal("counters not where the layout says")
-		}
-		mut := bytes.Clone(payload)
-		binary.LittleEndian.PutUint64(mut[slot:], 5)
-		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
-		if want := "counters: reserved slot holds 5"; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("restore error %v, want one containing %q", err, want)
-		}
-	})
-	t.Run("derived counter slot", func(t *testing.T) {
-		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Counters adds these to the stored slot, so a set one would be
-		// counted twice (timeout_events 1000 read back as 1002).
-		var head snapshot.Codec
-		mustNet(t, cfg).walkConfigGuard(&head)
-		rows := len(head.Bytes()) + 8 + 8 + 32 + 8
-		derived := 0
-		for k, row := range counterTable {
-			if !row.derived {
-				continue
-			}
-			derived++
-			slot := rows + 8*k
-			if binary.LittleEndian.Uint64(payload[slot:]) != 0 {
-				t.Fatalf("%s slot at %d is not the 0 a snapshot writes", row.key, slot)
-			}
-			mut := bytes.Clone(payload)
-			binary.LittleEndian.PutUint64(mut[slot:], 1000)
-			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
-			if want := "counters: " + row.key + " slot holds 1000"; err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: restore error %v, want one containing %q", row.key, err, want)
-			}
-		}
-		if derived != 11 {
-			t.Fatalf("%d derived counter rows, want 11: the clock, the offered count, three Token counts and six router sums", derived)
-		}
-	})
 	t.Run("buffer not its owner's run", func(t *testing.T) {
-		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Find the first input VC buffering two flits.
-		records := routerRecords(t, orig, len(payload))
-		slot, node, port, vc := -1, 0, 0, 0
+		// A slot buffering two flits whose head is a body flit, of a packet
+		// whose source has streamed it whole: its timer is not coded, so its
+		// owner can go without a dereference, and its owner's length is
+		// checked against its runs alone.
+		node, port, vc := -1, 0, 0
 		for i, r := range orig.routers {
-			off := records[i] + 8
-			for p := 0; p < r.InputPorts() && slot < 0; p++ {
-				for v := 0; v < r.InputVCCount(p) && slot < 0; v++ {
-					if occ := r.InputOccupancy(p, v); occ == 2 {
-						slot, node, port, vc = off, i, p, v
-					} else {
-						off += inputSlotBytes(occ)
+			for p := 0; p < r.InputPorts() && node < 0; p++ {
+				for v := 0; v < r.InputVCCount(p) && node < 0; v++ {
+					if o := r.InputOwner(p, v); r.InputOccupancy(p, v) == 2 && !r.InputFlitAt(p, v, 0).IsHeader() && orig.nis[o.Src].cur != o {
+						node, port, vc = i, p, v
 					}
 				}
 			}
-			if slot >= 0 {
+			if node >= 0 {
 				break
 			}
 		}
-		if slot < 0 {
-			t.Fatal("no input VC buffers two flits at cycle 200")
-		}
-		r := orig.routers[node]
-		owner, first := r.InputOwner(port, vc), r.InputFlitAt(port, vc, 0).Seq
-		flits := slot + 5*8 + 2 + 8
-		u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-		if u64(slot) != uint64(owner.ID) || u64(flits-8) != 2 || u64(flits) != uint64(owner.ID) ||
-			u64(flits+8) != uint64(first) || u64(flits+24) != uint64(first+1) {
-			t.Fatal("input slot not where the layout says")
-		}
-		var other *packet.Packet
-		for _, p := range orig.collectPackets() {
-			if p != owner {
-				other = p
-				break
-			}
-		}
-		with := func(off int, v uint64) []byte {
-			mut := bytes.Clone(payload)
-			binary.LittleEndian.PutUint64(mut[off:], v)
-			return snapshot.Seal(snapshotMagic, snapshotVersion, mut)
+		if node < 0 {
+			t.Fatal("no input VC buffers two flits behind its header at cycle 200")
 		}
 		where := fmt.Sprintf("router %d: snapshot: input (%d,%d)", node, port, vc)
-		for name, tc := range map[string]struct {
-			file []byte
-			want string
-		}{
-			"no owner":              {with(slot, ^uint64(0)), where + " buffers flits with no owner"},
-			"another packet's flit": {with(flits+16, uint64(other.ID)), fmt.Sprintf("%s buffers a flit that its owner, packet %d, does not own", where, owner.ID)},
-			"gap in sequence":       {with(flits+24, uint64(first+2)), fmt.Sprintf("%s: flit seq %d is not its owner's next, %d", where, first+2, first+1)},
-		} {
-			if err := restoreAndStep(t, cfg, tc.file); err == nil || err.Error() != tc.want {
-				t.Errorf("%s: restore error %v, want %q", name, err, tc.want)
-			}
-		}
-	})
-	t.Run("timer off its owner's header", func(t *testing.T) {
-		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// T_elapsed is its owner's while a slot's head is the owner's
-		// header; find a slot whose head is a body flit, and code a timer
-		// there.
-		records := routerRecords(t, orig, len(payload))
-		slot, node, port, vc := -1, 0, 0, 0
-		for i, r := range orig.routers {
-			off := records[i] + 8
-			for p := 0; p < r.InputPorts() && slot < 0; p++ {
-				for v := 0; v < r.InputVCCount(p) && slot < 0; v++ {
-					occ := r.InputOccupancy(p, v)
-					if occ > 0 && !r.InputFlitAt(p, v, 0).IsHeader() {
-						slot, node, port, vc = off, i, p, v
-					} else {
-						off += inputSlotBytes(occ)
+		n := restoreFresh(t, cfg, data)
+		slot := node*(cfg.Topo.Degree()*cfg.Router.VCs+1) + port*cfg.Router.VCs + vc
+		poke(n, slot, 0, "in", "owner")
+		refused(t, sealedOf(t, n), where+" buffers flits with no owner")
+
+		// Shorten the owner so its run ends past it; the first slot it owns
+		// in walk order whose run no longer fits is the one refused.
+		n = restoreFresh(t, cfg, data)
+		owner := n.routers[node].InputOwner(port, vc)
+		first := n.routers[node].InputFlitAt(port, vc, 0).Seq
+		owner.Length = first + 1
+		want := ""
+		for i, r := range n.routers {
+			for p := 0; p < r.InputPorts() && want == ""; p++ {
+				for v := 0; v < r.InputVCCount(p) && want == ""; v++ {
+					if k := r.InputOccupancy(p, v); r.InputOwner(p, v) == owner && k > 0 && r.InputFlitAt(p, v, 0).Seq+k > owner.Length {
+						s := r.InputFlitAt(p, v, 0).Seq
+						want = fmt.Sprintf("router %d: snapshot: input (%d,%d): flits %d..%d outside packet %d's length %d", i, p, v, s, s+k-1, owner.ID, owner.Length)
 					}
 				}
 			}
-			if slot >= 0 {
-				break
+		}
+		refused(t, sealedOf(t, n), want)
+	})
+	t.Run("listed slot at rest", func(t *testing.T) {
+		// List a resting slot by giving it a DB lane, then code that lane
+		// back to 0: the slot decodes at rest although it is listed. The
+		// edited file is also the FuzzSnapshotRestore seed
+		// listed-slot-at-rest (its first configuration; rewrite it with
+		// -update-snapshot).
+		n := restoreFresh(t, cfg, data)
+		r, l, p, v := n.routers[0], -1, 0, 0
+		for q := 0; q < r.InputPorts() && l < 0; q++ {
+			for w := 0; w < r.InputVCCount(q) && l < 0; w++ {
+				route, outVC := r.InputRoute(q, w)
+				waiting, presumed, sent := r.InputTimer(q, w)
+				if r.InputOwner(q, w) == nil && route == router.PortUnrouted && outVC == router.VCUnrouted && waiting == 0 && !presumed && !sent {
+					l, p, v = q*cfg.Router.VCs+w, q, w // router 0's slots come first
+				}
 			}
 		}
-		if slot < 0 {
-			t.Fatal("no input VC holds a body flit at its head at cycle 200")
+		if l < 0 {
+			t.Fatal("router 0 has no input slot at rest at cycle 200")
 		}
-		waiting := slot + 4*8
-		if binary.LittleEndian.Uint64(payload[slot:]) != uint64(orig.routers[node].InputOwner(port, vc).ID) ||
-			binary.LittleEndian.Uint64(payload[waiting:]) != 0 {
-			t.Fatal("input slot not where the layout says")
+		poke(n, l, 1, "inDBLane")
+		one := payloadOf(t, n)
+		poke(n, l, 2, "inDBLane")
+		edited := snapshot.Seal(snapshotMagic, snapshotVersion, splice(t, one, payloadOf(t, n), 0))
+		refused(t, edited, fmt.Sprintf("router 0: snapshot: input (%d,%d) is listed but at rest", p, v))
+		if *updateSnapshot {
+			seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte('\\x00')\n", edited)
+			if err := os.WriteFile(restingSeed, []byte(seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		mut := bytes.Clone(payload)
-		binary.LittleEndian.PutUint64(mut[waiting:], 3)
-		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
-		want := fmt.Sprintf("router %d: snapshot: input (%d,%d): T_elapsed 3, but its head is not its owner's header", node, port, vc)
-		if err == nil || err.Error() != want {
-			t.Errorf("restore error %v, want %q", err, want)
+		seed, err := os.ReadFile(restingSeed)
+		if err != nil || !bytes.Contains(seed, []byte(fmt.Sprintf("%q", edited))) {
+			t.Fatalf("%s is not this edited snapshot (rewrite it with -update-snapshot): %v", restingSeed, err)
 		}
 	})
-	t.Run("crossbar connection under flit-by-flit", func(t *testing.T) {
+	t.Run("listing past the slot count", func(t *testing.T) {
+		// A router record opens with its input listing; an index past the
+		// stride is refused, whatever the record held.
 		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Router 3's crossbar follows its input slots, its output pairs (16
-		// bytes each) and its DB lane (owner, route, then the buffer); each
-		// port codes its input port, input VC, DB and saved flags and saved
-		// port and VC, a resting port as (-1, 0, false, false, 0, 0).
-		const node, q = 3, 2
-		r := orig.routers[node]
-		at := routerRecords(t, orig, len(payload))[node] + 8
-		for p := 0; p < r.InputPorts(); p++ {
-			for v := 0; v < r.InputVCCount(p); v++ {
-				at += inputSlotBytes(r.InputOccupancy(p, v))
-			}
-		}
-		at += 16 * orig.topo.Degree() * cfg.Router.VCs
-		for lane := 0; lane < r.DBLanes(); lane++ {
-			at += 3*8 + 16*r.DBLaneLen(lane)
-		}
-		at += q * (4*8 + 2)
-		if binary.LittleEndian.Uint64(payload[at:]) != ^uint64(0) || binary.LittleEndian.Uint64(payload[at+8:]) != 0 {
-			t.Fatal("crossbar port not where the layout says")
-		}
-		mut := bytes.Clone(payload)
-		binary.LittleEndian.PutUint64(mut[at:], 1)
-		err = restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
-		want := fmt.Sprintf("router %d: snapshot: crossbar %d: a connection under flit-by-flit allocation", node, q)
-		if err == nil || err.Error() != want {
-			t.Errorf("restore error %v, want %q", err, want)
-		}
+		stride := cfg.Topo.Degree()*cfg.Router.VCs + 1
+		at := routerRecords(t, orig, len(payload))[3]
+		_, k := binary.Uvarint(payload[at:])
+		mut := append(binary.AppendUvarint(bytes.Clone(payload[:at]), uint64(stride+1)), payload[at+k:]...)
+		refused(t, snapshot.Seal(snapshotMagic, snapshotVersion, mut),
+			fmt.Sprintf("router 3: snapshot: listed input slot %d outside [0, %d)", stride+1, stride+1))
 	})
-	t.Run("output pair not derived", func(t *testing.T) {
+	t.Run("version 3 file", func(t *testing.T) {
 		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each output VC is coded as (owner, credits), 8 bytes each, after
-		// the router's input slots. Find an idle output, one whose owner is
-		// its downstream slot's, and a packet other than that owner.
-		records := routerRecords(t, orig, len(payload))
-		type output struct{ at, node, port, vc int }
-		idle, held := output{at: -1}, output{at: -1}
-		var owner *packet.Packet
-		for i, r := range orig.routers {
-			off := records[i] + 8
-			for p := 0; p < r.InputPorts(); p++ {
-				for v := 0; v < r.InputVCCount(p); v++ {
-					off += inputSlotBytes(r.InputOccupancy(p, v))
-				}
-			}
-			for q := 0; q < orig.topo.Degree(); q++ {
-				for v := 0; v < cfg.Router.VCs; v++ {
-					o, nb := r.OutputOwner(q, v), r.Neighbor(q)
-					switch {
-					case idle.at < 0 && o == nil && nb != nil && nb.InputOwner(r.ReverseAt(q), v) == nil:
-						idle = output{off, i, q, v}
-					case held.at < 0 && o != nil && nb != nil && nb.InputOwner(r.ReverseAt(q), v) == o:
-						held, owner = output{off, i, q, v}, o
-					}
-					off += 16
-				}
-			}
-		}
-		if idle.at < 0 || held.at < 0 {
-			t.Fatal("no idle output, or none held past its grant, at cycle 200")
-		}
-		var other *packet.Packet
-		for _, p := range orig.collectPackets() {
-			if p != owner {
-				other = p
-				break
-			}
-		}
-		u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-		depth := uint64(cfg.Router.BufferDepth)
-		if u64(idle.at) != ^uint64(0) || u64(idle.at+8) != depth || u64(held.at) != uint64(owner.ID) {
-			t.Fatal("output pairs not where the layout says")
-		}
-		with := func(off int, v uint64) []byte {
-			mut := bytes.Clone(payload)
-			binary.LittleEndian.PutUint64(mut[off:], v)
-			return snapshot.Seal(snapshotMagic, snapshotVersion, mut)
-		}
-		name := func(o output) string {
-			return fmt.Sprintf("router %d: snapshot: output (%d,%d)", o.node, o.port, o.vc)
-		}
-		for what, tc := range map[string]struct {
-			file []byte
-			want string
-		}{
-			"credits on an idle output": {with(idle.at+8, 1),
-				name(idle) + ": credits 1, but the buffer it feeds has room for 2"},
-			"owner on an idle output": {with(idle.at, uint64(other.ID)),
-				fmt.Sprintf("%s: owner packet %d, but no header holds its grant and its downstream slot is idle", name(idle), other.ID)},
-			"owner not the downstream slot's": {with(held.at, uint64(other.ID)),
-				fmt.Sprintf("%s: owner packet %d, but its downstream slot is packet %d's", name(held), other.ID, owner.ID)},
-		} {
-			if err := restoreAndStep(t, cfg, tc.file); err == nil || err.Error() != tc.want {
-				t.Errorf("%s: restore error %v, want %q", what, err, tc.want)
-			}
-		}
+		refused(t, snapshot.Seal(snapshotMagic, 3, payload),
+			"snapshot: format version 3 not supported (this build reads version 4); regenerate the file from cycle 0 with the same flags")
 	})
+}
+
+// restingSeed is the committed FuzzSnapshotRestore seed holding
+// TestSnapshotCorruption's listed slot at rest.
+const restingSeed = "testdata/fuzz/FuzzSnapshotRestore/listed-slot-at-rest"
+
+// payloadOf returns n's snapshot payload, unsealed.
+func payloadOf(t *testing.T, n *Network) []byte {
+	t.Helper()
+	var enc snapshot.Codec
+	if err := n.walkState(&enc); err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
+}
+
+// sealedOf returns n's snapshot file.
+func sealedOf(t *testing.T, n *Network) []byte {
+	t.Helper()
+	return snapshot.Seal(snapshotMagic, snapshotVersion, payloadOf(t, n))
+}
+
+// poke sets element i of the router.State slice at path (field names from
+// router.State down, "in", "owner" for the input slots' owner handles) to v,
+// across the package boundary: the corruption tests encode the hostile
+// states it builds through the walk, as a live network's.
+func poke(n *Network, i int, v int64, path ...string) {
+	f := reflect.ValueOf(n.routerState).Elem()
+	for _, name := range path {
+		f = f.FieldByName(name)
+	}
+	e := f.Index(i)
+	e = reflect.NewAt(e.Type(), unsafe.Pointer(e.UnsafeAddr())).Elem()
+	if e.Kind() == reflect.Bool {
+		e.SetBool(v != 0)
+		return
+	}
+	e.SetInt(v)
+}
+
+// splice returns a copy of a with the varint that starts where a and b
+// first differ replaced by the unsigned varint x. Encoding one state twice,
+// with one field changed in its lowest bit, locates that field, so a test
+// can put there a value no state can hold.
+func splice(t *testing.T, a, b []byte, x uint64) []byte {
+	t.Helper()
+	k := 0
+	for k < len(a) && k < len(b) && a[k] == b[k] {
+		k++
+	}
+	_, m := binary.Uvarint(a[k:])
+	if k == len(a) || m <= 0 {
+		t.Fatalf("the two encodings do not differ at a varint (first difference at %d of %d bytes)", k, len(a))
+	}
+	return append(binary.AppendUvarint(bytes.Clone(a[:k]), x), a[k+m:]...)
 }
 
 // routerRecords returns where each router's record starts in n's snapshot
@@ -608,11 +482,62 @@ func routerRecords(t *testing.T, n *Network, payloadLen int) []int {
 	return starts
 }
 
-// inputSlotBytes is the size of one input slot in a router record holding
-// occ buffered flits: the owner, route, output VC, DB lane and waiting
-// count (8 bytes each), presumed and sent (1 each), and the buffer: a
-// count, then a packet and a position per flit (8 each).
-func inputSlotBytes(occ int) int { return 5*8 + 2 + 8 + 16*occ }
+// TestFingerprintHashesPacketFields edits one field of one live packet at a
+// time — each steers routing or recovery, or is reported — and requires the
+// fingerprint to change: a packet's fields are state, which Fingerprint
+// hashes through the packet table.
+func TestFingerprintHashesPacketFields(t *testing.T) {
+	n := mustNet(t, testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3))
+	n.Run(150)
+	p := n.collectPackets()[0]
+	before, saved := n.Fingerprint(), *p
+	for field, edit := range map[string]func(){
+		"Misroutes":       func() { p.Misroutes++ },
+		"DatelineCrossed": func() { p.DatelineCrossed ^= 1 },
+		"OnDeterministic": func() { p.OnDeterministic = !p.OnDeterministic },
+		"OnDB":            func() { p.OnDB = !p.OnDB },
+		"LastDim":         func() { p.LastDim++ },
+		"Hops":            func() { p.Hops++ },
+	} {
+		edit()
+		if n.Fingerprint() == before {
+			t.Errorf("packet %d's %s changed and the fingerprint did not", p.ID, field)
+		}
+		*p = saved
+	}
+	if n.Fingerprint() != before {
+		t.Fatal("the fingerprint moved with every packet field restored")
+	}
+}
+
+// TestSnapshotRestoresLongCounts restores a snapshot whose reconfiguration
+// log holds 2000 entries, 8 to 10 bytes each, and whose last node queues
+// 1000 packets, near the payload's end at one or two bytes a packet, behind
+// a packet table of some 30 bytes a packet: each count is bounded by its
+// entries' shortest encoding (v3's bounds, 64 bytes a log entry, 8 a
+// queued packet and 102 a table entry, refuse this file).
+func TestSnapshotRestoresLongCounts(t *testing.T) {
+	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
+	n := mustNet(t, cfg)
+	n.Run(50)
+	for k := 0; k < 1000; k++ {
+		if err := n.KillLink(5, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.HealLink(5, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := len(n.nis) - 1
+	for k := 0; k < 1000; k++ {
+		n.enqueue(last, packet.New(n.allocID(), topology.Node(last), 0, cfg.MsgLen, n.Now()))
+	}
+	var buf bytes.Buffer
+	if err := n.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkLockstep(t, n, restoreFresh(t, cfg, buf.Bytes()), 50)
+}
 
 // TestSnapshotDeterministicBytes pins that the encoder itself is
 // deterministic: two snapshots of the same state are byte-identical.
@@ -638,8 +563,9 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 
 // TestAppendStateIsSnapshotPrefix pins the one-walk contract the digest's
 // soundness rests on: after each golden case's run, every router's digest
-// bytes (AppendState) are exactly its snapshot bytes (WalkState) minus the
-// 32-byte RNG trailer, so no field a restore brings back can go unhashed.
+// bytes (its walk over a digest, routerDigest) are exactly its snapshot
+// bytes (WalkState over an encoder) minus the 32-byte RNG trailer, so no
+// field a restore brings back can go unhashed.
 func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 	const rngTrailer = 4 * 8
 	for _, gc := range goldenCases() {
@@ -647,15 +573,14 @@ func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			n := mustNet(t, gc.build())
 			n.Run(gc.cycles)
-			n.Fingerprint() // brings routers the active set skipped up to date
 			for i, r := range n.routers {
 				var enc snapshot.Codec
 				if err := r.WalkState(&enc, nil); err != nil {
 					t.Fatal(err)
 				}
 				snap := enc.Bytes()
-				if digest := r.AppendState(nil); !bytes.Equal(digest, snap[:len(snap)-rngTrailer]) {
-					t.Fatalf("router %d: AppendState (%d bytes) is not WalkState (%d bytes) minus the RNG trailer",
+				if digest := routerDigest(r); !bytes.Equal(digest, snap[:len(snap)-rngTrailer]) {
+					t.Fatalf("router %d: its digest (%d bytes) is not WalkState (%d bytes) minus the RNG trailer",
 						i, len(digest), len(snap))
 				}
 			}
@@ -664,7 +589,7 @@ func TestAppendStateIsSnapshotPrefix(t *testing.T) {
 }
 
 // snapshotFixtureConfig is the pinned configuration for the committed
-// format fixture. Changing it invalidates testdata/snapshot_v3.bin.
+// format fixture. Changing it invalidates testdata/snapshot_v4.bin.
 func snapshotFixtureConfig() Config {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.6, 2026)
 	cfg.Router.VCs = 2
@@ -676,7 +601,7 @@ func snapshotFixtureConfig() Config {
 // TestSnapshotGoldenFixture decodes a snapshot file committed to testdata,
 // pinning the on-disk format: if the encoding changes in any way, this test
 // fails until the format version is bumped and the fixture regenerated. The
-// same payload sealed as version 2 is refused by its version: a reader
+// same payload sealed as version 3 is refused by its version: a reader
 // decodes one format.
 func TestSnapshotGoldenFixture(t *testing.T) {
 	cfg := snapshotFixtureConfig()
@@ -701,10 +626,10 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const refused = "format version 2 not supported (this build reads version 3)"
-	v2 := snapshot.Seal(snapshotMagic, 2, payload)
-	if err := mustNet(t, cfg).Restore(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), refused) {
-		t.Fatalf("restore of the fixture sealed as version 2: %v, want %q", err, refused)
+	const refused = "format version 3 not supported (this build reads version 4)"
+	v3 := snapshot.Seal(snapshotMagic, 3, payload)
+	if err := mustNet(t, cfg).Restore(bytes.NewReader(v3)); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Fatalf("restore of the fixture sealed as version 3: %v, want %q", err, refused)
 	}
 
 	// The fixture must decode to the exact state the encoder produces today.
@@ -717,7 +642,7 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 
 // TestSnapshotBytesWithoutRecoveryLaneSettings pins the fixture
 // configuration's snapshot under recovery off and under abort-retry, the
-// two recovery settings snapshot_v3.bin (sequential recovery) leaves
+// two recovery settings snapshot_v4.bin (sequential recovery) leaves
 // unpinned. Neither the Deadlock Buffer depth nor the injection VC count is
 // a setting, and the format codes neither.
 func TestSnapshotBytesWithoutRecoveryLaneSettings(t *testing.T) {
@@ -749,114 +674,55 @@ func pbpFuzzConfig() Config {
 	return cfg
 }
 
-// lastRouterCrossbar returns the payload offset of the last router's crossbar
-// record for output 0 (cxInPort, cxInVC, cxDB, cxSaved, cxSavedPort,
-// cxSavedVC: 8+8+1+1+8+8 bytes). Router records end the payload, and what
-// follows the crossbar section has a fixed size, so the offset is counted
-// from the end and holds for any buffer occupancy.
-func lastRouterCrossbar(cfg Config, payload []byte) int {
-	return lastRouterArbOffset(cfg, payload) - cfg.Topo.Degree()*34
-}
-
-// lastRouterArbOffset returns the payload offset of the last router's VC
-// arbitration offset, the field after its crossbar records.
-func lastRouterArbOffset(cfg Config, payload []byte) int {
-	deg := cfg.Topo.Degree()
-	// VC arbitration offset, swArbOff[deg+1], 9 stats, blockedByVC[VCs],
-	// blocked and presumed gauges, RNG.
-	trailer := 8 + 8*(deg+1) + 9*8 + 8*cfg.Router.VCs + 8 + 8 + 32
-	return len(payload) - trailer
-}
-
-// clockSeed is the committed FuzzSnapshotRestore seed holding
-// TestSnapshotRefusesValuesOffTheClock's edited offset.
-const clockSeed = "testdata/fuzz/FuzzSnapshotRestore/vc-arbitration-offset-off-the-clock"
-
-// TestSnapshotRefusesValuesOffTheClock edits, in a real snapshot, the VC
-// arbitration offset of a router — a function of the clock — to a value in
-// its range that disagrees with it. Restore must refuse it, not resume a
-// run no clock could have produced. The edited snapshot is also a
-// FuzzSnapshotRestore seed (its first configuration; rewrite it with
-// -update-snapshot).
-func TestSnapshotRefusesValuesOffTheClock(t *testing.T) {
-	fuzzCfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
-	fuzzCfg.Router.Timeout = 4
-	rc := mustNet(t, fuzzCfg).cfg.Router
-	stride := int64(fuzzCfg.Topo.Degree()*rc.VCs + 1)
-	const field = "VC arbitration offset"
-	t.Run(field, func(t *testing.T) {
-		_, data := takeSnapshot(t, fuzzCfg, 150)
-		payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at := lastRouterArbOffset(fuzzCfg, payload)
-		mut := bytes.Clone(payload)
-		v := int64(binary.LittleEndian.Uint64(mut[at:]))
-		binary.LittleEndian.PutUint64(mut[at:], uint64((v+1)%stride))
-		edited := snapshot.Seal(snapshotMagic, snapshotVersion, mut)
-		err = restoreAndStep(t, fuzzCfg, edited)
-		if err == nil || !strings.Contains(err.Error(), field) {
-			t.Fatalf("restore of a %s off the clock: %v, want a %s error", field, err, field)
-		}
-		if *updateSnapshot {
-			seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte('\\x00')\n", edited)
-			if err := os.WriteFile(clockSeed, []byte(seed), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seed, err := os.ReadFile(clockSeed)
-		if err != nil || !bytes.Contains(seed, []byte(fmt.Sprintf("%q", edited))) {
-			t.Fatalf("%s is not this edited snapshot (rewrite it with -update-snapshot): %v", clockSeed, err)
-		}
-	})
-}
-
 // TestSnapshotRejectsHostileCrossbarVC re-seals a packet-by-packet snapshot
 // whose crossbar names an input VC that does not exist. Restore used to
 // accept it (DecodeState bounds-checked the port but not the VC) and the
 // next StageSwitch indexed far outside the input-VC arrays; now the walk
 // rejects it next to the field, whether the value is one past the port's VC
-// count, absurd, or only in range after wrapping to 32 bits.
+// count, absurd, or only in range after wrapping to 32 bits. Each file is
+// the walk's encoding of a restored copy whose last router's crossbar port
+// 0 is edited (poke); the values its int8 cannot hold are spliced in where
+// the edit located the field.
 func TestSnapshotRejectsHostileCrossbarVC(t *testing.T) {
 	cfg := pbpFuzzConfig()
 	_, data := takeSnapshot(t, cfg, 200)
-	payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-	if err != nil {
-		t.Fatal(err)
+	deg, vcs := cfg.Topo.Degree(), mustNet(t, cfg).cfg.Router.VCs
+	cx := (cfg.Topo.Nodes() - 1) * deg // the last router's port 0
+	edited := func(set map[string]int64) *Network {
+		n := restoreFresh(t, cfg, data)
+		for field, v := range set {
+			poke(n, cx, v, field)
+		}
+		return n
 	}
-	cx := lastRouterCrossbar(cfg, payload)
-	deg, rc := int64(cfg.Topo.Degree()), mustNet(t, cfg).cfg.Router
-	put := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
-
-	for name, mutate := range map[string]func(b []byte){
-		"network port, one past": func(b []byte) { put(b, cx, 0); put(b, cx+8, int64(rc.VCs)) },
-		"network port, absurd":   func(b []byte) { put(b, cx, 0); put(b, cx+8, 1<<20) },
-		"network port, negative": func(b []byte) { put(b, cx, 0); put(b, cx+8, -1) },
-		"injection port":         func(b []byte) { put(b, cx, deg); put(b, cx+8, 1) },
-		"wraps to zero":          func(b []byte) { put(b, cx, 0); put(b, cx+8, 1<<32) },
-		"saved VC":               func(b []byte) { b[cx+17] = 1; put(b, cx+18, 0); put(b, cx+26, int64(rc.VCs)) },
-		"saved port negative":    func(b []byte) { b[cx+17] = 1; put(b, cx+18, -1) },
+	file := func(set map[string]int64) []byte { return sealedOf(t, edited(set)) }
+	// wide puts x in the field the two edits locate.
+	wide := func(a, b map[string]int64, x uint64) []byte {
+		return snapshot.Seal(snapshotMagic, snapshotVersion, splice(t, payloadOf(t, edited(a)), payloadOf(t, edited(b)), x))
+	}
+	for name, f := range map[string][]byte{
+		"network port, one past": file(map[string]int64{"cxInPort": 0, "cxInVC": int64(vcs)}),
+		"network port, absurd":   wide(map[string]int64{"cxInPort": 0, "cxInVC": 1}, map[string]int64{"cxInPort": 0, "cxInVC": 2}, 1<<20),
+		"network port, negative": file(map[string]int64{"cxInPort": 0, "cxInVC": -1}),
+		"injection port":         file(map[string]int64{"cxInPort": int64(deg), "cxInVC": 1}),
+		"wraps to zero":          wide(map[string]int64{"cxInPort": 0, "cxInVC": 1}, map[string]int64{"cxInPort": 0, "cxInVC": 2}, 1<<32),
+		"saved VC":               file(map[string]int64{"cxSaved": 1, "cxSavedPort": 0, "cxSavedVC": int64(vcs)}),
+		"saved port negative":    file(map[string]int64{"cxSaved": 1, "cxSavedPort": -1}),
 	} {
 		t.Run(name, func(t *testing.T) {
-			mut := bytes.Clone(payload)
-			mutate(mut)
-			err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut))
+			err := restoreAndStep(t, cfg, f)
 			if err == nil {
 				t.Fatal("hostile crossbar state restored without error")
 			}
-			if !strings.Contains(err.Error(), "crossbar") && !strings.Contains(err.Error(), "overflows") {
-				t.Fatalf("rejected for an unrelated reason (is the offset stale?): %v", err)
+			if !strings.Contains(err.Error(), "crossbar") {
+				t.Fatalf("rejected for an unrelated reason: %v", err)
 			}
 		})
 	}
-	// Control: the offsets above address real crossbar fields — an in-range
-	// rewrite of the same bytes still restores.
-	mut := bytes.Clone(payload)
-	put(mut, cx, 0)
-	put(mut, cx+8, int64(rc.VCs-1))
-	if err := restoreAndStep(t, cfg, snapshot.Seal(snapshotMagic, snapshotVersion, mut)); err != nil {
-		t.Fatalf("in-range crossbar rewrite rejected: %v", err)
+	// Control: the edits above reach real crossbar fields — an in-range
+	// edit of the same port still restores.
+	if err := restoreAndStep(t, cfg, file(map[string]int64{"cxInPort": 0, "cxInVC": int64(vcs - 1)})); err != nil {
+		t.Fatalf("in-range crossbar edit rejected: %v", err)
 	}
 }
 
@@ -885,46 +751,31 @@ func restoreAndStep(t *testing.T, cfg Config, input []byte) error {
 }
 
 // TestSnapshotRejectsHostilePacketEndpoints rewrites, one packet at a time,
-// the destination of every packet in a re-sealed snapshot. A node the
-// topology does not have must be an error (it used to restore and index out
-// of range in the routing function); another valid node must either be
+// the destination of every packet in a restored copy and encodes it. A node
+// the topology does not have must be an error (it used to restore and index
+// out of range in the routing function); another valid node must either be
 // rejected or leave a network that steps — a packet already granted the
 // ejection port of its old destination used to restore and then trip the
 // delivery assertion.
 func TestSnapshotRejectsHostilePacketEndpoints(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	n, data := takeSnapshot(t, cfg, 150)
-	payload, err := snapshot.Open(data, snapshotMagic, snapshotVersion)
-	if err != nil {
-		t.Fatal(err)
+	count := len(n.collectPackets())
+	if count < 20 {
+		t.Fatalf("only %d live packets at cycle 150", count)
 	}
-	// The table follows guard, log, clock, RNG, ID allocator and counters;
-	// a record is 125 bytes with Dst at +16.
-	var head snapshot.Codec
-	n.walkConfigGuard(&head)
-	if err := n.walkReconfigLog(&head); err != nil {
-		t.Fatal(err)
+	nodes := topology.Node(cfg.Topo.Nodes())
+	redirect := func(k int, dst topology.Node) []byte {
+		c := restoreFresh(t, cfg, data)
+		c.collectPackets()[k].Dst = dst
+		return sealedOf(t, c)
 	}
-	var ctr Counters
-	ctr.Walk(&head)
-	table := len(head.Bytes()) + 8 + 32 + 8
-	count := int(binary.LittleEndian.Uint64(payload[table:]))
-	if count != len(n.collectPackets()) || count < 20 {
-		t.Fatalf("packet table not where the layout says: count %d, live packets %d", count, len(n.collectPackets()))
-	}
-	nodes := uint64(cfg.Topo.Nodes())
-	seal := func(p []byte) []byte { return snapshot.Seal(snapshotMagic, snapshotVersion, p) }
 	rejected := 0
-	for k := 0; k < count; k++ {
-		dst := table + 8 + k*125 + 16
-		old := binary.LittleEndian.Uint64(payload[dst:])
-		mut := bytes.Clone(payload)
-		binary.LittleEndian.PutUint64(mut[dst:], nodes)
-		if restoreAndStep(t, cfg, seal(mut)) == nil {
+	for k, p := range n.collectPackets() {
+		if restoreAndStep(t, cfg, redirect(k, nodes)) == nil {
 			t.Fatalf("packet %d: destination %d of %d nodes restored without error", k, nodes, nodes)
 		}
-		binary.LittleEndian.PutUint64(mut[dst:], (old+1)%nodes)
-		if restoreAndStep(t, cfg, seal(mut)) != nil {
+		if restoreAndStep(t, cfg, redirect(k, (p.Dst+1)%nodes)) != nil {
 			rejected++
 		}
 	}

@@ -213,65 +213,75 @@ func TestTimerSaturates(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesValuesPastNarrowTypes edits a router's encoded state
-// where a blocked header waits: its waiting count at math.MaxInt32, the
-// saturated value, restores, and at 2³¹, which does not fit the timer's
-// int32, is refused with an error, not wrapped. So is a buffered flit
-// position of 2³¹, even in a packet long enough to hold it.
+// TestSnapshotRefusesValuesPastNarrowTypes encodes a router where a blocked
+// header waits: its waiting count at math.MaxInt32, the saturated value,
+// restores, and at 2³¹, which does not fit the timer's int32, is refused
+// with an error, not wrapped. So is a buffered flit position of 2³¹, even
+// in a packet long enough to hold it. A value no state can hold is spliced
+// in where two encodings of the state, with the field changed, differ.
 func TestSnapshotRefusesValuesPastNarrowTypes(t *testing.T) {
 	_, r, i := blockedHeader(t, Default())
-	enc := snapshot.NewEncoder(nil)
-	if err := r.WalkState(enc, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Router node, then per input slot: packet, route, output VC, DB lane
-	// and waiting count, 8 bytes each, and presumed, sent (1 byte each)
-	// and the buffer (a count, then a packet and a position, 8 bytes each,
-	// per flit).
-	at := 8
-	for l := 0; l < i-r.in0; l++ {
-		at += 5*8 + 2 + 8 + 16*int(r.st.in.n[r.in0+l])
-	}
-	waitingAt := at + 4*8
-	seqAt := waitingAt + 8 + 2 + 8 + 8
-	if w, q := binary.LittleEndian.Uint64(enc.Bytes()[waitingAt:]), binary.LittleEndian.Uint64(enc.Bytes()[seqAt:]); w != 6 || q != 0 {
-		t.Fatalf("offsets %d and %d read %d and %d, not the header's waiting count 6 and position 0", waitingAt, seqAt, w, q)
-	}
 	hdr := r.st.in.pkt(i)
+	record := func() []byte {
+		enc := snapshot.NewEncoder(nil)
+		if err := r.WalkState(enc, nil); err != nil {
+			t.Fatal(err)
+		}
+		return enc.Bytes()
+	}
+	waitingAt := func(w int32) []byte {
+		hdr.Waiting = w
+		return record()
+	}
+	seqAt := func(seq int32) []byte {
+		r.st.in.seq[i] = seq
+		defer func() { r.st.in.seq[i] = 0 }()
+		return record()
+	}
+	zigzag := func(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 	long := *hdr
 	long.Length = math.MaxInt
 	for _, c := range []struct {
-		at      int
-		value   uint64
+		name    string
+		b       []byte
+		want    int32 // the restored waiting count
 		refused string
 		pkt     *packet.Packet
 	}{
-		{waitingAt, 6, "", hdr},
-		{waitingAt, math.MaxInt32, "", hdr},
-		{waitingAt, 1 << 31, "value 2147483648 overflows int32", hdr},
-		{seqAt, 1 << 31, "value 2147483648 overflows int32", &long},
+		{"waiting 6", waitingAt(6), 6, "", hdr},
+		{"waiting at the maximum", waitingAt(math.MaxInt32), math.MaxInt32, "", hdr},
+		{"waiting past int32", splice(t, waitingAt(math.MaxInt32-1), waitingAt(math.MaxInt32), zigzag(1<<31)), 0, "value 2147483648 overflows int32", hdr},
+		{"position past int32", splice(t, seqAt(2), seqAt(3), zigzag(1<<31)), 0, "value 2147483648 overflows int32", &long},
 	} {
-		// The packet table a decoder rewires references through: every
-		// packet the router's slots hold.
+		// The packet table a decoder rewires references through: the header
+		// the router's one owned slot holds, or a longer copy of it.
 		table := map[packet.ID]*packet.Packet{hdr.ID: c.pkt}
-		for q := 0; q < r.st.deg; q++ {
-			for v := 0; v < r.st.cfg.VCs; v++ {
-				if p := r.OutputOwner(q, v); p != nil {
-					table[p.ID] = p
-				}
-			}
-		}
-		b := bytes.Clone(enc.Bytes())
-		binary.LittleEndian.PutUint64(b[c.at:], c.value)
-		_, r2, _ := blockedHeader(t, Default())
-		err := r2.WalkState(snapshot.NewDecoder(b), table)
+		r2 := newBench(t, topology.MustTorus(4, 4), Default(), routing.DOR()).routers[r.node]
+		err := r2.WalkState(snapshot.NewDecoder(c.b), table)
 		switch {
 		case c.refused == "" && err != nil:
-			t.Errorf("%d at offset %d refused: %v", c.value, c.at, err)
-		case c.refused == "" && uint64(r2.waiting(i)) != c.value:
-			t.Errorf("waiting %d restored as %d", c.value, r2.waiting(i))
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.refused == "" && r2.waiting(i) != c.want:
+			t.Errorf("%s: waiting restored as %d, want %d", c.name, r2.waiting(i), c.want)
 		case c.refused != "" && (err == nil || !strings.Contains(err.Error(), c.refused)):
-			t.Errorf("%d at offset %d: error %v, want one containing %q", c.value, c.at, err, c.refused)
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.refused)
 		}
 	}
+}
+
+// splice returns a copy of a with the varint that starts where a and b
+// first differ replaced by the unsigned varint x. Encoding one state twice,
+// with one field changed in its lowest bit, locates that field, so a test
+// can put there a value no state can hold.
+func splice(t *testing.T, a, b []byte, x uint64) []byte {
+	t.Helper()
+	k := 0
+	for k < len(a) && k < len(b) && a[k] == b[k] {
+		k++
+	}
+	_, m := binary.Uvarint(a[k:])
+	if k == len(a) || m <= 0 {
+		t.Fatalf("the two encodings do not differ at a varint (first difference at %d of %d bytes)", k, len(a))
+	}
+	return append(binary.AppendUvarint(bytes.Clone(a[:k]), x), a[k+m:]...)
 }

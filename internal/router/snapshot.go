@@ -30,19 +30,17 @@ func PacketRef(c *snapshot.Codec, p **packet.Packet, table map[packet.ID]*packet
 
 // WalkState codes the router's complete dynamic state: the walkState field
 // walk followed by the router's private RNG stream, which a restored run
-// needs to reproduce future selection draws. The digest (AppendState) is the
-// same walk minus that trailer — the RNG never influences a digest
-// comparison between two live networks.
+// needs to reproduce future selection draws. Over a digest
+// (snapshot.NewDigest), which codes no RNG stream, it is the router's part
+// of Network.Fingerprint.
 //
 // Decoding restores a router freshly constructed with the identical
 // configuration the snapshot was taken under; table is the packet table the
-// network decoded (nil when encoding). The coded output VC pairs are kept
-// for State.VerifyOutputs, which the decoder calls once every router is
-// decoded.
+// network decoded (nil when encoding).
 func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) error {
 	r.walkState(c, table)
 	rng := r.rng.State()
-	c.U64x4(&rng)
+	c.RNG(&rng)
 	if c.Decoding() && c.Err() == nil {
 		r.rng.SetState(rng)
 	}
@@ -54,92 +52,66 @@ func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 // with it, so a field cannot be written without being read back, hashed and
 // range-checked — each check sits on the line of the field it guards, so
 // corrupt input yields an error, never a panic. Packets are stored as IDs.
-// The clock-derived values (activity.go) are written as of the current
-// cycle: a decoder refuses an offset that disagrees with the restored clock,
-// and stamps the timer pass's values with it.
-// The walk follows the logical (port, vc) order and each buffer's
-// head-to-tail order, never the physical SoA layout (flat slot indices), and
-// codes every buffered flit although a buffer stores only its owner's run,
-// and every output VC's owner and credits although they are derived (the
-// grant bits from the input slots, the rest from the buffers the outputs
-// feed), so the bytes are layout-invariant.
+//
+// It codes only what the state does not imply. Its input slots, Deadlock
+// Buffer lanes and (under packet-by-packet allocation) crossbar ports are
+// each a listing (walkListing) of the slots not at rest, so a slot costs
+// bytes only while it holds something; a decoder leaves every unlisted slot
+// as construction left it. A slot's buffered flits are its owner's run,
+// coded as the head's position and a count. The output VCs, the mask bits
+// other than mPre and mSent, and the VC arbitration offset (a function of
+// the clock, activity.go) are derived on decode and not coded at all. The
+// walk follows the logical (port, vc) order, never the physical SoA layout,
+// so the bytes are layout-invariant.
 func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) {
 	s := r.st
 	dec := c.Decoding()
-	// ejectsHere rejects a decoded eject grant at a router that is not the
-	// packet's destination: delivery asserts it.
-	ejectsHere := func(p *packet.Packet, route int8) {
-		if dec && p != nil && route == PortEject && p.Dst != r.node {
-			c.Fail("snapshot: packet %d for node %d holds an eject grant at node %d", p.ID, p.Dst, r.node)
-		}
-	}
-
-	c.Expect(int64(r.node), "router node")
-	now := s.clock.Now()
-	dbLanes := max(s.lanes, 1) // lane 0 is the resting value with no DB at all
-	if dec {
-		s.flitCount[r.node] = 0
-	}
-	for l := 0; l < s.stride; l++ {
+	walkListing(c, s.stride, "listed input slot", func(l int) bool { return r.inputAtRest(r.in0 + l) }, func(l int) {
 		i := r.in0 + l
-		owner := walkOwner(c, &s.in, i, table)
-		snapshot.Range(c, &s.inRoute[i], snapshot.In(PortEject, s.deg, "input route"))
-		ejectsHere(owner, s.inRoute[i])
-		snapshot.Range(c, &s.inOutVC[i], snapshot.In(VCDeadlockBuffer, s.cfg.VCs, "output VC grant"))
-		snapshot.Range(c, &s.inDBLane[i], snapshot.In(0, dbLanes, "DB lane"))
-		waiting := r.waiting(i)
-		snapshot.Int(c, &waiting)
-		presumed, sent := r.hasMask(mPre, i), r.hasMask(mSent, i)
-		c.Bool(&presumed)
-		c.Bool(&sent)
-		r.walkFifo(c, &s.in, i, table)
+		sl := r.loadInput(i)
+		r.walkInput(c, &sl, i, table)
 		if dec && c.Err() == nil {
-			// T_elapsed is the owner's while the slot's head is its
-			// header, and 0 on any other slot.
-			if s.in.n[i] != 0 && s.in.seq[i] == 0 {
-				owner.Waiting = waiting
-			} else if waiting != 0 {
-				c.Fail("snapshot: %s: T_elapsed %d, but its head is not its owner's header", r.slotName(&s.in, i), waiting)
+			r.storeInput(i, sl)
+			if r.inputAtRest(i) {
+				c.Fail("snapshot: %s is listed but at rest", r.slotName(&s.in, i))
 			}
 		}
-		if dec {
-			// The other masks are derived, not coded: set them from the
-			// decoded arrays and flags.
-			r.setMask(mPre, i, presumed)
-			r.setMask(mSent, i, sent)
-			for k, on := range r.derivedMasks(i) {
-				r.setMask(k, i, on)
-			}
-		}
-	}
+	})
 	if dec {
 		r.decodeGrants(c)
-		if s.coded == nil {
-			s.coded = make([]outPair, s.nodes*s.outStr)
-		}
 	}
-	for l := 0; l < s.outStr; l++ {
-		q, v := l/s.cfg.VCs, l%s.cfg.VCs
-		var owner *packet.Packet
-		var credits int16
-		if !dec {
-			owner, credits = r.OutputOwner(q, v), int16(r.Credits(q, v))
-		}
-		PacketRef(c, &owner, table)
-		snapshot.Range(c, &credits, snapshot.In(0, s.cfg.BufferDepth+1, "credits"))
-		if dec {
-			s.coded[int(r.node)*s.outStr+l] = outPair{refID(owner), credits}
-		}
-	}
-	for lane := 0; lane < s.lanes; lane++ {
+	walkListing(c, s.lanes, "listed DB lane", func(lane int) bool { return r.dbAtRest(r.db0 + lane) }, func(lane int) {
 		i := r.db0 + lane
-		owner := walkOwner(c, &s.db, i, table)
-		snapshot.Range(c, &s.dbRoute[i], snapshot.In(PortEject, s.deg, "DB route"))
-		ejectsHere(owner, s.dbRoute[i])
-		r.walkFifo(c, &s.db, i, table)
+		sl := r.loadDB(i)
+		r.walkDB(c, &sl, i, table)
+		if dec && c.Err() == nil {
+			if sl.owner != nil {
+				s.db.own(i, sl.owner)
+			}
+			s.dbRoute[i], s.db.n[i], s.db.seq[i] = sl.route, sl.n, sl.seq
+			s.flitCount[r.node] += int32(sl.n)
+			if r.dbAtRest(i) {
+				c.Fail("snapshot: %s is listed but at rest", r.slotName(&s.db, i))
+			}
+		}
+	})
+	if s.cxInPort != nil {
+		walkListing(c, s.deg, "listed crossbar port", func(q int) bool { return r.portAtRest(r.cxIdx(q)) }, func(q int) {
+			i := r.cxIdx(q)
+			cp := r.loadPort(i)
+			r.walkPort(c, &cp)
+			if dec && c.Err() == nil {
+				s.cxInPort[i], s.cxInVC[i], s.cxDB[i] = cp.inPort, cp.inVC, cp.db
+				s.cxSaved[i], s.cxSavedPort[i], s.cxSavedVC[i] = cp.saved, cp.savedPort, cp.savedVC
+				if r.portAtRest(i) {
+					c.Fail("snapshot: crossbar %d is listed but at rest", q)
+				}
+			}
+		})
+		if dec {
+			r.syncCrossbar()
+		}
 	}
-	r.walkCrossbar(c)
-	c.Expect(int64(s.vcArbOffset(now)), "VC arbitration offset")
 	for q := 0; q <= s.deg; q++ {
 		snapshot.Range(c, &s.swArbOff[r.swIdx(q)], snapshot.In(0, s.stride, "switch arbitration offset"))
 	}
@@ -156,106 +128,209 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 	for v := range byVC {
 		c.I64(&byVC[v])
 	}
+	// The timer pass's gauges: recovery runs after the pass and moves
+	// presumed headers, so the slots do not imply them.
 	blocked, presumed := int32(r.BlockedHeaders()), int32(r.PresumedHeaders())
 	snapshot.Int(c, &blocked)
 	snapshot.Int(c, &presumed)
 	if dec {
 		s.lastBlocked[r.node], s.lastPresumed[r.node] = blocked, presumed
-		s.tickedAt[r.node] = now
+		s.tickedAt[r.node] = s.clock.Now()
 	}
 }
 
-// walkOwner codes slot i of q's owner as a packet reference and returns
-// it; decoding makes the referenced packet the owner, giving it a handle.
-func walkOwner(c *snapshot.Codec, q *flitRun, i int, table map[packet.ID]*packet.Packet) *packet.Packet {
-	p := q.pkt(i)
-	PacketRef(c, &p, table)
-	if c.Decoding() {
-		q.owner[i] = 0
-		if p != nil {
-			q.own(i, p)
-		}
-	}
-	return p
-}
-
-// walkCrossbar codes the router's packet-by-packet crossbar connections.
-// Flit-by-flit allocation keeps none: its walk codes every port at rest, as
-// a connection-free packet-by-packet port reads, and a decoder refuses any
-// other value, naming the port.
-func (r *Router) walkCrossbar(c *snapshot.Codec) {
-	s := r.st
-	for q := 0; q < s.deg; q++ {
-		if s.cxInPort == nil {
-			port, vc, savedPort, savedVC := int8(connNone), int8(0), int8(0), int8(0)
-			db, saved := false, false
-			snapshot.Int(c, &port)
-			snapshot.Int(c, &vc)
-			c.Bool(&db)
-			c.Bool(&saved)
-			snapshot.Int(c, &savedPort)
-			snapshot.Int(c, &savedVC)
-			if port != connNone || vc != 0 || db || saved || savedPort != 0 || savedVC != 0 {
-				c.Fail("snapshot: crossbar %d: a connection under flit-by-flit allocation", q)
+// walkListing codes which of count slots are not at rest, and each of them:
+// the listed indices in increasing order, each followed by visit's walk of
+// that slot, and then count, which ends the listing. An index is coded by
+// snapshot.Range as its distance from the lowest index it may take (one past
+// the index before it), so a listing out of order cannot be written, and a
+// decoder refuses an index past count. The encoder finds the listed slots
+// with atRest as it walks; nothing about the listing is stored.
+func walkListing(c *snapshot.Codec, count int, what string, atRest func(l int) bool, visit func(l int)) {
+	for next := 0; c.Err() == nil; {
+		l := next
+		if !c.Decoding() {
+			for l < count && atRest(l) {
+				l++
 			}
-			continue
 		}
-		i := r.cxIdx(q)
-		snapshot.Range(c, &s.cxInPort[i], snapshot.In(connNone, s.deg+1, "crossbar input port"))
-		snapshot.Range(c, &s.cxInVC[i], snapshot.In(0, s.inVCCount(int(s.cxInPort[i])), "crossbar input VC"))
-		c.Bool(&s.cxDB[i])
-		c.Bool(&s.cxSaved[i])
-		snapshot.Range(c, &s.cxSavedPort[i], snapshot.In(0, s.deg+1, "saved crossbar port"))
-		snapshot.Range(c, &s.cxSavedVC[i], snapshot.In(0, s.inVCCount(int(s.cxSavedPort[i])), "saved crossbar VC"))
-	}
-	if c.Decoding() {
-		r.syncCrossbar()
+		snapshot.Range(c, &l, snapshot.In(next, count+1, what))
+		if l == count || c.Err() != nil {
+			return
+		}
+		visit(l)
+		next = l + 1
 	}
 }
 
-// walkFifo codes slot i of q, head to tail, each flit as its packet and its
-// position. The slot's owner is decoded before it, and decoding refuses a
-// flit that is not the owner's next, naming the slot; the refill is counted
-// into the router's derived flit counter (not serialized: the snapshot
-// format predates it).
-func (r *Router) walkFifo(c *snapshot.Codec, q *flitRun, i int, table map[packet.ID]*packet.Packet) {
-	dec := c.Decoding()
-	n := int(q.n[i])
-	c.Len(&n, q.depth)
-	if dec {
-		q.n[i] = 0
+// The at-rest predicates, one per kind of listed slot: a slot is at rest
+// while it holds what construction leaves in it, so the walk leaves it out
+// of its listing. Router.CheckRest (rest_test.go) holds each predicate to
+// the walk's bytes over runs of every allocation and recovery mode.
+
+// inputAtRest reports whether global input slot i is at rest: no owner, no
+// flits (so no timer), unrouted, DB lane 0, and neither presumed nor sent.
+func (r *Router) inputAtRest(i int) bool {
+	s := r.st
+	return s.in.owner[i] == 0 && s.in.n[i] == 0 && s.inRoute[i] == PortUnrouted && s.inOutVC[i] == VCUnrouted &&
+		s.inDBLane[i] == 0 && !r.hasMask(mPre, i) && !r.hasMask(mSent, i)
+}
+
+// dbAtRest reports whether global Deadlock Buffer lane slot i is at rest:
+// no owner, no flits, unrouted.
+func (r *Router) dbAtRest(i int) bool {
+	s := r.st
+	return s.db.owner[i] == 0 && s.db.n[i] == 0 && s.dbRoute[i] == PortUnrouted
+}
+
+// portAtRest reports whether global port slot i's crossbar is at rest: no
+// connection, no Deadlock Buffer connection, nothing saved.
+func (r *Router) portAtRest(i int) bool {
+	s := r.st
+	return s.cxInPort[i] == connNone && s.cxInVC[i] == 0 && !s.cxDB[i] && !s.cxSaved[i] && s.cxSavedPort[i] == 0 && s.cxSavedVC[i] == 0
+}
+
+// inputSlot is one input VC slot as the walk codes it.
+type inputSlot struct {
+	owner                *packet.Packet
+	route, outVC, dbLane int8
+	presumed, sent       bool // mPre and mSent
+	n                    uint8
+	seq                  int32 // the head flit's position; 0 while n == 0
+	waiting              int32 // T_elapsed: 0 unless the head is the owner's header
+}
+
+// loadInput reads global input slot i.
+func (r *Router) loadInput(i int) inputSlot {
+	s := r.st
+	sl := inputSlot{
+		owner: s.in.pkt(i), route: s.inRoute[i], outVC: s.inOutVC[i], dbLane: s.inDBLane[i],
+		presumed: r.hasMask(mPre, i), sent: r.hasMask(mSent, i), n: s.in.n[i], waiting: r.waiting(i),
 	}
-	for k := 0; k < n; k++ {
-		var fl packet.Flit
-		if !dec {
-			fl = q.at(i, k)
-		}
-		seq := int32(fl.Seq) // the buffer's storage type: a wider value is refused
-		PacketRef(c, &fl.Pkt, table)
-		snapshot.Int(c, &seq)
-		fl.Seq = int(seq)
-		if !dec {
-			continue
-		}
-		if c.Err() != nil {
-			return
-		}
-		switch owner := q.pkt(i); {
-		case owner == nil:
+	if sl.n != 0 {
+		sl.seq = s.in.seq[i]
+	}
+	return sl
+}
+
+// walkInput codes input slot sl, global slot i. Its T_elapsed is coded only
+// while the head is the owner's header: on any other slot it is 0.
+func (r *Router) walkInput(c *snapshot.Codec, sl *inputSlot, i int, table map[packet.ID]*packet.Packet) {
+	s := r.st
+	PacketRef(c, &sl.owner, table)
+	snapshot.Range(c, &sl.route, snapshot.In(PortEject, s.deg, "input route"))
+	r.ejectsHere(c, sl.owner, sl.route)
+	snapshot.Range(c, &sl.outVC, snapshot.In(VCDeadlockBuffer, s.cfg.VCs, "output VC grant"))
+	snapshot.Range(c, &sl.dbLane, snapshot.In(0, max(s.lanes, 1), "DB lane")) // lane 0 rests with no DB at all
+	c.Bool(&sl.presumed)
+	c.Bool(&sl.sent)
+	r.walkRun(c, &s.in, i, sl.owner, &sl.n, &sl.seq)
+	if sl.n != 0 && sl.seq == 0 {
+		snapshot.Int(c, &sl.waiting)
+	}
+}
+
+// storeInput writes a decoded input slot into global slot i of a freshly
+// constructed router, deriving its other masks from it.
+func (r *Router) storeInput(i int, sl inputSlot) {
+	s := r.st
+	if sl.owner != nil {
+		s.in.own(i, sl.owner)
+	}
+	r.setRoute(i, int(sl.route))
+	s.inOutVC[i], s.inDBLane[i] = sl.outVC, sl.dbLane
+	s.in.n[i], s.in.seq[i] = sl.n, sl.seq
+	s.flitCount[r.node] += int32(sl.n)
+	if sl.n != 0 && sl.seq == 0 {
+		sl.owner.Waiting = sl.waiting
+	}
+	r.setMask(mPre, i, sl.presumed)
+	r.setMask(mSent, i, sl.sent)
+	for k, on := range r.derivedMasks(i) {
+		r.setMask(k, i, on)
+	}
+}
+
+// ejectsHere refuses a decoded eject grant at a router that is not the
+// packet's destination: delivery asserts it.
+func (r *Router) ejectsHere(c *snapshot.Codec, p *packet.Packet, route int8) {
+	if c.Decoding() && p != nil && route == PortEject && p.Dst != r.node {
+		c.Fail("snapshot: packet %d for node %d holds an eject grant at node %d", p.ID, p.Dst, r.node)
+	}
+}
+
+// walkRun codes the flits buffered in slot i of q, its owner's run: a count
+// and, when it is not 0, the head flit's position. A decoder refuses flits
+// with no owner and a run past its owner's length, naming the slot.
+func (r *Router) walkRun(c *snapshot.Codec, q *flitRun, i int, owner *packet.Packet, n *uint8, seq *int32) {
+	k := int(*n)
+	c.Len(&k, q.depth)
+	*n = uint8(k)
+	if k == 0 {
+		return
+	}
+	if owner == nil {
+		if c.Decoding() {
 			c.Fail("snapshot: %s buffers flits with no owner", r.slotName(q, i))
-		case fl.Pkt != owner:
-			c.Fail("snapshot: %s buffers a flit that its owner, packet %d, does not own", r.slotName(q, i), owner.ID)
-		case k == 0 && (fl.Seq < 0 || fl.Seq >= owner.Length):
-			c.Fail("snapshot: %s: flit seq %d outside packet length %d", r.slotName(q, i), fl.Seq, owner.Length)
-		case k > 0 && fl.Seq != int(q.seq[i])+k:
-			c.Fail("snapshot: %s: flit seq %d is not its owner's next, %d", r.slotName(q, i), fl.Seq, int(q.seq[i])+k)
 		}
-		if c.Err() != nil {
-			return
-		}
-		q.push(i, fl)
-		r.st.flitCount[r.node]++
+		return
 	}
+	snapshot.Int(c, seq)
+	if c.Decoding() && c.Err() == nil && (*seq < 0 || int(*seq)+k > owner.Length) {
+		c.Fail("snapshot: %s: flits %d..%d outside packet %d's length %d", r.slotName(q, i), *seq, int(*seq)+k-1, owner.ID, owner.Length)
+	}
+}
+
+// dbSlot is one Deadlock Buffer lane as the walk codes it.
+type dbSlot struct {
+	owner *packet.Packet
+	route int8
+	n     uint8
+	seq   int32 // 0 while n == 0
+}
+
+// loadDB reads global Deadlock Buffer lane slot i.
+func (r *Router) loadDB(i int) dbSlot {
+	s := r.st
+	sl := dbSlot{owner: s.db.pkt(i), route: s.dbRoute[i], n: s.db.n[i]}
+	if sl.n != 0 {
+		sl.seq = s.db.seq[i]
+	}
+	return sl
+}
+
+// walkDB codes Deadlock Buffer lane sl, global lane slot i.
+func (r *Router) walkDB(c *snapshot.Codec, sl *dbSlot, i int, table map[packet.ID]*packet.Packet) {
+	PacketRef(c, &sl.owner, table)
+	snapshot.Range(c, &sl.route, snapshot.In(PortEject, r.st.deg, "DB route"))
+	r.ejectsHere(c, sl.owner, sl.route)
+	r.walkRun(c, &r.st.db, i, sl.owner, &sl.n, &sl.seq)
+}
+
+// crossbarPort is one packet-by-packet crossbar connection as the walk
+// codes it.
+type crossbarPort struct {
+	inPort, inVC       int8
+	db, saved          bool
+	savedPort, savedVC int8
+}
+
+// loadPort reads global port slot i's crossbar connection.
+func (r *Router) loadPort(i int) crossbarPort {
+	s := r.st
+	return crossbarPort{s.cxInPort[i], s.cxInVC[i], s.cxDB[i], s.cxSaved[i], s.cxSavedPort[i], s.cxSavedVC[i]}
+}
+
+// walkPort codes crossbar port cp; each VC is checked against the port it
+// names.
+func (r *Router) walkPort(c *snapshot.Codec, cp *crossbarPort) {
+	s := r.st
+	snapshot.Range(c, &cp.inPort, snapshot.In(connNone, s.deg+1, "crossbar input port"))
+	snapshot.Range(c, &cp.inVC, snapshot.In(0, s.inVCCount(int(cp.inPort)), "crossbar input VC"))
+	c.Bool(&cp.db)
+	c.Bool(&cp.saved)
+	snapshot.Range(c, &cp.savedPort, snapshot.In(0, s.deg+1, "saved crossbar port"))
+	snapshot.Range(c, &cp.savedVC, snapshot.In(0, s.inVCCount(int(cp.savedPort)), "saved crossbar VC"))
 }
 
 // slotName names global slot i of q (the input VCs or the Deadlock Buffer
@@ -266,21 +341,6 @@ func (r *Router) slotName(q *flitRun, i int) string {
 	}
 	p, v := r.portVCOf(i - r.in0)
 	return fmt.Sprintf("input (%d,%d)", p, v)
-}
-
-// outPair is an output VC as a snapshot codes it: its owner (-1 for none)
-// and credits.
-type outPair struct {
-	owner   packet.ID
-	credits int16
-}
-
-// refID is p's ID, -1 for nil (PacketRef's coding).
-func refID(p *packet.Packet) packet.ID {
-	if p == nil {
-		return -1
-	}
-	return p.ID
 }
 
 // decodeGrants sets the router's grant bits from its decoded input slots:
@@ -300,66 +360,4 @@ func (r *Router) decodeGrants(c *snapshot.Codec) {
 		}
 		r.setGrant(q, v, true)
 	}
-}
-
-// VerifyOutputs checks every router's coded output VC pairs against the
-// state they derive from, and drops them. The network's decoder calls it
-// once every router's input slots are decoded (and the reconfiguration log
-// has rewired the links), since an output's credits and owner past its
-// grant are its neighbour's input slot. An error names the router and the
-// output (port, vc).
-func (s *State) VerifyOutputs() error {
-	defer func() { s.coded = nil }()
-	for n := range s.views {
-		r := &s.views[n]
-		for l := 0; l < s.outStr; l++ {
-			q, v := l/s.cfg.VCs, l%s.cfg.VCs
-			if msg := r.outputMismatch(q, v, s.coded[int(r.node)*s.outStr+l]); msg != "" {
-				return fmt.Errorf("router %d: snapshot: output (%d,%d): %s", r.node, q, v, msg)
-			}
-		}
-	}
-	return nil
-}
-
-// outputMismatch returns why the coded pair o of output VC (q, v)
-// disagrees with the state, or "".
-func (r *Router) outputMismatch(q, v int, o outPair) string {
-	s := r.st
-	d := r.downIdx(q, v)
-	if want := r.Credits(q, v); int(o.credits) != want {
-		return fmt.Sprintf("credits %d, but the buffer it feeds has room for %d", o.credits, want)
-	}
-	if r.granted(q, v) {
-		h := r.grantHolder(q, v)
-		switch {
-		case d < 0:
-			return fmt.Sprintf("packet %d's header holds its grant on a link that is down", h.ID)
-		case s.in.owner[d] != 0:
-			return fmt.Sprintf("packet %d's header holds its grant while its downstream slot is packet %d's", h.ID, s.in.pkt(d).ID)
-		case o.owner != h.ID:
-			return fmt.Sprintf("owner %s, but packet %d's header holds its grant", refName(o.owner), h.ID)
-		}
-		return ""
-	}
-	want := r.OutputOwner(q, v)
-	switch {
-	case o.owner == refID(want):
-		return ""
-	case want != nil:
-		return fmt.Sprintf("owner %s, but its downstream slot is packet %d's", refName(o.owner), want.ID)
-	case d < 0:
-		return fmt.Sprintf("owner %s, but no header holds its grant and its link is down", refName(o.owner))
-	case s.in.owner[d] == 0:
-		return fmt.Sprintf("owner %s, but no header holds its grant and its downstream slot is idle", refName(o.owner))
-	}
-	return fmt.Sprintf("owner %s, but packet %d's tail has entered its downstream slot", refName(o.owner), s.in.pkt(d).ID)
-}
-
-// refName names a coded packet reference in a decoding error.
-func refName(id packet.ID) string {
-	if id == -1 {
-		return "none"
-	}
-	return fmt.Sprintf("packet %d", id)
 }

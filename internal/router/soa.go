@@ -102,7 +102,7 @@ import (
 // Waiting is written by the one router whose slot head holds that header
 // (tickSlot, clearTimer), and reset by the commit or injection that brings
 // the header into a slot. The layout is a private representation: digests
-// (AppendState), snapshots (WalkState) and all introspection walk the
+// and snapshots (WalkState) and all introspection walk the
 // logical (port, vc) order, so they are layout-invariant by construction.
 type State struct {
 	topo topology.Graph
@@ -155,9 +155,6 @@ type State struct {
 
 	// Output VC grants, nodes*gw words (write via setGrant).
 	grant []uint64
-	// coded holds a decoding walk's output VC pairs, nodes*outStr, until
-	// VerifyOutputs checks them; nil otherwise.
-	coded []outPair
 
 	// Deadlock Buffer lanes, nodes*lanes slots. Each DB is a central queue
 	// with a single write port (as in the Chaos router the paper cites):
@@ -798,7 +795,8 @@ func (s *State) CheckHandles() error {
 // header-at-head, unrouted and timing mask bits equal to what its arrays say
 // (the scans trust them) and no mask bit past the stride, route/VC grants
 // within their sentinel-extended domains, one grant bit for each routed
-// header at a buffer head and none other (checkGrants), crossbar
+// header at a buffer head and none other, each on a live link whose
+// downstream slot no packet owns (checkGrants), crossbar
 // connections naming an input VC that exists, and the maintained
 // flit and crossbar-connection counters consistent with the buffers and the
 // connections. The network's CheckInvariants calls
@@ -879,7 +877,10 @@ const maxGrantWords = (MaxDegree*MaxVCs + 63) / 64
 
 // checkGrants reports a grant bit that is not exactly one header's: each
 // routed header at a buffer head (holdsGrant) must hold its output VC's bit
-// alone, and each set bit must have such a header.
+// alone, and each set bit must have such a header. A granted output VC is
+// one whose downstream slot had drained, and only its header can enter that
+// slot, so the link must be up and the slot ownerless until the header
+// crosses.
 func (r *Router) checkGrants() error {
 	s := r.st
 	var held [maxGrantWords]uint64
@@ -896,6 +897,11 @@ func (r *Router) checkGrants() error {
 			return fmt.Errorf("router %d output (%d,%d): granted to two headers, the second at input (%d,%d)", r.node, q, ov, p, v)
 		case !r.granted(q, ov):
 			return fmt.Errorf("router %d input (%d,%d): header holds output (%d,%d) without its grant bit", r.node, p, v, q, ov)
+		case r.downIdx(q, ov) < 0:
+			return fmt.Errorf("router %d input (%d,%d): header holds output (%d,%d) on a link that is down", r.node, p, v, q, ov)
+		case s.in.owner[r.downIdx(q, ov)] != 0:
+			return fmt.Errorf("router %d input (%d,%d): header holds output (%d,%d), whose downstream slot is packet %d's",
+				r.node, p, v, q, ov, s.in.pkt(r.downIdx(q, ov)).ID)
 		}
 		held[b>>6] |= 1 << (uint(b) & 63)
 	}

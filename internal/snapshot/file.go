@@ -54,7 +54,7 @@ func Open(data []byte, magic string, version uint32) ([]byte, error) {
 	}
 	v := uint32(data[magicLen]) | uint32(data[magicLen+1])<<8 | uint32(data[magicLen+2])<<16 | uint32(data[magicLen+3])<<24
 	if v != version {
-		return nil, fmt.Errorf("snapshot: format version %d not supported (this build reads version %d)", v, version)
+		return nil, fmt.Errorf("snapshot: format version %d not supported (this build reads version %d); regenerate the file from cycle 0 with the same flags", v, version)
 	}
 	return body[magicLen+versionLen:], nil
 }

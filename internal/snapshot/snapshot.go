@@ -1,19 +1,19 @@
 // Package snapshot is the versioned binary serialization layer behind the
 // simulator's checkpoint/restore subsystem. It provides one bidirectional
-// codec (Codec: little-endian fixed-width fields and length-prefixed strings,
-// every primitive taking a pointer it reads from when encoding and fills when
-// decoding), a sealed container format (magic + version header and a SHA-256
-// trailer so corrupt or truncated files are rejected, never mis-decoded), and
-// atomic file helpers so a checkpoint killed mid-write can never shadow a
-// good one.
+// codec (Codec: varint integers, fixed-width RNG words and floats, and
+// length-prefixed strings, every primitive taking a pointer it reads from
+// when encoding and fills when decoding), a sealed container format (magic +
+// version header and a SHA-256 trailer so corrupt or truncated files are
+// rejected, never mis-decoded), and atomic file helpers so a checkpoint
+// killed mid-write can never shadow a good one.
 //
 // Because a primitive works in both directions, a format is written once: a
-// single field walk is the encoder, the decoder and (for router state) the
-// digest, with each range check on the line of the field it guards. Higher
-// layers — internal/router, internal/network — compose their formats as
-// such walks. Decoding is bounds-checked with a sticky error, so a walk over
-// hostile input returns an error instead of panicking (FuzzOpen and
-// FuzzSnapshotRestore enforce this).
+// single field walk is the encoder, the decoder and, run over a digest
+// (NewDigest), the state digest, with each range check on the line of the
+// field it guards. Higher layers — internal/router, internal/network —
+// compose their formats as such walks. Decoding is bounds-checked with a
+// sticky error, so a walk over hostile input returns an error instead of
+// panicking (FuzzOpen and FuzzSnapshotRestore enforce this).
 package snapshot
 
 import (
@@ -23,22 +23,30 @@ import (
 )
 
 // Codec is a deterministic binary encoder or decoder, by construction: the
-// zero value and NewEncoder append to a buffer, NewDecoder consumes one. All
-// primitives share a sticky error: after the first failure a decoder fills
-// every later field with its zero value, so a format is a straight-line field
-// walk that checks Err once per section. Decoding never panics on truncated
-// or corrupt input; range checks (Len, Range, the Expect guards) apply when
-// decoding — an encoder writes what the live structure holds.
+// zero value, NewEncoder and NewDigest append to a buffer, NewDecoder
+// consumes one. All primitives share a sticky error: after the first failure
+// a decoder fills every later field with its zero value, so a format is a
+// straight-line field walk that checks Err once per section. Decoding never
+// panics on truncated or corrupt input; range checks (Len, Range, the Expect
+// guards) apply when decoding — an encoder writes what the live structure
+// holds. Every encoding is canonical: a decoder refuses a varint longer than
+// its shortest form, so one state has exactly one encoding.
 type Codec struct {
-	buf []byte
-	off int
-	err error
-	dec bool
+	buf    []byte
+	off    int
+	err    error
+	dec    bool
+	digest bool
 }
 
 // NewEncoder returns an encoding Codec that appends to buf, so a walk can
-// extend a caller-owned slice (router.AppendState).
+// extend a caller-owned slice.
 func NewEncoder(buf []byte) *Codec { return &Codec{buf: buf} }
+
+// NewDigest returns an encoding Codec that appends to buf and codes no RNG
+// stream: a state digest compares what two networks hold, not the draws
+// they will make (Network.Fingerprint).
+func NewDigest(buf []byte) *Codec { return &Codec{buf: buf, digest: true} }
 
 // NewDecoder returns a decoding Codec over a payload an encoder produced.
 func NewDecoder(b []byte) *Codec { return &Codec{buf: b, dec: true} }
@@ -86,12 +94,35 @@ func (c *Codec) take(n int) []byte {
 	return b
 }
 
-// The fixed-width primitives below keep their encoding direction — one
-// append — within the compiler's inlining budget, because digests and
-// snapshots run them millions of times per call; each leaves decoding to a
-// helper too large to be inlined back into it (go:noinline where it is not).
+// uvarint decodes one unsigned varint (0 after an error). A varint that
+// runs past the input, past 64 bits, or past its shortest form (a last byte
+// of 0) is refused.
+func (c *Codec) uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	x, n := binary.Uvarint(c.buf[c.off:])
+	if n <= 0 || n > 1 && c.buf[c.off+n-1] == 0 {
+		c.err = fmt.Errorf("snapshot: bad varint at offset %d: truncated, past 64 bits or not in its shortest form", c.off)
+		return 0
+	}
+	c.off += n
+	return x
+}
 
-// U64 codes an unsigned 64-bit value (little endian).
+// varint decodes one zigzag varint (0 after an error).
+func (c *Codec) varint() int64 {
+	u := c.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// The primitives below keep their encoding direction — one append — within
+// the compiler's inlining budget, because digests and snapshots run them
+// once per coded field; each leaves decoding to a helper too large to be
+// inlined back into it (go:noinline where it is not).
+
+// U64 codes an unsigned 64-bit value, fixed-width little endian: a bit set
+// or a hash word, whose high bits are as likely set as its low ones.
 func (c *Codec) U64(v *uint64) {
 	if c.dec {
 		c.readU64(v)
@@ -101,30 +132,31 @@ func (c *Codec) U64(v *uint64) {
 }
 
 //go:noinline
-func (c *Codec) readU64(v *uint64) { *v = uint64(c.i64()) }
-
-// i64 decodes one signed 64-bit value (0 after an error).
-func (c *Codec) i64() int64 {
+func (c *Codec) readU64(v *uint64) {
+	*v = 0
 	if b := c.take(8); b != nil {
-		return int64(binary.LittleEndian.Uint64(b))
+		*v = binary.LittleEndian.Uint64(b)
 	}
-	return 0
 }
 
-// U64x4 codes four unsigned 64-bit values: one xoshiro RNG stream.
-func (c *Codec) U64x4(v *[4]uint64) {
+// RNG codes one xoshiro RNG stream, four fixed-width words, in a snapshot,
+// and nothing in a digest.
+func (c *Codec) RNG(v *[4]uint64) {
+	if c.digest {
+		return
+	}
 	for i := range v {
 		c.U64(&v[i])
 	}
 }
 
-// I64 codes a signed 64-bit value.
+// I64 codes a signed 64-bit value as a zigzag varint.
 func (c *Codec) I64(v *int64) {
 	if c.dec {
 		readInt(c, v)
 		return
 	}
-	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	c.buf = binary.AppendVarint(c.buf, *v)
 }
 
 // F64 codes a float64 by its IEEE-754 bit pattern, so the decoded value is
@@ -167,18 +199,18 @@ type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64
 }
 
-// Int codes any signed integer field as a signed 64-bit value; decoding fails
+// Int codes any signed integer field as a zigzag varint; decoding fails
 // when the stored value does not fit the field's type instead of wrapping.
 func Int[T Integer](c *Codec, v *T) {
 	if c.dec {
 		readInt(c, v)
 		return
 	}
-	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	c.buf = binary.AppendVarint(c.buf, int64(*v))
 }
 
 func readInt[T Integer](c *Codec, v *T) {
-	x := c.i64()
+	x := c.varint()
 	if *v = T(x); int64(*v) != x {
 		c.Fail("snapshot: value %d overflows %T", x, *v)
 		*v = 0
@@ -196,40 +228,49 @@ type Bounds struct {
 // In returns the Bounds [lo, hi) for the field named what.
 func In(lo, hi int, what string) Bounds { return Bounds{lo, hi, what} }
 
-// Range codes an integer field like Int; decoding fails unless the value
-// lies within b.
+// Range codes an integer field as its distance from b.Lo, an unsigned
+// varint, so a field that rests at its lowest value costs one byte; both
+// directions of a walk must therefore pass the same bounds. Decoding fails
+// unless the value lies within b and fits the field's type.
 func Range[T Integer](c *Codec, v *T, b Bounds) {
 	if c.dec {
 		readRange(c, v, b)
 		return
 	}
-	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	c.buf = binary.AppendUvarint(c.buf, uint64(int64(*v)-int64(b.Lo)))
 }
 
 func readRange[T Integer](c *Codec, v *T, b Bounds) {
-	x := c.i64()
-	if c.err == nil && (x < int64(b.Lo) || x >= int64(b.Hi)) {
-		c.Fail("snapshot: %s %d outside [%d, %d)", b.What, x, b.Lo, b.Hi)
-		x = 0
+	*v = 0
+	u := c.uvarint()
+	switch {
+	case c.err != nil:
+	case b.Hi <= b.Lo || u >= uint64(b.Hi-b.Lo):
+		c.Fail("snapshot: %s %d outside [%d, %d)", b.What, int64(b.Lo)+int64(u), b.Lo, b.Hi)
+	default:
+		x := int64(b.Lo) + int64(u)
+		if *v = T(x); int64(*v) != x {
+			c.Fail("snapshot: %s %d overflows %T", b.What, x, *v)
+			*v = 0
+		}
 	}
-	*v = T(x) // in bounds, so it fits: every caller's bounds lie within T
 }
 
-// Len codes a length/count field; decoding fails unless 0 <= n <= max. Walks
-// pass a bound derived from the remaining input (or the receiving
-// structure's capacity) so hostile counts cannot trigger huge allocations or
-// index panics.
+// Len codes a length/count field as an unsigned varint; decoding fails
+// unless 0 <= n <= max. Walks pass a bound derived from the remaining input
+// (or the receiving structure's capacity) so hostile counts cannot trigger
+// huge allocations or index panics.
 func (c *Codec) Len(n *int, max int) {
 	if c.dec {
 		c.readLen(n, max)
 		return
 	}
-	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*n))
+	c.buf = binary.AppendUvarint(c.buf, uint64(*n))
 }
 
 func (c *Codec) readLen(n *int, max int) {
-	x := c.i64()
-	if c.err == nil && (x < 0 || x > int64(max)) {
+	x := c.uvarint()
+	if c.err == nil && x > uint64(max) {
 		c.Fail("snapshot: length %d outside [0, %d]", x, max)
 		x = 0
 	}

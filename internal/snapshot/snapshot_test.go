@@ -42,7 +42,7 @@ func TestRoundTrip(t *testing.T) {
 		c.String(&v.e)
 		c.String(&v.s)
 		c.Blob(&v.blob)
-		c.U64x4(&v.rng)
+		c.RNG(&v.rng)
 	}
 	in := fields{
 		u: 0xdeadbeefcafef00d, i: -42, n: 7, n32: -9, t: true,
@@ -129,7 +129,7 @@ func TestReaderBoolRejectsJunk(t *testing.T) {
 
 func TestReaderLenBounds(t *testing.T) {
 	for _, stored := range []int{100, -1} {
-		r := NewDecoder(enc(func(c *Codec) { Int(c, &stored) }))
+		r := NewDecoder(enc(func(c *Codec) { c.Len(&stored, 0) })) // an encoder writes what it holds
 		n := 5
 		if r.Len(&n, 10); n != 0 || r.Err() == nil {
 			t.Fatalf("length %d accepted against [0, 10]", stored)
@@ -177,16 +177,52 @@ func TestIntRejectsNarrowing(t *testing.T) {
 	}
 }
 
+// TestRange codes each value as its distance from the lower bound: the
+// lowest value is one zero byte, and a value outside the bounds, which an
+// encoder writes as it holds it, is refused by the decoder, as is one that
+// does not fit the field.
 func TestRange(t *testing.T) {
 	for v, ok := range map[int32]bool{-2: false, -1: true, 0: true, 3: true, 4: false} {
 		var got int32
-		r := NewDecoder(enc(func(c *Codec) { Range(c, &v, In(0, 0, "unchecked when encoding")) }))
-		Range(r, &got, In(-1, 4, "port"))
-		if (r.Err() == nil) != ok {
-			t.Errorf("Range(%d) in [-1, 4): error %v", v, r.Err())
+		b := In(-1, 4, "port")
+		r := NewDecoder(enc(func(c *Codec) { Range(c, &v, b) }))
+		Range(r, &got, b)
+		if (r.Err() == nil) != ok || (ok && got != v) {
+			t.Errorf("Range(%d) in [-1, 4): %d, error %v", v, got, r.Err())
 		}
 		if err := r.Err(); err != nil && !strings.Contains(err.Error(), "port") {
 			t.Errorf("Range error does not name the field: %v", err)
+		}
+	}
+	low := int8(-2)
+	if b := enc(func(c *Codec) { Range(c, &low, In(-2, 100, "route")) }); !bytes.Equal(b, []byte{0}) {
+		t.Errorf("the lowest value codes as % x, want one zero byte", b)
+	}
+	wide := int64(1 << 40)
+	var narrow int32
+	r := NewDecoder(enc(func(c *Codec) { Range(c, &wide, In(0, 1<<50, "seq")) }))
+	if Range(r, &narrow, In(0, 1<<50, "seq")); r.Err() == nil || narrow != 0 {
+		t.Errorf("1<<40 into an int32 field within wider bounds: value %d, error %v", narrow, r.Err())
+	}
+}
+
+// TestVarintCanonical refuses a varint padded past its shortest form, so a
+// state has one encoding, and one that runs past the input.
+func TestVarintCanonical(t *testing.T) {
+	for _, c := range []struct {
+		in   []byte
+		want int64
+		err  string
+	}{
+		{[]byte{0x82, 0x00}, 0, "shortest form"},
+		{[]byte{0x82}, 0, "bad varint at offset 0"},
+		{[]byte{0x02}, 1, ""},
+	} {
+		var v int64
+		r := NewDecoder(c.in)
+		r.I64(&v)
+		if err := r.Err(); v != c.want || (c.err == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("% x: value %d, error %v; want %d and an error containing %q", c.in, v, err, c.want, c.err)
 		}
 	}
 }

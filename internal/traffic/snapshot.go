@@ -3,14 +3,16 @@ package traffic
 import "repro/internal/snapshot"
 
 // Walk codes the source's dynamic state over c: its random stream (see
-// sim.RNG.State), whether it is stopped, the burst process's state and the
-// offered count. The static configuration (pattern, injection probability,
+// sim.RNG.State; a digest codes none), whether it is stopped, the burst
+// process's state and the offered count. The static configuration (pattern, injection probability,
 // message length, burst shape) is rebuilt from the network Config on
 // restore.
 func (s *Source) Walk(c *snapshot.Codec) {
 	rng := s.rng.State()
-	c.U64x4(&rng)
-	s.rng.SetState(rng)
+	c.RNG(&rng)
+	if c.Decoding() {
+		s.rng.SetState(rng)
+	}
 	c.Bool(&s.stopped)
 	c.Bool(&s.bursting)
 	c.I64(&s.Offered)
