@@ -148,13 +148,13 @@ func TestKernelFlags(t *testing.T) {
 
 	for _, pin := range []struct{ args, want string }{
 		{"-topo torus-8x8 -vcs 1 -load 0.9 -msglen 8 -cycles 2000",
-			"b1b1d4bb4807baa91e407f0123a1a46305ccf75d21aebe66415d494421c22c76"},
+			"337cf00a638784f4973893e4e0a46b8dfb14736432b8b5c8496f254e168b50cf"},
 		{"-topo mesh-4x4x4 -alg duato -traffic tornado -cycles 1500",
-			"f563da66724e07571b5383bc70982f9a911ec0c1fddaf93810f62764980526c8"},
+			"98587d57d2e9b90f37a10389220c95a11cfcd289648614d00784d38b7403cc58"},
 		{"-topo dragonfly-4x2 -load 0.3 -cycles 1500",
-			"47c78766750e4570af8a7808f13aee9a7ac893b4b2dd4496749bbb58af88421e"},
+			"2cc3e30245af88a6ddab28b250c9d2fb6a8c26d71ec8a65f3b76a75ac1ddc58a"},
 		{"-topo fullmesh-16 -traffic hotspot -hotspot-fraction 0.1 -alg disha-m2 -sel min-congestion -recovery abort-retry -vcs 2 -cycles 1500 -seed 7",
-			"a5b6d33d94ae5d8754f0efc109e02de8e5570ed29dcdf30000455a85b79aa312"},
+			"dc83f5d3afcf62a82357c218c98be98dd7074f7f9138358d4db94c5925c0b4a2"},
 	} {
 		out, code := sim(append(strings.Fields(pin.args), "-fingerprint")...)
 		if code != 0 || !strings.Contains(out, "fingerprint:       "+pin.want+"\n") {

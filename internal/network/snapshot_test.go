@@ -651,8 +651,8 @@ func TestSnapshotBytesWithoutRecoveryLaneSettings(t *testing.T) {
 		build  func(*Config)
 		sha256 string
 	}{
-		{"recovery off", func(c *Config) { c.Router.Timeout = 0 }, "4ea8f3df45e0fcbb5aacaa6095c9501889e672d981f6ea5ba245928a4657b2b8"},
-		{"abort-retry", func(c *Config) { c.Router.Recovery = router.RecoveryAbortRetry }, "49710b6ad24d9ccfab63e511f28994f55ed1bed8184af4b2e721dfd8bfe0bd3f"},
+		{"recovery off", func(c *Config) { c.Router.Timeout = 0 }, "8af0e88cbfec60ee1c3160bc3112290e28a73cbd9f006b9d3954e5380fbdbaf8"},
+		{"abort-retry", func(c *Config) { c.Router.Recovery = router.RecoveryAbortRetry }, "5ce37c6063a113f23a54da95e6a0ec3a665611c10453bb886851d094dc253b65"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := snapshotFixtureConfig()
