@@ -66,8 +66,8 @@ func stepBenchGrid(b *testing.B, bench func(b *testing.B, radix int, load float6
 }
 
 // BenchmarkStepSerial is the full-scan baseline over the load × size grid:
-// the slot-mask scans, every router visited every cycle. CI benchgates the
-// scans against BenchmarkCalibrate at 0.5 and 0.9 load on the 16x16 torus.
+// the slot-mask scans, every router visited every cycle. CI gates the scans
+// at 0.5 and 0.9 load on the 16x16 torus through BenchmarkStepCalibrated.
 func BenchmarkStepSerial(b *testing.B) {
 	stepBenchGrid(b, func(b *testing.B, radix int, load float64) {
 		stepBenchAt(b, radix, load, false)
@@ -91,55 +91,72 @@ func BenchmarkStepActiveSet(b *testing.B) {
 // calibrationSink keeps BenchmarkCalibrate's result alive.
 var calibrationSink int
 
-// BenchmarkCalibrate is fixed work that no change to the simulator touches:
-// 4096 steps of a xorshift walk over a 1 MiB table, each a dependent load, a
-// data-dependent branch, a bit scan and a store, the instruction mix of the
-// kernel's mask walks. CI divides Step times by its time, so a same-run
-// ratio cancels most of the runner's speed and drift. Do not change it:
+// calibration is BenchmarkCalibrate's fixed work, which no change to the
+// simulator touches: 4096 steps of a xorshift walk over a 1 MiB table per
+// op, each a dependent load, a data-dependent branch, a bit scan and a
+// store, the instruction mix of the kernel's mask walks. Do not change it:
 // every gate bound over it would move.
-func BenchmarkCalibrate(b *testing.B) {
-	table := make([]uint64, 1<<17)
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := range table {
+type calibration struct {
+	table []uint64
+	x     uint64
+	sink  int
+}
+
+func newCalibration() *calibration {
+	c := &calibration{table: make([]uint64, 1<<17), x: 0x9e3779b97f4a7c15}
+	for i := range c.table {
+		c.x ^= c.x << 13
+		c.x ^= c.x >> 7
+		c.x ^= c.x << 17
+		c.table[i] = c.x
+	}
+	return c
+}
+
+// op runs one op of the fixed work.
+func (c *calibration) op() {
+	x, sink, table := c.x, c.sink, c.table
+	for k := 0; k < 4096; k++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		table[i] = x
-	}
-	sink := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 4096; k++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			j := (x ^ uint64(sink)) & (1<<17 - 1)
-			w := table[j]
-			if w&1 != 0 {
-				sink += bits.TrailingZeros64(w | 1<<63)
-			} else {
-				sink += bits.OnesCount64(w)
-			}
-			table[j] = w ^ x
+		j := (x ^ uint64(sink)) & (1<<17 - 1)
+		w := table[j]
+		if w&1 != 0 {
+			sink += bits.TrailingZeros64(w | 1<<63)
+		} else {
+			sink += bits.OnesCount64(w)
 		}
+		table[j] = w ^ x
 	}
+	c.x, c.sink = x, sink
 	calibrationSink = sink
 }
 
-// stepInterleaved measures arm "on" against arm "off", two networks that
-// simulate the same run and differ only in what observes them or in which
-// kernel steps them (BenchmarkStepHighRadix's full scan and active set).
-// One op is a step of each. The arms take turns in blocks of block steps and swap which
-// goes first every block, so host drift lands on both. The benchmark reports
-// the median over block pairs of on's time over off's as its "on/off"
-// metric, so a GC pause that lands in one block moves one pair; CI's
-// benchgate bounds it. A block must span whole periods of on's periodic
-// work, so that every block carries the same share of it.
-func stepInterleaved(b *testing.B, off, on *Network, block int) {
-	arms := [2]*Network{off, on}
-	for _, n := range arms {
-		n.Run(2000) // steady state
+// BenchmarkCalibrate times the fixed work (calibration) alone, one op at a
+// time.
+func BenchmarkCalibrate(b *testing.B) {
+	c := newCalibration()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.op()
 	}
+}
+
+// stepInterleaved measures arm "on" against arm "off", two functions that
+// each run one op: two networks' Steps that simulate the same run and
+// differ only in what observes them or in which kernel steps them
+// (BenchmarkStepHighRadix's full scan and active set), or one Step against
+// the fixed work (BenchmarkStepCalibrated). One op is one call of each.
+// The arms take turns in blocks of block ops and swap which goes first
+// every block, so host drift lands on both. The benchmark reports the
+// median over block pairs of on's time over off's as its "on/off" metric,
+// so a GC pause that lands in one block moves one pair; CI's benchgate
+// bounds it. A block must span whole periods of on's periodic work, so
+// that every block carries the same share of it. Networks are run to their
+// steady state (stepBenchSteady) first.
+func stepInterleaved(b *testing.B, off, on func(), block int) {
+	arms := [2]func(){off, on}
 	var ratios []float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,7 +167,7 @@ func stepInterleaved(b *testing.B, off, on *Network, block int) {
 			arm := k ^ (done / block & 1)
 			start := time.Now()
 			for range steps {
-				arms[arm].Step()
+				arms[arm]()
 			}
 			spent[arm] = time.Since(start)
 		}
@@ -158,6 +175,44 @@ func stepInterleaved(b *testing.B, off, on *Network, block int) {
 	}
 	slices.Sort(ratios)
 	b.ReportMetric(ratios[len(ratios)/2], "on/off")
+}
+
+// stepBenchSteady runs each network 2000 cycles, to its steady state.
+func stepBenchSteady(nets ...*Network) {
+	for _, n := range nets {
+		n.Run(2000)
+	}
+}
+
+// BenchmarkStepCalibrated measures the kernel's scan-speed points against
+// the fixed work as interleaved pairs: "off" is one calibration op, "on"
+// one Step, in blocks of 32, and CI gates each "on/off". Timed in the
+// same blocks, the two cannot land in different host phases, as
+// separately timed BenchmarkStep and BenchmarkCalibrate tables can (the
+// calibration read 63 µs in one table and 237 µs in another on a 2-vCPU
+// host). The points: the torus active set at load 0.1, the torus full
+// scan at 0.5 and 0.9, dragonfly(8,4)'s full scan at 0.01 and the sparse
+// dragonfly(16,8) active set at 0.003 (the repository benchmark's
+// dragonfly2k-sparse point).
+func BenchmarkStepCalibrated(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		topo      topology.Graph
+		load      float64
+		activeSet bool
+	}{
+		{"torus16/load0.1/active-set", topology.MustTorus(16, 16), 0.1, true},
+		{"torus16/load0.5/serial", topology.MustTorus(16, 16), 0.5, false},
+		{"torus16/load0.9/serial", topology.MustTorus(16, 16), 0.9, false},
+		{"dragonfly8x4/serial", topology.MustDragonfly(8, 4), 0.01, false},
+		{"dragonfly16x8/active-set", topology.MustDragonfly(16, 8), 0.003, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			n := stepBenchNet(b, c.topo, c.load, c.activeSet)
+			stepBenchSteady(n)
+			stepInterleaved(b, newCalibration().op, n.Step, 32)
+		})
+	}
 }
 
 // BenchmarkStepProfiled measures the kernel phase profiler's overhead at
@@ -172,7 +227,8 @@ func BenchmarkStepProfiled(b *testing.B) {
 		arms[i] = stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
 		arms[i].EnableTelemetry(telemetry.Options{ProfileEvery: every})
 	}
-	stepInterleaved(b, arms[0], arms[1], 32)
+	stepBenchSteady(arms[0], arms[1])
+	stepInterleaved(b, arms[0].Step, arms[1].Step, 32)
 }
 
 // BenchmarkStepTraced measures the whole observation stack against none at
@@ -185,7 +241,8 @@ func BenchmarkStepTraced(b *testing.B) {
 	off := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
 	on := stepBenchNet(b, topology.MustTorus(16, 16), 0.5, true)
 	on.EnableTelemetry(telemetry.Options{Writer: telemetry.NewJSONLWriter(io.Discard), ProfileEvery: 25})
-	stepInterleaved(b, off, on, 100)
+	stepBenchSteady(off, on)
+	stepInterleaved(b, off.Step, on.Step, 100)
 }
 
 // BenchmarkStepHighRadix measures high-radix digraphs on which most routers
@@ -199,13 +256,14 @@ func BenchmarkStepTraced(b *testing.B) {
 // dragonfly16x8/active-set is the repository benchmark's dragonfly2k-sparse
 // point (2 064 routers of radix 23, load 0.003), where about 7% of routers
 // are active and the inject phase's per-node cost shows. CI benchgates
-// dragonfly8x4's on/off, and serial and dragonfly16x8 against
-// BenchmarkCalibrate.
+// dragonfly8x4's on/off here, and the other two points against the fixed
+// work through BenchmarkStepCalibrated.
 func BenchmarkStepHighRadix(b *testing.B) {
 	b.Run("dragonfly8x4", func(b *testing.B) {
 		off := stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, false)
 		on := stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, true)
-		stepInterleaved(b, off, on, 32)
+		stepBenchSteady(off, on)
+		stepInterleaved(b, off.Step, on.Step, 32)
 	})
 	b.Run("dragonfly8x4/serial", func(b *testing.B) {
 		stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, false))

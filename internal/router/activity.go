@@ -18,10 +18,10 @@ import "repro/internal/sim"
 //     in the current cycle, else 0 (an empty router blocks nothing).
 //
 // The rule is exact between cycles and after the timer phase, which is where
-// every reader runs. Digests and snapshots write the derived values, so they
+// every reader runs. Digests and snapshots code the gauges as read, so they
 // are byte-identical to a kernel that never skips (the golden conformance
-// suite enforces this), and a decoded snapshot whose offset disagrees with
-// its clock is refused.
+// suite enforces this), and do not code the offset, which the restored
+// clock implies.
 
 // FlitCount returns the number of flits buffered anywhere in the router —
 // input VCs and Deadlock Buffer lanes. It is maintained incrementally at

@@ -116,10 +116,10 @@ func (c *Codec) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// The primitives below keep their encoding direction — one append — within
-// the compiler's inlining budget, because digests and snapshots run them
-// once per coded field; each leaves decoding to a helper too large to be
-// inlined back into it (go:noinline where it is not).
+// Each primitive below leaves decoding to a helper, so its encoding
+// direction, which digests and snapshots run once per coded field, is one
+// append (inlined into the walk for the fixed-width U64 and Bool; readU64
+// is go:noinline to keep U64 so).
 
 // U64 codes an unsigned 64-bit value, fixed-width little endian: a bit set
 // or a hash word, whose high bits are as likely set as its low ones.
@@ -218,8 +218,7 @@ func readInt[T Integer](c *Codec, v *T) {
 }
 
 // Bounds is the half-open range [Lo, Hi) a decoded field must lie in, and
-// the field's name for the error; In builds one. (One argument instead of
-// three is what keeps Range's encoding direction inlinable.)
+// the field's name for the error; In builds one.
 type Bounds struct {
 	Lo, Hi int
 	What   string

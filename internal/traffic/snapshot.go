@@ -4,9 +4,9 @@ import "repro/internal/snapshot"
 
 // Walk codes the source's dynamic state over c: its random stream (see
 // sim.RNG.State; a digest codes none), whether it is stopped, the burst
-// process's state and the offered count. The static configuration (pattern, injection probability,
-// message length, burst shape) is rebuilt from the network Config on
-// restore.
+// process's state and the offered count. The static configuration
+// (pattern, injection probability, message length, burst shape) is rebuilt
+// from the network Config on restore.
 func (s *Source) Walk(c *snapshot.Codec) {
 	rng := s.rng.State()
 	c.RNG(&rng)
