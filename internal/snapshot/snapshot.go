@@ -316,14 +316,6 @@ func (c *Codec) ExpectU64(want uint64, what string) {
 	}
 }
 
-// ExpectBool guards a boolean field.
-func (c *Codec) ExpectBool(want bool, what string) {
-	got := want
-	if c.Bool(&got); got != want {
-		c.mismatch(what, got, want)
-	}
-}
-
 // ExpectF64 guards a float64 field.
 func (c *Codec) ExpectF64(want float64, what string) {
 	got := want

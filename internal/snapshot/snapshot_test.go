@@ -230,20 +230,18 @@ func TestVarintCanonical(t *testing.T) {
 // TestExpect drives every guard in both directions: encoding writes the
 // receiver's value, decoding compares against it.
 func TestExpect(t *testing.T) {
-	guards := func(c *Codec, degree int64, topo string, seed uint64, adaptive bool, load float64) {
+	guards := func(c *Codec, degree int64, topo string, seed uint64, load float64) {
 		c.Expect(degree, "degree")
 		c.ExpectString(topo, "topology")
 		c.ExpectU64(seed, "seed")
-		c.ExpectBool(adaptive, "adaptive timeout")
 		c.ExpectF64(load, "load rate")
 	}
-	payload := enc(func(c *Codec) { guards(c, 8, "torus-8x8", 7, true, 0.5) })
+	payload := enc(func(c *Codec) { guards(c, 8, "torus-8x8", 7, 0.5) })
 	want := enc(func(c *Codec) {
-		i, s, u, b, f := int64(8), "torus-8x8", uint64(7), true, 0.5
+		i, s, u, f := int64(8), "torus-8x8", uint64(7), 0.5
 		c.I64(&i)
 		c.String(&s)
 		c.U64(&u)
-		c.Bool(&b)
 		c.F64(&f)
 	})
 	if !bytes.Equal(payload, want) {
@@ -251,16 +249,15 @@ func TestExpect(t *testing.T) {
 	}
 
 	r := NewDecoder(payload)
-	guards(r, 8, "torus-8x8", 7, true, 0.5)
+	guards(r, 8, "torus-8x8", 7, 0.5)
 	if err := r.Err(); err != nil {
 		t.Fatalf("matching guards failed: %v", err)
 	}
 	for what, run := range map[string]func(c *Codec){
-		"degree":           func(c *Codec) { guards(c, 9, "torus-8x8", 7, true, 0.5) },
-		"topology":         func(c *Codec) { guards(c, 8, "mesh-8x8", 7, true, 0.5) },
-		"seed":             func(c *Codec) { guards(c, 8, "torus-8x8", 8, true, 0.5) },
-		"adaptive timeout": func(c *Codec) { guards(c, 8, "torus-8x8", 7, false, 0.5) },
-		"load rate":        func(c *Codec) { guards(c, 8, "torus-8x8", 7, true, 0.51) },
+		"degree":    func(c *Codec) { guards(c, 9, "torus-8x8", 7, 0.5) },
+		"topology":  func(c *Codec) { guards(c, 8, "mesh-8x8", 7, 0.5) },
+		"seed":      func(c *Codec) { guards(c, 8, "torus-8x8", 8, 0.5) },
+		"load rate": func(c *Codec) { guards(c, 8, "torus-8x8", 7, 0.51) },
 	} {
 		r := NewDecoder(payload)
 		run(r)
