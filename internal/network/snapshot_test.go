@@ -665,6 +665,38 @@ func TestSnapshotBytesWithoutRecoveryLaneSettings(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesValuesOffTheClock holds a restore to its clock. The VC
+// arbitration offset, a function of the clock, was once coded, and a decoder
+// refused an offset that disagreed with it. The format now codes the clock
+// and nothing derived from it, so no file holds an offset off the clock: the
+// case moves a network's clock (with its timer passes' stamps, so the gauges
+// read as before) and finds the encoding changed at the clock's varint
+// alone, then runs a restored network against the original through a full
+// rotation of the offset.
+func TestSnapshotRefusesValuesOffTheClock(t *testing.T) {
+	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
+	cfg.Router.Timeout = 4
+	stride := cfg.Topo.Degree()*mustNet(t, cfg).cfg.Router.VCs + 1
+	t.Run("VC arbitration offset", func(t *testing.T) {
+		const warm = 150
+		if warm%stride == 0 {
+			t.Fatalf("the offset at cycle %d is a fresh network's", warm)
+		}
+		orig, data := takeSnapshot(t, cfg, warm)
+		n := restoreFresh(t, cfg, data)
+		at := payloadOf(t, n)
+		n.clock.Set(warm + 1)
+		for i := range n.routers {
+			poke(n, i, warm+1, "tickedAt")
+		}
+		moved := payloadOf(t, n)
+		if got := splice(t, at, moved, 2*(warm+1)); !bytes.Equal(got, moved) { // zigzag varint
+			t.Fatal("moving the clock changed the encoding past the clock's varint: a coded field follows the clock")
+		}
+		checkLockstep(t, orig, restoreFresh(t, cfg, data), stride)
+	})
+}
+
 // pbpFuzzConfig is a packet-by-packet network busy enough that crossbar
 // connections are live in a mid-run snapshot.
 func pbpFuzzConfig() Config {
