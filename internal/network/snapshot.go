@@ -92,7 +92,8 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 // walkDynamic codes the state that evolves cycle by cycle: the clock, the
 // RNG streams, the packet-ID allocator, the stored counters, the live
 // packet table, every node's source-queue and injection-stream state and
-// source, the recovery Token, and every router (router.WalkState). The
+// source, the recovery Token, and every router (router.WalkState); a
+// decoder then checks every header's grant against its downstream slot. The
 // snapshot codes it after the configuration it was taken under, and
 // Fingerprint hashes it over a digest, which codes no RNG stream. State
 // behind accessors (clock, RNG) is read, coded and, when decoding, set; an
@@ -133,6 +134,13 @@ func (n *Network) walkDynamic(c *snapshot.Codec) error {
 	for _, r := range n.routers {
 		if err := r.WalkState(c, table); err != nil {
 			return fmt.Errorf("router %d: %w", r.Node(), err)
+		}
+	}
+	if c.Decoding() {
+		// A header's grant is checked against its downstream slot, which a
+		// later router may hold.
+		if err := n.routerState.CheckGrants(); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
 		}
 	}
 	return nil

@@ -349,6 +349,42 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 		refused(t, sealedOf(t, n), want)
 	})
+	t.Run("grant onto an owned slot", func(t *testing.T) {
+		// Give the downstream slot of a granted header another packet: the
+		// header's grant says that slot is empty, and Commit would take it
+		// from its owner. The slot can be a later router's, so the refusal
+		// waits for every router. A header holds its grant across a cycle
+		// boundary only when it loses switch arbitration, so step to one.
+		n := restoreFresh(t, cfg, data)
+		stride := cfg.Topo.Degree()*cfg.Router.VCs + 1
+		for k := 0; k < 50; k++ {
+			n.Step()
+			for i, r := range n.routers {
+				for p := 0; p < r.InputPorts(); p++ {
+					for v := 0; v < r.InputVCCount(p); v++ {
+						q, ov := r.InputRoute(p, v)
+						hd, ok := r.InputHead(p, v)
+						if !ok || !hd.IsHeader() || q < 0 || ov < 0 {
+							continue
+						}
+						var other *packet.Packet // a packet that owns a slot, so holds a handle
+						for _, o := range n.collectPackets() {
+							if o.Handle > 0 && o != hd.Pkt {
+								other = o
+								break
+							}
+						}
+						down := int(r.Neighbor(q).Node())*stride + r.ReverseAt(q)*cfg.Router.VCs + ov
+						poke(n, down, int64(other.Handle), "in", "owner")
+						refused(t, sealedOf(t, n), fmt.Sprintf("snapshot: router %d input (%d,%d): header holds output (%d,%d), whose downstream slot is packet %d's",
+							i, p, v, q, ov, other.ID))
+						return
+					}
+				}
+			}
+		}
+		t.Fatal("no header holds a grant across a cycle boundary in cycles 201..250")
+	})
 	t.Run("listed slot at rest", func(t *testing.T) {
 		// List a resting slot by giving it a DB lane, then code that lane
 		// back to 0: the slot decodes at rest although it is listed. The
