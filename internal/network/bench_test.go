@@ -245,31 +245,22 @@ func BenchmarkStepTraced(b *testing.B) {
 	stepInterleaved(b, off.Step, on.Step, 100)
 }
 
-// BenchmarkStepHighRadix measures high-radix digraphs on which most routers
-// are idle, where switch allocation's per-output cost and the active set's
-// skipping both matter most. dragonfly(8,4) — 264 routers of radix 11,
-// 4 VCs, 45 input slots each — runs at load 0.01. dragonfly8x4 interleaves
-// the full scan (slot-mask walks and per-output candidate masks,
+// BenchmarkStepHighRadix measures a high-radix digraph on which most
+// routers are idle, where switch allocation's per-output cost and the
+// active set's skipping both matter most: dragonfly(8,4), 264 routers of
+// radix 11, 4 VCs, 45 input slots each, at load 0.01. It interleaves the
+// full scan (slot-mask walks and per-output candidate masks,
 // O(stride/64 + acting slots) per router) as "off" with the production
 // active-set kernel as "on", in blocks of 32 steps, and reports the median
-// block-pair "on/off"; dragonfly8x4/serial times the full scan alone.
-// dragonfly16x8/active-set is the repository benchmark's dragonfly2k-sparse
-// point (2 064 routers of radix 23, load 0.003), where about 7% of routers
-// are active and the inject phase's per-node cost shows. CI benchgates
-// dragonfly8x4's on/off here, and the other two points against the fixed
-// work through BenchmarkStepCalibrated.
+// block-pair "on/off", which CI benchgates. The full scan alone and the
+// sparse dragonfly(16,8) active set are timed against the fixed work by
+// BenchmarkStepCalibrated.
 func BenchmarkStepHighRadix(b *testing.B) {
 	b.Run("dragonfly8x4", func(b *testing.B) {
 		off := stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, false)
 		on := stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, true)
 		stepBenchSteady(off, on)
 		stepInterleaved(b, off.Step, on.Step, 32)
-	})
-	b.Run("dragonfly8x4/serial", func(b *testing.B) {
-		stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(8, 4), 0.01, false))
-	})
-	b.Run("dragonfly16x8/active-set", func(b *testing.B) {
-		stepBenchLoop(b, stepBenchNet(b, topology.MustDragonfly(16, 8), 0.003, true))
 	})
 }
 
