@@ -93,7 +93,7 @@ func (n *Network) walkState(c *snapshot.Codec) error {
 // RNG streams, the packet-ID allocator, the stored counters, the live
 // packet table, every node's source-queue and injection-stream state and
 // source, the recovery Token, and every router (router.WalkState); a
-// decoder then checks every header's grant against its downstream slot. The
+// decoder then sets and checks the grant bits (State.DecodeGrants). The
 // snapshot codes it after the configuration it was taken under, and
 // Fingerprint hashes it over a digest, which codes no RNG stream. State
 // behind accessors (clock, RNG) is read, coded and, when decoding, set; an
@@ -137,9 +137,7 @@ func (n *Network) walkDynamic(c *snapshot.Codec) error {
 		}
 	}
 	if c.Decoding() {
-		// A header's grant is checked against its downstream slot, which a
-		// later router may hold.
-		if err := n.routerState.CheckGrants(); err != nil {
+		if err := n.routerState.DecodeGrants(); err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
 	}

@@ -353,37 +353,37 @@ func TestSnapshotCorruption(t *testing.T) {
 		// Give the downstream slot of a granted header another packet: the
 		// header's grant says that slot is empty, and Commit would take it
 		// from its owner. The slot can be a later router's, so the refusal
-		// waits for every router. A header holds its grant across a cycle
-		// boundary only when it loses switch arbitration, so step to one.
+		// waits for every router.
 		n := restoreFresh(t, cfg, data)
-		stride := cfg.Topo.Degree()*cfg.Router.VCs + 1
-		for k := 0; k < 50; k++ {
-			n.Step()
-			for i, r := range n.routers {
-				for p := 0; p < r.InputPorts(); p++ {
-					for v := 0; v < r.InputVCCount(p); v++ {
-						q, ov := r.InputRoute(p, v)
-						hd, ok := r.InputHead(p, v)
-						if !ok || !hd.IsHeader() || q < 0 || ov < 0 {
-							continue
-						}
-						var other *packet.Packet // a packet that owns a slot, so holds a handle
-						for _, o := range n.collectPackets() {
-							if o.Handle > 0 && o != hd.Pkt {
-								other = o
-								break
-							}
-						}
-						down := int(r.Neighbor(q).Node())*stride + r.ReverseAt(q)*cfg.Router.VCs + ov
-						poke(n, down, int64(other.Handle), "in", "owner")
-						refused(t, sealedOf(t, n), fmt.Sprintf("snapshot: router %d input (%d,%d): header holds output (%d,%d), whose downstream slot is packet %d's",
-							i, p, v, q, ov, other.ID))
-						return
-					}
-				}
+		g, _ := grantedHeader(t, n)
+		var other *packet.Packet // a packet that owns a slot, so holds a handle
+		for _, o := range n.collectPackets() {
+			if o.Handle > 0 && o != n.routers[g.node].InputOwner(g.port, g.vc) {
+				other = o
+				break
 			}
 		}
-		t.Fatal("no header holds a grant across a cycle boundary in cycles 201..250")
+		r := n.routers[g.node]
+		stride := cfg.Topo.Degree()*cfg.Router.VCs + 1
+		down := int(r.Neighbor(g.route).Node())*stride + r.ReverseAt(g.route)*cfg.Router.VCs + g.outVC
+		poke(n, down, int64(other.Handle), "in", "owner")
+		refused(t, sealedOf(t, n), fmt.Sprintf("snapshot: router %d input (%d,%d): header holds output (%d,%d), whose downstream slot is packet %d's",
+			g.node, g.port, g.vc, g.route, g.outVC, other.ID))
+	})
+	t.Run("two headers on one output VC", func(t *testing.T) {
+		// Route a second header of the granted header's router to the same
+		// output VC; the later of the two in slot order is named.
+		n := restoreFresh(t, cfg, data)
+		g, h := grantedHeader(t, n)
+		stride := cfg.Topo.Degree()*cfg.Router.VCs + 1
+		slot := h.node*stride + h.port*cfg.Router.VCs + h.vc
+		poke(n, slot, int64(g.route), "inRoute")
+		poke(n, slot, int64(g.outVC), "inOutVC")
+		if h.port*cfg.Router.VCs+h.vc < g.port*cfg.Router.VCs+g.vc {
+			h = g
+		}
+		refused(t, sealedOf(t, n), fmt.Sprintf("snapshot: router %d output (%d,%d): granted to two headers, the second at input (%d,%d)",
+			g.node, g.route, g.outVC, h.port, h.vc))
 	})
 	t.Run("listed slot at rest", func(t *testing.T) {
 		// List a resting slot by giving it a DB lane, then code that lane
@@ -443,6 +443,39 @@ func TestSnapshotCorruption(t *testing.T) {
 		refused(t, snapshot.Seal(snapshotMagic, 3, payload),
 			"snapshot: format version 3 not supported (this build reads version 4); regenerate the file from cycle 0 with the same flags")
 	})
+}
+
+// inputAt is input slot (port, vc) of router node, with its route and
+// output VC.
+type inputAt struct{ node, port, vc, route, outVC int }
+
+// grantedHeader steps n until a router holds two headers at buffer heads,
+// one of them routed to an output VC whose grant it holds across the cycle
+// boundary (it lost switch arbitration), and returns that one and the
+// other.
+func grantedHeader(t *testing.T, n *Network) (granted, other inputAt) {
+	t.Helper()
+	for k := 0; k < 200; k++ {
+		n.Step()
+		for i, r := range n.routers {
+			var heads []inputAt
+			for p := 0; p < r.InputPorts(); p++ {
+				for v := 0; v < r.InputVCCount(p); v++ {
+					if hd, ok := r.InputHead(p, v); ok && hd.IsHeader() {
+						q, ov := r.InputRoute(p, v)
+						heads = append(heads, inputAt{i, p, v, q, ov})
+					}
+				}
+			}
+			for j, h := range heads {
+				if h.route >= 0 && h.outVC >= 0 && len(heads) > 1 {
+					return h, heads[(j+1)%len(heads)]
+				}
+			}
+		}
+	}
+	t.Fatalf("no router holds a granted header beside another header by cycle %d", n.Now())
+	return
 }
 
 // restingSeed is the committed FuzzSnapshotRestore seed holding

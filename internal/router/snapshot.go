@@ -35,8 +35,9 @@ func PacketRef(c *snapshot.Codec, p **packet.Packet, table map[packet.ID]*packet
 // of Network.Fingerprint.
 //
 // Decoding restores a router freshly constructed with the identical
-// configuration the snapshot was taken under; table is the packet table the
-// network decoded (nil when encoding).
+// configuration the snapshot was taken under, but for its grant bits, which
+// State.DecodeGrants sets once every router is decoded; table is the packet
+// table the network decoded (nil when encoding).
 func (r *Router) WalkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet) error {
 	r.walkState(c, table)
 	rng := r.rng.State()
@@ -77,9 +78,6 @@ func (r *Router) walkState(c *snapshot.Codec, table map[packet.ID]*packet.Packet
 			}
 		}
 	})
-	if dec {
-		r.decodeGrants(c)
-	}
 	walkListing(c, s.lanes, "listed DB lane", func(lane int) bool { return r.dbAtRest(r.db0 + lane) }, func(lane int) {
 		i := r.db0 + lane
 		sl := r.loadDB(i)
@@ -343,21 +341,25 @@ func (r *Router) slotName(q *flitRun, i int) string {
 	return fmt.Sprintf("input (%d,%d)", p, v)
 }
 
-// decodeGrants sets the router's grant bits from its decoded input slots:
-// each routed header at a buffer head holds its output VC's grant, and a
-// second header claiming the same VC is refused.
-func (r *Router) decodeGrants(c *snapshot.Codec) {
-	s := r.st
-	clear(s.grant[r.g0 : r.g0+s.gw])
-	for i := r.in0; i < r.in0+s.stride; i++ {
-		if !r.holdsGrant(i) {
-			continue
+// DecodeGrants sets every router's grant bits from its decoded input
+// slots, each routed header at a buffer head holding its output VC's, and
+// checks them (checkGrants): two headers on one VC, or a grant on a dead
+// link or onto a downstream slot a packet owns, is refused. A snapshot
+// decoder calls it once every router is decoded, since that slot can be a
+// later router's and Commit would take it from its owner.
+func (s *State) DecodeGrants() error {
+	for n := range s.views {
+		r := &s.views[n]
+		for i := r.in0; i < r.in0+s.stride; i++ {
+			if r.holdsGrant(i) {
+				r.setGrant(int(s.inRoute[i]), int(s.inOutVC[i]), true)
+			}
 		}
-		q, v := int(s.inRoute[i]), int(s.inOutVC[i])
-		if r.granted(q, v) {
-			c.Fail("snapshot: output (%d,%d) is granted to two headers", q, v)
-			return
-		}
-		r.setGrant(q, v, true)
 	}
+	for n := range s.views {
+		if err := s.views[n].checkGrants(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

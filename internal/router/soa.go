@@ -875,18 +875,6 @@ func (r *Router) CheckState() error {
 // maxGrantWords bounds a router's grant words (MaxDegree × MaxVCs bits).
 const maxGrantWords = (MaxDegree*MaxVCs + 63) / 64
 
-// CheckGrants runs checkGrants for every router. A snapshot decoder calls
-// it once every router is decoded: a grant's downstream slot can be a later
-// router's, and Commit would take that slot from a packet that owns it.
-func (s *State) CheckGrants() error {
-	for n := range s.views {
-		if err := s.views[n].checkGrants(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkGrants reports a grant bit that is not exactly one header's: each
 // routed header at a buffer head (holdsGrant) must hold its output VC's bit
 // alone, and each set bit must have such a header. A granted output VC is
