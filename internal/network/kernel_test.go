@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/router"
@@ -73,5 +74,28 @@ func TestKernelStepZeroAllocs(t *testing.T) {
 	n.Run(50)
 	if allocs := testing.AllocsPerRun(100, n.Step); allocs != 0 {
 		t.Errorf("%v allocs per Step in steady state, want 0", allocs)
+	}
+}
+
+// TestInjectAllocatesOnlyPackets asserts that, with injection live well
+// below saturation (load 0.05), Step allocates one object per packet
+// generated and nothing else once warm, with no slack: a source queue's
+// array holds only its largest backlog (an emptied queue restarts at the
+// front of it), so it stops growing once the backlogs have been seen.
+func TestInjectAllocatesOnlyPackets(t *testing.T) {
+	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.05, 11)
+	n := mustNet(t, cfg)
+	n.Run(2000)
+	var before, after runtime.MemStats
+	offered := n.Counters().PacketsOffered
+	runtime.ReadMemStats(&before)
+	n.Run(1000)
+	runtime.ReadMemStats(&after)
+	packets := n.Counters().PacketsOffered - offered
+	if packets == 0 {
+		t.Fatal("no packet generated in 1000 cycles: injection is not live")
+	}
+	if mallocs := int64(after.Mallocs - before.Mallocs); mallocs != packets {
+		t.Errorf("%d allocations over 1000 cycles that generated %d packets, want one per packet", mallocs, packets)
 	}
 }

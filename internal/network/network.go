@@ -130,7 +130,10 @@ func (q *ni) queued() int { return len(q.queue) - q.qhead }
 
 // push and pop keep every slot outside [qhead, len) nil, so a packet the
 // queue has handed on is not kept alive by it (CheckInvariants holds them
-// to that).
+// to that). pop restarts a queue it empties at the front of its array, so
+// the array grows only with the backlog; push compacts a queue that never
+// empties (a saturated source) once its head is past 64 slots and half its
+// length.
 func (q *ni) push(p *packet.Packet) {
 	if q.qhead > 64 && q.qhead*2 >= len(q.queue) {
 		n := copy(q.queue, q.queue[q.qhead:])
@@ -151,6 +154,9 @@ func (q *ni) peek() *packet.Packet {
 func (q *ni) pop() {
 	q.queue[q.qhead] = nil
 	q.qhead++
+	if q.qhead == len(q.queue) {
+		q.queue, q.qhead = q.queue[:0], 0
+	}
 }
 
 // check reports a non-nil slot outside the live range [qhead, len), up to
@@ -171,7 +177,8 @@ type Network struct {
 	clock   sim.Clock
 	rng     *sim.RNG
 	routers []*router.Router
-	sources []traffic.Source
+	proc    traffic.Process  // what every source shares
+	sources []traffic.Source // node i's is sources[i]
 	nis     []ni
 	token   *Token
 
@@ -261,6 +268,7 @@ func New(cfg Config) (*Network, error) {
 		cfg:         cfg,
 		topo:        topo,
 		stats:       st,
+		proc:        traffic.NewProcess(cfg.Pattern, prob, cfg.MsgLen),
 		rng:         sim.NewRNG(cfg.Seed),
 		routers:     make([]*router.Router, topo.Nodes()),
 		sources:     make([]traffic.Source, topo.Nodes()),
@@ -274,6 +282,11 @@ func New(cfg Config) (*Network, error) {
 	for i := 0; i < topo.Nodes(); i++ {
 		n.setActive(i)
 	}
+	if cfg.Burst.Valid() {
+		if err := n.proc.SetBursty(cfg.Burst); err != nil {
+			return nil, err
+		}
+	}
 	// All routers share one struct-of-arrays state, laid out router-major
 	// (see router.State for the memory map), timed by the network's clock.
 	n.routerState = router.NewState(topo, cfg.Router, cfg.Algorithm, cfg.Selection, &n.clock)
@@ -282,12 +295,7 @@ func New(cfg Config) (*Network, error) {
 		// router-local: a router's draws do not depend on which other
 		// routers the active set visits.
 		n.routers[i] = router.NewWithState(topology.Node(i), n.rng.Split(), n.routerState)
-		n.sources[i] = traffic.NewSource(topology.Node(i), cfg.Pattern, *n.rng.Split(), prob, cfg.MsgLen)
-		if cfg.Burst.Valid() {
-			if err := n.sources[i].SetBursty(cfg.Burst); err != nil {
-				return nil, err
-			}
-		}
+		n.sources[i] = traffic.NewSource(*n.rng.Split())
 	}
 	for i := range n.routers {
 		for p := 0; p < topo.Degree(); p++ {
@@ -626,7 +634,7 @@ func (n *Network) RunUntilDrained(limit int) bool {
 // marking the hits in fired, then a walk in node order over the nodes in
 // fired or pending, a superset of those with a packet queued or streaming.
 func (n *Network) inject(now sim.Cycle) {
-	traffic.Trials(n.sources, n.fired)
+	n.proc.Trials(n.sources, n.fired)
 	for w, hit := range n.fired {
 		n.fired[w] = 0
 		for word := hit | n.pending[w]; word != 0; word &= word - 1 {
@@ -641,7 +649,7 @@ func (n *Network) inject(now sim.Cycle) {
 func (n *Network) injectAt(i int, fired bool, now sim.Cycle) {
 	q := &n.nis[i]
 	if fired {
-		if p := n.sources[i].Fire(now, n.allocID); p != nil {
+		if p := n.proc.Fire(&n.sources[i], topology.Node(i), now, n.allocID); p != nil {
 			n.enqueue(i, p)
 		}
 	}

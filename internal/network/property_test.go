@@ -101,9 +101,9 @@ func TestConservationProperty(t *testing.T) {
 }
 
 // TestNIQueueCompaction exercises the source queue's amortized compaction
-// path (qhead > 64) which normal short tests never reach, and checks that
-// neither pop nor compaction leaves a handed-on packet reachable from the
-// queue.
+// path (qhead > 64), taken by a queue that never empties, which normal
+// short tests never reach, and checks that neither pop nor compaction
+// leaves a handed-on packet reachable from the queue.
 func TestNIQueueCompaction(t *testing.T) {
 	var q ni
 	mk := func(i int) *packet.Packet { return packet.New(packet.ID(i), 0, 1, 1, 0) }
@@ -140,9 +140,40 @@ func TestNIQueueCompaction(t *testing.T) {
 	if err := q.check(); err != nil {
 		t.Fatal(err)
 	}
-	// A stale pointer left behind the head is what check exists to catch.
-	q.queue[q.qhead-1] = mk(999)
+	// The drained queue restarts at the front of its array; a stale
+	// pointer left in a vacated slot of it is what check exists to catch.
+	if q.qhead != 0 || len(q.queue) != 0 || cap(q.queue) < 200 {
+		t.Fatalf("drained queue: qhead %d, len %d, cap %d; want 0, 0 and the array kept", q.qhead, len(q.queue), cap(q.queue))
+	}
+	q.queue[:cap(q.queue)][cap(q.queue)/2] = mk(999)
 	if q.check() == nil {
-		t.Fatal("check accepted a non-nil slot before qhead")
+		t.Fatal("check accepted a non-nil slot outside the live range")
+	}
+}
+
+// TestNIQueueKeepsBacklogOnly runs 10 000 rounds that each push one to
+// three packets and pop them all: a queue that empties restarts at the
+// front of its array, so the array holds the largest backlog (3, in an
+// array of 4) and not the slots of the pops since the last compaction.
+func TestNIQueueKeepsBacklogOnly(t *testing.T) {
+	var q ni
+	id := 0
+	for r := 0; r < 10000; r++ {
+		for k := 0; k <= r%3; k++ {
+			id++
+			q.push(packet.New(packet.ID(id), 0, 1, 1, 0))
+		}
+		for want := id - r%3; q.queued() > 0; want++ {
+			if got := q.peek(); got.ID != packet.ID(want) {
+				t.Fatalf("round %d: peek %d, want %d", r, got.ID, want)
+			}
+			q.pop()
+		}
+		if err := q.check(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if cap(q.queue) > 4 {
+			t.Fatalf("round %d: a backlog of at most 3 holds an array of %d slots", r, cap(q.queue))
+		}
 	}
 }

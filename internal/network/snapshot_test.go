@@ -421,6 +421,39 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatalf("%s is not this edited snapshot (rewrite it with -update-snapshot): %v", restingSeed, err)
 		}
 	})
+	t.Run("sent flag set", func(t *testing.T) {
+		// No slot is marked sent between cycles, so every file codes the
+		// flag 0. Set it on an owned slot: its byte follows the presumed
+		// flag's, which follows the slot's DB lane, located by coding that
+		// lane a second time as 1.
+		n := restoreFresh(t, cfg, data)
+		node, port, vc := -1, 0, 0
+		for i, r := range n.routers {
+			for p := 0; p < r.InputPorts() && node < 0; p++ {
+				for v := 0; v < r.InputVCCount(p) && node < 0; v++ {
+					if r.InputOwner(p, v) != nil {
+						node, port, vc = i, p, v
+					}
+				}
+			}
+		}
+		if node < 0 {
+			t.Fatal("no input slot is owned at cycle 200")
+		}
+		payload := payloadOf(t, n)
+		poke(n, node*(cfg.Topo.Degree()*cfg.Router.VCs+1)+port*cfg.Router.VCs+vc, 1, "inDBLane")
+		other := payloadOf(t, n)
+		k := 0
+		for payload[k] == other[k] {
+			k++
+		}
+		if payload[k+1] != 0 || payload[k+2] != 0 {
+			t.Fatalf("presumed and sent bytes after the DB lane at %d read %d and %d, want 0 and 0", k, payload[k+1], payload[k+2])
+		}
+		payload[k+2] = 1
+		refused(t, snapshot.Seal(snapshotMagic, snapshotVersion, payload),
+			fmt.Sprintf("router %d: snapshot: input (%d,%d) is marked sent between cycles", node, port, vc))
+	})
 	t.Run("listing past the slot count", func(t *testing.T) {
 		// A router record opens with its input listing; an index past the
 		// stride is refused, whatever the record held.

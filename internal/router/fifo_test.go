@@ -302,9 +302,9 @@ func TestRotatingWalk(t *testing.T) {
 // TestCheckStateNamesEachMaskBit flips, one at a time, every slot's
 // occupied, header-at-head, unrouted and timing bit on routers with a packet
 // mid-flight and a header timing behind a blocked output, and expects
-// CheckState to name the router, the (port, vc) and the mask; then a bit
-// past the stride of each mask, sent included. (mSent is the sent flag
-// itself, with no array to check it against.)
+// CheckState to name the router, the (port, vc) and the mask; then each
+// slot's sent bit, which no slot holds between cycles; then a bit past the
+// stride of each mask, sent included.
 func TestCheckStateNamesEachMaskBit(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
 	cfg := Default()
@@ -334,6 +334,12 @@ func TestCheckStateNamesEachMaskBit(t *testing.T) {
 					t.Fatalf("bit restored: %v", err)
 				}
 			}
+			r.setMask(mSent, i, true)
+			want := fmt.Sprintf("router %d input (%d,%d): sent mask bit set between cycles", r.node, p, v)
+			if err := r.CheckState(); err == nil || err.Error() != want {
+				t.Fatalf("CheckState with router %d slot %d's sent bit set = %v, want %q", r.node, l, err, want)
+			}
+			r.setMask(mSent, i, false)
 		}
 	}
 	if seen[mOcc] < 2 || seen[mHdr] < 1 || seen[mTim] < 1 || seen[mUnr] == 16*r1.st.stride {

@@ -212,7 +212,10 @@ func (r *Router) loadInput(i int) inputSlot {
 }
 
 // walkInput codes input slot sl, global slot i. Its T_elapsed is coded only
-// while the head is the owner's header: on any other slot it is 0.
+// while the head is the owner's header: on any other slot it is 0. Its sent
+// flag is always false between cycles (each cycle's TickTimers clears what
+// its StageSwitch set), so a decoder refuses a set one: the next cycle's
+// switch allocation would take the slot's input port as used.
 func (r *Router) walkInput(c *snapshot.Codec, sl *inputSlot, i int, table map[packet.ID]*packet.Packet) {
 	s := r.st
 	PacketRef(c, &sl.owner, table)
@@ -222,6 +225,9 @@ func (r *Router) walkInput(c *snapshot.Codec, sl *inputSlot, i int, table map[pa
 	snapshot.Range(c, &sl.dbLane, snapshot.In(0, max(s.lanes, 1), "DB lane")) // lane 0 rests with no DB at all
 	c.Bool(&sl.presumed)
 	c.Bool(&sl.sent)
+	if c.Decoding() && sl.sent {
+		c.Fail("snapshot: %s is marked sent between cycles", r.slotName(&s.in, i))
+	}
 	r.walkRun(c, &s.in, i, sl.owner, &sl.n, &sl.seq)
 	if sl.n != 0 && sl.seq == 0 {
 		snapshot.Int(c, &sl.waiting)
@@ -243,7 +249,6 @@ func (r *Router) storeInput(i int, sl inputSlot) {
 		sl.owner.Waiting = sl.waiting
 	}
 	r.setMask(mPre, i, sl.presumed)
-	r.setMask(mSent, i, sl.sent)
 	for k, on := range r.derivedMasks(i) {
 		r.setMask(k, i, on)
 	}

@@ -793,7 +793,8 @@ func (s *State) CheckHandles() error {
 // direction, is State.CheckHandles) and every buffered run an owner's,
 // every input slot's occupied,
 // header-at-head, unrouted and timing mask bits equal to what its arrays say
-// (the scans trust them) and no mask bit past the stride, route/VC grants
+// (the scans trust them), no sent bit (a cycle's TickTimers clears every
+// bit its StageSwitch set) and no mask bit past the stride, route/VC grants
 // within their sentinel-extended domains, one grant bit for each routed
 // header at a buffer head and none other, each on a live link whose
 // downstream slot no packet owns (checkGrants), crossbar
@@ -816,6 +817,9 @@ func (r *Router) CheckState() error {
 			if got := r.hasMask(k, i); got != want {
 				return fmt.Errorf("router %d input (%d,%d): %s mask bit %v, slot state says %v", r.node, p, v, maskNames[k], got, want)
 			}
+		}
+		if r.hasMask(mSent, i) {
+			return fmt.Errorf("router %d input (%d,%d): %s mask bit set between cycles", r.node, p, v, maskNames[mSent])
 		}
 		if rt := int(s.inRoute[i]); rt < PortEject || rt >= s.deg {
 			return fmt.Errorf("router %d input (%d,%d): route %d outside [%d,%d)", r.node, p, v, rt, PortEject, s.deg)

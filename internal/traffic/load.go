@@ -98,41 +98,52 @@ func ProbabilityFor(topo topology.Graph, p Pattern, st MeanStats, msgLen int, lo
 	return perNodeRate, nil
 }
 
-// Source generates packets for one node as a Bernoulli process: each cycle a
-// packet is created with the configured probability and a destination drawn
-// from the pattern. Self-addressed draws are discarded (the slot is lost),
-// matching nodes that do not communicate under deterministic patterns.
+// Process is the injection process of a network's sources, and all they
+// share: the pattern, the per-cycle injection probability and its chance,
+// the message length and, when bursty, the burst process's three chances.
+// Each cycle every source runs a Bernoulli trial with the configured
+// probability, and a hit draws a destination from the pattern.
+// Self-addressed draws are discarded (the slot is lost), matching nodes that
+// do not communicate under deterministic patterns.
 //
 // Trials runs a cycle's trials, one integer comparison against a sim.Chance
 // each, and Fire completes each hit. Each source owns its random stream, so
 // running every trial before any firing changes no draw. What a trial reads
 // comes first.
-type Source struct {
-	rng               sim.RNG
+type Process struct {
 	chance            sim.Chance // per-cycle injection chance (bursty: see SetBursty)
-	stopped, bursty   bool
-	bursting          bool
+	bursty            bool
 	leave, enter, hot sim.Chance // leaving or entering a burst, injecting in one
 
-	node    topology.Node
 	pattern Pattern
 	prob    float64
 	msgLen  int
+}
+
+// NewProcess builds the process of sources drawing destinations from
+// pattern. prob is the per-cycle injection probability (see
+// InjectionProbability); msgLen is the packet length in flits.
+func NewProcess(pattern Pattern, prob float64, msgLen int) Process {
+	if msgLen < 1 {
+		panic("traffic: message length must be >= 1")
+	}
+	return Process{chance: sim.ChanceOf(prob), pattern: pattern, prob: prob, msgLen: msgLen}
+}
+
+// Source is one node's state in a Process, and only what differs from node
+// to node: its random stream, whether it is stopped, its burst state and
+// its offered count. Its node is its index in the slice Trials walks.
+type Source struct {
+	rng               sim.RNG
+	stopped, bursting bool
 
 	// Offered counts packets generated (accepted draws), for offered-load
 	// accounting by the harness.
 	Offered int64
 }
 
-// NewSource builds a source for node that draws from rng's stream. prob is
-// the per-cycle injection probability (see InjectionProbability); msgLen is
-// the packet length in flits.
-func NewSource(node topology.Node, pattern Pattern, rng sim.RNG, prob float64, msgLen int) Source {
-	if msgLen < 1 {
-		panic("traffic: message length must be >= 1")
-	}
-	return Source{rng: rng, chance: sim.ChanceOf(prob), node: node, pattern: pattern, prob: prob, msgLen: msgLen}
-}
+// NewSource builds a source that draws from rng's stream.
+func NewSource(rng sim.RNG) Source { return Source{rng: rng} }
 
 // Stop halts generation (used for the drain phase at the end of a run).
 func (s *Source) Stop() { s.stopped = true }
@@ -141,14 +152,15 @@ func (s *Source) Stop() { s.stopped = true }
 // on a hit, which Fire must complete before the next trial. A stopped source
 // draws nothing. The common trial is inline: a call per source per cycle
 // would cost more than the trial.
-func Trials(srcs []Source, fired []uint64) {
+func (p *Process) Trials(srcs []Source, fired []uint64) {
+	chance, bursty := p.chance, p.bursty
 	for i := range srcs {
 		s := &srcs[i]
 		var hit bool
-		if s.stopped || s.bursty {
-			hit = s.burstTrial()
+		if s.stopped || bursty {
+			hit = s.burstTrial(p)
 		} else {
-			hit = s.rng.Hit(s.chance)
+			hit = s.rng.Hit(chance)
 		}
 		if hit {
 			fired[i>>6] |= 1 << (uint(i) & 63)
@@ -156,32 +168,32 @@ func Trials(srcs []Source, fired []uint64) {
 	}
 }
 
-// burstTrial is the trial of a stopped or bursty source.
-func (s *Source) burstTrial() bool {
+// burstTrial is the trial of a stopped source or a bursty one.
+func (s *Source) burstTrial(p *Process) bool {
 	if s.stopped {
 		return false
 	}
 	if s.bursting {
-		if s.rng.Hit(s.leave) {
+		if s.rng.Hit(p.leave) {
 			s.bursting = false
 		}
-	} else if s.rng.Hit(s.enter) {
+	} else if s.rng.Hit(p.enter) {
 		s.bursting = true
 	}
-	return s.bursting && s.rng.Hit(s.hot)
+	return s.bursting && s.rng.Hit(p.hot)
 }
 
-// Fire completes a trial that hit: it draws the destination and returns the
-// new packet, or nil when the draw addresses the source itself. nextID
-// supplies unique packet IDs (owned by the network so that IDs are global)
-// and is called only for a packet.
-func (s *Source) Fire(now sim.Cycle, nextID func() packet.ID) *packet.Packet {
-	dst := s.pattern.Dest(s.node, &s.rng)
-	if dst == s.node {
+// Fire completes a trial of node's source s that hit: it draws the
+// destination and returns the new packet, or nil when the draw addresses
+// node itself. nextID supplies unique packet IDs (owned by the network so
+// that IDs are global) and is called only for a packet.
+func (p *Process) Fire(s *Source, node topology.Node, now sim.Cycle, nextID func() packet.ID) *packet.Packet {
+	dst := p.pattern.Dest(node, &s.rng)
+	if dst == node {
 		return nil
 	}
 	s.Offered++
-	return packet.New(nextID(), s.node, dst, s.msgLen, now)
+	return packet.New(nextID(), node, dst, p.msgLen, now)
 }
 
 // BurstConfig shapes a two-state (on/off) Markov-modulated injection
@@ -204,18 +216,17 @@ func (b BurstConfig) DutyCycle() float64 {
 	return b.MeanBurst / (b.MeanBurst + b.MeanIdle)
 }
 
-// SetBursty switches the source from Bernoulli to on/off Markov-modulated
+// SetBursty switches the process from Bernoulli to on/off Markov-modulated
 // injection with the same long-run offered load: the in-burst probability
 // is the base probability divided by the duty cycle (clamped to 1, which
 // slightly lowers the effective load for extreme configurations).
-func (s *Source) SetBursty(cfg BurstConfig) error {
+func (p *Process) SetBursty(cfg BurstConfig) error {
 	if !cfg.Valid() {
 		return fmt.Errorf("traffic: invalid burst config %+v", cfg)
 	}
-	s.bursty = true
-	s.bursting = false
-	s.leave = sim.ChanceOf(1 / cfg.MeanBurst)
-	s.enter = sim.ChanceOf(1 / cfg.MeanIdle)
-	s.hot = sim.ChanceOf(s.prob / cfg.DutyCycle())
+	p.bursty = true
+	p.leave = sim.ChanceOf(1 / cfg.MeanBurst)
+	p.enter = sim.ChanceOf(1 / cfg.MeanIdle)
+	p.hot = sim.ChanceOf(p.prob / cfg.DutyCycle())
 	return nil
 }

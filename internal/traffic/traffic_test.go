@@ -365,13 +365,13 @@ func TestInjectionProbabilityErrors(t *testing.T) {
 
 func TestSourceGeneration(t *testing.T) {
 	topo := topo16()
-	src := NewSource(5, Uniform(topo), *sim.NewRNG(9), 0.25, 32)
+	pr, src := NewProcess(Uniform(topo), 0.25, 32), NewSource(*sim.NewRNG(9))
 	var id packet.ID
 	nextID := func() packet.ID { id++; return id }
 	made := 0
 	const cycles = 20000
 	for c := 0; c < cycles; c++ {
-		if p := generate(&src, sim.Cycle(c), nextID); p != nil {
+		if p := generate(&pr, &src, 5, sim.Cycle(c), nextID); p != nil {
 			made++
 			if p.Src != 5 || p.Dst == 5 || p.Length != 32 || p.CreatedAt != sim.Cycle(c) {
 				t.Fatalf("bad packet %v", p)
@@ -389,9 +389,9 @@ func TestSourceGeneration(t *testing.T) {
 
 func TestSourceStop(t *testing.T) {
 	topo := topo16()
-	src := NewSource(0, Uniform(topo), *sim.NewRNG(9), 1.0, 4)
+	pr, src := NewProcess(Uniform(topo), 1.0, 4), NewSource(*sim.NewRNG(9))
 	nextID := func() packet.ID { return 1 }
-	if generate(&src, 0, nextID) == nil {
+	if generate(&pr, &src, 0, 0, nextID) == nil {
 		t.Fatal("prob 1.0 source did not generate")
 	}
 	src.Stop()
@@ -399,7 +399,7 @@ func TestSourceStop(t *testing.T) {
 		t.Fatal("stopped false after Stop")
 	}
 	for i := 0; i < 100; i++ {
-		if generate(&src, sim.Cycle(i), nextID) != nil {
+		if generate(&pr, &src, 0, sim.Cycle(i), nextID) != nil {
 			t.Fatal("stopped source generated a packet")
 		}
 	}
@@ -409,10 +409,10 @@ func TestSourceSelfAddressDiscarded(t *testing.T) {
 	topo := topo16()
 	tr, _ := Transpose(topo)
 	diag := topo.NodeAt(topology.Coord{4, 4})
-	src := NewSource(diag, tr, *sim.NewRNG(9), 1.0, 4)
+	pr, src := NewProcess(tr, 1.0, 4), NewSource(*sim.NewRNG(9))
 	nextID := func() packet.ID { return 1 }
 	for i := 0; i < 50; i++ {
-		if generate(&src, sim.Cycle(i), nextID) != nil {
+		if generate(&pr, &src, diag, sim.Cycle(i), nextID) != nil {
 			t.Fatal("diagonal transpose node generated a packet")
 		}
 	}
@@ -436,9 +436,9 @@ func TestBurstySourcePreservesLoad(t *testing.T) {
 	const prob = 0.05
 	const cycles = 200000
 	run := func(burst bool) float64 {
-		src := NewSource(3, Uniform(topo), *sim.NewRNG(77), prob, 8)
+		pr, src := NewProcess(Uniform(topo), prob, 8), NewSource(*sim.NewRNG(77))
 		if burst {
-			if err := src.SetBursty(BurstConfig{MeanBurst: 30, MeanIdle: 70}); err != nil {
+			if err := pr.SetBursty(BurstConfig{MeanBurst: 30, MeanIdle: 70}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -446,7 +446,7 @@ func TestBurstySourcePreservesLoad(t *testing.T) {
 		nextID := func() packet.ID { id++; return id }
 		made := 0
 		for c := 0; c < cycles; c++ {
-			if generate(&src, sim.Cycle(c), nextID) != nil {
+			if generate(&pr, &src, 3, sim.Cycle(c), nextID) != nil {
 				made++
 			}
 		}
@@ -464,8 +464,8 @@ func TestBurstySourcePreservesLoad(t *testing.T) {
 
 func TestBurstySourceIsActuallyBursty(t *testing.T) {
 	topo := topo16()
-	src := NewSource(3, Uniform(topo), *sim.NewRNG(5), 0.05, 8)
-	if err := src.SetBursty(BurstConfig{MeanBurst: 25, MeanIdle: 75}); err != nil {
+	pr, src := NewProcess(Uniform(topo), 0.05, 8), NewSource(*sim.NewRNG(5))
+	if err := pr.SetBursty(BurstConfig{MeanBurst: 25, MeanIdle: 75}); err != nil {
 		t.Fatal(err)
 	}
 	var id packet.ID
@@ -476,7 +476,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 	for w := 0; w < 400; w++ {
 		made := 0
 		for c := 0; c < 100; c++ {
-			if generate(&src, sim.Cycle(w*100+c), nextID) != nil {
+			if generate(&pr, &src, 3, sim.Cycle(w*100+c), nextID) != nil {
 				made++
 			}
 		}
@@ -490,7 +490,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 	if silent < 20 || heavy < 20 {
 		t.Fatalf("not bursty enough: %d silent, %d heavy windows of 400", silent, heavy)
 	}
-	if err := src.SetBursty(BurstConfig{}); err == nil {
+	if err := pr.SetBursty(BurstConfig{}); err == nil {
 		t.Fatal("invalid burst config accepted")
 	}
 }
@@ -504,19 +504,19 @@ func TestBurstySourceClampsExtremeConfigs(t *testing.T) {
 	topo := topo16()
 	const prob = 0.3
 	cfg := BurstConfig{MeanBurst: 10, MeanIdle: 90} // duty cycle 0.1 < prob
-	src := NewSource(3, Uniform(topo), *sim.NewRNG(11), prob, 8)
-	if err := src.SetBursty(cfg); err != nil {
+	pr, src := NewProcess(Uniform(topo), prob, 8), NewSource(*sim.NewRNG(11))
+	if err := pr.SetBursty(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if src.hot != sim.Always {
-		t.Fatalf("in-burst chance %#x, want clamp at 1 (sim.Always)", src.hot)
+	if pr.hot != sim.Always {
+		t.Fatalf("in-burst chance %#x, want clamp at 1 (sim.Always)", pr.hot)
 	}
 	var id packet.ID
 	nextID := func() packet.ID { id++; return id }
 	const cycles = 200000
 	made := 0
 	for c := 0; c < cycles; c++ {
-		if generate(&src, sim.Cycle(c), nextID) != nil {
+		if generate(&pr, &src, 3, sim.Cycle(c), nextID) != nil {
 			made++
 		}
 	}

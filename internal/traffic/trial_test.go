@@ -9,16 +9,16 @@ import (
 	"repro/internal/topology"
 )
 
-// generate is one cycle of s as the network runs it: the trial, and the
-// firing when it hits.
-func generate(s *Source, now sim.Cycle, nextID func() packet.ID) *packet.Packet {
+// generate is one cycle of node's source s under pr as the network runs
+// it: the trial, and the firing when it hits.
+func generate(pr *Process, s *Source, node topology.Node, now sim.Cycle, nextID func() packet.ID) *packet.Packet {
 	var fired [1]uint64
 	one := []Source{*s}
-	Trials(one, fired[:])
+	pr.Trials(one, fired[:])
 	if *s = one[0]; fired[0] == 0 {
 		return nil
 	}
-	return s.Fire(now, nextID)
+	return pr.Fire(s, node, now, nextID)
 }
 
 // refSource is the generator Trials and Fire replaced, kept as the oracle
@@ -108,10 +108,10 @@ func TestTrialMatchesFloatGenerator(t *testing.T) {
 			for _, b := range bursts {
 				node := topology.Node(17)
 				seed := uint64(len(name))<<32 ^ math.Float64bits(p)
-				src := NewSource(node, pat, *sim.NewRNG(seed), p, 8)
+				pr, src := NewProcess(pat, p, 8), NewSource(*sim.NewRNG(seed))
 				ref := &refSource{node: node, pattern: pat, rng: sim.NewRNG(seed), prob: p, msgLen: 8}
 				if b.Valid() {
-					if err := src.SetBursty(b); err != nil {
+					if err := pr.SetBursty(b); err != nil {
 						t.Fatal(err)
 					}
 					ref.burst, ref.burstProb = b, min(p/b.DutyCycle(), 1)
@@ -122,7 +122,7 @@ func TestTrialMatchesFloatGenerator(t *testing.T) {
 						src.Stop()
 						ref.stopped = true
 					}
-					got := generate(&src, c, func() packet.ID { id++; return id })
+					got := generate(&pr, &src, node, c, func() packet.ID { id++; return id })
 					want := ref.generate(c, func() packet.ID { refID++; return refID })
 					if (got == nil) != (want == nil) || got != nil && (got.Dst != want.Dst || got.ID != want.ID || got.CreatedAt != want.CreatedAt) {
 						t.Fatalf("%s p=%v burst %+v cycle %d: got %v, want %v", name, p, b, c, got, want)
