@@ -168,7 +168,7 @@ func (p *Process) Trials(srcs []Source, fired []uint64) {
 	}
 }
 
-// burstTrial is the trial of a stopped source or a bursty one.
+// burstTrial is the trial of a stopped or bursty source.
 func (s *Source) burstTrial(p *Process) bool {
 	if s.stopped {
 		return false
