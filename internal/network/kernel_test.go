@@ -2,6 +2,7 @@ package network
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/router"
@@ -79,23 +80,33 @@ func TestKernelStepZeroAllocs(t *testing.T) {
 
 // TestInjectAllocatesOnlyPackets asserts that, with injection live well
 // below saturation (load 0.05), Step allocates one object per packet
-// generated and nothing else once warm, with no slack: a source queue's
-// array holds only its largest backlog (an emptied queue restarts at the
-// front of it), so it stops growing once the backlogs have been seen.
+// generated and nothing else once warm: a source queue's array holds only
+// its largest backlog (an emptied queue restarts at the front of it), so
+// it grows only when its node sees a new largest backlog. Two things may
+// still allocate in a window of 1 000 cycles: such a backlog (two arrays
+// grow between cycles 3 000 and 4 000 here), and the runtime's own
+// goroutines (the scavenger, the clean-up that follows a collection),
+// since the count is the process's. So five windows are counted and the
+// best of them must have no allocation beyond the packets; that is the
+// only slack.
 func TestInjectAllocatesOnlyPackets(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(8, 8), routing.Disha(0), 0.05, 11)
 	n := mustNet(t, cfg)
 	n.Run(2000)
-	var before, after runtime.MemStats
-	offered := n.Counters().PacketsOffered
-	runtime.ReadMemStats(&before)
-	n.Run(1000)
-	runtime.ReadMemStats(&after)
-	packets := n.Counters().PacketsOffered - offered
-	if packets == 0 {
-		t.Fatal("no packet generated in 1000 cycles: injection is not live")
+	extra := make([]int64, 5)
+	for w := range extra {
+		var before, after runtime.MemStats
+		offered := n.Counters().PacketsOffered
+		runtime.ReadMemStats(&before)
+		n.Run(1000)
+		runtime.ReadMemStats(&after)
+		packets := n.Counters().PacketsOffered - offered
+		if packets == 0 {
+			t.Fatal("no packet generated in 1000 cycles: injection is not live")
+		}
+		extra[w] = int64(after.Mallocs-before.Mallocs) - packets
 	}
-	if mallocs := int64(after.Mallocs - before.Mallocs); mallocs != packets {
-		t.Errorf("%d allocations over 1000 cycles that generated %d packets, want one per packet", mallocs, packets)
+	if slices.Min(extra) != 0 {
+		t.Errorf("allocations beyond one per packet in five windows of 1000 cycles: %v, want 0 in at least one", extra)
 	}
 }
