@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -46,6 +47,7 @@ type unitResult struct {
 // unit is one in-flight work unit.
 type unit struct {
 	wu      WorkUnit
+	digest  [16]byte // wu.Fingerprint's bytes: its result's cache key
 	local   func() (harness.PointResult, error)
 	waiters []chan unitResult
 	state   unitState
@@ -70,9 +72,9 @@ type Coordinator struct {
 	// the number of pending units is counted apart, in pending.
 	queue   []string
 	pending int
-	cache   map[string]harness.PointResult
-	store   *os.File             // the cache on disk; nil until OpenStore
-	workers map[string]time.Time // worker id -> last contact
+	cache   map[[16]byte]harness.PointResult // by digest: the Fingerprint's bytes
+	store   *os.File                         // the cache on disk; nil until OpenStore
+	workers map[string]time.Time             // worker id -> last contact
 	// wake is closed, and replaced, whenever a unit becomes pending: every
 	// lease request parked in LeaseWait holds the channel it read under mu.
 	wake         chan struct{}
@@ -107,7 +109,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:    opts,
 		units:   make(map[string]*unit),
-		cache:   make(map[string]harness.PointResult),
+		cache:   make(map[[16]byte]harness.PointResult),
 		workers: make(map[string]time.Time),
 		wake:    make(chan struct{}),
 		// 100 µs .. ~13 s: a parked worker takes a unit in well under a
@@ -188,7 +190,7 @@ func (c *Coordinator) OpenStore(path string) (loaded int, err error) {
 		if json.Unmarshal(rec.Value, &pr) != nil {
 			continue // not a point result: that point is computed again
 		}
-		c.cache[Fingerprint(rec.Key, rec.Seed)] = pr
+		c.cache[digest(rec.Key, rec.Seed)] = pr
 		loaded++
 	}
 	return loaded, nil
@@ -239,22 +241,23 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 // waiter to leave withdraws the unit — while a unit that is leased or
 // computing is waited for, so what was started still reaches the store.
 func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, local func() (harness.PointResult, error)) (harness.PointResult, error) {
-	fp := Fingerprint(t.Key, t.Seed)
+	d := digest(t.Key, t.Seed)
 
 	c.mu.Lock()
-	if pr, ok := c.cache[fp]; ok {
+	if pr, ok := c.cache[d]; ok {
 		c.mu.Unlock()
 		c.cacheHits.Add(1)
 		return pr, nil
 	}
 	c.cacheMisses.Add(1)
+	fp := hex.EncodeToString(d[:])
 	u, inFlight := c.units[fp]
 	if inFlight {
 		// Same point already in flight (another client, another replica
 		// pass): wait for that execution instead of starting a second one.
 		c.deduped.Add(1)
 	} else {
-		u = &unit{wu: WorkUnit{Key: t.Key, Fingerprint: fp, Seed: t.Seed}, local: local}
+		u = &unit{wu: WorkUnit{Key: t.Key, Fingerprint: fp, Seed: t.Seed}, digest: d, local: local}
 		c.units[fp] = u
 		switch {
 		case c.liveWorkersLocked(time.Now()) == 0:
@@ -300,6 +303,17 @@ func (c *Coordinator) Execute(stop <-chan struct{}, t harness.PointTask, local f
 	}
 }
 
+// Cached returns the stored result of the point (key, seed), if the cache
+// holds one. It reads memory only, and a Close keeps the cache, so it answers
+// after Close as before; it is not an execution and counts no hit.
+func (c *Coordinator) Cached(key string, seed uint64) (harness.PointResult, bool) {
+	d := digest(key, seed)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pr, ok := c.cache[d]
+	return pr, ok
+}
+
 // runLocalLocked transitions a unit to in-process execution. Caller holds
 // c.mu; the execution itself happens on a fresh goroutine, and how many of
 // those compute at once is the local closure's business (a sweep's closure
@@ -327,7 +341,7 @@ func (c *Coordinator) settleLocked(u *unit, pr harness.PointResult, err error) {
 		c.pending-- // a late upload for a unit that was queued again
 	}
 	if err == nil {
-		c.cache[u.wu.Fingerprint] = pr
+		c.cache[u.digest] = pr
 		// A dead store must not fail the point: count it, serve from memory.
 		if c.store != nil && appendRecord(c.store, u.wu.Key, u.wu.Seed, pr) != nil {
 			c.storeErrors.Add(1)

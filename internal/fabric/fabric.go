@@ -39,7 +39,7 @@ package fabric
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 
 	"repro/internal/harness"
 )
@@ -48,14 +48,23 @@ import (
 // point key and derived seed. The key is the point's whole spec (see
 // harness.Spec.PointKey) and the seed pins the random stream, so two units
 // with equal fingerprints are guaranteed to produce byte-identical results;
-// the shared result cache and cross-client dedupe key on it.
+// cross-client dedupe keys on it, and it names a unit on the wire.
 func Fingerprint(key string, seed uint64) string {
+	d := digest(key, seed)
+	return hex.EncodeToString(d[:])
+}
+
+// digest is the 16 bytes a Fingerprint spells in hex, and the key of the
+// coordinator's result cache.
+func digest(key string, seed uint64) [16]byte {
 	h := sha256.New()
 	var s [8]byte
 	binary.LittleEndian.PutUint64(s[:], seed)
 	h.Write(s[:])
 	h.Write([]byte(key))
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	var d [16]byte
+	copy(d[:], h.Sum(nil))
+	return d
 }
 
 // WorkUnit is one leased point: its key — which is its spec, see

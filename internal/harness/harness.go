@@ -264,32 +264,11 @@ type PointTask struct {
 // point that did complete), the report naming the failed points, and a
 // non-nil error.
 func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
-	if err := s.Normalize(); err != nil {
+	points, err := s.Tasks(opts.Replicas)
+	if err != nil {
 		return nil, nil, err
 	}
 	replicas := max(opts.Replicas, 1)
-
-	// The batch, in spec order: the order results are assembled in below.
-	type point struct {
-		task PointTask
-		alg  AlgSpec
-	}
-	var points []point
-	seen := make(map[string]struct{})
-	for _, alg := range s.Algs {
-		for _, load := range s.Loads {
-			for r := 0; r < replicas; r++ {
-				key := s.PointKey(alg.Label, load, r)
-				if _, dup := seen[key]; dup {
-					return nil, nil, fmt.Errorf("harness: duplicate point key %q", key)
-				}
-				seen[key] = struct{}{}
-				points = append(points, point{alg: alg, task: PointTask{
-					Key: key, Seed: engine.SeedFor(s.Seed, key), Alg: alg.Label, Load: load, Replica: r,
-				}})
-			}
-		}
-	}
 
 	workers := opts.Parallel
 	if workers <= 0 {
@@ -305,8 +284,9 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
 	}
 	outcomes := make(chan outcome)
 	for i, p := range points {
+		alg := s.Algs[i/(len(s.Loads)*replicas)] // Tasks lists the points curve by curve
 		go func() {
-			po := PointOptions{Key: p.task.Key}
+			po := PointOptions{Key: p.Key}
 			local := func() (PointResult, error) {
 				select {
 				case slots <- struct{}{}:
@@ -320,11 +300,11 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
 					return PointResult{}, ErrDrained
 				default:
 				}
-				return s.runPoint(p.alg, p.task.Load, p.task.Seed, po)
+				return s.runPoint(alg, p.Load, p.Seed, po)
 			}
 			o := outcome{index: i}
 			if opts.PointRunner != nil {
-				o.pr, o.err = opts.PointRunner(opts.Stop, p.task, local)
+				o.pr, o.err = opts.PointRunner(opts.Stop, p, local)
 			} else {
 				o.pr, o.err = local()
 			}
@@ -348,7 +328,7 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
 		if errors.Is(o.err, ErrDrained) {
 			continue
 		}
-		task := points[o.index].task
+		task := points[o.index]
 		if o.err != nil {
 			st.Failed++
 			errs[o.index] = o.err
@@ -393,30 +373,74 @@ func (s *Spec) RunWith(opts RunOptions) (*Result, *Report, error) {
 	}
 	for i, err := range errs { // batch order, not completion order
 		if err != nil {
-			report.Failures = append(report.Failures, Failure{Key: points[i].task.Key, Err: err.Error()})
+			report.Failures = append(report.Failures, Failure{Key: points[i].Key, Err: err.Error()})
 		}
 	}
 
-	// Assemble in spec order — never completion order — so parallel runs
-	// render byte-identical tables and CSV.
-	res := &Result{Spec: s, Points: make(map[string][]PointResult)}
-	next := 0 // index of the current (algorithm, load)'s first replica
-	for _, alg := range s.Algs {
-		for _, load := range s.Loads {
-			first := next
-			next += replicas
-			if slices.Contains(completed[first:next], false) {
-				continue // failed or drained point: named or counted in the report
-			}
-			res.Points[alg.Label] = append(res.Points[alg.Label], aggregateReplicas(load, results[first:next]))
-		}
-	}
+	// A failed or drained point is named or counted in the report.
+	res := s.Collect(replicas, func(i int) (PointResult, bool) { return results[i], completed[i] })
 	if report.Failed() > 0 {
 		f := report.Failures[0]
 		return res, report, fmt.Errorf("harness: %d/%d points failed (first: %s: %s)",
 			report.Failed(), report.Total, f.Key, firstLine(f.Err))
 	}
 	return res, report, nil
+}
+
+// Tasks lists the points of a sweep of s with replicas runs each (0 means 1)
+// in spec order — curve by curve, load by load, replica by replica — each
+// with its key and seed: the batch RunWith offers its PointRunner, and the
+// order Collect reads. It normalizes s first, and refuses a sweep in which
+// two points share a key.
+func (s *Spec) Tasks(replicas int) ([]PointTask, error) {
+	if err := s.Normalize(); err != nil {
+		return nil, err
+	}
+	replicas = max(replicas, 1)
+	tasks := make([]PointTask, 0, len(s.Algs)*len(s.Loads)*replicas)
+	seen := make(map[string]struct{}, cap(tasks))
+	for _, alg := range s.Algs {
+		for _, load := range s.Loads {
+			for r := 0; r < replicas; r++ {
+				key := s.PointKey(alg.Label, load, r)
+				if _, dup := seen[key]; dup {
+					return nil, fmt.Errorf("harness: duplicate point key %q", key)
+				}
+				seen[key] = struct{}{}
+				tasks = append(tasks, PointTask{
+					Key: key, Seed: engine.SeedFor(s.Seed, key), Alg: alg.Label, Load: load, Replica: r,
+				})
+			}
+		}
+	}
+	return tasks, nil
+}
+
+// Collect builds the Result of a sweep of s with replicas runs each (0 means
+// 1) from its points' results: get(i) returns the result of point i of
+// Tasks(replicas) and whether that point completed. It assembles in spec
+// order — never completion order — so parallel runs render byte-identical
+// tables and CSV, and folds each (curve, load)'s replicas into one point; a
+// (curve, load) with a replica that did not complete is left out. RunWith
+// builds its Result here, and the job server builds a settled job's from the
+// result store.
+func (s *Spec) Collect(replicas int, get func(i int) (PointResult, bool)) *Result {
+	replicas = max(replicas, 1)
+	res := &Result{Spec: s, Points: make(map[string][]PointResult)}
+	reps := make([]PointResult, replicas)
+	for a, alg := range s.Algs {
+		for l, load := range s.Loads {
+			first := (a*len(s.Loads) + l) * replicas
+			complete := true
+			for r := 0; r < replicas && complete; r++ {
+				reps[r], complete = get(first + r)
+			}
+			if complete {
+				res.Points[alg.Label] = append(res.Points[alg.Label], aggregateReplicas(load, reps))
+			}
+		}
+	}
+	return res
 }
 
 // maxSweepPoints bounds curves x loads x replicas of one sweep. The paper's

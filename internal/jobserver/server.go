@@ -3,6 +3,13 @@
 // as one harness sweep through a fabric.Coordinator, and serves live status
 // and finished results (JSON and CSV). It backs cmd/disha-serve.
 //
+// The coordinator's result cache is the one place a finished point lives. A
+// settled job keeps its status (request and report) and which of its
+// (curve, load) points its own run completed, nothing more: its result.json
+// and result.csv are built on each read from the request's spec and the
+// cached points (harness.Spec.Collect), so a point a later job completes does
+// not enter a drained or failed job's result.
+//
 // Jobs run one at a time from a FIFO queue — a job offers all its points to
 // the coordinator at once and simulates up to "parallel" of them on this
 // process's cores, so running sweeps concurrently would only thrash the cache
@@ -104,10 +111,30 @@ type jobResult struct {
 	Points map[string][]harness.PointResult `json:"points"`
 }
 
+// job is what the server keeps of a job. done has bit g set when the job's
+// run completed every replica of (curve, load) g, numbered in spec order
+// (curve by curve, then load); it is nil until the job settles, and stays nil
+// for a job whose sweep could not start.
 type job struct {
 	status JobStatus
-	spec   *harness.Spec
-	result *harness.Result
+	done   []uint64
+}
+
+// completed returns the done bits of res, a sweep of spec: each curve lists
+// its completed loads in spec order.
+func completed(spec *harness.Spec, res *harness.Result) []uint64 {
+	bits := make([]uint64, (len(spec.Algs)*len(spec.Loads)+63)/64)
+	for a, alg := range spec.Algs {
+		pts := res.Points[alg.Label]
+		for l, load := range spec.Loads {
+			if len(pts) > 0 && pts[0].Load == load {
+				g := a*len(spec.Loads) + l
+				bits[g/64] |= 1 << (g % 64)
+				pts = pts[1:]
+			}
+		}
+	}
+	return bits
 }
 
 // Server is the job server. Create it with NewWithOptions and mount Handler.
@@ -291,7 +318,6 @@ func (s *Server) runJob(id string) {
 	now := time.Now()
 	j.status.State = "running"
 	j.status.Started = &now
-	spec := j.spec
 	req := j.status.Request
 	s.mu.Unlock()
 
@@ -315,13 +341,20 @@ func (s *Server) runJob(id string) {
 		}
 		s.mu.Unlock()
 	}
-	res, report, err := spec.RunWith(opts)
+	var res *harness.Result
+	var report *harness.Report
+	spec, err := req.spec() // the submission built it, so it builds again
+	if err == nil {
+		res, report, err = spec.RunWith(opts)
+	}
 
 	s.mu.Lock()
 	end := time.Now()
 	j.status.Finished = &end
 	j.status.Report = report
-	j.result = res
+	if res != nil {
+		j.done = completed(spec, res)
+	}
 	switch {
 	case err != nil:
 		j.status.State = "failed"
@@ -418,7 +451,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[id] = &job{
 		status: JobStatus{ID: id, State: "queued", Request: req, Created: time.Now(),
 			Progress: Progress{Total: len(spec.Algs) * len(spec.Loads) * max(req.Replicas, 1)}},
-		spec: spec,
 	}
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -492,7 +524,9 @@ func (s *Server) handleResultCSV(w http.ResponseWriter, r *http.Request) {
 
 // finishedResult resolves {id} to a finished job's result, writing the
 // appropriate error response otherwise. Failed jobs with partial results
-// still serve them (the failure is visible in the status report).
+// still serve them (the failure is visible in the status report). The result
+// is the request's sweep collected from the coordinator's cache, holding the
+// (curve, load) points the job's own run completed and no other.
 func (s *Server) finishedResult(w http.ResponseWriter, r *http.Request) (*harness.Result, JobStatus, bool) {
 	id := r.PathValue("id")
 	j, ok := s.lookup(id)
@@ -501,17 +535,32 @@ func (s *Server) finishedResult(w http.ResponseWriter, r *http.Request) (*harnes
 		return nil, JobStatus{}, false
 	}
 	s.mu.Lock()
-	st := j.status
-	res := j.result
+	st, done := j.status, j.done // done is never written after the job settles
 	s.mu.Unlock()
 	if !st.terminal() {
 		httpError(w, http.StatusConflict, "job %s is %s; results are available once it settles", id, st.State)
 		return nil, JobStatus{}, false
 	}
-	if res == nil {
+	if done == nil {
 		httpError(w, http.StatusNotFound, "job %s produced no results: %s", id, st.Error)
 		return nil, JobStatus{}, false
 	}
+	spec, err := st.Request.spec()
+	var tasks []harness.PointTask
+	if err == nil {
+		tasks, err = spec.Tasks(st.Request.Replicas)
+	}
+	if err != nil { // the job's run built the same spec and tasks
+		httpError(w, http.StatusInternalServerError, "job %s: %v", id, err)
+		return nil, JobStatus{}, false
+	}
+	replicas := max(st.Request.Replicas, 1)
+	res := spec.Collect(replicas, func(i int) (harness.PointResult, bool) {
+		if g := i / replicas; done[g/64]&(1<<(g%64)) == 0 {
+			return harness.PointResult{}, false
+		}
+		return s.fleet.Cached(tasks[i].Key, tasks[i].Seed)
+	})
 	return res, st, true
 }
 

@@ -112,9 +112,7 @@ func (n *Network) walkDynamic(c *snapshot.Codec) error {
 
 	table := n.walkPacketTable(c)
 	n.walkInjectionState(c, table)
-	for i := range n.sources {
-		n.sources[i].Walk(c)
-	}
+	n.proc.Walk(c, n.sources)
 
 	if t := n.token; t != nil { // the configuration guard implies its presence
 		snapshot.Range(c, &t.pos, snapshot.In(0, len(t.order), "token position"))

@@ -256,8 +256,10 @@ func TestSnapshotFreshnessGuard(t *testing.T) {
 // entry this build cannot replay, kind 2 or 3 (once a router kill and heal)
 // or 4 (once a routing swap), by its index; flits with no owner and a run
 // past its owner's length, by the slot; a listed slot at rest and a listing
-// past the slot count, which would give one state two encodings; and a file
-// of another format version, by its version.
+// past the slot count, which would give one state two encodings; a slot
+// marked sent and a source bursting under a Bernoulli process, states no run
+// holds between cycles; and a file of another format version, by its
+// version.
 func TestSnapshotCorruption(t *testing.T) {
 	cfg := testConfig(topology.MustTorus(4, 4), routing.Disha(0), 0.5, 3)
 	cfg.Router.Timeout = 4
@@ -453,6 +455,29 @@ func TestSnapshotCorruption(t *testing.T) {
 		payload[k+2] = 1
 		refused(t, snapshot.Seal(snapshotMagic, snapshotVersion, payload),
 			fmt.Sprintf("router %d: snapshot: input (%d,%d) is marked sent between cycles", node, port, vc))
+	})
+	t.Run("bursting source under a Bernoulli process", func(t *testing.T) {
+		// Only a bursty process sets a source bursting, so a Bernoulli
+		// network's file codes the flag 0. Set it for source 3: its byte is
+		// the one before the source's offered count, located by coding that
+		// count a second time, one higher.
+		if cfg.Burst.Valid() {
+			t.Fatal("the corruption configuration is bursty")
+		}
+		n := restoreFresh(t, cfg, data)
+		payload := payloadOf(t, n)
+		n.sources[3].Offered++
+		other := payloadOf(t, n)
+		k := 0
+		for payload[k] == other[k] {
+			k++
+		}
+		if payload[k-2] != 0 || payload[k-1] != 0 {
+			t.Fatalf("stopped and bursting bytes before the offered count at %d read %d and %d, want 0 and 0", k, payload[k-2], payload[k-1])
+		}
+		payload[k-1] = 1
+		refused(t, snapshot.Seal(snapshotMagic, snapshotVersion, payload),
+			"snapshot: source 3 is bursting under a Bernoulli process")
 	})
 	t.Run("listing past the slot count", func(t *testing.T) {
 		// A router record opens with its input listing; an index past the
