@@ -2,9 +2,12 @@
 // provides:
 //
 //   - channel dependency graphs (Definitions 5-8 of the paper's appendix)
-//     with cycle detection, used to verify that the avoidance baselines'
-//     deterministic/escape subfunctions are acyclic while Disha's true fully
-//     adaptive routing is cyclic — the premise that makes recovery necessary;
+//     with cycle detection. The package's tests derive each avoidance
+//     baseline's graph from internal/routing itself — every candidate its
+//     Route offers, applied by the router's own header update — and prove
+//     its deterministic or escape subfunction connected and acyclic, while
+//     Disha's true fully adaptive routing is cyclic: the premise that makes
+//     recovery necessary;
 //   - the Deadlock Buffer lane checks behind Lemma 1 (the recovery routing
 //     subfunction is connected) and Assumption 3 (it is minimal);
 //   - a runtime wait-for-graph analyzer that finds true deadlocked
@@ -13,9 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -93,7 +97,9 @@ func (g *Graph) FindCycle() []Channel {
 	color := make(map[Channel]int, len(g.adj))
 	parent := make(map[Channel]Channel, len(g.adj))
 
-	for start := range g.adj {
+	// Start vertices and successors are taken in sortedKeys order, so the
+	// witness is a function of the graph alone, not of map iteration.
+	for _, start := range sortedKeys(g.adj) {
 		if color[start] != white {
 			continue
 		}
@@ -102,7 +108,7 @@ func (g *Graph) FindCycle() []Channel {
 			succ []Channel
 			idx  int
 		}
-		stack := []frame{{ch: start, succ: g.successors(start)}}
+		stack := []frame{{ch: start, succ: sortedKeys(g.adj[start])}}
 		color[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -117,7 +123,7 @@ func (g *Graph) FindCycle() []Channel {
 			case white:
 				color[next] = gray
 				parent[next] = f.ch
-				stack = append(stack, frame{ch: next, succ: g.successors(next)})
+				stack = append(stack, frame{ch: next, succ: sortedKeys(g.adj[next])})
 			case gray:
 				// Found a back edge f.ch -> next: reconstruct the cycle.
 				cycle := []Channel{next}
@@ -135,125 +141,17 @@ func (g *Graph) FindCycle() []Channel {
 	return nil
 }
 
-func (g *Graph) successors(c Channel) []Channel {
-	out := make([]Channel, 0, len(g.adj[c]))
-	for s := range g.adj[c] {
-		out = append(out, s)
+// sortedKeys returns m's channels ordered by node, then port, then VC.
+func sortedKeys[V any](m map[Channel]V) []Channel {
+	out := make([]Channel, 0, len(m))
+	for c := range m {
+		out = append(out, c)
 	}
-	// Deterministic order for reproducible witnesses.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b Channel) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Port, b.Port), cmp.Compare(a.VC, b.VC))
+	})
 	return out
-}
-
-func less(a, b Channel) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.Port != b.Port {
-		return a.Port < b.Port
-	}
-	return a.VC < b.VC
 }
 
 // Acyclic reports whether the graph has no dependency cycles.
 func (g *Graph) Acyclic() bool { return g.FindCycle() == nil }
-
-// --- Builders -----------------------------------------------------------------
-
-// BuildDORCDG constructs the exact channel dependency graph of dimension-
-// order routing by walking the unique DOR path of every (src, dst) pair and
-// recording consecutive channel pairs. With datelines enabled the torus
-// dateline VC discipline is modeled as two channel classes per link (class 1
-// after the packet crosses the dimension's dateline), which is the
-// construction that removes the wraparound ring cycles; without datelines
-// all traffic shares class 0, reproducing the classic result that plain DOR
-// deadlocks on a torus.
-func BuildDORCDG(topo topology.Topology, datelines bool) *Graph {
-	g := NewGraph()
-	for s := 0; s < topo.Nodes(); s++ {
-		for d := 0; d < topo.Nodes(); d++ {
-			if s == d {
-				continue
-			}
-			walkDOR(topo, topology.Node(s), topology.Node(d), datelines, g)
-		}
-	}
-	return g
-}
-
-func walkDOR(topo topology.Topology, src, dst topology.Node, datelines bool, g *Graph) {
-	cur := src
-	var crossed uint64
-	have := false
-	var prev Channel
-	for cur != dst {
-		port, ok := routing.DORPort(topo, cur, dst)
-		if !ok {
-			return
-		}
-		class := 0
-		if datelines && crossed&(1<<uint(topology.PortDim(port))) != 0 {
-			class = 1
-		}
-		ch := Channel{From: cur, Port: port, VC: class}
-		g.AddChannel(ch)
-		if have {
-			g.AddDep(prev, ch)
-		}
-		if topo.CrossesDateline(cur, port) {
-			crossed |= 1 << uint(topology.PortDim(port))
-		}
-		prev, have = ch, true
-		next, ok := topo.Neighbor(cur, port)
-		if !ok {
-			return
-		}
-		cur = next
-	}
-}
-
-// BuildMinimalAdaptiveCDG constructs the channel dependency graph of true
-// fully adaptive minimal routing (Disha with M=0). Because every virtual
-// channel is available to every packet with no classes or ordering, VCs are
-// collapsed to a single class: a dependency c1 -> c2 with c1 = (m -> n) and
-// c2 = (n -> o) exists iff some destination makes both hops profitable.
-func BuildMinimalAdaptiveCDG(topo topology.Topology) *Graph {
-	g := NewGraph()
-	for m := 0; m < topo.Nodes(); m++ {
-		for p1 := 0; p1 < topo.Degree(); p1++ {
-			n, ok := topo.Neighbor(topology.Node(m), p1)
-			if !ok {
-				continue
-			}
-			c1 := Channel{From: topology.Node(m), Port: p1}
-			g.AddChannel(c1)
-			for p2 := 0; p2 < topo.Degree(); p2++ {
-				o, ok := topo.Neighbor(n, p2)
-				if !ok {
-					continue
-				}
-				if dependsMinimal(topo, topology.Node(m), n, o) {
-					g.AddDep(c1, Channel{From: n, Port: p2})
-				}
-			}
-		}
-	}
-	return g
-}
-
-// dependsMinimal reports whether some destination makes m->n->o a pair of
-// consecutive profitable hops.
-func dependsMinimal(topo topology.Topology, m, n, o topology.Node) bool {
-	for d := 0; d < topo.Nodes(); d++ {
-		dst := topology.Node(d)
-		if topo.Distance(n, dst) == topo.Distance(m, dst)-1 &&
-			topo.Distance(o, dst) == topo.Distance(n, dst)-1 {
-			return true
-		}
-	}
-	return false
-}

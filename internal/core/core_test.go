@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"slices"
 	"testing"
@@ -60,6 +61,26 @@ func TestGraphSelfLoop(t *testing.T) {
 	}
 }
 
+// TestFindCycleReproducible: a witness is a function of the graph, not of
+// the order its map yields vertices, so a lane's rejection reads the same on
+// every run.
+func TestFindCycleReproducible(t *testing.T) {
+	a, b, c := core.Channel{From: 0, Port: 0}, core.Channel{From: 1, Port: 0}, core.Channel{From: 2, Port: 0}
+	topo := topology.MustTorus(4, 4)
+	witnesses, errs := map[string]bool{}, map[string]bool{}
+	for range 100 {
+		g := core.NewGraph()
+		g.AddDep(b, c)
+		g.AddDep(c, a)
+		g.AddDep(a, b)
+		witnesses[fmt.Sprint(g.FindCycle())] = true
+		errs[fmt.Sprint(core.VerifyDeadlockFree(topo, core.DORLane(topo)))] = true
+	}
+	if len(witnesses) != 1 || len(errs) != 1 {
+		t.Fatalf("100 builds gave witnesses %v and errors %v", witnesses, errs)
+	}
+}
+
 func TestGraphIsolatedVertexAcyclic(t *testing.T) {
 	g := core.NewGraph()
 	g.AddChannel(core.Channel{From: 5, Port: 2})
@@ -68,27 +89,28 @@ func TestGraphIsolatedVertexAcyclic(t *testing.T) {
 	}
 }
 
-// The classic results the paper builds on:
+// The classic results the paper builds on, on the graphs internal/routing
+// induces (derive, baseline_test.go):
 
 func TestDORWithDatelinesAcyclicOnTorus(t *testing.T) {
 	for _, topo := range []topology.Topology{topology.MustTorus(4, 4), topology.MustTorus(8, 8), topology.MustTorus(3, 5)} {
-		g := core.BuildDORCDG(topo, true)
-		if cycle := g.FindCycle(); cycle != nil {
+		if cycle := derive(topo, routing.DOR(), 2).cdg.FindCycle(); cycle != nil {
 			t.Fatalf("%s: dateline DOR CDG has cycle %v", topo.Name(), cycle)
 		}
 	}
 }
 
+// TestDORWithoutDatelinesCyclicOnTorus: one channel class, as the recovery
+// lane's dimension-order routing uses, closes the wraparound rings.
 func TestDORWithoutDatelinesCyclicOnTorus(t *testing.T) {
-	g := core.BuildDORCDG(topology.MustTorus(4, 4), false)
-	if g.Acyclic() {
+	topo := topology.MustTorus(4, 4)
+	if core.BuildLaneCDG(topo, core.DORLane(topo)).Acyclic() {
 		t.Fatal("plain DOR on a torus must have ring cycles")
 	}
 }
 
 func TestDORAcyclicOnMesh(t *testing.T) {
-	g := core.BuildDORCDG(topology.MustMesh(4, 4), false)
-	if cycle := g.FindCycle(); cycle != nil {
+	if cycle := derive(topology.MustMesh(4, 4), routing.DOR(), 1).cdg.FindCycle(); cycle != nil {
 		t.Fatalf("mesh DOR CDG has cycle %v", cycle)
 	}
 }
@@ -97,8 +119,7 @@ func TestDORAcyclicOnMesh(t *testing.T) {
 // torus and mesh, so avoidance cannot certify it — recovery is required.
 func TestMinimalAdaptiveCyclic(t *testing.T) {
 	for _, topo := range []topology.Topology{topology.MustTorus(4, 4), topology.MustMesh(4, 4)} {
-		g := core.BuildMinimalAdaptiveCDG(topo)
-		if g.Acyclic() {
+		if derive(topo, routing.Disha(0), 1).cdg.Acyclic() {
 			t.Fatalf("%s: fully adaptive minimal CDG unexpectedly acyclic", topo.Name())
 		}
 	}
@@ -106,7 +127,7 @@ func TestMinimalAdaptiveCyclic(t *testing.T) {
 
 func TestMinimalAdaptiveCDGOnlyProfitableDeps(t *testing.T) {
 	topo := topology.MustTorus(4, 4)
-	g := core.BuildMinimalAdaptiveCDG(topo)
+	g := derive(topo, routing.Disha(0), 1).cdg
 	// A dependency straight back along the same link (m->n then n->m) can
 	// never be profitable: any dst closer to n than m cannot be closer to m
 	// than n again.
@@ -121,6 +142,21 @@ func TestMinimalAdaptiveCDGOnlyProfitableDeps(t *testing.T) {
 				t.Fatalf("u-turn dependency %d->%d->%d present", m, n, m)
 			}
 		}
+	}
+}
+
+// TestMinimalAdaptiveFullMeshHasNoDeps: on a complete graph every minimal
+// route is the one direct hop, so minimal fully adaptive routing holds no
+// channel while it requests another — the premise of EXPERIMENTS.md's
+// full-mesh baseline.
+func TestMinimalAdaptiveFullMeshHasNoDeps(t *testing.T) {
+	g, err := topology.Parse("fullmesh-8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdg := derive(g, routing.Disha(0), 1).cdg
+	if want := g.Nodes() * (g.Nodes() - 1); cdg.Channels() != want || cdg.Deps() != 0 {
+		t.Fatalf("%s: %d channels, %d dependencies; want %d, 0", g.Name(), cdg.Channels(), cdg.Deps(), want)
 	}
 }
 

@@ -34,7 +34,7 @@ func CrossbarDelayNS(inputs int) float64 {
 	if inputs < 1 {
 		panic("costmodel: crossbar needs at least one input")
 	}
-	return crossbarBaseNS + crossbarPerLog2NS*math.Log2(float64(inputs))
+	return crossbarBaseNS + float64(crossbarPerLog2NS*math.Log2(float64(inputs)))
 }
 
 // VCCDelayNS returns the virtual channel controller delay for multiplexing
@@ -43,7 +43,7 @@ func VCCDelayNS(vcs int) float64 {
 	if vcs < 1 {
 		panic("costmodel: need at least one virtual channel")
 	}
-	return vccBaseNS + vccPerLog2NS*math.Log2(float64(vcs))
+	return vccBaseNS + float64(vccPerLog2NS*math.Log2(float64(vcs)))
 }
 
 // Router describes the structural parameters that determine data-through

@@ -190,7 +190,7 @@ var claims = []struct {
 		// The peak margins over Duato the Summary quotes: +4/+6/+11%.
 		for i, want := range []float64{4, 6, 11} {
 			f := fig(permutations[i])
-			margin := 100 * (PeakThroughput(f.points("disha-m0"))/PeakThroughput(f.points("duato")) - 1)
+			margin := float64(100 * (PeakThroughput(f.points("disha-m0"))/PeakThroughput(f.points("duato")) - 1))
 			if math.Abs(margin-want) > 0.5 {
 				bad = append(bad, fmt.Sprintf("%s: margin %+.1f%%, quoted %+.0f%%", permutations[i], margin, want))
 			}

@@ -52,7 +52,7 @@ func (c *Collector) StdDev() float64 {
 	ss := 0.0
 	for _, v := range c.samples {
 		d := v - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n))
 }
@@ -158,7 +158,7 @@ func CI95(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	s := math.Sqrt(ss / float64(n-1))
 	return TQuantile95(n-1) * s / math.Sqrt(float64(n))

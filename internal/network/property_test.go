@@ -59,7 +59,7 @@ func TestConservationProperty(t *testing.T) {
 			Router:    rc,
 			Algorithm: alg,
 			Pattern:   traffic.Uniform(topo),
-			LoadRate:  0.2 + 0.15*float64(k.LoadPick%4), // 0.2..0.65
+			LoadRate:  0.2 + float64(0.15*float64(k.LoadPick%4)), // 0.2..0.65
 			MsgLen:    1 + int(k.LenPick)%12,
 			Seed:      k.Seed,
 		}

@@ -10,8 +10,8 @@ func demoCurves() []Curve {
 	a, b := Curve{Label: "disha-m0"}, Curve{Label: "duato"}
 	for i := 1; i <= 8; i++ {
 		x := 0.1 * float64(i)
-		a.X, a.Y = append(a.X, x), append(a.Y, 40+100*x*x)
-		b.X, b.Y = append(b.X, x), append(b.Y, 40+400*x*x)
+		a.X, a.Y = append(a.X, x), append(a.Y, 40+float64(100*x*x))
+		b.X, b.Y = append(b.X, x), append(b.Y, 40+float64(400*x*x))
 	}
 	return []Curve{a, b}
 }

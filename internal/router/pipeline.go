@@ -269,26 +269,39 @@ func (t *Transfer) popSource() packet.Flit {
 // applyHeaderHop updates per-packet routing state when a header crosses a
 // normal (edge-buffer) link out of r.
 func (r *Router) applyHeaderHop(p *packet.Packet, outPort int) {
+	if HeaderHop(r.st.topo, r.st.ctopo, p, r.node, outPort, r.Neighbor(outPort).node) {
+		r.stats.MisrouteHops++
+	}
+}
+
+// HeaderHop writes the routing state a header's hop from node from through
+// port to node to changes: the hop count, on a coordinate topology (ctopo is
+// g's coordinate view, nil on a coordinate-free graph) the dimension
+// reversal and the dateline bit, and the misroute count, which grows when
+// the hop brings p no closer to its destination. It reports a misroute. A
+// router applies it to every header that crosses one of its links; the
+// deadlock-freedom tests of internal/core apply it to the candidates Route
+// offers, so they walk the states a header really reaches.
+func HeaderHop(g topology.Graph, ctopo topology.Topology, p *packet.Packet, from topology.Node, port int, to topology.Node) (misroute bool) {
 	p.Hops++
-	topo, ctopo := r.st.topo, r.st.ctopo
 	if ctopo != nil {
 		// Dimension-reversal and dateline state only exist on coordinate
 		// topologies; the algorithms that consume them reject coordinate-
 		// free graphs at configuration time.
-		d := topology.PortDim(outPort)
+		d := topology.PortDim(port)
 		if p.LastDim >= 0 && d < p.LastDim {
 			p.DimReversals++
 		}
 		p.LastDim = d
-		if ctopo.CrossesDateline(r.node, outPort) {
+		if ctopo.CrossesDateline(from, port) {
 			p.DatelineCrossed |= 1 << uint(d)
 		}
 	}
-	nb := r.Neighbor(outPort)
-	if topo.Distance(nb.node, p.Dst) >= topo.Distance(r.node, p.Dst) {
+	if g.Distance(to, p.Dst) >= g.Distance(from, p.Dst) {
 		p.Misroutes++
-		r.stats.MisrouteHops++
+		return true
 	}
+	return false
 }
 
 // --- Deadlock detection & recovery ---------------------------------------------

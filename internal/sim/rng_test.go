@@ -81,7 +81,7 @@ func TestFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-		sum += f
+		sum += float64(f)
 	}
 	if mean := sum / draws; math.Abs(mean-0.5) > 0.01 {
 		t.Errorf("Float64 mean %v, want ~0.5", mean)

@@ -69,7 +69,7 @@ func LinearBuckets(start, width float64, count int) []float64 {
 	}
 	out := make([]float64, count)
 	for i := range out {
-		out[i] = start + float64(i)*width
+		out[i] = start + float64(float64(i)*width)
 	}
 	return out
 }
@@ -172,7 +172,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(h.count)
+	rank := float64(q * float64(h.count))
 	cum := 0.0
 	for i, c := range h.counts {
 		prev := cum

@@ -344,7 +344,7 @@ func TestInjectionProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(half-p/2) > 1e-12 {
+	if math.Abs(half-float64(p/2)) > 1e-12 {
 		t.Error("injection probability must scale linearly with load")
 	}
 }
